@@ -2,8 +2,8 @@
 //!
 //! This is the evidence behind the AVX2 complex-GEMM plane: per-call wall
 //! time for the beamforming shapes the frame loop actually runs, compared
-//! between a `SimdTier::Scalar`-pinned plan (the `simd_gemm` ablation's
-//! off state — still the shape-specialised "JIT" kernel where one exists)
+//! between a `SimdTier::Scalar`-pinned plan (what runs where AVX2 is
+//! absent — still the shape-specialised "JIT" kernel where one exists)
 //! and the AVX2 register-tiled kernel. Three matrix products are timed
 //! per antenna/user geometry:
 //!

@@ -1,0 +1,863 @@
+//! CI smoke: release-build parity checks, one table, one process.
+//!
+//! ```text
+//! parity            # every check
+//! parity fft sched  # a subset, by name
+//! ```
+//!
+//! Every check is deterministic (fixed seeds) and fast; any violation
+//! prints a `FAIL` line and the process exits 1 after the selected checks
+//! have run. `scripts/ci.sh` runs the whole table after the test suite.
+//!
+//! | name | contract |
+//! |---|---|
+//! | `decoder` | i8 LDPC decoder bit-exact across SIMD tiers; i8 and f32 planes both land on the transmitted bits |
+//! | `fft` | tier agreement; batched ≡ single transforms bit for bit; pre-reversed entry ≡ `execute` |
+//! | `gemm` | `gemm`/`gemv`/`gram` and planned kernels bit-identical across tiers on every dispatch shape class |
+//! | `zf` | Cholesky detector ≈ Gauss-Jordan, bit-identical across tiers; CG lands on the direct solve; near-singular Gram rejected |
+//! | `fronthaul` | batch ≡ single delivery on mem and UDP links; aggregation split and pool recycling |
+//! | `deployment` | C=4 ledgers reconcile against the fault injector; deployment ≡ standalone engines; misroutes counted |
+//! | `zf_cluster` | staged ZF at C=1 ≡ monolithic (inline and threaded); sharded SVD fallback ≡ unsharded |
+//! | `sched` | lanes ≡ shared queues ≡ inline; lane counters account for every message |
+
+use agora_core::config::EqMode;
+use agora_core::deploy::{Deployment, DeploymentConfig};
+use agora_core::engine::PRIORITY;
+use agora_core::{Engine, EngineConfig, FrameResult, InlineProcessor, WorkerPolicy};
+use agora_fft::{Direction, FftPlan};
+use agora_fronthaul::packet::decode_ref;
+use agora_fronthaul::{
+    encode, FaultConfig, Fronthaul, LossModel, MemFronthaul, MultiCellGenerator, PacketBuf,
+    PacketDir, PacketHeader, PacketPool, RruConfig, RruEmulator, UdpFronthaul,
+};
+use agora_ldpc::{
+    quantize_llrs, BaseGraphId, DecodeConfig, DecodeConfigI8, Decoder, DecoderI8, Encoder,
+    RateMatch, DEFAULT_LLR_SCALE,
+};
+use agora_math::{
+    gram_reduce, pinv_from_gram_slice_into, pinv_into, CMat, Cf32, CholScratch, Cholesky, Gemm,
+    PinvMethod, PinvScratch, SimdTier,
+};
+use agora_phy::equalize::{cg_solve_gram, CgScratch};
+use agora_phy::frame::FrameSchedule;
+use agora_phy::{CellConfig, ClusterPlan};
+use agora_queue::TaskType;
+use bytes::Bytes;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::VecDeque;
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
+const CHECKS: &[(&str, fn())] = &[
+    ("decoder", decoder),
+    ("fft", fft),
+    ("gemm", gemm),
+    ("zf", zf),
+    ("fronthaul", fronthaul),
+    ("deployment", deployment),
+    ("zf_cluster", zf_cluster),
+    ("sched", sched),
+];
+
+static FAILURES: AtomicUsize = AtomicUsize::new(0);
+
+fn check(ok: bool, what: &str) {
+    if ok {
+        println!("OK   {what}");
+    } else {
+        println!("FAIL {what}");
+        FAILURES.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+fn main() {
+    let names: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(bad) = names.iter().find(|n| !CHECKS.iter().any(|(name, _)| name == n)) {
+        let known: Vec<&str> = CHECKS.iter().map(|(name, _)| *name).collect();
+        eprintln!("parity: unknown check `{bad}` (known: {})", known.join(" "));
+        std::process::exit(2);
+    }
+    println!("parity smoke (detected tier: {:?})", SimdTier::detect());
+    for (name, run) in CHECKS {
+        if names.is_empty() || names.iter().any(|n| n == name) {
+            println!("== {name} ==");
+            run();
+        }
+    }
+    let failures = FAILURES.load(Ordering::Relaxed);
+    if failures > 0 {
+        println!("parity: {failures} failure(s)");
+        std::process::exit(1);
+    }
+    println!("parity: all checks passed");
+}
+
+// ---------------------------------------------------------------- helpers
+
+/// Deterministic xorshift fill, components in `[-0.25, 0.75)`.
+fn fill(seed: u64, buf: &mut [Cf32]) {
+    let mut state = seed | 1;
+    let mut next = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        ((state >> 11) as f32 / (1u64 << 53) as f32) - 0.25
+    };
+    for v in buf.iter_mut() {
+        *v = Cf32::new(next(), next());
+    }
+}
+
+fn filled(seed: u64, len: usize) -> Vec<Cf32> {
+    let mut v = vec![Cf32::ZERO; len];
+    fill(seed, &mut v);
+    v
+}
+
+fn channel(m: usize, k: usize, seed: u64) -> CMat {
+    let mut h = CMat::zeros(m, k);
+    fill(seed, h.as_mut_slice());
+    h
+}
+
+fn bits(v: &[Cf32]) -> Vec<(u32, u32)> {
+    v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+}
+
+/// Everything except timing milestones (wall-clock, inherently run
+/// dependent) must match bit for bit.
+fn frame_results_equal(a: &FrameResult, b: &FrameResult) -> bool {
+    a.frame == b.frame
+        && a.dropped == b.dropped
+        && a.lost_packets == b.lost_packets
+        && a.decode_ok == b.decode_ok
+        && a.decoded == b.decoded
+}
+
+fn all_frames_equal(a: &[FrameResult], b: &[FrameResult]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| frame_results_equal(x, y))
+}
+
+fn sorted(mut r: Vec<FrameResult>) -> Vec<FrameResult> {
+    r.sort_by_key(|f| f.frame);
+    r
+}
+
+/// `frames` frames of one emulated cell: its packets and noise power.
+fn cell_packets(cell: &CellConfig, snr_db: f32, seed: u64, frames: u32) -> (Vec<Bytes>, f32) {
+    let mut rru = RruEmulator::new(cell.clone(), RruConfig { snr_db, seed, ..Default::default() });
+    let packets = (0..frames).flat_map(|f| rru.generate_frame(f).0).collect();
+    (packets, rru.noise_power())
+}
+
+fn frame_of(packets: &[Bytes], frame: u32) -> Vec<Bytes> {
+    let of = |p: &&Bytes| decode_ref(p).expect("valid packets").0.frame == frame;
+    packets.iter().filter(of).cloned().collect()
+}
+
+const CELLS: usize = 4;
+
+/// Four tiny cells with distinct seeds and cell ids, plus their noise.
+fn rrus(seed_base: u64) -> (CellConfig, Vec<RruEmulator>, Vec<f32>) {
+    let cell = CellConfig::tiny_test(2);
+    let rrus: Vec<RruEmulator> = (0..CELLS)
+        .map(|c| {
+            let seed = seed_base + c as u64;
+            let rc = RruConfig { snr_db: 30.0, seed, cell_id: c as u8, ..Default::default() };
+            RruEmulator::new(cell.clone(), rc)
+        })
+        .collect();
+    let noise = rrus.iter().map(|r| r.noise_power()).collect();
+    (cell, rrus, noise)
+}
+
+/// A link sized for the whole run (with duplication headroom) so the
+/// ring never drops and the ledgers reconcile exactly.
+fn link_for(cell: &CellConfig, frames: u32) -> (MemFronthaul, MemFronthaul) {
+    let per_frame = cell.symbols_per_frame() * cell.num_antennas;
+    MemFronthaul::pair((2 * CELLS * per_frame * frames as usize).next_power_of_two())
+}
+
+fn deployment_for(cell: &CellConfig, noise: &[f32], deadline: Option<u64>) -> Deployment {
+    let cells = noise
+        .iter()
+        .map(|&n| {
+            let mut cfg = EngineConfig::new(cell.clone(), 1);
+            cfg.noise_power = n;
+            cfg.frame_deadline_ns = deadline;
+            cfg
+        })
+        .collect();
+    Deployment::new(DeploymentConfig::new(cells, CELLS))
+}
+
+// ---------------------------------------------------------------- decoder
+
+fn awgn_llrs(tx: &[u8], snr_db: f32, rng: &mut StdRng) -> Vec<f32> {
+    let sigma2 = 10.0f32.powf(-snr_db / 10.0);
+    let sigma = sigma2.sqrt();
+    tx.iter()
+        .map(|&b| {
+            let x = if b == 0 { 1.0f32 } else { -1.0 };
+            let u1: f64 = rng.gen::<f64>().max(1e-12);
+            let u2: f64 = rng.gen();
+            let n = ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32;
+            2.0 * (x + sigma * n) / sigma2
+        })
+        .collect()
+}
+
+/// The (base graph, Z) points the benches sweep, plus tail shapes that
+/// exercise the scalar remainder of the Z-lane kernels. Per case: one
+/// noiseless word, then seven at operating SNR where both planes must
+/// still land on the transmitted bits.
+fn decoder() {
+    const CASES: &[(BaseGraphId, usize)] = &[
+        (BaseGraphId::Bg1, 384),
+        (BaseGraphId::Bg1, 104),
+        (BaseGraphId::Bg1, 64),
+        (BaseGraphId::Bg2, 56),
+        (BaseGraphId::Bg2, 36),
+        (BaseGraphId::Bg1, 30),
+    ];
+    for &(bg, z) in CASES {
+        let enc = Encoder::new(bg, z);
+        let rm = RateMatch::for_rate(bg, z, 1.0 / 3.0);
+        let mut dec_f32 = Decoder::new(bg, z);
+        let mut dec_i8 = DecoderI8::new(bg, z);
+        let mut dec_i8_scalar = DecoderI8::with_tier(bg, z, SimdTier::Scalar);
+        let mut rng = StdRng::seed_from_u64(0xA60A + z as u64);
+        let mut full_f32 = vec![0.0f32; dec_f32.codeword_len()];
+        let mut full_i8 = vec![0i8; dec_i8.codeword_len()];
+        let (mut tiers_agree, mut f32_lands, mut i8_lands) = (true, true, true);
+        for word in 0..8 {
+            let info: Vec<u8> = (0..enc.info_len()).map(|_| rng.gen::<bool>() as u8).collect();
+            let tx = rm.extract(&enc.encode(&info));
+            let llrs = if word == 0 {
+                tx.iter().map(|&b| if b == 0 { 12.0f32 } else { -12.0 }).collect()
+            } else {
+                awgn_llrs(&tx, 5.0, &mut rng)
+            };
+            rm.fill_llrs_into(&llrs, &mut full_f32);
+            let mut tx_i8 = vec![0i8; llrs.len()];
+            quantize_llrs(&llrs, &mut tx_i8, DEFAULT_LLR_SCALE);
+            rm.fill_llrs_into(&tx_i8, &mut full_i8);
+
+            let active_rows = Some(rm.active_rows());
+            let cfg_f32 = DecodeConfig { max_iters: 8, active_rows, ..Default::default() };
+            let cfg_i8 = DecodeConfigI8 { max_iters: 8, active_rows, ..Default::default() };
+            let rf = dec_f32.decode(&full_f32, &cfg_f32);
+            let ri = dec_i8.decode(&full_i8, &cfg_i8);
+            let rs = dec_i8_scalar.decode(&full_i8, &cfg_i8);
+            tiers_agree &= ri.info_bits == rs.info_bits
+                && ri.success == rs.success
+                && ri.iterations == rs.iterations;
+            f32_lands &= rf.success && rf.info_bits == info;
+            i8_lands &= ri.success && ri.info_bits == info;
+        }
+        check(tiers_agree, &format!("{bg:?} Z={z}: i8 decoder bit-exact, detected vs scalar tier"));
+        check(f32_lands, &format!("{bg:?} Z={z}: f32 reference decodes clean + 5 dB words"));
+        check(i8_lands, &format!("{bg:?} Z={z}: i8 plane decodes clean + 5 dB words"));
+    }
+}
+
+// -------------------------------------------------------------------- fft
+
+fn fft() {
+    const BATCH: usize = 4;
+    for n in [64usize, 256, 2048] {
+        let fast = FftPlan::new(n);
+        let scalar = FftPlan::with_tier(n, SimdTier::Scalar);
+        // Tolerance grows with accumulation depth, as in the proptests.
+        let tol = 1e-4 * (n as f32).sqrt();
+        let input = filled(0xF0F7 + n as u64, BATCH * n);
+        for dir in [Direction::Forward, Direction::Inverse] {
+            let mut a = input[..n].to_vec();
+            let mut b = input[..n].to_vec();
+            fast.execute(&mut a, dir);
+            scalar.execute(&mut b, dir);
+            let err =
+                a.iter().zip(&b).map(|(x, y)| (*x - *y).norm_sqr().sqrt()).fold(0.0, f32::max);
+            check(err <= tol, &format!("n={n} {dir:?}: tiers agree ({err:e} <= {tol:e})"));
+
+            let mut batch = input.clone();
+            fast.execute_batch(&mut batch, dir);
+            let mut singles = input.clone();
+            for chunk in singles.chunks_exact_mut(n) {
+                fast.execute(chunk, dir);
+            }
+            check(
+                bits(&batch) == bits(&singles),
+                &format!("n={n} {dir:?}: batch x{BATCH} bit-identical to singles"),
+            );
+
+            // Manual bit-reversal + pre-reversed entry vs fused execute:
+            // same butterflies, same data.
+            let mut pre: Vec<Cf32> = fast.bitrev().iter().map(|&j| input[j as usize]).collect();
+            fast.execute_prereversed(&mut pre, dir);
+            check(bits(&pre) == bits(&a), &format!("n={n} {dir:?}: prereversed path == execute"));
+        }
+    }
+}
+
+// ------------------------------------------------------------------- gemm
+
+fn gemm() {
+    let tier = SimdTier::detect();
+    // Engine shapes plus odd sizes that exercise every tail path (m%4 row
+    // remainders, n%4 masked columns, k%4 packed tails, n==1 gemv
+    // delegation).
+    let shapes: &[(usize, usize, usize)] = &[
+        (16, 64, 8), // paper equalize (K, M, B)
+        (64, 16, 8), // paper precode (M, K, B)
+        (8, 32, 8),
+        (4, 16, 8),
+        (16, 64, 1), // gemv delegation
+        (5, 7, 3),   // everything-tail
+        (3, 9, 1),
+        (13, 13, 13),
+        (1, 1, 1),
+        (2, 33, 6),
+        (17, 4, 5),
+        (33, 65, 9),
+    ];
+    for &(m, k, n) in shapes {
+        let a = filled((m * 131 + k * 17 + n) as u64, m * k);
+        let b = filled((m * 7 + k * 311 + n * 5) as u64, k * n);
+        let mut c_scal = vec![Cf32::ZERO; m * n];
+        let mut c_simd = vec![Cf32::ZERO; m * n];
+        let mut c_plan = vec![Cf32::ZERO; m * n];
+        agora_math::gemm_with_tier(m, k, n, &a, &b, &mut c_scal, SimdTier::Scalar);
+        agora_math::gemm_with_tier(m, k, n, &a, &b, &mut c_simd, tier);
+        let plan = Gemm::plan_with_tier(m, k, n, tier);
+        plan.run(&a, &b, &mut c_plan);
+        check(bits(&c_scal) == bits(&c_simd), &format!("gemm ({m},{k},{n}): tiers bit-identical"));
+        check(
+            bits(&c_plan) == bits(&c_scal),
+            &format!("plan ({m},{k},{n}) kernel {:?} == scalar free function", plan.kernel()),
+        );
+    }
+    // GEMV over shapes hitting the packed-panel TK tiling and tails.
+    for (m, k) in
+        [(16usize, 64usize), (64, 16), (4, 4), (5, 67), (1, 1), (3, 129), (31, 70), (8, 256)]
+    {
+        let a = filled((m * 997 + k) as u64, m * k);
+        let x = filled((k * 13 + m) as u64, k);
+        let mut y_scal = vec![Cf32::ZERO; m];
+        let mut y_simd = vec![Cf32::ZERO; m];
+        agora_math::gemv_with_tier(m, k, &a, &x, &mut y_scal, SimdTier::Scalar);
+        agora_math::gemv_with_tier(m, k, &a, &x, &mut y_simd, tier);
+        check(bits(&y_scal) == bits(&y_simd), &format!("gemv ({m},{k}): tiers bit-identical"));
+    }
+    // Gram (A^H A) over ZF shapes plus tails.
+    for (rows, cols) in [(64usize, 16usize), (32, 8), (16, 4), (7, 5), (64, 15), (9, 9), (1, 3)] {
+        let a = filled((rows * 53 + cols) as u64, rows * cols);
+        let mut g_scal = vec![Cf32::ZERO; cols * cols];
+        let mut g_simd = vec![Cf32::ZERO; cols * cols];
+        agora_math::gram_with_tier(rows, cols, &a, &mut g_scal, SimdTier::Scalar);
+        agora_math::gram_with_tier(rows, cols, &a, &mut g_simd, tier);
+        check(
+            bits(&g_scal) == bits(&g_simd),
+            &format!("gram ({rows},{cols}): tiers bit-identical"),
+        );
+    }
+}
+
+// --------------------------------------------------------------------- zf
+
+/// `h` with user 1 nearly duplicated onto user 0: its Gram must fail the
+/// Cholesky pivot test.
+fn near_singular(mut h: CMat) -> CMat {
+    for r in 0..h.shape().0 {
+        let v = h[(r, 0)];
+        h[(r, 1)] = v + Cf32::new(1e-6, -1e-6);
+    }
+    h
+}
+
+fn zf() {
+    let tier = SimdTier::detect();
+    for (m, k) in [(64usize, 16usize), (32, 8), (16, 4), (64, 15), (24, 7), (8, 1)] {
+        let h = channel(m, k, (m * 131 + k) as u64);
+        let mut gj = CMat::zeros(k, m);
+        let mut ch = CMat::zeros(k, m);
+        let mut ch_scalar = CMat::zeros(k, m);
+        let mut s = PinvScratch::with_tier(m, k, tier);
+        pinv_into(&h, PinvMethod::Direct, &mut s, &mut gj);
+        pinv_into(&h, PinvMethod::Cholesky, &mut s, &mut ch);
+        let mut s_scalar = PinvScratch::with_tier(m, k, SimdTier::Scalar);
+        pinv_into(&h, PinvMethod::Cholesky, &mut s_scalar, &mut ch_scalar);
+        let diff = ch.max_abs_diff(&gj);
+        check(diff <= 1e-3, &format!("detector ({m},{k}): Cholesky vs Gauss-Jordan {diff:.3e}"));
+        check(
+            bits(ch.as_slice()) == bits(ch_scalar.as_slice()),
+            &format!("detector ({m},{k}): Cholesky tiers bit-identical"),
+        );
+        // CG on the Gram system must land on the direct solve.
+        let gram = h.hermitian().matmul(&h);
+        let Ok(chol) = Cholesky::factor(&gram) else {
+            check(false, &format!("factor ({m},{k}): unexpected pivot rejection"));
+            continue;
+        };
+        let x_true = filled((k * 977 + m) as u64, k);
+        let b = gram.matvec(&x_true);
+        let direct = chol.solve(&CMat::from_fn(k, 1, |r, _| b[r]));
+        let mut cg = CgScratch::new(k);
+        let mut x = vec![Cf32::ZERO; k];
+        cg_solve_gram(gram.as_slice(), k, &b, &mut x, 16, 1e-5, &mut cg);
+        let scale = direct.as_slice().iter().map(|z| z.abs()).fold(1.0f32, f32::max);
+        let cg_diff =
+            x.iter().zip(direct.as_slice()).map(|(a, e)| (*a - *e).abs()).fold(0.0f32, f32::max);
+        check(cg_diff <= 1e-3 * scale, &format!("cg ({m},{k}): {cg_diff:.3e} off direct solve"));
+    }
+    // Factor tier parity is bit-exact on odd sizes too.
+    for k in [1usize, 3, 5, 7, 11, 15, 16] {
+        let h = channel(4 * k.max(2), k, (k * 7919) as u64);
+        let gram = h.hermitian().matmul(&h);
+        let mut l_simd = CMat::zeros(k, k);
+        let mut l_scal = CMat::zeros(k, k);
+        let mut sc = CholScratch::new(k);
+        let factored = Cholesky::factor_into(&gram, &mut l_simd, &mut sc, tier).is_ok()
+            && Cholesky::factor_into(&gram, &mut l_scal, &mut sc, SimdTier::Scalar).is_ok();
+        check(
+            factored && bits(l_simd.as_slice()) == bits(l_scal.as_slice()),
+            &format!("factor_into k={k}: tiers bit-identical"),
+        );
+    }
+    // Nearly-duplicated user channels must be rejected by the pivot test
+    // (the f32-aware singularity guard), not silently inverted.
+    let bad = near_singular(channel(64, 16, 4242));
+    let gram = bad.hermitian().matmul(&bad);
+    check(Cholesky::factor(&gram).is_err(), "guard: near-duplicate user channel rejected");
+}
+
+// -------------------------------------------------------------- fronthaul
+
+fn wire_packets(n: usize) -> Vec<PacketBuf> {
+    (0..n)
+        .map(|i| {
+            let payload: Vec<u8> = (0..64 + (i * 7) % 320).map(|b| (b ^ i) as u8).collect();
+            let header = PacketHeader {
+                frame: (i / 8) as u32,
+                symbol: (i % 8) as u16,
+                antenna: i as u16,
+                dir: PacketDir::Uplink,
+                cell: 0,
+                payload_len: payload.len() as u32,
+            };
+            PacketBuf::from(encode(&header, &payload))
+        })
+        .collect()
+}
+
+fn send_all(fh: &impl Fronthaul, pkts: &[PacketBuf]) {
+    let mut outgoing: VecDeque<PacketBuf> = pkts.iter().cloned().collect();
+    let mut spins = 0u32;
+    while !outgoing.is_empty() {
+        if fh.send_batch(&mut outgoing) == 0 {
+            spins += 1;
+            assert!(spins < 1_000_000, "send stalled");
+            std::thread::yield_now();
+        }
+    }
+}
+
+fn recv_all(fh: &impl Fronthaul, n: usize) -> Vec<PacketBuf> {
+    let mut got = Vec::with_capacity(n);
+    for _ in 0..1_000_000 {
+        let want = n - got.len();
+        fh.recv_batch(&mut got, want);
+        if got.len() == n {
+            break;
+        }
+        std::thread::yield_now();
+    }
+    got
+}
+
+fn bytes_equal(reference: &[PacketBuf], got: &[PacketBuf]) -> bool {
+    reference.len() == got.len() && reference.iter().zip(got).all(|(a, b)| a[..] == b[..])
+}
+
+fn udp_pair() -> (UdpFronthaul, UdpFronthaul) {
+    let any: SocketAddr = "127.0.0.1:0".parse().unwrap();
+    let mut tx = UdpFronthaul::new(any, any).expect("bind tx");
+    let rx = UdpFronthaul::new(any, tx.local_addr().unwrap()).expect("bind rx");
+    tx.set_peer(rx.local_addr().unwrap());
+    (tx, rx)
+}
+
+fn fronthaul() {
+    let reference = wire_packets(48);
+
+    // In-memory link: batched calls vs single calls.
+    let (tx, rx) = MemFronthaul::pair(64);
+    send_all(&tx, &reference);
+    let batched = recv_all(&rx, reference.len());
+    for p in &reference {
+        tx.send(p.clone()).expect("mem link sized for the burst");
+    }
+    let single: Vec<PacketBuf> = (0..reference.len()).map(|_| rx.recv().unwrap()).collect();
+    check(bytes_equal(&reference, &batched), "mem batch == reference");
+    check(bytes_equal(&batched, &single), "mem batch == mem single");
+
+    // Batched UDP loopback (mmsg or the portable fallback).
+    let (tx, rx) = udp_pair();
+    send_all(&tx, &reference);
+    let got = recv_all(&rx, reference.len());
+    check(bytes_equal(&reference, &got), "udp batch delivers identical bytes in order");
+    check(
+        tx.link_errors() == (0, 0) && rx.link_errors() == (0, 0),
+        "udp batch round trip has zero link errors",
+    );
+    println!(
+        "     (batched syscalls {})",
+        if tx.batched_syscalls_active() { "active" } else { "unavailable; portable loop" }
+    );
+
+    // Aggregated jumbo datagrams into pooled slots, then recycling.
+    let pool = PacketPool::new(64, 2048);
+    let (tx, rx) = udp_pair();
+    let tx = tx.with_aggregation(16);
+    let rx = rx.with_aggregation(16).with_pool(pool.clone());
+    send_all(&tx, &reference);
+    let got = recv_all(&rx, reference.len());
+    check(bytes_equal(&reference, &got), "aggregated+pooled split is byte-identical");
+    check(got.iter().all(|p| p.is_pooled()), "aggregated receives land in pool slots");
+    drop(got);
+    drop(rx);
+    check(pool.available() == pool.capacity(), "every pool slot returned after packet drop");
+
+    // Plain sender into an aggregated receiver.
+    let (tx, rx) = udp_pair();
+    let rx = rx.with_aggregation(16);
+    tx.send(reference[0].clone()).expect("loopback send");
+    let got = recv_all(&rx, 1);
+    check(bytes_equal(&reference[..1], &got), "plain datagram interoperates with aggregation");
+}
+
+// ------------------------------------------------------------- deployment
+
+fn deployment() {
+    ledger_reconciliation();
+    bit_identical_vs_standalone();
+    misroute_counting();
+}
+
+/// C=4 over one faulty link: per-cell loss/dup/frame ledgers reconcile
+/// exactly against the injector's counters.
+fn ledger_reconciliation() {
+    const FRAMES: u32 = 4;
+    let (cell, rrus, noise) = rrus(1000);
+    let mut generator = MultiCellGenerator::new(rrus).with_faults(FaultConfig {
+        loss: LossModel::Iid { p: 0.03 },
+        reorder_prob: 0.05,
+        max_delay: 8,
+        duplicate_prob: 0.03,
+        seed: 11,
+    });
+    let (tx, rx) = link_for(&cell, FRAMES);
+    let truths = generator.run(&tx, FRAMES);
+    let fs = generator.stats().clone();
+    check(fs.lost > 0, "ledger: 3% loss fired over the run");
+    check(fs.duplicated > 0, "ledger: 3% duplication fired over the run");
+
+    let deployment = deployment_for(&cell, &noise, Some(700_000_000));
+    let done = AtomicBool::new(true);
+    let results = deployment.process_fronthaul(&rx, FRAMES, &done);
+    check(results.iter().all(|r| r.len() == FRAMES as usize), "ledger: every cell emits 4 frames");
+
+    let stats = deployment.stats();
+    let demux = deployment.demux_stats();
+    check(demux.misrouted() == 0, "ledger: no misrouted packets in a 4-cell stream");
+    check(
+        stats.link().rx_batch_packets() == fs.delivered,
+        "ledger: every surviving packet drained from the shared link",
+    );
+    for c in 0..CELLS {
+        let cid = c as u8;
+        let s = stats.cell(c);
+        check(
+            demux.routed(c) == fs.per_cell_delivered.get(&cid).copied().unwrap_or(0),
+            &format!("ledger: cell {c} demux count matches the delivery ledger"),
+        );
+        check(
+            s.packets_lost() == fs.per_cell_lost.get(&cid).copied().unwrap_or(0),
+            &format!("ledger: cell {c} loss reconciles"),
+        );
+        check(
+            s.packets_duplicate() + s.packets_late()
+                == fs.per_cell_duplicated.get(&cid).copied().unwrap_or(0),
+            &format!("ledger: cell {c} dup+late equals injected duplicates"),
+        );
+        for r in &results[c] {
+            let lost_here = fs.per_cell_frame_lost.get(&(cid, r.frame)).copied().unwrap_or(0);
+            check(
+                r.dropped == (lost_here > 0),
+                &format!("ledger: cell {c} frame {} drop status matches frame loss", r.frame),
+            );
+            if !r.dropped {
+                let gt = &truths[c][r.frame as usize];
+                let ok = cell.schedule.uplink_indices().into_iter().all(|sym| {
+                    (0..cell.num_users)
+                        .all(|u| r.decode_ok[sym][u] && r.decoded[sym][u] == gt.info_bits[sym][u])
+                });
+                check(ok, &format!("ledger: cell {c} frame {} decodes ground truth", r.frame));
+            }
+        }
+    }
+    let roll = stats.rollup();
+    check(roll.packets_lost() == fs.lost, "ledger: rolled-up loss equals total injected loss");
+    check(
+        roll.frames_completed() + roll.frames_dropped() == (CELLS as u64) * FRAMES as u64,
+        "ledger: rollup accounts for every frame",
+    );
+}
+
+/// Loss-free faults (dup + reorder): deployment results are
+/// bit-identical to per-cell standalone engines fed the demuxed stream.
+fn bit_identical_vs_standalone() {
+    const FRAMES: u32 = 4;
+    let (cell, rrus, noise) = rrus(2000);
+    let mut generator = MultiCellGenerator::new(rrus).with_faults(FaultConfig {
+        loss: LossModel::None,
+        reorder_prob: 0.08,
+        max_delay: 8,
+        duplicate_prob: 0.05,
+        seed: 23,
+    });
+    let (tx, rx) = link_for(&cell, FRAMES);
+    let _truths = generator.run(&tx, FRAMES);
+
+    // Capture the exact delivered stream, then replay it to the
+    // deployment over a fresh link and to per-cell standalone engines.
+    let mut stream: Vec<Bytes> = Vec::new();
+    let mut batch = Vec::new();
+    while rx.recv_batch(&mut batch, 64) > 0 {
+        stream.extend(batch.drain(..).map(PacketBuf::into_bytes));
+    }
+    check(stream.len() as u64 == generator.stats().delivered, "parity: captured whole stream");
+
+    let (tx2, rx2) = link_for(&cell, FRAMES);
+    for p in &stream {
+        tx2.send(PacketBuf::Heap(p.clone())).expect("replay link sized for the run");
+    }
+    let deployment = deployment_for(&cell, &noise, None);
+    let done = AtomicBool::new(true);
+    let dep_results = deployment.process_fronthaul(&rx2, FRAMES, &done);
+
+    for c in 0..CELLS {
+        let of_cell = |p: &&Bytes| decode_ref(p).expect("valid packets").0.cell as usize == c;
+        let mine: Vec<Bytes> = stream.iter().filter(of_cell).cloned().collect();
+        let mut cfg = EngineConfig::new(cell.clone(), 2);
+        cfg.noise_power = noise[c];
+        let engine = Engine::new(cfg);
+        let solo = engine.process(mine, FRAMES, false);
+        check(
+            all_frames_equal(&solo, &dep_results[c]),
+            &format!("parity: cell {c} frames bit-identical to a standalone engine"),
+        );
+        // The duplicate/late split depends on arrival timing, but the
+        // sum is the injected duplicate count either way.
+        let solo_dups = engine.stats().packets_duplicate() + engine.stats().packets_late();
+        let dep = deployment.stats().cell(c);
+        check(
+            solo_dups == dep.packets_duplicate() + dep.packets_late(),
+            &format!("parity: cell {c} duplicate ledger matches"),
+        );
+    }
+}
+
+/// Packets naming an undeployed cell are counted and dropped.
+fn misroute_counting() {
+    const FRAMES: u32 = 4;
+    let (cell, rrus, noise) = rrus(3000);
+    let mut rogue = RruEmulator::new(
+        cell.clone(),
+        RruConfig { snr_db: 30.0, seed: 77, cell_id: 7, ..Default::default() },
+    );
+    let (tx, rx) = link_for(&cell, FRAMES);
+    let (rogue_pkts, _) = rogue.generate_frame(0);
+    let rogue_count = rogue_pkts.len() as u64;
+    for p in rogue_pkts {
+        tx.send(PacketBuf::Heap(p)).unwrap();
+    }
+    let mut generator = MultiCellGenerator::new(rrus);
+    let _ = generator.run(&tx, FRAMES);
+
+    let deployment = deployment_for(&cell, &noise, None);
+    let done = AtomicBool::new(true);
+    let results = deployment.process_fronthaul(&rx, FRAMES, &done);
+    check(
+        results.iter().all(|r| r.iter().all(|f| !f.dropped)),
+        "misroute: all real cells complete despite the rogue stream",
+    );
+    check(
+        deployment.stats().link().packets_misrouted() == rogue_count,
+        "misroute: every rogue packet counted",
+    );
+    check(deployment.demux_stats().misrouted() == rogue_count, "misroute: demux counter agrees");
+    check(
+        (0..CELLS).all(|c| deployment.stats().cell(c).rx_errors() == 0),
+        "misroute: rogue packets never reach a cell's intake",
+    );
+}
+
+// ------------------------------------------------------------- zf_cluster
+
+fn zf_cluster() {
+    inline_single_cluster_bit_parity();
+    threaded_cluster_parity();
+    singular_fallback_consistency();
+}
+
+fn eq_modes() -> [(EqMode, &'static str); 2] {
+    [(EqMode::Direct, "direct"), (EqMode::Iterative, "iterative")]
+}
+
+/// Inline engine: C=1 staged vs monolithic must agree bit for bit on a
+/// mixed pilot/uplink/downlink frame — uplink decodes AND downlink
+/// time-domain samples.
+fn inline_single_cluster_bit_parity() {
+    let mut cell = CellConfig::tiny_test(2);
+    cell.schedule = FrameSchedule::parse("PUUDD").unwrap();
+    cell.validate().unwrap();
+    let (packets, noise) = cell_packets(&cell, 25.0, 61, 1);
+    for (eq_mode, mode) in eq_modes() {
+        let mut cfg = EngineConfig::new(cell.clone(), 1);
+        cfg.noise_power = noise;
+        cfg.ablation.eq_mode = eq_mode;
+        let mut staged_cfg = cfg.clone();
+        staged_cfg.ablation.clustered_zf = true;
+        staged_cfg.antenna_clusters = 1;
+        let rm = InlineProcessor::new(cfg).process_frame(0, &packets);
+        let rs = InlineProcessor::new(staged_cfg).process_frame(0, &packets);
+        check(
+            rm.decoded == rs.decoded && rm.decode_ok == rs.decode_ok,
+            &format!("inline C=1 uplink bits identical ({mode})"),
+        );
+        let dl_same = cell.schedule.downlink_indices().into_iter().all(|symbol| {
+            (0..cell.num_antennas)
+                .all(|ant| bits(&rm.dl_time[symbol][ant]) == bits(&rs.dl_time[symbol][ant]))
+        });
+        check(dl_same, &format!("inline C=1 downlink samples identical ({mode})"));
+    }
+}
+
+/// Threaded engine: clustered runs (C=1 bit-parity, C=4 sharded reduce)
+/// against the monolithic engine under the real scheduler.
+fn threaded_cluster_parity() {
+    const FRAMES: u32 = 2;
+    let cell = CellConfig::tiny_test(2);
+    let (packets, noise) = cell_packets(&cell, 30.0, 67, FRAMES);
+    for (eq_mode, mode) in eq_modes() {
+        let run = |clusters: usize| {
+            let mut cfg = EngineConfig::new(cell.clone(), 2);
+            cfg.noise_power = noise;
+            cfg.ablation.eq_mode = eq_mode;
+            if clusters > 0 {
+                cfg.ablation.clustered_zf = true;
+                cfg.antenna_clusters = clusters;
+            }
+            sorted(Engine::new(cfg).process(packets.clone(), FRAMES, false))
+        };
+        let mono = run(0);
+        for clusters in [1usize, 4] {
+            let staged = run(clusters);
+            let same = mono.len() == staged.len()
+                && mono.iter().zip(staged.iter()).all(|(m, s)| {
+                    !s.dropped && m.decoded == s.decoded && m.decode_ok == s.decode_ok
+                });
+            check(same, &format!("threaded C={clusters} frames match monolithic ({mode})"));
+        }
+    }
+}
+
+/// Singular Gram: every column shard of the sharded reduce must take the
+/// same SVD fallback and reassemble the exact unsharded fallback
+/// detector.
+fn singular_fallback_consistency() {
+    let tier = SimdTier::detect();
+    let (m, k, clusters) = (64usize, 16usize, 4usize);
+    let h = near_singular(CMat::from_fn(m, k, |r, c| {
+        let i = (r * k + c) as u64;
+        Cf32::new(
+            ((i * 2654435761 % 1000) as f32 / 1000.0) - 0.5,
+            ((i * 40503 % 1000) as f32 / 1000.0) - 0.5,
+        )
+    }));
+    let plan = ClusterPlan::new(m, clusters);
+    // Partial Grams exactly as the first stage publishes them.
+    let mut parts = vec![Cf32::ZERO; clusters * k * k];
+    for cluster in 0..clusters {
+        let rows = plan.range(cluster);
+        let len = rows.len();
+        let a = &h.as_slice()[rows.start * k..rows.end * k];
+        let mut ah = vec![Cf32::ZERO; k * len];
+        agora_math::simd::conj_transpose(a, len, k, &mut ah, tier);
+        let out = &mut parts[cluster * k * k..(cluster + 1) * k * k];
+        agora_math::gram_accumulate_with_tier(len, k, &ah, a, out, tier);
+    }
+    // Unsharded reference: the full pinv (falls back to SVD internally).
+    let mut s = PinvScratch::with_tier(m, k, tier);
+    let mut full = CMat::zeros(k, m);
+    pinv_into(&h, PinvMethod::Cholesky, &mut s, &mut full);
+    // Sharded: each shard folds and solves its own column slice.
+    let mut assembled = CMat::zeros(k, m);
+    for shard in 0..clusters {
+        let cols = plan.range(shard);
+        let mut out = CMat::zeros(k, cols.len());
+        gram_reduce(&parts, s.gram_mut().as_mut_slice());
+        let (start, len) = (cols.start, cols.len());
+        pinv_from_gram_slice_into(&h, PinvMethod::Cholesky, start, len, &mut s, &mut out);
+        for u in 0..k {
+            for (c, a) in cols.clone().enumerate() {
+                assembled[(u, a)] = out[(u, c)];
+            }
+        }
+    }
+    check(
+        bits(assembled.as_slice()) == bits(full.as_slice()),
+        "singular channel: sharded SVD fallback equals unsharded fallback",
+    );
+}
+
+// ------------------------------------------------------------------ sched
+
+/// Data-parallel workers (per-worker lanes, stealing) == the same workers
+/// under a type-restricted policy that lists every type (shared per-type
+/// queues only) == inline, plus the lane counters behave as documented.
+fn sched() {
+    const FRAMES: u32 = 3;
+    let cell = CellConfig::tiny_test(2);
+    let (packets, noise) = cell_packets(&cell, 28.0, 3, FRAMES);
+    let mut cfg = EngineConfig::new(cell, 2);
+    cfg.noise_power = noise;
+
+    let lanes = Engine::new(cfg.clone());
+    let with_lanes = sorted(lanes.process(packets.clone(), FRAMES, false));
+    check(with_lanes.len() == FRAMES as usize, "lanes run emits every frame");
+    let messages: u64 = TaskType::COMPUTE.iter().map(|&t| lanes.stats().messages(t)).sum();
+    check(
+        lanes.stats().lane_pushes() + lanes.stats().lane_overflows() == messages,
+        "lane counters account for every dispatched message",
+    );
+
+    let all_types = WorkerPolicy::PipelineParallel(vec![PRIORITY.to_vec(); cfg.num_workers]);
+    let queues = Engine::with_policy(cfg.clone(), all_types);
+    let shared = sorted(queues.process(packets.clone(), FRAMES, false));
+    check(queues.stats().lane_pushes() == 0, "type-restricted workers never touch a lane");
+    check(queues.stats().steals() == 0, "type-restricted workers never steal");
+    check(all_frames_equal(&with_lanes, &shared), "lanes vs shared queues bit-identical");
+
+    let mut inline = InlineProcessor::new(cfg);
+    for f in 0..FRAMES {
+        let reference = inline.process_frame(f, &frame_of(&packets, f));
+        let t = with_lanes.iter().find(|r| r.frame == f).unwrap();
+        check(
+            t.decoded == reference.decoded && t.decode_ok == reference.decode_ok,
+            &format!("frame {f} bit-identical to inline"),
+        );
+    }
+}

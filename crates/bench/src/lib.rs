@@ -18,13 +18,12 @@
 //! | `table4_ablation` | Table 4: optimisation ablations |
 //! | `table5_simd` | Table 5: SIMD-tier sensitivity |
 //! | `fronthaul_batch` | Fig 10 (I/O side): packets/s and intake-to-FFT latency, single vs batched vs aggregated+pooled UDP |
-//! | `fronthaul_parity` | CI smoke: batch/single delivery parity, aggregation split, pool recycling |
 //! | `fig8_cells` | Fig 8, deployment flavour: aggregate throughput vs cell count at a fixed total core budget |
-//! | `deployment_parity` | CI smoke: multi-cell ledger reconciliation, demux counts, bit-identical vs standalone engines |
+//! | `parity` | CI smoke: every release-build parity check (SIMD tiers, batched FFT, ZF solvers, fronthaul I/O paths, deployment ledgers, staged ZF, scheduler paths) as one table; `parity [name…]` runs a subset |
 //!
 //! The multi-core latency figures run on the calibrated discrete-event
-//! simulator (`agora_core::sim`) because this machine exposes a single
-//! core — see DESIGN.md §3 substitution 4. Kernel calibration
+//! simulator (`agora_core::sim`) because this machine exposes two
+//! cores — see DESIGN.md §3 substitution 4. Kernel calibration
 //! ([`calibrate`]) measures the real Rust kernels and feeds their costs
 //! into the simulator.
 

@@ -43,13 +43,6 @@ pub struct Ablation {
     /// §3.4 "Batching": multiple tasks per queue message. Disabled, every
     /// message carries exactly one task.
     pub batching: bool,
-    /// §3.4 batching, FFT flavour: when a queue message carries several
-    /// (I)FFT tasks, execute them as one batched transform
-    /// (`fft_batch_task`/`ifft_batch_task`) so the SIMD kernel amortises
-    /// twiddle loads across L1-resident tiles. Disabled, the worker loops
-    /// single-transform tasks. Output is bit-identical either way — this
-    /// flag isolates the batched-execution speedup.
-    pub batched_fft: bool,
     /// §4.1 "Improving memory access efficiency": lay FFT output out in
     /// antenna-blocks of 8 consecutive subcarriers so demodulation
     /// consumes whole cache lines. Disabled, the layout is subcarrier-
@@ -58,34 +51,18 @@ pub struct Ablation {
     /// §4.1 "Non-temporal stores": use streaming stores when writing
     /// block outputs consumed by other cores.
     pub streaming_stores: bool,
-    /// §4.2 "Pseudo-inverse": direct Gram inversion vs full SVD.
+    /// §4.2 "Pseudo-inverse": how the zero-forcing block solves the Gram
+    /// system — Cholesky factor + solve (default), Gauss-Jordan inverse
+    /// (`Direct`, the paper's Table 4 "direct" row) or full SVD.
     pub pinv_method: PinvMethod,
-    /// Route the zero-forcing Gram solve through the Cholesky
-    /// factorisation instead of Gauss-Jordan when `pinv_method` is
-    /// `Direct` — half the flops, never forms the explicit inverse, and
-    /// its pivot sign is an intrinsically correct positive-definite test
-    /// (an `f32`-aware singularity guard). Disabled, the ZF task keeps
-    /// the Gauss-Jordan inverse; explicit `Cholesky`/`Svd` pinv methods
-    /// are unaffected either way.
-    pub zf_cholesky: bool,
     /// Direct (formed detector) vs iterative (per-subcarrier CG)
     /// equalization; see [`EqMode`].
     pub eq_mode: EqMode,
     /// §4.2 "Matrix multiplication": shape-specialised GEMM kernels
     /// (the MKL-JIT analogue) vs the generic loop kernel.
     pub jit_gemm: bool,
-    /// AVX2 complex-GEMM plane: routes every beamforming product — the ZF
-    /// Gram/inverse chain, equalization GEMM/GEMV, downlink precoding —
-    /// through the register-tiled vector kernels in `agora-math`.
-    /// Disabled, the same products run the scalar kernels (planned or
-    /// generic per `jit_gemm`). The kernels are bit-identical across
-    /// tiers, so this toggles speed only — `FrameResult`s do not change.
-    pub simd_gemm: bool,
     /// Detector family computed by the ZF block.
     pub detector: DetectorKind,
-    /// §4.3 "Real-time process": when *disabled*, the simulator injects
-    /// OS-scheduler preemption jitter into task times (tail blow-up).
-    pub realtime_process: bool,
     /// Fixed-point decoding plane: demodulation emits saturating `i8`
     /// LLRs and `decode_task` runs the Z-lane-vectorised i8 layered
     /// min-sum decoder instead of the scalar `f32` one (the FlexRAN-style
@@ -100,33 +77,20 @@ pub struct Ablation {
     /// `zf_task`; disabled, the monolithic task runs regardless of the
     /// cluster count. Only meaningful for the zero-forcing detector.
     pub clustered_zf: bool,
-    /// §5-style dispatch discipline: per-worker bounded task lanes with
-    /// affinity-aware placement, batched (single-cursor-claim) enqueue
-    /// and dequeue, cross-lane batch stealing, and spin→yield→park
-    /// idling, instead of every worker busy-polling the shared per-type
-    /// queues. Results are bit-identical either way — which worker runs
-    /// a task never changes what it writes — so this toggles scheduling
-    /// overhead only.
-    pub work_stealing: bool,
 }
 
 impl Default for Ablation {
     fn default() -> Self {
         Self {
             batching: true,
-            batched_fft: true,
             cache_layout: true,
             streaming_stores: true,
-            pinv_method: PinvMethod::Direct,
-            zf_cholesky: true,
+            pinv_method: PinvMethod::Cholesky,
             eq_mode: EqMode::Direct,
             jit_gemm: true,
-            simd_gemm: true,
             detector: DetectorKind::ZeroForcing,
-            realtime_process: true,
             quantized_decoder: false,
             clustered_zf: false,
-            work_stealing: true,
         }
     }
 }
@@ -220,10 +184,6 @@ pub struct EngineConfig {
     /// syscall is unavailable or refused). Off by default so tests and
     /// benches on shared machines don't fight the OS scheduler.
     pub pin_cores: bool,
-    /// Capacity of each worker's task lane (rounded up to a power of
-    /// two). Tasks that don't fit overflow to the shared per-type
-    /// queues, so this bounds per-worker buffering, not correctness.
-    pub lane_capacity: usize,
 }
 
 impl EngineConfig {
@@ -244,7 +204,6 @@ impl EngineConfig {
             rx_batch: 32,
             antenna_clusters: 1,
             pin_cores: false,
-            lane_capacity: 256,
         };
         cfg.clamp_batches();
         cfg
@@ -311,9 +270,6 @@ impl EngineConfig {
         }
         if self.ablation.clustered_zf && self.ablation.detector != DetectorKind::ZeroForcing {
             return Err("clustered ZF requires the zero-forcing detector".into());
-        }
-        if self.lane_capacity == 0 {
-            return Err("lane capacity must be at least 1".into());
         }
         Ok(())
     }
@@ -401,17 +357,6 @@ mod tests {
         cfg.ablation.detector = DetectorKind::Mmse;
         cfg.ablation.clustered_zf = true;
         assert!(cfg.validate().is_err(), "clustered ZF needs zero-forcing");
-    }
-
-    #[test]
-    fn work_stealing_defaults_on_and_lane_capacity_validated() {
-        let mut cfg = EngineConfig::new(CellConfig::tiny_test(2), 2);
-        assert!(cfg.ablation.work_stealing, "work stealing defaults on");
-        assert!(!cfg.pin_cores, "pinning defaults off");
-        assert_eq!(cfg.lane_capacity, 256);
-        cfg.validate().expect("defaults must validate");
-        cfg.lane_capacity = 0;
-        assert!(cfg.validate().is_err(), "zero lane capacity rejected");
     }
 
     #[test]

@@ -27,13 +27,11 @@
 use crate::alloc::{allocate_weighted, ShareWork};
 use crate::config::EngineConfig;
 use crate::engine::{
-    execute, has_work, pin_thread, CellCore, FrameResult, PinRole, PRIORITY, WORKER_BATCH,
+    drain_link, pin_thread, worker_loop, CellCore, FrameResult, PinRole, PRIORITY,
 };
-use crate::kernels::WorkerScratch;
 use crate::stats::EngineStats;
 use agora_fronthaul::demux::{CellDemux, Route};
 use agora_fronthaul::{Fronthaul, PacketBuf};
-use agora_queue::{IdleAction, IdleBackoff, Msg};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -306,14 +304,8 @@ impl Deployment {
         // Every cell's lane array is sized to the GLOBAL pool: any worker
         // may be assigned to any cell, and it drains/steals lanes of its
         // current cell only, indexed by its global worker id.
-        let cells: Vec<CellCore> = cfg
-            .cells
-            .into_iter()
-            .map(|c| {
-                let lanes = if c.ablation.work_stealing { total } else { 0 };
-                CellCore::new(c, total, lanes)
-            })
-            .collect();
+        let cells: Vec<CellCore> =
+            cfg.cells.into_iter().map(|c| CellCore::new(c, total, total)).collect();
         let supervisor = Supervisor::new(cells.len(), total, cfg.supervisor);
 
         // Initial worker->cell map from the even split.
@@ -342,7 +334,7 @@ impl Deployment {
                         if pin {
                             pin_thread(PinRole::Worker(wid));
                         }
-                        pool_worker_loop(wid, &cells, &assign, &shutdown)
+                        worker_loop(wid, &cells, &assign[wid], &shutdown, &PRIORITY)
                     })
                     .expect("failed to spawn pool worker")
             })
@@ -431,27 +423,12 @@ impl Deployment {
 
             // --- demux/network loop (this thread) ---
             let mut ingests: Vec<_> = self.cells.iter().map(|c| c.ingest_state()).collect();
-            let mut batch: Vec<PacketBuf> = Vec::with_capacity(self.rx_batch);
-            loop {
-                let n = fh.recv_batch(&mut batch, self.rx_batch);
-                if n > 0 {
-                    link.record_rx_batch(n);
-                    for pkt in batch.drain(..) {
-                        match demux.classify(&pkt) {
-                            Route::Cell(c) => ingests[c].ingest(pkt),
-                            Route::Misrouted => link.packet_misrouted(),
-                            Route::Undecodable => link.rx_error(),
-                        }
-                    }
-                } else if producer_done.load(Ordering::Acquire) {
-                    break;
-                } else {
-                    std::thread::yield_now();
-                }
-                self.maybe_reallocate();
-            }
-            let (tx_e, rx_e) = fh.link_errors();
-            link.set_link_errors(tx_e, rx_e);
+            let route = |pkt: PacketBuf| match demux.classify(&pkt) {
+                Route::Cell(c) => ingests[c].ingest(pkt),
+                Route::Misrouted => link.packet_misrouted(),
+                Route::Undecodable => link.rx_error(),
+            };
+            drain_link(fh, self.rx_batch, producer_done, link, route, || self.maybe_reallocate());
             net_done.store(true, Ordering::Release);
             // Keep stepping the supervisor while managers drain their
             // tails, so late-epoch load still rebalances.
@@ -534,98 +511,12 @@ impl Drop for Deployment {
     }
 }
 
-/// Shared-pool worker: serves whichever cell it is currently assigned
-/// to, re-reading the assignment (Acquire) every trip so a migration
-/// takes effect at the next poll — any in-hand batch finishes on the old
-/// cell first. Within the assigned cell the schedule mirrors a dedicated
-/// engine worker: own lane batch → shared queues in priority order →
-/// steal from peers' lanes *of the same cell* (strict per-cell buffer
-/// ownership) → spin/yield/park on that cell's gate. Scratch is per-cell
-/// (geometries differ between cells).
-fn pool_worker_loop(wid: usize, cells: &[CellCore], assign: &[AtomicUsize], shutdown: &AtomicBool) {
-    let mut scratches: Vec<WorkerScratch> = cells.iter().map(|c| c.kernels.scratch()).collect();
-    let mut batch: Vec<Msg> = Vec::with_capacity(WORKER_BATCH);
-    let mut done: Vec<Msg> = Vec::with_capacity(WORKER_BATCH);
-    let mut backoff = IdleBackoff::new();
-    while !shutdown.load(Ordering::Acquire) {
-        let cell = assign[wid].load(Ordering::Acquire);
-        let core = &cells[cell];
-        let lanes = &core.queues.lanes;
-        let lanes_on = !lanes.is_empty();
-        batch.clear();
-        if lanes_on {
-            lanes[wid].pop_batch(&mut batch, WORKER_BATCH);
-        }
-        if batch.is_empty() {
-            for &t in &PRIORITY {
-                if let Some(msg) = core.queues.queue(t).pop() {
-                    batch.push(msg);
-                    break;
-                }
-            }
-        }
-        if batch.is_empty() && lanes_on {
-            for off in 1..lanes.len() {
-                let victim = (wid + off) % lanes.len();
-                let n = lanes[victim].steal_batch(&mut batch, WORKER_BATCH);
-                if n > 0 {
-                    core.stats.record_steal(n as u64);
-                    break;
-                }
-            }
-        }
-        if !batch.is_empty() {
-            backoff.reset();
-            done.clear();
-            for msg in &batch {
-                let t0 = Instant::now();
-                execute(&core.kernels, &core.window, &mut scratches[cell], msg);
-                let ns = t0.elapsed().as_nanos() as u64;
-                core.stats.record(wid, msg.task, msg.count as u64, ns);
-                done.push(Msg::complete(
-                    msg.task, msg.frame, msg.symbol, msg.base, msg.count, wid as u16,
-                ));
-            }
-            let mut off = 0;
-            while off < done.len() {
-                let n = core.queues.complete.push_batch(&done[off..]);
-                if n == 0 {
-                    std::thread::yield_now();
-                }
-                off += n;
-            }
-            continue;
-        }
-        if !lanes_on {
-            std::thread::yield_now();
-            continue;
-        }
-        match backoff.next() {
-            IdleAction::Spin => std::hint::spin_loop(),
-            IdleAction::Yield => std::thread::yield_now(),
-            IdleAction::Park => {
-                let seen = core.queues.gate.epoch();
-                // Re-checks ordered after the epoch snapshot: work pushed
-                // (or a reassignment applied — `apply_allocation` wakes
-                // every gate) in between bumps the epoch and the park
-                // falls through.
-                if has_work(&core.queues, &PRIORITY)
-                    || assign[wid].load(Ordering::Acquire) != cell
-                    || shutdown.load(Ordering::Acquire)
-                {
-                    continue;
-                }
-                core.stats.park();
-                core.queues.gate.park(seen, std::time::Duration::from_millis(1));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agora_fronthaul::{MemFronthaul, MultiCellGenerator, RruConfig, RruEmulator};
+    use agora_fronthaul::{
+        Fronthaul, MemFronthaul, MultiCellGenerator, PacketBuf, RruConfig, RruEmulator,
+    };
     use agora_phy::CellConfig;
 
     #[test]
@@ -755,6 +646,66 @@ mod tests {
         assert_eq!(stats.cell(1).frames_completed(), frames as u64);
         assert_eq!(stats.rollup().frames_completed(), 2 * frames as u64);
         assert_eq!(stats.link().packets_misrouted(), 0);
+    }
+
+    /// A link that scripts the interleaving a live producer only hits by
+    /// chance: the consumer's first empty poll is followed at once by the
+    /// producer's last burst and its `done` store.
+    struct LateBurst<'a> {
+        tx: MemFronthaul,
+        rx: MemFronthaul,
+        burst: Mutex<Vec<PacketBuf>>,
+        done: &'a AtomicBool,
+    }
+
+    impl Fronthaul for LateBurst<'_> {
+        fn send(&self, packet: PacketBuf) -> Result<(), PacketBuf> {
+            self.tx.send(packet)
+        }
+
+        fn recv(&self) -> Option<PacketBuf> {
+            self.rx.recv()
+        }
+
+        fn recv_batch(&self, out: &mut Vec<PacketBuf>, max: usize) -> usize {
+            let n = self.rx.recv_batch(out, max);
+            if n == 0 {
+                let burst = std::mem::take(&mut *self.burst.lock().unwrap());
+                if !burst.is_empty() {
+                    for pkt in burst {
+                        self.tx.send(pkt).expect("link sized for the burst");
+                    }
+                    self.done.store(true, Ordering::Release);
+                }
+            }
+            n
+        }
+    }
+
+    /// A burst that lands between an empty poll and the read of
+    /// `producer_done` must still be received: both intake loops read the
+    /// flag first, so only an empty poll *after* the flag was seen ends
+    /// them. (Polling first left the burst on the link and its frame came
+    /// back dropped once the stall detector fired.)
+    #[test]
+    fn burst_landing_after_an_empty_poll_is_still_received() {
+        let (cfg, mut rru) = tiny_cell_cfg(0, 321);
+        let late_burst = |rru: &mut RruEmulator, done| {
+            let (tx, rx) = MemFronthaul::pair(1024);
+            let burst = rru.generate_frame(0).0.into_iter().map(PacketBuf::Heap).collect();
+            LateBurst { tx, rx, burst: Mutex::new(burst), done }
+        };
+
+        let done = AtomicBool::new(false);
+        let link = late_burst(&mut rru, &done);
+        let results = crate::Engine::new(cfg.clone()).process_fronthaul(&link, 1, &done);
+        assert!(!results[0].dropped, "engine stranded the final burst");
+
+        let done = AtomicBool::new(false);
+        let link = late_burst(&mut rru, &done);
+        let deployment = Deployment::new(DeploymentConfig::new(vec![cfg], 1));
+        let results = deployment.process_fronthaul(&link, 1, &done);
+        assert!(!results[0][0].dropped, "deployment stranded the final burst");
     }
 
     /// A packet naming cell 7 in a C=2 deployment is counted and

@@ -12,21 +12,26 @@
 use crate::buffers::FrameWindow;
 use crate::config::EngineConfig;
 use crate::kernels::{Kernels, WorkerScratch};
-use crate::state::{FrameState, Milestones, Ready};
+use crate::state::{FrameState, Milestones, Ready, ZfStage};
 use crate::stats::EngineStats;
 use agora_fronthaul::packet::decode_ref;
 use agora_fronthaul::{Fronthaul, PacketBuf};
 use agora_queue::{IdleAction, IdleBackoff, IdleGate, MpmcQueue, Msg, TaskLane, TaskType};
 use bytes::Bytes;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Messages a worker takes from its lane (or a victim's) per trip: one
 /// cursor claim amortised over up to this many tasks.
-pub(crate) const WORKER_BATCH: usize = 16;
+const WORKER_BATCH: usize = 16;
+
+/// Capacity of each worker's task lane. Tasks that don't fit overflow to
+/// the shared per-type queues, so this bounds per-worker buffering, not
+/// correctness.
+const LANE_CAPACITY: usize = 256;
 
 /// Completion messages the manager drains per cursor claim.
 const COMPLETE_BATCH: usize = 64;
@@ -97,22 +102,22 @@ pub(crate) struct TaskQueues {
     pub(crate) tasks: Vec<MpmcQueue<Msg>>,
     pub(crate) complete: MpmcQueue<Msg>,
     pub(crate) rx: MpmcQueue<Msg>,
-    /// Per-worker task lanes (empty when `work_stealing` is off or the
-    /// worker policy is type-restricted). Lane `w` is filled by the
-    /// manager, drained by worker `w`, and stolen from by idle peers.
+    /// Per-worker task lanes (empty when the worker policy is
+    /// type-restricted). Lane `w` is filled by the manager, drained by
+    /// worker `w`, and stolen from by idle peers.
     pub(crate) lanes: Vec<TaskLane<Msg>>,
     /// Park/wake gate for idle workers (only parked on when lanes are
-    /// in use — the shared-queue path keeps the legacy yield spin).
+    /// in use — type-restricted workers yield-spin on their queues).
     pub(crate) gate: IdleGate,
 }
 
 impl TaskQueues {
-    fn new(capacity: usize, num_lanes: usize, lane_capacity: usize) -> Self {
+    fn new(capacity: usize, num_lanes: usize) -> Self {
         Self {
             tasks: (0..7).map(|_| MpmcQueue::new(capacity)).collect(),
             complete: MpmcQueue::new(capacity),
             rx: MpmcQueue::new(capacity),
-            lanes: (0..num_lanes).map(|_| TaskLane::new(lane_capacity)).collect(),
+            lanes: (0..num_lanes).map(|_| TaskLane::new(LANE_CAPACITY)).collect(),
             gate: IdleGate::new(),
         }
     }
@@ -255,12 +260,11 @@ impl CellCore {
     /// per-worker busy-time table — the engine passes its own pool size,
     /// a deployment the *global* pool size so any worker can record
     /// against any cell. `num_lanes` is the number of per-worker task
-    /// lanes to allocate (0 disables the work-stealing dispatch path and
-    /// keeps the legacy shared-queue-only scheduling).
+    /// lanes to allocate (0 for type-restricted workers, which are served
+    /// from the shared per-type queues only).
     pub(crate) fn new(mut cfg: EngineConfig, stats_workers: usize, num_lanes: usize) -> Self {
         cfg.clamp_batches();
         let frame_window = cfg.frame_window;
-        let lane_capacity = cfg.lane_capacity.max(1);
         let kernels = Arc::new(Kernels::new(cfg));
         let window = Arc::new(FrameWindow::new(kernels.geom, frame_window));
         // Queue capacity: enough for every task message of all in-flight
@@ -275,7 +279,7 @@ impl CellCore {
         Self {
             kernels,
             window,
-            queues: Arc::new(TaskQueues::new(cap, num_lanes, lane_capacity)),
+            queues: Arc::new(TaskQueues::new(cap, num_lanes)),
             stats: Arc::new(EngineStats::new(stats_workers)),
             min_frame: Arc::new(AtomicU64::new(0)),
         }
@@ -307,8 +311,8 @@ impl Engine {
         // worker may execute every type: the pipeline-parallel policy
         // keeps the per-type shared queues as its only dispatch path.
         let num_lanes = match &policy {
-            WorkerPolicy::DataParallel if cfg.ablation.work_stealing => num_workers,
-            _ => 0,
+            WorkerPolicy::DataParallel => num_workers,
+            WorkerPolicy::PipelineParallel(_) => 0,
         };
         let pin = cfg.pin_cores;
         let core = CellCore::new(cfg, num_workers, num_lanes);
@@ -328,15 +332,8 @@ impl Engine {
                         if pin {
                             pin_thread(PinRole::Worker(wid));
                         }
-                        worker_loop(
-                            wid,
-                            &core.kernels,
-                            &core.window,
-                            &core.queues,
-                            &core.stats,
-                            &shutdown,
-                            &my_types,
-                        )
+                        // One cell, never reassigned.
+                        worker_loop(wid, &[core], &AtomicUsize::new(0), &shutdown, &my_types)
                     })
                     .expect("failed to spawn worker")
             })
@@ -430,27 +427,9 @@ impl Engine {
                     if core.kernels.cfg.pin_cores {
                         pin_thread(PinRole::Net);
                     }
-                    let stats = core.stats.clone();
                     let mut ingest = core.ingest_state();
-                    let mut batch: Vec<PacketBuf> = Vec::with_capacity(rx_batch);
-                    loop {
-                        let n = fh.recv_batch(&mut batch, rx_batch);
-                        if n > 0 {
-                            stats.record_rx_batch(n);
-                            for pkt in batch.drain(..) {
-                                ingest.ingest(pkt);
-                            }
-                        } else if producer_done.load(Ordering::Acquire) {
-                            // The producer signalled completion after its
-                            // last send, so an empty poll here means the
-                            // link is drained for good.
-                            break;
-                        } else {
-                            std::thread::yield_now();
-                        }
-                    }
-                    let (tx_e, rx_e) = fh.link_errors();
-                    stats.set_link_errors(tx_e, rx_e);
+                    let on_packet = |pkt| ingest.ingest(pkt);
+                    drain_link(fh, rx_batch, producer_done, &core.stats, on_packet, || {});
                     net_done.store(true, Ordering::Release);
                 });
             }
@@ -459,6 +438,41 @@ impl Engine {
             self.core.manager_loop(start, num_frames, &net_done)
         })
     }
+}
+
+/// Receives from `fh` in batches of up to `rx_batch`, handing every
+/// packet to `on_packet` and calling `after_poll` once per poll, until
+/// `producer_done` is set and the link is empty; then records the link's
+/// error counters in `link_stats`.
+///
+/// The flag is read *before* each poll: the producer sets it after its
+/// last send, so once it has been observed, an empty poll means the
+/// link is drained for good. Polling first would strand a final burst
+/// that lands between the empty poll and the flag read.
+pub(crate) fn drain_link<F: Fronthaul + ?Sized>(
+    fh: &F,
+    rx_batch: usize,
+    producer_done: &AtomicBool,
+    link_stats: &EngineStats,
+    mut on_packet: impl FnMut(PacketBuf),
+    mut after_poll: impl FnMut(),
+) {
+    let mut batch: Vec<PacketBuf> = Vec::with_capacity(rx_batch);
+    loop {
+        let done = producer_done.load(Ordering::Acquire);
+        let n = fh.recv_batch(&mut batch, rx_batch);
+        if n > 0 {
+            link_stats.record_rx_batch(n);
+            batch.drain(..).for_each(&mut on_packet);
+        } else if done {
+            break;
+        } else {
+            std::thread::yield_now();
+        }
+        after_poll();
+    }
+    let (tx_e, rx_e) = fh.link_errors();
+    link_stats.set_link_errors(tx_e, rx_e);
 }
 
 impl Drop for Engine {
@@ -525,17 +539,14 @@ impl CellCore {
         let g = &kernels.geom;
         let cell = &kernels.cfg.cell;
         let batch = kernels.cfg.batch;
+        let has_ul = !cell.schedule.uplink_indices().is_empty();
+        let has_dl = !cell.schedule.downlink_indices().is_empty();
         let mut states: HashMap<u32, FrameState> = HashMap::new();
         let mut results: Vec<FrameResult> = Vec::with_capacity(num_frames as usize);
         let mut completed: std::collections::HashSet<u64> = std::collections::HashSet::new();
         // Frames whose ZF (and thus precoder buffers) are complete — the
         // stale-precoder early start reads the previous frame's entry.
         let mut zf_complete: std::collections::HashSet<u32> = std::collections::HashSet::new();
-        let stale_dl_symbols: Vec<usize> = if kernels.cfg.stale_precoder {
-            cell.schedule.downlink_indices().into_iter().take(2).collect()
-        } else {
-            Vec::new()
-        };
         // Pending FFT batch accumulator per (frame, symbol): consecutive
         // antenna run awaiting flush (base, count).
         let mut fft_runs: HashMap<(u32, usize), (u32, u32)> = HashMap::new();
@@ -569,22 +580,11 @@ impl CellCore {
                 }
                 let mut pushed = 0usize;
                 let st = states.entry(frame).or_insert_with(|| {
-                    let mut st = FrameState::new(
-                        frame,
-                        cell.schedule.clone(),
-                        g.m,
-                        g.k,
-                        g.q,
-                        cell.num_zf_groups(),
-                    );
-                    if kernels.clustered_zf() {
-                        st =
-                            st.with_clustered_zf(kernels.zf_clusters(), kernels.zf_reduce_shards());
-                    }
+                    let mut st = FrameState::new(frame, cell.schedule.clone(), kernels.shape);
                     st.milestones.first_packet_ns = now_ns(start);
                     st.milestones.processing_start_ns = now_ns(start);
                     for r in st.initial_work() {
-                        pushed += self.dispatch(&mut ctx, frame, r, &batch);
+                        pushed += self.dispatch(&mut ctx, frame, r, false);
                     }
                     st
                 });
@@ -672,84 +672,47 @@ impl CellCore {
                         continue;
                     }
                     let Some(st) = states.get_mut(&frame) else { continue };
-                    let symbol = msg.symbol as usize;
                     let mut pushed = 0usize;
-                    let mut ready = Vec::new();
-                    let mut ul_done = false;
-                    let mut dl_done = false;
+                    let done = st.on_complete(&msg);
                     match msg.task {
-                        TaskType::Fft => {
-                            ready = st.on_fft_done(symbol, msg.count as usize);
-                            if st.pilots_complete() && st.milestones.pilot_done_ns == 0 {
-                                st.milestones.pilot_done_ns = now_ns(start);
-                            }
+                        TaskType::Fft
+                            if st.pilots_complete() && st.milestones.pilot_done_ns == 0 =>
+                        {
+                            st.milestones.pilot_done_ns = now_ns(start);
                         }
-                        TaskType::Zf => {
-                            // Staged path: the echoed `symbol` carries the ZF
-                            // stage — 0 = monolithic task, 1..=C = cluster
-                            // partial, above C = reduce shard (base = group).
-                            let clusters = kernels.zf_clusters();
-                            ready = if !kernels.clustered_zf() {
-                                st.on_zf_done(msg.count as usize)
-                            } else if (1..=clusters).contains(&symbol) {
-                                st.on_zf_partial_done(msg.base as usize, msg.count as usize)
-                            } else {
-                                st.on_zf_reduce_done(msg.base as usize)
-                            };
-                            if st.zf_complete() && st.milestones.zf_done_ns == 0 {
-                                st.milestones.zf_done_ns = now_ns(start);
-                                zf_complete.insert(frame);
-                            }
+                        TaskType::Zf if st.zf_complete() && st.milestones.zf_done_ns == 0 => {
+                            st.milestones.zf_done_ns = now_ns(start);
+                            zf_complete.insert(frame);
                         }
-                        TaskType::Demod => {
-                            ready = st.on_demod_done(symbol, msg.count as usize);
-                        }
-                        TaskType::Decode => {
-                            ul_done = st.on_decode_done(symbol, msg.count as usize);
-                        }
-                        TaskType::Encode => {
-                            ready = st.on_encode_done(symbol, msg.count as usize);
-                            // §3.4.2 early start: the first downlink symbols
-                            // may beam with the previous frame's precoder.
-                            // Safe only while frame-1's slot is unretired
-                            // (its buffers cannot be reused before then).
-                            if ready.is_empty()
-                                && kernels.cfg.stale_precoder
+                        // §3.4.2 early start: the first downlink symbols
+                        // may beam with the previous frame's precoder.
+                        // Safe only while frame-1's slot is unretired
+                        // (its buffers cannot be reused before then).
+                        TaskType::Encode
+                            if kernels.cfg.stale_precoder
                                 && frame > 0
-                                && st.encode_complete(symbol)
-                                && !st.zf_complete()
                                 && zf_complete.contains(&(frame - 1))
-                                && (frame - 1) as u64 >= self.min_frame.load(Ordering::Relaxed)
-                                && stale_dl_symbols.contains(&symbol)
-                            {
-                                for r in st.precode_with_stale(symbol) {
-                                    pushed += self.dispatch_stale(&mut ctx, frame, r, &batch);
-                                }
+                                && (frame - 1) as u64 >= self.min_frame.load(Ordering::Relaxed) =>
+                        {
+                            for r in st.precode_with_stale(msg.symbol as usize) {
+                                pushed += self.dispatch(&mut ctx, frame, r, true);
                             }
-                        }
-                        TaskType::Precode => {
-                            ready = st.on_precode_done(symbol, msg.count as usize);
-                        }
-                        TaskType::Ifft => {
-                            dl_done = st.on_ifft_done(symbol, msg.count as usize);
                         }
                         _ => {}
                     }
                     // CSI interpolation runs inline on the manager between
                     // pilot completion and ZF dispatch (cheap, single pass).
-                    if ready.contains(&Ready::AllZf) {
+                    if done.ready.contains(&Ready::AllZf) {
                         kernels.interpolate_csi(self.window.slot(frame));
                     }
-                    for r in ready {
-                        pushed += self.dispatch(&mut ctx, frame, r, &batch);
+                    for r in done.ready {
+                        pushed += self.dispatch(&mut ctx, frame, r, false);
                     }
                     *inflight.entry(frame).or_insert(0) += pushed;
-                    let has_ul = !cell.schedule.uplink_indices().is_empty();
-                    let has_dl = !cell.schedule.downlink_indices().is_empty();
-                    if ul_done && st.milestones.decode_done_ns == 0 {
+                    if done.ul_done && st.milestones.decode_done_ns == 0 {
                         st.milestones.decode_done_ns = now_ns(start);
                     }
-                    if dl_done && st.milestones.ifft_done_ns == 0 {
+                    if done.dl_done && st.milestones.ifft_done_ns == 0 {
                         st.milestones.ifft_done_ns = now_ns(start);
                     }
                     let complete =
@@ -879,127 +842,21 @@ impl CellCore {
     }
 
     /// Converts a ready-item into queue messages (applying batching) and
-    /// places them — one lane `push_batch` (single cursor claim) when
-    /// work stealing is on, per-type shared queues otherwise. Returns
-    /// the number of messages pushed so the manager can track per-frame
-    /// in-flight work.
-    fn dispatch(
-        &self,
-        ctx: &mut ManagerCtx,
-        frame: u32,
-        ready: Ready,
-        batch: &crate::config::BatchSizes,
-    ) -> usize {
-        let g = &self.kernels.geom;
+    /// places them — one lane `push_batch` (single cursor claim) with
+    /// lanes, per-type shared queues otherwise. `stale` marks precode
+    /// messages `aux = 1`, telling workers to read the precoder from the
+    /// previous frame's buffers (§3.4.2). Returns the number of messages
+    /// pushed so the manager can track per-frame in-flight work.
+    fn dispatch(&self, ctx: &mut ManagerCtx, frame: u32, ready: Ready, stale: bool) -> usize {
         let mut stage = std::mem::take(&mut ctx.stage);
         stage.clear();
-        match ready {
-            Ready::Fft { .. } => unreachable!("FFT dispatch handled by the run accumulator"),
-            Ready::AllZf => {
-                let groups = self.kernels.cfg.cell.num_zf_groups();
-                if self.kernels.clustered_zf() {
-                    // Stage one: per-cluster partial-Gram sweeps over all
-                    // groups. Stage is encoded as `symbol = cluster + 1`
-                    // (it survives the completion echo; `aux` does not).
-                    for cluster in 0..self.kernels.zf_clusters() as u32 {
-                        let mut base = 0u32;
-                        while (base as usize) < groups {
-                            let count = batch.zf.min(groups - base as usize) as u32;
-                            stage.push(Msg::task(TaskType::Zf, frame, cluster + 1, base, count));
-                            base += count;
-                        }
-                    }
-                } else {
-                    let mut base = 0u32;
-                    while (base as usize) < groups {
-                        let count = batch.zf.min(groups - base as usize) as u32;
-                        stage.push(Msg::task(TaskType::Zf, frame, 0, base, count));
-                        base += count;
-                    }
-                }
-            }
-            Ready::ZfReduce { group } => {
-                // Stage two: `symbol = C + 1 + shard`, `base` carries the
-                // group index.
-                let c = self.kernels.zf_clusters() as u32;
-                for shard in 0..self.kernels.zf_reduce_shards() as u32 {
-                    stage.push(Msg::task(TaskType::Zf, frame, c + 1 + shard, group as u32, 1));
-                }
-            }
-            Ready::DemodSymbol { symbol } => {
-                let mut base = 0u32;
-                while (base as usize) < g.q {
-                    let count = batch.demod.min(g.q - base as usize) as u32;
-                    stage.push(Msg::task(TaskType::Demod, frame, symbol as u32, base, count));
-                    base += count;
-                }
-            }
-            Ready::DecodeSymbol { symbol } => {
-                let mut base = 0u32;
-                while (base as usize) < g.k {
-                    let count = batch.decode.min(g.k - base as usize) as u32;
-                    stage.push(Msg::task(TaskType::Decode, frame, symbol as u32, base, count));
-                    base += count;
-                }
-            }
-            Ready::EncodeSymbol { symbol } => {
-                let mut base = 0u32;
-                while (base as usize) < g.k {
-                    let count = batch.encode.min(g.k - base as usize) as u32;
-                    stage.push(Msg::task(TaskType::Encode, frame, symbol as u32, base, count));
-                    base += count;
-                }
-            }
-            Ready::PrecodeSymbol { symbol } => {
-                let mut base = 0u32;
-                while (base as usize) < g.q {
-                    let count = batch.precode.min(g.q - base as usize) as u32;
-                    stage.push(Msg::task(TaskType::Precode, frame, symbol as u32, base, count));
-                    base += count;
-                }
-            }
-            Ready::IfftSymbol { symbol } => {
-                let mut base = 0u32;
-                while (base as usize) < g.m {
-                    let count = batch.ifft.min(g.m - base as usize) as u32;
-                    stage.push(Msg::task(TaskType::Ifft, frame, symbol as u32, base, count));
-                    base += count;
-                }
-            }
+        self.kernels.shape.expand(frame, ready, &self.kernels.cfg.batch, &mut stage);
+        if stale {
+            stage.iter_mut().for_each(|m| m.aux = 1);
         }
         let pushed = self.place_batch(ctx, &stage);
         ctx.stage = stage;
         pushed
-    }
-
-    /// Dispatches a stale-precoder precode ready-item: identical to
-    /// [`Self::dispatch`] but messages carry `aux = 1`, telling workers
-    /// to read the precoder from the previous frame's buffers.
-    fn dispatch_stale(
-        &self,
-        ctx: &mut ManagerCtx,
-        frame: u32,
-        ready: Ready,
-        batch: &crate::config::BatchSizes,
-    ) -> usize {
-        let g = &self.kernels.geom;
-        if let Ready::PrecodeSymbol { symbol } = ready {
-            let mut stage = std::mem::take(&mut ctx.stage);
-            stage.clear();
-            let mut base = 0u32;
-            while (base as usize) < g.q {
-                let count = batch.precode.min(g.q - base as usize) as u32;
-                let mut msg = Msg::task(TaskType::Precode, frame, symbol as u32, base, count);
-                msg.aux = 1;
-                stage.push(msg);
-                base += count;
-            }
-            let pushed = self.place_batch(ctx, &stage);
-            ctx.stage = stage;
-            pushed
-        } else {
-            self.dispatch(ctx, frame, ready, batch)
-        }
     }
 
     /// Places one task message (the single-message path of
@@ -1202,33 +1059,39 @@ impl CellCore {
 /// True if any queue this worker may serve holds work. The final check
 /// before parking: taken *after* the gate epoch snapshot, so a push
 /// racing with the park bumps the epoch and the park returns at once.
-pub(crate) fn has_work(queues: &TaskQueues, my_types: &[TaskType]) -> bool {
+fn has_work(queues: &TaskQueues, my_types: &[TaskType]) -> bool {
     queues.lanes.iter().any(|l| !l.is_empty())
         || my_types.iter().any(|&t| !queues.queue(t).is_empty())
 }
 
+/// The worker routine of every pool: serves whichever of `cells` the
+/// `assigned` index names, re-reading it (Acquire) every trip so a
+/// migration takes effect at the next poll — any in-hand batch finishes
+/// on the old cell first. An [`Engine`] is the one-cell case whose
+/// assignment never changes. Scratch is per cell (geometries differ).
 pub(crate) fn worker_loop(
     wid: usize,
-    kernels: &Kernels,
-    window: &FrameWindow,
-    queues: &TaskQueues,
-    stats: &EngineStats,
+    cells: &[CellCore],
+    assigned: &AtomicUsize,
     shutdown: &AtomicBool,
     my_types: &[TaskType],
 ) {
-    let mut scratch = kernels.scratch();
-    let lanes_on = !queues.lanes.is_empty();
+    let mut scratches: Vec<WorkerScratch> = cells.iter().map(|c| c.kernels.scratch()).collect();
     let mut batch: Vec<Msg> = Vec::with_capacity(WORKER_BATCH);
     let mut done: Vec<Msg> = Vec::with_capacity(WORKER_BATCH);
     let mut backoff = IdleBackoff::new();
     while !shutdown.load(Ordering::Acquire) {
+        let cell = assigned.load(Ordering::Acquire);
+        let core = &cells[cell];
+        let (queues, stats) = (&*core.queues, &*core.stats);
+        let lanes_on = !queues.lanes.is_empty();
         batch.clear();
         // 1. Own lane: a batch per cursor claim.
         if lanes_on {
             queues.lanes[wid].pop_batch(&mut batch, WORKER_BATCH);
         }
-        // 2. Shared per-type queues in priority order (overflow traffic
-        //    and the non-stealing configurations).
+        // 2. Shared per-type queues in priority order (lane overflow
+        //    traffic, and all traffic of type-restricted workers).
         if batch.is_empty() {
             for &t in my_types {
                 if let Some(msg) = queues.queue(t).pop() {
@@ -1237,8 +1100,8 @@ pub(crate) fn worker_loop(
                 }
             }
         }
-        // 3. Steal: scan peers' lanes from our right-hand neighbour,
-        //    taking half a victim's backlog in one claim.
+        // 3. Steal: scan the same cell's peer lanes from our right-hand
+        //    neighbour, taking half a victim's backlog in one claim.
         if batch.is_empty() && lanes_on {
             for off in 1..queues.lanes.len() {
                 let victim = (wid + off) % queues.lanes.len();
@@ -1254,7 +1117,7 @@ pub(crate) fn worker_loop(
             done.clear();
             for msg in &batch {
                 let t0 = Instant::now();
-                execute(kernels, window, &mut scratch, msg);
+                execute(&core.kernels, &core.window, &mut scratches[cell], msg);
                 let ns = t0.elapsed().as_nanos() as u64;
                 stats.record(wid, msg.task, msg.count as u64, ns);
                 done.push(Msg::complete(
@@ -1272,8 +1135,8 @@ pub(crate) fn worker_loop(
             }
             continue;
         }
-        // 4. Idle: spin → yield → park (legacy unconditional yield when
-        //    lanes are off, preserving the shared-queue baseline).
+        // 4. Idle: spin → yield → park (type-restricted workers have no
+        //    gate to be woken through, so they keep yielding).
         if !lanes_on {
             std::thread::yield_now();
             continue;
@@ -1283,7 +1146,14 @@ pub(crate) fn worker_loop(
             IdleAction::Yield => std::thread::yield_now(),
             IdleAction::Park => {
                 let seen = queues.gate.epoch();
-                if has_work(queues, my_types) || shutdown.load(Ordering::Acquire) {
+                // Re-checks ordered after the epoch snapshot: work pushed
+                // (or a reassignment applied — the supervisor wakes every
+                // gate) in between bumps the epoch and the park falls
+                // through.
+                if has_work(queues, my_types)
+                    || assigned.load(Ordering::Acquire) != cell
+                    || shutdown.load(Ordering::Acquire)
+                {
                     continue;
                 }
                 stats.park();
@@ -1293,6 +1163,10 @@ pub(crate) fn worker_loop(
     }
 }
 
+/// Runs the kernel(s) a task message stands for — the only
+/// message-to-kernel mapping; the inline processor calls it too. A
+/// multi-task (I)FFT message runs as one batched transform; a single
+/// task keeps the single-transform kernel.
 pub(crate) fn execute(
     kernels: &Kernels,
     window: &FrameWindow,
@@ -1304,58 +1178,40 @@ pub(crate) fn execute(
     let base = msg.base as usize;
     let count = msg.count as usize;
     match msg.task {
-        TaskType::Fft => {
-            if kernels.cfg.ablation.batched_fft && count > 1 {
-                kernels.fft_batch_task(fb, scratch, symbol, base, count);
-            } else {
-                for i in 0..count {
-                    kernels.fft_task(fb, scratch, symbol, base + i);
+        TaskType::Fft if count > 1 => kernels.fft_batch_task(fb, scratch, symbol, base, count),
+        TaskType::Fft => kernels.fft_task(fb, scratch, symbol, base),
+        TaskType::Zf => match ZfStage::of(msg.symbol, kernels.shape.zf_clusters) {
+            ZfStage::Mono => {
+                for group in base..base + count {
+                    kernels.zf_task(fb, scratch, group);
                 }
             }
-        }
-        TaskType::Zf => {
-            let clusters = kernels.zf_clusters();
-            if !kernels.clustered_zf() {
-                for i in 0..count {
-                    kernels.zf_task(fb, scratch, base + i);
+            ZfStage::Partial(cluster) => {
+                for group in base..base + count {
+                    kernels.gram_partial_task(fb, scratch, group, cluster);
                 }
-            } else if (1..=clusters).contains(&symbol) {
-                for i in 0..count {
-                    kernels.gram_partial_task(fb, scratch, base + i, symbol - 1);
-                }
-            } else {
-                kernels.zf_reduce_task(fb, scratch, base, symbol - clusters - 1);
             }
-        }
+            ZfStage::Reduce(shard) => kernels.zf_reduce_task(fb, scratch, base, shard),
+        },
         TaskType::Demod => kernels.demod_task(fb, scratch, msg.frame, symbol, base, count),
         TaskType::Decode => {
-            for i in 0..count {
-                kernels.decode_task(fb, scratch, symbol, base + i);
+            for user in base..base + count {
+                kernels.decode_task(fb, scratch, symbol, user);
             }
         }
         TaskType::Encode => {
-            for i in 0..count {
-                kernels.encode_task(fb, msg.frame, symbol, base + i);
+            for user in base..base + count {
+                kernels.encode_task(fb, msg.frame, symbol, user);
             }
         }
-        TaskType::Precode => {
-            if msg.aux == 1 && msg.frame > 0 {
-                // Stale-precoder early start: precoder from frame-1.
-                let pre_src = window.slot(msg.frame - 1);
-                kernels.precode_task_with(fb, pre_src, scratch, symbol, base, count);
-            } else {
-                kernels.precode_task(fb, scratch, symbol, base, count);
-            }
+        TaskType::Precode if msg.aux == 1 && msg.frame > 0 => {
+            // Stale-precoder early start: precoder from frame-1.
+            let pre_src = window.slot(msg.frame - 1);
+            kernels.precode_task_with(fb, pre_src, scratch, symbol, base, count);
         }
-        TaskType::Ifft => {
-            if kernels.cfg.ablation.batched_fft && count > 1 {
-                kernels.ifft_batch_task(fb, scratch, symbol, base, count);
-            } else {
-                for i in 0..count {
-                    kernels.ifft_task(fb, scratch, symbol, base + i);
-                }
-            }
-        }
+        TaskType::Precode => kernels.precode_task(fb, scratch, symbol, base, count),
+        TaskType::Ifft if count > 1 => kernels.ifft_batch_task(fb, scratch, symbol, base, count),
+        TaskType::Ifft => kernels.ifft_task(fb, scratch, symbol, base),
         _ => {}
     }
 }

@@ -8,11 +8,14 @@
 //! implementation the threaded engine is differentially tested against.
 
 use crate::buffers::{FrameBuffers, FrameWindow};
-use crate::config::EngineConfig;
+use crate::config::{BatchSizes, EngineConfig};
+use crate::engine::execute;
 use crate::kernels::{Kernels, WorkerScratch};
+use crate::state::{runs, Ready};
 use agora_fronthaul::packet::decode as decode_packet;
 use agora_fronthaul::PacketBuf;
 use agora_phy::frame::SymbolType;
+use agora_queue::{Msg, TaskType};
 use bytes::Bytes;
 
 /// Decoded output of one inline-processed frame.
@@ -34,6 +37,10 @@ pub struct InlineProcessor {
     kernels: Kernels,
     window: FrameWindow,
     scratch: WorkerScratch,
+    /// Batch sizes that make every non-(I)FFT stage of a symbol one
+    /// message; (I)FFTs keep the configured run length.
+    whole: BatchSizes,
+    stage: Vec<Msg>,
 }
 
 impl InlineProcessor {
@@ -42,7 +49,16 @@ impl InlineProcessor {
         let kernels = Kernels::new(cfg);
         let window = FrameWindow::new(kernels.geom, 2);
         let scratch = kernels.scratch();
-        Self { kernels, window, scratch }
+        let sh = kernels.shape;
+        let whole = BatchSizes {
+            zf: sh.zf_groups,
+            demod: sh.q,
+            decode: sh.k,
+            encode: sh.k,
+            precode: sh.q,
+            ..kernels.cfg.batch
+        };
+        Self { kernels, window, scratch, whole, stage: Vec::new() }
     }
 
     /// Access to the kernels (geometry etc.).
@@ -55,13 +71,14 @@ impl InlineProcessor {
     /// belong to `frame`.
     pub fn process_frame(&mut self, frame: u32, packets: &[Bytes]) -> InlineResult {
         let g = self.kernels.geom;
+        let shape = self.kernels.shape;
         let cell = self.kernels.cfg.cell.clone();
-        let fb = self.window.slot(frame);
 
         // 1. Ingest packets, retained zero-copy in the slot table (the
         // `Bytes` clone bumps a refcount; payload bytes are not copied).
         // SAFETY: single-threaded processor — exclusive table access.
         // Clearing first drops the slot's previous occupant's packets.
+        let fb = self.window.slot(frame);
         unsafe { fb.rx_pkts.clear_all() };
         for pkt in packets {
             let (hdr, _) = decode_packet(pkt).expect("bad packet");
@@ -72,43 +89,18 @@ impl InlineProcessor {
             unsafe { fb.rx_pkts.store(idx, PacketBuf::Heap(pkt.clone())) };
         }
 
-        // 2. Pilot FFT + CSI, then interpolation and ZF. FFT work runs in
-        // batch-sized antenna chunks through the same batched/single
-        // branch as the threaded engine, so the `batched_fft` ablation is
-        // exercised identically here.
-        let bf = self.kernels.cfg.batch.fft.max(1);
+        // 2. Pilot FFT + CSI, then interpolation and ZF. On the staged ZF
+        // path every partial Gram lands before any reduce, and reduces
+        // run in fixed (group, shard) order — the same dependency order
+        // the threaded engine's manager enforces.
         for symbol in cell.schedule.pilot_indices() {
-            let mut base = 0;
-            while base < g.m {
-                let count = bf.min(g.m - base);
-                if self.kernels.cfg.ablation.batched_fft && count > 1 {
-                    self.kernels.fft_batch_task(fb, &mut self.scratch, symbol, base, count);
-                } else {
-                    for ant in base..base + count {
-                        self.kernels.fft_task(fb, &mut self.scratch, symbol, ant);
-                    }
-                }
-                base += count;
-            }
+            self.run_ffts(frame, symbol);
         }
-        self.kernels.interpolate_csi(fb);
-        if self.kernels.clustered_zf() {
-            // Staged path: all partial Grams land before any reduce, and
-            // reduces run in fixed (group, shard) order — the same
-            // dependency order the threaded engine's manager enforces.
-            for cluster in 0..self.kernels.zf_clusters() {
-                for group in 0..cell.num_zf_groups() {
-                    self.kernels.gram_partial_task(fb, &mut self.scratch, group, cluster);
-                }
-            }
-            for group in 0..cell.num_zf_groups() {
-                for shard in 0..self.kernels.zf_reduce_shards() {
-                    self.kernels.zf_reduce_task(fb, &mut self.scratch, group, shard);
-                }
-            }
-        } else {
-            for group in 0..cell.num_zf_groups() {
-                self.kernels.zf_task(fb, &mut self.scratch, group);
+        self.kernels.interpolate_csi(self.window.slot(frame));
+        self.run(frame, Ready::AllZf);
+        if shape.zf_clusters > 0 {
+            for group in 0..shape.zf_groups {
+                self.run(frame, Ready::ZfReduce { group });
             }
         }
 
@@ -116,21 +108,11 @@ impl InlineProcessor {
         let mut decoded = vec![Vec::new(); cell.symbols_per_frame()];
         let mut decode_ok = vec![Vec::new(); cell.symbols_per_frame()];
         for symbol in cell.schedule.uplink_indices() {
-            let mut base = 0;
-            while base < g.m {
-                let count = bf.min(g.m - base);
-                if self.kernels.cfg.ablation.batched_fft && count > 1 {
-                    self.kernels.fft_batch_task(fb, &mut self.scratch, symbol, base, count);
-                } else {
-                    for ant in base..base + count {
-                        self.kernels.fft_task(fb, &mut self.scratch, symbol, ant);
-                    }
-                }
-                base += count;
-            }
-            self.kernels.demod_task(fb, &mut self.scratch, frame, symbol, 0, g.q);
+            self.run_ffts(frame, symbol);
+            self.run(frame, Ready::DemodSymbol { symbol });
+            self.run(frame, Ready::DecodeSymbol { symbol });
+            let fb = self.window.slot(frame);
             for user in 0..g.k {
-                self.kernels.decode_task(fb, &mut self.scratch, symbol, user);
                 let bits = unsafe { fb.decoded.slice(fb.decoded_range(&g, symbol, user)) }.to_vec();
                 let ok = unsafe { fb.decode_ok.read(symbol * g.k + user) } != 0;
                 decoded[symbol].push(bits);
@@ -141,23 +123,10 @@ impl InlineProcessor {
         // 4. Downlink symbols: encode -> precode+modulate -> IFFT.
         let mut dl_time = vec![Vec::new(); cell.symbols_per_frame()];
         for symbol in cell.schedule.downlink_indices() {
-            for user in 0..g.k {
-                self.kernels.encode_task(fb, frame, symbol, user);
-            }
-            self.kernels.precode_task(fb, &mut self.scratch, symbol, 0, g.q);
-            let bi = self.kernels.cfg.batch.ifft.max(1);
-            let mut base = 0;
-            while base < g.m {
-                let count = bi.min(g.m - base);
-                if self.kernels.cfg.ablation.batched_fft && count > 1 {
-                    self.kernels.ifft_batch_task(fb, &mut self.scratch, symbol, base, count);
-                } else {
-                    for ant in base..base + count {
-                        self.kernels.ifft_task(fb, &mut self.scratch, symbol, ant);
-                    }
-                }
-                base += count;
-            }
+            self.run(frame, Ready::EncodeSymbol { symbol });
+            self.run(frame, Ready::PrecodeSymbol { symbol });
+            self.run(frame, Ready::IfftSymbol { symbol });
+            let fb = self.window.slot(frame);
             for ant in 0..g.m {
                 let t = unsafe { fb.dl_time.slice(fb.dl_time_range(&g, symbol, ant)) }.to_vec();
                 dl_time[symbol].push(t);
@@ -165,6 +134,27 @@ impl InlineProcessor {
         }
 
         InlineResult { frame, decoded, decode_ok, dl_time }
+    }
+
+    /// Expands `ready` with whole-symbol batches and executes its
+    /// messages in order.
+    fn run(&mut self, frame: u32, ready: Ready) {
+        let mut stage = std::mem::take(&mut self.stage);
+        stage.clear();
+        self.kernels.shape.expand(frame, ready, &self.whole, &mut stage);
+        for msg in &stage {
+            execute(&self.kernels, &self.window, &mut self.scratch, msg);
+        }
+        self.stage = stage;
+    }
+
+    /// FFTs every antenna of `symbol` in `batch.fft`-sized runs, the
+    /// message size the threaded manager coalesces arrivals into.
+    fn run_ffts(&mut self, frame: u32, symbol: usize) {
+        for (base, count) in runs(self.kernels.shape.m, self.kernels.cfg.batch.fft) {
+            let msg = Msg::task(TaskType::Fft, frame, symbol as u32, base, count);
+            execute(&self.kernels, &self.window, &mut self.scratch, &msg);
+        }
     }
 
     /// Direct access to the frame buffers of a frame slot (testing and
@@ -265,106 +255,12 @@ mod tests {
         }
     }
 
-    /// The `batched_fft` ablation only changes task granularity — batched
-    /// and single-transform execution must produce bit-identical uplink
-    /// decodes and downlink time-domain samples.
+    /// `pinv_method = Direct` swaps the default Cholesky solve for the
+    /// Gauss-Jordan Gram inverse. The two detectors differ only in f32
+    /// rounding (~1e-7), so both sides must decode every block to the
+    /// ground truth, on both demod layouts.
     #[test]
-    fn batched_fft_ablation_is_bit_identical() {
-        use agora_phy::frame::FrameSchedule;
-
-        let mut cell = CellConfig::tiny_test(2);
-        // Mixed frame: pilot + uplink + downlink so both the FFT and the
-        // IFFT batched paths run.
-        cell.schedule = FrameSchedule::parse("PUUDD").unwrap();
-        cell.validate().unwrap();
-        let rc = RruConfig { snr_db: 25.0, seed: 17, ..Default::default() };
-        let mut rru = RruEmulator::new(cell.clone(), rc);
-        let (packets, _gt) = rru.generate_frame(0);
-
-        let mut cfg_on = EngineConfig::new(cell.clone(), 1);
-        cfg_on.noise_power = rru.noise_power();
-        let mut cfg_off = cfg_on.clone();
-        cfg_off.ablation.batched_fft = false;
-        assert!(cfg_on.batch.fft > 1, "batch size must exercise the batched path");
-
-        let mut on = InlineProcessor::new(cfg_on);
-        let mut off = InlineProcessor::new(cfg_off);
-        let ron = on.process_frame(0, &packets);
-        let roff = off.process_frame(0, &packets);
-
-        for symbol in cell.schedule.uplink_indices() {
-            assert_eq!(ron.decoded[symbol], roff.decoded[symbol]);
-            assert_eq!(ron.decode_ok[symbol], roff.decode_ok[symbol]);
-        }
-        for symbol in cell.schedule.downlink_indices() {
-            for ant in 0..cell.num_antennas {
-                let a = &ron.dl_time[symbol][ant];
-                let b = &roff.dl_time[symbol][ant];
-                assert_eq!(a.len(), b.len());
-                for (x, y) in a.iter().zip(b.iter()) {
-                    assert_eq!(x.re.to_bits(), y.re.to_bits(), "symbol {symbol} ant {ant}");
-                    assert_eq!(x.im.to_bits(), y.im.to_bits(), "symbol {symbol} ant {ant}");
-                }
-            }
-        }
-    }
-
-    /// The AVX2 complex-GEMM plane (`ablation.simd_gemm`) is a pure speed
-    /// toggle: ZF pinv, equalization, and precoding must produce the same
-    /// bits whether the products run the scalar or the vector kernels.
-    #[test]
-    fn simd_gemm_ablation_is_bit_identical() {
-        use agora_phy::frame::FrameSchedule;
-
-        let mut cell = CellConfig::tiny_test(2);
-        // Mixed frame so the detector (equalize) and precoder (downlink)
-        // GEMM paths both run.
-        cell.schedule = FrameSchedule::parse("PUUDD").unwrap();
-        cell.validate().unwrap();
-        let rc = RruConfig { snr_db: 25.0, seed: 23, ..Default::default() };
-        let mut rru = RruEmulator::new(cell.clone(), rc);
-        let (packets, _gt) = rru.generate_frame(0);
-
-        let mut cfg_on = EngineConfig::new(cell.clone(), 1);
-        cfg_on.noise_power = rru.noise_power();
-        let mut cfg_off = cfg_on.clone();
-        cfg_off.ablation.simd_gemm = false;
-        // Run the strided ablation too on one side-by-side pair so the
-        // per-subcarrier GEMV path is covered as well as the blocked GEMM.
-        let mut cfg_on_strided = cfg_on.clone();
-        cfg_on_strided.ablation.cache_layout = false;
-        let mut cfg_off_strided = cfg_off.clone();
-        cfg_off_strided.ablation.cache_layout = false;
-
-        for (a, b) in [(cfg_on, cfg_off), (cfg_on_strided, cfg_off_strided)] {
-            let mut on = InlineProcessor::new(a);
-            let mut off = InlineProcessor::new(b);
-            let ron = on.process_frame(0, &packets);
-            let roff = off.process_frame(0, &packets);
-            for symbol in cell.schedule.uplink_indices() {
-                assert_eq!(ron.decoded[symbol], roff.decoded[symbol]);
-                assert_eq!(ron.decode_ok[symbol], roff.decode_ok[symbol]);
-            }
-            for symbol in cell.schedule.downlink_indices() {
-                for ant in 0..cell.num_antennas {
-                    let x = &ron.dl_time[symbol][ant];
-                    let y = &roff.dl_time[symbol][ant];
-                    assert_eq!(x.len(), y.len());
-                    for (u, v) in x.iter().zip(y.iter()) {
-                        assert_eq!(u.re.to_bits(), v.re.to_bits(), "symbol {symbol} ant {ant}");
-                        assert_eq!(u.im.to_bits(), v.im.to_bits(), "symbol {symbol} ant {ant}");
-                    }
-                }
-            }
-        }
-    }
-
-    /// `ablation.zf_cholesky` swaps the Gauss-Jordan Gram inverse for the
-    /// Cholesky solve. The two detectors differ only in f32 rounding
-    /// (~1e-7), so both sides must decode every block to the ground
-    /// truth, on both demod layouts.
-    #[test]
-    fn zf_cholesky_ablation_gives_same_bits() {
+    fn direct_pinv_gives_same_bits_as_default_cholesky() {
         let cell = CellConfig::tiny_test(2);
         let rc = RruConfig { snr_db: 28.0, seed: 41, ..Default::default() };
         let mut rru = RruEmulator::new(cell.clone(), rc);
@@ -372,9 +268,13 @@ mod tests {
 
         let mut cfg_chol = EngineConfig::new(cell.clone(), 1);
         cfg_chol.noise_power = rru.noise_power();
-        assert!(cfg_chol.ablation.zf_cholesky, "Cholesky solve must be the default");
+        assert_eq!(
+            cfg_chol.ablation.pinv_method,
+            agora_math::PinvMethod::Cholesky,
+            "Cholesky solve must be the default"
+        );
         let mut cfg_gj = cfg_chol.clone();
-        cfg_gj.ablation.zf_cholesky = false;
+        cfg_gj.ablation.pinv_method = agora_math::PinvMethod::Direct;
         let mut cfg_chol_strided = cfg_chol.clone();
         cfg_chol_strided.ablation.cache_layout = false;
 

@@ -9,12 +9,13 @@
 
 use crate::buffers::{BufferGeometry, FrameBuffers};
 use crate::config::{EngineConfig, EqMode};
+use crate::state::FrameShape;
 use agora_fft::{Direction, FftPlan, SubcarrierMap};
 use agora_ldpc::{DecodeConfig, DecodeConfigI8, Decoder, DecoderI8, Encoder, RateMatch};
 use agora_math::simd::{stream_copy, SimdTier};
 use agora_math::{
     gram_accumulate_with_tier, gram_pair_with_tier, gram_reduce, normalize_precoder_in_place,
-    pinv_from_gram_slice_into, pinv_into, CMat, Cf32, Gemm, PinvMethod, PinvScratch,
+    pinv_from_gram_slice_into, pinv_into, CMat, Cf32, Gemm, PinvScratch,
 };
 use agora_phy::demod::{demod_soft_i8, demod_soft_simd};
 use agora_phy::equalize::{cg_solve_gram, neumann_diag_inv, CgScratch, CG_MAX_ITERS, CG_REL_TOL};
@@ -30,6 +31,8 @@ pub struct Kernels {
     pub cfg: EngineConfig,
     /// Buffer geometry derived from the cell.
     pub geom: BufferGeometry,
+    /// Task fan-out of one frame (what the schedulers expand and count).
+    pub shape: FrameShape,
     fft: FftPlan,
     map: SubcarrierMap,
     pilots: PilotPlan,
@@ -41,12 +44,8 @@ pub struct Kernels {
     pre_gemm: Gemm,
     simd: SimdTier,
     /// Tier the beamforming matrix kernels (ZF pinv, equalize GEMV,
-    /// precode) dispatch to — `Scalar` when `ablation.simd_gemm` is off.
+    /// precode) dispatch to.
     gemm_tier: SimdTier,
-    /// Pseudo-inverse method the zero-forcing path actually runs:
-    /// `ablation.pinv_method` with `Direct` upgraded to `Cholesky` when
-    /// `ablation.zf_cholesky` is on.
-    pinv_method: PinvMethod,
     /// Whether the schedule carries downlink symbols (the iterative
     /// equalizer skips the precoder entirely when it doesn't).
     has_downlink: bool,
@@ -138,11 +137,11 @@ impl Kernels {
         let pilots = PilotPlan::new(cell.pilot_scheme, cell.num_users, cell.num_data_sc);
         let rate_match = cell.ldpc.rate_match();
         let encoder = Encoder::new(cell.ldpc.base_graph, cell.ldpc.z);
-        // `simd_gemm` picks the SIMD tier of every beamforming product
-        // (bit-identical across tiers); `jit_gemm` keeps its Table 4
-        // meaning of dropping the planned equalize/precode kernels to the
-        // generic scalar loop.
-        let gemm_tier = if cfg.ablation.simd_gemm { SimdTier::cached() } else { SimdTier::Scalar };
+        // Every beamforming product runs on the detected tier (the
+        // kernels are bit-identical across tiers); `jit_gemm` keeps its
+        // Table 4 meaning of dropping the planned equalize/precode
+        // kernels to the generic scalar loop.
+        let gemm_tier = SimdTier::cached();
         let (eq_gemm, pre_gemm) = if cfg.ablation.jit_gemm {
             (
                 Gemm::plan_with_tier(geom.k, geom.m, geom.block, gemm_tier),
@@ -155,16 +154,16 @@ impl Kernels {
             )
         };
         let coded_bits = cell.coded_bits_per_symbol();
-        let pinv_method =
-            if cfg.ablation.zf_cholesky && cfg.ablation.pinv_method == PinvMethod::Direct {
-                PinvMethod::Cholesky
-            } else {
-                cfg.ablation.pinv_method
-            };
+        let shape = FrameShape::new(
+            cell,
+            if cfg.ablation.clustered_zf { cfg.antenna_clusters } else { 0 },
+            zf_iterative(&cfg),
+        );
         let has_downlink = !cell.schedule.downlink_indices().is_empty();
         Self {
             cfg,
             geom,
+            shape,
             fft,
             map,
             pilots,
@@ -174,7 +173,6 @@ impl Kernels {
             pre_gemm,
             simd: SimdTier::detect(),
             gemm_tier,
-            pinv_method,
             has_downlink,
             coded_bits,
         }
@@ -208,7 +206,7 @@ impl Kernels {
             zf_pinv: PinvScratch::with_tier(g.m, g.k, self.gemm_tier),
             zf_part_ah: vec![Cf32::ZERO; g.k * ClusterPlan::new(g.m, g.clusters).max_len()],
             zf_shard: {
-                let shards = self.zf_reduce_shards();
+                let shards = self.shape.zf_reduce_shards;
                 if shards > 1 {
                     let plan = ClusterPlan::new(g.m, shards);
                     let mut widths: Vec<usize> = (0..shards).map(|i| plan.range(i).len()).collect();
@@ -408,8 +406,7 @@ impl Kernels {
         let sc = group * g.zf_group;
         let csi = unsafe { fb.csi.slice(fb.csi_range(sc)) };
         s.zf_h.as_mut_slice().copy_from_slice(csi);
-        let iterative = self.cfg.ablation.eq_mode == EqMode::Iterative
-            && self.cfg.ablation.detector == DetectorKind::ZeroForcing;
+        let iterative = zf_iterative(&self.cfg);
         match self.cfg.ablation.detector {
             DetectorKind::ZeroForcing if iterative => {
                 // Iterative equalization: publish `H^H` in the detector
@@ -428,7 +425,7 @@ impl Kernels {
                 );
             }
             DetectorKind::ZeroForcing => {
-                pinv_into(&s.zf_h, self.pinv_method, &mut s.zf_pinv, &mut s.zf_det);
+                pinv_into(&s.zf_h, self.cfg.ablation.pinv_method, &mut s.zf_pinv, &mut s.zf_det);
             }
             DetectorKind::Mmse => {
                 let det = agora_phy::Detector::Mmse { noise_power: self.cfg.noise_power }
@@ -456,7 +453,7 @@ impl Kernels {
             // The downlink still needs the formed detector; solve the
             // Gram system once per group (Cholesky) into its own staging
             // so the published `H^H` stays untouched.
-            pinv_into(&s.zf_h, self.pinv_method, &mut s.zf_pinv, &mut s.zf_w);
+            pinv_into(&s.zf_h, self.cfg.ablation.pinv_method, &mut s.zf_pinv, &mut s.zf_w);
         }
         if need_pre {
             let det = if iterative { &s.zf_w } else { &s.zf_det };
@@ -468,37 +465,6 @@ impl Kernels {
             if need_pre {
                 fb.pre.slice_mut(fb.pre_range(group)).copy_from_slice(s.zf_pre.as_slice());
             }
-        }
-    }
-
-    /// Whether the staged (antenna-cluster partitioned) ZF path is on.
-    pub fn clustered_zf(&self) -> bool {
-        self.cfg.ablation.clustered_zf
-    }
-
-    /// Antenna clusters of the staged ZF path (1 when it's off).
-    pub fn zf_clusters(&self) -> usize {
-        self.geom.clusters
-    }
-
-    /// True when the zero-forcing path runs in iterative (CG) mode.
-    fn zf_iterative(&self) -> bool {
-        use crate::config::DetectorKind;
-        self.cfg.ablation.eq_mode == EqMode::Iterative
-            && self.cfg.ablation.detector == DetectorKind::ZeroForcing
-    }
-
-    /// Reduce shards per group on the staged ZF path. The solve is
-    /// sharded across the detector's antenna columns (one shard per
-    /// cluster) only when nothing needs the full detector in one place:
-    /// the downlink precoder normalisation scales by the *global* max
-    /// antenna power, and the iterative mode's reduce publishes one
-    /// shared Gram plane — both force a single reduce task.
-    pub fn zf_reduce_shards(&self) -> usize {
-        if self.has_downlink || self.zf_iterative() {
-            1
-        } else {
-            self.geom.clusters
         }
     }
 
@@ -551,7 +517,7 @@ impl Kernels {
         shard: usize,
     ) {
         let g = &self.geom;
-        let shards = self.zf_reduce_shards();
+        let shards = self.shape.zf_reduce_shards;
         debug_assert!(shard < shards, "reduce shard out of range");
         let sc = group * g.zf_group;
         let csi = unsafe { fb.csi.slice(fb.csi_range(sc)) };
@@ -561,7 +527,7 @@ impl Kernels {
         let parts = unsafe { fb.gram_part.slice(fb.gram_part_group_range(group)) };
         gram_reduce(parts, s.zf_pinv.gram_mut().as_mut_slice());
 
-        if self.zf_iterative() {
+        if zf_iterative(&self.cfg) {
             // Iterative mode: publish the folded Gram and `H^H`; the CG
             // solves happen at demod time. Mirrors the monolithic
             // iterative arm of [`Self::zf_task`] with the Gram swapped
@@ -577,7 +543,7 @@ impl Kernels {
             if self.has_downlink {
                 pinv_from_gram_slice_into(
                     &s.zf_h,
-                    self.pinv_method,
+                    self.cfg.ablation.pinv_method,
                     0,
                     g.m,
                     &mut s.zf_pinv,
@@ -597,7 +563,7 @@ impl Kernels {
             // Gram, then the monolithic tail.
             pinv_from_gram_slice_into(
                 &s.zf_h,
-                self.pinv_method,
+                self.cfg.ablation.pinv_method,
                 0,
                 g.m,
                 &mut s.zf_pinv,
@@ -623,7 +589,7 @@ impl Kernels {
             .expect("no shard staging for this width");
         pinv_from_gram_slice_into(
             &s.zf_h,
-            self.pinv_method,
+            self.cfg.ablation.pinv_method,
             cols.start,
             cols.len(),
             &mut s.zf_pinv,
@@ -1067,6 +1033,12 @@ pub fn unpack_bitrev(payload: &[u8], skip: usize, bitrev: &[u32], out: &mut [Cf3
     }
 }
 
+/// True when the zero-forcing path runs in iterative (CG) mode.
+fn zf_iterative(cfg: &EngineConfig) -> bool {
+    cfg.ablation.eq_mode == EqMode::Iterative
+        && cfg.ablation.detector == crate::config::DetectorKind::ZeroForcing
+}
+
 /// Squared norm of detector row `user` (length `m`).
 fn row_norm_sqr(det: &[Cf32], m: usize, user: usize) -> f32 {
     det[user * m..(user + 1) * m].iter().map(|z| z.norm_sqr()).sum()
@@ -1141,13 +1113,13 @@ mod tests {
                 cfg.ablation.clustered_zf = true;
                 cfg.antenna_clusters = clusters;
                 let k = Kernels::new(cfg);
-                assert_eq!(k.zf_clusters(), clusters);
+                assert_eq!(k.shape.zf_clusters, clusters);
                 let s = k.scratch();
                 let plan = ClusterPlan::new(m, clusters);
                 assert_eq!(s.zf_part_ah.len(), k.geom.k * plan.max_len());
                 // Uplink-only direct mode shards the reduce per cluster;
                 // staging must cover exactly the distinct shard widths.
-                let shards = k.zf_reduce_shards();
+                let shards = k.shape.zf_reduce_shards;
                 assert_eq!(shards, clusters);
                 if shards > 1 {
                     let widths: std::collections::BTreeSet<usize> =
@@ -1160,6 +1132,70 @@ mod tests {
                 } else {
                     assert!(s.zf_shard.is_empty(), "unsharded reduce solves into zf_det");
                 }
+            }
+        }
+    }
+
+    /// A batched (I)FFT task is `n` single tasks run through one batched
+    /// transform: on the frame planes — CSI (pilot), `freq` (uplink) and
+    /// `dl_time` (downlink) — `fft_batch_task(base, n)` and
+    /// `ifft_batch_task(base, n)` must write exactly the bits that
+    /// `n x fft_task` / `n x ifft_task` write.
+    #[test]
+    fn batch_fft_tasks_equal_single_tasks_on_frame_planes() {
+        use crate::inline_engine::InlineProcessor;
+        use agora_fronthaul::{RruConfig, RruEmulator};
+        use agora_phy::frame::FrameSchedule;
+
+        let mut cell = CellConfig::tiny_test(2);
+        cell.schedule = FrameSchedule::parse("PUD").unwrap();
+        cell.validate().unwrap();
+        let m = cell.num_antennas;
+        let mut rru = RruEmulator::new(
+            cell.clone(),
+            RruConfig { snr_db: 25.0, seed: 17, ..Default::default() },
+        );
+        let (packets, _) = rru.generate_frame(0);
+        let mut cfg = EngineConfig::new(cell, 1);
+        cfg.noise_power = rru.noise_power();
+        // Scratch holds one whole symbol's transforms.
+        cfg.batch.fft = m;
+        cfg.batch.ifft = m;
+        // One inline frame leaves the received packets and `dl_freq` in
+        // place for the kernels to re-run on.
+        let mut proc = InlineProcessor::new(cfg);
+        proc.process_frame(0, &packets);
+        let (k, fb) = (proc.kernels(), proc.buffers(0));
+        let mut s = k.scratch();
+        let bits = |v: &[Cf32]| -> Vec<(u32, u32)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+
+        // (plane written, symbol, forward transform?) for pilot, uplink, downlink.
+        let planes = [(&fb.csi, 0usize, true), (&fb.freq, 1, true), (&fb.dl_time, 2, false)];
+        for (plane, symbol, forward) in planes {
+            // Whole symbol, and an odd run off a non-zero base.
+            for (base, n) in [(0, m), (3, 3)] {
+                let mut run = |batched: bool| {
+                    // SAFETY: single-threaded test, no other view alive.
+                    unsafe { plane.slice_mut(0..plane.len()) }.fill(Cf32::ZERO);
+                    match (forward, batched) {
+                        (true, true) => k.fft_batch_task(fb, &mut s, symbol, base, n),
+                        (false, true) => k.ifft_batch_task(fb, &mut s, symbol, base, n),
+                        (true, false) => {
+                            (base..base + n).for_each(|a| k.fft_task(fb, &mut s, symbol, a))
+                        }
+                        (false, false) => {
+                            (base..base + n).for_each(|a| k.ifft_task(fb, &mut s, symbol, a))
+                        }
+                    }
+                    // SAFETY: as above.
+                    bits(unsafe { plane.slice(0..plane.len()) })
+                };
+                let batched = run(true);
+                let singles = run(false);
+                assert!(batched.iter().any(|&b| b != (0, 0)), "symbol {symbol}: plane untouched");
+                assert_eq!(batched, singles, "symbol {symbol} base {base} n {n}");
             }
         }
     }

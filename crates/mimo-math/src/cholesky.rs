@@ -16,8 +16,7 @@
 //!   [`Cholesky::factor_into`] / [`Cholesky::solve_into`] /
 //!   [`Cholesky::inverse_into`], which work entirely in caller-owned
 //!   [`CholScratch`] storage and dispatch their panel updates through the
-//!   tier-selected GEMM kernels (bit-identical across SIMD tiers, so the
-//!   `simd_gemm` ablation stays a pure speed toggle on this path too).
+//!   tier-selected GEMM kernels (bit-identical across SIMD tiers).
 //!
 //! Both the factorisation and the triangular solves are right-looking
 //! *column sweeps* over the AVX2 [`caxpy`](crate::gemm::caxpy) primitive:

@@ -15,8 +15,8 @@
 //! * **Vectorization**: on the AVX2 [`SimdTier`], [`gemm`], [`gemv`] and
 //!   [`gram`] route to the register-tiled kernels in `gemm_simd`, which are
 //!   bit-identical to the scalar references ([`gemm_scalar`],
-//!   [`gemv_scalar`], [`gram_scalar`]) — the engine's `simd_gemm` ablation
-//!   toggles speed, never results.
+//!   [`gemv_scalar`], [`gram_scalar`]) — the tier changes speed, never
+//!   results.
 //!
 //! The free functions dispatch on [`SimdTier::cached`]; `_with_tier`
 //! variants pin the tier for parity tests and ablations.
@@ -629,6 +629,40 @@ mod proptests {
 
     fn bits(c: &[Cf32]) -> Vec<(u32, u32)> {
         c.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
+    /// The products the engine issues, at its test (8x2) and paper
+    /// (64x16) shapes with the 8-subcarrier block — pinned inputs, since
+    /// the random sweeps below stop short of 64: planned equalize
+    /// `(K, M, B)` and precode `(M, K, B)`, the strided-layout GEMV
+    /// `(K, M)` and the ZF Gram `(M, K)`.
+    #[test]
+    fn engine_shapes_tier_parity() {
+        for (m, k) in [(8usize, 2usize), (64, 16)] {
+            for (r, c) in [(k, m), (m, k)] {
+                let a = fill(r * c, 7);
+                let b = fill(c * 8, 11);
+                let mut scalar = vec![Cf32::ZERO; r * 8];
+                let mut simd = vec![Cf32::ONE; r * 8];
+                Gemm::plan_with_tier(r, c, 8, SimdTier::Scalar).run(&a, &b, &mut scalar);
+                Gemm::plan_with_tier(r, c, 8, SimdTier::detect()).run(&a, &b, &mut simd);
+                assert_eq!(bits(&scalar), bits(&simd), "plan ({r},{c},8)");
+            }
+            let w = fill(k * m, 13);
+            let y = fill(m, 17);
+            let mut scalar = vec![Cf32::ZERO; k];
+            let mut simd = vec![Cf32::ONE; k];
+            gemv_with_tier(k, m, &w, &y, &mut scalar, SimdTier::Scalar);
+            gemv_with_tier(k, m, &w, &y, &mut simd, SimdTier::detect());
+            assert_eq!(bits(&scalar), bits(&simd), "gemv ({k},{m})");
+            let h = fill(m * k, 19);
+            let hh: Vec<Cf32> = (0..k * m).map(|i| h[(i % m) * k + i / m].conj()).collect();
+            let mut scalar = vec![Cf32::ZERO; k * k];
+            let mut simd = vec![Cf32::ONE; k * k];
+            gram_pair_with_tier(m, k, &hh, &h, &mut scalar, SimdTier::Scalar);
+            gram_pair_with_tier(m, k, &hh, &h, &mut simd, SimdTier::detect());
+            assert_eq!(bits(&scalar), bits(&simd), "gram ({m},{k})");
+        }
     }
 
     proptest! {

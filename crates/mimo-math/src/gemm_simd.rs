@@ -11,9 +11,8 @@
 //!
 //! **Bit parity contract.** Every kernel reproduces the scalar reference
 //! ([`crate::gemm::gemm_scalar`] / [`gemv_scalar`](crate::gemm::gemv_scalar)
-//! / [`gram_scalar`](crate::gemm::gram_scalar)) *bit for bit*, so the
-//! engine's `simd_gemm` ablation is a pure speed toggle. That pins three
-//! choices:
+//! / [`gram_scalar`](crate::gemm::gram_scalar)) *bit for bit*, so results
+//! do not depend on the machine's SIMD tier. That pins three choices:
 //!
 //! * no hardware FMA — [`Cf32::mul_add`] is an unfused multiply-then-add,
 //!   so the vector path uses separate `vmulps` + `vaddsubps`/`vaddps`;

@@ -112,8 +112,7 @@ impl PinvScratch {
     }
 
     /// Allocates scratch with the kernel dispatch tier pinned by the
-    /// caller (the engine's `simd_gemm` ablation; results are bit-equal
-    /// across tiers).
+    /// caller (results are bit-equal across tiers).
     pub fn with_tier(m: usize, k: usize, tier: SimdTier) -> Self {
         Self {
             hh: CMat::zeros(k, m),
@@ -462,6 +461,28 @@ mod tests {
         let mut out = CMat::zeros(2, 8);
         pinv_into(&bad, PinvMethod::Direct, &mut s, &mut out);
         assert!(out.max_abs_diff(&pinv(&bad, PinvMethod::Direct)) < 1e-6);
+    }
+
+    /// The whole ZF chain (Gram, factor or inverse, solve / product) is
+    /// bit-identical on the detected and the scalar tier, for both Gram
+    /// solvers the engine selects between, at its test and paper shapes.
+    #[test]
+    fn pinv_into_tier_parity_is_bit_exact() {
+        let bits = |m: &CMat| -> Vec<(u32, u32)> {
+            m.as_slice().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        for (m, k) in [(8usize, 2usize), (64, 16)] {
+            let h = rand_channel(m, k, 23);
+            for method in [PinvMethod::Cholesky, PinvMethod::Direct] {
+                let mut scalar = CMat::zeros(k, m);
+                let mut simd = CMat::zeros(k, m);
+                let mut s = PinvScratch::with_tier(m, k, SimdTier::Scalar);
+                pinv_into(&h, method, &mut s, &mut scalar);
+                let mut s = PinvScratch::with_tier(m, k, SimdTier::detect());
+                pinv_into(&h, method, &mut s, &mut simd);
+                assert_eq!(bits(&scalar), bits(&simd), "{method:?} ({m},{k})");
+            }
+        }
     }
 
     /// Antenna-cluster staged solve: per-cluster partial Grams folded in

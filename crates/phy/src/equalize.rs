@@ -283,8 +283,7 @@ mod tests {
         }
     }
 
-    /// Scalar and AVX2 plans must equalize to the same bits — the engine's
-    /// `simd_gemm` ablation depends on it.
+    /// Scalar and AVX2 plans must equalize to the same bits.
     #[test]
     fn tier_parity_is_bit_exact() {
         use agora_math::SimdTier;

@@ -188,8 +188,16 @@ impl core::fmt::Debug for PooledPacket {
 impl Drop for PooledPacket {
     fn drop(&mut self) {
         // Only the `slots` indices handed out at construction circulate,
-        // and the ring's capacity covers all of them, so this cannot fail.
-        let _ = self.shared.free.push(self.slot);
+        // and the ring's capacity covers all of them, so the ring is
+        // never truly full — but a push reports "full" while a
+        // concurrent `acquire` has claimed the cell one lap behind and
+        // not yet released it. That clears within the other thread's
+        // pop; giving up instead would leak the slot.
+        let mut slot = self.slot;
+        while let Err(back) = self.shared.free.push(slot) {
+            slot = back;
+            std::hint::spin_loop();
+        }
     }
 }
 

@@ -8,21 +8,37 @@ use agora_fronthaul::{
     encode, Fronthaul, PacketBuf, PacketDir, PacketHeader, PacketPool, UdpFronthaul,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by *this* thread: the harness runs tests (and
+    /// spawns their threads) in parallel, so a process-wide count would
+    /// charge one test's measured window with another thread's work.
+    /// Const-initialised and destructor-free, so touching it from the
+    /// allocator never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: the allocator can be called while TLS is torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 /// System allocator with an allocation counter (deallocations are free:
 /// only new heap blocks betray a copy).
 struct CountingAlloc;
 
 // SAFETY: delegates every operation to `System` unchanged; the counter
-// is a relaxed atomic with no allocation of its own.
+// is a thread-local cell with no allocation of its own.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -31,7 +47,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -97,11 +113,11 @@ fn steady_state_pooled_udp_cycle_is_allocation_free() {
     for _ in 0..WARMUP {
         cycle(&mut outgoing, &mut got);
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..MEASURED {
         cycle(&mut outgoing, &mut got);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -172,11 +188,11 @@ fn steady_state_aggregated_pooled_cycle_is_allocation_free() {
     for _ in 0..WARMUP {
         cycle(&mut outgoing, &mut got);
     }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..MEASURED {
         cycle(&mut outgoing, &mut got);
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,

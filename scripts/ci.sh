@@ -4,8 +4,8 @@
 #   scripts/ci.sh
 #
 # Runs the release build (the tier-1 artifact), the full workspace test
-# suite, format and clippy gates (warnings promoted to errors), and the
-# release parity smokes. Fails fast.
+# suite, format and clippy gates (warnings promoted to errors), the
+# release parity smokes, and the benchmark's own checks. Fails fast.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,31 +18,13 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test --workspace -q
 
-echo "== decoder parity smoke =="
-cargo run --release -q -p agora-bench --bin decoder_parity
-
-echo "== fft parity smoke =="
-cargo run --release -q -p agora-bench --bin fft_parity
-
-echo "== gemm parity smoke =="
-cargo run --release -q -p agora-bench --bin gemm_parity
-
-echo "== zf parity smoke =="
-cargo run --release -q -p agora-bench --bin zf_parity
-
-echo "== fronthaul parity smoke =="
-cargo run --release -q -p agora-bench --bin fronthaul_parity
-
-echo "== deployment parity smoke =="
-cargo run --release -q -p agora-bench --bin deployment_parity
-
-echo "== zf cluster parity smoke =="
-cargo run --release -q -p agora-bench --bin zf_cluster_parity
-
-echo "== sched parity smoke =="
-cargo run --release -q -p agora-bench --bin sched_parity
+echo "== parity smokes =="
+cargo run --release -q -p agora-bench --bin parity
 
 echo "== cargo clippy --all-targets -- -D warnings =="
 cargo clippy --all-targets -- -D warnings
+
+echo "== benchmark self-checks =="
+benchmark/check.sh
 
 echo "CI OK"

@@ -1,13 +1,15 @@
 //! Work-stealing scheduler equivalence and counter sanity.
 //!
-//! The scheduler ablation (`Ablation::work_stealing`) only changes
-//! *where* task messages queue and *which* worker executes them — every
-//! kernel writes disjoint buffer regions determined solely by the
-//! message coordinates, so `FrameResult`s must be bit-identical with
-//! stealing on, stealing off, and the single-threaded inline reference,
-//! for any worker count and batch-size mix.
+//! The dispatch path only changes *where* task messages queue and
+//! *which* worker executes them — every kernel writes disjoint buffer
+//! regions determined solely by the message coordinates, so
+//! `FrameResult`s must be bit-identical through the per-worker lanes
+//! (data-parallel workers), through the shared per-type queues (what
+//! type-restricted workers are served from) and on the single-threaded
+//! inline reference, for any worker count and batch-size mix.
 
-use agora_core::{Engine, EngineConfig, FrameResult, InlineProcessor};
+use agora_core::engine::PRIORITY;
+use agora_core::{Engine, EngineConfig, FrameResult, InlineProcessor, WorkerPolicy};
 use agora_fronthaul::{RruConfig, RruEmulator};
 use agora_phy::CellConfig;
 use agora_queue::TaskType;
@@ -44,8 +46,8 @@ fn sorted(mut r: Vec<FrameResult>) -> Vec<FrameResult> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Stealing on == stealing off == inline, bit-identical, across
-    /// random worker counts and batch-size mixes.
+    /// Lanes == shared queues == inline, bit-identical, across random
+    /// worker counts and batch-size mixes.
     #[test]
     fn scheduling_is_result_invariant(
         workers in 1usize..5,
@@ -62,17 +64,19 @@ proptest! {
         cfg.batch.demod = demod_batch;
         cfg.batch.decode = decode_batch;
 
-        let mut stealing = cfg.clone();
-        stealing.ablation.work_stealing = true;
-        let with_lanes = sorted(Engine::new(stealing).process(packets.clone(), FRAMES, false));
+        let lanes = Engine::new(cfg.clone());
+        let with_lanes = sorted(lanes.process(packets.clone(), FRAMES, false));
 
-        let mut monolithic = cfg.clone();
-        monolithic.ablation.work_stealing = false;
-        let shared = sorted(Engine::new(monolithic).process(packets.clone(), FRAMES, false));
+        // Every worker may run every type, but as a type-restricted
+        // policy: no lanes, everything through the shared queues.
+        let all_types = WorkerPolicy::PipelineParallel(vec![PRIORITY.to_vec(); workers]);
+        let queues = Engine::with_policy(cfg.clone(), all_types);
+        let shared = sorted(queues.process(packets.clone(), FRAMES, false));
+        prop_assert_eq!(queues.stats().lane_pushes(), 0, "shared-queue leg touched a lane");
 
         prop_assert!(
             results_equal(&with_lanes, &shared),
-            "stealing on vs off differ (workers={workers} seed={seed})"
+            "lanes vs shared queues differ (workers={workers} seed={seed})"
         );
 
         let mut inline = InlineProcessor::new(cfg);
@@ -92,7 +96,7 @@ proptest! {
     }
 }
 
-/// With stealing on, every compute message goes through a lane first:
+/// With lanes, every compute message goes through a lane first:
 /// lane_pushes + lane_overflows must equal the total message count, and
 /// an engine left idle must park its workers.
 #[test]
@@ -144,26 +148,33 @@ fn sched_counters_account_for_every_message() {
     assert!(stats.wakes() > 0, "dispatch must wake parked workers");
 }
 
-/// Tiny lanes force the overflow-to-shared-queue fallback; results must
-/// still be correct and the overflow counter must fire.
+/// One ready item that expands into more messages than a lane holds
+/// forces the overflow-to-shared-queue fallback; results must still be
+/// correct and the overflow counter must fire.
 #[test]
 fn lane_overflow_falls_back_to_shared_queues() {
-    let cell = CellConfig::tiny_test(2);
+    // 3840 subcarriers demodulated one cache-line block per message: each
+    // symbol's 480-message demod batch is nearly two lanes' worth, however
+    // fast the workers drain.
+    let mut cell = CellConfig::tiny_test(2);
+    cell.fft_size = 4096;
+    cell.num_data_sc = 3840;
+    cell.validate().unwrap();
     let (packets, noise) = generate(&cell, 13);
     let mut cfg = EngineConfig::new(cell, 2);
     cfg.noise_power = noise;
-    cfg.lane_capacity = 2;
 
-    let overflowing = Engine::new(cfg.clone());
+    let mut block_demod = cfg.clone();
+    block_demod.batch.demod = block_demod.demod_block;
+    let overflowing = Engine::new(block_demod);
     let got = sorted(overflowing.process(packets.clone(), FRAMES, false));
     assert!(
         overflowing.stats().lane_overflows() > 0,
-        "capacity-2 lanes must overflow to the shared queues"
+        "a 480-message batch must overflow a lane to the shared queues"
     );
 
-    let mut roomy_cfg = cfg;
-    roomy_cfg.lane_capacity = 256;
-    let roomy = Engine::new(roomy_cfg);
+    let roomy = Engine::new(cfg);
     let want = sorted(roomy.process(packets, FRAMES, false));
+    assert_eq!(roomy.stats().lane_overflows(), 0, "default batches fit their lanes");
     assert!(results_equal(&got, &want), "overflow path changed decoded results");
 }
