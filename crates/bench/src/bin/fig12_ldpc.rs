@@ -3,10 +3,11 @@
 //! rates {1/3, 2/3, 8/9} at Z=104, 5 iterations. BPSK over AWGN,
 //! measured on this machine's real decoder.
 //!
-//! A third sweep compares the fixed-point `i8` layered decoder (AVX2
-//! and forced-scalar tiers) against the `f32` reference on identical
+//! A third sweep runs both decoding planes — `f32` and fixed-point `i8`,
+//! each on the detected and the forced-scalar tier — over identical
 //! noisy words, writing `results/ldpc_simd.csv` with per-point times
-//! and BLER plus a per-Z summary row recording the waterfall SNR shift
+//! (so the Z-lane ratio of both precisions is one table) and BLER, plus
+//! a per-Z summary row recording the waterfall SNR shift
 //! (`bler_delta_db`) the quantisation costs.
 
 use agora_bench::csv::write_csv;
@@ -74,13 +75,15 @@ struct SimdPoint {
     f32_bler: f64,
     i8_bler: f64,
     f32_time_us: f64,
+    f32_scalar_time_us: f64,
     i8_time_us: f64,
     i8_scalar_time_us: f64,
 }
 
-/// Runs the `f32` layered decoder and the `i8` decoder (detected tier and
-/// forced scalar) over the *same* noisy words, so BLER differences are
-/// purely quantisation and time differences purely the decoder plane.
+/// Runs the `f32` and the `i8` layered decoder (each on the detected tier
+/// and forced scalar) over the *same* noisy words, so BLER differences
+/// are purely quantisation and time differences purely the decoder plane
+/// and tier.
 fn run_simd_point(
     z: usize,
     iters: usize,
@@ -93,6 +96,7 @@ fn run_simd_point(
     let enc = Encoder::new(bg, z);
     let rm = RateMatch::for_rate(bg, z, rate);
     let mut dec = Decoder::new(bg, z);
+    let mut dec_scalar = Decoder::with_tier(bg, z, SimdTier::Scalar);
     let mut dec_i8 = DecoderI8::new(bg, z);
     let mut dec_i8_scalar = DecoderI8::with_tier(bg, z, SimdTier::Scalar);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -104,7 +108,7 @@ fn run_simd_point(
     let mut full = vec![0.0f32; dec.codeword_len()];
     let mut tx_i8 = Vec::new();
     let mut full_i8 = vec![0i8; dec_i8.codeword_len()];
-    let (mut t_f32, mut t_i8, mut t_i8_scalar) = (0.0f64, 0.0f64, 0.0f64);
+    let (mut t_f32, mut t_f32_scalar, mut t_i8, mut t_i8_scalar) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
 
     for _ in 0..blocks {
         let info: Vec<u8> = (0..enc.info_len()).map(|_| rng.gen::<bool>() as u8).collect();
@@ -146,6 +150,11 @@ fn run_simd_point(
         f32_stats.record(&info, &rf.info_bits, rf.success);
 
         let t0 = Instant::now();
+        let rfs = dec_scalar.decode(&full, &cfg_f32);
+        t_f32_scalar += t0.elapsed().as_secs_f64();
+        assert_eq!(rfs.info_bits, rf.info_bits, "f32 tiers must be bit-exact");
+
+        let t0 = Instant::now();
         let ri = dec_i8.decode(&full_i8, &cfg_i8);
         t_i8 += t0.elapsed().as_secs_f64();
         i8_stats.record(&info, &ri.info_bits, ri.success);
@@ -160,6 +169,7 @@ fn run_simd_point(
         f32_bler: f32_stats.bler(),
         i8_bler: i8_stats.bler(),
         f32_time_us: t_f32 * us,
+        f32_scalar_time_us: t_f32_scalar * us,
         i8_time_us: t_i8 * us,
         i8_scalar_time_us: t_i8_scalar * us,
     }
@@ -217,13 +227,12 @@ fn main() {
     println!("expected shapes: decode time linear in Z and iterations; lower rate ->");
     println!("more time and lower BER; BER waterfall below ~10 dB (paper Figure 12).");
 
-    // Fixed-point plane: f32 layered vs i8 layered (AVX2 + forced scalar)
-    // on identical noisy words, across the waterfall. The summary rows
-    // interpolate where each curve crosses BLER = 0.5 and record the SNR
-    // shift the i8 quantisation costs (acceptance: <= 0.2 dB, with the
-    // AVX2 i8 path >= 2x faster than f32 at Z >= 64).
-    println!("\nFixed-point sweep — f32 vs i8 layered decoder, R=1/3, 5 it");
-    println!("Z     snr_db  f32_bler  i8_bler  f32_us   i8_us   i8_scalar_us");
+    // Both planes (detected + forced-scalar tier) on identical noisy
+    // words, across the waterfall. The summary rows interpolate where
+    // each curve crosses BLER = 0.5 and record the SNR shift the i8
+    // quantisation costs (acceptance: <= 0.2 dB).
+    println!("\nDecoding planes — f32 vs i8 layered decoder, R=1/3, 5 it");
+    println!("Z     snr_db  f32_bler  i8_bler  f32_us  f32_scalar_us   i8_us  i8_scalar_us");
     let simd_blocks = blocks.max(24);
     let simd_snrs = [1.0f32, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0, 6.0];
     let mut simd_rows = Vec::new();
@@ -233,17 +242,24 @@ fn main() {
         for &snr in &simd_snrs {
             let sp = run_simd_point(z, 5, 1.0 / 3.0, snr, simd_blocks, 21);
             println!(
-                "{z:<5} {snr:>6.1}  {:>8.3}  {:>7.3}  {:>6.1}  {:>6.1}  {:>12.1}",
-                sp.f32_bler, sp.i8_bler, sp.f32_time_us, sp.i8_time_us, sp.i8_scalar_time_us
-            );
-            simd_rows.push(format!(
-                "point,{z},5,{snr},{},{},{},{},{},{:.3},",
+                "{z:<5} {snr:>6.1}  {:>8.3}  {:>7.3}  {:>6.1}  {:>13.1}  {:>6.1}  {:>12.1}",
                 sp.f32_bler,
                 sp.i8_bler,
                 sp.f32_time_us,
+                sp.f32_scalar_time_us,
+                sp.i8_time_us,
+                sp.i8_scalar_time_us
+            );
+            simd_rows.push(format!(
+                "point,{z},5,{snr},{},{},{},{},{},{},{:.3},{:.3},",
+                sp.f32_bler,
+                sp.i8_bler,
+                sp.f32_time_us,
+                sp.f32_scalar_time_us,
                 sp.i8_time_us,
                 sp.i8_scalar_time_us,
-                sp.f32_time_us / sp.i8_time_us
+                sp.f32_scalar_time_us / sp.f32_time_us,
+                sp.i8_scalar_time_us / sp.i8_time_us
             ));
             f32_blers.push(sp.f32_bler);
             i8_blers.push(sp.i8_bler);
@@ -260,14 +276,15 @@ fn main() {
             _ => 0.0,
         };
         println!("Z={z}: waterfall shift from quantisation = {delta:+.3} dB");
-        simd_rows.push(format!("summary,{z},5,,,,,,,,{delta:.3}"));
+        simd_rows.push(format!("summary,{z},5,,,,,,,,,,{delta:.3}"));
     }
     let p = write_csv(
         "ldpc_simd",
-        "kind,z,iters,snr_db,f32_bler,i8_bler,f32_time_us,i8_time_us,i8_scalar_time_us,speedup,bler_delta_db",
+        "kind,z,iters,snr_db,f32_bler,i8_bler,f32_time_us,f32_scalar_time_us,i8_time_us,i8_scalar_time_us,f32_lane_speedup,i8_lane_speedup,bler_delta_db",
         &simd_rows,
     );
     println!("\nwrote {}", p.display());
-    println!("expected shape: i8 AVX2 >= 2x faster than f32 layered at Z >= 64,");
-    println!("with the quantisation waterfall shift within 0.2 dB.");
+    println!("expected shape: each plane several times faster on the vector tier than on");
+    println!("its scalar tier, i8 ahead of f32 (32 lanes per op against 8), and the");
+    println!("quantisation waterfall shift within 0.2 dB.");
 }

@@ -11,7 +11,7 @@
 //!
 //! | name | contract |
 //! |---|---|
-//! | `decoder` | i8 LDPC decoder bit-exact across SIMD tiers; i8 and f32 planes both land on the transmitted bits |
+//! | `decoder` | f32 and i8 LDPC decoders each bit-exact across SIMD tiers; both planes land on the transmitted bits |
 //! | `fft` | tier agreement; batched ≡ single transforms bit for bit; pre-reversed entry ≡ `execute` |
 //! | `gemm` | `gemm`/`gemv`/`gram` and planned kernels bit-identical across tiers on every dispatch shape class |
 //! | `zf` | Cholesky detector ≈ Gauss-Jordan, bit-identical across tiers; CG lands on the direct solve; near-singular Gram rejected |
@@ -208,8 +208,8 @@ fn awgn_llrs(tx: &[u8], snr_db: f32, rng: &mut StdRng) -> Vec<f32> {
         .collect()
 }
 
-/// The (base graph, Z) points the benches sweep, plus tail shapes that
-/// exercise the scalar remainder of the Z-lane kernels. Per case: one
+/// The (base graph, Z) points the benches sweep, plus shapes that are not
+/// a whole number of vectors in either plane (padded lanes). Per case: one
 /// noiseless word, then seven at operating SNR where both planes must
 /// still land on the transmitted bits.
 fn decoder() {
@@ -225,12 +225,14 @@ fn decoder() {
         let enc = Encoder::new(bg, z);
         let rm = RateMatch::for_rate(bg, z, 1.0 / 3.0);
         let mut dec_f32 = Decoder::new(bg, z);
+        let mut dec_f32_scalar = Decoder::with_tier(bg, z, SimdTier::Scalar);
         let mut dec_i8 = DecoderI8::new(bg, z);
         let mut dec_i8_scalar = DecoderI8::with_tier(bg, z, SimdTier::Scalar);
         let mut rng = StdRng::seed_from_u64(0xA60A + z as u64);
         let mut full_f32 = vec![0.0f32; dec_f32.codeword_len()];
         let mut full_i8 = vec![0i8; dec_i8.codeword_len()];
-        let (mut tiers_agree, mut f32_lands, mut i8_lands) = (true, true, true);
+        let (mut f32_tiers_agree, mut tiers_agree) = (true, true);
+        let (mut f32_lands, mut i8_lands) = (true, true);
         for word in 0..8 {
             let info: Vec<u8> = (0..enc.info_len()).map(|_| rng.gen::<bool>() as u8).collect();
             let tx = rm.extract(&enc.encode(&info));
@@ -248,6 +250,10 @@ fn decoder() {
             let cfg_f32 = DecodeConfig { max_iters: 8, active_rows, ..Default::default() };
             let cfg_i8 = DecodeConfigI8 { max_iters: 8, active_rows, ..Default::default() };
             let rf = dec_f32.decode(&full_f32, &cfg_f32);
+            let rfs = dec_f32_scalar.decode(&full_f32, &cfg_f32);
+            f32_tiers_agree &= rf.info_bits == rfs.info_bits
+                && rf.success == rfs.success
+                && rf.iterations == rfs.iterations;
             let ri = dec_i8.decode(&full_i8, &cfg_i8);
             let rs = dec_i8_scalar.decode(&full_i8, &cfg_i8);
             tiers_agree &= ri.info_bits == rs.info_bits
@@ -256,8 +262,12 @@ fn decoder() {
             f32_lands &= rf.success && rf.info_bits == info;
             i8_lands &= ri.success && ri.info_bits == info;
         }
+        check(
+            f32_tiers_agree,
+            &format!("{bg:?} Z={z}: f32 decoder bit-exact, detected vs scalar tier"),
+        );
         check(tiers_agree, &format!("{bg:?} Z={z}: i8 decoder bit-exact, detected vs scalar tier"));
-        check(f32_lands, &format!("{bg:?} Z={z}: f32 reference decodes clean + 5 dB words"));
+        check(f32_lands, &format!("{bg:?} Z={z}: f32 plane decodes clean + 5 dB words"));
         check(i8_lands, &format!("{bg:?} Z={z}: i8 plane decodes clean + 5 dB words"));
     }
 }

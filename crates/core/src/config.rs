@@ -65,7 +65,7 @@ pub struct Ablation {
     pub detector: DetectorKind,
     /// Fixed-point decoding plane: demodulation emits saturating `i8`
     /// LLRs and `decode_task` runs the Z-lane-vectorised i8 layered
-    /// min-sum decoder instead of the scalar `f32` one (the FlexRAN-style
+    /// min-sum decoder instead of the `f32` one (the FlexRAN-style
     /// configuration the paper offloads to). Disabled, the engine keeps
     /// the float plane — the A/B for fig-style runs.
     pub quantized_decoder: bool,
@@ -218,10 +218,13 @@ impl EngineConfig {
         let groups = self.cell.num_zf_groups().max(1);
         self.batch.zf = self.batch.zf.clamp(1, groups);
         self.batch.fft = self.batch.fft.clamp(1, self.cell.num_antennas);
-        self.batch.demod = self.batch.demod.clamp(1, self.cell.num_data_sc);
         self.batch.decode = self.batch.decode.clamp(1, self.cell.num_users);
-        // Demod batches must stay multiples of the kernel block so a
-        // message never straddles a partially-owned cache line.
+        // Under the cache layout the unit of demod work is one kernel
+        // block: a message is whole blocks, never less than one, so it
+        // never straddles a partially-owned cache line. The strided
+        // layout works subcarrier by subcarrier.
+        let unit = if self.ablation.cache_layout { self.demod_block } else { 1 };
+        self.batch.demod = self.batch.demod.min(self.cell.num_data_sc).max(unit);
         if self.batch.demod > self.demod_block {
             self.batch.demod -= self.batch.demod % self.demod_block;
         }
@@ -250,6 +253,12 @@ impl EngineConfig {
         }
         if !self.cell.zf_group.is_multiple_of(self.demod_block) {
             return Err("ZF group must be a multiple of the demod block".into());
+        }
+        if self.ablation.cache_layout && !self.batch.demod.is_multiple_of(self.demod_block) {
+            return Err(format!(
+                "demod batch {} must be a multiple of the demod block {} under the cache layout",
+                self.batch.demod, self.demod_block
+            ));
         }
         if self.ablation.eq_mode == EqMode::Iterative
             && self.ablation.detector != DetectorKind::ZeroForcing
@@ -304,7 +313,22 @@ mod tests {
         cfg.ablation.batching = false;
         cfg.clamp_batches();
         assert_eq!(cfg.batch.fft, 1);
-        assert_eq!(cfg.batch.demod, 1);
+        assert_eq!(cfg.batch.demod, cfg.demod_block, "one block is the cache layout's unit");
+        cfg.validate().expect("the batching ablation must validate");
+        cfg.ablation.cache_layout = false;
+        cfg.clamp_batches();
+        assert_eq!(cfg.batch.demod, 1, "the strided layout works per subcarrier");
+    }
+
+    #[test]
+    fn partial_block_demod_batch_rejected_under_cache_layout() {
+        let mut cfg = EngineConfig::new(CellConfig::tiny_test(2), 2);
+        cfg.batch.demod = cfg.demod_block + 1;
+        assert!(cfg.validate().is_err());
+        cfg.batch.demod = 1;
+        assert!(cfg.validate().is_err());
+        cfg.ablation.cache_layout = false;
+        cfg.validate().expect("any demod batch suits the strided layout");
     }
 
     #[test]

@@ -45,7 +45,8 @@ pub struct InlineProcessor {
 
 impl InlineProcessor {
     /// Builds the processor for a cell configuration.
-    pub fn new(cfg: EngineConfig) -> Self {
+    pub fn new(mut cfg: EngineConfig) -> Self {
+        cfg.clamp_batches();
         let kernels = Kernels::new(cfg);
         let window = FrameWindow::new(kernels.geom, 2);
         let scratch = kernels.scratch();

@@ -53,12 +53,23 @@ pub struct Kernels {
     coded_bits: usize,
 }
 
+/// The decoding plane a worker runs — the one its configuration uses —
+/// with the staging buffer rate matching re-inflates received LLRs into.
+enum DecodePlane {
+    F32 {
+        decoder: Decoder,
+        full_llr: Vec<f32>,
+    },
+    /// `ablation.quantized_decoder`: fixed-point decoder reading the
+    /// quantised LLR plane.
+    I8 {
+        decoder: DecoderI8,
+        full_llr: Vec<i8>,
+    },
+}
+
 /// Per-worker mutable scratch: decoder state and staging buffers.
 pub struct WorkerScratch {
-    decoder: Decoder,
-    /// Fixed-point decoder for the quantised plane (`ablation.
-    /// quantized_decoder`); carries its own message/posterior scratch.
-    decoder_i8: DecoderI8,
     grid: Vec<Cf32>,
     /// Staging for batched (I)FFT execution: up to
     /// `max(batch.fft, batch.ifft)` transform-sized grids back to back, so
@@ -73,8 +84,6 @@ pub struct WorkerScratch {
     strided_rows: Vec<Cf32>,
     llr_tmp: Vec<f32>,
     llr_i8_tmp: Vec<i8>,
-    full_llr: Vec<f32>,
-    full_llr_i8: Vec<i8>,
     /// Tracked common-phase-error estimate (radians), carried across
     /// blocks/symbols processed by this worker.
     cpe_seed: f32,
@@ -111,6 +120,7 @@ pub struct WorkerScratch {
     nv_row: Vec<f32>,
     /// Neumann diagonal-inverse estimates for the current group.
     diag_inv: Vec<f32>,
+    decode: DecodePlane,
 }
 
 impl Kernels {
@@ -181,9 +191,8 @@ impl Kernels {
     /// Creates a fresh per-worker scratch.
     pub fn scratch(&self) -> WorkerScratch {
         let g = &self.geom;
+        let ldpc = &self.cfg.cell.ldpc;
         WorkerScratch {
-            decoder: Decoder::new(self.cfg.cell.ldpc.base_graph, self.cfg.cell.ldpc.z),
-            decoder_i8: DecoderI8::new(self.cfg.cell.ldpc.base_graph, self.cfg.cell.ldpc.z),
             grid: vec![Cf32::ZERO; self.cfg.cell.fft_size],
             batch_grid: vec![
                 Cf32::ZERO;
@@ -196,8 +205,6 @@ impl Kernels {
             strided_rows: vec![Cf32::ZERO; g.k * g.zf_group],
             llr_tmp: Vec::with_capacity(g.zf_group * 8),
             llr_i8_tmp: Vec::with_capacity(g.zf_group * 8),
-            full_llr: vec![0.0; self.rate_match.codeword_len()],
-            full_llr_i8: vec![0; self.rate_match.codeword_len()],
             cpe_seed: 0.0,
             cpe_frame: u32::MAX,
             zf_h: CMat::zeros(g.m, g.k),
@@ -222,6 +229,19 @@ impl Kernels {
             cg_x: vec![Cf32::ZERO; g.k],
             nv_row: vec![0.0; g.k],
             diag_inv: vec![0.0; g.k],
+            // Last: its size depends on the configured plane, and the
+            // buffers above should land the same either way.
+            decode: if self.cfg.ablation.quantized_decoder {
+                DecodePlane::I8 {
+                    decoder: DecoderI8::new(ldpc.base_graph, ldpc.z),
+                    full_llr: vec![0; self.rate_match.codeword_len()],
+                }
+            } else {
+                DecodePlane::F32 {
+                    decoder: Decoder::new(ldpc.base_graph, ldpc.z),
+                    full_llr: vec![0.0; self.rate_match.codeword_len()],
+                }
+            },
         }
     }
 
@@ -630,8 +650,12 @@ impl Kernels {
         let iterative = self.cfg.ablation.eq_mode == EqMode::Iterative;
 
         if self.cfg.ablation.cache_layout {
-            debug_assert_eq!(sc_base % g.block, 0);
-            debug_assert_eq!(count % g.block, 0);
+            // The block writes below are unchecked: a partial block would
+            // land its LLRs in a neighbour's range.
+            assert!(
+                sc_base.is_multiple_of(g.block) && count.is_multiple_of(g.block),
+                "demod task splits a block"
+            );
             for blk_off in (0..count).step_by(g.block) {
                 let sc = sc_base + blk_off;
                 let blk = sc / g.block;
@@ -837,10 +861,10 @@ impl Kernels {
         }
     }
 
-    /// LDPC decode task for one (symbol, user). Routes through the f32
-    /// layered decoder or, with `ablation.quantized_decoder`, the
-    /// Z-lane-vectorised i8 decoder reading the quantised LLR plane. Both
-    /// paths re-inflate into reusable scratch — no hot-path allocation.
+    /// LDPC decode task for one (symbol, user) on the worker's decoding
+    /// plane: re-inflate the received LLRs into the plane's staging
+    /// buffer, decode straight into the frame's `decoded` plane. No
+    /// allocation.
     pub fn decode_task(
         &self,
         fb: &FrameBuffers,
@@ -850,33 +874,30 @@ impl Kernels {
     ) {
         let g = &self.geom;
         let tx_len = self.rate_match.tx_len();
-        let res = if self.cfg.ablation.quantized_decoder {
-            let llr = unsafe { fb.llr_i8.slice(fb.llr_range(g, symbol, user)) };
-            self.rate_match.fill_llrs_into(&llr[..tx_len], &mut s.full_llr_i8);
-            s.decoder_i8.decode(
-                &s.full_llr_i8,
-                &DecodeConfigI8 {
-                    max_iters: self.cfg.cell.ldpc.max_iters,
-                    active_rows: Some(self.rate_match.active_rows()),
-                    ..Default::default()
-                },
-            )
-        } else {
-            let llr = unsafe { fb.llr.slice(fb.llr_range(g, symbol, user)) };
-            self.rate_match.fill_llrs_into(&llr[..tx_len], &mut s.full_llr);
-            s.decoder.decode(
-                &s.full_llr,
-                &DecodeConfig {
-                    max_iters: self.cfg.cell.ldpc.max_iters,
-                    active_rows: Some(self.rate_match.active_rows()),
-                    ..Default::default()
-                },
-            )
+        let max_iters = self.cfg.cell.ldpc.max_iters;
+        let active_rows = Some(self.rate_match.active_rows());
+        // SAFETY: one decode task per (symbol, user) is in flight, and it
+        // is the only writer of that user's `decoded` range.
+        let out = unsafe { fb.decoded.slice_mut(fb.decoded_range(g, symbol, user)) };
+        let (success, _) = match &mut s.decode {
+            DecodePlane::F32 { decoder, full_llr } => {
+                // SAFETY: the symbol's demodulation finished before its
+                // decode tasks were dispatched; nothing writes these LLRs.
+                let llr = unsafe { fb.llr.slice(fb.llr_range(g, symbol, user)) };
+                self.rate_match.fill_llrs_into(&llr[..tx_len], full_llr);
+                let cfg = DecodeConfig { max_iters, active_rows, ..Default::default() };
+                decoder.decode_into(full_llr, &cfg, out)
+            }
+            DecodePlane::I8 { decoder, full_llr } => {
+                // SAFETY: as above, for the quantised LLR plane.
+                let llr = unsafe { fb.llr_i8.slice(fb.llr_range(g, symbol, user)) };
+                self.rate_match.fill_llrs_into(&llr[..tx_len], full_llr);
+                let cfg = DecodeConfigI8 { max_iters, active_rows, ..Default::default() };
+                decoder.decode_into(full_llr, &cfg, out)
+            }
         };
-        unsafe {
-            fb.decoded.slice_mut(fb.decoded_range(g, symbol, user)).copy_from_slice(&res.info_bits);
-            fb.decode_ok.write(symbol * g.k + user, res.success as u8);
-        }
+        // SAFETY: this task is the only writer of the (symbol, user) flag.
+        unsafe { fb.decode_ok.write(symbol * g.k + user, success as u8) };
     }
 
     /// LDPC encode task (downlink): deterministic MAC payload for
@@ -1094,7 +1115,10 @@ mod tests {
             k.cfg.batch.fft.max(k.cfg.batch.ifft).max(1) * k.cfg.cell.fft_size
         );
         assert_eq!(s.active.len(), k.geom.q);
-        assert_eq!(s.full_llr.len(), k.rate_match().codeword_len());
+        let DecodePlane::F32 { full_llr, .. } = &s.decode else {
+            panic!("the default configuration decodes in f32");
+        };
+        assert_eq!(full_llr.len(), k.rate_match().codeword_len());
         assert_eq!(s.zf_h.shape(), (k.geom.m, k.geom.k));
         assert_eq!(s.zf_det.shape(), (k.geom.k, k.geom.m));
         assert_eq!(s.zf_pre.shape(), (k.geom.m, k.geom.k));

@@ -104,9 +104,14 @@ impl BaseGraph {
         &self.entries
     }
 
+    /// Index range of one base row within [`Self::entries`].
+    pub fn row_range(&self, row: usize) -> core::ops::Range<usize> {
+        self.row_start[row]..self.row_start[row + 1]
+    }
+
     /// Entries of one base row.
     pub fn row_entries(&self, row: usize) -> &[BaseEntry] {
-        &self.entries[self.row_start[row]..self.row_start[row + 1]]
+        &self.entries[self.row_range(row)]
     }
 
     /// Total number of edges in the lifted graph for size `z`.

@@ -6,22 +6,17 @@
 //! shows decoding is the single largest compute block of the uplink, so
 //! this is where quantised, lane-parallel processing pays the most. This
 //! module is the Rust analogue: channel LLRs are quantised to saturating
-//! `i8` (see [`quantize_llrs`]) and the layered schedule of
-//! [`crate::decoder::Decoder::decode`] is re-expressed so that all `Z`
-//! lanes of a base-graph circulant are processed in lockstep.
+//! `i8` (see [`quantize_llrs`]) and decoded by the i8 plane of the
+//! Z-lane skeleton in [`crate::zlane`], the same layered schedule as the
+//! f32 [`crate::decoder::Decoder::decode`].
 //!
-//! The key structural observation: for a base entry with shift `s`, lane
-//! `i` of the check touches bit `col * Z + (i + s) % Z` — i.e. the
-//! *rotated slice* of that column's `Z`-block. Gathering the rotation is
-//! two contiguous `memcpy`s, after which every per-lane operation
+//! After the skeleton's rotated gather every per-lane operation
 //! (extrinsic subtract, abs, two-minimum tracking, sign accumulation,
 //! offset, saturating posterior update) is a pure element-wise pass over
 //! contiguous `i8` arrays — exactly the shape AVX2 byte ops want
 //! (`vpsubsb`/`vpabsb`/`vpminsb`/`vpaddsb`, 32 lanes per instruction).
-//!
-//! Two code paths share one set of scalar semantics:
-//! * a portable scalar-i8 loop (the reference), and
-//! * an AVX2 fast path behind [`SimdTier`] runtime dispatch.
+//! The lane kernel has a scalar tier and an AVX2 tier behind
+//! [`SimdTier`] runtime dispatch.
 //!
 //! They are **bit-exact** against each other by construction: every AVX2
 //! instruction used has an exact scalar counterpart (saturating i8
@@ -30,8 +25,9 @@
 //! to `[-127, 127]`: -128 is clamped away after every saturating op so
 //! `abs` and negation can never overflow.
 
-use crate::base_graph::{BaseGraph, BaseGraphId};
+use crate::base_graph::BaseGraphId;
 use crate::decoder::DecodeResult;
+use crate::zlane::{decode_layered, Lifted, Plane, Schedule, State};
 use agora_math::simd::SimdTier;
 
 /// Largest representable quantised LLR magnitude. The domain is the
@@ -103,69 +99,197 @@ impl Default for DecodeConfigI8 {
 }
 
 /// Fixed-point layered offset min-sum decoder for one `(base graph, Z)`
-/// pair. Holds all scratch so repeated decodes never allocate; create one
-/// per worker thread.
+/// pair: the i8 plane of the Z-lane skeleton in [`crate::zlane`]. Holds
+/// all scratch so repeated decodes never allocate; create one per worker
+/// thread.
 #[derive(Debug, Clone)]
 pub struct DecoderI8 {
-    bg: &'static BaseGraph,
-    z: usize,
-    tier: SimdTier,
-    /// Per-edge check-to-variable messages, `[entry][z]`.
+    g: Lifted,
+    /// Per-edge check-to-variable messages, `[entry][stride]`.
     msgs: Vec<i8>,
     /// Posterior LLRs, `[col][z]`.
     post: Vec<i8>,
-    /// Per-row extrinsic scratch, `[row slot][z]` (max row degree slots).
+    /// Row scratch, `[row slot][stride]`.
     t: Vec<i8>,
-    /// Per-lane smallest |extrinsic| of the current row.
-    min1: Vec<i8>,
-    /// Per-lane second-smallest |extrinsic|.
-    min2: Vec<i8>,
-    /// Per-lane index (within the row) achieving `min1`.
-    min_pos: Vec<u8>,
-    /// Per-lane sign-product mask: 0x00 even #negatives, 0xFF odd.
-    signs: Vec<u8>,
+    /// Hard decisions of the last syndrome pass.
+    hard: Vec<u8>,
+}
+
+/// The i8 decoding plane.
+struct I8Plane;
+
+impl Plane for I8Plane {
+    type Llr = i8;
+    const LANES: usize = 32;
+
+    #[inline]
+    fn is_neg(v: i8) -> bool {
+        v < 0
+    }
+
+    /// Confines priors to `[-I8_CHAN_MAX, I8_CHAN_MAX]`: keeps -128 out of
+    /// the abs/negate domain and, critically, keeps every channel value
+    /// weaker than a full-strength check message (see [`I8_CHAN_MAX`]).
+    #[inline]
+    fn prior(v: i8) -> i8 {
+        v.clamp(-I8_CHAN_MAX, I8_CHAN_MAX)
+    }
+
+    fn row_update(tier: SimdTier, t: &mut [i8], msgs: &mut [i8], stride: usize, offset: i8) {
+        assert!(
+            t.len() == msgs.len()
+                && stride.is_multiple_of(Self::LANES)
+                && t.len().is_multiple_of(stride)
+        );
+        #[cfg(target_arch = "x86_64")]
+        if tier == SimdTier::Avx2 {
+            // SAFETY: `Lifted::new` admits the AVX2 tier only on a CPU that
+            // has it; the lengths the kernel relies on were asserted above.
+            unsafe { row_update_avx2(t, msgs, stride, offset) };
+            return;
+        }
+        let _ = tier;
+        row_update_scalar(t, msgs, stride, offset);
+    }
+}
+
+/// Scalar tier of [`I8Plane::row_update`]: the AVX2 kernel's structure —
+/// one vector's worth of lanes at a time, their two minima, position of
+/// the smallest and sign parity carried across the row's entries — with
+/// plain lane loops. Selects rather than branches, so the compiler may
+/// vectorise it with whatever the target has.
+fn row_update_scalar(t: &mut [i8], msgs: &mut [i8], stride: usize, offset: i8) {
+    const LANES: usize = I8Plane::LANES;
+    for lane in (0..stride).step_by(LANES) {
+        let mut min1 = [I8_LLR_MAX; LANES];
+        let mut min2 = [I8_LLR_MAX; LANES];
+        let mut min_pos = [u8::MAX; LANES];
+        let mut negative = [false; LANES];
+        // Pass 1: t = max(sat_sub(t, msg), -127), two minima of |t|, signs.
+        for (k, i) in (lane..t.len()).step_by(stride).enumerate() {
+            let (tv, mv) = (&mut t[i..i + LANES], &msgs[i..i + LANES]);
+            for l in 0..LANES {
+                let v = tv[l].saturating_sub(mv[l]).max(-I8_LLR_MAX);
+                tv[l] = v;
+                let a = v.abs();
+                let lt1 = a < min1[l];
+                min2[l] = if lt1 { min1[l] } else { min2[l].min(a) };
+                min1[l] = min1[l].min(a);
+                min_pos[l] = if lt1 { k as u8 } else { min_pos[l] };
+                negative[l] ^= v < 0;
+            }
+        }
+        // Pass 2: magnitudes from the offset two minima, sign from the
+        // row sign product excluding self, saturating posterior update.
+        let m1 = min1.map(|m| m.saturating_sub(offset).clamp(0, I8_MSG_MAX));
+        let m2 = min2.map(|m| m.saturating_sub(offset).clamp(0, I8_MSG_MAX));
+        for (k, i) in (lane..t.len()).step_by(stride).enumerate() {
+            let (tv, mv) = (&mut t[i..i + LANES], &mut msgs[i..i + LANES]);
+            for l in 0..LANES {
+                let v = tv[l];
+                let mag = if min_pos[l] == k as u8 { m2[l] } else { m1[l] };
+                let msg = if negative[l] ^ (v < 0) { -mag } else { mag };
+                mv[l] = msg;
+                tv[l] = v.saturating_add(msg).max(-I8_LLR_MAX);
+            }
+        }
+    }
+}
+
+/// AVX2 tier of [`I8Plane::row_update`]: 32 lanes per vector, the two
+/// minima, their position and the sign mask of a vector held in
+/// registers across the row's entries. Every instruction is the exact
+/// vector counterpart of a scalar op in [`row_update_scalar`] (`vpsubsb`,
+/// clamp via `vpmaxsb`, `vpabsb`, strict-compare blends, conditional
+/// negate via XOR/SUB against the 0xFF sign mask, `vpaddsb`), so outputs
+/// are bit-identical.
+///
+/// # Safety
+/// Caller must ensure AVX2 support, `t.len() == msgs.len()`, `stride` a
+/// multiple of 32 and `t.len()` a multiple of `stride`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn row_update_avx2(t: &mut [i8], msgs: &mut [i8], stride: usize, offset: i8) {
+    use core::arch::x86_64::*;
+    let deg = t.len() / stride;
+    let (t, msgs) = (t.as_mut_ptr(), msgs.as_mut_ptr());
+    let floor = _mm256_set1_epi8(-I8_LLR_MAX);
+    let zero = _mm256_setzero_si256();
+    let off = _mm256_set1_epi8(offset);
+    let msg_max = _mm256_set1_epi8(I8_MSG_MAX);
+    for lane in (0..stride).step_by(32) {
+        let mut min1 = _mm256_set1_epi8(I8_LLR_MAX);
+        let mut min2 = min1;
+        let mut min_pos = _mm256_set1_epi8(-1);
+        // 0xFF in lanes with an odd number of negative extrinsics.
+        let mut negative = zero;
+        for k in 0..deg {
+            let tp = t.add(k * stride + lane) as *mut __m256i;
+            let mp = msgs.add(k * stride + lane) as *const __m256i;
+            let v = _mm256_max_epi8(
+                _mm256_subs_epi8(_mm256_loadu_si256(tp), _mm256_loadu_si256(mp)),
+                floor,
+            );
+            _mm256_storeu_si256(tp, v);
+            let a = _mm256_abs_epi8(v);
+            // a < min1 (strict), matching the scalar branch order.
+            let lt1 = _mm256_cmpgt_epi8(min1, a);
+            min2 = _mm256_blendv_epi8(_mm256_min_epi8(min2, a), min1, lt1);
+            min1 = _mm256_min_epi8(min1, a);
+            min_pos = _mm256_blendv_epi8(min_pos, _mm256_set1_epi8(k as i8), lt1);
+            negative = _mm256_xor_si256(negative, _mm256_cmpgt_epi8(zero, v));
+        }
+        let m1 = _mm256_min_epi8(_mm256_max_epi8(_mm256_subs_epi8(min1, off), zero), msg_max);
+        let m2 = _mm256_min_epi8(_mm256_max_epi8(_mm256_subs_epi8(min2, off), zero), msg_max);
+        for k in 0..deg {
+            let tp = t.add(k * stride + lane) as *mut __m256i;
+            let mp = msgs.add(k * stride + lane) as *mut __m256i;
+            let v = _mm256_loadu_si256(tp);
+            let is_min = _mm256_cmpeq_epi8(min_pos, _mm256_set1_epi8(k as i8));
+            let mag = _mm256_blendv_epi8(m1, m2, is_min);
+            let flip = _mm256_xor_si256(negative, _mm256_cmpgt_epi8(zero, v));
+            // Conditional two's-complement negate: (mag ^ m) - m for m in
+            // {0x00, 0xFF}; mag <= 127 so no overflow.
+            let msg = _mm256_sub_epi8(_mm256_xor_si256(mag, flip), flip);
+            _mm256_storeu_si256(mp, msg);
+            _mm256_storeu_si256(tp, _mm256_max_epi8(_mm256_adds_epi8(v, msg), floor));
+        }
+    }
 }
 
 impl DecoderI8 {
-    /// Creates a decoder with preallocated scratch, auto-detecting the
-    /// SIMD tier.
+    /// Creates a decoder with preallocated scratch on the detected SIMD
+    /// tier.
     pub fn new(id: BaseGraphId, z: usize) -> Self {
-        Self::with_tier(id, z, SimdTier::detect())
+        Self::with_tier(id, z, SimdTier::cached())
     }
 
     /// Creates a decoder pinned to a specific SIMD tier (parity tests and
     /// Table 5-style ablations).
     pub fn with_tier(id: BaseGraphId, z: usize, tier: SimdTier) -> Self {
-        assert!(z >= 2, "lifting size must be at least 2");
-        let bg = BaseGraph::get(id);
-        let max_deg = (0..bg.rows()).map(|r| bg.row_entries(r).len()).max().unwrap_or(0);
+        let g = Lifted::new(id, z, I8Plane::LANES, tier);
         Self {
-            bg,
-            z,
-            tier,
-            msgs: vec![0; bg.entries().len() * z],
-            post: vec![0; bg.cols() * z],
-            t: vec![0; max_deg * z],
-            min1: vec![0; z],
-            min2: vec![0; z],
-            min_pos: vec![0; z],
-            signs: vec![0; z],
+            msgs: vec![0; g.msgs_len()],
+            post: vec![0; g.codeword_len()],
+            t: vec![0; g.row_scratch_len()],
+            hard: vec![0; g.hard_len()],
+            g,
         }
     }
 
     /// Codeword length in bits.
     pub fn codeword_len(&self) -> usize {
-        self.bg.cols() * self.z
+        self.g.codeword_len()
     }
 
     /// Information length in bits.
     pub fn info_len(&self) -> usize {
-        self.bg.info_cols() * self.z
+        self.g.info_len()
     }
 
     /// The SIMD tier this decoder dispatches to.
     pub fn tier(&self) -> SimdTier {
-        self.tier
+        self.g.tier()
     }
 
     /// Decodes from quantised channel LLRs (positive = bit 0 more likely),
@@ -176,297 +300,35 @@ impl DecoderI8 {
     /// # Panics
     /// Panics if `llr.len() != self.codeword_len()`.
     pub fn decode(&mut self, llr: &[i8], cfg: &DecodeConfigI8) -> DecodeResult {
-        assert_eq!(llr.len(), self.codeword_len(), "LLR length mismatch");
-        let rows = cfg.active_rows.unwrap_or(self.bg.rows()).min(self.bg.rows());
-        self.post.copy_from_slice(llr);
-        // Confine priors to [-I8_CHAN_MAX, I8_CHAN_MAX]: keeps -128 out of
-        // the abs/negate domain and, critically, keeps every channel value
-        // weaker than a full-strength check message (see I8_CHAN_MAX).
-        for p in self.post.iter_mut() {
-            *p = (*p).clamp(-I8_CHAN_MAX, I8_CHAN_MAX);
-        }
-        self.msgs.fill(0);
-
-        let mut iterations = 0;
-        for _iter in 0..cfg.max_iters {
-            iterations += 1;
-            for r in 0..rows {
-                self.process_row(r, cfg.offset);
-            }
-            if cfg.early_termination && self.syndrome_ok(rows) {
-                break;
-            }
-        }
-
-        let success = self.syndrome_ok(rows);
-        let info_bits = self.post[..self.info_len()].iter().map(|&l| (l < 0) as u8).collect();
+        let mut info_bits = vec![0; self.info_len()];
+        let (success, iterations) = self.decode_into(llr, cfg, &mut info_bits);
         DecodeResult { info_bits, success, iterations }
     }
 
-    /// One layered update of base row `r`: gather rotated posteriors,
-    /// compute extrinsics and the per-lane two minima, then scatter the
-    /// new messages and posteriors back.
-    fn process_row(&mut self, r: usize, offset: i8) {
-        let z = self.z;
-        let row = self.bg.row_entries(r);
-        let entry_base = self.entry_offset(r);
-        self.min1.fill(I8_LLR_MAX);
-        self.min2.fill(I8_LLR_MAX);
-        self.min_pos.fill(u8::MAX);
-        self.signs.fill(0);
-
-        // Phase 1: t_k = sat(post_rot - msg), track mins/signs per lane.
-        for (k, e) in row.iter().enumerate() {
-            let shift = e.shift as usize % z;
-            let col = e.col as usize * z;
-            let tk = &mut self.t[k * z..(k + 1) * z];
-            // Rotated gather: tk[i] = post[col + (i + shift) % z].
-            tk[..z - shift].copy_from_slice(&self.post[col + shift..col + z]);
-            tk[z - shift..].copy_from_slice(&self.post[col..col + shift]);
-            let mk = (entry_base + k) * z;
-            row_extrinsic(
-                tk,
-                &self.msgs[mk..mk + z],
-                &mut self.min1,
-                &mut self.min2,
-                &mut self.min_pos,
-                &mut self.signs,
-                k as u8,
-                self.tier,
-            );
-        }
-
-        // Phase 2: new messages + posterior update, rotated scatter back.
-        for (k, e) in row.iter().enumerate() {
-            let shift = e.shift as usize % z;
-            let col = e.col as usize * z;
-            let tk = &mut self.t[k * z..(k + 1) * z];
-            let mk = (entry_base + k) * z;
-            row_update(
-                tk,
-                &mut self.msgs[mk..mk + z],
-                &self.min1,
-                &self.min2,
-                &self.min_pos,
-                &self.signs,
-                k as u8,
-                offset,
-                self.tier,
-            );
-            self.post[col + shift..col + z].copy_from_slice(&tk[..z - shift]);
-            self.post[col..col + shift].copy_from_slice(&tk[z - shift..]);
-        }
-    }
-
-    /// Index of the first entry of base row `r` in the flat entry array.
-    fn entry_offset(&self, r: usize) -> usize {
-        let base = self.bg.entries().as_ptr() as usize;
-        let row = self.bg.row_entries(r).as_ptr() as usize;
-        (row - base) / core::mem::size_of::<crate::base_graph::BaseEntry>()
-    }
-
-    fn syndrome_ok(&self, rows: usize) -> bool {
-        let z = self.z;
-        for r in 0..rows {
-            for i in 0..z {
-                let mut parity = 0u8;
-                for e in self.bg.row_entries(r) {
-                    let shift = e.shift as usize % z;
-                    let bit = e.col as usize * z + (i + shift) % z;
-                    parity ^= (self.post[bit] < 0) as u8;
-                }
-                if parity != 0 {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-}
-
-/// Phase-1 lane pass: `t = max(sat_sub(t, msg), -127)`, then fold `|t|`
-/// into the per-lane two-minimum trackers and XOR the sign mask.
-#[allow(clippy::too_many_arguments)]
-fn row_extrinsic(
-    t: &mut [i8],
-    msgs: &[i8],
-    min1: &mut [i8],
-    min2: &mut [i8],
-    min_pos: &mut [u8],
-    signs: &mut [u8],
-    k: u8,
-    tier: SimdTier,
-) {
-    let mut head = 0;
-    #[cfg(target_arch = "x86_64")]
-    if tier == SimdTier::Avx2 {
-        head = (t.len() / 32) * 32;
-        unsafe {
-            row_extrinsic_avx2(
-                &mut t[..head],
-                &msgs[..head],
-                &mut min1[..head],
-                &mut min2[..head],
-                &mut min_pos[..head],
-                &mut signs[..head],
-                k,
-            );
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = tier;
-    for i in head..t.len() {
-        let v = t[i].saturating_sub(msgs[i]).max(-I8_LLR_MAX);
-        t[i] = v;
-        let a = v.abs();
-        if a < min1[i] {
-            min2[i] = min1[i];
-            min1[i] = a;
-            min_pos[i] = k;
-        } else if a < min2[i] {
-            min2[i] = a;
-        }
-        if v < 0 {
-            signs[i] ^= 0xFF;
-        }
-    }
-}
-
-/// Phase-2 lane pass: magnitudes from the offset two minima, sign from
-/// the row sign-product excluding self, saturating posterior update.
-#[allow(clippy::too_many_arguments)]
-fn row_update(
-    t: &mut [i8],
-    msgs: &mut [i8],
-    min1: &[i8],
-    min2: &[i8],
-    min_pos: &[u8],
-    signs: &[u8],
-    k: u8,
-    offset: i8,
-    tier: SimdTier,
-) {
-    let mut head = 0;
-    #[cfg(target_arch = "x86_64")]
-    if tier == SimdTier::Avx2 {
-        head = (t.len() / 32) * 32;
-        unsafe {
-            row_update_avx2(
-                &mut t[..head],
-                &mut msgs[..head],
-                &min1[..head],
-                &min2[..head],
-                &min_pos[..head],
-                &signs[..head],
-                k,
-                offset,
-            );
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = tier;
-    for i in head..t.len() {
-        let m1 = min1[i].saturating_sub(offset).clamp(0, I8_MSG_MAX);
-        let m2 = min2[i].saturating_sub(offset).clamp(0, I8_MSG_MAX);
-        let mag = if min_pos[i] == k { m2 } else { m1 };
-        let v = t[i];
-        // Sign-product excluding self = total product XOR own sign.
-        let neg = (signs[i] != 0) ^ (v < 0);
-        let msg = if neg { -mag } else { mag };
-        msgs[i] = msg;
-        t[i] = v.saturating_add(msg).max(-I8_LLR_MAX);
-    }
-}
-
-/// AVX2 phase 1: 32 lanes per iteration. Exact vector counterparts of the
-/// scalar ops in [`row_extrinsic`] (`vpsubsb`, clamp via `vpmaxsb`,
-/// `vpabsb`, strict-compare blends), so outputs are bit-identical.
-///
-/// # Safety
-/// Caller must ensure AVX2 support; all slices must share a length that
-/// is a multiple of 32.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn row_extrinsic_avx2(
-    t: &mut [i8],
-    msgs: &[i8],
-    min1: &mut [i8],
-    min2: &mut [i8],
-    min_pos: &mut [u8],
-    signs: &mut [u8],
-    k: u8,
-) {
-    use core::arch::x86_64::*;
-    let floor = _mm256_set1_epi8(-I8_LLR_MAX);
-    let zero = _mm256_setzero_si256();
-    let kv = _mm256_set1_epi8(k as i8);
-    for c in (0..t.len()).step_by(32) {
-        let tv = _mm256_loadu_si256(t.as_ptr().add(c) as *const __m256i);
-        let mv = _mm256_loadu_si256(msgs.as_ptr().add(c) as *const __m256i);
-        let v = _mm256_max_epi8(_mm256_subs_epi8(tv, mv), floor);
-        _mm256_storeu_si256(t.as_mut_ptr().add(c) as *mut __m256i, v);
-        let a = _mm256_abs_epi8(v);
-        let m1 = _mm256_loadu_si256(min1.as_ptr().add(c) as *const __m256i);
-        let m2 = _mm256_loadu_si256(min2.as_ptr().add(c) as *const __m256i);
-        let mp = _mm256_loadu_si256(min_pos.as_ptr().add(c) as *const __m256i);
-        // a < min1 (strict), matching the scalar branch order.
-        let lt1 = _mm256_cmpgt_epi8(m1, a);
-        let new_m2 = _mm256_blendv_epi8(_mm256_min_epi8(m2, a), m1, lt1);
-        let new_m1 = _mm256_min_epi8(m1, a);
-        let new_mp = _mm256_blendv_epi8(mp, kv, lt1);
-        _mm256_storeu_si256(min1.as_mut_ptr().add(c) as *mut __m256i, new_m1);
-        _mm256_storeu_si256(min2.as_mut_ptr().add(c) as *mut __m256i, new_m2);
-        _mm256_storeu_si256(min_pos.as_mut_ptr().add(c) as *mut __m256i, new_mp);
-        let sv = _mm256_loadu_si256(signs.as_ptr().add(c) as *const __m256i);
-        let negm = _mm256_cmpgt_epi8(zero, v);
-        _mm256_storeu_si256(signs.as_mut_ptr().add(c) as *mut __m256i, _mm256_xor_si256(sv, negm));
-    }
-}
-
-/// AVX2 phase 2: 32 lanes per iteration, exact counterpart of the scalar
-/// loop in [`row_update`] (conditional negate via XOR/SUB against the
-/// 0xFF sign mask, saturating add, clamp).
-///
-/// # Safety
-/// Caller must ensure AVX2 support; all slices must share a length that
-/// is a multiple of 32.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn row_update_avx2(
-    t: &mut [i8],
-    msgs: &mut [i8],
-    min1: &[i8],
-    min2: &[i8],
-    min_pos: &[u8],
-    signs: &[u8],
-    k: u8,
-    offset: i8,
-) {
-    use core::arch::x86_64::*;
-    let floor = _mm256_set1_epi8(-I8_LLR_MAX);
-    let zero = _mm256_setzero_si256();
-    let off = _mm256_set1_epi8(offset);
-    let kv = _mm256_set1_epi8(k as i8);
-    let msg_max = _mm256_set1_epi8(I8_MSG_MAX);
-    for c in (0..t.len()).step_by(32) {
-        let m1 = _mm256_loadu_si256(min1.as_ptr().add(c) as *const __m256i);
-        let m2 = _mm256_loadu_si256(min2.as_ptr().add(c) as *const __m256i);
-        let mag1 = _mm256_min_epi8(_mm256_max_epi8(_mm256_subs_epi8(m1, off), zero), msg_max);
-        let mag2 = _mm256_min_epi8(_mm256_max_epi8(_mm256_subs_epi8(m2, off), zero), msg_max);
-        let mp = _mm256_loadu_si256(min_pos.as_ptr().add(c) as *const __m256i);
-        let is_min = _mm256_cmpeq_epi8(mp, kv);
-        let mag = _mm256_blendv_epi8(mag1, mag2, is_min);
-        let v = _mm256_loadu_si256(t.as_ptr().add(c) as *const __m256i);
-        let sv = _mm256_loadu_si256(signs.as_ptr().add(c) as *const __m256i);
-        let negm = _mm256_xor_si256(sv, _mm256_cmpgt_epi8(zero, v));
-        // Conditional two's-complement negate: (mag ^ m) - m for m in
-        // {0x00, 0xFF}; mag <= 127 so no overflow.
-        let msg = _mm256_sub_epi8(_mm256_xor_si256(mag, negm), negm);
-        _mm256_storeu_si256(msgs.as_mut_ptr().add(c) as *mut __m256i, msg);
-        let newt = _mm256_max_epi8(_mm256_adds_epi8(v, msg), floor);
-        _mm256_storeu_si256(t.as_mut_ptr().add(c) as *mut __m256i, newt);
+    /// [`Self::decode`] writing the hard-decision information bits into
+    /// `info_bits` (length [`Self::info_len`]) instead of allocating.
+    /// Returns `(success, iterations)`.
+    ///
+    /// # Panics
+    /// Panics if `llr` or `info_bits` has the wrong length.
+    pub fn decode_into(
+        &mut self,
+        llr: &[i8],
+        cfg: &DecodeConfigI8,
+        info_bits: &mut [u8],
+    ) -> (bool, usize) {
+        let mut st = State {
+            post: &mut self.post,
+            msgs: &mut self.msgs,
+            t: &mut self.t,
+            hard: &mut self.hard,
+        };
+        let sched = Schedule {
+            max_iters: cfg.max_iters,
+            early_termination: cfg.early_termination,
+            active_rows: cfg.active_rows,
+        };
+        decode_layered::<I8Plane>(&self.g, &mut st, llr, cfg.offset, sched, info_bits)
     }
 }
 

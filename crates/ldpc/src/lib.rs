@@ -9,9 +9,13 @@
 //!   from TS 38.212).
 //! * [`lifting`]: the standard's 51 lifting sizes and set indices.
 //! * [`encoder`]: linear-time systematic encoder.
-//! * [`decoder`]: offset min-sum BP, layered and flooding schedules.
-//! * [`decoder_i8`]: fixed-point (i8) layered min-sum, Z-lane vectorised
-//!   with an AVX2 fast path and bit-exact scalar fallback.
+//! * [`decoder`]: offset min-sum BP in f32, layered and flooding
+//!   schedules.
+//! * [`decoder_i8`]: fixed-point (i8) layered min-sum.
+//!
+//!   Both layered decoders are planes of one Z-lane skeleton (`zlane`):
+//!   vectorised across the lifting dimension, AVX2 and scalar tiers
+//!   bit-exact.
 //! * [`rate_match`]: circular-buffer rate matching and LLR re-inflation.
 //! * [`crc`]: CRC-24A transport-block CRC.
 //! * [`metrics`]: BER/BLER accumulators.
@@ -24,6 +28,7 @@ pub mod encoder;
 pub mod lifting;
 pub mod metrics;
 pub mod rate_match;
+mod zlane;
 
 pub use base_graph::{BaseEntry, BaseGraph, BaseGraphId};
 pub use crc::{attach_crc, check_crc, crc24a};

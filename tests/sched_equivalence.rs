@@ -96,6 +96,28 @@ proptest! {
     }
 }
 
+/// `ablation.batching = false` sends every task in a message of its own —
+/// one antenna, one ZF group, one user, and for demodulation one
+/// cache-line block, the unit of demod work under the default layout (one
+/// subcarrier under the strided one). Results must equal the default's.
+#[test]
+fn unbatched_messages_decode_like_the_default() {
+    let cell = CellConfig::tiny_test(2);
+    let (packets, noise) = generate(&cell, 29);
+    for cache_layout in [true, false] {
+        let mut cfg = EngineConfig::new(cell.clone(), 2);
+        cfg.noise_power = noise;
+        cfg.ablation.cache_layout = cache_layout;
+        let want = sorted(Engine::new(cfg.clone()).process(packets.clone(), FRAMES, false));
+        assert!(want.iter().all(|r| !r.dropped && r.decode_ok.iter().flatten().all(|&ok| ok)));
+
+        cfg.ablation.batching = false;
+        let unbatched = Engine::new(cfg);
+        let got = sorted(unbatched.process(packets.clone(), FRAMES, false));
+        assert!(results_equal(&got, &want), "cache_layout={cache_layout}: results differ");
+    }
+}
+
 /// With lanes, every compute message goes through a lane first:
 /// lane_pushes + lane_overflows must equal the total message count, and
 /// an engine left idle must park its workers.
