@@ -125,7 +125,7 @@ fn main() {
 
     let mut points: Vec<(String, LossModel)> = vec![("none".into(), LossModel::None)];
     for p in [0.001, 0.005, 0.01, 0.02, 0.05] {
-        points.push((format!("iid"), LossModel::Iid { p }));
+        points.push(("iid".to_string(), LossModel::Iid { p }));
     }
     // A bursty point matched to 1% mean loss: rare bursts, 50% in-burst
     // loss. Bursts concentrate losses into fewer frames, so MORE frames

@@ -28,12 +28,8 @@ fn main() {
     let mid = |rep: &agora_core::sim::SimReport| {
         let n = rep.milestones.len();
         let ms = rep.milestones[n / 2];
-        (
-            (ms.processing_start_ns - ms.first_packet_ns).max(0.0) / 1e3,
-            (ms.pilot_done_ns - ms.first_packet_ns) / 1e3,
-            (ms.zf_done_ns - ms.first_packet_ns) / 1e3,
-            (ms.decode_done_ns - ms.first_packet_ns) / 1e3,
-        )
+        let us = |at_ns: u64| at_ns.saturating_sub(ms.first_packet_ns) as f64 / 1e3;
+        (us(ms.processing_start_ns), us(ms.pilot_done_ns), us(ms.zf_done_ns), us(ms.decode_done_ns))
     };
     let (dq, dpil, dzf, ddec) = mid(&dp);
     let (pq, ppil, pzf, pdec) = mid(&pp);

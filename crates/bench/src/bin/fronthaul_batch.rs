@@ -5,11 +5,10 @@
 //! * `single`          one sendto/recvfrom syscall per packet,
 //! * `batched`         `sendmmsg`/`recvmmsg` bursts into heap buffers,
 //! * `batched+pooled`  bursts coalesced into symbol-sized jumbo
-//!                     datagrams (16 packets each) that split into
-//!                     recycled `PacketPool` slabs on receive (zero
-//!                     steady-state allocations) — per-datagram kernel
-//!                     cost, not the syscall boundary, dominates UDP,
-//!                     so aggregation is what buys line rate,
+//!   datagrams (16 packets each) that split into recycled `PacketPool`
+//!   slabs on receive (zero steady-state allocations) — per-datagram
+//!   kernel cost, not the syscall boundary, dominates UDP, so
+//!   aggregation is what buys line rate,
 //!
 //! — plus an intake-to-FFT latency probe: `Engine::process_fronthaul`
 //! drains pre-queued frames at the same packet shape and the per-frame

@@ -92,7 +92,7 @@ fn shared_round_trip(events: &[Vec<Msg>], reps: usize) -> f64 {
                 }
                 let Some(m) = got else { break };
                 black_box(m);
-                complete.push(Msg::complete(m.task, m.frame, m.symbol, m.base, m.count, 0)).ok();
+                complete.push(m.complete(0)).ok();
             }
             // Manager: retire completions one at a time.
             while let Some(c) = complete.pop() {
@@ -167,7 +167,7 @@ fn drain_worker(
     done.clear();
     for m in buf.iter() {
         black_box(*m);
-        done.push(Msg::complete(m.task, m.frame, m.symbol, m.base, m.count, 0));
+        done.push(m.complete(0));
     }
     let mut off = 0;
     while off < done.len() {

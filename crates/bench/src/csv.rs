@@ -31,7 +31,7 @@ mod tests {
 
     #[test]
     fn writes_file_with_header_and_rows() {
-        let p = write_csv("selftest", "a,b", &vec!["1,2".to_string(), "3,4".to_string()]);
+        let p = write_csv("selftest", "a,b", &["1,2".to_string(), "3,4".to_string()]);
         let content = fs::read_to_string(&p).unwrap();
         assert_eq!(content, "a,b\n1,2\n3,4\n");
         let _ = fs::remove_file(p);

@@ -407,6 +407,30 @@ impl FrameBuffers {
         base..base + self.dl_bits_per_user
     }
 
+    /// The decoded bits and decode-success flags of `uplink` symbols, per
+    /// `[symbol][user]` (other symbols stay empty).
+    ///
+    /// # Safety
+    /// No decode task of this frame may be in flight.
+    pub unsafe fn read_decoded(
+        &self,
+        g: &BufferGeometry,
+        uplink: &[usize],
+    ) -> (Vec<Vec<Vec<u8>>>, Vec<Vec<bool>>) {
+        let mut decoded = vec![Vec::new(); g.symbols];
+        let mut decode_ok = vec![Vec::new(); g.symbols];
+        for &symbol in uplink {
+            for user in 0..g.k {
+                // SAFETY: the caller guarantees no writer remains.
+                let bits = unsafe { self.decoded.slice(self.decoded_range(g, symbol, user)) };
+                let ok = unsafe { self.decode_ok.read(symbol * g.k + user) } != 0;
+                decoded[symbol].push(bits.to_vec());
+                decode_ok[symbol].push(ok);
+            }
+        }
+        (decoded, decode_ok)
+    }
+
     /// Range of one (symbol, antenna) downlink time-domain block.
     pub fn dl_time_range(
         &self,

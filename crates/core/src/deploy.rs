@@ -708,6 +708,36 @@ mod tests {
         assert!(!results[0][0].dropped, "deployment stranded the final burst");
     }
 
+    /// A second call on one engine covers the frames above the first
+    /// call's: when its last frame never arrives, the end-of-input path
+    /// must report *that* frame dropped — not frames 0 and 1 again, which
+    /// the first call already returned.
+    #[test]
+    fn second_process_call_reports_only_its_own_frames() {
+        let (cfg, mut rru) = tiny_cell_cfg(0, 331);
+        let full_load = {
+            let s = &cfg.cell.schedule;
+            (s.pilot_indices().len() + s.uplink_indices().len()) * cfg.cell.num_antennas
+        };
+        let mut frame = |f| rru.generate_frame(f).0;
+        let first: Vec<_> = [frame(0), frame(1)].concat();
+        let engine = crate::Engine::new(cfg);
+        let results = engine.process(first, 2, false);
+        assert_eq!(
+            results.iter().map(|r| (r.frame, r.dropped)).collect::<Vec<_>>(),
+            [(0, false), (1, false)]
+        );
+        // Frames 2 and 3 are due; frame 3 is lost on the way.
+        let results = engine.process(frame(2), 2, false);
+        assert_eq!(
+            results.iter().map(|r| (r.frame, r.dropped)).collect::<Vec<_>>(),
+            [(2, false), (3, true)]
+        );
+        assert_eq!(results[1].lost_packets as usize, full_load);
+        assert_eq!(engine.stats().frames_completed(), 3);
+        assert_eq!(engine.stats().frames_dropped(), 1);
+    }
+
     /// A packet naming cell 7 in a C=2 deployment is counted and
     /// dropped; both real cells still complete every frame.
     #[test]

@@ -12,13 +12,12 @@
 use crate::buffers::FrameWindow;
 use crate::config::EngineConfig;
 use crate::kernels::{Kernels, WorkerScratch};
-use crate::state::{FrameState, Milestones, Ready, ZfStage};
+use crate::state::{Arrival, FrameTable, Milestones, Retired, ZfStage, STAGE_STALE_PRECODER};
 use crate::stats::EngineStats;
 use agora_fronthaul::packet::decode_ref;
 use agora_fronthaul::{Fronthaul, PacketBuf};
 use agora_queue::{IdleAction, IdleBackoff, IdleGate, MpmcQueue, Msg, TaskLane, TaskType};
 use bytes::Bytes;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -35,6 +34,11 @@ const LANE_CAPACITY: usize = 256;
 
 /// Completion messages the manager drains per cursor claim.
 const COMPLETE_BATCH: usize = 64;
+
+/// With the network thread finished and every queue empty, this long
+/// without a packet or completion means the remaining frames are missing
+/// packets that will never come.
+const STALL: Duration = Duration::from_millis(200);
 
 /// Parked workers re-poll at least this often (belt-and-braces against
 /// a missed wake; also bounds shutdown latency).
@@ -127,17 +131,20 @@ impl TaskQueues {
     }
 }
 
-/// Manager-thread scheduling state: the frame/symbol → worker affinity
-/// map for lane placement, reusable staging buffers, and the
-/// round-robin cursor breaking least-loaded ties. Owned by
-/// `manager_loop`, never shared.
+/// "No worker yet" in the affinity table.
+const NO_LANE: u16 = u16::MAX;
+
+/// Manager-thread placement state: the (frame, symbol) → worker
+/// affinity table, a reusable drain buffer, and the round-robin cursor
+/// breaking least-loaded ties. Owned by `manager_loop`, never shared.
 pub(crate) struct ManagerCtx {
     /// Last worker to execute (or be handed) tasks of a (frame, symbol)
     /// — its L1/L2 holds that symbol's buffers, so later stages of the
-    /// same symbol go to the same lane. Pruned on frame retirement.
-    affinity: HashMap<(u32, u32), usize>,
-    /// Staging buffer: one Ready item's messages, placed as one batch.
-    stage: Vec<Msg>,
+    /// same symbol go to the same lane. One row of `symbols` entries per
+    /// window slot (`frame % window`), reset when the frame retires.
+    affinity: Vec<u16>,
+    window: usize,
+    symbols: usize,
     /// Reusable drain buffer for `flush_abandoned`.
     flush_scratch: Vec<Msg>,
     /// Round-robin cursor for least-loaded tie-breaking, so equal-depth
@@ -146,8 +153,37 @@ pub(crate) struct ManagerCtx {
 }
 
 impl ManagerCtx {
-    pub(crate) fn new() -> Self {
-        Self { affinity: HashMap::new(), stage: Vec::new(), flush_scratch: Vec::new(), rr: 0 }
+    fn new(window: usize, symbols: usize) -> Self {
+        Self {
+            affinity: vec![NO_LANE; window * symbols],
+            window,
+            symbols,
+            flush_scratch: Vec::new(),
+            rr: 0,
+        }
+    }
+
+    fn row(&self, frame: u32) -> usize {
+        frame as usize % self.window * self.symbols
+    }
+
+    fn lane_of(&self, msg: &Msg) -> Option<usize> {
+        let lane = self.affinity[self.row(msg.frame) + msg.symbol as usize];
+        (lane != NO_LANE).then_some(lane as usize)
+    }
+
+    /// Records that `lane`'s worker holds the buffers of `msg`'s symbol.
+    /// ZF is per frame: its messages say nothing about any symbol's data.
+    fn set_lane(&mut self, msg: &Msg, lane: usize) {
+        if msg.task != TaskType::Zf {
+            let row = self.row(msg.frame);
+            self.affinity[row + msg.symbol as usize] = lane as u16;
+        }
+    }
+
+    fn forget(&mut self, frame: u32) {
+        let row = self.row(frame);
+        self.affinity[row..row + self.symbols].fill(NO_LANE);
     }
 }
 
@@ -519,6 +555,12 @@ pub(crate) fn pin_thread(role: PinRole) {
 }
 
 impl CellCore {
+    /// The manager: an event pump between the queues and a
+    /// [`FrameTable`]. Packet notifications and completions go in, the
+    /// task messages they unlock come out and are placed on lanes, and
+    /// finished frames are read out and retired. Returns once
+    /// `num_frames` frames — the table's watermark at entry and the
+    /// `num_frames - 1` above it — have a result.
     pub(crate) fn manager_loop(
         &self,
         start: Instant,
@@ -528,309 +570,105 @@ impl CellCore {
         if self.kernels.cfg.pin_cores {
             pin_thread(PinRole::Manager);
         }
-        // Frame abandonment: if the network thread has delivered
-        // everything it will ever deliver and a frame is still waiting on
-        // packets with no tasks in flight, the fronthaul lost packets —
-        // emit the partial result instead of spinning forever.
-        let mut ctx = ManagerCtx::new();
-        let mut cbuf: Vec<Msg> = Vec::with_capacity(COMPLETE_BATCH);
-        let mut last_progress = Instant::now();
         let kernels = &self.kernels;
-        let g = &kernels.geom;
-        let cell = &kernels.cfg.cell;
-        let batch = kernels.cfg.batch;
-        let has_ul = !cell.schedule.uplink_indices().is_empty();
-        let has_dl = !cell.schedule.downlink_indices().is_empty();
-        let mut states: HashMap<u32, FrameState> = HashMap::new();
+        let cfg = &kernels.cfg;
+        let mut ctx = ManagerCtx::new(self.window.window(), kernels.geom.symbols);
+        // Frames an earlier call on this core retired stay retired.
+        let first = self.min_frame.load(Ordering::Acquire) as u32;
+        let mut table = FrameTable::new(
+            cfg.cell.schedule.clone(),
+            kernels.shape,
+            cfg.batch,
+            cfg.stale_precoder,
+            first,
+        );
         let mut results: Vec<FrameResult> = Vec::with_capacity(num_frames as usize);
-        let mut completed: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        // Frames whose ZF (and thus precoder buffers) are complete — the
-        // stale-precoder early start reads the previous frame's entry.
-        let mut zf_complete: std::collections::HashSet<u32> = std::collections::HashSet::new();
-        // Pending FFT batch accumulator per (frame, symbol): consecutive
-        // antenna run awaiting flush (base, count).
-        let mut fft_runs: HashMap<(u32, usize), (u32, u32)> = HashMap::new();
-        // Task messages currently in flight (queued or executing) per
-        // frame. A frame's slot may only be retired once this reaches
-        // zero — otherwise a worker could touch a reused buffer.
-        let mut inflight: HashMap<u32, usize> = HashMap::new();
-        // Frames past their deadline, waiting for their in-flight tasks
-        // to drain before the dropped result is emitted.
-        let mut abandoning: std::collections::HashSet<u32> = std::collections::HashSet::new();
-        let deadline_ns = kernels.cfg.frame_deadline_ns;
-
-        let now_ns = |start: Instant| start.elapsed().as_nanos() as u64;
+        let mut out: Vec<Msg> = Vec::new();
+        let mut cbuf: Vec<Msg> = Vec::with_capacity(COMPLETE_BATCH);
+        let mut expired: Vec<u32> = Vec::new();
+        let mut last_progress = Duration::ZERO;
 
         while results.len() < num_frames as usize {
             let mut idle = true;
 
-            // 1. Ingest packet notifications.
+            // 1. Packet notifications.
             while let Some(msg) = self.queues.rx.pop() {
                 idle = false;
-                last_progress = Instant::now();
-                let frame = msg.frame;
-                let symbol = msg.symbol as usize;
-                let ant = msg.base as usize;
-                // Late rejection: the frame already finished (completed
-                // or being abandoned) — a straggler or duplicate must not
-                // resurrect its state.
-                if completed.contains(&(frame as u64)) || abandoning.contains(&frame) {
-                    self.stats.packet_late();
-                    continue;
+                last_progress = start.elapsed();
+                let (symbol, antenna) = (msg.symbol as usize, msg.base as usize);
+                let now_ns = last_progress.as_nanos() as u64;
+                match table.on_packet(msg.frame, symbol, antenna, now_ns, &mut out) {
+                    Arrival::Accepted => {}
+                    Arrival::Duplicate => self.stats.packet_duplicate(),
+                    Arrival::Late => self.stats.packet_late(),
                 }
-                let mut pushed = 0usize;
-                let st = states.entry(frame).or_insert_with(|| {
-                    let mut st = FrameState::new(frame, cell.schedule.clone(), kernels.shape);
-                    st.milestones.first_packet_ns = now_ns(start);
-                    st.milestones.processing_start_ns = now_ns(start);
-                    for r in st.initial_work() {
-                        pushed += self.dispatch(&mut ctx, frame, r, false);
-                    }
-                    st
-                });
-                let Some(ready) = st.on_packet(symbol, ant) else {
-                    // Duplicate (symbol, antenna): the byte-identical
-                    // payload rewrite is harmless, but dispatching a
-                    // second FFT would double-count the pilot barrier.
-                    self.stats.packet_duplicate();
-                    *inflight.entry(frame).or_insert(0) += pushed;
-                    continue;
-                };
-                let rx_complete = st.packets_received(symbol) == g.m;
-                for r in ready {
-                    if let Ready::Fft { symbol, antenna } = r {
-                        // Batch consecutive antennas into one message
-                        // (§3.4 "Batching", N tasks per message).
-                        let key = (frame, symbol);
-                        let entry = fft_runs.entry(key).or_insert((antenna as u32, 0));
-                        if entry.0 + entry.1 == antenna as u32 {
-                            entry.1 += 1;
-                        } else {
-                            let (b, c) = *entry;
-                            pushed += self.push_task(
-                                &mut ctx,
-                                Msg::task(TaskType::Fft, frame, symbol as u32, b, c),
-                            );
-                            *entry = (antenna as u32, 1);
-                        }
-                        if entry.1 as usize >= batch.fft {
-                            let (b, c) = fft_runs.remove(&key).unwrap();
-                            pushed += self.push_task(
-                                &mut ctx,
-                                Msg::task(TaskType::Fft, frame, symbol as u32, b, c),
-                            );
-                        }
-                    }
-                }
-                // Flush any partial FFT run once the symbol's packets are
-                // all in — nothing more will extend it.
-                if rx_complete {
-                    if let Some((b, c)) = fft_runs.remove(&(frame, symbol)) {
-                        pushed += self.push_task(
-                            &mut ctx,
-                            Msg::task(TaskType::Fft, frame, symbol as u32, b, c),
-                        );
-                    }
-                }
-                *inflight.entry(frame).or_insert(0) += pushed;
+                // The network thread admits no frame a window above the
+                // watermark, so the table never outgrows the window.
+                debug_assert!(table.len() <= self.window.window());
+                self.place(&mut ctx, &mut out);
             }
 
-            // 2. Drain completions, a whole batch per cursor claim.
+            // 2. Completions, a whole batch per cursor claim.
             loop {
                 cbuf.clear();
                 if self.queues.complete.pop_batch(&mut cbuf, COMPLETE_BATCH) == 0 {
                     break;
                 }
-                for &msg in cbuf.iter() {
-                    idle = false;
-                    last_progress = Instant::now();
-                    let frame = msg.frame;
-                    if let Some(n) = inflight.get_mut(&frame) {
-                        *n = n.saturating_sub(1);
-                    }
+                idle = false;
+                for msg in &cbuf {
+                    last_progress = start.elapsed();
                     // The completing worker's caches now hold this symbol's
                     // buffers: send the symbol's next stage to its lane.
-                    if !self.queues.lanes.is_empty() && (msg.aux as usize) < self.queues.lanes.len()
-                    {
-                        ctx.affinity.insert((frame, msg.symbol), msg.aux as usize);
+                    if (msg.aux as usize) < self.queues.lanes.len() {
+                        ctx.set_lane(msg, msg.aux as usize);
                     }
-                    if abandoning.contains(&frame) {
-                        // The frame is being torn down: ignore the result and
-                        // finalize once the last in-flight task has drained
-                        // (only then is the slot safe to retire).
-                        if inflight.get(&frame).copied().unwrap_or(0) == 0 {
-                            self.finalize_abandoned(
-                                &mut ctx,
-                                frame,
-                                &mut states,
-                                &mut results,
-                                &mut completed,
-                                &mut abandoning,
-                                &mut inflight,
-                            );
-                        }
-                        continue;
-                    }
-                    let Some(st) = states.get_mut(&frame) else { continue };
-                    let mut pushed = 0usize;
-                    let done = st.on_complete(&msg);
-                    match msg.task {
-                        TaskType::Fft
-                            if st.pilots_complete() && st.milestones.pilot_done_ns == 0 =>
-                        {
-                            st.milestones.pilot_done_ns = now_ns(start);
-                        }
-                        TaskType::Zf if st.zf_complete() && st.milestones.zf_done_ns == 0 => {
-                            st.milestones.zf_done_ns = now_ns(start);
-                            zf_complete.insert(frame);
-                        }
-                        // §3.4.2 early start: the first downlink symbols
-                        // may beam with the previous frame's precoder.
-                        // Safe only while frame-1's slot is unretired
-                        // (its buffers cannot be reused before then).
-                        TaskType::Encode
-                            if kernels.cfg.stale_precoder
-                                && frame > 0
-                                && zf_complete.contains(&(frame - 1))
-                                && (frame - 1) as u64 >= self.min_frame.load(Ordering::Relaxed) =>
-                        {
-                            for r in st.precode_with_stale(msg.symbol as usize) {
-                                pushed += self.dispatch(&mut ctx, frame, r, true);
-                            }
-                        }
-                        _ => {}
-                    }
+                    let step = table.on_complete(msg, last_progress.as_nanos() as u64, &mut out);
                     // CSI interpolation runs inline on the manager between
                     // pilot completion and ZF dispatch (cheap, single pass).
-                    if done.ready.contains(&Ready::AllZf) {
-                        kernels.interpolate_csi(self.window.slot(frame));
+                    if step.interpolate_csi {
+                        kernels.interpolate_csi(self.window.slot(msg.frame));
                     }
-                    for r in done.ready {
-                        pushed += self.dispatch(&mut ctx, frame, r, false);
-                    }
-                    *inflight.entry(frame).or_insert(0) += pushed;
-                    if done.ul_done && st.milestones.decode_done_ns == 0 {
-                        st.milestones.decode_done_ns = now_ns(start);
-                    }
-                    if done.dl_done && st.milestones.ifft_done_ns == 0 {
-                        st.milestones.ifft_done_ns = now_ns(start);
-                    }
-                    let complete =
-                        (!has_ul || st.uplink_complete()) && (!has_dl || st.downlink_complete());
-                    if complete {
-                        let st = states.remove(&frame).unwrap();
-                        inflight.remove(&frame);
-                        ctx.affinity.retain(|&(f, _), _| f != frame);
-                        self.stats.frame_completed();
-                        results.push(self.collect_result(&st));
-                        completed.insert(frame as u64);
-                        // Retire contiguously from the bottom so the network
-                        // thread can reuse slots.
-                        let mut min = self.min_frame.load(Ordering::Relaxed);
-                        while completed.contains(&min) {
-                            min += 1;
-                        }
-                        self.min_frame.store(min, Ordering::Release);
+                    self.place(&mut ctx, &mut out);
+                    if step.finished {
+                        self.retire(&mut ctx, &mut table, msg.frame, &mut results);
                     }
                 }
             }
 
-            // 3. Deadline watchdog: abandon frames that have been in
-            // flight longer than the configured budget — missing packets
-            // would otherwise stall the pipeline (and, via flow control,
-            // the whole fronthaul) until end-of-input.
-            if let Some(deadline) = deadline_ns {
-                if !states.is_empty() {
-                    let now = now_ns(start);
-                    let expired: Vec<u32> = states
-                        .iter()
-                        .filter(|(f, st)| {
-                            !abandoning.contains(f)
-                                && now.saturating_sub(st.milestones.first_packet_ns) > deadline
-                        })
-                        .map(|(&f, _)| f)
-                        .collect();
-                    if !expired.is_empty() {
-                        idle = false;
-                        last_progress = Instant::now();
-                        for &f in &expired {
-                            abandoning.insert(f);
-                            // Un-flushed FFT runs will never be pushed.
-                            fft_runs.retain(|&(fr, _), _| fr != f);
-                        }
-                        // Remove the abandoned frames' queued tasks so
-                        // workers never touch their (soon freed) slots.
-                        self.flush_abandoned(&mut ctx, &abandoning, &mut inflight);
-                        let drained: Vec<u32> = abandoning
-                            .iter()
-                            .copied()
-                            .filter(|f| inflight.get(f).copied().unwrap_or(0) == 0)
-                            .collect();
-                        for f in drained {
-                            self.finalize_abandoned(
-                                &mut ctx,
-                                f,
-                                &mut states,
-                                &mut results,
-                                &mut completed,
-                                &mut abandoning,
-                                &mut inflight,
-                            );
-                        }
+            // 3. Deadline watchdog: abandon frames in flight longer than
+            // the configured budget — missing packets would otherwise
+            // stall the pipeline (and, via flow control, the whole
+            // fronthaul) until end-of-input.
+            if let Some(deadline) = cfg.frame_deadline_ns.filter(|_| !table.is_empty()) {
+                let now = start.elapsed();
+                expired.clear();
+                expired.extend(table.expired(now.as_nanos() as u64, deadline));
+                if !expired.is_empty() {
+                    idle = false;
+                    last_progress = now;
+                    expired.iter().for_each(|&frame| table.abandon(frame));
+                    // Queued tasks must never run against a freed slot;
+                    // tasks a worker already holds drain as completions.
+                    self.flush_abandoned(&mut ctx, &mut table);
+                    for &frame in &expired {
+                        self.retire(&mut ctx, &mut table, frame, &mut results);
                     }
                 }
             }
 
             if idle {
-                // Stall detection: network thread finished, every task
-                // queue is empty, and nothing has completed for a while
-                // -> the remaining frames are missing packets. Abandon
-                // them with partial results rather than spinning forever.
+                // End of input: the network thread has delivered all it
+                // ever will and nothing is queued or moving, so every
+                // frame of this call still unfinished is missing packets.
+                // Give them up rather than spin forever.
                 if net_done.load(Ordering::Acquire)
-                    && last_progress.elapsed() > std::time::Duration::from_millis(200)
+                    && start.elapsed() - last_progress > STALL
                     && self.queues.tasks.iter().all(|q| q.is_empty())
                     && self.queues.lanes.iter().all(|l| l.is_empty())
                 {
-                    ctx.affinity.clear();
-                    let stalled: Vec<u32> = states.keys().copied().collect();
-                    for frame in stalled {
-                        let st = states.remove(&frame).unwrap();
-                        abandoning.remove(&frame);
-                        inflight.remove(&frame);
-                        self.stats.add_packets_lost(st.packets_missing() as u64);
-                        self.stats.frame_dropped();
-                        let mut r = self.collect_result(&st);
-                        r.dropped = true;
-                        results.push(r);
-                        completed.insert(frame as u64);
-                    }
-                    let mut min = self.min_frame.load(Ordering::Relaxed);
-                    while completed.contains(&min) {
-                        min += 1;
-                    }
-                    self.min_frame.store(min, Ordering::Release);
-                    if results.len() < num_frames as usize {
-                        // Frames whose packets never arrived at all: emit
-                        // empty dropped results so callers see them.
-                        let symbols = self.kernels.cfg.cell.symbols_per_frame();
-                        let full_load = (cell.schedule.pilot_indices().len()
-                            + cell.schedule.uplink_indices().len())
-                            * g.m;
-                        for f in 0..num_frames {
-                            if !completed.contains(&(f as u64)) {
-                                self.stats.add_packets_lost(full_load as u64);
-                                self.stats.frame_dropped();
-                                results.push(FrameResult {
-                                    frame: f,
-                                    milestones: crate::state::Milestones::default(),
-                                    decoded: vec![Vec::new(); symbols],
-                                    decode_ok: vec![Vec::new(); symbols],
-                                    dropped: true,
-                                    lost_packets: full_load as u32,
-                                });
-                                completed.insert(f as u64);
-                            }
-                        }
+                    for frame in table.watermark()..first + num_frames {
+                        table.abandon(frame);
+                        self.retire(&mut ctx, &mut table, frame, &mut results);
                     }
                     continue;
                 }
@@ -841,72 +679,71 @@ impl CellCore {
         results
     }
 
-    /// Converts a ready-item into queue messages (applying batching) and
-    /// places them — one lane `push_batch` (single cursor claim) with
-    /// lanes, per-type shared queues otherwise. `stale` marks precode
-    /// messages `aux = 1`, telling workers to read the precoder from the
-    /// previous frame's buffers (§3.4.2). Returns the number of messages
-    /// pushed so the manager can track per-frame in-flight work.
-    fn dispatch(&self, ctx: &mut ManagerCtx, frame: u32, ready: Ready, stale: bool) -> usize {
-        let mut stage = std::mem::take(&mut ctx.stage);
-        stage.clear();
-        self.kernels.shape.expand(frame, ready, &self.kernels.cfg.batch, &mut stage);
-        if stale {
-            stage.iter_mut().for_each(|m| m.aux = 1);
+    /// Reads out a finished frame's result, counts it, and moves the
+    /// flow-control watermark to the table's. No-op while the frame still
+    /// has tasks in flight (its last completion retires it).
+    fn retire(
+        &self,
+        ctx: &mut ManagerCtx,
+        table: &mut FrameTable,
+        frame: u32,
+        results: &mut Vec<FrameResult>,
+    ) {
+        let Some(done) = table.retire(frame) else { return };
+        ctx.forget(frame);
+        let result = self.frame_result(frame, &done);
+        if result.dropped {
+            self.stats.add_packets_lost(result.lost_packets as u64);
+            self.stats.frame_dropped();
+        } else {
+            self.stats.frame_completed();
         }
-        let pushed = self.place_batch(ctx, &stage);
-        ctx.stage = stage;
-        pushed
+        results.push(result);
+        // Release: the result is read out and nothing of the retired
+        // frames is in flight — the network thread (Acquire) may now
+        // reuse every slot below the watermark.
+        self.min_frame.store(table.watermark() as u64, Ordering::Release);
     }
 
-    /// Places one task message (the single-message path of
-    /// [`Self::place_batch`]).
-    fn push_task(&self, ctx: &mut ManagerCtx, msg: Msg) -> usize {
-        if msg.count == 0 {
-            return 0;
+    /// Places what one table call emitted — one batch per run of
+    /// messages for the same (task, symbol) — and empties `out`.
+    fn place(&self, ctx: &mut ManagerCtx, out: &mut Vec<Msg>) {
+        for batch in out.chunk_by(|a, b| (a.task, a.symbol) == (b.task, b.symbol)) {
+            self.place_batch(ctx, batch);
         }
-        self.place_batch(ctx, &[msg])
+        out.clear();
     }
 
-    /// Places a staged batch of task messages. With lanes: pick the
-    /// affinity lane for the batch's (frame, symbol) — the worker whose
-    /// caches last held those buffers — falling back to the least-loaded
-    /// lane; enqueue the whole batch with one cursor claim; overflow any
-    /// tail to the shared per-type queues; wake parked workers once.
+    /// Places a batch of task messages. With lanes: pick the affinity
+    /// lane for the batch's (frame, symbol) — the worker whose caches
+    /// last held those buffers — falling back to the least-loaded lane;
+    /// enqueue the whole batch with one cursor claim; overflow any tail
+    /// to the shared per-type queues; wake parked workers once.
     /// Imbalance from affinity clustering is corrected by stealing, not
-    /// by the manager. Without lanes: per-type shared queues, as before.
-    fn place_batch(&self, ctx: &mut ManagerCtx, msgs: &[Msg]) -> usize {
-        if msgs.is_empty() {
-            return 0;
-        }
+    /// by the manager. Without lanes: per-type shared queues.
+    fn place_batch(&self, ctx: &mut ManagerCtx, msgs: &[Msg]) {
         let lanes = &self.queues.lanes;
         if lanes.is_empty() {
-            for &m in msgs {
-                self.push_shared(m);
-            }
-            return msgs.len();
+            msgs.iter().for_each(|&m| self.push_shared(m));
+            return;
         }
-        let key = (msgs[0].frame, msgs[0].symbol);
-        let lane_id = match ctx.affinity.get(&key) {
-            Some(&w) if w < lanes.len() => w,
-            _ => {
-                // Least-loaded fallback, round-robin start so equal
-                // depths spread instead of piling onto worker 0.
-                let start = ctx.rr;
-                ctx.rr = (ctx.rr + 1) % lanes.len();
-                let mut best = start;
-                let mut best_len = lanes[start].len();
-                for off in 1..lanes.len() {
-                    let i = (start + off) % lanes.len();
-                    let l = lanes[i].len();
-                    if l < best_len {
-                        best = i;
-                        best_len = l;
-                    }
+        let lane_id = ctx.lane_of(&msgs[0]).unwrap_or_else(|| {
+            // Least-loaded fallback, round-robin start so equal
+            // depths spread instead of piling onto worker 0.
+            let start = ctx.rr;
+            ctx.rr = (ctx.rr + 1) % lanes.len();
+            let mut best = start;
+            let mut best_len = lanes[start].len();
+            for off in 1..lanes.len() {
+                let i = (start + off) % lanes.len();
+                let l = lanes[i].len();
+                if l < best_len {
+                    best = i;
+                    best_len = l;
                 }
-                best
             }
-        };
+            best
+        });
         let lane = &lanes[lane_id];
         let depth = lane.len();
         let fit = lane.push_batch(msgs);
@@ -919,13 +756,10 @@ impl CellCore {
                 self.push_shared(m);
             }
         }
-        for &m in msgs {
-            ctx.affinity.insert((m.frame, m.symbol), lane_id);
-        }
+        ctx.set_lane(&msgs[0], lane_id);
         if self.queues.gate.wake_all() {
             self.stats.wake();
         }
-        msgs.len()
     }
 
     /// Pushes one message into its shared per-type queue, counting retry
@@ -946,112 +780,61 @@ impl CellCore {
         }
     }
 
-    /// Removes every queued task belonging to an abandoning frame,
-    /// crediting its in-flight count. Tasks a worker already popped
-    /// complete normally and drain through the completion queue — the
-    /// frame's slot stays valid until its count reaches zero, so workers
-    /// never observe a freed buffer. The manager is the only task-queue
-    /// producer, so pop-all / re-push cannot chase its own tail.
-    /// Survivors drain into the reusable `ctx.flush_scratch` (no fresh
-    /// allocation per abandonment); lane survivors are re-pushed to the
-    /// shared queues, which are sized to absorb every in-flight message.
-    fn flush_abandoned(
-        &self,
-        ctx: &mut ManagerCtx,
-        abandoning: &std::collections::HashSet<u32>,
-        inflight: &mut HashMap<u32, usize>,
-    ) {
+    /// Removes every queued task of an abandoning frame, crediting its
+    /// in-flight count. Tasks a worker already popped complete normally
+    /// and drain through the completion queue — the frame's slot stays
+    /// valid until its count reaches zero, so workers never observe a
+    /// freed buffer. The manager is the only task-queue producer, so
+    /// pop-all / re-push cannot chase its own tail. Survivors go back to
+    /// the shared queues, which are sized to absorb every in-flight
+    /// message, lane survivors included.
+    fn flush_abandoned(&self, ctx: &mut ManagerCtx, table: &mut FrameTable) {
         let scratch = &mut ctx.flush_scratch;
-        for q in &self.queues.tasks {
+        let mut sweep = |pop: &mut dyn FnMut(&mut Vec<Msg>) -> usize| {
             scratch.clear();
-            while q.pop_batch(scratch, COMPLETE_BATCH) > 0 {}
+            while pop(scratch) > 0 {}
             for &msg in scratch.iter() {
-                if abandoning.contains(&msg.frame) {
-                    if let Some(n) = inflight.get_mut(&msg.frame) {
-                        *n = n.saturating_sub(1);
-                    }
-                } else {
+                if !table.credit_flushed(msg.frame) {
                     self.push_shared(msg);
                 }
             }
+        };
+        for q in &self.queues.tasks {
+            sweep(&mut |buf| q.pop_batch(buf, COMPLETE_BATCH));
         }
         for lane in &self.queues.lanes {
-            scratch.clear();
-            while lane.pop_batch(scratch, COMPLETE_BATCH) > 0 {}
-            for &msg in scratch.iter() {
-                if abandoning.contains(&msg.frame) {
-                    if let Some(n) = inflight.get_mut(&msg.frame) {
-                        *n = n.saturating_sub(1);
-                    }
-                } else {
-                    self.push_shared(msg);
-                }
-            }
+            sweep(&mut |buf| lane.pop_batch(buf, COMPLETE_BATCH));
         }
-        scratch.clear();
         if !self.queues.lanes.is_empty() && self.queues.gate.wake_all() {
             self.stats.wake();
         }
     }
 
-    /// Emits the dropped result for an abandoned frame and retires its
-    /// slot. Must only be called once the frame's in-flight count is
-    /// zero.
-    #[allow(clippy::too_many_arguments)]
-    fn finalize_abandoned(
-        &self,
-        ctx: &mut ManagerCtx,
-        frame: u32,
-        states: &mut HashMap<u32, FrameState>,
-        results: &mut Vec<FrameResult>,
-        completed: &mut std::collections::HashSet<u64>,
-        abandoning: &mut std::collections::HashSet<u32>,
-        inflight: &mut HashMap<u32, usize>,
-    ) {
-        ctx.affinity.retain(|&(f, _), _| f != frame);
-        abandoning.remove(&frame);
-        inflight.remove(&frame);
-        let Some(st) = states.remove(&frame) else { return };
-        self.stats.add_packets_lost(st.packets_missing() as u64);
-        self.stats.frame_dropped();
-        let mut r = self.collect_result(&st);
-        r.dropped = true;
-        results.push(r);
-        completed.insert(frame as u64);
-        let mut min = self.min_frame.load(Ordering::Relaxed);
-        while completed.contains(&min) {
-            min += 1;
-        }
-        self.min_frame.store(min, Ordering::Release);
-    }
-
-    fn collect_result(&self, st: &FrameState) -> FrameResult {
+    /// The result of a retired frame: what its uplink decodes left in the
+    /// frame's buffers, or — when no packet of it ever arrived, so
+    /// nothing was written and the window slot may hold another frame's
+    /// data — an empty result charged with the whole frame's packets.
+    fn frame_result(&self, frame: u32, done: &Retired) -> FrameResult {
         let g = &self.kernels.geom;
-        let fb = self.window.slot(st.frame);
-        let symbols = self.kernels.cfg.cell.symbols_per_frame();
-        let ul: std::collections::HashSet<usize> =
-            self.kernels.cfg.cell.schedule.uplink_indices().into_iter().collect();
-        let mut decoded = vec![Vec::new(); symbols];
-        let mut ok = vec![Vec::new(); symbols];
-        for sym in 0..symbols {
-            if !ul.contains(&sym) {
-                continue;
+        let schedule = &self.kernels.cfg.cell.schedule;
+        let uplink = schedule.uplink_indices();
+        let (written, milestones, lost_packets) = match &done.state {
+            Some(st) => (uplink.as_slice(), st.milestones, st.packets_missing()),
+            None => {
+                let bearing = schedule.pilot_indices().len() + uplink.len();
+                (&[][..], Milestones::default(), bearing * g.m)
             }
-            for user in 0..g.k {
-                // Safe: the frame is complete; no writers remain.
-                let bits = unsafe { fb.decoded.slice(fb.decoded_range(g, sym, user)) }.to_vec();
-                let flag = unsafe { fb.decode_ok.read(sym * g.k + user) } != 0;
-                decoded[sym].push(bits);
-                ok[sym].push(flag);
-            }
-        }
+        };
+        // SAFETY: the frame is finished with nothing in flight; no
+        // writers remain.
+        let (decoded, decode_ok) = unsafe { self.window.slot(frame).read_decoded(g, written) };
         FrameResult {
-            frame: st.frame,
-            milestones: st.milestones,
+            frame,
+            milestones,
             decoded,
-            decode_ok: ok,
-            dropped: false,
-            lost_packets: st.packets_missing() as u32,
+            decode_ok,
+            dropped: done.dropped,
+            lost_packets: lost_packets as u32,
         }
     }
 }
@@ -1120,9 +903,7 @@ pub(crate) fn worker_loop(
                 execute(&core.kernels, &core.window, &mut scratches[cell], msg);
                 let ns = t0.elapsed().as_nanos() as u64;
                 stats.record(wid, msg.task, msg.count as u64, ns);
-                done.push(Msg::complete(
-                    msg.task, msg.frame, msg.symbol, msg.base, msg.count, wid as u16,
-                ));
+                done.push(msg.complete(wid as u16));
             }
             // Completion pushes amortised: one claim per batch.
             let mut off = 0;
@@ -1180,7 +961,7 @@ pub(crate) fn execute(
     match msg.task {
         TaskType::Fft if count > 1 => kernels.fft_batch_task(fb, scratch, symbol, base, count),
         TaskType::Fft => kernels.fft_task(fb, scratch, symbol, base),
-        TaskType::Zf => match ZfStage::of(msg.symbol, kernels.shape.zf_clusters) {
+        TaskType::Zf => match ZfStage::of(msg.stage) {
             ZfStage::Mono => {
                 for group in base..base + count {
                     kernels.zf_task(fb, scratch, group);
@@ -1204,7 +985,7 @@ pub(crate) fn execute(
                 kernels.encode_task(fb, msg.frame, symbol, user);
             }
         }
-        TaskType::Precode if msg.aux == 1 && msg.frame > 0 => {
+        TaskType::Precode if msg.stage == STAGE_STALE_PRECODER && msg.frame > 0 => {
             // Stale-precoder early start: precoder from frame-1.
             let pre_src = window.slot(msg.frame - 1);
             kernels.precode_task_with(fb, pre_src, scratch, symbol, base, count);
@@ -1222,6 +1003,44 @@ mod tests {
     use crate::config::{EngineConfig, EqMode};
     use agora_fronthaul::{MemFronthaul, RruConfig, RruEmulator};
     use agora_phy::CellConfig;
+
+    /// A staged-ZF completion names a cluster or a shard in `stage`,
+    /// never a symbol: the lane that holds data symbol 2 stays its lane.
+    #[test]
+    fn staged_zf_completion_leaves_data_symbol_affinity_alone() {
+        let (window, symbols) = (4, 6);
+        let mut ctx = ManagerCtx::new(window, symbols);
+        let demod = Msg::task(TaskType::Demod, 5, 2, 0, 8);
+        assert_eq!(ctx.lane_of(&demod), None);
+        ctx.set_lane(&demod.complete(1), 1);
+        assert_eq!(ctx.lane_of(&demod), Some(1));
+
+        let shape = crate::state::FrameShape {
+            m: 8,
+            k: 2,
+            q: 16,
+            zf_groups: 2,
+            zf_clusters: 3,
+            zf_reduce_shards: 3,
+        };
+        let mut zf = Vec::new();
+        for ready in [crate::state::Ready::AllZf, crate::state::Ready::ZfReduce { group: 1 }] {
+            shape.expand(5, ready, &crate::config::BatchSizes::default(), &mut zf);
+        }
+        assert_eq!(zf.len(), 6, "three partials and three reduce shards");
+        for msg in &zf {
+            ctx.set_lane(&msg.complete(0), 0);
+        }
+        assert_eq!(ctx.lane_of(&demod), Some(1));
+        assert!(zf.iter().all(|m| ctx.lane_of(m).is_none()), "ZF homes no symbol at all");
+
+        // Retirement forgets the frame's row and no other.
+        let other = Msg::task(TaskType::Demod, 6, 2, 0, 8);
+        ctx.set_lane(&other, 0);
+        ctx.forget(5);
+        assert_eq!(ctx.lane_of(&demod), None);
+        assert_eq!(ctx.lane_of(&other), Some(0));
+    }
 
     /// The threaded engine must decode ground truth through both the
     /// default direct path (Cholesky-solved ZF detector) and the

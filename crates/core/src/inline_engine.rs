@@ -1,7 +1,8 @@
 //! Deterministic single-threaded frame processor.
 //!
-//! Runs the exact same kernels as the threaded engine, in dependency
-//! order, on the calling thread. This is the tool for accuracy
+//! Runs the exact same kernels as the threaded engine, in the order the
+//! same [`FrameTable`] unlocks them, on the calling thread. This is the
+//! tool for accuracy
 //! experiments (Figure 9's BLER-vs-users, LDPC waterfalls) where
 //! thousands of frames must be pushed through the full PHY and threading
 //! adds nothing but noise — and it doubles as the reference
@@ -11,11 +12,11 @@ use crate::buffers::{FrameBuffers, FrameWindow};
 use crate::config::{BatchSizes, EngineConfig};
 use crate::engine::execute;
 use crate::kernels::{Kernels, WorkerScratch};
-use crate::state::{runs, Ready};
+use crate::state::FrameTable;
 use agora_fronthaul::packet::decode as decode_packet;
 use agora_fronthaul::PacketBuf;
 use agora_phy::frame::SymbolType;
-use agora_queue::{Msg, TaskType};
+use agora_queue::Msg;
 use bytes::Bytes;
 
 /// Decoded output of one inline-processed frame.
@@ -40,7 +41,9 @@ pub struct InlineProcessor {
     /// Batch sizes that make every non-(I)FFT stage of a symbol one
     /// message; (I)FFTs keep the configured run length.
     whole: BatchSizes,
-    stage: Vec<Msg>,
+    /// Unlocked messages not yet executed, next one last.
+    work: Vec<Msg>,
+    unlocked: Vec<Msg>,
 }
 
 impl InlineProcessor {
@@ -59,7 +62,7 @@ impl InlineProcessor {
             precode: sh.q,
             ..kernels.cfg.batch
         };
-        Self { kernels, window, scratch, whole, stage: Vec::new() }
+        Self { kernels, window, scratch, whole, work: Vec::new(), unlocked: Vec::new() }
     }
 
     /// Access to the kernels (geometry etc.).
@@ -90,44 +93,28 @@ impl InlineProcessor {
             unsafe { fb.rx_pkts.store(idx, PacketBuf::Heap(pkt.clone())) };
         }
 
-        // 2. Pilot FFT + CSI, then interpolation and ZF. On the staged ZF
-        // path every partial Gram lands before any reduce, and reduces
-        // run in fixed (group, shard) order — the same dependency order
-        // the threaded engine's manager enforces.
-        for symbol in cell.schedule.pilot_indices() {
-            self.run_ffts(frame, symbol);
-        }
-        self.kernels.interpolate_csi(self.window.slot(frame));
-        self.run(frame, Ready::AllZf);
-        if shape.zf_clusters > 0 {
-            for group in 0..shape.zf_groups {
-                self.run(frame, Ready::ZfReduce { group });
+        // 2. Replay the arrivals symbol by symbol through the frame
+        // table, running everything each symbol unlocks before the next
+        // arrives: pilots → ZF, then FFT → demod → decode per uplink
+        // symbol and precode → IFFT per downlink symbol, each stage's
+        // data still warm for the next.
+        let mut table = FrameTable::new(cell.schedule.clone(), shape, self.whole, false, frame);
+        for symbol in 0..g.symbols {
+            for antenna in 0..g.m {
+                let fb = self.window.slot(frame);
+                if fb.rx_pkts.occupied(fb.pkt_index(&g, symbol, antenna)) {
+                    table.on_packet(frame, symbol, antenna, 0, &mut self.unlocked);
+                }
             }
+            self.run_unlocked(&mut table);
         }
 
-        // 3. Uplink data symbols: FFT -> demod -> decode.
-        let mut decoded = vec![Vec::new(); cell.symbols_per_frame()];
-        let mut decode_ok = vec![Vec::new(); cell.symbols_per_frame()];
-        for symbol in cell.schedule.uplink_indices() {
-            self.run_ffts(frame, symbol);
-            self.run(frame, Ready::DemodSymbol { symbol });
-            self.run(frame, Ready::DecodeSymbol { symbol });
-            let fb = self.window.slot(frame);
-            for user in 0..g.k {
-                let bits = unsafe { fb.decoded.slice(fb.decoded_range(&g, symbol, user)) }.to_vec();
-                let ok = unsafe { fb.decode_ok.read(symbol * g.k + user) } != 0;
-                decoded[symbol].push(bits);
-                decode_ok[symbol].push(ok);
-            }
-        }
-
-        // 4. Downlink symbols: encode -> precode+modulate -> IFFT.
+        // 3. Read out the uplink bits and the downlink samples.
+        let fb = self.window.slot(frame);
+        // SAFETY (here and below): single-threaded; every task has run.
+        let (decoded, decode_ok) = unsafe { fb.read_decoded(&g, &cell.schedule.uplink_indices()) };
         let mut dl_time = vec![Vec::new(); cell.symbols_per_frame()];
         for symbol in cell.schedule.downlink_indices() {
-            self.run(frame, Ready::EncodeSymbol { symbol });
-            self.run(frame, Ready::PrecodeSymbol { symbol });
-            self.run(frame, Ready::IfftSymbol { symbol });
-            let fb = self.window.slot(frame);
             for ant in 0..g.m {
                 let t = unsafe { fb.dl_time.slice(fb.dl_time_range(&g, symbol, ant)) }.to_vec();
                 dl_time[symbol].push(t);
@@ -137,24 +124,17 @@ impl InlineProcessor {
         InlineResult { frame, decoded, decode_ok, dl_time }
     }
 
-    /// Expands `ready` with whole-symbol batches and executes its
-    /// messages in order.
-    fn run(&mut self, frame: u32, ready: Ready) {
-        let mut stage = std::mem::take(&mut self.stage);
-        stage.clear();
-        self.kernels.shape.expand(frame, ready, &self.whole, &mut stage);
-        for msg in &stage {
-            execute(&self.kernels, &self.window, &mut self.scratch, msg);
-        }
-        self.stage = stage;
-    }
-
-    /// FFTs every antenna of `symbol` in `batch.fft`-sized runs, the
-    /// message size the threaded manager coalesces arrivals into.
-    fn run_ffts(&mut self, frame: u32, symbol: usize) {
-        for (base, count) in runs(self.kernels.shape.m, self.kernels.cfg.batch.fft) {
-            let msg = Msg::task(TaskType::Fft, frame, symbol as u32, base, count);
+    /// Executes every unlocked message, depth first: what a completion
+    /// unlocks runs, in the order the table emitted it, before anything
+    /// unlocked earlier.
+    fn run_unlocked(&mut self, table: &mut FrameTable) {
+        self.work.extend(self.unlocked.drain(..).rev());
+        while let Some(msg) = self.work.pop() {
             execute(&self.kernels, &self.window, &mut self.scratch, &msg);
+            if table.on_complete(&msg, 0, &mut self.unlocked).interpolate_csi {
+                self.kernels.interpolate_csi(self.window.slot(msg.frame));
+            }
+            self.work.extend(self.unlocked.drain(..).rev());
         }
     }
 

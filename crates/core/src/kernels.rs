@@ -744,8 +744,10 @@ impl Kernels {
                     }
                 }
                 for user in 0..g.k {
+                    let row = &s.strided_rows[user * g.zf_group..user * g.zf_group + w];
+                    let at = fb.llr_range(g, symbol, user).start + sc0 * bps;
                     let nv = s.nv_row[user];
-                    self.demap_row(fb, s, symbol, user, sc0, w, bps, nv, g.zf_group);
+                    self.demap_into(fb, &mut s.llr_tmp, &mut s.llr_i8_tmp, row, nv, at);
                 }
                 done += w;
             }
@@ -768,41 +770,30 @@ impl Kernels {
         }
     }
 
-    /// Demaps one user's contiguous row of `width` equalized symbols
-    /// (staged in `strided_rows` at the given stride) into the active LLR
-    /// plane, starting at subcarrier `sc0`.
-    #[allow(clippy::too_many_arguments)]
-    fn demap_row(
+    /// Soft-demaps one user's `row` of equalized symbols (post-detection
+    /// noise variance `nv`) into the frame's active LLR plane — f32, or
+    /// i8 under the quantized decoder — starting at LLR index `at`.
+    fn demap_into(
         &self,
         fb: &FrameBuffers,
-        s: &mut WorkerScratch,
-        symbol: usize,
-        user: usize,
-        sc0: usize,
-        width: usize,
-        bps: usize,
+        llr_tmp: &mut Vec<f32>,
+        llr_i8_tmp: &mut Vec<i8>,
+        row: &[Cf32],
         nv: f32,
-        stride: usize,
+        at: usize,
     ) {
-        let g = &self.geom;
-        let row = &s.strided_rows[user * stride..user * stride + width];
-        let base = fb.llr_range(g, symbol, user).start;
+        let modulation = self.cfg.cell.modulation;
+        let span = at..at + row.len() * modulation.bits_per_symbol();
         if self.cfg.ablation.quantized_decoder {
-            s.llr_i8_tmp.clear();
-            demod_soft_i8(
-                self.cfg.cell.modulation,
-                row,
-                nv,
-                self.cfg.llr_quant_scale,
-                &mut s.llr_tmp,
-                &mut s.llr_i8_tmp,
-            );
-            let out = unsafe { fb.llr_i8.slice_mut(base + sc0 * bps..base + (sc0 + width) * bps) };
-            out.copy_from_slice(&s.llr_i8_tmp);
+            llr_i8_tmp.clear();
+            demod_soft_i8(modulation, row, nv, self.cfg.llr_quant_scale, llr_tmp, llr_i8_tmp);
+            // SAFETY: one demod task owns this (symbol, subcarrier range)
+            // of every user's LLRs; decode is dispatched after it.
+            unsafe { fb.llr_i8.slice_mut(span) }.copy_from_slice(llr_i8_tmp);
         } else {
-            demod_soft_simd(self.cfg.cell.modulation, row, nv, &mut s.llr_tmp);
-            let out = unsafe { fb.llr.slice_mut(base + sc0 * bps..base + (sc0 + width) * bps) };
-            out.copy_from_slice(&s.llr_tmp);
+            demod_soft_simd(modulation, row, nv, llr_tmp);
+            // SAFETY: as above.
+            unsafe { fb.llr.slice_mut(span) }.copy_from_slice(llr_tmp);
         }
     }
 
@@ -833,31 +824,14 @@ impl Kernels {
             s.cpe_seed += residual;
         }
         for user in 0..g.k {
+            // Width is the 8-subcarrier cache-line block: exactly one
+            // AVX2 vector per axis.
             let row = &s.user_block[user * width..(user + 1) * width];
+            let at = fb.llr_range(g, symbol, user).start + sc * bps;
             // Post-ZF noise on user u is amplified by ||w_u||^2 (direct)
             // or its Neumann estimate (iterative); see `demod_task`.
             let nv = s.nv_row[user];
-            let base = fb.llr_range(g, symbol, user).start;
-            // Width is the 8-subcarrier cache-line block: exactly one
-            // AVX2 vector per axis.
-            if self.cfg.ablation.quantized_decoder {
-                s.llr_i8_tmp.clear();
-                demod_soft_i8(
-                    self.cfg.cell.modulation,
-                    row,
-                    nv,
-                    self.cfg.llr_quant_scale,
-                    &mut s.llr_tmp,
-                    &mut s.llr_i8_tmp,
-                );
-                let llr =
-                    unsafe { fb.llr_i8.slice_mut(base + sc * bps..base + (sc + width) * bps) };
-                llr.copy_from_slice(&s.llr_i8_tmp);
-            } else {
-                demod_soft_simd(self.cfg.cell.modulation, row, nv, &mut s.llr_tmp);
-                let llr = unsafe { fb.llr.slice_mut(base + sc * bps..base + (sc + width) * bps) };
-                llr.copy_from_slice(&s.llr_tmp);
-            }
+            self.demap_into(fb, &mut s.llr_tmp, &mut s.llr_i8_tmp, row, nv, at);
         }
     }
 

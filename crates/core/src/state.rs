@@ -12,16 +12,22 @@
 //! * Downlink: encode is free; precoding needs ZF + the symbol's encodes;
 //!   IFFT needs the symbol fully precoded.
 //!
-//! It also owns the two translations every scheduler needs around that
-//! bookkeeping — [`FrameShape::expand`] (a [`Ready`] item → the queue
-//! messages that carry it) and [`FrameState::on_complete`] (a completed
-//! message → the transition it triggers) — so the threaded manager, the
-//! inline processor and the simulator all walk the same task graph.
+//! Two types split the work. [`FrameState`] is one frame's dependency
+//! counters, with the two translations around them — [`FrameShape::expand`]
+//! (a [`Ready`] item → the queue messages that carry it) and
+//! [`FrameState::on_complete`] (a completed message → the transition it
+//! triggers). [`FrameTable`] is every in-flight frame from first packet
+//! to retirement: arrival coalescing, in-flight counts, milestones, the
+//! cross-frame stale-precoder edge, abandonment and the watermark. It
+//! reads no clock — time is an argument — so the threaded manager, the
+//! inline processor and the simulator drive the same lifecycle, and tests
+//! drive it without threads.
 
 use crate::config::BatchSizes;
 use agora_phy::frame::{FrameSchedule, SymbolType};
 use agora_phy::CellConfig;
 use agora_queue::{Msg, TaskType};
+use std::collections::VecDeque;
 
 /// Leading downlink symbols eligible for the stale-precoder early start
 /// (§3.4.2 bridges roughly the ZF-completion gap, which spans the first
@@ -31,13 +37,6 @@ pub const STALE_PRECODER_SYMBOLS: usize = 2;
 /// Ready-to-dispatch work discovered by a state transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Ready {
-    /// FFT for (symbol, antenna).
-    Fft {
-        /// Symbol index.
-        symbol: usize,
-        /// Antenna index.
-        antenna: usize,
-    },
     /// All ZF groups (dispatched together once pilots are done).
     AllZf,
     /// One group's ZF reduce (staged path: every cluster's partial Gram
@@ -73,9 +72,15 @@ pub enum Ready {
     },
 }
 
-/// Which stage of the ZF block a [`TaskType::Zf`] message carries. The
-/// stage travels in `Msg::symbol` (ZF has no symbol of its own, and the
-/// field survives the completion echo; `aux` does not).
+/// `Msg::stage` of a precode message that reads frame − 1's precoder
+/// instead of its own frame's (§3.4.2).
+pub const STAGE_STALE_PRECODER: u16 = 1;
+
+/// ZF is per frame, not per symbol: its messages carry this symbol index.
+const ZF_SYMBOL: usize = 0;
+
+/// Which stage of the ZF block a [`TaskType::Zf`] message carries, in
+/// `Msg::stage`: the kind in the low two bits, its index above them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ZfStage {
     /// Monolithic task: `base..base + count` are whole groups.
@@ -87,21 +92,21 @@ pub enum ZfStage {
 }
 
 impl ZfStage {
-    /// Decodes the `symbol` field of a ZF message: 0 = monolithic,
-    /// `1..=clusters` = that cluster's partial, above = reduce shard.
-    pub fn of(symbol: u32, clusters: usize) -> Self {
-        match symbol as usize {
+    /// Decodes the `stage` field of a ZF message.
+    pub fn of(stage: u16) -> Self {
+        let index = (stage >> 2) as usize;
+        match stage & 3 {
             0 => ZfStage::Mono,
-            s if s <= clusters => ZfStage::Partial(s - 1),
-            s => ZfStage::Reduce(s - clusters - 1),
+            1 => ZfStage::Partial(index),
+            _ => ZfStage::Reduce(index),
         }
     }
 
-    fn symbol(self, clusters: usize) -> usize {
+    fn stage(self) -> u16 {
         match self {
             ZfStage::Mono => 0,
-            ZfStage::Partial(cluster) => cluster + 1,
-            ZfStage::Reduce(shard) => clusters + 1 + shard,
+            ZfStage::Partial(cluster) => (cluster as u16) << 2 | 1,
+            ZfStage::Reduce(shard) => (shard as u16) << 2 | 2,
         }
     }
 }
@@ -151,44 +156,44 @@ impl FrameShape {
     }
 
     /// Appends the queue messages that carry `ready` to `out`, `batch`
-    /// tasks per message (§3.4 "Batching"). FFT items become one
-    /// single-antenna message; coalescing arrivals into longer runs is
-    /// the caller's policy.
+    /// tasks per message (§3.4 "Batching"). FFT messages are not made
+    /// here: [`FrameTable::on_packet`] builds them from arrivals.
     pub fn expand(&self, frame: u32, ready: Ready, batch: &BatchSizes, out: &mut Vec<Msg>) {
-        let mut chunked = |task: TaskType, symbol: usize, total: usize, step: usize| {
-            out.extend(runs(total, step).map(|(b, n)| Msg::task(task, frame, symbol as u32, b, n)));
+        let mut chunked = |task, symbol: usize, stage: u16, total: usize, step: usize| {
+            out.extend(
+                runs(total, step)
+                    .map(|(b, n)| Msg::task(task, frame, symbol as u32, b, n).with_stage(stage)),
+            );
         };
-        let c = self.zf_clusters;
         match ready {
-            Ready::Fft { symbol, antenna } => {
-                out.push(Msg::task(TaskType::Fft, frame, symbol as u32, antenna as u32, 1))
-            }
-            Ready::AllZf if c == 0 => {
-                chunked(TaskType::Zf, ZfStage::Mono.symbol(c), self.zf_groups, batch.zf)
+            Ready::AllZf if self.zf_clusters == 0 => {
+                chunked(TaskType::Zf, ZF_SYMBOL, ZfStage::Mono.stage(), self.zf_groups, batch.zf)
             }
             Ready::AllZf => {
-                for cluster in 0..c {
-                    let stage = ZfStage::Partial(cluster).symbol(c);
-                    chunked(TaskType::Zf, stage, self.zf_groups, batch.zf);
+                for cluster in 0..self.zf_clusters {
+                    let stage = ZfStage::Partial(cluster).stage();
+                    chunked(TaskType::Zf, ZF_SYMBOL, stage, self.zf_groups, batch.zf);
                 }
             }
             Ready::ZfReduce { group } => {
                 for shard in 0..self.zf_reduce_shards {
-                    let stage = ZfStage::Reduce(shard).symbol(c) as u32;
-                    out.push(Msg::task(TaskType::Zf, frame, stage, group as u32, 1));
+                    let msg = Msg::task(TaskType::Zf, frame, ZF_SYMBOL as u32, group as u32, 1);
+                    out.push(msg.with_stage(ZfStage::Reduce(shard).stage()));
                 }
             }
-            Ready::DemodSymbol { symbol } => chunked(TaskType::Demod, symbol, self.q, batch.demod),
+            Ready::DemodSymbol { symbol } => {
+                chunked(TaskType::Demod, symbol, 0, self.q, batch.demod)
+            }
             Ready::DecodeSymbol { symbol } => {
-                chunked(TaskType::Decode, symbol, self.k, batch.decode)
+                chunked(TaskType::Decode, symbol, 0, self.k, batch.decode)
             }
             Ready::EncodeSymbol { symbol } => {
-                chunked(TaskType::Encode, symbol, self.k, batch.encode)
+                chunked(TaskType::Encode, symbol, 0, self.k, batch.encode)
             }
             Ready::PrecodeSymbol { symbol } => {
-                chunked(TaskType::Precode, symbol, self.q, batch.precode)
+                chunked(TaskType::Precode, symbol, 0, self.q, batch.precode)
             }
-            Ready::IfftSymbol { symbol } => chunked(TaskType::Ifft, symbol, self.m, batch.ifft),
+            Ready::IfftSymbol { symbol } => chunked(TaskType::Ifft, symbol, 0, self.m, batch.ifft),
         }
     }
 }
@@ -298,11 +303,6 @@ impl FrameState {
         }
     }
 
-    /// The frame schedule.
-    pub fn schedule(&self) -> &FrameSchedule {
-        &self.schedule
-    }
-
     /// Downlink symbols that can start immediately (encode needs no RX
     /// input — the data comes from the MAC).
     pub fn initial_work(&self) -> Vec<Ready> {
@@ -314,24 +314,18 @@ impl FrameState {
     }
 
     /// A packet for `(symbol, antenna)` arrived; its payload is already in
-    /// the frame buffer. Returns the FFT task this unlocks (uplink/pilot
-    /// symbols only; downlink symbols carry no uplink packets). Returns
-    /// `None` for a duplicate `(symbol, antenna)` — the caller must not
-    /// dispatch anything for it (the byte-identical payload rewrite is
-    /// harmless, but a second FFT would double-count the barrier).
-    pub fn on_packet(&mut self, symbol: usize, antenna: usize) -> Option<Vec<Ready>> {
-        let idx = symbol * self.shape.m + antenna;
-        if self.rx_seen[idx] {
-            return None;
+    /// the frame buffer. Returns `false` for a duplicate `(symbol,
+    /// antenna)` — the caller must not dispatch anything for it (the
+    /// byte-identical payload rewrite is harmless, but a second FFT would
+    /// double-count the barrier).
+    pub fn on_packet(&mut self, symbol: usize, antenna: usize) -> bool {
+        let seen = &mut self.rx_seen[symbol * self.shape.m + antenna];
+        let first = !*seen;
+        if first {
+            *seen = true;
+            self.pkts[symbol] += 1;
         }
-        self.rx_seen[idx] = true;
-        self.pkts[symbol] += 1;
-        Some(match self.schedule.symbol(symbol) {
-            SymbolType::Pilot | SymbolType::Uplink => {
-                vec![Ready::Fft { symbol, antenna }]
-            }
-            _ => Vec::new(),
-        })
+        first
     }
 
     /// A task message completed: applies the transition it stands for
@@ -342,7 +336,7 @@ impl FrameState {
         match msg.task {
             TaskType::Fft => done.ready = self.on_fft_done(symbol, count),
             TaskType::Zf => {
-                done.ready = match ZfStage::of(msg.symbol, self.shape.zf_clusters) {
+                done.ready = match ZfStage::of(msg.stage) {
                     ZfStage::Mono => self.on_zf_done(count),
                     ZfStage::Partial(_) => self.on_zf_partial_done(base, count),
                     ZfStage::Reduce(_) => self.on_zf_reduce_done(base),
@@ -528,9 +522,9 @@ impl FrameState {
     /// symbols of frame `f` beam with frame `f-1`'s precoder and the RRU's
     /// air time never idles. Empty unless `symbol` is one of the first
     /// [`STALE_PRECODER_SYMBOLS`] downlink symbols, fully encoded, with
-    /// this frame's ZF still pending. The caller checks that the previous
-    /// frame's precoder exists.
-    pub fn precode_with_stale(&mut self, symbol: usize) -> Vec<Ready> {
+    /// this frame's ZF still pending. The caller ([`FrameTable`]) checks
+    /// that the previous frame's precoder exists.
+    fn precode_with_stale(&mut self, symbol: usize) -> Vec<Ready> {
         let early = |s: &FrameSchedule| {
             s.downlink_indices().iter().take(STALE_PRECODER_SYMBOLS).any(|&d| d == symbol)
         };
@@ -565,6 +559,328 @@ impl FrameState {
     }
 }
 
+/// What [`FrameTable::on_packet`] did with an arrival.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arrival {
+    /// First copy of this `(symbol, antenna)`; any FFT run it closed is
+    /// in the output.
+    Accepted,
+    /// A repeat of a `(symbol, antenna)` already seen: nothing dispatched.
+    Duplicate,
+    /// The frame is retired or being abandoned: nothing dispatched.
+    Late,
+}
+
+/// What the caller owes the frame after [`FrameTable::on_complete`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Step {
+    /// The pilots just completed: interpolate the frame's CSI before the
+    /// ZF messages this call emitted run.
+    pub interpolate_csi: bool,
+    /// Nothing of the frame is left in flight and it is complete or
+    /// abandoned: [`FrameTable::retire`] will now return it.
+    pub finished: bool,
+}
+
+/// A frame leaving the table.
+#[derive(Debug)]
+pub struct Retired {
+    /// The frame's final state; `None` if none of its packets ever arrived.
+    pub state: Option<FrameState>,
+    /// Abandoned rather than completed.
+    pub dropped: bool,
+}
+
+/// One frame between its first packet and its retirement.
+#[derive(Debug)]
+struct Record {
+    state: FrameState,
+    /// Task messages emitted and not yet completed or flushed. The
+    /// frame's buffers may only be reused once this is zero.
+    inflight: usize,
+    /// Past its deadline: completions unlock nothing, packets are late.
+    abandoning: bool,
+    /// Per symbol, the consecutive-antenna run `(base, count)` of arrived
+    /// packets not yet emitted as an FFT message.
+    fft_runs: Vec<(u32, u32)>,
+}
+
+impl Record {
+    /// Nothing in flight, and either every decode and IFFT is done or
+    /// the frame was given up.
+    fn finished(&self) -> bool {
+        let complete = self.state.uplink_complete() && self.state.downlink_complete();
+        self.inflight == 0 && (self.abandoning || complete)
+    }
+}
+
+#[derive(Debug)]
+enum Slot {
+    /// No packet yet (a frame above it arrived first).
+    Vacant,
+    Live(Box<Record>),
+    /// Abandoned without ever receiving a packet; awaits `retire`.
+    Lost,
+    /// Retired, but a frame below it is not: the watermark has yet to
+    /// pass. Its precoder stays readable until then.
+    Done {
+        zf_complete: bool,
+    },
+}
+
+impl Slot {
+    fn zf_complete(&self) -> bool {
+        match self {
+            Slot::Live(rec) => rec.state.zf_complete(),
+            Slot::Done { zf_complete } => *zf_complete,
+            Slot::Vacant | Slot::Lost => false,
+        }
+    }
+}
+
+/// Every in-flight frame of one cell, slot `i` holding frame
+/// `watermark + i`. A frame's first packet grows the table at the back;
+/// [`Self::retire`] pops finished frames off the front, which is the only
+/// way the watermark moves. Whoever feeds it bounds its length: the
+/// engine's network thread admits `frame_window` frames above the
+/// watermark, the simulator admits everything.
+#[derive(Debug)]
+pub struct FrameTable {
+    schedule: FrameSchedule,
+    shape: FrameShape,
+    batch: BatchSizes,
+    stale_precoder: bool,
+    watermark: u32,
+    slots: VecDeque<Slot>,
+}
+
+impl FrameTable {
+    /// An empty table whose lowest unretired frame is `watermark`.
+    /// `stale_precoder` enables the §3.4.2 early start.
+    pub fn new(
+        schedule: FrameSchedule,
+        shape: FrameShape,
+        batch: BatchSizes,
+        stale_precoder: bool,
+        watermark: u32,
+    ) -> Self {
+        Self { schedule, shape, batch, stale_precoder, watermark, slots: VecDeque::new() }
+    }
+
+    /// The lowest frame not yet retired. Frames below it are gone: their
+    /// buffers may be reused.
+    pub fn watermark(&self) -> u32 {
+        self.watermark
+    }
+
+    /// Slots held: the distance from the watermark to the highest frame
+    /// seen, whatever state each is in.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// True when no frame at or above the watermark has been seen.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Slot index of `frame`, growing the table to reach it; `None` below
+    /// the watermark.
+    fn slot_of(&mut self, frame: u32) -> Option<usize> {
+        let idx = frame.checked_sub(self.watermark)? as usize;
+        while self.slots.len() <= idx {
+            self.slots.push_back(Slot::Vacant);
+        }
+        Some(idx)
+    }
+
+    /// Slot index of `frame` if the table holds it.
+    fn index_of(&self, frame: u32) -> Option<usize> {
+        let idx = frame.checked_sub(self.watermark)? as usize;
+        (idx < self.slots.len()).then_some(idx)
+    }
+
+    /// The packet for `(frame, symbol, antenna)` is in the frame's
+    /// buffers. Appends the messages it makes dispatchable to `out`: on a
+    /// frame's first packet its downlink encodes (which need no input),
+    /// and an FFT message whenever the arrival closes a run — the run of
+    /// consecutive antennas reached `batch.fft`, the next antenna broke
+    /// it, or the symbol's last packet arrived.
+    pub fn on_packet(
+        &mut self,
+        frame: u32,
+        symbol: usize,
+        antenna: usize,
+        now_ns: u64,
+        out: &mut Vec<Msg>,
+    ) -> Arrival {
+        let Some(idx) = self.slot_of(frame) else { return Arrival::Late };
+        let emitted = out.len();
+        if matches!(self.slots[idx], Slot::Vacant) {
+            let mut state = FrameState::new(frame, self.schedule.clone(), self.shape);
+            state.milestones.first_packet_ns = now_ns;
+            state.milestones.processing_start_ns = now_ns;
+            for ready in state.initial_work() {
+                self.shape.expand(frame, ready, &self.batch, out);
+            }
+            let fft_runs = vec![(0, 0); self.schedule.len()];
+            let record = Record { state, inflight: 0, abandoning: false, fft_runs };
+            self.slots[idx] = Slot::Live(Box::new(record));
+        }
+        let rec = match &mut self.slots[idx] {
+            Slot::Live(rec) if !rec.abandoning => rec,
+            _ => return Arrival::Late,
+        };
+        if !rec.state.on_packet(symbol, antenna) {
+            return Arrival::Duplicate;
+        }
+        // Downlink symbols carry no uplink packets; one addressed there
+        // is counted and transforms nothing.
+        if matches!(self.schedule.symbol(symbol), SymbolType::Pilot | SymbolType::Uplink) {
+            let fft = |(base, count): (u32, u32)| {
+                Msg::task(TaskType::Fft, frame, symbol as u32, base, count)
+            };
+            let run = &mut rec.fft_runs[symbol];
+            if run.1 > 0 && run.0 + run.1 != antenna as u32 {
+                out.push(fft(*run));
+                run.1 = 0;
+            }
+            if run.1 == 0 {
+                run.0 = antenna as u32;
+            }
+            run.1 += 1;
+            let symbol_complete = rec.state.packets_received(symbol) == self.shape.m;
+            if run.1 as usize >= self.batch.fft || symbol_complete {
+                out.push(fft(*run));
+                run.1 = 0;
+            }
+        }
+        rec.inflight += out.len() - emitted;
+        Arrival::Accepted
+    }
+
+    /// A task message completed. Credits the frame's in-flight count,
+    /// applies the transition, stamps milestones and appends the
+    /// messages it unlocked to `out` — including, with the stale
+    /// precoder on, an early precode of the first downlink symbols when
+    /// frame − 1 is still in the table with its ZF complete (only an
+    /// unretired neighbour's precoder is safe to read). A completion for
+    /// an abandoning frame unlocks nothing; one for a frame not in the
+    /// table is ignored.
+    pub fn on_complete(&mut self, msg: &Msg, now_ns: u64, out: &mut Vec<Msg>) -> Step {
+        let (shape, batch) = (self.shape, self.batch);
+        let Some(idx) = self.index_of(msg.frame) else { return Step::default() };
+        let prev_zf_complete = self.stale_precoder
+            && msg.task == TaskType::Encode
+            && idx > 0
+            && self.slots[idx - 1].zf_complete();
+        let Slot::Live(rec) = &mut self.slots[idx] else { return Step::default() };
+        rec.inflight = rec.inflight.saturating_sub(1);
+        let mut step = Step::default();
+        if !rec.abandoning {
+            let emitted = out.len();
+            let done = rec.state.on_complete(msg);
+            let st = &mut rec.state;
+            let (pilots_complete, zf_complete) = (st.pilots_complete(), st.zf_complete());
+            let ms = &mut st.milestones;
+            match msg.task {
+                TaskType::Fft if pilots_complete && ms.pilot_done_ns == 0 => {
+                    ms.pilot_done_ns = now_ns;
+                }
+                TaskType::Zf if zf_complete && ms.zf_done_ns == 0 => ms.zf_done_ns = now_ns,
+                _ => {}
+            }
+            if done.ul_done && ms.decode_done_ns == 0 {
+                ms.decode_done_ns = now_ns;
+            }
+            if done.dl_done && ms.ifft_done_ns == 0 {
+                ms.ifft_done_ns = now_ns;
+            }
+            if prev_zf_complete {
+                for ready in st.precode_with_stale(msg.symbol as usize) {
+                    shape.expand(msg.frame, ready, &batch, out);
+                }
+                out[emitted..].iter_mut().for_each(|m| m.stage = STAGE_STALE_PRECODER);
+            }
+            step.interpolate_csi = done.ready.contains(&Ready::AllZf);
+            for ready in done.ready {
+                shape.expand(msg.frame, ready, &batch, out);
+            }
+            rec.inflight += out.len() - emitted;
+        }
+        step.finished = rec.finished();
+        step
+    }
+
+    /// Frames whose first packet is more than `deadline_ns` old and that
+    /// are not yet being abandoned.
+    pub fn expired(&self, now_ns: u64, deadline_ns: u64) -> impl Iterator<Item = u32> + '_ {
+        self.slots.iter().zip(self.watermark..).filter_map(move |(slot, frame)| match slot {
+            Slot::Live(rec)
+                if !rec.abandoning
+                    && now_ns.saturating_sub(rec.state.milestones.first_packet_ns)
+                        > deadline_ns =>
+            {
+                Some(frame)
+            }
+            _ => None,
+        })
+    }
+
+    /// Gives up on `frame`: from now on its packets are late and its
+    /// completions unlock nothing. It finishes once everything in flight
+    /// has completed or been flushed — at once if nothing is, or if no
+    /// packet of it ever arrived.
+    pub fn abandon(&mut self, frame: u32) {
+        let Some(idx) = self.slot_of(frame) else { return };
+        match &mut self.slots[idx] {
+            Slot::Vacant => self.slots[idx] = Slot::Lost,
+            Slot::Live(rec) => rec.abandoning = true,
+            Slot::Lost | Slot::Done { .. } => {}
+        }
+    }
+
+    /// The caller removed one queued message of `frame` before any worker
+    /// took it. Returns whether the frame is being abandoned, in which
+    /// case the message is credited and must be discarded; otherwise it
+    /// must be queued again.
+    pub fn credit_flushed(&mut self, frame: u32) -> bool {
+        match self.index_of(frame).map(|idx| &mut self.slots[idx]) {
+            Some(Slot::Live(rec)) if rec.abandoning => {
+                rec.inflight = rec.inflight.saturating_sub(1);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Takes `frame` out of the table if it is finished (complete, or
+    /// abandoned with nothing in flight), then advances the watermark
+    /// past every retired frame at the bottom. `None` while the frame
+    /// still has work in flight, and for frames already retired.
+    pub fn retire(&mut self, frame: u32) -> Option<Retired> {
+        let idx = self.index_of(frame)?;
+        let finished = match &self.slots[idx] {
+            Slot::Live(rec) => rec.finished(),
+            Slot::Lost => true,
+            Slot::Vacant | Slot::Done { .. } => false,
+        };
+        if !finished {
+            return None;
+        }
+        let zf_complete = self.slots[idx].zf_complete();
+        let retired = match std::mem::replace(&mut self.slots[idx], Slot::Done { zf_complete }) {
+            Slot::Live(rec) => Retired { state: Some(rec.state), dropped: rec.abandoning },
+            _ => Retired { state: None, dropped: true },
+        };
+        while matches!(self.slots.front(), Some(Slot::Done { .. })) {
+            self.slots.pop_front();
+            self.watermark += 1;
+        }
+        Some(retired)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -586,22 +902,15 @@ mod tests {
     }
 
     #[test]
-    fn packets_unlock_ffts() {
-        let mut st = ul_state();
-        let r = st.on_packet(0, 3).unwrap();
-        assert_eq!(r, vec![Ready::Fft { symbol: 0, antenna: 3 }]);
-    }
-
-    #[test]
     fn duplicate_packets_rejected() {
         let mut st = ul_state();
-        assert!(st.on_packet(1, 2).is_some());
+        assert!(st.on_packet(1, 2));
         // Same (symbol, antenna) again: rejected, no second FFT, and the
         // arrival counter does not double-count toward the barrier.
-        assert!(st.on_packet(1, 2).is_none());
+        assert!(!st.on_packet(1, 2));
         assert_eq!(st.packets_received(1), 1);
         // A different antenna on the same symbol is still accepted.
-        assert!(st.on_packet(1, 3).is_some());
+        assert!(st.on_packet(1, 3));
         assert_eq!(st.packets_received(1), 2);
     }
 
@@ -774,7 +1083,7 @@ mod tests {
 
     /// Every staged-ZF message `expand` emits routes back, through
     /// `on_complete`, to the transition for its stage — the encode and
-    /// the decode of `Msg::symbol` are one table.
+    /// the decode of `Msg::stage` are one table.
     #[test]
     fn expanded_zf_messages_route_back_through_on_complete() {
         let sh = shape(3, 2);
@@ -789,7 +1098,7 @@ mod tests {
         // 3 clusters x one 2-group message each.
         assert_eq!(partials.len(), 3);
         assert!(partials.iter().all(|m| m.task == TaskType::Zf && m.frame == 5 && m.count == 2));
-        let stages: Vec<ZfStage> = partials.iter().map(|m| ZfStage::of(m.symbol, 3)).collect();
+        let stages: Vec<ZfStage> = partials.iter().map(|m| ZfStage::of(m.stage)).collect();
         assert_eq!(stages, [ZfStage::Partial(0), ZfStage::Partial(1), ZfStage::Partial(2)]);
         let mut reduces = Vec::new();
         for m in &partials {
@@ -799,7 +1108,7 @@ mod tests {
         }
         // Both groups became reduce-ready on the last cluster: 2 shards each.
         assert_eq!(reduces.len(), 4);
-        assert_eq!(ZfStage::of(reduces[1].symbol, 3), ZfStage::Reduce(1));
+        assert_eq!(ZfStage::of(reduces[1].stage), ZfStage::Reduce(1));
         assert_eq!((reduces[2].base, reduces[2].count), (1, 1));
         for m in &reduces {
             assert!(!st.zf_complete());
@@ -818,7 +1127,6 @@ mod tests {
             sh.expand(0, ready, &batch, &mut out);
             out.iter().map(|m| (m.task, m.symbol, m.base, m.count)).collect::<Vec<_>>()
         };
-        assert_eq!(spans(Ready::Fft { symbol: 1, antenna: 3 }), [(TaskType::Fft, 1, 3, 1)]);
         assert_eq!(spans(Ready::AllZf), [(TaskType::Zf, 0, 0, 2)]);
         assert_eq!(
             spans(Ready::DemodSymbol { symbol: 2 }),
@@ -859,5 +1167,230 @@ mod tests {
         assert_eq!(st.precode_with_stale(1), vec![Ready::PrecodeSymbol { symbol: 1 }]);
         assert!(st.precode_with_stale(1).is_empty(), "dispatched once");
         assert!(st.precode_with_stale(3).is_empty(), "third downlink symbol waits for ZF");
+    }
+}
+
+#[cfg(test)]
+mod table_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const BATCH: BatchSizes =
+        BatchSizes { fft: 2, zf: 2, demod: 32, decode: 2, encode: 2, precode: 32, ifft: 4 };
+
+    /// 4 antennas, 2 users, 32 SCs, 2 ZF groups, monolithic ZF.
+    fn table(schedule: FrameSchedule, stale_precoder: bool) -> FrameTable {
+        let shape =
+            FrameShape { m: 4, k: 2, q: 32, zf_groups: 2, zf_clusters: 0, zf_reduce_shards: 1 };
+        FrameTable::new(schedule, shape, BATCH, stale_precoder, 0)
+    }
+
+    /// Delivers every packet of `symbol`, returning the messages emitted.
+    fn arrive(t: &mut FrameTable, frame: u32, symbol: usize, now_ns: u64) -> Vec<Msg> {
+        let mut out = Vec::new();
+        for antenna in 0..4 {
+            assert_eq!(t.on_packet(frame, symbol, antenna, now_ns, &mut out), Arrival::Accepted);
+        }
+        out
+    }
+
+    /// Completes `work` and everything it unlocks, in FIFO order, while
+    /// `keep` holds; returns the messages held back.
+    fn complete_while(t: &mut FrameTable, work: Vec<Msg>, keep: impl Fn(&Msg) -> bool) -> Vec<Msg> {
+        let mut work: VecDeque<Msg> = work.into();
+        let (mut held, mut out) = (Vec::new(), Vec::new());
+        while let Some(msg) = work.pop_front() {
+            if keep(&msg) {
+                t.on_complete(&msg, 0, &mut out);
+                work.extend(out.drain(..));
+            } else {
+                held.push(msg);
+            }
+        }
+        held
+    }
+
+    /// Runs one whole frame: every symbol's packets, every message.
+    fn run_frame(t: &mut FrameTable, frame: u32) {
+        for symbol in 0..t.schedule.len() {
+            let work = match t.schedule.symbol(symbol) {
+                SymbolType::Pilot | SymbolType::Uplink => arrive(t, frame, symbol, 0),
+                _ => Vec::new(),
+            };
+            assert!(complete_while(t, work, |_| true).is_empty());
+        }
+    }
+
+    #[test]
+    fn deadline_expiry_finalises_only_after_the_last_credit() {
+        let mut t = table(FrameSchedule::uplink(1, 2), false);
+        let pilots = arrive(&mut t, 0, 0, 100);
+        assert_eq!(pilots.len(), 2, "two FFT runs of two antennas in flight");
+        assert_eq!(t.expired(110, 10).count(), 0, "exactly at the deadline is not past it");
+        assert_eq!(t.expired(111, 10).collect::<Vec<_>>(), [0]);
+        t.abandon(0);
+        assert_eq!(t.expired(111, 10).count(), 0, "an abandoning frame does not expire again");
+        assert!(t.retire(0).is_none(), "two messages still in flight");
+        // One was still queued and is flushed; a worker holds the other.
+        assert!(t.credit_flushed(0));
+        assert!(t.retire(0).is_none());
+        let mut out = Vec::new();
+        let step = t.on_complete(&pilots[1], 200, &mut out);
+        assert_eq!(step, Step { interpolate_csi: false, finished: true });
+        let done = t.retire(0).expect("drained");
+        assert!(done.dropped);
+        assert_eq!(done.state.unwrap().packets_missing(), 8, "two uplink symbols never arrived");
+        assert_eq!((t.watermark(), t.len()), (1, 0));
+        assert!(!t.credit_flushed(0), "a retired frame takes no credit");
+    }
+
+    #[test]
+    fn completion_after_abandon_unlocks_nothing() {
+        let mut t = table(FrameSchedule::uplink(1, 2), false);
+        let pilots = arrive(&mut t, 0, 0, 0);
+        t.abandon(0);
+        let mut out = Vec::new();
+        // The last pilot FFT would have started ZF.
+        assert!(!t.on_complete(&pilots[0], 0, &mut out).finished);
+        let step = t.on_complete(&pilots[1], 0, &mut out);
+        assert_eq!(step, Step { interpolate_csi: false, finished: true });
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn late_and_duplicate_packets_dispatch_nothing() {
+        let mut t = table(FrameSchedule::uplink(1, 2), false);
+        let mut out = Vec::new();
+        assert_eq!(t.on_packet(0, 0, 1, 0, &mut out), Arrival::Accepted);
+        assert_eq!(t.on_packet(0, 0, 1, 0, &mut out), Arrival::Duplicate);
+        assert!(out.is_empty(), "antenna 1 alone closes no run");
+        // Frame 1 finishes while frame 0 is still live: retired, but the
+        // watermark has yet to pass it.
+        run_frame(&mut t, 1);
+        assert!(t.retire(1).is_some());
+        assert_eq!(t.on_packet(1, 0, 0, 0, &mut out), Arrival::Late);
+        t.abandon(0);
+        assert_eq!(t.on_packet(0, 0, 2, 0, &mut out), Arrival::Late);
+        assert!(t.retire(0).is_some());
+        assert_eq!(t.watermark(), 2);
+        assert_eq!(t.on_packet(0, 0, 3, 0, &mut out), Arrival::Late, "below the watermark");
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn frames_completing_out_of_order_retire_contiguously_from_the_bottom() {
+        let mut t = table(FrameSchedule::uplink(1, 2), false);
+        let mut out = Vec::new();
+        t.on_packet(0, 0, 0, 0, &mut out);
+        for frame in [2, 1] {
+            run_frame(&mut t, frame);
+            let done = t.retire(frame).expect("complete");
+            assert!(!done.dropped);
+            assert!(t.retire(frame).is_none(), "a frame retires once");
+            assert_eq!((t.watermark(), t.len()), (0, 3), "frame 0 holds the watermark");
+        }
+        t.abandon(0);
+        assert!(t.retire(0).is_some());
+        assert_eq!((t.watermark(), t.len()), (3, 0));
+    }
+
+    #[test]
+    fn a_frame_that_never_arrived_retires_without_state() {
+        let mut t = table(FrameSchedule::uplink(1, 2), false);
+        run_frame(&mut t, 1);
+        assert!(t.retire(1).is_some());
+        assert!(t.retire(0).is_none(), "its packets may still come");
+        t.abandon(0);
+        let done = t.retire(0).expect("nothing can be in flight");
+        assert!(done.dropped && done.state.is_none());
+        assert_eq!(t.watermark(), 2);
+    }
+
+    #[test]
+    fn stale_precoder_edge_needs_an_unretired_neighbour_with_zf_complete() {
+        // What completing the encodes of frame 1's downlink `symbol`
+        // unlocks, after `prepare` has had its way with frame 0.
+        let unlocked_by_encode =
+            |stale_precoder, symbol: u32, prepare: &dyn Fn(&mut FrameTable, Vec<Msg>)| {
+                let mut t = table(FrameSchedule::downlink(1, 3), stale_precoder);
+                let frame0 = arrive(&mut t, 0, 0, 0);
+                prepare(&mut t, frame0);
+                let mut seeded = Vec::new();
+                t.on_packet(1, 0, 0, 0, &mut seeded);
+                let mut out = Vec::new();
+                for msg in seeded.iter().filter(|m| m.symbol == symbol) {
+                    assert_eq!(msg.task, TaskType::Encode);
+                    t.on_complete(msg, 0, &mut out);
+                }
+                out
+            };
+        let through_zf = |t: &mut FrameTable, work| {
+            complete_while(t, work, |m| matches!(m.task, TaskType::Fft | TaskType::Zf));
+        };
+        let to_the_end = |t: &mut FrameTable, work| {
+            assert!(complete_while(t, work, |_| true).is_empty());
+            assert!(t.retire(0).is_some());
+        };
+
+        let early = unlocked_by_encode(true, 1, &through_zf);
+        assert_eq!(early.len(), 1);
+        assert_eq!((early[0].task, early[0].frame, early[0].symbol), (TaskType::Precode, 1, 1));
+        assert_eq!(early[0].stage, STAGE_STALE_PRECODER);
+
+        assert!(unlocked_by_encode(true, 3, &through_zf).is_empty(), "third downlink symbol");
+        assert!(unlocked_by_encode(false, 1, &through_zf).is_empty(), "option off");
+        let pilots_only = |t: &mut FrameTable, work| {
+            complete_while(t, work, |m| m.task == TaskType::Fft);
+        };
+        assert!(unlocked_by_encode(true, 1, &pilots_only).is_empty(), "frame 0's ZF pending");
+        assert!(unlocked_by_encode(true, 1, &to_the_end).is_empty(), "frame 0 retired");
+    }
+
+    #[test]
+    fn ten_thousand_frames_through_a_four_frame_window_stay_bounded() {
+        let mut t = table(FrameSchedule::uplink(1, 2), false);
+        let mut pending: VecDeque<Vec<Msg>> = VecDeque::new();
+        for frame in 0..10_000u32 {
+            // Three frames are always waiting on their workers.
+            pending.push_back((0..3).flat_map(|symbol| arrive(&mut t, frame, symbol, 0)).collect());
+            if pending.len() == 4 {
+                let oldest = t.watermark();
+                assert!(complete_while(&mut t, pending.pop_front().unwrap(), |_| true).is_empty());
+                assert!(t.retire(oldest).is_some());
+            }
+            assert!(t.len() <= 4, "frame {frame}: {} slots", t.len());
+        }
+        assert_eq!((t.watermark(), t.len()), (9_997, 3));
+    }
+
+    proptest! {
+        /// Whatever order one symbol's packets arrive in, the FFT
+        /// messages cover every antenna exactly once, each a run of at
+        /// most `batch.fft` consecutive antennas.
+        #[test]
+        fn fft_runs_cover_every_antenna_once(
+            keys in proptest::collection::vec(any::<u32>(), 1..17),
+            fft in 1usize..6,
+        ) {
+            let m = keys.len();
+            let mut order: Vec<usize> = (0..m).collect();
+            order.sort_by_key(|&a| keys[a]);
+            let shape = FrameShape { m, k: 2, q: 32, zf_groups: 2, zf_clusters: 0, zf_reduce_shards: 1 };
+            let batch = BatchSizes { fft, ..BATCH };
+            let mut t = FrameTable::new(FrameSchedule::uplink(1, 1), shape, batch, false, 0);
+            let mut out = Vec::new();
+            for &antenna in &order {
+                prop_assert_eq!(t.on_packet(0, 1, antenna, 0, &mut out), Arrival::Accepted);
+            }
+            let mut seen = vec![0u32; m];
+            for msg in &out {
+                prop_assert_eq!((msg.task, msg.frame, msg.symbol), (TaskType::Fft, 0, 1));
+                prop_assert!(msg.count >= 1 && msg.count as usize <= fft);
+                for antenna in msg.base..msg.base + msg.count {
+                    seen[antenna as usize] += 1;
+                }
+            }
+            prop_assert!(seen.iter().all(|&n| n == 1), "coverage {:?} for order {:?}", seen, order);
+        }
     }
 }

@@ -753,7 +753,7 @@ mod proptests {
             let id = if bg1 { BaseGraphId::Bg1 } else { BaseGraphId::Bg2 };
             let bg = BaseGraph::get(id);
             let z = LANE_ZS[z_idx];
-            prop_assert!(bg.entries().iter().any(|e| e.shift as usize % z == 0));
+            prop_assert!(bg.entries().iter().any(|e| (e.shift as usize).is_multiple_of(z)));
             let rows = [CORE_ROWS, bg.rows() / 2, bg.rows()][rows_idx];
             let mut post = if noise {
                 awkward_llrs(bg.cols() * z, 0, seed, 4.0, false)

@@ -148,13 +148,9 @@ mod tests {
                 let y = map_symbol(scheme, v);
                 let mut llrs = Vec::new();
                 demod_soft_exact(scheme, &[y], 0.1, &mut llrs);
-                for bit in 0..bps {
+                for (bit, &llr) in llrs.iter().enumerate().take(bps) {
                     let expect_one = (v >> bit) & 1 == 1;
-                    assert!(
-                        (llrs[bit] < 0.0) == expect_one,
-                        "{scheme:?} v={v} bit {bit}: llr {}",
-                        llrs[bit]
-                    );
+                    assert!((llr < 0.0) == expect_one, "{scheme:?} v={v} bit {bit}: llr {llr}");
                 }
             }
         }

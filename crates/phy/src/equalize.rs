@@ -353,7 +353,7 @@ mod tests {
         let mut s = CgScratch::new(k);
         let mut x = vec![Cf32::ZERO; k];
         let iters = cg_solve_gram(&gram, k, &b, &mut x, CG_MAX_ITERS, CG_REL_TOL, &mut s);
-        assert!(iters >= 1 && iters <= CG_MAX_ITERS);
+        assert!((1..=CG_MAX_ITERS).contains(&iters));
         for (a, e) in x.iter().zip(x_true.iter()) {
             assert!((*a - *e).abs() < 1e-2, "recovered {a:?} expected {e:?}");
         }

@@ -186,7 +186,9 @@ mod tests {
         assert_eq!(plan.pilot_symbols(), 1);
         let pilots: Vec<Vec<Cf32>> = (0..4).map(|u| plan.tx_pilot(0, u)).collect();
         for sc in 0..64 {
-            let active: Vec<usize> = (0..4).filter(|&u| pilots[u][sc] != Cf32::ZERO).collect();
+            let owns = |(_, pilot): &(usize, &Vec<Cf32>)| pilot[sc] != Cf32::ZERO;
+            let active: Vec<usize> =
+                pilots.iter().enumerate().filter(owns).map(|(u, _)| u).collect();
             assert_eq!(active.len(), 1, "subcarrier {sc} owned by {active:?}");
             assert_eq!(active[0], sc % 4);
         }

@@ -72,8 +72,9 @@ impl TaskType {
 /// Field meanings depend on `task`:
 /// * compute tasks: `frame`/`symbol` locate the work, `base` is the first
 ///   task index (antenna, subcarrier-group, or user), `count` is the batch
-///   size (§3.4 "Batching"), and `aux` carries the completing worker id in
-///   `Complete` messages.
+///   size (§3.4 "Batching"), `stage` names a sub-stage of the block where
+///   the engine splits one (its meaning is the engine's; zero otherwise),
+///   and `aux` carries the completing worker id in completions.
 /// * packet messages: `base` is the antenna index and `aux` the buffer
 ///   slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,8 +93,10 @@ pub struct Msg {
     /// First task index within the block (antenna / subcarrier group /
     /// user, depending on `task`).
     pub base: u32,
+    /// Sub-stage of the task's block; echoed unchanged by completions.
+    pub stage: u16,
     /// Reserved padding to fill the cache line; always zero.
-    _pad: [u32; 11],
+    _pad: [u16; 21],
 }
 
 const _: () = assert!(core::mem::size_of::<Msg>() == CACHE_LINE);
@@ -103,19 +106,18 @@ impl Msg {
     /// Creates a task message for a batch of `count` tasks starting at
     /// `base` within `(frame, symbol)`.
     pub fn task(task: TaskType, frame: u32, symbol: u32, base: u32, count: u32) -> Self {
-        Self { task, aux: 0, count, frame, symbol, base, _pad: [0; 11] }
+        Self { task, aux: 0, count, frame, symbol, base, stage: 0, _pad: [0; 21] }
     }
 
-    /// Creates a completion notification echoing the task coordinates.
-    pub fn complete(
-        task: TaskType,
-        frame: u32,
-        symbol: u32,
-        base: u32,
-        count: u32,
-        worker: u16,
-    ) -> Self {
-        Self { task, aux: worker, count, frame, symbol, base, _pad: [0; 11] }
+    /// This task message carrying sub-stage `stage`.
+    pub fn with_stage(self, stage: u16) -> Self {
+        Self { stage, ..self }
+    }
+
+    /// The completion notification for this task message: every
+    /// coordinate echoed, `aux` set to the completing worker.
+    pub fn complete(self, worker: u16) -> Self {
+        Self { aux: worker, ..self }
     }
 }
 
@@ -152,8 +154,10 @@ mod tests {
         assert_eq!(m.symbol, 3);
         assert_eq!(m.base, 128);
         assert_eq!(m.count, 8);
-        let c = Msg::complete(TaskType::Demod, 7, 3, 128, 8, 21);
+        let staged = m.with_stage(5);
+        let c = staged.complete(21);
         assert_eq!(c.aux, 21);
+        assert_eq!(Msg { aux: 0, ..c }, staged, "a completion echoes every coordinate");
     }
 
     #[test]

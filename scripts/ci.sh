@@ -21,8 +21,8 @@ cargo test --workspace -q
 echo "== parity smokes =="
 cargo run --release -q -p agora-bench --bin parity
 
-echo "== cargo clippy --all-targets -- -D warnings =="
-cargo clippy --all-targets -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== benchmark self-checks =="
 benchmark/check.sh
