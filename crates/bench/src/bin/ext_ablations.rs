@@ -34,7 +34,7 @@ fn main() {
         let steady = |rep: &agora_core::sim::SimReport| {
             let done: Vec<f64> = rep.milestones[2..]
                 .iter()
-                .map(|m| (m.ifft_done_ns - m.first_packet_ns) as f64 / 1e3)
+                .map(|m| m.ifft_done_ns.saturating_sub(m.first_packet_ns) as f64 / 1e3)
                 .collect();
             done.iter().sum::<f64>() / done.len() as f64
         };

@@ -228,10 +228,6 @@ impl EngineConfig {
         if self.batch.demod > self.demod_block {
             self.batch.demod -= self.batch.demod % self.demod_block;
         }
-        // Precoding always writes the block layout, whole blocks at a time.
-        let block = self.demod_block;
-        self.batch.precode = self.batch.precode.min(self.cell.num_data_sc).max(block);
-        self.batch.precode -= self.batch.precode % block;
     }
 
     /// Sanity checks (in addition to `CellConfig::validate`).
@@ -318,7 +314,6 @@ mod tests {
         cfg.clamp_batches();
         assert_eq!(cfg.batch.fft, 1);
         assert_eq!(cfg.batch.demod, cfg.demod_block, "one block is the cache layout's unit");
-        assert_eq!(cfg.batch.precode, cfg.demod_block, "precoding writes whole blocks");
         cfg.validate().expect("the batching ablation must validate");
         cfg.ablation.cache_layout = false;
         cfg.clamp_batches();
