@@ -17,7 +17,7 @@
 //! | `zf` | Cholesky detector ≈ Gauss-Jordan, bit-identical across tiers; CG lands on the direct solve; near-singular Gram rejected |
 //! | `fronthaul` | batch ≡ single delivery on mem and UDP links; aggregation split and pool recycling |
 //! | `deployment` | C=4 ledgers reconcile against the fault injector; deployment ≡ standalone engines; misroutes counted |
-//! | `zf_cluster` | staged ZF at C=1 ≡ monolithic (inline and threaded); sharded SVD fallback ≡ unsharded |
+//! | `zf_cluster` | staged ZF at C=4 decodes the monolithic bits under the real scheduler; sharded SVD fallback ≡ unsharded |
 //! | `sched` | lanes ≡ shared queues ≡ inline; lane counters account for every message |
 
 use agora_core::config::EqMode;
@@ -39,7 +39,6 @@ use agora_math::{
     PinvMethod, PinvScratch, SimdTier,
 };
 use agora_phy::equalize::{cg_solve_gram, CgScratch};
-use agora_phy::frame::FrameSchedule;
 use agora_phy::{CellConfig, ClusterPlan};
 use agora_queue::TaskType;
 use bytes::Bytes;
@@ -717,7 +716,6 @@ fn misroute_counting() {
 // ------------------------------------------------------------- zf_cluster
 
 fn zf_cluster() {
-    inline_single_cluster_bit_parity();
     threaded_cluster_parity();
     singular_fallback_consistency();
 }
@@ -726,37 +724,9 @@ fn eq_modes() -> [(EqMode, &'static str); 2] {
     [(EqMode::Direct, "direct"), (EqMode::Iterative, "iterative")]
 }
 
-/// Inline engine: C=1 staged vs monolithic must agree bit for bit on a
-/// mixed pilot/uplink/downlink frame — uplink decodes AND downlink
-/// time-domain samples.
-fn inline_single_cluster_bit_parity() {
-    let mut cell = CellConfig::tiny_test(2);
-    cell.schedule = FrameSchedule::parse("PUUDD").unwrap();
-    cell.validate().unwrap();
-    let (packets, noise) = cell_packets(&cell, 25.0, 61, 1);
-    for (eq_mode, mode) in eq_modes() {
-        let mut cfg = EngineConfig::new(cell.clone(), 1);
-        cfg.noise_power = noise;
-        cfg.ablation.eq_mode = eq_mode;
-        let mut staged_cfg = cfg.clone();
-        staged_cfg.ablation.clustered_zf = true;
-        staged_cfg.antenna_clusters = 1;
-        let rm = InlineProcessor::new(cfg).process_frame(0, &packets);
-        let rs = InlineProcessor::new(staged_cfg).process_frame(0, &packets);
-        check(
-            rm.decoded == rs.decoded && rm.decode_ok == rs.decode_ok,
-            &format!("inline C=1 uplink bits identical ({mode})"),
-        );
-        let dl_same = cell.schedule.downlink_indices().into_iter().all(|symbol| {
-            (0..cell.num_antennas)
-                .all(|ant| bits(&rm.dl_time[symbol][ant]) == bits(&rs.dl_time[symbol][ant]))
-        });
-        check(dl_same, &format!("inline C=1 downlink samples identical ({mode})"));
-    }
-}
-
-/// Threaded engine: clustered runs (C=1 bit-parity, C=4 sharded reduce)
-/// against the monolithic engine under the real scheduler.
+/// Threaded engine: the staged path (C=4: sharded reduce in direct mode,
+/// single reduce in iterative) against the monolithic engine under the
+/// real scheduler.
 fn threaded_cluster_parity() {
     const FRAMES: u32 = 2;
     let cell = CellConfig::tiny_test(2);
@@ -766,21 +736,16 @@ fn threaded_cluster_parity() {
             let mut cfg = EngineConfig::new(cell.clone(), 2);
             cfg.noise_power = noise;
             cfg.ablation.eq_mode = eq_mode;
-            if clusters > 0 {
-                cfg.ablation.clustered_zf = true;
-                cfg.antenna_clusters = clusters;
-            }
+            cfg.antenna_clusters = clusters;
             sorted(Engine::new(cfg).process(packets.clone(), FRAMES, false))
         };
-        let mono = run(0);
-        for clusters in [1usize, 4] {
-            let staged = run(clusters);
-            let same = mono.len() == staged.len()
-                && mono.iter().zip(staged.iter()).all(|(m, s)| {
-                    !s.dropped && m.decoded == s.decoded && m.decode_ok == s.decode_ok
-                });
-            check(same, &format!("threaded C={clusters} frames match monolithic ({mode})"));
-        }
+        let (mono, staged) = (run(1), run(4));
+        let same = mono.len() == staged.len()
+            && mono
+                .iter()
+                .zip(staged.iter())
+                .all(|(m, s)| !s.dropped && m.decoded == s.decoded && m.decode_ok == s.decode_ok);
+        check(same, &format!("threaded C=4 frames match monolithic ({mode})"));
     }
 }
 

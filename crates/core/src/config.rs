@@ -69,14 +69,6 @@ pub struct Ablation {
     /// configuration the paper offloads to). Disabled, the engine keeps
     /// the float plane — the A/B for fig-style runs.
     pub quantized_decoder: bool,
-    /// Antenna-cluster partitioned ZF: split each group's `H^H H` Gram
-    /// into [`EngineConfig::antenna_clusters`] per-cluster partial Grams
-    /// computed by independent workers, reduced in fixed cluster-index
-    /// order (deterministic f32 sum order) before the solve. With one
-    /// cluster the staged path is bit-identical to the monolithic
-    /// `zf_task`; disabled, the monolithic task runs regardless of the
-    /// cluster count. Only meaningful for the zero-forcing detector.
-    pub clustered_zf: bool,
 }
 
 impl Default for Ablation {
@@ -90,7 +82,6 @@ impl Default for Ablation {
             jit_gemm: true,
             detector: DetectorKind::ZeroForcing,
             quantized_decoder: false,
-            clustered_zf: false,
         }
     }
 }
@@ -173,11 +164,12 @@ pub struct EngineConfig {
     /// driven from a [`agora_fronthaul::Fronthaul`] link (one `recvmmsg`
     /// syscall drains up to this many).
     pub rx_batch: usize,
-    /// Antenna clusters for the partitioned ZF path
-    /// (`ablation.clustered_zf`): each ZF group's Gram is computed as
-    /// this many per-cluster partials in parallel and tree-reduced in
-    /// fixed cluster order. Must be between 1 and the cell's antenna
-    /// count; 1 degenerates to a single partial plus a copy-reduce.
+    /// Antenna clusters of the ZF block. With more than one, each ZF
+    /// group's `H^H H` Gram is computed as this many per-cluster partials
+    /// by independent workers and reduced in fixed cluster-index order
+    /// (deterministic f32 sum order) before the solve; 1 (default) runs
+    /// one task per group. Must be between 1 and the cell's antenna
+    /// count; more than one needs the zero-forcing detector.
     pub antenna_clusters: usize,
     /// Pin the manager, network, and worker threads to distinct CPUs via
     /// `sched_setaffinity` (best-effort: silently unpinned where the
@@ -228,6 +220,10 @@ impl EngineConfig {
         if self.batch.demod > self.demod_block {
             self.batch.demod -= self.batch.demod % self.demod_block;
         }
+        // Precoding multiplies and stores whole blocks under either
+        // layout.
+        let precode = self.batch.precode.min(self.cell.num_data_sc).max(self.demod_block);
+        self.batch.precode = precode - precode % self.demod_block;
     }
 
     /// Sanity checks (in addition to `CellConfig::validate`).
@@ -260,6 +256,12 @@ impl EngineConfig {
                 self.batch.demod, self.demod_block
             ));
         }
+        if !self.batch.precode.is_multiple_of(self.demod_block) {
+            return Err(format!(
+                "precode batch {} must be a multiple of the demod block {}",
+                self.batch.precode, self.demod_block
+            ));
+        }
         if self.ablation.eq_mode == EqMode::Iterative
             && self.ablation.detector != DetectorKind::ZeroForcing
         {
@@ -277,8 +279,8 @@ impl EngineConfig {
                 self.antenna_clusters, self.cell.num_antennas
             ));
         }
-        if self.ablation.clustered_zf && self.ablation.detector != DetectorKind::ZeroForcing {
-            return Err("clustered ZF requires the zero-forcing detector".into());
+        if self.antenna_clusters > 1 && self.ablation.detector != DetectorKind::ZeroForcing {
+            return Err("antenna clusters require the zero-forcing detector".into());
         }
         Ok(())
     }
@@ -314,10 +316,12 @@ mod tests {
         cfg.clamp_batches();
         assert_eq!(cfg.batch.fft, 1);
         assert_eq!(cfg.batch.demod, cfg.demod_block, "one block is the cache layout's unit");
+        assert_eq!(cfg.batch.precode, cfg.demod_block, "precoding works in whole blocks");
         cfg.validate().expect("the batching ablation must validate");
         cfg.ablation.cache_layout = false;
         cfg.clamp_batches();
         assert_eq!(cfg.batch.demod, 1, "the strided layout works per subcarrier");
+        assert_eq!(cfg.batch.precode, cfg.demod_block, "precoding has no strided layout");
     }
 
     #[test]
@@ -329,6 +333,19 @@ mod tests {
         assert!(cfg.validate().is_err());
         cfg.ablation.cache_layout = false;
         cfg.validate().expect("any demod batch suits the strided layout");
+    }
+
+    #[test]
+    fn partial_block_precode_batch_rejected_and_clamped() {
+        let mut cfg = EngineConfig::new(CellConfig::tiny_test(2), 2);
+        for bad in [1, cfg.demod_block + 1] {
+            cfg.batch.precode = bad;
+            assert!(cfg.validate().is_err(), "precode batch {bad}");
+        }
+        cfg.batch.precode = 3 * cfg.demod_block + 5;
+        cfg.clamp_batches();
+        assert_eq!(cfg.batch.precode, 3 * cfg.demod_block);
+        cfg.validate().expect("a clamped precode batch validates");
     }
 
     #[test]
@@ -369,8 +386,6 @@ mod tests {
     fn antenna_cluster_bounds_enforced() {
         let mut cfg = EngineConfig::new(CellConfig::tiny_test(2), 2);
         assert_eq!(cfg.antenna_clusters, 1, "clusters default to one");
-        assert!(!cfg.ablation.clustered_zf, "clustered ZF defaults off");
-        cfg.ablation.clustered_zf = true;
         cfg.antenna_clusters = cfg.cell.num_antennas;
         cfg.validate().expect("clusters = antennas must validate");
         cfg.antenna_clusters = 0;
@@ -379,8 +394,28 @@ mod tests {
         assert!(cfg.validate().is_err(), "clusters > antennas rejected");
         cfg.antenna_clusters = 2;
         cfg.ablation.detector = DetectorKind::Mmse;
-        cfg.ablation.clustered_zf = true;
-        assert!(cfg.validate().is_err(), "clustered ZF needs zero-forcing");
+        assert!(cfg.validate().is_err(), "antenna clusters need zero-forcing");
+        cfg.antenna_clusters = 1;
+        cfg.validate().expect("one cluster suits every detector");
+    }
+
+    /// The cluster count alone selects the ZF dataflow: one task per
+    /// group at one cluster, partial Grams + reduces above.
+    #[test]
+    fn cluster_count_alone_picks_the_staged_shape() {
+        use crate::state::{Ready, ZfStage};
+        let stages = |clusters: usize| {
+            let mut cfg = EngineConfig::new(CellConfig::tiny_test(2), 2);
+            cfg.antenna_clusters = clusters;
+            let shape = crate::kernels::Kernels::new(cfg.clone()).shape;
+            let mut out = Vec::new();
+            shape.expand(0, Ready::AllZf, &cfg.batch, &mut out);
+            out.iter().map(|m| ZfStage::of(m.stage)).collect::<Vec<_>>()
+        };
+        assert!(stages(1).iter().all(|s| *s == ZfStage::Mono));
+        let staged = stages(4);
+        assert!(staged.iter().all(|s| matches!(s, ZfStage::Partial(_))));
+        assert!(staged.contains(&ZfStage::Partial(3)));
     }
 
     #[test]

@@ -1093,7 +1093,7 @@ mod tests {
     /// direct solve (with its sharded reduce) and the iterative CG mode
     /// (single-shard reduce).
     #[test]
-    fn threaded_clustered_zf_matches_monolithic_bits() {
+    fn threaded_staged_zf_matches_monolithic_bits() {
         let cell = CellConfig::tiny_test(2);
         let mut rru = RruEmulator::new(
             cell.clone(),
@@ -1111,30 +1111,74 @@ mod tests {
             if iterative {
                 cfg.ablation.eq_mode = EqMode::Iterative;
             }
-            if clusters > 0 {
-                cfg.ablation.clustered_zf = true;
-                cfg.antenna_clusters = clusters;
-            }
+            cfg.antenna_clusters = clusters;
             let mut results = Engine::new(cfg).process(packets.clone(), frames, false);
             results.sort_by_key(|r| r.frame);
             results
         };
         for iterative in [false, true] {
-            let mono = run(0, iterative);
-            for clusters in [1, 4] {
-                let staged = run(clusters, iterative);
-                assert_eq!(mono.len(), staged.len());
-                for (m, s) in mono.iter().zip(staged.iter()) {
-                    assert!(!s.dropped, "clusters={clusters} frame {} dropped", s.frame);
-                    assert_eq!(
-                        m.decoded, s.decoded,
-                        "clusters={clusters} iterative={iterative} frame {}",
-                        s.frame
-                    );
-                    assert_eq!(m.decode_ok, s.decode_ok);
-                }
+            let mono = run(1, iterative);
+            let staged = run(4, iterative);
+            assert_eq!(mono.len(), staged.len());
+            for (m, s) in mono.iter().zip(staged.iter()) {
+                assert!(!s.dropped, "frame {} dropped", s.frame);
+                assert_eq!(m.decoded, s.decoded, "iterative={iterative} frame {}", s.frame);
+                assert_eq!(m.decode_ok, s.decode_ok);
             }
         }
+    }
+
+    /// A frame none of whose packets arrive must not pin flow control:
+    /// with more than a window of frames behind it the network thread
+    /// waits on the watermark, so the vacant slot has to expire with the
+    /// frames finishing above it. Every frame comes back, the lost one
+    /// dropped and charged with all its packets, and the ledger
+    /// reconciles exactly.
+    #[test]
+    fn wholly_lost_frame_beyond_the_window_is_dropped_not_waited_for() {
+        let cell = CellConfig::tiny_test(2);
+        let mut rru = RruEmulator::new(
+            cell.clone(),
+            RruConfig { snr_db: 30.0, seed: 45, ..Default::default() },
+        );
+        let mut cfg = EngineConfig::new(cell.clone(), 2);
+        cfg.noise_power = rru.noise_power();
+        // Generous: the lost frame goes with its neighbours, not by time.
+        cfg.frame_deadline_ns = Some(30_000_000_000);
+        let frames = cfg.frame_window as u32 + 2;
+        let lost = 1u32;
+        let mut packets = Vec::new();
+        let mut gts = Vec::new();
+        let mut per_frame = 0;
+        for f in 0..frames {
+            let (p, gt) = rru.generate_frame(f);
+            per_frame = p.len();
+            if f != lost {
+                packets.extend(p);
+            }
+            gts.push(gt);
+        }
+        let engine = Engine::new(cfg);
+        let results = engine.process(packets, frames, false);
+        assert_eq!(
+            results.iter().map(|r| r.frame).collect::<Vec<_>>(),
+            (0..frames).collect::<Vec<_>>()
+        );
+        for r in &results {
+            if r.frame == lost {
+                assert!(r.dropped);
+                assert_eq!(r.lost_packets as usize, per_frame, "the whole frame is charged");
+                continue;
+            }
+            assert!(!r.dropped && r.lost_packets == 0, "frame {}", r.frame);
+            for symbol in cell.schedule.uplink_indices() {
+                assert_eq!(r.decoded[symbol], gts[r.frame as usize].info_bits[symbol]);
+            }
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.packets_lost(), per_frame as u64);
+        assert_eq!((stats.frames_completed(), stats.frames_dropped()), (frames as u64 - 1, 1));
+        assert_eq!((stats.packets_late(), stats.packets_duplicate()), (0, 0));
     }
 
     /// Driving the engine straight off a [`Fronthaul`] link must decode

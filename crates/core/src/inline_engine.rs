@@ -325,58 +325,6 @@ mod tests {
         }
     }
 
-    /// At `antenna_clusters = 1` the staged path is the monolithic path
-    /// with an extra buffer hop: one partial Gram (zero-fill +
-    /// accumulate ≡ `gram_pair` bitwise), a one-chunk reduce (a copy),
-    /// then the identical solve. Uplink decodes AND downlink time-domain
-    /// samples must match the monolithic engine bit for bit, in both
-    /// direct and iterative equalization modes.
-    #[test]
-    fn clustered_zf_single_cluster_is_bit_identical() {
-        use crate::config::EqMode;
-        use agora_phy::frame::FrameSchedule;
-
-        let mut cell = CellConfig::tiny_test(2);
-        // Mixed frame so the precoder (reduce-side normalisation) runs.
-        cell.schedule = FrameSchedule::parse("PUUDD").unwrap();
-        cell.validate().unwrap();
-        let rc = RruConfig { snr_db: 25.0, seed: 17, ..Default::default() };
-        let mut rru = RruEmulator::new(cell.clone(), rc);
-        let (packets, _gt) = rru.generate_frame(0);
-
-        for iterative in [false, true] {
-            let mut cfg_mono = EngineConfig::new(cell.clone(), 1);
-            cfg_mono.noise_power = rru.noise_power();
-            if iterative {
-                cfg_mono.ablation.eq_mode = EqMode::Iterative;
-            }
-            let mut cfg_staged = cfg_mono.clone();
-            cfg_staged.ablation.clustered_zf = true;
-            cfg_staged.antenna_clusters = 1;
-
-            let mut mono = InlineProcessor::new(cfg_mono);
-            let mut staged = InlineProcessor::new(cfg_staged);
-            let rm = mono.process_frame(0, &packets);
-            let rs = staged.process_frame(0, &packets);
-
-            for symbol in cell.schedule.uplink_indices() {
-                assert_eq!(rm.decoded[symbol], rs.decoded[symbol], "iterative={iterative}");
-                assert_eq!(rm.decode_ok[symbol], rs.decode_ok[symbol]);
-            }
-            for symbol in cell.schedule.downlink_indices() {
-                for ant in 0..cell.num_antennas {
-                    let a = &rm.dl_time[symbol][ant];
-                    let b = &rs.dl_time[symbol][ant];
-                    assert_eq!(a.len(), b.len());
-                    for (x, y) in a.iter().zip(b.iter()) {
-                        assert_eq!(x.re.to_bits(), y.re.to_bits(), "symbol {symbol} ant {ant}");
-                        assert_eq!(x.im.to_bits(), y.im.to_bits(), "symbol {symbol} ant {ant}");
-                    }
-                }
-            }
-        }
-    }
-
     /// Multi-cluster ZF changes the f32 summation order of the Gram (a
     /// deterministic tree fold instead of one long dot product), so the
     /// detector differs from monolithic by ~1e-7 rounding — every block
@@ -384,7 +332,7 @@ mod tests {
     /// cluster counts that do not divide the antenna count (uneven
     /// slices) must work too.
     #[test]
-    fn clustered_zf_multi_cluster_decodes_ground_truth() {
+    fn staged_zf_multi_cluster_decodes_ground_truth() {
         let cell = CellConfig::tiny_test(2);
         let rc = RruConfig { snr_db: 28.0, seed: 41, ..Default::default() };
         let mut rru = RruEmulator::new(cell.clone(), rc);
@@ -393,7 +341,6 @@ mod tests {
         for clusters in [2, 3, 4, 8] {
             let mut cfg = EngineConfig::new(cell.clone(), 1);
             cfg.noise_power = rru.noise_power();
-            cfg.ablation.clustered_zf = true;
             cfg.antenna_clusters = clusters;
             let mut proc = InlineProcessor::new(cfg);
             let res = proc.process_frame(0, &packets);

@@ -12,10 +12,10 @@ use crate::config::{EngineConfig, EqMode};
 use crate::state::FrameShape;
 use agora_fft::{Direction, FftPlan, SubcarrierMap};
 use agora_ldpc::{DecodeConfig, DecodeConfigI8, Decoder, DecoderI8, Encoder, RateMatch};
-use agora_math::simd::{stream_copy, SimdTier};
+use agora_math::simd::{conj_transpose, stream_copy, SimdTier};
 use agora_math::{
-    gram_accumulate_with_tier, gram_pair_with_tier, gram_reduce, normalize_precoder_in_place,
-    pinv_from_gram_slice_into, pinv_into, CMat, Cf32, Gemm, PinvScratch,
+    gram_accumulate_with_tier, gram_reduce, normalize_precoder_in_place, pinv_from_gram_slice_into,
+    CMat, Cf32, Gemm, PinvScratch,
 };
 use agora_phy::demod::{demod_soft_i8, demod_soft_simd};
 use agora_phy::equalize::{cg_solve_gram, neumann_diag_inv, CgScratch, CG_MAX_ITERS, CG_REL_TOL};
@@ -136,9 +136,7 @@ impl Kernels {
             samples: cell.samples_per_symbol(),
             block: cfg.demod_block,
             zf_group: cell.zf_group,
-            // The partial-Gram plane only exists on the staged path; keep
-            // it a single (unused) tile per group otherwise.
-            clusters: if cfg.ablation.clustered_zf { cfg.antenna_clusters } else { 1 },
+            clusters: cfg.antenna_clusters,
             cap_bits: cell.bits_per_symbol_per_user(),
             info_bits: cell.info_bits_per_symbol(),
         };
@@ -164,11 +162,7 @@ impl Kernels {
             )
         };
         let coded_bits = cell.coded_bits_per_symbol();
-        let shape = FrameShape::new(
-            cell,
-            if cfg.ablation.clustered_zf { cfg.antenna_clusters } else { 0 },
-            zf_iterative(&cfg),
-        );
+        let shape = FrameShape::new(cell, cfg.antenna_clusters, zf_iterative(&cfg));
         let has_downlink = !cell.schedule.downlink_indices().is_empty();
         Self {
             cfg,
@@ -412,40 +406,28 @@ impl Kernels {
 
     /// ZF task: compute detector and precoder for one subcarrier group.
     /// The detector family is configurable ([`crate::config::DetectorKind`]);
-    /// zero-forcing additionally honours the pseudo-inverse ablation
-    /// (direct Gram inversion vs SVD).
+    /// zero-forcing forms the whole array's Gram — the kernel pair
+    /// [`Self::gram_partial_task`] runs per cluster — and hands over to
+    /// `zf_solve_publish`, the tail it shares with
+    /// [`Self::zf_reduce_task`], which honours the pseudo-inverse
+    /// ablation (Cholesky, Gauss-Jordan or SVD).
     ///
-    /// The hot path (zero-forcing with the direct Gram inverse) is
-    /// allocation-free: the channel copy, pseudo-inverse intermediates,
-    /// detector and precoder all live in `WorkerScratch`. The SVD
-    /// fallback and the MMSE/conjugate detectors still allocate — they
-    /// are ablation/degraded paths, not the per-group steady state.
+    /// The hot path (zero-forcing, Gram solve) is allocation-free: the
+    /// channel copy, pseudo-inverse intermediates, detector and precoder
+    /// all live in `WorkerScratch`. The SVD fallback and the
+    /// MMSE/conjugate detectors still allocate — they are
+    /// ablation/degraded paths, not the per-group steady state.
     pub fn zf_task(&self, fb: &FrameBuffers, s: &mut WorkerScratch, group: usize) {
         use crate::config::DetectorKind;
         let g = &self.geom;
-        let sc = group * g.zf_group;
-        let csi = unsafe { fb.csi.slice(fb.csi_range(sc)) };
+        let csi = unsafe { fb.csi.slice(fb.csi_range(group * g.zf_group)) };
         s.zf_h.as_mut_slice().copy_from_slice(csi);
-        let iterative = zf_iterative(&self.cfg);
         match self.cfg.ablation.detector {
-            DetectorKind::ZeroForcing if iterative => {
-                // Iterative equalization: publish `H^H` in the detector
-                // plane and the Gram matrix in the gram plane; the
-                // per-subcarrier CG solve happens at demod time, so the
-                // ZF task never factors anything on the uplink path.
-                s.zf_h.hermitian_into(&mut s.zf_det);
-                let gram = unsafe { fb.gram.slice_mut(fb.gram_range(group)) };
-                gram_pair_with_tier(
-                    g.m,
-                    g.k,
-                    s.zf_det.as_slice(),
-                    s.zf_h.as_slice(),
-                    gram,
-                    self.gemm_tier,
-                );
-            }
             DetectorKind::ZeroForcing => {
-                pinv_into(&s.zf_h, self.cfg.ablation.pinv_method, &mut s.zf_pinv, &mut s.zf_det);
+                let gram = s.zf_pinv.gram_mut().as_mut_slice();
+                self.gram_rows(csi, s.zf_det.as_mut_slice(), gram);
+                self.zf_solve_publish(fb, s, group, 0..g.m);
+                return;
             }
             DetectorKind::Mmse => {
                 let det = agora_phy::Detector::Mmse { noise_power: self.cfg.noise_power }
@@ -468,13 +450,130 @@ impl Kernels {
                 }
             }
         }
-        let need_pre = !iterative || self.has_downlink;
-        if iterative && self.has_downlink {
-            // The downlink still needs the formed detector; solve the
-            // Gram system once per group (Cholesky) into its own staging
-            // so the published `H^H` stays untouched.
-            pinv_into(&s.zf_h, self.cfg.ablation.pinv_method, &mut s.zf_pinv, &mut s.zf_w);
+        self.publish_detector(fb, s, group);
+    }
+
+    /// `out = A^H A` over `a`, some antennas' contiguous rows of a group's
+    /// `M x K` channel, with `A^H` staged in `ah`. Zero-fill +
+    /// [`gram_accumulate_with_tier`] over all `M` rows is the whole
+    /// array's Gram; over one cluster's rows it is that cluster's partial.
+    fn gram_rows(&self, a: &[Cf32], ah: &mut [Cf32], out: &mut [Cf32]) {
+        let k = self.geom.k;
+        let rows = a.len() / k;
+        conj_transpose(a, rows, k, ah, self.gemm_tier);
+        out.fill(Cf32::ZERO);
+        gram_accumulate_with_tier(rows, k, ah, a, out, self.gemm_tier);
+    }
+
+    /// Stage one of the partitioned ZF path: compute the partial Gram
+    /// `H_c^H H_c` over cluster `cluster`'s contiguous antenna rows of
+    /// group `group`'s channel and publish it in the partial-Gram plane.
+    pub fn gram_partial_task(
+        &self,
+        fb: &FrameBuffers,
+        s: &mut WorkerScratch,
+        group: usize,
+        cluster: usize,
+    ) {
+        let g = &self.geom;
+        let rows = ClusterPlan::new(g.m, g.clusters).range(cluster);
+        let csi = unsafe { fb.csi.slice(fb.csi_range(group * g.zf_group)) };
+        // The cluster's antennas are contiguous rows of the `M x K`
+        // row-major CSI slice — the Gram's A operand needs no staging.
+        let a = &csi[rows.start * g.k..rows.end * g.k];
+        debug_assert!(a.len() <= s.zf_part_ah.len(), "cluster staging too small");
+        let out = unsafe { fb.gram_part.slice_mut(fb.gram_part_range(group, cluster)) };
+        self.gram_rows(a, &mut s.zf_part_ah[..a.len()], out);
+    }
+
+    /// Stage two of the partitioned ZF path: fold group `group`'s partial
+    /// Grams in fixed cluster order (every shard folds all of them — the
+    /// factorisation inputs are bit-identical across shards), then run
+    /// the ZF tail over shard `shard`'s antenna columns of the detector —
+    /// all of them when the reduce is unsharded.
+    pub fn zf_reduce_task(
+        &self,
+        fb: &FrameBuffers,
+        s: &mut WorkerScratch,
+        group: usize,
+        shard: usize,
+    ) {
+        let g = &self.geom;
+        let csi = unsafe { fb.csi.slice(fb.csi_range(group * g.zf_group)) };
+        s.zf_h.as_mut_slice().copy_from_slice(csi);
+        // Deterministic tree reduction: a fixed left fold over the
+        // cluster-ordered partial plane. Identical bits in every shard.
+        let parts = unsafe { fb.gram_part.slice(fb.gram_part_group_range(group)) };
+        gram_reduce(parts, s.zf_pinv.gram_mut().as_mut_slice());
+        let cols = ClusterPlan::new(g.m, self.shape.zf_reduce_shards).range(shard);
+        self.zf_solve_publish(fb, s, group, cols);
+    }
+
+    /// The zero-forcing tail, from a Gram to the published planes:
+    /// `s.zf_pinv` holds group `group`'s `H^H H` (however it was
+    /// computed) and `s.zf_h` its channel.
+    ///
+    /// * All antenna columns, direct equalization: full-width solve into
+    ///   the detector, then the precoder ([`Self::publish_detector`]).
+    /// * All columns, iterative equalization: publish the Gram and `H^H`
+    ///   — the CG solves happen at demod time, so nothing is factored on
+    ///   the uplink path; a schedule with downlink still solves the same
+    ///   Gram once for the precoder.
+    /// * A column shard (only dispatched uplink-only and direct): solve
+    ///   those columns and publish them element-wise, so concurrent
+    ///   shards never alias. Per-RHS-column independence of the
+    ///   triangular sweeps makes the assembled detector bit-identical to
+    ///   the full-width solve.
+    fn zf_solve_publish(
+        &self,
+        fb: &FrameBuffers,
+        s: &mut WorkerScratch,
+        group: usize,
+        cols: core::ops::Range<usize>,
+    ) {
+        let g = &self.geom;
+        let method = self.cfg.ablation.pinv_method;
+        if cols.len() < g.m {
+            let out = s
+                .zf_shard
+                .iter_mut()
+                .find(|m| m.shape() == (g.k, cols.len()))
+                .expect("no shard staging for this width");
+            pinv_from_gram_slice_into(&s.zf_h, method, cols.start, cols.len(), &mut s.zf_pinv, out);
+            let det_base = fb.det_range(group).start;
+            for u in 0..g.k {
+                for (j, a) in cols.clone().enumerate() {
+                    debug_assert!(a < g.m, "detector column out of range");
+                    // Element-precise writes: concurrent shards of the same
+                    // group target disjoint column sets of the same plane.
+                    unsafe { fb.det.write(det_base + u * g.m + a, out[(u, j)]) };
+                }
+            }
+            return;
         }
+        if zf_iterative(&self.cfg) {
+            let gram = unsafe { fb.gram.slice_mut(fb.gram_range(group)) };
+            gram.copy_from_slice(s.zf_pinv.gram().as_slice());
+            if self.has_downlink {
+                // The formed detector gets its own staging: the `det`
+                // plane holds `H^H`.
+                pinv_from_gram_slice_into(&s.zf_h, method, 0, g.m, &mut s.zf_pinv, &mut s.zf_w);
+            }
+            s.zf_h.hermitian_into(&mut s.zf_det);
+        } else {
+            pinv_from_gram_slice_into(&s.zf_h, method, 0, g.m, &mut s.zf_pinv, &mut s.zf_det);
+        }
+        self.publish_detector(fb, s, group);
+    }
+
+    /// Publishes `s.zf_det` as group `group`'s detector plane and, unless
+    /// the configuration never reads it (iterative equalization on an
+    /// uplink-only schedule), the power-normalised precoder: the
+    /// transpose of the detector — of `s.zf_w` in the iterative mode,
+    /// whose `zf_det` is `H^H`.
+    fn publish_detector(&self, fb: &FrameBuffers, s: &mut WorkerScratch, group: usize) {
+        let iterative = zf_iterative(&self.cfg);
+        let need_pre = !iterative || self.has_downlink;
         if need_pre {
             let det = if iterative { &s.zf_w } else { &s.zf_det };
             det.transpose_into(&mut s.zf_pre);
@@ -484,144 +583,6 @@ impl Kernels {
             fb.det.slice_mut(fb.det_range(group)).copy_from_slice(s.zf_det.as_slice());
             if need_pre {
                 fb.pre.slice_mut(fb.pre_range(group)).copy_from_slice(s.zf_pre.as_slice());
-            }
-        }
-    }
-
-    /// Stage one of the partitioned ZF path: compute the partial Gram
-    /// `H_c^H H_c` over cluster `cluster`'s contiguous antenna rows of
-    /// group `group`'s channel and publish it in the partial-Gram plane.
-    ///
-    /// The zero-fill + [`gram_accumulate_with_tier`] pair is bit-identical
-    /// to a fresh `gram_pair` over the same rows, so a single cluster
-    /// reproduces the monolithic Gram exactly.
-    pub fn gram_partial_task(
-        &self,
-        fb: &FrameBuffers,
-        s: &mut WorkerScratch,
-        group: usize,
-        cluster: usize,
-    ) {
-        let g = &self.geom;
-        let plan = ClusterPlan::new(g.m, g.clusters);
-        let rows = plan.range(cluster);
-        let len = rows.len();
-        let sc = group * g.zf_group;
-        let csi = unsafe { fb.csi.slice(fb.csi_range(sc)) };
-        // The cluster's antennas are contiguous rows of the `M x K`
-        // row-major CSI slice — the Gram's A operand needs no staging.
-        let a = &csi[rows.start * g.k..rows.end * g.k];
-        debug_assert!(g.k * len <= s.zf_part_ah.len(), "cluster staging too small");
-        let ah = &mut s.zf_part_ah[..g.k * len];
-        agora_math::simd::conj_transpose(a, len, g.k, ah, self.gemm_tier);
-        let out = unsafe { fb.gram_part.slice_mut(fb.gram_part_range(group, cluster)) };
-        out.fill(Cf32::ZERO);
-        gram_accumulate_with_tier(len, g.k, ah, a, out, self.gemm_tier);
-    }
-
-    /// Stage two of the partitioned ZF path: fold group `group`'s partial
-    /// Grams in fixed cluster order (every shard folds all of them — the
-    /// factorisation inputs are bit-identical across shards), then solve
-    /// shard `shard`'s antenna-column slice of the detector.
-    ///
-    /// With a single shard this runs the full monolithic tail (precoder
-    /// transpose, normalisation, publication); sharded reduces skip the
-    /// precoder entirely (only dispatched when the schedule has no
-    /// downlink) and publish their detector columns element-wise, so
-    /// concurrent shards never alias.
-    pub fn zf_reduce_task(
-        &self,
-        fb: &FrameBuffers,
-        s: &mut WorkerScratch,
-        group: usize,
-        shard: usize,
-    ) {
-        let g = &self.geom;
-        let shards = self.shape.zf_reduce_shards;
-        debug_assert!(shard < shards, "reduce shard out of range");
-        let sc = group * g.zf_group;
-        let csi = unsafe { fb.csi.slice(fb.csi_range(sc)) };
-        s.zf_h.as_mut_slice().copy_from_slice(csi);
-        // Deterministic tree reduction: a fixed left fold over the
-        // cluster-ordered partial plane. Identical bits in every shard.
-        let parts = unsafe { fb.gram_part.slice(fb.gram_part_group_range(group)) };
-        gram_reduce(parts, s.zf_pinv.gram_mut().as_mut_slice());
-
-        if zf_iterative(&self.cfg) {
-            // Iterative mode: publish the folded Gram and `H^H`; the CG
-            // solves happen at demod time. Mirrors the monolithic
-            // iterative arm of [`Self::zf_task`] with the Gram swapped
-            // for the reduction result.
-            debug_assert_eq!(shards, 1);
-            s.zf_h.hermitian_into(&mut s.zf_det);
-            unsafe {
-                fb.gram
-                    .slice_mut(fb.gram_range(group))
-                    .copy_from_slice(s.zf_pinv.gram_mut().as_slice());
-                fb.det.slice_mut(fb.det_range(group)).copy_from_slice(s.zf_det.as_slice());
-            }
-            if self.has_downlink {
-                pinv_from_gram_slice_into(
-                    &s.zf_h,
-                    self.cfg.ablation.pinv_method,
-                    0,
-                    g.m,
-                    &mut s.zf_pinv,
-                    &mut s.zf_w,
-                );
-                s.zf_w.transpose_into(&mut s.zf_pre);
-                normalize_precoder_in_place(&mut s.zf_pre);
-                unsafe {
-                    fb.pre.slice_mut(fb.pre_range(group)).copy_from_slice(s.zf_pre.as_slice());
-                }
-            }
-            return;
-        }
-
-        if shards == 1 {
-            // Unsharded direct mode: full-width solve from the folded
-            // Gram, then the monolithic tail.
-            pinv_from_gram_slice_into(
-                &s.zf_h,
-                self.cfg.ablation.pinv_method,
-                0,
-                g.m,
-                &mut s.zf_pinv,
-                &mut s.zf_det,
-            );
-            s.zf_det.transpose_into(&mut s.zf_pre);
-            normalize_precoder_in_place(&mut s.zf_pre);
-            unsafe {
-                fb.det.slice_mut(fb.det_range(group)).copy_from_slice(s.zf_det.as_slice());
-                fb.pre.slice_mut(fb.pre_range(group)).copy_from_slice(s.zf_pre.as_slice());
-            }
-            return;
-        }
-
-        // Sharded direct mode: solve only this shard's antenna columns.
-        // Per-RHS-column independence of the triangular sweeps makes the
-        // assembled detector bit-identical to the full-width solve.
-        let cols = ClusterPlan::new(g.m, shards).range(shard);
-        let out = s
-            .zf_shard
-            .iter_mut()
-            .find(|m| m.shape() == (g.k, cols.len()))
-            .expect("no shard staging for this width");
-        pinv_from_gram_slice_into(
-            &s.zf_h,
-            self.cfg.ablation.pinv_method,
-            cols.start,
-            cols.len(),
-            &mut s.zf_pinv,
-            out,
-        );
-        let det_base = fb.det_range(group).start;
-        for u in 0..g.k {
-            for (j, a) in cols.clone().enumerate() {
-                debug_assert!(a < g.m, "detector column out of range");
-                // Element-precise writes: concurrent shards of the same
-                // group target disjoint column sets of the same plane.
-                unsafe { fb.det.write(det_base + u * g.m + a, out[(u, j)]) };
             }
         }
     }
@@ -1108,7 +1069,6 @@ mod tests {
         for m in [128usize, 256] {
             for clusters in [1usize, 4, 8, 6] {
                 let mut cfg = EngineConfig::new(CellConfig::emulated_rru(m, 16, 2), 2);
-                cfg.ablation.clustered_zf = true;
                 cfg.antenna_clusters = clusters;
                 let k = Kernels::new(cfg);
                 assert_eq!(k.shape.zf_clusters, clusters);
@@ -1130,6 +1090,70 @@ mod tests {
                 } else {
                     assert!(s.zf_shard.is_empty(), "unsharded reduce solves into zf_det");
                 }
+            }
+        }
+    }
+
+    /// One dataflow: on a one-cluster geometry the staged pair —
+    /// `gram_partial_task` over all antennas, then `zf_reduce_task` —
+    /// leaves the `det`, `pre` and `gram` planes byte-equal to `zf_task`,
+    /// whichever way the tail goes.
+    #[test]
+    fn staged_zf_tasks_equal_the_single_task_on_one_cluster() {
+        use crate::config::EqMode;
+        use crate::inline_engine::InlineProcessor;
+        use agora_fronthaul::{RruConfig, RruEmulator};
+        use agora_phy::frame::FrameSchedule;
+
+        let bits = |v: &[Cf32]| -> Vec<(u32, u32)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        for (schedule, eq_mode) in
+            [("PUU", EqMode::Direct), ("PUUDD", EqMode::Direct), ("PUUDD", EqMode::Iterative)]
+        {
+            let mut cell = CellConfig::tiny_test(2);
+            cell.schedule = FrameSchedule::parse(schedule).unwrap();
+            cell.validate().unwrap();
+            let rc = RruConfig { snr_db: 25.0, seed: 17, ..Default::default() };
+            let mut rru = RruEmulator::new(cell.clone(), rc);
+            let (packets, _) = rru.generate_frame(0);
+            let mut cfg = EngineConfig::new(cell, 1);
+            cfg.noise_power = rru.noise_power();
+            cfg.ablation.eq_mode = eq_mode;
+            // One inline frame leaves the interpolated CSI in place.
+            let mut proc = InlineProcessor::new(cfg);
+            proc.process_frame(0, &packets);
+            let (k, fb) = (proc.kernels(), proc.buffers(0));
+            assert_eq!((k.geom.clusters, k.shape.zf_reduce_shards), (1, 1));
+            let mut s = k.scratch();
+            let mut run = |staged: bool| {
+                let planes = [&fb.det, &fb.pre, &fb.gram];
+                for plane in planes {
+                    // SAFETY: single-threaded test, no other view alive.
+                    unsafe { plane.slice_mut(0..plane.len()) }.fill(Cf32::ZERO);
+                }
+                for group in 0..k.shape.zf_groups {
+                    if staged {
+                        k.gram_partial_task(fb, &mut s, group, 0);
+                        k.zf_reduce_task(fb, &mut s, group, 0);
+                    } else {
+                        k.zf_task(fb, &mut s, group);
+                    }
+                }
+                // SAFETY: as above.
+                planes.map(|plane| bits(unsafe { plane.slice(0..plane.len()) }))
+            };
+            let single = run(false);
+            let staged = run(true);
+            let iterative = eq_mode == EqMode::Iterative;
+            let written = [("det", true), ("pre", true), ("gram", iterative)];
+            for (i, (plane, written)) in written.into_iter().enumerate() {
+                assert_eq!(
+                    single[i].iter().any(|&b| b != (0, 0)),
+                    written,
+                    "{schedule} {eq_mode:?}: {plane} plane"
+                );
+                assert_eq!(single[i], staged[i], "{schedule} {eq_mode:?}: {plane} plane");
             }
         }
     }

@@ -129,21 +129,26 @@ pub struct FrameShape {
     pub q: usize,
     /// ZF subcarrier groups.
     pub zf_groups: usize,
-    /// Antenna clusters of the staged ZF path; 0 = monolithic ZF tasks.
+    /// Antenna clusters of the ZF block (at least one). With more than
+    /// one the ZF stage is staged — partial Grams, then reduces — and
+    /// with one it is a single task per group.
     pub zf_clusters: usize,
     /// Reduce shards per group on the staged path.
     pub zf_reduce_shards: usize,
 }
 
 impl FrameShape {
-    /// Shape of `cell`'s frames with `zf_clusters` antenna clusters
-    /// (0 = monolithic ZF). The staged reduce is sharded across the
-    /// detector's antenna columns (one shard per cluster) only when
-    /// nothing needs the full detector in one place: the downlink
-    /// precoder normalisation scales by the *global* max antenna power,
-    /// and iterative equalization publishes one shared Gram plane — both
-    /// force a single reduce task.
+    /// Shape of `cell`'s frames with `zf_clusters` antenna clusters. The
+    /// staged reduce is sharded across the detector's antenna columns
+    /// (one shard per cluster) only when nothing needs the full detector
+    /// in one place: the downlink precoder normalisation scales by the
+    /// *global* max antenna power, and iterative equalization publishes
+    /// one shared Gram plane — both force a single reduce task.
+    ///
+    /// # Panics
+    /// Panics if `zf_clusters` is zero.
     pub fn new(cell: &CellConfig, zf_clusters: usize, iterative_eq: bool) -> Self {
+        assert!(zf_clusters >= 1, "at least one antenna cluster");
         let single_reduce = iterative_eq || !cell.schedule.downlink_indices().is_empty();
         Self {
             m: cell.num_antennas,
@@ -151,8 +156,14 @@ impl FrameShape {
             q: cell.num_data_sc,
             zf_groups: cell.num_zf_groups(),
             zf_clusters,
-            zf_reduce_shards: if single_reduce { 1 } else { zf_clusters.max(1) },
+            zf_reduce_shards: if single_reduce { 1 } else { zf_clusters },
         }
+    }
+
+    /// Whether the ZF stage runs as partial Grams + reduces rather than
+    /// one task per group.
+    pub fn staged_zf(&self) -> bool {
+        self.zf_clusters > 1
     }
 
     /// Appends the queue messages that carry `ready` to `out`, `batch`
@@ -166,7 +177,7 @@ impl FrameShape {
             );
         };
         match ready {
-            Ready::AllZf if self.zf_clusters == 0 => {
+            Ready::AllZf if !self.staged_zf() => {
                 chunked(TaskType::Zf, ZF_SYMBOL, ZfStage::Mono.stage(), self.zf_groups, batch.zf)
             }
             Ready::AllZf => {
@@ -266,8 +277,8 @@ pub struct FrameState {
 }
 
 impl FrameState {
-    /// Creates the tracker for `frame`. With `shape.zf_clusters > 0` each
-    /// group needs that many partial-Gram completions before its reduce
+    /// Creates the tracker for `frame`. On the staged ZF path each group
+    /// needs `shape.zf_clusters` partial-Gram completions before its reduce
     /// becomes ready, and `shape.zf_reduce_shards` reduce completions
     /// before it counts toward ZF completion.
     pub fn new(frame: u32, schedule: FrameSchedule, shape: FrameShape) -> Self {
@@ -401,7 +412,7 @@ impl FrameState {
     /// published becomes reduce-ready — the fixed-order fold must only
     /// fire once every partial it reads is in place.
     fn on_zf_partial_done(&mut self, base: usize, count: usize) -> Vec<Ready> {
-        debug_assert!(self.shape.zf_clusters > 0, "staged accounting without clustered ZF");
+        debug_assert!(self.shape.staged_zf(), "staged accounting on the single-task ZF path");
         let mut out = Vec::new();
         for group in base..base + count {
             self.zf_partials[group] += 1;
@@ -417,7 +428,7 @@ impl FrameState {
     /// `zf_done` (with the usual unlock cascade) only once *all* of its
     /// shards have published their detector columns.
     fn on_zf_reduce_done(&mut self, group: usize) -> Vec<Ready> {
-        debug_assert!(self.shape.zf_clusters > 0, "staged accounting without clustered ZF");
+        debug_assert!(self.shape.staged_zf(), "staged accounting on the single-task ZF path");
         self.zf_reduces[group] += 1;
         debug_assert!(self.zf_reduces[group] <= self.shape.zf_reduce_shards);
         if self.zf_reduces[group] == self.shape.zf_reduce_shards {
@@ -812,19 +823,30 @@ impl FrameTable {
         step
     }
 
-    /// Frames whose first packet is more than `deadline_ns` old and that
-    /// are not yet being abandoned.
+    /// Frames to give up at `now_ns`: those whose first packet is more
+    /// than `deadline_ns` old and that are not yet being abandoned, and
+    /// every frame still without a packet below one of them or below a
+    /// frame already abandoned, lost or retired. A vacant slot has no
+    /// first-packet time to run a deadline from, yet it pins the
+    /// watermark; a frame above it that was given up or has finished is
+    /// the evidence its own packets are not coming.
     pub fn expired(&self, now_ns: u64, deadline_ns: u64) -> impl Iterator<Item = u32> + '_ {
-        self.slots.iter().zip(self.watermark..).filter_map(move |(slot, frame)| match slot {
-            Slot::Live(rec)
-                if !rec.abandoning
-                    && now_ns.saturating_sub(rec.state.milestones.first_packet_ns)
-                        > deadline_ns =>
-            {
-                Some(frame)
-            }
-            _ => None,
-        })
+        let overdue = move |rec: &Record| {
+            !rec.abandoning
+                && now_ns.saturating_sub(rec.state.milestones.first_packet_ns) > deadline_ns
+        };
+        let vacant_below = self.slots.iter().rposition(|slot| match slot {
+            Slot::Live(rec) => rec.abandoning || overdue(rec),
+            Slot::Lost | Slot::Done { .. } => true,
+            Slot::Vacant => false,
+        });
+        self.slots.iter().zip(self.watermark..).enumerate().filter_map(
+            move |(idx, (slot, frame))| match slot {
+                Slot::Live(rec) if overdue(rec) => Some(frame),
+                Slot::Vacant if Some(idx) < vacant_below => Some(frame),
+                _ => None,
+            },
+        )
     }
 
     /// Gives up on `frame`: from now on its packets are late and its
@@ -893,12 +915,12 @@ mod tests {
 
     /// 1 pilot + 2 uplink symbols.
     fn ul_state() -> FrameState {
-        FrameState::new(0, FrameSchedule::uplink(1, 2), shape(0, 1))
+        FrameState::new(0, FrameSchedule::uplink(1, 2), shape(1, 1))
     }
 
     /// 1 pilot + 2 downlink symbols.
     fn dl_state() -> FrameState {
-        FrameState::new(0, FrameSchedule::downlink(1, 2), shape(0, 1))
+        FrameState::new(0, FrameSchedule::downlink(1, 2), shape(1, 1))
     }
 
     #[test]
@@ -1119,7 +1141,7 @@ mod tests {
 
     #[test]
     fn expand_batches_every_stage_and_keeps_the_tail() {
-        let sh = shape(0, 1);
+        let sh = shape(1, 1);
         let batch =
             BatchSizes { fft: 2, zf: 3, demod: 12, decode: 2, encode: 1, precode: 32, ifft: 3 };
         let spans = |ready| {
@@ -1153,14 +1175,14 @@ mod tests {
         let mut cell = CellConfig::tiny_test(2);
         assert_eq!(FrameShape::new(&cell, 4, false).zf_reduce_shards, 4);
         assert_eq!(FrameShape::new(&cell, 4, true).zf_reduce_shards, 1, "iterative");
-        assert_eq!(FrameShape::new(&cell, 0, false).zf_reduce_shards, 1, "monolithic");
+        assert_eq!(FrameShape::new(&cell, 1, false).zf_reduce_shards, 1, "one cluster");
         cell.schedule = FrameSchedule::parse("PUD").unwrap();
         assert_eq!(FrameShape::new(&cell, 4, false).zf_reduce_shards, 1, "downlink");
     }
 
     #[test]
     fn stale_precode_only_for_early_encoded_symbols_before_zf() {
-        let mut st = FrameState::new(1, FrameSchedule::downlink(1, 3), shape(0, 1));
+        let mut st = FrameState::new(1, FrameSchedule::downlink(1, 3), shape(1, 1));
         assert!(st.precode_with_stale(1).is_empty(), "not yet encoded");
         st.on_encode_done(1, 2);
         st.on_encode_done(3, 2);
@@ -1181,7 +1203,7 @@ mod table_tests {
     /// 4 antennas, 2 users, 32 SCs, 2 ZF groups, monolithic ZF.
     fn table(schedule: FrameSchedule, stale_precoder: bool) -> FrameTable {
         let shape =
-            FrameShape { m: 4, k: 2, q: 32, zf_groups: 2, zf_clusters: 0, zf_reduce_shards: 1 };
+            FrameShape { m: 4, k: 2, q: 32, zf_groups: 2, zf_clusters: 1, zf_reduce_shards: 1 };
         FrameTable::new(schedule, shape, BATCH, stale_precoder, 0)
     }
 
@@ -1294,6 +1316,39 @@ mod table_tests {
         assert_eq!((t.watermark(), t.len()), (3, 0));
     }
 
+    /// A frame none of whose packets arrive has no first-packet time and
+    /// so no deadline of its own: it expires with a frame above it that
+    /// was given up or has finished, and not while everything above it
+    /// is live and in time.
+    #[test]
+    fn a_vacant_slot_expires_with_a_frame_above_it() {
+        // Frames 1 and 3 arrive (at 100 and 105), frames 0 and 2 never do.
+        let mut t = table(FrameSchedule::uplink(1, 2), false);
+        arrive(&mut t, 1, 0, 100);
+        arrive(&mut t, 3, 0, 105);
+        assert_eq!(t.expired(110, 10).count(), 0, "nothing above frame 0 is late yet");
+        assert_eq!(t.expired(111, 10).collect::<Vec<_>>(), [0, 1], "frame 2 sits below live 3");
+        assert_eq!(t.expired(116, 10).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        t.abandon(1);
+        assert_eq!(t.expired(111, 10).collect::<Vec<_>>(), [0], "below an abandoning frame");
+        t.abandon(0);
+        let lost = t.retire(0).expect("nothing of it can be in flight");
+        assert!(lost.dropped && lost.state.is_none());
+        assert_eq!(t.watermark(), 1, "the watermark is no longer pinned");
+
+        // Below a frame that finished, whatever the time.
+        let mut t = table(FrameSchedule::uplink(1, 2), false);
+        run_frame(&mut t, 1);
+        assert_eq!(t.expired(0, u64::MAX).count(), 0, "frame 1 is complete but still live");
+        assert!(t.retire(1).is_some());
+        assert_eq!(t.expired(0, u64::MAX).collect::<Vec<_>>(), [0]);
+
+        // Below a frame given up without a packet.
+        let mut t = table(FrameSchedule::uplink(1, 2), false);
+        t.abandon(2);
+        assert_eq!(t.expired(0, u64::MAX).collect::<Vec<_>>(), [0, 1]);
+    }
+
     #[test]
     fn a_frame_that_never_arrived_retires_without_state() {
         let mut t = table(FrameSchedule::uplink(1, 2), false);
@@ -1375,7 +1430,7 @@ mod table_tests {
             let m = keys.len();
             let mut order: Vec<usize> = (0..m).collect();
             order.sort_by_key(|&a| keys[a]);
-            let shape = FrameShape { m, k: 2, q: 32, zf_groups: 2, zf_clusters: 0, zf_reduce_shards: 1 };
+            let shape = FrameShape { m, k: 2, q: 32, zf_groups: 2, zf_clusters: 1, zf_reduce_shards: 1 };
             let batch = BatchSizes { fft, ..BATCH };
             let mut t = FrameTable::new(FrameSchedule::uplink(1, 1), shape, batch, false, 0);
             let mut out = Vec::new();

@@ -11,4 +11,4 @@ pub mod plan;
 pub mod simd;
 
 pub use ofdm::{Ofdm, SubcarrierMap};
-pub use plan::{Direction, FftBatchPlan, FftPlan};
+pub use plan::{Direction, FftPlan};

@@ -11,8 +11,8 @@
 //! (see [`crate::simd`]); everywhere else the scalar radix-2 loop is the
 //! reference. Callers that can produce their input in bit-reversed order
 //! (the engine's fused IQ-unpack gather) use the `*_prereversed` entry
-//! points and skip the permutation pass entirely, and [`FftBatchPlan`] /
-//! [`FftPlan::execute_batch`] run several independent transforms through
+//! points and skip the permutation pass entirely, and
+//! [`FftPlan::execute_batch`] runs several independent transforms through
 //! each stage together so twiddle loads amortize across the batch.
 
 use agora_math::simd::SimdTier;
@@ -203,17 +203,6 @@ impl FftPlan {
         self.run(data, dir, true);
     }
 
-    /// Out-of-place transform: copies `src` into `dst` then runs in place.
-    ///
-    /// # Panics
-    /// Panics if the slice lengths don't equal the plan size.
-    pub fn execute_to(&self, src: &[Cf32], dst: &mut [Cf32], dir: Direction) {
-        assert_eq!(src.len(), self.n);
-        assert_eq!(dst.len(), self.n);
-        dst.copy_from_slice(src);
-        self.execute(dst, dir);
-    }
-
     /// Shared body for all execute variants; `data` holds one or more
     /// transforms.
     fn run(&self, data: &mut [Cf32], dir: Direction, prereversed: bool) {
@@ -322,75 +311,6 @@ impl FftPlan {
             tw_off += w;
             w = stride;
         }
-    }
-}
-
-/// A fixed-batch handle over an [`FftPlan`]: `batch` independent size-`n`
-/// transforms, laid out back to back, executed through each stage
-/// together. This is the engine's "one symbol, B antennas" granularity —
-/// twiddle vectors are loaded once per butterfly block and applied to
-/// every antenna before moving on.
-#[derive(Debug, Clone)]
-pub struct FftBatchPlan {
-    plan: FftPlan,
-    batch: usize,
-}
-
-impl FftBatchPlan {
-    /// Builds a batch plan for `batch` transforms of size `n`.
-    ///
-    /// # Panics
-    /// Panics if `n` is not a power of two or `batch` is zero.
-    pub fn new(n: usize, batch: usize) -> Self {
-        Self::with_tier(n, batch, SimdTier::detect())
-    }
-
-    /// Tier-pinned variant (see [`FftPlan::with_tier`]).
-    ///
-    /// # Panics
-    /// Panics if `n` is not a power of two or `batch` is zero.
-    pub fn with_tier(n: usize, batch: usize, tier: SimdTier) -> Self {
-        assert!(batch > 0, "batch must be at least one transform");
-        Self { plan: FftPlan::with_tier(n, tier), batch }
-    }
-
-    /// The underlying single-transform plan.
-    pub fn plan(&self) -> &FftPlan {
-        &self.plan
-    }
-
-    /// Transforms per execution.
-    pub fn batch(&self) -> usize {
-        self.batch
-    }
-
-    /// Total samples per execution (`batch * n`).
-    pub fn len(&self) -> usize {
-        self.batch * self.plan.len()
-    }
-
-    /// True only for a degenerate size-1, batch-amount-of-nothing plan;
-    /// construction enforces `batch >= 1` and `n >= 1`, so always `false`.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// In-place transform of exactly `batch` back-to-back transforms.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != self.len()`.
-    pub fn execute(&self, data: &mut [Cf32], dir: Direction) {
-        assert_eq!(data.len(), self.len(), "buffer length must equal batch * plan size");
-        self.plan.execute_batch(data, dir);
-    }
-
-    /// Batched transform of input already in bit-reversed order.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != self.len()`.
-    pub fn execute_prereversed(&self, data: &mut [Cf32], dir: Direction) {
-        assert_eq!(data.len(), self.len(), "buffer length must equal batch * plan size");
-        self.plan.execute_batch_prereversed(data, dir);
     }
 }
 
@@ -529,7 +449,6 @@ mod tests {
     fn plans_are_never_empty() {
         assert!(!FftPlan::new(1).is_empty());
         assert!(!FftPlan::new(2048).is_empty());
-        assert!(!FftBatchPlan::new(8, 4).is_empty());
     }
 
     #[test]
@@ -570,17 +489,6 @@ mod tests {
             plan.execute_batch(&mut data, dir);
             assert!(max_err(&expect, &data) < 1e-5, "batch diverged ({dir:?})");
         }
-    }
-
-    #[test]
-    fn batch_plan_validates_length() {
-        let bp = FftBatchPlan::new(64, 3);
-        assert_eq!(bp.len(), 192);
-        assert_eq!(bp.batch(), 3);
-        assert_eq!(bp.plan().len(), 64);
-        let mut data = vec![Cf32::ONE; 192];
-        bp.execute(&mut data, Direction::Forward);
-        bp.execute_prereversed(&mut data, Direction::Inverse);
     }
 
     #[test]
@@ -682,9 +590,9 @@ mod proptests {
             let dir = if forward { Direction::Forward } else { Direction::Inverse };
             let x = rand_signal(n * batch, seed);
             let mut scalar = x.clone();
-            FftBatchPlan::with_tier(n, batch, SimdTier::Scalar).execute(&mut scalar, dir);
+            FftPlan::with_tier(n, SimdTier::Scalar).execute_batch(&mut scalar, dir);
             let mut simd = x;
-            FftBatchPlan::with_tier(n, batch, SimdTier::Avx2).execute(&mut simd, dir);
+            FftPlan::with_tier(n, SimdTier::Avx2).execute_batch(&mut simd, dir);
             let tol = 1e-4 * (n as f32).sqrt().max(1.0);
             prop_assert!(
                 max_err(&scalar, &simd) < tol,

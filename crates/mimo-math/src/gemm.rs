@@ -207,44 +207,18 @@ pub fn caxpy_scalar(alpha: Cf32, x: &[Cf32], y: &mut [Cf32]) {
     }
 }
 
-/// Gram matrix `out = A^H A` when the caller already holds the conjugate
-/// transpose: `a` is `rows x cols`, `ah` is `cols x rows` and must equal
-/// `a^H` elementwise, `out` is `cols x cols`. Bit-identical to
-/// [`gram`] / [`gram_scalar`] on `a`, but the AVX2 path walks both
-/// operands contiguously and computes only the lower triangle (mirroring
-/// the rest by conjugation), which is roughly 2x faster than the strided
-/// [`gram`] kernel at ZF shapes. The ZF pseudo-inverse always has `a^H`
-/// on hand — it is the right-hand side of the detector solve.
-#[inline]
-pub fn gram_pair(rows: usize, cols: usize, ah: &[Cf32], a: &[Cf32], out: &mut [Cf32]) {
-    gram_pair_with_tier(rows, cols, ah, a, out, SimdTier::cached());
-}
-
-/// [`gram_pair`] with the dispatch tier pinned by the caller.
-pub fn gram_pair_with_tier(
-    rows: usize,
-    cols: usize,
-    ah: &[Cf32],
-    a: &[Cf32],
-    out: &mut [Cf32],
-    tier: SimdTier,
-) {
-    assert_eq!(a.len(), rows * cols, "A shape mismatch");
-    assert_eq!(ah.len(), cols * rows, "A^H shape mismatch");
-    assert_eq!(out.len(), cols * cols, "Gram output shape mismatch");
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { crate::gemm_simd::gram_pair_avx2(rows, cols, ah, a, out) },
-        _ => gram_scalar(rows, cols, a, out),
-    }
-}
-
 /// Accumulating Gram product `out += A^H A` when the caller already holds
 /// the conjugate transpose: `a` is `rows x cols`, `ah` is `cols x rows`
 /// and must equal `a^H` elementwise, `out` is `cols x cols`. This is the
-/// per-antenna-cluster partial-Gram kernel: each cluster's `H_i^H H_i`
-/// folds into the running total in the scalar reference's sequential
-/// order, so all tiers are bit-identical.
+/// ZF Gram kernel — over a whole array on a zeroed `out`, where it is
+/// bit-identical to [`gram`] / [`gram_scalar`] on `a`, or per antenna
+/// cluster: each cluster's `H_i^H H_i` folds into the running total in
+/// the scalar reference's sequential order, so all tiers are
+/// bit-identical. The AVX2 path walks both operands contiguously and
+/// computes only the lower triangle (mirroring the rest by conjugation),
+/// roughly 2x faster than the strided [`gram`] kernel at ZF shapes; the
+/// ZF pseudo-inverse always has `a^H` on hand — it is the right-hand side
+/// of the detector solve.
 ///
 /// **Precondition**: the prior contents of `out` must be exactly
 /// Hermitian bitwise — zero, or the result of previous Gram
@@ -658,9 +632,9 @@ mod proptests {
             let h = fill(m * k, 19);
             let hh: Vec<Cf32> = (0..k * m).map(|i| h[(i % m) * k + i / m].conj()).collect();
             let mut scalar = vec![Cf32::ZERO; k * k];
-            let mut simd = vec![Cf32::ONE; k * k];
-            gram_pair_with_tier(m, k, &hh, &h, &mut scalar, SimdTier::Scalar);
-            gram_pair_with_tier(m, k, &hh, &h, &mut simd, SimdTier::detect());
+            let mut simd = vec![Cf32::ZERO; k * k];
+            gram_accumulate_with_tier(m, k, &hh, &h, &mut scalar, SimdTier::Scalar);
+            gram_accumulate_with_tier(m, k, &hh, &h, &mut simd, SimdTier::detect());
             assert_eq!(bits(&scalar), bits(&simd), "gram ({m},{k})");
         }
     }
@@ -719,28 +693,11 @@ mod proptests {
             prop_assert_eq!(bits(&y_scalar), bits(&y_simd));
         }
 
-        /// The paired (lower-triangle + conjugate mirror) Gram kernel is
-        /// bit-identical to the scalar full Gram, including `cols` that
-        /// are not a multiple of the tile width and `cols = 1`.
-        #[test]
-        fn gram_pair_tier_parity(rows in 1usize..64, cols in 1usize..24, seed in 0u64..1024) {
-            let a = fill(rows * cols, seed);
-            let mut ah = vec![Cf32::ZERO; cols * rows];
-            for r in 0..rows {
-                for c in 0..cols {
-                    ah[c * rows + r] = a[r * cols + c].conj();
-                }
-            }
-            let mut g_scalar = vec![Cf32::ZERO; cols * cols];
-            let mut g_simd = vec![Cf32::ONE; cols * cols];
-            gram_pair_with_tier(rows, cols, &ah, &a, &mut g_scalar, SimdTier::Scalar);
-            gram_pair_with_tier(rows, cols, &ah, &a, &mut g_simd, SimdTier::detect());
-            prop_assert_eq!(bits(&g_scalar), bits(&g_simd));
-        }
-
-        /// Scalar and AVX2 accumulating Gram products agree to the bit
-        /// when folding into a bitwise-Hermitian prior (the kernel's
-        /// documented precondition), including odd shapes and `cols = 1`.
+        /// Scalar and AVX2 accumulating Gram products (lower triangle +
+        /// conjugate mirror on AVX2) agree to the bit on a zeroed output
+        /// and when folding into a bitwise-Hermitian prior (the kernel's
+        /// documented precondition), including `cols` that are not a
+        /// multiple of the tile width and `cols = 1`.
         #[test]
         fn gram_accumulate_tier_parity(rows in 1usize..64, cols in 1usize..24, seed in 0u64..1024) {
             let a = fill(rows * cols, seed);
@@ -753,19 +710,22 @@ mod proptests {
             // Exactly Hermitian prior: random lower triangle mirrored by
             // conjugation, random diagonal.
             let lower = fill(cols * cols, seed ^ 0xBEEF);
-            let mut prior = vec![Cf32::ZERO; cols * cols];
+            let mut hermitian = vec![Cf32::ZERO; cols * cols];
             for i in 0..cols {
-                prior[i * cols + i] = lower[i * cols + i];
+                hermitian[i * cols + i] = lower[i * cols + i];
                 for j in 0..i {
-                    prior[i * cols + j] = lower[i * cols + j];
-                    prior[j * cols + i] = lower[i * cols + j].conj();
+                    hermitian[i * cols + j] = lower[i * cols + j];
+                    hermitian[j * cols + i] = lower[i * cols + j].conj();
                 }
             }
-            let mut g_scalar = prior.clone();
-            let mut g_simd = prior;
-            gram_accumulate_with_tier(rows, cols, &ah, &a, &mut g_scalar, SimdTier::Scalar);
-            gram_accumulate_with_tier(rows, cols, &ah, &a, &mut g_simd, SimdTier::detect());
-            prop_assert_eq!(bits(&g_scalar), bits(&g_simd));
+            let zeroed = vec![Cf32::ZERO; cols * cols];
+            for prior in [&zeroed, &hermitian] {
+                let mut g_scalar = prior.clone();
+                let mut g_simd = prior.clone();
+                gram_accumulate_with_tier(rows, cols, &ah, &a, &mut g_scalar, SimdTier::Scalar);
+                gram_accumulate_with_tier(rows, cols, &ah, &a, &mut g_simd, SimdTier::detect());
+                prop_assert_eq!(bits(&g_scalar), bits(&g_simd));
+            }
         }
 
         /// Antenna-cluster partitioned Gram: per-cluster partial Grams

@@ -539,102 +539,24 @@ unsafe fn scale_row(inv_d: f32, row: *mut Cf32, len: usize) {
     }
 }
 
-/// AVX2 Hermitian Gram product `g = hh * h` where `hh = h^H` is supplied
-/// by the caller: `h` is `rows x cols`, `hh` is `cols x rows`, `g` is
-/// `cols x cols`. Bit-identical to
-/// [`gram_scalar`](crate::gemm::gram_scalar) on `h`: the tile kernel's
-/// sequential inner-dimension accumulation visits exactly the scalar
-/// path's `conj(h[r][i]) * h[r][j]` products in the same order, and the
-/// mirrored upper triangle `g[i][j] = conj(g[j][i])` is bit-equal to
-/// direct evaluation because complex conjugation of an unfused product
-/// chain is exact.
+/// AVX2 accumulating Hermitian Gram product `g += hh * h` where
+/// `hh = h^H` is supplied by the caller: `h` is `rows x cols`, `hh` is
+/// `cols x rows`, `g` is `cols x cols`. This is the ZF Gram kernel, over
+/// the whole array or one antenna cluster's rows: the accumulating tiles
+/// ([`tile_acc`] / [`tile_acc_masked`]) seed their registers from the
+/// prior contents of `g`, so every element sees `prior + p0 + p1 + ...`
+/// — the scalar path's `conj(h[r][i]) * h[r][j]` products in the same
+/// order — bit-identical to [`gram_accumulate_scalar`](crate::gemm::
+/// gram_accumulate_scalar).
 ///
 /// Unlike [`gram_avx2`] (which streams strided columns of `h`), both
 /// operands here are walked contiguously — `hh` rows as the A operand,
 /// `h` rows as the B operand — and only the lower-triangle tiles are
-/// computed, so this is the preferred kernel when `h^H` is already
-/// available (the ZF pseudo-inverse needs it anyway as the solve RHS).
-///
-/// # Safety
-/// Caller must ensure the CPU supports AVX2 and slice lengths match
-/// (checked by the public dispatch wrapper).
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn gram_pair_avx2(
-    rows: usize,
-    cols: usize,
-    hh: &[Cf32],
-    h: &[Cf32],
-    g: &mut [Cf32],
-) {
-    let ap = hh.as_ptr();
-    let bp = h.as_ptr();
-    let gp = g.as_mut_ptr();
-    let k = cols;
-    // Lower-triangle tiles: row blocks of hh against column strips of h
-    // with strip start <= block start (the block-diagonal strip included).
-    let mut i0 = 0;
-    while i0 + MR <= k {
-        let arow = ap.add(i0 * rows);
-        let crow = gp.add(i0 * k);
-        // Pair adjacent strips into two-register tiles where possible —
-        // same outputs, half the broadcast/load overhead per MAC.
-        let mut j0 = 0;
-        while j0 + 2 * NR <= i0 + NR {
-            tile::<MR, 2>(arow, rows, bp.add(j0), k, rows, crow.add(j0), k);
-            j0 += 2 * NR;
-        }
-        while j0 <= i0 {
-            let w = NR.min(k - j0);
-            if w == NR {
-                tile::<MR, 1>(arow, rows, bp.add(j0), k, rows, crow.add(j0), k);
-            } else {
-                tile_masked::<MR>(arow, rows, bp.add(j0), k, rows, crow.add(j0), k, tail_mask(w));
-            }
-            j0 += NR;
-        }
-        i0 += MR;
-    }
-    for i in i0..k {
-        let arow = ap.add(i * rows);
-        let crow = gp.add(i * k);
-        let mut j0 = 0;
-        while j0 <= i {
-            let w = NR.min(k - j0);
-            if w == NR {
-                tile::<1, 1>(arow, rows, bp.add(j0), k, rows, crow.add(j0), k);
-            } else {
-                tile_masked::<1>(arow, rows, bp.add(j0), k, rows, crow.add(j0), k, tail_mask(w));
-            }
-            j0 += NR;
-        }
-    }
-    // Mirror the strictly-upper tiles: columns beyond the row's diagonal
-    // strip come from the conjugate of the computed lower triangle.
-    for i in 0..k {
-        let covered = ((i / NR) * NR + NR).min(k);
-        for j in covered..k {
-            *gp.add(i * k + j) = (*gp.add(j * k + i)).conj();
-        }
-    }
-}
-
-/// AVX2 accumulating Hermitian Gram product `g += hh * h` where
-/// `hh = h^H` is supplied by the caller: `h` is `rows x cols`, `hh` is
-/// `cols x rows`, `g` is `cols x cols`. This is the per-antenna-cluster
-/// partial-Gram kernel: each cluster's `H_i^H H_i` folds into the running
-/// total with the same tile schedule as [`gram_pair_avx2`], but the
-/// accumulating tiles ([`tile_acc`] / [`tile_acc_masked`]) seed their
-/// registers from the prior contents of `g`, so every element sees
-/// `prior + p0 + p1 + ...` in the scalar reference's sequential order —
-/// bit-identical to [`gram_accumulate_scalar`](crate::gemm::
-/// gram_accumulate_scalar).
-///
-/// Only the lower triangle is accumulated; the strictly-upper tiles are
-/// rebuilt by conjugate mirroring. That is bit-equal to direct upper
-/// accumulation **only when the prior contents of `g` are exactly
-/// Hermitian bitwise** (zero, or the result of previous Gram
-/// accumulations): conjugation distributes exactly over IEEE addition
-/// and over the unfused complex products, so
+/// accumulated; the strictly-upper tiles are rebuilt by conjugate
+/// mirroring. That is bit-equal to direct upper accumulation **only when
+/// the prior contents of `g` are exactly Hermitian bitwise** (zero, or
+/// the result of previous Gram accumulations): conjugation distributes
+/// exactly over IEEE addition and over the unfused complex products, so
 /// `conj(prior[j][i] + sum) = prior[i][j] + conj(sum)`. The public
 /// dispatch wrapper documents this precondition.
 ///
@@ -653,11 +575,14 @@ pub(crate) unsafe fn gram_accumulate_avx2(
     let bp = h.as_ptr();
     let gp = g.as_mut_ptr();
     let k = cols;
-    // Lower-triangle tiles, same schedule as `gram_pair_avx2`.
+    // Lower-triangle tiles: row blocks of hh against column strips of h
+    // with strip start <= block start (the block-diagonal strip included).
     let mut i0 = 0;
     while i0 + MR <= k {
         let arow = ap.add(i0 * rows);
         let crow = gp.add(i0 * k);
+        // Pair adjacent strips into two-register tiles where possible —
+        // same outputs, half the broadcast/load overhead per MAC.
         let mut j0 = 0;
         while j0 + 2 * NR <= i0 + NR {
             tile_acc::<MR, 2>(arow, rows, bp.add(j0), k, rows, crow.add(j0), k);

@@ -10,8 +10,6 @@
 //!   dispatch; all tiers are bit-identical.
 //! * [`inverse`]: Gauss-Jordan inversion and LU solves.
 //! * [`cholesky`]: Hermitian positive-definite factorisation.
-//! * [`qr`]: modified Gram-Schmidt thin QR (the middle pseudo-inverse
-//!   route: no Gram-matrix conditioning penalty, cheaper than SVD).
 //! * [`svd`]: one-sided Jacobi thin SVD (the robust pseudo-inverse route).
 //! * [`pinv`]: zero-forcing pseudo-inverse, both fast and robust paths.
 //! * [`simd`]: runtime-dispatched AVX2 kernels for IQ conversion,
@@ -27,7 +25,6 @@ pub(crate) mod gemm_simd;
 pub mod inverse;
 pub mod matrix;
 pub mod pinv;
-pub mod qr;
 pub mod simd;
 pub mod svd;
 #[cfg(test)]
@@ -38,8 +35,7 @@ pub use complex::{Cf32, Cf64};
 pub use gemm::{
     caxpy, caxpy_scalar, caxpy_with_tier, gemm, gemm_fixed, gemm_scalar, gemm_with_tier, gemv,
     gemv_scalar, gemv_with_tier, gram, gram_accumulate, gram_accumulate_scalar,
-    gram_accumulate_with_tier, gram_pair, gram_pair_with_tier, gram_reduce, gram_scalar,
-    gram_with_tier, Gemm, GemmKernel,
+    gram_accumulate_with_tier, gram_reduce, gram_scalar, gram_with_tier, Gemm, GemmKernel,
 };
 pub use inverse::{invert, invert_into, solve, InvError};
 pub use matrix::CMat;
@@ -47,6 +43,5 @@ pub use pinv::{
     cond_estimate, normalize_precoder, normalize_precoder_in_place, pinv, pinv_cholesky,
     pinv_direct, pinv_from_gram_slice_into, pinv_into, pinv_svd, PinvMethod, PinvScratch,
 };
-pub use qr::{qr, Qr};
 pub use simd::SimdTier;
 pub use svd::{svd, Svd};

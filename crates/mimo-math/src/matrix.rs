@@ -215,24 +215,9 @@ impl CMat {
     /// Panics if `self.cols != other.rows` or `out` is not
     /// `self.rows x other.cols`.
     pub fn matmul_into(&self, other: &CMat, out: &mut CMat) {
-        self.matmul_into_tier(other, out, crate::simd::SimdTier::cached());
-    }
-
-    /// [`Self::matmul_into`] with the SIMD dispatch tier pinned by the
-    /// caller (ablations and parity tests). All tiers produce bit-equal
-    /// results.
-    pub fn matmul_into_tier(&self, other: &CMat, out: &mut CMat, tier: crate::simd::SimdTier) {
         assert_eq!(self.cols, other.rows, "inner dimensions must agree");
         assert_eq!(out.shape(), (self.rows, other.cols), "matmul_into shape mismatch");
-        crate::gemm::gemm_with_tier(
-            self.rows,
-            self.cols,
-            other.cols,
-            &self.data,
-            &other.data,
-            &mut out.data,
-            tier,
-        );
+        crate::gemm::gemm(self.rows, self.cols, other.cols, &self.data, &other.data, &mut out.data);
     }
 
     /// Matrix-vector product `A x`.
@@ -278,15 +263,9 @@ impl CMat {
     /// # Panics
     /// Panics if `out` is not `cols x cols`.
     pub fn gram_into(&self, out: &mut CMat) {
-        self.gram_into_tier(out, crate::simd::SimdTier::cached());
-    }
-
-    /// [`Self::gram_into`] with the SIMD dispatch tier pinned by the
-    /// caller. All tiers produce bit-equal results.
-    pub fn gram_into_tier(&self, out: &mut CMat, tier: crate::simd::SimdTier) {
         let n = self.cols;
         assert_eq!(out.shape(), (n, n), "gram_into shape mismatch");
-        crate::gemm::gram_with_tier(self.rows, n, &self.data, &mut out.data, tier);
+        crate::gemm::gram(self.rows, n, &self.data, &mut out.data);
     }
 }
 

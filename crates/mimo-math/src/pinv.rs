@@ -14,10 +14,10 @@
 
 use crate::cholesky::{CholScratch, Cholesky, NotPositiveDefinite};
 use crate::complex::Cf32;
-use crate::gemm::{gemm_with_tier, gram_pair_with_tier};
+use crate::gemm::{gemm_with_tier, gram_accumulate_with_tier};
 use crate::inverse::{invert, invert_into, InvError};
 use crate::matrix::CMat;
-use crate::simd::SimdTier;
+use crate::simd::{conj_transpose, SimdTier};
 use crate::svd::svd;
 
 /// Method selector for pseudo-inverse computation, wired to the engine's
@@ -57,10 +57,9 @@ pub fn pinv_cholesky(h: &CMat) -> Result<CMat, NotPositiveDefinite> {
     let (m, k) = h.shape();
     let mut s = PinvScratch::with_tier(m, k, SimdTier::cached());
     let mut out = CMat::zeros(k, m);
-    h.hermitian_into(&mut s.hh);
-    gram_pair_with_tier(m, k, s.hh.as_slice(), h.as_slice(), s.gram.as_mut_slice(), s.tier);
+    stage_gram(h, &mut s, &mut out);
     Cholesky::factor_into(&s.gram, &mut s.chol_l, &mut s.chol, s.tier)?;
-    Cholesky::solve_into(&s.chol_l, &s.hh, &mut out, s.tier);
+    Cholesky::solve_in_place(&s.chol_l, &mut out, s.tier);
     Ok(out)
 }
 
@@ -82,14 +81,16 @@ pub fn pinv(h: &CMat, method: PinvMethod) -> CMat {
     }
 }
 
-/// Reusable scratch for [`pinv_into`]: the Hermitian transpose, Gram
-/// matrix, and Gauss-Jordan working set for one `M x K` channel shape.
+/// Reusable scratch for [`pinv_into`]: the Gram matrix and the
+/// Cholesky / Gauss-Jordan working sets for one `M x K` channel shape.
 /// One instance per worker lets every ZF task run without touching the
 /// allocator (the SVD *fallback* still allocates — it is the degraded
 /// path for singular channels, not the steady state).
 #[derive(Debug, Clone)]
 pub struct PinvScratch {
-    /// `K x M` Hermitian transpose `H^H`.
+    /// `K x M` staging for the Gauss-Jordan route's right-hand side `H^H`
+    /// (the `G^{-1} H^H` product cannot run in place; Cholesky sweeps the
+    /// output directly).
     hh: CMat,
     /// `K x K` Gram matrix `H^H H`.
     gram: CMat,
@@ -125,9 +126,8 @@ impl PinvScratch {
         }
     }
 
-    /// `K x K` Gram matrix `H^H H` left behind by the last
-    /// [`pinv_into`] call — the iterative equalizer reads it back instead
-    /// of recomputing.
+    /// `K x K` Gram matrix `H^H H` left behind by the last [`pinv_into`]
+    /// call (any method but [`PinvMethod::Svd`], which never forms it).
     pub fn gram(&self) -> &CMat {
         &self.gram
     }
@@ -144,35 +144,28 @@ impl PinvScratch {
 /// the allocation-free route for hot paths. Semantics match [`pinv`]:
 /// the direct method falls back to SVD on a singular Gram matrix.
 ///
+/// `H^H` is staged once, in `out`: it is the Gram product's left operand
+/// and, one step later, the right-hand side the solve sweeps in place.
+///
 /// # Panics
 /// Panics if `out` or the scratch shapes don't match `h` (`M x K`).
 pub fn pinv_into(h: &CMat, method: PinvMethod, s: &mut PinvScratch, out: &mut CMat) {
     let (m, k) = h.shape();
     assert_eq!(out.shape(), (k, m), "pinv output must be K x M");
     assert_eq!(s.hh.shape(), (k, m), "scratch shape mismatch");
-    match method {
-        PinvMethod::Direct => {
-            h.hermitian_into(&mut s.hh);
-            h.gram_into_tier(&mut s.gram, s.tier);
-            if invert_into(&s.gram, &mut s.gram_work, &mut s.gram_inv).is_ok() {
-                s.gram_inv.matmul_into_tier(&s.hh, out, s.tier);
-                return;
-            }
-        }
-        PinvMethod::Cholesky => {
-            // The Gram product reuses the just-computed H^H as a contiguous
-            // operand (gram_pair walks only the lower triangle) — the same
-            // buffer is the solve RHS one step later.
-            h.hermitian_into(&mut s.hh);
-            gram_pair_with_tier(m, k, s.hh.as_slice(), h.as_slice(), s.gram.as_mut_slice(), s.tier);
-            if Cholesky::factor_into(&s.gram, &mut s.chol_l, &mut s.chol, s.tier).is_ok() {
-                Cholesky::solve_into(&s.chol_l, &s.hh, out, s.tier);
-                return;
-            }
-        }
-        PinvMethod::Svd => {}
+    if method != PinvMethod::Svd {
+        stage_gram(h, s, out);
     }
-    out.copy_from(&pinv_svd(h, 1e-5));
+    solve_staged(h, method, 0, s, out);
+}
+
+/// Stages `H^H` in `out` (`K x M`) and leaves `H^H H` in `s.gram`.
+fn stage_gram(h: &CMat, s: &mut PinvScratch, out: &mut CMat) {
+    let (m, k) = h.shape();
+    conj_transpose(h.as_slice(), m, k, out.as_mut_slice(), s.tier);
+    let gram = s.gram.as_mut_slice();
+    gram.fill(Cf32::ZERO);
+    gram_accumulate_with_tier(m, k, out.as_slice(), h.as_slice(), gram, s.tier);
 }
 
 /// Computes a contiguous antenna-column slice `W[:, col0..col0+ncols]` of
@@ -209,43 +202,33 @@ pub fn pinv_from_gram_slice_into(
     assert_eq!(out.shape(), (k, ncols), "slice output must be K x ncols");
     assert_eq!(s.gram.shape(), (k, k), "scratch shape mismatch");
     assert_eq!(s.hh.shape(), (k, m), "scratch shape mismatch");
+    if method != PinvMethod::Svd {
+        // The slice's antennas are contiguous rows of row-major `h`.
+        let rows = &h.as_slice()[col0 * k..(col0 + ncols) * k];
+        conj_transpose(rows, ncols, k, out.as_mut_slice(), s.tier);
+    }
+    solve_staged(h, method, col0, s, out);
+}
+
+/// The one Gram solve: `s.gram` holds `H^H H` and `out` (`K x ncols`)
+/// arrives holding the right-hand side `H^H[:, col0..col0 + ncols]`
+/// (unread under [`PinvMethod::Svd`]); leaves the same columns of the
+/// pseudo-inverse in `out`.
+fn solve_staged(h: &CMat, method: PinvMethod, col0: usize, s: &mut PinvScratch, out: &mut CMat) {
+    let (k, ncols) = out.shape();
     match method {
         PinvMethod::Direct => {
             if invert_into(&s.gram, &mut s.gram_work, &mut s.gram_inv).is_ok() {
-                // Stage the H^H column slice contiguously in the (idle)
-                // hh scratch prefix, then multiply by the Gram inverse.
-                // The slice's rows are contiguous in row-major `h`.
-                let stage = &mut s.hh.as_mut_slice()[..k * ncols];
-                crate::simd::conj_transpose(
-                    &h.as_slice()[col0 * k..(col0 + ncols) * k],
-                    ncols,
-                    k,
-                    stage,
-                    s.tier,
-                );
-                gemm_with_tier(
-                    k,
-                    k,
-                    ncols,
-                    s.gram_inv.as_slice(),
-                    stage,
-                    out.as_mut_slice(),
-                    s.tier,
-                );
+                // The product cannot run in place: move the right-hand
+                // side to the (idle) hh scratch prefix first.
+                let rhs = &mut s.hh.as_mut_slice()[..k * ncols];
+                rhs.copy_from_slice(out.as_slice());
+                gemm_with_tier(k, k, ncols, s.gram_inv.as_slice(), rhs, out.as_mut_slice(), s.tier);
                 return;
             }
         }
         PinvMethod::Cholesky => {
             if Cholesky::factor_into(&s.gram, &mut s.chol_l, &mut s.chol, s.tier).is_ok() {
-                // Stage the H^H slice straight into the output and sweep
-                // it in place.
-                crate::simd::conj_transpose(
-                    &h.as_slice()[col0 * k..(col0 + ncols) * k],
-                    ncols,
-                    k,
-                    out.as_mut_slice(),
-                    s.tier,
-                );
                 Cholesky::solve_in_place(&s.chol_l, out, s.tier);
                 return;
             }
@@ -573,7 +556,8 @@ mod tests {
             let tier = s.tier;
             let mut hh = CMat::zeros(k, m);
             h.hermitian_into(&mut hh);
-            crate::gemm::gram_pair_with_tier(
+            // Fresh scratch: the Gram buffer starts zeroed.
+            gram_accumulate_with_tier(
                 m,
                 k,
                 hh.as_slice(),

@@ -4,8 +4,6 @@
 //! paper uses for manager/worker messaging:
 //!
 //! * [`mpmc`]: Vyukov-style bounded MPMC queue (task and completion queues).
-//! * [`spsc`]: wait-free single-producer/single-consumer ring (network
-//!   thread channels).
 //! * [`msg`]: the 64-byte, one-cache-line message format (Figure 3).
 //! * [`padded`]: cache-line padding to prevent false sharing (§4.1).
 //! * [`lane`]: per-worker bounded task lanes with batch stealing (the
@@ -20,11 +18,9 @@ pub mod mpmc;
 pub mod msg;
 pub mod padded;
 pub mod park;
-pub mod spsc;
 
 pub use lane::TaskLane;
 pub use mpmc::MpmcQueue;
 pub use msg::{Msg, TaskType};
 pub use padded::{CachePadded, CACHE_LINE};
 pub use park::{IdleAction, IdleBackoff, IdleGate};
-pub use spsc::{spsc, Consumer, Producer};

@@ -5,12 +5,23 @@
 #
 # Runs the release build (the tier-1 artifact), the full workspace test
 # suite, format and clippy gates (warnings promoted to errors), the
-# release parity smokes, and the benchmark's own checks. Fails fast.
+# release parity smokes, the benchmark's own checks, and the evidence
+# check (every committed results/*.csv still has a producing bin). Fails
+# fast.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== cargo fmt --check =="
 cargo fmt --check
+
+echo "== results/*.csv each have a producer =="
+for csv in results/*.csv; do
+    stem=$(basename "$csv" .csv)
+    if ! grep -rqF "\"$stem\"" crates/bench/src; then
+        echo "$csv: no bin under crates/bench/src writes \"$stem\" — delete it with its producer"
+        exit 1
+    fi
+done
 
 echo "== cargo build --release =="
 cargo build --release

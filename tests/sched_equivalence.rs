@@ -11,6 +11,7 @@
 use agora_core::engine::PRIORITY;
 use agora_core::{Engine, EngineConfig, FrameResult, InlineProcessor, WorkerPolicy};
 use agora_fronthaul::{RruConfig, RruEmulator};
+use agora_phy::frame::FrameSchedule;
 use agora_phy::CellConfig;
 use agora_queue::TaskType;
 use proptest::prelude::*;
@@ -99,22 +100,34 @@ proptest! {
 /// `ablation.batching = false` sends every task in a message of its own —
 /// one antenna, one ZF group, one user, and for demodulation one
 /// cache-line block, the unit of demod work under the default layout (one
-/// subcarrier under the strided one). Results must equal the default's.
+/// subcarrier under the strided one); precoding works in whole blocks
+/// under either. Results must equal the default's, on an uplink frame
+/// and on a TDD frame whose downlink half runs unbatched too.
 #[test]
 fn unbatched_messages_decode_like_the_default() {
-    let cell = CellConfig::tiny_test(2);
-    let (packets, noise) = generate(&cell, 29);
-    for cache_layout in [true, false] {
-        let mut cfg = EngineConfig::new(cell.clone(), 2);
-        cfg.noise_power = noise;
-        cfg.ablation.cache_layout = cache_layout;
-        let want = sorted(Engine::new(cfg.clone()).process(packets.clone(), FRAMES, false));
-        assert!(want.iter().all(|r| !r.dropped && r.decode_ok.iter().flatten().all(|&ok| ok)));
+    let uplink = CellConfig::tiny_test(2);
+    let mut tdd = uplink.clone();
+    tdd.schedule = FrameSchedule::parse("PUUDD").unwrap();
+    tdd.validate().unwrap();
+    for cell in [uplink, tdd] {
+        let (packets, noise) = generate(&cell, 29);
+        for cache_layout in [true, false] {
+            let mut cfg = EngineConfig::new(cell.clone(), 2);
+            cfg.noise_power = noise;
+            cfg.ablation.cache_layout = cache_layout;
+            let want = sorted(Engine::new(cfg.clone()).process(packets.clone(), FRAMES, false));
+            assert!(want.iter().all(|r| !r.dropped && r.decode_ok.iter().flatten().all(|&ok| ok)));
 
-        cfg.ablation.batching = false;
-        let unbatched = Engine::new(cfg);
-        let got = sorted(unbatched.process(packets.clone(), FRAMES, false));
-        assert!(results_equal(&got, &want), "cache_layout={cache_layout}: results differ");
+            cfg.ablation.batching = false;
+            let block = cfg.demod_block;
+            let unbatched = Engine::new(cfg);
+            let got = sorted(unbatched.process(packets.clone(), FRAMES, false));
+            let what = format!("{:?} cache_layout={cache_layout}", cell.schedule);
+            assert!(results_equal(&got, &want), "{what}: results differ");
+            let precodes = unbatched.stats().messages(TaskType::Precode);
+            let blocks = cell.schedule.downlink_indices().len() * cell.num_data_sc / block;
+            assert_eq!(precodes, (FRAMES as usize * blocks) as u64, "{what}: one block a message");
+        }
     }
 }
 
