@@ -9,8 +9,114 @@
 //! disjoint.
 
 use agora_fronthaul::{PacketBuf, HEADER_LEN};
+use agora_math::simd::CACHE_LINE;
 use agora_math::Cf32;
 use core::cell::UnsafeCell;
+use core::ops::{Deref, DerefMut, Range};
+use core::ptr::NonNull;
+use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
+
+/// Element types whose all-zero byte pattern is a valid value — what lets
+/// a plane start life as untouched, lazily zeroed pages.
+///
+/// # Safety
+/// Every bit pattern of zeros must be a valid `Self`, and `Self` must
+/// need no drop (`Copy`).
+pub unsafe trait Zeroable: Copy {}
+// SAFETY: integers and IEEE floats are valid (and zero) when all bits are
+// zero; `Cf32` is `repr(C)` over two `f32`s.
+unsafe impl Zeroable for u8 {}
+unsafe impl Zeroable for i8 {}
+unsafe impl Zeroable for f32 {}
+unsafe impl Zeroable for Cf32 {}
+
+/// An owned, zero-initialised slice whose first element sits on a cache
+/// line: the storage of every frame plane ([`SharedVec`]) and of the
+/// workers' transform buffer. A plane's layout is then a property of the
+/// program, not of the allocator's mood — whole-line streaming stores
+/// land on whole lines, and a second engine in the process gets the same
+/// planes as the first.
+///
+/// # Safety argument for the allocation
+/// `zeroed` asks the global allocator for `len * size_of::<T>()` bytes
+/// plus one cache line, at `T`'s own alignment, and places the slice at
+/// the first line boundary inside it: the offset is below one line, so the
+/// slice ends inside the allocation, and a line boundary is aligned for
+/// every `T` whose alignment divides a line (asserted). Asking for the
+/// small alignment is deliberate — `alloc_zeroed` at an alignment above
+/// the allocator's minimum is `posix_memalign` + `memset`, which would
+/// touch every page of a plane at set-up, while at `T`'s alignment it is
+/// `calloc`, whose large blocks are untouched zero pages. The bytes are
+/// zero, which `T: Zeroable` makes `len` valid `T`s. `raw` keeps the
+/// allocator's pointer and `layout(len)` recomputes its layout, so `Drop`
+/// frees exactly what was allocated; an empty buffer allocates nothing
+/// (`raw` is null) and points at a line-aligned dangling address.
+pub struct AlignedBuf<T> {
+    raw: *mut u8,
+    ptr: NonNull<T>,
+    len: usize,
+}
+
+// SAFETY: `AlignedBuf` owns its allocation exclusively, like `Box<[T]>`.
+unsafe impl<T: Send> Send for AlignedBuf<T> {}
+unsafe impl<T: Sync> Sync for AlignedBuf<T> {}
+
+impl<T> AlignedBuf<T> {
+    fn layout(len: usize) -> Layout {
+        len.checked_mul(size_of::<T>())
+            .and_then(|bytes| bytes.checked_add(CACHE_LINE))
+            .and_then(|bytes| Layout::from_size_align(bytes, align_of::<T>()).ok())
+            .expect("buffer size overflows the address space")
+    }
+}
+
+impl<T: Zeroable> AlignedBuf<T> {
+    /// Allocates `len` zeroed elements starting on a cache line.
+    pub fn zeroed(len: usize) -> Self {
+        assert!(CACHE_LINE.is_multiple_of(align_of::<T>()), "element alignment exceeds a line");
+        if len == 0 {
+            let ptr = NonNull::new(core::ptr::without_provenance_mut(CACHE_LINE))
+                .expect("a cache line is not at address zero");
+            return Self { raw: core::ptr::null_mut(), ptr, len };
+        }
+        let layout = Self::layout(len);
+        // SAFETY: `layout` has a non-zero size (it includes the spare line).
+        let raw = unsafe { alloc_zeroed(layout) };
+        if raw.is_null() {
+            handle_alloc_error(layout);
+        }
+        let pad = (CACHE_LINE - raw as usize % CACHE_LINE) % CACHE_LINE;
+        // SAFETY: `pad < CACHE_LINE`, the spare bytes of the allocation.
+        let ptr = unsafe { NonNull::new_unchecked(raw.add(pad) as *mut T) };
+        Self { raw, ptr, len }
+    }
+}
+
+impl<T> Drop for AlignedBuf<T> {
+    fn drop(&mut self) {
+        if !self.raw.is_null() {
+            // SAFETY: `raw` came from `alloc_zeroed(Self::layout(len))`,
+            // and elements are `Copy` (nothing to drop).
+            unsafe { dealloc(self.raw, Self::layout(self.len)) };
+        }
+    }
+}
+
+impl<T> Deref for AlignedBuf<T> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        // SAFETY: `ptr` is aligned and heads `len` initialised elements
+        // this buffer owns (see the type's safety argument).
+        unsafe { core::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
+    }
+}
+
+impl<T> DerefMut for AlignedBuf<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        // SAFETY: as `deref`, and `&mut self` is exclusive.
+        unsafe { core::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
+    }
+}
 
 /// A heap buffer shared across threads without locking.
 ///
@@ -22,24 +128,34 @@ use core::cell::UnsafeCell;
 /// provides. All bookkeeping that *establishes* those guarantees lives in
 /// the manager thread; queue send/receive edges provide the necessary
 /// happens-before ordering (release on task enqueue, acquire on dequeue).
+/// A task that writes a plane with streaming stores additionally issues
+/// `agora_math::simd::stream_fence` before it completes: the release on
+/// its completion message does not order those stores.
+///
+/// Every view is built from the buffer's raw pointer and covers only the
+/// requested elements, so disjoint views never alias — no reference to the
+/// whole plane is ever materialised. The storage itself is an
+/// [`AlignedBuf`] (see its safety argument): line-aligned, zeroed, freed
+/// on drop.
 pub struct SharedVec<T> {
-    data: UnsafeCell<Box<[T]>>,
+    buf: AlignedBuf<T>,
 }
 
-unsafe impl<T: Send> Send for SharedVec<T> {}
+// SAFETY: shared access hands out `&mut T` to whichever thread asks, under
+// the scheduler contract above, so sharing needs `T: Send`.
 unsafe impl<T: Send> Sync for SharedVec<T> {}
 
-impl<T: Clone> SharedVec<T> {
-    /// Allocates `len` elements initialised to `init`.
-    pub fn new(len: usize, init: T) -> Self {
-        Self { data: UnsafeCell::new(vec![init; len].into_boxed_slice()) }
+impl<T: Zeroable> SharedVec<T> {
+    /// Allocates `len` zeroed elements, the first on a cache line.
+    pub fn zeroed(len: usize) -> Self {
+        Self { buf: AlignedBuf::zeroed(len) }
     }
 }
 
 impl<T> SharedVec<T> {
     /// Number of elements.
     pub fn len(&self) -> usize {
-        unsafe { (&raw const *self.data.get()).as_ref().unwrap().len() }
+        self.buf.len
     }
 
     /// True if empty.
@@ -51,10 +167,9 @@ impl<T> SharedVec<T> {
     ///
     /// # Safety
     /// No concurrent mutable view may overlap `range` (scheduler-enforced).
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slice(&self, range: core::ops::Range<usize>) -> &[T] {
-        let b: &[T] = &*self.data.get();
-        &b[range]
+    pub unsafe fn slice(&self, range: Range<usize>) -> &[T] {
+        assert!(range.start <= range.end && range.end <= self.len(), "view out of plane");
+        core::slice::from_raw_parts(self.buf.ptr.as_ptr().add(range.start), range.len())
     }
 
     /// Mutable view of a range.
@@ -62,9 +177,9 @@ impl<T> SharedVec<T> {
     /// # Safety
     /// No concurrent view (mutable or immutable) may overlap `range`.
     #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slice_mut(&self, range: core::ops::Range<usize>) -> &mut [T] {
-        let b: &mut Box<[T]> = &mut *self.data.get();
-        &mut b[range]
+    pub unsafe fn slice_mut(&self, range: Range<usize>) -> &mut [T] {
+        assert!(range.start <= range.end && range.end <= self.len(), "view out of plane");
+        core::slice::from_raw_parts_mut(self.buf.ptr.as_ptr().add(range.start), range.len())
     }
 
     /// Writes a single element through a raw pointer. Unlike
@@ -73,24 +188,22 @@ impl<T> SharedVec<T> {
     /// region are sound.
     ///
     /// # Safety
-    /// No concurrent access (read or write) to index `idx`.
+    /// `idx < len`, and no concurrent access (read or write) to index `idx`.
     pub unsafe fn write(&self, idx: usize, value: T) {
-        let b: &mut Box<[T]> = &mut *self.data.get();
-        let p = b.as_mut_ptr().add(idx);
-        core::ptr::write(p, value);
+        debug_assert!(idx < self.len(), "write out of plane");
+        core::ptr::write(self.buf.ptr.as_ptr().add(idx), value);
     }
 
     /// Reads a single element through a raw pointer.
     ///
     /// # Safety
-    /// No concurrent write to index `idx`.
+    /// `idx < len`, and no concurrent write to index `idx`.
     pub unsafe fn read(&self, idx: usize) -> T
     where
         T: Copy,
     {
-        let b: &[T] = &*self.data.get();
-        let p = b.as_ptr().add(idx);
-        core::ptr::read(p)
+        debug_assert!(idx < self.len(), "read out of plane");
+        core::ptr::read(self.buf.ptr.as_ptr().add(idx))
     }
 }
 
@@ -269,6 +382,14 @@ pub struct BufferGeometry {
     pub info_bits: usize,
 }
 
+impl BufferGeometry {
+    /// Offset of `(block, antenna)` within a symbol's frequency data
+    /// (cache-friendly layout): `block * M * B + ant * B`.
+    pub fn freq_block_offset(&self, block: usize, ant: usize) -> usize {
+        block * self.m * self.block + ant * self.block
+    }
+}
+
 impl FrameBuffers {
     /// Allocates zeroed buffers for one frame slot.
     pub fn new(g: &BufferGeometry) -> Self {
@@ -276,19 +397,19 @@ impl FrameBuffers {
         let groups = g.q.div_ceil(g.zf_group);
         Self {
             rx_pkts: PacketSlots::new(g.symbols * g.m),
-            freq: SharedVec::new(g.symbols * freq_per_symbol, Cf32::ZERO),
-            csi: SharedVec::new(g.q * g.m * g.k, Cf32::ZERO),
-            det: SharedVec::new(groups * g.k * g.m, Cf32::ZERO),
-            pre: SharedVec::new(groups * g.m * g.k, Cf32::ZERO),
-            gram: SharedVec::new(groups * g.k * g.k, Cf32::ZERO),
-            gram_part: SharedVec::new(groups * g.clusters * g.k * g.k, Cf32::ZERO),
-            llr: SharedVec::new(g.symbols * g.k * g.cap_bits, 0.0f32),
-            llr_i8: SharedVec::new(g.symbols * g.k * g.cap_bits, 0i8),
-            decoded: SharedVec::new(g.symbols * g.k * g.info_bits, 0u8),
-            decode_ok: SharedVec::new(g.symbols * g.k, 0u8),
-            dl_bits: SharedVec::new(g.symbols * g.k * g.cap_bits, 0u8),
-            dl_freq: SharedVec::new(g.symbols * freq_per_symbol, Cf32::ZERO),
-            dl_time: SharedVec::new(g.symbols * g.m * g.samples, Cf32::ZERO),
+            freq: SharedVec::zeroed(g.symbols * freq_per_symbol),
+            csi: SharedVec::zeroed(g.q * g.m * g.k),
+            det: SharedVec::zeroed(groups * g.k * g.m),
+            pre: SharedVec::zeroed(groups * g.m * g.k),
+            gram: SharedVec::zeroed(groups * g.k * g.k),
+            gram_part: SharedVec::zeroed(groups * g.clusters * g.k * g.k),
+            llr: SharedVec::zeroed(g.symbols * g.k * g.cap_bits),
+            llr_i8: SharedVec::zeroed(g.symbols * g.k * g.cap_bits),
+            decoded: SharedVec::zeroed(g.symbols * g.k * g.info_bits),
+            decode_ok: SharedVec::zeroed(g.symbols * g.k),
+            dl_bits: SharedVec::zeroed(g.symbols * g.k * g.cap_bits),
+            dl_freq: SharedVec::zeroed(g.symbols * freq_per_symbol),
+            dl_time: SharedVec::zeroed(g.symbols * g.m * g.samples),
             freq_per_symbol,
             mk: g.m * g.k,
             kk: g.k * g.k,
@@ -325,7 +446,7 @@ impl FrameBuffers {
     /// Offset of `(block, antenna)` within a symbol's frequency data
     /// (cache-friendly layout): `block * M * B + ant * B`.
     pub fn freq_block_offset(&self, g: &BufferGeometry, block: usize, ant: usize) -> usize {
-        block * g.m * g.block + ant * g.block
+        g.freq_block_offset(block, ant)
     }
 
     /// Offset of `(antenna, sc)` within a symbol's frequency data
@@ -511,33 +632,111 @@ mod tests {
 
     #[test]
     fn shared_vec_basic_access() {
-        let v = SharedVec::new(10, 7u32);
+        let v = SharedVec::<u8>::zeroed(10);
         assert_eq!(v.len(), 10);
         unsafe {
+            v.slice_mut(0..10).fill(7);
             let s = v.slice_mut(2..5);
             s[0] = 42;
             assert_eq!(v.slice(0..10)[2], 42);
             assert_eq!(v.slice(0..10)[0], 7);
+            v.write(9, 5);
+            assert_eq!(v.read(9), 5);
+        }
+    }
+
+    fn is_line_aligned<T>(p: *const T) -> bool {
+        (p as usize).is_multiple_of(CACHE_LINE)
+    }
+
+    /// Every length, odd ones included, starts on a line, reads as
+    /// zeros and is writable to its last element; an empty buffer
+    /// allocates nothing and still hands out (empty) views.
+    #[test]
+    fn aligned_buf_is_aligned_zeroed_and_sized_for_every_length() {
+        fn check<T: Zeroable + PartialEq + core::fmt::Debug>(one: T) {
+            // Keep the buffers alive so the allocator hands out fresh,
+            // differently placed blocks.
+            let mut kept = Vec::new();
+            for len in (0..70).chain([4096, 100_003]) {
+                let mut b = AlignedBuf::<T>::zeroed(len);
+                assert!(is_line_aligned(b.as_ptr()), "len {len}");
+                assert_eq!(b.len(), len);
+                // SAFETY: the all-zero pattern is a valid `T`.
+                let zero: T = unsafe { core::mem::zeroed() };
+                assert!(b.iter().all(|x| *x == zero), "len {len}");
+                b.fill(one);
+                assert!(b.iter().all(|x| *x == one));
+                kept.push(b);
+            }
+        }
+        check(Cf32::ONE);
+        check(1.0f32);
+        check(1i8);
+        check(1u8);
+        let empty = SharedVec::<Cf32>::zeroed(0);
+        assert!(empty.is_empty() && is_line_aligned(empty.buf.as_ptr()));
+        // SAFETY: single-threaded.
+        assert!(unsafe { empty.slice(0..0) }.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "view out of plane")]
+    fn shared_vec_rejects_a_view_past_the_end() {
+        let v = SharedVec::<u8>::zeroed(8);
+        // SAFETY: single-threaded; the call must panic, not hand out memory.
+        let _ = unsafe { v.slice(4..9) };
+    }
+
+    /// The base of every plane is on a cache line, for each element type
+    /// the frame uses, whatever the allocator did before: also for the
+    /// second window built after the first was dropped (its blocks come
+    /// from the free lists, not from fresh pages).
+    #[test]
+    fn every_frame_plane_starts_on_a_cache_line() {
+        fn check(fb: &FrameBuffers, what: &str) {
+            let cf32 = [&fb.freq, &fb.csi, &fb.det, &fb.pre, &fb.gram, &fb.gram_part];
+            for (i, plane) in cf32.into_iter().chain([&fb.dl_freq, &fb.dl_time]).enumerate() {
+                assert!(is_line_aligned(plane.buf.as_ptr()), "{what}: Cf32 plane {i}");
+            }
+            assert!(is_line_aligned(fb.llr.buf.as_ptr()), "{what}: llr");
+            assert!(is_line_aligned(fb.llr_i8.buf.as_ptr()), "{what}: llr_i8");
+            for (i, plane) in [&fb.decoded, &fb.decode_ok, &fb.dl_bits].into_iter().enumerate() {
+                assert!(is_line_aligned(plane.buf.as_ptr()), "{what}: u8 plane {i}");
+            }
+        }
+        // A small geometry (planes from the allocator's bins) and one
+        // whose planes are large enough to be mapped on their own.
+        let large = BufferGeometry { m: 16, q: 1200, symbols: 4, samples: 2048, ..geom() };
+        for g in [geom(), large] {
+            let first = FrameWindow::new(g, 2);
+            (0..2).for_each(|f| check(first.slot(f), "first window"));
+            // Disturb the heap by an amount that is not a line multiple.
+            let shim = vec![0u8; 24];
+            drop(first);
+            let second = FrameWindow::new(g, 3);
+            (0..3).for_each(|f| check(second.slot(f), "second window"));
+            drop(shim);
         }
     }
 
     #[test]
     fn shared_vec_disjoint_writes_from_threads() {
-        let v = std::sync::Arc::new(SharedVec::new(1000, 0u64));
+        let v = std::sync::Arc::new(SharedVec::<f32>::zeroed(1000));
         std::thread::scope(|s| {
             for t in 0..4 {
                 let v = v.clone();
                 s.spawn(move || {
                     let r = unsafe { v.slice_mut(t * 250..(t + 1) * 250) };
                     for (i, x) in r.iter_mut().enumerate() {
-                        *x = (t * 250 + i) as u64;
+                        *x = (t * 250 + i) as f32;
                     }
                 });
             }
         });
         let all = unsafe { v.slice(0..1000) };
         for (i, &x) in all.iter().enumerate() {
-            assert_eq!(x, i as u64);
+            assert_eq!(x, i as f32);
         }
     }
 

@@ -224,15 +224,21 @@ mod tests {
         let mut cfg_slow = cfg_fast.clone();
         cfg_slow.ablation.cache_layout = false;
         cfg_slow.ablation.streaming_stores = false;
+        // The block layout written with cached stores only.
+        let mut cfg_cached = cfg_fast.clone();
+        cfg_cached.ablation.streaming_stores = false;
 
         let mut fast = InlineProcessor::new(cfg_fast);
         let mut slow = InlineProcessor::new(cfg_slow);
+        let mut cached = InlineProcessor::new(cfg_cached);
         let rf = fast.process_frame(0, &packets);
         let rs = slow.process_frame(0, &packets);
+        let rc = cached.process_frame(0, &packets);
         let symbol = fast.kernels().cfg.cell.schedule.uplink_indices()[0];
         for user in 0..2 {
             assert_eq!(rf.decoded[symbol][user], gt.info_bits[symbol][user]);
             assert_eq!(rf.decoded[symbol][user], rs.decoded[symbol][user]);
+            assert_eq!(rf.decoded[symbol][user], rc.decoded[symbol][user]);
         }
     }
 

@@ -7,12 +7,12 @@
 //! data-parallel engine, the pipeline-parallel variant, and the inline
 //! single-threaded mode — the schedulers differ, the math does not.
 
-use crate::buffers::{BufferGeometry, FrameBuffers};
+use crate::buffers::{AlignedBuf, BufferGeometry, FrameBuffers};
 use crate::config::{EngineConfig, EqMode};
 use crate::state::FrameShape;
 use agora_fft::{Direction, FftPlan, SubcarrierMap};
 use agora_ldpc::{DecodeConfig, DecodeConfigI8, Decoder, DecoderI8, Encoder, RateMatch};
-use agora_math::simd::{conj_transpose, stream_copy, SimdTier};
+use agora_math::simd::{conj_transpose, stream_copy, stream_fence, SimdTier};
 use agora_math::{
     gram_accumulate_with_tier, gram_reduce, normalize_precoder_in_place, pinv_from_gram_slice_into,
     CMat, Cf32, Gemm, PinvScratch,
@@ -35,7 +35,16 @@ pub struct Kernels {
     pub shape: FrameShape,
     fft: FftPlan,
     map: SubcarrierMap,
+    /// The active subcarriers as the line-sized moves between a
+    /// transform grid and the `[block][antenna][8 sc]` plane.
+    pieces: Vec<Piece>,
     pilots: PilotPlan,
+    /// Frame symbol index of each pilot, by pilot ordinal.
+    pilot_symbols: Vec<usize>,
+    /// Per pilot ordinal, per subcarrier: the user observed there and the
+    /// reciprocal of its reference, `(user, p.inv())` — what the fused LS
+    /// estimate multiplies by. Empty for a pilot symbol no user owns.
+    pilot_table: Vec<Vec<(u32, Cf32)>>,
     rate_match: RateMatch,
     encoder: Encoder,
     /// Planned GEMM for equalization (`K x M x block`).
@@ -68,14 +77,26 @@ enum DecodePlane {
     },
 }
 
+/// A run of active subcarriers that is consecutive in the FFT grid and
+/// lies inside one demod block: `len` subcarriers from `sc`, at grid bins
+/// `bin..bin + len`, at offset `off` of antenna 0's share of the block
+/// layout (antenna `a` is `a * block` further on). With the block a cache
+/// line and the band split on a block boundary, every piece is one line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Piece {
+    sc: usize,
+    bin: usize,
+    len: usize,
+    off: usize,
+}
+
 /// Per-worker mutable scratch: decoder state and staging buffers.
 pub struct WorkerScratch {
-    grid: Vec<Cf32>,
-    /// Staging for batched (I)FFT execution: up to
-    /// `max(batch.fft, batch.ifft)` transform-sized grids back to back, so
-    /// one `execute_batch_prereversed` call covers a whole task batch.
-    batch_grid: Vec<Cf32>,
-    active: Vec<Cf32>,
+    /// The one transform buffer: up to `max(batch.fft, batch.ifft)`
+    /// transform-sized grids back to back, line-aligned, so one
+    /// `execute_batch_prereversed` call covers a whole (I)FFT task and
+    /// the task's loads and stores never straddle a line.
+    grid: AlignedBuf<Cf32>,
     ant_block: Vec<Cf32>,
     user_block: Vec<Cf32>,
     /// Per-user equalized rows for the strided demod path,
@@ -142,7 +163,17 @@ impl Kernels {
         };
         let fft = FftPlan::new(cell.fft_size);
         let map = SubcarrierMap::new(cell.fft_size, cell.num_data_sc);
+        let pieces = block_pieces(&map, &geom);
         let pilots = PilotPlan::new(cell.pilot_scheme, cell.num_users, cell.num_data_sc);
+        let pilot_symbols = cell.schedule.pilot_indices();
+        let pilot_table = (0..pilot_symbols.len())
+            .map(|ordinal| {
+                (0..geom.q)
+                    .map_while(|sc| pilots.owner(ordinal, sc))
+                    .map(|(user, p)| (user as u32, p.inv()))
+                    .collect()
+            })
+            .collect();
         let rate_match = cell.ldpc.rate_match();
         let encoder = Encoder::new(cell.ldpc.base_graph, cell.ldpc.z);
         // Every beamforming product runs on the detected tier (the
@@ -170,7 +201,10 @@ impl Kernels {
             shape,
             fft,
             map,
+            pieces,
             pilots,
+            pilot_symbols,
+            pilot_table,
             rate_match,
             encoder,
             eq_gemm,
@@ -187,13 +221,9 @@ impl Kernels {
         let g = &self.geom;
         let ldpc = &self.cfg.cell.ldpc;
         WorkerScratch {
-            grid: vec![Cf32::ZERO; self.cfg.cell.fft_size],
-            batch_grid: vec![
-                Cf32::ZERO;
-                self.cfg.batch.fft.max(self.cfg.batch.ifft).max(1)
-                    * self.cfg.cell.fft_size
-            ],
-            active: vec![Cf32::ZERO; g.q],
+            grid: AlignedBuf::zeroed(
+                self.cfg.batch.fft.max(self.cfg.batch.ifft).max(1) * self.cfg.cell.fft_size,
+            ),
             ant_block: vec![Cf32::ZERO; g.m * g.block],
             user_block: vec![Cf32::ZERO; g.k * g.block],
             strided_rows: vec![Cf32::ZERO; g.k * g.zf_group],
@@ -257,48 +287,32 @@ impl Kernels {
     /// Which pilot-symbol ordinal a frame symbol index is (0-based among
     /// pilots); only valid for pilot symbols.
     pub fn pilot_ordinal(&self, symbol: usize) -> usize {
-        self.cfg
-            .cell
-            .schedule
-            .pilot_indices()
-            .iter()
-            .position(|&s| s == symbol)
-            .expect("symbol is not a pilot")
+        self.pilot_symbols.iter().position(|&s| s == symbol).expect("symbol is not a pilot")
     }
 
-    /// FFT task (uplink): unpack one antenna's payload, FFT, then either
-    /// estimate CSI (pilot symbols — the FFT+CSI fusion of Table 2) or
-    /// store frequency-domain data for demodulation.
-    ///
-    /// The front of the task is fused: IQ unpack, cyclic-prefix skip and
-    /// the FFT's bit-reversal permutation collapse into one gather-on-copy
-    /// pass ([`unpack_bitrev`]), after which the transform runs its
-    /// butterfly stages directly ([`FftPlan::execute_prereversed`]).
+    /// FFT task (uplink) for one antenna: [`Self::fft_batch_task`] with a
+    /// batch of one.
     ///
     /// # Safety contract
     /// Requires exclusive ownership of this (symbol, antenna)'s output
     /// regions, guaranteed by the scheduler.
     pub fn fft_task(&self, fb: &FrameBuffers, s: &mut WorkerScratch, symbol: usize, ant: usize) {
-        let g = &self.geom;
-        // SAFETY: the scheduler dispatched this (symbol, antenna), so
-        // its packet slot is occupied and no longer written; the view
-        // lives only for this task.
-        let payload = unsafe { fb.rx_payload_view(g, symbol, ant) };
-        // The emulated RRU sends CP-less symbols; any leading samples
-        // beyond the FFT size are the (empty) prefix and are skipped by
-        // the fused gather.
-        let skip = g.samples - self.cfg.cell.fft_size;
-        unpack_bitrev(payload, skip, self.fft.bitrev(), &mut s.grid);
-        self.fft.execute_prereversed(&mut s.grid, Direction::Forward);
-        self.map.demap_symbols(&s.grid, &mut s.active);
-        self.fft_store(fb, symbol, ant, &s.active);
+        self.fft_batch_task(fb, s, symbol, ant, 1)
     }
 
-    /// Batched FFT task: the same per-antenna work as [`Self::fft_task`]
-    /// for `count` consecutive antennas, with all transforms executed in
-    /// one [`FftPlan::execute_batch_prereversed`] call so the SIMD kernel
-    /// amortises twiddle loads and keeps L1-resident tiles hot across
-    /// transforms. Output is bit-identical to `count` single tasks.
+    /// FFT task (uplink) for `count` consecutive antennas from `base`:
+    /// unpack each antenna's payload, transform them all, then either
+    /// estimate CSI (pilot symbols — the FFT+CSI fusion of Table 2) or
+    /// store frequency-domain data for demodulation.
+    ///
+    /// Both ends of the transform are fused into it. In front, IQ unpack,
+    /// cyclic-prefix skip and the bit-reversal permutation are one
+    /// gather-on-copy pass ([`unpack_bitrev`]), after which one
+    /// [`FftPlan::execute_batch_prereversed`] call runs the butterflies of
+    /// the whole batch (the SIMD kernel amortises twiddle loads across
+    /// transforms). Behind, `fft_store` moves the active bins straight
+    /// from the grid into the frame plane. The output does not depend on
+    /// how antennas are grouped into batches.
     pub fn fft_batch_task(
         &self,
         fb: &FrameBuffers,
@@ -309,96 +323,119 @@ impl Kernels {
     ) {
         let g = &self.geom;
         let n = self.cfg.cell.fft_size;
-        assert!(count * n <= s.batch_grid.len(), "batch exceeds scratch capacity");
+        assert!(count * n <= s.grid.len(), "batch exceeds scratch capacity");
+        // The emulated RRU sends CP-less symbols; any leading samples
+        // beyond the FFT size are the (empty) prefix and are skipped by
+        // the fused gather.
         let skip = g.samples - n;
-        for i in 0..count {
-            // SAFETY: as in `fft_task` — every antenna in the dispatched
-            // batch has an occupied, no-longer-written packet slot.
+        for (i, grid) in s.grid.chunks_exact_mut(n).take(count).enumerate() {
+            // SAFETY: the scheduler dispatched every antenna of this
+            // batch, so its packet slot is occupied and no longer
+            // written; the view lives only for this task.
             let payload = unsafe { fb.rx_payload_view(g, symbol, base + i) };
-            unpack_bitrev(payload, skip, self.fft.bitrev(), &mut s.batch_grid[i * n..(i + 1) * n]);
+            unpack_bitrev(payload, skip, self.fft.bitrev(), grid);
         }
-        self.fft.execute_batch_prereversed(&mut s.batch_grid[..count * n], Direction::Forward);
-        for i in 0..count {
-            self.map.demap_symbols(&s.batch_grid[i * n..(i + 1) * n], &mut s.active);
-            self.fft_store(fb, symbol, base + i, &s.active);
+        self.fft.execute_batch_prereversed(&mut s.grid[..count * n], Direction::Forward);
+        for (i, grid) in s.grid.chunks_exact(n).take(count).enumerate() {
+            self.fft_store(fb, symbol, base + i, grid);
+        }
+        self.publish_streamed();
+    }
+
+    /// Copies a task's output into a frame plane: streaming stores for the
+    /// whole lines of `dst` under `ablation.streaming_stores`, cached
+    /// stores otherwise. A task that calls this ends in
+    /// [`Self::publish_streamed`].
+    fn plane_copy(&self, src: &[Cf32], dst: &mut [Cf32]) {
+        if self.cfg.ablation.streaming_stores {
+            stream_copy(src, dst, self.simd);
+        } else {
+            dst.copy_from_slice(src);
         }
     }
 
-    /// Post-FFT store: CSI estimation for pilots, frequency-plane write
-    /// for uplink data. `active` holds the demapped data subcarriers of
-    /// `(symbol, ant)`.
-    fn fft_store(&self, fb: &FrameBuffers, symbol: usize, ant: usize, active: &[Cf32]) {
+    /// The one fence of a task body, after its last [`Self::plane_copy`]:
+    /// the completion message's release store does not order streaming
+    /// stores, and that message is what publishes the plane to the
+    /// consuming task.
+    fn publish_streamed(&self) {
+        if self.cfg.ablation.streaming_stores {
+            stream_fence();
+        }
+    }
+
+    /// Post-FFT store, straight from the transformed `grid` of `(symbol,
+    /// ant)`: CSI estimation for pilots, frequency-plane write for uplink
+    /// data. Demapping the active bins is part of the store — the active
+    /// subcarriers are two runs of consecutive bins, so they move a line
+    /// at a time with no staging copy.
+    fn fft_store(&self, fb: &FrameBuffers, symbol: usize, ant: usize, grid: &[Cf32]) {
         let g = &self.geom;
         match self.cfg.cell.schedule.symbol(symbol) {
             SymbolType::Pilot => {
                 // Fused channel estimation: LS divide by the known pilot.
-                let ordinal = self.pilot_ordinal(symbol);
-                let k = g.k;
-                for (sc, &y) in active.iter().enumerate() {
-                    if let Some((user, p)) = self.pilots.owner(ordinal, sc) {
-                        let h = y * p.inv();
+                let refs = &self.pilot_table[self.pilot_ordinal(symbol)];
+                for (sc0, bins) in self.map.active_runs() {
+                    let run = refs.iter().skip(sc0).zip(&grid[bins]);
+                    for (sc, (&(user, inv), &y)) in (sc0..).zip(run) {
                         // Element-precise write: concurrent FFT tasks for
                         // other antennas target different indices of the
                         // same subcarrier's CSI block.
-                        let idx = fb.csi_range(sc).start + ant * k + user;
-                        unsafe { fb.csi.write(idx, h) };
+                        let idx = fb.csi_range(sc).start + ant * g.k + user as usize;
+                        unsafe { fb.csi.write(idx, y * inv) };
                     }
                 }
             }
             SymbolType::Uplink => {
                 let sym_base = fb.freq_symbol_range(symbol).start;
-                if self.cfg.ablation.cache_layout {
-                    // Block layout: [block][antenna][8 sc]. Slice exactly
-                    // this antenna's 8-sample window of each block so
-                    // concurrent antennas never alias.
-                    let b = g.block;
-                    for (blk, chunk) in active.chunks_exact(b).enumerate() {
-                        let off = sym_base + fb.freq_block_offset(g, blk, ant);
-                        let out = unsafe { fb.freq.slice_mut(off..off + b) };
-                        if self.cfg.ablation.streaming_stores {
-                            stream_copy(chunk, out, self.simd);
+                for p in &self.pieces {
+                    // Block layout: [block][antenna][8 sc] — exactly this
+                    // antenna's window of each block, so concurrent
+                    // antennas never alias. Strided layout: [antenna][sc].
+                    let off = sym_base
+                        + if self.cfg.ablation.cache_layout {
+                            p.off + ant * g.block
                         } else {
-                            out.copy_from_slice(chunk);
-                        }
-                    }
-                } else {
-                    // Strided layout: [antenna][sc]; one contiguous run
-                    // per antenna.
-                    let off = sym_base + fb.freq_strided_offset(g, ant, 0);
-                    let out = unsafe { fb.freq.slice_mut(off..off + g.q) };
-                    if self.cfg.ablation.streaming_stores {
-                        stream_copy(active, out, self.simd);
-                    } else {
-                        out.copy_from_slice(active);
-                    }
+                            fb.freq_strided_offset(g, ant, p.sc)
+                        };
+                    // SAFETY: this task owns `(symbol, ant)`'s elements of
+                    // the plane. Where they share a line with another
+                    // antenna's, `stream_copy` writes it with cached stores.
+                    let out = unsafe { fb.freq.slice_mut(off..off + p.len) };
+                    self.plane_copy(&grid[p.bin..p.bin + p.len], out);
                 }
             }
             _ => {}
         }
     }
 
-    /// Interpolates the CSI across subcarriers after all pilot FFTs are
-    /// done. Cheap; the manager runs it inline between pilot completion
-    /// and ZF dispatch. For frequency-orthogonal pilots each user is only
-    /// observed every K-th subcarrier; copy the nearest estimate (flat-
-    /// channel assumption, as the paper's emulation).
+    /// Completes the CSI rows the ZF stage reads, after all pilot FFTs
+    /// are done; the manager runs it inline between pilot completion and
+    /// ZF dispatch, so it is on every frame's critical path. With
+    /// frequency-orthogonal pilots each user is only observed every K-th
+    /// subcarrier; copy the nearest estimate (flat-channel assumption, as
+    /// the paper's emulation). Only the first subcarrier of each ZF group
+    /// is ever read (`zf_task`, `gram_partial_task`, `zf_reduce_task`),
+    /// so only those rows are filled in: `q / zf_group` of `q`.
     pub fn interpolate_csi(&self, fb: &FrameBuffers) {
         if self.pilots.scheme() == agora_phy::PilotScheme::TimeOrthogonal {
             return;
         }
         let g = &self.geom;
         let k = g.k;
-        for sc in 0..g.q {
+        for sc in (0..g.q).step_by(g.zf_group) {
             let anchor = (sc / k) * k; // first subcarrier of this K-group
             for user in 0..k {
                 let src_sc = anchor + user;
                 if src_sc == sc || src_sc >= g.q {
                     continue;
                 }
+                // SAFETY: no task of this frame runs between the pilot
+                // stage and ZF dispatch, and the two rows are distinct.
+                let src = unsafe { fb.csi.slice(fb.csi_range(src_sc)) };
+                let dst = unsafe { fb.csi.slice_mut(fb.csi_range(sc)) };
                 for ant in 0..g.m {
-                    let v = unsafe { fb.csi.slice(fb.csi_range(src_sc)) }[ant * k + user];
-                    let dst = unsafe { fb.csi.slice_mut(fb.csi_range(sc)) };
-                    dst[ant * k + user] = v;
+                    dst[ant * k + user] = src[ant * k + user];
                 }
             }
         }
@@ -901,36 +938,24 @@ impl Kernels {
             // whole block (all antennas) for its subcarriers.
             let base = sym_base + fb.freq_block_offset(g, sc / g.block, 0);
             let out = unsafe { fb.dl_freq.slice_mut(base..base + g.m * width) };
-            if self.cfg.ablation.streaming_stores {
-                stream_copy(&s.ant_block[..g.m * width], out, self.simd);
-            } else {
-                out.copy_from_slice(&s.ant_block[..g.m * width]);
-            }
+            self.plane_copy(&s.ant_block[..g.m * width], out);
         }
+        self.publish_streamed();
     }
 
-    /// IFFT task (downlink): gather one antenna's subcarriers, inverse
-    /// transform, write time-domain samples. The subcarrier scatter is
-    /// fused with the transform's bit-reversal permutation
-    /// ([`SubcarrierMap::map_symbols_bitrev`]) so the grid is built
-    /// pre-reversed and the butterflies run directly on it.
+    /// IFFT task (downlink) for one antenna: [`Self::ifft_batch_task`]
+    /// with a batch of one.
     pub fn ifft_task(&self, fb: &FrameBuffers, s: &mut WorkerScratch, symbol: usize, ant: usize) {
-        let g = &self.geom;
-        let freq = unsafe { fb.dl_freq.slice(fb.freq_symbol_range(symbol)) };
-        for blk in 0..g.q / g.block {
-            let off = fb.freq_block_offset(g, blk, ant);
-            s.active[blk * g.block..(blk + 1) * g.block].copy_from_slice(&freq[off..off + g.block]);
-        }
-        self.map.map_symbols_bitrev(&s.active, &mut s.grid, self.fft.bitrev());
-        self.fft.execute_prereversed(&mut s.grid, Direction::Inverse);
-        let out = unsafe { fb.dl_time.slice_mut(fb.dl_time_range(g, symbol, ant)) };
-        // CP-less symbols, as in the uplink path.
-        out.copy_from_slice(&s.grid[..g.samples]);
+        self.ifft_batch_task(fb, s, symbol, ant, 1)
     }
 
-    /// Batched IFFT task: [`Self::ifft_task`] for `count` consecutive
-    /// antennas through one batched inverse transform. Output is
-    /// bit-identical to `count` single tasks.
+    /// IFFT task (downlink) for `count` consecutive antennas from `base`:
+    /// gather each antenna's subcarriers, inverse-transform them all,
+    /// write time-domain samples. The gather reads each antenna's line of
+    /// a `[block][antenna][8 sc]` block straight into the grid through
+    /// the transform's bit-reversal table, so the grid is built
+    /// pre-reversed and the butterflies run directly on it. The output
+    /// does not depend on how antennas are grouped into batches.
     pub fn ifft_batch_task(
         &self,
         fb: &FrameBuffers,
@@ -941,27 +966,25 @@ impl Kernels {
     ) {
         let g = &self.geom;
         let n = self.cfg.cell.fft_size;
-        assert!(count * n <= s.batch_grid.len(), "batch exceeds scratch capacity");
+        assert!(count * n <= s.grid.len(), "batch exceeds scratch capacity");
+        let bitrev = self.fft.bitrev();
         let freq = unsafe { fb.dl_freq.slice(fb.freq_symbol_range(symbol)) };
-        for i in 0..count {
-            let ant = base + i;
-            for blk in 0..g.q / g.block {
-                let off = fb.freq_block_offset(g, blk, ant);
-                s.active[blk * g.block..(blk + 1) * g.block]
-                    .copy_from_slice(&freq[off..off + g.block]);
+        for (i, grid) in s.grid.chunks_exact_mut(n).take(count).enumerate() {
+            grid.fill(Cf32::ZERO);
+            for p in &self.pieces {
+                let off = p.off + (base + i) * g.block;
+                for (&v, &j) in freq[off..off + p.len].iter().zip(&bitrev[p.bin..]) {
+                    grid[j as usize] = v;
+                }
             }
-            self.map.map_symbols_bitrev(
-                &s.active,
-                &mut s.batch_grid[i * n..(i + 1) * n],
-                self.fft.bitrev(),
-            );
         }
-        self.fft.execute_batch_prereversed(&mut s.batch_grid[..count * n], Direction::Inverse);
+        self.fft.execute_batch_prereversed(&mut s.grid[..count * n], Direction::Inverse);
         let out = unsafe { fb.dl_time.slice_mut(fb.dl_time_run_range(g, symbol, base, count)) };
-        for i in 0..count {
-            out[i * g.samples..(i + 1) * g.samples]
-                .copy_from_slice(&s.batch_grid[i * n..i * n + g.samples]);
+        // CP-less symbols, as in the uplink path.
+        for (out, grid) in out.chunks_exact_mut(g.samples).zip(s.grid.chunks_exact(n)) {
+            self.plane_copy(&grid[..g.samples], out);
         }
+        self.publish_streamed();
     }
 
     /// Modulation scheme shortcut.
@@ -973,20 +996,41 @@ impl Kernels {
 /// Fused IQ unpack + cyclic-prefix skip + bit-reversal: reads the packed
 /// 12-bit IQ samples of one symbol payload and writes the FFT-sized tail
 /// (samples `skip..`) into `out` in bit-reversed order, ready for
-/// [`FftPlan::execute_prereversed`]. One gather-on-copy pass replaces the
-/// previous unpack → tail copy → in-place permutation sequence — the
-/// samples are touched once instead of three times.
+/// [`FftPlan::execute_prereversed`]. One pass replaces the previous
+/// unpack → tail copy → in-place permutation sequence — the samples are
+/// touched once instead of three times. The payload is read front to
+/// back (it is cold: another core received it) and each sample is
+/// scattered to its slot of the cache-resident grid; the bit-reversal
+/// table is its own inverse, so this is the gather `out[i] =
+/// sample[bitrev[i]]` with the random accesses moved to the warm side.
 pub fn unpack_bitrev(payload: &[u8], skip: usize, bitrev: &[u32], out: &mut [Cf32]) {
     assert_eq!(out.len(), bitrev.len(), "output must be transform-sized");
     assert!(
         payload.len() >= (skip + out.len()) * BYTES_PER_SAMPLE,
         "payload too short for skip + transform"
     );
-    for (o, &j) in out.iter_mut().zip(bitrev.iter()) {
-        let b = (skip + j as usize) * BYTES_PER_SAMPLE;
-        let bytes: &[u8; 3] = payload[b..b + BYTES_PER_SAMPLE].try_into().unwrap();
-        *o = unpack_sample(bytes);
+    let samples = payload[skip * BYTES_PER_SAMPLE..].chunks_exact(BYTES_PER_SAMPLE);
+    for (bytes, &j) in samples.zip(bitrev.iter()) {
+        let bytes: &[u8; 3] = bytes.try_into().unwrap();
+        out[j as usize] = unpack_sample(bytes);
     }
+}
+
+/// Cuts the active subcarriers into [`Piece`]s: each of the map's runs of
+/// consecutive bins, split where it crosses a demod-block boundary.
+fn block_pieces(map: &SubcarrierMap, g: &BufferGeometry) -> Vec<Piece> {
+    let mut pieces = Vec::new();
+    for (sc0, bins) in map.active_runs() {
+        let mut done = 0;
+        while done < bins.len() {
+            let sc = sc0 + done;
+            let len = (g.block - sc % g.block).min(bins.len() - done);
+            let off = g.freq_block_offset(sc / g.block, 0) + sc % g.block;
+            pieces.push(Piece { sc, bin: bins.start + done, len, off });
+            done += len;
+        }
+    }
+    pieces
 }
 
 /// True when the zero-forcing path runs in iterative (CG) mode.
@@ -1044,12 +1088,11 @@ mod tests {
     fn scratch_sizes_match_geometry() {
         let k = Kernels::new(EngineConfig::new(CellConfig::tiny_test(2), 2));
         let s = k.scratch();
-        assert_eq!(s.grid.len(), k.cfg.cell.fft_size);
         assert_eq!(
-            s.batch_grid.len(),
+            s.grid.len(),
             k.cfg.batch.fft.max(k.cfg.batch.ifft).max(1) * k.cfg.cell.fft_size
         );
-        assert_eq!(s.active.len(), k.geom.q);
+        assert!((s.grid.as_ptr() as usize).is_multiple_of(agora_math::simd::CACHE_LINE));
         let DecodePlane::F32 { full_llr, .. } = &s.decode else {
             panic!("the default configuration decodes in f32");
         };
@@ -1105,9 +1148,6 @@ mod tests {
         use agora_fronthaul::{RruConfig, RruEmulator};
         use agora_phy::frame::FrameSchedule;
 
-        let bits = |v: &[Cf32]| -> Vec<(u32, u32)> {
-            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
-        };
         for (schedule, eq_mode) in
             [("PUU", EqMode::Direct), ("PUUDD", EqMode::Direct), ("PUUDD", EqMode::Iterative)]
         {
@@ -1189,9 +1229,6 @@ mod tests {
         proc.process_frame(0, &packets);
         let (k, fb) = (proc.kernels(), proc.buffers(0));
         let mut s = k.scratch();
-        let bits = |v: &[Cf32]| -> Vec<(u32, u32)> {
-            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
-        };
 
         // (plane written, symbol, forward transform?) for pilot, uplink, downlink.
         let planes = [(&fb.csi, 0usize, true), (&fb.freq, 1, true), (&fb.dl_time, 2, false)];
@@ -1218,6 +1255,257 @@ mod tests {
                 let singles = run(false);
                 assert!(batched.iter().any(|&b| b != (0, 0)), "symbol {symbol}: plane untouched");
                 assert_eq!(batched, singles, "symbol {symbol} base {base} n {n}");
+            }
+        }
+
+        // The IFFT task's fused ends against the unfused pipeline: gather
+        // the antenna's subcarriers out of the `dl_freq` blocks, scatter
+        // them into a zeroed grid, run the whole transform (with its own
+        // bit-reversal pass).
+        let g = k.geom;
+        (0..m).for_each(|a| k.ifft_task(fb, &mut s, 2, a));
+        // SAFETY: single-threaded test, no writer.
+        let freq = unsafe { fb.dl_freq.slice(fb.freq_symbol_range(2)) };
+        let (mut active, mut grid) = (vec![Cf32::ZERO; g.q], vec![Cf32::ZERO; g.samples]);
+        for ant in 0..m {
+            for (sc, v) in active.iter_mut().enumerate() {
+                *v = freq[fb.freq_block_offset(&g, sc / g.block, ant) + sc % g.block];
+            }
+            k.map.map_symbols(&active, &mut grid);
+            k.fft.execute(&mut grid, Direction::Inverse);
+            // SAFETY: as above.
+            let got = unsafe { fb.dl_time.slice(fb.dl_time_range(&g, 2, ant)) };
+            assert_eq!(bits(got), bits(&grid), "antenna {ant}");
+        }
+    }
+
+    fn bits(v: &[Cf32]) -> Vec<(u32, u32)> {
+        v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
+    /// Kernels for `cell` (schedule replaced by `pilots` pilot symbols,
+    /// one uplink and one downlink symbol) and one frame slot holding a
+    /// pseudo-random packet for every antenna of every pilot and uplink
+    /// symbol — all an FFT task needs.
+    fn primed(
+        mut cell: CellConfig,
+        pilots: usize,
+        tweak: impl FnOnce(&mut EngineConfig),
+    ) -> (Kernels, FrameBuffers) {
+        use agora_fronthaul::{encode, PacketBuf, PacketDir, PacketHeader};
+        use agora_phy::frame::FrameSchedule;
+        cell.schedule = FrameSchedule::parse(&format!("{}UD", "P".repeat(pilots))).unwrap();
+        let mut cfg = EngineConfig::new(cell, 1);
+        tweak(&mut cfg);
+        let k = Kernels::new(cfg);
+        let fb = FrameBuffers::new(&k.geom);
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for symbol in 0..=pilots {
+            for antenna in 0..k.geom.m {
+                let payload: Vec<u8> = (0..k.geom.samples * BYTES_PER_SAMPLE)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        (state >> 32) as u8
+                    })
+                    .collect();
+                let hdr = PacketHeader {
+                    frame: 0,
+                    symbol: symbol as u16,
+                    antenna: antenna as u16,
+                    dir: PacketDir::Uplink,
+                    cell: 0,
+                    payload_len: payload.len() as u32,
+                };
+                let idx = fb.pkt_index(&k.geom, symbol, antenna);
+                // SAFETY: single-threaded test — no concurrent access.
+                unsafe { fb.rx_pkts.store(idx, PacketBuf::Heap(encode(&hdr, &payload))) };
+            }
+        }
+        (k, fb)
+    }
+
+    /// The tentpole's contract. For both layouts, with and without
+    /// streaming stores, at 8x2 and 64x16: (a) a batched FFT task of any
+    /// `count` up to `batch.fft`, off a zero and a non-zero base, leaves
+    /// the `csi` (pilot) and `freq` (uplink) planes byte-equal to `count`
+    /// single tasks; (b) what the fused store leaves equals the unfused
+    /// pipeline — unpack, transform, `demap_symbols`, then one element at
+    /// a time to the place the layout gives it (times the pilot's
+    /// reciprocal for CSI) — so all four settings hold the same values.
+    #[test]
+    fn fused_fft_store_matches_unfused_reference_for_every_batch_and_knob() {
+        for cell in [CellConfig::tiny_test(1), CellConfig::emulated_rru(64, 16, 1)] {
+            for (cache_layout, streaming_stores) in
+                [(true, true), (true, false), (false, true), (false, false)]
+            {
+                let what = format!(
+                    "{}x{} cache_layout={cache_layout} streaming_stores={streaming_stores}",
+                    cell.num_antennas, cell.num_users
+                );
+                let (k, fb) = primed(cell.clone(), 1, |cfg| {
+                    cfg.batch.fft = 4;
+                    cfg.ablation.cache_layout = cache_layout;
+                    cfg.ablation.streaming_stores = streaming_stores;
+                });
+                let (g, n) = (k.geom, k.cfg.cell.fft_size);
+                let mut s = k.scratch();
+                for (symbol, plane) in [(0usize, &fb.csi), (1, &fb.freq)] {
+                    for count in 1..=k.cfg.batch.fft {
+                        for base in [0, g.m - count] {
+                            let mut run = |batched: bool| {
+                                // SAFETY: single-threaded test, no other view alive.
+                                unsafe { plane.slice_mut(0..plane.len()) }.fill(Cf32::ZERO);
+                                if batched {
+                                    k.fft_batch_task(&fb, &mut s, symbol, base, count);
+                                } else {
+                                    (base..base + count)
+                                        .for_each(|a| k.fft_task(&fb, &mut s, symbol, a));
+                                }
+                                // SAFETY: as above.
+                                bits(unsafe { plane.slice(0..plane.len()) })
+                            };
+                            let batched = run(true);
+                            assert!(batched.iter().any(|&b| b != (0, 0)), "{what}: untouched");
+                            // Not `assert_eq!`: a failure would print both planes.
+                            assert!(batched == run(false), "{what} sym {symbol} {base}+{count}");
+                        }
+                    }
+                    // The whole symbol, then the unfused reference.
+                    (0..g.m).for_each(|a| k.fft_task(&fb, &mut s, symbol, a));
+                    // SAFETY: single-threaded test, no writer.
+                    let got = unsafe { plane.slice(0..plane.len()) };
+                    let (mut grid, mut active) = (vec![Cf32::ZERO; n], vec![Cf32::ZERO; g.q]);
+                    for ant in 0..g.m {
+                        // SAFETY: `primed` stored this packet.
+                        let payload = unsafe { fb.rx_payload_view(&g, symbol, ant) };
+                        unpack_bitrev(payload, g.samples - n, k.fft.bitrev(), &mut grid);
+                        k.fft.execute_prereversed(&mut grid, Direction::Forward);
+                        k.map.demap_symbols(&grid, &mut active);
+                        for (sc, &y) in active.iter().enumerate() {
+                            let (idx, want) = if symbol == 0 {
+                                let (user, p) = k.pilots.owner(0, sc).unwrap();
+                                (fb.csi_range(sc).start + ant * g.k + user, y * p.inv())
+                            } else if cache_layout {
+                                let off = fb.freq_block_offset(&g, sc / g.block, ant);
+                                (fb.freq_symbol_range(1).start + off + sc % g.block, y)
+                            } else {
+                                let off = fb.freq_strided_offset(&g, ant, sc);
+                                (fb.freq_symbol_range(1).start + off, y)
+                            };
+                            assert_eq!(
+                                bits(&got[idx..idx + 1]),
+                                bits(&[want]),
+                                "{what} sym {symbol} ant {ant} sc {sc}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The per-ordinal pilot table is `PilotPlan::owner` with the
+    /// reciprocal taken once, entry by entry, for both pilot schemes; a
+    /// pilot symbol no user owns has an empty row.
+    #[test]
+    fn pilot_table_matches_the_pilot_plan() {
+        use agora_phy::PilotScheme;
+        for (scheme, pilots) in [
+            (PilotScheme::FrequencyOrthogonal, 1),
+            (PilotScheme::FrequencyOrthogonal, 2),
+            (PilotScheme::TimeOrthogonal, 2),
+            (PilotScheme::TimeOrthogonal, 3),
+        ] {
+            let mut cell = CellConfig::tiny_test(1);
+            cell.pilot_scheme = scheme;
+            let (k, _) = primed(cell, pilots, |_| {});
+            assert_eq!(k.pilot_table.len(), pilots);
+            for (ordinal, row) in k.pilot_table.iter().enumerate() {
+                assert_eq!(k.pilot_ordinal(k.pilot_symbols[ordinal]), ordinal);
+                let want: Vec<(u32, (u32, u32))> = (0..k.geom.q)
+                    .filter_map(|sc| k.pilots.owner(ordinal, sc))
+                    .map(|(user, p)| (user as u32, bits(&[p.inv()])[0]))
+                    .collect();
+                let got: Vec<(u32, (u32, u32))> =
+                    row.iter().map(|&(user, inv)| (user, bits(&[inv])[0])).collect();
+                assert_eq!(got, want, "{scheme:?} ordinal {ordinal}");
+                let owned = scheme == PilotScheme::FrequencyOrthogonal || ordinal < k.geom.k;
+                assert_eq!(row.len(), if owned { k.geom.q } else { 0 });
+            }
+        }
+    }
+
+    /// `interpolate_csi` fills only the row each ZF group reads. The ZF
+    /// outputs must not be able to tell: `det`, `pre` and `gram` are
+    /// byte-equal to those computed after interpolating every subcarrier
+    /// (the routine this one replaced, kept here as the reference), at
+    /// 8x2, 16x4 and 64x16, for both pilot schemes, both equalization
+    /// modes, and a ZF group that is not a multiple of K.
+    #[test]
+    fn zf_row_interpolation_equals_full_interpolation() {
+        use agora_phy::PilotScheme;
+        fn interpolate_every_row(k: &Kernels, fb: &FrameBuffers) {
+            if k.pilots.scheme() == PilotScheme::TimeOrthogonal {
+                return;
+            }
+            let g = &k.geom;
+            // SAFETY: single-threaded test, no other view alive.
+            let csi = unsafe { fb.csi.slice_mut(0..fb.csi.len()) };
+            for sc in 0..g.q {
+                let anchor = (sc / g.k) * g.k;
+                for user in (0..g.k).filter(|&u| anchor + u != sc && anchor + u < g.q) {
+                    for ant in 0..g.m {
+                        csi[sc * g.m * g.k + ant * g.k + user] =
+                            csi[(anchor + user) * g.m * g.k + ant * g.k + user];
+                    }
+                }
+            }
+        }
+        let mut k3 = CellConfig::tiny_test(1);
+        (k3.num_users, k3.zf_group) = (3, 8);
+        let cells = [
+            CellConfig::tiny_test(1),
+            k3,
+            CellConfig::emulated_rru(16, 4, 1),
+            CellConfig::emulated_rru(64, 16, 1),
+        ];
+        for cell in cells {
+            for scheme in [PilotScheme::FrequencyOrthogonal, PilotScheme::TimeOrthogonal] {
+                for eq_mode in [EqMode::Direct, EqMode::Iterative] {
+                    let what = format!(
+                        "{}x{} group {} {scheme:?} {eq_mode:?}",
+                        cell.num_antennas, cell.num_users, cell.zf_group
+                    );
+                    let mut cell = cell.clone();
+                    cell.pilot_scheme = scheme;
+                    let pilots = scheme.pilot_symbols(cell.num_users);
+                    let (k, fb) = primed(cell, pilots, |cfg| cfg.ablation.eq_mode = eq_mode);
+                    let mut s = k.scratch();
+                    for symbol in 0..pilots {
+                        (0..k.geom.m).for_each(|a| k.fft_task(&fb, &mut s, symbol, a));
+                    }
+                    // SAFETY (here and below): single-threaded test.
+                    let estimated = unsafe { fb.csi.slice(0..fb.csi.len()) }.to_vec();
+                    let mut zf_planes = |full: bool| {
+                        unsafe { fb.csi.slice_mut(0..fb.csi.len()) }.copy_from_slice(&estimated);
+                        if full {
+                            interpolate_every_row(&k, &fb);
+                        } else {
+                            k.interpolate_csi(&fb);
+                        }
+                        (0..k.shape.zf_groups).for_each(|group| k.zf_task(&fb, &mut s, group));
+                        [&fb.det, &fb.pre, &fb.gram]
+                            .map(|plane| bits(unsafe { plane.slice(0..plane.len()) }))
+                    };
+                    let (rows, full) = (zf_planes(false), zf_planes(true));
+                    assert!(rows[0].iter().any(|&b| b != (0, 0)), "{what}: det untouched");
+                    for (i, plane) in ["det", "pre", "gram"].into_iter().enumerate() {
+                        // Not `assert_eq!`: a failure would print both planes.
+                        assert!(rows[i] == full[i], "{what}: {plane} plane");
+                    }
+                }
             }
         }
     }

@@ -43,6 +43,16 @@ impl SubcarrierMap {
         })
     }
 
+    /// The layout as runs of consecutive bins: `(first logical
+    /// subcarrier, its FFT bins)` for the negative- and the positive-
+    /// frequency half, in logical order. Callers that move whole runs
+    /// (or cache lines of them) use this in place of the per-bin
+    /// [`Self::active_bins`].
+    pub fn active_runs(&self) -> [(usize, core::ops::Range<usize>); 2] {
+        let half = self.num_data / 2;
+        [(0, self.fft_size - half..self.fft_size), (half, 1..self.num_data - half + 1)]
+    }
+
     /// Scatters `num_data` frequency-domain samples into a zero-padded
     /// FFT-size buffer according to the layout.
     pub fn map_symbols(&self, data: &[Cf32], grid: &mut [Cf32]) {
@@ -51,21 +61,6 @@ impl SubcarrierMap {
         grid.fill(Cf32::ZERO);
         for (i, bin) in self.active_bins().enumerate() {
             grid[bin] = data[i];
-        }
-    }
-
-    /// Like [`Self::map_symbols`], but scatters through a bit-reversal
-    /// table (`grid[bitrev[bin]] = value`) so the following inverse
-    /// transform can use [`FftPlan::execute_prereversed`] and skip its
-    /// permutation pass — the downlink IFFT's fusion of the uplink's
-    /// gather-on-copy trick.
-    pub fn map_symbols_bitrev(&self, data: &[Cf32], grid: &mut [Cf32], bitrev: &[u32]) {
-        assert_eq!(data.len(), self.num_data);
-        assert_eq!(grid.len(), self.fft_size);
-        assert_eq!(bitrev.len(), self.fft_size);
-        grid.fill(Cf32::ZERO);
-        for (i, bin) in self.active_bins().enumerate() {
-            grid[bitrev[bin] as usize] = data[i];
         }
     }
 
@@ -165,6 +160,20 @@ mod tests {
     }
 
     #[test]
+    fn active_runs_cover_active_bins_in_order() {
+        for (n, q) in [(64, 48), (256, 240), (2048, 1200), (64, 7), (8, 1)] {
+            let map = SubcarrierMap::new(n, q);
+            let from_runs: Vec<(usize, usize)> = map
+                .active_runs()
+                .into_iter()
+                .flat_map(|(sc, bins)| bins.enumerate().map(move |(i, bin)| (sc + i, bin)))
+                .collect();
+            let per_bin: Vec<(usize, usize)> = map.active_bins().enumerate().collect();
+            assert_eq!(from_runs, per_bin, "n={n} q={q}");
+        }
+    }
+
+    #[test]
     fn map_demap_roundtrip() {
         let map = SubcarrierMap::new(128, 96);
         let data: Vec<Cf32> = (0..96).map(|i| Cf32::new(i as f32, -(i as f32))).collect();
@@ -173,23 +182,6 @@ mod tests {
         let mut back = vec![Cf32::ZERO; 96];
         map.demap_symbols(&grid, &mut back);
         assert_eq!(data, back);
-    }
-
-    #[test]
-    fn map_symbols_bitrev_plus_prereversed_ifft_matches_two_pass() {
-        let n = 256;
-        let map = SubcarrierMap::new(n, 180);
-        let plan = FftPlan::new(n);
-        let data: Vec<Cf32> = (0..180).map(|i| Cf32::cis(0.31 * i as f32).scale(0.5)).collect();
-        let mut two_pass = vec![Cf32::ZERO; n];
-        map.map_symbols(&data, &mut two_pass);
-        plan.execute(&mut two_pass, Direction::Inverse);
-        let mut fused = vec![Cf32::ZERO; n];
-        map.map_symbols_bitrev(&data, &mut fused, plan.bitrev());
-        plan.execute_prereversed(&mut fused, Direction::Inverse);
-        for (a, b) in two_pass.iter().zip(fused.iter()) {
-            assert!((*a - *b).abs() < 1e-6);
-        }
     }
 
     #[test]

@@ -128,10 +128,23 @@ unsafe fn f32_to_i16_avx2(src: &[f32], dst: &mut [i16], scale: f32) {
     f32_to_i16_scalar(&src[chunks * 16..], &mut dst[chunks * 16..], scale);
 }
 
-/// Copies complex samples with *streaming* (non-temporal) stores when the
-/// tier allows, bypassing the cache. Producers whose output is consumed by
-/// other cores use this to avoid coherence traffic — the paper's §4.1
-/// "non-temporal stores" optimisation (Table 4 row 3 toggles it off).
+/// Bytes in one cache line: the unit of a streaming store, and the
+/// alignment every frame plane and transform buffer is allocated to.
+pub const CACHE_LINE: usize = 64;
+
+/// Copies complex samples, writing every *whole* cache line of `dst` with
+/// streaming (non-temporal) stores when the tier allows, bypassing the
+/// cache. Producers whose output is consumed by other cores use this to
+/// avoid coherence traffic — the paper's §4.1 "non-temporal stores"
+/// optimisation (Table 4 row 3 toggles it off).
+///
+/// A line `dst` covers only partly is written with ordinary stores: a
+/// streaming store to part of a line another core is writing with cached
+/// stores would evict that core's half-written line mid-update. A span
+/// that holds no whole line is therefore a plain copy.
+///
+/// Streaming stores are weakly ordered: call [`stream_fence`] once, after
+/// the last copy, before publishing `dst` to another thread.
 pub fn stream_copy(src: &[Cf32], dst: &mut [Cf32], tier: SimdTier) {
     assert_eq!(src.len(), dst.len());
     match tier {
@@ -141,8 +154,26 @@ pub fn stream_copy(src: &[Cf32], dst: &mut [Cf32], tier: SimdTier) {
     }
 }
 
-/// Streaming copy with `movntps`. Handles unaligned prologue/epilogue with
-/// regular stores.
+/// Orders every [`stream_copy`] this thread has issued before its later
+/// stores. A release store (the completion message of a task) does *not*
+/// do this on x86: non-temporal stores sit in write-combining buffers
+/// outside the total store order, so without the fence a consumer that
+/// acquires the message can still read the old plane. One call per task,
+/// after its last streaming copy — not one per copy: the fence drains
+/// the write-combining buffers, which is the cost the streaming stores
+/// were meant to avoid.
+pub fn stream_fence() {
+    // SAFETY: SSE is part of the x86-64 baseline, and the instruction
+    // touches no memory of its own.
+    #[cfg(target_arch = "x86_64")]
+    unsafe {
+        core::arch::x86_64::_mm_sfence()
+    };
+}
+
+/// Streaming copy with `movntps`: cached stores up to the first line
+/// boundary of `dst`, two 32-byte streaming stores per whole line, cached
+/// stores for what is left.
 ///
 /// # Safety
 /// Caller must ensure the CPU supports AVX (implied by AVX2).
@@ -150,25 +181,29 @@ pub fn stream_copy(src: &[Cf32], dst: &mut [Cf32], tier: SimdTier) {
 #[target_feature(enable = "avx2")]
 unsafe fn stream_copy_avx(src: &[Cf32], dst: &mut [Cf32]) {
     use core::arch::x86_64::*;
-    let n_floats = src.len() * 2;
+    const LINE_FLOATS: usize = CACHE_LINE / 4;
+    // `Cf32` is `repr(C)` over two `f32`s, so both slices are `f32`
+    // arrays of twice the length, 4-byte aligned.
+    let n = src.len() * 2;
     let sp = src.as_ptr() as *const f32;
     let dp = dst.as_mut_ptr() as *mut f32;
-    // Align destination to 32 bytes for the streaming stores.
-    let mut i = 0usize;
-    while i < n_floats && !(dp.add(i) as usize).is_multiple_of(32) {
-        *dp.add(i) = *sp.add(i);
-        i += 1;
+    let to_line = (CACHE_LINE - dp as usize % CACHE_LINE) % CACHE_LINE / 4;
+    let head = to_line.min(n);
+    let lines = (n - head) / LINE_FLOATS;
+    let tail = head + lines * LINE_FLOATS;
+    // SAFETY: `head <= tail <= n`, and the slices do not overlap (one is
+    // borrowed mutably); `dp + head` is 64-byte aligned when `lines > 0`.
+    // The common call is exactly one aligned line: skip the empty copies.
+    if head != 0 {
+        core::ptr::copy_nonoverlapping(sp, dp, head);
     }
-    while i + 8 <= n_floats {
-        let v = _mm256_loadu_ps(sp.add(i));
-        _mm256_stream_ps(dp.add(i), v);
-        i += 8;
+    for i in (head..tail).step_by(LINE_FLOATS) {
+        _mm256_stream_ps(dp.add(i), _mm256_loadu_ps(sp.add(i)));
+        _mm256_stream_ps(dp.add(i + 8), _mm256_loadu_ps(sp.add(i + 8)));
     }
-    while i < n_floats {
-        *dp.add(i) = *sp.add(i);
-        i += 1;
+    if tail != n {
+        core::ptr::copy_nonoverlapping(sp.add(tail), dp.add(tail), n - tail);
     }
-    _mm_sfence();
 }
 
 /// Out-of-place transpose of a row-major `rows x cols` matrix of complex
@@ -450,12 +485,45 @@ mod tests {
         assert!((dst[2] - dst_simd[2]).abs() <= 1);
     }
 
+    /// Every destination offset within a line x every short length: the
+    /// window equals the source and nothing outside it is written. A
+    /// window starting on an odd `f32` exercises the 4-byte-aligned head.
     #[test]
     fn stream_copy_matches_memcpy() {
+        const SENTINEL: f32 = -7.5;
+        let src: Vec<Cf32> = (0..40).map(|i| Cf32::new(i as f32, -(i as f32) - 0.5)).collect();
+        let mut backing = vec![SENTINEL; 16 + 16 + 2 * 40 + 16];
+        let line = (CACHE_LINE - backing.as_ptr() as usize % CACHE_LINE) % CACHE_LINE / 4;
+        for offset in 0..16 {
+            for len in 0..=40 {
+                backing.fill(SENTINEL);
+                let start = line + offset;
+                // SAFETY: `Cf32` is two `f32`s with `f32` alignment, and
+                // the window lies inside `backing`.
+                let window = unsafe {
+                    core::slice::from_raw_parts_mut(
+                        backing.as_mut_ptr().add(start) as *mut Cf32,
+                        len,
+                    )
+                };
+                stream_copy(&src[..len], window, SimdTier::detect());
+                stream_fence();
+                let (before, rest) = backing.split_at(start);
+                let (copied, after) = rest.split_at(2 * len);
+                let want: Vec<f32> = src[..len].iter().flat_map(|z| [z.re, z.im]).collect();
+                assert_eq!(copied, &want[..], "offset {offset} len {len}");
+                assert!(
+                    before.iter().chain(after).all(|&x| x == SENTINEL),
+                    "offset {offset} len {len}: wrote outside the window"
+                );
+            }
+        }
+        // Many whole lines with a ragged head and tail.
         let src: Vec<Cf32> = (0..333).map(|i| Cf32::new(i as f32, -(i as f32))).collect();
-        let mut dst = vec![Cf32::ZERO; src.len()];
-        stream_copy(&src, &mut dst, SimdTier::detect());
-        assert_eq!(src, dst);
+        let mut dst = vec![Cf32::ZERO; src.len() + 1];
+        stream_copy(&src, &mut dst[1..], SimdTier::detect());
+        stream_fence();
+        assert_eq!(src, dst[1..]);
     }
 
     #[test]
