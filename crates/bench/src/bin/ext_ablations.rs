@@ -4,17 +4,11 @@
 //!    describes the mechanism but never isolates its benefit; we do.
 //! 2. **Batch-size sweep** — the paper picks FFT batch 2 and demod
 //!    batch 64 empirically; we sweep the space.
-//! 3. **Layered vs flooding LDPC scheduling** — FlexRAN is layered; we
-//!    implement both and measure the iteration/latency trade.
 
 use agora_bench::csv::write_csv;
 use agora_core::sim::{simulate, SimConfig};
-use agora_ldpc::{BaseGraphId, DecodeConfig, Decoder, Encoder, RateMatch};
 use agora_phy::frame::FrameSchedule;
 use agora_phy::CellConfig;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::time::Instant;
 
 fn main() {
     let mut rows = Vec::new();
@@ -62,59 +56,6 @@ fn main() {
         rows.push(format!("batch,{fft_b}x{demod_b},{}", rep.median_latency_ms()));
     }
     println!("  -> the paper's (2, 64) sits in the flat optimum\n");
-
-    // --- 3. Layered vs flooding LDPC ---------------------------------------
-    println!("Extension 3 — layered vs flooding LDPC decode (BG1, Z=104, R=1/3, 2 dB)");
-    let z = 104;
-    let enc = Encoder::new(BaseGraphId::Bg1, z);
-    let rm = RateMatch::for_rate(BaseGraphId::Bg1, z, 1.0 / 3.0);
-    let mut dec = Decoder::new(BaseGraphId::Bg1, z);
-    let mut rng = StdRng::seed_from_u64(3);
-    let blocks = 12;
-    let sigma2 = 10.0f32.powf(-2.0 / 10.0);
-    let mut results = Vec::new();
-    for schedule in ["layered", "flooding"] {
-        let mut iters_total = 0usize;
-        let mut fails = 0usize;
-        let mut elapsed = 0.0f64;
-        for _ in 0..blocks {
-            let info: Vec<u8> = (0..enc.info_len()).map(|_| rng.gen::<bool>() as u8).collect();
-            let cw = enc.encode(&info);
-            let llr: Vec<f32> = rm
-                .extract(&cw)
-                .iter()
-                .map(|&b| {
-                    let x = if b == 0 { 1.0f32 } else { -1.0 };
-                    let u1: f64 = rng.gen::<f64>().max(1e-12);
-                    let u2: f64 = rng.gen();
-                    let n =
-                        ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32;
-                    2.0 * (x + sigma2.sqrt() * n) / sigma2
-                })
-                .collect();
-            let full = rm.fill_llrs(&llr);
-            let dc = DecodeConfig { max_iters: 20, ..Default::default() };
-            let t0 = Instant::now();
-            let res = if schedule == "layered" {
-                dec.decode(&full, &dc)
-            } else {
-                dec.decode_flooding(&full, &dc)
-            };
-            elapsed += t0.elapsed().as_secs_f64();
-            iters_total += res.iterations;
-            if !res.success || res.info_bits != info {
-                fails += 1;
-            }
-        }
-        let mean_iters = iters_total as f64 / blocks as f64;
-        let ms = elapsed * 1e3 / blocks as f64;
-        println!(
-            "  {schedule:<9} mean iterations {mean_iters:>5.1}, {ms:>6.2} ms/block, failures {fails}/{blocks}"
-        );
-        results.push((schedule, mean_iters));
-        rows.push(format!("ldpc_schedule,{schedule},{mean_iters}"));
-    }
-    println!("  -> layered converges in roughly half the iterations, as expected\n");
 
     let p = write_csv("ext_ablations", "experiment,variant,value", &rows);
     println!("wrote {}", p.display());

@@ -13,7 +13,7 @@
 //! Usage: ext_faults [frames_per_point]   (default 40)
 
 use agora_bench::csv::write_csv;
-use agora_core::{Engine, EngineConfig};
+use agora_core::{Counter, Engine, EngineConfig};
 use agora_fronthaul::{FaultConfig, FaultInjector, LossModel, RruConfig, RruEmulator};
 use agora_ldpc::BaseGraphId;
 use agora_phy::frame::LdpcParams;
@@ -99,11 +99,11 @@ fn run_point(cell: &CellConfig, frames: u32, loss: LossModel, seed: u64) -> Poin
     }
     let stats = engine.stats();
     PointResult {
-        completed: stats.frames_completed(),
-        dropped: stats.frames_dropped(),
+        completed: stats.get(Counter::FramesCompleted),
+        dropped: stats.get(Counter::FramesDropped),
         lost: fs.lost,
-        late: stats.packets_late(),
-        dup: stats.packets_duplicate(),
+        late: stats.get(Counter::PacketsLate),
+        dup: stats.get(Counter::PacketsDuplicate),
         reordered: fs.reordered,
         offered: fs.offered,
         bler: if blocks == 0 { 0.0 } else { bad as f64 / blocks as f64 },

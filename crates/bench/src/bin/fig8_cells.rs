@@ -12,7 +12,7 @@
 
 use agora_bench::csv::write_csv;
 use agora_core::deploy::{Deployment, DeploymentConfig};
-use agora_core::EngineConfig;
+use agora_core::{Counter, EngineConfig};
 use agora_fronthaul::{MemFronthaul, MultiCellGenerator, RruConfig, RruEmulator};
 use agora_phy::CellConfig;
 use std::sync::atomic::AtomicBool;
@@ -64,8 +64,8 @@ fn main() {
 
         let total_frames = (cells as u32 * FRAMES_PER_CELL) as u64;
         let stats = deployment.stats().rollup();
-        let completed = stats.frames_completed();
-        let dropped = stats.frames_dropped();
+        let completed = stats.get(Counter::FramesCompleted);
+        let dropped = stats.get(Counter::FramesDropped);
         let mut lat_sum_ns = 0u64;
         let mut lat_n = 0u64;
         for res in &results {

@@ -23,7 +23,7 @@
 use agora_core::config::EqMode;
 use agora_core::deploy::{Deployment, DeploymentConfig};
 use agora_core::engine::PRIORITY;
-use agora_core::{Engine, EngineConfig, FrameResult, InlineProcessor, WorkerPolicy};
+use agora_core::{Counter, Engine, EngineConfig, FrameResult, InlineProcessor, WorkerPolicy};
 use agora_fft::{Direction, FftPlan};
 use agora_fronthaul::packet::decode_ref;
 use agora_fronthaul::{
@@ -592,11 +592,11 @@ fn ledger_reconciliation() {
             &format!("ledger: cell {c} demux count matches the delivery ledger"),
         );
         check(
-            s.packets_lost() == fs.per_cell_lost.get(&cid).copied().unwrap_or(0),
+            s.get(Counter::PacketsLost) == fs.per_cell_lost.get(&cid).copied().unwrap_or(0),
             &format!("ledger: cell {c} loss reconciles"),
         );
         check(
-            s.packets_duplicate() + s.packets_late()
+            s.get(Counter::PacketsDuplicate) + s.get(Counter::PacketsLate)
                 == fs.per_cell_duplicated.get(&cid).copied().unwrap_or(0),
             &format!("ledger: cell {c} dup+late equals injected duplicates"),
         );
@@ -617,9 +617,13 @@ fn ledger_reconciliation() {
         }
     }
     let roll = stats.rollup();
-    check(roll.packets_lost() == fs.lost, "ledger: rolled-up loss equals total injected loss");
     check(
-        roll.frames_completed() + roll.frames_dropped() == (CELLS as u64) * FRAMES as u64,
+        roll.get(Counter::PacketsLost) == fs.lost,
+        "ledger: rolled-up loss equals total injected loss",
+    );
+    check(
+        roll.get(Counter::FramesCompleted) + roll.get(Counter::FramesDropped)
+            == (CELLS as u64) * FRAMES as u64,
         "ledger: rollup accounts for every frame",
     );
 }
@@ -669,10 +673,11 @@ fn bit_identical_vs_standalone() {
         );
         // The duplicate/late split depends on arrival timing, but the
         // sum is the injected duplicate count either way.
-        let solo_dups = engine.stats().packets_duplicate() + engine.stats().packets_late();
+        let solo_dups = engine.stats().get(Counter::PacketsDuplicate)
+            + engine.stats().get(Counter::PacketsLate);
         let dep = deployment.stats().cell(c);
         check(
-            solo_dups == dep.packets_duplicate() + dep.packets_late(),
+            solo_dups == dep.get(Counter::PacketsDuplicate) + dep.get(Counter::PacketsLate),
             &format!("parity: cell {c} duplicate ledger matches"),
         );
     }
@@ -708,7 +713,7 @@ fn misroute_counting() {
     );
     check(deployment.demux_stats().misrouted() == rogue_count, "misroute: demux counter agrees");
     check(
-        (0..CELLS).all(|c| deployment.stats().cell(c).rx_errors() == 0),
+        (0..CELLS).all(|c| deployment.stats().cell(c).get(Counter::RxErrors) == 0),
         "misroute: rogue packets never reach a cell's intake",
     );
 }

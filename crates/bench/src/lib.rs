@@ -1,8 +1,9 @@
 //! # agora-bench — experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (§6), plus
-//! Criterion micro-benches for the kernels. Each binary prints the
-//! paper's rows/series to stdout and writes CSV under `results/`.
+//! One binary per table/figure of the paper's evaluation (§6). Each
+//! prints the paper's rows/series to stdout and writes CSV under
+//! `results/`. Kernel and queue timings are not measured here: the repo
+//! benchmark (`benchmark/`, `--trace 1`) is the one harness for them.
 //!
 //! | target | reproduces |
 //! |---|---|
@@ -17,8 +18,9 @@
 //! | `fig13_breakdown` | Fig 13: block latency + milestones, DP vs PP |
 //! | `table4_ablation` | Table 4: optimisation ablations |
 //! | `table5_simd` | Table 5: SIMD-tier sensitivity |
-//! | `fronthaul_batch` | Fig 10 (I/O side): packets/s and intake-to-FFT latency, single vs batched vs aggregated+pooled UDP |
 //! | `fig8_cells` | Fig 8, deployment flavour: aggregate throughput vs cell count at a fixed total core budget |
+//! | `ext_ablations` | Extensions: stale-precoder early start, batch-size sweep (simulator) |
+//! | `ext_faults` | Extension: frame survival under injected fronthaul loss / reorder / duplication |
 //! | `parity` | CI smoke: every release-build parity check (SIMD tiers, batched FFT, ZF solvers, fronthaul I/O paths, deployment ledgers, staged ZF, scheduler paths) as one table; `parity [name…]` runs a subset |
 //!
 //! The multi-core latency figures run on the calibrated discrete-event

@@ -7,5 +7,5 @@
 pub mod models;
 pub mod snr;
 
-pub use models::{apply_channel, AwgnSource, ChannelModel, FadingModel};
-pub use snr::{db_to_linear, linear_to_db, measure_snr_db, per_user_snrs};
+pub use models::{AwgnSource, ChannelModel, FadingModel};
+pub use snr::per_user_snrs;

@@ -122,12 +122,6 @@ impl AwgnSource {
         Self { rng: StdRng::seed_from_u64(seed), sigma: (noise_power / 2.0).sqrt() }
     }
 
-    /// Creates a source calibrated for an SNR (dB) against unit signal
-    /// power.
-    pub fn for_snr_db(snr_db: f32, seed: u64) -> Self {
-        Self::new(10.0f32.powf(-snr_db / 10.0), seed)
-    }
-
     /// The total noise power per complex sample.
     pub fn noise_power(&self) -> f32 {
         2.0 * self.sigma * self.sigma
@@ -144,19 +138,6 @@ impl AwgnSource {
         let u1: f64 = self.rng.gen::<f64>().max(1e-12);
         let u2: f64 = self.rng.gen();
         ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32
-    }
-}
-
-/// Applies the narrowband channel at one subcarrier: `y = H x + n` where
-/// `x` is the `K`-vector of user symbols and `y` the `M`-vector of
-/// antenna samples. Pass `None` for a noiseless link.
-pub fn apply_channel(h: &CMat, x: &[Cf32], noise: Option<&mut AwgnSource>, y: &mut [Cf32]) {
-    assert_eq!(x.len(), h.cols(), "user vector length mismatch");
-    assert_eq!(y.len(), h.rows(), "antenna vector length mismatch");
-    let hx = h.matvec(x);
-    y.copy_from_slice(&hx);
-    if let Some(n) = noise {
-        n.corrupt(y);
     }
 }
 
@@ -216,7 +197,7 @@ mod tests {
 
     #[test]
     fn noise_power_matches_request() {
-        let mut src = AwgnSource::for_snr_db(10.0, 5);
+        let mut src = AwgnSource::new(0.1, 5);
         assert!((src.noise_power() - 0.1).abs() < 1e-6);
         let mut buf = vec![Cf32::ZERO; 200_000];
         src.corrupt(&mut buf);
@@ -232,32 +213,5 @@ mod tests {
         let mean_re: f64 = buf.iter().map(|z| z.re as f64).sum::<f64>() / buf.len() as f64;
         let mean_im: f64 = buf.iter().map(|z| z.im as f64).sum::<f64>() / buf.len() as f64;
         assert!(mean_re.abs() < 0.01 && mean_im.abs() < 0.01);
-    }
-
-    #[test]
-    fn apply_channel_matches_matvec() {
-        let mut ch = ChannelModel::new(4, 2, FadingModel::Rayleigh, 9);
-        let h = ch.draw();
-        let x = [Cf32::new(1.0, 0.0), Cf32::new(0.0, -1.0)];
-        let mut y = vec![Cf32::ZERO; 4];
-        apply_channel(&h, &x, None, &mut y);
-        let y_ref = h.matvec(&x);
-        for (a, b) in y.iter().zip(y_ref.iter()) {
-            assert_eq!(*a, *b);
-        }
-    }
-
-    #[test]
-    fn noisy_apply_perturbs_output() {
-        let mut ch = ChannelModel::new(4, 2, FadingModel::Rayleigh, 10);
-        let h = ch.draw();
-        let x = [Cf32::ONE, Cf32::ONE];
-        let mut clean = vec![Cf32::ZERO; 4];
-        let mut noisy = vec![Cf32::ZERO; 4];
-        apply_channel(&h, &x, None, &mut clean);
-        let mut src = AwgnSource::for_snr_db(20.0, 11);
-        apply_channel(&h, &x, Some(&mut src), &mut noisy);
-        let dist: f32 = clean.iter().zip(noisy.iter()).map(|(a, b)| (*a - *b).norm_sqr()).sum();
-        assert!(dist > 0.0 && dist < 1.0);
     }
 }

@@ -1,35 +1,8 @@
-//! SNR bookkeeping helpers: dB/linear conversion, measurement, and
-//! per-user SNR assignment for the over-the-air experiment (17–26 dB
+//! Per-user SNR assignment for the over-the-air experiment (17–26 dB
 //! across antennas, §5.3).
 
-use agora_math::Cf32;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Converts decibels to a linear power ratio.
-#[inline]
-pub fn db_to_linear(db: f32) -> f32 {
-    10.0f32.powf(db / 10.0)
-}
-
-/// Converts a linear power ratio to decibels.
-#[inline]
-pub fn linear_to_db(linear: f32) -> f32 {
-    10.0 * linear.log10()
-}
-
-/// Measures the empirical SNR (dB) of a received signal given the clean
-/// reference: `10 log10(|x|^2 / |y - x|^2)`.
-pub fn measure_snr_db(clean: &[Cf32], noisy: &[Cf32]) -> f32 {
-    assert_eq!(clean.len(), noisy.len());
-    let sig: f32 = clean.iter().map(|z| z.norm_sqr()).sum();
-    let err: f32 = clean.iter().zip(noisy.iter()).map(|(a, b)| (*a - *b).norm_sqr()).sum();
-    if err <= 0.0 {
-        f32::INFINITY
-    } else {
-        linear_to_db(sig / err)
-    }
-}
 
 /// Draws one SNR (dB) per user, uniform in `[lo, hi]` — the paper reports
 /// "a pilot SNR of 17–26 dB" across users/antennas in the OTA setup.
@@ -42,31 +15,6 @@ pub fn per_user_snrs(num_users: usize, lo: f32, hi: f32, seed: u64) -> Vec<f32> 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn db_linear_roundtrip() {
-        for db in [-10.0f32, 0.0, 3.0, 25.0] {
-            assert!((linear_to_db(db_to_linear(db)) - db).abs() < 1e-4);
-        }
-        assert!((db_to_linear(0.0) - 1.0).abs() < 1e-6);
-        assert!((db_to_linear(10.0) - 10.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn measured_snr_matches_injected() {
-        use crate::models::AwgnSource;
-        let clean: Vec<Cf32> = (0..50_000).map(|i| Cf32::cis(i as f32 * 0.37)).collect();
-        let mut noisy = clean.clone();
-        AwgnSource::for_snr_db(15.0, 3).corrupt(&mut noisy);
-        let snr = measure_snr_db(&clean, &noisy);
-        assert!((snr - 15.0).abs() < 0.3, "measured {snr} dB");
-    }
-
-    #[test]
-    fn identical_signals_have_infinite_snr() {
-        let x = vec![Cf32::ONE; 10];
-        assert!(measure_snr_db(&x, &x).is_infinite());
-    }
 
     #[test]
     fn per_user_snrs_within_range() {

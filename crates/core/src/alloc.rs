@@ -114,28 +114,6 @@ pub fn allocate_cores(
     allocate_weighted(&work, num_workers, frame_ns, 1)
 }
 
-/// Expands a cores-per-block allocation into per-worker task-type lists
-/// for [`crate::engine::WorkerPolicy::PipelineParallel`]. Workers beyond
-/// the allocated total (if any) poll every type as overflow helpers.
-pub fn worker_assignments(
-    blocks: &[BlockWork],
-    cores: &[usize],
-    num_workers: usize,
-) -> Vec<Vec<TaskType>> {
-    assert_eq!(blocks.len(), cores.len());
-    let mut out = Vec::with_capacity(num_workers);
-    for (b, &c) in blocks.iter().zip(cores.iter()) {
-        for _ in 0..c {
-            out.push(vec![b.task]);
-        }
-    }
-    while out.len() < num_workers {
-        out.push(blocks.iter().map(|b| b.task).collect());
-    }
-    out.truncate(num_workers);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,27 +257,5 @@ mod tests {
             }
             prop_assert!(assigned <= num_workers, "over-assigned: {} > {}", assigned, num_workers);
         }
-    }
-
-    #[test]
-    fn assignments_cover_all_workers() {
-        let b = blocks();
-        let cores = allocate_cores(&b, 26, 1_000_000).unwrap();
-        let assign = worker_assignments(&b, &cores, 26);
-        assert_eq!(assign.len(), 26);
-        // First worker does FFT only; some worker does Decode only.
-        assert_eq!(assign[0], vec![TaskType::Fft]);
-        assert!(assign.iter().any(|a| a == &vec![TaskType::Decode]));
-    }
-
-    #[test]
-    fn overflow_workers_poll_everything() {
-        let b = vec![BlockWork { task: TaskType::Fft, total_ns: 100, max_parallelism: 1 }];
-        let cores = allocate_cores(&b, 3, 1_000).unwrap();
-        let assign = worker_assignments(&b, &cores, 3);
-        assert_eq!(assign.len(), 3);
-        assert_eq!(assign[0], vec![TaskType::Fft]);
-        // Helpers poll the full list (here just Fft again).
-        assert_eq!(assign[2], vec![TaskType::Fft]);
     }
 }

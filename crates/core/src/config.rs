@@ -157,8 +157,9 @@ pub struct EngineConfig {
     /// its in-flight tasks are flushed, its state freed, and a result
     /// with `dropped: true` is emitted so the pipeline keeps pace under
     /// fronthaul loss ("Agora drops the frame and continues", §6).
-    /// `None` keeps the legacy behaviour: incomplete frames are only
-    /// reaped by the end-of-input stall detector.
+    /// `None` runs no watchdog: incomplete frames are only reaped by the
+    /// end-of-input stall detector, and a wholly lost frame more than
+    /// `frame_window` frames back parks the network thread for good.
     pub frame_deadline_ns: Option<u64>,
     /// Packets the network thread requests per `recv_batch` poll when
     /// driven from a [`agora_fronthaul::Fronthaul`] link (one `recvmmsg`

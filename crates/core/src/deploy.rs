@@ -29,7 +29,7 @@ use crate::config::EngineConfig;
 use crate::engine::{
     drain_link, pin_thread, worker_loop, CellCore, FrameResult, PinRole, PRIORITY,
 };
-use crate::stats::EngineStats;
+use crate::stats::{Counter, EngineStats};
 use agora_fronthaul::demux::{CellDemux, Route};
 use agora_fronthaul::{Fronthaul, PacketBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -425,8 +425,8 @@ impl Deployment {
             let mut ingests: Vec<_> = self.cells.iter().map(|c| c.ingest_state()).collect();
             let route = |pkt: PacketBuf| match demux.classify(&pkt) {
                 Route::Cell(c) => ingests[c].ingest(pkt),
-                Route::Misrouted => link.packet_misrouted(),
-                Route::Undecodable => link.rx_error(),
+                Route::Misrouted => link.add(Counter::PacketsMisrouted, 1),
+                Route::Undecodable => link.add(Counter::RxErrors, 1),
             };
             drain_link(fh, self.rx_batch, producer_done, link, route, || self.maybe_reallocate());
             net_done.store(true, Ordering::Release);
@@ -452,8 +452,12 @@ impl Deployment {
         if self.epoch_frames == 0 {
             return;
         }
-        let done: u64 =
-            self.stats.cells.iter().map(|s| s.frames_completed() + s.frames_dropped()).sum();
+        let done: u64 = self
+            .stats
+            .cells
+            .iter()
+            .map(|s| s.get(Counter::FramesCompleted) + s.get(Counter::FramesDropped))
+            .sum();
         let mut st = self.sup.lock().unwrap();
         if done < st.next_epoch {
             return;
@@ -642,9 +646,9 @@ mod tests {
             }
         }
         let stats = deployment.stats();
-        assert_eq!(stats.cell(0).frames_completed(), frames as u64);
-        assert_eq!(stats.cell(1).frames_completed(), frames as u64);
-        assert_eq!(stats.rollup().frames_completed(), 2 * frames as u64);
+        assert_eq!(stats.cell(0).get(Counter::FramesCompleted), frames as u64);
+        assert_eq!(stats.cell(1).get(Counter::FramesCompleted), frames as u64);
+        assert_eq!(stats.rollup().get(Counter::FramesCompleted), 2 * frames as u64);
         assert_eq!(stats.link().packets_misrouted(), 0);
     }
 
@@ -734,8 +738,8 @@ mod tests {
             [(2, false), (3, true)]
         );
         assert_eq!(results[1].lost_packets as usize, full_load);
-        assert_eq!(engine.stats().frames_completed(), 3);
-        assert_eq!(engine.stats().frames_dropped(), 1);
+        assert_eq!(engine.stats().get(Counter::FramesCompleted), 3);
+        assert_eq!(engine.stats().get(Counter::FramesDropped), 1);
     }
 
     /// A packet naming cell 7 in a C=2 deployment is counted and
@@ -767,6 +771,6 @@ mod tests {
         let stats = deployment.stats();
         assert_eq!(stats.link().packets_misrouted(), rogue_count);
         assert_eq!(stats.rollup().packets_misrouted(), rogue_count);
-        assert_eq!(stats.cell(0).rx_errors(), 0, "rogue packets never reach a cell");
+        assert_eq!(stats.cell(0).get(Counter::RxErrors), 0, "rogue packets never reach a cell");
     }
 }

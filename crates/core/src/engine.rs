@@ -13,7 +13,7 @@ use crate::buffers::FrameWindow;
 use crate::config::EngineConfig;
 use crate::kernels::{Kernels, WorkerScratch};
 use crate::state::{Arrival, FrameTable, Milestones, Retired, ZfStage, STAGE_STALE_PRECODER};
-use crate::stats::EngineStats;
+use crate::stats::{Counter, EngineStats};
 use agora_fronthaul::packet::decode_ref;
 use agora_fronthaul::{Fronthaul, PacketBuf};
 use agora_queue::{IdleAction, IdleBackoff, IdleGate, MpmcQueue, Msg, TaskLane, TaskType};
@@ -94,11 +94,6 @@ impl FrameResult {
     /// Frame processing latency: first packet to uplink completion.
     pub fn uplink_latency_ns(&self) -> u64 {
         self.milestones.decode_done_ns.saturating_sub(self.milestones.first_packet_ns)
-    }
-
-    /// Frame processing latency for downlink frames.
-    pub fn downlink_latency_ns(&self) -> u64 {
-        self.milestones.ifft_done_ns.saturating_sub(self.milestones.first_packet_ns)
     }
 }
 
@@ -223,14 +218,14 @@ impl<'a> NetIngest<'a> {
         let g = &self.kernels.geom;
         let win = self.slot_frame.len() as u64;
         let Ok((hdr, payload)) = decode_ref(&pkt) else {
-            self.stats.rx_error();
+            self.stats.add(Counter::RxErrors, 1);
             return;
         };
         let (frame, symbol, ant) = (hdr.frame, hdr.symbol as usize, hdr.antenna as usize);
         // Shape validation: a mis-addressed or mis-sized packet must not
         // index out of the slot table or hand the FFT a short payload.
         if symbol >= g.symbols || ant >= g.m || payload.len() != g.samples * 3 {
-            self.stats.rx_error();
+            self.stats.add(Counter::RxErrors, 1);
             return;
         }
         // Late rejection: the frame's slot has been retired (and may
@@ -238,7 +233,7 @@ impl<'a> NetIngest<'a> {
         // new occupant. Happens to duplicates/stragglers arriving after
         // their frame completed or was abandoned.
         if (frame as u64) < self.min_frame.load(Ordering::Acquire) {
-            self.stats.packet_late();
+            self.stats.add(Counter::PacketsLate, 1);
             return;
         }
         // Flow control: wait until the frame's slot is free.
@@ -498,7 +493,9 @@ pub(crate) fn drain_link<F: Fronthaul + ?Sized>(
         let done = producer_done.load(Ordering::Acquire);
         let n = fh.recv_batch(&mut batch, rx_batch);
         if n > 0 {
-            link_stats.record_rx_batch(n);
+            link_stats.add(Counter::RxBatches, 1);
+            link_stats.add(Counter::RxBatchPackets, n as u64);
+            link_stats.max(Counter::RxBatchMax, n as u64);
             batch.drain(..).for_each(&mut on_packet);
         } else if done {
             break;
@@ -508,7 +505,8 @@ pub(crate) fn drain_link<F: Fronthaul + ?Sized>(
         after_poll();
     }
     let (tx_e, rx_e) = fh.link_errors();
-    link_stats.set_link_errors(tx_e, rx_e);
+    link_stats.set(Counter::LinkTxErrors, tx_e);
+    link_stats.set(Counter::LinkRxErrors, rx_e);
 }
 
 impl Drop for Engine {
@@ -599,8 +597,8 @@ impl CellCore {
                 let now_ns = last_progress.as_nanos() as u64;
                 match table.on_packet(msg.frame, symbol, antenna, now_ns, &mut out) {
                     Arrival::Accepted => {}
-                    Arrival::Duplicate => self.stats.packet_duplicate(),
-                    Arrival::Late => self.stats.packet_late(),
+                    Arrival::Duplicate => self.stats.add(Counter::PacketsDuplicate, 1),
+                    Arrival::Late => self.stats.add(Counter::PacketsLate, 1),
                 }
                 // The network thread admits no frame a window above the
                 // watermark, so the table never outgrows the window.
@@ -693,10 +691,10 @@ impl CellCore {
         ctx.forget(frame);
         let result = self.frame_result(frame, &done);
         if result.dropped {
-            self.stats.add_packets_lost(result.lost_packets as u64);
-            self.stats.frame_dropped();
+            self.stats.add(Counter::PacketsLost, result.lost_packets as u64);
+            self.stats.add(Counter::FramesDropped, 1);
         } else {
-            self.stats.frame_completed();
+            self.stats.add(Counter::FramesCompleted, 1);
         }
         results.push(result);
         // Release: the result is read out and nothing of the retired
@@ -748,17 +746,18 @@ impl CellCore {
         let depth = lane.len();
         let fit = lane.push_batch(msgs);
         if fit > 0 {
-            self.stats.record_lane_push(fit as u64, depth);
+            self.stats.add(Counter::LanePushes, fit as u64);
+            self.stats.max(Counter::LaneDepthMax, depth as u64);
         }
         if fit < msgs.len() {
-            self.stats.add_lane_overflows((msgs.len() - fit) as u64);
+            self.stats.add(Counter::LaneOverflows, (msgs.len() - fit) as u64);
             for &m in &msgs[fit..] {
                 self.push_shared(m);
             }
         }
         ctx.set_lane(&msgs[0], lane_id);
         if self.queues.gate.wake_all() {
-            self.stats.wake();
+            self.stats.add(Counter::Wakes, 1);
         }
     }
 
@@ -806,7 +805,7 @@ impl CellCore {
             sweep(&mut |buf| lane.pop_batch(buf, COMPLETE_BATCH));
         }
         if !self.queues.lanes.is_empty() && self.queues.gate.wake_all() {
-            self.stats.wake();
+            self.stats.add(Counter::Wakes, 1);
         }
     }
 
@@ -890,7 +889,8 @@ pub(crate) fn worker_loop(
                 let victim = (wid + off) % queues.lanes.len();
                 let n = queues.lanes[victim].steal_batch(&mut batch, WORKER_BATCH);
                 if n > 0 {
-                    stats.record_steal(n as u64);
+                    stats.add(Counter::Steals, n as u64);
+                    stats.add(Counter::StealBatches, 1);
                     break;
                 }
             }
@@ -937,7 +937,7 @@ pub(crate) fn worker_loop(
                 {
                     continue;
                 }
-                stats.park();
+                stats.add(Counter::Parks, 1);
                 queues.gate.park(seen, PARK_TIMEOUT);
             }
         }
@@ -945,9 +945,8 @@ pub(crate) fn worker_loop(
 }
 
 /// Runs the kernel(s) a task message stands for — the only
-/// message-to-kernel mapping; the inline processor calls it too. A
-/// multi-task (I)FFT message runs as one batched transform; a single
-/// task keeps the single-transform kernel.
+/// message-to-kernel mapping; the inline processor calls it too. An
+/// (I)FFT message of any size runs as one batched transform.
 pub(crate) fn execute(
     kernels: &Kernels,
     window: &FrameWindow,
@@ -959,8 +958,7 @@ pub(crate) fn execute(
     let base = msg.base as usize;
     let count = msg.count as usize;
     match msg.task {
-        TaskType::Fft if count > 1 => kernels.fft_batch_task(fb, scratch, symbol, base, count),
-        TaskType::Fft => kernels.fft_task(fb, scratch, symbol, base),
+        TaskType::Fft => kernels.fft_batch_task(fb, scratch, symbol, base, count),
         TaskType::Zf => match ZfStage::of(msg.stage) {
             ZfStage::Mono => {
                 for group in base..base + count {
@@ -991,8 +989,7 @@ pub(crate) fn execute(
             kernels.precode_task_with(fb, pre_src, scratch, symbol, base, count);
         }
         TaskType::Precode => kernels.precode_task(fb, scratch, symbol, base, count),
-        TaskType::Ifft if count > 1 => kernels.ifft_batch_task(fb, scratch, symbol, base, count),
-        TaskType::Ifft => kernels.ifft_task(fb, scratch, symbol, base),
+        TaskType::Ifft => kernels.ifft_batch_task(fb, scratch, symbol, base, count),
         _ => {}
     }
 }
@@ -1176,9 +1173,12 @@ mod tests {
             }
         }
         let stats = engine.stats();
-        assert_eq!(stats.packets_lost(), per_frame as u64);
-        assert_eq!((stats.frames_completed(), stats.frames_dropped()), (frames as u64 - 1, 1));
-        assert_eq!((stats.packets_late(), stats.packets_duplicate()), (0, 0));
+        assert_eq!(stats.get(Counter::PacketsLost), per_frame as u64);
+        assert_eq!(
+            (stats.get(Counter::FramesCompleted), stats.get(Counter::FramesDropped)),
+            (frames as u64 - 1, 1)
+        );
+        assert_eq!((stats.get(Counter::PacketsLate), stats.get(Counter::PacketsDuplicate)), (0, 0));
     }
 
     /// Driving the engine straight off a [`Fronthaul`] link must decode
@@ -1227,9 +1227,19 @@ mod tests {
         let stats = engine.stats();
         assert_eq!(stats.rx_batch_packets(), total, "every queued packet drained");
         assert!(stats.rx_batches() >= total.div_ceil(rx_batch), "batch count sanity");
-        assert!(stats.rx_batch_max() <= rx_batch, "polls bounded by the configured batch");
-        assert!(stats.rx_batch_max() > 1, "a pre-filled link must drain multi-packet batches");
-        assert_eq!(stats.rx_errors(), 1, "the malformed datagram is counted");
-        assert_eq!(stats.link_errors(), (0, 0), "in-memory link has no socket errors");
+        assert!(
+            stats.get(Counter::RxBatchMax) <= rx_batch,
+            "polls bounded by the configured batch"
+        );
+        assert!(
+            stats.get(Counter::RxBatchMax) > 1,
+            "a pre-filled link must drain multi-packet batches"
+        );
+        assert_eq!(stats.get(Counter::RxErrors), 1, "the malformed datagram is counted");
+        assert_eq!(
+            (stats.get(Counter::LinkTxErrors), stats.get(Counter::LinkRxErrors)),
+            (0, 0),
+            "in-memory link has no socket errors"
+        );
     }
 }

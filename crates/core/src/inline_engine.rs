@@ -15,7 +15,6 @@ use crate::kernels::{Kernels, WorkerScratch};
 use crate::state::FrameTable;
 use agora_fronthaul::packet::decode as decode_packet;
 use agora_fronthaul::PacketBuf;
-use agora_phy::frame::SymbolType;
 use agora_queue::Msg;
 use bytes::Bytes;
 
@@ -142,11 +141,6 @@ impl InlineProcessor {
     /// instrumentation).
     pub fn buffers(&self, frame: u32) -> &FrameBuffers {
         self.window.slot(frame)
-    }
-
-    /// Symbol type lookup shortcut.
-    pub fn symbol_type(&self, symbol: usize) -> SymbolType {
-        self.kernels.cfg.cell.schedule.symbol(symbol)
     }
 }
 

@@ -51,10 +51,9 @@ pub struct Kernels {
     eq_gemm: Gemm,
     /// Planned GEMM for precoding (`M x K x block`).
     pre_gemm: Gemm,
-    simd: SimdTier,
-    /// Tier the beamforming matrix kernels (ZF pinv, equalize GEMV,
-    /// precode) dispatch to.
-    gemm_tier: SimdTier,
+    /// Tier the streaming stores and the beamforming matrix kernels (ZF
+    /// pinv, equalize GEMV, precode) dispatch to.
+    tier: SimdTier,
     /// Whether the schedule carries downlink symbols (the iterative
     /// equalizer skips the precoder entirely when it doesn't).
     has_downlink: bool,
@@ -180,11 +179,11 @@ impl Kernels {
         // kernels are bit-identical across tiers); `jit_gemm` keeps its
         // Table 4 meaning of dropping the planned equalize/precode
         // kernels to the generic scalar loop.
-        let gemm_tier = SimdTier::cached();
+        let tier = SimdTier::cached();
         let (eq_gemm, pre_gemm) = if cfg.ablation.jit_gemm {
             (
-                Gemm::plan_with_tier(geom.k, geom.m, geom.block, gemm_tier),
-                Gemm::plan_with_tier(geom.m, geom.k, geom.block, gemm_tier),
+                Gemm::plan_with_tier(geom.k, geom.m, geom.block, tier),
+                Gemm::plan_with_tier(geom.m, geom.k, geom.block, tier),
             )
         } else {
             (
@@ -209,8 +208,7 @@ impl Kernels {
             encoder,
             eq_gemm,
             pre_gemm,
-            simd: SimdTier::detect(),
-            gemm_tier,
+            tier,
             has_downlink,
             coded_bits,
         }
@@ -234,7 +232,7 @@ impl Kernels {
             zf_h: CMat::zeros(g.m, g.k),
             zf_det: CMat::zeros(g.k, g.m),
             zf_pre: CMat::zeros(g.m, g.k),
-            zf_pinv: PinvScratch::with_tier(g.m, g.k, self.gemm_tier),
+            zf_pinv: PinvScratch::with_tier(g.m, g.k, self.tier),
             zf_part_ah: vec![Cf32::ZERO; g.k * ClusterPlan::new(g.m, g.clusters).max_len()],
             zf_shard: {
                 let shards = self.shape.zf_reduce_shards;
@@ -348,7 +346,7 @@ impl Kernels {
     /// [`Self::publish_streamed`].
     fn plane_copy(&self, src: &[Cf32], dst: &mut [Cf32]) {
         if self.cfg.ablation.streaming_stores {
-            stream_copy(src, dst, self.simd);
+            stream_copy(src, dst, self.tier);
         } else {
             dst.copy_from_slice(src);
         }
@@ -497,9 +495,9 @@ impl Kernels {
     fn gram_rows(&self, a: &[Cf32], ah: &mut [Cf32], out: &mut [Cf32]) {
         let k = self.geom.k;
         let rows = a.len() / k;
-        conj_transpose(a, rows, k, ah, self.gemm_tier);
+        conj_transpose(a, rows, k, ah, self.tier);
         out.fill(Cf32::ZERO);
-        gram_accumulate_with_tier(rows, k, ah, a, out, self.gemm_tier);
+        gram_accumulate_with_tier(rows, k, ah, a, out, self.tier);
     }
 
     /// Stage one of the partitioned ZF path: compute the partial Gram
@@ -718,7 +716,7 @@ impl Kernels {
                         det_slice,
                         &s.ant_block[..g.m],
                         &mut s.user_block[..g.k],
-                        self.gemm_tier,
+                        self.tier,
                     );
                     if let Some(gram) = gram {
                         // GEMV produced `H^H y`; solve the Gram system.

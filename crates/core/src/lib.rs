@@ -38,4 +38,4 @@ pub use engine::{Engine, FrameResult, WorkerPolicy};
 pub use inline_engine::InlineProcessor;
 pub use kernels::Kernels;
 pub use state::{FrameState, Milestones, Ready};
-pub use stats::EngineStats;
+pub use stats::{Counter, EngineStats};

@@ -316,7 +316,7 @@ impl FrameState {
 
     /// Downlink symbols that can start immediately (encode needs no RX
     /// input — the data comes from the MAC).
-    pub fn initial_work(&self) -> Vec<Ready> {
+    fn initial_work(&self) -> Vec<Ready> {
         self.schedule
             .downlink_indices()
             .into_iter()
@@ -492,22 +492,22 @@ impl FrameState {
     }
 
     /// True when every uplink decode has finished.
-    pub fn uplink_complete(&self) -> bool {
+    fn uplink_complete(&self) -> bool {
         self.ul_decodes_remaining == 0
     }
 
     /// True when every downlink IFFT has finished.
-    pub fn downlink_complete(&self) -> bool {
+    fn downlink_complete(&self) -> bool {
         self.dl_iffts_remaining == 0
     }
 
     /// True once all pilot FFT+CSI work is done.
-    pub fn pilots_complete(&self) -> bool {
+    fn pilots_complete(&self) -> bool {
         self.pilot_ffts_remaining == 0
     }
 
     /// Packets received so far for one symbol.
-    pub fn packets_received(&self, symbol: usize) -> usize {
+    fn packets_received(&self, symbol: usize) -> usize {
         self.pkts[symbol]
     }
 
@@ -547,7 +547,7 @@ impl FrameState {
     }
 
     /// True once all ZF groups are done.
-    pub fn zf_complete(&self) -> bool {
+    fn zf_complete(&self) -> bool {
         self.zf_done == self.shape.zf_groups
     }
 

@@ -1,4 +1,5 @@
-//! Runtime statistics: per-worker, per-task-type busy time and counts.
+//! Runtime statistics: per-worker, per-task-type busy time and counts,
+//! plus one declared table of scalar counters.
 //!
 //! Workers bump relaxed atomics around each task execution; the
 //! aggregates feed Table 3 ("time per task", "total time across cores")
@@ -6,6 +7,7 @@
 //! minus busy time).
 
 use agora_queue::msg::TaskType;
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of distinct task types tracked.
@@ -29,6 +31,149 @@ pub fn type_index(t: TaskType) -> usize {
 pub const TYPE_NAMES: [&str; NUM_TASK_TYPES] =
     ["FFT", "ZF", "Demod", "Decode", "Encode", "Precode", "IFFT"];
 
+/// The scalar counters of an [`EngineStats`] sink. `Counter as usize` is
+/// the counter's slot in the sink and in [`EngineStats::snapshot`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
+    /// Packets that never arrived for frames the engine gave up on.
+    PacketsLost,
+    /// Packets rejected because their frame was already completed,
+    /// abandoned, or retired past the flow-control window.
+    PacketsLate,
+    /// Packets rejected because the same (frame, symbol, antenna) was
+    /// already received.
+    PacketsDuplicate,
+    /// Frames fully processed to completion.
+    FramesCompleted,
+    /// Frames abandoned (deadline or stall) with partial output.
+    FramesDropped,
+    /// Packets rejected at intake as malformed (bad header, out-of-range
+    /// symbol/antenna, or wrong payload size for the cell).
+    RxErrors,
+    /// Packets addressed to a cell id outside the deployment — dropped at
+    /// the demux, never delivered to cell 0 by default.
+    PacketsMisrouted,
+    /// Non-empty receive batches drained by the network thread.
+    RxBatches,
+    /// Packets delivered across those batches.
+    RxBatchPackets,
+    /// Largest single receive batch observed.
+    RxBatchMax,
+    /// Socket-level send errors reported by the fronthaul link (a gauge
+    /// the network thread publishes with [`EngineStats::set`]).
+    LinkTxErrors,
+    /// Socket-level receive errors reported by the fronthaul link.
+    LinkRxErrors,
+    /// Task messages placed directly into a worker's lane.
+    LanePushes,
+    /// Task messages that overflowed a full lane to the shared queues.
+    LaneOverflows,
+    /// Deepest lane backlog observed at placement time.
+    LaneDepthMax,
+    /// Task messages a worker took from another worker's lane.
+    Steals,
+    /// Steal operations (batches), regardless of size.
+    StealBatches,
+    /// Times a worker parked on the idle gate.
+    Parks,
+    /// Wake signals that found at least one parked worker.
+    Wakes,
+}
+
+/// Number of [`Counter`]s.
+pub const NUM_COUNTERS: usize = 19;
+
+/// How two sinks' values of one counter combine in [`EngineStats::merge`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fold {
+    /// Counts add (link error gauges too: each cell reports its own
+    /// link's cumulative counts).
+    Add,
+    /// High-water marks take the larger.
+    Max,
+}
+
+/// The counter table, in slot order: the name `summary()`'s ledger and
+/// structured consumers use, and the merge rule.
+pub const COUNTERS: [(Counter, &str, Fold); NUM_COUNTERS] = [
+    (Counter::PacketsLost, "packets_lost", Fold::Add),
+    (Counter::PacketsLate, "packets_late", Fold::Add),
+    (Counter::PacketsDuplicate, "packets_duplicate", Fold::Add),
+    (Counter::FramesCompleted, "frames_completed", Fold::Add),
+    (Counter::FramesDropped, "frames_dropped", Fold::Add),
+    (Counter::RxErrors, "rx_errors", Fold::Add),
+    (Counter::PacketsMisrouted, "packets_misrouted", Fold::Add),
+    (Counter::RxBatches, "rx_batches", Fold::Add),
+    (Counter::RxBatchPackets, "rx_batch_packets", Fold::Add),
+    (Counter::RxBatchMax, "rx_batch_max", Fold::Max),
+    (Counter::LinkTxErrors, "link_tx_errors", Fold::Add),
+    (Counter::LinkRxErrors, "link_rx_errors", Fold::Add),
+    (Counter::LanePushes, "lane_pushes", Fold::Add),
+    (Counter::LaneOverflows, "lane_overflows", Fold::Add),
+    (Counter::LaneDepthMax, "lane_depth_max", Fold::Max),
+    (Counter::Steals, "steals", Fold::Add),
+    (Counter::StealBatches, "steal_batches", Fold::Add),
+    (Counter::Parks, "parks", Fold::Add),
+    (Counter::Wakes, "wakes", Fold::Add),
+];
+
+// Row `i` of the table describes slot `i`: everything that indexes by
+// `Counter as usize` relies on it.
+const _: () = {
+    let mut i = 0;
+    while i < NUM_COUNTERS {
+        assert!(COUNTERS[i].0 as usize == i);
+        i += 1;
+    }
+};
+
+/// `summary()`'s ledger lines: a line prints when any of its gate
+/// counters is non-zero (no gate: always). `{name}` is a counter from
+/// [`COUNTERS`], `{a/b}` the ratio of two to one decimal.
+const LEDGER: [(&[Counter], &str); 4] = [
+    (
+        &[],
+        "frames: {frames_completed} completed, {frames_dropped} dropped | \
+         packets: {packets_lost} lost, {packets_late} late, {packets_duplicate} dup, \
+         {rx_errors} rx-err, {packets_misrouted} misrouted\n",
+    ),
+    (
+        &[Counter::RxBatches],
+        "rx: {rx_batches} batches, {rx_batch_packets} packets \
+         (mean {rx_batch_packets/rx_batches}/batch, max {rx_batch_max})\n",
+    ),
+    (
+        &[Counter::LinkTxErrors, Counter::LinkRxErrors],
+        "link errors: {link_tx_errors} tx, {link_rx_errors} rx\n",
+    ),
+    (
+        &[Counter::LanePushes, Counter::LaneOverflows, Counter::Steals, Counter::Parks],
+        "sched: {lane_pushes} lane pushes (max depth {lane_depth_max}), \
+         {lane_overflows} overflows, {steals} stolen in {steal_batches} steals, \
+         {parks} parks, {wakes} wakes\n",
+    ),
+];
+
+/// Appends `template` to `out` with its `{…}` placeholders filled from
+/// `snap` (see [`LEDGER`]).
+fn render(template: &str, snap: &[u64; NUM_COUNTERS], out: &mut String) {
+    let value = |name: &str| {
+        let slot = COUNTERS.iter().position(|&(_, n, _)| n == name);
+        snap[slot.expect("ledger placeholder names a counter")]
+    };
+    let mut rest = template;
+    while let Some((text, tail)) = rest.split_once('{') {
+        let (key, tail) = tail.split_once('}').expect("ledger placeholder is closed");
+        out.push_str(text);
+        let _ = match key.split_once('/') {
+            Some((a, b)) => write!(out, "{:.1}", value(a) as f64 / value(b) as f64),
+            None => write!(out, "{}", value(key)),
+        };
+        rest = tail;
+    }
+    out.push_str(rest);
+}
+
 /// Shared, lock-free statistics sink.
 #[derive(Debug, Default)]
 pub struct EngineStats {
@@ -37,50 +182,10 @@ pub struct EngineStats {
     messages: [AtomicU64; NUM_TASK_TYPES],
     /// Total busy nanoseconds per worker id (sized at engine start).
     worker_busy_ns: Vec<AtomicU64>,
-    /// Packets that never arrived for frames the engine gave up on.
-    packets_lost: AtomicU64,
-    /// Packets rejected because their frame was already completed,
-    /// abandoned, or retired past the flow-control window.
-    packets_late: AtomicU64,
-    /// Packets rejected because the same (frame, symbol, antenna) was
-    /// already received.
-    packets_duplicate: AtomicU64,
-    /// Frames fully processed to completion.
-    frames_completed: AtomicU64,
-    /// Frames abandoned (deadline or stall) with partial output.
-    frames_dropped: AtomicU64,
-    /// Packets rejected at intake as malformed (bad header, out-of-range
-    /// symbol/antenna, or wrong payload size for the cell).
-    rx_errors: AtomicU64,
-    /// Packets addressed to a cell id outside the deployment — dropped at
-    /// the demux, never delivered to cell 0 by default.
-    packets_misrouted: AtomicU64,
-    /// Non-empty receive batches drained by the network thread.
-    rx_batches: AtomicU64,
-    /// Packets delivered across those batches.
-    rx_batch_packets: AtomicU64,
-    /// Largest single receive batch observed.
-    rx_batch_max: AtomicU64,
-    /// Socket-level send errors reported by the fronthaul link.
-    link_tx_errors: AtomicU64,
-    /// Socket-level receive errors reported by the fronthaul link.
-    link_rx_errors: AtomicU64,
     /// `push_task` retry spins per task type (shared queue was full).
     push_retries: [AtomicU64; NUM_TASK_TYPES],
-    /// Task messages placed directly into a worker's lane.
-    lane_pushes: AtomicU64,
-    /// Task messages that overflowed a full lane to the shared queues.
-    lane_overflows: AtomicU64,
-    /// Deepest lane backlog observed at placement time.
-    lane_depth_max: AtomicU64,
-    /// Task messages a worker took from another worker's lane.
-    steals: AtomicU64,
-    /// Steal operations (batches), regardless of size.
-    steal_batches: AtomicU64,
-    /// Times a worker parked on the idle gate.
-    parks: AtomicU64,
-    /// Wake signals that found at least one parked worker.
-    wakes: AtomicU64,
+    /// The scalar counters, one slot per [`Counter`].
+    counters: [AtomicU64; NUM_COUNTERS],
 }
 
 impl EngineStats {
@@ -119,126 +224,73 @@ impl EngineStats {
         self.messages[type_index(t)].load(Ordering::Relaxed)
     }
 
-    /// Mean task duration in microseconds (None if no tasks ran).
-    pub fn mean_task_us(&self, t: TaskType) -> Option<f64> {
-        let n = self.tasks(t);
-        if n == 0 {
-            None
-        } else {
-            Some(self.busy_ns(t) as f64 / n as f64 / 1000.0)
-        }
-    }
-
     /// Total busy nanoseconds across all workers and types.
     pub fn total_busy_ns(&self) -> u64 {
         self.busy_ns.iter().map(|a| a.load(Ordering::Relaxed)).sum()
     }
 
-    /// Busy nanoseconds of one worker.
-    pub fn worker_busy_ns(&self, worker: usize) -> u64 {
-        self.worker_busy_ns.get(worker).map_or(0, |a| a.load(Ordering::Relaxed))
+    /// Adds `n` to counter `c`.
+    pub fn add(&self, c: Counter, n: u64) {
+        self.counters[c as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records `n` packets as lost (frame abandoned before they arrived).
-    pub fn add_packets_lost(&self, n: u64) {
-        self.packets_lost.fetch_add(n, Ordering::Relaxed);
+    /// Raises high-water counter `c` to at least `v`.
+    pub fn max(&self, c: Counter, v: u64) {
+        self.counters[c as usize].fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Records one late packet (frame already completed/abandoned/retired).
-    pub fn packet_late(&self) {
-        self.packets_late.fetch_add(1, Ordering::Relaxed);
+    /// Overwrites gauge `c` with a cumulative value read elsewhere (the
+    /// fronthaul link's socket error counts).
+    pub fn set(&self, c: Counter, v: u64) {
+        self.counters[c as usize].store(v, Ordering::Relaxed);
     }
 
-    /// Records one duplicate packet.
-    pub fn packet_duplicate(&self) {
-        self.packets_duplicate.fetch_add(1, Ordering::Relaxed);
+    /// Current value of counter `c`.
+    pub fn get(&self, c: Counter) -> u64 {
+        self.counters[c as usize].load(Ordering::Relaxed)
     }
 
-    /// Records one frame processed to completion.
-    pub fn frame_completed(&self) {
-        self.frames_completed.fetch_add(1, Ordering::Relaxed);
+    /// Every scalar counter as plain data, indexed by `Counter as usize`
+    /// and named by [`COUNTERS`].
+    pub fn snapshot(&self) -> [u64; NUM_COUNTERS] {
+        std::array::from_fn(|i| self.counters[i].load(Ordering::Relaxed))
     }
 
-    /// Records one frame abandoned with partial output.
-    pub fn frame_dropped(&self) {
-        self.frames_dropped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Packets that never arrived for abandoned frames.
-    pub fn packets_lost(&self) -> u64 {
-        self.packets_lost.load(Ordering::Relaxed)
-    }
-
-    /// Packets rejected as late.
-    pub fn packets_late(&self) -> u64 {
-        self.packets_late.load(Ordering::Relaxed)
-    }
-
-    /// Packets rejected as duplicates.
-    pub fn packets_duplicate(&self) -> u64 {
-        self.packets_duplicate.load(Ordering::Relaxed)
-    }
-
-    /// Frames processed to completion.
-    pub fn frames_completed(&self) -> u64 {
-        self.frames_completed.load(Ordering::Relaxed)
-    }
-
-    /// Frames abandoned with partial output.
-    pub fn frames_dropped(&self) -> u64 {
-        self.frames_dropped.load(Ordering::Relaxed)
-    }
-
-    /// Records one malformed packet rejected at intake.
-    pub fn rx_error(&self) {
-        self.rx_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Malformed packets rejected at intake.
-    pub fn rx_errors(&self) -> u64 {
-        self.rx_errors.load(Ordering::Relaxed)
-    }
-
-    /// Records one packet addressed to an unknown cell id.
-    pub fn packet_misrouted(&self) {
-        self.packets_misrouted.fetch_add(1, Ordering::Relaxed);
-    }
+    // One-line forwards for the names `benchmark/src/api.rs` reads.
 
     /// Packets addressed to a cell id outside the deployment.
     pub fn packets_misrouted(&self) -> u64 {
-        self.packets_misrouted.load(Ordering::Relaxed)
-    }
-
-    /// Records one non-empty receive batch of `n` packets.
-    pub fn record_rx_batch(&self, n: usize) {
-        self.rx_batches.fetch_add(1, Ordering::Relaxed);
-        self.rx_batch_packets.fetch_add(n as u64, Ordering::Relaxed);
-        self.rx_batch_max.fetch_max(n as u64, Ordering::Relaxed);
+        self.get(Counter::PacketsMisrouted)
     }
 
     /// Non-empty receive batches drained by the network thread.
     pub fn rx_batches(&self) -> u64 {
-        self.rx_batches.load(Ordering::Relaxed)
+        self.get(Counter::RxBatches)
     }
 
     /// Packets delivered across all receive batches.
     pub fn rx_batch_packets(&self) -> u64 {
-        self.rx_batch_packets.load(Ordering::Relaxed)
+        self.get(Counter::RxBatchPackets)
     }
 
-    /// Largest single receive batch observed.
-    pub fn rx_batch_max(&self) -> u64 {
-        self.rx_batch_max.load(Ordering::Relaxed)
+    /// Tasks placed directly into worker lanes.
+    pub fn lane_pushes(&self) -> u64 {
+        self.get(Counter::LanePushes)
     }
 
-    /// Mean packets per non-empty receive batch (None before any batch).
-    pub fn mean_rx_batch(&self) -> Option<f64> {
-        let b = self.rx_batches();
-        if b == 0 {
-            None
-        } else {
-            Some(self.rx_batch_packets() as f64 / b as f64)
-        }
+    /// Tasks that overflowed full lanes to the shared queues.
+    pub fn lane_overflows(&self) -> u64 {
+        self.get(Counter::LaneOverflows)
+    }
+
+    /// Tasks taken from other workers' lanes.
+    pub fn steals(&self) -> u64 {
+        self.get(Counter::Steals)
+    }
+
+    /// Parks on the idle gate.
+    pub fn parks(&self) -> u64 {
+        self.get(Counter::Parks)
     }
 
     /// Records `n` retry spins while pushing a type-`t` task into a full
@@ -247,170 +299,45 @@ impl EngineStats {
         self.push_retries[type_index(t)].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Retry spins recorded for one task type.
-    pub fn push_retries(&self, t: TaskType) -> u64 {
-        self.push_retries[type_index(t)].load(Ordering::Relaxed)
-    }
-
     /// Retry spins summed over all task types.
     pub fn total_push_retries(&self) -> u64 {
         self.push_retries.iter().map(|a| a.load(Ordering::Relaxed)).sum()
     }
 
-    /// Records `n` tasks placed into a worker lane whose backlog was
-    /// `depth` before the push.
-    pub fn record_lane_push(&self, n: u64, depth: usize) {
-        self.lane_pushes.fetch_add(n, Ordering::Relaxed);
-        self.lane_depth_max.fetch_max(depth as u64, Ordering::Relaxed);
-    }
-
-    /// Records `n` tasks that overflowed a full lane to the shared queues.
-    pub fn add_lane_overflows(&self, n: u64) {
-        self.lane_overflows.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one steal of `n` tasks from another worker's lane.
-    pub fn record_steal(&self, n: u64) {
-        self.steals.fetch_add(n, Ordering::Relaxed);
-        self.steal_batches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one park on the idle gate.
-    pub fn park(&self) {
-        self.parks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one wake that found parked workers.
-    pub fn wake(&self) {
-        self.wakes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Tasks placed directly into worker lanes.
-    pub fn lane_pushes(&self) -> u64 {
-        self.lane_pushes.load(Ordering::Relaxed)
-    }
-
-    /// Tasks that overflowed full lanes to the shared queues.
-    pub fn lane_overflows(&self) -> u64 {
-        self.lane_overflows.load(Ordering::Relaxed)
-    }
-
-    /// Deepest lane backlog observed at placement time.
-    pub fn lane_depth_max(&self) -> u64 {
-        self.lane_depth_max.load(Ordering::Relaxed)
-    }
-
-    /// Tasks taken from other workers' lanes.
-    pub fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
-    }
-
-    /// Steal operations (batches).
-    pub fn steal_batches(&self) -> u64 {
-        self.steal_batches.load(Ordering::Relaxed)
-    }
-
-    /// Parks on the idle gate.
-    pub fn parks(&self) -> u64 {
-        self.parks.load(Ordering::Relaxed)
-    }
-
-    /// Wakes that found parked workers.
-    pub fn wakes(&self) -> u64 {
-        self.wakes.load(Ordering::Relaxed)
-    }
-
-    /// Publishes the fronthaul link's cumulative socket error counters.
-    pub fn set_link_errors(&self, tx: u64, rx: u64) {
-        self.link_tx_errors.store(tx, Ordering::Relaxed);
-        self.link_rx_errors.store(rx, Ordering::Relaxed);
-    }
-
-    /// Socket-level (tx, rx) error counts from the fronthaul link.
-    pub fn link_errors(&self) -> (u64, u64) {
-        (self.link_tx_errors.load(Ordering::Relaxed), self.link_rx_errors.load(Ordering::Relaxed))
-    }
-
     /// Accumulates `other`'s counters into `self`, so per-cell stats
-    /// roll up into one sink without hand-summing every counter.
-    /// Additive counters add; `rx_batch_max` takes the max; link error
-    /// gauges add (each cell reports its own link's cumulative counts).
-    /// Per-worker busy time adds by worker id — deployments size every
-    /// cell's sink to the global pool, so ids line up.
+    /// roll up into one sink. Scalar counters combine by their
+    /// [`Fold`]; the per-type arrays add; per-worker busy time adds by
+    /// worker id — deployments size every cell's sink to the global
+    /// pool, so ids line up.
     pub fn merge(&self, other: &EngineStats) {
-        for i in 0..NUM_TASK_TYPES {
-            self.busy_ns[i].fetch_add(other.busy_ns[i].load(Ordering::Relaxed), Ordering::Relaxed);
-            self.tasks[i].fetch_add(other.tasks[i].load(Ordering::Relaxed), Ordering::Relaxed);
-            self.messages[i]
-                .fetch_add(other.messages[i].load(Ordering::Relaxed), Ordering::Relaxed);
+        let add_all = |mine: &[AtomicU64], theirs: &[AtomicU64]| {
+            for (m, t) in mine.iter().zip(theirs) {
+                m.fetch_add(t.load(Ordering::Relaxed), Ordering::Relaxed);
+            }
+        };
+        add_all(&self.busy_ns, &other.busy_ns);
+        add_all(&self.tasks, &other.tasks);
+        add_all(&self.messages, &other.messages);
+        add_all(&self.worker_busy_ns, &other.worker_busy_ns);
+        add_all(&self.push_retries, &other.push_retries);
+        for (c, _, fold) in COUNTERS {
+            match fold {
+                Fold::Add => self.add(c, other.get(c)),
+                Fold::Max => self.max(c, other.get(c)),
+            }
         }
-        for (w, o) in self.worker_busy_ns.iter().zip(&other.worker_busy_ns) {
-            w.fetch_add(o.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.packets_lost.fetch_add(other.packets_lost(), Ordering::Relaxed);
-        self.packets_late.fetch_add(other.packets_late(), Ordering::Relaxed);
-        self.packets_duplicate.fetch_add(other.packets_duplicate(), Ordering::Relaxed);
-        self.frames_completed.fetch_add(other.frames_completed(), Ordering::Relaxed);
-        self.frames_dropped.fetch_add(other.frames_dropped(), Ordering::Relaxed);
-        self.rx_errors.fetch_add(other.rx_errors(), Ordering::Relaxed);
-        self.packets_misrouted.fetch_add(other.packets_misrouted(), Ordering::Relaxed);
-        self.rx_batches.fetch_add(other.rx_batches(), Ordering::Relaxed);
-        self.rx_batch_packets.fetch_add(other.rx_batch_packets(), Ordering::Relaxed);
-        self.rx_batch_max.fetch_max(other.rx_batch_max(), Ordering::Relaxed);
-        let (tx, rx) = other.link_errors();
-        self.link_tx_errors.fetch_add(tx, Ordering::Relaxed);
-        self.link_rx_errors.fetch_add(rx, Ordering::Relaxed);
-        for i in 0..NUM_TASK_TYPES {
-            self.push_retries[i]
-                .fetch_add(other.push_retries[i].load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.lane_pushes.fetch_add(other.lane_pushes(), Ordering::Relaxed);
-        self.lane_overflows.fetch_add(other.lane_overflows(), Ordering::Relaxed);
-        self.lane_depth_max.fetch_max(other.lane_depth_max(), Ordering::Relaxed);
-        self.steals.fetch_add(other.steals(), Ordering::Relaxed);
-        self.steal_batches.fetch_add(other.steal_batches(), Ordering::Relaxed);
-        self.parks.fetch_add(other.parks(), Ordering::Relaxed);
-        self.wakes.fetch_add(other.wakes(), Ordering::Relaxed);
     }
 
     /// One-paragraph human-readable summary: frame ledger, packet
     /// ledger, and the busiest task blocks. Complements [`Self::table`]
     /// (which is per-block timing only).
     pub fn summary(&self) -> String {
-        let mut out = format!(
-            "frames: {} completed, {} dropped | packets: {} lost, {} late, {} dup, {} rx-err, {} misrouted\n",
-            self.frames_completed(),
-            self.frames_dropped(),
-            self.packets_lost(),
-            self.packets_late(),
-            self.packets_duplicate(),
-            self.rx_errors(),
-            self.packets_misrouted(),
-        );
-        if let Some(mean) = self.mean_rx_batch() {
-            out.push_str(&format!(
-                "rx: {} batches, {} packets (mean {:.1}/batch, max {})\n",
-                self.rx_batches(),
-                self.rx_batch_packets(),
-                mean,
-                self.rx_batch_max(),
-            ));
-        }
-        let (tx_e, rx_e) = self.link_errors();
-        if tx_e + rx_e > 0 {
-            out.push_str(&format!("link errors: {tx_e} tx, {rx_e} rx\n"));
-        }
-        if self.lane_pushes() + self.lane_overflows() + self.steals() + self.parks() > 0 {
-            out.push_str(&format!(
-                "sched: {} lane pushes (max depth {}), {} overflows, {} stolen in {} steals, {} parks, {} wakes\n",
-                self.lane_pushes(),
-                self.lane_depth_max(),
-                self.lane_overflows(),
-                self.steals(),
-                self.steal_batches(),
-                self.parks(),
-                self.wakes(),
-            ));
+        let snap = self.snapshot();
+        let mut out = String::new();
+        for (gate, line) in LEDGER {
+            if gate.is_empty() || gate.iter().any(|&c| snap[c as usize] > 0) {
+                render(line, &snap, &mut out);
+            }
         }
         let retries = self.total_push_retries();
         if retries > 0 {
@@ -466,6 +393,12 @@ impl EngineStats {
 mod tests {
     use super::*;
 
+    impl EngineStats {
+        fn worker_busy_ns(&self, worker: usize) -> u64 {
+            self.worker_busy_ns[worker].load(Ordering::Relaxed)
+        }
+    }
+
     #[test]
     fn record_and_read_back() {
         let s = EngineStats::new(2);
@@ -475,25 +408,9 @@ mod tests {
         assert_eq!(s.tasks(TaskType::Fft), 4);
         assert_eq!(s.messages(TaskType::Fft), 2);
         assert_eq!(s.busy_ns(TaskType::Fft), 12_000);
-        assert_eq!(s.mean_task_us(TaskType::Fft), Some(3.0));
         assert_eq!(s.total_busy_ns(), 52_000);
         assert_eq!(s.worker_busy_ns(0), 45_000);
         assert_eq!(s.worker_busy_ns(1), 7_000);
-    }
-
-    #[test]
-    fn empty_types_report_none() {
-        let s = EngineStats::new(1);
-        assert_eq!(s.mean_task_us(TaskType::Zf), None);
-    }
-
-    #[test]
-    fn table_lists_active_blocks_only() {
-        let s = EngineStats::new(1);
-        s.record(0, TaskType::Demod, 64, 12_000);
-        let t = s.table();
-        assert!(t.contains("Demod"));
-        assert!(!t.contains("IFFT"));
     }
 
     #[test]
@@ -503,121 +420,118 @@ mod tests {
     }
 
     #[test]
-    fn fault_counters_accumulate() {
+    fn counter_ops_add_max_set_get() {
         let s = EngineStats::new(1);
-        s.add_packets_lost(3);
-        s.add_packets_lost(2);
-        s.packet_late();
-        s.packet_duplicate();
-        s.packet_duplicate();
-        s.frame_completed();
-        s.frame_dropped();
-        assert_eq!(s.packets_lost(), 5);
-        assert_eq!(s.packets_late(), 1);
-        assert_eq!(s.packets_duplicate(), 2);
-        assert_eq!(s.frames_completed(), 1);
-        assert_eq!(s.frames_dropped(), 1);
+        s.add(Counter::PacketsLost, 3);
+        s.add(Counter::PacketsLost, 2);
+        s.max(Counter::RxBatchMax, 32);
+        s.max(Counter::RxBatchMax, 12);
+        s.set(Counter::LinkRxErrors, 5);
+        s.set(Counter::LinkRxErrors, 4);
+        assert_eq!(s.get(Counter::PacketsLost), 5);
+        assert_eq!(s.get(Counter::RxBatchMax), 32);
+        assert_eq!(s.get(Counter::LinkRxErrors), 4);
+        let snap = s.snapshot();
+        for (c, name, _) in COUNTERS {
+            assert_eq!(snap[c as usize], s.get(c), "{name}");
+        }
+    }
+
+    /// A sink with every counter, per-type slot and worker set to a
+    /// distinct value derived from `seed`.
+    fn filled(seed: u64) -> EngineStats {
+        let s = EngineStats::new(2);
+        for (i, (c, _, _)) in COUNTERS.into_iter().enumerate() {
+            s.add(c, seed * 100 + i as u64);
+        }
+        for (i, &t) in TaskType::COMPUTE.iter().enumerate() {
+            s.record(i % 2, t, seed + i as u64, seed * 1000 + i as u64);
+            s.add_push_retries(t, seed + 2 * i as u64);
+        }
+        s
     }
 
     #[test]
-    fn merge_rolls_up_counters() {
-        let a = EngineStats::new(2);
-        a.record(0, TaskType::Fft, 2, 5000);
-        a.frame_completed();
-        a.add_packets_lost(3);
-        a.record_rx_batch(8);
-        a.set_link_errors(1, 0);
-        let b = EngineStats::new(2);
-        b.record(1, TaskType::Fft, 1, 2000);
-        b.record(1, TaskType::Zf, 1, 9000);
-        b.frame_completed();
-        b.frame_dropped();
-        b.packet_misrouted();
-        b.record_rx_batch(32);
-        b.set_link_errors(0, 4);
-
+    fn merge_is_the_fieldwise_fold_of_every_counter() {
+        let (a, b) = (filled(3), filled(7));
         let total = EngineStats::new(2);
         total.merge(&a);
         total.merge(&b);
-        assert_eq!(total.tasks(TaskType::Fft), 3);
-        assert_eq!(total.busy_ns(TaskType::Fft), 7000);
-        assert_eq!(total.tasks(TaskType::Zf), 1);
-        assert_eq!(total.worker_busy_ns(0), 5000);
-        assert_eq!(total.worker_busy_ns(1), 11_000);
-        assert_eq!(total.frames_completed(), 2);
-        assert_eq!(total.frames_dropped(), 1);
-        assert_eq!(total.packets_lost(), 3);
-        assert_eq!(total.packets_misrouted(), 1);
-        assert_eq!(total.rx_batches(), 2);
-        assert_eq!(total.rx_batch_packets(), 40);
-        assert_eq!(total.rx_batch_max(), 32);
-        assert_eq!(total.link_errors(), (1, 4));
+        for (c, name, fold) in COUNTERS {
+            let want = match fold {
+                Fold::Add => a.get(c) + b.get(c),
+                Fold::Max => a.get(c).max(b.get(c)),
+            };
+            assert_eq!(total.get(c), want, "{name}");
+        }
+        for t in TaskType::COMPUTE {
+            assert_eq!(total.busy_ns(t), a.busy_ns(t) + b.busy_ns(t));
+            assert_eq!(total.tasks(t), a.tasks(t) + b.tasks(t));
+            assert_eq!(total.messages(t), 2);
+        }
+        assert_eq!(total.total_push_retries(), a.total_push_retries() + b.total_push_retries());
+        for w in 0..2 {
+            assert_eq!(total.worker_busy_ns(w), a.worker_busy_ns(w) + b.worker_busy_ns(w));
+        }
     }
 
+    /// `summary()` and `table()` text of the commit before the counter
+    /// table (742eb83), for the same recorded events.
     #[test]
-    fn summary_reports_ledgers_and_busiest_blocks() {
-        let s = EngineStats::new(1);
-        s.frame_completed();
-        s.packet_misrouted();
-        s.record(0, TaskType::Decode, 4, 80_000);
-        s.record(0, TaskType::Fft, 4, 10_000);
-        let text = s.summary();
-        assert!(text.contains("1 completed"));
-        assert!(text.contains("1 misrouted"));
-        // Busiest block listed first.
-        let decode_at = text.find("Decode").unwrap();
-        let fft_at = text.find("FFT").unwrap();
-        assert!(decode_at < fft_at, "blocks sorted by busy time:\n{text}");
-    }
+    fn summary_and_table_match_the_golden_text() {
+        let s = EngineStats::new(2);
+        assert_eq!(
+            s.summary(),
+            "frames: 0 completed, 0 dropped | packets: 0 lost, 0 late, 0 dup, 0 rx-err, 0 misrouted\n"
+        );
+        assert_eq!(s.table(), "block     tasks    msgs     time/task(us)  total(ms)\n");
 
-    #[test]
-    fn sched_counters_record_merge_and_surface() {
-        let a = EngineStats::new(1);
-        a.add_push_retries(TaskType::Decode, 7);
-        a.record_lane_push(4, 9);
-        a.add_lane_overflows(2);
-        a.record_steal(3);
-        a.park();
-        a.wake();
-        let b = EngineStats::new(1);
-        b.add_push_retries(TaskType::Decode, 1);
-        b.add_push_retries(TaskType::Fft, 2);
-        b.record_lane_push(6, 5);
-        b.record_steal(1);
-        b.park();
-
-        let total = EngineStats::new(1);
-        total.merge(&a);
-        total.merge(&b);
-        assert_eq!(total.push_retries(TaskType::Decode), 8);
-        assert_eq!(total.total_push_retries(), 10);
-        assert_eq!(total.lane_pushes(), 10);
-        assert_eq!(total.lane_overflows(), 2);
-        assert_eq!(total.lane_depth_max(), 9);
-        assert_eq!(total.steals(), 4);
-        assert_eq!(total.steal_batches(), 2);
-        assert_eq!(total.parks(), 2);
-        assert_eq!(total.wakes(), 1);
-        let text = total.summary();
-        assert!(text.contains("10 lane pushes"), "{text}");
-        assert!(text.contains("queue-full retries: 10"), "{text}");
-        assert!(text.contains("Decode 8"), "{text}");
-    }
-
-    #[test]
-    fn rx_batch_and_link_counters() {
-        let s = EngineStats::new(1);
-        assert_eq!(s.mean_rx_batch(), None);
-        s.record_rx_batch(4);
-        s.record_rx_batch(32);
-        s.record_rx_batch(12);
-        assert_eq!(s.rx_batches(), 3);
-        assert_eq!(s.rx_batch_packets(), 48);
-        assert_eq!(s.rx_batch_max(), 32);
-        assert_eq!(s.mean_rx_batch(), Some(16.0));
-        s.rx_error();
-        assert_eq!(s.rx_errors(), 1);
-        s.set_link_errors(2, 5);
-        assert_eq!(s.link_errors(), (2, 5));
+        s.record(0, TaskType::Fft, 2, 5000);
+        s.record(1, TaskType::Fft, 2, 7000);
+        s.record(0, TaskType::Decode, 1, 40_000);
+        s.record(1, TaskType::Demod, 64, 12_345);
+        s.add(Counter::FramesCompleted, 3);
+        s.add(Counter::FramesDropped, 1);
+        s.add(Counter::PacketsLost, 5);
+        s.add(Counter::PacketsLate, 1);
+        s.add(Counter::PacketsDuplicate, 2);
+        s.add(Counter::RxErrors, 1);
+        s.add(Counter::PacketsMisrouted, 4);
+        for n in [4, 32, 12] {
+            s.add(Counter::RxBatches, 1);
+            s.add(Counter::RxBatchPackets, n);
+            s.max(Counter::RxBatchMax, n);
+        }
+        s.set(Counter::LinkTxErrors, 2);
+        s.set(Counter::LinkRxErrors, 5);
+        s.add_push_retries(TaskType::Decode, 7);
+        s.add_push_retries(TaskType::Fft, 2);
+        for (n, depth) in [(4, 9), (6, 5)] {
+            s.add(Counter::LanePushes, n);
+            s.max(Counter::LaneDepthMax, depth);
+        }
+        s.add(Counter::LaneOverflows, 2);
+        for n in [3, 1] {
+            s.add(Counter::Steals, n);
+            s.add(Counter::StealBatches, 1);
+        }
+        s.add(Counter::Parks, 2);
+        s.add(Counter::Wakes, 1);
+        assert_eq!(
+            s.summary(),
+            "frames: 3 completed, 1 dropped | packets: 5 lost, 1 late, 2 dup, 1 rx-err, 4 misrouted\n\
+             rx: 3 batches, 48 packets (mean 16.0/batch, max 32)\n\
+             link errors: 2 tx, 5 rx\n\
+             sched: 10 lane pushes (max depth 9), 2 overflows, 4 stolen in 2 steals, 2 parks, 1 wakes\n\
+             queue-full retries: 9 (FFT 2, Decode 7)\n\
+             busy: Decode 0.04ms, Demod 0.01ms, FFT 0.01ms\n"
+        );
+        assert_eq!(
+            s.table(),
+            "block     tasks    msgs     time/task(us)  total(ms)\n\
+             FFT       4        2        3.00           0.012\n\
+             Demod     64       1        0.19           0.012\n\
+             Decode    1        1        40.00          0.040\n"
+        );
     }
 }

@@ -114,52 +114,6 @@ impl BaseGraph {
         &self.entries[self.row_range(row)]
     }
 
-    /// Total number of edges in the lifted graph for size `z`.
-    pub fn edge_count(&self, z: usize) -> usize {
-        self.entries.len() * z
-    }
-
-    /// Counts 4-cycles in the lifted graph for size `z`. Diagnostic used
-    /// to validate the construction; the standard-defined codes are
-    /// 4-cycle-free for their designed sizes.
-    pub fn count_4_cycles(&self, z: usize) -> usize {
-        let mut count = 0;
-        // For every pair of rows and pair of shared columns, a 4-cycle
-        // exists iff the alternating shift sum is 0 mod z.
-        for r1 in 0..self.rows {
-            for r2 in r1 + 1..self.rows {
-                let e1 = self.row_entries(r1);
-                let e2 = self.row_entries(r2);
-                // Collect shared columns via merge (entries sorted by col).
-                let mut shared: Vec<(i64, i64)> = Vec::new();
-                let (mut i, mut j) = (0, 0);
-                while i < e1.len() && j < e2.len() {
-                    match e1[i].col.cmp(&e2[j].col) {
-                        std::cmp::Ordering::Less => i += 1,
-                        std::cmp::Ordering::Greater => j += 1,
-                        std::cmp::Ordering::Equal => {
-                            shared.push((
-                                (e1[i].shift as usize % z) as i64,
-                                (e2[j].shift as usize % z) as i64,
-                            ));
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
-                for a in 0..shared.len() {
-                    for b in a + 1..shared.len() {
-                        let d = (shared[a].0 - shared[a].1) - (shared[b].0 - shared[b].1);
-                        if d.rem_euclid(z as i64) == 0 {
-                            count += 1;
-                        }
-                    }
-                }
-            }
-        }
-        count
-    }
-
     fn build(id: BaseGraphId) -> BaseGraph {
         let (rows, kb) = match id {
             BaseGraphId::Bg1 => (46usize, 22usize),
@@ -409,6 +363,48 @@ impl SplitMix {
 mod tests {
     use super::*;
 
+    impl BaseGraph {
+        /// Counts 4-cycles in the lifted graph for size `z`; the
+        /// standard-defined codes are 4-cycle-free for their designed sizes.
+        fn count_4_cycles(&self, z: usize) -> usize {
+            let mut count = 0;
+            // For every pair of rows and pair of shared columns, a 4-cycle
+            // exists iff the alternating shift sum is 0 mod z.
+            for r1 in 0..self.rows {
+                for r2 in r1 + 1..self.rows {
+                    let e1 = self.row_entries(r1);
+                    let e2 = self.row_entries(r2);
+                    // Collect shared columns via merge (entries sorted by col).
+                    let mut shared: Vec<(i64, i64)> = Vec::new();
+                    let (mut i, mut j) = (0, 0);
+                    while i < e1.len() && j < e2.len() {
+                        match e1[i].col.cmp(&e2[j].col) {
+                            std::cmp::Ordering::Less => i += 1,
+                            std::cmp::Ordering::Greater => j += 1,
+                            std::cmp::Ordering::Equal => {
+                                shared.push((
+                                    (e1[i].shift as usize % z) as i64,
+                                    (e2[j].shift as usize % z) as i64,
+                                ));
+                                i += 1;
+                                j += 1;
+                            }
+                        }
+                    }
+                    for a in 0..shared.len() {
+                        for b in a + 1..shared.len() {
+                            let d = (shared[a].0 - shared[a].1) - (shared[b].0 - shared[b].1);
+                            if d.rem_euclid(z as i64) == 0 {
+                                count += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            count
+        }
+    }
+
     #[test]
     fn bg1_dimensions_match_standard() {
         let bg = BaseGraph::get(BaseGraphId::Bg1);
@@ -486,7 +482,6 @@ mod tests {
             assert!(es.iter().all(|e| e.row as usize == r));
             assert!(es.windows(2).all(|w| w[0].col < w[1].col));
         }
-        assert_eq!(bg.edge_count(104), bg.entries().len() * 104);
     }
 
     #[test]

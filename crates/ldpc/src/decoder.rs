@@ -2,21 +2,17 @@
 //!
 //! The paper uses Intel FlexRAN's decoder, "an offset min-sum belief
 //! propagation (BP) based decoding algorithm" [Chen & Fossorier 2002].
-//! Two schedules are provided:
-//!
-//! * [`Decoder::decode`] — **layered** (row-serial): each base-row layer
-//!   immediately updates the posterior LLRs, roughly halving the
-//!   iterations needed versus flooding. This is the production schedule,
-//!   vectorised across the lifting dimension (the f32 plane of
-//!   [`crate::zlane`]).
-//! * [`Decoder::decode_flooding`] — classic two-phase flooding, kept as a
-//!   baseline and cross-check.
+//! [`Decoder::decode`] runs the **layered** (row-serial) schedule: each
+//! base-row layer immediately updates the posterior LLRs, roughly halving
+//! the iterations needed versus two-phase flooding (measured once, see
+//! EXPERIMENTS.md "Extensions"). It is vectorised across the lifting
+//! dimension (the f32 plane of [`crate::zlane`]).
 //!
 //! Cost scales as `O(E * Z * iterations)` — linear in both `Z` and the
 //! iteration count, which is exactly the trend Figure 12(a) reports.
 
 use crate::base_graph::BaseGraphId;
-use crate::zlane::{decode_layered, syndrome_ok, Lifted, Plane, Schedule, State};
+use crate::zlane::{decode_layered, Lifted, Plane, Schedule, State};
 use agora_math::simd::SimdTier;
 
 /// Decoder configuration.
@@ -71,11 +67,6 @@ pub struct Decoder {
     t: Vec<f32>,
     /// Hard decisions of the last syndrome pass.
     hard: Vec<u8>,
-    /// Variable-to-check scratch for the flooding schedule (same layout
-    /// as `msgs`). Reserved here, filled on the first
-    /// [`Self::decode_flooding`] call: the layered schedule never
-    /// touches it.
-    v2c: Vec<f32>,
 }
 
 /// The f32 decoding plane.
@@ -225,7 +216,6 @@ impl Decoder {
             post: vec![0.0; g.codeword_len()],
             t: vec![0.0; g.row_scratch_len()],
             hard: vec![0; g.hard_len()],
-            v2c: Vec::with_capacity(g.msgs_len()),
             g,
         }
     }
@@ -281,84 +271,6 @@ impl Decoder {
             active_rows: cfg.active_rows,
         };
         decode_layered::<F32Plane>(&self.g, &mut st, llr, cfg.offset, sched, info_bits)
-    }
-
-    /// Flooding-schedule decode: all check nodes compute from the previous
-    /// iteration's variable messages, then all variables update. Needs
-    /// roughly 2x the iterations of the layered schedule for the same BER.
-    pub fn decode_flooding(&mut self, llr: &[f32], cfg: &DecodeConfig) -> DecodeResult {
-        assert_eq!(llr.len(), self.codeword_len(), "LLR length mismatch");
-        let g = &self.g;
-        let (z, stride) = (g.z(), g.stride());
-        let rows = g.active_rows(cfg.active_rows);
-        self.post.copy_from_slice(llr);
-        self.msgs.fill(0.0);
-        // Variable-to-check messages from the previous half-iteration —
-        // reused decoder scratch, so the hot path never allocates.
-        self.v2c.clear();
-        self.v2c.resize(self.msgs.len(), 0.0);
-
-        let mut iterations = 0;
-        let mut checked = None;
-        for _iter in 0..cfg.max_iters {
-            iterations += 1;
-            // Variable phase: v2c = post - c2v (extrinsic).
-            for e in (0..rows).flat_map(|r| g.row(r)) {
-                let (col, shift) = g.edge(e);
-                for i in 0..z {
-                    let midx = e * stride + i;
-                    self.v2c[midx] = self.post[col + (i + shift) % z] - self.msgs[midx];
-                }
-            }
-            // Check phase + posterior rebuild.
-            self.post.copy_from_slice(llr);
-            for r in 0..rows {
-                let row = g.row(r);
-                for i in 0..z {
-                    let mut min1 = f32::INFINITY;
-                    let mut min2 = f32::INFINITY;
-                    let mut min_pos = usize::MAX;
-                    let mut sign_prod = 1.0f32;
-                    for e in row.clone() {
-                        let t = self.v2c[e * stride + i];
-                        let a = t.abs();
-                        if a < min1 {
-                            min2 = min1;
-                            min1 = a;
-                            min_pos = e;
-                        } else if a < min2 {
-                            min2 = a;
-                        }
-                        if t < 0.0 {
-                            sign_prod = -sign_prod;
-                        }
-                    }
-                    let m1 = (min1 - cfg.offset).max(0.0);
-                    let m2 = (min2 - cfg.offset).max(0.0);
-                    for e in row.clone() {
-                        let (col, shift) = g.edge(e);
-                        let midx = e * stride + i;
-                        let t = self.v2c[midx];
-                        let mag = if e == min_pos { m2 } else { m1 };
-                        let s = if t < 0.0 { -sign_prod } else { sign_prod };
-                        let new_msg = s * mag;
-                        self.msgs[midx] = new_msg;
-                        self.post[col + (i + shift) % z] += new_msg;
-                    }
-                }
-            }
-            if cfg.early_termination {
-                checked = Some(syndrome_ok::<F32Plane>(g, &self.post, &mut self.hard, rows));
-                if checked == Some(true) {
-                    break;
-                }
-            }
-        }
-
-        let success =
-            checked.unwrap_or_else(|| syndrome_ok::<F32Plane>(g, &self.post, &mut self.hard, rows));
-        let info_bits = self.hard[..self.info_len()].to_vec();
-        DecodeResult { info_bits, success, iterations }
     }
 }
 
@@ -547,21 +459,6 @@ mod tests {
     }
 
     #[test]
-    fn flooding_matches_layered_on_clean_input() {
-        let z = 8;
-        let enc = Encoder::new(BaseGraphId::Bg2, z);
-        let mut dec = Decoder::new(BaseGraphId::Bg2, z);
-        let info = random_bits(enc.info_len(), 21);
-        let cw = enc.encode(&info);
-        let llr = clean_llrs(&cw, z, 8.0);
-        let a = dec.decode(&llr, &DecodeConfig::default());
-        let b = dec.decode_flooding(&llr, &DecodeConfig { max_iters: 10, ..Default::default() });
-        assert!(a.success && b.success);
-        assert_eq!(a.info_bits, info);
-        assert_eq!(b.info_bits, info);
-    }
-
-    #[test]
     fn fails_gracefully_at_very_low_snr() {
         let z = 8;
         let enc = Encoder::new(BaseGraphId::Bg1, z);
@@ -612,26 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn flooding_scratch_is_reused_across_decodes() {
-        // The v2c buffer must live in the decoder (no per-call allocation):
-        // its pointer and capacity are stable across repeated decodes.
-        let z = 8;
-        let enc = Encoder::new(BaseGraphId::Bg2, z);
-        let mut dec = Decoder::new(BaseGraphId::Bg2, z);
-        let info = random_bits(enc.info_len(), 71);
-        let llr = clean_llrs(&enc.encode(&info), z, 8.0);
-        let ptr_before = dec.v2c.as_ptr();
-        let cap_before = dec.v2c.capacity();
-        for _ in 0..4 {
-            let res =
-                dec.decode_flooding(&llr, &DecodeConfig { max_iters: 10, ..Default::default() });
-            assert!(res.success);
-        }
-        assert_eq!(dec.v2c.as_ptr(), ptr_before, "flooding scratch was reallocated");
-        assert_eq!(dec.v2c.capacity(), cap_before, "flooding scratch capacity changed");
-    }
-
-    #[test]
     fn repeated_decodes_are_independent() {
         // Scratch state must not leak between calls.
         let z = 8;
@@ -654,6 +531,7 @@ mod proptests {
     use super::*;
     use crate::base_graph::{BaseGraph, CORE_ROWS};
     use crate::encoder::Encoder;
+    use crate::zlane::syndrome_ok;
     use proptest::prelude::*;
 
     const LANE_ZS: [usize; 10] = [2, 3, 7, 8, 9, 12, 16, 56, 104, 384];

@@ -120,7 +120,7 @@ impl Encoder {
     }
 
     /// Verifies `H c = 0` for a full-length codeword; the encoder's
-    /// invariant and the decoders' success criterion.
+    /// invariant and the decoders' success test.
     pub fn check(&self, cw: &[u8]) -> bool {
         assert_eq!(cw.len(), self.codeword_len());
         let z = self.z;

@@ -7,7 +7,7 @@
 //!   encoding core and punctured high-degree columns (substitution
 //!   documented in DESIGN.md — shift tables are generated, not copied
 //!   from TS 38.212).
-//! * [`lifting`]: the standard's 51 lifting sizes and set indices.
+//! * [`lifting`]: the standard's 51 lifting sizes (validation).
 //! * [`encoder`]: linear-time systematic encoder.
 //! * [`decoder`]: offset min-sum BP in f32, layered and flooding
 //!   schedules.

@@ -3,58 +3,25 @@
 //! A QC-LDPC code is defined by a small *base graph* whose entries are
 //! cyclic shifts of a `Z x Z` identity block. 3GPP TS 38.212 defines 51
 //! valid lifting sizes `Z = a * 2^j` with `a` in {2,3,5,7,9,11,13,15} and
-//! small `j`, capped at 384; the *set index* `iLS` groups sizes by `a` and
-//! selects which shift-coefficient table applies. We reproduce the size
-//! table and set-index mapping exactly; decode time scaling linearly with
-//! `Z` (Figure 12a) follows from the lifting mechanics.
+//! small `j`, capped at 384. We reproduce the size table exactly (cell
+//! configurations are validated against it); decode time scaling
+//! linearly with `Z` (Figure 12a) follows from the lifting mechanics.
 
 /// The maximum lifting size defined by 5G NR.
 pub const MAX_Z: usize = 384;
 
-/// The eight base factors `a`; `iLS` is the index into this array.
-pub const SET_FACTORS: [usize; 8] = [2, 3, 5, 7, 9, 11, 13, 15];
-
-/// Returns all 51 valid 5G NR lifting sizes in ascending order.
-pub fn lifting_sizes() -> Vec<usize> {
-    let mut sizes = Vec::new();
-    for &a in SET_FACTORS.iter() {
-        let mut z = a;
-        while z <= MAX_Z {
-            sizes.push(z);
-            z *= 2;
-        }
-    }
-    sizes.sort_unstable();
-    sizes.dedup();
-    sizes
-}
+/// The eight base factors `a`.
+const SET_FACTORS: [usize; 8] = [2, 3, 5, 7, 9, 11, 13, 15];
 
 /// True if `z` is a valid 5G NR lifting size.
 pub fn is_valid_lifting(z: usize) -> bool {
-    set_index(z).is_some()
-}
-
-/// Returns the set index `iLS` (0..8) for a lifting size, or `None` if the
-/// size is not in the standard table.
-pub fn set_index(z: usize) -> Option<usize> {
-    if z == 0 || z > MAX_Z {
-        return None;
+    if !(2..=MAX_Z).contains(&z) {
+        return false;
     }
-    // Strip powers of two, then the remaining odd part must be one of the
-    // base factors (with 2^j * 2 handled via a = 2).
+    // Strip powers of two; what remains must be an odd base factor, or 1
+    // for a pure power of two (`a = 2`).
     let odd = z >> z.trailing_zeros();
-    if odd == 1 {
-        // Pure power of two: only representable via a = 2, and z must be
-        // at least 2.
-        return if z >= 2 { Some(0) } else { None };
-    }
-    SET_FACTORS.iter().position(|&a| a == odd)
-}
-
-/// Returns the smallest valid lifting size `>= z`, or `None` if `z`
-/// exceeds [`MAX_Z`]. Used to pick `Z` from a payload size.
-pub fn next_lifting_size(z: usize) -> Option<usize> {
-    lifting_sizes().into_iter().find(|&s| s >= z)
+    odd == 1 || SET_FACTORS.contains(&odd)
 }
 
 #[cfg(test)]
@@ -63,7 +30,7 @@ mod tests {
 
     #[test]
     fn table_has_51_sizes() {
-        let sizes = lifting_sizes();
+        let sizes: Vec<usize> = (0..=2 * MAX_Z).filter(|&z| is_valid_lifting(z)).collect();
         assert_eq!(sizes.len(), 51);
         assert_eq!(*sizes.first().unwrap(), 2);
         assert_eq!(*sizes.last().unwrap(), 384);
@@ -75,8 +42,6 @@ mod tests {
         // evaluation points (Figure 12a).
         assert!(is_valid_lifting(104));
         assert!(is_valid_lifting(384));
-        assert_eq!(set_index(104), Some(6)); // a = 13
-        assert_eq!(set_index(384), Some(1)); // a = 3
     }
 
     #[test]
@@ -92,22 +57,6 @@ mod tests {
     fn powers_of_two_valid_from_2() {
         for z in [2usize, 4, 8, 16, 32, 64, 128, 256] {
             assert!(is_valid_lifting(z), "{z} should be valid");
-            assert_eq!(set_index(z), Some(0));
-        }
-    }
-
-    #[test]
-    fn next_lifting_size_rounds_up() {
-        assert_eq!(next_lifting_size(100), Some(104));
-        assert_eq!(next_lifting_size(104), Some(104));
-        assert_eq!(next_lifting_size(385), None);
-        assert_eq!(next_lifting_size(1), Some(2));
-    }
-
-    #[test]
-    fn all_sizes_have_set_index() {
-        for z in lifting_sizes() {
-            assert!(set_index(z).is_some(), "{z} missing set index");
         }
     }
 }

@@ -68,11 +68,6 @@ impl RateMatch {
         self.bg.info_cols() * self.z
     }
 
-    /// The effective (achieved) code rate.
-    pub fn effective_rate(&self) -> f32 {
-        self.info_len() as f32 / self.tx_len() as f32
-    }
-
     /// Mother-code codeword length.
     pub fn codeword_len(&self) -> usize {
         self.bg.cols() * self.z
@@ -115,6 +110,13 @@ mod tests {
     use super::*;
     use crate::decoder::{DecodeConfig, Decoder};
     use crate::encoder::Encoder;
+
+    impl RateMatch {
+        /// The effective (achieved) code rate.
+        fn effective_rate(&self) -> f32 {
+            self.info_len() as f32 / self.tx_len() as f32
+        }
+    }
 
     #[test]
     fn rate_one_third_uses_whole_bg1() {

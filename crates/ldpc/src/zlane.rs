@@ -96,11 +96,8 @@ impl Lifted {
         self.tier
     }
 
-    pub(crate) fn z(&self) -> usize {
-        self.z
-    }
-
     /// Distance between consecutive entries in a message store.
+    #[cfg(test)]
     pub(crate) fn stride(&self) -> usize {
         self.stride
     }
@@ -138,11 +135,6 @@ impl Lifted {
     /// Entry index range of base row `r`.
     pub(crate) fn row(&self, r: usize) -> core::ops::Range<usize> {
         self.bg.row_range(r)
-    }
-
-    /// `(first bit of the column block, shift)` of entry `e`.
-    pub(crate) fn edge(&self, e: usize) -> (usize, usize) {
-        (self.edges[e].col as usize, self.edges[e].shift as usize)
     }
 }
 

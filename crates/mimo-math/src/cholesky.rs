@@ -19,7 +19,7 @@
 //!   tier-selected GEMM kernels (bit-identical across SIMD tiers).
 //!
 //! Both the factorisation and the triangular solves are right-looking
-//! *column sweeps* over the AVX2 [`caxpy`](crate::gemm::caxpy) primitive:
+//! *column sweeps* over the AVX2 [`caxpy`](crate::gemm::caxpy_with_tier) primitive:
 //! every trailing-matrix update and every solve elimination is one
 //! contiguous `y += alpha * x` on a row segment, so the kernels vectorise
 //! without any packing, per-call GEMM dispatch, or panel staging — at ZF
@@ -104,7 +104,7 @@ impl Cholesky {
     /// Allocation-free right-looking factorisation into caller-owned
     /// storage: `l` receives the lower-triangular factor (strict upper
     /// triangle zeroed). Each pivot column's trailing update is a sweep of
-    /// contiguous-row [`caxpy`](crate::gemm::caxpy) calls against the
+    /// contiguous-row [`caxpy`](crate::gemm::caxpy_with_tier) calls against the
     /// conjugated pivot column, so the update vectorises with no packing
     /// and results are bit-identical across SIMD tiers.
     ///
@@ -170,7 +170,7 @@ impl Cholesky {
     /// [`Cholesky::factor_into`]: forward then backward triangular solves
     /// as in-place column sweeps — once a row of `X` is solved, it is
     /// eliminated from every remaining row with one contiguous
-    /// [`caxpy`](crate::gemm::caxpy) across the whole RHS width. This is
+    /// [`caxpy`](crate::gemm::caxpy_with_tier) across the whole RHS width. This is
     /// the ZF hot path: `X = W` when `B = H^H`, without ever forming
     /// `G^{-1}`, and the eliminations on distinct rows are independent so
     /// the sweep keeps the vector units saturated.
@@ -251,31 +251,6 @@ impl Cholesky {
         &self.l
     }
 
-    /// Solves `A x = b` using the factorisation.
-    pub fn solve_vec(&self, b: &[Cf32]) -> Vec<Cf32> {
-        let n = self.l.rows();
-        assert_eq!(b.len(), n);
-        // Forward: L y = b
-        let mut y = vec![Cf32::ZERO; n];
-        for i in 0..n {
-            let mut acc = b[i];
-            for (j, &yj) in y.iter().enumerate().take(i) {
-                acc -= self.l[(i, j)] * yj;
-            }
-            y[i] = acc * self.l[(i, i)].inv();
-        }
-        // Backward: L^H x = y
-        let mut x = vec![Cf32::ZERO; n];
-        for i in (0..n).rev() {
-            let mut acc = y[i];
-            for (j, &xj) in x.iter().enumerate().skip(i + 1) {
-                acc -= self.l[(j, i)].conj() * xj;
-            }
-            x[i] = acc * self.l[(i, i)].inv();
-        }
-        x
-    }
-
     /// Solves `A X = B` through the multi-RHS sweep kernel.
     pub fn solve(&self, b: &CMat) -> CMat {
         let n = self.l.rows();
@@ -292,12 +267,6 @@ impl Cholesky {
         let mut s = CholScratch::new(n);
         Self::inverse_into(&self.l, &mut inv, &mut s, SimdTier::cached());
         inv
-    }
-
-    /// Determinant of `A` (product of squared diagonal pivots); real and
-    /// positive for positive-definite input.
-    pub fn det(&self) -> f32 {
-        (0..self.l.rows()).map(|i| self.l[(i, i)].re * self.l[(i, i)].re).product()
     }
 }
 
@@ -357,7 +326,6 @@ mod tests {
         let i = CMat::identity(5);
         let ch = Cholesky::factor(&i).unwrap();
         assert!(ch.l().max_abs_diff(&i) < 1e-6);
-        assert!((ch.det() - 1.0).abs() < 1e-6);
     }
 
     #[test]
@@ -420,13 +388,6 @@ mod tests {
         assert!(x1.max_abs_diff(&x2) < 1e-5);
     }
 
-    #[test]
-    fn det_of_scaled_identity() {
-        let a = CMat::identity(3).scale(4.0);
-        let ch = Cholesky::factor(&a).unwrap();
-        assert!((ch.det() - 64.0).abs() < 1e-3);
-    }
-
     /// The blocked kernels must agree across SIMD tiers bit for bit —
     /// everything tier-dependent routes through the parity-contracted
     /// GEMM kernels.
@@ -456,21 +417,6 @@ mod tests {
             Cholesky::inverse_into(&l_s, &mut i_s, &mut ss, SimdTier::Scalar);
             Cholesky::inverse_into(&l_v, &mut i_v, &mut sv, detected);
             assert_eq!(bits(&i_s), bits(&i_v), "inverse tier parity n={n}");
-        }
-    }
-
-    /// Multi-RHS solve agrees with the per-vector reference solve.
-    #[test]
-    fn solve_into_matches_solve_vec() {
-        let a = rand_hpd(9, 41);
-        let b = crate::testutil::rand_mat(9, 5, 43);
-        let ch = Cholesky::factor(&a).unwrap();
-        let x = ch.solve(&b);
-        for c in 0..5 {
-            let xc = ch.solve_vec(&b.col(c));
-            for r in 0..9 {
-                assert!((x[(r, c)] - xc[r]).abs() < 1e-4, "col {c} row {r}");
-            }
         }
     }
 

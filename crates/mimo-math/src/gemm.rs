@@ -22,7 +22,6 @@
 //! variants pin the tier for parity tests and ablations.
 
 use crate::complex::Cf32;
-use crate::matrix::CMat;
 use crate::simd::SimdTier;
 
 /// Generic row-major complex GEMM: `C = A * B`, dispatched to the best
@@ -181,15 +180,9 @@ pub fn gram_scalar(rows: usize, cols: usize, a: &[Cf32], out: &mut [Cf32]) {
     }
 }
 
-/// Complex AXPY `y += alpha * x` over contiguous slices. Dispatches on
-/// the detected SIMD tier; all tiers are bit-identical because the
-/// update is purely elementwise (no cross-element accumulation).
-#[inline]
-pub fn caxpy(alpha: Cf32, x: &[Cf32], y: &mut [Cf32]) {
-    caxpy_with_tier(alpha, x, y, SimdTier::cached());
-}
-
-/// [`caxpy`] with the dispatch tier pinned by the caller.
+/// Complex AXPY `y += alpha * x` over contiguous slices on the tier the
+/// caller pinned; all tiers are bit-identical because the update is
+/// purely elementwise (no cross-element accumulation).
 #[inline]
 pub fn caxpy_with_tier(alpha: Cf32, x: &[Cf32], y: &mut [Cf32], tier: SimdTier) {
     assert_eq!(x.len(), y.len(), "caxpy length mismatch");
@@ -226,12 +219,7 @@ pub fn caxpy_scalar(alpha: Cf32, x: &[Cf32], y: &mut [Cf32]) {
 /// rebuilds the upper by conjugate mirroring, which matches direct upper
 /// accumulation bit for bit only under that precondition (conjugation
 /// distributes exactly over IEEE addition and the unfused products).
-#[inline]
-pub fn gram_accumulate(rows: usize, cols: usize, ah: &[Cf32], a: &[Cf32], out: &mut [Cf32]) {
-    gram_accumulate_with_tier(rows, cols, ah, a, out, SimdTier::cached());
-}
-
-/// [`gram_accumulate`] with the dispatch tier pinned by the caller.
+/// Runs on the tier the caller pinned.
 pub fn gram_accumulate_with_tier(
     rows: usize,
     cols: usize,
@@ -377,15 +365,6 @@ impl Gemm {
         }
         gemm_scalar(self.m, self.k, self.n, a, b, c);
     }
-
-    /// Convenience wrapper over [`CMat`] operands.
-    pub fn run_mat(&self, a: &CMat, b: &CMat) -> CMat {
-        assert_eq!(a.shape(), (self.m, self.k));
-        assert_eq!(b.shape(), (self.k, self.n));
-        let mut c = CMat::zeros(self.m, self.n);
-        self.run(a.as_slice(), b.as_slice(), c.as_mut_slice());
-        c
-    }
 }
 
 /// Dispatch table of monomorphised kernels for the MIMO shapes Agora's
@@ -528,7 +507,8 @@ mod tests {
         let a = rand_mat(16, 64, 5);
         let b = rand_mat(64, 8, 6);
         let plan = Gemm::plan(16, 64, 8);
-        let c = plan.run_mat(&a, &b);
+        let mut c = CMat::zeros(16, 8);
+        plan.run(a.as_slice(), b.as_slice(), c.as_mut_slice());
         assert!(c.max_abs_diff(&a.matmul(&b)) < 1e-3);
     }
 

@@ -233,11 +233,6 @@ impl CMat {
             .collect()
     }
 
-    /// Frobenius norm `sqrt(sum |a_ij|^2)`.
-    pub fn fro_norm(&self) -> f32 {
-        self.data.iter().map(|z| z.norm_sqr()).sum::<f32>().sqrt()
-    }
-
     /// Maximum absolute element difference against another matrix; the
     /// standard closeness metric in this workspace's tests.
     pub fn max_abs_diff(&self, other: &CMat) -> f32 {
@@ -365,11 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn fro_norm_of_identity() {
-        assert!((CMat::identity(4).fro_norm() - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn add_sub_roundtrip() {
         let a = sample();
         let b = a.scale(2.0);
@@ -466,13 +456,6 @@ mod proptests {
             let gx = g.matvec(&xv);
             let quad: Cf32 = xv.iter().zip(gx.iter()).map(|(a, b)| a.conj_mul(*b)).sum();
             prop_assert!(quad.re >= -1e-2, "x^H G x = {quad:?}");
-        }
-
-        /// Frobenius norm is submultiplicative: ||AB|| <= ||A|| ||B||.
-        #[test]
-        fn fro_norm_submultiplicative(a in arb_mat(4, 3), b in arb_mat(3, 4)) {
-            let ab = a.matmul(&b).fro_norm();
-            prop_assert!(ab <= a.fro_norm() * b.fro_norm() * (1.0 + 1e-4));
         }
     }
 }

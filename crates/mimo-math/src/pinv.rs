@@ -268,75 +268,6 @@ pub fn normalize_precoder_in_place(w: &mut CMat) {
     }
 }
 
-/// Estimates the 2-norm condition number of `H` via its Gram matrix using
-/// power iteration (cheap, no SVD). Used by schedulers that fall back to
-/// conjugate beamforming for ill-conditioned channels.
-pub fn cond_estimate(h: &CMat, iters: usize) -> f32 {
-    let g = h.gram();
-    let n = g.rows();
-    if n == 0 {
-        return 1.0;
-    }
-    // Largest eigenvalue of G by power iteration. `lmax` alone may be an
-    // *underestimate* when the iteration has not converged, which would
-    // make the shifted matrix below indefinite — power iteration then
-    // locks onto `|shift - lmax|` instead of `shift - lmin` and the
-    // estimate comes out wrong-signed. Inflate the shift by the residual
-    // bound `||G v - rho v||` (for Hermitian G an eigenvalue lies within
-    // the residual of the Rayleigh quotient), so `shift >= lmax` holds up
-    // to that bound even when unconverged.
-    let (lmax, res) = power_iter(&g, iters);
-    let shift = lmax + res;
-    // Smallest eigenvalue via power iteration on (shift*I - G), whose
-    // spectrum is `shift - lambda_i >= 0`: lmin = shift - mu.
-    let shifted = CMat::from_fn(n, n, |r, c| {
-        let v = if r == c { Cf32::real(shift) } else { Cf32::ZERO };
-        v - g[(r, c)]
-    });
-    let (mu, _) = power_iter(&shifted, iters);
-    let lmin = (shift - mu).max(0.0);
-    if lmin <= 0.0 {
-        f32::INFINITY
-    } else {
-        (lmax / lmin).sqrt()
-    }
-}
-
-/// Power iteration returning the Rayleigh-quotient eigenvalue estimate of
-/// the dominant eigenpair and its residual norm `||A v - rho v||` (an
-/// a-posteriori error bound for Hermitian `A`).
-fn power_iter(a: &CMat, iters: usize) -> (f32, f32) {
-    let n = a.rows();
-    let mut v: Vec<Cf32> =
-        (0..n).map(|i| Cf32::new(1.0 + (i as f32) * 0.37, 0.11 * i as f32)).collect();
-    let norm0 = v.iter().map(|z| z.norm_sqr()).sum::<f32>().sqrt();
-    for z in v.iter_mut() {
-        *z = z.scale(1.0 / norm0);
-    }
-    let mut w = a.matvec(&v);
-    for _ in 1..iters.max(1) {
-        let norm = w.iter().map(|z| z.norm_sqr()).sum::<f32>().sqrt();
-        if norm <= 0.0 {
-            return (0.0, 0.0);
-        }
-        for (vi, wi) in v.iter_mut().zip(w.iter()) {
-            *vi = wi.scale(1.0 / norm);
-        }
-        w = a.matvec(&v);
-    }
-    // Rayleigh quotient rho = v^H A v (real for Hermitian A, |v| = 1).
-    let rho: f32 = v.iter().zip(w.iter()).map(|(vi, wi)| (vi.conj() * *wi).re).sum();
-    let res: f32 =
-        v.iter().zip(w.iter()).map(|(vi, wi)| (*wi - vi.scale(rho)).norm_sqr()).sum::<f32>().sqrt();
-    (rho, res)
-}
-
-/// Conjugate (matched-filter) beamformer `H^H`, the low-cost alternative
-/// the paper cites for ill-conditioned channels [Yang & Marzetta 2013].
-pub fn conjugate_beamformer(h: &CMat) -> CMat {
-    h.hermitian()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -603,55 +534,5 @@ mod tests {
             let p: f32 = (0..w.rows()).map(|k| w[(k, m)].norm_sqr()).sum();
             assert!(p <= 1.0 + 1e-4, "antenna {m} power {p} > 1");
         }
-    }
-
-    #[test]
-    fn cond_estimate_identity_near_one() {
-        let h = CMat::identity(8);
-        let c = cond_estimate(&h, 50);
-        assert!(c < 1.5, "cond of identity estimated as {c}");
-    }
-
-    #[test]
-    fn cond_estimate_tracks_svd_cond() {
-        let h = rand_channel(32, 8, 6);
-        let est = cond_estimate(&h, 100);
-        let exact = svd(&h).cond();
-        assert!(
-            (est / exact).abs() > 0.5 && (est / exact).abs() < 2.0,
-            "estimate {est} vs exact {exact}"
-        );
-    }
-
-    /// Matrix with a known large condition number: diagonal "channel"
-    /// with singular values 10 and 0.1 -> cond = 100. The unguarded shift
-    /// used to go indefinite here when `lmax` was unconverged.
-    #[test]
-    fn cond_estimate_known_large_condition_number() {
-        let n = 8;
-        let h = CMat::from_fn(n, n, |r, c| {
-            if r != c {
-                Cf32::ZERO
-            } else if r == n - 1 {
-                Cf32::real(0.1)
-            } else {
-                Cf32::real(10.0)
-            }
-        });
-        let est = cond_estimate(&h, 100);
-        assert!(est > 50.0 && est < 200.0, "cond estimate {est} far from true value 100");
-        // Few iterations (unconverged lmax) must not produce a
-        // wrong-signed / wildly small estimate — worst case it saturates
-        // to infinity, never below the truth by more than 2x.
-        let rough = cond_estimate(&h, 3);
-        assert!(rough > 50.0, "unconverged estimate {rough} collapsed below the true cond");
-    }
-
-    #[test]
-    fn conjugate_beamformer_is_hermitian_transpose() {
-        let h = rand_channel(8, 3, 7);
-        let w = conjugate_beamformer(&h);
-        assert_eq!(w.shape(), (3, 8));
-        assert!(w.max_abs_diff(&h.hermitian()) < 1e-7);
     }
 }

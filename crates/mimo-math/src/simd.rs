@@ -86,48 +86,6 @@ unsafe fn i16_to_f32_avx2(src: &[i16], dst: &mut [f32], scale: f32) {
     i16_to_f32_scalar(&src[chunks * 8..], &mut dst[chunks * 8..], scale);
 }
 
-/// Converts `f32` back to saturating `i16` with scaling (downlink TX path).
-pub fn f32_to_i16(src: &[f32], dst: &mut [i16], scale: f32, tier: SimdTier) {
-    assert_eq!(src.len(), dst.len());
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { f32_to_i16_avx2(src, dst, scale) },
-        _ => f32_to_i16_scalar(src, dst, scale),
-    }
-}
-
-/// Scalar reference conversion with saturation.
-pub fn f32_to_i16_scalar(src: &[f32], dst: &mut [i16], scale: f32) {
-    for (d, &s) in dst.iter_mut().zip(src.iter()) {
-        let v = (s * scale).round();
-        *d = v.clamp(i16::MIN as f32, i16::MAX as f32) as i16;
-    }
-}
-
-/// AVX2 float-to-i16 with packed saturation.
-///
-/// # Safety
-/// Caller must ensure the CPU supports AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn f32_to_i16_avx2(src: &[f32], dst: &mut [i16], scale: f32) {
-    use core::arch::x86_64::*;
-    let vs = _mm256_set1_ps(scale);
-    let n = src.len();
-    let chunks = n / 16;
-    for i in 0..chunks {
-        let a = _mm256_mul_ps(_mm256_loadu_ps(src.as_ptr().add(i * 16)), vs);
-        let b = _mm256_mul_ps(_mm256_loadu_ps(src.as_ptr().add(i * 16 + 8)), vs);
-        let ia = _mm256_cvtps_epi32(a);
-        let ib = _mm256_cvtps_epi32(b);
-        // packs saturates to i16 but interleaves 128-bit lanes; permute back.
-        let packed = _mm256_packs_epi32(ia, ib);
-        let fixed = _mm256_permute4x64_epi64(packed, 0b11011000);
-        _mm256_storeu_si256(dst.as_mut_ptr().add(i * 16) as *mut __m256i, fixed);
-    }
-    f32_to_i16_scalar(&src[chunks * 16..], &mut dst[chunks * 16..], scale);
-}
-
 /// Bytes in one cache line: the unit of a streaming store, and the
 /// alignment every frame plane and transform buffer is allocated to.
 pub const CACHE_LINE: usize = 64;
@@ -460,29 +418,6 @@ mod tests {
         for (x, y) in a.iter().zip(b.iter()) {
             assert!((x - y).abs() < 1e-7);
         }
-    }
-
-    #[test]
-    fn f32_to_i16_roundtrip() {
-        let orig: Vec<i16> = (0..97).map(|i| (i * 613 % 30000) as i16 - 15000).collect();
-        let mut f = vec![0.0f32; orig.len()];
-        i16_to_f32(&orig, &mut f, 32768.0, SimdTier::detect());
-        let mut back = vec![0i16; orig.len()];
-        f32_to_i16(&f, &mut back, 32768.0, SimdTier::detect());
-        assert_eq!(orig, back);
-    }
-
-    #[test]
-    fn f32_to_i16_saturates() {
-        let src = [2.0f32, -2.0, 0.5];
-        let mut dst = [0i16; 3];
-        f32_to_i16(&src, &mut dst, 32768.0, SimdTier::Scalar);
-        assert_eq!(dst[0], i16::MAX);
-        assert_eq!(dst[1], i16::MIN);
-        let mut dst_simd = [0i16; 3];
-        f32_to_i16(&src, &mut dst_simd, 32768.0, SimdTier::detect());
-        // SIMD path may differ by at most 1 LSB at the saturation boundary.
-        assert!((dst[2] - dst_simd[2]).abs() <= 1);
     }
 
     /// Every destination offset within a line x every short length: the

@@ -128,18 +128,6 @@ pub fn svd(a: &CMat) -> Svd {
 }
 
 impl Svd {
-    /// Reconstructs `U diag(s) V^H`; used in tests and residual checks.
-    pub fn reconstruct(&self) -> CMat {
-        let n = self.s.len();
-        let mut us = self.u.clone();
-        for c in 0..n {
-            for r in 0..us.rows() {
-                us[(r, c)] = us[(r, c)].scale(self.s[c]);
-            }
-        }
-        us.matmul(&self.v.hermitian())
-    }
-
     /// Moore-Penrose pseudo-inverse `V diag(1/s) U^H`, zeroing singular
     /// values below `rcond * s_max`.
     pub fn pinv(&self, rcond: f32) -> CMat {
@@ -169,6 +157,20 @@ impl Svd {
 mod tests {
     use super::*;
     use crate::complex::Cf32;
+
+    impl Svd {
+        /// Reconstructs `U diag(s) V^H`.
+        fn reconstruct(&self) -> CMat {
+            let n = self.s.len();
+            let mut us = self.u.clone();
+            for c in 0..n {
+                for r in 0..us.rows() {
+                    us[(r, c)] = us[(r, c)].scale(self.s[c]);
+                }
+            }
+            us.matmul(&self.v.hermitian())
+        }
+    }
 
     fn rand_mat(m: usize, n: usize, seed: u64) -> CMat {
         let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;

@@ -1,14 +1,10 @@
-//! Least-squares channel estimation from pilot symbols.
-//!
-//! For each (antenna, user, subcarrier) resource element where a pilot is
-//! known, the LS estimate is simply `H = y / p`. With frequency-orthogonal
-//! pilots each user is only observed on every K-th subcarrier, so the
-//! estimate is interpolated across the band (the paper's emulated channels
-//! are frequency-flat AWGN, making nearest-pilot interpolation exact; a
-//! linear interpolator is provided for frequency-selective channels).
+//! Per-frame channel state as one matrix per subcarrier — the input of
+//! the stand-alone [`crate::zf::zf_task`]. The engine keeps its CSI in
+//! the frame planes instead: the LS estimate `H = y / p` is fused into
+//! the pilot FFT task's store and interpolated across the band by
+//! `Kernels::interpolate_csi` (`agora-core`).
 
-use crate::pilots::{PilotPlan, PilotScheme};
-use agora_math::{CMat, Cf32};
+use agora_math::CMat;
 
 /// Per-frame channel state: `H[sc]` is the `M x K` channel matrix at each
 /// active subcarrier.
@@ -56,212 +52,9 @@ impl CsiBuffer {
     }
 }
 
-/// Interpolation applied between pilot-bearing subcarriers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Interpolation {
-    /// Copy the nearest pilot estimate (exact for flat channels).
-    #[default]
-    Nearest,
-    /// Linear interpolation between surrounding pilots.
-    Linear,
-}
-
-/// Channel estimator for one pilot plan.
-#[derive(Debug, Clone)]
-pub struct ChannelEstimator {
-    plan: PilotPlan,
-    interp: Interpolation,
-}
-
-impl ChannelEstimator {
-    /// Creates an estimator.
-    pub fn new(plan: PilotPlan, interp: Interpolation) -> Self {
-        Self { plan, interp }
-    }
-
-    /// The pilot plan in use.
-    pub fn plan(&self) -> &PilotPlan {
-        &self.plan
-    }
-
-    /// Processes one received pilot symbol for one antenna.
-    ///
-    /// `rx` holds the frequency-domain samples of pilot symbol `sym` at
-    /// antenna `ant` (post-FFT, active subcarriers only). Raw LS estimates
-    /// are written at the pilot positions in `csi`; call
-    /// [`Self::interpolate`] after all pilot symbols have been absorbed.
-    pub fn absorb_pilot(&self, sym: usize, ant: usize, rx: &[Cf32], csi: &mut CsiBuffer) {
-        let q = self.plan.num_subcarriers();
-        assert_eq!(rx.len(), q, "pilot symbol length mismatch");
-        assert_eq!(csi.num_subcarriers(), q);
-        for (sc, &y) in rx.iter().enumerate() {
-            if let Some((user, p)) = self.plan.owner(sym, sc) {
-                // LS: divide by the known reference (unit-magnitude ZC, so
-                // this is numerically benign).
-                csi.at_mut(sc)[(ant, user)] = y * p.inv();
-            }
-        }
-    }
-
-    /// Fills non-pilot resource elements of `csi` by interpolation. For
-    /// time-orthogonal pilots every subcarrier is observed and this is a
-    /// no-op.
-    pub fn interpolate(&self, csi: &mut CsiBuffer) {
-        if self.plan.scheme() == PilotScheme::TimeOrthogonal {
-            return;
-        }
-        let k = self.plan.num_users();
-        let q = self.plan.num_subcarriers();
-        let m = csi.num_antennas();
-        for user in 0..k {
-            // Pilot positions for this user: user, user + k, user + 2k...
-            for ant in 0..m {
-                match self.interp {
-                    Interpolation::Nearest => {
-                        for sc in 0..q {
-                            let pilot_sc = nearest_pilot(sc, user, k, q);
-                            if pilot_sc != sc {
-                                let v = csi.at(pilot_sc)[(ant, user)];
-                                csi.at_mut(sc)[(ant, user)] = v;
-                            }
-                        }
-                    }
-                    Interpolation::Linear => {
-                        for sc in 0..q {
-                            if sc % k == user {
-                                continue;
-                            }
-                            let below = prev_pilot(sc, user, k);
-                            let above = next_pilot(sc, user, k, q);
-                            let v = match (below, above) {
-                                (Some(b), Some(a)) => {
-                                    let t = (sc - b) as f32 / (a - b) as f32;
-                                    let hb = csi.at(b)[(ant, user)];
-                                    let ha = csi.at(a)[(ant, user)];
-                                    hb.scale(1.0 - t) + ha.scale(t)
-                                }
-                                (Some(b), None) => csi.at(b)[(ant, user)],
-                                (None, Some(a)) => csi.at(a)[(ant, user)],
-                                (None, None) => Cf32::ZERO,
-                            };
-                            csi.at_mut(sc)[(ant, user)] = v;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn nearest_pilot(sc: usize, user: usize, k: usize, q: usize) -> usize {
-    // Round sc to the closest index congruent to `user` mod k.
-    let base = (sc / k) * k + user;
-    let candidates = [base.checked_sub(k), Some(base), base.checked_add(k)];
-    candidates
-        .into_iter()
-        .flatten()
-        .filter(|&c| c < q)
-        .min_by_key(|&c| sc.abs_diff(c))
-        .unwrap_or(user)
-}
-
-fn prev_pilot(sc: usize, user: usize, k: usize) -> Option<usize> {
-    let base = (sc / k) * k + user;
-    if base <= sc {
-        Some(base)
-    } else {
-        base.checked_sub(k)
-    }
-}
-
-fn next_pilot(sc: usize, user: usize, k: usize, q: usize) -> Option<usize> {
-    let base = (sc / k) * k + user;
-    let c = if base >= sc { base } else { base + k };
-    if c < q {
-        Some(c)
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pilots::PilotScheme;
-
-    /// Simulates pilot reception through a known flat channel and checks
-    /// the estimator recovers it.
-    fn run_roundtrip(scheme: PilotScheme, interp: Interpolation) {
-        let (m, k, q) = (4usize, 2usize, 16usize);
-        let plan = PilotPlan::new(scheme, k, q);
-        let est = ChannelEstimator::new(plan.clone(), interp);
-        // Ground-truth flat channel.
-        let h_true =
-            CMat::from_fn(m, k, |a, u| Cf32::new(0.3 + a as f32 * 0.1, -0.2 + u as f32 * 0.4));
-        let mut csi = CsiBuffer::new(m, k, q);
-        for sym in 0..plan.pilot_symbols() {
-            // Received at antenna `ant`: sum over users of H[ant][u] * pilot_u.
-            for ant in 0..m {
-                let mut rx = vec![Cf32::ZERO; q];
-                for u in 0..k {
-                    let tx = plan.tx_pilot(sym, u);
-                    for sc in 0..q {
-                        rx[sc] += h_true[(ant, u)] * tx[sc];
-                    }
-                }
-                est.absorb_pilot(sym, ant, &rx, &mut csi);
-            }
-        }
-        est.interpolate(&mut csi);
-        for sc in 0..q {
-            assert!(
-                csi.at(sc).max_abs_diff(&h_true) < 1e-4,
-                "{scheme:?}/{interp:?}: subcarrier {sc} estimate off"
-            );
-        }
-    }
-
-    #[test]
-    fn frequency_orthogonal_nearest_recovers_flat_channel() {
-        run_roundtrip(PilotScheme::FrequencyOrthogonal, Interpolation::Nearest);
-    }
-
-    #[test]
-    fn frequency_orthogonal_linear_recovers_flat_channel() {
-        run_roundtrip(PilotScheme::FrequencyOrthogonal, Interpolation::Linear);
-    }
-
-    #[test]
-    fn time_orthogonal_recovers_flat_channel() {
-        run_roundtrip(PilotScheme::TimeOrthogonal, Interpolation::Nearest);
-    }
-
-    #[test]
-    fn linear_interp_recovers_linearly_varying_channel() {
-        // One antenna, one user whose channel varies linearly in sc.
-        let (m, k, q) = (1usize, 1usize, 8usize);
-        let plan = PilotPlan::new(PilotScheme::FrequencyOrthogonal, k, q);
-        let est = ChannelEstimator::new(plan.clone(), Interpolation::Linear);
-        let mut csi = CsiBuffer::new(m, k, q);
-        let tx = plan.tx_pilot(0, 0);
-        let h = |sc: usize| Cf32::new(1.0 + sc as f32 * 0.1, 0.0);
-        let rx: Vec<Cf32> = (0..q).map(|sc| h(sc) * tx[sc]).collect();
-        est.absorb_pilot(0, 0, &rx, &mut csi);
-        est.interpolate(&mut csi);
-        // With K=1 every subcarrier is a pilot, so exact.
-        for sc in 0..q {
-            assert!((csi.at(sc)[(0, 0)] - h(sc)).abs() < 1e-5);
-        }
-    }
-
-    #[test]
-    fn nearest_pilot_helper() {
-        // k=4, user=1 -> pilots at 1, 5, 9, 13 (q=16).
-        assert_eq!(nearest_pilot(0, 1, 4, 16), 1);
-        assert_eq!(nearest_pilot(3, 1, 4, 16), 1); // |3-1|=2 < |3-5|=2, tie -> min index
-        assert_eq!(nearest_pilot(4, 1, 4, 16), 5);
-        assert_eq!(nearest_pilot(15, 1, 4, 16), 13);
-    }
 
     #[test]
     fn csi_buffer_shapes() {

@@ -61,20 +61,6 @@ impl Detector {
             }
         }
     }
-
-    /// Post-detection SINR for user `user` given the true channel and
-    /// noise power: signal power over (interference + amplified noise).
-    pub fn sinr(&self, h: &CMat, noise_power: f32, user: usize) -> f32 {
-        let w = self.compute(h);
-        let eff = w.matmul(h); // K x K effective channel
-        let k = h.cols();
-        let signal = eff[(user, user)].norm_sqr();
-        let interference: f32 =
-            (0..k).filter(|&j| j != user).map(|j| eff[(user, j)].norm_sqr()).sum();
-        let noise_gain: f32 =
-            (0..h.rows()).map(|a| w[(user, a)].norm_sqr()).sum::<f32>() * noise_power;
-        signal / (interference + noise_gain).max(f32::MIN_POSITIVE)
-    }
 }
 
 /// Shared Gram-matrix route: `(H^H H + lambda I)^{-1} H^H`, `None` if the
@@ -92,6 +78,22 @@ pub(crate) fn zf_from_gram(h: &CMat, lambda: f32) -> Option<CMat> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Detector {
+        /// Post-detection SINR for user `user` given the true channel and
+        /// noise power: signal power over (interference + amplified noise).
+        fn sinr(&self, h: &CMat, noise_power: f32, user: usize) -> f32 {
+            let w = self.compute(h);
+            let eff = w.matmul(h); // K x K effective channel
+            let k = h.cols();
+            let signal = eff[(user, user)].norm_sqr();
+            let interference: f32 =
+                (0..k).filter(|&j| j != user).map(|j| eff[(user, j)].norm_sqr()).sum();
+            let noise_gain: f32 =
+                (0..h.rows()).map(|a| w[(user, a)].norm_sqr()).sum::<f32>() * noise_power;
+            signal / (interference + noise_gain).max(f32::MIN_POSITIVE)
+        }
+    }
 
     fn rand_channel(m: usize, k: usize, seed: u64) -> CMat {
         let mut state = seed | 1;

@@ -1,67 +1,13 @@
-//! Uplink equalization — demultiplexing user streams from antenna streams.
+//! Uplink equalization without a formed detector — the iterative path.
 //!
-//! For each data subcarrier the received `M`-vector `y` (one sample per
-//! antenna) is multiplied by the `K x M` ZF detector to recover the `K`
-//! user symbols: `x_hat = W y`. The engine fuses this block with
-//! demodulation (Table 2); the fusion lives in the engine, the kernel
-//! lives here. Batched variants process 8 consecutive subcarriers per
-//! call so one task consumes a whole cache line of each antenna's data —
-//! the paper's §4.1 "memory access efficiency" optimisation.
-//!
-//! Both entry points run vectorized on AVX2 hardware: [`equalize_one`]'s
-//! GEMV and the planned GEMM behind [`equalize_batch`] dispatch through
-//! `agora-math`'s SIMD tier (the plan pins the tier at construction, so
-//! the per-subcarrier inner loop pays no dispatch). The scalar and vector
-//! kernels are bit-identical.
+//! The engine's direct path multiplies each subcarrier block by the
+//! `K x M` ZF detector with a planned GEMM (`Kernels::demod_task` in
+//! `agora-core`, fused with demodulation per Table 2). The kernels here
+//! serve its iterative alternative: a Jacobi-preconditioned conjugate
+//! gradient on the `K x K` Gram system and the Neumann-series noise
+//! amplification estimate that replaces the inverse's diagonal.
 
-use crate::zf::ZfBuffer;
-use agora_math::{gemm, Cf32, Gemm};
-
-/// Equalizes one subcarrier: `users_out = W * antennas_in`.
-///
-/// `antennas_in` has `M` entries (one per antenna at this subcarrier);
-/// `users_out` receives `K` entries.
-pub fn equalize_one(zf: &ZfBuffer, sc: usize, antennas_in: &[Cf32], users_out: &mut [Cf32]) {
-    let w = zf.detector_for(sc);
-    assert_eq!(antennas_in.len(), w.cols(), "antenna count mismatch");
-    assert_eq!(users_out.len(), w.rows(), "user count mismatch");
-    agora_math::gemv(w.rows(), w.cols(), w.as_slice(), antennas_in, users_out);
-}
-
-/// Equalizes a batch of `B` consecutive subcarriers that share a detector
-/// group. `antennas_in` is `M x B` row-major (per antenna, `B` adjacent
-/// subcarriers — the transposed layout the FFT stage emits); `users_out`
-/// is `K x B` row-major.
-///
-/// `plan` must be a GEMM plan of shape `(K, M, B)`; passing the plan in
-/// lets the engine reuse the "JIT"-specialised kernel across millions of
-/// calls.
-pub fn equalize_batch(
-    zf: &ZfBuffer,
-    first_sc: usize,
-    batch: usize,
-    plan: &Gemm,
-    antennas_in: &[Cf32],
-    users_out: &mut [Cf32],
-) {
-    let w = zf.detector_for(first_sc);
-    assert_eq!(antennas_in.len(), w.cols() * batch);
-    assert_eq!(users_out.len(), w.rows() * batch);
-    plan.run(w.as_slice(), antennas_in, users_out);
-}
-
-/// Reference (unplanned) batch equalization used by tests and the
-/// pipeline-parallel variant's cold path.
-pub fn equalize_batch_generic(
-    zf: &ZfBuffer,
-    first_sc: usize,
-    batch: usize,
-    antennas_in: &[Cf32],
-    users_out: &mut [Cf32],
-) {
-    let w = zf.detector_for(first_sc);
-    gemm(w.rows(), w.cols(), batch, w.as_slice(), antennas_in, users_out);
-}
+use agora_math::Cf32;
 
 /// Default CG iteration cap for the iterative equalizer. The Gram matrix
 /// of a well-conditioned massive-MIMO channel (`M >> K`) is strongly
@@ -196,132 +142,7 @@ pub fn cg_solve_gram(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chanest::CsiBuffer;
-    use crate::zf::{zf_task, ZfConfig};
-    use agora_math::{CMat, PinvMethod};
-
-    /// Builds a ZF buffer for a known random channel and returns both.
-    fn setup(m: usize, k: usize, q: usize, seed: u64) -> (CsiBuffer, ZfBuffer) {
-        let mut state = seed | 1;
-        let mut csi = CsiBuffer::new(m, k, q);
-        for sc in 0..q {
-            *csi.at_mut(sc) = CMat::from_fn(m, k, |_, _| {
-                let mut next = || {
-                    state ^= state << 13;
-                    state ^= state >> 7;
-                    state ^= state << 17;
-                    ((state >> 11) as f32 / (1u64 << 53) as f32) - 0.25
-                };
-                Cf32::new(next(), next())
-            });
-        }
-        let cfg = ZfConfig { group_size: 16, method: PinvMethod::Direct };
-        let mut zf = ZfBuffer::new(m, k, q, cfg.group_size);
-        for g in 0..cfg.num_groups(q) {
-            zf_task(&csi, &cfg, g, &mut zf);
-        }
-        (csi, zf)
-    }
-
-    #[test]
-    fn equalize_recovers_transmitted_symbols() {
-        let (m, k) = (16usize, 4usize);
-        let (csi, zf) = setup(m, k, 16, 5);
-        // Transmit known user symbols through the channel at sc 0.
-        let x: Vec<Cf32> = (0..k).map(|u| Cf32::new(u as f32 + 1.0, -(u as f32))).collect();
-        let y = csi.at(0).matvec(&x);
-        let mut out = vec![Cf32::ZERO; k];
-        equalize_one(&zf, 0, &y, &mut out);
-        for (a, b) in out.iter().zip(x.iter()) {
-            assert!((*a - *b).abs() < 1e-2, "recovered {a:?} expected {b:?}");
-        }
-    }
-
-    #[test]
-    fn batch_matches_per_subcarrier() {
-        let (m, k, b) = (16usize, 4usize, 8usize);
-        let (csi, zf) = setup(m, k, 16, 7);
-        // Per-antenna blocks of 8 consecutive subcarriers, all within
-        // detector group 0; channel is per-sc so compute y per sc.
-        let xs: Vec<Vec<Cf32>> = (0..b)
-            .map(|sc| (0..k).map(|u| Cf32::new(sc as f32 * 0.1, u as f32 * 0.2 - 0.3)).collect())
-            .collect();
-        let mut ant_block = vec![Cf32::ZERO; m * b];
-        for (sc, x) in xs.iter().enumerate() {
-            let y = csi.at(sc).matvec(x);
-            for a in 0..m {
-                ant_block[a * b + sc] = y[a];
-            }
-        }
-        let plan = Gemm::plan(k, m, b);
-        let mut batch_out = vec![Cf32::ZERO; k * b];
-        equalize_batch(&zf, 0, b, &plan, &ant_block, &mut batch_out);
-
-        for sc in 0..b {
-            let y: Vec<Cf32> = (0..m).map(|a| ant_block[a * b + sc]).collect();
-            let mut single = vec![Cf32::ZERO; k];
-            equalize_one(&zf, sc, &y, &mut single);
-            for u in 0..k {
-                assert!((batch_out[u * b + sc] - single[u]).abs() < 1e-4, "sc {sc} user {u}");
-            }
-        }
-    }
-
-    #[test]
-    fn generic_batch_matches_planned() {
-        let (m, k, b) = (16usize, 4usize, 8usize);
-        let (_csi, zf) = setup(m, k, 16, 11);
-        let ant_block: Vec<Cf32> =
-            (0..m * b).map(|i| Cf32::new((i % 13) as f32 * 0.1, (i % 7) as f32 * -0.2)).collect();
-        let plan = Gemm::plan(k, m, b);
-        let mut a = vec![Cf32::ZERO; k * b];
-        let mut g = vec![Cf32::ZERO; k * b];
-        equalize_batch(&zf, 0, b, &plan, &ant_block, &mut a);
-        equalize_batch_generic(&zf, 0, b, &ant_block, &mut g);
-        for (x, y) in a.iter().zip(g.iter()) {
-            assert!((*x - *y).abs() < 1e-4);
-        }
-    }
-
-    /// Scalar and AVX2 plans must equalize to the same bits.
-    #[test]
-    fn tier_parity_is_bit_exact() {
-        use agora_math::SimdTier;
-        let (m, k, b) = (16usize, 4usize, 8usize);
-        let (_csi, zf) = setup(m, k, 16, 17);
-        let ant_block: Vec<Cf32> =
-            (0..m * b).map(|i| Cf32::new((i % 11) as f32 * 0.3, (i % 5) as f32 * -0.4)).collect();
-        let mut scalar_out = vec![Cf32::ZERO; k * b];
-        let mut simd_out = vec![Cf32::ZERO; k * b];
-        let scalar_plan = Gemm::plan_with_tier(k, m, b, SimdTier::Scalar);
-        let simd_plan = Gemm::plan_with_tier(k, m, b, SimdTier::detect());
-        equalize_batch(&zf, 0, b, &scalar_plan, &ant_block, &mut scalar_out);
-        equalize_batch(&zf, 0, b, &simd_plan, &ant_block, &mut simd_out);
-        for (x, y) in scalar_out.iter().zip(simd_out.iter()) {
-            assert_eq!(x.re.to_bits(), y.re.to_bits());
-            assert_eq!(x.im.to_bits(), y.im.to_bits());
-        }
-        // Single-subcarrier GEMV path too.
-        let y: Vec<Cf32> = (0..m).map(|a| ant_block[a * b]).collect();
-        let mut one_scalar = vec![Cf32::ZERO; k];
-        let mut one_simd = vec![Cf32::ZERO; k];
-        let w = zf.detector_for(0);
-        agora_math::gemv_with_tier(k, m, w.as_slice(), &y, &mut one_scalar, SimdTier::Scalar);
-        equalize_one(&zf, 0, &y, &mut one_simd);
-        for (x, v) in one_scalar.iter().zip(one_simd.iter()) {
-            assert_eq!(x.re.to_bits(), v.re.to_bits());
-            assert_eq!(x.im.to_bits(), v.im.to_bits());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "antenna count")]
-    fn wrong_antenna_count_panics() {
-        let (_csi, zf) = setup(8, 2, 16, 13);
-        let y = vec![Cf32::ZERO; 4];
-        let mut out = vec![Cf32::ZERO; 2];
-        equalize_one(&zf, 0, &y, &mut out);
-    }
+    use agora_math::CMat;
 
     /// Builds a random channel, its Gram matrix, and `b = H^H y` for a
     /// known transmit vector.

@@ -4,12 +4,12 @@
 //!
 //! * [`modulation`] / [`demod`]: Gray QAM mapping and max-log soft LLRs.
 //! * [`pilots`]: Zadoff-Chu sequences, frequency/time-orthogonal plans.
-//! * [`chanest`]: LS channel estimation into the CSI buffer.
+//! * [`chanest`]: the per-subcarrier CSI buffer [`zf`] reads.
 //! * [`zf`]: zero-forcing detector/precoder calculation per group.
 //! * [`detect`]: the wider linear detector menu (ZF / MMSE / conjugate).
 //! * [`cpe`]: decision-directed common-phase-error tracking.
-//! * [`equalize`] / [`precode`]: the uplink and downlink linear stages.
-//! * [`scrambler`]: Gold-sequence bit scrambling.
+//! * [`equalize`] / [`precode`]: the iterative uplink solve and the
+//!   downlink linear stage.
 //! * [`iq`]: 12+12-bit packed fronthaul sample codec.
 //! * [`frame`]: cell configuration and the TDD symbol schedule.
 //!
@@ -26,14 +26,13 @@ pub mod iq;
 pub mod modulation;
 pub mod pilots;
 pub mod precode;
-pub mod scrambler;
 pub mod zf;
 
-pub use chanest::{ChannelEstimator, CsiBuffer, Interpolation};
+pub use chanest::CsiBuffer;
 pub use cpe::{correct_cpe, estimate_and_correct, estimate_cpe};
 pub use demod::{demod_soft, demod_soft_exact, demod_soft_i8, demod_soft_simd};
 pub use detect::Detector;
 pub use frame::{CellConfig, FrameSchedule, LdpcParams, SymbolType};
-pub use modulation::{demodulate_hard, modulate, ModScheme};
+pub use modulation::{modulate, ModScheme};
 pub use pilots::{zadoff_chu, PilotPlan, PilotScheme};
 pub use zf::{zf_task, ClusterPlan, ZfBuffer, ZfConfig};

@@ -141,20 +141,6 @@ pub fn modulate(scheme: ModScheme, bits: &[u8], out: &mut Vec<Cf32>) {
     }
 }
 
-/// Hard-demodulates symbols back to bits (one bit per byte, LSB-first per
-/// symbol).
-pub fn demodulate_hard(scheme: ModScheme, symbols: &[Cf32], out: &mut Vec<u8>) {
-    let bps = scheme.bits_per_symbol();
-    out.clear();
-    out.reserve(symbols.len() * bps);
-    for &z in symbols {
-        let v = unmap_symbol(scheme, z);
-        for i in 0..bps {
-            out.push(((v >> i) & 1) as u8);
-        }
-    }
-}
-
 /// Returns the full constellation (index -> point), used by the exact
 /// max-log soft demapper and tests.
 pub fn constellation(scheme: ModScheme) -> Vec<Cf32> {
@@ -207,8 +193,14 @@ mod tests {
             let mut syms = Vec::new();
             modulate(scheme, &bits, &mut syms);
             assert_eq!(syms.len(), 50);
-            let mut back = Vec::new();
-            demodulate_hard(scheme, &syms, &mut back);
+            // Hard decision per symbol, bits LSB-first like `modulate`.
+            let back: Vec<u8> = syms
+                .iter()
+                .flat_map(|&z| {
+                    let v = unmap_symbol(scheme, z);
+                    (0..bps).map(move |i| ((v >> i) & 1) as u8)
+                })
+                .collect();
             assert_eq!(bits, back, "{scheme:?} roundtrip failed");
         }
     }

@@ -3,20 +3,12 @@
 //! The dual of equalization: for each data subcarrier the `K` modulated
 //! user symbols are multiplied by the `M x K` ZF precoder to produce the
 //! `M` antenna samples: `y = W_dl x`. The engine fuses modulation into
-//! this block (Table 2); this module holds the linear kernel. Like
-//! equalization, both entry points dispatch through `agora-math`'s SIMD
-//! tier and are bit-identical between the scalar and AVX2 kernels.
+//! this block (Table 2); this module holds the linear kernel, which
+//! dispatches through the plan's SIMD tier and is bit-identical between
+//! the scalar and AVX2 kernels.
 
 use crate::zf::ZfBuffer;
-use agora_math::{gemm, Cf32, Gemm};
-
-/// Precodes one subcarrier: `antennas_out = W_dl * users_in`.
-pub fn precode_one(zf: &ZfBuffer, sc: usize, users_in: &[Cf32], antennas_out: &mut [Cf32]) {
-    let w = zf.precoder_for(sc);
-    assert_eq!(users_in.len(), w.cols(), "user count mismatch");
-    assert_eq!(antennas_out.len(), w.rows(), "antenna count mismatch");
-    agora_math::gemv(w.rows(), w.cols(), w.as_slice(), users_in, antennas_out);
-}
+use agora_math::{Cf32, Gemm};
 
 /// Precodes a batch of `B` consecutive subcarriers sharing one precoder
 /// group. `users_in` is `K x B` row-major, `antennas_out` is `M x B`
@@ -34,18 +26,6 @@ pub fn precode_batch(
     assert_eq!(users_in.len(), w.cols() * batch);
     assert_eq!(antennas_out.len(), w.rows() * batch);
     plan.run(w.as_slice(), users_in, antennas_out);
-}
-
-/// Reference batch precoding with the generic GEMM.
-pub fn precode_batch_generic(
-    zf: &ZfBuffer,
-    first_sc: usize,
-    batch: usize,
-    users_in: &[Cf32],
-    antennas_out: &mut [Cf32],
-) {
-    let w = zf.precoder_for(first_sc);
-    gemm(w.rows(), w.cols(), batch, w.as_slice(), users_in, antennas_out);
 }
 
 #[cfg(test)]
@@ -83,7 +63,7 @@ mod tests {
         let (csi, zf) = setup(16, 4, 3);
         let x: Vec<Cf32> = (0..4).map(|u| Cf32::new(1.0 + u as f32, -0.5 * u as f32)).collect();
         let mut ant = vec![Cf32::ZERO; 16];
-        precode_one(&zf, 0, &x, &mut ant);
+        precode_batch(&zf, 0, 1, &Gemm::plan(16, 4, 1), &x, &mut ant);
         let r = csi.at(0).transpose().matvec(&ant);
         // Proportionality: r_k / x_k equal across users (real positive c).
         let c0 = r[0] * x[0].inv();
@@ -93,41 +73,6 @@ mod tests {
         }
         // And cross-user leakage is small relative to signal.
         assert!(c0.abs() > 1e-3);
-    }
-
-    #[test]
-    fn batch_matches_per_subcarrier() {
-        let (m, k, b) = (16usize, 4usize, 8usize);
-        let (_csi, zf) = setup(m, k, 7);
-        let users: Vec<Cf32> =
-            (0..k * b).map(|i| Cf32::new((i % 5) as f32 * 0.2, (i % 3) as f32 * -0.1)).collect();
-        let plan = Gemm::plan(m, k, b);
-        let mut batch_out = vec![Cf32::ZERO; m * b];
-        precode_batch(&zf, 0, b, &plan, &users, &mut batch_out);
-        for sc in 0..b {
-            let x: Vec<Cf32> = (0..k).map(|u| users[u * b + sc]).collect();
-            let mut single = vec![Cf32::ZERO; m];
-            precode_one(&zf, sc, &x, &mut single);
-            for a in 0..m {
-                assert!((batch_out[a * b + sc] - single[a]).abs() < 1e-4);
-            }
-        }
-    }
-
-    #[test]
-    fn generic_matches_planned() {
-        let (m, k, b) = (16usize, 4usize, 8usize);
-        let (_csi, zf) = setup(m, k, 11);
-        let users: Vec<Cf32> =
-            (0..k * b).map(|i| Cf32::new(i as f32 * 0.01, -(i as f32) * 0.02)).collect();
-        let plan = Gemm::plan(m, k, b);
-        let mut a = vec![Cf32::ZERO; m * b];
-        let mut g = vec![Cf32::ZERO; m * b];
-        precode_batch(&zf, 0, b, &plan, &users, &mut a);
-        precode_batch_generic(&zf, 0, b, &users, &mut g);
-        for (x, y) in a.iter().zip(g.iter()) {
-            assert!((*x - *y).abs() < 1e-4);
-        }
     }
 
     /// Scalar and AVX2 plans must precode to the same bits.
@@ -156,7 +101,7 @@ mod tests {
         let (_csi, zf) = setup(m, k, 13);
         let x = vec![Cf32::new(0.5, 0.5); k]; // |x_k| <= 1
         let mut ant = vec![Cf32::ZERO; m];
-        precode_one(&zf, 0, &x, &mut ant);
+        precode_batch(&zf, 0, 1, &Gemm::plan(m, k, 1), &x, &mut ant);
         // Normalised precoder rows have power <= 1, so by Cauchy-Schwarz
         // each antenna sample is bounded by sqrt(K) * max|x|.
         let bound = (k as f32).sqrt() * (0.5f32 * 0.5 + 0.5 * 0.5).sqrt() + 1e-4;

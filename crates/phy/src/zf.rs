@@ -112,12 +112,7 @@ impl ZfBuffer {
         self.detectors.len()
     }
 
-    /// Uplink detector for a *subcarrier* (group lookup included).
-    pub fn detector_for(&self, sc: usize) -> &CMat {
-        &self.detectors[sc / self.group_size]
-    }
-
-    /// Downlink precoder for a subcarrier.
+    /// Downlink precoder for a *subcarrier* (group lookup included).
     pub fn precoder_for(&self, sc: usize) -> &CMat {
         &self.precoders[sc / self.group_size]
     }
@@ -258,11 +253,11 @@ mod tests {
             zf_task(&csi, &cfg, g, &mut buf);
         }
         assert_eq!(buf.num_groups(), 3);
-        // Subcarriers 0..15 share group 0's detector.
-        assert!(buf.detector_for(0).max_abs_diff(buf.detector(0)) < 1e-9);
-        assert!(buf.detector_for(15).max_abs_diff(buf.detector(0)) < 1e-9);
-        assert!(buf.detector_for(16).max_abs_diff(buf.detector(1)) < 1e-9);
-        assert!(buf.detector_for(39).max_abs_diff(buf.detector(2)) < 1e-9);
+        // Subcarriers 0..15 share group 0's precoder.
+        assert!(buf.precoder_for(0).max_abs_diff(buf.precoder(0)) < 1e-9);
+        assert!(buf.precoder_for(15).max_abs_diff(buf.precoder(0)) < 1e-9);
+        assert!(buf.precoder_for(16).max_abs_diff(buf.precoder(1)) < 1e-9);
+        assert!(buf.precoder_for(39).max_abs_diff(buf.precoder(2)) < 1e-9);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! corrupt that cell's frame state with foreign geometry.
 
 use crate::packet::decode_ref;
-use crate::pool::PacketBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Where one received buffer should go.
@@ -105,23 +104,6 @@ impl CellDemux {
         }
     }
 
-    /// Drains a receive batch through `sink(cell, pkt)`, dropping
-    /// misrouted/undecodable buffers. Returns how many were delivered.
-    pub fn route_batch<F: FnMut(usize, PacketBuf)>(
-        &self,
-        batch: &mut Vec<PacketBuf>,
-        mut sink: F,
-    ) -> usize {
-        let mut delivered = 0;
-        for pkt in batch.drain(..) {
-            if let Route::Cell(c) = self.classify(&pkt) {
-                sink(c, pkt);
-                delivered += 1;
-            }
-        }
-        delivered
-    }
-
     /// The demux counters.
     pub fn stats(&self) -> &DemuxStats {
         &self.stats
@@ -132,7 +114,7 @@ impl CellDemux {
 mod tests {
     use super::*;
     use crate::packet::{encode, PacketDir, PacketHeader};
-    use bytes::Bytes;
+    use crate::pool::PacketBuf;
 
     fn pkt(cell: u8) -> PacketBuf {
         let hdr = PacketHeader {
@@ -169,20 +151,6 @@ mod tests {
     fn undecodable_buffers_are_counted() {
         let d = CellDemux::new(1);
         assert_eq!(d.classify(&[0xFFu8; 16]), Route::Undecodable);
-        assert_eq!(d.stats().undecodable(), 1);
-    }
-
-    #[test]
-    fn route_batch_delivers_only_known_cells() {
-        let d = CellDemux::new(2);
-        let mut batch =
-            vec![pkt(0), pkt(1), pkt(5), PacketBuf::Heap(Bytes::from(vec![0u8; 8])), pkt(1)];
-        let mut got: Vec<usize> = Vec::new();
-        let delivered = d.route_batch(&mut batch, |c, _| got.push(c));
-        assert_eq!(delivered, 3);
-        assert_eq!(got, vec![0, 1, 1]);
-        assert!(batch.is_empty(), "the batch is fully drained");
-        assert_eq!(d.stats().misrouted(), 1);
         assert_eq!(d.stats().undecodable(), 1);
     }
 }

@@ -8,8 +8,7 @@
 //! first-class, *reproducible* experiment axis: [`FaultInjector`]
 //! transforms a packet stream under a seeded RNG, so a given
 //! `(FaultConfig, packet stream)` pair always produces the same losses,
-//! duplicates and arrival order. [`FaultyFronthaul`] applies the same
-//! model online around any [`Fronthaul`] implementation.
+//! duplicates and arrival order.
 //!
 //! Loss models:
 //! * **i.i.d.** — every packet dropped independently with probability
@@ -25,14 +24,11 @@
 //! models NIC/switch queue jitter: packets leave late but the stream
 //! stays causally plausible.
 
-use crate::fronthaul::Fronthaul;
 use crate::packet::decode_ref;
-use crate::pool::PacketBuf;
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 /// Packet-loss process applied to the stream.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -264,148 +260,9 @@ impl FaultInjector {
     }
 }
 
-struct FaultyState {
-    rng: StdRng,
-    in_burst: bool,
-    stats: FaultStats,
-    /// Packets awaiting release, keyed by (release tick, admission seq).
-    pending: BTreeMap<(u64, u64), (u64, PacketBuf)>,
-    /// Virtual clock: advances on every admitted packet and every
-    /// `recv` poll, so jittered packets drain even when the sender
-    /// pauses.
-    tick: u64,
-    seq: u64,
-    /// Highest admission index emitted so far (reorder detection).
-    max_emitted: u64,
-    emitted_any: bool,
-}
-
-/// Online fault injection around any [`Fronthaul`]: `recv` pulls from the
-/// inner transport through the fault model. `send` passes through
-/// untouched (faults are injected on the receive path only, which is
-/// where the baseband's robustness is tested).
-pub struct FaultyFronthaul<F: Fronthaul> {
-    inner: F,
-    cfg: FaultConfig,
-    state: Mutex<FaultyState>,
-}
-
-impl<F: Fronthaul> FaultyFronthaul<F> {
-    /// Wraps `inner` with the fault model of `cfg`.
-    pub fn new(inner: F, cfg: FaultConfig) -> Self {
-        Self {
-            inner,
-            cfg,
-            state: Mutex::new(FaultyState {
-                rng: StdRng::seed_from_u64(cfg.seed),
-                in_burst: false,
-                stats: FaultStats::default(),
-                pending: BTreeMap::new(),
-                tick: 0,
-                seq: 0,
-                max_emitted: 0,
-                emitted_any: false,
-            }),
-        }
-    }
-
-    /// Snapshot of the fault statistics so far.
-    pub fn stats(&self) -> FaultStats {
-        self.state.lock().unwrap().stats.clone()
-    }
-
-    /// A reference to the wrapped transport.
-    pub fn inner(&self) -> &F {
-        &self.inner
-    }
-
-    /// Drains the inner transport and the jitter buffer completely,
-    /// returning every packet still owed to the receiver (loss is still
-    /// applied to packets pulled from the inner transport).
-    pub fn flush(&self) -> Vec<PacketBuf> {
-        let mut st = self.state.lock().unwrap();
-        while let Some(pkt) = self.inner.recv() {
-            Self::admit(&self.cfg, &mut st, pkt);
-        }
-        let drained: Vec<(u64, PacketBuf)> =
-            std::mem::take(&mut st.pending).into_values().collect();
-        drained.into_iter().map(|(orig, pkt)| Self::emit(&mut st, orig, pkt)).collect()
-    }
-
-    fn admit(cfg: &FaultConfig, st: &mut FaultyState, pkt: PacketBuf) {
-        st.stats.offered += 1;
-        let admission = st.tick;
-        st.tick += 1;
-        if cfg.loss.sample(&mut st.rng, &mut st.in_burst) {
-            FaultInjector::record_loss(&mut st.stats, &pkt);
-            return;
-        }
-        let delay = |st: &mut FaultyState| -> u64 {
-            if cfg.reorder_prob > 0.0 && cfg.max_delay > 0 && st.rng.gen_bool(cfg.reorder_prob) {
-                st.rng.gen_range(0..cfg.max_delay as u64) + 1
-            } else {
-                0
-            }
-        };
-        let d = delay(st);
-        let duplicate = cfg.duplicate_prob > 0.0 && st.rng.gen_bool(cfg.duplicate_prob);
-        if duplicate {
-            st.stats.note_duplicated(&pkt);
-            let dd = delay(st);
-            let key = (admission + 1 + dd, st.seq + 1);
-            // Cloning deep-copies pooled packets to the heap, so the
-            // duplicate never aliases the original's pool slot.
-            st.pending.insert(key, (admission, pkt.clone()));
-        }
-        st.pending.insert((admission + d, st.seq), (admission, pkt));
-        st.seq += 2;
-    }
-
-    fn emit(st: &mut FaultyState, orig: u64, pkt: PacketBuf) -> PacketBuf {
-        if st.emitted_any && orig < st.max_emitted {
-            st.stats.reordered += 1;
-        }
-        st.max_emitted = st.max_emitted.max(orig);
-        st.emitted_any = true;
-        st.stats.note_delivered(&pkt);
-        pkt
-    }
-
-    fn release(st: &mut FaultyState) -> Option<PacketBuf> {
-        let (&key, _) = st.pending.iter().next()?;
-        if key.0 > st.tick {
-            return None;
-        }
-        let (orig, pkt) = st.pending.remove(&key).unwrap();
-        Some(Self::emit(st, orig, pkt))
-    }
-}
-
-impl<F: Fronthaul> Fronthaul for FaultyFronthaul<F> {
-    fn send(&self, packet: PacketBuf) -> Result<(), PacketBuf> {
-        self.inner.send(packet)
-    }
-
-    fn recv(&self) -> Option<PacketBuf> {
-        let mut st = self.state.lock().unwrap();
-        while let Some(pkt) = self.inner.recv() {
-            Self::admit(&self.cfg, &mut st, pkt);
-        }
-        // Empty polls advance the virtual clock too, so a paused sender
-        // cannot strand jittered packets in the buffer forever.
-        st.tick += 1;
-        Self::release(&mut st)
-    }
-
-    fn link_errors(&self) -> (u64, u64) {
-        self.inner.link_errors()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fronthaul::MemFronthaul;
     use crate::packet::{encode, PacketDir, PacketHeader};
 
     fn stream(frames: u32, per_frame: u16) -> Vec<Bytes> {
@@ -570,67 +427,6 @@ mod tests {
         assert_eq!(st.offered, offered);
         assert_eq!(st.delivered, offered - st.lost + st.duplicated);
         assert_eq!(out.len() as u64, st.delivered);
-    }
-
-    #[test]
-    fn faulty_fronthaul_applies_loss_online() {
-        let (rru, bbu) = MemFronthaul::pair(1024);
-        let faulty = FaultyFronthaul::new(
-            bbu,
-            FaultConfig { loss: LossModel::Iid { p: 0.3 }, seed: 8, ..Default::default() },
-        );
-        for pkt in stream(8, 16) {
-            assert!(rru.send(pkt.into()).is_ok());
-        }
-        let mut got = Vec::new();
-        // recv() drains with loss applied; extra polls flush the clock.
-        for _ in 0..1024 {
-            if let Some(p) = faulty.recv() {
-                got.push(p);
-            }
-        }
-        let st = faulty.stats();
-        assert_eq!(st.offered, 128);
-        assert!(st.lost > 0);
-        assert_eq!(got.len() as u64, st.delivered);
-        assert_eq!(st.delivered + st.lost, st.offered);
-    }
-
-    #[test]
-    fn faulty_fronthaul_flush_releases_jittered_packets() {
-        let (rru, bbu) = MemFronthaul::pair(1024);
-        let faulty = FaultyFronthaul::new(
-            bbu,
-            FaultConfig { reorder_prob: 1.0, max_delay: 64, seed: 2, ..Default::default() },
-        );
-        let pkts = stream(2, 8);
-        for pkt in pkts.iter() {
-            assert!(rru.send(pkt.clone().into()).is_ok());
-        }
-        // A single poll cannot release everything (displacements up to 64).
-        let first = faulty.recv();
-        let mut rest = faulty.flush();
-        if let Some(p) = first {
-            rest.insert(0, p);
-        }
-        assert_eq!(rest.len(), pkts.len(), "flush must release every buffered packet");
-        let mut a: Vec<_> = pkts.iter().map(|p| order_key(p)).collect();
-        let mut b: Vec<_> = rest.iter().map(|p| order_key(p)).collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn faulty_fronthaul_send_passes_through() {
-        let (rru, bbu) = MemFronthaul::pair(16);
-        let faulty = FaultyFronthaul::new(
-            bbu,
-            FaultConfig { loss: LossModel::Iid { p: 1.0 }, ..Default::default() },
-        );
-        // Downlink (send) path is never faulted, even at 100% loss.
-        assert!(faulty.send(stream(1, 1).pop().unwrap().into()).is_ok());
-        assert!(rru.recv().is_some());
     }
 
     #[test]

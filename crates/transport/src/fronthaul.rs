@@ -215,11 +215,6 @@ impl UdpFronthaul {
         self
     }
 
-    /// The configured aggregation factor (0 when off).
-    pub fn aggregation(&self) -> usize {
-        self.aggregate
-    }
-
     /// The locally bound address (useful with port 0).
     pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
         self.socket.local_addr()

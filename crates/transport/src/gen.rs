@@ -1,15 +1,13 @@
-//! Paced multi-cell traffic generation.
+//! Multi-cell traffic generation.
 //!
 //! The paper's IQ sample generator saturates the baseband server from a
-//! second machine, pacing packet bursts with nanosecond RDTSC timestamps
-//! (§5.2). [`MultiCellGenerator`] scales the single-cell [`RruEmulator`]
-//! to that role for C cells at once: every cell contributes one packet
-//! per antenna per symbol, the shared [`Pacer`] gates each symbol slot
-//! (one token per (frame, symbol) across all cells), an inline
-//! [`FaultInjector`] perturbs the merged stream, and the result is
-//! batch-emitted through [`Fronthaul::send_batch`] — so a single socket
-//! carries C interleaved cell streams exactly the way one 40 GbE pipe
-//! carries a multi-cell deployment.
+//! second machine (§5.2). [`MultiCellGenerator`] scales the single-cell
+//! [`RruEmulator`] to that role for C cells at once: every cell
+//! contributes one packet per antenna per symbol, an inline
+//! [`FaultInjector`] perturbs the merged stream of each symbol slot, and
+//! the result is batch-emitted through [`Fronthaul::send_batch`] — so a
+//! single socket carries C interleaved cell streams exactly the way one
+//! 40 GbE pipe carries a multi-cell deployment.
 //!
 //! Per-cell ground truth and per-cell fault statistics come back to the
 //! caller, so a demuxing receiver can reconcile every loss, duplicate
@@ -17,27 +15,24 @@
 
 use crate::fault::{FaultConfig, FaultInjector, FaultStats};
 use crate::fronthaul::Fronthaul;
-use crate::pacing::Pacer;
 use crate::pool::PacketBuf;
 use crate::rru::{FrameGroundTruth, RruEmulator};
 use bytes::Bytes;
 use std::collections::VecDeque;
-use std::time::Duration;
 
-/// A paced, fault-injecting, multi-cell packet source.
+/// A fault-injecting, multi-cell packet source.
 ///
 /// All cells must share one frame schedule length (they are symbol-
 /// synchronous, as co-located cells driven by one clock would be).
 pub struct MultiCellGenerator {
     cells: Vec<RruEmulator>,
     injector: FaultInjector,
-    symbol_interval: Option<Duration>,
 }
 
 impl MultiCellGenerator {
     /// Builds a generator over `cells` (each carrying its own
-    /// `cell_id`, seed and channel). No pacing and no faults until the
-    /// respective builders are called.
+    /// `cell_id`, seed and channel). No faults until [`Self::with_faults`]
+    /// is called.
     pub fn new(cells: Vec<RruEmulator>) -> MultiCellGenerator {
         assert!(!cells.is_empty(), "need at least one cell");
         let symbols = cells[0].cell().symbols_per_frame();
@@ -45,23 +40,12 @@ impl MultiCellGenerator {
             cells.iter().all(|c| c.cell().symbols_per_frame() == symbols),
             "cells must be symbol-synchronous (same schedule length)"
         );
-        MultiCellGenerator {
-            cells,
-            injector: FaultInjector::new(FaultConfig::default()),
-            symbol_interval: None,
-        }
+        MultiCellGenerator { cells, injector: FaultInjector::new(FaultConfig::default()) }
     }
 
     /// Injects faults inline between generation and emission.
     pub fn with_faults(mut self, cfg: FaultConfig) -> MultiCellGenerator {
         self.injector = FaultInjector::new(cfg);
-        self
-    }
-
-    /// Paces emission: one token per symbol slot, shared by all cells
-    /// (each tick releases every cell's packets for that symbol).
-    pub fn with_pacing(mut self, symbol_interval: Duration) -> MultiCellGenerator {
-        self.symbol_interval = Some(symbol_interval);
         self
     }
 
@@ -87,7 +71,6 @@ impl MultiCellGenerator {
         let symbols = self.cells[0].cell().symbols_per_frame();
         let mut truths: Vec<Vec<FrameGroundTruth>> =
             (0..self.cells.len()).map(|_| Vec::with_capacity(frames as usize)).collect();
-        let mut pacer = self.symbol_interval.map(Pacer::new);
         let mut out: VecDeque<PacketBuf> = VecDeque::new();
         // per_cell[c] = packets of cell c for the current frame, in
         // symbol-major order (the RRU emits symbol-major already).
@@ -99,9 +82,6 @@ impl MultiCellGenerator {
                 truths[c].push(gt);
             }
             for sym in 0..symbols {
-                if let Some(p) = pacer.as_mut() {
-                    p.wait_next();
-                }
                 // Interleave all cells' packets of this symbol slot and
                 // run them through the fault model as one tick batch.
                 let mut tick: Vec<Bytes> = Vec::new();
@@ -238,30 +218,6 @@ mod tests {
                 .sum();
             assert_eq!(by_frame, lost, "cell {c}: per-frame refinement");
         }
-    }
-
-    #[test]
-    fn pacing_spreads_emission_over_the_schedule() {
-        let cells = make_cells(1);
-        let symbols = cells[0].cell().symbols_per_frame();
-        let per_frame = symbols * cells[0].cell().num_antennas;
-        let frames = 3u32;
-        let interval = Duration::from_micros(200);
-        let mut gen = MultiCellGenerator::new(cells).with_pacing(interval);
-        let (tx, rx) = MemFronthaul::pair(per_frame * frames as usize + 8);
-        let t0 = std::time::Instant::now();
-        gen.run(&tx, frames);
-        let elapsed = t0.elapsed();
-        // symbols*frames ticks at 200 us each (first fires immediately).
-        let floor = interval * (symbols as u32 * frames - 1);
-        assert!(elapsed >= floor, "paced run finished in {elapsed:?}, floor {floor:?}");
-        let mut batch = Vec::new();
-        let mut n = 0;
-        while rx.recv_batch(&mut batch, 64) > 0 {
-            n += batch.len();
-            batch.clear();
-        }
-        assert_eq!(n, per_frame * frames as usize);
     }
 
     #[test]

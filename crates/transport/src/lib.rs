@@ -28,7 +28,7 @@ pub mod rru;
 pub mod sys;
 
 pub use demux::{CellDemux, DemuxStats, Route};
-pub use fault::{FaultConfig, FaultInjector, FaultStats, FaultyFronthaul, LossModel};
+pub use fault::{FaultConfig, FaultInjector, FaultStats, LossModel};
 pub use fronthaul::{Fronthaul, MemFronthaul, UdpFronthaul};
 pub use gen::MultiCellGenerator;
 pub use pacing::Pacer;

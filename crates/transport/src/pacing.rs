@@ -47,11 +47,6 @@ impl Pacer {
         tick
     }
 
-    /// Nanoseconds elapsed since the pacer started.
-    pub fn elapsed_ns(&self) -> u128 {
-        self.start.elapsed().as_nanos()
-    }
-
     /// How far behind schedule the pacer currently is (zero when on time).
     pub fn lag(&self) -> Duration {
         self.start.elapsed().saturating_sub(self.scheduled(self.next_tick))

@@ -160,16 +160,6 @@ impl RruEmulator {
         &self.cell
     }
 
-    /// The pilot plan (shared with receiver-side channel estimation).
-    pub fn pilot_plan(&self) -> &PilotPlan {
-        &self.pilots
-    }
-
-    /// The generator configuration.
-    pub fn config(&self) -> &RruConfig {
-        &self.cfg
-    }
-
     /// Per-subcarrier noise power the generator injects.
     pub fn noise_power(&self) -> f32 {
         self.noise.noise_power()

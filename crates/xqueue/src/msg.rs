@@ -48,23 +48,6 @@ impl TaskType {
         TaskType::Precode,
         TaskType::Ifft,
     ];
-
-    /// Converts the stable numeric id back to a `TaskType`.
-    pub fn from_u16(v: u16) -> Option<TaskType> {
-        Some(match v {
-            0 => TaskType::Fft,
-            1 => TaskType::Zf,
-            2 => TaskType::Demod,
-            3 => TaskType::Decode,
-            4 => TaskType::Encode,
-            5 => TaskType::Precode,
-            6 => TaskType::Ifft,
-            7 => TaskType::PacketRx,
-            8 => TaskType::PacketTx,
-            9 => TaskType::Complete,
-            _ => return None,
-        })
-    }
 }
 
 /// A 64-byte, cache-line-sized queue message.
@@ -135,15 +118,6 @@ mod tests {
     fn msg_is_exactly_one_cache_line() {
         assert_eq!(core::mem::size_of::<Msg>(), 64);
         assert_eq!(core::mem::align_of::<Msg>(), 64);
-    }
-
-    #[test]
-    fn task_type_roundtrip() {
-        for t in TaskType::COMPUTE {
-            assert_eq!(TaskType::from_u16(t as u16), Some(t));
-        }
-        assert_eq!(TaskType::from_u16(9), Some(TaskType::Complete));
-        assert_eq!(TaskType::from_u16(100), None);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //!
 //! Run with: `cargo run --release --example uplink_e2e [num_workers]`
 
+use agora_core::stats::COUNTERS;
 use agora_core::{Engine, EngineConfig};
 use agora_fronthaul::{RruConfig, RruEmulator};
 use agora_phy::{CellConfig, ModScheme};
@@ -66,6 +67,14 @@ fn main() {
     }
     println!("\nblock errors: {errors}/{blocks}");
     println!("\nrun summary:\n{}", engine.stats().summary().trim_end());
+    // The same counters as plain data, for a consumer that is not a human.
+    let counters: Vec<String> = COUNTERS
+        .iter()
+        .zip(engine.stats().snapshot())
+        .filter(|(_, v)| *v > 0)
+        .map(|((_, name, _), v)| format!("{name}={v}"))
+        .collect();
+    println!("counters: {}", counters.join(" "));
     println!("\nper-block execution stats (Table 3 style):\n{}", engine.stats().table());
     assert_eq!(errors, 0, "all blocks must decode correctly at 25 dB");
     println!("all {blocks} blocks decoded correctly ✓");

@@ -6,9 +6,10 @@
 # Runs the release build (the tier-1 artifact), the full workspace test
 # suite, format and clippy gates (warnings promoted to errors), the
 # release parity smokes, the benchmark's own checks, the evidence check
-# (every committed results/*.csv still has a producing bin) and the fence
-# gate (streaming stores and their one fence live in agora-math::simd
-# only). Fails fast.
+# (every committed results/*.csv still has a producing bin), the orphan
+# gate (every library `pub fn` has a caller) and the fence gate
+# (streaming stores and their one fence live in agora-math::simd only).
+# Fails fast.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,6 +24,40 @@ for csv in results/*.csv; do
         exit 1
     fi
 done
+
+echo "== every pub fn has a caller =="
+# A `pub fn` declared in the non-test part of a library file (above its
+# first #[cfg(test)]) must be named somewhere else: in another .rs file
+# (a lib.rs `pub use …;` re-export is not a caller) or elsewhere in the
+# non-test part of its own file. Word-level, so a name shared with a
+# live item passes; it catches the whole-clump orphans. The bench crate's
+# bins are entry points, not API. Reads benchmark/src, never writes it.
+# Names a trait impl or a std convention calls without naming the file:
+allow=" new default len is_empty fmt "
+words=$(mktemp)
+trap 'rm -f "$words"' EXIT
+find crates tests examples src benchmark/src -name '*.rs' -not -path '*/target/*' |
+    while read -r f; do
+        case "$f" in
+        */lib.rs) perl -0pe 's/^\s*pub use [^;]*;//mg' "$f" ;;
+        *) cat "$f" ;;
+        esac | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u | sed "s|^|$f |"
+    done >"$words"
+orphans=0
+for f in $(find crates/*/src -name '*.rs' -not -path 'crates/bench/*' | sort); do
+    body=$(awk '/#\[cfg\(test\)\]/ { exit } { print }' "$f")
+    for name in $(grep -oE 'pub (const |unsafe )*fn [a-z_0-9]+' <<<"$body" | awk '{ print $NF }' | sort -u); do
+        case "$allow" in *" $name "*) continue ;; esac
+        [ "$(grep -ow "$name" <<<"$body" | wc -l)" -gt 1 ] && continue
+        awk -v f="$f" -v n="$name" '$2 == n && $1 != f { found = 1; exit } END { exit !found }' "$words" && continue
+        echo "$f: pub fn $name has no caller outside its own tests"
+        orphans=$((orphans + 1))
+    done
+done
+if [ "$orphans" -ne 0 ]; then
+    echo "$orphans uncalled pub fn(s): delete them with their tests, or move them under #[cfg(test)]"
+    exit 1
+fi
 
 echo "== streaming stores: one home, one fence =="
 simd=crates/mimo-math/src/simd.rs

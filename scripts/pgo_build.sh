@@ -4,9 +4,10 @@
 #
 #   scripts/pgo_build.sh [out-dir]
 #
-# 1. builds the workspace with -Cprofile-generate,
-# 2. trains on the scheduler bench's threaded 64x16 frame loop
-#    (`sched --pgo-workload`) plus the queue-op microbench itself,
+# 1. builds the repo benchmark (benchmark/, the binary that drives the
+#    threaded engine) with -Cprofile-generate,
+# 2. trains on its `ul_64x16 --quick` run (64x16 uplink frames through
+#    the fronthaul, manager and workers),
 # 3. merges the raw profiles with llvm-profdata (searched on PATH, then
 #    inside `rustc --print sysroot`),
 # 4. rebuilds with -Cprofile-use.
@@ -19,8 +20,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${1:-target/pgo}"
-PROF_DIR="$(pwd)/$OUT/profiles"
-mkdir -p "$PROF_DIR"
+mkdir -p "$OUT/profiles"
+OUT="$(cd "$OUT" && pwd)"
+PROF_DIR="$OUT/profiles"
+
+# Builds the benchmark binary into target dir $1 (its own default when
+# absent) under the caller's RUSTFLAGS.
+build_bench() {
+    cargo build --release --offline --manifest-path benchmark/Cargo.toml ${1:+--target-dir "$1"}
+}
 
 find_llvm_profdata() {
     if command -v llvm-profdata >/dev/null 2>&1; then
@@ -35,20 +43,16 @@ find_llvm_profdata() {
 LLVM_PROFDATA="$(find_llvm_profdata || true)"
 if [ -z "${LLVM_PROFDATA}" ]; then
     echo "pgo: llvm-profdata not found (PATH or rustc sysroot); keeping the plain release build"
-    cargo build --release -p agora-bench --bin sched
+    build_bench
     exit 0
 fi
 echo "pgo: using ${LLVM_PROFDATA}"
 
 echo "== instrumented build =="
-RUSTFLAGS="-Cprofile-generate=${PROF_DIR}" \
-    cargo build --release -p agora-bench --bin sched --target-dir "$OUT/gen"
+RUSTFLAGS="-Cprofile-generate=${PROF_DIR}" build_bench "$OUT/gen"
 
-echo "== training run (threaded 64x16 frame loop + queue microbench) =="
-"$OUT/gen/release/sched" --pgo-workload
-# The queue-op paths are the optimisation target; train them too, but
-# tolerate a gate miss during training (the instrumented binary is slow).
-"$OUT/gen/release/sched" || true
+echo "== training run (threaded 64x16 uplink frames) =="
+"$OUT/gen/release/agora-benchmark" --workload ul_64x16 --quick >/dev/null
 
 echo "== merging profiles =="
 # A PATH llvm-profdata can be older than rustc's LLVM and reject the
@@ -56,15 +60,14 @@ echo "== merging profiles =="
 if ! "${LLVM_PROFDATA}" merge -o "$PROF_DIR/merged.profdata" "$PROF_DIR"/*.profraw; then
     echo "pgo: ${LLVM_PROFDATA} cannot read rustc's profile format" \
          "(needs the llvm-tools rustup component); keeping the plain release build"
-    cargo build --release -p agora-bench --bin sched
+    build_bench
     exit 0
 fi
 
 echo "== optimised rebuild =="
-RUSTFLAGS="-Cprofile-use=${PROF_DIR}/merged.profdata" \
-    cargo build --release -p agora-bench --bin sched --target-dir "$OUT/use"
+RUSTFLAGS="-Cprofile-use=${PROF_DIR}/merged.profdata" build_bench "$OUT/use"
 
-echo "pgo: optimised binary at $OUT/use/release/sched"
-echo "pgo: compare against the plain release build with:"
-echo "         cargo build --release -p agora-bench --bin sched"
-echo "         ./target/release/sched && $OUT/use/release/sched"
+echo "pgo: optimised binary at $OUT/use/release/agora-benchmark"
+echo "pgo: compare against the plain release build with alternating runs of"
+echo "         benchmark/target/release/agora-benchmark --workload ul_64x16 --trace 0"
+echo "         $OUT/use/release/agora-benchmark --workload ul_64x16 --trace 0"

@@ -6,7 +6,7 @@
 //! engine's loss/late/duplicate counters reconcile exactly with the
 //! injector's ground-truth fault log under a fixed seed.
 
-use agora_core::{Engine, EngineConfig};
+use agora_core::{Counter, Engine, EngineConfig};
 use agora_fronthaul::{
     decode_ref, FaultConfig, FaultInjector, Fronthaul, LossModel, MemFronthaul, MultiCellGenerator,
     PacketBuf, PacketPool, RruConfig, RruEmulator, UdpFronthaul,
@@ -86,17 +86,17 @@ fn lossy_uplink_completes_every_frame_with_reconciled_counters() {
     let stats = engine.stats();
     // The engine's loss counter reconciles exactly with the injector's
     // ground truth: a packet is "lost" iff the injector removed it.
-    assert_eq!(stats.packets_lost(), fs.lost, "loss counters must reconcile");
+    assert_eq!(stats.get(Counter::PacketsLost), fs.lost, "loss counters must reconcile");
     // Every injected duplicate is rejected exactly once — either as a
     // duplicate (frame still in flight) or as late (frame already
     // retired). The split depends on worker timing; the sum does not.
     assert_eq!(
-        stats.packets_duplicate() + stats.packets_late(),
+        stats.get(Counter::PacketsDuplicate) + stats.get(Counter::PacketsLate),
         fs.duplicated,
         "dup+late must equal injected duplicates"
     );
     assert_eq!(
-        stats.frames_completed() + stats.frames_dropped(),
+        stats.get(Counter::FramesCompleted) + stats.get(Counter::FramesDropped),
         FRAMES as u64,
         "every frame is either completed or dropped"
     );
@@ -219,9 +219,9 @@ fn multi_cell_streams_over_one_link_reconcile_per_cell() {
         let results = engine.process(per_cell_pkts[c].clone(), MC_FRAMES, false);
         assert_eq!(results.len(), MC_FRAMES as usize);
         let stats = engine.stats();
-        assert_eq!(stats.packets_lost(), lost_c, "cell {c}: loss ledger must reconcile");
+        assert_eq!(stats.get(Counter::PacketsLost), lost_c, "cell {c}: loss ledger must reconcile");
         assert_eq!(
-            stats.packets_duplicate() + stats.packets_late(),
+            stats.get(Counter::PacketsDuplicate) + stats.get(Counter::PacketsLate),
             dup_c,
             "cell {c}: dup+late must equal injected duplicates"
         );

@@ -8,7 +8,7 @@
 //! plane's decoded bits, and (d) keep the engine's fault counters
 //! reconciling under injected fronthaul loss.
 
-use agora_core::{Engine, EngineConfig, InlineProcessor};
+use agora_core::{Counter, Engine, EngineConfig, InlineProcessor};
 use agora_fronthaul::{FaultConfig, FaultInjector, LossModel, RruConfig, RruEmulator};
 use agora_ldpc::BaseGraphId;
 use agora_phy::frame::LdpcParams;
@@ -196,13 +196,16 @@ fn quantized_plane_counters_reconcile_under_loss() {
 
     assert_eq!(results.len(), FRAMES as usize);
     let stats = engine.stats();
-    assert_eq!(stats.packets_lost(), fs.lost, "loss counters must reconcile");
+    assert_eq!(stats.get(Counter::PacketsLost), fs.lost, "loss counters must reconcile");
     assert_eq!(
-        stats.packets_duplicate() + stats.packets_late(),
+        stats.get(Counter::PacketsDuplicate) + stats.get(Counter::PacketsLate),
         fs.duplicated,
         "dup+late must equal injected duplicates"
     );
-    assert_eq!(stats.frames_completed() + stats.frames_dropped(), FRAMES as u64);
+    assert_eq!(
+        stats.get(Counter::FramesCompleted) + stats.get(Counter::FramesDropped),
+        FRAMES as u64
+    );
 
     for r in &results {
         let lost_here = fs.per_frame_lost.get(&r.frame).copied().unwrap_or(0);

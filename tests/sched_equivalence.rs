@@ -9,7 +9,7 @@
 //! inline reference, for any worker count and batch-size mix.
 
 use agora_core::engine::PRIORITY;
-use agora_core::{Engine, EngineConfig, FrameResult, InlineProcessor, WorkerPolicy};
+use agora_core::{Counter, Engine, EngineConfig, FrameResult, InlineProcessor, WorkerPolicy};
 use agora_fronthaul::{RruConfig, RruEmulator};
 use agora_phy::frame::FrameSchedule;
 use agora_phy::CellConfig;
@@ -178,9 +178,9 @@ fn sched_counters_account_for_every_message() {
         messages,
         "every dispatched message must hit a lane or be counted as overflow"
     );
-    assert!(stats.lane_depth_max() > 0);
+    assert!(stats.get(Counter::LaneDepthMax) > 0);
     assert!(stats.parks() > 0, "idle workers must park, not spin");
-    assert!(stats.wakes() > 0, "dispatch must wake parked workers");
+    assert!(stats.get(Counter::Wakes) > 0, "dispatch must wake parked workers");
 }
 
 /// One ready item that expands into more messages than a lane holds
