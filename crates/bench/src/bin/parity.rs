@@ -14,16 +14,14 @@
 //! | `decoder` | f32 and i8 LDPC decoders each bit-exact across SIMD tiers; both planes land on the transmitted bits |
 //! | `fft` | tier agreement; batched ≡ single transforms bit for bit; pre-reversed entry ≡ `execute` |
 //! | `gemm` | `gemm`/`gemv`/`gram` and planned kernels bit-identical across tiers on every dispatch shape class |
-//! | `zf` | Cholesky detector ≈ Gauss-Jordan, bit-identical across tiers; CG lands on the direct solve; near-singular Gram rejected |
+//! | `zf` | Cholesky detector ≈ Gauss-Jordan, bit-identical across tiers; near-singular Gram rejected |
 //! | `fronthaul` | batch ≡ single delivery on mem and UDP links; aggregation split and pool recycling |
 //! | `deployment` | C=4 ledgers reconcile against the fault injector; deployment ≡ standalone engines; misroutes counted |
 //! | `zf_cluster` | staged ZF at C=4 decodes the monolithic bits under the real scheduler; sharded SVD fallback ≡ unsharded |
-//! | `sched` | lanes ≡ shared queues ≡ inline; lane counters account for every message |
+//! | `sched` | lanes ≡ inline; lane counters account for every message |
 
-use agora_core::config::EqMode;
 use agora_core::deploy::{Deployment, DeploymentConfig};
-use agora_core::engine::PRIORITY;
-use agora_core::{Counter, Engine, EngineConfig, FrameResult, InlineProcessor, WorkerPolicy};
+use agora_core::{Counter, Engine, EngineConfig, FrameResult, InlineProcessor};
 use agora_fft::{Direction, FftPlan};
 use agora_fronthaul::packet::decode_ref;
 use agora_fronthaul::{
@@ -38,7 +36,6 @@ use agora_math::{
     gram_reduce, pinv_from_gram_slice_into, pinv_into, CMat, Cf32, CholScratch, Cholesky, Gemm,
     PinvMethod, PinvScratch, SimdTier,
 };
-use agora_phy::equalize::{cg_solve_gram, CgScratch};
 use agora_phy::{CellConfig, ClusterPlan};
 use agora_queue::TaskType;
 use bytes::Bytes;
@@ -403,22 +400,6 @@ fn zf() {
             bits(ch.as_slice()) == bits(ch_scalar.as_slice()),
             &format!("detector ({m},{k}): Cholesky tiers bit-identical"),
         );
-        // CG on the Gram system must land on the direct solve.
-        let gram = h.hermitian().matmul(&h);
-        let Ok(chol) = Cholesky::factor(&gram) else {
-            check(false, &format!("factor ({m},{k}): unexpected pivot rejection"));
-            continue;
-        };
-        let x_true = filled((k * 977 + m) as u64, k);
-        let b = gram.matvec(&x_true);
-        let direct = chol.solve(&CMat::from_fn(k, 1, |r, _| b[r]));
-        let mut cg = CgScratch::new(k);
-        let mut x = vec![Cf32::ZERO; k];
-        cg_solve_gram(gram.as_slice(), k, &b, &mut x, 16, 1e-5, &mut cg);
-        let scale = direct.as_slice().iter().map(|z| z.abs()).fold(1.0f32, f32::max);
-        let cg_diff =
-            x.iter().zip(direct.as_slice()).map(|(a, e)| (*a - *e).abs()).fold(0.0f32, f32::max);
-        check(cg_diff <= 1e-3 * scale, &format!("cg ({m},{k}): {cg_diff:.3e} off direct solve"));
     }
     // Factor tier parity is bit-exact on odd sizes too.
     for k in [1usize, 3, 5, 7, 11, 15, 16] {
@@ -725,33 +706,25 @@ fn zf_cluster() {
     singular_fallback_consistency();
 }
 
-fn eq_modes() -> [(EqMode, &'static str); 2] {
-    [(EqMode::Direct, "direct"), (EqMode::Iterative, "iterative")]
-}
-
-/// Threaded engine: the staged path (C=4: sharded reduce in direct mode,
-/// single reduce in iterative) against the monolithic engine under the
-/// real scheduler.
+/// Threaded engine: the staged path (C=4, sharded reduce) against the
+/// monolithic engine under the real scheduler.
 fn threaded_cluster_parity() {
     const FRAMES: u32 = 2;
     let cell = CellConfig::tiny_test(2);
     let (packets, noise) = cell_packets(&cell, 30.0, 67, FRAMES);
-    for (eq_mode, mode) in eq_modes() {
-        let run = |clusters: usize| {
-            let mut cfg = EngineConfig::new(cell.clone(), 2);
-            cfg.noise_power = noise;
-            cfg.ablation.eq_mode = eq_mode;
-            cfg.antenna_clusters = clusters;
-            sorted(Engine::new(cfg).process(packets.clone(), FRAMES, false))
-        };
-        let (mono, staged) = (run(1), run(4));
-        let same = mono.len() == staged.len()
-            && mono
-                .iter()
-                .zip(staged.iter())
-                .all(|(m, s)| !s.dropped && m.decoded == s.decoded && m.decode_ok == s.decode_ok);
-        check(same, &format!("threaded C=4 frames match monolithic ({mode})"));
-    }
+    let run = |clusters: usize| {
+        let mut cfg = EngineConfig::new(cell.clone(), 2);
+        cfg.noise_power = noise;
+        cfg.antenna_clusters = clusters;
+        sorted(Engine::new(cfg).process(packets.clone(), FRAMES, false))
+    };
+    let (mono, staged) = (run(1), run(4));
+    let same = mono.len() == staged.len()
+        && mono
+            .iter()
+            .zip(staged.iter())
+            .all(|(m, s)| !s.dropped && m.decoded == s.decoded && m.decode_ok == s.decode_ok);
+    check(same, "threaded C=4 frames match monolithic");
 }
 
 /// Singular Gram: every column shard of the sharded reduce must take the
@@ -805,9 +778,10 @@ fn singular_fallback_consistency() {
 
 // ------------------------------------------------------------------ sched
 
-/// Data-parallel workers (per-worker lanes, stealing) == the same workers
-/// under a type-restricted policy that lists every type (shared per-type
-/// queues only) == inline, plus the lane counters behave as documented.
+/// The threaded engine (per-worker lanes, stealing) == inline, plus the
+/// lane counters behave as documented. The overflow path through the
+/// shared queues has its own deterministic test
+/// (`lane_overflow_falls_back_to_shared_queues`).
 fn sched() {
     const FRAMES: u32 = 3;
     let cell = CellConfig::tiny_test(2);
@@ -823,13 +797,6 @@ fn sched() {
         lanes.stats().lane_pushes() + lanes.stats().lane_overflows() == messages,
         "lane counters account for every dispatched message",
     );
-
-    let all_types = WorkerPolicy::PipelineParallel(vec![PRIORITY.to_vec(); cfg.num_workers]);
-    let queues = Engine::with_policy(cfg.clone(), all_types);
-    let shared = sorted(queues.process(packets.clone(), FRAMES, false));
-    check(queues.stats().lane_pushes() == 0, "type-restricted workers never touch a lane");
-    check(queues.stats().steals() == 0, "type-restricted workers never steal");
-    check(all_frames_equal(&with_lanes, &shared), "lanes vs shared queues bit-identical");
 
     let mut inline = InlineProcessor::new(cfg);
     for f in 0..FRAMES {

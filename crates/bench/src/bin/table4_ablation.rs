@@ -2,11 +2,12 @@
 //! at a time (median and p99.9 uplink latency, 64x16, 1 ms frames, 26
 //! cores).
 //!
-//! Scheduling-level ablations (batching, memory layout, streaming
-//! stores, real-time process) run on the schedule simulator; the matrix
-//! ablations (direct-inverse vs SVD, specialised vs generic GEMM) are
-//! also measured on this machine's *real kernels* and their measured
-//! ratios are folded into the simulated per-task costs.
+//! Every row runs on the schedule simulator (`SimConfig::{batch,
+//! movement, costs, jitter}`); the real engine has no switch for any of
+//! them. The two matrix rows (direct-inverse vs SVD, specialised vs
+//! generic GEMM) scale a simulated task cost by the paper's ratio, and
+//! this machine's ratio for the same pair of *real kernels* is measured
+//! on `agora-math` and printed beside it.
 
 use agora_bench::csv::write_csv;
 use agora_core::sim::{simulate, JitterModel, SimConfig};

@@ -1,4 +1,5 @@
-//! Core allocation for the pipeline-parallel variant (§5.4).
+//! Core allocation for the simulator's pipeline-parallel baseline (§5.4)
+//! and the deployment supervisor's shares-over-cores split.
 //!
 //! In the BigStation-style design every block owns a fixed, dedicated
 //! group of cores, so someone must decide the group sizes. The paper

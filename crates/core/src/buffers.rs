@@ -299,15 +299,14 @@ impl PacketSlots {
 /// Layouts (all row-major, sizes derived from the cell config):
 /// * `rx_pkts[symbol * M + antenna]` — retained received packets
 ///   (zero-copy payload views for the FFT stage).
-/// * `freq[symbol]` — post-FFT active subcarriers of data symbols. With
-///   the cache-friendly layout: `[block][antenna][8 sc]`; with the
-///   ablation layout: `[antenna][sc]`.
+/// * `freq[symbol]` — post-FFT active subcarriers of data symbols,
+///   `[block][antenna][8 sc]`: a demod block's antenna samples are whole
+///   cache lines, contiguous per antenna.
 /// * `csi[sc][antenna][user]` — estimated channel (pilot symbols).
 /// * `det[group][user][antenna]`, `pre[group][antenna][user]` — ZF
-///   outputs. With iterative equalization `det` holds `H^H` instead of
-///   the formed detector.
-/// * `gram[group][user][user]` — per-group Gram matrices `H^H H`
-///   (written only in iterative equalization mode).
+///   outputs: the formed detector and the power-normalised precoder.
+/// * `gram_part[group][cluster][user][user]` — per-cluster partial Grams
+///   of the staged ZF path.
 /// * `llr[symbol][user][bit]` — demodulated soft bits.
 /// * `decoded[symbol][user][bit]` + `decode_ok[symbol][user]`.
 /// * downlink mirrors: `dl_bits`, `dl_freq`, `dl_time`.
@@ -322,9 +321,6 @@ pub struct FrameBuffers {
     pub det: SharedVec<Cf32>,
     /// Downlink precoders.
     pub pre: SharedVec<Cf32>,
-    /// Per-group Gram matrices (`K x K`), for the iterative equalizer's
-    /// CG solves and Neumann noise estimates.
-    pub gram: SharedVec<Cf32>,
     /// Per-(group, cluster) partial Gram matrices (`K x K`) for the
     /// antenna-cluster partitioned ZF path: cluster `c` publishes
     /// `H_c^H H_c` here, and the reduce task folds the partials in fixed
@@ -335,7 +331,7 @@ pub struct FrameBuffers {
     pub llr: SharedVec<f32>,
     /// Quantised soft demodulator output (fixed-point decoding plane).
     /// Same `[symbol][user][bit]` layout as `llr`; only the plane selected
-    /// by `ablation.quantized_decoder` is written per frame.
+    /// by `EngineConfig::quantized_decoder` is written per frame.
     pub llr_i8: SharedVec<i8>,
     /// Decoded information bits.
     pub decoded: SharedVec<u8>,
@@ -384,7 +380,7 @@ pub struct BufferGeometry {
 
 impl BufferGeometry {
     /// Offset of `(block, antenna)` within a symbol's frequency data
-    /// (cache-friendly layout): `block * M * B + ant * B`.
+    /// (block layout): `block * M * B + ant * B`.
     pub fn freq_block_offset(&self, block: usize, ant: usize) -> usize {
         block * self.m * self.block + ant * self.block
     }
@@ -401,7 +397,6 @@ impl FrameBuffers {
             csi: SharedVec::zeroed(g.q * g.m * g.k),
             det: SharedVec::zeroed(groups * g.k * g.m),
             pre: SharedVec::zeroed(groups * g.m * g.k),
-            gram: SharedVec::zeroed(groups * g.k * g.k),
             gram_part: SharedVec::zeroed(groups * g.clusters * g.k * g.k),
             llr: SharedVec::zeroed(g.symbols * g.k * g.cap_bits),
             llr_i8: SharedVec::zeroed(g.symbols * g.k * g.cap_bits),
@@ -444,15 +439,9 @@ impl FrameBuffers {
     }
 
     /// Offset of `(block, antenna)` within a symbol's frequency data
-    /// (cache-friendly layout): `block * M * B + ant * B`.
+    /// (block layout): `block * M * B + ant * B`.
     pub fn freq_block_offset(&self, g: &BufferGeometry, block: usize, ant: usize) -> usize {
         g.freq_block_offset(block, ant)
-    }
-
-    /// Offset of `(antenna, sc)` within a symbol's frequency data
-    /// (ablation layout): `ant * Q + sc`.
-    pub fn freq_strided_offset(&self, g: &BufferGeometry, ant: usize, sc: usize) -> usize {
-        ant * g.q + sc
     }
 
     /// Range of one subcarrier's CSI (`M x K` row-major).
@@ -471,12 +460,6 @@ impl FrameBuffers {
     pub fn pre_range(&self, group: usize) -> core::ops::Range<usize> {
         let base = group * self.mk;
         base..base + self.mk
-    }
-
-    /// Range of one ZF group's Gram matrix (`K x K` row-major).
-    pub fn gram_range(&self, group: usize) -> core::ops::Range<usize> {
-        let base = group * self.kk;
-        base..base + self.kk
     }
 
     /// Range of one (group, cluster) partial Gram matrix (`K x K`
@@ -695,7 +678,7 @@ mod tests {
     #[test]
     fn every_frame_plane_starts_on_a_cache_line() {
         fn check(fb: &FrameBuffers, what: &str) {
-            let cf32 = [&fb.freq, &fb.csi, &fb.det, &fb.pre, &fb.gram, &fb.gram_part];
+            let cf32 = [&fb.freq, &fb.csi, &fb.det, &fb.pre, &fb.gram_part];
             for (i, plane) in cf32.into_iter().chain([&fb.dl_freq, &fb.dl_time]).enumerate() {
                 assert!(is_line_aligned(plane.buf.as_ptr()), "{what}: Cf32 plane {i}");
             }
@@ -797,20 +780,6 @@ mod tests {
     }
 
     #[test]
-    fn gram_ranges_tile_buffer() {
-        let g = geom();
-        let fb = FrameBuffers::new(&g);
-        let groups = g.q.div_ceil(g.zf_group);
-        let mut total = 0;
-        for group in 0..groups {
-            let r = fb.gram_range(group);
-            assert_eq!(r.len(), g.k * g.k);
-            total += r.len();
-        }
-        assert_eq!(total, fb.gram.len());
-    }
-
-    #[test]
     fn gram_part_ranges_tile_buffer() {
         let g = geom();
         let fb = FrameBuffers::new(&g);
@@ -834,7 +803,7 @@ mod tests {
     }
 
     #[test]
-    fn block_and_strided_offsets_stay_in_symbol() {
+    fn block_offsets_stay_in_symbol() {
         let g = geom();
         let fb = FrameBuffers::new(&g);
         let per_symbol = fb.freq_symbol_range(0).len();
@@ -843,8 +812,6 @@ mod tests {
         let blocks = g.q / g.block;
         let off = fb.freq_block_offset(&g, blocks - 1, g.m - 1);
         assert!(off + g.block <= per_symbol);
-        let off = fb.freq_strided_offset(&g, g.m - 1, g.q - 1);
-        assert!(off < per_symbol);
     }
 
     #[test]

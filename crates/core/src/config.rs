@@ -1,90 +1,9 @@
-//! Engine configuration: worker counts, batching, and the ablation
-//! switches behind Table 4.
+//! Engine configuration: the cell, worker count, frame window and batch
+//! sizes. The engine runs one pipeline — block layout, streaming stores,
+//! Cholesky ZF solve, planned GEMM, data-parallel workers; Table 4's
+//! rows come from the simulator's `SimConfig`, not from switches here.
 
-use agora_math::PinvMethod;
 use agora_phy::CellConfig;
-
-/// Which linear detector family the ZF block computes (the paper uses
-/// zero-forcing; §4.2 cites conjugate beamforming as the low-overhead
-/// fallback for ill-conditioned channels, and MMSE is the standard
-/// regularised middle ground).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DetectorKind {
-    /// Zero-forcing (the paper's choice).
-    #[default]
-    ZeroForcing,
-    /// Linear MMSE, regularised with the engine's configured noise power.
-    Mmse,
-    /// Conjugate (matched-filter) beamforming — no matrix inversion.
-    Conjugate,
-}
-
-/// How the engine turns the ZF block's output into equalized user
-/// symbols.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EqMode {
-    /// Form the detector `W = (H^H H)^{-1} H^H` per group and equalize
-    /// with the planned GEMM/GEMV (the paper's pipeline).
-    #[default]
-    Direct,
-    /// Never form the inverse: the ZF block stores `H^H` and the Gram
-    /// matrix per group, and demodulation solves `(H^H H) x = H^H y`
-    /// per subcarrier with Jacobi-preconditioned conjugate gradient.
-    /// Per-user LLR noise variances come from a truncated Neumann series
-    /// for `diag((H^H H)^{-1})`. Only meaningful for the zero-forcing
-    /// detector.
-    Iterative,
-}
-
-/// Optimisation toggles. Each field corresponds to a row of Table 4;
-/// disabling one reproduces that ablation.
-#[derive(Debug, Clone, Copy)]
-pub struct Ablation {
-    /// §3.4 "Batching": multiple tasks per queue message. Disabled, every
-    /// message carries exactly one task.
-    pub batching: bool,
-    /// §4.1 "Improving memory access efficiency": lay FFT output out in
-    /// antenna-blocks of 8 consecutive subcarriers so demodulation
-    /// consumes whole cache lines. Disabled, the layout is subcarrier-
-    /// strided and demodulation works one subcarrier at a time.
-    pub cache_layout: bool,
-    /// §4.1 "Non-temporal stores": use streaming stores when writing
-    /// block outputs consumed by other cores.
-    pub streaming_stores: bool,
-    /// §4.2 "Pseudo-inverse": how the zero-forcing block solves the Gram
-    /// system — Cholesky factor + solve (default), Gauss-Jordan inverse
-    /// (`Direct`, the paper's Table 4 "direct" row) or full SVD.
-    pub pinv_method: PinvMethod,
-    /// Direct (formed detector) vs iterative (per-subcarrier CG)
-    /// equalization; see [`EqMode`].
-    pub eq_mode: EqMode,
-    /// §4.2 "Matrix multiplication": shape-specialised GEMM kernels
-    /// (the MKL-JIT analogue) vs the generic loop kernel.
-    pub jit_gemm: bool,
-    /// Detector family computed by the ZF block.
-    pub detector: DetectorKind,
-    /// Fixed-point decoding plane: demodulation emits saturating `i8`
-    /// LLRs and `decode_task` runs the Z-lane-vectorised i8 layered
-    /// min-sum decoder instead of the `f32` one (the FlexRAN-style
-    /// configuration the paper offloads to). Disabled, the engine keeps
-    /// the float plane — the A/B for fig-style runs.
-    pub quantized_decoder: bool,
-}
-
-impl Default for Ablation {
-    fn default() -> Self {
-        Self {
-            batching: true,
-            cache_layout: true,
-            streaming_stores: true,
-            pinv_method: PinvMethod::Cholesky,
-            eq_mode: EqMode::Direct,
-            jit_gemm: true,
-            detector: DetectorKind::ZeroForcing,
-            quantized_decoder: false,
-        }
-    }
-}
 
 /// Per-block batch sizes (tasks per queue message), Table 3's "Batching
 /// size" row.
@@ -114,7 +33,8 @@ impl Default for BatchSizes {
 
 impl BatchSizes {
     /// All batch sizes forced to one (the Table 4 "batching disabled"
-    /// configuration).
+    /// configuration; `clamp_batches` then raises demod and precode to
+    /// one block, their unit of work).
     pub fn ones() -> Self {
         Self { fft: 1, zf: 1, demod: 1, decode: 1, encode: 1, precode: 1, ifft: 1 }
     }
@@ -133,8 +53,6 @@ pub struct EngineConfig {
     pub frame_window: usize,
     /// Per-block batch sizes.
     pub batch: BatchSizes,
-    /// Optimisation toggles.
-    pub ablation: Ablation,
     /// Subcarriers per demodulation kernel call (cache-line unit). The
     /// paper uses 8 (64 bytes / 8-byte sample).
     pub demod_block: usize,
@@ -142,16 +60,19 @@ pub struct EngineConfig {
     /// subcarrier, post-channel). Receivers estimate this from pilots;
     /// experiments set it from the generator's ground truth.
     pub noise_power: f32,
+    /// Fixed-point decoding plane: demodulation emits saturating `i8`
+    /// LLRs and `decode_task` runs the Z-lane-vectorised i8 layered
+    /// min-sum decoder instead of the `f32` one (the FlexRAN-style
+    /// configuration the paper offloads to). Off by default; ROADMAP
+    /// item 2(b) decides whether it becomes the default or goes.
+    pub quantized_decoder: bool,
     /// `f32 -> i8` LLR quantisation scale for the fixed-point decoding
-    /// plane (`ablation.quantized_decoder`): integer steps per LLR unit.
+    /// plane (`quantized_decoder`): integer steps per LLR unit.
     pub llr_quant_scale: f32,
     /// §3.4.2: precode the first downlink symbols of frame `f` with frame
     /// `f-1`'s precoder so the RRU's air time never idles waiting for the
     /// new frame's ZF (slightly stale CSI, negligible at low mobility).
     pub stale_precoder: bool,
-    /// Decision-directed common-phase-error correction between
-    /// equalization and demodulation (residual sync drift tracking).
-    pub cpe_correction: bool,
     /// Per-frame processing deadline. When set, a frame whose first
     /// packet arrived more than this many nanoseconds ago is abandoned:
     /// its in-flight tasks are flushed, its state freed, and a result
@@ -170,7 +91,7 @@ pub struct EngineConfig {
     /// by independent workers and reduced in fixed cluster-index order
     /// (deterministic f32 sum order) before the solve; 1 (default) runs
     /// one task per group. Must be between 1 and the cell's antenna
-    /// count; more than one needs the zero-forcing detector.
+    /// count.
     pub antenna_clusters: usize,
     /// Pin the manager, network, and worker threads to distinct CPUs via
     /// `sched_setaffinity` (best-effort: silently unpinned where the
@@ -187,12 +108,11 @@ impl EngineConfig {
             num_workers,
             frame_window: 4,
             batch: BatchSizes::default(),
-            ablation: Ablation::default(),
             demod_block: 8,
             noise_power: 0.05,
+            quantized_decoder: false,
             llr_quant_scale: agora_ldpc::DEFAULT_LLR_SCALE,
             stale_precoder: false,
-            cpe_correction: false,
             frame_deadline_ns: None,
             rx_batch: 32,
             antenna_clusters: 1,
@@ -202,27 +122,18 @@ impl EngineConfig {
         cfg
     }
 
-    /// Applies the ablation's batching switch and clamps batch sizes to
-    /// the actual task counts.
+    /// Clamps batch sizes to the actual task counts and to whole demod
+    /// blocks.
     pub fn clamp_batches(&mut self) {
-        if !self.ablation.batching {
-            self.batch = BatchSizes::ones();
-        }
         let groups = self.cell.num_zf_groups().max(1);
         self.batch.zf = self.batch.zf.clamp(1, groups);
         self.batch.fft = self.batch.fft.clamp(1, self.cell.num_antennas);
         self.batch.decode = self.batch.decode.clamp(1, self.cell.num_users);
-        // Under the cache layout the unit of demod work is one kernel
-        // block: a message is whole blocks, never less than one, so it
-        // never straddles a partially-owned cache line. The strided
-        // layout works subcarrier by subcarrier.
-        let unit = if self.ablation.cache_layout { self.demod_block } else { 1 };
-        self.batch.demod = self.batch.demod.min(self.cell.num_data_sc).max(unit);
-        if self.batch.demod > self.demod_block {
-            self.batch.demod -= self.batch.demod % self.demod_block;
-        }
-        // Precoding multiplies and stores whole blocks under either
-        // layout.
+        // The unit of demod and precode work is one kernel block: a
+        // message is whole blocks, never less than one, so it never
+        // straddles a partially-owned cache line.
+        let demod = self.batch.demod.min(self.cell.num_data_sc).max(self.demod_block);
+        self.batch.demod = demod - demod % self.demod_block;
         let precode = self.batch.precode.min(self.cell.num_data_sc).max(self.demod_block);
         self.batch.precode = precode - precode % self.demod_block;
     }
@@ -251,9 +162,9 @@ impl EngineConfig {
         if !self.cell.zf_group.is_multiple_of(self.demod_block) {
             return Err("ZF group must be a multiple of the demod block".into());
         }
-        if self.ablation.cache_layout && !self.batch.demod.is_multiple_of(self.demod_block) {
+        if !self.batch.demod.is_multiple_of(self.demod_block) {
             return Err(format!(
-                "demod batch {} must be a multiple of the demod block {} under the cache layout",
+                "demod batch {} must be a multiple of the demod block {}",
                 self.batch.demod, self.demod_block
             ));
         }
@@ -262,11 +173,6 @@ impl EngineConfig {
                 "precode batch {} must be a multiple of the demod block {}",
                 self.batch.precode, self.demod_block
             ));
-        }
-        if self.ablation.eq_mode == EqMode::Iterative
-            && self.ablation.detector != DetectorKind::ZeroForcing
-        {
-            return Err("iterative equalization requires the zero-forcing detector".into());
         }
         if self.rx_batch == 0 {
             return Err("rx batch must be at least 1".into());
@@ -279,9 +185,6 @@ impl EngineConfig {
                 "antenna clusters {} exceed antenna count {}",
                 self.antenna_clusters, self.cell.num_antennas
             ));
-        }
-        if self.antenna_clusters > 1 && self.ablation.detector != DetectorKind::ZeroForcing {
-            return Err("antenna clusters require the zero-forcing detector".into());
         }
         Ok(())
     }
@@ -311,29 +214,23 @@ mod tests {
     }
 
     #[test]
-    fn batching_ablation_forces_unit_batches() {
+    fn unit_batches_clamp_to_one_block() {
         let mut cfg = EngineConfig::new(CellConfig::tiny_test(2), 2);
-        cfg.ablation.batching = false;
+        cfg.batch = BatchSizes::ones();
         cfg.clamp_batches();
         assert_eq!(cfg.batch.fft, 1);
-        assert_eq!(cfg.batch.demod, cfg.demod_block, "one block is the cache layout's unit");
+        assert_eq!(cfg.batch.demod, cfg.demod_block, "one block is the unit of demod work");
         assert_eq!(cfg.batch.precode, cfg.demod_block, "precoding works in whole blocks");
-        cfg.validate().expect("the batching ablation must validate");
-        cfg.ablation.cache_layout = false;
-        cfg.clamp_batches();
-        assert_eq!(cfg.batch.demod, 1, "the strided layout works per subcarrier");
-        assert_eq!(cfg.batch.precode, cfg.demod_block, "precoding has no strided layout");
+        cfg.validate().expect("unit batches must validate");
     }
 
     #[test]
-    fn partial_block_demod_batch_rejected_under_cache_layout() {
+    fn partial_block_demod_batch_rejected() {
         let mut cfg = EngineConfig::new(CellConfig::tiny_test(2), 2);
         cfg.batch.demod = cfg.demod_block + 1;
         assert!(cfg.validate().is_err());
         cfg.batch.demod = 1;
         assert!(cfg.validate().is_err());
-        cfg.ablation.cache_layout = false;
-        cfg.validate().expect("any demod batch suits the strided layout");
     }
 
     #[test]
@@ -375,15 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn iterative_eq_requires_zero_forcing() {
-        let mut cfg = EngineConfig::new(CellConfig::tiny_test(2), 2);
-        cfg.ablation.eq_mode = EqMode::Iterative;
-        cfg.validate().expect("iterative + zero-forcing must validate");
-        cfg.ablation.detector = DetectorKind::Mmse;
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
     fn antenna_cluster_bounds_enforced() {
         let mut cfg = EngineConfig::new(CellConfig::tiny_test(2), 2);
         assert_eq!(cfg.antenna_clusters, 1, "clusters default to one");
@@ -393,11 +281,6 @@ mod tests {
         assert!(cfg.validate().is_err(), "zero clusters rejected");
         cfg.antenna_clusters = cfg.cell.num_antennas + 1;
         assert!(cfg.validate().is_err(), "clusters > antennas rejected");
-        cfg.antenna_clusters = 2;
-        cfg.ablation.detector = DetectorKind::Mmse;
-        assert!(cfg.validate().is_err(), "antenna clusters need zero-forcing");
-        cfg.antenna_clusters = 1;
-        cfg.validate().expect("one cluster suits every detector");
     }
 
     /// The cluster count alone selects the ZF dataflow: one task per

@@ -26,9 +26,7 @@
 
 use crate::alloc::{allocate_weighted, ShareWork};
 use crate::config::EngineConfig;
-use crate::engine::{
-    drain_link, pin_thread, worker_loop, CellCore, FrameResult, PinRole, PRIORITY,
-};
+use crate::engine::{drain_link, pin_thread, worker_loop, CellCore, FrameResult, PinRole};
 use crate::stats::{Counter, EngineStats};
 use agora_fronthaul::demux::{CellDemux, Route};
 use agora_fronthaul::{Fronthaul, PacketBuf};
@@ -301,11 +299,11 @@ impl Deployment {
     pub fn new(cfg: DeploymentConfig) -> Self {
         cfg.validate().unwrap_or_else(|e| panic!("invalid deployment config: {e}"));
         let total = cfg.total_workers;
-        // Every cell's lane array is sized to the GLOBAL pool: any worker
-        // may be assigned to any cell, and it drains/steals lanes of its
-        // current cell only, indexed by its global worker id.
-        let cells: Vec<CellCore> =
-            cfg.cells.into_iter().map(|c| CellCore::new(c, total, total)).collect();
+        // Every cell's lane array and busy-time table is sized to the
+        // GLOBAL pool: any worker may be assigned to any cell, and it
+        // drains/steals lanes of its current cell only, indexed by its
+        // global worker id.
+        let cells: Vec<CellCore> = cfg.cells.into_iter().map(|c| CellCore::new(c, total)).collect();
         let supervisor = Supervisor::new(cells.len(), total, cfg.supervisor);
 
         // Initial worker->cell map from the even split.
@@ -334,7 +332,7 @@ impl Deployment {
                         if pin {
                             pin_thread(PinRole::Worker(wid));
                         }
-                        worker_loop(wid, &cells, &assign[wid], &shutdown, &PRIORITY)
+                        worker_loop(wid, &cells, &assign[wid], &shutdown)
                     })
                     .expect("failed to spawn pool worker")
             })

@@ -1,13 +1,14 @@
 //! The Agora engine: manager-worker baseband processing (Figure 3).
 //!
-//! One manager thread tracks dependencies and dispatches 64-byte task
-//! messages into per-type lock-free queues; worker threads busy-poll the
-//! queues in a static priority order, execute kernels against the shared
-//! frame buffers, and post completions. A network thread ingests
-//! fronthaul packets into the buffers. The data-parallel policy lets any
-//! worker take any task type; the pipeline-parallel variant (§5.4)
-//! restricts each worker to one block, reproducing BigStation's design on
-//! the same machine.
+//! One manager thread tracks dependencies and places 64-byte task
+//! messages on per-worker lock-free lanes (overflow goes to shared
+//! per-type queues); worker threads drain their lane, then the shared
+//! queues in a static priority order, then steal from peers, execute
+//! kernels against the shared frame buffers, and post completions. A
+//! network thread ingests fronthaul packets into the buffers. Workers are
+//! data-parallel: any worker takes any task type. The BigStation-style
+//! pipeline-parallel baseline of §5.4 exists only in the simulator
+//! (`sim::SimPolicy`).
 
 use crate::buffers::FrameWindow;
 use crate::config::EngineConfig;
@@ -44,12 +45,12 @@ const STALL: Duration = Duration::from_millis(200);
 /// a missed wake; also bounds shutdown latency).
 const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 
-/// Task-queue priority order for data-parallel workers: unblock the
+/// Order in which workers poll the shared per-type queues: unblock the
 /// widest dependency fans first (ZF gates every data symbol), keep the
 /// per-symbol chain moving (demod), then drain the heavy sink (decode),
 /// and fill remaining cycles with FFTs of future symbols — the
 /// intra-frame pipeline parallelism of §3.4.1.
-pub const PRIORITY: [TaskType; 7] = [
+pub(crate) const PRIORITY: [TaskType; 7] = [
     TaskType::Zf,
     TaskType::Demod,
     TaskType::Decode,
@@ -58,16 +59,6 @@ pub const PRIORITY: [TaskType; 7] = [
     TaskType::Ifft,
     TaskType::Encode,
 ];
-
-/// How workers pick tasks.
-#[derive(Debug, Clone)]
-pub enum WorkerPolicy {
-    /// Any worker executes any task type (Agora's design).
-    DataParallel,
-    /// Worker `i` only polls `assignment[i]` (BigStation-style static
-    /// core groups); see [`crate::alloc`] for computing assignments.
-    PipelineParallel(Vec<Vec<TaskType>>),
-}
 
 /// Everything produced for one completed frame.
 #[derive(Debug, Clone)]
@@ -98,15 +89,15 @@ impl FrameResult {
 }
 
 pub(crate) struct TaskQueues {
+    /// Shared per-type queues: where a batch's tail goes when its lane is
+    /// full, and where the survivors of an abandoned frame's flush return.
     pub(crate) tasks: Vec<MpmcQueue<Msg>>,
     pub(crate) complete: MpmcQueue<Msg>,
     pub(crate) rx: MpmcQueue<Msg>,
-    /// Per-worker task lanes (empty when the worker policy is
-    /// type-restricted). Lane `w` is filled by the manager, drained by
-    /// worker `w`, and stolen from by idle peers.
+    /// Per-worker task lanes. Lane `w` is filled by the manager, drained
+    /// by worker `w`, and stolen from by idle peers.
     pub(crate) lanes: Vec<TaskLane<Msg>>,
-    /// Park/wake gate for idle workers (only parked on when lanes are
-    /// in use — type-restricted workers yield-spin on their queues).
+    /// Park/wake gate for idle workers.
     pub(crate) gate: IdleGate,
 }
 
@@ -287,13 +278,11 @@ pub(crate) struct CellCore {
 }
 
 impl CellCore {
-    /// Builds the shared state for one cell. `stats_workers` sizes the
-    /// per-worker busy-time table — the engine passes its own pool size,
-    /// a deployment the *global* pool size so any worker can record
-    /// against any cell. `num_lanes` is the number of per-worker task
-    /// lanes to allocate (0 for type-restricted workers, which are served
-    /// from the shared per-type queues only).
-    pub(crate) fn new(mut cfg: EngineConfig, stats_workers: usize, num_lanes: usize) -> Self {
+    /// Builds the shared state for one cell. `workers` sizes the
+    /// per-worker task lanes and busy-time table — the engine passes its
+    /// own pool size, a deployment the *global* pool size so any worker
+    /// can serve, and record against, any cell.
+    pub(crate) fn new(mut cfg: EngineConfig, workers: usize) -> Self {
         cfg.clamp_batches();
         let frame_window = cfg.frame_window;
         let kernels = Arc::new(Kernels::new(cfg));
@@ -310,8 +299,8 @@ impl CellCore {
         Self {
             kernels,
             window,
-            queues: Arc::new(TaskQueues::new(cap, num_lanes)),
-            stats: Arc::new(EngineStats::new(stats_workers)),
+            queues: Arc::new(TaskQueues::new(cap, workers)),
+            stats: Arc::new(EngineStats::new(workers)),
             min_frame: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -330,33 +319,17 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Builds a data-parallel engine and spawns its workers.
+    /// Builds the engine and spawns its workers.
     pub fn new(cfg: EngineConfig) -> Self {
-        Self::with_policy(cfg, WorkerPolicy::DataParallel)
-    }
-
-    /// Builds an engine with an explicit worker policy.
-    pub fn with_policy(cfg: EngineConfig, policy: WorkerPolicy) -> Self {
         let num_workers = cfg.num_workers;
-        // Lanes carry any task type, so they only make sense when every
-        // worker may execute every type: the pipeline-parallel policy
-        // keeps the per-type shared queues as its only dispatch path.
-        let num_lanes = match &policy {
-            WorkerPolicy::DataParallel => num_workers,
-            WorkerPolicy::PipelineParallel(_) => 0,
-        };
         let pin = cfg.pin_cores;
-        let core = CellCore::new(cfg, num_workers, num_lanes);
+        let core = CellCore::new(cfg, num_workers);
         let shutdown = Arc::new(AtomicBool::new(false));
 
         let workers = (0..num_workers)
             .map(|wid| {
                 let core = core.clone();
                 let shutdown = shutdown.clone();
-                let my_types: Vec<TaskType> = match &policy {
-                    WorkerPolicy::DataParallel => PRIORITY.to_vec(),
-                    WorkerPolicy::PipelineParallel(assign) => assign[wid].clone(),
-                };
                 std::thread::Builder::new()
                     .name(format!("agora-worker-{wid}"))
                     .spawn(move || {
@@ -364,7 +337,7 @@ impl Engine {
                             pin_thread(PinRole::Worker(wid));
                         }
                         // One cell, never reassigned.
-                        worker_loop(wid, &[core], &AtomicUsize::new(0), &shutdown, &my_types)
+                        worker_loop(wid, &[core], &AtomicUsize::new(0), &shutdown)
                     })
                     .expect("failed to spawn worker")
             })
@@ -617,9 +590,7 @@ impl CellCore {
                     last_progress = start.elapsed();
                     // The completing worker's caches now hold this symbol's
                     // buffers: send the symbol's next stage to its lane.
-                    if (msg.aux as usize) < self.queues.lanes.len() {
-                        ctx.set_lane(msg, msg.aux as usize);
-                    }
+                    ctx.set_lane(msg, msg.aux as usize);
                     let step = table.on_complete(msg, last_progress.as_nanos() as u64, &mut out);
                     // CSI interpolation runs inline on the manager between
                     // pilot completion and ZF dispatch (cheap, single pass).
@@ -712,19 +683,14 @@ impl CellCore {
         out.clear();
     }
 
-    /// Places a batch of task messages. With lanes: pick the affinity
-    /// lane for the batch's (frame, symbol) — the worker whose caches
-    /// last held those buffers — falling back to the least-loaded lane;
-    /// enqueue the whole batch with one cursor claim; overflow any tail
-    /// to the shared per-type queues; wake parked workers once.
-    /// Imbalance from affinity clustering is corrected by stealing, not
-    /// by the manager. Without lanes: per-type shared queues.
+    /// Places a batch of task messages: pick the affinity lane for the
+    /// batch's (frame, symbol) — the worker whose caches last held those
+    /// buffers — falling back to the least-loaded lane; enqueue the whole
+    /// batch with one cursor claim; overflow any tail to the shared
+    /// per-type queues; wake parked workers once. Imbalance from affinity
+    /// clustering is corrected by stealing, not by the manager.
     fn place_batch(&self, ctx: &mut ManagerCtx, msgs: &[Msg]) {
         let lanes = &self.queues.lanes;
-        if lanes.is_empty() {
-            msgs.iter().for_each(|&m| self.push_shared(m));
-            return;
-        }
         let lane_id = ctx.lane_of(&msgs[0]).unwrap_or_else(|| {
             // Least-loaded fallback, round-robin start so equal
             // depths spread instead of piling onto worker 0.
@@ -804,7 +770,7 @@ impl CellCore {
         for lane in &self.queues.lanes {
             sweep(&mut |buf| lane.pop_batch(buf, COMPLETE_BATCH));
         }
-        if !self.queues.lanes.is_empty() && self.queues.gate.wake_all() {
+        if self.queues.gate.wake_all() {
             self.stats.add(Counter::Wakes, 1);
         }
     }
@@ -838,12 +804,11 @@ impl CellCore {
     }
 }
 
-/// True if any queue this worker may serve holds work. The final check
-/// before parking: taken *after* the gate epoch snapshot, so a push
-/// racing with the park bumps the epoch and the park returns at once.
-fn has_work(queues: &TaskQueues, my_types: &[TaskType]) -> bool {
-    queues.lanes.iter().any(|l| !l.is_empty())
-        || my_types.iter().any(|&t| !queues.queue(t).is_empty())
+/// True if any lane or shared queue holds work. The final check before
+/// parking: taken *after* the gate epoch snapshot, so a push racing with
+/// the park bumps the epoch and the park returns at once.
+fn has_work(queues: &TaskQueues) -> bool {
+    queues.lanes.iter().any(|l| !l.is_empty()) || queues.tasks.iter().any(|q| !q.is_empty())
 }
 
 /// The worker routine of every pool: serves whichever of `cells` the
@@ -856,7 +821,6 @@ pub(crate) fn worker_loop(
     cells: &[CellCore],
     assigned: &AtomicUsize,
     shutdown: &AtomicBool,
-    my_types: &[TaskType],
 ) {
     let mut scratches: Vec<WorkerScratch> = cells.iter().map(|c| c.kernels.scratch()).collect();
     let mut batch: Vec<Msg> = Vec::with_capacity(WORKER_BATCH);
@@ -866,16 +830,13 @@ pub(crate) fn worker_loop(
         let cell = assigned.load(Ordering::Acquire);
         let core = &cells[cell];
         let (queues, stats) = (&*core.queues, &*core.stats);
-        let lanes_on = !queues.lanes.is_empty();
         batch.clear();
         // 1. Own lane: a batch per cursor claim.
-        if lanes_on {
-            queues.lanes[wid].pop_batch(&mut batch, WORKER_BATCH);
-        }
+        queues.lanes[wid].pop_batch(&mut batch, WORKER_BATCH);
         // 2. Shared per-type queues in priority order (lane overflow
-        //    traffic, and all traffic of type-restricted workers).
+        //    traffic).
         if batch.is_empty() {
-            for &t in my_types {
+            for t in PRIORITY {
                 if let Some(msg) = queues.queue(t).pop() {
                     batch.push(msg);
                     break;
@@ -884,7 +845,7 @@ pub(crate) fn worker_loop(
         }
         // 3. Steal: scan the same cell's peer lanes from our right-hand
         //    neighbour, taking half a victim's backlog in one claim.
-        if batch.is_empty() && lanes_on {
+        if batch.is_empty() {
             for off in 1..queues.lanes.len() {
                 let victim = (wid + off) % queues.lanes.len();
                 let n = queues.lanes[victim].steal_batch(&mut batch, WORKER_BATCH);
@@ -916,12 +877,7 @@ pub(crate) fn worker_loop(
             }
             continue;
         }
-        // 4. Idle: spin → yield → park (type-restricted workers have no
-        //    gate to be woken through, so they keep yielding).
-        if !lanes_on {
-            std::thread::yield_now();
-            continue;
-        }
+        // 4. Idle: spin → yield → park.
         match backoff.next() {
             IdleAction::Spin => std::hint::spin_loop(),
             IdleAction::Yield => std::thread::yield_now(),
@@ -931,7 +887,7 @@ pub(crate) fn worker_loop(
                 // (or a reassignment applied — the supervisor wakes every
                 // gate) in between bumps the epoch and the park falls
                 // through.
-                if has_work(queues, my_types)
+                if has_work(queues)
                     || assigned.load(Ordering::Acquire) != cell
                     || shutdown.load(Ordering::Acquire)
                 {
@@ -997,7 +953,7 @@ pub(crate) fn execute(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{EngineConfig, EqMode};
+    use crate::config::EngineConfig;
     use agora_fronthaul::{MemFronthaul, RruConfig, RruEmulator};
     use agora_phy::CellConfig;
 
@@ -1039,56 +995,9 @@ mod tests {
         assert_eq!(ctx.lane_of(&other), Some(0));
     }
 
-    /// The threaded engine must decode ground truth through both the
-    /// default direct path (Cholesky-solved ZF detector) and the
-    /// iterative CG equalization mode — the same kernels the inline
-    /// engine A/B-tests, here under the real scheduler.
-    #[test]
-    fn threaded_engine_decodes_direct_and_iterative() {
-        let cell = CellConfig::tiny_test(2);
-        let mut rru = RruEmulator::new(
-            cell.clone(),
-            RruConfig { snr_db: 30.0, seed: 45, ..Default::default() },
-        );
-        let frames = 2u32;
-        let mut packets = Vec::new();
-        let mut gts = Vec::new();
-        for f in 0..frames {
-            let (p, gt) = rru.generate_frame(f);
-            packets.extend(p);
-            gts.push(gt);
-        }
-        for iterative in [false, true] {
-            let mut cfg = EngineConfig::new(cell.clone(), 2);
-            cfg.noise_power = rru.noise_power();
-            if iterative {
-                cfg.ablation.eq_mode = EqMode::Iterative;
-            }
-            let engine = Engine::new(cfg);
-            let mut results = engine.process(packets.clone(), frames, false);
-            results.sort_by_key(|r| r.frame);
-            assert_eq!(results.len(), frames as usize);
-            for r in &results {
-                assert!(!r.dropped, "iterative={iterative} frame {} dropped", r.frame);
-                let gt = &gts[r.frame as usize];
-                for symbol in cell.schedule.uplink_indices() {
-                    for user in 0..cell.num_users {
-                        assert!(
-                            r.decode_ok[symbol][user],
-                            "iterative={iterative} frame {} symbol {symbol} user {user}",
-                            r.frame
-                        );
-                        assert_eq!(r.decoded[symbol][user], gt.info_bits[symbol][user]);
-                    }
-                }
-            }
-        }
-    }
-
-    /// The staged antenna-cluster ZF path must decode the same bits as
-    /// the monolithic path under the real scheduler, for both the
-    /// direct solve (with its sharded reduce) and the iterative CG mode
-    /// (single-shard reduce).
+    /// The staged antenna-cluster ZF path (with its sharded reduce) must
+    /// decode the same bits as the monolithic path under the real
+    /// scheduler.
     #[test]
     fn threaded_staged_zf_matches_monolithic_bits() {
         let cell = CellConfig::tiny_test(2);
@@ -1102,26 +1011,21 @@ mod tests {
             let (p, _) = rru.generate_frame(f);
             packets.extend(p);
         }
-        let run = |clusters: usize, iterative: bool| {
+        let run = |clusters: usize| {
             let mut cfg = EngineConfig::new(cell.clone(), 2);
             cfg.noise_power = rru.noise_power();
-            if iterative {
-                cfg.ablation.eq_mode = EqMode::Iterative;
-            }
             cfg.antenna_clusters = clusters;
             let mut results = Engine::new(cfg).process(packets.clone(), frames, false);
             results.sort_by_key(|r| r.frame);
             results
         };
-        for iterative in [false, true] {
-            let mono = run(1, iterative);
-            let staged = run(4, iterative);
-            assert_eq!(mono.len(), staged.len());
-            for (m, s) in mono.iter().zip(staged.iter()) {
-                assert!(!s.dropped, "frame {} dropped", s.frame);
-                assert_eq!(m.decoded, s.decoded, "iterative={iterative} frame {}", s.frame);
-                assert_eq!(m.decode_ok, s.decode_ok);
-            }
+        let mono = run(1);
+        let staged = run(4);
+        assert_eq!(mono.len(), staged.len());
+        for (m, s) in mono.iter().zip(staged.iter()) {
+            assert!(!s.dropped, "frame {} dropped", s.frame);
+            assert_eq!(m.decoded, s.decoded, "frame {}", s.frame);
+            assert_eq!(m.decode_ok, s.decode_ok);
         }
     }
 

@@ -3,22 +3,21 @@
 //! One [`Kernels`] instance per engine holds the immutable plans (FFT
 //! twiddles, GEMM dispatch, pilot references); each worker additionally
 //! owns a [`WorkerScratch`] with its decoder state and staging buffers so
-//! task execution never allocates. The same kernels serve the
-//! data-parallel engine, the pipeline-parallel variant, and the inline
-//! single-threaded mode — the schedulers differ, the math does not.
+//! task execution never allocates. The same kernels serve the threaded
+//! engine, the multi-cell deployment and the inline single-threaded
+//! processor — the schedulers differ, the math does not.
 
 use crate::buffers::{AlignedBuf, BufferGeometry, FrameBuffers};
-use crate::config::{EngineConfig, EqMode};
+use crate::config::EngineConfig;
 use crate::state::FrameShape;
 use agora_fft::{Direction, FftPlan, SubcarrierMap};
 use agora_ldpc::{DecodeConfig, DecodeConfigI8, Decoder, DecoderI8, Encoder, RateMatch};
 use agora_math::simd::{conj_transpose, stream_copy, stream_fence, SimdTier};
 use agora_math::{
     gram_accumulate_with_tier, gram_reduce, normalize_precoder_in_place, pinv_from_gram_slice_into,
-    CMat, Cf32, Gemm, PinvScratch,
+    CMat, Cf32, Gemm, PinvMethod, PinvScratch,
 };
 use agora_phy::demod::{demod_soft_i8, demod_soft_simd};
-use agora_phy::equalize::{cg_solve_gram, neumann_diag_inv, CgScratch, CG_MAX_ITERS, CG_REL_TOL};
 use agora_phy::frame::SymbolType;
 use agora_phy::iq::{unpack_sample, BYTES_PER_SAMPLE};
 use agora_phy::modulation::{map_symbol, ModScheme};
@@ -27,7 +26,7 @@ use agora_phy::ClusterPlan;
 
 /// Immutable, shared kernel state.
 pub struct Kernels {
-    /// Engine configuration (cell + ablations).
+    /// Engine configuration.
     pub cfg: EngineConfig,
     /// Buffer geometry derived from the cell.
     pub geom: BufferGeometry,
@@ -54,9 +53,6 @@ pub struct Kernels {
     /// Tier the streaming stores and the beamforming matrix kernels (ZF
     /// pinv, equalize GEMV, precode) dispatch to.
     tier: SimdTier,
-    /// Whether the schedule carries downlink symbols (the iterative
-    /// equalizer skips the precoder entirely when it doesn't).
-    has_downlink: bool,
     /// Coded bits actually carried per (symbol, user).
     coded_bits: usize,
 }
@@ -68,8 +64,8 @@ enum DecodePlane {
         decoder: Decoder,
         full_llr: Vec<f32>,
     },
-    /// `ablation.quantized_decoder`: fixed-point decoder reading the
-    /// quantised LLR plane.
+    /// `quantized_decoder`: fixed-point decoder reading the quantised
+    /// LLR plane.
     I8 {
         decoder: DecoderI8,
         full_llr: Vec<i8>,
@@ -77,13 +73,12 @@ enum DecodePlane {
 }
 
 /// A run of active subcarriers that is consecutive in the FFT grid and
-/// lies inside one demod block: `len` subcarriers from `sc`, at grid bins
+/// lies inside one demod block: `len` subcarriers at grid bins
 /// `bin..bin + len`, at offset `off` of antenna 0's share of the block
 /// layout (antenna `a` is `a * block` further on). With the block a cache
 /// line and the band split on a block boundary, every piece is one line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Piece {
-    sc: usize,
     bin: usize,
     len: usize,
     off: usize,
@@ -98,21 +93,11 @@ pub struct WorkerScratch {
     grid: AlignedBuf<Cf32>,
     ant_block: Vec<Cf32>,
     user_block: Vec<Cf32>,
-    /// Per-user equalized rows for the strided demod path,
-    /// `[user][zf_group]` — gathered so demodulation runs the SIMD
-    /// demapper over a contiguous row instead of symbol-at-a-time.
-    strided_rows: Vec<Cf32>,
     llr_tmp: Vec<f32>,
     llr_i8_tmp: Vec<i8>,
-    /// Tracked common-phase-error estimate (radians), carried across
-    /// blocks/symbols processed by this worker.
-    cpe_seed: f32,
-    /// Frame the CPE seed belongs to (drift restarts at each frame's
-    /// pilot, so the tracker resets on frame changes).
-    cpe_frame: u32,
     /// ZF scratch: channel matrix (`M x K`), detector (`K x M`), precoder
     /// (`M x K`) and pseudo-inverse intermediates, reused across groups so
-    /// the ZF task never allocates on the direct path.
+    /// the ZF task never allocates.
     zf_h: CMat,
     zf_det: CMat,
     zf_pre: CMat,
@@ -125,21 +110,6 @@ pub struct WorkerScratch {
     /// shard width (at most two under the balanced split). Empty when the
     /// reduce is unsharded — the full-width solve lands in `zf_det`.
     zf_shard: Vec<CMat>,
-    /// Formed detector staging for the iterative mode's downlink
-    /// precoder (`K x M`) — the `det` plane holds `H^H` there, so the
-    /// true ZF solution needs its own home.
-    zf_w: CMat,
-    /// Iterative-equalization scratch: CG state plus per-subcarrier
-    /// RHS/solution staging.
-    cg: CgScratch,
-    cg_b: Vec<Cf32>,
-    cg_x: Vec<Cf32>,
-    /// Per-user LLR noise variances for the current block, filled by
-    /// `demod_task` before demapping (direct: `noise * ||w_u||^2`;
-    /// iterative: `noise * diag((H^H H)^{-1})_u` via the Neumann series).
-    nv_row: Vec<f32>,
-    /// Neumann diagonal-inverse estimates for the current group.
-    diag_inv: Vec<f32>,
     decode: DecodePlane,
 }
 
@@ -176,24 +146,12 @@ impl Kernels {
         let rate_match = cell.ldpc.rate_match();
         let encoder = Encoder::new(cell.ldpc.base_graph, cell.ldpc.z);
         // Every beamforming product runs on the detected tier (the
-        // kernels are bit-identical across tiers); `jit_gemm` keeps its
-        // Table 4 meaning of dropping the planned equalize/precode
-        // kernels to the generic scalar loop.
+        // kernels are bit-identical across tiers).
         let tier = SimdTier::cached();
-        let (eq_gemm, pre_gemm) = if cfg.ablation.jit_gemm {
-            (
-                Gemm::plan_with_tier(geom.k, geom.m, geom.block, tier),
-                Gemm::plan_with_tier(geom.m, geom.k, geom.block, tier),
-            )
-        } else {
-            (
-                Gemm::plan_generic(geom.k, geom.m, geom.block),
-                Gemm::plan_generic(geom.m, geom.k, geom.block),
-            )
-        };
+        let eq_gemm = Gemm::plan_with_tier(geom.k, geom.m, geom.block, tier);
+        let pre_gemm = Gemm::plan_with_tier(geom.m, geom.k, geom.block, tier);
         let coded_bits = cell.coded_bits_per_symbol();
-        let shape = FrameShape::new(cell, cfg.antenna_clusters, zf_iterative(&cfg));
-        let has_downlink = !cell.schedule.downlink_indices().is_empty();
+        let shape = FrameShape::new(cell, cfg.antenna_clusters);
         Self {
             cfg,
             geom,
@@ -209,7 +167,6 @@ impl Kernels {
             eq_gemm,
             pre_gemm,
             tier,
-            has_downlink,
             coded_bits,
         }
     }
@@ -224,11 +181,8 @@ impl Kernels {
             ),
             ant_block: vec![Cf32::ZERO; g.m * g.block],
             user_block: vec![Cf32::ZERO; g.k * g.block],
-            strided_rows: vec![Cf32::ZERO; g.k * g.zf_group],
             llr_tmp: Vec::with_capacity(g.zf_group * 8),
             llr_i8_tmp: Vec::with_capacity(g.zf_group * 8),
-            cpe_seed: 0.0,
-            cpe_frame: u32::MAX,
             zf_h: CMat::zeros(g.m, g.k),
             zf_det: CMat::zeros(g.k, g.m),
             zf_pre: CMat::zeros(g.m, g.k),
@@ -245,15 +199,9 @@ impl Kernels {
                     Vec::new()
                 }
             },
-            zf_w: CMat::zeros(g.k, g.m),
-            cg: CgScratch::new(g.k),
-            cg_b: vec![Cf32::ZERO; g.k],
-            cg_x: vec![Cf32::ZERO; g.k],
-            nv_row: vec![0.0; g.k],
-            diag_inv: vec![0.0; g.k],
             // Last: its size depends on the configured plane, and the
             // buffers above should land the same either way.
-            decode: if self.cfg.ablation.quantized_decoder {
+            decode: if self.cfg.quantized_decoder {
                 DecodePlane::I8 {
                     decoder: DecoderI8::new(ldpc.base_graph, ldpc.z),
                     full_llr: vec![0; self.rate_match.codeword_len()],
@@ -337,29 +285,11 @@ impl Kernels {
         for (i, grid) in s.grid.chunks_exact(n).take(count).enumerate() {
             self.fft_store(fb, symbol, base + i, grid);
         }
-        self.publish_streamed();
-    }
-
-    /// Copies a task's output into a frame plane: streaming stores for the
-    /// whole lines of `dst` under `ablation.streaming_stores`, cached
-    /// stores otherwise. A task that calls this ends in
-    /// [`Self::publish_streamed`].
-    fn plane_copy(&self, src: &[Cf32], dst: &mut [Cf32]) {
-        if self.cfg.ablation.streaming_stores {
-            stream_copy(src, dst, self.tier);
-        } else {
-            dst.copy_from_slice(src);
-        }
-    }
-
-    /// The one fence of a task body, after its last [`Self::plane_copy`]:
-    /// the completion message's release store does not order streaming
-    /// stores, and that message is what publishes the plane to the
-    /// consuming task.
-    fn publish_streamed(&self) {
-        if self.cfg.ablation.streaming_stores {
-            stream_fence();
-        }
+        // The one fence of a task body, after its last `stream_copy`: the
+        // completion message's release store does not order streaming
+        // stores, and that message is what publishes the plane to the
+        // consuming task.
+        stream_fence();
     }
 
     /// Post-FFT store, straight from the transformed `grid` of `(symbol,
@@ -389,18 +319,13 @@ impl Kernels {
                 for p in &self.pieces {
                     // Block layout: [block][antenna][8 sc] — exactly this
                     // antenna's window of each block, so concurrent
-                    // antennas never alias. Strided layout: [antenna][sc].
-                    let off = sym_base
-                        + if self.cfg.ablation.cache_layout {
-                            p.off + ant * g.block
-                        } else {
-                            fb.freq_strided_offset(g, ant, p.sc)
-                        };
+                    // antennas never alias.
+                    let off = sym_base + p.off + ant * g.block;
                     // SAFETY: this task owns `(symbol, ant)`'s elements of
                     // the plane. Where they share a line with another
                     // antenna's, `stream_copy` writes it with cached stores.
                     let out = unsafe { fb.freq.slice_mut(off..off + p.len) };
-                    self.plane_copy(&grid[p.bin..p.bin + p.len], out);
+                    stream_copy(&grid[p.bin..p.bin + p.len], out, self.tier);
                 }
             }
             _ => {}
@@ -440,52 +365,19 @@ impl Kernels {
     }
 
     /// ZF task: compute detector and precoder for one subcarrier group.
-    /// The detector family is configurable ([`crate::config::DetectorKind`]);
-    /// zero-forcing forms the whole array's Gram — the kernel pair
+    /// Forms the whole array's Gram — the kernel pair
     /// [`Self::gram_partial_task`] runs per cluster — and hands over to
     /// `zf_solve_publish`, the tail it shares with
-    /// [`Self::zf_reduce_task`], which honours the pseudo-inverse
-    /// ablation (Cholesky, Gauss-Jordan or SVD).
-    ///
-    /// The hot path (zero-forcing, Gram solve) is allocation-free: the
-    /// channel copy, pseudo-inverse intermediates, detector and precoder
-    /// all live in `WorkerScratch`. The SVD fallback and the
-    /// MMSE/conjugate detectors still allocate — they are
-    /// ablation/degraded paths, not the per-group steady state.
+    /// [`Self::zf_reduce_task`]. Allocation-free: the channel copy,
+    /// pseudo-inverse intermediates, detector and precoder all live in
+    /// `WorkerScratch`.
     pub fn zf_task(&self, fb: &FrameBuffers, s: &mut WorkerScratch, group: usize) {
-        use crate::config::DetectorKind;
         let g = &self.geom;
         let csi = unsafe { fb.csi.slice(fb.csi_range(group * g.zf_group)) };
         s.zf_h.as_mut_slice().copy_from_slice(csi);
-        match self.cfg.ablation.detector {
-            DetectorKind::ZeroForcing => {
-                let gram = s.zf_pinv.gram_mut().as_mut_slice();
-                self.gram_rows(csi, s.zf_det.as_mut_slice(), gram);
-                self.zf_solve_publish(fb, s, group, 0..g.m);
-                return;
-            }
-            DetectorKind::Mmse => {
-                let det = agora_phy::Detector::Mmse { noise_power: self.cfg.noise_power }
-                    .compute(&s.zf_h);
-                s.zf_det.copy_from(&det);
-            }
-            DetectorKind::Conjugate => {
-                // Row-normalised matched filter, matching
-                // `agora_phy::Detector::Conjugate` bit for bit.
-                s.zf_h.hermitian_into(&mut s.zf_det);
-                let (rows, m) = s.zf_det.shape();
-                for u in 0..rows {
-                    let gain: f32 = (0..m).map(|a| s.zf_det[(u, a)].norm_sqr()).sum();
-                    if gain > 0.0 {
-                        let inv = 1.0 / gain;
-                        for a in 0..m {
-                            s.zf_det[(u, a)] = s.zf_det[(u, a)].scale(inv);
-                        }
-                    }
-                }
-            }
-        }
-        self.publish_detector(fb, s, group);
+        let gram = s.zf_pinv.gram_mut().as_mut_slice();
+        self.gram_rows(csi, s.zf_det.as_mut_slice(), gram);
+        self.zf_solve_publish(fb, s, group, 0..g.m);
     }
 
     /// `out = A^H A` over `a`, some antennas' contiguous rows of a group's
@@ -546,19 +438,17 @@ impl Kernels {
 
     /// The zero-forcing tail, from a Gram to the published planes:
     /// `s.zf_pinv` holds group `group`'s `H^H H` (however it was
-    /// computed) and `s.zf_h` its channel.
+    /// computed) and `s.zf_h` its channel; the Gram system is solved by
+    /// Cholesky factor + triangular sweeps.
     ///
-    /// * All antenna columns, direct equalization: full-width solve into
-    ///   the detector, then the precoder ([`Self::publish_detector`]).
-    /// * All columns, iterative equalization: publish the Gram and `H^H`
-    ///   — the CG solves happen at demod time, so nothing is factored on
-    ///   the uplink path; a schedule with downlink still solves the same
-    ///   Gram once for the precoder.
-    /// * A column shard (only dispatched uplink-only and direct): solve
-    ///   those columns and publish them element-wise, so concurrent
-    ///   shards never alias. Per-RHS-column independence of the
-    ///   triangular sweeps makes the assembled detector bit-identical to
-    ///   the full-width solve.
+    /// * All antenna columns: full-width solve into the detector, then
+    ///   the power-normalised precoder (its transpose); both published
+    ///   whole.
+    /// * A column shard (only dispatched uplink-only): solve those
+    ///   columns and publish them element-wise, so concurrent shards
+    ///   never alias. Per-RHS-column independence of the triangular
+    ///   sweeps makes the assembled detector bit-identical to the
+    ///   full-width solve.
     fn zf_solve_publish(
         &self,
         fb: &FrameBuffers,
@@ -567,7 +457,7 @@ impl Kernels {
         cols: core::ops::Range<usize>,
     ) {
         let g = &self.geom;
-        let method = self.cfg.ablation.pinv_method;
+        let method = PinvMethod::Cholesky;
         if cols.len() < g.m {
             let out = s
                 .zf_shard
@@ -586,182 +476,56 @@ impl Kernels {
             }
             return;
         }
-        if zf_iterative(&self.cfg) {
-            let gram = unsafe { fb.gram.slice_mut(fb.gram_range(group)) };
-            gram.copy_from_slice(s.zf_pinv.gram().as_slice());
-            if self.has_downlink {
-                // The formed detector gets its own staging: the `det`
-                // plane holds `H^H`.
-                pinv_from_gram_slice_into(&s.zf_h, method, 0, g.m, &mut s.zf_pinv, &mut s.zf_w);
-            }
-            s.zf_h.hermitian_into(&mut s.zf_det);
-        } else {
-            pinv_from_gram_slice_into(&s.zf_h, method, 0, g.m, &mut s.zf_pinv, &mut s.zf_det);
-        }
-        self.publish_detector(fb, s, group);
-    }
-
-    /// Publishes `s.zf_det` as group `group`'s detector plane and, unless
-    /// the configuration never reads it (iterative equalization on an
-    /// uplink-only schedule), the power-normalised precoder: the
-    /// transpose of the detector — of `s.zf_w` in the iterative mode,
-    /// whose `zf_det` is `H^H`.
-    fn publish_detector(&self, fb: &FrameBuffers, s: &mut WorkerScratch, group: usize) {
-        let iterative = zf_iterative(&self.cfg);
-        let need_pre = !iterative || self.has_downlink;
-        if need_pre {
-            let det = if iterative { &s.zf_w } else { &s.zf_det };
-            det.transpose_into(&mut s.zf_pre);
-            normalize_precoder_in_place(&mut s.zf_pre);
-        }
+        pinv_from_gram_slice_into(&s.zf_h, method, 0, g.m, &mut s.zf_pinv, &mut s.zf_det);
+        s.zf_det.transpose_into(&mut s.zf_pre);
+        normalize_precoder_in_place(&mut s.zf_pre);
         unsafe {
             fb.det.slice_mut(fb.det_range(group)).copy_from_slice(s.zf_det.as_slice());
-            if need_pre {
-                fb.pre.slice_mut(fb.pre_range(group)).copy_from_slice(s.zf_pre.as_slice());
-            }
+            fb.pre.slice_mut(fb.pre_range(group)).copy_from_slice(s.zf_pre.as_slice());
         }
     }
 
     /// Fused equalization + demodulation for `count` consecutive
-    /// subcarriers starting at `sc_base` of one uplink symbol. Writes
-    /// per-user LLRs.
+    /// subcarriers starting at `sc_base` of one uplink symbol: per
+    /// cache-line block, one planned GEMM of the group's detector with
+    /// the block's antenna samples, then every user's row soft-demapped
+    /// into the LLR plane. `_frame` is unused — `fb` already is the
+    /// frame's slot — and stays because the repo benchmark calls this
+    /// signature.
     pub fn demod_task(
         &self,
         fb: &FrameBuffers,
         s: &mut WorkerScratch,
-        frame: u32,
+        _frame: u32,
         symbol: usize,
         sc_base: usize,
         count: usize,
     ) {
-        if s.cpe_frame != frame {
-            // New frame: the pilot re-anchors the phase reference.
-            s.cpe_frame = frame;
-            s.cpe_seed = 0.0;
-        }
         let g = &self.geom;
         let bps = self.cfg.cell.modulation.bits_per_symbol();
         let freq = unsafe { fb.freq.slice(fb.freq_symbol_range(symbol)) };
         let noise = self.cfg.noise_power.max(1e-9);
-        let iterative = self.cfg.ablation.eq_mode == EqMode::Iterative;
-
-        if self.cfg.ablation.cache_layout {
-            // The block writes below are unchecked: a partial block would
-            // land its LLRs in a neighbour's range.
-            assert!(
-                sc_base.is_multiple_of(g.block) && count.is_multiple_of(g.block),
-                "demod task splits a block"
-            );
-            for blk_off in (0..count).step_by(g.block) {
-                let sc = sc_base + blk_off;
-                let blk = sc / g.block;
-                let group = sc / g.zf_group;
-                let det_slice = unsafe { fb.det.slice(fb.det_range(group)) };
-                // Antenna block is contiguous per antenna in this layout.
-                let base = fb.freq_block_offset(g, blk, 0);
-                let ant_block = &freq[base..base + g.m * g.block];
-                // Direct: `det` holds W, the GEMM finishes equalization.
-                // Iterative: `det` holds H^H, the GEMM forms the CG
-                // right-hand sides `H^H y` for the whole block.
-                self.eq_gemm.run(det_slice, ant_block, &mut s.user_block);
-                if iterative {
-                    let gram = unsafe { fb.gram.slice(fb.gram_range(group)) };
-                    self.cg_block(s, gram, g.block);
-                    neumann_diag_inv(gram, g.k, &mut s.diag_inv);
-                    for u in 0..g.k {
-                        s.nv_row[u] = noise * s.diag_inv[u];
-                    }
-                } else {
-                    for u in 0..g.k {
-                        s.nv_row[u] = noise * row_norm_sqr(det_slice, g.m, u);
-                    }
-                }
-                self.write_llrs(fb, s, symbol, sc, g.block, bps);
-            }
-        } else {
-            // Strided layout: equalization still runs one GEMV per
-            // subcarrier over M strided samples (the wasted-cache-line
-            // pattern §4.1 describes is the point of this ablation), but
-            // demodulation is batched — each user's equalized symbols are
-            // gathered into a contiguous row and routed through the SIMD
-            // demapper instead of a scalar call per subcarrier. Chunks
-            // stop at ZF-group boundaries so the detector (and with it
-            // the post-ZF noise amplification) is constant per chunk.
-            let mut done = 0;
-            while done < count {
-                let sc0 = sc_base + done;
-                let group = sc0 / g.zf_group;
-                let group_end = (group + 1) * g.zf_group;
-                let w = (group_end - sc0).min(count - done);
-                let det_slice = unsafe { fb.det.slice(fb.det_range(group)) };
-                let gram = iterative.then(|| unsafe { fb.gram.slice(fb.gram_range(group)) });
-                if let Some(gram) = gram {
-                    neumann_diag_inv(gram, g.k, &mut s.diag_inv);
-                    for u in 0..g.k {
-                        s.nv_row[u] = noise * s.diag_inv[u];
-                    }
-                } else {
-                    for u in 0..g.k {
-                        s.nv_row[u] = noise * row_norm_sqr(det_slice, g.m, u);
-                    }
-                }
-                for i in 0..w {
-                    let sc = sc0 + i;
-                    for ant in 0..g.m {
-                        s.ant_block[ant] = freq[fb.freq_strided_offset(g, ant, sc)];
-                    }
-                    agora_math::gemv_with_tier(
-                        g.k,
-                        g.m,
-                        det_slice,
-                        &s.ant_block[..g.m],
-                        &mut s.user_block[..g.k],
-                        self.tier,
-                    );
-                    if let Some(gram) = gram {
-                        // GEMV produced `H^H y`; solve the Gram system.
-                        s.cg_b.copy_from_slice(&s.user_block[..g.k]);
-                        cg_solve_gram(
-                            gram,
-                            g.k,
-                            &s.cg_b,
-                            &mut s.cg_x,
-                            CG_MAX_ITERS,
-                            CG_REL_TOL,
-                            &mut s.cg,
-                        );
-                        for user in 0..g.k {
-                            s.strided_rows[user * g.zf_group + i] = s.cg_x[user];
-                        }
-                    } else {
-                        for user in 0..g.k {
-                            s.strided_rows[user * g.zf_group + i] = s.user_block[user];
-                        }
-                    }
-                }
-                for user in 0..g.k {
-                    let row = &s.strided_rows[user * g.zf_group..user * g.zf_group + w];
-                    let at = fb.llr_range(g, symbol, user).start + sc0 * bps;
-                    let nv = s.nv_row[user];
-                    self.demap_into(fb, &mut s.llr_tmp, &mut s.llr_i8_tmp, row, nv, at);
-                }
-                done += w;
-            }
-        }
-    }
-
-    /// Replaces each column of `user_block` (`K x width`, currently the
-    /// CG right-hand sides `H^H y`) with the solution of
-    /// `(H^H H) x = H^H y` for that subcarrier.
-    fn cg_block(&self, s: &mut WorkerScratch, gram: &[Cf32], width: usize) {
-        let k = self.geom.k;
-        for c in 0..width {
-            for u in 0..k {
-                s.cg_b[u] = s.user_block[u * width + c];
-            }
-            cg_solve_gram(gram, k, &s.cg_b, &mut s.cg_x, CG_MAX_ITERS, CG_REL_TOL, &mut s.cg);
-            for u in 0..k {
-                s.user_block[u * width + c] = s.cg_x[u];
+        // The block writes below are unchecked: a partial block would
+        // land its LLRs in a neighbour's range.
+        assert!(
+            sc_base.is_multiple_of(g.block) && count.is_multiple_of(g.block),
+            "demod task splits a block"
+        );
+        for blk_off in (0..count).step_by(g.block) {
+            let sc = sc_base + blk_off;
+            let det_slice = unsafe { fb.det.slice(fb.det_range(sc / g.zf_group)) };
+            // Antenna block is contiguous per antenna in this layout.
+            let base = fb.freq_block_offset(g, sc / g.block, 0);
+            let ant_block = &freq[base..base + g.m * g.block];
+            self.eq_gemm.run(det_slice, ant_block, &mut s.user_block);
+            for user in 0..g.k {
+                // The block is the 8-subcarrier cache line: exactly one
+                // AVX2 vector per axis.
+                let row = &s.user_block[user * g.block..(user + 1) * g.block];
+                let at = fb.llr_range(g, symbol, user).start + sc * bps;
+                // Post-ZF noise on user u is amplified by ||w_u||^2.
+                let nv = noise * row_norm_sqr(det_slice, g.m, user);
+                self.demap_into(fb, &mut s.llr_tmp, &mut s.llr_i8_tmp, row, nv, at);
             }
         }
     }
@@ -780,7 +544,7 @@ impl Kernels {
     ) {
         let modulation = self.cfg.cell.modulation;
         let span = at..at + row.len() * modulation.bits_per_symbol();
-        if self.cfg.ablation.quantized_decoder {
+        if self.cfg.quantized_decoder {
             llr_i8_tmp.clear();
             demod_soft_i8(modulation, row, nv, self.cfg.llr_quant_scale, llr_tmp, llr_i8_tmp);
             // SAFETY: one demod task owns this (symbol, subcarrier range)
@@ -790,44 +554,6 @@ impl Kernels {
             demod_soft_simd(modulation, row, nv, llr_tmp);
             // SAFETY: as above.
             unsafe { fb.llr.slice_mut(span) }.copy_from_slice(llr_tmp);
-        }
-    }
-
-    /// Writes LLRs for one equalized block (`K x block` in
-    /// `s.user_block`). Per-user noise variances are read from
-    /// `s.nv_row`, filled by the caller for the current block.
-    #[allow(clippy::too_many_arguments)]
-    fn write_llrs(
-        &self,
-        fb: &FrameBuffers,
-        s: &mut WorkerScratch,
-        symbol: usize,
-        sc: usize,
-        width: usize,
-        bps: usize,
-    ) {
-        let g = &self.geom;
-        if self.cfg.cpe_correction {
-            // Tracked CPE correction: derotate the whole block (all
-            // users x width — the rotation is common) by the running
-            // estimate, then estimate and remove the residual. Tracking
-            // keeps the per-step residual inside the constellation's
-            // decision-directed capture range even when the absolute
-            // drift has accumulated far beyond it.
-            let block = &mut s.user_block[..g.k * width];
-            agora_phy::cpe::correct_cpe(block, s.cpe_seed);
-            let residual = agora_phy::cpe::estimate_and_correct(self.cfg.cell.modulation, block);
-            s.cpe_seed += residual;
-        }
-        for user in 0..g.k {
-            // Width is the 8-subcarrier cache-line block: exactly one
-            // AVX2 vector per axis.
-            let row = &s.user_block[user * width..(user + 1) * width];
-            let at = fb.llr_range(g, symbol, user).start + sc * bps;
-            // Post-ZF noise on user u is amplified by ||w_u||^2 (direct)
-            // or its Neumann estimate (iterative); see `demod_task`.
-            let nv = s.nv_row[user];
-            self.demap_into(fb, &mut s.llr_tmp, &mut s.llr_i8_tmp, row, nv, at);
         }
     }
 
@@ -936,9 +662,9 @@ impl Kernels {
             // whole block (all antennas) for its subcarriers.
             let base = sym_base + fb.freq_block_offset(g, sc / g.block, 0);
             let out = unsafe { fb.dl_freq.slice_mut(base..base + g.m * width) };
-            self.plane_copy(&s.ant_block[..g.m * width], out);
+            stream_copy(&s.ant_block[..g.m * width], out, self.tier);
         }
-        self.publish_streamed();
+        stream_fence();
     }
 
     /// IFFT task (downlink) for one antenna: [`Self::ifft_batch_task`]
@@ -980,9 +706,9 @@ impl Kernels {
         let out = unsafe { fb.dl_time.slice_mut(fb.dl_time_run_range(g, symbol, base, count)) };
         // CP-less symbols, as in the uplink path.
         for (out, grid) in out.chunks_exact_mut(g.samples).zip(s.grid.chunks_exact(n)) {
-            self.plane_copy(&grid[..g.samples], out);
+            stream_copy(&grid[..g.samples], out, self.tier);
         }
-        self.publish_streamed();
+        stream_fence();
     }
 
     /// Modulation scheme shortcut.
@@ -1024,17 +750,11 @@ fn block_pieces(map: &SubcarrierMap, g: &BufferGeometry) -> Vec<Piece> {
             let sc = sc0 + done;
             let len = (g.block - sc % g.block).min(bins.len() - done);
             let off = g.freq_block_offset(sc / g.block, 0) + sc % g.block;
-            pieces.push(Piece { sc, bin: bins.start + done, len, off });
+            pieces.push(Piece { bin: bins.start + done, len, off });
             done += len;
         }
     }
     pieces
-}
-
-/// True when the zero-forcing path runs in iterative (CG) mode.
-fn zf_iterative(cfg: &EngineConfig) -> bool {
-    cfg.ablation.eq_mode == EqMode::Iterative
-        && cfg.ablation.detector == crate::config::DetectorKind::ZeroForcing
 }
 
 /// Squared norm of detector row `user` (length `m`).
@@ -1137,18 +857,14 @@ mod tests {
 
     /// One dataflow: on a one-cluster geometry the staged pair —
     /// `gram_partial_task` over all antennas, then `zf_reduce_task` —
-    /// leaves the `det`, `pre` and `gram` planes byte-equal to `zf_task`,
-    /// whichever way the tail goes.
+    /// leaves the `det` and `pre` planes byte-equal to `zf_task`.
     #[test]
     fn staged_zf_tasks_equal_the_single_task_on_one_cluster() {
-        use crate::config::EqMode;
         use crate::inline_engine::InlineProcessor;
         use agora_fronthaul::{RruConfig, RruEmulator};
         use agora_phy::frame::FrameSchedule;
 
-        for (schedule, eq_mode) in
-            [("PUU", EqMode::Direct), ("PUUDD", EqMode::Direct), ("PUUDD", EqMode::Iterative)]
-        {
+        for schedule in ["PUU", "PUUDD"] {
             let mut cell = CellConfig::tiny_test(2);
             cell.schedule = FrameSchedule::parse(schedule).unwrap();
             cell.validate().unwrap();
@@ -1157,7 +873,6 @@ mod tests {
             let (packets, _) = rru.generate_frame(0);
             let mut cfg = EngineConfig::new(cell, 1);
             cfg.noise_power = rru.noise_power();
-            cfg.ablation.eq_mode = eq_mode;
             // One inline frame leaves the interpolated CSI in place.
             let mut proc = InlineProcessor::new(cfg);
             proc.process_frame(0, &packets);
@@ -1165,7 +880,7 @@ mod tests {
             assert_eq!((k.geom.clusters, k.shape.zf_reduce_shards), (1, 1));
             let mut s = k.scratch();
             let mut run = |staged: bool| {
-                let planes = [&fb.det, &fb.pre, &fb.gram];
+                let planes = [&fb.det, &fb.pre];
                 for plane in planes {
                     // SAFETY: single-threaded test, no other view alive.
                     unsafe { plane.slice_mut(0..plane.len()) }.fill(Cf32::ZERO);
@@ -1183,15 +898,9 @@ mod tests {
             };
             let single = run(false);
             let staged = run(true);
-            let iterative = eq_mode == EqMode::Iterative;
-            let written = [("det", true), ("pre", true), ("gram", iterative)];
-            for (i, (plane, written)) in written.into_iter().enumerate() {
-                assert_eq!(
-                    single[i].iter().any(|&b| b != (0, 0)),
-                    written,
-                    "{schedule} {eq_mode:?}: {plane} plane"
-                );
-                assert_eq!(single[i], staged[i], "{schedule} {eq_mode:?}: {plane} plane");
+            for (i, plane) in ["det", "pre"].into_iter().enumerate() {
+                assert!(single[i].iter().any(|&b| b != (0, 0)), "{schedule}: {plane} untouched");
+                assert_eq!(single[i], staged[i], "{schedule}: {plane} plane");
             }
         }
     }
@@ -1324,80 +1033,65 @@ mod tests {
         (k, fb)
     }
 
-    /// The tentpole's contract. For both layouts, with and without
-    /// streaming stores, at 8x2 and 64x16: (a) a batched FFT task of any
-    /// `count` up to `batch.fft`, off a zero and a non-zero base, leaves
-    /// the `csi` (pilot) and `freq` (uplink) planes byte-equal to `count`
-    /// single tasks; (b) what the fused store leaves equals the unfused
-    /// pipeline — unpack, transform, `demap_symbols`, then one element at
-    /// a time to the place the layout gives it (times the pilot's
-    /// reciprocal for CSI) — so all four settings hold the same values.
+    /// The fused store's contract, at 8x2 and 64x16: (a) a batched FFT
+    /// task of any `count` up to `batch.fft`, off a zero and a non-zero
+    /// base, leaves the `csi` (pilot) and `freq` (uplink) planes
+    /// byte-equal to `count` single tasks; (b) what the fused store
+    /// leaves equals the unfused pipeline — unpack, transform,
+    /// `demap_symbols`, then one element at a time to its place in the
+    /// block layout (times the pilot's reciprocal for CSI).
     #[test]
-    fn fused_fft_store_matches_unfused_reference_for_every_batch_and_knob() {
+    fn fused_fft_store_matches_unfused_reference_for_every_batch() {
         for cell in [CellConfig::tiny_test(1), CellConfig::emulated_rru(64, 16, 1)] {
-            for (cache_layout, streaming_stores) in
-                [(true, true), (true, false), (false, true), (false, false)]
-            {
-                let what = format!(
-                    "{}x{} cache_layout={cache_layout} streaming_stores={streaming_stores}",
-                    cell.num_antennas, cell.num_users
-                );
-                let (k, fb) = primed(cell.clone(), 1, |cfg| {
-                    cfg.batch.fft = 4;
-                    cfg.ablation.cache_layout = cache_layout;
-                    cfg.ablation.streaming_stores = streaming_stores;
-                });
-                let (g, n) = (k.geom, k.cfg.cell.fft_size);
-                let mut s = k.scratch();
-                for (symbol, plane) in [(0usize, &fb.csi), (1, &fb.freq)] {
-                    for count in 1..=k.cfg.batch.fft {
-                        for base in [0, g.m - count] {
-                            let mut run = |batched: bool| {
-                                // SAFETY: single-threaded test, no other view alive.
-                                unsafe { plane.slice_mut(0..plane.len()) }.fill(Cf32::ZERO);
-                                if batched {
-                                    k.fft_batch_task(&fb, &mut s, symbol, base, count);
-                                } else {
-                                    (base..base + count)
-                                        .for_each(|a| k.fft_task(&fb, &mut s, symbol, a));
-                                }
-                                // SAFETY: as above.
-                                bits(unsafe { plane.slice(0..plane.len()) })
-                            };
-                            let batched = run(true);
-                            assert!(batched.iter().any(|&b| b != (0, 0)), "{what}: untouched");
-                            // Not `assert_eq!`: a failure would print both planes.
-                            assert!(batched == run(false), "{what} sym {symbol} {base}+{count}");
-                        }
-                    }
-                    // The whole symbol, then the unfused reference.
-                    (0..g.m).for_each(|a| k.fft_task(&fb, &mut s, symbol, a));
-                    // SAFETY: single-threaded test, no writer.
-                    let got = unsafe { plane.slice(0..plane.len()) };
-                    let (mut grid, mut active) = (vec![Cf32::ZERO; n], vec![Cf32::ZERO; g.q]);
-                    for ant in 0..g.m {
-                        // SAFETY: `primed` stored this packet.
-                        let payload = unsafe { fb.rx_payload_view(&g, symbol, ant) };
-                        unpack_bitrev(payload, g.samples - n, k.fft.bitrev(), &mut grid);
-                        k.fft.execute_prereversed(&mut grid, Direction::Forward);
-                        k.map.demap_symbols(&grid, &mut active);
-                        for (sc, &y) in active.iter().enumerate() {
-                            let (idx, want) = if symbol == 0 {
-                                let (user, p) = k.pilots.owner(0, sc).unwrap();
-                                (fb.csi_range(sc).start + ant * g.k + user, y * p.inv())
-                            } else if cache_layout {
-                                let off = fb.freq_block_offset(&g, sc / g.block, ant);
-                                (fb.freq_symbol_range(1).start + off + sc % g.block, y)
+            let what = format!("{}x{}", cell.num_antennas, cell.num_users);
+            let (k, fb) = primed(cell.clone(), 1, |cfg| cfg.batch.fft = 4);
+            let (g, n) = (k.geom, k.cfg.cell.fft_size);
+            let mut s = k.scratch();
+            for (symbol, plane) in [(0usize, &fb.csi), (1, &fb.freq)] {
+                for count in 1..=k.cfg.batch.fft {
+                    for base in [0, g.m - count] {
+                        let mut run = |batched: bool| {
+                            // SAFETY: single-threaded test, no other view alive.
+                            unsafe { plane.slice_mut(0..plane.len()) }.fill(Cf32::ZERO);
+                            if batched {
+                                k.fft_batch_task(&fb, &mut s, symbol, base, count);
                             } else {
-                                let off = fb.freq_strided_offset(&g, ant, sc);
-                                (fb.freq_symbol_range(1).start + off, y)
-                            };
-                            assert_eq!(
-                                bits(&got[idx..idx + 1]),
-                                bits(&[want]),
-                                "{what} sym {symbol} ant {ant} sc {sc}"
-                            );
-                        }
+                                (base..base + count)
+                                    .for_each(|a| k.fft_task(&fb, &mut s, symbol, a));
+                            }
+                            // SAFETY: as above.
+                            bits(unsafe { plane.slice(0..plane.len()) })
+                        };
+                        let batched = run(true);
+                        assert!(batched.iter().any(|&b| b != (0, 0)), "{what}: untouched");
+                        // Not `assert_eq!`: a failure would print both planes.
+                        assert!(batched == run(false), "{what} sym {symbol} {base}+{count}");
+                    }
+                }
+                // The whole symbol, then the unfused reference.
+                (0..g.m).for_each(|a| k.fft_task(&fb, &mut s, symbol, a));
+                // SAFETY: single-threaded test, no writer.
+                let got = unsafe { plane.slice(0..plane.len()) };
+                let (mut grid, mut active) = (vec![Cf32::ZERO; n], vec![Cf32::ZERO; g.q]);
+                for ant in 0..g.m {
+                    // SAFETY: `primed` stored this packet.
+                    let payload = unsafe { fb.rx_payload_view(&g, symbol, ant) };
+                    unpack_bitrev(payload, g.samples - n, k.fft.bitrev(), &mut grid);
+                    k.fft.execute_prereversed(&mut grid, Direction::Forward);
+                    k.map.demap_symbols(&grid, &mut active);
+                    for (sc, &y) in active.iter().enumerate() {
+                        let (idx, want) = if symbol == 0 {
+                            let (user, p) = k.pilots.owner(0, sc).unwrap();
+                            (fb.csi_range(sc).start + ant * g.k + user, y * p.inv())
+                        } else {
+                            let off = fb.freq_block_offset(&g, sc / g.block, ant);
+                            (fb.freq_symbol_range(1).start + off + sc % g.block, y)
+                        };
+                        assert_eq!(
+                            bits(&got[idx..idx + 1]),
+                            bits(&[want]),
+                            "{what} sym {symbol} ant {ant} sc {sc}"
+                        );
                     }
                 }
             }
@@ -1436,11 +1130,11 @@ mod tests {
     }
 
     /// `interpolate_csi` fills only the row each ZF group reads. The ZF
-    /// outputs must not be able to tell: `det`, `pre` and `gram` are
-    /// byte-equal to those computed after interpolating every subcarrier
-    /// (the routine this one replaced, kept here as the reference), at
-    /// 8x2, 16x4 and 64x16, for both pilot schemes, both equalization
-    /// modes, and a ZF group that is not a multiple of K.
+    /// outputs must not be able to tell: `det` and `pre` are byte-equal
+    /// to those computed after interpolating every subcarrier (the
+    /// routine this one replaced, kept here as the reference), at 8x2,
+    /// 16x4 and 64x16, for both pilot schemes, and a ZF group that is
+    /// not a multiple of K.
     #[test]
     fn zf_row_interpolation_equals_full_interpolation() {
         use agora_phy::PilotScheme;
@@ -1471,38 +1165,35 @@ mod tests {
         ];
         for cell in cells {
             for scheme in [PilotScheme::FrequencyOrthogonal, PilotScheme::TimeOrthogonal] {
-                for eq_mode in [EqMode::Direct, EqMode::Iterative] {
-                    let what = format!(
-                        "{}x{} group {} {scheme:?} {eq_mode:?}",
-                        cell.num_antennas, cell.num_users, cell.zf_group
-                    );
-                    let mut cell = cell.clone();
-                    cell.pilot_scheme = scheme;
-                    let pilots = scheme.pilot_symbols(cell.num_users);
-                    let (k, fb) = primed(cell, pilots, |cfg| cfg.ablation.eq_mode = eq_mode);
-                    let mut s = k.scratch();
-                    for symbol in 0..pilots {
-                        (0..k.geom.m).for_each(|a| k.fft_task(&fb, &mut s, symbol, a));
+                let what = format!(
+                    "{}x{} group {} {scheme:?}",
+                    cell.num_antennas, cell.num_users, cell.zf_group
+                );
+                let mut cell = cell.clone();
+                cell.pilot_scheme = scheme;
+                let pilots = scheme.pilot_symbols(cell.num_users);
+                let (k, fb) = primed(cell, pilots, |_| {});
+                let mut s = k.scratch();
+                for symbol in 0..pilots {
+                    (0..k.geom.m).for_each(|a| k.fft_task(&fb, &mut s, symbol, a));
+                }
+                // SAFETY (here and below): single-threaded test.
+                let estimated = unsafe { fb.csi.slice(0..fb.csi.len()) }.to_vec();
+                let mut zf_planes = |full: bool| {
+                    unsafe { fb.csi.slice_mut(0..fb.csi.len()) }.copy_from_slice(&estimated);
+                    if full {
+                        interpolate_every_row(&k, &fb);
+                    } else {
+                        k.interpolate_csi(&fb);
                     }
-                    // SAFETY (here and below): single-threaded test.
-                    let estimated = unsafe { fb.csi.slice(0..fb.csi.len()) }.to_vec();
-                    let mut zf_planes = |full: bool| {
-                        unsafe { fb.csi.slice_mut(0..fb.csi.len()) }.copy_from_slice(&estimated);
-                        if full {
-                            interpolate_every_row(&k, &fb);
-                        } else {
-                            k.interpolate_csi(&fb);
-                        }
-                        (0..k.shape.zf_groups).for_each(|group| k.zf_task(&fb, &mut s, group));
-                        [&fb.det, &fb.pre, &fb.gram]
-                            .map(|plane| bits(unsafe { plane.slice(0..plane.len()) }))
-                    };
-                    let (rows, full) = (zf_planes(false), zf_planes(true));
-                    assert!(rows[0].iter().any(|&b| b != (0, 0)), "{what}: det untouched");
-                    for (i, plane) in ["det", "pre", "gram"].into_iter().enumerate() {
-                        // Not `assert_eq!`: a failure would print both planes.
-                        assert!(rows[i] == full[i], "{what}: {plane} plane");
-                    }
+                    (0..k.shape.zf_groups).for_each(|group| k.zf_task(&fb, &mut s, group));
+                    [&fb.det, &fb.pre].map(|plane| bits(unsafe { plane.slice(0..plane.len()) }))
+                };
+                let (rows, full) = (zf_planes(false), zf_planes(true));
+                assert!(rows[0].iter().any(|&b| b != (0, 0)), "{what}: det untouched");
+                for (i, plane) in ["det", "pre"].into_iter().enumerate() {
+                    // Not `assert_eq!`: a failure would print both planes.
+                    assert!(rows[i] == full[i], "{what}: {plane} plane");
                 }
             }
         }

@@ -3,19 +3,19 @@
 //! Real-time massive MIMO baseband processing in software (CoNEXT 2020),
 //! reproduced in Rust:
 //!
-//! * [`config`]: engine configuration, batch sizes, Table 4 ablations.
+//! * [`config`]: engine configuration and batch sizes.
 //! * [`buffers`]: lock-free shared frame buffers (§3.2).
 //! * [`state`]: the per-frame dependency state machine.
 //! * [`kernels`]: task bodies over the buffers (Figure 1b blocks, with
 //!   the Table 2 fusions).
-//! * [`engine`]: the threaded manager-worker engine, with data-parallel
-//!   and pipeline-parallel (BigStation-style) worker policies.
+//! * [`engine`]: the threaded manager-worker engine (data-parallel
+//!   workers over per-worker lanes).
 //! * [`inline_engine`]: deterministic single-threaded processor for
 //!   BER/BLER experiments.
 //! * [`deploy`]: multi-cell deployments — C cell engines on one shared
 //!   worker pool with a dynamic core-reallocation supervisor.
-//! * [`alloc`]: core allocation for the pipeline-parallel variant
-//!   (§5.4), generalized to any shares-over-cores split.
+//! * [`alloc`]: shares-over-cores allocation — the simulator's
+//!   pipeline-parallel baseline (§5.4) and the deployment supervisor.
 //! * [`stats`]: per-block busy-time accounting (Table 3).
 //! * [`sim`]: the calibrated discrete-event schedule simulator used for
 //!   the multi-core performance figures (see DESIGN.md §3, substitution
@@ -32,9 +32,9 @@ pub mod sim;
 pub mod state;
 pub mod stats;
 
-pub use config::{Ablation, BatchSizes, DetectorKind, EngineConfig};
+pub use config::{BatchSizes, EngineConfig};
 pub use deploy::{Deployment, DeploymentConfig, DeploymentStats, Supervisor, SupervisorConfig};
-pub use engine::{Engine, FrameResult, WorkerPolicy};
+pub use engine::{Engine, FrameResult};
 pub use inline_engine::InlineProcessor;
 pub use kernels::Kernels;
 pub use state::{FrameState, Milestones, Ready};

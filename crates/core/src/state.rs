@@ -141,15 +141,15 @@ impl FrameShape {
     /// Shape of `cell`'s frames with `zf_clusters` antenna clusters. The
     /// staged reduce is sharded across the detector's antenna columns
     /// (one shard per cluster) only when nothing needs the full detector
-    /// in one place: the downlink precoder normalisation scales by the
-    /// *global* max antenna power, and iterative equalization publishes
-    /// one shared Gram plane — both force a single reduce task.
+    /// in one place, i.e. on uplink-only schedules: the downlink precoder
+    /// normalisation scales by the *global* max antenna power, which
+    /// forces a single reduce task.
     ///
     /// # Panics
     /// Panics if `zf_clusters` is zero.
-    pub fn new(cell: &CellConfig, zf_clusters: usize, iterative_eq: bool) -> Self {
+    pub fn new(cell: &CellConfig, zf_clusters: usize) -> Self {
         assert!(zf_clusters >= 1, "at least one antenna cluster");
-        let single_reduce = iterative_eq || !cell.schedule.downlink_indices().is_empty();
+        let single_reduce = !cell.schedule.downlink_indices().is_empty();
         Self {
             m: cell.num_antennas,
             k: cell.num_users,
@@ -1173,11 +1173,10 @@ mod tests {
     #[test]
     fn reduce_is_sharded_only_when_nothing_needs_the_whole_detector() {
         let mut cell = CellConfig::tiny_test(2);
-        assert_eq!(FrameShape::new(&cell, 4, false).zf_reduce_shards, 4);
-        assert_eq!(FrameShape::new(&cell, 4, true).zf_reduce_shards, 1, "iterative");
-        assert_eq!(FrameShape::new(&cell, 1, false).zf_reduce_shards, 1, "one cluster");
+        assert_eq!(FrameShape::new(&cell, 4).zf_reduce_shards, 4);
+        assert_eq!(FrameShape::new(&cell, 1).zf_reduce_shards, 1, "one cluster");
         cell.schedule = FrameSchedule::parse("PUD").unwrap();
-        assert_eq!(FrameShape::new(&cell, 4, false).zf_reduce_shards, 1, "downlink");
+        assert_eq!(FrameShape::new(&cell, 4).zf_reduce_shards, 1, "downlink");
     }
 
     #[test]

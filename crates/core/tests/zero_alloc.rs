@@ -54,7 +54,7 @@ fn decode_tasks_allocate(quantized: bool) -> u64 {
     let (packets, _) = rru.generate_frame(0);
     let mut cfg = EngineConfig::new(cell.clone(), 1);
     cfg.noise_power = rru.noise_power();
-    cfg.ablation.quantized_decoder = quantized;
+    cfg.quantized_decoder = quantized;
     // One inline frame leaves the LLR planes filled for the tasks to re-run on.
     let mut proc = InlineProcessor::new(cfg);
     let reference = proc.process_frame(0, &packets);

@@ -119,21 +119,24 @@ impl Ofdm {
         let tail: Vec<Cf32> = body[tail_start..].to_vec();
         time_out[..self.cp_len].copy_from_slice(&tail);
     }
-
-    /// Demodulates `symbol_len()` time-domain samples into the active
-    /// subcarriers (CP removal + FFT + demap).
-    pub fn demodulate(&self, time_in: &[Cf32], freq_out: &mut [Cf32]) {
-        assert_eq!(time_in.len(), self.symbol_len());
-        assert_eq!(freq_out.len(), self.map.num_data);
-        let mut grid: Vec<Cf32> = time_in[self.cp_len..].to_vec();
-        self.plan.execute(&mut grid, Direction::Forward);
-        self.map.demap_symbols(&grid, freq_out);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Ofdm {
+        /// Demodulates `symbol_len()` time-domain samples into the active
+        /// subcarriers (CP removal + FFT + demap): the inverse the
+        /// round-trip tests check `modulate` against.
+        fn demodulate(&self, time_in: &[Cf32], freq_out: &mut [Cf32]) {
+            assert_eq!(time_in.len(), self.symbol_len());
+            assert_eq!(freq_out.len(), self.map.num_data);
+            let mut grid: Vec<Cf32> = time_in[self.cp_len..].to_vec();
+            self.plan.execute(&mut grid, Direction::Forward);
+            self.map.demap_symbols(&grid, freq_out);
+        }
+    }
 
     #[test]
     fn active_bins_avoid_dc_and_are_unique() {

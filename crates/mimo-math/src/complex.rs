@@ -86,12 +86,6 @@ macro_rules! impl_complex {
                 self.norm_sqr().sqrt()
             }
 
-            /// Argument (phase) in radians, in `(-pi, pi]`.
-            #[inline]
-            pub fn arg(self) -> $t {
-                self.im.atan2(self.re)
-            }
-
             /// Multiplicative inverse `1/z`. Returns non-finite components
             /// when `z` is zero, matching IEEE float division semantics.
             #[inline]
@@ -273,7 +267,7 @@ mod tests {
     fn polar_roundtrip() {
         let z = Cf32::from_polar(2.0, 0.5);
         assert!((z.abs() - 2.0).abs() < 1e-6);
-        assert!((z.arg() - 0.5).abs() < 1e-6);
+        assert!((z.im.atan2(z.re) - 0.5).abs() < 1e-6);
     }
 
     #[test]

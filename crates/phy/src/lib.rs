@@ -6,10 +6,7 @@
 //! * [`pilots`]: Zadoff-Chu sequences, frequency/time-orthogonal plans.
 //! * [`chanest`]: the per-subcarrier CSI buffer [`zf`] reads.
 //! * [`zf`]: zero-forcing detector/precoder calculation per group.
-//! * [`detect`]: the wider linear detector menu (ZF / MMSE / conjugate).
-//! * [`cpe`]: decision-directed common-phase-error tracking.
-//! * [`equalize`] / [`precode`]: the iterative uplink solve and the
-//!   downlink linear stage.
+//! * [`precode`]: the downlink linear stage.
 //! * [`iq`]: 12+12-bit packed fronthaul sample codec.
 //! * [`frame`]: cell configuration and the TDD symbol schedule.
 //!
@@ -17,10 +14,7 @@
 //! here is plain single-threaded code operating on slices.
 
 pub mod chanest;
-pub mod cpe;
 pub mod demod;
-pub mod detect;
-pub mod equalize;
 pub mod frame;
 pub mod iq;
 pub mod modulation;
@@ -29,9 +23,7 @@ pub mod precode;
 pub mod zf;
 
 pub use chanest::CsiBuffer;
-pub use cpe::{correct_cpe, estimate_and_correct, estimate_cpe};
 pub use demod::{demod_soft, demod_soft_exact, demod_soft_i8, demod_soft_simd};
-pub use detect::Detector;
 pub use frame::{CellConfig, FrameSchedule, LdpcParams, SymbolType};
 pub use modulation::{modulate, ModScheme};
 pub use pilots::{zadoff_chu, PilotPlan, PilotScheme};

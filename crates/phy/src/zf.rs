@@ -15,7 +15,7 @@ pub struct ZfConfig {
     /// Subcarriers sharing one precoder (the paper uses 16).
     pub group_size: usize,
     /// Pseudo-inverse route: direct Gram inverse (fast) or SVD (robust) —
-    /// Table 4's "matrix inverse optimisation" ablation.
+    /// the pair behind Table 4's "matrix inverse optimisation" row.
     pub method: PinvMethod,
 }
 

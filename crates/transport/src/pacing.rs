@@ -46,16 +46,19 @@ impl Pacer {
         self.next_tick += 1;
         tick
     }
-
-    /// How far behind schedule the pacer currently is (zero when on time).
-    pub fn lag(&self) -> Duration {
-        self.start.elapsed().saturating_sub(self.scheduled(self.next_tick))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Pacer {
+        /// How far behind schedule the pacer currently is (zero when on
+        /// time).
+        fn lag(&self) -> Duration {
+            self.start.elapsed().saturating_sub(self.scheduled(self.next_tick))
+        }
+    }
 
     #[test]
     fn ticks_are_monotonic() {

@@ -59,11 +59,6 @@ pub struct RruConfig {
     /// the §3.4.2 stale-precoder early start where frame `f` beams with
     /// frame `f-1`'s CSI.
     pub redraw_channel: bool,
-    /// Residual synchronisation drift: every symbol `s` of a frame is
-    /// rotated by `s * phase_drift_rad` at the receiver (common phase
-    /// error from oscillator/clock offset left after coarse sync). Zero
-    /// by default.
-    pub phase_drift_rad: f32,
     /// Multipath taps for a frequency-selective channel; 0 (default) is
     /// the paper's frequency-flat emulation. With `L > 0` each
     /// antenna-user link becomes an `L`-tap exponential power-delay
@@ -84,7 +79,6 @@ impl Default for RruConfig {
             user_snr_offsets_db: None,
             seed: 1,
             redraw_channel: true,
-            phase_drift_rad: 0.0,
             delay_spread_taps: 0,
             cell_id: 0,
         }
@@ -289,9 +283,6 @@ impl RruEmulator {
 
             // 2. Mix through the channel per antenna, add noise, IFFT,
             // quantise, packetise.
-            // Common phase error accumulated by this symbol (identical on
-            // every antenna — it originates at the clock, not the array).
-            let cpe = Cf32::cis(self.cfg.phase_drift_rad * sym_idx as f32);
             let gain = self.tx_gain();
             for ant in 0..m {
                 for sc in 0..q {
@@ -303,7 +294,7 @@ impl RruEmulator {
                         };
                         acc = link.mul_add(self.user_freq[u][sc], acc);
                     }
-                    freq_rx[sc] = acc * cpe;
+                    freq_rx[sc] = acc;
                 }
                 if sym_type != SymbolType::Empty && sym_type != SymbolType::Downlink {
                     self.noise.corrupt(&mut freq_rx);

@@ -7,8 +7,10 @@
 # suite, format and clippy gates (warnings promoted to errors), the
 # release parity smokes, the benchmark's own checks, the evidence check
 # (every committed results/*.csv still has a producing bin), the orphan
-# gate (every library `pub fn` has a caller) and the fence gate
-# (streaming stores and their one fence live in agora-math::simd only).
+# gate (every library `pub fn` has a caller), the knob gate (every
+# `EngineConfig` field has a non-test setter or a pending decision) and
+# the fence gate (streaming stores and their one fence live in
+# agora-math::simd only).
 # Fails fast.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -56,6 +58,43 @@ for f in $(find crates/*/src -name '*.rs' -not -path 'crates/bench/*' | sort); d
 done
 if [ "$orphans" -ne 0 ]; then
     echo "$orphans uncalled pub fn(s): delete them with their tests, or move them under #[cfg(test)]"
+    exit 1
+fi
+
+echo "== every EngineConfig knob has a non-test setter or a decision pending =="
+# A `pub` field of `EngineConfig` that nothing but tests assigns is a
+# switch with no harness (ISSUE 21): make it a constant. A field passes
+# when a non-test file (the bench bins, the examples, the benchmark, the
+# non-test part of crates/core/src) assigns it through a binding
+# (`cfg.field = …`), or when it is listed here with who decides it.
+# Word-level like the orphan gate: `SimConfig` shares `batch` and
+# `stale_precoder`, which is why those two are listed, not grepped.
+decided="
+cell               argument of EngineConfig::new
+num_workers        argument of EngineConfig::new
+quantized_decoder  ROADMAP 2(b): default it or delete the i8 plane
+llr_quant_scale    ROADMAP 2(b), with quantized_decoder
+stale_precoder     shared with SimConfig through FrameTable; ext_ablations sweeps it there
+batch              Table 3 / SimConfig::batch (table4_ablation, ext_ablations)
+frame_window       deployment sizing (buffer window); ROADMAP 7(d)
+rx_batch           deployment sizing (packets per recvmmsg poll)
+pin_cores          deployment setting (CPU pinning)
+"
+setters=$(mktemp)
+trap 'rm -f "$words" "$setters"' EXIT
+for f in $(find crates/bench/src examples benchmark/src crates/core/src -name '*.rs'); do
+    awk '/#\[cfg\(test\)\]/ { exit } { print }' "$f"
+done >"$setters"
+knobs=0
+for field in $(scripts/ledger.sh | sed -n 's/^  EngineConfig *[0-9]*: //p'); do
+    grep -qE "^$field " <<<"$decided" && continue
+    grep -qE "\.$field(\.[a-z_0-9]+)? = " "$setters" && continue
+    echo "crates/core/src/config.rs: EngineConfig::$field is assigned by no non-test file"
+    knobs=$((knobs + 1))
+done
+if [ "$knobs" -ne 0 ]; then
+    echo "$knobs knob(s) only tests can turn: make them constants and delete the other path,"
+    echo "or list them in scripts/ci.sh with the ROADMAP item that decides them"
     exit 1
 fi
 

@@ -1,0 +1,55 @@
+#!/usr/bin/env bash
+# The ROADMAP aim-2 ledger, counted from the tree so CHANGES.md and
+# ROADMAP.md quote one command instead of a hand count.
+#
+#   scripts/ledger.sh [tree]     # default: this checkout
+#
+# Pass another checkout (e.g. a clone of the parent commit) to get the
+# "before" column with the same rules.
+set -euo pipefail
+cd "${1:-$(dirname "$0")/..}"
+
+rs() { find "$@" -name '*.rs' -not -path '*/target/*' 2>/dev/null; }
+lines() { rs "$@" | xargs -r cat | wc -l; }
+# The part of a file above its first #[cfg(test)].
+nontest() { awk '/#\[cfg\(test\)\]/ { exit } { print }' "$1"; }
+
+echo "== Rust lines =="
+total=0
+for tree in crates shims tests examples; do
+    n=$(lines "$tree")
+    total=$((total + n))
+    printf '  %-10s %6d\n' "$tree/" "$n"
+done
+printf '  %-10s %6d\n' "workspace" "$total"
+printf '  %-10s %6d\n' "benchmark/" "$(lines benchmark)"
+
+echo "== unsafe occurrences (crates/ shims/ tests/ examples/) =="
+printf '  %d, of them %d in crates/core\n' \
+    "$(rs crates shims tests examples | xargs -r grep -ow unsafe | wc -l)" \
+    "$(rs crates/core | xargs -r grep -ow unsafe | wc -l)"
+
+echo "== agora-bench bins =="
+printf '  %d: %s\n' "$(rs crates/bench/src/bin | wc -l)" \
+    "$(rs crates/bench/src/bin | xargs -n1 basename | sed 's/\.rs$//' | sort | tr '\n' ' ')"
+
+echo "== _scalar/_avx2/_with_tier functions outside tests =="
+tiers=0
+for f in $(rs crates | grep -v '/tests/'); do
+    n=$(nontest "$f" | grep -cE 'fn [a-z_0-9]+_(scalar|avx2|with_tier)\b' || true)
+    tiers=$((tiers + n))
+done
+printf '  %d\n' "$tiers"
+
+echo "== pub fields of the engine configuration (crates/core/src/config.rs) =="
+# Per pub struct declared there: `Ablation` too, on a tree that still has it.
+nontest crates/core/src/config.rs | awk '
+    /^pub struct / { name = $3; sub(/[^A-Za-z0-9_].*/, "", name); next }
+    /^}/ { if (name != "") printf "  %-14s %2d: %s\n", name, n[name], list[name]; name = "" }
+    name != "" && /^    pub [a-z_0-9]+:/ { f = $2; sub(/:.*/, "", f); n[name]++; list[name] = list[name] f " " }'
+
+echo "== engine constructors (pub fn of impl Engine returning Self) =="
+nontest crates/core/src/engine.rs | awk '
+    /^impl Engine / { inside = 1; next }
+    /^}/ { inside = 0 }
+    inside && /^    pub fn [a-z_]+\(.*-> Self/ { f = $3; sub(/\(.*/, "", f); printf "  %s\n", f }'

@@ -1,5 +1,5 @@
 //! End-to-end acceptance for the fixed-point decoding plane
-//! (`ablation.quantized_decoder`): demodulation emits saturating `i8`
+//! (`EngineConfig::quantized_decoder`): demodulation emits saturating `i8`
 //! LLRs and `decode_task` routes through the Z-lane-vectorised i8
 //! layered min-sum decoder. The toggle is the A/B for float vs
 //! fixed-point fig-style runs, so it must (a) decode every frame
@@ -35,7 +35,7 @@ fn generate(
 fn quantized_config(cell: &CellConfig, workers: usize, noise: f32) -> EngineConfig {
     let mut cfg = EngineConfig::new(cell.clone(), workers);
     cfg.noise_power = noise;
-    cfg.ablation.quantized_decoder = true;
+    cfg.quantized_decoder = true;
     cfg
 }
 
@@ -90,7 +90,7 @@ fn quantized_threaded_matches_inline_reference() {
 
 #[test]
 fn quantized_and_float_planes_agree_at_operating_snr() {
-    // The A/B the ablation toggle exists for: at operating SNR the
+    // The A/B the switch exists for: at operating SNR the
     // quantised plane must land on the same information bits as the
     // float plane. Run both over the identical packet stream.
     let cell = CellConfig::tiny_test(2);
@@ -114,31 +114,6 @@ fn quantized_and_float_planes_agree_at_operating_snr() {
                     fr.frame
                 );
                 assert_eq!(qr.decoded[symbol][user], gt.info_bits[symbol][user]);
-            }
-        }
-    }
-}
-
-#[test]
-fn quantized_plane_works_with_strided_layout_ablation() {
-    // The strided (cache_layout off) demod path also feeds the i8 plane;
-    // decoded bits must match the cache-friendly layout's.
-    let cell = CellConfig::tiny_test(2);
-    let (packets, truths, noise) = generate(&cell, 2, 37);
-
-    let block = Engine::new(quantized_config(&cell, 2, noise)).process(packets.clone(), 2, false);
-
-    let mut strided_cfg = quantized_config(&cell, 2, noise);
-    strided_cfg.ablation.cache_layout = false;
-    let strided = Engine::new(strided_cfg).process(packets, 2, false);
-
-    for (b, s) in block.iter().zip(strided.iter()) {
-        let gt = &truths[b.frame as usize];
-        for symbol in cell.schedule.uplink_indices() {
-            for user in 0..cell.num_users {
-                assert!(s.decode_ok[symbol][user], "strided i8 decode failed");
-                assert_eq!(b.decoded[symbol][user], s.decoded[symbol][user]);
-                assert_eq!(s.decoded[symbol][user], gt.info_bits[symbol][user]);
             }
         }
     }

@@ -4,12 +4,11 @@
 //! *which* worker executes them — every kernel writes disjoint buffer
 //! regions determined solely by the message coordinates, so
 //! `FrameResult`s must be bit-identical through the per-worker lanes
-//! (data-parallel workers), through the shared per-type queues (what
-//! type-restricted workers are served from) and on the single-threaded
-//! inline reference, for any worker count and batch-size mix.
+//! (with stealing), through the shared per-type queues a full lane
+//! overflows to, and on the single-threaded inline reference, for any
+//! worker count and batch-size mix.
 
-use agora_core::engine::PRIORITY;
-use agora_core::{Counter, Engine, EngineConfig, FrameResult, InlineProcessor, WorkerPolicy};
+use agora_core::{BatchSizes, Counter, Engine, EngineConfig, FrameResult, InlineProcessor};
 use agora_fronthaul::{RruConfig, RruEmulator};
 use agora_phy::frame::FrameSchedule;
 use agora_phy::CellConfig;
@@ -47,8 +46,8 @@ fn sorted(mut r: Vec<FrameResult>) -> Vec<FrameResult> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Lanes == shared queues == inline, bit-identical, across random
-    /// worker counts and batch-size mixes.
+    /// Lanes == inline, bit-identical, across random worker counts and
+    /// batch-size mixes.
     #[test]
     fn scheduling_is_result_invariant(
         workers in 1usize..5,
@@ -68,18 +67,6 @@ proptest! {
         let lanes = Engine::new(cfg.clone());
         let with_lanes = sorted(lanes.process(packets.clone(), FRAMES, false));
 
-        // Every worker may run every type, but as a type-restricted
-        // policy: no lanes, everything through the shared queues.
-        let all_types = WorkerPolicy::PipelineParallel(vec![PRIORITY.to_vec(); workers]);
-        let queues = Engine::with_policy(cfg.clone(), all_types);
-        let shared = sorted(queues.process(packets.clone(), FRAMES, false));
-        prop_assert_eq!(queues.stats().lane_pushes(), 0, "shared-queue leg touched a lane");
-
-        prop_assert!(
-            results_equal(&with_lanes, &shared),
-            "lanes vs shared queues differ (workers={workers} seed={seed})"
-        );
-
         let mut inline = InlineProcessor::new(cfg);
         for f in 0..FRAMES {
             let per_frame: Vec<bytes::Bytes> = packets
@@ -97,12 +84,11 @@ proptest! {
     }
 }
 
-/// `ablation.batching = false` sends every task in a message of its own —
-/// one antenna, one ZF group, one user, and for demodulation one
-/// cache-line block, the unit of demod work under the default layout (one
-/// subcarrier under the strided one); precoding works in whole blocks
-/// under either. Results must equal the default's, on an uplink frame
-/// and on a TDD frame whose downlink half runs unbatched too.
+/// `BatchSizes::ones()` sends every task in a message of its own — one
+/// antenna, one ZF group, one user, and for demodulation and precoding
+/// one cache-line block, their unit of work. Results must equal the
+/// default's, on an uplink frame and on a TDD frame whose downlink half
+/// runs unbatched too.
 #[test]
 fn unbatched_messages_decode_like_the_default() {
     let uplink = CellConfig::tiny_test(2);
@@ -111,23 +97,20 @@ fn unbatched_messages_decode_like_the_default() {
     tdd.validate().unwrap();
     for cell in [uplink, tdd] {
         let (packets, noise) = generate(&cell, 29);
-        for cache_layout in [true, false] {
-            let mut cfg = EngineConfig::new(cell.clone(), 2);
-            cfg.noise_power = noise;
-            cfg.ablation.cache_layout = cache_layout;
-            let want = sorted(Engine::new(cfg.clone()).process(packets.clone(), FRAMES, false));
-            assert!(want.iter().all(|r| !r.dropped && r.decode_ok.iter().flatten().all(|&ok| ok)));
+        let mut cfg = EngineConfig::new(cell.clone(), 2);
+        cfg.noise_power = noise;
+        let want = sorted(Engine::new(cfg.clone()).process(packets.clone(), FRAMES, false));
+        assert!(want.iter().all(|r| !r.dropped && r.decode_ok.iter().flatten().all(|&ok| ok)));
 
-            cfg.ablation.batching = false;
-            let block = cfg.demod_block;
-            let unbatched = Engine::new(cfg);
-            let got = sorted(unbatched.process(packets.clone(), FRAMES, false));
-            let what = format!("{:?} cache_layout={cache_layout}", cell.schedule);
-            assert!(results_equal(&got, &want), "{what}: results differ");
-            let precodes = unbatched.stats().messages(TaskType::Precode);
-            let blocks = cell.schedule.downlink_indices().len() * cell.num_data_sc / block;
-            assert_eq!(precodes, (FRAMES as usize * blocks) as u64, "{what}: one block a message");
-        }
+        cfg.batch = BatchSizes::ones();
+        let block = cfg.demod_block;
+        let unbatched = Engine::new(cfg);
+        let got = sorted(unbatched.process(packets.clone(), FRAMES, false));
+        let what = format!("{:?}", cell.schedule);
+        assert!(results_equal(&got, &want), "{what}: results differ");
+        let precodes = unbatched.stats().messages(TaskType::Precode);
+        let blocks = cell.schedule.downlink_indices().len() * cell.num_data_sc / block;
+        assert_eq!(precodes, (FRAMES as usize * blocks) as u64, "{what}: one block a message");
     }
 }
 

@@ -1,7 +1,7 @@
 //! Cross-crate integration: emulated RRU -> fronthaul packets -> the
 //! *threaded* manager/worker engine -> decoded bits vs ground truth.
 
-use agora_core::{Engine, EngineConfig, InlineProcessor, WorkerPolicy};
+use agora_core::{Engine, EngineConfig, InlineProcessor};
 use agora_fronthaul::{RruConfig, RruEmulator};
 use agora_phy::CellConfig;
 use agora_queue::TaskType;
@@ -76,32 +76,6 @@ fn threaded_engine_matches_inline_reference() {
         let reference = inline.process_frame(f, &per_frame);
         let t = threaded.iter().find(|r| r.frame == f).unwrap();
         assert_eq!(t.decoded, reference.decoded, "frame {f} differs from reference");
-    }
-}
-
-#[test]
-fn pipeline_parallel_policy_also_decodes() {
-    let cell = tiny_cell();
-    let (packets, truths, noise) = generate(&cell, 2, 17);
-    let mut cfg = EngineConfig::new(cell.clone(), 3);
-    cfg.noise_power = noise;
-    // Static groups: worker 0 FFT+ZF, worker 1 demod, worker 2 decode.
-    let policy = WorkerPolicy::PipelineParallel(vec![
-        vec![TaskType::Fft, TaskType::Zf],
-        vec![TaskType::Demod, TaskType::Precode, TaskType::Encode, TaskType::Ifft],
-        vec![TaskType::Decode],
-    ]);
-    let engine = Engine::with_policy(cfg, policy);
-    let results = engine.process(packets, 2, false);
-    assert_eq!(results.len(), 2);
-    for r in &results {
-        let gt = &truths[r.frame as usize];
-        for symbol in cell.schedule.uplink_indices() {
-            for user in 0..cell.num_users {
-                assert!(r.decode_ok[symbol][user]);
-                assert_eq!(r.decoded[symbol][user], gt.info_bits[symbol][user]);
-            }
-        }
     }
 }
 
