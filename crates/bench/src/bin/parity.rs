@@ -17,7 +17,6 @@
 //! | `zf` | Cholesky detector ≈ Gauss-Jordan, bit-identical across tiers; near-singular Gram rejected |
 //! | `fronthaul` | batch ≡ single delivery on mem and UDP links; aggregation split and pool recycling |
 //! | `deployment` | C=4 ledgers reconcile against the fault injector; deployment ≡ standalone engines; misroutes counted |
-//! | `zf_cluster` | staged ZF at C=4 decodes the monolithic bits under the real scheduler; sharded SVD fallback ≡ unsharded |
 //! | `sched` | lanes ≡ inline; lane counters account for every message |
 
 use agora_core::deploy::{Deployment, DeploymentConfig};
@@ -33,10 +32,9 @@ use agora_ldpc::{
     RateMatch, DEFAULT_LLR_SCALE,
 };
 use agora_math::{
-    gram_reduce, pinv_from_gram_slice_into, pinv_into, CMat, Cf32, CholScratch, Cholesky, Gemm,
-    PinvMethod, PinvScratch, SimdTier,
+    pinv_into, CMat, Cf32, CholScratch, Cholesky, Gemm, PinvMethod, PinvScratch, SimdTier,
 };
-use agora_phy::{CellConfig, ClusterPlan};
+use agora_phy::CellConfig;
 use agora_queue::TaskType;
 use bytes::Bytes;
 use rand::rngs::StdRng;
@@ -52,7 +50,6 @@ const CHECKS: &[(&str, fn())] = &[
     ("zf", zf),
     ("fronthaul", fronthaul),
     ("deployment", deployment),
-    ("zf_cluster", zf_cluster),
     ("sched", sched),
 ];
 
@@ -696,83 +693,6 @@ fn misroute_counting() {
     check(
         (0..CELLS).all(|c| deployment.stats().cell(c).get(Counter::RxErrors) == 0),
         "misroute: rogue packets never reach a cell's intake",
-    );
-}
-
-// ------------------------------------------------------------- zf_cluster
-
-fn zf_cluster() {
-    threaded_cluster_parity();
-    singular_fallback_consistency();
-}
-
-/// Threaded engine: the staged path (C=4, sharded reduce) against the
-/// monolithic engine under the real scheduler.
-fn threaded_cluster_parity() {
-    const FRAMES: u32 = 2;
-    let cell = CellConfig::tiny_test(2);
-    let (packets, noise) = cell_packets(&cell, 30.0, 67, FRAMES);
-    let run = |clusters: usize| {
-        let mut cfg = EngineConfig::new(cell.clone(), 2);
-        cfg.noise_power = noise;
-        cfg.antenna_clusters = clusters;
-        sorted(Engine::new(cfg).process(packets.clone(), FRAMES, false))
-    };
-    let (mono, staged) = (run(1), run(4));
-    let same = mono.len() == staged.len()
-        && mono
-            .iter()
-            .zip(staged.iter())
-            .all(|(m, s)| !s.dropped && m.decoded == s.decoded && m.decode_ok == s.decode_ok);
-    check(same, "threaded C=4 frames match monolithic");
-}
-
-/// Singular Gram: every column shard of the sharded reduce must take the
-/// same SVD fallback and reassemble the exact unsharded fallback
-/// detector.
-fn singular_fallback_consistency() {
-    let tier = SimdTier::detect();
-    let (m, k, clusters) = (64usize, 16usize, 4usize);
-    let h = near_singular(CMat::from_fn(m, k, |r, c| {
-        let i = (r * k + c) as u64;
-        Cf32::new(
-            ((i * 2654435761 % 1000) as f32 / 1000.0) - 0.5,
-            ((i * 40503 % 1000) as f32 / 1000.0) - 0.5,
-        )
-    }));
-    let plan = ClusterPlan::new(m, clusters);
-    // Partial Grams exactly as the first stage publishes them.
-    let mut parts = vec![Cf32::ZERO; clusters * k * k];
-    for cluster in 0..clusters {
-        let rows = plan.range(cluster);
-        let len = rows.len();
-        let a = &h.as_slice()[rows.start * k..rows.end * k];
-        let mut ah = vec![Cf32::ZERO; k * len];
-        agora_math::simd::conj_transpose(a, len, k, &mut ah, tier);
-        let out = &mut parts[cluster * k * k..(cluster + 1) * k * k];
-        agora_math::gram_accumulate_with_tier(len, k, &ah, a, out, tier);
-    }
-    // Unsharded reference: the full pinv (falls back to SVD internally).
-    let mut s = PinvScratch::with_tier(m, k, tier);
-    let mut full = CMat::zeros(k, m);
-    pinv_into(&h, PinvMethod::Cholesky, &mut s, &mut full);
-    // Sharded: each shard folds and solves its own column slice.
-    let mut assembled = CMat::zeros(k, m);
-    for shard in 0..clusters {
-        let cols = plan.range(shard);
-        let mut out = CMat::zeros(k, cols.len());
-        gram_reduce(&parts, s.gram_mut().as_mut_slice());
-        let (start, len) = (cols.start, cols.len());
-        pinv_from_gram_slice_into(&h, PinvMethod::Cholesky, start, len, &mut s, &mut out);
-        for u in 0..k {
-            for (c, a) in cols.clone().enumerate() {
-                assembled[(u, a)] = out[(u, c)];
-            }
-        }
-    }
-    check(
-        bits(assembled.as_slice()) == bits(full.as_slice()),
-        "singular channel: sharded SVD fallback equals unsharded fallback",
     );
 }
 

@@ -21,7 +21,7 @@
 //! | `fig8_cells` | Fig 8, deployment flavour: aggregate throughput vs cell count at a fixed total core budget |
 //! | `ext_ablations` | Extensions: stale-precoder early start, batch-size sweep (simulator) |
 //! | `ext_faults` | Extension: frame survival under injected fronthaul loss / reorder / duplication |
-//! | `parity` | CI smoke: every release-build parity check (SIMD tiers, batched FFT, ZF solvers, fronthaul I/O paths, deployment ledgers, staged ZF, lanes vs inline) as one table; `parity [name…]` runs a subset |
+//! | `parity` | CI smoke: every release-build parity check (SIMD tiers, batched FFT, ZF solvers, fronthaul I/O paths, deployment ledgers, lanes vs inline) as one table; `parity [name…]` runs a subset |
 //!
 //! The multi-core latency figures run on the calibrated discrete-event
 //! simulator (`agora_core::sim`) because this machine exposes two

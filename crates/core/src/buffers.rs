@@ -302,11 +302,11 @@ impl PacketSlots {
 /// * `freq[symbol]` — post-FFT active subcarriers of data symbols,
 ///   `[block][antenna][8 sc]`: a demod block's antenna samples are whole
 ///   cache lines, contiguous per antenna.
-/// * `csi[sc][antenna][user]` — estimated channel (pilot symbols).
+/// * `csi[group][antenna][user]` — the estimated channel of each ZF
+///   group, written by the pilot FFT tasks; a ZF task reads one `M x K`
+///   row.
 /// * `det[group][user][antenna]`, `pre[group][antenna][user]` — ZF
 ///   outputs: the formed detector and the power-normalised precoder.
-/// * `gram_part[group][cluster][user][user]` — per-cluster partial Grams
-///   of the staged ZF path.
 /// * `llr[symbol][user][bit]` — demodulated soft bits.
 /// * `decoded[symbol][user][bit]` + `decode_ok[symbol][user]`.
 /// * downlink mirrors: `dl_bits`, `dl_freq`, `dl_time`.
@@ -315,18 +315,12 @@ pub struct FrameBuffers {
     pub rx_pkts: PacketSlots,
     /// Frequency-domain samples per data/pilot symbol.
     pub freq: SharedVec<Cf32>,
-    /// Channel estimates.
+    /// Channel estimates, one `M x K` matrix per ZF group.
     pub csi: SharedVec<Cf32>,
     /// Uplink detectors.
     pub det: SharedVec<Cf32>,
     /// Downlink precoders.
     pub pre: SharedVec<Cf32>,
-    /// Per-(group, cluster) partial Gram matrices (`K x K`) for the
-    /// antenna-cluster partitioned ZF path: cluster `c` publishes
-    /// `H_c^H H_c` here, and the reduce task folds the partials in fixed
-    /// cluster order. Unused (zero-length stride reuse aside) when
-    /// `clusters == 1`.
-    pub gram_part: SharedVec<Cf32>,
     /// Soft demodulator output.
     pub llr: SharedVec<f32>,
     /// Quantised soft demodulator output (fixed-point decoding plane).
@@ -346,8 +340,6 @@ pub struct FrameBuffers {
     // --- derived strides ---
     freq_per_symbol: usize,
     mk: usize,
-    kk: usize,
-    clusters: usize,
     llr_per_user: usize,
     info_bits: usize,
     dl_bits_per_user: usize,
@@ -370,8 +362,6 @@ pub struct BufferGeometry {
     pub block: usize,
     /// ZF group size.
     pub zf_group: usize,
-    /// Antenna clusters for the partitioned-ZF path (1 = monolithic).
-    pub clusters: usize,
     /// Coded-bit capacity per (symbol, user).
     pub cap_bits: usize,
     /// Information bits per code block.
@@ -394,10 +384,9 @@ impl FrameBuffers {
         Self {
             rx_pkts: PacketSlots::new(g.symbols * g.m),
             freq: SharedVec::zeroed(g.symbols * freq_per_symbol),
-            csi: SharedVec::zeroed(g.q * g.m * g.k),
+            csi: SharedVec::zeroed(groups * g.m * g.k),
             det: SharedVec::zeroed(groups * g.k * g.m),
             pre: SharedVec::zeroed(groups * g.m * g.k),
-            gram_part: SharedVec::zeroed(groups * g.clusters * g.k * g.k),
             llr: SharedVec::zeroed(g.symbols * g.k * g.cap_bits),
             llr_i8: SharedVec::zeroed(g.symbols * g.k * g.cap_bits),
             decoded: SharedVec::zeroed(g.symbols * g.k * g.info_bits),
@@ -407,8 +396,6 @@ impl FrameBuffers {
             dl_time: SharedVec::zeroed(g.symbols * g.m * g.samples),
             freq_per_symbol,
             mk: g.m * g.k,
-            kk: g.k * g.k,
-            clusters: g.clusters,
             llr_per_user: g.cap_bits,
             info_bits: g.info_bits,
             dl_bits_per_user: g.cap_bits,
@@ -444,9 +431,9 @@ impl FrameBuffers {
         g.freq_block_offset(block, ant)
     }
 
-    /// Range of one subcarrier's CSI (`M x K` row-major).
-    pub fn csi_range(&self, sc: usize) -> core::ops::Range<usize> {
-        let base = sc * self.mk;
+    /// Range of one ZF group's CSI (`M x K` row-major).
+    pub fn csi_range(&self, group: usize) -> core::ops::Range<usize> {
+        let base = group * self.mk;
         base..base + self.mk
     }
 
@@ -460,22 +447,6 @@ impl FrameBuffers {
     pub fn pre_range(&self, group: usize) -> core::ops::Range<usize> {
         let base = group * self.mk;
         base..base + self.mk
-    }
-
-    /// Range of one (group, cluster) partial Gram matrix (`K x K`
-    /// row-major). Clusters of a group are adjacent, so the reduce task
-    /// reads all of a group's partials through one contiguous view.
-    pub fn gram_part_range(&self, group: usize, cluster: usize) -> core::ops::Range<usize> {
-        debug_assert!(cluster < self.clusters, "cluster out of range");
-        let base = (group * self.clusters + cluster) * self.kk;
-        base..base + self.kk
-    }
-
-    /// Combined range of all of a group's partial Grams, in cluster
-    /// order — the reduce task's input view.
-    pub fn gram_part_group_range(&self, group: usize) -> core::ops::Range<usize> {
-        let base = group * self.clusters * self.kk;
-        base..base + self.clusters * self.kk
     }
 
     /// Range of one (symbol, user) LLR block.
@@ -607,7 +578,6 @@ mod tests {
             samples: 64,
             block: 8,
             zf_group: 16,
-            clusters: 2,
             cap_bits: 64,
             info_bits: 20,
         }
@@ -678,7 +648,7 @@ mod tests {
     #[test]
     fn every_frame_plane_starts_on_a_cache_line() {
         fn check(fb: &FrameBuffers, what: &str) {
-            let cf32 = [&fb.freq, &fb.csi, &fb.det, &fb.pre, &fb.gram_part];
+            let cf32 = [&fb.freq, &fb.csi, &fb.det, &fb.pre];
             for (i, plane) in cf32.into_iter().chain([&fb.dl_freq, &fb.dl_time]).enumerate() {
                 assert!(is_line_aligned(plane.buf.as_ptr()), "{what}: Cf32 plane {i}");
             }
@@ -777,29 +747,6 @@ mod tests {
             }
         }
         assert_eq!(total, fb.llr.len());
-    }
-
-    #[test]
-    fn gram_part_ranges_tile_buffer() {
-        let g = geom();
-        let fb = FrameBuffers::new(&g);
-        let groups = g.q.div_ceil(g.zf_group);
-        // Per-(group, cluster) ranges are disjoint, K x K each, and tile
-        // the plane; a group's clusters are adjacent so the group view
-        // is exactly their concatenation in cluster order.
-        let mut next = 0;
-        for group in 0..groups {
-            let gr = fb.gram_part_group_range(group);
-            assert_eq!(gr.start, next);
-            for cluster in 0..g.clusters {
-                let r = fb.gram_part_range(group, cluster);
-                assert_eq!(r.len(), g.k * g.k);
-                assert_eq!(r.start, next, "cluster ranges not adjacent");
-                next = r.end;
-            }
-            assert_eq!(gr.end, next);
-        }
-        assert_eq!(next, fb.gram_part.len());
     }
 
     #[test]

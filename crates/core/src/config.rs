@@ -78,21 +78,14 @@ pub struct EngineConfig {
     /// its in-flight tasks are flushed, its state freed, and a result
     /// with `dropped: true` is emitted so the pipeline keeps pace under
     /// fronthaul loss ("Agora drops the frame and continues", §6).
-    /// `None` runs no watchdog: incomplete frames are only reaped by the
-    /// end-of-input stall detector, and a wholly lost frame more than
-    /// `frame_window` frames back parks the network thread for good.
+    /// `None` runs no watchdog: an incomplete frame is given up only
+    /// once nothing has moved for a while and either the input has ended
+    /// or a full window of later frames waits behind it.
     pub frame_deadline_ns: Option<u64>,
     /// Packets the network thread requests per `recv_batch` poll when
     /// driven from a [`agora_fronthaul::Fronthaul`] link (one `recvmmsg`
     /// syscall drains up to this many).
     pub rx_batch: usize,
-    /// Antenna clusters of the ZF block. With more than one, each ZF
-    /// group's `H^H H` Gram is computed as this many per-cluster partials
-    /// by independent workers and reduced in fixed cluster-index order
-    /// (deterministic f32 sum order) before the solve; 1 (default) runs
-    /// one task per group. Must be between 1 and the cell's antenna
-    /// count.
-    pub antenna_clusters: usize,
     /// Pin the manager, network, and worker threads to distinct CPUs via
     /// `sched_setaffinity` (best-effort: silently unpinned where the
     /// syscall is unavailable or refused). Off by default so tests and
@@ -115,7 +108,6 @@ impl EngineConfig {
             stale_precoder: false,
             frame_deadline_ns: None,
             rx_batch: 32,
-            antenna_clusters: 1,
             pin_cores: false,
         };
         cfg.clamp_batches();
@@ -176,15 +168,6 @@ impl EngineConfig {
         }
         if self.rx_batch == 0 {
             return Err("rx batch must be at least 1".into());
-        }
-        if self.antenna_clusters == 0 {
-            return Err("antenna clusters must be at least 1".into());
-        }
-        if self.antenna_clusters > self.cell.num_antennas {
-            return Err(format!(
-                "antenna clusters {} exceed antenna count {}",
-                self.antenna_clusters, self.cell.num_antennas
-            ));
         }
         Ok(())
     }
@@ -269,37 +252,6 @@ mod tests {
         let mut cfg = EngineConfig::new(CellConfig::tiny_test(2), 1);
         cfg.rx_batch = 0;
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn antenna_cluster_bounds_enforced() {
-        let mut cfg = EngineConfig::new(CellConfig::tiny_test(2), 2);
-        assert_eq!(cfg.antenna_clusters, 1, "clusters default to one");
-        cfg.antenna_clusters = cfg.cell.num_antennas;
-        cfg.validate().expect("clusters = antennas must validate");
-        cfg.antenna_clusters = 0;
-        assert!(cfg.validate().is_err(), "zero clusters rejected");
-        cfg.antenna_clusters = cfg.cell.num_antennas + 1;
-        assert!(cfg.validate().is_err(), "clusters > antennas rejected");
-    }
-
-    /// The cluster count alone selects the ZF dataflow: one task per
-    /// group at one cluster, partial Grams + reduces above.
-    #[test]
-    fn cluster_count_alone_picks_the_staged_shape() {
-        use crate::state::{Ready, ZfStage};
-        let stages = |clusters: usize| {
-            let mut cfg = EngineConfig::new(CellConfig::tiny_test(2), 2);
-            cfg.antenna_clusters = clusters;
-            let shape = crate::kernels::Kernels::new(cfg.clone()).shape;
-            let mut out = Vec::new();
-            shape.expand(0, Ready::AllZf, &cfg.batch, &mut out);
-            out.iter().map(|m| ZfStage::of(m.stage)).collect::<Vec<_>>()
-        };
-        assert!(stages(1).iter().all(|s| *s == ZfStage::Mono));
-        let staged = stages(4);
-        assert!(staged.iter().all(|s| matches!(s, ZfStage::Partial(_))));
-        assert!(staged.contains(&ZfStage::Partial(3)));
     }
 
     #[test]

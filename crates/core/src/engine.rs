@@ -10,10 +10,10 @@
 //! pipeline-parallel baseline of §5.4 exists only in the simulator
 //! (`sim::SimPolicy`).
 
-use crate::buffers::FrameWindow;
+use crate::buffers::{FrameBuffers, FrameWindow};
 use crate::config::EngineConfig;
 use crate::kernels::{Kernels, WorkerScratch};
-use crate::state::{Arrival, FrameTable, Milestones, Retired, ZfStage, STAGE_STALE_PRECODER};
+use crate::state::{Arrival, FrameTable, Milestones, Retired, STAGE_STALE_PRECODER};
 use crate::stats::{Counter, EngineStats};
 use agora_fronthaul::packet::decode_ref;
 use agora_fronthaul::{Fronthaul, PacketBuf};
@@ -288,14 +288,13 @@ impl CellCore {
         let kernels = Arc::new(Kernels::new(cfg));
         let window = Arc::new(FrameWindow::new(kernels.geom, frame_window));
         // Queue capacity: enough for every task message of all in-flight
-        // frames (demod dominates: q/8 messages per symbol; the staged
-        // ZF path adds up to ~2 messages per (group, cluster)). Lanes
-        // only ever hold a subset of the same in-flight messages, so the
-        // shared queues can always absorb a full lane flush.
+        // frames (demod dominates at q/8 messages per symbol; counting it
+        // as q leaves room for everything else, the frame's ZF messages
+        // included). Lanes only ever hold a subset of the same in-flight
+        // messages, so the shared queues can always absorb a full lane
+        // flush.
         let g = &kernels.geom;
-        let staged_zf = g.clusters * (g.q.div_ceil(g.zf_group) * 2 + 8);
-        let cap =
-            ((g.symbols * (g.m + g.q + g.k + 8) + staged_zf) * frame_window).next_power_of_two();
+        let cap = (g.symbols * (g.m + g.q + g.k + 8) * frame_window).next_power_of_two();
         Self {
             kernels,
             window,
@@ -354,6 +353,14 @@ impl Engine {
     /// The engine's kernel set (geometry, plans).
     pub fn kernels(&self) -> &Kernels {
         &self.core.kernels
+    }
+
+    /// The frame buffers of `frame`'s window slot (testing and
+    /// instrumentation; the mirror of `InlineProcessor::buffers`). Only
+    /// meaningful once `process*` has returned, and for a frame still
+    /// inside the window — one of the last `frame_window` it processed.
+    pub fn buffers(&self, frame: u32) -> &FrameBuffers {
+        self.core.window.slot(frame)
     }
 
     /// Processes `num_frames` frames worth of packets. A network thread
@@ -591,14 +598,10 @@ impl CellCore {
                     // The completing worker's caches now hold this symbol's
                     // buffers: send the symbol's next stage to its lane.
                     ctx.set_lane(msg, msg.aux as usize);
-                    let step = table.on_complete(msg, last_progress.as_nanos() as u64, &mut out);
-                    // CSI interpolation runs inline on the manager between
-                    // pilot completion and ZF dispatch (cheap, single pass).
-                    if step.interpolate_csi {
-                        kernels.interpolate_csi(self.window.slot(msg.frame));
-                    }
+                    let finished =
+                        table.on_complete(msg, last_progress.as_nanos() as u64, &mut out);
                     self.place(&mut ctx, &mut out);
-                    if step.finished {
+                    if finished {
                         self.retire(&mut ctx, &mut table, msg.frame, &mut results);
                     }
                 }
@@ -626,19 +629,33 @@ impl CellCore {
             }
 
             if idle {
-                // End of input: the network thread has delivered all it
-                // ever will and nothing is queued or moving, so every
-                // frame of this call still unfinished is missing packets.
-                // Give them up rather than spin forever.
-                if net_done.load(Ordering::Acquire)
-                    && start.elapsed() - last_progress > STALL
+                // Nothing has arrived or completed for a while and nothing
+                // is queued: whatever is unfinished is missing packets.
+                let stalled = start.elapsed() - last_progress > STALL
                     && self.queues.tasks.iter().all(|q| q.is_empty())
-                    && self.queues.lanes.iter().all(|l| l.is_empty())
-                {
+                    && self.queues.lanes.iter().all(|l| l.is_empty());
+                // End of input: the network thread has delivered all it
+                // ever will, so that holds for every frame of this call
+                // still unfinished. Give them up rather than spin forever.
+                if stalled && net_done.load(Ordering::Acquire) {
                     for frame in table.watermark()..first + num_frames {
                         table.abandon(frame);
                         self.retire(&mut ctx, &mut table, frame, &mut results);
                     }
+                    continue;
+                }
+                // Flow control: the table spans the whole window, so the
+                // network thread admits nothing more until the watermark
+                // moves, and the watermark frame has a window of later
+                // frames behind it and nothing left to run. Give it up,
+                // whatever state its slot is in — without a deadline
+                // nothing else would, the network thread would wait on it
+                // for good and `net_done` would never come.
+                if stalled && table.len() == self.window.window() {
+                    let frame = table.watermark();
+                    table.abandon(frame);
+                    self.retire(&mut ctx, &mut table, frame, &mut results);
+                    last_progress = start.elapsed();
                     continue;
                 }
                 std::thread::yield_now();
@@ -915,19 +932,11 @@ pub(crate) fn execute(
     let count = msg.count as usize;
     match msg.task {
         TaskType::Fft => kernels.fft_batch_task(fb, scratch, symbol, base, count),
-        TaskType::Zf => match ZfStage::of(msg.stage) {
-            ZfStage::Mono => {
-                for group in base..base + count {
-                    kernels.zf_task(fb, scratch, group);
-                }
+        TaskType::Zf => {
+            for group in base..base + count {
+                kernels.zf_task(fb, scratch, group);
             }
-            ZfStage::Partial(cluster) => {
-                for group in base..base + count {
-                    kernels.gram_partial_task(fb, scratch, group, cluster);
-                }
-            }
-            ZfStage::Reduce(shard) => kernels.zf_reduce_task(fb, scratch, base, shard),
-        },
+        }
         TaskType::Demod => kernels.demod_task(fb, scratch, msg.frame, symbol, base, count),
         TaskType::Decode => {
             for user in base..base + count {
@@ -957,10 +966,10 @@ mod tests {
     use agora_fronthaul::{MemFronthaul, RruConfig, RruEmulator};
     use agora_phy::CellConfig;
 
-    /// A staged-ZF completion names a cluster or a shard in `stage`,
-    /// never a symbol: the lane that holds data symbol 2 stays its lane.
+    /// A ZF completion names groups of the frame, never a symbol: the
+    /// lane that holds data symbol 2 stays its lane.
     #[test]
-    fn staged_zf_completion_leaves_data_symbol_affinity_alone() {
+    fn zf_completion_leaves_data_symbol_affinity_alone() {
         let (window, symbols) = (4, 6);
         let mut ctx = ManagerCtx::new(window, symbols);
         let demod = Msg::task(TaskType::Demod, 5, 2, 0, 8);
@@ -968,19 +977,11 @@ mod tests {
         ctx.set_lane(&demod.complete(1), 1);
         assert_eq!(ctx.lane_of(&demod), Some(1));
 
-        let shape = crate::state::FrameShape {
-            m: 8,
-            k: 2,
-            q: 16,
-            zf_groups: 2,
-            zf_clusters: 3,
-            zf_reduce_shards: 3,
-        };
+        let shape = crate::state::FrameShape { m: 8, k: 2, q: 16, zf_groups: 6 };
+        let batch = crate::config::BatchSizes { zf: 2, ..Default::default() };
         let mut zf = Vec::new();
-        for ready in [crate::state::Ready::AllZf, crate::state::Ready::ZfReduce { group: 1 }] {
-            shape.expand(5, ready, &crate::config::BatchSizes::default(), &mut zf);
-        }
-        assert_eq!(zf.len(), 6, "three partials and three reduce shards");
+        shape.expand(5, crate::state::Ready::AllZf, &batch, &mut zf);
+        assert_eq!(zf.len(), 3, "six groups, two per message");
         for msg in &zf {
             ctx.set_lane(&msg.complete(0), 0);
         }
@@ -995,48 +996,12 @@ mod tests {
         assert_eq!(ctx.lane_of(&other), Some(0));
     }
 
-    /// The staged antenna-cluster ZF path (with its sharded reduce) must
-    /// decode the same bits as the monolithic path under the real
-    /// scheduler.
-    #[test]
-    fn threaded_staged_zf_matches_monolithic_bits() {
-        let cell = CellConfig::tiny_test(2);
-        let mut rru = RruEmulator::new(
-            cell.clone(),
-            RruConfig { snr_db: 30.0, seed: 45, ..Default::default() },
-        );
-        let frames = 2u32;
-        let mut packets = Vec::new();
-        for f in 0..frames {
-            let (p, _) = rru.generate_frame(f);
-            packets.extend(p);
-        }
-        let run = |clusters: usize| {
-            let mut cfg = EngineConfig::new(cell.clone(), 2);
-            cfg.noise_power = rru.noise_power();
-            cfg.antenna_clusters = clusters;
-            let mut results = Engine::new(cfg).process(packets.clone(), frames, false);
-            results.sort_by_key(|r| r.frame);
-            results
-        };
-        let mono = run(1);
-        let staged = run(4);
-        assert_eq!(mono.len(), staged.len());
-        for (m, s) in mono.iter().zip(staged.iter()) {
-            assert!(!s.dropped, "frame {} dropped", s.frame);
-            assert_eq!(m.decoded, s.decoded, "frame {}", s.frame);
-            assert_eq!(m.decode_ok, s.decode_ok);
-        }
-    }
-
-    /// A frame none of whose packets arrive must not pin flow control:
-    /// with more than a window of frames behind it the network thread
-    /// waits on the watermark, so the vacant slot has to expire with the
-    /// frames finishing above it. Every frame comes back, the lost one
-    /// dropped and charged with all its packets, and the ledger
-    /// reconciles exactly.
-    #[test]
-    fn wholly_lost_frame_beyond_the_window_is_dropped_not_waited_for() {
+    /// `frame_window + 2` frames through the engine with frame 1 keeping
+    /// only the packets `keep` selects (by index within the frame): every
+    /// frame comes back, in order, frame 1 dropped and charged with exactly
+    /// the packets it lost, the others decoded to ground truth, and the
+    /// ledger reconciles.
+    fn run_with_frame_1_short(deadline_ns: Option<u64>, keep: impl Fn(usize) -> bool) {
         let cell = CellConfig::tiny_test(2);
         let mut rru = RruEmulator::new(
             cell.clone(),
@@ -1044,21 +1009,22 @@ mod tests {
         );
         let mut cfg = EngineConfig::new(cell.clone(), 2);
         cfg.noise_power = rru.noise_power();
-        // Generous: the lost frame goes with its neighbours, not by time.
-        cfg.frame_deadline_ns = Some(30_000_000_000);
+        cfg.frame_deadline_ns = deadline_ns;
         let frames = cfg.frame_window as u32 + 2;
-        let lost = 1u32;
+        let short = 1u32;
         let mut packets = Vec::new();
         let mut gts = Vec::new();
-        let mut per_frame = 0;
+        let mut lost = 0;
         for f in 0..frames {
             let (p, gt) = rru.generate_frame(f);
-            per_frame = p.len();
-            if f != lost {
-                packets.extend(p);
-            }
+            let sent = p.len();
+            let kept = p.into_iter().enumerate().filter(|(i, _)| f != short || keep(*i));
+            let kept: Vec<_> = kept.map(|(_, pkt)| pkt).collect();
+            lost += sent - kept.len();
+            packets.extend(kept);
             gts.push(gt);
         }
+        assert!(lost > 0, "frame {short} must lose something");
         let engine = Engine::new(cfg);
         let results = engine.process(packets, frames, false);
         assert_eq!(
@@ -1066,9 +1032,9 @@ mod tests {
             (0..frames).collect::<Vec<_>>()
         );
         for r in &results {
-            if r.frame == lost {
+            if r.frame == short {
                 assert!(r.dropped);
-                assert_eq!(r.lost_packets as usize, per_frame, "the whole frame is charged");
+                assert_eq!(r.lost_packets as usize, lost, "charged with exactly what it lost");
                 continue;
             }
             assert!(!r.dropped && r.lost_packets == 0, "frame {}", r.frame);
@@ -1077,12 +1043,36 @@ mod tests {
             }
         }
         let stats = engine.stats();
-        assert_eq!(stats.get(Counter::PacketsLost), per_frame as u64);
+        assert_eq!(stats.get(Counter::PacketsLost), lost as u64);
         assert_eq!(
             (stats.get(Counter::FramesCompleted), stats.get(Counter::FramesDropped)),
             (frames as u64 - 1, 1)
         );
         assert_eq!((stats.get(Counter::PacketsLate), stats.get(Counter::PacketsDuplicate)), (0, 0));
+    }
+
+    /// A frame none of whose packets arrive must not pin flow control:
+    /// with more than a window of frames behind it the network thread
+    /// waits on the watermark, so the vacant slot has to expire with the
+    /// frames finishing above it — the deadline is generous, the lost
+    /// frame goes with its neighbours, not by time.
+    #[test]
+    fn wholly_lost_frame_beyond_the_window_is_dropped_not_waited_for() {
+        run_with_frame_1_short(Some(30_000_000_000), |_| false);
+    }
+
+    /// The same streams with no deadline at all: once the window above
+    /// the short frame is full and nothing moves, the manager gives the
+    /// watermark frame up, which is what lets the network thread go on —
+    /// whether the frame lost every packet or a single one.
+    #[test]
+    fn wholly_lost_frame_beyond_the_window_is_dropped_without_a_deadline() {
+        run_with_frame_1_short(None, |_| false);
+    }
+
+    #[test]
+    fn frame_one_packet_short_beyond_the_window_is_dropped_without_a_deadline() {
+        run_with_frame_1_short(None, |i| i != 5);
     }
 
     /// Driving the engine straight off a [`Fronthaul`] link must decode

@@ -39,12 +39,6 @@ pub const STALE_PRECODER_SYMBOLS: usize = 2;
 pub enum Ready {
     /// All ZF groups (dispatched together once pilots are done).
     AllZf,
-    /// One group's ZF reduce (staged path: every cluster's partial Gram
-    /// for the group has been published).
-    ZfReduce {
-        /// Subcarrier group index.
-        group: usize,
-    },
     /// Demodulation for a whole symbol (manager batches subcarriers).
     DemodSymbol {
         /// Symbol index.
@@ -79,38 +73,6 @@ pub const STAGE_STALE_PRECODER: u16 = 1;
 /// ZF is per frame, not per symbol: its messages carry this symbol index.
 const ZF_SYMBOL: usize = 0;
 
-/// Which stage of the ZF block a [`TaskType::Zf`] message carries, in
-/// `Msg::stage`: the kind in the low two bits, its index above them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ZfStage {
-    /// Monolithic task: `base..base + count` are whole groups.
-    Mono,
-    /// Partial Gram of one antenna cluster over groups `base..base + count`.
-    Partial(usize),
-    /// One reduce shard of group `base`.
-    Reduce(usize),
-}
-
-impl ZfStage {
-    /// Decodes the `stage` field of a ZF message.
-    pub fn of(stage: u16) -> Self {
-        let index = (stage >> 2) as usize;
-        match stage & 3 {
-            0 => ZfStage::Mono,
-            1 => ZfStage::Partial(index),
-            _ => ZfStage::Reduce(index),
-        }
-    }
-
-    fn stage(self) -> u16 {
-        match self {
-            ZfStage::Mono => 0,
-            ZfStage::Partial(cluster) => (cluster as u16) << 2 | 1,
-            ZfStage::Reduce(shard) => (shard as u16) << 2 | 2,
-        }
-    }
-}
-
 /// Splits `total` consecutive tasks into `(base, count)` runs of at most
 /// `step` — the message granularity of §3.4 "Batching".
 pub(crate) fn runs(total: usize, step: usize) -> impl Iterator<Item = (u32, u32)> {
@@ -127,84 +89,41 @@ pub struct FrameShape {
     pub k: usize,
     /// Data subcarriers (demod/precode tasks per symbol).
     pub q: usize,
-    /// ZF subcarrier groups.
+    /// ZF subcarrier groups (one ZF task each).
     pub zf_groups: usize,
-    /// Antenna clusters of the ZF block (at least one). With more than
-    /// one the ZF stage is staged — partial Grams, then reduces — and
-    /// with one it is a single task per group.
-    pub zf_clusters: usize,
-    /// Reduce shards per group on the staged path.
-    pub zf_reduce_shards: usize,
 }
 
 impl FrameShape {
-    /// Shape of `cell`'s frames with `zf_clusters` antenna clusters. The
-    /// staged reduce is sharded across the detector's antenna columns
-    /// (one shard per cluster) only when nothing needs the full detector
-    /// in one place, i.e. on uplink-only schedules: the downlink precoder
-    /// normalisation scales by the *global* max antenna power, which
-    /// forces a single reduce task.
-    ///
-    /// # Panics
-    /// Panics if `zf_clusters` is zero.
-    pub fn new(cell: &CellConfig, zf_clusters: usize) -> Self {
-        assert!(zf_clusters >= 1, "at least one antenna cluster");
-        let single_reduce = !cell.schedule.downlink_indices().is_empty();
+    /// Shape of `cell`'s frames.
+    pub fn new(cell: &CellConfig) -> Self {
         Self {
             m: cell.num_antennas,
             k: cell.num_users,
             q: cell.num_data_sc,
             zf_groups: cell.num_zf_groups(),
-            zf_clusters,
-            zf_reduce_shards: if single_reduce { 1 } else { zf_clusters },
         }
-    }
-
-    /// Whether the ZF stage runs as partial Grams + reduces rather than
-    /// one task per group.
-    pub fn staged_zf(&self) -> bool {
-        self.zf_clusters > 1
     }
 
     /// Appends the queue messages that carry `ready` to `out`, `batch`
     /// tasks per message (§3.4 "Batching"). FFT messages are not made
     /// here: [`FrameTable::on_packet`] builds them from arrivals.
     pub fn expand(&self, frame: u32, ready: Ready, batch: &BatchSizes, out: &mut Vec<Msg>) {
-        let mut chunked = |task, symbol: usize, stage: u16, total: usize, step: usize| {
-            out.extend(
-                runs(total, step)
-                    .map(|(b, n)| Msg::task(task, frame, symbol as u32, b, n).with_stage(stage)),
-            );
+        let mut chunked = |task, symbol: usize, total: usize, step: usize| {
+            out.extend(runs(total, step).map(|(b, n)| Msg::task(task, frame, symbol as u32, b, n)));
         };
         match ready {
-            Ready::AllZf if !self.staged_zf() => {
-                chunked(TaskType::Zf, ZF_SYMBOL, ZfStage::Mono.stage(), self.zf_groups, batch.zf)
-            }
-            Ready::AllZf => {
-                for cluster in 0..self.zf_clusters {
-                    let stage = ZfStage::Partial(cluster).stage();
-                    chunked(TaskType::Zf, ZF_SYMBOL, stage, self.zf_groups, batch.zf);
-                }
-            }
-            Ready::ZfReduce { group } => {
-                for shard in 0..self.zf_reduce_shards {
-                    let msg = Msg::task(TaskType::Zf, frame, ZF_SYMBOL as u32, group as u32, 1);
-                    out.push(msg.with_stage(ZfStage::Reduce(shard).stage()));
-                }
-            }
-            Ready::DemodSymbol { symbol } => {
-                chunked(TaskType::Demod, symbol, 0, self.q, batch.demod)
-            }
+            Ready::AllZf => chunked(TaskType::Zf, ZF_SYMBOL, self.zf_groups, batch.zf),
+            Ready::DemodSymbol { symbol } => chunked(TaskType::Demod, symbol, self.q, batch.demod),
             Ready::DecodeSymbol { symbol } => {
-                chunked(TaskType::Decode, symbol, 0, self.k, batch.decode)
+                chunked(TaskType::Decode, symbol, self.k, batch.decode)
             }
             Ready::EncodeSymbol { symbol } => {
-                chunked(TaskType::Encode, symbol, 0, self.k, batch.encode)
+                chunked(TaskType::Encode, symbol, self.k, batch.encode)
             }
             Ready::PrecodeSymbol { symbol } => {
-                chunked(TaskType::Precode, symbol, 0, self.q, batch.precode)
+                chunked(TaskType::Precode, symbol, self.q, batch.precode)
             }
-            Ready::IfftSymbol { symbol } => chunked(TaskType::Ifft, symbol, 0, self.m, batch.ifft),
+            Ready::IfftSymbol { symbol } => chunked(TaskType::Ifft, symbol, self.m, batch.ifft),
         }
     }
 }
@@ -258,10 +177,6 @@ pub struct FrameState {
     pilot_ffts_remaining: usize,
     zf_dispatched: bool,
     zf_done: usize,
-    /// Staged ZF: per-group partial-Gram completions.
-    zf_partials: Vec<usize>,
-    /// Staged ZF: per-group reduce-shard completions.
-    zf_reduces: Vec<usize>,
     demod_dispatched: Vec<bool>,
     demod_done: Vec<usize>,
     decode_dispatched: Vec<bool>,
@@ -277,12 +192,9 @@ pub struct FrameState {
 }
 
 impl FrameState {
-    /// Creates the tracker for `frame`. On the staged ZF path each group
-    /// needs `shape.zf_clusters` partial-Gram completions before its reduce
-    /// becomes ready, and `shape.zf_reduce_shards` reduce completions
-    /// before it counts toward ZF completion.
+    /// Creates the tracker for `frame`.
     pub fn new(frame: u32, schedule: FrameSchedule, shape: FrameShape) -> Self {
-        let FrameShape { m, k, zf_groups, .. } = shape;
+        let FrameShape { m, k, .. } = shape;
         let symbols = schedule.len();
         let pilot_ffts = schedule.pilot_indices().len() * m;
         let ul_symbols = schedule.uplink_indices().len();
@@ -298,8 +210,6 @@ impl FrameState {
             pilot_ffts_remaining: pilot_ffts,
             zf_dispatched: false,
             zf_done: 0,
-            zf_partials: vec![0; zf_groups],
-            zf_reduces: vec![0; zf_groups],
             demod_dispatched: vec![false; symbols],
             demod_done: vec![0; symbols],
             decode_dispatched: vec![false; symbols],
@@ -342,17 +252,11 @@ impl FrameState {
     /// A task message completed: applies the transition it stands for
     /// and reports what that unlocked.
     pub fn on_complete(&mut self, msg: &Msg) -> Completion {
-        let (symbol, base, count) = (msg.symbol as usize, msg.base as usize, msg.count as usize);
+        let (symbol, count) = (msg.symbol as usize, msg.count as usize);
         let mut done = Completion::default();
         match msg.task {
             TaskType::Fft => done.ready = self.on_fft_done(symbol, count),
-            TaskType::Zf => {
-                done.ready = match ZfStage::of(msg.stage) {
-                    ZfStage::Mono => self.on_zf_done(count),
-                    ZfStage::Partial(_) => self.on_zf_partial_done(base, count),
-                    ZfStage::Reduce(_) => self.on_zf_reduce_done(base),
-                }
-            }
+            TaskType::Zf => done.ready = self.on_zf_done(count),
             TaskType::Demod => done.ready = self.on_demod_done(symbol, count),
             TaskType::Decode => done.ul_done = self.on_decode_done(symbol, count),
             TaskType::Encode => done.ready = self.on_encode_done(symbol, count),
@@ -405,37 +309,6 @@ impl FrameState {
             }
         }
         out
-    }
-
-    /// A batch of partial-Gram tasks (one cluster each, groups
-    /// `base..base + count`) completed. A group whose last cluster just
-    /// published becomes reduce-ready — the fixed-order fold must only
-    /// fire once every partial it reads is in place.
-    fn on_zf_partial_done(&mut self, base: usize, count: usize) -> Vec<Ready> {
-        debug_assert!(self.shape.staged_zf(), "staged accounting on the single-task ZF path");
-        let mut out = Vec::new();
-        for group in base..base + count {
-            self.zf_partials[group] += 1;
-            debug_assert!(self.zf_partials[group] <= self.shape.zf_clusters);
-            if self.zf_partials[group] == self.shape.zf_clusters {
-                out.push(Ready::ZfReduce { group });
-            }
-        }
-        out
-    }
-
-    /// One reduce shard of a group completed. The group counts toward
-    /// `zf_done` (with the usual unlock cascade) only once *all* of its
-    /// shards have published their detector columns.
-    fn on_zf_reduce_done(&mut self, group: usize) -> Vec<Ready> {
-        debug_assert!(self.shape.staged_zf(), "staged accounting on the single-task ZF path");
-        self.zf_reduces[group] += 1;
-        debug_assert!(self.zf_reduces[group] <= self.shape.zf_reduce_shards);
-        if self.zf_reduces[group] == self.shape.zf_reduce_shards {
-            self.on_zf_done(1)
-        } else {
-            Vec::new()
-        }
     }
 
     /// Demodulation progress on a symbol (in subcarriers).
@@ -580,17 +453,6 @@ pub enum Arrival {
     Duplicate,
     /// The frame is retired or being abandoned: nothing dispatched.
     Late,
-}
-
-/// What the caller owes the frame after [`FrameTable::on_complete`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Step {
-    /// The pilots just completed: interpolate the frame's CSI before the
-    /// ZF messages this call emitted run.
-    pub interpolate_csi: bool,
-    /// Nothing of the frame is left in flight and it is complete or
-    /// abandoned: [`FrameTable::retire`] will now return it.
-    pub finished: bool,
 }
 
 /// A frame leaving the table.
@@ -777,17 +639,18 @@ impl FrameTable {
     /// frame − 1 is still in the table with its ZF complete (only an
     /// unretired neighbour's precoder is safe to read). A completion for
     /// an abandoning frame unlocks nothing; one for a frame not in the
-    /// table is ignored.
-    pub fn on_complete(&mut self, msg: &Msg, now_ns: u64, out: &mut Vec<Msg>) -> Step {
+    /// table is ignored. Returns whether the frame is now finished —
+    /// nothing of it left in flight, and complete or abandoned — so that
+    /// [`Self::retire`] will return it.
+    pub fn on_complete(&mut self, msg: &Msg, now_ns: u64, out: &mut Vec<Msg>) -> bool {
         let (shape, batch) = (self.shape, self.batch);
-        let Some(idx) = self.index_of(msg.frame) else { return Step::default() };
+        let Some(idx) = self.index_of(msg.frame) else { return false };
         let prev_zf_complete = self.stale_precoder
             && msg.task == TaskType::Encode
             && idx > 0
             && self.slots[idx - 1].zf_complete();
-        let Slot::Live(rec) = &mut self.slots[idx] else { return Step::default() };
+        let Slot::Live(rec) = &mut self.slots[idx] else { return false };
         rec.inflight = rec.inflight.saturating_sub(1);
-        let mut step = Step::default();
         if !rec.abandoning {
             let emitted = out.len();
             let done = rec.state.on_complete(msg);
@@ -811,16 +674,14 @@ impl FrameTable {
                 for ready in st.precode_with_stale(msg.symbol as usize) {
                     shape.expand(msg.frame, ready, &batch, out);
                 }
-                out[emitted..].iter_mut().for_each(|m| m.stage = STAGE_STALE_PRECODER);
+                out[emitted..].iter_mut().for_each(|m| *m = m.with_stage(STAGE_STALE_PRECODER));
             }
-            step.interpolate_csi = done.ready.contains(&Ready::AllZf);
             for ready in done.ready {
                 shape.expand(msg.frame, ready, &batch, out);
             }
             rec.inflight += out.len() - emitted;
         }
-        step.finished = rec.finished();
-        step
+        rec.finished()
     }
 
     /// Frames to give up at `now_ns`: those whose first packet is more
@@ -909,18 +770,16 @@ mod tests {
     use agora_phy::frame::FrameSchedule;
 
     /// 4 antennas, 2 users, 32 SCs, 2 groups.
-    fn shape(zf_clusters: usize, zf_reduce_shards: usize) -> FrameShape {
-        FrameShape { m: 4, k: 2, q: 32, zf_groups: 2, zf_clusters, zf_reduce_shards }
-    }
+    const SHAPE: FrameShape = FrameShape { m: 4, k: 2, q: 32, zf_groups: 2 };
 
     /// 1 pilot + 2 uplink symbols.
     fn ul_state() -> FrameState {
-        FrameState::new(0, FrameSchedule::uplink(1, 2), shape(1, 1))
+        FrameState::new(0, FrameSchedule::uplink(1, 2), SHAPE)
     }
 
     /// 1 pilot + 2 downlink symbols.
     fn dl_state() -> FrameState {
-        FrameState::new(0, FrameSchedule::downlink(1, 2), shape(1, 1))
+        FrameState::new(0, FrameSchedule::downlink(1, 2), SHAPE)
     }
 
     #[test]
@@ -1075,73 +934,8 @@ mod tests {
     }
 
     #[test]
-    fn staged_zf_reduce_fires_only_when_all_partials_land() {
-        // 2 groups x 3 clusters x 2 reduce shards.
-        let mut st = FrameState::new(0, FrameSchedule::uplink(1, 1), shape(3, 2));
-        for ant in 0..4 {
-            st.on_packet(0, ant);
-            st.on_packet(1, ant);
-            st.on_fft_done(1, 1);
-        }
-        let r = st.on_fft_done(0, 4);
-        assert_eq!(r, vec![Ready::AllZf]);
-        // Two clusters across both groups: no reduce yet.
-        assert!(st.on_zf_partial_done(0, 2).is_empty());
-        assert!(st.on_zf_partial_done(0, 2).is_empty());
-        // Third cluster finishes group 0 first, then group 1.
-        assert_eq!(st.on_zf_partial_done(0, 1), vec![Ready::ZfReduce { group: 0 }]);
-        assert_eq!(st.on_zf_partial_done(1, 1), vec![Ready::ZfReduce { group: 1 }]);
-        // One shard of each group: ZF still incomplete, nothing unlocked.
-        assert!(st.on_zf_reduce_done(0).is_empty());
-        assert!(st.on_zf_reduce_done(1).is_empty());
-        assert!(!st.zf_complete());
-        // Final shards: group 0 completes silently (group 1 pending),
-        // group 1's completion runs the usual post-ZF unlock cascade.
-        assert!(st.on_zf_reduce_done(0).is_empty());
-        let r = st.on_zf_reduce_done(1);
-        assert!(st.zf_complete());
-        assert_eq!(r, vec![Ready::DemodSymbol { symbol: 1 }]);
-    }
-
-    /// Every staged-ZF message `expand` emits routes back, through
-    /// `on_complete`, to the transition for its stage — the encode and
-    /// the decode of `Msg::stage` are one table.
-    #[test]
-    fn expanded_zf_messages_route_back_through_on_complete() {
-        let sh = shape(3, 2);
-        let batch = BatchSizes { zf: 2, ..BatchSizes::default() };
-        let mut st = FrameState::new(5, FrameSchedule::uplink(1, 1), sh);
-        for ant in 0..4 {
-            st.on_packet(0, ant);
-        }
-        assert_eq!(st.on_fft_done(0, 4), vec![Ready::AllZf]);
-        let mut partials = Vec::new();
-        sh.expand(5, Ready::AllZf, &batch, &mut partials);
-        // 3 clusters x one 2-group message each.
-        assert_eq!(partials.len(), 3);
-        assert!(partials.iter().all(|m| m.task == TaskType::Zf && m.frame == 5 && m.count == 2));
-        let stages: Vec<ZfStage> = partials.iter().map(|m| ZfStage::of(m.stage)).collect();
-        assert_eq!(stages, [ZfStage::Partial(0), ZfStage::Partial(1), ZfStage::Partial(2)]);
-        let mut reduces = Vec::new();
-        for m in &partials {
-            for r in st.on_complete(m).ready {
-                sh.expand(5, r, &batch, &mut reduces);
-            }
-        }
-        // Both groups became reduce-ready on the last cluster: 2 shards each.
-        assert_eq!(reduces.len(), 4);
-        assert_eq!(ZfStage::of(reduces[1].stage), ZfStage::Reduce(1));
-        assert_eq!((reduces[2].base, reduces[2].count), (1, 1));
-        for m in &reduces {
-            assert!(!st.zf_complete());
-            st.on_complete(m);
-        }
-        assert!(st.zf_complete());
-    }
-
-    #[test]
     fn expand_batches_every_stage_and_keeps_the_tail() {
-        let sh = shape(1, 1);
+        let sh = SHAPE;
         let batch =
             BatchSizes { fft: 2, zf: 3, demod: 12, decode: 2, encode: 1, precode: 32, ifft: 3 };
         let spans = |ready| {
@@ -1171,17 +965,8 @@ mod tests {
     }
 
     #[test]
-    fn reduce_is_sharded_only_when_nothing_needs_the_whole_detector() {
-        let mut cell = CellConfig::tiny_test(2);
-        assert_eq!(FrameShape::new(&cell, 4).zf_reduce_shards, 4);
-        assert_eq!(FrameShape::new(&cell, 1).zf_reduce_shards, 1, "one cluster");
-        cell.schedule = FrameSchedule::parse("PUD").unwrap();
-        assert_eq!(FrameShape::new(&cell, 4).zf_reduce_shards, 1, "downlink");
-    }
-
-    #[test]
     fn stale_precode_only_for_early_encoded_symbols_before_zf() {
-        let mut st = FrameState::new(1, FrameSchedule::downlink(1, 3), shape(1, 1));
+        let mut st = FrameState::new(1, FrameSchedule::downlink(1, 3), SHAPE);
         assert!(st.precode_with_stale(1).is_empty(), "not yet encoded");
         st.on_encode_done(1, 2);
         st.on_encode_done(3, 2);
@@ -1199,10 +984,9 @@ mod table_tests {
     const BATCH: BatchSizes =
         BatchSizes { fft: 2, zf: 2, demod: 32, decode: 2, encode: 2, precode: 32, ifft: 4 };
 
-    /// 4 antennas, 2 users, 32 SCs, 2 ZF groups, monolithic ZF.
+    /// 4 antennas, 2 users, 32 SCs, 2 ZF groups.
     fn table(schedule: FrameSchedule, stale_precoder: bool) -> FrameTable {
-        let shape =
-            FrameShape { m: 4, k: 2, q: 32, zf_groups: 2, zf_clusters: 1, zf_reduce_shards: 1 };
+        let shape = FrameShape { m: 4, k: 2, q: 32, zf_groups: 2 };
         FrameTable::new(schedule, shape, BATCH, stale_precoder, 0)
     }
 
@@ -1256,8 +1040,7 @@ mod table_tests {
         assert!(t.credit_flushed(0));
         assert!(t.retire(0).is_none());
         let mut out = Vec::new();
-        let step = t.on_complete(&pilots[1], 200, &mut out);
-        assert_eq!(step, Step { interpolate_csi: false, finished: true });
+        assert!(t.on_complete(&pilots[1], 200, &mut out), "the last credit finishes the frame");
         let done = t.retire(0).expect("drained");
         assert!(done.dropped);
         assert_eq!(done.state.unwrap().packets_missing(), 8, "two uplink symbols never arrived");
@@ -1272,9 +1055,8 @@ mod table_tests {
         t.abandon(0);
         let mut out = Vec::new();
         // The last pilot FFT would have started ZF.
-        assert!(!t.on_complete(&pilots[0], 0, &mut out).finished);
-        let step = t.on_complete(&pilots[1], 0, &mut out);
-        assert_eq!(step, Step { interpolate_csi: false, finished: true });
+        assert!(!t.on_complete(&pilots[0], 0, &mut out));
+        assert!(t.on_complete(&pilots[1], 0, &mut out));
         assert!(out.is_empty());
     }
 
@@ -1429,7 +1211,7 @@ mod table_tests {
             let m = keys.len();
             let mut order: Vec<usize> = (0..m).collect();
             order.sort_by_key(|&a| keys[a]);
-            let shape = FrameShape { m, k: 2, q: 32, zf_groups: 2, zf_clusters: 1, zf_reduce_shards: 1 };
+            let shape = FrameShape { m, k: 2, q: 32, zf_groups: 2 };
             let batch = BatchSizes { fft, ..BATCH };
             let mut t = FrameTable::new(FrameSchedule::uplink(1, 1), shape, batch, false, 0);
             let mut out = Vec::new();

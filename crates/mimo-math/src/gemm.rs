@@ -256,29 +256,6 @@ pub fn gram_accumulate_scalar(rows: usize, cols: usize, a: &[Cf32], out: &mut [C
     }
 }
 
-/// Deterministic reduction of per-cluster partial Grams: `parts` holds
-/// `parts.len() / n` partials of `n` elements each, laid out
-/// consecutively in cluster-index order, and `out` receives their sum as
-/// a fixed left fold — `((p0 + p1) + p2) + ...` — so the f32 addition
-/// order never depends on task completion order. Each step is a plain
-/// elementwise complex add (no multiply, so no tier can perturb the
-/// bits); at one cluster the reduce degenerates to a copy.
-///
-/// # Panics
-/// Panics if `parts` is empty or its length is not a multiple of
-/// `out.len()`.
-pub fn gram_reduce(parts: &[Cf32], out: &mut [Cf32]) {
-    let n = out.len();
-    assert!(n > 0 && !parts.is_empty(), "gram_reduce needs at least one partial");
-    assert_eq!(parts.len() % n, 0, "partials length must be a multiple of the Gram size");
-    out.copy_from_slice(&parts[..n]);
-    for part in parts.chunks_exact(n).skip(1) {
-        for (o, &p) in out.iter_mut().zip(part.iter()) {
-            *o += p;
-        }
-    }
-}
-
 /// Which kernel a [`Gemm`] plan selected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GemmKernel {
@@ -705,57 +682,6 @@ mod proptests {
                 gram_accumulate_with_tier(rows, cols, &ah, &a, &mut g_scalar, SimdTier::Scalar);
                 gram_accumulate_with_tier(rows, cols, &ah, &a, &mut g_simd, SimdTier::detect());
                 prop_assert_eq!(bits(&g_scalar), bits(&g_simd));
-            }
-        }
-
-        /// Antenna-cluster partitioned Gram: per-cluster partial Grams
-        /// tree-reduced in fixed cluster-index order match the same fold
-        /// computed entirely at the scalar tier bit for bit, over odd
-        /// row/column shapes and cluster counts that do not divide the
-        /// row count evenly (including empty tail clusters). At one
-        /// cluster the fold degenerates to the monolithic Gram and is
-        /// bit-identical to [`gram_with_tier`]; at any count it matches
-        /// the monolithic result to rounding.
-        #[test]
-        fn clustered_gram_reduce_matches_monolithic(
-            rows in 1usize..96,
-            cols in 1usize..20,
-            clusters in 1usize..8,
-            seed in 0u64..1024,
-        ) {
-            let a = fill(rows * cols, seed);
-            let base = rows / clusters;
-            let rem = rows % clusters;
-            let fold = |tier: SimdTier| -> Vec<Cf32> {
-                let mut parts = vec![Cf32::ZERO; clusters * cols * cols];
-                let mut r0 = 0usize;
-                for c in 0..clusters {
-                    let rc = base + usize::from(c < rem);
-                    let slice = &a[r0 * cols..(r0 + rc) * cols];
-                    let mut ah = vec![Cf32::ZERO; cols * rc];
-                    for r in 0..rc {
-                        for j in 0..cols {
-                            ah[j * rc + r] = slice[r * cols + j].conj();
-                        }
-                    }
-                    let part = &mut parts[c * cols * cols..(c + 1) * cols * cols];
-                    gram_accumulate_with_tier(rc, cols, &ah, slice, part, tier);
-                    r0 += rc;
-                }
-                let mut out = vec![Cf32::ZERO; cols * cols];
-                gram_reduce(&parts, &mut out);
-                out
-            };
-            let g_scalar = fold(SimdTier::Scalar);
-            let g_simd = fold(SimdTier::detect());
-            prop_assert_eq!(bits(&g_scalar), bits(&g_simd));
-            let mut g_mono = vec![Cf32::ZERO; cols * cols];
-            gram_with_tier(rows, cols, &a, &mut g_mono, SimdTier::detect());
-            if clusters == 1 {
-                prop_assert_eq!(bits(&g_simd), bits(&g_mono));
-            }
-            for (x, y) in g_simd.iter().zip(g_mono.iter()) {
-                prop_assert!((*x - *y).abs() < 1e-2);
             }
         }
 

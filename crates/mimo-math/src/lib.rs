@@ -35,13 +35,13 @@ pub use complex::{Cf32, Cf64};
 pub use gemm::{
     caxpy_scalar, caxpy_with_tier, gemm, gemm_fixed, gemm_scalar, gemm_with_tier, gemv,
     gemv_scalar, gemv_with_tier, gram, gram_accumulate_scalar, gram_accumulate_with_tier,
-    gram_reduce, gram_scalar, gram_with_tier, Gemm, GemmKernel,
+    gram_scalar, gram_with_tier, Gemm, GemmKernel,
 };
 pub use inverse::{invert, invert_into, solve, InvError};
 pub use matrix::CMat;
 pub use pinv::{
-    normalize_precoder, normalize_precoder_in_place, pinv, pinv_cholesky, pinv_direct,
-    pinv_from_gram_slice_into, pinv_into, pinv_svd, PinvMethod, PinvScratch,
+    normalize_precoder, normalize_precoder_in_place, pinv, pinv_cholesky, pinv_direct, pinv_into,
+    pinv_svd, PinvMethod, PinvScratch,
 };
 pub use simd::SimdTier;
 pub use svd::{svd, Svd};

@@ -131,13 +131,6 @@ impl PinvScratch {
     pub fn gram(&self) -> &CMat {
         &self.gram
     }
-
-    /// Mutable access to the `K x K` Gram buffer, for callers that fold a
-    /// Gram matrix computed elsewhere (the antenna-cluster partial-Gram
-    /// reduce) before handing it to [`pinv_from_gram_slice_into`].
-    pub fn gram_mut(&mut self) -> &mut CMat {
-        &mut self.gram
-    }
 }
 
 /// [`pinv`] into a caller-owned `K x M` output through reusable scratch —
@@ -156,7 +149,7 @@ pub fn pinv_into(h: &CMat, method: PinvMethod, s: &mut PinvScratch, out: &mut CM
     if method != PinvMethod::Svd {
         stage_gram(h, s, out);
     }
-    solve_staged(h, method, 0, s, out);
+    solve_staged(h, method, s, out);
 }
 
 /// Stages `H^H` in `out` (`K x M`) and leaves `H^H H` in `s.gram`.
@@ -168,62 +161,19 @@ fn stage_gram(h: &CMat, s: &mut PinvScratch, out: &mut CMat) {
     gram_accumulate_with_tier(m, k, out.as_slice(), h.as_slice(), gram, s.tier);
 }
 
-/// Computes a contiguous antenna-column slice `W[:, col0..col0+ncols]` of
-/// the ZF pseudo-inverse from a **pre-folded** Gram matrix: the caller
-/// has already summed the per-cluster partial Grams into
-/// [`PinvScratch::gram_mut`], and `h` is only consulted for the `H^H`
-/// right-hand side columns (and the SVD fallback).
-///
-/// Slicing is bit-exact: both the Cholesky sweep
-/// ([`Cholesky::solve_in_place`]) and the inverse-times-`H^H` GEMM
-/// operate on each RHS column independently, so `ncols` columns solved
-/// here equal the same columns of a full-width solve bit for bit. The
-/// `K x K` factor/inverse work is recomputed per slice — it is tiny next
-/// to the `M K^2 / shards` solve each slice carries.
-///
-/// On a Gram matrix that fails the direct or Cholesky route, every slice
-/// deterministically falls back to the same full SVD pseudo-inverse of
-/// `h` and publishes its columns, so sharded reduces degrade
-/// consistently.
-///
-/// # Panics
-/// Panics if the slice exceeds `M`, `out` is not `K x ncols`, or the
-/// scratch was sized for a different shape.
-pub fn pinv_from_gram_slice_into(
-    h: &CMat,
-    method: PinvMethod,
-    col0: usize,
-    ncols: usize,
-    s: &mut PinvScratch,
-    out: &mut CMat,
-) {
-    let (m, k) = h.shape();
-    assert!(col0 + ncols <= m, "antenna slice out of range");
-    assert_eq!(out.shape(), (k, ncols), "slice output must be K x ncols");
-    assert_eq!(s.gram.shape(), (k, k), "scratch shape mismatch");
-    assert_eq!(s.hh.shape(), (k, m), "scratch shape mismatch");
-    if method != PinvMethod::Svd {
-        // The slice's antennas are contiguous rows of row-major `h`.
-        let rows = &h.as_slice()[col0 * k..(col0 + ncols) * k];
-        conj_transpose(rows, ncols, k, out.as_mut_slice(), s.tier);
-    }
-    solve_staged(h, method, col0, s, out);
-}
-
-/// The one Gram solve: `s.gram` holds `H^H H` and `out` (`K x ncols`)
-/// arrives holding the right-hand side `H^H[:, col0..col0 + ncols]`
-/// (unread under [`PinvMethod::Svd`]); leaves the same columns of the
-/// pseudo-inverse in `out`.
-fn solve_staged(h: &CMat, method: PinvMethod, col0: usize, s: &mut PinvScratch, out: &mut CMat) {
-    let (k, ncols) = out.shape();
+/// The one Gram solve: `s.gram` holds `H^H H` and `out` (`K x M`)
+/// arrives holding the right-hand side `H^H` (unread under
+/// [`PinvMethod::Svd`]); leaves the pseudo-inverse in `out`.
+fn solve_staged(h: &CMat, method: PinvMethod, s: &mut PinvScratch, out: &mut CMat) {
+    let (k, m) = out.shape();
     match method {
         PinvMethod::Direct => {
             if invert_into(&s.gram, &mut s.gram_work, &mut s.gram_inv).is_ok() {
                 // The product cannot run in place: move the right-hand
-                // side to the (idle) hh scratch prefix first.
-                let rhs = &mut s.hh.as_mut_slice()[..k * ncols];
-                rhs.copy_from_slice(out.as_slice());
-                gemm_with_tier(k, k, ncols, s.gram_inv.as_slice(), rhs, out.as_mut_slice(), s.tier);
+                // side to the (idle) hh scratch first.
+                s.hh.copy_from(out);
+                let rhs = s.hh.as_slice();
+                gemm_with_tier(k, k, m, s.gram_inv.as_slice(), rhs, out.as_mut_slice(), s.tier);
                 return;
             }
         }
@@ -235,12 +185,7 @@ fn solve_staged(h: &CMat, method: PinvMethod, col0: usize, s: &mut PinvScratch, 
         }
         PinvMethod::Svd => {}
     }
-    let w = pinv_svd(h, 1e-5);
-    for j in 0..k {
-        for c in 0..ncols {
-            out[(j, c)] = w[(j, col0 + c)];
-        }
-    }
+    out.copy_from(&pinv_svd(h, 1e-5));
 }
 
 /// Normalises a downlink precoder so that no antenna (row of `W^H`, i.e.
@@ -396,120 +341,6 @@ mod tests {
                 pinv_into(&h, method, &mut s, &mut simd);
                 assert_eq!(bits(&scalar), bits(&simd), "{method:?} ({m},{k})");
             }
-        }
-    }
-
-    /// Antenna-cluster staged solve: per-cluster partial Grams folded in
-    /// fixed order, then per-antenna-slice solves from the folded Gram.
-    /// The column slices must reassemble the full-width solve bit for
-    /// bit (per-column independence of the sweep/GEMM), and at one
-    /// cluster the whole staged pipeline must be bit-identical to the
-    /// monolithic [`pinv_into`].
-    #[test]
-    fn sliced_solve_from_folded_gram_is_bit_exact() {
-        use crate::gemm::{gram_accumulate_with_tier, gram_reduce};
-        let (m, k) = (32usize, 8usize);
-        let h = rand_channel(m, k, 51);
-        let bits = |w: &CMat| -> Vec<(u32, u32)> {
-            w.as_slice().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
-        };
-        for method in [PinvMethod::Direct, PinvMethod::Cholesky] {
-            for clusters in [1usize, 3, 4] {
-                let mut s = PinvScratch::new(m, k);
-                let tier = s.tier;
-                // Fold the per-cluster partial Grams in cluster order.
-                let mut parts = vec![Cf32::ZERO; clusters * k * k];
-                let (base, rem) = (m / clusters, m % clusters);
-                let mut r0 = 0usize;
-                for c in 0..clusters {
-                    let rc = base + usize::from(c < rem);
-                    let slice = &h.as_slice()[r0 * k..(r0 + rc) * k];
-                    let mut ah = vec![Cf32::ZERO; k * rc];
-                    for r in 0..rc {
-                        for j in 0..k {
-                            ah[j * rc + r] = slice[r * k + j].conj();
-                        }
-                    }
-                    gram_accumulate_with_tier(
-                        rc,
-                        k,
-                        &ah,
-                        slice,
-                        &mut parts[c * k * k..(c + 1) * k * k],
-                        tier,
-                    );
-                    r0 += rc;
-                }
-                gram_reduce(&parts, s.gram_mut().as_mut_slice());
-                let folded = s.gram().clone();
-                let mut full = CMat::zeros(k, m);
-                pinv_from_gram_slice_into(&h, method, 0, m, &mut s, &mut full);
-                // Shard the antenna columns; slices must equal the same
-                // columns of the full-width solve bit for bit.
-                let shards = 4usize;
-                let mut assembled = CMat::zeros(k, m);
-                let (sb, sr) = (m / shards, m % shards);
-                let mut c0 = 0usize;
-                for sidx in 0..shards {
-                    let len = sb + usize::from(sidx < sr);
-                    s.gram_mut().copy_from(&folded);
-                    let mut out = CMat::zeros(k, len);
-                    pinv_from_gram_slice_into(&h, method, c0, len, &mut s, &mut out);
-                    for j in 0..k {
-                        for c in 0..len {
-                            assembled[(j, c0 + c)] = out[(j, c)];
-                        }
-                    }
-                    c0 += len;
-                }
-                assert_eq!(bits(&assembled), bits(&full), "{method:?} clusters={clusters}");
-                if clusters == 1 {
-                    let mut sm = PinvScratch::new(m, k);
-                    let mut mono = CMat::zeros(k, m);
-                    pinv_into(&h, method, &mut sm, &mut mono);
-                    assert_eq!(bits(&full), bits(&mono), "{method:?} C=1 vs monolithic");
-                }
-            }
-        }
-    }
-
-    /// A rank-deficient folded Gram must push every slice onto the same
-    /// SVD fallback, so sharded reduces publish consistent columns.
-    #[test]
-    fn sliced_solve_fallback_is_consistent_across_slices() {
-        let m = 16usize;
-        let base = rand_channel(m, 1, 4);
-        let h = CMat::from_fn(m, 2, |r, _| base[(r, 0)]);
-        let k = 2usize;
-        let svd_ref = pinv_svd(&h, 1e-5);
-        for method in [PinvMethod::Direct, PinvMethod::Cholesky] {
-            let mut s = PinvScratch::new(m, k);
-            let tier = s.tier;
-            let mut hh = CMat::zeros(k, m);
-            h.hermitian_into(&mut hh);
-            // Fresh scratch: the Gram buffer starts zeroed.
-            gram_accumulate_with_tier(
-                m,
-                k,
-                hh.as_slice(),
-                h.as_slice(),
-                s.gram_mut().as_mut_slice(),
-                tier,
-            );
-            let folded = s.gram().clone();
-            let mut assembled = CMat::zeros(k, m);
-            for (c0, len) in [(0usize, 7usize), (7, 9)] {
-                s.gram_mut().copy_from(&folded);
-                let mut out = CMat::zeros(k, len);
-                pinv_from_gram_slice_into(&h, method, c0, len, &mut s, &mut out);
-                for j in 0..k {
-                    for c in 0..len {
-                        assembled[(j, c0 + c)] = out[(j, c)];
-                    }
-                }
-            }
-            assert!(assembled.all_finite());
-            assert!(assembled.max_abs_diff(&svd_ref) < 1e-6, "{method:?} fallback mismatch");
         }
     }
 

@@ -1,8 +1,9 @@
 //! Per-frame channel state as one matrix per subcarrier — the input of
 //! the stand-alone [`crate::zf::zf_task`]. The engine keeps its CSI in
-//! the frame planes instead: the LS estimate `H = y / p` is fused into
-//! the pilot FFT task's store and interpolated across the band by
-//! `Kernels::interpolate_csi` (`agora-core`).
+//! the frame planes instead, one matrix per ZF group: the LS estimate
+//! `H = y / p` is fused into the pilot FFT task's store, which writes
+//! each estimate a group reads straight into that group's matrix
+//! (`agora-core`, `Kernels::fft_batch_task`).
 
 use agora_math::CMat;
 

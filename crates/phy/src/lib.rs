@@ -27,4 +27,4 @@ pub use demod::{demod_soft, demod_soft_exact, demod_soft_i8, demod_soft_simd};
 pub use frame::{CellConfig, FrameSchedule, LdpcParams, SymbolType};
 pub use modulation::{modulate, ModScheme};
 pub use pilots::{zadoff_chu, PilotPlan, PilotScheme};
-pub use zf::{zf_task, ClusterPlan, ZfBuffer, ZfConfig};
+pub use zf::{zf_task, ZfBuffer, ZfConfig};

@@ -32,59 +32,6 @@ impl ZfConfig {
     }
 }
 
-/// Balanced partition of the `M` antennas into clusters for the
-/// antenna-cluster partitioned ZF path: cluster `i` owns a contiguous
-/// row slice of the `M x K` channel, the first `M mod C` clusters one
-/// row wider than the rest, so no cluster ever lags more than one
-/// antenna behind its siblings. The same plan shards the detector's
-/// antenna *columns* across reduce tasks — contiguity in the antenna
-/// dimension is what keeps both the partial-Gram operand and the solve
-/// RHS slice contiguous.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClusterPlan {
-    antennas: usize,
-    clusters: usize,
-}
-
-impl ClusterPlan {
-    /// Builds a plan splitting `antennas` rows into `clusters` slices.
-    ///
-    /// # Panics
-    /// Panics if `clusters` is zero or exceeds `antennas` (an empty
-    /// cluster would publish a zero partial and waste a task).
-    pub fn new(antennas: usize, clusters: usize) -> Self {
-        assert!(clusters >= 1, "at least one cluster");
-        assert!(clusters <= antennas, "more clusters than antennas");
-        Self { antennas, clusters }
-    }
-
-    /// Number of clusters.
-    pub fn clusters(&self) -> usize {
-        self.clusters
-    }
-
-    /// Total antenna count.
-    pub fn antennas(&self) -> usize {
-        self.antennas
-    }
-
-    /// The contiguous antenna range owned by `cluster`.
-    pub fn range(&self, cluster: usize) -> core::ops::Range<usize> {
-        assert!(cluster < self.clusters, "cluster out of range");
-        let base = self.antennas / self.clusters;
-        let rem = self.antennas % self.clusters;
-        let start = cluster * base + cluster.min(rem);
-        let len = base + usize::from(cluster < rem);
-        start..start + len
-    }
-
-    /// Widest cluster (the first one under the balanced split) — sizes
-    /// per-cluster scratch.
-    pub fn max_len(&self) -> usize {
-        self.range(0).len()
-    }
-}
-
 /// Per-frame detector/precoder storage: one pair per subcarrier group.
 #[derive(Debug, Clone)]
 pub struct ZfBuffer {
@@ -167,35 +114,6 @@ mod tests {
             *csi.at_mut(sc) = h;
         }
         csi
-    }
-
-    #[test]
-    fn cluster_plan_tiles_antennas_balanced() {
-        // Non-dividing counts: slices stay contiguous, cover every
-        // antenna exactly once, and differ in width by at most one.
-        for (m, c) in [(64usize, 1usize), (64, 4), (63, 4), (65, 4), (7, 3), (128, 8), (5, 5)] {
-            let plan = ClusterPlan::new(m, c);
-            assert_eq!(plan.clusters(), c);
-            assert_eq!(plan.antennas(), m);
-            let mut next = 0usize;
-            let mut widths = Vec::new();
-            for i in 0..c {
-                let r = plan.range(i);
-                assert_eq!(r.start, next, "{m}/{c} cluster {i} not contiguous");
-                widths.push(r.len());
-                next = r.end;
-            }
-            assert_eq!(next, m, "{m}/{c} does not cover all antennas");
-            let (min, max) = (*widths.iter().min().unwrap(), *widths.iter().max().unwrap());
-            assert!(max - min <= 1, "{m}/{c} unbalanced: {widths:?}");
-            assert_eq!(plan.max_len(), max);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "more clusters than antennas")]
-    fn cluster_plan_rejects_empty_clusters() {
-        let _ = ClusterPlan::new(4, 5);
     }
 
     #[test]

@@ -55,9 +55,10 @@ impl TaskType {
 /// Field meanings depend on `task`:
 /// * compute tasks: `frame`/`symbol` locate the work, `base` is the first
 ///   task index (antenna, subcarrier-group, or user), `count` is the batch
-///   size (§3.4 "Batching"), `stage` names a sub-stage of the block where
-///   the engine splits one (its meaning is the engine's; zero otherwise),
-///   and `aux` carries the completing worker id in completions.
+///   size (§3.4 "Batching"), `stage` is zero except on a precode message
+///   that reads the previous frame's precoder (the engine's
+///   `STAGE_STALE_PRECODER`), and `aux` carries the completing worker id
+///   in completions.
 /// * packet messages: `base` is the antenna index and `aux` the buffer
 ///   slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,7 +77,8 @@ pub struct Msg {
     /// First task index within the block (antenna / subcarrier group /
     /// user, depending on `task`).
     pub base: u32,
-    /// Sub-stage of the task's block; echoed unchanged by completions.
+    /// The engine's stale-precoder flag on precode messages, zero
+    /// otherwise; echoed unchanged by completions.
     pub stage: u16,
     /// Reserved padding to fill the cache line; always zero.
     _pad: [u16; 21],
@@ -92,7 +94,7 @@ impl Msg {
         Self { task, aux: 0, count, frame, symbol, base, stage: 0, _pad: [0; 21] }
     }
 
-    /// This task message carrying sub-stage `stage`.
+    /// This task message with its `stage` field set.
     pub fn with_stage(self, stage: u16) -> Self {
         Self { stage, ..self }
     }

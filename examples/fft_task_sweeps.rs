@@ -66,10 +66,6 @@ fn main() {
         kernels.ifft_task(fb, &mut scratch, downlink, ant);
         lap(&mut ns[5]);
     }
-    let t = Instant::now();
-    (0..20).for_each(|_| kernels.interpolate_csi(fb));
-    let interpolate_us = t.elapsed().as_secs_f64() * 1e6 / 20.0;
-
     let [unpack, transform, demap, ul_task, pilot_task, ifft_task] = ns.map(|mut col| {
         col.sort_unstable();
         col[col.len() / 2] as f64 / 1e3
@@ -81,5 +77,4 @@ fn main() {
     println!("  fft_task, uplink     {ul_task:8.2}   store = task - unpack - transform [- demap]");
     println!("  fft_task, pilot      {pilot_task:8.2}");
     println!("  ifft_task            {ifft_task:8.2}");
-    println!("  interpolate_csi      {interpolate_us:8.1}   (once per frame, manager thread)");
 }

@@ -66,7 +66,8 @@ echo "== every EngineConfig knob has a non-test setter or a decision pending =="
 # switch with no harness (ISSUE 21): make it a constant. A field passes
 # when a non-test file (the bench bins, the examples, the benchmark, the
 # non-test part of crates/core/src) assigns it through a binding
-# (`cfg.field = …`), or when it is listed here with who decides it.
+# (`cfg.field = …`), or when it is listed here with who decides it. The
+# `parity` bin is not a setter: it is the release-build test suite.
 # Word-level like the orphan gate: `SimConfig` shares `batch` and
 # `stale_precoder`, which is why those two are listed, not grepped.
 decided="
@@ -82,7 +83,8 @@ pin_cores          deployment setting (CPU pinning)
 "
 setters=$(mktemp)
 trap 'rm -f "$words" "$setters"' EXIT
-for f in $(find crates/bench/src examples benchmark/src crates/core/src -name '*.rs'); do
+for f in $(find crates/bench/src examples benchmark/src crates/core/src -name '*.rs' \
+    -not -path crates/bench/src/bin/parity.rs); do
     awk '/#\[cfg\(test\)\]/ { exit } { print }' "$f"
 done >"$setters"
 knobs=0

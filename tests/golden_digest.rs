@@ -4,14 +4,17 @@
 //! against, so what pins its output is a digest of the output itself: a
 //! fixed seed, a few frames, and an FNV-1a hash over the decoded bits,
 //! the decode flags, the f32 bit patterns of the `llr` plane and of the
-//! downlink time-domain samples. `default_path_digests_are_pinned` holds
-//! the inline rows of the two small cells; `dump_bit_identity_rows`
-//! (ignored; `cargo test --release --test golden_digest -- --ignored
-//! --nocapture`) prints every row, inline and threaded, for a
-//! parent-vs-change log such as `results/logs/pr21_bit_identity.txt`.
+//! downlink time-domain samples — read out of the frame planes, so the
+//! threaded engine is held to all four as well. `default_path_digests_are_pinned`
+//! holds the inline rows of the three small cells and threaded ≡ inline;
+//! `dump_bit_identity_rows` (ignored; `cargo test --release --test
+//! golden_digest -- --ignored --nocapture`) prints every row, inline and
+//! threaded, for a parent-vs-change log such as
+//! `results/logs/pr22_bit_identity.txt`.
 //! A kernel change that is meant to be bit-exact must leave every row as
 //! it is; one that is not must say so and re-pin.
 
+use agora_core::buffers::{BufferGeometry, FrameBuffers};
 use agora_core::{Engine, EngineConfig, InlineProcessor};
 use agora_fronthaul::{RruConfig, RruEmulator};
 use agora_phy::frame::FrameSchedule;
@@ -48,7 +51,6 @@ fn decoded_digest<'a>(
 struct Row {
     name: &'static str,
     cell: CellConfig,
-    clusters: usize,
     frames: u32,
 }
 
@@ -64,56 +66,76 @@ fn rows() -> Vec<Row> {
     let dl = with_schedule(tiny.clone(), "PDD");
     let big = CellConfig::emulated_rru(64, 16, 2);
     vec![
-        Row { name: "tiny_uplink", cell: tiny.clone(), clusters: 1, frames: 2 },
-        Row { name: "tiny_tdd_PUUDD", cell: tdd.clone(), clusters: 1, frames: 2 },
-        Row { name: "tiny_downlink_PDD", cell: dl, clusters: 1, frames: 2 },
-        Row { name: "tiny_uplink_clusters4", cell: tiny, clusters: 4, frames: 2 },
-        Row { name: "tiny_tdd_PUUDD_clusters4", cell: tdd, clusters: 4, frames: 2 },
-        Row { name: "uplink_64x16", cell: big, clusters: 1, frames: 1 },
+        Row { name: "tiny_uplink", cell: tiny, frames: 2 },
+        Row { name: "tiny_tdd_PUUDD", cell: tdd, frames: 2 },
+        Row { name: "tiny_downlink_PDD", cell: dl, frames: 2 },
+        Row { name: "uplink_64x16", cell: big, frames: 1 },
     ]
 }
 
-/// Everything a row hashes: inline `[bits, decode_ok, llr, dl_time]`,
-/// and the threaded engine's (2 workers) `[bits, decode_ok]` — the
-/// threaded result exposes neither plane.
-fn digests(row: &Row) -> ([u64; 4], [u64; 2]) {
+/// Feeds one finished frame's planes to the digests: the whole `llr`
+/// plane, and the `dl_time` samples of the downlink symbols per
+/// `[symbol][antenna]`.
+fn eat_planes(
+    fb: &FrameBuffers,
+    g: &BufferGeometry,
+    downlink: &[usize],
+    llr: &mut Fnv,
+    dl_time: &mut Fnv,
+) {
+    // SAFETY (both planes): the frame is done and its processor idle.
+    for v in unsafe { fb.llr.slice(0..fb.llr.len()) } {
+        llr.eat(&v.to_bits().to_le_bytes());
+    }
+    for &symbol in downlink {
+        for z in unsafe { fb.dl_time.slice(fb.dl_time_run_range(g, symbol, 0, g.m)) } {
+            dl_time.eat(&z.re.to_bits().to_le_bytes());
+            dl_time.eat(&z.im.to_bits().to_le_bytes());
+        }
+    }
+}
+
+/// Everything a row hashes, `[bits, decode_ok, llr, dl_time]`: inline,
+/// and from the threaded engine (2 workers), whose planes are read once
+/// the run is over — every row's frames fit the frame window, so each
+/// still sits in its slot.
+fn digests(row: &Row) -> ([u64; 4], [u64; 4]) {
     let rc = RruConfig { snr_db: 25.0, seed: 21, ..Default::default() };
     let mut rru = RruEmulator::new(row.cell.clone(), rc);
     let per_frame: Vec<_> = (0..row.frames).map(|f| rru.generate_frame(f).0).collect();
     let mut cfg = EngineConfig::new(row.cell.clone(), 2);
     cfg.noise_power = rru.noise_power();
-    cfg.antenna_clusters = row.clusters;
+    assert!(row.frames as usize <= cfg.frame_window, "{}: frames outlive their slots", row.name);
+    let downlink = row.cell.schedule.downlink_indices();
 
     let mut inline = InlineProcessor::new(cfg.clone());
+    let g = inline.kernels().geom;
     let (mut llr, mut dl_time) = (Fnv::new(), Fnv::new());
     let mut results = Vec::new();
     for (frame, packets) in per_frame.iter().enumerate() {
-        let res = inline.process_frame(frame as u32, packets);
-        let plane = &inline.buffers(frame as u32).llr;
-        // SAFETY: the processor is single-threaded and the frame is done.
-        for v in unsafe { plane.slice(0..plane.len()) } {
-            llr.eat(&v.to_bits().to_le_bytes());
-        }
-        for z in res.dl_time.iter().flatten().flatten() {
-            dl_time.eat(&z.re.to_bits().to_le_bytes());
-            dl_time.eat(&z.im.to_bits().to_le_bytes());
-        }
-        results.push(res);
+        results.push(inline.process_frame(frame as u32, packets));
+        eat_planes(inline.buffers(frame as u32), &g, &downlink, &mut llr, &mut dl_time);
     }
     let (bits, ok) = decoded_digest(results.iter().map(|r| (&r.decoded, &r.decode_ok)));
 
     let packets = per_frame.into_iter().flatten().collect();
-    let mut threaded = Engine::new(cfg).process(packets, row.frames, false);
+    let engine = Engine::new(cfg);
+    let mut threaded = engine.process(packets, row.frames, false);
     threaded.sort_by_key(|r| r.frame);
     assert!(threaded.iter().all(|r| !r.dropped), "{}: threaded run dropped a frame", row.name);
     let (t_bits, t_ok) = decoded_digest(threaded.iter().map(|r| (&r.decoded, &r.decode_ok)));
-    ([bits, ok, llr.0, dl_time.0], [t_bits, t_ok])
+    let (mut t_llr, mut t_dl_time) = (Fnv::new(), Fnv::new());
+    for frame in 0..row.frames {
+        eat_planes(engine.buffers(frame), &g, &downlink, &mut t_llr, &mut t_dl_time);
+    }
+    ([bits, ok, llr.0, dl_time.0], [t_bits, t_ok, t_llr.0, t_dl_time.0])
 }
 
 /// `(row, decoded-bits digest, dl_time digest)`, inline.
-const PINNED: [(&str, u64, u64); 2] = [
+const PINNED: [(&str, u64, u64); 3] = [
     ("tiny_uplink", 0xd0ba_5546_d37f_5be1, 0xcbf2_9ce4_8422_2325),
     ("tiny_tdd_PUUDD", 0xd0ba_5546_d37f_5be1, 0x8e57_cdc9_2c8b_537e),
+    ("tiny_downlink_PDD", 0xcbf2_9ce4_8422_2325, 0x604a_8bdf_6625_5982),
 ];
 
 #[test]
@@ -128,7 +150,7 @@ fn default_path_digests_are_pinned() {
             inline[0],
             inline[3]
         );
-        assert_eq!([inline[0], inline[1]], threaded, "{name}: threaded differs from inline");
+        assert_eq!(inline, threaded, "{name}: threaded differs from inline");
     }
 }
 
@@ -139,8 +161,8 @@ fn dump_bit_identity_rows() {
         let (i, t) = digests(&row);
         println!(
             "{:<26} inline bits={:016x} ok={:016x} llr={:016x} dl_time={:016x} | \
-             threaded(2) bits={:016x} ok={:016x}",
-            row.name, i[0], i[1], i[2], i[3], t[0], t[1]
+             threaded(2) bits={:016x} ok={:016x} llr={:016x} dl_time={:016x}",
+            row.name, i[0], i[1], i[2], i[3], t[0], t[1], t[2], t[3]
         );
     }
 }
