@@ -15,12 +15,13 @@
 //! | `fft` | tier agreement; batched ≡ single transforms bit for bit; pre-reversed entry ≡ `execute` |
 //! | `gemm` | `gemm`/`gemv`/`gram` and planned kernels bit-identical across tiers on every dispatch shape class |
 //! | `zf` | Cholesky detector ≈ Gauss-Jordan, bit-identical across tiers; near-singular Gram rejected |
+//! | `demod` | scalar-pinned `Kernels` ≡ detected tier on the `inv_noise`, `llr` and `dl_freq` planes, 8×2 and 64×16 |
 //! | `fronthaul` | batch ≡ single delivery on mem and UDP links; aggregation split and pool recycling |
 //! | `deployment` | C=4 ledgers reconcile against the fault injector; deployment ≡ standalone engines; misroutes counted |
 //! | `sched` | lanes ≡ inline; lane counters account for every message |
 
 use agora_core::deploy::{Deployment, DeploymentConfig};
-use agora_core::{Counter, Engine, EngineConfig, FrameResult, InlineProcessor};
+use agora_core::{Counter, Engine, EngineConfig, FrameResult, InlineProcessor, Kernels};
 use agora_fft::{Direction, FftPlan};
 use agora_fronthaul::packet::decode_ref;
 use agora_fronthaul::{
@@ -34,6 +35,7 @@ use agora_ldpc::{
 use agora_math::{
     pinv_into, CMat, Cf32, CholScratch, Cholesky, Gemm, PinvMethod, PinvScratch, SimdTier,
 };
+use agora_phy::frame::FrameSchedule;
 use agora_phy::CellConfig;
 use agora_queue::TaskType;
 use bytes::Bytes;
@@ -48,6 +50,7 @@ const CHECKS: &[(&str, fn())] = &[
     ("fft", fft),
     ("gemm", gemm),
     ("zf", zf),
+    ("demod", demod),
     ("fronthaul", fronthaul),
     ("deployment", deployment),
     ("sched", sched),
@@ -417,6 +420,54 @@ fn zf() {
     let bad = near_singular(channel(64, 16, 4242));
     let gram = bad.hermitian().matmul(&bad);
     check(Cholesky::factor(&gram).is_err(), "guard: near-duplicate user channel rejected");
+}
+
+// ------------------------------------------------------------------ demod
+
+/// One pilot + uplink + downlink frame through the inline processor on
+/// the detected tier; then scalar-pinned kernels redo its ZF, demodulation
+/// and precoding on the same slot. The demapper, the noise scales and the
+/// modulator's bit-pack must leave the planes byte for byte.
+fn demod() {
+    for (mut cell, what) in
+        [(CellConfig::tiny_test(1), "8x2"), (CellConfig::emulated_rru(64, 16, 1), "64x16")]
+    {
+        cell.schedule = FrameSchedule::parse("PUD").expect("valid schedule");
+        let (uplink, downlink) = (1, 2);
+        let (packets, noise) = cell_packets(&cell, 25.0, 77, 1);
+        let mut cfg = EngineConfig::new(cell, 1);
+        cfg.noise_power = noise;
+        let mut proc = InlineProcessor::new(cfg.clone());
+        proc.process_frame(0, &packets);
+        let (fb, g) = (proc.buffers(0), proc.kernels().geom);
+        // SAFETY (here and below): single-threaded; every task has run.
+        let f32_bits = |plane: &agora_core::buffers::SharedVec<f32>| -> Vec<u32> {
+            unsafe { plane.slice(0..plane.len()) }.iter().map(|x| x.to_bits()).collect()
+        };
+        let dl_freq_bits = || bits(unsafe { fb.dl_freq.slice(0..fb.dl_freq.len()) });
+        let detected = (f32_bits(&fb.inv_noise), f32_bits(&fb.llr), dl_freq_bits());
+        unsafe {
+            fb.inv_noise.slice_mut(0..fb.inv_noise.len()).fill(0.0);
+            fb.llr.slice_mut(0..fb.llr.len()).fill(0.0);
+            fb.dl_freq.slice_mut(0..fb.dl_freq.len()).fill(Cf32::ZERO);
+        }
+
+        let scalar = Kernels::with_tier(cfg, SimdTier::Scalar);
+        let mut s = scalar.scratch();
+        (0..scalar.shape.zf_groups).for_each(|group| scalar.zf_task(fb, &mut s, group));
+        scalar.demod_task(fb, &mut s, 0, uplink, 0, g.q);
+        scalar.precode_task(fb, &mut s, downlink, 0, g.q);
+        let filled = detected.0.iter().chain(&detected.1).any(|&b| b != 0)
+            && detected.2.iter().any(|&b| b != (0, 0));
+        check(filled, &format!("{what}: the detected tier filled the planes"));
+        for (plane, same) in [
+            ("inv_noise", f32_bits(&fb.inv_noise) == detected.0),
+            ("llr", f32_bits(&fb.llr) == detected.1),
+            ("dl_freq", dl_freq_bits() == detected.2),
+        ] {
+            check(same, &format!("{what}: {plane} plane, scalar tier ≡ detected"));
+        }
+    }
 }
 
 // -------------------------------------------------------------- fronthaul

@@ -307,6 +307,9 @@ impl PacketSlots {
 ///   row.
 /// * `det[group][user][antenna]`, `pre[group][antenna][user]` — ZF
 ///   outputs: the formed detector and the power-normalised precoder.
+/// * `inv_noise[group][user]` — ZF's third output: the reciprocal of the
+///   noise variance user `u` sees behind the group's detector, which is
+///   what demodulation scales its LLRs by.
 /// * `llr[symbol][user][bit]` — demodulated soft bits.
 /// * `decoded[symbol][user][bit]` + `decode_ok[symbol][user]`.
 /// * downlink mirrors: `dl_bits`, `dl_freq`, `dl_time`.
@@ -321,6 +324,10 @@ pub struct FrameBuffers {
     pub det: SharedVec<Cf32>,
     /// Downlink precoders.
     pub pre: SharedVec<Cf32>,
+    /// `1 / max(noise * ||w_u||^2, 1e-12)` per (ZF group, user): the
+    /// post-detection noise scale, written once per frame by the group's
+    /// ZF task and read by every demodulation block of the group.
+    pub inv_noise: SharedVec<f32>,
     /// Soft demodulator output.
     pub llr: SharedVec<f32>,
     /// Quantised soft demodulator output (fixed-point decoding plane).
@@ -387,6 +394,7 @@ impl FrameBuffers {
             csi: SharedVec::zeroed(groups * g.m * g.k),
             det: SharedVec::zeroed(groups * g.k * g.m),
             pre: SharedVec::zeroed(groups * g.m * g.k),
+            inv_noise: SharedVec::zeroed(groups * g.k),
             llr: SharedVec::zeroed(g.symbols * g.k * g.cap_bits),
             llr_i8: SharedVec::zeroed(g.symbols * g.k * g.cap_bits),
             decoded: SharedVec::zeroed(g.symbols * g.k * g.info_bits),
@@ -447,6 +455,11 @@ impl FrameBuffers {
     pub fn pre_range(&self, group: usize) -> core::ops::Range<usize> {
         let base = group * self.mk;
         base..base + self.mk
+    }
+
+    /// Range of one ZF group's per-user reciprocal noise variances.
+    pub fn inv_noise_range(&self, g: &BufferGeometry, group: usize) -> core::ops::Range<usize> {
+        group * g.k..(group + 1) * g.k
     }
 
     /// Range of one (symbol, user) LLR block.
@@ -653,6 +666,7 @@ mod tests {
                 assert!(is_line_aligned(plane.buf.as_ptr()), "{what}: Cf32 plane {i}");
             }
             assert!(is_line_aligned(fb.llr.buf.as_ptr()), "{what}: llr");
+            assert!(is_line_aligned(fb.inv_noise.buf.as_ptr()), "{what}: inv_noise");
             assert!(is_line_aligned(fb.llr_i8.buf.as_ptr()), "{what}: llr_i8");
             for (i, plane) in [&fb.decoded, &fb.decode_ok, &fb.dl_bits].into_iter().enumerate() {
                 assert!(is_line_aligned(plane.buf.as_ptr()), "{what}: u8 plane {i}");

@@ -1,25 +1,30 @@
 //! Task bodies — what a worker actually executes for each task type.
 //!
 //! One [`Kernels`] instance per engine holds the immutable plans (FFT
-//! twiddles, GEMM dispatch, pilot references); each worker additionally
-//! owns a [`WorkerScratch`] with its decoder state and staging buffers so
-//! task execution never allocates. The same kernels serve the threaded
-//! engine, the multi-cell deployment and the inline single-threaded
-//! processor — the schedulers differ, the math does not.
+//! twiddles, GEMM dispatch, demapper levels, constellation table, pilot
+//! references); each worker additionally owns a [`WorkerScratch`] with
+//! its decoder state and staging buffers, so no task body allocates
+//! except [`Kernels::encode_task`], which builds its payload and
+//! codeword as `Vec`s (`crates/core/tests/zero_alloc.rs` counts the
+//! rest). The same kernels serve the threaded engine, the multi-cell
+//! deployment and the inline single-threaded processor — the schedulers
+//! differ, the math does not.
 
 use crate::buffers::{AlignedBuf, BufferGeometry, FrameBuffers};
 use crate::config::EngineConfig;
 use crate::state::FrameShape;
 use agora_fft::{Direction, FftPlan, SubcarrierMap};
-use agora_ldpc::{DecodeConfig, DecodeConfigI8, Decoder, DecoderI8, Encoder, RateMatch};
+use agora_ldpc::{
+    quantize_llrs, DecodeConfig, DecodeConfigI8, Decoder, DecoderI8, Encoder, RateMatch,
+};
 use agora_math::simd::{stream_copy, stream_fence, SimdTier};
 use agora_math::{
     normalize_precoder_in_place, pinv_into, CMat, Cf32, Gemm, PinvMethod, PinvScratch,
 };
-use agora_phy::demod::{demod_soft_i8, demod_soft_simd};
+use agora_phy::demod::Demapper;
 use agora_phy::frame::SymbolType;
 use agora_phy::iq::{unpack_sample, BYTES_PER_SAMPLE};
-use agora_phy::modulation::{map_symbol, ModScheme};
+use agora_phy::modulation::{ModScheme, Modulator};
 use agora_phy::pilots::PilotPlan;
 use agora_phy::{CellConfig, PilotScheme};
 
@@ -47,8 +52,13 @@ pub struct Kernels {
     eq_gemm: Gemm,
     /// Planned GEMM for precoding (`M x K x block`).
     pre_gemm: Gemm,
-    /// Tier the streaming stores and the beamforming matrix kernels (ZF
-    /// pinv, equalize GEMV, precode) dispatch to.
+    /// The cell's soft demapper, run on every user row a block's
+    /// equalization GEMM leaves.
+    demapper: Demapper,
+    /// The cell's constellation table and bit-pack, run on every user
+    /// row a block's precoding GEMM reads.
+    modulator: Modulator,
+    /// Tier every kernel above and the streaming stores dispatch to.
     tier: SimdTier,
     /// Coded bits actually carried per (symbol, user).
     coded_bits: usize,
@@ -62,10 +72,12 @@ enum DecodePlane {
         full_llr: Vec<f32>,
     },
     /// `quantized_decoder`: fixed-point decoder reading the quantised
-    /// LLR plane.
+    /// LLR plane, which demodulation fills by quantising one block's
+    /// user row of float LLRs (`llr_row`) at a time.
     I8 {
         decoder: DecoderI8,
         full_llr: Vec<i8>,
+        llr_row: Vec<f32>,
     },
 }
 
@@ -102,8 +114,6 @@ pub struct WorkerScratch {
     grid: AlignedBuf<Cf32>,
     ant_block: Vec<Cf32>,
     user_block: Vec<Cf32>,
-    llr_tmp: Vec<f32>,
-    llr_i8_tmp: Vec<i8>,
     /// ZF scratch: channel matrix (`M x K`), detector (`K x M`), precoder
     /// (`M x K`) and pseudo-inverse intermediates, reused across groups so
     /// the ZF task never allocates.
@@ -115,8 +125,16 @@ pub struct WorkerScratch {
 }
 
 impl Kernels {
-    /// Builds kernels for a validated engine configuration.
+    /// Builds kernels for a validated engine configuration on the
+    /// detected tier.
     pub fn new(cfg: EngineConfig) -> Self {
+        Self::with_tier(cfg, SimdTier::cached())
+    }
+
+    /// [`Self::new`] with every kernel — transforms, ZF, GEMMs, demapper,
+    /// modulator, decoders, streaming stores — pinned to `tier`. The
+    /// tiers are bit-identical; `parity` holds the frame planes to that.
+    pub fn with_tier(cfg: EngineConfig, tier: SimdTier) -> Self {
         cfg.validate().expect("invalid engine configuration");
         let cell = &cfg.cell;
         let geom = BufferGeometry {
@@ -130,17 +148,16 @@ impl Kernels {
             cap_bits: cell.bits_per_symbol_per_user(),
             info_bits: cell.info_bits_per_symbol(),
         };
-        let fft = FftPlan::new(cell.fft_size);
+        let fft = FftPlan::with_tier(cell.fft_size, tier);
         let map = SubcarrierMap::new(cell.fft_size, cell.num_data_sc);
         let pieces = block_pieces(&map, &geom);
         let pilot_stores = pilot_stores(cell, &map, &geom);
         let rate_match = cell.ldpc.rate_match();
         let encoder = Encoder::new(cell.ldpc.base_graph, cell.ldpc.z);
-        // Every beamforming product runs on the detected tier (the
-        // kernels are bit-identical across tiers).
-        let tier = SimdTier::cached();
         let eq_gemm = Gemm::plan_with_tier(geom.k, geom.m, geom.block, tier);
         let pre_gemm = Gemm::plan_with_tier(geom.m, geom.k, geom.block, tier);
+        let demapper = Demapper::new(cell.modulation, tier);
+        let modulator = Modulator::new(cell.modulation, tier);
         let coded_bits = cell.coded_bits_per_symbol();
         let shape = FrameShape::new(cell);
         Self {
@@ -154,6 +171,8 @@ impl Kernels {
             encoder,
             eq_gemm,
             pre_gemm,
+            demapper,
+            modulator,
             tier,
             coded_bits,
         }
@@ -169,8 +188,6 @@ impl Kernels {
             ),
             ant_block: vec![Cf32::ZERO; g.m * g.block],
             user_block: vec![Cf32::ZERO; g.k * g.block],
-            llr_tmp: Vec::with_capacity(g.zf_group * 8),
-            llr_i8_tmp: Vec::with_capacity(g.zf_group * 8),
             zf_h: CMat::zeros(g.m, g.k),
             zf_det: CMat::zeros(g.k, g.m),
             zf_pre: CMat::zeros(g.m, g.k),
@@ -179,12 +196,13 @@ impl Kernels {
             // buffers above should land the same either way.
             decode: if self.cfg.quantized_decoder {
                 DecodePlane::I8 {
-                    decoder: DecoderI8::new(ldpc.base_graph, ldpc.z),
+                    decoder: DecoderI8::with_tier(ldpc.base_graph, ldpc.z, self.tier),
                     full_llr: vec![0; self.rate_match.codeword_len()],
+                    llr_row: vec![0.0; g.block * self.cfg.cell.modulation.bits_per_symbol()],
                 }
             } else {
                 DecodePlane::F32 {
-                    decoder: Decoder::new(ldpc.base_graph, ldpc.z),
+                    decoder: Decoder::with_tier(ldpc.base_graph, ldpc.z, self.tier),
                     full_llr: vec![0.0; self.rate_match.codeword_len()],
                 }
             },
@@ -300,10 +318,14 @@ impl Kernels {
     /// ZF task: detector and precoder of one subcarrier group, from the
     /// group's `M x K` channel estimate as the pilot FFTs left it: the
     /// pseudo-inverse (Gram, Cholesky factor, triangular sweeps) is the
-    /// detector, its power-normalised transpose the precoder.
+    /// detector, its power-normalised transpose the precoder. The
+    /// detector fixes how much noise each user sees behind it —
+    /// `noise * ||w_u||^2` — so the reciprocal demodulation scales LLRs
+    /// by is published here, once per frame, not per block and symbol.
     /// Allocation-free: the channel copy, pseudo-inverse intermediates,
     /// detector and precoder all live in `WorkerScratch`.
     pub fn zf_task(&self, fb: &FrameBuffers, s: &mut WorkerScratch, group: usize) {
+        let g = &self.geom;
         // SAFETY: ZF is dispatched after the frame's last pilot FFT
         // completed; nothing writes the CSI plane any more.
         let csi = unsafe { fb.csi.slice(fb.csi_range(group)) };
@@ -311,11 +333,19 @@ impl Kernels {
         pinv_into(&s.zf_h, PinvMethod::Cholesky, &mut s.zf_pinv, &mut s.zf_det);
         s.zf_det.transpose_into(&mut s.zf_pre);
         normalize_precoder_in_place(&mut s.zf_pre);
+        let noise = self.cfg.noise_power.max(1e-9);
         // SAFETY: one ZF task per group is in flight, and it is the only
-        // writer of the group's detector and precoder.
+        // writer of the group's detector, precoder and noise scales.
         unsafe {
             fb.det.slice_mut(fb.det_range(group)).copy_from_slice(s.zf_det.as_slice());
             fb.pre.slice_mut(fb.pre_range(group)).copy_from_slice(s.zf_pre.as_slice());
+            let inv_noise = fb.inv_noise.slice_mut(fb.inv_noise_range(g, group));
+            for (inv, row) in inv_noise.iter_mut().zip(s.zf_det.as_slice().chunks_exact(g.m)) {
+                // The sum runs over the antennas in order: a fixed
+                // reduction order is part of the output.
+                let norm_sqr: f32 = row.iter().map(|z| z.norm_sqr()).sum();
+                *inv = 1.0 / (noise * norm_sqr).max(1e-12);
+            }
         }
     }
 
@@ -323,9 +353,9 @@ impl Kernels {
     /// subcarriers starting at `sc_base` of one uplink symbol: per
     /// cache-line block, one planned GEMM of the group's detector with
     /// the block's antenna samples, then every user's row soft-demapped
-    /// into the LLR plane. `_frame` is unused — `fb` already is the
-    /// frame's slot — and stays because the repo benchmark calls this
-    /// signature.
+    /// as it leaves the GEMM, straight into the LLR plane. `_frame` is
+    /// unused — `fb` already is the frame's slot — and stays because the
+    /// repo benchmark calls this signature.
     pub fn demod_task(
         &self,
         fb: &FrameBuffers,
@@ -336,58 +366,40 @@ impl Kernels {
         count: usize,
     ) {
         let g = &self.geom;
-        let bps = self.cfg.cell.modulation.bits_per_symbol();
+        let row_llrs = g.block * self.cfg.cell.modulation.bits_per_symbol();
         let freq = unsafe { fb.freq.slice(fb.freq_symbol_range(symbol)) };
-        let noise = self.cfg.noise_power.max(1e-9);
         // The block writes below are unchecked: a partial block would
         // land its LLRs in a neighbour's range.
         assert!(
             sc_base.is_multiple_of(g.block) && count.is_multiple_of(g.block),
             "demod task splits a block"
         );
-        for blk_off in (0..count).step_by(g.block) {
-            let sc = sc_base + blk_off;
-            let det_slice = unsafe { fb.det.slice(fb.det_range(sc / g.zf_group)) };
+        for blk in sc_base / g.block..(sc_base + count) / g.block {
+            let group = blk * g.block / g.zf_group;
+            // SAFETY: demodulation is dispatched after the frame's ZF
+            // tasks completed; nothing writes their planes any more.
+            let det = unsafe { fb.det.slice(fb.det_range(group)) };
+            let inv_noise = unsafe { fb.inv_noise.slice(fb.inv_noise_range(g, group)) };
             // Antenna block is contiguous per antenna in this layout.
-            let base = fb.freq_block_offset(g, sc / g.block, 0);
-            let ant_block = &freq[base..base + g.m * g.block];
-            self.eq_gemm.run(det_slice, ant_block, &mut s.user_block);
-            for user in 0..g.k {
-                // The block is the 8-subcarrier cache line: exactly one
-                // AVX2 vector per axis.
-                let row = &s.user_block[user * g.block..(user + 1) * g.block];
-                let at = fb.llr_range(g, symbol, user).start + sc * bps;
-                // Post-ZF noise on user u is amplified by ||w_u||^2.
-                let nv = noise * row_norm_sqr(det_slice, g.m, user);
-                self.demap_into(fb, &mut s.llr_tmp, &mut s.llr_i8_tmp, row, nv, at);
+            let base = fb.freq_block_offset(g, blk, 0);
+            self.eq_gemm.run(det, &freq[base..base + g.m * g.block], &mut s.user_block);
+            for (user, row) in s.user_block.chunks_exact(g.block).enumerate() {
+                let at = fb.llr_range(g, symbol, user).start + blk * row_llrs;
+                // SAFETY (both planes): one demod task owns this (symbol,
+                // subcarrier range) of every user's LLRs; decode is
+                // dispatched after it.
+                match &mut s.decode {
+                    DecodePlane::F32 { .. } => {
+                        let out = unsafe { fb.llr.slice_mut(at..at + row_llrs) };
+                        self.demapper.demap(row, inv_noise[user], out);
+                    }
+                    DecodePlane::I8 { llr_row, .. } => {
+                        self.demapper.demap(row, inv_noise[user], llr_row);
+                        let out = unsafe { fb.llr_i8.slice_mut(at..at + row_llrs) };
+                        quantize_llrs(llr_row, out, self.cfg.llr_quant_scale);
+                    }
+                }
             }
-        }
-    }
-
-    /// Soft-demaps one user's `row` of equalized symbols (post-detection
-    /// noise variance `nv`) into the frame's active LLR plane — f32, or
-    /// i8 under the quantized decoder — starting at LLR index `at`.
-    fn demap_into(
-        &self,
-        fb: &FrameBuffers,
-        llr_tmp: &mut Vec<f32>,
-        llr_i8_tmp: &mut Vec<i8>,
-        row: &[Cf32],
-        nv: f32,
-        at: usize,
-    ) {
-        let modulation = self.cfg.cell.modulation;
-        let span = at..at + row.len() * modulation.bits_per_symbol();
-        if self.cfg.quantized_decoder {
-            llr_i8_tmp.clear();
-            demod_soft_i8(modulation, row, nv, self.cfg.llr_quant_scale, llr_tmp, llr_i8_tmp);
-            // SAFETY: one demod task owns this (symbol, subcarrier range)
-            // of every user's LLRs; decode is dispatched after it.
-            unsafe { fb.llr_i8.slice_mut(span) }.copy_from_slice(llr_i8_tmp);
-        } else {
-            demod_soft_simd(modulation, row, nv, llr_tmp);
-            // SAFETY: as above.
-            unsafe { fb.llr.slice_mut(span) }.copy_from_slice(llr_tmp);
         }
     }
 
@@ -418,7 +430,7 @@ impl Kernels {
                 let cfg = DecodeConfig { max_iters, active_rows, ..Default::default() };
                 decoder.decode_into(full_llr, &cfg, out)
             }
-            DecodePlane::I8 { decoder, full_llr } => {
+            DecodePlane::I8 { decoder, full_llr, .. } => {
                 // SAFETY: as above, for the quantised LLR plane.
                 let llr = unsafe { fb.llr_i8.slice(fb.llr_range(g, symbol, user)) };
                 self.rate_match.fill_llrs_into(&llr[..tx_len], full_llr);
@@ -471,20 +483,24 @@ impl Kernels {
         let g = &self.geom;
         let bps = self.cfg.cell.modulation.bits_per_symbol();
         let sym_base = fb.freq_symbol_range(symbol).start;
-        debug_assert_eq!(sc_base % g.block, 0);
+        // The block writes below cover a block's whole width: a task
+        // that starts or ends inside one would land `M x width` samples
+        // on a neighbour's range. Only the band's last block may be short.
+        assert!(
+            sc_base.is_multiple_of(g.block)
+                && sc_base + count <= g.q
+                && (count.is_multiple_of(g.block) || sc_base + count == g.q),
+            "precode task splits a block"
+        );
         for blk_off in (0..count).step_by(g.block) {
             let sc = sc_base + blk_off;
             let width = g.block.min(g.q - sc);
             // Build the K x width user-symbol matrix (modulation fusion).
-            for user in 0..g.k {
+            for (user, row) in s.user_block[..g.k * width].chunks_exact_mut(width).enumerate() {
+                // SAFETY: the symbol's encode tasks completed before its
+                // precoding was dispatched; nothing writes these bits.
                 let bits = unsafe { fb.dl_bits.slice(fb.dl_bits_range(g, symbol, user)) };
-                for w in 0..width {
-                    let mut v = 0u32;
-                    for b in 0..bps {
-                        v |= ((bits[(sc + w) * bps + b] & 1) as u32) << b;
-                    }
-                    s.user_block[user * width + w] = map_symbol(self.cfg.cell.modulation, v);
-                }
+                self.modulator.modulate_into(&bits[sc * bps..(sc + width) * bps], row);
             }
             let pre_slice = unsafe { pre_src.pre.slice(pre_src.pre_range(sc / g.zf_group)) };
             self.pre_gemm.run(
@@ -625,11 +641,6 @@ fn pilot_stores(
         }
     }
     stores
-}
-
-/// Squared norm of detector row `user` (length `m`).
-fn row_norm_sqr(det: &[Cf32], m: usize, user: usize) -> f32 {
-    det[user * m..(user + 1) * m].iter().map(|z| z.norm_sqr()).sum()
 }
 
 /// Deterministic pseudo-random MAC payload for downlink experiments.
@@ -928,9 +939,9 @@ mod tests {
     /// {1, 2, 4, 16}, ZF groups of 4, 8 and 16 (`K > zf_group`, and a
     /// partial last group at 300 subcarriers), both pilot schemes and
     /// `M` in {K, 2K}, every row the pilot tasks leave is bit-equal to
-    /// the row the oracle's ZF read, and `zf_task` publishes the `det`
-    /// and `pre` planes of the pseudo-inverse of that row. A pilot symbol
-    /// no user owns stores nothing.
+    /// the row the oracle's ZF read, and `zf_task` publishes the `det`,
+    /// `pre` and `inv_noise` planes of the pseudo-inverse of that row. A
+    /// pilot symbol no user owns stores nothing.
     #[test]
     fn pilot_store_leaves_the_rows_the_old_layout_fed_zf() {
         use agora_math::{normalize_precoder, pinv};
@@ -980,11 +991,53 @@ mod tests {
                 let got_pre = unsafe { fb.pre.slice(fb.pre_range(group)) };
                 assert!(bits(got_det) == bits(det.as_slice()), "{what}: det, group {group}");
                 assert!(bits(got_pre) == bits(pre.as_slice()), "{what}: pre, group {group}");
+                // What `demod_task` summed per block and user before ZF
+                // published it.
+                let noise = k.cfg.noise_power.max(1e-9);
+                let got_inv = unsafe { fb.inv_noise.slice(fb.inv_noise_range(&g, group)) };
+                for (user, w) in det.as_slice().chunks_exact(g.m).enumerate() {
+                    let nv = noise * w.iter().map(|z| z.norm_sqr()).sum::<f32>();
+                    let want = 1.0 / nv.max(1e-12);
+                    assert_eq!(got_inv[user].to_bits(), want.to_bits(), "{what}: {group}/{user}");
+                }
             }
             assert_eq!(want.len(), k.shape.zf_groups * g.m * g.k);
             checked += 1;
         }
         assert_eq!(checked, 96 - 6, "all but 16 users on 300 subcarriers, frequency-orthogonal");
+    }
+
+    /// The block tasks write whole blocks through unchecked offsets, so a
+    /// message that starts or ends inside a block must panic — in release
+    /// too — before anything lands on a neighbour's range.
+    #[test]
+    fn a_task_that_splits_a_block_panics_instead_of_writing() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let (k, fb) = primed(CellConfig::tiny_test(1), 1, |_| {});
+        let (g, mut s) = (k.geom, k.scratch());
+        let (uplink, downlink) = (1, 2);
+        (0..g.m).for_each(|a| k.fft_task(&fb, &mut s, 0, a));
+        (0..k.shape.zf_groups).for_each(|group| k.zf_task(&fb, &mut s, group));
+        let marker = Cf32::new(7.0, -7.0);
+        // SAFETY (here and below): single-threaded test, no other view alive.
+        unsafe { fb.dl_freq.slice_mut(0..fb.dl_freq.len()) }.fill(marker);
+        unsafe { fb.llr.slice_mut(0..fb.llr.len()) }.fill(7.0);
+        let half = g.block / 2;
+        for (base, count) in [(half, g.block), (0, g.block + half), (g.q - half, half)] {
+            let precode = catch_unwind(AssertUnwindSafe(|| {
+                k.precode_task(&fb, &mut s, downlink, base, count)
+            }));
+            assert!(precode.is_err(), "precode {base}+{count} ran");
+            let demod = catch_unwind(AssertUnwindSafe(|| {
+                k.demod_task(&fb, &mut s, 0, uplink, base, count)
+            }));
+            assert!(demod.is_err(), "demod {base}+{count} ran");
+        }
+        assert!(unsafe { fb.dl_freq.slice(0..fb.dl_freq.len()) }.iter().all(|&z| z == marker));
+        assert!(unsafe { fb.llr.slice(0..fb.llr.len()) }.iter().all(|&l| l == 7.0));
+        // Whole blocks anywhere in the band are a task.
+        k.precode_task(&fb, &mut s, downlink, g.q - g.block, g.block);
+        k.demod_task(&fb, &mut s, 0, uplink, g.block, 2 * g.block);
     }
 
     /// The fused unpack → bit-reversal gather plus `execute_prereversed`

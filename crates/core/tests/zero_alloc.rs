@@ -1,10 +1,12 @@
-//! A decode task must not allocate: the worker's decoding plane owns its
-//! message, posterior and staging buffers, and `decode_into` writes the
-//! hard decisions straight into the frame's `decoded` plane. A counting
-//! global allocator makes that claim checkable, on both planes.
+//! No task body but `encode_task` allocates: the worker's scratch owns
+//! the transform grid, the ZF intermediates, the GEMM blocks and the
+//! decoding plane's buffers, and every body writes straight into the
+//! frame's planes. A counting global allocator makes that claim
+//! checkable, on both decoding planes.
 
 use agora_core::{EngineConfig, InlineProcessor};
 use agora_fronthaul::{RruConfig, RruEmulator};
+use agora_phy::frame::FrameSchedule;
 use agora_phy::CellConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -47,49 +49,87 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-fn decode_tasks_allocate(quantized: bool) -> u64 {
-    let cell = CellConfig::tiny_test(2);
+/// Runs every allocation-free task body of one pilot + uplink + downlink
+/// frame on a fresh scratch, twice, and returns what each body allocated
+/// the second time. The planes the second pass rewrote must hold what the
+/// inline pass left.
+fn task_bodies_allocate(quantized: bool) -> Vec<(&'static str, u64)> {
+    let mut cell = CellConfig::tiny_test(1);
+    cell.schedule = FrameSchedule::parse("PUD").expect("valid schedule");
+    let (pilot, uplink, downlink) = (0, 1, 2);
     let mut rru =
         RruEmulator::new(cell.clone(), RruConfig { snr_db: 28.0, seed: 5, ..Default::default() });
     let (packets, _) = rru.generate_frame(0);
     let mut cfg = EngineConfig::new(cell.clone(), 1);
     cfg.noise_power = rru.noise_power();
     cfg.quantized_decoder = quantized;
-    // One inline frame leaves the LLR planes filled for the tasks to re-run on.
+    // One inline frame leaves the packets, `dl_bits` and every plane
+    // filled for the tasks to re-run on.
     let mut proc = InlineProcessor::new(cfg);
     let reference = proc.process_frame(0, &packets);
     let (kernels, fb) = (proc.kernels(), proc.buffers(0));
+    let g = kernels.geom;
     let mut scratch = kernels.scratch();
-    let uplink = cell.schedule.uplink_indices();
-    let mut run = || {
-        for &symbol in &uplink {
-            for user in 0..cell.num_users {
-                kernels.decode_task(fb, &mut scratch, symbol, user);
-            }
-        }
-    };
-    run();
     // SAFETY (here and below): single-threaded, no task in flight.
-    unsafe { fb.decoded.slice_mut(0..fb.decoded.len()) }.fill(2);
-    let before = allocations();
-    run();
-    let allocated = allocations() - before;
-    for &symbol in &uplink {
-        for user in 0..cell.num_users {
-            let range = fb.decoded_range(&kernels.geom, symbol, user);
-            let got = unsafe { fb.decoded.slice(range) };
-            assert_eq!(got, &reference.decoded[symbol][user][..], "symbol {symbol} user {user}");
+    let llr = unsafe { fb.llr.slice(0..fb.llr.len()) }.to_vec();
+    let llr_i8 = unsafe { fb.llr_i8.slice(0..fb.llr_i8.len()) }.to_vec();
+    let dl_time = unsafe { fb.dl_time.slice(0..fb.dl_time.len()) }.to_vec();
+
+    let mut counts = Vec::new();
+    for pass in 0..2 {
+        unsafe {
+            fb.llr.slice_mut(0..fb.llr.len()).fill(0.0);
+            fb.llr_i8.slice_mut(0..fb.llr_i8.len()).fill(0);
+            fb.decoded.slice_mut(0..fb.decoded.len()).fill(2);
+            fb.dl_time.slice_mut(0..fb.dl_time.len()).fill(agora_math::Cf32::ZERO);
         }
+        let mut body = |name: &'static str, run: &mut dyn FnMut()| {
+            let before = allocations();
+            run();
+            if pass == 1 {
+                counts.push((name, allocations() - before));
+            }
+        };
+        let s = &mut scratch;
+        body("fft", &mut || {
+            for symbol in [pilot, uplink] {
+                (0..g.m).for_each(|ant| kernels.fft_task(fb, s, symbol, ant));
+            }
+        });
+        body("zf", &mut || {
+            (0..kernels.shape.zf_groups).for_each(|group| kernels.zf_task(fb, s, group))
+        });
+        body("demod", &mut || kernels.demod_task(fb, s, 0, uplink, 0, g.q));
+        body("decode", &mut || (0..g.k).for_each(|user| kernels.decode_task(fb, s, uplink, user)));
+        body("precode", &mut || kernels.precode_task(fb, s, downlink, 0, g.q));
+        body("ifft", &mut || (0..g.m).for_each(|ant| kernels.ifft_task(fb, s, downlink, ant)));
     }
-    allocated
+
+    for user in 0..g.k {
+        let got = unsafe { fb.decoded.slice(fb.decoded_range(&g, uplink, user)) };
+        assert_eq!(got, &reference.decoded[uplink][user][..], "user {user}");
+    }
+    // Only the configured plane is written; the other stays cleared.
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(unsafe { fb.llr.slice(0..fb.llr.len()) }), bits(&llr));
+    assert_eq!(unsafe { fb.llr_i8.slice(0..fb.llr_i8.len()) }, &llr_i8[..]);
+    let filled =
+        if quantized { llr_i8.iter().any(|&l| l != 0) } else { llr.iter().any(|&l| l != 0.0) };
+    assert!(filled, "the configured LLR plane is empty");
+    assert!(unsafe { fb.dl_time.slice(0..fb.dl_time.len()) } == &dl_time[..]);
+    assert!(dl_time.iter().any(|&z| z != agora_math::Cf32::ZERO));
+    counts
+}
+
+const NONE: [(&str, u64); 6] =
+    [("fft", 0), ("zf", 0), ("demod", 0), ("decode", 0), ("precode", 0), ("ifft", 0)];
+
+#[test]
+fn f32_plane_task_bodies_are_allocation_free() {
+    assert_eq!(task_bodies_allocate(false), NONE);
 }
 
 #[test]
-fn f32_decode_task_is_allocation_free() {
-    assert_eq!(decode_tasks_allocate(false), 0);
-}
-
-#[test]
-fn i8_decode_task_is_allocation_free() {
-    assert_eq!(decode_tasks_allocate(true), 0);
+fn i8_plane_task_bodies_are_allocation_free() {
+    assert_eq!(task_bodies_allocate(true), NONE);
 }

@@ -5,17 +5,19 @@
 //! `LLR(b) = (min_{s: b=1} |y-s|^2 - min_{s: b=0} |y-s|^2) / sigma^2`
 //! (positive LLR means bit 0 more likely, matching `agora-ldpc`).
 //!
-//! Two paths, as in the paper's AVX-512 demodulator:
 //! * [`demod_soft_exact`] — exact max-log over the whole 2-D
 //!   constellation; the reference implementation for any scheme.
-//! * [`demod_soft`] — per-axis max-log for Gray square QAM. Because the
-//!   I and Q labels are independent, the 2-D search factorises into two
-//!   1-D searches (8 levels instead of 64 points for 64-QAM), which is
-//!   the structure vectorised demappers exploit. Output is bit-exact
-//!   equal to the exhaustive search.
+//! * [`Demapper`] — per-axis max-log for Gray square QAM, planned once
+//!   per scheme and tier. Because the I and Q labels are independent, the
+//!   2-D search factorises into two 1-D searches (8 levels instead of 64
+//!   points for 64-QAM), which is the structure the vector body exploits
+//!   — the paper's AVX-512 demodulator at AVX2 width. Bit-exact across
+//!   tiers, and equal to the exhaustive search to rounding.
+//! * [`demod_soft`] / [`demod_soft_simd`] — the demapper's scalar and
+//!   detected-tier bodies behind a `Vec` signature.
 
 use crate::modulation::{constellation, ModScheme};
-use agora_math::Cf32;
+use agora_math::{Cf32, SimdTier};
 
 /// Exact max-log LLRs by exhaustive search over the constellation.
 ///
@@ -44,72 +46,244 @@ pub fn demod_soft_exact(scheme: ModScheme, symbols: &[Cf32], noise_var: f32, out
     }
 }
 
-/// Per-axis PAM alphabet for one QAM axis: `(level, gray_label)` pairs.
-fn axis_levels(scheme: ModScheme) -> Vec<(f32, u32)> {
-    let half_bits = scheme.bits_per_symbol() / 2;
-    let levels = 1usize << half_bits;
-    let s = scheme.scale();
-    (0..levels as u32)
-        .map(|idx| {
-            let pam = (2 * idx as i32 - (levels as i32 - 1)) as f32 * s;
-            (pam, idx ^ (idx >> 1)) // binary-reflected Gray label
-        })
-        .collect()
+/// Binary-reflected Gray label of PAM level `index` (lowest level first).
+const fn gray(index: usize) -> usize {
+    index ^ (index >> 1)
 }
 
-/// Fast factorised max-log demapper for Gray square QAM (and BPSK).
+/// A planned max-log demapper for one modulation scheme: the per-axis PAM
+/// levels are built once, the body is picked by the pinned [`SimdTier`],
+/// and LLRs go straight into a caller-owned slice — no allocation, no
+/// feature probe and no staging copy per call.
+///
+/// The vector body never separates real from imaginary parts. A row of
+/// interleaved `Cf32` is a row of independent PAM observations — lane
+/// `2 * symbol + axis` — so four subcarriers fill the eight lanes of one
+/// register, and the per-lane operations (`sub`, `mul`, the `min` chain of
+/// each label bit, `sub`, `mul`) are the scalar body's, in its order. That
+/// leaves `L_k[lane]`, one register per axis bit `k`; the frame wants
+/// `out[symbol * bits_per_symbol + axis * half + k]`, which is
+/// `out[lane * half + k]` — a `half`-way interleave of the registers,
+/// done in registers ([`store_plane_order`]) and stored whole.
+#[derive(Debug, Clone)]
+pub struct Demapper {
+    scheme: ModScheme,
+    tier: SimdTier,
+    /// Label bits per axis; 0 for BPSK, which has no imaginary axis.
+    half: usize,
+    /// The `1 << half` PAM levels of one axis, lowest first; level `i`
+    /// carries the label [`gray`]`(i)`.
+    levels: [f32; 16],
+}
+
+impl Demapper {
+    /// Plans the demapper of `scheme` on `tier`, clamped to what the CPU
+    /// supports.
+    pub fn new(scheme: ModScheme, tier: SimdTier) -> Self {
+        let half = scheme.bits_per_symbol() / 2;
+        let count = 1i32 << half;
+        let mut levels = [0.0; 16];
+        for (idx, level) in levels.iter_mut().enumerate().take(count as usize) {
+            *level = (2 * idx as i32 - (count - 1)) as f32 * scheme.scale();
+        }
+        Self { scheme, tier: tier.min(SimdTier::cached()), half, levels }
+    }
+
+    /// LLRs of `symbols` into `out`, `bits_per_symbol` per symbol in the
+    /// order [`demod_soft_exact`] documents, each scaled by `inv_noise_var`
+    /// (the reciprocal post-equalization noise variance). Every tier
+    /// writes the same bits.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != symbols.len() * bits_per_symbol`.
+    pub fn demap(&self, symbols: &[Cf32], inv_noise_var: f32, out: &mut [f32]) {
+        let bps = self.scheme.bits_per_symbol();
+        assert_eq!(out.len(), symbols.len() * bps, "LLR row length mismatch");
+        // The vector body takes whole groups of four symbols; the scalar
+        // body takes the rest, and all of BPSK.
+        let done = match self.tier {
+            // SAFETY: `new` clamped the tier to what the CPU supports, and
+            // the lengths were checked above.
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx2 => unsafe {
+                let (levels, inv) = (&self.levels, inv_noise_var);
+                match self.half {
+                    1 => demap_avx2::<1>(levels, symbols, inv, out),
+                    2 => demap_avx2::<2>(levels, symbols, inv, out),
+                    3 => demap_avx2::<3>(levels, symbols, inv, out),
+                    4 => demap_avx2::<4>(levels, symbols, inv, out),
+                    _ => 0,
+                }
+            },
+            _ => 0,
+        };
+        self.demap_scalar(&symbols[done..], inv_noise_var, &mut out[done * bps..]);
+    }
+
+    /// The scalar body and the oracle of the vector one: per axis, the
+    /// factorised max-log search over the labelled PAM alphabet.
+    fn demap_scalar(&self, symbols: &[Cf32], inv_nv: f32, out: &mut [f32]) {
+        if self.scheme == ModScheme::Bpsk {
+            // d1 - d0 = (y+1)^2 - (y-1)^2 = 4y.
+            for (o, y) in out.iter_mut().zip(symbols) {
+                *o = 4.0 * y.re * inv_nv;
+            }
+            return;
+        }
+        let half = self.half;
+        let levels = &self.levels[..1 << half];
+        for (y, o) in symbols.iter().zip(out.chunks_exact_mut(2 * half)) {
+            for (x, o) in [y.re, y.im].into_iter().zip(o.chunks_exact_mut(half)) {
+                let mut d0 = [f32::INFINITY; 4];
+                let mut d1 = [f32::INFINITY; 4];
+                for (idx, &level) in levels.iter().enumerate() {
+                    let d = (x - level) * (x - level);
+                    for k in 0..half {
+                        let best = if (gray(idx) >> k) & 1 == 0 { &mut d0[k] } else { &mut d1[k] };
+                        if d < *best {
+                            *best = d;
+                        }
+                    }
+                }
+                for k in 0..half {
+                    o[k] = (d1[k] - d0[k]) * inv_nv;
+                }
+            }
+        }
+    }
+}
+
+/// The vector body of [`Demapper::demap`] for `HALF` label bits per axis
+/// (a constant, so the level loop unrolls and every label test folds
+/// away): demaps whole groups of four symbols — eight lanes — and
+/// returns how many symbols that was.
+///
+/// # Safety
+/// The CPU must support AVX2, and `out` must hold `2 * HALF` LLRs per
+/// symbol (checked by [`Demapper::demap`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn demap_avx2<const HALF: usize>(
+    levels: &[f32; 16],
+    symbols: &[Cf32],
+    inv_nv: f32,
+    out: &mut [f32],
+) -> usize {
+    use core::arch::x86_64::*;
+    debug_assert_eq!(out.len(), symbols.len() * 2 * HALF);
+    let groups = symbols.len() / 4;
+    let scale = _mm256_set1_ps(inv_nv);
+    let inf = _mm256_set1_ps(f32::INFINITY);
+    for group in 0..groups {
+        // SAFETY: `Cf32` is `repr(C)` `{ re, im }`, so symbols
+        // `4 * group..4 * group + 4` are eight in-bounds `f32`s.
+        let x = _mm256_loadu_ps(symbols.as_ptr().add(4 * group) as *const f32);
+        let mut d0 = [inf; HALF];
+        let mut d1 = [inf; HALF];
+        for (idx, &level) in levels.iter().enumerate().take(1 << HALF) {
+            let diff = _mm256_sub_ps(x, _mm256_set1_ps(level));
+            let d = _mm256_mul_ps(diff, diff);
+            for k in 0..HALF {
+                // `min_ps(d, best)` is `d < best ? d : best`: the scalar
+                // body's update, NaN handling included.
+                if (gray(idx) >> k) & 1 == 0 {
+                    d0[k] = _mm256_min_ps(d, d0[k]);
+                } else {
+                    d1[k] = _mm256_min_ps(d, d1[k]);
+                }
+            }
+        }
+        let mut llr = [inf; HALF];
+        for k in 0..HALF {
+            llr[k] = _mm256_mul_ps(_mm256_sub_ps(d1[k], d0[k]), scale);
+        }
+        // SAFETY: eight lanes are `8 * HALF` LLRs, in bounds by the length
+        // relation above.
+        store_plane_order(llr, out.as_mut_ptr().add(group * 8 * HALF));
+    }
+    groups * 4
+}
+
+/// Stores `out[lane * HALF + k] = l[k][lane]` for the eight lanes of
+/// `HALF` registers: the `HALF`-way interleave that turns lane-major LLRs
+/// into the frame's `[symbol][axis][bit]` order.
+///
+/// # Safety
+/// The CPU must support AVX2 and `out` must be valid for `8 * HALF`
+/// `f32` writes.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn store_plane_order<const HALF: usize>(
+    l: [core::arch::x86_64::__m256; HALF],
+    out: *mut f32,
+) {
+    use core::arch::x86_64::*;
+    match HALF {
+        1 => _mm256_storeu_ps(out, l[0]),
+        2 => {
+            // [a0 b0 a1 b1 | a4 b4 a5 b5] and [a2 b2 a3 b3 | a6 b6 a7 b7].
+            let lo = _mm256_unpacklo_ps(l[0], l[1]);
+            let hi = _mm256_unpackhi_ps(l[0], l[1]);
+            _mm256_storeu_ps(out, _mm256_permute2f128_ps(lo, hi, 0x20));
+            _mm256_storeu_ps(out.add(8), _mm256_permute2f128_ps(lo, hi, 0x31));
+        }
+        3 => {
+            // `lane * 3 + k mod 8` is a permutation of the lanes for each
+            // `k` (3 is odd), so one permute per register puts every
+            // element in its final column and blends pick the rows.
+            let a = _mm256_permutevar8x32_ps(l[0], _mm256_setr_epi32(0, 3, 6, 1, 4, 7, 2, 5));
+            let b = _mm256_permutevar8x32_ps(l[1], _mm256_setr_epi32(5, 0, 3, 6, 1, 4, 7, 2));
+            let c = _mm256_permutevar8x32_ps(l[2], _mm256_setr_epi32(2, 5, 0, 3, 6, 1, 4, 7));
+            // Columns {1, 4, 7} (0x92) from the second operand, {2, 5}
+            // (0x24) from the third.
+            let abc = _mm256_blend_ps(_mm256_blend_ps(a, b, 0x92), c, 0x24);
+            let cab = _mm256_blend_ps(_mm256_blend_ps(c, a, 0x92), b, 0x24);
+            let bca = _mm256_blend_ps(_mm256_blend_ps(b, c, 0x92), a, 0x24);
+            _mm256_storeu_ps(out, abc);
+            _mm256_storeu_ps(out.add(8), cab);
+            _mm256_storeu_ps(out.add(16), bca);
+        }
+        4 => {
+            // A 4 x 4 transpose in each 128-bit half, then the halves in
+            // lane order.
+            let ab_lo = _mm256_unpacklo_ps(l[0], l[1]);
+            let ab_hi = _mm256_unpackhi_ps(l[0], l[1]);
+            let cd_lo = _mm256_unpacklo_ps(l[2], l[3]);
+            let cd_hi = _mm256_unpackhi_ps(l[2], l[3]);
+            let r0 = _mm256_shuffle_ps(ab_lo, cd_lo, 0x44); // lanes 0 | 4
+            let r1 = _mm256_shuffle_ps(ab_lo, cd_lo, 0xEE); // lanes 1 | 5
+            let r2 = _mm256_shuffle_ps(ab_hi, cd_hi, 0x44); // lanes 2 | 6
+            let r3 = _mm256_shuffle_ps(ab_hi, cd_hi, 0xEE); // lanes 3 | 7
+            _mm256_storeu_ps(out, _mm256_permute2f128_ps(r0, r1, 0x20));
+            _mm256_storeu_ps(out.add(8), _mm256_permute2f128_ps(r2, r3, 0x20));
+            _mm256_storeu_ps(out.add(16), _mm256_permute2f128_ps(r0, r1, 0x31));
+            _mm256_storeu_ps(out.add(24), _mm256_permute2f128_ps(r2, r3, 0x31));
+        }
+        _ => unreachable!("square QAM up to 256 points has 1 to 4 bits per axis"),
+    }
+}
+
+/// Factorised max-log demapper for Gray square QAM (and BPSK): the scalar
+/// body of [`Demapper`], and so the oracle its vector body is held to.
 ///
 /// Identical output to [`demod_soft_exact`]; the tests assert closeness to
 /// float rounding.
 pub fn demod_soft(scheme: ModScheme, symbols: &[Cf32], noise_var: f32, out: &mut Vec<f32>) {
-    let bps = scheme.bits_per_symbol();
-    out.clear();
-    out.reserve(symbols.len() * bps);
-    let inv_nv = 1.0 / noise_var.max(1e-12);
-    if scheme == ModScheme::Bpsk {
-        // d1 - d0 = (y+1)^2 - (y-1)^2 = 4y.
-        for &y in symbols {
-            out.push(4.0 * y.re * inv_nv);
-        }
-        return;
-    }
-    let half = bps / 2;
-    let levels = axis_levels(scheme);
-    let mut i_llr = [0.0f32; 4];
-    let mut q_llr = [0.0f32; 4];
-    for &y in symbols {
-        axis_max_log(&levels, y.re, half, &mut i_llr);
-        axis_max_log(&levels, y.im, half, &mut q_llr);
-        for &l in i_llr.iter().take(half) {
-            out.push(l * inv_nv);
-        }
-        for &l in q_llr.iter().take(half) {
-            out.push(l * inv_nv);
-        }
-    }
+    demap_to_vec(&Demapper::new(scheme, SimdTier::Scalar), symbols, noise_var, out);
 }
 
-/// 1-D max-log LLRs over a labelled PAM alphabet.
-#[inline]
-fn axis_max_log(levels: &[(f32, u32)], x: f32, bits: usize, out: &mut [f32; 4]) {
-    debug_assert!(bits <= 4);
-    let mut d0 = [f32::INFINITY; 4];
-    let mut d1 = [f32::INFINITY; 4];
-    for &(level, label) in levels {
-        let d = (x - level) * (x - level);
-        for k in 0..bits {
-            if (label >> k) & 1 == 0 {
-                if d < d0[k] {
-                    d0[k] = d;
-                }
-            } else if d < d1[k] {
-                d1[k] = d;
-            }
-        }
-    }
-    for k in 0..bits {
-        out[k] = d1[k] - d0[k];
-    }
+/// [`demod_soft`] on the detected tier — [`Demapper`], the kernel the
+/// engine's demodulation task runs, behind the `Vec` signature. Bit-exact
+/// equal to the scalar path.
+pub fn demod_soft_simd(scheme: ModScheme, symbols: &[Cf32], noise_var: f32, out: &mut Vec<f32>) {
+    demap_to_vec(&Demapper::new(scheme, SimdTier::cached()), symbols, noise_var, out);
+}
+
+fn demap_to_vec(demapper: &Demapper, symbols: &[Cf32], noise_var: f32, out: &mut Vec<f32>) {
+    // Not cleared first: the demapper overwrites every element.
+    out.resize(symbols.len() * demapper.scheme.bits_per_symbol(), 0.0);
+    demapper.demap(symbols, 1.0 / noise_var.max(1e-12), out);
 }
 
 #[cfg(test)]
@@ -220,123 +394,25 @@ mod tests {
     }
 }
 
-/// AVX2-accelerated demapper: identical output to [`demod_soft`], with
-/// the per-axis max-log search vectorised eight symbols at a time — the
-/// Rust analogue of the paper's AVX-512 demodulation kernel. Falls back
-/// to the scalar path on non-AVX2 hardware or for BPSK/odd tails.
-pub fn demod_soft_simd(scheme: ModScheme, symbols: &[Cf32], noise_var: f32, out: &mut Vec<f32>) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if scheme != ModScheme::Bpsk && std::arch::is_x86_feature_detected!("avx2") {
-            let bps = scheme.bits_per_symbol();
-            out.clear();
-            out.reserve(symbols.len() * bps);
-            let inv_nv = 1.0 / noise_var.max(1e-12);
-            let levels = axis_levels(scheme);
-            let half = bps / 2;
-            let chunks = symbols.len() / 8;
-            unsafe {
-                let mut i_llr = [[0.0f32; 8]; 4];
-                let mut q_llr = [[0.0f32; 8]; 4];
-                for c in 0..chunks {
-                    let block = &symbols[c * 8..(c + 1) * 8];
-                    let mut re = [0.0f32; 8];
-                    let mut im = [0.0f32; 8];
-                    for (j, z) in block.iter().enumerate() {
-                        re[j] = z.re;
-                        im[j] = z.im;
-                    }
-                    axis_max_log_x8(&levels, &re, half, &mut i_llr);
-                    axis_max_log_x8(&levels, &im, half, &mut q_llr);
-                    for j in 0..8 {
-                        for l in i_llr.iter().take(half) {
-                            out.push(l[j] * inv_nv);
-                        }
-                        for l in q_llr.iter().take(half) {
-                            out.push(l[j] * inv_nv);
-                        }
-                    }
-                }
-            }
-            // Scalar tail.
-            let mut tail = Vec::new();
-            demod_soft(scheme, &symbols[chunks * 8..], noise_var, &mut tail);
-            out.extend_from_slice(&tail);
-            return;
-        }
-    }
-    demod_soft(scheme, symbols, noise_var, out);
-}
-
-/// Quantised demapper: runs the SIMD max-log demapper and emits
-/// saturating `i8` LLRs directly, feeding the engine's fixed-point
-/// decoding plane without a second pass over a stored `f32` buffer.
-///
-/// `scratch` is caller-owned reuse space for the intermediate float LLRs
-/// (cleared and refilled here; no allocation once warm). Output is
-/// appended to `out`, `bits_per_symbol` LLRs per input symbol, quantised
-/// as `round(llr * scale)` clamped to `[-127, 127]` (see
-/// [`agora_ldpc::quantize_llrs`]).
-pub fn demod_soft_i8(
-    scheme: ModScheme,
-    symbols: &[Cf32],
-    noise_var: f32,
-    scale: f32,
-    scratch: &mut Vec<f32>,
-    out: &mut Vec<i8>,
-) {
-    demod_soft_simd(scheme, symbols, noise_var, scratch);
-    let start = out.len();
-    out.resize(start + scratch.len(), 0);
-    agora_ldpc::quantize_llrs(scratch, &mut out[start..], scale);
-}
-
-/// Eight-lane 1-D max-log over a labelled PAM alphabet: for each axis
-/// bit, `out[k][lane] = min d(bit=1) - min d(bit=0)`.
-///
-/// # Safety
-/// Caller must ensure AVX2 support.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn axis_max_log_x8(
-    levels: &[(f32, u32)],
-    xs: &[f32; 8],
-    bits: usize,
-    out: &mut [[f32; 8]; 4],
-) {
-    use core::arch::x86_64::*;
-    let x = _mm256_loadu_ps(xs.as_ptr());
-    let inf = _mm256_set1_ps(f32::INFINITY);
-    let mut d0 = [inf; 4];
-    let mut d1 = [inf; 4];
-    for &(level, label) in levels {
-        let diff = _mm256_sub_ps(x, _mm256_set1_ps(level));
-        let d = _mm256_mul_ps(diff, diff);
-        for (k, (d0k, d1k)) in d0.iter_mut().zip(d1.iter_mut()).enumerate().take(bits) {
-            if (label >> k) & 1 == 0 {
-                *d0k = _mm256_min_ps(*d0k, d);
-            } else {
-                *d1k = _mm256_min_ps(*d1k, d);
-            }
-        }
-    }
-    for k in 0..bits {
-        let llr = _mm256_sub_ps(d1[k], d0[k]);
-        _mm256_storeu_ps(out[k].as_mut_ptr(), llr);
-    }
-}
-
 #[cfg(test)]
 mod simd_tests {
     use super::*;
     use crate::modulation::modulate;
+    use proptest::prelude::*;
+
+    const QAM: [ModScheme; 4] =
+        [ModScheme::Qpsk, ModScheme::Qam16, ModScheme::Qam64, ModScheme::Qam256];
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
 
     #[test]
     fn simd_demod_matches_scalar_exactly() {
-        for scheme in [ModScheme::Qpsk, ModScheme::Qam16, ModScheme::Qam64, ModScheme::Qam256] {
+        for scheme in QAM {
             let bps = scheme.bits_per_symbol();
             let mut state = 0xDEADBEEFu64;
-            let bits: Vec<u8> = (0..bps * 100)
+            let tx: Vec<u8> = (0..bps * 100)
                 .map(|_| {
                     state ^= state << 13;
                     state ^= state >> 7;
@@ -345,7 +421,7 @@ mod simd_tests {
                 })
                 .collect();
             let mut syms = Vec::new();
-            modulate(scheme, &bits, &mut syms);
+            modulate(scheme, &tx, &mut syms);
             // Add deterministic noise.
             for (i, z) in syms.iter_mut().enumerate() {
                 *z += Cf32::new(
@@ -357,13 +433,7 @@ mod simd_tests {
             let mut simd = Vec::new();
             demod_soft(scheme, &syms, 0.07, &mut scalar);
             demod_soft_simd(scheme, &syms, 0.07, &mut simd);
-            assert_eq!(scalar.len(), simd.len());
-            for (i, (a, b)) in scalar.iter().zip(simd.iter()).enumerate() {
-                assert!(
-                    (a - b).abs() <= 1e-4 * a.abs().max(1.0),
-                    "{scheme:?} llr {i}: scalar {a} simd {b}"
-                );
-            }
+            assert_eq!(bits(&scalar), bits(&simd), "{scheme:?}");
         }
     }
 
@@ -374,10 +444,7 @@ mod simd_tests {
         let mut simd = Vec::new();
         demod_soft(ModScheme::Qam16, &syms, 0.1, &mut scalar);
         demod_soft_simd(ModScheme::Qam16, &syms, 0.1, &mut simd);
-        assert_eq!(scalar.len(), simd.len());
-        for (a, b) in scalar.iter().zip(simd.iter()) {
-            assert!((a - b).abs() < 1e-4);
-        }
+        assert_eq!(bits(&scalar), bits(&simd));
     }
 
     #[test]
@@ -388,19 +455,53 @@ mod simd_tests {
         assert!((out[0] - 4.0 * 0.5 / 0.5).abs() < 1e-5);
     }
 
-    #[test]
-    fn i8_demod_is_quantized_simd_output() {
-        let syms: Vec<Cf32> = (0..21).map(|i| Cf32::cis(0.73 * i as f32).scale(0.9)).collect();
-        let mut f = Vec::new();
-        demod_soft_simd(ModScheme::Qam16, &syms, 0.1, &mut f);
-        let mut scratch = Vec::new();
-        let mut q = vec![7i8; 3]; // existing content must be preserved (append semantics)
-        demod_soft_i8(ModScheme::Qam16, &syms, 0.1, 4.0, &mut scratch, &mut q);
-        assert_eq!(q.len(), 3 + f.len());
-        assert_eq!(&q[..3], &[7, 7, 7]);
-        for (i, (&fi, &qi)) in f.iter().zip(q[3..].iter()).enumerate() {
-            let expect = (fi * 4.0).round().clamp(-127.0, 127.0) as i8;
-            assert_eq!(qi, expect, "llr {i}: f32 {fi}");
+    /// One observation of a PAM axis from a drawn `(kind, v)`: mostly `v`
+    /// itself (in and around the grid), else a point tied between two
+    /// levels of the grid, a signed zero, or a point far outside.
+    fn axis(scheme: ModScheme, kind: u32, v: f32) -> f32 {
+        let levels = (1u32 << (scheme.bits_per_symbol() / 2)) as f32;
+        match kind {
+            4 => (v * levels).round() * scheme.scale(),
+            5 => 0.0f32.copysign(v),
+            6 => v * 1e6,
+            7 => v * 3e9,
+            _ => v,
+        }
+    }
+
+    proptest! {
+        /// The vector body writes the scalar body's bits: every scheme,
+        /// rows that are whole registers, half blocks and tails, points
+        /// on the decision boundaries and far off the grid, and noise
+        /// variances from below the clamp to huge.
+        #[test]
+        fn detected_tier_is_bit_exact_on_any_row(
+            scheme in 0usize..4,
+            draws in proptest::collection::vec((0u32..8, -1.5f32..1.5, 0u32..8, -1.5f32..1.5), 0..41),
+            noise in (0u32..8, 1e-3f32..2.0),
+        ) {
+            let scheme = QAM[scheme];
+            let symbols: Vec<Cf32> = draws
+                .iter()
+                .map(|&(kr, re, ki, im)| Cf32::new(axis(scheme, kr, re), axis(scheme, ki, im)))
+                .collect();
+            let noise_var = match noise.0 {
+                4 => 0.0,
+                5 => 1e-30,
+                6 => 1e-12,
+                7 => 3e20,
+                _ => noise.1,
+            };
+            let inv = 1.0 / noise_var.max(1e-12);
+            let n = symbols.len() * scheme.bits_per_symbol();
+            let (mut scalar, mut simd) = (vec![f32::NAN; n], vec![f32::NAN; n]);
+            Demapper::new(scheme, SimdTier::Scalar).demap(&symbols, inv, &mut scalar);
+            Demapper::new(scheme, SimdTier::detect()).demap(&symbols, inv, &mut simd);
+            prop_assert_eq!(bits(&scalar), bits(&simd));
+            // And the `Vec` entry points are those two bodies.
+            let mut via_vec = vec![1.0; 3];
+            demod_soft_simd(scheme, &symbols, noise_var, &mut via_vec);
+            prop_assert_eq!(bits(&via_vec), bits(&simd));
         }
     }
 }

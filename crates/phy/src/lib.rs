@@ -23,8 +23,8 @@ pub mod precode;
 pub mod zf;
 
 pub use chanest::CsiBuffer;
-pub use demod::{demod_soft, demod_soft_exact, demod_soft_i8, demod_soft_simd};
+pub use demod::{demod_soft, demod_soft_exact, demod_soft_simd, Demapper};
 pub use frame::{CellConfig, FrameSchedule, LdpcParams, SymbolType};
-pub use modulation::{modulate, ModScheme};
+pub use modulation::{modulate, ModScheme, Modulator};
 pub use pilots::{zadoff_chu, PilotPlan, PilotScheme};
 pub use zf::{zf_task, ZfBuffer, ZfConfig};

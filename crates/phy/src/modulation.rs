@@ -5,7 +5,7 @@
 //! evaluation uses 64-QAM (6 bits/symbol) and mentions 256-QAM as an
 //! avenue of improvement; all five schemes are implemented.
 
-use agora_math::Cf32;
+use agora_math::{Cf32, SimdTier};
 
 /// Modulation order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -147,6 +147,91 @@ pub fn constellation(scheme: ModScheme) -> Vec<Cf32> {
     (0..scheme.order() as u32).map(|v| map_symbol(scheme, v)).collect()
 }
 
+/// A planned modulator for one scheme: [`constellation`] as a lookup table
+/// and a bit-pack that turns a symbol's `bits_per_symbol` bytes into its
+/// index — what [`modulate`] does a bit and a [`map_symbol`] at a time,
+/// with the same points out.
+#[derive(Debug, Clone)]
+pub struct Modulator {
+    /// `map_symbol(scheme, v)` at index `v`.
+    table: Vec<Cf32>,
+    bps: usize,
+    tier: SimdTier,
+}
+
+impl Modulator {
+    /// Plans the modulator of `scheme`, packing bits on `tier` (clamped
+    /// to what the CPU supports).
+    pub fn new(scheme: ModScheme, tier: SimdTier) -> Self {
+        Self {
+            table: constellation(scheme),
+            bps: scheme.bits_per_symbol(),
+            tier: tier.min(SimdTier::cached()),
+        }
+    }
+
+    /// Modulates `bits` (one bit per byte in bit 0 — the rest of the byte
+    /// is ignored, as [`modulate`] ignores it — LSB-first within a symbol)
+    /// into `out`. No allocation.
+    ///
+    /// # Panics
+    /// Panics if `bits.len() != out.len() * bits_per_symbol`.
+    pub fn modulate_into(&self, bits: &[u8], out: &mut [Cf32]) {
+        assert_eq!(bits.len(), out.len() * self.bps, "bit count must match the symbol count");
+        let mask = (1u64 << self.bps) - 1;
+        // Eight symbols are at most 64 bits: one packed word.
+        for (bits, out) in bits.chunks(8 * self.bps).zip(out.chunks_mut(8)) {
+            let mut word = match self.tier {
+                // SAFETY: `new` clamped the tier to what the CPU supports.
+                #[cfg(target_arch = "x86_64")]
+                SimdTier::Avx2 => unsafe { pack_bits_avx2(bits) },
+                _ => pack_bits_scalar(bits),
+            };
+            for z in out {
+                *z = self.table[(word & mask) as usize];
+                word >>= self.bps;
+            }
+        }
+    }
+}
+
+/// Bit `j` of the result is bit 0 of `bits[j]`, for up to 64 bytes.
+fn pack_bits_scalar(bits: &[u8]) -> u64 {
+    debug_assert!(bits.len() <= 64);
+    bits.iter().enumerate().fold(0, |word, (j, &b)| word | ((b & 1) as u64) << j)
+}
+
+/// [`pack_bits_scalar`] 32 and 16 bytes at a time: shifting bit 0 of every
+/// byte to bit 7 and collecting the bytes' top bits (`movemask`) is the
+/// `& 1` gather.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn pack_bits_avx2(bits: &[u8]) -> u64 {
+    use core::arch::x86_64::*;
+    debug_assert!(bits.len() <= 64);
+    let (mut word, mut at) = (0u64, 0);
+    // SAFETY (both loads): `at + width <= bits.len()` is checked first.
+    // The 16-bit shift also carries a low byte's upper bits into the high
+    // byte of its pair, but below that byte's bit 7 — all `movemask` reads.
+    while at + 32 <= bits.len() {
+        let v = _mm256_loadu_si256(bits.as_ptr().add(at) as *const __m256i);
+        word |= (_mm256_movemask_epi8(_mm256_slli_epi16(v, 7)) as u32 as u64) << at;
+        at += 32;
+    }
+    if at + 16 <= bits.len() {
+        let v = _mm_loadu_si128(bits.as_ptr().add(at) as *const __m128i);
+        word |= (_mm_movemask_epi8(_mm_slli_epi16(v, 7)) as u64) << at;
+        at += 16;
+    }
+    if at < bits.len() {
+        word |= pack_bits_scalar(&bits[at..]) << at;
+    }
+    word
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,6 +309,56 @@ mod tests {
         for v in 0..64u32 {
             let z = map_symbol(scheme, v) + Cf32::new(eps, -eps);
             assert_eq!(unmap_symbol(scheme, z), v);
+        }
+    }
+
+    /// The planned modulator against its definition: the table is
+    /// `map_symbol` at every index, the vector bit-pack equals the scalar
+    /// one at every length, and on both tiers `modulate_into` equals
+    /// `modulate`'s bit-at-a-time gather — for bytes that carry more than
+    /// bit 0 as well.
+    #[test]
+    fn planned_modulator_matches_map_symbol_and_the_scalar_gather() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let noisy_bytes: Vec<u8> = (0..64 * 8 + 7)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 24) as u8
+            })
+            .collect();
+        assert!(noisy_bytes.iter().any(|&b| b > 1));
+        #[cfg(target_arch = "x86_64")]
+        if SimdTier::detect() == SimdTier::Avx2 {
+            for len in 0..=64 {
+                let bytes = &noisy_bytes[len..2 * len];
+                // SAFETY: AVX2 was just detected.
+                assert_eq!(
+                    unsafe { pack_bits_avx2(bytes) },
+                    pack_bits_scalar(bytes),
+                    "{len} bytes"
+                );
+            }
+        }
+        for scheme in SCHEMES {
+            let bps = scheme.bits_per_symbol();
+            let mut want = Vec::new();
+            for tier in [SimdTier::Scalar, SimdTier::detect()] {
+                let planned = Modulator::new(scheme, tier);
+                assert_eq!(planned.table.len(), scheme.order());
+                for (v, &z) in planned.table.iter().enumerate() {
+                    assert_eq!(z, map_symbol(scheme, v as u32), "{scheme:?} index {v}");
+                }
+                // Whole words, a short last word, and nothing at all.
+                for symbols in [0, 1, 7, 8, 9, 16, 61] {
+                    let bytes = &noisy_bytes[3..3 + symbols * bps];
+                    modulate(scheme, bytes, &mut want);
+                    let mut got = vec![Cf32::ZERO; symbols];
+                    planned.modulate_into(bytes, &mut got);
+                    assert_eq!(got, want, "{scheme:?} {tier:?} {symbols} symbols");
+                }
+            }
         }
     }
 

@@ -1,0 +1,188 @@
+//! Where the two GEMM tasks' time goes: `demod_task` and `precode_task`
+//! of one whole symbol next to their GEMMs and the sweeps around them,
+//! and `decode_task` next to its gather and its decoder, each timed
+//! through its public entry point on a frame primed by one inline pass
+//! (EXPERIMENTS.md, "Uplink tail sweeps"). Uses only API that predates
+//! PR 23, so the same file dropped into an older checkout gives the
+//! "before" column.
+//!
+//! ```text
+//! cargo run --release --example ul_tail_sweeps          # 64x16, 1200 sc, 64-QAM
+//! cargo run --release --example ul_tail_sweeps small    # 8x2, 240 sc, QPSK
+//! ```
+
+use agora_core::{EngineConfig, InlineProcessor};
+use agora_fronthaul::{RruConfig, RruEmulator};
+use agora_ldpc::{DecodeConfig, Decoder};
+use agora_math::{Cf32, Gemm};
+use agora_phy::demod::demod_soft_simd;
+use agora_phy::frame::FrameSchedule;
+use agora_phy::modulation::modulate;
+use agora_phy::CellConfig;
+use std::hint::black_box;
+use std::time::Instant;
+
+const REPS: usize = 60;
+
+/// Median of `REPS` timings of `f`, in microseconds.
+fn median_us(mut f: impl FnMut()) -> f64 {
+    f();
+    let mut ns: Vec<u128> = (0..REPS)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_nanos()
+        })
+        .collect();
+    ns.sort_unstable();
+    ns[ns.len() / 2] as f64 / 1e3
+}
+
+fn main() {
+    let small = std::env::args().nth(1).as_deref() == Some("small");
+    let mut cell =
+        if small { CellConfig::tiny_test(1) } else { CellConfig::emulated_rru(64, 16, 1) };
+    cell.schedule = FrameSchedule::parse("PUD").expect("valid schedule");
+    let (uplink, downlink) = (1, 2);
+    let mut rru = RruEmulator::new(cell.clone(), RruConfig { snr_db: 25.0, ..Default::default() });
+    let mut cfg = EngineConfig::new(cell.clone(), 1);
+    cfg.noise_power = rru.noise_power();
+    let noise = cfg.noise_power.max(1e-9);
+    let mut proc = InlineProcessor::new(cfg);
+    let (packets, _) = rru.generate_frame(0);
+    proc.process_frame(0, &packets);
+    let (kernels, fb) = (proc.kernels(), proc.buffers(0));
+    let mut scratch = kernels.scratch();
+    let g = kernels.geom;
+    let (scheme, bps) = (cell.modulation, cell.modulation.bits_per_symbol());
+    let blocks = g.q / g.block;
+
+    // --- uplink: one symbol of equalize + demodulate
+    let demod_task = median_us(|| kernels.demod_task(fb, &mut scratch, 0, uplink, 0, g.q));
+    // SAFETY (here and below): single-threaded; the inline pass has run
+    // and no task is in flight while a view is alive.
+    let freq = unsafe { fb.freq.slice(fb.freq_symbol_range(uplink)) };
+    let det_of = |blk: usize| unsafe { fb.det.slice(fb.det_range(blk * g.block / g.zf_group)) };
+    let eq = Gemm::plan(g.k, g.m, g.block);
+    let mut user_block = vec![Cf32::ZERO; g.k * g.block];
+    let eq_gemms = median_us(|| {
+        for blk in 0..blocks {
+            let base = g.freq_block_offset(blk, 0);
+            eq.run(det_of(blk), &freq[base..base + g.m * g.block], &mut user_block);
+            black_box(&mut user_block);
+        }
+    });
+    // The post-ZF noise variance of every (block, user): `noise * ||w_u||^2`,
+    // the detector row summed in order.
+    let noise_scale = median_us(|| {
+        for blk in 0..blocks {
+            for row in det_of(blk).chunks_exact(g.m) {
+                black_box(noise * row.iter().map(|z| z.norm_sqr()).sum::<f32>());
+            }
+        }
+    });
+    // Every user's row of every block demapped and copied to its place in
+    // a `[user][bit]` plane, as the task does after each GEMM.
+    let mut plane = vec![0.0f32; g.k * g.cap_bits];
+    let mut llrs = Vec::with_capacity(g.block * bps);
+    let demap = median_us(|| {
+        for blk in 0..blocks {
+            for (user, row) in user_block.chunks_exact(g.block).enumerate() {
+                demod_soft_simd(scheme, row, 0.05, &mut llrs);
+                let at = user * g.cap_bits + blk * g.block * bps;
+                plane[at..at + llrs.len()].copy_from_slice(&llrs);
+            }
+        }
+        black_box(&mut plane);
+    });
+    let zf_task = median_us(|| kernels.zf_task(fb, &mut scratch, 0));
+
+    // --- uplink: one code block
+    let decode_task = median_us(|| kernels.decode_task(fb, &mut scratch, uplink, 0));
+    let rm = kernels.rate_match();
+    let llr = unsafe { fb.llr.slice(fb.llr_range(&g, uplink, 0)) };
+    let mut full = vec![0.0f32; rm.codeword_len()];
+    let fill = median_us(|| {
+        rm.fill_llrs_into(&llr[..rm.tx_len()], &mut full);
+        black_box(&mut full);
+    });
+    let mut decoder = Decoder::new(cell.ldpc.base_graph, cell.ldpc.z);
+    let decode_cfg = DecodeConfig {
+        max_iters: cell.ldpc.max_iters,
+        active_rows: Some(rm.active_rows()),
+        ..Default::default()
+    };
+    let mut info = vec![0u8; decoder.info_len()];
+    let decode_into = median_us(|| {
+        black_box(decoder.decode_into(&full, &decode_cfg, &mut info));
+    });
+
+    // --- downlink: one symbol of modulate + precode
+    let precode_task = median_us(|| kernels.precode_task(fb, &mut scratch, downlink, 0, g.q));
+    let pre_of = |blk: usize| unsafe { fb.pre.slice(fb.pre_range(blk * g.block / g.zf_group)) };
+    let pre = Gemm::plan(g.m, g.k, g.block);
+    let mut ant_block = vec![Cf32::ZERO; g.m * g.block];
+    let pre_gemms = median_us(|| {
+        for blk in 0..blocks {
+            pre.run(pre_of(blk), &user_block, &mut ant_block);
+            black_box(&mut ant_block);
+        }
+    });
+    // The scalar reference: one bit at a time into `map_symbol`, which is
+    // what the task itself ran per (block, user) before PR 23.
+    let mut symbols = Vec::with_capacity(g.block);
+    let modulation = median_us(|| {
+        for blk in 0..blocks {
+            for user in 0..g.k {
+                let bits = unsafe { fb.dl_bits.slice(fb.dl_bits_range(&g, downlink, user)) };
+                modulate(
+                    scheme,
+                    &bits[blk * g.block * bps..(blk + 1) * g.block * bps],
+                    &mut symbols,
+                );
+                user_block[user * g.block..(user + 1) * g.block].copy_from_slice(&symbols);
+            }
+            black_box(&mut user_block);
+        }
+    });
+
+    let per_sc = |us: f64| us * 1e3 / g.q as f64;
+    println!(
+        "{}x{}, {} subcarriers in {blocks} blocks of {}, {scheme:?} — medians of {REPS}, us",
+        g.m, g.k, g.q, g.block
+    );
+    println!("uplink, one symbol");
+    println!(
+        "  demod_task            {demod_task:8.2}   {:6.1} ns per subcarrier",
+        per_sc(demod_task)
+    );
+    println!(
+        "  {blocks:4} eq GEMMs         {eq_gemms:8.2}   {:6.1} ns per subcarrier",
+        per_sc(eq_gemms)
+    );
+    println!("  {:4} noise scales     {noise_scale:8.2}   (in the task before PR 23; {} per group in zf_task since)", blocks * g.k, g.k);
+    println!(
+        "  {:4} demap + store    {demap:8.2}   demod_soft_simd + copy_from_slice per user row",
+        blocks * g.k
+    );
+    println!("  demod_task - GEMMs    {:8.2}", demod_task - eq_gemms);
+    println!("  zf_task, one group    {zf_task:8.2}");
+    println!("uplink, one code block");
+    println!("  decode_task           {decode_task:8.2}");
+    println!("  fill_llrs_into        {fill:8.2}");
+    println!("  decode_into           {decode_into:8.2}");
+    println!("downlink, one symbol");
+    println!(
+        "  precode_task          {precode_task:8.2}   {:6.1} ns per subcarrier",
+        per_sc(precode_task)
+    );
+    println!(
+        "  {blocks:4} precode GEMMs    {pre_gemms:8.2}   {:6.1} ns per subcarrier",
+        per_sc(pre_gemms)
+    );
+    println!("  {:4} modulate rows    {modulation:8.2}   scalar reference: a bit at a time into map_symbol", blocks * g.k);
+    println!(
+        "  precode_task - GEMMs  {:8.2}   modulation + store as the task runs them",
+        precode_task - pre_gemms
+    );
+}
