@@ -16,10 +16,12 @@
 //! | `gemm` | `gemm`/`gemv`/`gram` and planned kernels bit-identical across tiers on every dispatch shape class |
 //! | `zf` | Cholesky detector ≈ Gauss-Jordan, bit-identical across tiers; near-singular Gram rejected |
 //! | `demod` | scalar-pinned `Kernels` ≡ detected tier on the `inv_noise`, `llr` and `dl_freq` planes, 8×2 and 64×16 |
+//! | `bler` | through the real uplink chain at 0–30 dB, AWGN and 4-tap Rayleigh, 8×2 and 64×16: the engine's i8 plane decodes at least the blocks an f32 decoder does |
 //! | `fronthaul` | batch ≡ single delivery on mem and UDP links; aggregation split and pool recycling |
 //! | `deployment` | C=4 ledgers reconcile against the fault injector; deployment ≡ standalone engines; misroutes counted |
 //! | `sched` | lanes ≡ inline; lane counters account for every message |
 
+use agora_channel::FadingModel;
 use agora_core::deploy::{Deployment, DeploymentConfig};
 use agora_core::{Counter, Engine, EngineConfig, FrameResult, InlineProcessor, Kernels};
 use agora_fft::{Direction, FftPlan};
@@ -35,6 +37,7 @@ use agora_ldpc::{
 use agora_math::{
     pinv_into, CMat, Cf32, CholScratch, Cholesky, Gemm, PinvMethod, PinvScratch, SimdTier,
 };
+use agora_phy::demod::Demapper;
 use agora_phy::frame::FrameSchedule;
 use agora_phy::CellConfig;
 use agora_queue::TaskType;
@@ -51,6 +54,7 @@ const CHECKS: &[(&str, fn())] = &[
     ("gemm", gemm),
     ("zf", zf),
     ("demod", demod),
+    ("bler", bler),
     ("fronthaul", fronthaul),
     ("deployment", deployment),
     ("sched", sched),
@@ -426,8 +430,9 @@ fn zf() {
 
 /// One pilot + uplink + downlink frame through the inline processor on
 /// the detected tier; then scalar-pinned kernels redo its ZF, demodulation
-/// and precoding on the same slot. The demapper, the noise scales and the
-/// modulator's bit-pack must leave the planes byte for byte.
+/// and precoding on the same slot. The demapper and quantiser, the noise
+/// scales and the modulator's bit-pack must leave the planes byte for
+/// byte.
 fn demod() {
     for (mut cell, what) in
         [(CellConfig::tiny_test(1), "8x2"), (CellConfig::emulated_rru(64, 16, 1), "64x16")]
@@ -444,11 +449,12 @@ fn demod() {
         let f32_bits = |plane: &agora_core::buffers::SharedVec<f32>| -> Vec<u32> {
             unsafe { plane.slice(0..plane.len()) }.iter().map(|x| x.to_bits()).collect()
         };
+        let llr = || unsafe { fb.llr.slice(0..fb.llr.len()) }.to_vec();
         let dl_freq_bits = || bits(unsafe { fb.dl_freq.slice(0..fb.dl_freq.len()) });
-        let detected = (f32_bits(&fb.inv_noise), f32_bits(&fb.llr), dl_freq_bits());
+        let detected = (f32_bits(&fb.inv_noise), llr(), dl_freq_bits());
         unsafe {
             fb.inv_noise.slice_mut(0..fb.inv_noise.len()).fill(0.0);
-            fb.llr.slice_mut(0..fb.llr.len()).fill(0.0);
+            fb.llr.slice_mut(0..fb.llr.len()).fill(0);
             fb.dl_freq.slice_mut(0..fb.dl_freq.len()).fill(Cf32::ZERO);
         }
 
@@ -457,17 +463,166 @@ fn demod() {
         (0..scalar.shape.zf_groups).for_each(|group| scalar.zf_task(fb, &mut s, group));
         scalar.demod_task(fb, &mut s, 0, uplink, 0, g.q);
         scalar.precode_task(fb, &mut s, downlink, 0, g.q);
-        let filled = detected.0.iter().chain(&detected.1).any(|&b| b != 0)
+        let filled = detected.0.iter().any(|&b| b != 0)
+            && detected.1.iter().any(|&l| l != 0)
             && detected.2.iter().any(|&b| b != (0, 0));
         check(filled, &format!("{what}: the detected tier filled the planes"));
         for (plane, same) in [
             ("inv_noise", f32_bits(&fb.inv_noise) == detected.0),
-            ("llr", f32_bits(&fb.llr) == detected.1),
+            ("llr", llr() == detected.1),
             ("dl_freq", dl_freq_bits() == detected.2),
         ] {
             check(same, &format!("{what}: {plane} plane, scalar tier ≡ detected"));
         }
     }
+}
+
+// ------------------------------------------------------------------- bler
+
+/// Code blocks of one sweep point decoded to the transmitted bits.
+struct Point {
+    snr_db: u32,
+    /// By the float decoder, on the demapper's LLRs.
+    f32: usize,
+    /// By the i8 decoder behind a fixed `DEFAULT_LLR_SCALE` quantiser.
+    fixed: usize,
+    /// By the engine.
+    engine: usize,
+}
+
+/// Word lengths validated by block error rate across the whole operating
+/// range, on the benchmark's two cell shapes, the benchmark's flat channel
+/// and a 4-tap Rayleigh one: RRU → FFT → ZF → demapper → quantiser →
+/// `DecoderI8`, as the engine runs it, against the float `Decoder` on the
+/// same frames' float LLRs. At every point the engine decodes at least as
+/// many blocks as the float decoder, and all of them wherever it does; a
+/// per-block superset is not asked for, since marginal blocks at the
+/// waterfall flip either way. The fixed ×4.0 column is the quantiser the
+/// engine's i8 plane had first, whose saturation at high SNR the harness
+/// must still see.
+fn bler() {
+    let shapes = [
+        (CellConfig::tiny_test(13), "8x2", 20),
+        (CellConfig::emulated_rru(64, 16, 13), "64x16", 2),
+    ];
+    let channels = [(FadingModel::Awgn, 0, "AWGN"), (FadingModel::Rayleigh, 4, "Rayleigh 4-tap")];
+    // 0 to 30 dB in 2 dB steps, and the benchmark's 25 dB.
+    let mut snrs: Vec<u32> = (0..=30).step_by(2).chain([25]).collect();
+    snrs.sort_unstable();
+    for (cell, shape, frames) in &shapes {
+        for &(fading, taps, channel) in &channels {
+            let what = format!("{shape} {channel}");
+            // Two threads, every other point each: generating the frames
+            // is most of the time.
+            let mut points: Vec<Point> = std::thread::scope(|s| {
+                let halves: Vec<_> = (0..2)
+                    .map(|half| {
+                        let snrs = &snrs;
+                        s.spawn(move || {
+                            let point = |&snr| bler_point(cell, *frames, fading, taps, snr);
+                            snrs.iter().skip(half).step_by(2).map(point).collect::<Vec<_>>()
+                        })
+                    })
+                    .collect();
+                halves.into_iter().flat_map(|h| h.join().expect("sweep thread")).collect()
+            });
+            points.sort_by_key(|p| p.snr_db);
+            let blocks = *frames as usize * cell.schedule.uplink_indices().len() * cell.num_users;
+            println!("     {what}, {blocks} blocks per point — dB: f32 / i8 at x4.0 / engine i8");
+            let row: Vec<String> = points
+                .iter()
+                .map(|p| format!("{}: {}/{}/{}", p.snr_db, p.f32, p.fixed, p.engine))
+                .collect();
+            row.chunks(6).for_each(|r| println!("       {}", r.join("   ")));
+            let short: Vec<u32> = points
+                .iter()
+                .filter(|p| p.engine < p.f32 || (p.f32 == blocks && p.engine < blocks))
+                .map(|p| p.snr_db)
+                .collect();
+            check(
+                short.is_empty(),
+                &format!("{what}: engine i8 ≥ f32 at every SNR (short: {short:?})"),
+            );
+            if (*shape, channel) == ("64x16", "AWGN") {
+                let seen = points.iter().any(|p| p.fixed < p.f32);
+                check(seen, &format!("{what}: the fixed x4.0 quantiser's loss is visible"));
+            }
+        }
+    }
+}
+
+/// One point of [`bler`]: `frames` frames of `cell` at `snr_db` through
+/// the inline engine, then the float and fixed-scale oracles on the
+/// demapper rows of the same frames, built from the planes the engine
+/// left: its equalised samples' source (`freq`), detectors and noise
+/// scales.
+fn bler_point(
+    cell: &CellConfig,
+    frames: u32,
+    fading: FadingModel,
+    taps: usize,
+    snr_db: u32,
+) -> Point {
+    let rc = RruConfig {
+        snr_db: snr_db as f32,
+        fading,
+        delay_spread_taps: taps,
+        seed: 26,
+        ..Default::default()
+    };
+    let mut rru = RruEmulator::new(cell.clone(), rc);
+    let mut cfg = EngineConfig::new(cell.clone(), 1);
+    cfg.noise_power = rru.noise_power();
+    let mut proc = InlineProcessor::new(cfg);
+    let g = proc.kernels().geom;
+    let (ldpc, rm) = (&cell.ldpc, cell.ldpc.rate_match());
+    let row_llrs = g.block * cell.modulation.bits_per_symbol();
+    let eq = Gemm::plan(g.k, g.m, g.block);
+    let demapper = Demapper::new(cell.modulation, SimdTier::detect());
+    let (mut dec_f32, mut dec_i8) =
+        (Decoder::new(ldpc.base_graph, ldpc.z), DecoderI8::new(ldpc.base_graph, ldpc.z));
+    let active_rows = Some(rm.active_rows());
+    let cfg_f32 = DecodeConfig { max_iters: ldpc.max_iters, active_rows, ..Default::default() };
+    let cfg_i8 = DecodeConfigI8 { max_iters: ldpc.max_iters, active_rows, ..Default::default() };
+    let mut user_block = vec![Cf32::ZERO; g.k * g.block];
+    let mut llr = vec![0.0f32; g.k * g.cap_bits];
+    let mut q = vec![0i8; rm.tx_len()];
+    let (mut full_f32, mut full_i8) = (vec![0.0; rm.codeword_len()], vec![0; rm.codeword_len()]);
+    let mut point = Point { snr_db, f32: 0, fixed: 0, engine: 0 };
+    for frame in 0..frames {
+        let (packets, truth) = rru.generate_frame(frame);
+        let out = proc.process_frame(frame, &packets);
+        let fb = proc.buffers(frame);
+        for symbol in cell.schedule.uplink_indices() {
+            // SAFETY (here and below): single-threaded; the frame is done.
+            let freq = unsafe { fb.freq.slice(fb.freq_symbol_range(symbol)) };
+            for blk in 0..g.q / g.block {
+                let group = blk * g.block / g.zf_group;
+                let det = unsafe { fb.det.slice(fb.det_range(group)) };
+                let inv_noise = unsafe { fb.inv_noise.slice(fb.inv_noise_range(&g, group)) };
+                let base = fb.freq_block_offset(&g, blk, 0);
+                eq.run(det, &freq[base..base + g.m * g.block], &mut user_block);
+                for (user, row) in user_block.chunks_exact(g.block).enumerate() {
+                    let at = user * g.cap_bits + blk * row_llrs;
+                    demapper.demap(row, inv_noise[user], &mut llr[at..at + row_llrs]);
+                }
+            }
+            for user in 0..g.k {
+                let sent = &truth.info_bits[symbol][user];
+                let llr = &llr[user * g.cap_bits..][..rm.tx_len()];
+                rm.fill_llrs_into(llr, &mut full_f32);
+                let r = dec_f32.decode(&full_f32, &cfg_f32);
+                point.f32 += (r.success && r.info_bits == *sent) as usize;
+                quantize_llrs(llr, &mut q, DEFAULT_LLR_SCALE);
+                rm.fill_llrs_into(&q, &mut full_i8);
+                let r = dec_i8.decode(&full_i8, &cfg_i8);
+                point.fixed += (r.success && r.info_bits == *sent) as usize;
+                point.engine +=
+                    (out.decode_ok[symbol][user] && out.decoded[symbol][user] == *sent) as usize;
+            }
+        }
+    }
+    point
 }
 
 // -------------------------------------------------------------- fronthaul

@@ -310,7 +310,8 @@ impl PacketSlots {
 /// * `inv_noise[group][user]` — ZF's third output: the reciprocal of the
 ///   noise variance user `u` sees behind the group's detector, which is
 ///   what demodulation scales its LLRs by.
-/// * `llr[symbol][user][bit]` — demodulated soft bits.
+/// * `llr[symbol][user][bit]` — demodulated soft bits, quantised to `i8`
+///   for the fixed-point decoder.
 /// * `decoded[symbol][user][bit]` + `decode_ok[symbol][user]`.
 /// * downlink mirrors: `dl_bits`, `dl_freq`, `dl_time`.
 pub struct FrameBuffers {
@@ -328,12 +329,8 @@ pub struct FrameBuffers {
     /// post-detection noise scale, written once per frame by the group's
     /// ZF task and read by every demodulation block of the group.
     pub inv_noise: SharedVec<f32>,
-    /// Soft demodulator output.
-    pub llr: SharedVec<f32>,
-    /// Quantised soft demodulator output (fixed-point decoding plane).
-    /// Same `[symbol][user][bit]` layout as `llr`; only the plane selected
-    /// by `EngineConfig::quantized_decoder` is written per frame.
-    pub llr_i8: SharedVec<i8>,
+    /// Soft demodulator output, quantised.
+    pub llr: SharedVec<i8>,
     /// Decoded information bits.
     pub decoded: SharedVec<u8>,
     /// Per-(symbol, user) decode success flags (1 = CRC/syndrome pass).
@@ -396,7 +393,6 @@ impl FrameBuffers {
             pre: SharedVec::zeroed(groups * g.m * g.k),
             inv_noise: SharedVec::zeroed(groups * g.k),
             llr: SharedVec::zeroed(g.symbols * g.k * g.cap_bits),
-            llr_i8: SharedVec::zeroed(g.symbols * g.k * g.cap_bits),
             decoded: SharedVec::zeroed(g.symbols * g.k * g.info_bits),
             decode_ok: SharedVec::zeroed(g.symbols * g.k),
             dl_bits: SharedVec::zeroed(g.symbols * g.k * g.cap_bits),
@@ -667,7 +663,6 @@ mod tests {
             }
             assert!(is_line_aligned(fb.llr.buf.as_ptr()), "{what}: llr");
             assert!(is_line_aligned(fb.inv_noise.buf.as_ptr()), "{what}: inv_noise");
-            assert!(is_line_aligned(fb.llr_i8.buf.as_ptr()), "{what}: llr_i8");
             for (i, plane) in [&fb.decoded, &fb.decode_ok, &fb.dl_bits].into_iter().enumerate() {
                 assert!(is_line_aligned(plane.buf.as_ptr()), "{what}: u8 plane {i}");
             }

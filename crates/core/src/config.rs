@@ -1,6 +1,7 @@
 //! Engine configuration: the cell, worker count, frame window and batch
 //! sizes. The engine runs one pipeline — block layout, streaming stores,
-//! Cholesky ZF solve, planned GEMM, data-parallel workers; Table 4's
+//! Cholesky ZF solve, planned GEMM, fixed-point LDPC decoding,
+//! data-parallel workers; Table 4's
 //! rows come from the simulator's `SimConfig`, not from switches here.
 
 use agora_phy::CellConfig;
@@ -60,15 +61,6 @@ pub struct EngineConfig {
     /// subcarrier, post-channel). Receivers estimate this from pilots;
     /// experiments set it from the generator's ground truth.
     pub noise_power: f32,
-    /// Fixed-point decoding plane: demodulation emits saturating `i8`
-    /// LLRs and `decode_task` runs the Z-lane-vectorised i8 layered
-    /// min-sum decoder instead of the `f32` one (the FlexRAN-style
-    /// configuration the paper offloads to). Off by default; ROADMAP
-    /// item 2(b) decides whether it becomes the default or goes.
-    pub quantized_decoder: bool,
-    /// `f32 -> i8` LLR quantisation scale for the fixed-point decoding
-    /// plane (`quantized_decoder`): integer steps per LLR unit.
-    pub llr_quant_scale: f32,
     /// §3.4.2: precode the first downlink symbols of frame `f` with frame
     /// `f-1`'s precoder so the RRU's air time never idles waiting for the
     /// new frame's ZF (slightly stale CSI, negligible at low mobility).
@@ -103,8 +95,6 @@ impl EngineConfig {
             batch: BatchSizes::default(),
             demod_block: 8,
             noise_power: 0.05,
-            quantized_decoder: false,
-            llr_quant_scale: agora_ldpc::DEFAULT_LLR_SCALE,
             stale_precoder: false,
             frame_deadline_ns: None,
             rx_batch: 32,
@@ -138,9 +128,6 @@ impl EngineConfig {
         }
         if self.frame_window < 2 {
             return Err("frame window must be at least 2".into());
-        }
-        if !(self.llr_quant_scale > 0.0 && self.llr_quant_scale.is_finite()) {
-            return Err("LLR quantisation scale must be positive and finite".into());
         }
         if !self.demod_block.is_power_of_two() {
             return Err("demod block must be a power of two".into());

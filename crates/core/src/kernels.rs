@@ -14,9 +14,7 @@ use crate::buffers::{AlignedBuf, BufferGeometry, FrameBuffers};
 use crate::config::EngineConfig;
 use crate::state::FrameShape;
 use agora_fft::{Direction, FftPlan, SubcarrierMap};
-use agora_ldpc::{
-    quantize_llrs, DecodeConfig, DecodeConfigI8, Decoder, DecoderI8, Encoder, RateMatch,
-};
+use agora_ldpc::{quantize_llrs, DecodeConfigI8, DecoderI8, Encoder, RateMatch};
 use agora_math::simd::{stream_copy, stream_fence, SimdTier};
 use agora_math::{
     normalize_precoder_in_place, pinv_into, CMat, Cf32, Gemm, PinvMethod, PinvScratch,
@@ -62,23 +60,37 @@ pub struct Kernels {
     tier: SimdTier,
     /// Coded bits actually carried per (symbol, user).
     coded_bits: usize,
+    /// Squared minimum distance of the cell's constellation, which the
+    /// LLR quantiser divides by.
+    d_min_sqr: f32,
 }
 
-/// The decoding plane a worker runs — the one its configuration uses —
-/// with the staging buffer rate matching re-inflates received LLRs into.
-enum DecodePlane {
-    F32 {
-        decoder: Decoder,
-        full_llr: Vec<f32>,
-    },
-    /// `quantized_decoder`: fixed-point decoder reading the quantised
-    /// LLR plane, which demodulation fills by quantising one block's
-    /// user row of float LLRs (`llr_row`) at a time.
-    I8 {
-        decoder: DecoderI8,
-        full_llr: Vec<i8>,
-        llr_row: Vec<f32>,
-    },
+/// Quantisation steps a nominal constellation point's least reliable bit
+/// lands on: its LLR is `d_min^2 * inv_noise`, so quantising each user row
+/// at [`quant_scale`] gives every SNR the same integer picture of the
+/// constellation. The decoder admits priors up to `I8_CHAN_MAX` = 30, so
+/// 16 leaves a noisy point room to look more reliable than a nominal one
+/// before it saturates, and 2 steps of min-sum offset stay small next to
+/// it. Chosen by the `bler` row of `parity` (EXPERIMENTS.md): 8 decodes
+/// fewer blocks than the float decoder at 8x2 below 6 dB (AWGN) and 10 dB
+/// (Rayleigh), 32 fewer at 64x16 around 20 dB; 16 decodes at least as
+/// many at every point of the sweep.
+const NOMINAL_LLR_STEPS: f32 = 16.0;
+
+/// Squared distance between neighbouring points of `scheme`'s
+/// constellation: PAM levels sit `2 * scale` apart on each axis.
+fn d_min_sqr(scheme: ModScheme) -> f32 {
+    4.0 * scheme.scale() * scheme.scale()
+}
+
+/// The `f32 -> i8` scale of a user row whose post-ZF noise scale is
+/// `inv_noise`: maps a nominal point's weakest LLR, `d_min_sqr *
+/// inv_noise`, to [`NOMINAL_LLR_STEPS`]. Per ZF group, because
+/// `inv_noise` is: one scale per user over the band, from its best group,
+/// shrinks the others' LLRs towards zero — on 8x2 Rayleigh in the `bler`
+/// sweep, an error floor of 6-13 of 520 blocks from 10 dB up.
+fn quant_scale(inv_noise: f32, d_min_sqr: f32) -> f32 {
+    NOMINAL_LLR_STEPS / (inv_noise * d_min_sqr)
 }
 
 /// A run of active subcarriers that is consecutive in the FFT grid and
@@ -121,7 +133,11 @@ pub struct WorkerScratch {
     zf_det: CMat,
     zf_pre: CMat,
     zf_pinv: PinvScratch,
-    decode: DecodePlane,
+    /// One block's user row of float LLRs, on its way to the quantiser.
+    llr_row: Vec<f32>,
+    decoder: DecoderI8,
+    /// A code block's LLRs as rate matching re-inflates them.
+    full_llr: Vec<i8>,
 }
 
 impl Kernels {
@@ -132,7 +148,7 @@ impl Kernels {
     }
 
     /// [`Self::new`] with every kernel — transforms, ZF, GEMMs, demapper,
-    /// modulator, decoders, streaming stores — pinned to `tier`. The
+    /// modulator, decoder, streaming stores — pinned to `tier`. The
     /// tiers are bit-identical; `parity` holds the frame planes to that.
     pub fn with_tier(cfg: EngineConfig, tier: SimdTier) -> Self {
         cfg.validate().expect("invalid engine configuration");
@@ -159,6 +175,7 @@ impl Kernels {
         let demapper = Demapper::new(cell.modulation, tier);
         let modulator = Modulator::new(cell.modulation, tier);
         let coded_bits = cell.coded_bits_per_symbol();
+        let d_min_sqr = d_min_sqr(cell.modulation);
         let shape = FrameShape::new(cell);
         Self {
             cfg,
@@ -175,6 +192,7 @@ impl Kernels {
             modulator,
             tier,
             coded_bits,
+            d_min_sqr,
         }
     }
 
@@ -192,20 +210,9 @@ impl Kernels {
             zf_det: CMat::zeros(g.k, g.m),
             zf_pre: CMat::zeros(g.m, g.k),
             zf_pinv: PinvScratch::with_tier(g.m, g.k, self.tier),
-            // Last: its size depends on the configured plane, and the
-            // buffers above should land the same either way.
-            decode: if self.cfg.quantized_decoder {
-                DecodePlane::I8 {
-                    decoder: DecoderI8::with_tier(ldpc.base_graph, ldpc.z, self.tier),
-                    full_llr: vec![0; self.rate_match.codeword_len()],
-                    llr_row: vec![0.0; g.block * self.cfg.cell.modulation.bits_per_symbol()],
-                }
-            } else {
-                DecodePlane::F32 {
-                    decoder: Decoder::with_tier(ldpc.base_graph, ldpc.z, self.tier),
-                    full_llr: vec![0.0; self.rate_match.codeword_len()],
-                }
-            },
+            llr_row: vec![0.0; g.block * self.cfg.cell.modulation.bits_per_symbol()],
+            decoder: DecoderI8::with_tier(ldpc.base_graph, ldpc.z, self.tier),
+            full_llr: vec![0; self.rate_match.codeword_len()],
         }
     }
 
@@ -353,7 +360,8 @@ impl Kernels {
     /// subcarriers starting at `sc_base` of one uplink symbol: per
     /// cache-line block, one planned GEMM of the group's detector with
     /// the block's antenna samples, then every user's row soft-demapped
-    /// as it leaves the GEMM, straight into the LLR plane. `_frame` is
+    /// as it leaves the GEMM and quantised at the group's [`quant_scale`]
+    /// into the `i8` LLR plane. `_frame` is
     /// unused — `fb` already is the frame's slot — and stays because the
     /// repo benchmark calls this signature.
     pub fn demod_task(
@@ -385,28 +393,18 @@ impl Kernels {
             self.eq_gemm.run(det, &freq[base..base + g.m * g.block], &mut s.user_block);
             for (user, row) in s.user_block.chunks_exact(g.block).enumerate() {
                 let at = fb.llr_range(g, symbol, user).start + blk * row_llrs;
-                // SAFETY (both planes): one demod task owns this (symbol,
-                // subcarrier range) of every user's LLRs; decode is
-                // dispatched after it.
-                match &mut s.decode {
-                    DecodePlane::F32 { .. } => {
-                        let out = unsafe { fb.llr.slice_mut(at..at + row_llrs) };
-                        self.demapper.demap(row, inv_noise[user], out);
-                    }
-                    DecodePlane::I8 { llr_row, .. } => {
-                        self.demapper.demap(row, inv_noise[user], llr_row);
-                        let out = unsafe { fb.llr_i8.slice_mut(at..at + row_llrs) };
-                        quantize_llrs(llr_row, out, self.cfg.llr_quant_scale);
-                    }
-                }
+                self.demapper.demap(row, inv_noise[user], &mut s.llr_row);
+                // SAFETY: one demod task owns this (symbol, subcarrier
+                // range) of every user's LLRs; decode is dispatched after it.
+                let out = unsafe { fb.llr.slice_mut(at..at + row_llrs) };
+                quantize_llrs(&s.llr_row, out, quant_scale(inv_noise[user], self.d_min_sqr));
             }
         }
     }
 
-    /// LDPC decode task for one (symbol, user) on the worker's decoding
-    /// plane: re-inflate the received LLRs into the plane's staging
-    /// buffer, decode straight into the frame's `decoded` plane. No
-    /// allocation.
+    /// LDPC decode task for one (symbol, user): re-inflate the received
+    /// LLRs into the worker's staging buffer, run the fixed-point decoder
+    /// straight into the frame's `decoded` plane. No allocation.
     pub fn decode_task(
         &self,
         fb: &FrameBuffers,
@@ -421,23 +419,12 @@ impl Kernels {
         // SAFETY: one decode task per (symbol, user) is in flight, and it
         // is the only writer of that user's `decoded` range.
         let out = unsafe { fb.decoded.slice_mut(fb.decoded_range(g, symbol, user)) };
-        let (success, _) = match &mut s.decode {
-            DecodePlane::F32 { decoder, full_llr } => {
-                // SAFETY: the symbol's demodulation finished before its
-                // decode tasks were dispatched; nothing writes these LLRs.
-                let llr = unsafe { fb.llr.slice(fb.llr_range(g, symbol, user)) };
-                self.rate_match.fill_llrs_into(&llr[..tx_len], full_llr);
-                let cfg = DecodeConfig { max_iters, active_rows, ..Default::default() };
-                decoder.decode_into(full_llr, &cfg, out)
-            }
-            DecodePlane::I8 { decoder, full_llr, .. } => {
-                // SAFETY: as above, for the quantised LLR plane.
-                let llr = unsafe { fb.llr_i8.slice(fb.llr_range(g, symbol, user)) };
-                self.rate_match.fill_llrs_into(&llr[..tx_len], full_llr);
-                let cfg = DecodeConfigI8 { max_iters, active_rows, ..Default::default() };
-                decoder.decode_into(full_llr, &cfg, out)
-            }
-        };
+        // SAFETY: the symbol's demodulation finished before its decode
+        // tasks were dispatched; nothing writes these LLRs.
+        let llr = unsafe { fb.llr.slice(fb.llr_range(g, symbol, user)) };
+        self.rate_match.fill_llrs_into(&llr[..tx_len], &mut s.full_llr);
+        let cfg = DecodeConfigI8 { max_iters, active_rows, ..Default::default() };
+        let (success, _) = s.decoder.decode_into(&s.full_llr, &cfg, out);
         // SAFETY: this task is the only writer of the (symbol, user) flag.
         unsafe { fb.decode_ok.write(symbol * g.k + user, success as u8) };
     }
@@ -685,13 +672,39 @@ mod tests {
             k.cfg.batch.fft.max(k.cfg.batch.ifft).max(1) * k.cfg.cell.fft_size
         );
         assert!((s.grid.as_ptr() as usize).is_multiple_of(agora_math::simd::CACHE_LINE));
-        let DecodePlane::F32 { full_llr, .. } = &s.decode else {
-            panic!("the default configuration decodes in f32");
-        };
-        assert_eq!(full_llr.len(), k.rate_match().codeword_len());
+        assert_eq!(s.full_llr.len(), k.rate_match().codeword_len());
+        assert_eq!(s.llr_row.len(), k.geom.block * k.modulation().bits_per_symbol());
         assert_eq!(s.zf_h.shape(), (k.geom.m, k.geom.k));
         assert_eq!(s.zf_det.shape(), (k.geom.k, k.geom.m));
         assert_eq!(s.zf_pre.shape(), (k.geom.m, k.geom.k));
+    }
+
+    /// The quantiser's invariant: every nominal point of every scheme
+    /// quantises to the same integers whatever the noise scale, its
+    /// weakest bit (a Gray neighbour at `d_min`) to `NOMINAL_LLR_STEPS`.
+    #[test]
+    fn nominal_points_quantise_alike_at_any_noise_scale() {
+        use agora_phy::modulation::map_symbol;
+        use ModScheme::*;
+        for scheme in [Bpsk, Qpsk, Qam16, Qam64, Qam256] {
+            let demapper = Demapper::new(scheme, SimdTier::cached());
+            let bps = scheme.bits_per_symbol();
+            let (mut llr, mut q) = (vec![0.0; bps], vec![0i8; bps]);
+            for v in 0..scheme.order() as u32 {
+                let point = [map_symbol(scheme, v)];
+                let mut at = |inv_noise: f32| {
+                    demapper.demap(&point, inv_noise, &mut llr);
+                    quantize_llrs(&llr, &mut q, quant_scale(inv_noise, d_min_sqr(scheme)));
+                    q.clone()
+                };
+                let unit = at(1.0);
+                let weakest = unit.iter().map(|l| l.unsigned_abs()).min();
+                assert_eq!(weakest, Some(NOMINAL_LLR_STEPS as u8), "{scheme:?} point {v}");
+                for inv_noise in [1e3, 1e6] {
+                    assert_eq!(at(inv_noise), unit, "{scheme:?} point {v} at {inv_noise}");
+                }
+            }
+        }
     }
 
     /// A batched (I)FFT task is `n` single tasks run through one batched
@@ -1021,7 +1034,7 @@ mod tests {
         let marker = Cf32::new(7.0, -7.0);
         // SAFETY (here and below): single-threaded test, no other view alive.
         unsafe { fb.dl_freq.slice_mut(0..fb.dl_freq.len()) }.fill(marker);
-        unsafe { fb.llr.slice_mut(0..fb.llr.len()) }.fill(7.0);
+        unsafe { fb.llr.slice_mut(0..fb.llr.len()) }.fill(7);
         let half = g.block / 2;
         for (base, count) in [(half, g.block), (0, g.block + half), (g.q - half, half)] {
             let precode = catch_unwind(AssertUnwindSafe(|| {
@@ -1034,7 +1047,7 @@ mod tests {
             assert!(demod.is_err(), "demod {base}+{count} ran");
         }
         assert!(unsafe { fb.dl_freq.slice(0..fb.dl_freq.len()) }.iter().all(|&z| z == marker));
-        assert!(unsafe { fb.llr.slice(0..fb.llr.len()) }.iter().all(|&l| l == 7.0));
+        assert!(unsafe { fb.llr.slice(0..fb.llr.len()) }.iter().all(|&l| l == 7));
         // Whole blocks anywhere in the band are a task.
         k.precode_task(&fb, &mut s, downlink, g.q - g.block, g.block);
         k.demod_task(&fb, &mut s, 0, uplink, g.block, 2 * g.block);

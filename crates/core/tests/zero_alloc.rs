@@ -1,8 +1,8 @@
 //! No task body but `encode_task` allocates: the worker's scratch owns
-//! the transform grid, the ZF intermediates, the GEMM blocks and the
-//! decoding plane's buffers, and every body writes straight into the
-//! frame's planes. A counting global allocator makes that claim
-//! checkable, on both decoding planes.
+//! the transform grid, the ZF intermediates, the GEMM blocks, the
+//! quantiser's row and the decoder's buffers, and every body writes
+//! straight into the frame's planes. A counting global allocator makes
+//! that claim checkable.
 
 use agora_core::{EngineConfig, InlineProcessor};
 use agora_fronthaul::{RruConfig, RruEmulator};
@@ -50,10 +50,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Runs every allocation-free task body of one pilot + uplink + downlink
-/// frame on a fresh scratch, twice, and returns what each body allocated
-/// the second time. The planes the second pass rewrote must hold what the
-/// inline pass left.
-fn task_bodies_allocate(quantized: bool) -> Vec<(&'static str, u64)> {
+/// frame on a fresh scratch, twice: the second time none may allocate,
+/// and the planes it rewrote must hold what the inline pass left.
+#[test]
+fn task_bodies_are_allocation_free() {
     let mut cell = CellConfig::tiny_test(1);
     cell.schedule = FrameSchedule::parse("PUD").expect("valid schedule");
     let (pilot, uplink, downlink) = (0, 1, 2);
@@ -62,7 +62,6 @@ fn task_bodies_allocate(quantized: bool) -> Vec<(&'static str, u64)> {
     let (packets, _) = rru.generate_frame(0);
     let mut cfg = EngineConfig::new(cell.clone(), 1);
     cfg.noise_power = rru.noise_power();
-    cfg.quantized_decoder = quantized;
     // One inline frame leaves the packets, `dl_bits` and every plane
     // filled for the tasks to re-run on.
     let mut proc = InlineProcessor::new(cfg);
@@ -72,14 +71,12 @@ fn task_bodies_allocate(quantized: bool) -> Vec<(&'static str, u64)> {
     let mut scratch = kernels.scratch();
     // SAFETY (here and below): single-threaded, no task in flight.
     let llr = unsafe { fb.llr.slice(0..fb.llr.len()) }.to_vec();
-    let llr_i8 = unsafe { fb.llr_i8.slice(0..fb.llr_i8.len()) }.to_vec();
     let dl_time = unsafe { fb.dl_time.slice(0..fb.dl_time.len()) }.to_vec();
 
     let mut counts = Vec::new();
     for pass in 0..2 {
         unsafe {
-            fb.llr.slice_mut(0..fb.llr.len()).fill(0.0);
-            fb.llr_i8.slice_mut(0..fb.llr_i8.len()).fill(0);
+            fb.llr.slice_mut(0..fb.llr.len()).fill(0);
             fb.decoded.slice_mut(0..fb.decoded.len()).fill(2);
             fb.dl_time.slice_mut(0..fb.dl_time.len()).fill(agora_math::Cf32::ZERO);
         }
@@ -109,27 +106,10 @@ fn task_bodies_allocate(quantized: bool) -> Vec<(&'static str, u64)> {
         let got = unsafe { fb.decoded.slice(fb.decoded_range(&g, uplink, user)) };
         assert_eq!(got, &reference.decoded[uplink][user][..], "user {user}");
     }
-    // Only the configured plane is written; the other stays cleared.
-    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(unsafe { fb.llr.slice(0..fb.llr.len()) }), bits(&llr));
-    assert_eq!(unsafe { fb.llr_i8.slice(0..fb.llr_i8.len()) }, &llr_i8[..]);
-    let filled =
-        if quantized { llr_i8.iter().any(|&l| l != 0) } else { llr.iter().any(|&l| l != 0.0) };
-    assert!(filled, "the configured LLR plane is empty");
+    assert_eq!(unsafe { fb.llr.slice(0..fb.llr.len()) }, &llr[..]);
+    assert!(llr.iter().any(|&l| l != 0), "the LLR plane is empty");
     assert!(unsafe { fb.dl_time.slice(0..fb.dl_time.len()) } == &dl_time[..]);
     assert!(dl_time.iter().any(|&z| z != agora_math::Cf32::ZERO));
-    counts
-}
-
-const NONE: [(&str, u64); 6] =
-    [("fft", 0), ("zf", 0), ("demod", 0), ("decode", 0), ("precode", 0), ("ifft", 0)];
-
-#[test]
-fn f32_plane_task_bodies_are_allocation_free() {
-    assert_eq!(task_bodies_allocate(false), NONE);
-}
-
-#[test]
-fn i8_plane_task_bodies_are_allocation_free() {
-    assert_eq!(task_bodies_allocate(true), NONE);
+    let none = [("fft", 0), ("zf", 0), ("demod", 0), ("decode", 0), ("precode", 0), ("ifft", 0)];
+    assert_eq!(counts, none);
 }

@@ -243,22 +243,6 @@ impl Decoder {
     /// Panics if `llr.len() != self.codeword_len()`.
     pub fn decode(&mut self, llr: &[f32], cfg: &DecodeConfig) -> DecodeResult {
         let mut info_bits = vec![0; self.info_len()];
-        let (success, iterations) = self.decode_into(llr, cfg, &mut info_bits);
-        DecodeResult { info_bits, success, iterations }
-    }
-
-    /// [`Self::decode`] writing the hard-decision information bits into
-    /// `info_bits` (length [`Self::info_len`]) instead of allocating.
-    /// Returns `(success, iterations)`.
-    ///
-    /// # Panics
-    /// Panics if `llr` or `info_bits` has the wrong length.
-    pub fn decode_into(
-        &mut self,
-        llr: &[f32],
-        cfg: &DecodeConfig,
-        info_bits: &mut [u8],
-    ) -> (bool, usize) {
         let mut st = State {
             post: &mut self.post,
             msgs: &mut self.msgs,
@@ -270,7 +254,9 @@ impl Decoder {
             early_termination: cfg.early_termination,
             active_rows: cfg.active_rows,
         };
-        decode_layered::<F32Plane>(&self.g, &mut st, llr, cfg.offset, sched, info_bits)
+        let (success, iterations) =
+            decode_layered::<F32Plane>(&self.g, &mut st, llr, cfg.offset, sched, &mut info_bits);
+        DecodeResult { info_bits, success, iterations }
     }
 }
 
@@ -665,24 +651,6 @@ mod proptests {
             }
             let want: Vec<u8> = post.iter().map(|&l| (l < 0.0) as u8).collect();
             prop_assert_eq!(&hard[..post.len()], &want[..]);
-        }
-
-        /// `decode` is `decode_into` plus an allocation.
-        #[test]
-        fn decode_wrapper_matches_decode_into(
-            seed in any::<u64>(),
-            z_idx in 0usize..LANE_ZS.len() - 1,
-            scale in 0.1f32..20.0,
-        ) {
-            let z = LANE_ZS[z_idx];
-            let mut dec = Decoder::new(BaseGraphId::Bg2, z);
-            let llr = awkward_llrs(dec.codeword_len(), z, seed, scale, false);
-            let cfg = DecodeConfig::default();
-            let res = dec.decode(&llr, &cfg);
-            let mut info_bits = vec![2u8; dec.info_len()];
-            let (success, iterations) = dec.decode_into(&llr, &cfg, &mut info_bits);
-            prop_assert_eq!(res.info_bits, info_bits);
-            prop_assert_eq!((res.success, res.iterations), (success, iterations));
         }
     }
 

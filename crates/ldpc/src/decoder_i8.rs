@@ -34,11 +34,17 @@ use agora_math::simd::SimdTier;
 /// symmetric `[-127, 127]`; -128 is never produced.
 pub const I8_LLR_MAX: i8 = 127;
 
-/// Default `f32 -> i8` quantisation scale (LLR units per integer step:
-/// `llr_i8 = round(llr_f32 * scale)`). 4.0 gives a +-31.75 LLR dynamic
-/// range with 0.25-LLR resolution — comfortably past the point where
-/// BLER matches the float decoder at the paper's operating points, while
-/// an offset of 2 reproduces the classic beta = 0.5 correction.
+/// `f32 -> i8` quantisation scale for synthetic LLRs (integer steps per
+/// LLR unit: `llr_i8 = round(llr_f32 * scale)`): what the decoder's own
+/// tests, the `parity` and figure bins and the benchmark's decoder leaf
+/// quantise BPSK-over-AWGN LLRs `2y / sigma^2` with. 4.0 gives a +-31.75
+/// LLR dynamic range at 0.25-LLR resolution, and the default offset of 2
+/// steps is then the float decoder's beta = 0.5.
+///
+/// The engine does not use it. Its demapper's LLRs grow with SNR, so a
+/// fixed scale saturates every prior at high SNR; demodulation instead
+/// quantises each user row at a scale that puts a nominal constellation
+/// point at the same step count at any SNR (`agora_core::kernels`).
 pub const DEFAULT_LLR_SCALE: f32 = 4.0;
 
 /// Largest check-to-variable message magnitude. Clipping messages well
@@ -66,20 +72,36 @@ pub const I8_MSG_MAX: i8 = 31;
 pub const I8_CHAN_MAX: i8 = I8_MSG_MAX - 1;
 
 /// Quantises `f32` LLRs to saturating `i8` with the given scale.
-/// Values round to nearest and clamp to `[-127, 127]`; non-finite inputs
-/// saturate in their sign's direction (NaN maps to 0).
+/// Values round to nearest, ties away from zero, and clamp to
+/// `[-127, 127]`; non-finite inputs saturate in their sign's direction
+/// (NaN maps to 0).
+///
+/// Bit-identical to `round` then clamp, without `round` or a float-to-int
+/// conversion: baseline x86-64 has no SSE4.1 `roundps`, so `round` is a
+/// libm call per value, and Rust's saturating `as i32` is a scalar
+/// convert with two fix-ups per lane. Instead the magnitude, clamped
+/// (NaN to 0), is added to 2^23, where a float's ulp is 1: the sum's
+/// mantissa holds it rounded to nearest, ties to even, and a tie that
+/// went down to even goes up. Every step is a lane-wise float or integer
+/// operation, so the loop vectorises.
 pub fn quantize_llrs(src: &[f32], dst: &mut [i8], scale: f32) {
     assert_eq!(src.len(), dst.len(), "quantise length mismatch");
-    for (d, &s) in dst.iter_mut().zip(src.iter()) {
-        let v = (s * scale).round();
-        *d = v.clamp(-(I8_LLR_MAX as f32), I8_LLR_MAX as f32) as i8;
+    const MAX: f32 = I8_LLR_MAX as f32;
+    const SHIFTER: f32 = 8_388_608.0;
+    for (d, &s) in dst.iter_mut().zip(src) {
+        let v = s * scale;
+        let a = if v.is_nan() { 0.0 } else { v.abs().min(MAX) };
+        let even = (a + SHIFTER).to_bits() as i32 - SHIFTER.to_bits() as i32;
+        let q = (even + (a - even as f32 == 0.5) as i32) as i8;
+        *d = if v < 0.0 { -q } else { q };
     }
 }
 
 /// Configuration for the fixed-point decoder. Mirrors
-/// [`crate::decoder::DecodeConfig`] with the offset expressed in
-/// quantised LLR units (2 at the default scale of 4.0 equals the float
-/// decoder's beta = 0.5).
+/// [`crate::decoder::DecodeConfig`] with the offset in quantisation steps:
+/// the default 2 is the float decoder's beta = 0.5 at
+/// [`DEFAULT_LLR_SCALE`], and an eighth of a nominal point's weakest bit
+/// on the engine's plane, where that bit is 16 steps.
 #[derive(Debug, Clone, Copy)]
 pub struct DecodeConfigI8 {
     /// Maximum BP iterations.
@@ -392,12 +414,32 @@ mod tests {
             .collect()
     }
 
+    /// The edges of the branch-free rounding against `round` then clamp:
+    /// every tie `±k.5` across the range and past the clamp, signed zeros,
+    /// NaN, infinities, the float just below a half and values just inside
+    /// the clamp.
     #[test]
     fn quantize_rounds_and_saturates() {
         let src = [0.0f32, 0.1, -0.1, 1.0, -1.0, 100.0, -100.0, f32::INFINITY, f32::NEG_INFINITY];
         let mut dst = vec![0i8; src.len()];
         quantize_llrs(&src, &mut dst, 4.0);
         assert_eq!(dst, [0, 0, 0, 4, -4, 127, -127, 127, -127]);
+
+        let mut src: Vec<f32> =
+            (0..=130).flat_map(|k| [k as f32 + 0.5, -(k as f32) - 0.5]).collect();
+        src.extend([0.0, -0.0, f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY]);
+        src.extend([0.499_999_97, -0.499_999_97, 127.49, -127.49, 126.5, 127.5, f32::MAX]);
+        src.extend([f32::MIN_POSITIVE, -f32::MIN_POSITIVE, 1e-45, 2.5, -2.5, 3.5, -3.5]);
+        let mut dst = vec![0i8; src.len()];
+        quantize_llrs(&src, &mut dst, 1.0);
+        assert_eq!(dst, quantize_reference(&src, 1.0));
+        assert_eq!(dst[src.len() - 4..], [3, -3, 4, -4], "ties round away from zero");
+    }
+
+    /// `round` then clamp: the oracle [`quantize_llrs`] is held to.
+    pub(super) fn quantize_reference(src: &[f32], scale: f32) -> Vec<i8> {
+        let max = I8_LLR_MAX as f32;
+        src.iter().map(|&s| (s * scale).round().clamp(-max, max) as i8).collect()
     }
 
     #[test]
@@ -563,6 +605,30 @@ mod proptests {
         (BaseGraphId::Bg2, 36),
         (BaseGraphId::Bg1, 30),
     ];
+
+    proptest! {
+        /// Random floats, any bit pattern or a uniform draw, at scales from
+        /// the sub-step to the saturating: bit-identical to the oracle.
+        #[test]
+        fn quantize_matches_round_then_clamp(
+            draws in proptest::collection::vec((any::<u32>(), -200.0f32..200.0), 0..67),
+            scale in (0u32..5, 1e-3f32..64.0),
+        ) {
+            let scale = match scale.0 {
+                0 => 1.0,
+                1 => DEFAULT_LLR_SCALE,
+                2 => 1e6,
+                _ => scale.1,
+            };
+            let src: Vec<f32> = draws
+                .iter()
+                .map(|&(bits, v)| if bits % 4 == 0 { f32::from_bits(bits) } else { v })
+                .collect();
+            let mut dst = vec![0i8; src.len()];
+            quantize_llrs(&src, &mut dst, scale);
+            prop_assert_eq!(dst, tests::quantize_reference(&src, scale));
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]

@@ -9,9 +9,10 @@
 //!   from TS 38.212).
 //! * [`lifting`]: the standard's 51 lifting sizes (validation).
 //! * [`encoder`]: linear-time systematic encoder.
-//! * [`decoder`]: offset min-sum BP in f32, layered and flooding
-//!   schedules.
-//! * [`decoder_i8`]: fixed-point (i8) layered min-sum.
+//! * [`decoder`]: layered offset min-sum in f32, the i8 decoder's
+//!   oracle.
+//! * [`decoder_i8`]: fixed-point (i8) layered min-sum, the engine's
+//!   decoder.
 //!
 //!   Both layered decoders are planes of one Z-lane skeleton (`zlane`):
 //!   vectorised across the lifting dimension, AVX2 and scalar tiers

@@ -3,9 +3,11 @@
 //!
 //! The ZF detector/precoder is `W = c * (H^H H)^{-1} H^H` (the paper writes
 //! the transposed convention `H* (H^T H*)^{-1}`; both are the Moore-Penrose
-//! pseudo-inverse of `H` up to conjugation). Two routes are provided:
+//! pseudo-inverse of `H` up to conjugation). Three routes are provided:
 //!
-//! * [`pinv_direct`]: form the `K x K` Gram matrix and invert it directly —
+//! * [`pinv_cholesky`]: Cholesky-factor the `K x K` Gram matrix and solve
+//!   against `H^H` — the engine's route and [`PinvMethod`]'s default.
+//! * [`pinv_direct`]: form the Gram matrix and invert it by Gauss-Jordan —
 //!   the paper's fast path (~16 µs for 64x16 on their hardware).
 //! * [`pinv_svd`]: the numerically robust SVD route — the slow path that
 //!   the "matrix inverse optimisation" row of Table 4 disables down to.
@@ -20,16 +22,17 @@ use crate::matrix::CMat;
 use crate::simd::{conj_transpose, SimdTier};
 use crate::svd::svd;
 
-/// Method selector for pseudo-inverse computation, wired to the engine's
-/// ablation flags.
+/// Method selector for pseudo-inverse computation. The engine and the
+/// benchmark solve with the default, `Cholesky`; Gauss-Jordan and SVD are
+/// the references `parity` and `table4_ablation` hold it to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PinvMethod {
-    /// Direct inversion of the `K x K` Gram matrix (the optimised path).
-    #[default]
+    /// Gauss-Jordan inversion of the `K x K` Gram matrix.
     Direct,
     /// Cholesky solve of the Gram system `(H^H H) W = H^H` — half the
     /// flops of Gauss-Jordan, never forms the explicit inverse, and its
     /// pivot sign is an intrinsically correct positive-definite test.
+    #[default]
     Cholesky,
     /// Full SVD pseudo-inverse (robust but ~10x slower).
     Svd,

@@ -33,7 +33,7 @@ mod tests {
     use super::*;
     use crate::chanest::CsiBuffer;
     use crate::zf::{zf_task, ZfConfig};
-    use agora_math::{CMat, PinvMethod};
+    use agora_math::CMat;
 
     fn setup(m: usize, k: usize, seed: u64) -> (CsiBuffer, ZfBuffer) {
         let mut state = seed | 1;
@@ -49,9 +49,8 @@ mod tests {
                 Cf32::new(next(), next())
             });
         }
-        let cfg = ZfConfig { group_size: 16, method: PinvMethod::Direct };
         let mut zf = ZfBuffer::new(m, k, 16, 16);
-        zf_task(&csi, &cfg, 0, &mut zf);
+        zf_task(&csi, &ZfConfig::default(), 0, &mut zf);
         (csi, zf)
     }
 

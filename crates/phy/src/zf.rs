@@ -14,14 +14,15 @@ use agora_math::{normalize_precoder, pinv, CMat, PinvMethod};
 pub struct ZfConfig {
     /// Subcarriers sharing one precoder (the paper uses 16).
     pub group_size: usize,
-    /// Pseudo-inverse route: direct Gram inverse (fast) or SVD (robust) —
-    /// the pair behind Table 4's "matrix inverse optimisation" row.
+    /// Pseudo-inverse route: a Gram solve (Cholesky, the default, or
+    /// Gauss-Jordan) or SVD (robust) — the pair behind Table 4's "matrix
+    /// inverse optimisation" row.
     pub method: PinvMethod,
 }
 
 impl Default for ZfConfig {
     fn default() -> Self {
-        Self { group_size: 16, method: PinvMethod::Direct }
+        Self { group_size: 16, method: PinvMethod::default() }
     }
 }
 
@@ -126,7 +127,7 @@ mod tests {
     #[test]
     fn detector_left_inverts_channel() {
         let csi = random_csi(16, 4, 32, 3);
-        let cfg = ZfConfig { group_size: 16, method: PinvMethod::Direct };
+        let cfg = ZfConfig::default();
         let mut buf = ZfBuffer::new(16, 4, 32, cfg.group_size);
         for g in 0..cfg.num_groups(32) {
             zf_task(&csi, &cfg, g, &mut buf);
@@ -140,7 +141,7 @@ mod tests {
     #[test]
     fn precoder_inverts_reciprocal_channel() {
         let csi = random_csi(8, 2, 16, 9);
-        let cfg = ZfConfig { group_size: 16, method: PinvMethod::Direct };
+        let cfg = ZfConfig::default();
         let mut buf = ZfBuffer::new(8, 2, 16, 16);
         zf_task(&csi, &cfg, 0, &mut buf);
         let pre = buf.precoder(0);
@@ -165,7 +166,7 @@ mod tests {
     #[test]
     fn subcarrier_lookup_uses_groups() {
         let csi = random_csi(4, 2, 40, 17);
-        let cfg = ZfConfig { group_size: 16, method: PinvMethod::Direct };
+        let cfg = ZfConfig::default();
         let mut buf = ZfBuffer::new(4, 2, 40, 16);
         for g in 0..cfg.num_groups(40) {
             zf_task(&csi, &cfg, g, &mut buf);
@@ -179,12 +180,15 @@ mod tests {
     }
 
     #[test]
-    fn svd_method_agrees_with_direct() {
+    fn every_method_agrees_with_the_default() {
         let csi = random_csi(16, 4, 16, 23);
-        let mut direct = ZfBuffer::new(16, 4, 16, 16);
-        let mut svd = ZfBuffer::new(16, 4, 16, 16);
-        zf_task(&csi, &ZfConfig { group_size: 16, method: PinvMethod::Direct }, 0, &mut direct);
-        zf_task(&csi, &ZfConfig { group_size: 16, method: PinvMethod::Svd }, 0, &mut svd);
-        assert!(direct.detector(0).max_abs_diff(svd.detector(0)) < 1e-2);
+        let mut default = ZfBuffer::new(16, 4, 16, 16);
+        zf_task(&csi, &ZfConfig::default(), 0, &mut default);
+        assert_eq!(ZfConfig::default().method, PinvMethod::Cholesky);
+        for method in [PinvMethod::Direct, PinvMethod::Svd] {
+            let mut other = ZfBuffer::new(16, 4, 16, 16);
+            zf_task(&csi, &ZfConfig { group_size: 16, method }, 0, &mut other);
+            assert!(default.detector(0).max_abs_diff(other.detector(0)) < 1e-2, "{method:?}");
+        }
     }
 }

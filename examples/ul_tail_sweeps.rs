@@ -2,9 +2,8 @@
 //! of one whole symbol next to their GEMMs and the sweeps around them,
 //! and `decode_task` next to its gather and its decoder, each timed
 //! through its public entry point on a frame primed by one inline pass
-//! (EXPERIMENTS.md, "Uplink tail sweeps"). Uses only API that predates
-//! PR 23, so the same file dropped into an older checkout gives the
-//! "before" column.
+//! (EXPERIMENTS.md, "Uplink tail sweeps"). Decode reads the engine's `i8`
+//! LLR plane, as `decode_task` does.
 //!
 //! ```text
 //! cargo run --release --example ul_tail_sweeps          # 64x16, 1200 sc, 64-QAM
@@ -13,7 +12,7 @@
 
 use agora_core::{EngineConfig, InlineProcessor};
 use agora_fronthaul::{RruConfig, RruEmulator};
-use agora_ldpc::{DecodeConfig, Decoder};
+use agora_ldpc::{quantize_llrs, DecodeConfigI8, DecoderI8, DEFAULT_LLR_SCALE};
 use agora_math::{Cf32, Gemm};
 use agora_phy::demod::demod_soft_simd;
 use agora_phy::frame::FrameSchedule;
@@ -81,16 +80,16 @@ fn main() {
             }
         }
     });
-    // Every user's row of every block demapped and copied to its place in
-    // a `[user][bit]` plane, as the task does after each GEMM.
-    let mut plane = vec![0.0f32; g.k * g.cap_bits];
+    // Every user's row of every block demapped and quantised to its place
+    // in a `[user][bit]` plane, as the task does after each GEMM.
+    let mut plane = vec![0i8; g.k * g.cap_bits];
     let mut llrs = Vec::with_capacity(g.block * bps);
     let demap = median_us(|| {
         for blk in 0..blocks {
             for (user, row) in user_block.chunks_exact(g.block).enumerate() {
                 demod_soft_simd(scheme, row, 0.05, &mut llrs);
                 let at = user * g.cap_bits + blk * g.block * bps;
-                plane[at..at + llrs.len()].copy_from_slice(&llrs);
+                quantize_llrs(&llrs, &mut plane[at..at + llrs.len()], DEFAULT_LLR_SCALE);
             }
         }
         black_box(&mut plane);
@@ -101,13 +100,13 @@ fn main() {
     let decode_task = median_us(|| kernels.decode_task(fb, &mut scratch, uplink, 0));
     let rm = kernels.rate_match();
     let llr = unsafe { fb.llr.slice(fb.llr_range(&g, uplink, 0)) };
-    let mut full = vec![0.0f32; rm.codeword_len()];
+    let mut full = vec![0i8; rm.codeword_len()];
     let fill = median_us(|| {
         rm.fill_llrs_into(&llr[..rm.tx_len()], &mut full);
         black_box(&mut full);
     });
-    let mut decoder = Decoder::new(cell.ldpc.base_graph, cell.ldpc.z);
-    let decode_cfg = DecodeConfig {
+    let mut decoder = DecoderI8::new(cell.ldpc.base_graph, cell.ldpc.z);
+    let decode_cfg = DecodeConfigI8 {
         max_iters: cell.ldpc.max_iters,
         active_rows: Some(rm.active_rows()),
         ..Default::default()
@@ -162,7 +161,7 @@ fn main() {
     );
     println!("  {:4} noise scales     {noise_scale:8.2}   (in the task before PR 23; {} per group in zf_task since)", blocks * g.k, g.k);
     println!(
-        "  {:4} demap + store    {demap:8.2}   demod_soft_simd + copy_from_slice per user row",
+        "  {:4} demap + store    {demap:8.2}   demod_soft_simd + quantize_llrs per user row",
         blocks * g.k
     );
     println!("  demod_task - GEMMs    {:8.2}", demod_task - eq_gemms);

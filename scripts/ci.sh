@@ -73,8 +73,6 @@ echo "== every EngineConfig knob has a non-test setter or a decision pending =="
 decided="
 cell               argument of EngineConfig::new
 num_workers        argument of EngineConfig::new
-quantized_decoder  ROADMAP 2(b): default it or delete the i8 plane
-llr_quant_scale    ROADMAP 2(b), with quantized_decoder
 stale_precoder     shared with SimConfig through FrameTable; ext_ablations sweeps it there
 batch              Table 3 / SimConfig::batch (table4_ablation, ext_ablations)
 frame_window       deployment sizing (buffer window); ROADMAP 7(d)

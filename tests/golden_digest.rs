@@ -3,10 +3,13 @@
 //! The engine has no alternative dataflow left to compare the default
 //! against, so what pins its output is a digest of the output itself: a
 //! fixed seed, a few frames, and an FNV-1a hash over the decoded bits,
-//! the decode flags, the f32 bit patterns of the `llr` plane and of the
-//! downlink time-domain samples — read out of the frame planes, so the
-//! threaded engine is held to all four as well. `default_path_digests_are_pinned`
-//! holds the inline rows of the three small cells and threaded ≡ inline;
+//! the decode flags, the bytes of the `i8` LLR plane and the f32 bit
+//! patterns of the downlink time-domain samples — read out of the frame
+//! planes, so the threaded engine is held to all four as well. The
+//! threaded engine takes its packets the way the benchmark feeds it: in
+//! batches off a fronthaul link (`process_fronthaul` over a preloaded
+//! `MemFronthaul`). `default_path_digests_are_pinned` holds the inline
+//! rows of the three small cells and threaded ≡ inline;
 //! `dump_bit_identity_rows` (ignored; `cargo test --release --test
 //! golden_digest -- --ignored --nocapture`) prints every row, inline and
 //! threaded, for a parent-vs-change log such as
@@ -16,9 +19,10 @@
 
 use agora_core::buffers::{BufferGeometry, FrameBuffers};
 use agora_core::{Engine, EngineConfig, InlineProcessor};
-use agora_fronthaul::{RruConfig, RruEmulator};
+use agora_fronthaul::{Fronthaul, MemFronthaul, PacketBuf, RruConfig, RruEmulator};
 use agora_phy::frame::FrameSchedule;
 use agora_phy::CellConfig;
+use std::sync::atomic::AtomicBool;
 
 /// FNV-1a, 64 bit.
 struct Fnv(u64);
@@ -84,8 +88,8 @@ fn eat_planes(
     dl_time: &mut Fnv,
 ) {
     // SAFETY (both planes): the frame is done and its processor idle.
-    for v in unsafe { fb.llr.slice(0..fb.llr.len()) } {
-        llr.eat(&v.to_bits().to_le_bytes());
+    for &v in unsafe { fb.llr.slice(0..fb.llr.len()) } {
+        llr.eat(&v.to_le_bytes());
     }
     for &symbol in downlink {
         for z in unsafe { fb.dl_time.slice(fb.dl_time_run_range(g, symbol, 0, g.m)) } {
@@ -96,9 +100,9 @@ fn eat_planes(
 }
 
 /// Everything a row hashes, `[bits, decode_ok, llr, dl_time]`: inline,
-/// and from the threaded engine (2 workers), whose planes are read once
-/// the run is over — every row's frames fit the frame window, so each
-/// still sits in its slot.
+/// and from the threaded engine (2 workers) draining a link that holds
+/// the whole run, whose planes are read once the run is over — every
+/// row's frames fit the frame window, so each still sits in its slot.
 fn digests(row: &Row) -> ([u64; 4], [u64; 4]) {
     let rc = RruConfig { snr_db: 25.0, seed: 21, ..Default::default() };
     let mut rru = RruEmulator::new(row.cell.clone(), rc);
@@ -118,10 +122,13 @@ fn digests(row: &Row) -> ([u64; 4], [u64; 4]) {
     }
     let (bits, ok) = decoded_digest(results.iter().map(|r| (&r.decoded, &r.decode_ok)));
 
-    let packets = per_frame.into_iter().flatten().collect();
+    let packets: Vec<_> = per_frame.into_iter().flatten().collect();
+    let (rru_end, bbu_end) = MemFronthaul::pair(packets.len().next_power_of_two());
+    for pkt in packets {
+        rru_end.send(PacketBuf::Heap(pkt)).expect("link sized for the run");
+    }
     let engine = Engine::new(cfg);
-    let mut threaded = engine.process(packets, row.frames, false);
-    threaded.sort_by_key(|r| r.frame);
+    let threaded = engine.process_fronthaul(&bbu_end, row.frames, &AtomicBool::new(true));
     assert!(threaded.iter().all(|r| !r.dropped), "{}: threaded run dropped a frame", row.name);
     let (t_bits, t_ok) = decoded_digest(threaded.iter().map(|r| (&r.decoded, &r.decode_ok)));
     let (mut t_llr, mut t_dl_time) = (Fnv::new(), Fnv::new());
@@ -131,23 +138,24 @@ fn digests(row: &Row) -> ([u64; 4], [u64; 4]) {
     ([bits, ok, llr.0, dl_time.0], [t_bits, t_ok, t_llr.0, t_dl_time.0])
 }
 
-/// `(row, decoded-bits digest, dl_time digest)`, inline.
-const PINNED: [(&str, u64, u64); 3] = [
-    ("tiny_uplink", 0xd0ba_5546_d37f_5be1, 0xcbf2_9ce4_8422_2325),
-    ("tiny_tdd_PUUDD", 0xd0ba_5546_d37f_5be1, 0x8e57_cdc9_2c8b_537e),
-    ("tiny_downlink_PDD", 0xcbf2_9ce4_8422_2325, 0x604a_8bdf_6625_5982),
+/// `(row, decoded-bits digest, llr digest, dl_time digest)`, inline.
+const PINNED: [(&str, u64, u64, u64); 3] = [
+    ("tiny_uplink", 0xd0ba_5546_d37f_5be1, 0xeae7_8f1a_2ae2_3f60, 0xcbf2_9ce4_8422_2325),
+    ("tiny_tdd_PUUDD", 0xd0ba_5546_d37f_5be1, 0x858c_6dda_8a1c_1160, 0x8e57_cdc9_2c8b_537e),
+    ("tiny_downlink_PDD", 0xcbf2_9ce4_8422_2325, 0x1f96_8d47_cc6f_a525, 0x604a_8bdf_6625_5982),
 ];
 
 #[test]
 fn default_path_digests_are_pinned() {
-    for (name, bits, dl_time) in PINNED {
+    for (name, bits, llr, dl_time) in PINNED {
         let row = rows().into_iter().find(|r| r.name == name).unwrap();
         let (inline, threaded) = digests(&row);
         assert_eq!(
-            (inline[0], inline[3]),
-            (bits, dl_time),
-            "{name}: (bits, dl_time) = ({:#018x}, {:#018x})",
+            (inline[0], inline[2], inline[3]),
+            (bits, llr, dl_time),
+            "{name}: (bits, llr, dl_time) = ({:#018x}, {:#018x}, {:#018x})",
             inline[0],
+            inline[2],
             inline[3]
         );
         assert_eq!(inline, threaded, "{name}: threaded differs from inline");
