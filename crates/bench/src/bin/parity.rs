@@ -15,7 +15,7 @@
 //! | `fft` | tier agreement; batched ≡ single transforms bit for bit; pre-reversed entry ≡ `execute` |
 //! | `gemm` | `gemm`/`gemv`/`gram` and planned kernels bit-identical across tiers on every dispatch shape class |
 //! | `zf` | Cholesky detector ≈ Gauss-Jordan, bit-identical across tiers; near-singular Gram rejected |
-//! | `demod` | scalar-pinned `Kernels` ≡ detected tier on the `inv_noise`, `llr` and `dl_freq` planes, 8×2 and 64×16 |
+//! | `demod` | scalar-pinned `Kernels` ≡ detected tier on the `csi`, `freq` (pilot and uplink FFTs), `inv_noise`, `llr` and `dl_freq` planes, 8×2 and 64×16 |
 //! | `bler` | through the real uplink chain at 0–30 dB, AWGN and 4-tap Rayleigh, 8×2 and 64×16: the engine's i8 plane decodes at least the blocks an f32 decoder does |
 //! | `fronthaul` | batch ≡ single delivery on mem and UDP links; aggregation split and pool recycling |
 //! | `deployment` | C=4 ledgers reconcile against the fault injector; deployment ≡ standalone engines; misroutes counted |
@@ -429,16 +429,16 @@ fn zf() {
 // ------------------------------------------------------------------ demod
 
 /// One pilot + uplink + downlink frame through the inline processor on
-/// the detected tier; then scalar-pinned kernels redo its ZF, demodulation
-/// and precoding on the same slot. The demapper and quantiser, the noise
-/// scales and the modulator's bit-pack must leave the planes byte for
-/// byte.
+/// the detected tier; then scalar-pinned kernels redo its FFTs (pilot and
+/// uplink), ZF, demodulation and precoding on the same slot. The IQ
+/// unpack, the demapper and its fused quantiser, the noise scales and the
+/// modulator's bit-pack must leave the planes byte for byte.
 fn demod() {
     for (mut cell, what) in
         [(CellConfig::tiny_test(1), "8x2"), (CellConfig::emulated_rru(64, 16, 1), "64x16")]
     {
         cell.schedule = FrameSchedule::parse("PUD").expect("valid schedule");
-        let (uplink, downlink) = (1, 2);
+        let (pilot, uplink, downlink) = (0, 1, 2);
         let (packets, noise) = cell_packets(&cell, 25.0, 77, 1);
         let mut cfg = EngineConfig::new(cell, 1);
         cfg.noise_power = noise;
@@ -449,28 +449,42 @@ fn demod() {
         let f32_bits = |plane: &agora_core::buffers::SharedVec<f32>| -> Vec<u32> {
             unsafe { plane.slice(0..plane.len()) }.iter().map(|x| x.to_bits()).collect()
         };
+        let cf32_bits = |plane: &agora_core::buffers::SharedVec<Cf32>| {
+            bits(unsafe { plane.slice(0..plane.len()) })
+        };
         let llr = || unsafe { fb.llr.slice(0..fb.llr.len()) }.to_vec();
-        let dl_freq_bits = || bits(unsafe { fb.dl_freq.slice(0..fb.dl_freq.len()) });
-        let detected = (f32_bits(&fb.inv_noise), llr(), dl_freq_bits());
+        let planes = || {
+            let cf32 = [&fb.csi, &fb.freq, &fb.dl_freq].map(cf32_bits);
+            (cf32, f32_bits(&fb.inv_noise), llr())
+        };
+        let detected = planes();
         unsafe {
+            for plane in [&fb.csi, &fb.freq, &fb.dl_freq] {
+                plane.slice_mut(0..plane.len()).fill(Cf32::ZERO);
+            }
             fb.inv_noise.slice_mut(0..fb.inv_noise.len()).fill(0.0);
             fb.llr.slice_mut(0..fb.llr.len()).fill(0);
-            fb.dl_freq.slice_mut(0..fb.dl_freq.len()).fill(Cf32::ZERO);
         }
 
         let scalar = Kernels::with_tier(cfg, SimdTier::Scalar);
         let mut s = scalar.scratch();
+        for symbol in [pilot, uplink] {
+            (0..g.m).for_each(|ant| scalar.fft_task(fb, &mut s, symbol, ant));
+        }
         (0..scalar.shape.zf_groups).for_each(|group| scalar.zf_task(fb, &mut s, group));
         scalar.demod_task(fb, &mut s, 0, uplink, 0, g.q);
         scalar.precode_task(fb, &mut s, downlink, 0, g.q);
-        let filled = detected.0.iter().any(|&b| b != 0)
-            && detected.1.iter().any(|&l| l != 0)
-            && detected.2.iter().any(|&b| b != (0, 0));
+        let filled = detected.0.iter().all(|plane| plane.iter().any(|&b| b != (0, 0)))
+            && detected.1.iter().any(|&b| b != 0)
+            && detected.2.iter().any(|&l| l != 0);
         check(filled, &format!("{what}: the detected tier filled the planes"));
+        let (cf32, inv_noise, llr) = planes();
         for (plane, same) in [
-            ("inv_noise", f32_bits(&fb.inv_noise) == detected.0),
-            ("llr", llr() == detected.1),
-            ("dl_freq", dl_freq_bits() == detected.2),
+            ("csi", cf32[0] == detected.0[0]),
+            ("freq", cf32[1] == detected.0[1]),
+            ("inv_noise", inv_noise == detected.1),
+            ("llr", llr == detected.2),
+            ("dl_freq", cf32[2] == detected.0[2]),
         ] {
             check(same, &format!("{what}: {plane} plane, scalar tier ≡ detected"));
         }

@@ -14,7 +14,7 @@ use crate::buffers::{AlignedBuf, BufferGeometry, FrameBuffers};
 use crate::config::EngineConfig;
 use crate::state::FrameShape;
 use agora_fft::{Direction, FftPlan, SubcarrierMap};
-use agora_ldpc::{quantize_llrs, DecodeConfigI8, DecoderI8, Encoder, RateMatch};
+use agora_ldpc::{DecodeConfigI8, DecoderI8, Encoder, RateMatch};
 use agora_math::simd::{stream_copy, stream_fence, SimdTier};
 use agora_math::{
     normalize_precoder_in_place, pinv_into, CMat, Cf32, Gemm, PinvMethod, PinvScratch,
@@ -133,8 +133,6 @@ pub struct WorkerScratch {
     zf_det: CMat,
     zf_pre: CMat,
     zf_pinv: PinvScratch,
-    /// One block's user row of float LLRs, on its way to the quantiser.
-    llr_row: Vec<f32>,
     decoder: DecoderI8,
     /// A code block's LLRs as rate matching re-inflates them.
     full_llr: Vec<i8>,
@@ -210,7 +208,6 @@ impl Kernels {
             zf_det: CMat::zeros(g.k, g.m),
             zf_pre: CMat::zeros(g.m, g.k),
             zf_pinv: PinvScratch::with_tier(g.m, g.k, self.tier),
-            llr_row: vec![0.0; g.block * self.cfg.cell.modulation.bits_per_symbol()],
             decoder: DecoderI8::with_tier(ldpc.base_graph, ldpc.z, self.tier),
             full_llr: vec![0; self.rate_match.codeword_len()],
         }
@@ -269,7 +266,7 @@ impl Kernels {
             // batch, so its packet slot is occupied and no longer
             // written; the view lives only for this task.
             let payload = unsafe { fb.rx_payload_view(g, symbol, base + i) };
-            unpack_bitrev(payload, skip, self.fft.bitrev(), grid);
+            unpack_bitrev(payload, skip, &self.fft, grid);
         }
         self.fft.execute_batch_prereversed(&mut s.grid[..count * n], Direction::Forward);
         for (i, grid) in s.grid.chunks_exact(n).take(count).enumerate() {
@@ -361,9 +358,9 @@ impl Kernels {
     /// cache-line block, one planned GEMM of the group's detector with
     /// the block's antenna samples, then every user's row soft-demapped
     /// as it leaves the GEMM and quantised at the group's [`quant_scale`]
-    /// into the `i8` LLR plane. `_frame` is
-    /// unused — `fb` already is the frame's slot — and stays because the
-    /// repo benchmark calls this signature.
+    /// in the same pass ([`Demapper::demap_quantized`]), straight into the
+    /// `i8` LLR plane. `_frame` is unused — `fb` already is the frame's
+    /// slot — and stays because the repo benchmark calls this signature.
     pub fn demod_task(
         &self,
         fb: &FrameBuffers,
@@ -393,11 +390,11 @@ impl Kernels {
             self.eq_gemm.run(det, &freq[base..base + g.m * g.block], &mut s.user_block);
             for (user, row) in s.user_block.chunks_exact(g.block).enumerate() {
                 let at = fb.llr_range(g, symbol, user).start + blk * row_llrs;
-                self.demapper.demap(row, inv_noise[user], &mut s.llr_row);
                 // SAFETY: one demod task owns this (symbol, subcarrier
                 // range) of every user's LLRs; decode is dispatched after it.
                 let out = unsafe { fb.llr.slice_mut(at..at + row_llrs) };
-                quantize_llrs(&s.llr_row, out, quant_scale(inv_noise[user], self.d_min_sqr));
+                let scale = quant_scale(inv_noise[user], self.d_min_sqr);
+                self.demapper.demap_quantized(row, inv_noise[user], scale, out);
             }
         }
     }
@@ -556,25 +553,125 @@ impl Kernels {
 
 /// Fused IQ unpack + cyclic-prefix skip + bit-reversal: reads the packed
 /// 12-bit IQ samples of one symbol payload and writes the FFT-sized tail
-/// (samples `skip..`) into `out` in bit-reversed order, ready for
-/// [`FftPlan::execute_prereversed`]. One pass replaces the previous
+/// (samples `skip..`) into `out` in `plan`'s bit-reversed order, ready
+/// for [`FftPlan::execute_prereversed`]. One pass replaces the previous
 /// unpack → tail copy → in-place permutation sequence — the samples are
 /// touched once instead of three times. The payload is read front to
 /// back (it is cold: another core received it) and each sample is
 /// scattered to its slot of the cache-resident grid; the bit-reversal
 /// table is its own inverse, so this is the gather `out[i] =
 /// sample[bitrev[i]]` with the random accesses moved to the warm side.
-pub fn unpack_bitrev(payload: &[u8], skip: usize, bitrev: &[u32], out: &mut [Cf32]) {
-    assert_eq!(out.len(), bitrev.len(), "output must be transform-sized");
-    assert!(
-        payload.len() >= (skip + out.len()) * BYTES_PER_SAMPLE,
-        "payload too short for skip + transform"
-    );
-    let samples = payload[skip * BYTES_PER_SAMPLE..].chunks_exact(BYTES_PER_SAMPLE);
-    for (bytes, &j) in samples.zip(bitrev.iter()) {
-        let bytes: &[u8; 3] = bytes.try_into().unwrap();
-        out[j as usize] = unpack_sample(bytes);
+///
+/// Dispatches on `plan`'s tier. The AVX2 body decodes eight samples per
+/// step and stores four steps at a time, as 32-byte runs of the grid;
+/// every tier writes what [`unpack_sample`], the scalar body, does. Reads
+/// no byte past the `skip + out.len()` samples, and writes through checked
+/// indices.
+pub fn unpack_bitrev(payload: &[u8], skip: usize, plan: &FftPlan, out: &mut [Cf32]) {
+    assert_eq!(out.len(), plan.len(), "output must be transform-sized");
+    let payload = payload
+        .get(skip * BYTES_PER_SAMPLE..(skip + out.len()) * BYTES_PER_SAMPLE)
+        .expect("payload too short for skip + transform");
+    let bitrev = plan.bitrev();
+    let done = match plan.tier() {
+        // SAFETY: the plan's tier is clamped to what the CPU supports, and
+        // `payload` holds exactly `out.len()` samples.
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2 => unsafe { unpack_bitrev_avx2(payload, bitrev, out) },
+        _ => 0,
+    };
+    let samples = payload[done * BYTES_PER_SAMPLE..].chunks_exact(BYTES_PER_SAMPLE);
+    for (bytes, &j) in samples.zip(&bitrev[done..]) {
+        out[j as usize] = unpack_sample(bytes.try_into().expect("three-byte chunks"));
     }
+}
+
+/// The vector body of [`unpack_bitrev`], for transforms of 32 points or
+/// more (it returns 0 below that, leaving them to the scalar body). It
+/// decodes steps of eight samples ([`unpack_step`]) four at a time: with
+/// `n / 32 = r`, steps `s`, `s + 2r`, `s + r` and `s + 3r` (`s < r`) are
+/// the ones whose bit-reversed slots differ only in the two lowest bits,
+/// so sample `k` of the four lands on four consecutive slots from
+/// `bitrev[8s + k]`. A 4 x 4 transpose of the eight-byte samples turns the
+/// four steps into eight such runs, each one 32-byte store through a
+/// checked slice of `out`. `bitrev` must be the bit-reversal permutation
+/// of `out.len()` points (the plan's) for the runs to be right.
+///
+/// # Safety
+/// The CPU must support AVX2, and `payload` must hold `out.len()`
+/// samples.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn unpack_bitrev_avx2(payload: &[u8], bitrev: &[u32], out: &mut [Cf32]) -> usize {
+    use core::arch::x86_64::*;
+    let n = out.len();
+    debug_assert_eq!(payload.len(), n * BYTES_PER_SAMPLE);
+    if n < 32 {
+        return 0;
+    }
+    let r = n / 32;
+    for s in 0..r {
+        let mut rows = [[_mm256_setzero_pd(); 4]; 2];
+        for (j, step) in [s, s + 2 * r, s + r, s + 3 * r].into_iter().enumerate() {
+            // SAFETY: `step < n / 8`, so its 24 bytes are in `payload`.
+            let (lo, hi) = unpack_step(payload.as_ptr().add(24 * step));
+            (rows[0][j], rows[1][j]) = (_mm256_castps_pd(lo), _mm256_castps_pd(hi));
+        }
+        // Row `j` of `rows[h]` holds samples [0 1 | 4 5] (h = 0) or
+        // [2 3 | 6 7] (h = 1) of the j-th step; transposed, column `c`
+        // holds one sample of all four steps.
+        for (h, rows) in rows.iter().enumerate() {
+            let t0 = _mm256_unpacklo_pd(rows[0], rows[1]);
+            let t1 = _mm256_unpackhi_pd(rows[0], rows[1]);
+            let t2 = _mm256_unpacklo_pd(rows[2], rows[3]);
+            let t3 = _mm256_unpackhi_pd(rows[2], rows[3]);
+            let columns = [
+                (2 * h, _mm256_permute2f128_pd::<0x20>(t0, t2)),
+                (2 * h + 1, _mm256_permute2f128_pd::<0x20>(t1, t3)),
+                (2 * h + 4, _mm256_permute2f128_pd::<0x31>(t0, t2)),
+                (2 * h + 5, _mm256_permute2f128_pd::<0x31>(t1, t3)),
+            ];
+            for (k, column) in columns {
+                let at = bitrev[8 * s + k] as usize;
+                let run = &mut out[at..at + 4];
+                // SAFETY: `run` is four `Cf32`, thirty-two bytes.
+                _mm256_storeu_pd(run.as_mut_ptr() as *mut f64, column);
+            }
+        }
+    }
+    n
+}
+
+/// Decodes the eight samples of the 24 bytes at `p` as `(re, im)` pairs,
+/// samples [0 1 | 4 5] and [2 3 | 6 7]. Two 16-byte loads — samples 0-3
+/// at `p`, 4-7 four bytes into a load at `p + 8`, so neither reads past
+/// the 24 bytes — and one byte shuffle zero-extend every sample to a
+/// 32-bit word. I is the word's low 12 bits and Q the next 12,
+/// sign-extended by a left and an arithmetic right shift; the conversion
+/// to float is exact, and so is the multiply by 2^-11 that stands for
+/// [`unpack_sample`]'s divide by 2048.
+///
+/// # Safety
+/// The CPU must support AVX2 and `p` be valid for 24 byte reads.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn unpack_step(p: *const u8) -> (core::arch::x86_64::__m256, core::arch::x86_64::__m256) {
+    use core::arch::x86_64::*;
+    #[rustfmt::skip]
+    let words = _mm256_setr_epi8(
+        0, 1, 2, -1, 3, 4, 5, -1, 6, 7, 8, -1, 9, 10, 11, -1,
+        4, 5, 6, -1, 7, 8, 9, -1, 10, 11, 12, -1, 13, 14, 15, -1,
+    );
+    let unit = _mm256_set1_ps(1.0 / agora_phy::iq::FULL_SCALE);
+    let lo = _mm_loadu_si128(p as *const __m128i);
+    let hi = _mm_loadu_si128(p.add(8) as *const __m128i);
+    let w = _mm256_shuffle_epi8(_mm256_set_m128i(hi, lo), words);
+    let i = _mm256_srai_epi32::<20>(_mm256_slli_epi32::<20>(w));
+    let q = _mm256_srai_epi32::<20>(_mm256_slli_epi32::<8>(w));
+    let i = _mm256_mul_ps(_mm256_cvtepi32_ps(i), unit);
+    let q = _mm256_mul_ps(_mm256_cvtepi32_ps(q), unit);
+    (_mm256_unpacklo_ps(i, q), _mm256_unpackhi_ps(i, q))
 }
 
 /// Cuts the active subcarriers into [`Piece`]s: each of the map's runs of
@@ -646,6 +743,7 @@ pub fn mac_payload(frame: u32, symbol: u32, user: u32, len: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn kernels_build_for_paper_and_tiny_configs() {
@@ -673,7 +771,6 @@ mod tests {
         );
         assert!((s.grid.as_ptr() as usize).is_multiple_of(agora_math::simd::CACHE_LINE));
         assert_eq!(s.full_llr.len(), k.rate_match().codeword_len());
-        assert_eq!(s.llr_row.len(), k.geom.block * k.modulation().bits_per_symbol());
         assert_eq!(s.zf_h.shape(), (k.geom.m, k.geom.k));
         assert_eq!(s.zf_det.shape(), (k.geom.k, k.geom.m));
         assert_eq!(s.zf_pre.shape(), (k.geom.m, k.geom.k));
@@ -681,27 +778,33 @@ mod tests {
 
     /// The quantiser's invariant: every nominal point of every scheme
     /// quantises to the same integers whatever the noise scale, its
-    /// weakest bit (a Gray neighbour at `d_min`) to `NOMINAL_LLR_STEPS`.
+    /// weakest bit (a Gray neighbour at `d_min`) to `NOMINAL_LLR_STEPS` —
+    /// through the fused demapper `demod_task` runs, on both tiers.
     #[test]
     fn nominal_points_quantise_alike_at_any_noise_scale() {
         use agora_phy::modulation::map_symbol;
         use ModScheme::*;
         for scheme in [Bpsk, Qpsk, Qam16, Qam64, Qam256] {
-            let demapper = Demapper::new(scheme, SimdTier::cached());
             let bps = scheme.bits_per_symbol();
-            let (mut llr, mut q) = (vec![0.0; bps], vec![0i8; bps]);
-            for v in 0..scheme.order() as u32 {
-                let point = [map_symbol(scheme, v)];
-                let mut at = |inv_noise: f32| {
-                    demapper.demap(&point, inv_noise, &mut llr);
-                    quantize_llrs(&llr, &mut q, quant_scale(inv_noise, d_min_sqr(scheme)));
-                    q.clone()
+            // Every point in one row, so the vector body takes all of
+            // them but BPSK's.
+            let points: Vec<Cf32> =
+                (0..scheme.order() as u32).map(|v| map_symbol(scheme, v)).collect();
+            for tier in [SimdTier::Scalar, SimdTier::cached()] {
+                let demapper = Demapper::new(scheme, tier);
+                let at = |inv_noise: f32| {
+                    let mut q = vec![0i8; points.len() * bps];
+                    let scale = quant_scale(inv_noise, d_min_sqr(scheme));
+                    demapper.demap_quantized(&points, inv_noise, scale, &mut q);
+                    q
                 };
                 let unit = at(1.0);
-                let weakest = unit.iter().map(|l| l.unsigned_abs()).min();
-                assert_eq!(weakest, Some(NOMINAL_LLR_STEPS as u8), "{scheme:?} point {v}");
+                for (v, q) in unit.chunks_exact(bps).enumerate() {
+                    let weakest = q.iter().map(|l| l.unsigned_abs()).min();
+                    assert_eq!(weakest, Some(NOMINAL_LLR_STEPS as u8), "{scheme:?} point {v}");
+                }
                 for inv_noise in [1e3, 1e6] {
-                    assert_eq!(at(inv_noise), unit, "{scheme:?} point {v} at {inv_noise}");
+                    assert_eq!(at(inv_noise), unit, "{scheme:?} {tier:?} at {inv_noise}");
                 }
             }
         }
@@ -887,7 +990,7 @@ mod tests {
                 for ant in 0..g.m {
                     // SAFETY: `primed` stored this packet.
                     let payload = unsafe { fb.rx_payload_view(&g, symbol, ant) };
-                    unpack_bitrev(payload, g.samples - n, k.fft.bitrev(), &mut grid);
+                    unpack_bitrev(payload, g.samples - n, &k.fft, &mut grid);
                     k.fft.execute_prereversed(&mut grid, Direction::Forward);
                     map_of(&k).demap_symbols(&grid, &mut active);
                     for (sc, &y) in active.iter().enumerate() {
@@ -922,7 +1025,7 @@ mod tests {
             for ant in 0..g.m {
                 // SAFETY: single-threaded test; `primed` stored this packet.
                 let payload = unsafe { fb.rx_payload_view(&g, symbol, ant) };
-                unpack_bitrev(payload, g.samples - n, k.fft.bitrev(), &mut grid);
+                unpack_bitrev(payload, g.samples - n, &k.fft, &mut grid);
                 k.fft.execute_prereversed(&mut grid, Direction::Forward);
                 map_of(k).demap_symbols(&grid, &mut active);
                 for (sc, &y) in active.iter().enumerate() {
@@ -1055,43 +1158,90 @@ mod tests {
 
     /// The fused unpack → bit-reversal gather plus `execute_prereversed`
     /// must be bit-identical to the naive pipeline it replaced: unpack
-    /// everything, copy the FFT-sized tail, run the full transform.
+    /// everything, copy the FFT-sized tail, run the full transform — at
+    /// the test size and the engine's 2048, on both tiers.
     #[test]
     fn fused_unpack_bitrev_matches_naive_pipeline() {
-        use agora_fft::FftPlan;
         use agora_phy::iq::{pack_samples, unpack_samples};
 
-        let n = 64;
         let skip = 16; // emulate a cyclic prefix ahead of the window
-        let samples: Vec<Cf32> = (0..skip + n)
-            .map(|i| {
-                let t = i as f32 * 0.37;
-                Cf32::new(
-                    (t.sin() * 0.4 * 2048.0).round() / 2048.0,
-                    (t.cos() * 0.4 * 2048.0).round() / 2048.0,
-                )
-            })
-            .collect();
-        let mut payload = Vec::new();
-        pack_samples(&samples, &mut payload);
+        for n in [64, 2048] {
+            let samples: Vec<Cf32> = (0..skip + n)
+                .map(|i| {
+                    let t = i as f32 * 0.37;
+                    Cf32::new(
+                        (t.sin() * 0.4 * 2048.0).round() / 2048.0,
+                        (t.cos() * 0.4 * 2048.0).round() / 2048.0,
+                    )
+                })
+                .collect();
+            let mut payload = Vec::new();
+            pack_samples(&samples, &mut payload);
 
-        let plan = FftPlan::new(n);
+            // Naive path: unpack all, copy tail, full execute (with its
+            // own bit-reversal pass) on the scalar tier.
+            let mut time = Vec::new();
+            unpack_samples(&payload, &mut time);
+            let mut naive: Vec<Cf32> = time[skip..].to_vec();
+            FftPlan::with_tier(n, SimdTier::Scalar).execute(&mut naive, Direction::Forward);
 
-        // Naive path: unpack all, copy tail, full execute (with its own
-        // bit-reversal pass).
-        let mut time = Vec::new();
-        unpack_samples(&payload, &mut time);
-        let mut naive: Vec<Cf32> = time[skip..].to_vec();
-        plan.execute(&mut naive, Direction::Forward);
+            for tier in [SimdTier::Scalar, SimdTier::cached()] {
+                let plan = FftPlan::with_tier(n, tier);
+                let mut fused = vec![Cf32::ZERO; n];
+                unpack_bitrev(&payload, skip, &plan, &mut fused);
+                plan.execute_prereversed(&mut fused, Direction::Forward);
+                assert!(bits(&naive) == bits(&fused), "n {n} on {tier:?}");
+            }
+        }
+    }
 
-        // Fused path.
-        let mut fused = vec![Cf32::ZERO; n];
-        unpack_bitrev(&payload, skip, plan.bitrev(), &mut fused);
-        plan.execute_prereversed(&mut fused, Direction::Forward);
+    /// Every one of the 2^24 sample words decodes to the same bits on
+    /// both tiers. Release only (`scripts/ci.sh` runs it there).
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn every_sample_word_unpacks_alike_on_both_tiers() {
+        const N: usize = 4096;
+        let scalar = FftPlan::with_tier(N, SimdTier::Scalar);
+        let detected = FftPlan::with_tier(N, SimdTier::cached());
+        let (mut want, mut got) = (vec![Cf32::ZERO; N], vec![Cf32::ZERO; N]);
+        let mut payload = vec![0u8; N * BYTES_PER_SAMPLE];
+        for first in (0..1u32 << 24).step_by(N) {
+            for (word, bytes) in (first..).zip(payload.chunks_exact_mut(BYTES_PER_SAMPLE)) {
+                bytes.copy_from_slice(&word.to_le_bytes()[..BYTES_PER_SAMPLE]);
+            }
+            unpack_bitrev(&payload, 0, &scalar, &mut want);
+            unpack_bitrev(&payload, 0, &detected, &mut got);
+            assert!(bits(&got) == bits(&want), "words {first}..{}", first as usize + N);
+        }
+    }
 
-        for (a, b) in naive.iter().zip(fused.iter()) {
-            assert_eq!(a.re.to_bits(), b.re.to_bits());
-            assert_eq!(a.im.to_bits(), b.im.to_bits());
+    proptest! {
+        /// Both tiers write the same grid from any payload bytes: every
+        /// power-of-two transform from 8 to 4096 points, prefixes of 0, 1,
+        /// 7 and 16 samples, payloads of exactly `skip + n` samples (the
+        /// engine's) and longer.
+        #[test]
+        fn unpack_tiers_agree_on_any_payload(
+            log2n in 3usize..13,
+            skip in (0usize..4).prop_map(|i| [0, 1, 7, 16][i]),
+            extra in (0usize..2, 1usize..40).prop_map(|(longer, bytes)| longer * bytes),
+            seed in any::<u64>(),
+        ) {
+            let n = 1 << log2n;
+            let mut state = seed | 1;
+            let payload: Vec<u8> = (0..(skip + n) * BYTES_PER_SAMPLE + extra)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state >> 24) as u8
+                })
+                .collect();
+            let mut want = vec![Cf32::new(f32::NAN, 0.0); n];
+            let mut got = want.clone();
+            unpack_bitrev(&payload, skip, &FftPlan::with_tier(n, SimdTier::Scalar), &mut want);
+            unpack_bitrev(&payload, skip, &FftPlan::with_tier(n, SimdTier::cached()), &mut got);
+            prop_assert!(bits(&got) == bits(&want), "n {} skip {}", n, skip);
         }
     }
 }

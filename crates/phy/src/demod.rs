@@ -15,8 +15,12 @@
 //!   tiers, and equal to the exhaustive search to rounding.
 //! * [`demod_soft`] / [`demod_soft_simd`] — the demapper's scalar and
 //!   detected-tier bodies behind a `Vec` signature.
+//! * [`Demapper::demap_quantized`] — the demapper with
+//!   [`quantize_llrs`] fused into its store: the `i8` LLRs the decoder
+//!   reads, with no float row in between.
 
 use crate::modulation::{constellation, ModScheme};
+use agora_ldpc::quantize_llrs;
 use agora_math::{Cf32, SimdTier};
 
 /// Exact max-log LLRs by exhaustive search over the constellation.
@@ -64,7 +68,9 @@ const fn gray(index: usize) -> usize {
 /// leaves `L_k[lane]`, one register per axis bit `k`; the frame wants
 /// `out[symbol * bits_per_symbol + axis * half + k]`, which is
 /// `out[lane * half + k]` — a `half`-way interleave of the registers,
-/// done in registers ([`store_plane_order`]) and stored whole.
+/// done in registers ([`store_plane_order`]) and stored whole. The `i8`
+/// entry, [`Demapper::demap_quantized`], quantises the registers first and
+/// does the interleave on bytes ([`store_bytes`]).
 #[derive(Debug, Clone)]
 pub struct Demapper {
     scheme: ModScheme,
@@ -120,6 +126,55 @@ impl Demapper {
         self.demap_scalar(&symbols[done..], inv_noise_var, &mut out[done * bps..]);
     }
 
+    /// [`Self::demap`] then [`quantize_llrs`]`(.., scale)`, byte for byte,
+    /// without the float row: the `i8` LLRs the decoder reads. The vector
+    /// body scales its LLR registers by `scale` — a second multiply, after
+    /// the one by `inv_noise_var`, as the two passes do — then rounds,
+    /// clamps and signs them as the quantiser does, packs them to bytes
+    /// and stores them in the row's order.
+    ///
+    /// # Panics
+    /// Panics if `out.len() != symbols.len() * bits_per_symbol`.
+    pub fn demap_quantized(
+        &self,
+        symbols: &[Cf32],
+        inv_noise_var: f32,
+        scale: f32,
+        out: &mut [i8],
+    ) {
+        let bps = self.scheme.bits_per_symbol();
+        assert_eq!(out.len(), symbols.len() * bps, "LLR row length mismatch");
+        let done = match self.tier {
+            // SAFETY: as in `demap`.
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx2 => unsafe {
+                let (levels, inv) = (&self.levels, inv_noise_var);
+                match self.half {
+                    1 => demap_quantized_avx2::<1>(levels, symbols, inv, scale, out),
+                    2 => demap_quantized_avx2::<2>(levels, symbols, inv, scale, out),
+                    3 => demap_quantized_avx2::<3>(levels, symbols, inv, scale, out),
+                    4 => demap_quantized_avx2::<4>(levels, symbols, inv, scale, out),
+                    _ => 0,
+                }
+            },
+            _ => 0,
+        };
+        if done == symbols.len() {
+            return;
+        }
+        // The rest, and every symbol on the scalar tier: the two passes,
+        // through a float row on the stack.
+        let mut row = [0.0f32; 64];
+        let per = row.len() / bps;
+        for (symbols, out) in
+            symbols[done..].chunks(per).zip(out[done * bps..].chunks_mut(per * bps))
+        {
+            let llrs = &mut row[..out.len()];
+            self.demap_scalar(symbols, inv_noise_var, llrs);
+            quantize_llrs(llrs, out, scale);
+        }
+    }
+
     /// The scalar body and the oracle of the vector one: per axis, the
     /// factorised max-log search over the labelled PAM alphabet.
     fn demap_scalar(&self, symbols: &[Cf32], inv_nv: f32, out: &mut [f32]) {
@@ -172,36 +227,199 @@ unsafe fn demap_avx2<const HALF: usize>(
     use core::arch::x86_64::*;
     debug_assert_eq!(out.len(), symbols.len() * 2 * HALF);
     let groups = symbols.len() / 4;
-    let scale = _mm256_set1_ps(inv_nv);
-    let inf = _mm256_set1_ps(f32::INFINITY);
+    let inv_nv = _mm256_set1_ps(inv_nv);
     for group in 0..groups {
-        // SAFETY: `Cf32` is `repr(C)` `{ re, im }`, so symbols
-        // `4 * group..4 * group + 4` are eight in-bounds `f32`s.
-        let x = _mm256_loadu_ps(symbols.as_ptr().add(4 * group) as *const f32);
-        let mut d0 = [inf; HALF];
-        let mut d1 = [inf; HALF];
-        for (idx, &level) in levels.iter().enumerate().take(1 << HALF) {
-            let diff = _mm256_sub_ps(x, _mm256_set1_ps(level));
-            let d = _mm256_mul_ps(diff, diff);
-            for k in 0..HALF {
-                // `min_ps(d, best)` is `d < best ? d : best`: the scalar
-                // body's update, NaN handling included.
-                if (gray(idx) >> k) & 1 == 0 {
-                    d0[k] = _mm256_min_ps(d, d0[k]);
-                } else {
-                    d1[k] = _mm256_min_ps(d, d1[k]);
-                }
-            }
-        }
-        let mut llr = [inf; HALF];
-        for k in 0..HALF {
-            llr[k] = _mm256_mul_ps(_mm256_sub_ps(d1[k], d0[k]), scale);
-        }
+        let llr = llr_registers::<HALF, false>(levels, symbols, group, inv_nv);
         // SAFETY: eight lanes are `8 * HALF` LLRs, in bounds by the length
         // relation above.
         store_plane_order(llr, out.as_mut_ptr().add(group * 8 * HALF));
     }
     groups * 4
+}
+
+/// The vector body of [`Demapper::demap_quantized`]: [`demap_avx2`]'s LLR
+/// registers, each quantised ([`quantize_lanes`]), then packed to bytes
+/// and interleaved into the row's order as bytes ([`store_bytes`]).
+/// Returns how many symbols that was.
+///
+/// # Safety
+/// The CPU must support AVX2, and `out` must hold `2 * HALF` LLRs per
+/// symbol (checked by [`Demapper::demap_quantized`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn demap_quantized_avx2<const HALF: usize>(
+    levels: &[f32; 16],
+    symbols: &[Cf32],
+    inv_nv: f32,
+    scale: f32,
+    out: &mut [i8],
+) -> usize {
+    use core::arch::x86_64::*;
+    debug_assert_eq!(out.len(), symbols.len() * 2 * HALF);
+    let groups = symbols.len() / 4;
+    let (inv_nv, scale) = (_mm256_set1_ps(inv_nv), _mm256_set1_ps(scale));
+    for group in 0..groups {
+        let llr = llr_registers::<HALF, true>(levels, symbols, group, inv_nv);
+        let mut q = [_mm256_setzero_si256(); HALF];
+        for (q, &l) in q.iter_mut().zip(&llr) {
+            *q = quantize_lanes(l, scale);
+        }
+        // SAFETY: eight lanes are `8 * HALF` LLRs, in bounds by the length
+        // relation above.
+        store_bytes(q, out.as_mut_ptr().add(group * 8 * HALF));
+    }
+    groups * 4
+}
+
+/// The LLRs of symbols `4 * group..4 * group + 4`, lane-major: register
+/// `k` holds axis bit `k` of the eight lanes. The per-lane operations are
+/// the scalar body's, in its order. With `FROM_FIRST`, each running
+/// minimum starts at its first level's distance instead of at +inf, one
+/// `min` fewer per minimum: that changes a lane only when the symbol is
+/// NaN, whose LLR is NaN either way but with other NaN bits — which the
+/// quantised body, mapping every NaN to 0, may ignore and `demap` may not.
+///
+/// # Safety
+/// The CPU must support AVX2 and `symbols` must hold the group.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn llr_registers<const HALF: usize, const FROM_FIRST: bool>(
+    levels: &[f32; 16],
+    symbols: &[Cf32],
+    group: usize,
+    inv_nv: core::arch::x86_64::__m256,
+) -> [core::arch::x86_64::__m256; HALF] {
+    use core::arch::x86_64::*;
+    debug_assert!(4 * group + 4 <= symbols.len());
+    let inf = _mm256_set1_ps(f32::INFINITY);
+    // SAFETY: `Cf32` is `repr(C)` `{ re, im }`, so the group's symbols
+    // are eight in-bounds `f32`s.
+    let x = _mm256_loadu_ps(symbols.as_ptr().add(4 * group) as *const f32);
+    let mut d0 = [inf; HALF];
+    let mut d1 = [inf; HALF];
+    // Per minimum, whether it holds a distance yet (constant once the
+    // level loop unrolls).
+    let (mut seen0, mut seen1) = ([!FROM_FIRST; HALF], [!FROM_FIRST; HALF]);
+    for (idx, &level) in levels.iter().enumerate().take(1 << HALF) {
+        let diff = _mm256_sub_ps(x, _mm256_set1_ps(level));
+        let d = _mm256_mul_ps(diff, diff);
+        for k in 0..HALF {
+            // `min_ps(d, best)` is `d < best ? d : best`: the scalar
+            // body's update, NaN handling included.
+            if (gray(idx) >> k) & 1 == 0 {
+                d0[k] = if seen0[k] { _mm256_min_ps(d, d0[k]) } else { d };
+                seen0[k] = true;
+            } else {
+                d1[k] = if seen1[k] { _mm256_min_ps(d, d1[k]) } else { d };
+                seen1[k] = true;
+            }
+        }
+    }
+    let mut llr = [inf; HALF];
+    for k in 0..HALF {
+        llr[k] = _mm256_mul_ps(_mm256_sub_ps(d1[k], d0[k]), inv_nv);
+    }
+    llr
+}
+
+/// [`quantize_llrs`] on eight lanes, as `i32` in `[-127, 127]`: `v = llr
+/// * scale`; the magnitude clamped to 127, NaN to 0; rounded half away
+/// from zero as `trunc(a + HALF_DOWN)`, which equals the quantiser's
+/// rounding for every `a` in `[0, 127]` (`rounding_matches_the_quantiser`);
+/// the sign of `v` put back.
+///
+/// # Safety
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn quantize_lanes(
+    llr: core::arch::x86_64::__m256,
+    scale: core::arch::x86_64::__m256,
+) -> core::arch::x86_64::__m256i {
+    use core::arch::x86_64::*;
+    let v = _mm256_mul_ps(llr, scale);
+    let abs = _mm256_andnot_ps(_mm256_set1_ps(-0.0), v);
+    // `max_ps` returns its second operand, 0, when the first is NaN.
+    let max = _mm256_set1_ps(agora_ldpc::decoder_i8::I8_LLR_MAX as f32);
+    let a = _mm256_min_ps(_mm256_max_ps(abs, _mm256_setzero_ps()), max);
+    let q = _mm256_cvttps_epi32(_mm256_add_ps(a, _mm256_set1_ps(HALF_DOWN)));
+    // Negates where the sign bit of `v` is set and zeroes where `v` is
+    // +0.0; the lanes that differ from `v < 0 ? -q : q` (-0.0, NaN) have
+    // `q = 0`.
+    _mm256_sign_epi32(q, _mm256_castps_si256(v))
+}
+
+/// The largest float below one half. For a magnitude `a` in `[0, 127]`,
+/// `a + HALF_DOWN` lands on or above the next integer exactly when `a`'s
+/// fraction is one half or more: a tie `k + 0.5` sums to `k + 1 - 2^-25`,
+/// which rounds to `k + 1` (to even at `k = 0`), and anything below a tie
+/// is at least an ulp of `a` below it, which keeps the sum under the
+/// integer. So the truncation is `a` rounded half away from zero.
+#[cfg(target_arch = "x86_64")]
+const HALF_DOWN: f32 = 0.5 - 1.0 / (1u32 << 25) as f32;
+
+/// The two index vectors of [`store_bytes`]: per 128-bit half, the byte
+/// shuffle taking row byte `l * HALF + k` from packed byte `4 * k + l`;
+/// then the dwords that hold each half's `4 * HALF` row bytes, low half
+/// first.
+#[cfg(target_arch = "x86_64")]
+const fn row_order<const HALF: usize>() -> ([i8; 32], [i32; 8]) {
+    let (mut pick, mut join) = ([-1i8; 32], [0i32; 8]);
+    let mut at = 0;
+    while at < 4 * HALF {
+        let (lane, k) = (at / HALF, at % HALF);
+        pick[at] = (4 * k + lane) as i8;
+        pick[16 + at] = pick[at];
+        at += 1;
+    }
+    let mut dword = 0;
+    while dword < HALF {
+        join[dword] = dword as i32;
+        join[HALF + dword] = 4 + dword as i32;
+        dword += 1;
+    }
+    (pick, join)
+}
+
+/// Stores `out[lane * HALF + k] = q[k][lane]` for the eight lanes of
+/// `HALF` registers of `i32` in `[-127, 127]`: packed to bytes, then the
+/// `HALF`-way interleave of [`store_plane_order`] done on bytes.
+///
+/// # Safety
+/// The CPU must support AVX2 and `out` must be valid for `8 * HALF` byte
+/// writes.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn store_bytes<const HALF: usize>(q: [core::arch::x86_64::__m256i; HALF], out: *mut i8) {
+    use core::arch::x86_64::*;
+    // Four registers' worth (those past `HALF` repeat the last one and
+    // are never picked): two packs leave byte `4 * k + l` of each 128-bit
+    // half holding register `k`'s lane `l` of the half's four.
+    let r = |k: usize| q[k.min(HALF - 1)];
+    let bytes = _mm256_packs_epi16(_mm256_packs_epi32(r(0), r(1)), _mm256_packs_epi32(r(2), r(3)));
+    // One shuffle per half puts those four lanes' `4 * HALF` bytes in row
+    // order at its start; one permute joins the halves' dwords.
+    let (pick, join) = const { row_order::<HALF>() };
+    let rows = _mm256_shuffle_epi8(bytes, _mm256_loadu_si256(pick.as_ptr() as *const __m256i));
+    let row = match HALF {
+        4 => rows,
+        _ => _mm256_permutevar8x32_epi32(rows, _mm256_loadu_si256(join.as_ptr() as *const __m256i)),
+    };
+    let (lo, hi) = (_mm256_castsi256_si128(row), _mm256_extracti128_si256::<1>(row));
+    let out = out as *mut __m128i;
+    match HALF {
+        1 => _mm_storel_epi64(out, lo),
+        2 => _mm_storeu_si128(out, lo),
+        3 => {
+            _mm_storeu_si128(out, lo);
+            _mm_storel_epi64(out.add(1), hi);
+        }
+        4 => _mm256_storeu_si256(out as *mut __m256i, row),
+        _ => unreachable!("square QAM up to 256 points has 1 to 4 bits per axis"),
+    }
 }
 
 /// Stores `out[lane * HALF + k] = l[k][lane]` for the eight lanes of
@@ -457,7 +675,8 @@ mod simd_tests {
 
     /// One observation of a PAM axis from a drawn `(kind, v)`: mostly `v`
     /// itself (in and around the grid), else a point tied between two
-    /// levels of the grid, a signed zero, or a point far outside.
+    /// levels of the grid, a signed zero, a point far outside, or (kinds 8
+    /// and 9) an infinity or a NaN, whose LLRs are NaN.
     fn axis(scheme: ModScheme, kind: u32, v: f32) -> f32 {
         let levels = (1u32 << (scheme.bits_per_symbol() / 2)) as f32;
         match kind {
@@ -465,6 +684,8 @@ mod simd_tests {
             5 => 0.0f32.copysign(v),
             6 => v * 1e6,
             7 => v * 3e9,
+            8 => f32::INFINITY.copysign(v),
+            9 => f32::NAN,
             _ => v,
         }
     }
@@ -472,12 +693,13 @@ mod simd_tests {
     proptest! {
         /// The vector body writes the scalar body's bits: every scheme,
         /// rows that are whole registers, half blocks and tails, points
-        /// on the decision boundaries and far off the grid, and noise
-        /// variances from below the clamp to huge.
+        /// on the decision boundaries, far off the grid and not finite
+        /// (NaN LLRs, to the bit), and noise variances from below the
+        /// clamp to huge.
         #[test]
         fn detected_tier_is_bit_exact_on_any_row(
             scheme in 0usize..4,
-            draws in proptest::collection::vec((0u32..8, -1.5f32..1.5, 0u32..8, -1.5f32..1.5), 0..41),
+            draws in proptest::collection::vec((0u32..10, -1.5f32..1.5, 0u32..10, -1.5f32..1.5), 0..41),
             noise in (0u32..8, 1e-3f32..2.0),
         ) {
             let scheme = QAM[scheme];
@@ -502,6 +724,122 @@ mod simd_tests {
             let mut via_vec = vec![1.0; 3];
             demod_soft_simd(scheme, &symbols, noise_var, &mut via_vec);
             prop_assert_eq!(bits(&via_vec), bits(&simd));
+        }
+    }
+
+    const ALL: [ModScheme; 5] =
+        [ModScheme::Bpsk, ModScheme::Qpsk, ModScheme::Qam16, ModScheme::Qam64, ModScheme::Qam256];
+
+    /// The two passes `demap_quantized` stands for, on the scalar tier.
+    fn demap_then_quantize(scheme: ModScheme, symbols: &[Cf32], inv: f32, scale: f32) -> Vec<i8> {
+        let mut llr = vec![f32::NAN; symbols.len() * scheme.bits_per_symbol()];
+        Demapper::new(scheme, SimdTier::Scalar).demap(symbols, inv, &mut llr);
+        let mut q = vec![0i8; llr.len()];
+        quantize_llrs(&llr, &mut q, scale);
+        q
+    }
+
+    fn fused(scheme: ModScheme, tier: SimdTier, symbols: &[Cf32], inv: f32, scale: f32) -> Vec<i8> {
+        let mut q = vec![-128i8; symbols.len() * scheme.bits_per_symbol()];
+        Demapper::new(scheme, tier).demap_quantized(symbols, inv, scale, &mut q);
+        q
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+        /// The fused entry writes what `demap` then `quantize_llrs` write,
+        /// byte for byte, on both tiers: every scheme, rows of 0 to 40
+        /// symbols (whole registers, half blocks, tails), points tied
+        /// between levels, signed zeros, far off the grid and not finite
+        /// (NaN LLRs), noise scales from zero (LLRs of ±0) to huge
+        /// (saturated), and quantiser scales from 1e-3 to 64 and 1e6.
+        #[test]
+        fn fused_quantiser_matches_demap_then_quantize(
+            scheme in 0usize..5,
+            draws in proptest::collection::vec((0u32..10, -1.5f32..1.5, 0u32..10, -1.5f32..1.5), 0..41),
+            inv in (0u32..8, 1e-3f32..2.0),
+            scale in (0u32..4, 1e-3f32..64.0),
+        ) {
+            let scheme = ALL[scheme];
+            let symbols: Vec<Cf32> = draws
+                .iter()
+                .map(|&(kr, re, ki, im)| Cf32::new(axis(scheme, kr, re), axis(scheme, ki, im)))
+                .collect();
+            let inv = match inv.0 {
+                4 => 0.0,
+                5 => 1e-30,
+                6 => 1e-12,
+                7 => 3e20,
+                _ => inv.1,
+            };
+            let scale = if scale.0 == 3 { 1e6 } else { scale.1 };
+            let want = demap_then_quantize(scheme, &symbols, inv, scale);
+            for tier in [SimdTier::Scalar, SimdTier::detect()] {
+                prop_assert_eq!(fused(scheme, tier, &symbols, inv, scale), want.clone(), "{:?}", tier);
+            }
+        }
+    }
+
+    /// Exact ties through the fused entry: for every scheme and `k` in
+    /// 0..=130, a scale that puts one LLR of an 8-symbol row on exactly
+    /// `±(k + 0.5)` — the quantiser rounds it away from zero, and from
+    /// ±127.5 on saturates it at ±127 — and the fused entry writes the
+    /// two passes' bytes, the tied one included.
+    #[test]
+    fn fused_quantiser_rounds_exact_ties_like_the_two_passes() {
+        let mut ties = 0;
+        for (s, scheme) in ALL.into_iter().enumerate() {
+            let symbols: Vec<Cf32> =
+                (0..8).map(|i| Cf32::cis(0.7 * i as f32 + s as f32).scale(0.9)).collect();
+            let mut llr = vec![0.0; symbols.len() * scheme.bits_per_symbol()];
+            Demapper::new(scheme, SimdTier::Scalar).demap(&symbols, 1.0, &mut llr);
+            for k in 0..=130 {
+                let lane = k % llr.len();
+                let (l, tie) = (llr[lane], k as f32 + 0.5);
+                // The quotient, nudged by a few ulps until the product is
+                // exactly the tie.
+                let q = tie / l.abs();
+                let Some(scale) = (-8i32..=8)
+                    .map(|d| f32::from_bits(q.to_bits().wrapping_add_signed(d)))
+                    .find(|&scale| (l * scale).abs() == tie)
+                else {
+                    continue;
+                };
+                let want = demap_then_quantize(scheme, &symbols, 1.0, scale);
+                assert_eq!(
+                    want[lane],
+                    ((k + 1).min(127) as f32).copysign(l) as i8,
+                    "{scheme:?} {k}"
+                );
+                for tier in [SimdTier::Scalar, SimdTier::detect()] {
+                    let got = fused(scheme, tier, &symbols, 1.0, scale);
+                    assert_eq!(got, want, "{scheme:?} {tier:?} tie {k}.5 at lane {lane}");
+                }
+                ties += 1;
+            }
+        }
+        assert!(ties > 5 * 100, "only {ties} ties constructed");
+    }
+
+    /// The vector quantiser's rounding, `trunc(a + HALF_DOWN)`, against
+    /// `quantize_llrs` on every float magnitude it sees: all of `[0, 127]`.
+    /// Release only (`scripts/ci.sh` runs it there).
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn rounding_matches_the_quantiser() {
+        const CHUNK: u32 = 1 << 16;
+        let top = 127.0f32.to_bits();
+        let (mut a, mut want) = (vec![0.0f32; CHUNK as usize], vec![0i8; CHUNK as usize]);
+        for first in (0..=top).step_by(CHUNK as usize) {
+            let n = CHUNK.min(top + 1 - first) as usize;
+            for (i, a) in a[..n].iter_mut().enumerate() {
+                *a = f32::from_bits(first + i as u32);
+            }
+            quantize_llrs(&a[..n], &mut want[..n], 1.0);
+            for (&a, &want) in a[..n].iter().zip(&want[..n]) {
+                assert_eq!((a + HALF_DOWN) as i32, want as i32, "{a:e}");
+            }
         }
     }
 }

@@ -1,8 +1,8 @@
-//! Where an FFT task's time goes: the sweeps in front of the store timed
-//! one by one through their public entry points, next to the whole task
-//! bodies, on a frame primed by one inline pass (EXPERIMENTS.md, "FFT
-//! task sweeps"). Uses only API that predates PR 18, so the same file
-//! dropped into an older checkout gives the "before" column.
+//! Where an (I)FFT task's time goes: the sweeps around the transform
+//! timed one by one through their public entry points — the unpack on the
+//! detected tier and as its scalar oracle, the forward and inverse
+//! butterflies — next to the whole task bodies, on a frame primed by one
+//! inline pass (EXPERIMENTS.md, "FFT task sweeps").
 //!
 //! ```text
 //! cargo run --release --example fft_task_sweeps          # 64x16, 2048/1200
@@ -13,7 +13,7 @@ use agora_core::kernels::unpack_bitrev;
 use agora_core::{EngineConfig, InlineProcessor};
 use agora_fft::{Direction, FftPlan, SubcarrierMap};
 use agora_fronthaul::{RruConfig, RruEmulator};
-use agora_math::Cf32;
+use agora_math::{Cf32, SimdTier};
 use agora_phy::frame::FrameSchedule;
 use agora_phy::CellConfig;
 use std::time::Instant;
@@ -36,13 +36,14 @@ fn main() {
     let mut scratch = kernels.scratch();
     let (g, n) = (kernels.geom, cell.fft_size);
     let plan = FftPlan::new(n);
+    let oracle = FftPlan::with_tier(n, SimdTier::Scalar);
     let map = SubcarrierMap::new(n, cell.num_data_sc);
     let mut grid = vec![Cf32::ZERO; n];
     let mut active = vec![Cf32::ZERO; cell.num_data_sc];
 
     // One column of samples per stage; each rep walks to the next antenna
     // so successive tasks touch the lines a real symbol would.
-    let mut ns: [Vec<u128>; 6] = Default::default();
+    let mut ns: [Vec<u128>; 8] = Default::default();
     for rep in 0..REPS {
         let ant = rep % g.m;
         // SAFETY: single-threaded; the inline pass stored every packet.
@@ -52,29 +53,40 @@ fn main() {
             col.push(t.elapsed().as_nanos());
             t = Instant::now();
         };
-        unpack_bitrev(payload, g.samples - n, plan.bitrev(), &mut grid);
+        unpack_bitrev(payload, g.samples - n, &oracle, &mut grid);
         lap(&mut ns[0]);
-        plan.execute_prereversed(&mut grid, Direction::Forward);
+        unpack_bitrev(payload, g.samples - n, &plan, &mut grid);
         lap(&mut ns[1]);
+        plan.execute_prereversed(&mut grid, Direction::Forward);
+        lap(&mut ns[2]);
         map.demap_symbols(&grid, &mut active);
         std::hint::black_box(&active);
-        lap(&mut ns[2]);
-        kernels.fft_task(fb, &mut scratch, uplink, ant);
         lap(&mut ns[3]);
-        kernels.fft_task(fb, &mut scratch, pilot, ant);
+        plan.execute_prereversed(&mut grid, Direction::Inverse);
+        std::hint::black_box(&grid);
         lap(&mut ns[4]);
-        kernels.ifft_task(fb, &mut scratch, downlink, ant);
+        kernels.fft_task(fb, &mut scratch, uplink, ant);
         lap(&mut ns[5]);
+        kernels.fft_task(fb, &mut scratch, pilot, ant);
+        lap(&mut ns[6]);
+        kernels.ifft_task(fb, &mut scratch, downlink, ant);
+        lap(&mut ns[7]);
     }
-    let [unpack, transform, demap, ul_task, pilot_task, ifft_task] = ns.map(|mut col| {
-        col.sort_unstable();
-        col[col.len() / 2] as f64 / 1e3
-    });
+    let [oracle, unpack, forward, demap, inverse, ul_task, pilot_task, ifft_task] =
+        ns.map(|mut col| {
+            col.sort_unstable();
+            col[col.len() / 2] as f64 / 1e3
+        });
+    let tier = format!("{:?}", plan.tier());
     println!("{}x{}, FFT {n}, {} subcarriers — medians of {REPS}, us", g.m, g.k, g.q);
-    println!("  unpack_bitrev        {unpack:8.2}");
-    println!("  execute_prereversed  {transform:8.2}");
-    println!("  demap_symbols        {demap:8.2}   (a sweep of its own before PR 18; fused since)");
-    println!("  fft_task, uplink     {ul_task:8.2}   store = task - unpack - transform [- demap]");
+    println!("  unpack_bitrev, scalar{oracle:8.2}   the oracle: unpack_sample per sample");
+    println!("  unpack_bitrev, {tier:<6}{unpack:8.2}   what the FFT task runs");
+    println!("  execute_prereversed  {forward:8.2}   forward");
+    println!(
+        "  demap_symbols        {demap:8.2}   (a sweep of its own once; fused into the store)"
+    );
+    println!("  execute_prereversed  {inverse:8.2}   inverse");
+    println!("  fft_task, uplink     {ul_task:8.2}   store = task - unpack - forward [- demap]");
     println!("  fft_task, pilot      {pilot_task:8.2}");
-    println!("  ifft_task            {ifft_task:8.2}");
+    println!("  ifft_task            {ifft_task:8.2}   gather + conj passes = task - inverse");
 }

@@ -13,8 +13,8 @@
 use agora_core::{EngineConfig, InlineProcessor};
 use agora_fronthaul::{RruConfig, RruEmulator};
 use agora_ldpc::{quantize_llrs, DecodeConfigI8, DecoderI8, DEFAULT_LLR_SCALE};
-use agora_math::{Cf32, Gemm};
-use agora_phy::demod::demod_soft_simd;
+use agora_math::{Cf32, Gemm, SimdTier};
+use agora_phy::demod::Demapper;
 use agora_phy::frame::FrameSchedule;
 use agora_phy::modulation::modulate;
 use agora_phy::CellConfig;
@@ -81,19 +81,33 @@ fn main() {
         }
     });
     // Every user's row of every block demapped and quantised to its place
-    // in a `[user][bit]` plane, as the task does after each GEMM.
+    // in a `[user][bit]` plane, as the task does after each GEMM: the
+    // demapper's float row then the quantiser, and the two fused.
+    let demapper = Demapper::new(scheme, SimdTier::cached());
+    let inv_of = |blk: usize| unsafe {
+        fb.inv_noise.slice(fb.inv_noise_range(&g, blk * g.block / g.zf_group))
+    };
     let mut plane = vec![0i8; g.k * g.cap_bits];
-    let mut llrs = Vec::with_capacity(g.block * bps);
-    let demap = median_us(|| {
-        for blk in 0..blocks {
-            for (user, row) in user_block.chunks_exact(g.block).enumerate() {
-                demod_soft_simd(scheme, row, 0.05, &mut llrs);
-                let at = user * g.cap_bits + blk * g.block * bps;
-                quantize_llrs(&llrs, &mut plane[at..at + llrs.len()], DEFAULT_LLR_SCALE);
+    let mut llrs = vec![0.0; g.block * bps];
+    let mut demap_rows = |fused: bool| {
+        median_us(|| {
+            for blk in 0..blocks {
+                let inv_noise = inv_of(blk);
+                for (user, row) in user_block.chunks_exact(g.block).enumerate() {
+                    let at = user * g.cap_bits + blk * g.block * bps;
+                    let out = &mut plane[at..at + llrs.len()];
+                    if fused {
+                        demapper.demap_quantized(row, inv_noise[user], DEFAULT_LLR_SCALE, out);
+                    } else {
+                        demapper.demap(row, inv_noise[user], &mut llrs);
+                        quantize_llrs(&llrs, out, DEFAULT_LLR_SCALE);
+                    }
+                }
             }
-        }
-        black_box(&mut plane);
-    });
+            black_box(&mut plane);
+        })
+    };
+    let (demap, fused) = (demap_rows(false), demap_rows(true));
     let zf_task = median_us(|| kernels.zf_task(fb, &mut scratch, 0));
 
     // --- uplink: one code block
@@ -161,7 +175,11 @@ fn main() {
     );
     println!("  {:4} noise scales     {noise_scale:8.2}   (in the task before PR 23; {} per group in zf_task since)", blocks * g.k, g.k);
     println!(
-        "  {:4} demap + store    {demap:8.2}   demod_soft_simd + quantize_llrs per user row",
+        "  {:4} demap + store    {demap:8.2}   Demapper::demap, then quantize_llrs, per user row",
+        blocks * g.k
+    );
+    println!(
+        "  {:4} demap_quantized  {fused:8.2}   the two fused, as the task runs them",
         blocks * g.k
     );
     println!("  demod_task - GEMMs    {:8.2}", demod_task - eq_gemms);

@@ -120,10 +120,14 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test --workspace -q
 
-echo "== plane alignment, release profile =="
+echo "== plane alignment, every IQ sample word, every LLR magnitude: release profile =="
 # Allocation paths differ between profiles (and the debug run above does
-# not see the optimised `alloc_zeroed`).
-cargo test --release -q -p agora-core --lib -- buffers::tests
+# not see the optimised `alloc_zeroed`). The exhaustive unpack (2^24
+# sample words) and quantiser-rounding (every float in [0, 127]) checks
+# are ignored in debug builds, where they take minutes.
+cargo test --release -q -p agora-core --lib -- buffers::tests \
+    kernels::tests::every_sample_word_unpacks_alike_on_both_tiers
+cargo test --release -q -p agora-phy --lib -- demod::simd_tests::rounding_matches_the_quantiser
 
 echo "== parity smokes =="
 cargo run --release -q -p agora-bench --bin parity
