@@ -14,11 +14,14 @@
 
 use agora_bench::csv::write_csv;
 use agora_core::{Counter, Engine, EngineConfig};
-use agora_fronthaul::{FaultConfig, FaultInjector, LossModel, RruConfig, RruEmulator};
+use agora_fronthaul::{
+    FaultConfig, FaultInjector, LossModel, MemFronthaul, RruConfig, RruEmulator,
+};
 use agora_ldpc::BaseGraphId;
 use agora_phy::frame::LdpcParams;
 use agora_phy::pilots::PilotScheme;
 use agora_phy::{CellConfig, FrameSchedule, ModScheme};
+use std::sync::atomic::AtomicBool;
 
 /// Reduced 64x16 cell (full paper antenna/user counts, short FFT and
 /// code so a multi-point sweep stays fast).
@@ -78,7 +81,11 @@ fn run_point(cell: &CellConfig, frames: u32, loss: LossModel, seed: u64) -> Poin
     cfg.noise_power = noise;
     cfg.frame_deadline_ns = Some(200_000_000);
     let engine = Engine::new(cfg);
-    let results = engine.process(faulted, frames, false);
+    let results = engine.process_fronthaul(
+        &MemFronthaul::preloaded(&faulted),
+        frames,
+        &AtomicBool::new(true),
+    );
 
     // End-to-end BLER vs ground truth: a block is in error if its frame
     // was abandoned before decode or the decoded bits mismatch.

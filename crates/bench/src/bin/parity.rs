@@ -139,11 +139,6 @@ fn all_frames_equal(a: &[FrameResult], b: &[FrameResult]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| frame_results_equal(x, y))
 }
 
-fn sorted(mut r: Vec<FrameResult>) -> Vec<FrameResult> {
-    r.sort_by_key(|f| f.frame);
-    r
-}
-
 /// `frames` frames of one emulated cell: its packets and noise power.
 fn cell_packets(cell: &CellConfig, snr_db: f32, seed: u64, frames: u32) -> (Vec<Bytes>, f32) {
     let mut rru = RruEmulator::new(cell.clone(), RruConfig { snr_db, seed, ..Default::default() });
@@ -850,10 +845,7 @@ fn bit_identical_vs_standalone() {
     }
     check(stream.len() as u64 == generator.stats().delivered, "parity: captured whole stream");
 
-    let (tx2, rx2) = link_for(&cell, FRAMES);
-    for p in &stream {
-        tx2.send(PacketBuf::Heap(p.clone())).expect("replay link sized for the run");
-    }
+    let rx2 = MemFronthaul::preloaded(&stream);
     let deployment = deployment_for(&cell, &noise, None);
     let done = AtomicBool::new(true);
     let dep_results = deployment.process_fronthaul(&rx2, FRAMES, &done);
@@ -864,7 +856,7 @@ fn bit_identical_vs_standalone() {
         let mut cfg = EngineConfig::new(cell.clone(), 2);
         cfg.noise_power = noise[c];
         let engine = Engine::new(cfg);
-        let solo = engine.process(mine, FRAMES, false);
+        let solo = engine.process_fronthaul(&MemFronthaul::preloaded(&mine), FRAMES, &done);
         check(
             all_frames_equal(&solo, &dep_results[c]),
             &format!("parity: cell {c} frames bit-identical to a standalone engine"),
@@ -930,7 +922,8 @@ fn sched() {
     cfg.noise_power = noise;
 
     let lanes = Engine::new(cfg.clone());
-    let with_lanes = sorted(lanes.process(packets.clone(), FRAMES, false));
+    let link = MemFronthaul::preloaded(&packets);
+    let with_lanes = lanes.process_fronthaul(&link, FRAMES, &AtomicBool::new(true));
     check(with_lanes.len() == FRAMES as usize, "lanes run emits every frame");
     let messages: u64 = TaskType::COMPUTE.iter().map(|&t| lanes.stats().messages(t)).sum();
     check(

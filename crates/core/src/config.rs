@@ -61,10 +61,6 @@ pub struct EngineConfig {
     /// subcarrier, post-channel). Receivers estimate this from pilots;
     /// experiments set it from the generator's ground truth.
     pub noise_power: f32,
-    /// §3.4.2: precode the first downlink symbols of frame `f` with frame
-    /// `f-1`'s precoder so the RRU's air time never idles waiting for the
-    /// new frame's ZF (slightly stale CSI, negligible at low mobility).
-    pub stale_precoder: bool,
     /// Per-frame processing deadline. When set, a frame whose first
     /// packet arrived more than this many nanoseconds ago is abandoned:
     /// its in-flight tasks are flushed, its state freed, and a result
@@ -95,7 +91,6 @@ impl EngineConfig {
             batch: BatchSizes::default(),
             demod_block: 8,
             noise_power: 0.05,
-            stale_precoder: false,
             frame_deadline_ns: None,
             rx_batch: 32,
             pin_cores: false,

@@ -722,15 +722,16 @@ mod tests {
             (s.pilot_indices().len() + s.uplink_indices().len()) * cfg.cell.num_antennas
         };
         let mut frame = |f| rru.generate_frame(f).0;
-        let first: Vec<_> = [frame(0), frame(1)].concat();
+        let first = MemFronthaul::preloaded(&[frame(0), frame(1)].concat());
         let engine = crate::Engine::new(cfg);
-        let results = engine.process(first, 2, false);
+        let done = AtomicBool::new(true);
+        let results = engine.process_fronthaul(&first, 2, &done);
         assert_eq!(
             results.iter().map(|r| (r.frame, r.dropped)).collect::<Vec<_>>(),
             [(0, false), (1, false)]
         );
         // Frames 2 and 3 are due; frame 3 is lost on the way.
-        let results = engine.process(frame(2), 2, false);
+        let results = engine.process_fronthaul(&MemFronthaul::preloaded(&frame(2)), 2, &done);
         assert_eq!(
             results.iter().map(|r| (r.frame, r.dropped)).collect::<Vec<_>>(),
             [(2, false), (3, true)]

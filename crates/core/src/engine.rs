@@ -13,12 +13,11 @@
 use crate::buffers::{FrameBuffers, FrameWindow};
 use crate::config::EngineConfig;
 use crate::kernels::{Kernels, WorkerScratch};
-use crate::state::{Arrival, FrameTable, Milestones, Retired, STAGE_STALE_PRECODER};
+use crate::state::{Arrival, FrameTable, Milestones, Retired};
 use crate::stats::{Counter, EngineStats};
 use agora_fronthaul::packet::decode_ref;
 use agora_fronthaul::{Fronthaul, PacketBuf};
 use agora_queue::{IdleAction, IdleBackoff, IdleGate, MpmcQueue, Msg, TaskLane, TaskType};
-use bytes::Bytes;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -65,7 +64,8 @@ pub(crate) const PRIORITY: [TaskType; 7] = [
 pub struct FrameResult {
     /// Frame id.
     pub frame: u32,
-    /// Timing milestones (ns since `Engine::process` start).
+    /// Timing milestones (ns since the start of the `process_fronthaul`
+    /// call that returned the frame).
     pub milestones: Milestones,
     /// Decoded information bits per `[symbol][user]` (uplink symbols
     /// only; other symbols have empty vecs).
@@ -345,7 +345,8 @@ impl Engine {
         Self { core, shutdown, workers }
     }
 
-    /// Statistics sink (live; read after `process` for Table 3 numbers).
+    /// Statistics sink (live; read after `process_fronthaul` for Table 3
+    /// numbers).
     pub fn stats(&self) -> &EngineStats {
         &self.core.stats
     }
@@ -357,57 +358,10 @@ impl Engine {
 
     /// The frame buffers of `frame`'s window slot (testing and
     /// instrumentation; the mirror of `InlineProcessor::buffers`). Only
-    /// meaningful once `process*` has returned, and for a frame still
+    /// meaningful once `process_fronthaul` has returned, and for a frame still
     /// inside the window — one of the last `frame_window` it processed.
     pub fn buffers(&self, frame: u32) -> &FrameBuffers {
         self.core.window.slot(frame)
-    }
-
-    /// Processes `num_frames` frames worth of packets. A network thread
-    /// ingests `packets` (optionally paced to the cell's symbol
-    /// duration); the calling thread becomes the manager. Returns one
-    /// [`FrameResult`] per frame, in completion order.
-    pub fn process(&self, packets: Vec<Bytes>, num_frames: u32, paced: bool) -> Vec<FrameResult> {
-        let start = Instant::now();
-        let net_done = Arc::new(AtomicBool::new(false));
-        let symbol_ns = self.core.kernels.cfg.cell.symbol_duration_ns;
-
-        std::thread::scope(|scope| {
-            // --- network thread ---
-            {
-                let core = self.core.clone();
-                let net_done = net_done.clone();
-                scope.spawn(move || {
-                    if core.kernels.cfg.pin_cores {
-                        pin_thread(PinRole::Net);
-                    }
-                    let g = &core.kernels.geom;
-                    let mut ingest = core.ingest_state();
-                    let mut pace = paced.then(|| {
-                        agora_fronthaul::Pacer::new(std::time::Duration::from_nanos(symbol_ns))
-                    });
-                    let mut last_symbol = u64::MAX;
-                    for pkt in packets {
-                        // Pace at symbol boundaries.
-                        if let Some(p) = pace.as_mut() {
-                            if let Ok((hdr, _)) = decode_ref(&pkt) {
-                                let sym_abs =
-                                    hdr.frame as u64 * g.symbols as u64 + hdr.symbol as u64;
-                                if sym_abs != last_symbol {
-                                    p.wait_next();
-                                    last_symbol = sym_abs;
-                                }
-                            }
-                        }
-                        ingest.ingest(PacketBuf::Heap(pkt));
-                    }
-                    net_done.store(true, Ordering::Release);
-                });
-            }
-
-            // --- manager loop (this thread) ---
-            self.core.manager_loop(start, num_frames, &net_done)
-        })
     }
 
     /// Processes `num_frames` frames arriving live over a fronthaul
@@ -553,13 +507,8 @@ impl CellCore {
         let mut ctx = ManagerCtx::new(self.window.window(), kernels.geom.symbols);
         // Frames an earlier call on this core retired stay retired.
         let first = self.min_frame.load(Ordering::Acquire) as u32;
-        let mut table = FrameTable::new(
-            cfg.cell.schedule.clone(),
-            kernels.shape,
-            cfg.batch,
-            cfg.stale_precoder,
-            first,
-        );
+        let mut table =
+            FrameTable::new(cfg.cell.schedule.clone(), kernels.shape, cfg.batch, false, first);
         let mut results: Vec<FrameResult> = Vec::with_capacity(num_frames as usize);
         let mut out: Vec<Msg> = Vec::new();
         let mut cbuf: Vec<Msg> = Vec::with_capacity(COMPLETE_BATCH);
@@ -677,7 +626,7 @@ impl CellCore {
     ) {
         let Some(done) = table.retire(frame) else { return };
         ctx.forget(frame);
-        let result = self.frame_result(frame, &done);
+        let result = self.frame_result(frame, done);
         if result.dropped {
             self.stats.add(Counter::PacketsLost, result.lost_packets as u64);
             self.stats.add(Counter::FramesDropped, 1);
@@ -795,29 +744,16 @@ impl CellCore {
     /// The result of a retired frame: what its uplink decodes left in the
     /// frame's buffers, or — when no packet of it ever arrived, so
     /// nothing was written and the window slot may hold another frame's
-    /// data — an empty result charged with the whole frame's packets.
-    fn frame_result(&self, frame: u32, done: &Retired) -> FrameResult {
-        let g = &self.kernels.geom;
-        let schedule = &self.kernels.cfg.cell.schedule;
-        let uplink = schedule.uplink_indices();
-        let (written, milestones, lost_packets) = match &done.state {
-            Some(st) => (uplink.as_slice(), st.milestones, st.packets_missing()),
-            None => {
-                let bearing = schedule.pilot_indices().len() + uplink.len();
-                (&[][..], Milestones::default(), bearing * g.m)
-            }
-        };
+    /// data — an empty result.
+    fn frame_result(&self, frame: u32, done: Retired) -> FrameResult {
+        let (g, Retired { milestones, lost_packets, dropped }) = (&self.kernels.geom, done);
+        let uplink = self.kernels.cfg.cell.schedule.uplink_indices();
+        let written = if milestones.is_some() { &uplink[..] } else { &[] };
         // SAFETY: the frame is finished with nothing in flight; no
         // writers remain.
         let (decoded, decode_ok) = unsafe { self.window.slot(frame).read_decoded(g, written) };
-        FrameResult {
-            frame,
-            milestones,
-            decoded,
-            decode_ok,
-            dropped: done.dropped,
-            lost_packets: lost_packets as u32,
-        }
+        let milestones = milestones.unwrap_or_default();
+        FrameResult { frame, milestones, decoded, decode_ok, dropped, lost_packets }
     }
 }
 
@@ -948,11 +884,6 @@ pub(crate) fn execute(
                 kernels.encode_task(fb, msg.frame, symbol, user);
             }
         }
-        TaskType::Precode if msg.stage == STAGE_STALE_PRECODER && msg.frame > 0 => {
-            // Stale-precoder early start: precoder from frame-1.
-            let pre_src = window.slot(msg.frame - 1);
-            kernels.precode_task_with(fb, pre_src, scratch, symbol, base, count);
-        }
         TaskType::Precode => kernels.precode_task(fb, scratch, symbol, base, count),
         TaskType::Ifft => kernels.ifft_batch_task(fb, scratch, symbol, base, count),
         _ => {}
@@ -977,10 +908,18 @@ mod tests {
         ctx.set_lane(&demod.complete(1), 1);
         assert_eq!(ctx.lane_of(&demod), Some(1));
 
-        let shape = crate::state::FrameShape { m: 8, k: 2, q: 16, zf_groups: 6 };
+        // The ZF messages a frame table emits once frame 5's pilots are in.
+        let shape = crate::state::FrameShape { m: 2, k: 2, q: 16, zf_groups: 6 };
         let batch = crate::config::BatchSizes { zf: 2, ..Default::default() };
-        let mut zf = Vec::new();
-        shape.expand(5, crate::state::Ready::AllZf, &batch, &mut zf);
+        let schedule = agora_phy::frame::FrameSchedule::parse("PUU").unwrap();
+        let mut table = FrameTable::new(schedule, shape, batch, false, 5);
+        let (mut fft, mut zf) = (Vec::new(), Vec::new());
+        for antenna in 0..2 {
+            table.on_packet(5, 0, antenna, 0, &mut fft);
+        }
+        for msg in &fft {
+            table.on_complete(msg, 0, &mut zf);
+        }
         assert_eq!(zf.len(), 3, "six groups, two per message");
         for msg in &zf {
             ctx.set_lane(&msg.complete(0), 0);
@@ -1026,7 +965,8 @@ mod tests {
         }
         assert!(lost > 0, "frame {short} must lose something");
         let engine = Engine::new(cfg);
-        let results = engine.process(packets, frames, false);
+        let link = MemFronthaul::preloaded(&packets);
+        let results = engine.process_fronthaul(&link, frames, &AtomicBool::new(true));
         assert_eq!(
             results.iter().map(|r| r.frame).collect::<Vec<_>>(),
             (0..frames).collect::<Vec<_>>()
@@ -1075,9 +1015,9 @@ mod tests {
         run_with_frame_1_short(None, |i| i != 5);
     }
 
-    /// Driving the engine straight off a [`Fronthaul`] link must decode
-    /// identically to the packet-list path, drain the link in whole
-    /// batches, and surface the batch/error observability counters.
+    /// Driving the engine off a [`Fronthaul`] link must decode to ground
+    /// truth, drain the link in whole batches, and surface the
+    /// batch/error observability counters.
     #[test]
     fn process_fronthaul_drains_batches_and_records_stats() {
         let cell = CellConfig::tiny_test(2);
@@ -1086,20 +1026,17 @@ mod tests {
             RruConfig { snr_db: 30.0, seed: 9, ..Default::default() },
         );
         let frames = 2u32;
-        let (tx, rx) = MemFronthaul::pair(1024);
         // One malformed datagram rides along; intake must count and
         // skip it without disturbing the frames.
-        tx.send(PacketBuf::Heap(Bytes::from(vec![0xFFu8; 32]))).unwrap();
+        let mut packets = vec![bytes::Bytes::from(vec![0xFFu8; 32])];
         let mut gts = Vec::new();
-        let mut total = 1u64;
         for f in 0..frames {
             let (p, gt) = rru.generate_frame(f);
-            total += p.len() as u64;
-            for pkt in p {
-                tx.send(PacketBuf::Heap(pkt)).unwrap();
-            }
+            packets.extend(p);
             gts.push(gt);
         }
+        let total = packets.len() as u64;
+        let rx = MemFronthaul::preloaded(&packets);
         let mut cfg = EngineConfig::new(cell.clone(), 2);
         cfg.noise_power = rru.noise_power();
         let rx_batch = cfg.rx_batch as u64;

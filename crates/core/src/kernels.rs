@@ -449,21 +449,6 @@ impl Kernels {
         sc_base: usize,
         count: usize,
     ) {
-        self.precode_task_with(fb, fb, s, symbol, sc_base, count)
-    }
-
-    /// Like [`Self::precode_task`] but takes the precoder from a separate
-    /// frame's buffers — the §3.4.2 stale-precoder early start, where the
-    /// first downlink symbols beam with the previous frame's ZF output.
-    pub fn precode_task_with(
-        &self,
-        fb: &FrameBuffers,
-        pre_src: &FrameBuffers,
-        s: &mut WorkerScratch,
-        symbol: usize,
-        sc_base: usize,
-        count: usize,
-    ) {
         let g = &self.geom;
         let bps = self.cfg.cell.modulation.bits_per_symbol();
         let sym_base = fb.freq_symbol_range(symbol).start;
@@ -486,7 +471,9 @@ impl Kernels {
                 let bits = unsafe { fb.dl_bits.slice(fb.dl_bits_range(g, symbol, user)) };
                 self.modulator.modulate_into(&bits[sc * bps..(sc + width) * bps], row);
             }
-            let pre_slice = unsafe { pre_src.pre.slice(pre_src.pre_range(sc / g.zf_group)) };
+            // SAFETY: the frame's ZF completed before its precoding was
+            // dispatched; nothing writes the precoder now.
+            let pre_slice = unsafe { fb.pre.slice(fb.pre_range(sc / g.zf_group)) };
             self.pre_gemm.run(
                 pre_slice,
                 &s.user_block[..g.k * width],

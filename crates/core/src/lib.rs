@@ -5,7 +5,8 @@
 //!
 //! * [`config`]: engine configuration and batch sizes.
 //! * [`buffers`]: lock-free shared frame buffers (§3.2).
-//! * [`state`]: the per-frame dependency state machine.
+//! * [`state`]: the frame graph as one declared edge table, and the
+//!   frame table that tracks every in-flight frame through it.
 //! * [`kernels`]: task bodies over the buffers (Figure 1b blocks, with
 //!   the Table 2 fusions).
 //! * [`engine`]: the threaded manager-worker engine (data-parallel
@@ -37,5 +38,5 @@ pub use deploy::{Deployment, DeploymentConfig, DeploymentStats, Supervisor, Supe
 pub use engine::{Engine, FrameResult};
 pub use inline_engine::InlineProcessor;
 pub use kernels::Kernels;
-pub use state::{FrameState, Milestones, Ready};
+pub use state::Milestones;
 pub use stats::{Counter, EngineStats};

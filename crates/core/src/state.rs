@@ -1,29 +1,29 @@
 //! Per-frame dependency tracking — the manager's bookkeeping.
 //!
 //! This is the pure logic behind Agora's scheduling policy: which tasks
-//! become ready when a packet arrives or a completion message lands. It
-//! owns no buffers and spawns no threads, so every dependency rule
-//! (Figure 1b) is unit-testable:
+//! become ready when a packet arrives or a completion message lands. The
+//! dependency rules (Figure 1b) are one declared table, `GRAPH`:
 //!
 //! * FFT of (symbol, antenna) needs that antenna's packet.
 //! * ZF needs *all* pilot FFTs (the synchronisation barrier of §2).
 //! * Demodulation of a symbol needs that symbol's FFTs *and* all ZF.
-//! * Decoding of (symbol, user) needs the symbol fully demodulated.
+//! * Decoding of a symbol needs it fully demodulated.
 //! * Downlink: encode is free; precoding needs ZF + the symbol's encodes;
 //!   IFFT needs the symbol fully precoded.
 //!
-//! Two types split the work. [`FrameState`] is one frame's dependency
-//! counters, with the two translations around them — [`FrameShape::expand`]
-//! (a [`Ready`] item → the queue messages that carry it) and
-//! [`FrameState::on_complete`] (a completed message → the transition it
-//! triggers). [`FrameTable`] is every in-flight frame from first packet
-//! to retirement: arrival coalescing, in-flight counts, milestones, the
-//! cross-frame stale-precoder edge, abandonment and the watermark. It
-//! reads no clock — time is an argument — so the threaded manager, the
-//! inline processor and the simulator drive the same lifecycle, and tests
-//! drive it without threads.
+//! [`FrameTable`] holds every in-flight frame from first packet to
+//! retirement. Per frame and (stage, symbol) it counts the tasks done and
+//! the predecessors still waiting; a completion that finishes a (stage,
+//! symbol) walks that stage's edges and expands every successor left
+//! waiting on nothing into batched queue messages. Around that sit
+//! arrival coalescing, in-flight counts, milestones, the cross-frame
+//! stale-precoder edge, abandonment and the watermark. The table owns no
+//! buffers, spawns no threads and reads no clock — time is an argument —
+//! so the threaded manager, the inline processor and the simulator drive
+//! the same lifecycle, and tests drive it without threads.
 
 use crate::config::BatchSizes;
+use crate::stats::type_index;
 use agora_phy::frame::{FrameSchedule, SymbolType};
 use agora_phy::CellConfig;
 use agora_queue::{Msg, TaskType};
@@ -34,38 +34,6 @@ use std::collections::VecDeque;
 /// couple of data symbols).
 pub const STALE_PRECODER_SYMBOLS: usize = 2;
 
-/// Ready-to-dispatch work discovered by a state transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Ready {
-    /// All ZF groups (dispatched together once pilots are done).
-    AllZf,
-    /// Demodulation for a whole symbol (manager batches subcarriers).
-    DemodSymbol {
-        /// Symbol index.
-        symbol: usize,
-    },
-    /// Decode for every user of a symbol.
-    DecodeSymbol {
-        /// Symbol index.
-        symbol: usize,
-    },
-    /// Encode for every user of a downlink symbol.
-    EncodeSymbol {
-        /// Symbol index.
-        symbol: usize,
-    },
-    /// Precoding for a whole downlink symbol.
-    PrecodeSymbol {
-        /// Symbol index.
-        symbol: usize,
-    },
-    /// IFFT for (symbol, antenna).
-    IfftSymbol {
-        /// Symbol index.
-        symbol: usize,
-    },
-}
-
 /// `Msg::stage` of a precode message that reads frame − 1's precoder
 /// instead of its own frame's (§3.4.2).
 pub const STAGE_STALE_PRECODER: u16 = 1;
@@ -73,11 +41,54 @@ pub const STAGE_STALE_PRECODER: u16 = 1;
 /// ZF is per frame, not per symbol: its messages carry this symbol index.
 const ZF_SYMBOL: usize = 0;
 
-/// Splits `total` consecutive tasks into `(base, count)` runs of at most
-/// `step` — the message granularity of §3.4 "Batching".
-pub(crate) fn runs(total: usize, step: usize) -> impl Iterator<Item = (u32, u32)> {
-    let step = step.max(1);
-    (0..total).step_by(step).map(move |base| (base as u32, step.min(total - base) as u32))
+/// Compute stages, in [`TaskType::COMPUTE`] order.
+const STAGES: usize = TaskType::COMPUTE.len();
+
+/// How an edge of [`GRAPH`] pairs the symbols of its two stages. ZF is
+/// the one stage that runs per frame, at [`ZF_SYMBOL`].
+#[derive(Debug, Clone, Copy)]
+enum Link {
+    /// `from(s)` → `to(s)`, for every symbol `s` of the type.
+    Each(SymbolType),
+    /// `from(s)` for every symbol `s` of the type → the per-frame `to`:
+    /// a barrier.
+    Join(SymbolType),
+    /// The per-frame `from` → `to(s)`, for every symbol `s` of the type.
+    Fork(SymbolType),
+}
+
+/// The frame's task graph (Figure 1b): the edges `(link, to)` out of
+/// each stage, in [`TaskType::COMPUTE`] order. A completion walks its
+/// stage's edges in the order listed, which is the order it emits what
+/// they unlock — a ZF completion unlocks demods in ascending uplink
+/// symbol, then precodes in ascending downlink symbol. Decode and IFFT
+/// are the sinks; encode (on a frame's first packet) and FFT (from
+/// packet arrivals) are the sources.
+const GRAPH: [&[(Link, TaskType)]; STAGES] = {
+    use Link::{Each, Fork, Join};
+    use SymbolType::{Downlink, Pilot, Uplink};
+    [
+        // FFT
+        &[(Join(Pilot), TaskType::Zf), (Each(Uplink), TaskType::Demod)],
+        // ZF
+        &[(Fork(Uplink), TaskType::Demod), (Fork(Downlink), TaskType::Precode)],
+        // Demod
+        &[(Each(Uplink), TaskType::Decode)],
+        // Decode
+        &[],
+        // Encode
+        &[(Each(Downlink), TaskType::Precode)],
+        // Precode
+        &[(Each(Downlink), TaskType::Ifft)],
+        // IFFT
+        &[],
+    ]
+};
+
+/// Where `(stage, symbol)`'s count sits in a frame's per-(stage, symbol)
+/// rows: symbol-major, so a symbol's stages share a cache line.
+fn at(stage: TaskType, symbol: usize) -> usize {
+    symbol * STAGES + type_index(stage)
 }
 
 /// The fan-out of one frame's task graph: how many tasks each stage has.
@@ -103,44 +114,10 @@ impl FrameShape {
             zf_groups: cell.num_zf_groups(),
         }
     }
-
-    /// Appends the queue messages that carry `ready` to `out`, `batch`
-    /// tasks per message (§3.4 "Batching"). FFT messages are not made
-    /// here: [`FrameTable::on_packet`] builds them from arrivals.
-    pub fn expand(&self, frame: u32, ready: Ready, batch: &BatchSizes, out: &mut Vec<Msg>) {
-        let mut chunked = |task, symbol: usize, total: usize, step: usize| {
-            out.extend(runs(total, step).map(|(b, n)| Msg::task(task, frame, symbol as u32, b, n)));
-        };
-        match ready {
-            Ready::AllZf => chunked(TaskType::Zf, ZF_SYMBOL, self.zf_groups, batch.zf),
-            Ready::DemodSymbol { symbol } => chunked(TaskType::Demod, symbol, self.q, batch.demod),
-            Ready::DecodeSymbol { symbol } => {
-                chunked(TaskType::Decode, symbol, self.k, batch.decode)
-            }
-            Ready::EncodeSymbol { symbol } => {
-                chunked(TaskType::Encode, symbol, self.k, batch.encode)
-            }
-            Ready::PrecodeSymbol { symbol } => {
-                chunked(TaskType::Precode, symbol, self.q, batch.precode)
-            }
-            Ready::IfftSymbol { symbol } => chunked(TaskType::Ifft, symbol, self.m, batch.ifft),
-        }
-    }
 }
 
-/// What a completed message unlocked.
-#[derive(Debug, Default)]
-pub struct Completion {
-    /// Newly dispatchable work.
-    pub ready: Vec<Ready>,
-    /// This completion finished the frame's last uplink decode.
-    pub ul_done: bool,
-    /// This completion finished the frame's last downlink IFFT.
-    pub dl_done: bool,
-}
-
-/// Milestones within a frame's processing (nanoseconds since engine
-/// start), mirroring Figure 13(b).
+/// Milestones within a frame's processing (nanoseconds on the clock of
+/// whoever drives the table), mirroring Figure 13(b).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Milestones {
     /// First packet of the frame entered the system.
@@ -157,288 +134,163 @@ pub struct Milestones {
     pub ifft_done_ns: u64,
 }
 
-/// Dependency/state tracker for one in-flight frame.
+/// One frame's progress through [`GRAPH`]; per-(stage, symbol) counts
+/// sit at [`at`].
 #[derive(Debug, Clone)]
-pub struct FrameState {
-    /// The frame id being tracked.
-    pub frame: u32,
-    /// Timing milestones.
-    pub milestones: Milestones,
-    schedule: FrameSchedule,
-    shape: FrameShape,
-    // --- uplink ---
-    pkts: Vec<usize>,
+struct FrameState {
+    /// Tasks completed.
+    done: Vec<u32>,
+    /// Predecessors not yet complete — for an FFT, packets not yet
+    /// arrived. The (stage, symbol) is dispatched when this reaches zero.
+    waiting: Vec<u32>,
     /// Per-(symbol, antenna) arrival flags (`symbol * m + antenna`):
-    /// rejects duplicate fronthaul packets, which would otherwise
-    /// double-count toward the FFT barrier and corrupt the dependency
-    /// counters.
-    rx_seen: Vec<bool>,
-    fft_done: Vec<usize>,
-    pilot_ffts_remaining: usize,
-    zf_dispatched: bool,
-    zf_done: usize,
-    demod_dispatched: Vec<bool>,
-    demod_done: Vec<usize>,
-    decode_dispatched: Vec<bool>,
-    decode_done: Vec<usize>,
-    ul_decodes_remaining: usize,
-    // --- downlink ---
-    encode_done: Vec<usize>,
-    precode_dispatched: Vec<bool>,
-    precode_done: Vec<usize>,
-    ifft_dispatched: Vec<bool>,
-    ifft_done: Vec<usize>,
-    dl_iffts_remaining: usize,
+    /// rejects duplicate fronthaul packets, which would otherwise count
+    /// twice toward an FFT's packets.
+    seen: Vec<bool>,
+    /// Per stage, the symbols it has yet to finish.
+    open: [u32; STAGES],
 }
 
 impl FrameState {
-    /// Creates the tracker for `frame`.
-    pub fn new(frame: u32, schedule: FrameSchedule, shape: FrameShape) -> Self {
-        let FrameShape { m, k, .. } = shape;
+    /// True once `stage` has finished on every symbol it runs on.
+    fn closed(&self, stage: TaskType) -> bool {
+        self.open[type_index(stage)] == 0
+    }
+
+    /// Distinct packets that have not arrived: what every FFT still
+    /// waits on. This is the loss count of an abandoned frame.
+    fn packets_missing(&self) -> u32 {
+        self.waiting.chunks(STAGES).map(|row| row[type_index(TaskType::Fft)]).sum()
+    }
+}
+
+/// [`GRAPH`] laid over one cell's schedule and shape, once per table:
+/// the state every frame starts from, and what a completion looks up.
+#[derive(Debug)]
+struct FrameGraph {
+    schedule: FrameSchedule,
+    /// Per stage, by [`type_index`]: tasks per symbol it runs on (ZF: per
+    /// frame), and tasks per message (§3.4 "Batching").
+    tasks: [u32; STAGES],
+    step: [u32; STAGES],
+    /// The symbols of each [`SymbolType`], ascending.
+    of_type: [Vec<usize>; 4],
+    /// A new frame: nothing done, every predecessor and packet waiting.
+    fresh: FrameState,
+    /// The (stage, symbol)s that wait on nothing — the downlink encodes
+    /// — dispatched on a frame's first packet.
+    sources: Vec<(TaskType, usize)>,
+}
+
+impl FrameGraph {
+    fn new(schedule: FrameSchedule, shape: FrameShape, b: BatchSizes) -> Self {
         let symbols = schedule.len();
-        let pilot_ffts = schedule.pilot_indices().len() * m;
-        let ul_symbols = schedule.uplink_indices().len();
-        let dl_symbols = schedule.downlink_indices().len();
-        Self {
-            frame,
-            milestones: Milestones::default(),
-            schedule,
-            shape,
-            pkts: vec![0; symbols],
-            rx_seen: vec![false; symbols * m],
-            fft_done: vec![0; symbols],
-            pilot_ffts_remaining: pilot_ffts,
-            zf_dispatched: false,
-            zf_done: 0,
-            demod_dispatched: vec![false; symbols],
-            demod_done: vec![0; symbols],
-            decode_dispatched: vec![false; symbols],
-            decode_done: vec![0; symbols],
-            ul_decodes_remaining: ul_symbols * k,
-            encode_done: vec![0; symbols],
-            precode_dispatched: vec![false; symbols],
-            precode_done: vec![0; symbols],
-            ifft_dispatched: vec![false; symbols],
-            ifft_done: vec![0; symbols],
-            dl_iffts_remaining: dl_symbols * m,
-        }
-    }
-
-    /// Downlink symbols that can start immediately (encode needs no RX
-    /// input — the data comes from the MAC).
-    fn initial_work(&self) -> Vec<Ready> {
-        self.schedule
-            .downlink_indices()
-            .into_iter()
-            .map(|symbol| Ready::EncodeSymbol { symbol })
-            .collect()
-    }
-
-    /// A packet for `(symbol, antenna)` arrived; its payload is already in
-    /// the frame buffer. Returns `false` for a duplicate `(symbol,
-    /// antenna)` — the caller must not dispatch anything for it (the
-    /// byte-identical payload rewrite is harmless, but a second FFT would
-    /// double-count the barrier).
-    pub fn on_packet(&mut self, symbol: usize, antenna: usize) -> bool {
-        let seen = &mut self.rx_seen[symbol * self.shape.m + antenna];
-        let first = !*seen;
-        if first {
-            *seen = true;
-            self.pkts[symbol] += 1;
-        }
-        first
-    }
-
-    /// A task message completed: applies the transition it stands for
-    /// and reports what that unlocked.
-    pub fn on_complete(&mut self, msg: &Msg) -> Completion {
-        let (symbol, count) = (msg.symbol as usize, msg.count as usize);
-        let mut done = Completion::default();
-        match msg.task {
-            TaskType::Fft => done.ready = self.on_fft_done(symbol, count),
-            TaskType::Zf => done.ready = self.on_zf_done(count),
-            TaskType::Demod => done.ready = self.on_demod_done(symbol, count),
-            TaskType::Decode => done.ul_done = self.on_decode_done(symbol, count),
-            TaskType::Encode => done.ready = self.on_encode_done(symbol, count),
-            TaskType::Precode => done.ready = self.on_precode_done(symbol, count),
-            TaskType::Ifft => done.dl_done = self.on_ifft_done(symbol, count),
-            _ => {}
-        }
-        done
-    }
-
-    /// An FFT task completed. May unlock ZF (pilots done) or
-    /// demodulation (data symbol done + ZF done).
-    fn on_fft_done(&mut self, symbol: usize, count: usize) -> Vec<Ready> {
-        self.fft_done[symbol] += count;
-        debug_assert!(self.fft_done[symbol] <= self.shape.m);
-        let mut out = Vec::new();
-        match self.schedule.symbol(symbol) {
-            SymbolType::Pilot => {
-                self.pilot_ffts_remaining -= count;
-                if self.pilot_ffts_remaining == 0 && !self.zf_dispatched {
-                    self.zf_dispatched = true;
-                    out.push(Ready::AllZf);
-                }
-            }
-            SymbolType::Uplink if self.fft_done[symbol] == self.shape.m => {
-                out.extend(self.try_demod(symbol));
-            }
-            _ => {}
-        }
-        out
-    }
-
-    /// A batch of ZF groups completed. When all groups are done, every
-    /// fully-FFT'd data symbol becomes demodulation-ready and every
-    /// fully-encoded downlink symbol becomes precoding-ready.
-    fn on_zf_done(&mut self, count: usize) -> Vec<Ready> {
-        self.zf_done += count;
-        debug_assert!(self.zf_done <= self.shape.zf_groups);
-        let mut out = Vec::new();
-        if self.zf_done == self.shape.zf_groups {
-            for symbol in self.schedule.uplink_indices() {
-                if self.fft_done[symbol] == self.shape.m {
-                    out.extend(self.try_demod(symbol));
-                }
-            }
-            for symbol in self.schedule.downlink_indices() {
-                if self.encode_done[symbol] == self.shape.k {
-                    out.extend(self.try_precode(symbol));
-                }
-            }
-        }
-        out
-    }
-
-    /// Demodulation progress on a symbol (in subcarriers).
-    fn on_demod_done(&mut self, symbol: usize, subcarriers: usize) -> Vec<Ready> {
-        self.demod_done[symbol] += subcarriers;
-        debug_assert!(self.demod_done[symbol] <= self.shape.q);
-        if self.demod_done[symbol] == self.shape.q && !self.decode_dispatched[symbol] {
-            self.decode_dispatched[symbol] = true;
-            vec![Ready::DecodeSymbol { symbol }]
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// Decode progress (in users). Returns `true` as second element when
-    /// the whole uplink frame is finished.
-    fn on_decode_done(&mut self, symbol: usize, users: usize) -> bool {
-        self.decode_done[symbol] += users;
-        debug_assert!(self.decode_done[symbol] <= self.shape.k);
-        self.ul_decodes_remaining -= users;
-        self.ul_decodes_remaining == 0
-    }
-
-    /// Encode progress on a downlink symbol (in users).
-    fn on_encode_done(&mut self, symbol: usize, users: usize) -> Vec<Ready> {
-        self.encode_done[symbol] += users;
-        debug_assert!(self.encode_done[symbol] <= self.shape.k);
-        if self.encode_done[symbol] == self.shape.k && self.zf_done == self.shape.zf_groups {
-            self.try_precode(symbol)
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// Precoding progress (in subcarriers). Unlocks the symbol's IFFTs.
-    fn on_precode_done(&mut self, symbol: usize, subcarriers: usize) -> Vec<Ready> {
-        self.precode_done[symbol] += subcarriers;
-        debug_assert!(self.precode_done[symbol] <= self.shape.q);
-        if self.precode_done[symbol] == self.shape.q && !self.ifft_dispatched[symbol] {
-            self.ifft_dispatched[symbol] = true;
-            vec![Ready::IfftSymbol { symbol }]
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// IFFT progress (in antennas). Returns `true` when the downlink
-    /// frame is complete.
-    fn on_ifft_done(&mut self, symbol: usize, antennas: usize) -> bool {
-        self.ifft_done[symbol] += antennas;
-        debug_assert!(self.ifft_done[symbol] <= self.shape.m);
-        self.dl_iffts_remaining -= antennas;
-        self.dl_iffts_remaining == 0
-    }
-
-    /// True when every uplink decode has finished.
-    fn uplink_complete(&self) -> bool {
-        self.ul_decodes_remaining == 0
-    }
-
-    /// True when every downlink IFFT has finished.
-    fn downlink_complete(&self) -> bool {
-        self.dl_iffts_remaining == 0
-    }
-
-    /// True once all pilot FFT+CSI work is done.
-    fn pilots_complete(&self) -> bool {
-        self.pilot_ffts_remaining == 0
-    }
-
-    /// Packets received so far for one symbol.
-    fn packets_received(&self, symbol: usize) -> usize {
-        self.pkts[symbol]
-    }
-
-    /// Distinct packets still missing across all packet-bearing symbols
-    /// (pilot + uplink; downlink symbols carry no uplink packets). This
-    /// is the loss count attributed to a frame when it is abandoned.
-    pub fn packets_missing(&self) -> usize {
-        self.schedule
-            .pilot_indices()
-            .into_iter()
-            .chain(self.schedule.uplink_indices())
-            .map(|s| self.shape.m - self.pkts[s])
-            .sum()
-    }
-
-    /// True once every user of a downlink symbol has been encoded.
-    fn encode_complete(&self, symbol: usize) -> bool {
-        self.encode_done[symbol] == self.shape.k
-    }
-
-    /// The §3.4.2 "stale precoder" early start: precoding work for
-    /// `symbol` *before* this frame's ZF is ready, so the first downlink
-    /// symbols of frame `f` beam with frame `f-1`'s precoder and the RRU's
-    /// air time never idles. Empty unless `symbol` is one of the first
-    /// [`STALE_PRECODER_SYMBOLS`] downlink symbols, fully encoded, with
-    /// this frame's ZF still pending. The caller ([`FrameTable`]) checks
-    /// that the previous frame's precoder exists.
-    fn precode_with_stale(&mut self, symbol: usize) -> Vec<Ready> {
-        let early = |s: &FrameSchedule| {
-            s.downlink_indices().iter().take(STALE_PRECODER_SYMBOLS).any(|&d| d == symbol)
+        let FrameShape { m, k, q, zf_groups } = shape;
+        let tasks = [m, zf_groups, q, k, k, q, m].map(|n| n as u32);
+        let step =
+            [b.fft, b.zf, b.demod, b.decode, b.encode, b.precode, b.ifft].map(|n| n.max(1) as u32);
+        let of_type =
+            [SymbolType::Pilot, SymbolType::Uplink, SymbolType::Downlink, SymbolType::Empty]
+                .map(|t| (0..symbols).filter(|&s| schedule.symbol(s) == t).collect::<Vec<_>>());
+        let mut fresh = FrameState {
+            done: vec![0; symbols * STAGES],
+            waiting: vec![0; symbols * STAGES],
+            seen: vec![false; symbols * m],
+            open: [0; STAGES],
         };
-        if self.encode_complete(symbol) && !self.zf_complete() && early(&self.schedule) {
-            self.try_precode(symbol)
-        } else {
-            Vec::new()
+        // Which (stage, symbol)s run, and what each waits on.
+        let mut runs = vec![false; symbols * STAGES];
+        for (from, edges) in TaskType::COMPUTE.into_iter().zip(GRAPH) {
+            for &(link, to) in edges {
+                let (Link::Each(t) | Link::Join(t) | Link::Fork(t)) = link;
+                for &s in &of_type[t as usize] {
+                    let (on, to_on) = match link {
+                        Link::Each(_) => (s, s),
+                        Link::Join(_) => (s, ZF_SYMBOL),
+                        Link::Fork(_) => (ZF_SYMBOL, s),
+                    };
+                    runs[at(from, on)] = true;
+                    runs[at(to, to_on)] = true;
+                    fresh.waiting[at(to, to_on)] += 1;
+                }
+            }
+        }
+        let mut sources = Vec::new();
+        for stage in TaskType::COMPUTE {
+            for s in (0..symbols).filter(|&s| runs[at(stage, s)]) {
+                fresh.open[type_index(stage)] += 1;
+                if stage == TaskType::Fft {
+                    fresh.waiting[at(stage, s)] = m as u32;
+                } else if fresh.waiting[at(stage, s)] == 0 {
+                    sources.push((stage, s));
+                }
+            }
+        }
+        Self { schedule, tasks, step, of_type, fresh, sources }
+    }
+
+    /// Appends the messages that carry every task of `stage` on `symbol`
+    /// to `out`, [`Self::step`] tasks per message.
+    fn expand(&self, stage: TaskType, frame: u32, symbol: usize, out: &mut Vec<Msg>) {
+        let (total, step) = (self.tasks[type_index(stage)], self.step[type_index(stage)]);
+        let chunk =
+            |base: u32| Msg::task(stage, frame, symbol as u32, base, step.min(total - base));
+        out.extend((0..total).step_by(step as usize).map(chunk));
+    }
+
+    /// Credits `msg`'s tasks to its (stage, symbol). When that finishes
+    /// it, walks the stage's edges: each successor loses a predecessor,
+    /// and one left waiting on nothing is expanded into `out`.
+    fn complete(&self, st: &mut FrameState, msg: &Msg, out: &mut Vec<Msg>) {
+        let (stage, symbol) = (msg.task, msg.symbol as usize);
+        let done = &mut st.done[at(stage, symbol)];
+        *done += msg.count;
+        debug_assert!(*done <= self.tasks[type_index(stage)], "{msg:?} over-completes its stage");
+        if *done != self.tasks[type_index(stage)] {
+            return;
+        }
+        st.open[type_index(stage)] -= 1;
+        let mut release = |to: TaskType, s: usize| {
+            let waiting = &mut st.waiting[at(to, s)];
+            if *waiting == 0 {
+                // Started early by the stale edge, which took ZF's credit.
+                debug_assert_eq!(to, TaskType::Precode);
+                return;
+            }
+            *waiting -= 1;
+            if *waiting == 0 {
+                self.expand(to, msg.frame, s, out);
+            }
+        };
+        let kind = self.schedule.symbol(symbol);
+        for &(link, to) in GRAPH[type_index(stage)] {
+            match link {
+                Link::Each(t) if t == kind => release(to, symbol),
+                Link::Join(t) if t == kind => release(to, ZF_SYMBOL),
+                Link::Fork(t) => self.of_type[t as usize].iter().for_each(|&s| release(to, s)),
+                _ => {}
+            }
         }
     }
 
-    /// True once all ZF groups are done.
-    fn zf_complete(&self) -> bool {
-        self.zf_done == self.shape.zf_groups
-    }
-
-    fn try_demod(&mut self, symbol: usize) -> Vec<Ready> {
-        if self.zf_done == self.shape.zf_groups && !self.demod_dispatched[symbol] {
-            self.demod_dispatched[symbol] = true;
-            vec![Ready::DemodSymbol { symbol }]
-        } else {
-            Vec::new()
-        }
-    }
-
-    fn try_precode(&mut self, symbol: usize) -> Vec<Ready> {
-        if !self.precode_dispatched[symbol] {
-            self.precode_dispatched[symbol] = true;
-            vec![Ready::PrecodeSymbol { symbol }]
-        } else {
-            Vec::new()
+    /// The §3.4.2 stale-precoder edge, for an encode completion `msg` of
+    /// a frame whose predecessor's precoder is ready: once one of the
+    /// first [`STALE_PRECODER_SYMBOLS`] downlink symbols is encoded while
+    /// this frame's ZF is still running, the symbol's precode goes out,
+    /// flagged to read frame − 1's precoder, and takes the credit this
+    /// frame's ZF would have given it.
+    fn start_stale(&self, st: &mut FrameState, msg: &Msg, out: &mut Vec<Msg>) {
+        let symbol = msg.symbol as usize;
+        let downlink = &self.of_type[SymbolType::Downlink as usize];
+        let early = downlink.iter().take(STALE_PRECODER_SYMBOLS).any(|&s| s == symbol);
+        let zf_running = !st.closed(TaskType::Zf);
+        let waiting = &mut st.waiting[at(TaskType::Precode, symbol)];
+        // With ZF running, one predecessor left is ZF: the symbol is encoded.
+        if early && zf_running && *waiting == 1 {
+            *waiting = 0;
+            let from = out.len();
+            self.expand(TaskType::Precode, msg.frame, symbol, out);
+            out[from..].iter_mut().for_each(|m| *m = m.with_stage(STAGE_STALE_PRECODER));
         }
     }
 }
@@ -458,8 +310,10 @@ pub enum Arrival {
 /// A frame leaving the table.
 #[derive(Debug)]
 pub struct Retired {
-    /// The frame's final state; `None` if none of its packets ever arrived.
-    pub state: Option<FrameState>,
+    /// The frame's milestones; `None` if none of its packets ever arrived.
+    pub milestones: Option<Milestones>,
+    /// Distinct pilot and uplink packets that never arrived.
+    pub lost_packets: u32,
     /// Abandoned rather than completed.
     pub dropped: bool,
 }
@@ -468,6 +322,7 @@ pub struct Retired {
 #[derive(Debug)]
 struct Record {
     state: FrameState,
+    milestones: Milestones,
     /// Task messages emitted and not yet completed or flushed. The
     /// frame's buffers may only be reused once this is zero.
     inflight: usize,
@@ -479,11 +334,28 @@ struct Record {
 }
 
 impl Record {
-    /// Nothing in flight, and either every decode and IFFT is done or
-    /// the frame was given up.
+    /// Nothing in flight, and either every sink — every stage nothing
+    /// waits on — has finished or the frame was given up.
     fn finished(&self) -> bool {
-        let complete = self.state.uplink_complete() && self.state.downlink_complete();
+        let complete = (0..STAGES).all(|i| !GRAPH[i].is_empty() || self.state.open[i] == 0);
         self.inflight == 0 && (self.abandoning || complete)
+    }
+
+    /// Stamps the milestone a completion of `stage` may have reached,
+    /// the first time it is reached.
+    fn stamp(&mut self, stage: TaskType, now_ns: u64) {
+        let (st, ms) = (&self.state, &mut self.milestones);
+        let (stamp, reached) = match stage {
+            // Every pilot FFT done: ZF waits on nothing more.
+            TaskType::Fft => (&mut ms.pilot_done_ns, st.waiting[at(TaskType::Zf, ZF_SYMBOL)] == 0),
+            TaskType::Zf => (&mut ms.zf_done_ns, st.closed(stage)),
+            TaskType::Decode => (&mut ms.decode_done_ns, st.closed(stage)),
+            TaskType::Ifft => (&mut ms.ifft_done_ns, st.closed(stage)),
+            _ => return,
+        };
+        if reached && *stamp == 0 {
+            *stamp = now_ns;
+        }
     }
 }
 
@@ -504,7 +376,7 @@ enum Slot {
 impl Slot {
     fn zf_complete(&self) -> bool {
         match self {
-            Slot::Live(rec) => rec.state.zf_complete(),
+            Slot::Live(rec) => rec.state.closed(TaskType::Zf),
             Slot::Done { zf_complete } => *zf_complete,
             Slot::Vacant | Slot::Lost => false,
         }
@@ -519,9 +391,7 @@ impl Slot {
 /// watermark, the simulator admits everything.
 #[derive(Debug)]
 pub struct FrameTable {
-    schedule: FrameSchedule,
-    shape: FrameShape,
-    batch: BatchSizes,
+    graph: FrameGraph,
     stale_precoder: bool,
     watermark: u32,
     slots: VecDeque<Slot>,
@@ -537,7 +407,8 @@ impl FrameTable {
         stale_precoder: bool,
         watermark: u32,
     ) -> Self {
-        Self { schedule, shape, batch, stale_precoder, watermark, slots: VecDeque::new() }
+        let graph = FrameGraph::new(schedule, shape, batch);
+        Self { graph, stale_precoder, watermark, slots: VecDeque::new() }
     }
 
     /// The lowest frame not yet retired. Frames below it are gone: their
@@ -588,28 +459,41 @@ impl FrameTable {
         out: &mut Vec<Msg>,
     ) -> Arrival {
         let Some(idx) = self.slot_of(frame) else { return Arrival::Late };
+        let g = &self.graph;
         let emitted = out.len();
         if matches!(self.slots[idx], Slot::Vacant) {
-            let mut state = FrameState::new(frame, self.schedule.clone(), self.shape);
-            state.milestones.first_packet_ns = now_ns;
-            state.milestones.processing_start_ns = now_ns;
-            for ready in state.initial_work() {
-                self.shape.expand(frame, ready, &self.batch, out);
+            for &(stage, s) in &g.sources {
+                g.expand(stage, frame, s, out);
             }
-            let fft_runs = vec![(0, 0); self.schedule.len()];
-            let record = Record { state, inflight: 0, abandoning: false, fft_runs };
+            let record = Record {
+                state: g.fresh.clone(),
+                milestones: Milestones {
+                    first_packet_ns: now_ns,
+                    processing_start_ns: now_ns,
+                    ..Milestones::default()
+                },
+                inflight: 0,
+                abandoning: false,
+                fft_runs: vec![(0, 0); g.schedule.len()],
+            };
             self.slots[idx] = Slot::Live(Box::new(record));
         }
         let rec = match &mut self.slots[idx] {
             Slot::Live(rec) if !rec.abandoning => rec,
             _ => return Arrival::Late,
         };
-        if !rec.state.on_packet(symbol, antenna) {
+        let (m, run_max) = (g.tasks[type_index(TaskType::Fft)], g.step[type_index(TaskType::Fft)]);
+        let seen = &mut rec.state.seen[symbol * m as usize + antenna];
+        if *seen {
             return Arrival::Duplicate;
         }
-        // Downlink symbols carry no uplink packets; one addressed there
-        // is counted and transforms nothing.
-        if matches!(self.schedule.symbol(symbol), SymbolType::Pilot | SymbolType::Uplink) {
+        *seen = true;
+        // Downlink symbols carry no uplink packets: no FFT waits on one
+        // addressed there, and it transforms nothing.
+        let packets = &mut rec.state.waiting[at(TaskType::Fft, symbol)];
+        if *packets > 0 {
+            *packets -= 1;
+            let symbol_complete = *packets == 0;
             let fft = |(base, count): (u32, u32)| {
                 Msg::task(TaskType::Fft, frame, symbol as u32, base, count)
             };
@@ -622,8 +506,7 @@ impl FrameTable {
                 run.0 = antenna as u32;
             }
             run.1 += 1;
-            let symbol_complete = rec.state.packets_received(symbol) == self.shape.m;
-            if run.1 as usize >= self.batch.fft || symbol_complete {
+            if run.1 >= run_max || symbol_complete {
                 out.push(fft(*run));
                 run.1 = 0;
             }
@@ -633,52 +516,31 @@ impl FrameTable {
     }
 
     /// A task message completed. Credits the frame's in-flight count,
-    /// applies the transition, stamps milestones and appends the
-    /// messages it unlocked to `out` — including, with the stale
-    /// precoder on, an early precode of the first downlink symbols when
-    /// frame − 1 is still in the table with its ZF complete (only an
-    /// unretired neighbour's precoder is safe to read). A completion for
-    /// an abandoning frame unlocks nothing; one for a frame not in the
-    /// table is ignored. Returns whether the frame is now finished —
-    /// nothing of it left in flight, and complete or abandoned — so that
+    /// walks the graph, stamps milestones and appends the messages it
+    /// unlocked to `out` — including, with the stale precoder on, an
+    /// early precode of the first downlink symbols when frame − 1 is
+    /// still in the table with its ZF complete (only an unretired
+    /// neighbour's precoder is safe to read). A completion for an
+    /// abandoning frame unlocks nothing; one for a frame not in the table
+    /// is ignored. Returns whether the frame is now finished — nothing of
+    /// it left in flight, and complete or abandoned — so that
     /// [`Self::retire`] will return it.
     pub fn on_complete(&mut self, msg: &Msg, now_ns: u64, out: &mut Vec<Msg>) -> bool {
-        let (shape, batch) = (self.shape, self.batch);
         let Some(idx) = self.index_of(msg.frame) else { return false };
-        let prev_zf_complete = self.stale_precoder
+        let stale = self.stale_precoder
             && msg.task == TaskType::Encode
             && idx > 0
             && self.slots[idx - 1].zf_complete();
+        let g = &self.graph;
         let Slot::Live(rec) = &mut self.slots[idx] else { return false };
         rec.inflight = rec.inflight.saturating_sub(1);
         if !rec.abandoning {
             let emitted = out.len();
-            let done = rec.state.on_complete(msg);
-            let st = &mut rec.state;
-            let (pilots_complete, zf_complete) = (st.pilots_complete(), st.zf_complete());
-            let ms = &mut st.milestones;
-            match msg.task {
-                TaskType::Fft if pilots_complete && ms.pilot_done_ns == 0 => {
-                    ms.pilot_done_ns = now_ns;
-                }
-                TaskType::Zf if zf_complete && ms.zf_done_ns == 0 => ms.zf_done_ns = now_ns,
-                _ => {}
+            g.complete(&mut rec.state, msg, out);
+            if stale {
+                g.start_stale(&mut rec.state, msg, out);
             }
-            if done.ul_done && ms.decode_done_ns == 0 {
-                ms.decode_done_ns = now_ns;
-            }
-            if done.dl_done && ms.ifft_done_ns == 0 {
-                ms.ifft_done_ns = now_ns;
-            }
-            if prev_zf_complete {
-                for ready in st.precode_with_stale(msg.symbol as usize) {
-                    shape.expand(msg.frame, ready, &batch, out);
-                }
-                out[emitted..].iter_mut().for_each(|m| *m = m.with_stage(STAGE_STALE_PRECODER));
-            }
-            for ready in done.ready {
-                shape.expand(msg.frame, ready, &batch, out);
-            }
+            rec.stamp(msg.task, now_ns);
             rec.inflight += out.len() - emitted;
         }
         rec.finished()
@@ -693,8 +555,7 @@ impl FrameTable {
     /// the evidence its own packets are not coming.
     pub fn expired(&self, now_ns: u64, deadline_ns: u64) -> impl Iterator<Item = u32> + '_ {
         let overdue = move |rec: &Record| {
-            !rec.abandoning
-                && now_ns.saturating_sub(rec.state.milestones.first_packet_ns) > deadline_ns
+            !rec.abandoning && now_ns.saturating_sub(rec.milestones.first_packet_ns) > deadline_ns
         };
         let vacant_below = self.slots.iter().rposition(|slot| match slot {
             Slot::Live(rec) => rec.abandoning || overdue(rec),
@@ -752,251 +613,241 @@ impl FrameTable {
             return None;
         }
         let zf_complete = self.slots[idx].zf_complete();
-        let retired = match std::mem::replace(&mut self.slots[idx], Slot::Done { zf_complete }) {
-            Slot::Live(rec) => Retired { state: Some(rec.state), dropped: rec.abandoning },
-            _ => Retired { state: None, dropped: true },
-        };
+        let (milestones, lost_packets, dropped) =
+            match std::mem::replace(&mut self.slots[idx], Slot::Done { zf_complete }) {
+                Slot::Live(rec) => {
+                    (Some(rec.milestones), rec.state.packets_missing(), rec.abandoning)
+                }
+                _ => (None, self.graph.fresh.packets_missing(), true),
+            };
         while matches!(self.slots.front(), Some(Slot::Done { .. })) {
             self.slots.pop_front();
             self.watermark += 1;
         }
-        Some(retired)
+        Some(Retired { milestones, lost_packets, dropped })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agora_phy::frame::FrameSchedule;
 
     /// 4 antennas, 2 users, 32 SCs, 2 groups.
     const SHAPE: FrameShape = FrameShape { m: 4, k: 2, q: 32, zf_groups: 2 };
 
-    /// 1 pilot + 2 uplink symbols.
-    fn ul_state() -> FrameState {
-        FrameState::new(0, FrameSchedule::uplink(1, 2), SHAPE)
-    }
-
-    /// 1 pilot + 2 downlink symbols.
-    fn dl_state() -> FrameState {
-        FrameState::new(0, FrameSchedule::downlink(1, 2), SHAPE)
-    }
-
-    #[test]
-    fn duplicate_packets_rejected() {
-        let mut st = ul_state();
-        assert!(st.on_packet(1, 2));
-        // Same (symbol, antenna) again: rejected, no second FFT, and the
-        // arrival counter does not double-count toward the barrier.
-        assert!(!st.on_packet(1, 2));
-        assert_eq!(st.packets_received(1), 1);
-        // A different antenna on the same symbol is still accepted.
-        assert!(st.on_packet(1, 3));
-        assert_eq!(st.packets_received(1), 2);
-    }
-
-    #[test]
-    fn packets_missing_counts_undelivered() {
-        let mut st = ul_state();
-        // 3 packet-bearing symbols (1 pilot + 2 uplink) x 4 antennas.
-        assert_eq!(st.packets_missing(), 12);
-        let _ = st.on_packet(0, 0);
-        let _ = st.on_packet(1, 2);
-        let _ = st.on_packet(1, 2); // duplicate must not count
-        assert_eq!(st.packets_missing(), 10);
-        for sym in 0..3 {
-            for ant in 0..4 {
-                let _ = st.on_packet(sym, ant);
-            }
-        }
-        assert_eq!(st.packets_missing(), 0);
-    }
-
-    #[test]
-    fn zf_waits_for_all_pilot_ffts() {
-        let mut st = ul_state();
-        for ant in 0..3 {
-            st.on_packet(0, ant);
-            assert!(st.on_fft_done(0, 1).is_empty());
-        }
-        st.on_packet(0, 3);
-        let r = st.on_fft_done(0, 1);
-        assert_eq!(r, vec![Ready::AllZf]);
-        assert!(st.pilots_complete());
-    }
-
-    #[test]
-    fn demod_needs_both_fft_and_zf() {
-        let mut st = ul_state();
-        // Data symbol 1 fully FFT'd before ZF: no demod yet.
-        for ant in 0..4 {
-            st.on_packet(1, ant);
-            st.on_fft_done(1, 1);
-        }
-        assert!(!st.zf_complete());
-        // Finish pilots -> ZF dispatch.
-        for ant in 0..4 {
-            st.on_packet(0, ant);
-        }
-        let r = st.on_fft_done(0, 4);
-        assert_eq!(r, vec![Ready::AllZf]);
-        // ZF completion unlocks the already-FFT'd symbol 1.
-        let r = st.on_zf_done(2);
-        assert_eq!(r, vec![Ready::DemodSymbol { symbol: 1 }]);
-        // Symbol 2 FFT'd after ZF: unlocked by the FFT completion.
-        for ant in 0..4 {
-            st.on_packet(2, ant);
-        }
-        let r = st.on_fft_done(2, 4);
-        assert_eq!(r, vec![Ready::DemodSymbol { symbol: 2 }]);
-    }
-
-    #[test]
-    fn demod_completion_unlocks_decode_once() {
-        let mut st = ul_state();
-        complete_pilots_and_zf(&mut st);
-        for ant in 0..4 {
-            st.on_packet(1, ant);
-        }
-        st.on_fft_done(1, 4);
-        assert!(st.on_demod_done(1, 16).is_empty());
-        let r = st.on_demod_done(1, 16);
-        assert_eq!(r, vec![Ready::DecodeSymbol { symbol: 1 }]);
-        // No duplicate dispatch.
-        assert!(st.on_demod_done(1, 0).is_empty());
-    }
-
-    #[test]
-    fn frame_completes_after_all_decodes() {
-        let mut st = ul_state();
-        complete_pilots_and_zf(&mut st);
-        for sym in [1usize, 2] {
-            for ant in 0..4 {
-                st.on_packet(sym, ant);
-            }
-            st.on_fft_done(sym, 4);
-            st.on_demod_done(sym, 32);
-        }
-        assert!(!st.on_decode_done(1, 2));
-        assert!(!st.on_decode_done(2, 1));
-        assert!(st.on_decode_done(2, 1));
-        assert!(st.uplink_complete());
-    }
-
-    #[test]
-    fn downlink_flow() {
-        let mut st = dl_state();
-        // Encodes are available immediately.
-        let init = st.initial_work();
-        assert_eq!(
-            init,
-            vec![Ready::EncodeSymbol { symbol: 1 }, Ready::EncodeSymbol { symbol: 2 }]
-        );
-        // Encode done before ZF: nothing unlocked.
-        assert!(st.on_encode_done(1, 2).is_empty());
-        complete_pilots_and_zf_expect_precode(&mut st);
-        // Second symbol encoded after ZF: unlocked directly.
-        let r = st.on_encode_done(2, 2);
-        assert_eq!(r, vec![Ready::PrecodeSymbol { symbol: 2 }]);
-        // Precode -> IFFT -> frame completion.
-        assert!(st.on_precode_done(1, 16).is_empty());
-        let r = st.on_precode_done(1, 16);
-        assert_eq!(r, vec![Ready::IfftSymbol { symbol: 1 }]);
-        st.on_precode_done(2, 32);
-        assert!(!st.on_ifft_done(1, 4));
-        assert!(st.on_ifft_done(2, 4));
-        assert!(st.downlink_complete());
-    }
-
-    fn complete_pilots_and_zf(st: &mut FrameState) {
-        for ant in 0..4 {
-            st.on_packet(0, ant);
-        }
-        let r = st.on_fft_done(0, 4);
-        assert_eq!(r, vec![Ready::AllZf]);
-        st.on_zf_done(2);
-    }
-
-    fn complete_pilots_and_zf_expect_precode(st: &mut FrameState) {
-        for ant in 0..4 {
-            st.on_packet(0, ant);
-        }
-        let r = st.on_fft_done(0, 4);
-        assert_eq!(r, vec![Ready::AllZf]);
-        // ZF done unlocks precode for the already-encoded symbol 1.
-        let r = st.on_zf_done(2);
-        assert_eq!(r, vec![Ready::PrecodeSymbol { symbol: 1 }]);
-    }
-
-    #[test]
-    fn uplink_frame_has_no_initial_work() {
-        assert!(ul_state().initial_work().is_empty());
-    }
-
-    #[test]
-    fn expand_batches_every_stage_and_keeps_the_tail() {
-        let sh = SHAPE;
-        let batch =
-            BatchSizes { fft: 2, zf: 3, demod: 12, decode: 2, encode: 1, precode: 32, ifft: 3 };
-        let spans = |ready| {
-            let mut out = Vec::new();
-            sh.expand(0, ready, &batch, &mut out);
-            out.iter().map(|m| (m.task, m.symbol, m.base, m.count)).collect::<Vec<_>>()
-        };
-        assert_eq!(spans(Ready::AllZf), [(TaskType::Zf, 0, 0, 2)]);
-        assert_eq!(
-            spans(Ready::DemodSymbol { symbol: 2 }),
-            [
-                (TaskType::Demod, 2, 0, 12),
-                (TaskType::Demod, 2, 12, 12),
-                (TaskType::Demod, 2, 24, 8)
-            ]
-        );
-        assert_eq!(spans(Ready::DecodeSymbol { symbol: 2 }), [(TaskType::Decode, 2, 0, 2)]);
-        assert_eq!(
-            spans(Ready::EncodeSymbol { symbol: 1 }),
-            [(TaskType::Encode, 1, 0, 1), (TaskType::Encode, 1, 1, 1)]
-        );
-        assert_eq!(spans(Ready::PrecodeSymbol { symbol: 1 }), [(TaskType::Precode, 1, 0, 32)]);
-        assert_eq!(
-            spans(Ready::IfftSymbol { symbol: 1 }),
-            [(TaskType::Ifft, 1, 0, 3), (TaskType::Ifft, 1, 3, 1)]
-        );
-    }
-
-    #[test]
-    fn stale_precode_only_for_early_encoded_symbols_before_zf() {
-        let mut st = FrameState::new(1, FrameSchedule::downlink(1, 3), SHAPE);
-        assert!(st.precode_with_stale(1).is_empty(), "not yet encoded");
-        st.on_encode_done(1, 2);
-        st.on_encode_done(3, 2);
-        assert_eq!(st.precode_with_stale(1), vec![Ready::PrecodeSymbol { symbol: 1 }]);
-        assert!(st.precode_with_stale(1).is_empty(), "dispatched once");
-        assert!(st.precode_with_stale(3).is_empty(), "third downlink symbol waits for ZF");
-    }
-}
-
-#[cfg(test)]
-mod table_tests {
-    use super::*;
-    use proptest::prelude::*;
-
+    /// FFT runs of two antennas, the frame's ZF in one message and every
+    /// other stage of a symbol in one.
     const BATCH: BatchSizes =
         BatchSizes { fft: 2, zf: 2, demod: 32, decode: 2, encode: 2, precode: 32, ifft: 4 };
 
-    /// 4 antennas, 2 users, 32 SCs, 2 ZF groups.
-    fn table(schedule: FrameSchedule, stale_precoder: bool) -> FrameTable {
-        let shape = FrameShape { m: 4, k: 2, q: 32, zf_groups: 2 };
-        FrameTable::new(schedule, shape, BATCH, stale_precoder, 0)
+    /// `BATCH` with demod, decode and precode split in two per symbol.
+    const HALVES: BatchSizes = BatchSizes { demod: 16, decode: 1, precode: 16, ..BATCH };
+
+    fn table(schedule: &str, batch: BatchSizes, stale_precoder: bool) -> FrameTable {
+        FrameTable::new(FrameSchedule::parse(schedule).unwrap(), SHAPE, batch, stale_precoder, 0)
+    }
+
+    /// `(task, symbol)` of each message.
+    fn kinds(msgs: &[Msg]) -> Vec<(TaskType, u32)> {
+        msgs.iter().map(|m| (m.task, m.symbol)).collect()
     }
 
     /// Delivers every packet of `symbol`, returning the messages emitted.
     fn arrive(t: &mut FrameTable, frame: u32, symbol: usize, now_ns: u64) -> Vec<Msg> {
         let mut out = Vec::new();
-        for antenna in 0..4 {
+        for antenna in 0..SHAPE.m {
             assert_eq!(t.on_packet(frame, symbol, antenna, now_ns, &mut out), Arrival::Accepted);
         }
         out
+    }
+
+    /// Completes `msgs` in order at `now_ns`; returns what they unlocked
+    /// and whether the last of them finished the frame.
+    fn complete(t: &mut FrameTable, msgs: &[Msg], now_ns: u64) -> (Vec<Msg>, bool) {
+        let mut out = Vec::new();
+        let finished = msgs.iter().map(|m| t.on_complete(m, now_ns, &mut out)).last();
+        (out, finished.unwrap_or(false))
+    }
+
+    /// Delivers frame 0's pilots and completes their FFTs and its ZF.
+    fn pilots_and_zf(t: &mut FrameTable) -> Vec<Msg> {
+        let ffts = arrive(t, 0, 0, 0);
+        let (zf, _) = complete(t, &ffts, 0);
+        assert_eq!(kinds(&zf), [(TaskType::Zf, 0)]);
+        complete(t, &zf, 0).0
+    }
+
+    #[test]
+    fn duplicate_packets_rejected() {
+        // FFT runs of all four antennas: only the symbol's last packet
+        // closes one.
+        let mut t = table("PUU", BatchSizes { fft: 4, ..BATCH }, false);
+        let mut out = Vec::new();
+        for antenna in [0, 1, 2] {
+            assert_eq!(t.on_packet(0, 1, antenna, 0, &mut out), Arrival::Accepted);
+        }
+        // Same (symbol, antenna) again: rejected, and not counted toward
+        // the symbol's packets — counted, it would close the run now.
+        assert_eq!(t.on_packet(0, 1, 2, 0, &mut out), Arrival::Duplicate);
+        assert!(out.is_empty());
+        assert_eq!(t.on_packet(0, 1, 3, 0, &mut out), Arrival::Accepted);
+        assert_eq!(out.iter().map(|m| (m.base, m.count)).collect::<Vec<_>>(), [(0, 4)]);
+    }
+
+    #[test]
+    fn packets_missing_counts_undelivered() {
+        // 3 packet-bearing symbols (1 pilot + 2 uplink) x 4 antennas.
+        let lost_after = |packets: &[(usize, usize)]| {
+            let mut t = table("PUUDD", BATCH, false);
+            let mut out = Vec::new();
+            for &(symbol, antenna) in packets {
+                t.on_packet(0, symbol, antenna, 0, &mut out);
+            }
+            t.abandon(0);
+            complete(&mut t, &out, 0);
+            t.retire(0).expect("nothing left in flight").lost_packets
+        };
+        // A duplicate does not count; a downlink symbol bears no packets.
+        assert_eq!(lost_after(&[(0, 0), (1, 2), (1, 2), (3, 1)]), 10);
+        let all: Vec<_> = (0..3).flat_map(|s| (0..4).map(move |a| (s, a))).collect();
+        assert_eq!(lost_after(&all), 0);
+    }
+
+    #[test]
+    fn zf_waits_for_all_pilot_ffts() {
+        let mut t = table("PUU", BATCH, false);
+        let ffts = arrive(&mut t, 0, 0, 0);
+        assert_eq!(ffts.len(), 2, "two runs of two antennas");
+        assert!(complete(&mut t, &ffts[..1], 1).0.is_empty());
+        let (zf, _) = complete(&mut t, &ffts[1..], 7);
+        assert_eq!(kinds(&zf), [(TaskType::Zf, 0)]);
+        t.abandon(0);
+        complete(&mut t, &zf, 8);
+        let pilot_done = t.retire(0).unwrap().milestones.unwrap().pilot_done_ns;
+        assert_eq!(pilot_done, 7, "stamped by the last pilot FFT");
+    }
+
+    #[test]
+    fn demod_needs_both_fft_and_zf() {
+        let mut t = table("PUU", BATCH, false);
+        // Data symbol 1 fully FFT'd before ZF: no demod yet.
+        let ffts = arrive(&mut t, 0, 1, 0);
+        assert!(complete(&mut t, &ffts, 0).0.is_empty());
+        // ZF completion unlocks the already-FFT'd symbol 1.
+        assert_eq!(kinds(&pilots_and_zf(&mut t)), [(TaskType::Demod, 1)]);
+        // Symbol 2 FFT'd after ZF: unlocked by the FFT completion.
+        let ffts = arrive(&mut t, 0, 2, 0);
+        assert_eq!(kinds(&complete(&mut t, &ffts, 0).0), [(TaskType::Demod, 2)]);
+    }
+
+    #[test]
+    fn demod_completion_unlocks_decode_once() {
+        let mut t = table("PUU", HALVES, false);
+        pilots_and_zf(&mut t);
+        let ffts = arrive(&mut t, 0, 1, 0);
+        let (demods, _) = complete(&mut t, &ffts, 0);
+        assert!(complete(&mut t, &demods[..1], 0).0.is_empty());
+        let (decodes, _) = complete(&mut t, &demods[1..], 0);
+        assert_eq!(kinds(&decodes), [(TaskType::Decode, 1), (TaskType::Decode, 1)]);
+        // Symbol 2's demods unlock symbol 2's decodes, and nothing of 1's
+        // again.
+        let ffts = arrive(&mut t, 0, 2, 0);
+        let (demods, _) = complete(&mut t, &ffts, 0);
+        let (decodes, _) = complete(&mut t, &demods, 0);
+        assert_eq!(kinds(&decodes), [(TaskType::Decode, 2), (TaskType::Decode, 2)]);
+    }
+
+    #[test]
+    fn frame_completes_after_all_decodes() {
+        let mut t = table("PUU", HALVES, false);
+        pilots_and_zf(&mut t);
+        let mut decodes = Vec::new();
+        for symbol in [1, 2] {
+            let ffts = arrive(&mut t, 0, symbol, 0);
+            let (demods, _) = complete(&mut t, &ffts, 0);
+            decodes.extend(complete(&mut t, &demods, 0).0);
+        }
+        assert_eq!(decodes.len(), 4);
+        for decode in &decodes[..3] {
+            assert!(!complete(&mut t, &[*decode], 0).1);
+        }
+        assert!(complete(&mut t, &decodes[3..], 9).1, "the last decode finishes the frame");
+        assert_eq!(t.retire(0).unwrap().milestones.unwrap().decode_done_ns, 9);
+    }
+
+    #[test]
+    fn downlink_flow() {
+        let mut t = table("PDD", HALVES, false);
+        // Encodes are available immediately, on the frame's first packet.
+        let (mut encodes, mut ffts) = (Vec::new(), Vec::new());
+        t.on_packet(0, 0, 0, 0, &mut encodes);
+        assert_eq!(kinds(&encodes), [(TaskType::Encode, 1), (TaskType::Encode, 2)]);
+        // Encode done before ZF: nothing unlocked.
+        assert!(complete(&mut t, &encodes[..1], 0).0.is_empty());
+        // ZF done unlocks precode for the already-encoded symbol 1.
+        for antenna in 1..4 {
+            t.on_packet(0, 0, antenna, 0, &mut ffts);
+        }
+        let (zf, _) = complete(&mut t, &ffts, 0);
+        let (precodes, _) = complete(&mut t, &zf, 0);
+        assert_eq!(kinds(&precodes), [(TaskType::Precode, 1), (TaskType::Precode, 1)]);
+        // Second symbol encoded after ZF: unlocked directly.
+        let (precodes2, _) = complete(&mut t, &encodes[1..], 0);
+        assert_eq!(kinds(&precodes2), [(TaskType::Precode, 2), (TaskType::Precode, 2)]);
+        // Precode -> IFFT -> frame completion.
+        assert!(complete(&mut t, &precodes[..1], 0).0.is_empty());
+        let (ifft1, _) = complete(&mut t, &precodes[1..], 0);
+        assert_eq!(kinds(&ifft1), [(TaskType::Ifft, 1)]);
+        let (ifft2, _) = complete(&mut t, &precodes2, 0);
+        assert!(!complete(&mut t, &ifft1, 0).1);
+        assert!(complete(&mut t, &ifft2, 5).1);
+        assert_eq!(t.retire(0).unwrap().milestones.unwrap().ifft_done_ns, 5);
+    }
+
+    #[test]
+    fn uplink_frame_has_no_initial_work() {
+        let mut out = Vec::new();
+        table("PUU", BATCH, false).on_packet(0, 0, 0, 0, &mut out);
+        assert!(out.is_empty(), "no encodes, and one antenna closes no FFT run");
+    }
+
+    #[test]
+    fn expand_batches_every_stage_and_keeps_the_tail() {
+        let batch =
+            BatchSizes { fft: 2, zf: 3, demod: 12, decode: 2, encode: 1, precode: 32, ifft: 3 };
+        let g = FrameGraph::new(FrameSchedule::uplink(1, 2), SHAPE, batch);
+        let spans = |stage, symbol: usize| {
+            let mut out = Vec::new();
+            g.expand(stage, 7, symbol, &mut out);
+            assert!(out.iter().all(|m| (m.task, m.frame, m.symbol) == (stage, 7, symbol as u32)));
+            out.iter().map(|m| (m.base, m.count)).collect::<Vec<_>>()
+        };
+        assert_eq!(spans(TaskType::Zf, 0), [(0, 2)]);
+        assert_eq!(spans(TaskType::Demod, 2), [(0, 12), (12, 12), (24, 8)]);
+        assert_eq!(spans(TaskType::Decode, 2), [(0, 2)]);
+        assert_eq!(spans(TaskType::Encode, 1), [(0, 1), (1, 1)]);
+        assert_eq!(spans(TaskType::Precode, 1), [(0, 32)]);
+        assert_eq!(spans(TaskType::Ifft, 1), [(0, 3), (3, 1)]);
+    }
+
+    #[test]
+    fn stale_precode_only_for_early_encoded_symbols_before_zf() {
+        let g = FrameGraph::new(FrameSchedule::downlink(1, 3), SHAPE, BATCH);
+        let mut st = g.fresh.clone();
+        let encode = |symbol| Msg::task(TaskType::Encode, 1, symbol, 0, 2);
+        let stale = |st: &mut FrameState, symbol| {
+            let mut out = Vec::new();
+            g.start_stale(st, &encode(symbol), &mut out);
+            kinds(&out)
+        };
+        assert!(stale(&mut st, 1).is_empty(), "not yet encoded");
+        let mut out = Vec::new();
+        g.complete(&mut st, &encode(1), &mut out);
+        g.complete(&mut st, &encode(3), &mut out);
+        assert!(out.is_empty(), "ZF is still running");
+        assert_eq!(stale(&mut st, 1), [(TaskType::Precode, 1)]);
+        assert!(stale(&mut st, 1).is_empty(), "dispatched once");
+        assert!(stale(&mut st, 3).is_empty(), "third downlink symbol waits for ZF");
     }
 
     /// Completes `work` and everything it unlocks, in FIFO order, while
@@ -1017,8 +868,8 @@ mod table_tests {
 
     /// Runs one whole frame: every symbol's packets, every message.
     fn run_frame(t: &mut FrameTable, frame: u32) {
-        for symbol in 0..t.schedule.len() {
-            let work = match t.schedule.symbol(symbol) {
+        for symbol in 0..t.graph.schedule.len() {
+            let work = match t.graph.schedule.symbol(symbol) {
                 SymbolType::Pilot | SymbolType::Uplink => arrive(t, frame, symbol, 0),
                 _ => Vec::new(),
             };
@@ -1028,7 +879,7 @@ mod table_tests {
 
     #[test]
     fn deadline_expiry_finalises_only_after_the_last_credit() {
-        let mut t = table(FrameSchedule::uplink(1, 2), false);
+        let mut t = table("PUU", BATCH, false);
         let pilots = arrive(&mut t, 0, 0, 100);
         assert_eq!(pilots.len(), 2, "two FFT runs of two antennas in flight");
         assert_eq!(t.expired(110, 10).count(), 0, "exactly at the deadline is not past it");
@@ -1043,14 +894,14 @@ mod table_tests {
         assert!(t.on_complete(&pilots[1], 200, &mut out), "the last credit finishes the frame");
         let done = t.retire(0).expect("drained");
         assert!(done.dropped);
-        assert_eq!(done.state.unwrap().packets_missing(), 8, "two uplink symbols never arrived");
+        assert_eq!(done.lost_packets, 8, "two uplink symbols never arrived");
         assert_eq!((t.watermark(), t.len()), (1, 0));
         assert!(!t.credit_flushed(0), "a retired frame takes no credit");
     }
 
     #[test]
     fn completion_after_abandon_unlocks_nothing() {
-        let mut t = table(FrameSchedule::uplink(1, 2), false);
+        let mut t = table("PUU", BATCH, false);
         let pilots = arrive(&mut t, 0, 0, 0);
         t.abandon(0);
         let mut out = Vec::new();
@@ -1062,7 +913,7 @@ mod table_tests {
 
     #[test]
     fn late_and_duplicate_packets_dispatch_nothing() {
-        let mut t = table(FrameSchedule::uplink(1, 2), false);
+        let mut t = table("PUU", BATCH, false);
         let mut out = Vec::new();
         assert_eq!(t.on_packet(0, 0, 1, 0, &mut out), Arrival::Accepted);
         assert_eq!(t.on_packet(0, 0, 1, 0, &mut out), Arrival::Duplicate);
@@ -1082,7 +933,7 @@ mod table_tests {
 
     #[test]
     fn frames_completing_out_of_order_retire_contiguously_from_the_bottom() {
-        let mut t = table(FrameSchedule::uplink(1, 2), false);
+        let mut t = table("PUU", BATCH, false);
         let mut out = Vec::new();
         t.on_packet(0, 0, 0, 0, &mut out);
         for frame in [2, 1] {
@@ -1104,7 +955,7 @@ mod table_tests {
     #[test]
     fn a_vacant_slot_expires_with_a_frame_above_it() {
         // Frames 1 and 3 arrive (at 100 and 105), frames 0 and 2 never do.
-        let mut t = table(FrameSchedule::uplink(1, 2), false);
+        let mut t = table("PUU", BATCH, false);
         arrive(&mut t, 1, 0, 100);
         arrive(&mut t, 3, 0, 105);
         assert_eq!(t.expired(110, 10).count(), 0, "nothing above frame 0 is late yet");
@@ -1114,31 +965,32 @@ mod table_tests {
         assert_eq!(t.expired(111, 10).collect::<Vec<_>>(), [0], "below an abandoning frame");
         t.abandon(0);
         let lost = t.retire(0).expect("nothing of it can be in flight");
-        assert!(lost.dropped && lost.state.is_none());
+        assert!(lost.dropped && lost.milestones.is_none());
+        assert_eq!(lost.lost_packets, 12, "charged with every packet of the frame");
         assert_eq!(t.watermark(), 1, "the watermark is no longer pinned");
 
         // Below a frame that finished, whatever the time.
-        let mut t = table(FrameSchedule::uplink(1, 2), false);
+        let mut t = table("PUU", BATCH, false);
         run_frame(&mut t, 1);
         assert_eq!(t.expired(0, u64::MAX).count(), 0, "frame 1 is complete but still live");
         assert!(t.retire(1).is_some());
         assert_eq!(t.expired(0, u64::MAX).collect::<Vec<_>>(), [0]);
 
         // Below a frame given up without a packet.
-        let mut t = table(FrameSchedule::uplink(1, 2), false);
+        let mut t = table("PUU", BATCH, false);
         t.abandon(2);
         assert_eq!(t.expired(0, u64::MAX).collect::<Vec<_>>(), [0, 1]);
     }
 
     #[test]
     fn a_frame_that_never_arrived_retires_without_state() {
-        let mut t = table(FrameSchedule::uplink(1, 2), false);
+        let mut t = table("PUU", BATCH, false);
         run_frame(&mut t, 1);
         assert!(t.retire(1).is_some());
         assert!(t.retire(0).is_none(), "its packets may still come");
         t.abandon(0);
         let done = t.retire(0).expect("nothing can be in flight");
-        assert!(done.dropped && done.state.is_none());
+        assert!(done.dropped && done.milestones.is_none());
         assert_eq!(t.watermark(), 2);
     }
 
@@ -1148,7 +1000,7 @@ mod table_tests {
         // unlocks, after `prepare` has had its way with frame 0.
         let unlocked_by_encode =
             |stale_precoder, symbol: u32, prepare: &dyn Fn(&mut FrameTable, Vec<Msg>)| {
-                let mut t = table(FrameSchedule::downlink(1, 3), stale_precoder);
+                let mut t = table("PDDD", BATCH, stale_precoder);
                 let frame0 = arrive(&mut t, 0, 0, 0);
                 prepare(&mut t, frame0);
                 let mut seeded = Vec::new();
@@ -1184,7 +1036,7 @@ mod table_tests {
 
     #[test]
     fn ten_thousand_frames_through_a_four_frame_window_stay_bounded() {
-        let mut t = table(FrameSchedule::uplink(1, 2), false);
+        let mut t = table("PUU", BATCH, false);
         let mut pending: VecDeque<Vec<Msg>> = VecDeque::new();
         for frame in 0..10_000u32 {
             // Three frames are always waiting on their workers.
@@ -1197,36 +1049,5 @@ mod table_tests {
             assert!(t.len() <= 4, "frame {frame}: {} slots", t.len());
         }
         assert_eq!((t.watermark(), t.len()), (9_997, 3));
-    }
-
-    proptest! {
-        /// Whatever order one symbol's packets arrive in, the FFT
-        /// messages cover every antenna exactly once, each a run of at
-        /// most `batch.fft` consecutive antennas.
-        #[test]
-        fn fft_runs_cover_every_antenna_once(
-            keys in proptest::collection::vec(any::<u32>(), 1..17),
-            fft in 1usize..6,
-        ) {
-            let m = keys.len();
-            let mut order: Vec<usize> = (0..m).collect();
-            order.sort_by_key(|&a| keys[a]);
-            let shape = FrameShape { m, k: 2, q: 32, zf_groups: 2 };
-            let batch = BatchSizes { fft, ..BATCH };
-            let mut t = FrameTable::new(FrameSchedule::uplink(1, 1), shape, batch, false, 0);
-            let mut out = Vec::new();
-            for &antenna in &order {
-                prop_assert_eq!(t.on_packet(0, 1, antenna, 0, &mut out), Arrival::Accepted);
-            }
-            let mut seen = vec![0u32; m];
-            for msg in &out {
-                prop_assert_eq!((msg.task, msg.frame, msg.symbol), (TaskType::Fft, 0, 1));
-                prop_assert!(msg.count >= 1 && msg.count as usize <= fft);
-                for antenna in msg.base..msg.base + msg.count {
-                    seen[antenna as usize] += 1;
-                }
-            }
-            prop_assert!(seen.iter().all(|&n| n == 1), "coverage {:?} for order {:?}", seen, order);
-        }
     }
 }

@@ -1,13 +1,16 @@
 //! No task body but `encode_task` allocates: the worker's scratch owns
 //! the transform grid, the ZF intermediates, the GEMM blocks, the
 //! quantiser's row and the decoder's buffers, and every body writes
-//! straight into the frame's planes. A counting global allocator makes
-//! that claim checkable.
+//! straight into the frame's planes. Nor does the manager's frame table
+//! once a frame's first packet has built its record. A counting global
+//! allocator makes both claims checkable.
 
-use agora_core::{EngineConfig, InlineProcessor};
+use agora_core::state::{FrameShape, FrameTable};
+use agora_core::{BatchSizes, EngineConfig, InlineProcessor};
 use agora_fronthaul::{RruConfig, RruEmulator};
 use agora_phy::frame::FrameSchedule;
 use agora_phy::CellConfig;
+use agora_queue::{Msg, TaskType};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -112,4 +115,40 @@ fn task_bodies_are_allocation_free() {
     assert!(dl_time.iter().any(|&z| z != agora_math::Cf32::ZERO));
     let none = [("fft", 0), ("zf", 0), ("demod", 0), ("decode", 0), ("precode", 0), ("ifft", 0)];
     assert_eq!(counts, none);
+}
+
+/// From a `PUD` frame's second packet on, no arrival and no completion
+/// allocates: pilot FFTs → ZF → demod → decode, and encode → precode →
+/// IFFT, every message emitted into a buffer with room for it.
+#[test]
+fn frame_table_calls_are_allocation_free_after_the_first_packet() {
+    let mut cell = CellConfig::tiny_test(1);
+    cell.schedule = FrameSchedule::parse("PUD").expect("valid schedule");
+    let shape = FrameShape::new(&cell);
+    let mut table = FrameTable::new(cell.schedule.clone(), shape, BatchSizes::default(), false, 0);
+    let (mut out, mut work) = (Vec::with_capacity(1024), Vec::<Msg>::with_capacity(1024));
+    // The first packet builds the frame's record (and emits its encodes).
+    table.on_packet(0, 0, 0, 0, &mut out);
+    work.append(&mut out);
+
+    let mut counts = Vec::new();
+    for (symbol, antenna) in (0..2).flat_map(|s| (0..shape.m).map(move |a| (s, a))).skip(1) {
+        let before = allocations();
+        table.on_packet(0, symbol, antenna, 0, &mut out);
+        counts.push((TaskType::PacketRx, allocations() - before));
+        work.append(&mut out);
+    }
+    let mut finished = false;
+    while let Some(msg) = work.pop() {
+        let before = allocations();
+        finished = table.on_complete(&msg, 0, &mut out);
+        counts.push((msg.task, allocations() - before));
+        work.append(&mut out);
+    }
+    assert!(finished && table.retire(0).is_some(), "the frame ran to completion");
+    for task in TaskType::COMPUTE.into_iter().chain([TaskType::PacketRx]) {
+        assert!(counts.iter().any(|&(t, _)| t == task), "no {task:?} call was measured");
+    }
+    let allocating: Vec<_> = counts.iter().filter(|&&(_, n)| n > 0).collect();
+    assert!(allocating.is_empty(), "allocating calls: {allocating:?}");
 }

@@ -23,6 +23,7 @@
 use crate::pool::{PacketBuf, PacketPool, PooledPacket};
 use crate::sys;
 use agora_queue::MpmcQueue;
+use bytes::Bytes;
 use std::collections::VecDeque;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, UdpSocket};
@@ -98,6 +99,16 @@ impl MemFronthaul {
         let a = Arc::new(MpmcQueue::new(capacity));
         let b = Arc::new(MpmcQueue::new(capacity));
         (MemFronthaul { tx: a.clone(), rx: b.clone() }, MemFronthaul { tx: b, rx: a })
+    }
+
+    /// The receiving side of a link that already holds `packets`, in
+    /// order: a recorded stream an engine drains as it would a live one.
+    pub fn preloaded(packets: &[Bytes]) -> MemFronthaul {
+        let (tx, rx) = MemFronthaul::pair(packets.len());
+        for pkt in packets {
+            assert!(tx.send(PacketBuf::Heap(pkt.clone())).is_ok(), "the link holds every packet");
+        }
+        rx
     }
 
     /// Packets waiting to be received on this side (diagnostics).

@@ -56,9 +56,9 @@ impl TaskType {
 /// * compute tasks: `frame`/`symbol` locate the work, `base` is the first
 ///   task index (antenna, subcarrier-group, or user), `count` is the batch
 ///   size (§3.4 "Batching"), `stage` is zero except on a precode message
-///   that reads the previous frame's precoder (the engine's
-///   `STAGE_STALE_PRECODER`), and `aux` carries the completing worker id
-///   in completions.
+///   that reads the previous frame's precoder (the frame table's
+///   `STAGE_STALE_PRECODER`, simulator only), and `aux` carries the
+///   completing worker id in completions.
 /// * packet messages: `base` is the antenna index and `aux` the buffer
 ///   slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,7 +77,7 @@ pub struct Msg {
     /// First task index within the block (antenna / subcarrier group /
     /// user, depending on `task`).
     pub base: u32,
-    /// The engine's stale-precoder flag on precode messages, zero
+    /// The frame table's stale-precoder flag on precode messages, zero
     /// otherwise; echoed unchanged by completions.
     pub stage: u16,
     /// Reserved padding to fill the cache line; always zero.

@@ -9,8 +9,9 @@
 
 use agora_core::stats::COUNTERS;
 use agora_core::{Engine, EngineConfig};
-use agora_fronthaul::{RruConfig, RruEmulator};
+use agora_fronthaul::{MemFronthaul, RruConfig, RruEmulator};
 use agora_phy::{CellConfig, ModScheme};
+use std::sync::atomic::AtomicBool;
 
 fn main() {
     let workers: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(2);
@@ -43,7 +44,8 @@ fn main() {
         "processing {num_frames} frames of {}x{} MIMO with {workers} workers...",
         cell.num_antennas, cell.num_users
     );
-    let results = engine.process(packets, num_frames, false);
+    let link = MemFronthaul::preloaded(&packets);
+    let results = engine.process_fronthaul(&link, num_frames, &AtomicBool::new(true));
 
     let mut errors = 0usize;
     let mut blocks = 0usize;

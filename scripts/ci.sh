@@ -5,8 +5,9 @@
 #
 # Runs the release build (the tier-1 artifact), the full workspace test
 # suite, format and clippy gates (warnings promoted to errors), the
-# release parity smokes, the benchmark's own checks, the evidence check
-# (every committed results/*.csv still has a producing bin), the orphan
+# release parity smokes, the benchmark's own checks, the evidence checks
+# (every committed results/*.csv still has a producing bin, and the
+# deterministic simulator bins reproduce theirs byte for byte), the orphan
 # gate (every library `pub fn` has a caller), the knob gate (every
 # `EngineConfig` field has a non-test setter or a pending decision) and
 # the fence gate (streaming stores and their one fence live in
@@ -68,12 +69,11 @@ echo "== every EngineConfig knob has a non-test setter or a decision pending =="
 # non-test part of crates/core/src) assigns it through a binding
 # (`cfg.field = …`), or when it is listed here with who decides it. The
 # `parity` bin is not a setter: it is the release-build test suite.
-# Word-level like the orphan gate: `SimConfig` shares `batch` and
-# `stale_precoder`, which is why those two are listed, not grepped.
+# Word-level like the orphan gate: `SimConfig` shares `batch`, which is
+# why it is listed, not grepped.
 decided="
 cell               argument of EngineConfig::new
 num_workers        argument of EngineConfig::new
-stale_precoder     shared with SimConfig through FrameTable; ext_ablations sweeps it there
 batch              Table 3 / SimConfig::batch (table4_ablation, ext_ablations)
 frame_window       deployment sizing (buffer window); ROADMAP 7(d)
 rx_batch           deployment sizing (packets per recvmmsg poll)
@@ -131,6 +131,14 @@ cargo test --release -q -p agora-phy --lib -- demod::simd_tests::rounding_matche
 
 echo "== parity smokes =="
 cargo run --release -q -p agora-bench --bin parity
+
+echo "== evidence reproduces: the deterministic simulator bins rewrite their CSVs unchanged =="
+# `fig7_ccdf` is deterministic too but takes ~30 s; run it by hand when
+# the simulator or the frame table changes.
+for bin in fig6_latency fig8_scalability fig10_datamove fig11_sync fig13_breakdown ext_ablations; do
+    cargo run --release -q -p agora-bench --bin "$bin" >/dev/null
+done
+git diff --exit-code -- 'results/*.csv'
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -15,6 +15,7 @@ use agora_ldpc::BaseGraphId;
 use agora_phy::frame::LdpcParams;
 use agora_phy::pilots::PilotScheme;
 use agora_phy::{CellConfig, FrameSchedule, ModScheme};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A reduced 64-antenna, 16-user cell: full paper antenna/user counts
 /// but a 128-point FFT and a short BG2 code so the debug-build test
@@ -78,7 +79,11 @@ fn lossy_uplink_completes_every_frame_with_reconciled_counters() {
     cfg.noise_power = noise;
     cfg.frame_deadline_ns = Some(700_000_000);
     let engine = Engine::new(cfg);
-    let results = engine.process(faulted, FRAMES, false);
+    let results = engine.process_fronthaul(
+        &MemFronthaul::preloaded(&faulted),
+        FRAMES,
+        &AtomicBool::new(true),
+    );
 
     // No hang, no panic: every frame produced a result.
     assert_eq!(results.len(), FRAMES as usize);
@@ -216,7 +221,8 @@ fn multi_cell_streams_over_one_link_reconcile_per_cell() {
         cfg.noise_power = noise[c];
         cfg.frame_deadline_ns = Some(700_000_000);
         let engine = Engine::new(cfg);
-        let results = engine.process(per_cell_pkts[c].clone(), MC_FRAMES, false);
+        let link = MemFronthaul::preloaded(&per_cell_pkts[c]);
+        let results = engine.process_fronthaul(&link, MC_FRAMES, &AtomicBool::new(true));
         assert_eq!(results.len(), MC_FRAMES as usize);
         let stats = engine.stats();
         assert_eq!(stats.get(Counter::PacketsLost), lost_c, "cell {c}: loss ledger must reconcile");
@@ -259,7 +265,6 @@ fn multi_cell_streams_over_one_link_reconcile_per_cell() {
 fn abandoned_frames_release_pooled_packets() {
     use std::collections::VecDeque;
     use std::net::SocketAddr;
-    use std::sync::atomic::{AtomicBool, Ordering};
 
     let cell = CellConfig::tiny_test(2);
     let mut rru =

@@ -7,8 +7,8 @@
 //! patterns of the downlink time-domain samples — read out of the frame
 //! planes, so the threaded engine is held to all four as well. The
 //! threaded engine takes its packets the way the benchmark feeds it: in
-//! batches off a fronthaul link (`process_fronthaul` over a preloaded
-//! `MemFronthaul`). `default_path_digests_are_pinned` holds the inline
+//! batches off a fronthaul link (`process_fronthaul` over
+//! `MemFronthaul::preloaded`). `default_path_digests_are_pinned` holds the inline
 //! rows of the three small cells and threaded ≡ inline;
 //! `dump_bit_identity_rows` (ignored; `cargo test --release --test
 //! golden_digest -- --ignored --nocapture`) prints every row, inline and
@@ -19,7 +19,7 @@
 
 use agora_core::buffers::{BufferGeometry, FrameBuffers};
 use agora_core::{Engine, EngineConfig, InlineProcessor};
-use agora_fronthaul::{Fronthaul, MemFronthaul, PacketBuf, RruConfig, RruEmulator};
+use agora_fronthaul::{MemFronthaul, RruConfig, RruEmulator};
 use agora_phy::frame::FrameSchedule;
 use agora_phy::CellConfig;
 use std::sync::atomic::AtomicBool;
@@ -122,13 +122,9 @@ fn digests(row: &Row) -> ([u64; 4], [u64; 4]) {
     }
     let (bits, ok) = decoded_digest(results.iter().map(|r| (&r.decoded, &r.decode_ok)));
 
-    let packets: Vec<_> = per_frame.into_iter().flatten().collect();
-    let (rru_end, bbu_end) = MemFronthaul::pair(packets.len().next_power_of_two());
-    for pkt in packets {
-        rru_end.send(PacketBuf::Heap(pkt)).expect("link sized for the run");
-    }
+    let link = MemFronthaul::preloaded(&per_frame.concat());
     let engine = Engine::new(cfg);
-    let threaded = engine.process_fronthaul(&bbu_end, row.frames, &AtomicBool::new(true));
+    let threaded = engine.process_fronthaul(&link, row.frames, &AtomicBool::new(true));
     assert!(threaded.iter().all(|r| !r.dropped), "{}: threaded run dropped a frame", row.name);
     let (t_bits, t_ok) = decoded_digest(threaded.iter().map(|r| (&r.decoded, &r.decode_ok)));
     let (mut t_llr, mut t_dl_time) = (Fnv::new(), Fnv::new());

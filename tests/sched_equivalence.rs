@@ -9,13 +9,17 @@
 //! worker count and batch-size mix.
 
 use agora_core::{BatchSizes, Counter, Engine, EngineConfig, FrameResult, InlineProcessor};
-use agora_fronthaul::{RruConfig, RruEmulator};
+use agora_fronthaul::{MemFronthaul, RruConfig, RruEmulator};
 use agora_phy::frame::FrameSchedule;
 use agora_phy::CellConfig;
 use agora_queue::TaskType;
 use proptest::prelude::*;
+use std::sync::atomic::AtomicBool;
 
 const FRAMES: u32 = 2;
+
+/// Every link here holds the whole run before the engine starts on it.
+static DONE: AtomicBool = AtomicBool::new(true);
 
 fn generate(cell: &CellConfig, seed: u64) -> (Vec<bytes::Bytes>, f32) {
     let mut rru =
@@ -36,11 +40,6 @@ fn results_equal(a: &[FrameResult], b: &[FrameResult]) -> bool {
                 && x.decode_ok == y.decode_ok
                 && x.decoded == y.decoded
         })
-}
-
-fn sorted(mut r: Vec<FrameResult>) -> Vec<FrameResult> {
-    r.sort_by_key(|f| f.frame);
-    r
 }
 
 proptest! {
@@ -65,7 +64,7 @@ proptest! {
         cfg.batch.decode = decode_batch;
 
         let lanes = Engine::new(cfg.clone());
-        let with_lanes = sorted(lanes.process(packets.clone(), FRAMES, false));
+        let with_lanes = lanes.process_fronthaul(&MemFronthaul::preloaded(&packets), FRAMES, &DONE);
 
         let mut inline = InlineProcessor::new(cfg);
         for f in 0..FRAMES {
@@ -99,13 +98,17 @@ fn unbatched_messages_decode_like_the_default() {
         let (packets, noise) = generate(&cell, 29);
         let mut cfg = EngineConfig::new(cell.clone(), 2);
         cfg.noise_power = noise;
-        let want = sorted(Engine::new(cfg.clone()).process(packets.clone(), FRAMES, false));
+        let want = Engine::new(cfg.clone()).process_fronthaul(
+            &MemFronthaul::preloaded(&packets),
+            FRAMES,
+            &DONE,
+        );
         assert!(want.iter().all(|r| !r.dropped && r.decode_ok.iter().flatten().all(|&ok| ok)));
 
         cfg.batch = BatchSizes::ones();
         let block = cfg.demod_block;
         let unbatched = Engine::new(cfg);
-        let got = sorted(unbatched.process(packets.clone(), FRAMES, false));
+        let got = unbatched.process_fronthaul(&MemFronthaul::preloaded(&packets), FRAMES, &DONE);
         let what = format!("{:?}", cell.schedule);
         assert!(results_equal(&got, &want), "{what}: results differ");
         let precodes = unbatched.stats().messages(TaskType::Precode);
@@ -135,13 +138,13 @@ fn sched_counters_account_for_every_message() {
     let mut cfg = EngineConfig::new(cell, 2);
     cfg.noise_power = rru.noise_power();
     let engine = Engine::new(cfg);
-    let results = engine.process(halves[0].clone(), FRAMES, false);
+    let results = engine.process_fronthaul(&MemFronthaul::preloaded(&halves[0]), FRAMES, &DONE);
     assert_eq!(results.len(), FRAMES as usize);
 
     // Workers have nothing to do now: the idle ladder must reach Park.
     // The second batch's dispatch then has to wake them.
     std::thread::sleep(std::time::Duration::from_millis(30));
-    let results = engine.process(halves[1].clone(), FRAMES, false);
+    let results = engine.process_fronthaul(&MemFronthaul::preloaded(&halves[1]), FRAMES, &DONE);
     assert_eq!(results.len(), FRAMES as usize);
 
     let stats = engine.stats();
@@ -185,14 +188,14 @@ fn lane_overflow_falls_back_to_shared_queues() {
     let mut block_demod = cfg.clone();
     block_demod.batch.demod = block_demod.demod_block;
     let overflowing = Engine::new(block_demod);
-    let got = sorted(overflowing.process(packets.clone(), FRAMES, false));
+    let got = overflowing.process_fronthaul(&MemFronthaul::preloaded(&packets), FRAMES, &DONE);
     assert!(
         overflowing.stats().lane_overflows() > 0,
         "a 480-message batch must overflow a lane to the shared queues"
     );
 
     let roomy = Engine::new(cfg);
-    let want = sorted(roomy.process(packets, FRAMES, false));
+    let want = roomy.process_fronthaul(&MemFronthaul::preloaded(&packets), FRAMES, &DONE);
     assert_eq!(roomy.stats().lane_overflows(), 0, "default batches fit their lanes");
     assert!(results_equal(&got, &want), "overflow path changed decoded results");
 }

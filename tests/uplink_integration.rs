@@ -1,10 +1,17 @@
 //! Cross-crate integration: emulated RRU -> fronthaul packets -> the
-//! *threaded* manager/worker engine -> decoded bits vs ground truth.
+//! *threaded* manager/worker engine -> decoded bits vs ground truth. The
+//! engine drains its packets off a fronthaul link that holds the whole
+//! run (`MemFronthaul::preloaded`), or that a paced sender fills.
 
 use agora_core::{Engine, EngineConfig, InlineProcessor};
-use agora_fronthaul::{RruConfig, RruEmulator};
+use agora_fronthaul::{Fronthaul, MemFronthaul, Pacer, PacketBuf, RruConfig, RruEmulator};
 use agora_phy::CellConfig;
 use agora_queue::TaskType;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
+
+/// A preloaded link holds the whole run before the engine starts on it.
+static DONE: AtomicBool = AtomicBool::new(true);
 
 fn tiny_cell() -> CellConfig {
     CellConfig::tiny_test(2)
@@ -34,7 +41,7 @@ fn threaded_engine_decodes_all_frames() {
     let mut cfg = EngineConfig::new(cell.clone(), 2);
     cfg.noise_power = noise;
     let engine = Engine::new(cfg);
-    let results = engine.process(packets, 3, false);
+    let results = engine.process_fronthaul(&MemFronthaul::preloaded(&packets), 3, &DONE);
     assert_eq!(results.len(), 3);
     for r in &results {
         let gt = &truths[r.frame as usize];
@@ -64,7 +71,7 @@ fn threaded_engine_matches_inline_reference() {
     cfg.noise_power = noise;
 
     let engine = Engine::new(cfg.clone());
-    let threaded = engine.process(packets.clone(), 2, false);
+    let threaded = engine.process_fronthaul(&MemFronthaul::preloaded(&packets), 2, &DONE);
 
     let mut inline = InlineProcessor::new(cfg);
     for f in 0..2u32 {
@@ -86,7 +93,7 @@ fn engine_reports_per_block_stats() {
     let mut cfg = EngineConfig::new(cell.clone(), 2);
     cfg.noise_power = noise;
     let engine = Engine::new(cfg);
-    let _ = engine.process(packets, 2, false);
+    engine.process_fronthaul(&MemFronthaul::preloaded(&packets), 2, &DONE);
     let stats = engine.stats();
     // Task counts per frame: FFT = M * (1 pilot + 2 UL) = 24, ZF = 15
     // groups, demod = 240 SCs, decode = 2 users x 2 symbols.
@@ -110,7 +117,23 @@ fn paced_processing_tracks_frame_rate() {
     let mut cfg = EngineConfig::new(cell.clone(), 2);
     cfg.noise_power = noise;
     let engine = Engine::new(cfg);
-    let results = engine.process(packets, 2, true);
+    // A sender releases each symbol's packets (the RRU emits them symbol
+    // by symbol) at the start of its slot, as an RRU does.
+    let (rru, bbu) = MemFronthaul::pair(packets.len());
+    let done = AtomicBool::new(false);
+    let results = std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut pacer = Pacer::new(Duration::from_nanos(cell.symbol_duration_ns));
+            for symbol in packets.chunks(cell.num_antennas) {
+                pacer.wait_next();
+                for pkt in symbol {
+                    rru.send(PacketBuf::Heap(pkt.clone())).expect("the link holds the run");
+                }
+            }
+            done.store(true, Ordering::Release);
+        });
+        engine.process_fronthaul(&bbu, 2, &done)
+    });
     assert_eq!(results.len(), 2);
     // Frame 1's first packet cannot arrive before one frame duration.
     let f1 = results.iter().find(|r| r.frame == 1).unwrap();
@@ -119,108 +142,6 @@ fn paced_processing_tracks_frame_rate() {
         "paced frame 1 arrived too early: {} ns",
         f1.milestones.first_packet_ns
     );
-}
-
-#[test]
-fn stale_precoder_engine_beams_correctly_on_static_channel() {
-    use agora_fft::{Direction, FftPlan, SubcarrierMap};
-    use agora_ldpc::{DecodeConfig, Decoder};
-    use agora_math::Cf32;
-    use agora_phy::demod::demod_soft;
-    use agora_phy::frame::FrameSchedule;
-
-    // Static channel: the previous frame's precoder is exactly right, so
-    // the early-started downlink symbols must decode cleanly at users.
-    let mut cell = CellConfig::tiny_test(0);
-    cell.schedule = FrameSchedule::parse("PDD").unwrap();
-    let mut rru = agora_fronthaul::RruEmulator::new(
-        cell.clone(),
-        agora_fronthaul::RruConfig {
-            snr_db: 40.0,
-            seed: 77,
-            redraw_channel: false,
-            ..Default::default()
-        },
-    );
-    let mut cfg = EngineConfig::new(cell.clone(), 2);
-    cfg.noise_power = 1e-3;
-    cfg.stale_precoder = true;
-    let engine = Engine::new(cfg);
-
-    let mut packets = Vec::new();
-    let mut truths = Vec::new();
-    for f in 0..3u32 {
-        let (p, gt) = rru.generate_frame(f);
-        packets.extend(p);
-        truths.push(gt);
-    }
-    let results = engine.process(packets, 3, false);
-    assert_eq!(results.len(), 3);
-
-    // Verify the downlink of the *last* frame at simulated users: even if
-    // its first symbols were precoded with frame 1's (identical) CSI.
-    let g_k = cell.num_users;
-    let map = SubcarrierMap::new(cell.fft_size, cell.num_data_sc);
-    let plan = FftPlan::new(cell.fft_size);
-    let rm = cell.ldpc.rate_match();
-    let mut dec = Decoder::new(cell.ldpc.base_graph, cell.ldpc.z);
-    let frame = 2u32;
-    let gt = &truths[frame as usize];
-
-    // Recover the engine's transmitted time-domain samples: the engine
-    // does not expose dl_time through FrameResult, so reprocess inline
-    // with the same stale flag and compare bits end-to-end instead.
-    let mut inline_cfg = EngineConfig::new(cell.clone(), 1);
-    inline_cfg.noise_power = 1e-3;
-    let mut inline = InlineProcessor::new(inline_cfg);
-    let per_frame: Vec<bytes::Bytes> = Vec::new();
-    let _ = per_frame; // packets for DL frames are pilots only; reuse RRU
-    let mut rru2 = agora_fronthaul::RruEmulator::new(
-        cell.clone(),
-        agora_fronthaul::RruConfig {
-            snr_db: 40.0,
-            seed: 77,
-            redraw_channel: false,
-            ..Default::default()
-        },
-    );
-    let (pk, _) = rru2.generate_frame(0);
-    let res = inline.process_frame(0, &pk);
-    for symbol in cell.schedule.downlink_indices() {
-        let mut grids: Vec<Vec<Cf32>> = Vec::new();
-        for ant in 0..cell.num_antennas {
-            let mut grid = res.dl_time[symbol][ant].clone();
-            plan.execute(&mut grid, Direction::Forward);
-            grids.push(grid);
-        }
-        for user in 0..g_k {
-            let mut rx = vec![Cf32::ZERO; cell.fft_size];
-            for (ant, grid) in grids.iter().enumerate() {
-                let h = gt.h[(ant, user)];
-                for (acc, &v) in rx.iter_mut().zip(grid.iter()) {
-                    *acc = h.mul_add(v, *acc);
-                }
-            }
-            let mut active = vec![Cf32::ZERO; cell.num_data_sc];
-            map.demap_symbols(&rx, &mut active);
-            let p: f32 = active.iter().map(|z| z.norm_sqr()).sum::<f32>() / active.len() as f32;
-            for z in active.iter_mut() {
-                *z = z.scale(1.0 / p.sqrt().max(1e-12));
-            }
-            let mut llrs = Vec::new();
-            demod_soft(cell.modulation, &active, 0.05, &mut llrs);
-            let full = rm.fill_llrs(&llrs[..rm.tx_len()]);
-            let out = dec.decode(
-                &full,
-                &DecodeConfig {
-                    max_iters: 20,
-                    active_rows: Some(rm.active_rows()),
-                    ..Default::default()
-                },
-            );
-            assert!(out.success, "stale-precoder DL decode failed (sym {symbol} user {user})");
-        }
-    }
 }
 
 #[test]
@@ -240,7 +161,7 @@ fn lost_packets_drop_frame_instead_of_hanging() {
     let mut cfg = EngineConfig::new(cell.clone(), 2);
     cfg.noise_power = noise;
     let engine = Engine::new(cfg);
-    let results = engine.process(filtered, 3, false);
+    let results = engine.process_fronthaul(&MemFronthaul::preloaded(&filtered), 3, &DONE);
     assert_eq!(results.len(), 3);
     for r in &results {
         match r.frame {
