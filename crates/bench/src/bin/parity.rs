@@ -440,25 +440,20 @@ fn demod() {
         let mut proc = InlineProcessor::new(cfg.clone());
         proc.process_frame(0, &packets);
         let (fb, g) = (proc.buffers(0), proc.kernels().geom);
-        // SAFETY (here and below): single-threaded; every task has run.
-        let f32_bits = |plane: &agora_core::buffers::SharedVec<f32>| -> Vec<u32> {
-            unsafe { plane.slice(0..plane.len()) }.iter().map(|x| x.to_bits()).collect()
-        };
-        let cf32_bits = |plane: &agora_core::buffers::SharedVec<Cf32>| {
-            bits(unsafe { plane.slice(0..plane.len()) })
-        };
-        let llr = || unsafe { fb.llr.slice(0..fb.llr.len()) }.to_vec();
-        let planes = || {
-            let cf32 = [&fb.csi, &fb.freq, &fb.dl_freq].map(cf32_bits);
-            (cf32, f32_bits(&fb.inv_noise), llr())
+        // SAFETY (here and below): single-threaded; every task has run,
+        // and no view is alive across a `fill`.
+        let planes = || unsafe {
+            let cf32 = [&fb.csi, &fb.freq, &fb.dl_freq].map(|plane| bits(plane.view(None)));
+            let inv_noise: Vec<u32> = fb.inv_noise.view(None).iter().map(|x| x.to_bits()).collect();
+            (cf32, inv_noise, fb.llr.view(None).to_vec())
         };
         let detected = planes();
         unsafe {
             for plane in [&fb.csi, &fb.freq, &fb.dl_freq] {
-                plane.slice_mut(0..plane.len()).fill(Cf32::ZERO);
+                plane.fill(Cf32::ZERO);
             }
-            fb.inv_noise.slice_mut(0..fb.inv_noise.len()).fill(0.0);
-            fb.llr.slice_mut(0..fb.llr.len()).fill(0);
+            fb.inv_noise.fill(0.0);
+            fb.llr.fill(0);
         }
 
         let scalar = Kernels::with_tier(cfg, SimdTier::Scalar);
@@ -604,13 +599,12 @@ fn bler_point(
         let fb = proc.buffers(frame);
         for symbol in cell.schedule.uplink_indices() {
             // SAFETY (here and below): single-threaded; the frame is done.
-            let freq = unsafe { fb.freq.slice(fb.freq_symbol_range(symbol)) };
+            let freq = unsafe { fb.freq.view(Some(symbol)) };
             for blk in 0..g.q / g.block {
                 let group = blk * g.block / g.zf_group;
-                let det = unsafe { fb.det.slice(fb.det_range(group)) };
-                let inv_noise = unsafe { fb.inv_noise.slice(fb.inv_noise_range(&g, group)) };
-                let base = fb.freq_block_offset(&g, blk, 0);
-                eq.run(det, &freq[base..base + g.m * g.block], &mut user_block);
+                let det = unsafe { fb.det.view(Some(group)) };
+                let inv_noise = unsafe { fb.inv_noise.view(Some(group)) };
+                eq.run(det, &freq[g.block_cols(blk)], &mut user_block);
                 for (user, row) in user_block.chunks_exact(g.block).enumerate() {
                     let at = user * g.cap_bits + blk * row_llrs;
                     demapper.demap(row, inv_noise[user], &mut llr[at..at + row_llrs]);

@@ -179,11 +179,7 @@ impl ManagerCtx {
 /// reads IQ samples straight out of the receive buffer — intake never
 /// copies payload bytes.
 pub(crate) struct NetIngest<'a> {
-    kernels: &'a Kernels,
-    window: &'a FrameWindow,
-    queues: &'a TaskQueues,
-    stats: &'a EngineStats,
-    min_frame: &'a AtomicU64,
+    core: &'a CellCore,
     /// Which frame currently owns each window slot's packet table. The
     /// network thread is the sole writer of every table, so this is
     /// plain thread-local state: a slot is cleared exactly once, at the
@@ -191,47 +187,43 @@ pub(crate) struct NetIngest<'a> {
     slot_frame: Vec<Option<u32>>,
 }
 
-impl<'a> NetIngest<'a> {
-    fn new(
-        kernels: &'a Kernels,
-        window: &'a FrameWindow,
-        queues: &'a TaskQueues,
-        stats: &'a EngineStats,
-        min_frame: &'a AtomicU64,
-    ) -> Self {
-        Self { kernels, window, queues, stats, min_frame, slot_frame: vec![None; window.window()] }
-    }
-
+impl NetIngest<'_> {
     /// Ingests one packet: decode + validate, reject stragglers, apply
     /// window flow control, retain the buffer in the frame's slot table
     /// and notify the manager.
     pub(crate) fn ingest(&mut self, pkt: PacketBuf) {
-        let g = &self.kernels.geom;
+        let CellCore { kernels, window, queues, stats, min_frame, held } = self.core;
+        let g = &kernels.geom;
         let win = self.slot_frame.len() as u64;
         let Ok((hdr, payload)) = decode_ref(&pkt) else {
-            self.stats.add(Counter::RxErrors, 1);
+            stats.add(Counter::RxErrors, 1);
             return;
         };
         let (frame, symbol, ant) = (hdr.frame, hdr.symbol as usize, hdr.antenna as usize);
         // Shape validation: a mis-addressed or mis-sized packet must not
         // index out of the slot table or hand the FFT a short payload.
         if symbol >= g.symbols || ant >= g.m || payload.len() != g.samples * 3 {
-            self.stats.add(Counter::RxErrors, 1);
+            stats.add(Counter::RxErrors, 1);
             return;
         }
         // Late rejection: the frame's slot has been retired (and may
         // already belong to a newer frame) — storing would corrupt the
         // new occupant. Happens to duplicates/stragglers arriving after
         // their frame completed or was abandoned.
-        if (frame as u64) < self.min_frame.load(Ordering::Acquire) {
-            self.stats.add(Counter::PacketsLate, 1);
+        if (frame as u64) < min_frame.load(Ordering::Acquire) {
+            stats.add(Counter::PacketsLate, 1);
             return;
         }
-        // Flow control: wait until the frame's slot is free.
-        while frame as u64 >= self.min_frame.load(Ordering::Acquire) + win {
-            std::thread::yield_now();
+        // Flow control: wait until the frame's slot is free, saying so to
+        // the manager while waiting (the admitted path stores nothing).
+        if frame as u64 >= min_frame.load(Ordering::Acquire) + win {
+            held.store(true, Ordering::Relaxed);
+            while frame as u64 >= min_frame.load(Ordering::Acquire) + win {
+                std::thread::yield_now();
+            }
+            held.store(false, Ordering::Relaxed);
         }
-        let fb = self.window.slot(frame);
+        let fb = window.slot(frame);
         let slot = (frame as u64 % win) as usize;
         if self.slot_frame[slot] != Some(frame) {
             // First packet of `frame` in this slot: drop the previous
@@ -243,19 +235,18 @@ impl<'a> NetIngest<'a> {
             unsafe { fb.rx_pkts.clear_all() };
             self.slot_frame[slot] = Some(frame);
         }
-        let idx = fb.pkt_index(g, symbol, ant);
-        if !fb.rx_pkts.occupied(idx) {
+        if !fb.rx_pkts.occupied(symbol, ant) {
             // SAFETY: sole writer thread, entry unoccupied, and no task
             // was dispatched for it yet (dispatch follows the rx message
             // pushed below).
-            unsafe { fb.rx_pkts.store(idx, pkt) };
+            unsafe { fb.rx_pkts.store(symbol, ant, pkt) };
         }
         // Duplicates drop the new copy (the retained payload is
         // byte-identical) but still notify the manager, which owns the
         // duplicate ledger.
         let msg = Msg::task(TaskType::PacketRx, frame, symbol as u32, ant as u32, 1);
         let mut m = msg;
-        while let Err(back) = self.queues.rx.push(m) {
+        while let Err(back) = queues.rx.push(m) {
             m = back;
             std::thread::yield_now();
         }
@@ -275,6 +266,10 @@ pub(crate) struct CellCore {
     pub(crate) queues: Arc<TaskQueues>,
     pub(crate) stats: Arc<EngineStats>,
     pub(crate) min_frame: Arc<AtomicU64>,
+    /// Set while this cell's intake waits on flow control for
+    /// `min_frame` to move. In a deployment the shared network thread
+    /// blocks in one cell's intake, so only that cell's manager sees it.
+    pub(crate) held: Arc<AtomicBool>,
 }
 
 impl CellCore {
@@ -301,12 +296,13 @@ impl CellCore {
             queues: Arc::new(TaskQueues::new(cap, workers)),
             stats: Arc::new(EngineStats::new(workers)),
             min_frame: Arc::new(AtomicU64::new(0)),
+            held: Arc::new(AtomicBool::new(false)),
         }
     }
 
     /// Fresh network-thread intake state bound to this core.
     pub(crate) fn ingest_state(&self) -> NetIngest<'_> {
-        NetIngest::new(&self.kernels, &self.window, &self.queues, &self.stats, &self.min_frame)
+        NetIngest { core: self, slot_frame: vec![None; self.window.window()] }
     }
 }
 
@@ -593,14 +589,16 @@ impl CellCore {
                     }
                     continue;
                 }
-                // Flow control: the table spans the whole window, so the
-                // network thread admits nothing more until the watermark
-                // moves, and the watermark frame has a window of later
-                // frames behind it and nothing left to run. Give it up,
-                // whatever state its slot is in — without a deadline
-                // nothing else would, the network thread would wait on it
-                // for good and `net_done` would never come.
-                if stalled && table.len() == self.window.window() {
+                // Flow control: the network thread holds a packet a whole
+                // window above the watermark and admits nothing more until
+                // the watermark moves, and the watermark frame has nothing
+                // left to run. Give it up, whatever state its slot is in —
+                // without a deadline nothing else would, the network thread
+                // would wait on it for good and `net_done` would never
+                // come. The table's length cannot say this: when the frame
+                // at the top of the window lost every packet, the table
+                // spans one frame less.
+                if stalled && self.held.load(Ordering::Relaxed) {
                     let frame = table.watermark();
                     table.abandon(frame);
                     self.retire(&mut ctx, &mut table, frame, &mut results);
@@ -746,12 +744,11 @@ impl CellCore {
     /// nothing was written and the window slot may hold another frame's
     /// data — an empty result.
     fn frame_result(&self, frame: u32, done: Retired) -> FrameResult {
-        let (g, Retired { milestones, lost_packets, dropped }) = (&self.kernels.geom, done);
+        let Retired { milestones, lost_packets, dropped } = done;
         let uplink = self.kernels.cfg.cell.schedule.uplink_indices();
         let written = if milestones.is_some() { &uplink[..] } else { &[] };
-        // SAFETY: the frame is finished with nothing in flight; no
-        // writers remain.
-        let (decoded, decode_ok) = unsafe { self.window.slot(frame).read_decoded(g, written) };
+        // The frame is finished with nothing in flight: no writers remain.
+        let (decoded, decode_ok) = self.window.slot(frame).read_decoded(written);
         let milestones = milestones.unwrap_or_default();
         FrameResult { frame, milestones, decoded, decode_ok, dropped, lost_packets }
     }
@@ -935,12 +932,12 @@ mod tests {
         assert_eq!(ctx.lane_of(&other), Some(0));
     }
 
-    /// `frame_window + 2` frames through the engine with frame 1 keeping
-    /// only the packets `keep` selects (by index within the frame): every
-    /// frame comes back, in order, frame 1 dropped and charged with exactly
-    /// the packets it lost, the others decoded to ground truth, and the
-    /// ledger reconciles.
-    fn run_with_frame_1_short(deadline_ns: Option<u64>, keep: impl Fn(usize) -> bool) {
+    /// `frame_window + 2` frames through the engine, frame `f` keeping only
+    /// the packets `keep(f, i)` selects (by index `i` within the frame):
+    /// every frame comes back, in order, each short one dropped and charged
+    /// with exactly the packets it lost, the others decoded to ground
+    /// truth, and the ledger reconciles.
+    fn run_with_short_frames(deadline_ns: Option<u64>, keep: impl Fn(u32, usize) -> bool) {
         let cell = CellConfig::tiny_test(2);
         let mut rru = RruEmulator::new(
             cell.clone(),
@@ -950,20 +947,20 @@ mod tests {
         cfg.noise_power = rru.noise_power();
         cfg.frame_deadline_ns = deadline_ns;
         let frames = cfg.frame_window as u32 + 2;
-        let short = 1u32;
         let mut packets = Vec::new();
         let mut gts = Vec::new();
-        let mut lost = 0;
+        let mut lost = Vec::new();
         for f in 0..frames {
             let (p, gt) = rru.generate_frame(f);
             let sent = p.len();
-            let kept = p.into_iter().enumerate().filter(|(i, _)| f != short || keep(*i));
+            let kept = p.into_iter().enumerate().filter(|&(i, _)| keep(f, i));
             let kept: Vec<_> = kept.map(|(_, pkt)| pkt).collect();
-            lost += sent - kept.len();
+            lost.push(sent - kept.len());
             packets.extend(kept);
             gts.push(gt);
         }
-        assert!(lost > 0, "frame {short} must lose something");
+        let short = lost.iter().filter(|&&n| n > 0).count() as u64;
+        assert!(short > 0, "some frame must lose something");
         let engine = Engine::new(cfg);
         let link = MemFronthaul::preloaded(&packets);
         let results = engine.process_fronthaul(&link, frames, &AtomicBool::new(true));
@@ -972,8 +969,9 @@ mod tests {
             (0..frames).collect::<Vec<_>>()
         );
         for r in &results {
-            if r.frame == short {
-                assert!(r.dropped);
+            let lost = lost[r.frame as usize];
+            if lost > 0 {
+                assert!(r.dropped, "frame {}", r.frame);
                 assert_eq!(r.lost_packets as usize, lost, "charged with exactly what it lost");
                 continue;
             }
@@ -983,10 +981,10 @@ mod tests {
             }
         }
         let stats = engine.stats();
-        assert_eq!(stats.get(Counter::PacketsLost), lost as u64);
+        assert_eq!(stats.get(Counter::PacketsLost), lost.iter().sum::<usize>() as u64);
         assert_eq!(
             (stats.get(Counter::FramesCompleted), stats.get(Counter::FramesDropped)),
-            (frames as u64 - 1, 1)
+            (frames as u64 - short, short)
         );
         assert_eq!((stats.get(Counter::PacketsLate), stats.get(Counter::PacketsDuplicate)), (0, 0));
     }
@@ -998,21 +996,35 @@ mod tests {
     /// frame goes with its neighbours, not by time.
     #[test]
     fn wholly_lost_frame_beyond_the_window_is_dropped_not_waited_for() {
-        run_with_frame_1_short(Some(30_000_000_000), |_| false);
+        run_with_short_frames(Some(30_000_000_000), |f, _| f != 1);
     }
 
-    /// The same streams with no deadline at all: once the window above
-    /// the short frame is full and nothing moves, the manager gives the
+    /// The same streams with no deadline at all: once the network thread
+    /// is held by flow control and nothing moves, the manager gives the
     /// watermark frame up, which is what lets the network thread go on —
     /// whether the frame lost every packet or a single one.
     #[test]
     fn wholly_lost_frame_beyond_the_window_is_dropped_without_a_deadline() {
-        run_with_frame_1_short(None, |_| false);
+        run_with_short_frames(None, |f, _| f != 1);
     }
 
     #[test]
     fn frame_one_packet_short_beyond_the_window_is_dropped_without_a_deadline() {
-        run_with_frame_1_short(None, |i| i != 5);
+        run_with_short_frames(None, |f, i| f != 1 || i != 5);
+    }
+
+    /// Frame 1 one packet short and frame 4, the top of the window above
+    /// it, wholly lost, with no deadline: the table then spans one frame
+    /// less than the window while the network thread waits to admit frame
+    /// 5, so it is the network thread's own signal, not the table's
+    /// length, that lets the manager give frame 1 up.
+    #[test]
+    fn wholly_lost_frame_at_the_top_of_a_full_window_is_dropped_without_a_deadline() {
+        run_with_short_frames(None, |f, i| match f {
+            1 => i != 5,
+            4 => false,
+            _ => true,
+        });
     }
 
     /// Driving the engine off a [`Fronthaul`] link must decode to ground

@@ -86,10 +86,10 @@ impl InlineProcessor {
         for pkt in packets {
             let (hdr, _) = decode_packet(pkt).expect("bad packet");
             assert_eq!(hdr.frame, frame, "packet from a different frame");
-            let idx = fb.pkt_index(&g, hdr.symbol as usize, hdr.antenna as usize);
+            let (symbol, antenna) = (hdr.symbol as usize, hdr.antenna as usize);
             // SAFETY: exclusive access as above; duplicates overwrite
             // with byte-identical packets.
-            unsafe { fb.rx_pkts.store(idx, PacketBuf::Heap(pkt.clone())) };
+            unsafe { fb.rx_pkts.store(symbol, antenna, PacketBuf::Heap(pkt.clone())) };
         }
 
         // 2. Replay the arrivals symbol by symbol through the frame
@@ -100,24 +100,21 @@ impl InlineProcessor {
         let mut table = FrameTable::new(cell.schedule.clone(), shape, self.whole, false, frame);
         for symbol in 0..g.symbols {
             for antenna in 0..g.m {
-                let fb = self.window.slot(frame);
-                if fb.rx_pkts.occupied(fb.pkt_index(&g, symbol, antenna)) {
+                if self.window.slot(frame).rx_pkts.occupied(symbol, antenna) {
                     table.on_packet(frame, symbol, antenna, 0, &mut self.unlocked);
                 }
             }
             self.run_unlocked(&mut table);
         }
 
-        // 3. Read out the uplink bits and the downlink samples.
+        // 3. Read out the uplink bits and the downlink samples: every task
+        // has run.
         let fb = self.window.slot(frame);
-        // SAFETY (here and below): single-threaded; every task has run.
-        let (decoded, decode_ok) = unsafe { fb.read_decoded(&g, &cell.schedule.uplink_indices()) };
+        let (decoded, decode_ok) = fb.read_decoded(&cell.schedule.uplink_indices());
         let mut dl_time = vec![Vec::new(); cell.symbols_per_frame()];
         for symbol in cell.schedule.downlink_indices() {
-            for ant in 0..g.m {
-                let t = unsafe { fb.dl_time.slice(fb.dl_time_range(&g, symbol, ant)) }.to_vec();
-                dl_time[symbol].push(t);
-            }
+            dl_time[symbol] =
+                fb.dl_time.row(symbol).chunks_exact(g.samples).map(<[_]>::to_vec).collect();
         }
 
         InlineResult { frame, decoded, decode_ok, dl_time }

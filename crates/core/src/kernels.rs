@@ -10,7 +10,7 @@
 //! deployment and the inline single-threaded processor — the schedulers
 //! differ, the math does not.
 
-use crate::buffers::{AlignedBuf, BufferGeometry, FrameBuffers};
+use crate::buffers::{AlignedBuf, BufferGeometry, FrameBuffers, Piece};
 use crate::config::EngineConfig;
 use crate::state::FrameShape;
 use agora_fft::{Direction, FftPlan, SubcarrierMap};
@@ -93,27 +93,16 @@ fn quant_scale(inv_noise: f32, d_min_sqr: f32) -> f32 {
     NOMINAL_LLR_STEPS / (inv_noise * d_min_sqr)
 }
 
-/// A run of active subcarriers that is consecutive in the FFT grid and
-/// lies inside one demod block: `len` subcarriers at grid bins
-/// `bin..bin + len`, at offset `off` of antenna 0's share of the block
-/// layout (antenna `a` is `a * block` further on). With the block a cache
-/// line and the band split on a block boundary, every piece is one line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Piece {
-    bin: usize,
-    len: usize,
-    off: usize,
-}
-
 /// One channel estimate a pilot FFT task leaves in the CSI plane: the
-/// transform bin of the subcarrier it is taken from, its place in antenna
-/// 0's share of the plane (`group * M * K + user`; antenna `a` is `a * K`
-/// further on) and the reciprocal of the pilot reference the fused LS
-/// estimate multiplies by.
+/// transform bin of the subcarrier it is taken from, the ZF group and
+/// user it is for — antenna `a`'s estimate is column `a * K + user` of the
+/// group's row-major `M x K` row — and the reciprocal of the pilot
+/// reference the fused LS estimate multiplies by.
 #[derive(Debug, Clone, Copy)]
 struct PilotStore {
     bin: usize,
-    off: usize,
+    group: usize,
+    user: usize,
     inv: Cf32,
 }
 
@@ -164,7 +153,7 @@ impl Kernels {
         };
         let fft = FftPlan::with_tier(cell.fft_size, tier);
         let map = SubcarrierMap::new(cell.fft_size, cell.num_data_sc);
-        let pieces = block_pieces(&map, &geom);
+        let pieces = geom.pieces(map.active_runs());
         let pilot_stores = pilot_stores(cell, &map, &geom);
         let rate_match = cell.ldpc.rate_match();
         let encoder = Encoder::new(cell.ldpc.base_graph, cell.ldpc.z);
@@ -225,10 +214,6 @@ impl Kernels {
 
     /// FFT task (uplink) for one antenna: [`Self::fft_batch_task`] with a
     /// batch of one.
-    ///
-    /// # Safety contract
-    /// Requires exclusive ownership of this (symbol, antenna)'s output
-    /// regions, guaranteed by the scheduler.
     pub fn fft_task(&self, fb: &FrameBuffers, s: &mut WorkerScratch, symbol: usize, ant: usize) {
         self.fft_batch_task(fb, s, symbol, ant, 1)
     }
@@ -261,12 +246,10 @@ impl Kernels {
         // beyond the FFT size are the (empty) prefix and are skipped by
         // the fused gather.
         let skip = g.samples - n;
+        // Every payload is taken, and its antenna checked, before anything
+        // is stored.
         for (i, grid) in s.grid.chunks_exact_mut(n).take(count).enumerate() {
-            // SAFETY: the scheduler dispatched every antenna of this
-            // batch, so its packet slot is occupied and no longer
-            // written; the view lives only for this task.
-            let payload = unsafe { fb.rx_payload_view(g, symbol, base + i) };
-            unpack_bitrev(payload, skip, &self.fft, grid);
+            unpack_bitrev(fb.rx_pkts.payload(symbol, base + i), skip, &self.fft, grid);
         }
         self.fft.execute_batch_prereversed(&mut s.grid[..count * n], Direction::Forward);
         for (i, grid) in s.grid.chunks_exact(n).take(count).enumerate() {
@@ -291,27 +274,21 @@ impl Kernels {
         match self.cfg.cell.schedule.symbol(symbol) {
             SymbolType::Pilot => {
                 // Fused channel estimation: LS divide by the known pilot,
-                // written where `zf_task` reads it.
+                // written where `zf_task` reads it, one element at a time:
+                // concurrent FFT tasks for other antennas (and,
+                // time-orthogonal, other pilot symbols) store to other
+                // columns of the same group's row.
                 let base = ant * g.k;
                 for st in &self.pilot_stores[symbol] {
-                    // SAFETY: element-precise write of this antenna's
-                    // users — concurrent FFT tasks for other antennas
-                    // (and, time-orthogonal, other pilot symbols) target
-                    // different indices of the same group's row.
-                    unsafe { fb.csi.write(base + st.off, grid[st.bin] * st.inv) };
+                    fb.csi.store(st.group, base + st.user, grid[st.bin] * st.inv);
                 }
             }
             SymbolType::Uplink => {
-                let sym_base = fb.freq_symbol_range(symbol).start;
+                // Exactly this antenna's share of each block, so
+                // concurrent antennas never alias; where shares meet
+                // inside a line, `stream_copy` writes it with cached stores.
                 for p in &self.pieces {
-                    // Block layout: [block][antenna][8 sc] — exactly this
-                    // antenna's window of each block, so concurrent
-                    // antennas never alias.
-                    let off = sym_base + p.off + ant * g.block;
-                    // SAFETY: this task owns `(symbol, ant)`'s elements of
-                    // the plane. Where they share a line with another
-                    // antenna's, `stream_copy` writes it with cached stores.
-                    let out = unsafe { fb.freq.slice_mut(off..off + p.len) };
+                    let out = fb.freq.row_mut(symbol, g.piece_cols(p, ant));
                     stream_copy(&grid[p.bin..p.bin + p.len], out, self.tier);
                 }
             }
@@ -329,27 +306,19 @@ impl Kernels {
     /// Allocation-free: the channel copy, pseudo-inverse intermediates,
     /// detector and precoder all live in `WorkerScratch`.
     pub fn zf_task(&self, fb: &FrameBuffers, s: &mut WorkerScratch, group: usize) {
-        let g = &self.geom;
-        // SAFETY: ZF is dispatched after the frame's last pilot FFT
-        // completed; nothing writes the CSI plane any more.
-        let csi = unsafe { fb.csi.slice(fb.csi_range(group)) };
-        s.zf_h.as_mut_slice().copy_from_slice(csi);
+        s.zf_h.as_mut_slice().copy_from_slice(fb.csi.row(group));
         pinv_into(&s.zf_h, PinvMethod::Cholesky, &mut s.zf_pinv, &mut s.zf_det);
         s.zf_det.transpose_into(&mut s.zf_pre);
         normalize_precoder_in_place(&mut s.zf_pre);
         let noise = self.cfg.noise_power.max(1e-9);
-        // SAFETY: one ZF task per group is in flight, and it is the only
-        // writer of the group's detector, precoder and noise scales.
-        unsafe {
-            fb.det.slice_mut(fb.det_range(group)).copy_from_slice(s.zf_det.as_slice());
-            fb.pre.slice_mut(fb.pre_range(group)).copy_from_slice(s.zf_pre.as_slice());
-            let inv_noise = fb.inv_noise.slice_mut(fb.inv_noise_range(g, group));
-            for (inv, row) in inv_noise.iter_mut().zip(s.zf_det.as_slice().chunks_exact(g.m)) {
-                // The sum runs over the antennas in order: a fixed
-                // reduction order is part of the output.
-                let norm_sqr: f32 = row.iter().map(|z| z.norm_sqr()).sum();
-                *inv = 1.0 / (noise * norm_sqr).max(1e-12);
-            }
+        fb.det.row_mut(group, ..).copy_from_slice(s.zf_det.as_slice());
+        fb.pre.row_mut(group, ..).copy_from_slice(s.zf_pre.as_slice());
+        let inv_noise = fb.inv_noise.row_mut(group, ..);
+        for (inv, row) in inv_noise.iter_mut().zip(s.zf_det.as_slice().chunks_exact(self.geom.m)) {
+            // The sum runs over the antennas in order: a fixed
+            // reduction order is part of the output.
+            let norm_sqr: f32 = row.iter().map(|z| z.norm_sqr()).sum();
+            *inv = 1.0 / (noise * norm_sqr).max(1e-12);
         }
     }
 
@@ -372,27 +341,13 @@ impl Kernels {
     ) {
         let g = &self.geom;
         let row_llrs = g.block * self.cfg.cell.modulation.bits_per_symbol();
-        let freq = unsafe { fb.freq.slice(fb.freq_symbol_range(symbol)) };
-        // The block writes below are unchecked: a partial block would
-        // land its LLRs in a neighbour's range.
-        assert!(
-            sc_base.is_multiple_of(g.block) && count.is_multiple_of(g.block),
-            "demod task splits a block"
-        );
-        for blk in sc_base / g.block..(sc_base + count) / g.block {
+        let freq = fb.freq.row(symbol);
+        for blk in g.task_blocks(sc_base, count) {
             let group = blk * g.block / g.zf_group;
-            // SAFETY: demodulation is dispatched after the frame's ZF
-            // tasks completed; nothing writes their planes any more.
-            let det = unsafe { fb.det.slice(fb.det_range(group)) };
-            let inv_noise = unsafe { fb.inv_noise.slice(fb.inv_noise_range(g, group)) };
-            // Antenna block is contiguous per antenna in this layout.
-            let base = fb.freq_block_offset(g, blk, 0);
-            self.eq_gemm.run(det, &freq[base..base + g.m * g.block], &mut s.user_block);
+            let (det, inv_noise) = (fb.det.row(group), fb.inv_noise.row(group));
+            self.eq_gemm.run(det, &freq[g.block_cols(blk)], &mut s.user_block);
             for (user, row) in s.user_block.chunks_exact(g.block).enumerate() {
-                let at = fb.llr_range(g, symbol, user).start + blk * row_llrs;
-                // SAFETY: one demod task owns this (symbol, subcarrier
-                // range) of every user's LLRs; decode is dispatched after it.
-                let out = unsafe { fb.llr.slice_mut(at..at + row_llrs) };
+                let out = fb.llr.row_mut((symbol, user), blk * row_llrs..(blk + 1) * row_llrs);
                 let scale = quant_scale(inv_noise[user], self.d_min_sqr);
                 self.demapper.demap_quantized(row, inv_noise[user], scale, out);
             }
@@ -409,34 +364,25 @@ impl Kernels {
         symbol: usize,
         user: usize,
     ) {
-        let g = &self.geom;
         let tx_len = self.rate_match.tx_len();
         let max_iters = self.cfg.cell.ldpc.max_iters;
         let active_rows = Some(self.rate_match.active_rows());
-        // SAFETY: one decode task per (symbol, user) is in flight, and it
-        // is the only writer of that user's `decoded` range.
-        let out = unsafe { fb.decoded.slice_mut(fb.decoded_range(g, symbol, user)) };
-        // SAFETY: the symbol's demodulation finished before its decode
-        // tasks were dispatched; nothing writes these LLRs.
-        let llr = unsafe { fb.llr.slice(fb.llr_range(g, symbol, user)) };
+        let out = fb.decoded.row_mut((symbol, user), ..);
+        let llr = fb.llr.row((symbol, user));
         self.rate_match.fill_llrs_into(&llr[..tx_len], &mut s.full_llr);
         let cfg = DecodeConfigI8 { max_iters, active_rows, ..Default::default() };
         let (success, _) = s.decoder.decode_into(&s.full_llr, &cfg, out);
-        // SAFETY: this task is the only writer of the (symbol, user) flag.
-        unsafe { fb.decode_ok.write(symbol * g.k + user, success as u8) };
+        fb.decode_ok.store((symbol, user), 0, success as u8);
     }
 
     /// LDPC encode task (downlink): deterministic MAC payload for
     /// `(frame, symbol, user)`, encoded and rate-matched into `dl_bits`.
     pub fn encode_task(&self, fb: &FrameBuffers, frame: u32, symbol: usize, user: usize) {
-        let g = &self.geom;
         let info = mac_payload(frame, symbol as u32, user as u32, self.encoder.info_len());
         let cw = self.encoder.encode(&info);
         let mut tx = self.rate_match.extract(&cw);
-        tx.resize(g.cap_bits, 0);
-        unsafe {
-            fb.dl_bits.slice_mut(fb.dl_bits_range(g, symbol, user)).copy_from_slice(&tx);
-        }
+        tx.resize(self.geom.cap_bits, 0);
+        fb.dl_bits.row_mut((symbol, user), ..).copy_from_slice(&tx);
     }
 
     /// Fused modulation + precoding for `count` consecutive subcarriers of
@@ -451,39 +397,16 @@ impl Kernels {
     ) {
         let g = &self.geom;
         let bps = self.cfg.cell.modulation.bits_per_symbol();
-        let sym_base = fb.freq_symbol_range(symbol).start;
-        // The block writes below cover a block's whole width: a task
-        // that starts or ends inside one would land `M x width` samples
-        // on a neighbour's range. Only the band's last block may be short.
-        assert!(
-            sc_base.is_multiple_of(g.block)
-                && sc_base + count <= g.q
-                && (count.is_multiple_of(g.block) || sc_base + count == g.q),
-            "precode task splits a block"
-        );
-        for blk_off in (0..count).step_by(g.block) {
-            let sc = sc_base + blk_off;
-            let width = g.block.min(g.q - sc);
-            // Build the K x width user-symbol matrix (modulation fusion).
-            for (user, row) in s.user_block[..g.k * width].chunks_exact_mut(width).enumerate() {
-                // SAFETY: the symbol's encode tasks completed before its
-                // precoding was dispatched; nothing writes these bits.
-                let bits = unsafe { fb.dl_bits.slice(fb.dl_bits_range(g, symbol, user)) };
-                self.modulator.modulate_into(&bits[sc * bps..(sc + width) * bps], row);
+        for blk in g.task_blocks(sc_base, count) {
+            let sc = blk * g.block;
+            // Build the K x block user-symbol matrix (modulation fusion).
+            for (user, row) in s.user_block.chunks_exact_mut(g.block).enumerate() {
+                let bits = fb.dl_bits.row((symbol, user));
+                self.modulator.modulate_into(&bits[sc * bps..(sc + g.block) * bps], row);
             }
-            // SAFETY: the frame's ZF completed before its precoding was
-            // dispatched; nothing writes the precoder now.
-            let pre_slice = unsafe { fb.pre.slice(fb.pre_range(sc / g.zf_group)) };
-            self.pre_gemm.run(
-                pre_slice,
-                &s.user_block[..g.k * width],
-                &mut s.ant_block[..g.m * width],
-            );
-            // Scatter to [block][antenna][width]; this task owns the
-            // whole block (all antennas) for its subcarriers.
-            let base = sym_base + fb.freq_block_offset(g, sc / g.block, 0);
-            let out = unsafe { fb.dl_freq.slice_mut(base..base + g.m * width) };
-            stream_copy(&s.ant_block[..g.m * width], out, self.tier);
+            self.pre_gemm.run(fb.pre.row(sc / g.zf_group), &s.user_block, &mut s.ant_block);
+            // This task owns the whole block, every antenna.
+            stream_copy(&s.ant_block, fb.dl_freq.row_mut(symbol, g.block_cols(blk)), self.tier);
         }
         stream_fence();
     }
@@ -513,18 +436,20 @@ impl Kernels {
         let n = self.cfg.cell.fft_size;
         assert!(count * n <= s.grid.len(), "batch exceeds scratch capacity");
         let bitrev = self.fft.bitrev();
-        let freq = unsafe { fb.dl_freq.slice(fb.freq_symbol_range(symbol)) };
+        // The output view checks the antenna run before the gather reads
+        // by it.
+        let out = fb.dl_time.row_mut(symbol, g.antenna_cols(base..base + count));
+        let freq = fb.dl_freq.row(symbol);
         for (i, grid) in s.grid.chunks_exact_mut(n).take(count).enumerate() {
             grid.fill(Cf32::ZERO);
             for p in &self.pieces {
-                let off = p.off + (base + i) * g.block;
-                for (&v, &j) in freq[off..off + p.len].iter().zip(&bitrev[p.bin..]) {
+                let shares = freq[g.piece_cols(p, base + i)].iter();
+                for (&v, &j) in shares.zip(&bitrev[p.bin..]) {
                     grid[j as usize] = v;
                 }
             }
         }
         self.fft.execute_batch_prereversed(&mut s.grid[..count * n], Direction::Inverse);
-        let out = unsafe { fb.dl_time.slice_mut(fb.dl_time_run_range(g, symbol, base, count)) };
         // CP-less symbols, as in the uplink path.
         for (out, grid) in out.chunks_exact_mut(g.samples).zip(s.grid.chunks_exact(n)) {
             stream_copy(&grid[..g.samples], out, self.tier);
@@ -661,23 +586,6 @@ unsafe fn unpack_step(p: *const u8) -> (core::arch::x86_64::__m256, core::arch::
     (_mm256_unpacklo_ps(i, q), _mm256_unpackhi_ps(i, q))
 }
 
-/// Cuts the active subcarriers into [`Piece`]s: each of the map's runs of
-/// consecutive bins, split where it crosses a demod-block boundary.
-fn block_pieces(map: &SubcarrierMap, g: &BufferGeometry) -> Vec<Piece> {
-    let mut pieces = Vec::new();
-    for (sc0, bins) in map.active_runs() {
-        let mut done = 0;
-        while done < bins.len() {
-            let sc = sc0 + done;
-            let len = (g.block - sc % g.block).min(bins.len() - done);
-            let off = g.freq_block_offset(sc / g.block, 0) + sc % g.block;
-            pieces.push(Piece { bin: bins.start + done, len, off });
-            done += len;
-        }
-    }
-    pieces
-}
-
 /// Builds [`Kernels::pilot_stores`]. ZF reads one channel estimate per
 /// `(group, user)`: the one taken at the group's first subcarrier, or —
 /// frequency-orthogonal pilots observe a user only every `K`-th
@@ -705,8 +613,7 @@ fn pilot_stores(
                 // frequency-orthogonal pilots, so the run is whole.
                 assert!(sc < g.q, "group {group} user {user}: no pilot at subcarrier {sc}");
                 if let Some((_, p)) = pilots.owner(ordinal, sc).filter(|o| o.0 == user) {
-                    let off = group * g.m * g.k + user;
-                    stores[symbol].push(PilotStore { bin: bins[sc], off, inv: p.inv() });
+                    stores[symbol].push(PilotStore { bin: bins[sc], group, user, inv: p.inv() });
                 }
             }
         }
@@ -730,6 +637,7 @@ pub fn mac_payload(frame: u32, symbol: u32, user: u32, len: usize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffers::{FrameWindow, Plane};
     use proptest::prelude::*;
 
     #[test]
@@ -835,8 +743,7 @@ mod tests {
             // Whole symbol, and an odd run off a non-zero base.
             for (base, n) in [(0, m), (3, 3)] {
                 let mut run = |batched: bool| {
-                    // SAFETY: single-threaded test, no other view alive.
-                    unsafe { plane.slice_mut(0..plane.len()) }.fill(Cf32::ZERO);
+                    clear(plane);
                     match (forward, batched) {
                         (true, true) => k.fft_batch_task(fb, &mut s, symbol, base, n),
                         (false, true) => k.ifft_batch_task(fb, &mut s, symbol, base, n),
@@ -847,8 +754,7 @@ mod tests {
                             (base..base + n).for_each(|a| k.ifft_task(fb, &mut s, symbol, a))
                         }
                     }
-                    // SAFETY: as above.
-                    bits(unsafe { plane.slice(0..plane.len()) })
+                    plane_bits(plane)
                 };
                 let batched = run(true);
                 let singles = run(false);
@@ -863,17 +769,14 @@ mod tests {
         // bit-reversal pass).
         let g = k.geom;
         (0..m).for_each(|a| k.ifft_task(fb, &mut s, 2, a));
-        // SAFETY: single-threaded test, no writer.
-        let freq = unsafe { fb.dl_freq.slice(fb.freq_symbol_range(2)) };
+        let freq = fb.dl_freq.row(2);
         let (mut active, mut grid) = (vec![Cf32::ZERO; g.q], vec![Cf32::ZERO; g.samples]);
-        for ant in 0..m {
+        for (ant, got) in fb.dl_time.row(2).chunks_exact(g.samples).enumerate() {
             for (sc, v) in active.iter_mut().enumerate() {
-                *v = freq[fb.freq_block_offset(&g, sc / g.block, ant) + sc % g.block];
+                *v = freq[g.sc_col(sc, ant)];
             }
             map_of(k).map_symbols(&active, &mut grid);
             k.fft.execute(&mut grid, Direction::Inverse);
-            // SAFETY: as above.
-            let got = unsafe { fb.dl_time.slice(fb.dl_time_range(&g, 2, ant)) };
             assert_eq!(bits(got), bits(&grid), "antenna {ant}");
         }
     }
@@ -887,24 +790,36 @@ mod tests {
         v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
     }
 
-    /// Kernels for `cell` (schedule replaced by `pilots` pilot symbols,
-    /// one uplink and one downlink symbol) and one frame slot holding a
-    /// pseudo-random packet for every antenna of every pilot and uplink
-    /// symbol — all an FFT task needs.
+    /// Every element of `plane`, as bits.
+    fn plane_bits(plane: &Plane<Cf32>) -> Vec<(u32, u32)> {
+        // SAFETY (here and in `clear`): the tests run every task on their
+        // own thread, so none is in flight, and hold no view across it.
+        bits(unsafe { plane.view(None) })
+    }
+
+    fn clear(plane: &Plane<Cf32>) {
+        unsafe { plane.fill(Cf32::ZERO) }
+    }
+
+    /// Kernels for `cell` with its schedule replaced by `schedule`, and a
+    /// frame window whose slot 0 holds a pseudo-random packet for every
+    /// antenna of every pilot and uplink symbol — all an FFT task needs.
     fn primed(
         mut cell: CellConfig,
-        pilots: usize,
+        schedule: &str,
         tweak: impl FnOnce(&mut EngineConfig),
-    ) -> (Kernels, FrameBuffers) {
+    ) -> (Kernels, FrameWindow) {
         use agora_fronthaul::{encode, PacketBuf, PacketDir, PacketHeader};
         use agora_phy::frame::FrameSchedule;
-        cell.schedule = FrameSchedule::parse(&format!("{}UD", "P".repeat(pilots))).unwrap();
+        cell.schedule = FrameSchedule::parse(schedule).unwrap();
         let mut cfg = EngineConfig::new(cell, 1);
         tweak(&mut cfg);
         let k = Kernels::new(cfg);
-        let fb = FrameBuffers::new(&k.geom);
+        let w = FrameWindow::new(k.geom, 2);
+        let received =
+            |s| matches!(k.cfg.cell.schedule.symbol(s), SymbolType::Pilot | SymbolType::Uplink);
         let mut state = 0x2545_F491_4F6C_DD1Du64;
-        for symbol in 0..=pilots {
+        for symbol in (0..k.geom.symbols).filter(|&s| received(s)) {
             for antenna in 0..k.geom.m {
                 let payload: Vec<u8> = (0..k.geom.samples * BYTES_PER_SAMPLE)
                     .map(|_| {
@@ -922,12 +837,12 @@ mod tests {
                     cell: 0,
                     payload_len: payload.len() as u32,
                 };
-                let idx = fb.pkt_index(&k.geom, symbol, antenna);
+                let pkt = PacketBuf::Heap(encode(&hdr, &payload));
                 // SAFETY: single-threaded test — no concurrent access.
-                unsafe { fb.rx_pkts.store(idx, PacketBuf::Heap(encode(&hdr, &payload))) };
+                unsafe { w.slot(0).rx_pkts.store(symbol, antenna, pkt) };
             }
         }
-        (k, fb)
+        (k, w)
     }
 
     /// The fused store's contract, at 8x2 and 64x16: (a) a batched FFT
@@ -941,23 +856,21 @@ mod tests {
     fn fused_fft_store_matches_unfused_reference_for_every_batch() {
         for cell in [CellConfig::tiny_test(1), CellConfig::emulated_rru(64, 16, 1)] {
             let what = format!("{}x{}", cell.num_antennas, cell.num_users);
-            let (k, fb) = primed(cell.clone(), 1, |cfg| cfg.batch.fft = 4);
-            let (g, n) = (k.geom, k.cfg.cell.fft_size);
+            let (k, w) = primed(cell.clone(), "PUD", |cfg| cfg.batch.fft = 4);
+            let (g, n, fb) = (k.geom, k.cfg.cell.fft_size, w.slot(0));
             let mut s = k.scratch();
             for (symbol, plane) in [(0usize, &fb.csi), (1, &fb.freq)] {
                 for count in 1..=k.cfg.batch.fft {
                     for base in [0, g.m - count] {
                         let mut run = |batched: bool| {
-                            // SAFETY: single-threaded test, no other view alive.
-                            unsafe { plane.slice_mut(0..plane.len()) }.fill(Cf32::ZERO);
+                            clear(plane);
                             if batched {
-                                k.fft_batch_task(&fb, &mut s, symbol, base, count);
+                                k.fft_batch_task(fb, &mut s, symbol, base, count);
                             } else {
                                 (base..base + count)
-                                    .for_each(|a| k.fft_task(&fb, &mut s, symbol, a));
+                                    .for_each(|a| k.fft_task(fb, &mut s, symbol, a));
                             }
-                            // SAFETY: as above.
-                            bits(unsafe { plane.slice(0..plane.len()) })
+                            plane_bits(plane)
                         };
                         let batched = run(true);
                         assert!(batched.iter().any(|&b| b != (0, 0)), "{what}: untouched");
@@ -966,25 +879,22 @@ mod tests {
                     }
                 }
                 // The whole symbol, then the unfused reference.
-                (0..g.m).for_each(|a| k.fft_task(&fb, &mut s, symbol, a));
-                // SAFETY: single-threaded test, no writer.
-                let got = unsafe { plane.slice(0..plane.len()) };
+                (0..g.m).for_each(|a| k.fft_task(fb, &mut s, symbol, a));
                 if symbol == 0 {
-                    assert!(bits(got) == bits(&oracle_csi_rows(&k, &fb)), "{what}: csi rows");
+                    assert!(plane_bits(plane) == bits(&oracle_csi_rows(&k, fb)), "{what}: csi");
                     continue;
                 }
+                let got = fb.freq.row(symbol);
                 let (mut grid, mut active) = (vec![Cf32::ZERO; n], vec![Cf32::ZERO; g.q]);
                 for ant in 0..g.m {
-                    // SAFETY: `primed` stored this packet.
-                    let payload = unsafe { fb.rx_payload_view(&g, symbol, ant) };
+                    let payload = fb.rx_pkts.payload(symbol, ant);
                     unpack_bitrev(payload, g.samples - n, &k.fft, &mut grid);
                     k.fft.execute_prereversed(&mut grid, Direction::Forward);
                     map_of(&k).demap_symbols(&grid, &mut active);
                     for (sc, &y) in active.iter().enumerate() {
-                        let off = fb.freq_block_offset(&g, sc / g.block, ant);
-                        let idx = fb.freq_symbol_range(1).start + off + sc % g.block;
+                        let col = g.sc_col(sc, ant);
                         assert_eq!(
-                            bits(&got[idx..idx + 1]),
+                            bits(&got[col..col + 1]),
                             bits(&[y]),
                             "{what} sym {symbol} ant {ant} sc {sc}"
                         );
@@ -1010,9 +920,7 @@ mod tests {
         let (mut grid, mut active) = (vec![Cf32::ZERO; n], vec![Cf32::ZERO; g.q]);
         for (ordinal, symbol) in k.cfg.cell.schedule.pilot_indices().into_iter().enumerate() {
             for ant in 0..g.m {
-                // SAFETY: single-threaded test; `primed` stored this packet.
-                let payload = unsafe { fb.rx_payload_view(&g, symbol, ant) };
-                unpack_bitrev(payload, g.samples - n, &k.fft, &mut grid);
+                unpack_bitrev(fb.rx_pkts.payload(symbol, ant), g.samples - n, &k.fft, &mut grid);
                 k.fft.execute_prereversed(&mut grid, Direction::Forward);
                 map_of(k).demap_symbols(&grid, &mut active);
                 for (sc, &y) in active.iter().enumerate() {
@@ -1070,34 +978,33 @@ mod tests {
                 continue;
             }
             // Blocks of 4 divide both bands and every group size.
-            let (k, fb) = primed(cell, pilots, |cfg| cfg.demod_block = 4);
-            let (g, mut s) = (k.geom, k.scratch());
+            let schedule = format!("{}UD", "P".repeat(pilots));
+            let (k, w) = primed(cell, &schedule, |cfg| cfg.demod_block = 4);
+            let (g, mut s, fb) = (k.geom, k.scratch(), w.slot(0));
             for symbol in 0..pilots {
-                (0..g.m).for_each(|a| k.fft_task(&fb, &mut s, symbol, a));
+                (0..g.m).for_each(|a| k.fft_task(fb, &mut s, symbol, a));
             }
             if scheme == PilotScheme::TimeOrthogonal {
                 assert!(k.pilot_stores[users].is_empty(), "{what}: unowned pilot stores");
             }
-            let want = oracle_csi_rows(&k, &fb);
-            // SAFETY (here and below): single-threaded test, no writer.
-            let got = unsafe { fb.csi.slice(0..fb.csi.len()) };
+            let want = oracle_csi_rows(&k, fb);
             assert!(want.iter().any(|&z| z != Cf32::ZERO), "{what}: oracle is empty");
             // Not `assert_eq!`: a failure would print both planes.
-            assert!(bits(got) == bits(&want), "{what}: csi rows");
+            assert!(plane_bits(&fb.csi) == bits(&want), "{what}: csi rows");
 
             for (group, row) in want.chunks_exact(g.m * g.k).enumerate() {
-                k.zf_task(&fb, &mut s, group);
+                k.zf_task(fb, &mut s, group);
                 let h = CMat::from_fn(g.m, g.k, |a, u| row[a * g.k + u]);
                 let det = pinv(&h, PinvMethod::Cholesky);
                 let pre = normalize_precoder(&det.transpose());
-                let got_det = unsafe { fb.det.slice(fb.det_range(group)) };
-                let got_pre = unsafe { fb.pre.slice(fb.pre_range(group)) };
+                let got_det = fb.det.row(group);
                 assert!(bits(got_det) == bits(det.as_slice()), "{what}: det, group {group}");
+                let got_pre = fb.pre.row(group);
                 assert!(bits(got_pre) == bits(pre.as_slice()), "{what}: pre, group {group}");
                 // What `demod_task` summed per block and user before ZF
                 // published it.
                 let noise = k.cfg.noise_power.max(1e-9);
-                let got_inv = unsafe { fb.inv_noise.slice(fb.inv_noise_range(&g, group)) };
+                let got_inv = fb.inv_noise.row(group);
                 for (user, w) in det.as_slice().chunks_exact(g.m).enumerate() {
                     let nv = noise * w.iter().map(|z| z.norm_sqr()).sum::<f32>();
                     let want = 1.0 / nv.max(1e-12);
@@ -1110,37 +1017,107 @@ mod tests {
         assert_eq!(checked, 96 - 6, "all but 16 users on 300 subcarriers, frequency-orthogonal");
     }
 
-    /// The block tasks write whole blocks through unchecked offsets, so a
-    /// message that starts or ends inside a block must panic — in release
-    /// too — before anything lands on a neighbour's range.
+    const MARKER: Cf32 = Cf32::new(7.0, -7.0);
+
+    /// Sets every plane of `fb` to a marker.
+    fn mark(fb: &FrameBuffers) {
+        // SAFETY (here and in `written`): single-threaded test, no view
+        // alive across it.
+        unsafe {
+            for plane in [&fb.freq, &fb.csi, &fb.det, &fb.pre, &fb.dl_freq, &fb.dl_time] {
+                plane.fill(MARKER);
+            }
+            for plane in [&fb.decoded, &fb.decode_ok, &fb.dl_bits] {
+                plane.fill(7);
+            }
+            fb.inv_noise.fill(7.0);
+            fb.llr.fill(7);
+        }
+    }
+
+    /// The planes of `fb` something wrote since [`mark`].
+    fn written(fb: &FrameBuffers) -> Vec<&'static str> {
+        let cf32 = [
+            ("freq", &fb.freq),
+            ("csi", &fb.csi),
+            ("det", &fb.det),
+            ("pre", &fb.pre),
+            ("dl_freq", &fb.dl_freq),
+            ("dl_time", &fb.dl_time),
+        ];
+        let u8s =
+            [("decoded", &fb.decoded), ("decode_ok", &fb.decode_ok), ("dl_bits", &fb.dl_bits)];
+        let mut names = Vec::new();
+        unsafe {
+            for (name, plane) in cf32 {
+                if plane.view(None).iter().any(|&z| z != MARKER) {
+                    names.push(name);
+                }
+            }
+            for (name, plane) in u8s {
+                if plane.view(None).iter().any(|&b| b != 7) {
+                    names.push(name);
+                }
+            }
+            if fb.inv_noise.view(None).iter().any(|&x| x != 7.0) {
+                names.push("inv_noise");
+            }
+            if fb.llr.view(None).iter().any(|&l| l != 7) {
+                names.push("llr");
+            }
+        }
+        names
+    }
+
+    /// The block tasks write whole blocks, so a message that starts or
+    /// ends inside a block must panic — in release too — before anything
+    /// lands on a neighbour's columns.
     #[test]
     fn a_task_that_splits_a_block_panics_instead_of_writing() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        let (k, fb) = primed(CellConfig::tiny_test(1), 1, |_| {});
-        let (g, mut s) = (k.geom, k.scratch());
+        let (k, w) = primed(CellConfig::tiny_test(1), "PUD", |_| {});
+        let (g, mut s, fb) = (k.geom, k.scratch(), w.slot(0));
         let (uplink, downlink) = (1, 2);
-        (0..g.m).for_each(|a| k.fft_task(&fb, &mut s, 0, a));
-        (0..k.shape.zf_groups).for_each(|group| k.zf_task(&fb, &mut s, group));
-        let marker = Cf32::new(7.0, -7.0);
-        // SAFETY (here and below): single-threaded test, no other view alive.
-        unsafe { fb.dl_freq.slice_mut(0..fb.dl_freq.len()) }.fill(marker);
-        unsafe { fb.llr.slice_mut(0..fb.llr.len()) }.fill(7);
+        mark(fb);
         let half = g.block / 2;
         for (base, count) in [(half, g.block), (0, g.block + half), (g.q - half, half)] {
             let precode = catch_unwind(AssertUnwindSafe(|| {
-                k.precode_task(&fb, &mut s, downlink, base, count)
+                k.precode_task(fb, &mut s, downlink, base, count)
             }));
             assert!(precode.is_err(), "precode {base}+{count} ran");
-            let demod = catch_unwind(AssertUnwindSafe(|| {
-                k.demod_task(&fb, &mut s, 0, uplink, base, count)
-            }));
+            let demod =
+                catch_unwind(AssertUnwindSafe(|| k.demod_task(fb, &mut s, 0, uplink, base, count)));
             assert!(demod.is_err(), "demod {base}+{count} ran");
         }
-        assert!(unsafe { fb.dl_freq.slice(0..fb.dl_freq.len()) }.iter().all(|&z| z == marker));
-        assert!(unsafe { fb.llr.slice(0..fb.llr.len()) }.iter().all(|&l| l == 7));
+        assert_eq!(written(fb), Vec::<&str>::new());
         // Whole blocks anywhere in the band are a task.
-        k.precode_task(&fb, &mut s, downlink, g.q - g.block, g.block);
-        k.demod_task(&fb, &mut s, 0, uplink, g.block, 2 * g.block);
+        k.precode_task(fb, &mut s, downlink, g.q - g.block, g.block);
+        k.demod_task(fb, &mut s, 0, uplink, g.block, 2 * g.block);
+        assert_eq!(written(fb), ["dl_freq", "llr"]);
+    }
+
+    /// A message naming a row or an antenna run the frame does not have
+    /// must panic — in release too — before any plane is written: a decode
+    /// for user `K` (it would land on the next symbol's user 0), an IFFT
+    /// run past the last antenna (the next symbol's samples), an FFT run
+    /// past it (the next symbol's antenna-0 packet, stored into the next
+    /// block) and a ZF task for group `groups`.
+    #[test]
+    fn a_task_out_of_range_panics_instead_of_writing() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // No symbol named below is the frame's last.
+        let (k, w) = primed(CellConfig::tiny_test(1), "PUUDD", |_| {});
+        let (g, mut s, fb) = (k.geom, k.scratch(), w.slot(0));
+        let (uplink, downlink) = (1, 3);
+        mark(fb);
+        let mut refused = |what: &str, task: &dyn Fn(&mut WorkerScratch)| {
+            assert!(catch_unwind(AssertUnwindSafe(|| task(&mut s))).is_err(), "{what} ran");
+            assert_eq!(written(fb), Vec::<&str>::new(), "{what}");
+        };
+        refused("decode of user K", &|s| k.decode_task(fb, s, uplink, g.k));
+        refused("IFFT past antenna M", &|s| k.ifft_batch_task(fb, s, downlink, g.m - 1, 2));
+        refused("FFT past antenna M", &|s| k.fft_batch_task(fb, s, uplink, g.m - 1, 2));
+        refused("ZF of group `groups`", &|s| k.zf_task(fb, s, k.shape.zf_groups));
     }
 
     /// The fused unpack → bit-reversal gather plus `execute_prereversed`

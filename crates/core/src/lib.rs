@@ -4,7 +4,8 @@
 //! reproduced in Rust:
 //!
 //! * [`config`]: engine configuration and batch sizes.
-//! * [`buffers`]: lock-free shared frame buffers (§3.2).
+//! * [`buffers`]: lock-free shared frame buffers (§3.2), the one owner of
+//!   their layout and of the scheduler contract their views rest on.
 //! * [`state`]: the frame graph as one declared edge table, and the
 //!   frame table that tracks every in-flight frame through it.
 //! * [`kernels`]: task bodies over the buffers (Figure 1b blocks, with

@@ -72,16 +72,16 @@ fn task_bodies_are_allocation_free() {
     let (kernels, fb) = (proc.kernels(), proc.buffers(0));
     let g = kernels.geom;
     let mut scratch = kernels.scratch();
-    // SAFETY (here and below): single-threaded, no task in flight.
-    let llr = unsafe { fb.llr.slice(0..fb.llr.len()) }.to_vec();
-    let dl_time = unsafe { fb.dl_time.slice(0..fb.dl_time.len()) }.to_vec();
+    // SAFETY (here and below): single-threaded, no task in flight, and no
+    // view alive across a `fill`.
+    let (llr, dl_time) = unsafe { (fb.llr.view(None).to_vec(), fb.dl_time.view(None).to_vec()) };
 
     let mut counts = Vec::new();
     for pass in 0..2 {
         unsafe {
-            fb.llr.slice_mut(0..fb.llr.len()).fill(0);
-            fb.decoded.slice_mut(0..fb.decoded.len()).fill(2);
-            fb.dl_time.slice_mut(0..fb.dl_time.len()).fill(agora_math::Cf32::ZERO);
+            fb.llr.fill(0);
+            fb.decoded.fill(2);
+            fb.dl_time.fill(agora_math::Cf32::ZERO);
         }
         let mut body = |name: &'static str, run: &mut dyn FnMut()| {
             let before = allocations();
@@ -105,13 +105,15 @@ fn task_bodies_are_allocation_free() {
         body("ifft", &mut || (0..g.m).for_each(|ant| kernels.ifft_task(fb, s, downlink, ant)));
     }
 
-    for user in 0..g.k {
-        let got = unsafe { fb.decoded.slice(fb.decoded_range(&g, uplink, user)) };
-        assert_eq!(got, &reference.decoded[uplink][user][..], "user {user}");
+    unsafe {
+        for user in 0..g.k {
+            let got = fb.decoded.view(Some((uplink, user)));
+            assert_eq!(got, &reference.decoded[uplink][user][..], "user {user}");
+        }
+        assert_eq!(fb.llr.view(None), &llr[..]);
+        assert!(fb.dl_time.view(None) == &dl_time[..]);
     }
-    assert_eq!(unsafe { fb.llr.slice(0..fb.llr.len()) }, &llr[..]);
     assert!(llr.iter().any(|&l| l != 0), "the LLR plane is empty");
-    assert!(unsafe { fb.dl_time.slice(0..fb.dl_time.len()) } == &dl_time[..]);
     assert!(dl_time.iter().any(|&z| z != agora_math::Cf32::ZERO));
     let none = [("fft", 0), ("zf", 0), ("demod", 0), ("decode", 0), ("precode", 0), ("ifft", 0)];
     assert_eq!(counts, none);

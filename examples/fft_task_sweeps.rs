@@ -12,6 +12,7 @@
 use agora_core::kernels::unpack_bitrev;
 use agora_core::{EngineConfig, InlineProcessor};
 use agora_fft::{Direction, FftPlan, SubcarrierMap};
+use agora_fronthaul::packet::decode_ref;
 use agora_fronthaul::{RruConfig, RruEmulator};
 use agora_math::{Cf32, SimdTier};
 use agora_phy::frame::FrameSchedule;
@@ -40,14 +41,21 @@ fn main() {
     let map = SubcarrierMap::new(n, cell.num_data_sc);
     let mut grid = vec![Cf32::ZERO; n];
     let mut active = vec![Cf32::ZERO; cell.num_data_sc];
+    // The uplink symbol's payloads, per antenna: what its FFT tasks read.
+    let mut payloads = vec![&[][..]; g.m];
+    for pkt in &packets {
+        let (hdr, payload) = decode_ref(pkt).expect("generated packets decode");
+        if hdr.symbol as usize == uplink {
+            payloads[hdr.antenna as usize] = payload;
+        }
+    }
 
     // One column of samples per stage; each rep walks to the next antenna
     // so successive tasks touch the lines a real symbol would.
     let mut ns: [Vec<u128>; 8] = Default::default();
     for rep in 0..REPS {
         let ant = rep % g.m;
-        // SAFETY: single-threaded; the inline pass stored every packet.
-        let payload = unsafe { fb.rx_payload_view(&g, uplink, ant) };
+        let payload = payloads[ant];
         let mut t = Instant::now();
         let mut lap = |col: &mut Vec<u128>| {
             col.push(t.elapsed().as_nanos());

@@ -60,14 +60,13 @@ fn main() {
     let demod_task = median_us(|| kernels.demod_task(fb, &mut scratch, 0, uplink, 0, g.q));
     // SAFETY (here and below): single-threaded; the inline pass has run
     // and no task is in flight while a view is alive.
-    let freq = unsafe { fb.freq.slice(fb.freq_symbol_range(uplink)) };
-    let det_of = |blk: usize| unsafe { fb.det.slice(fb.det_range(blk * g.block / g.zf_group)) };
+    let freq = unsafe { fb.freq.view(Some(uplink)) };
+    let det_of = |blk: usize| unsafe { fb.det.view(Some(blk * g.block / g.zf_group)) };
     let eq = Gemm::plan(g.k, g.m, g.block);
     let mut user_block = vec![Cf32::ZERO; g.k * g.block];
     let eq_gemms = median_us(|| {
         for blk in 0..blocks {
-            let base = g.freq_block_offset(blk, 0);
-            eq.run(det_of(blk), &freq[base..base + g.m * g.block], &mut user_block);
+            eq.run(det_of(blk), &freq[g.block_cols(blk)], &mut user_block);
             black_box(&mut user_block);
         }
     });
@@ -84,9 +83,7 @@ fn main() {
     // in a `[user][bit]` plane, as the task does after each GEMM: the
     // demapper's float row then the quantiser, and the two fused.
     let demapper = Demapper::new(scheme, SimdTier::cached());
-    let inv_of = |blk: usize| unsafe {
-        fb.inv_noise.slice(fb.inv_noise_range(&g, blk * g.block / g.zf_group))
-    };
+    let inv_of = |blk: usize| unsafe { fb.inv_noise.view(Some(blk * g.block / g.zf_group)) };
     let mut plane = vec![0i8; g.k * g.cap_bits];
     let mut llrs = vec![0.0; g.block * bps];
     let mut demap_rows = |fused: bool| {
@@ -113,7 +110,7 @@ fn main() {
     // --- uplink: one code block
     let decode_task = median_us(|| kernels.decode_task(fb, &mut scratch, uplink, 0));
     let rm = kernels.rate_match();
-    let llr = unsafe { fb.llr.slice(fb.llr_range(&g, uplink, 0)) };
+    let llr = unsafe { fb.llr.view(Some((uplink, 0))) };
     let mut full = vec![0i8; rm.codeword_len()];
     let fill = median_us(|| {
         rm.fill_llrs_into(&llr[..rm.tx_len()], &mut full);
@@ -132,7 +129,7 @@ fn main() {
 
     // --- downlink: one symbol of modulate + precode
     let precode_task = median_us(|| kernels.precode_task(fb, &mut scratch, downlink, 0, g.q));
-    let pre_of = |blk: usize| unsafe { fb.pre.slice(fb.pre_range(blk * g.block / g.zf_group)) };
+    let pre_of = |blk: usize| unsafe { fb.pre.view(Some(blk * g.block / g.zf_group)) };
     let pre = Gemm::plan(g.m, g.k, g.block);
     let mut ant_block = vec![Cf32::ZERO; g.m * g.block];
     let pre_gemms = median_us(|| {
@@ -147,7 +144,7 @@ fn main() {
     let modulation = median_us(|| {
         for blk in 0..blocks {
             for user in 0..g.k {
-                let bits = unsafe { fb.dl_bits.slice(fb.dl_bits_range(&g, downlink, user)) };
+                let bits = unsafe { fb.dl_bits.view(Some((downlink, user))) };
                 modulate(
                     scheme,
                     &bits[blk * g.block * bps..(blk + 1) * g.block * bps],

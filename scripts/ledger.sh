@@ -29,6 +29,19 @@ printf '  %d, of them %d in crates/core\n' \
     "$(rs crates shims tests examples | xargs -r grep -ow unsafe | wc -l)" \
     "$(rs crates/core | xargs -r grep -ow unsafe | wc -l)"
 
+echo "== crates/core/src per file: lines and unsafe, non-test part | tests =="
+# The non-test part is what lies above the file's first #[cfg(test)].
+unsafes() { { grep -ow unsafe || true; } | wc -l; }
+printf '  %-18s %6s %6s | %6s %6s\n' file lines unsafe lines unsafe
+sum=(0 0 0 0)
+for f in crates/core/src/*.rs; do
+    row=("$(nontest "$f" | wc -l)" "$(nontest "$f" | unsafes)")
+    row+=("$(($(wc -l <"$f") - row[0]))" "$(($(unsafes <"$f") - row[1]))")
+    printf '  %-18s %6d %6d | %6d %6d\n' "$(basename "$f")" "${row[@]}"
+    for i in 0 1 2 3; do sum[i]=$((sum[i] + row[i])); done
+done
+printf '  %-18s %6d %6d | %6d %6d\n' total "${sum[@]}"
+
 echo "== agora-bench bins =="
 printf '  %d: %s\n' "$(rs crates/bench/src/bin | wc -l)" \
     "$(rs crates/bench/src/bin | xargs -n1 basename | sed 's/\.rs$//' | sort | tr '\n' ' ')"

@@ -17,7 +17,7 @@
 //! A kernel change that is meant to be bit-exact must leave every row as
 //! it is; one that is not must say so and re-pin.
 
-use agora_core::buffers::{BufferGeometry, FrameBuffers};
+use agora_core::buffers::FrameBuffers;
 use agora_core::{Engine, EngineConfig, InlineProcessor};
 use agora_fronthaul::{MemFronthaul, RruConfig, RruEmulator};
 use agora_phy::frame::FrameSchedule;
@@ -80,19 +80,13 @@ fn rows() -> Vec<Row> {
 /// Feeds one finished frame's planes to the digests: the whole `llr`
 /// plane, and the `dl_time` samples of the downlink symbols per
 /// `[symbol][antenna]`.
-fn eat_planes(
-    fb: &FrameBuffers,
-    g: &BufferGeometry,
-    downlink: &[usize],
-    llr: &mut Fnv,
-    dl_time: &mut Fnv,
-) {
+fn eat_planes(fb: &FrameBuffers, downlink: &[usize], llr: &mut Fnv, dl_time: &mut Fnv) {
     // SAFETY (both planes): the frame is done and its processor idle.
-    for &v in unsafe { fb.llr.slice(0..fb.llr.len()) } {
+    for &v in unsafe { fb.llr.view(None) } {
         llr.eat(&v.to_le_bytes());
     }
     for &symbol in downlink {
-        for z in unsafe { fb.dl_time.slice(fb.dl_time_run_range(g, symbol, 0, g.m)) } {
+        for z in unsafe { fb.dl_time.view(Some(symbol)) } {
             dl_time.eat(&z.re.to_bits().to_le_bytes());
             dl_time.eat(&z.im.to_bits().to_le_bytes());
         }
@@ -113,12 +107,11 @@ fn digests(row: &Row) -> ([u64; 4], [u64; 4]) {
     let downlink = row.cell.schedule.downlink_indices();
 
     let mut inline = InlineProcessor::new(cfg.clone());
-    let g = inline.kernels().geom;
     let (mut llr, mut dl_time) = (Fnv::new(), Fnv::new());
     let mut results = Vec::new();
     for (frame, packets) in per_frame.iter().enumerate() {
         results.push(inline.process_frame(frame as u32, packets));
-        eat_planes(inline.buffers(frame as u32), &g, &downlink, &mut llr, &mut dl_time);
+        eat_planes(inline.buffers(frame as u32), &downlink, &mut llr, &mut dl_time);
     }
     let (bits, ok) = decoded_digest(results.iter().map(|r| (&r.decoded, &r.decode_ok)));
 
@@ -129,7 +122,7 @@ fn digests(row: &Row) -> ([u64; 4], [u64; 4]) {
     let (t_bits, t_ok) = decoded_digest(threaded.iter().map(|r| (&r.decoded, &r.decode_ok)));
     let (mut t_llr, mut t_dl_time) = (Fnv::new(), Fnv::new());
     for frame in 0..row.frames {
-        eat_planes(engine.buffers(frame), &g, &downlink, &mut t_llr, &mut t_dl_time);
+        eat_planes(engine.buffers(frame), &downlink, &mut t_llr, &mut t_dl_time);
     }
     ([bits, ok, llr.0, dl_time.0], [t_bits, t_ok, t_llr.0, t_dl_time.0])
 }
