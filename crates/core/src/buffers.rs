@@ -384,7 +384,8 @@ impl PacketSlots {
 ///   variance behind the detector, which demodulation scales LLRs by.
 /// * `llr[symbol][user]` — demodulated soft bits, quantised to `i8` for
 ///   the fixed-point decoder; `decoded[symbol][user]` and
-///   `decode_ok[symbol][user]` (one flag); `dl_bits[symbol][user]`.
+///   `decode_ok[symbol][user]` (one flag); `dl_bits[symbol][user]` — the
+///   coded bits packed, bit `j` in bit `j % 8` of byte `j / 8`.
 /// * `dl_time[symbol]` — every antenna's time-domain samples, back to
 ///   back.
 pub struct FrameBuffers {
@@ -408,7 +409,7 @@ pub struct FrameBuffers {
     pub decoded: Plane<u8, (usize, usize)>,
     /// Per-(symbol, user) decode success flag (1 = CRC/syndrome pass).
     pub decode_ok: Plane<u8, (usize, usize)>,
-    /// Downlink coded bits per (symbol, user).
+    /// Downlink coded bits per (symbol, user), eight to a byte.
     pub dl_bits: Plane<u8, (usize, usize)>,
     /// Downlink frequency-domain antenna samples per symbol.
     pub dl_freq: Plane<Cf32>,
@@ -557,7 +558,7 @@ impl FrameWindow {
             llr: Plane::zeroed(users, g.cap_bits),
             decoded: Plane::zeroed(users, g.info_bits),
             decode_ok: Plane::zeroed(users, 1),
-            dl_bits: Plane::zeroed(users, g.cap_bits),
+            dl_bits: Plane::zeroed(users, g.cap_bits.div_ceil(8)),
             dl_freq: Plane::zeroed(g.symbols, g.q * g.m),
             dl_time: Plane::zeroed(g.symbols, g.m * g.samples),
         };

@@ -136,6 +136,13 @@ impl EngineConfig {
         if !self.cell.zf_group.is_multiple_of(self.demod_block) {
             return Err("ZF group must be a multiple of the demod block".into());
         }
+        let block_bits = self.demod_block * self.cell.modulation.bits_per_symbol();
+        if !block_bits.is_multiple_of(8) {
+            return Err(format!(
+                "a demod block carries {block_bits} coded bits; the packed downlink bits \
+                 need whole bytes"
+            ));
+        }
         if !self.batch.demod.is_multiple_of(self.demod_block) {
             return Err(format!(
                 "demod batch {} must be a multiple of the demod block {}",
@@ -234,6 +241,21 @@ mod tests {
         let mut cfg = EngineConfig::new(CellConfig::tiny_test(2), 1);
         cfg.rx_batch = 0;
         assert!(cfg.validate().is_err());
+    }
+
+    /// A block's coded bits must be whole bytes of the packed `dl_bits`
+    /// row: 4 QPSK subcarriers are a byte, 2 are half of one.
+    #[test]
+    fn demod_block_of_part_of_a_byte_rejected() {
+        let mut cfg = EngineConfig::new(CellConfig::tiny_test(2), 2);
+        for (block, whole) in [(4, true), (2, false)] {
+            cfg.demod_block = block;
+            cfg.clamp_batches();
+            match whole {
+                true => cfg.validate().expect("4 QPSK subcarriers are one byte"),
+                false => assert!(cfg.validate().unwrap_err().contains("whole bytes")),
+            }
+        }
     }
 
     #[test]

@@ -2,20 +2,20 @@
 //!
 //! One [`Kernels`] instance per engine holds the immutable plans (FFT
 //! twiddles, GEMM dispatch, demapper levels, constellation table, pilot
-//! references); each worker additionally owns a [`WorkerScratch`] with
-//! its decoder state and staging buffers, so no task body allocates
-//! except [`Kernels::encode_task`], which builds its payload and
-//! codeword as `Vec`s (`crates/core/tests/zero_alloc.rs` counts the
-//! rest). The same kernels serve the threaded engine, the multi-cell
-//! deployment and the inline single-threaded processor — the schedulers
-//! differ, the math does not.
+//! references, the payload generator's tables, the word encoder); each
+//! worker additionally owns a [`WorkerScratch`] with its decoder state and
+//! staging buffers, and the encode task keeps its payload and codeword on
+//! the stack, so no task body allocates (`crates/core/tests/zero_alloc.rs`
+//! counts them). The same kernels serve the threaded engine, the
+//! multi-cell deployment and the inline single-threaded processor — the
+//! schedulers differ, the math does not.
 
 use crate::buffers::{AlignedBuf, BufferGeometry, FrameBuffers, Piece};
 use crate::config::EngineConfig;
 use crate::state::FrameShape;
 use agora_fft::{Direction, FftPlan, SubcarrierMap};
-use agora_ldpc::{DecodeConfigI8, DecoderI8, Encoder, RateMatch};
-use agora_math::simd::{stream_copy, stream_fence, SimdTier};
+use agora_ldpc::{DecodeConfigI8, DecoderI8, RateMatch, WordEncoder};
+use agora_math::simd::{stream_conj_scale, stream_copy, stream_fence, SimdTier};
 use agora_math::{
     normalize_precoder_in_place, pinv_into, CMat, Cf32, Gemm, PinvMethod, PinvScratch,
 };
@@ -44,8 +44,16 @@ pub struct Kernels {
     /// group are contiguous. Empty for every other symbol, and for a
     /// pilot symbol no user owns.
     pilot_stores: Vec<Vec<PilotStore>>,
+    /// Where the IFFT task's scatter reads each eight-bin step of the
+    /// grid, in natural order.
+    ifft_steps: Vec<IfftStep>,
+    /// The pieces of the [`IfftStep::Staged`] steps, each with the place
+    /// of its first bin in the worker's staging row.
+    ifft_staged: Vec<(Piece, usize)>,
     rate_match: RateMatch,
-    encoder: Encoder,
+    /// The MAC payload generator, a word at a time.
+    payload: PayloadWords,
+    encoder: WordEncoder,
     /// Planned GEMM for equalization (`K x M x block`).
     eq_gemm: Gemm,
     /// Planned GEMM for precoding (`M x K x block`).
@@ -53,8 +61,8 @@ pub struct Kernels {
     /// The cell's soft demapper, run on every user row a block's
     /// equalization GEMM leaves.
     demapper: Demapper,
-    /// The cell's constellation table and bit-pack, run on every user
-    /// row a block's precoding GEMM reads.
+    /// The cell's constellation table, run on every user row a block's
+    /// precoding GEMM reads.
     modulator: Modulator,
     /// Tier every kernel above and the streaming stores dispatch to.
     tier: SimdTier,
@@ -106,12 +114,29 @@ struct PilotStore {
     inv: Cf32,
 }
 
+/// Where the IFFT task's scatter ([`FftPlan::forward_of_conj`]) finds the
+/// eight natural-order bins of one step of an antenna's grid.
+#[derive(Debug, Clone, Copy)]
+enum IfftStep {
+    /// Guard bins only.
+    Zero,
+    /// Eight bins of one piece: eight consecutive samples of the
+    /// antenna's line of a `dl_freq` block, from this column for antenna
+    /// 0 (antenna `a`'s are `a * block` on).
+    Plane(usize),
+    /// Bins of two pieces, or of a piece and a guard band — at 2048/1200
+    /// the DC offset puts every positive-frequency step here: eight
+    /// samples of the worker's staging row from this place.
+    Staged(usize),
+}
+
 /// Per-worker mutable scratch: decoder state and staging buffers.
 pub struct WorkerScratch {
-    /// The one transform buffer: up to `max(batch.fft, batch.ifft)`
-    /// transform-sized grids back to back, line-aligned, so one
-    /// `execute_batch_prereversed` call covers a whole (I)FFT task and
-    /// the task's loads and stores never straddle a line.
+    /// The one transform buffer: `batch.fft` transform-sized grids back
+    /// to back, line-aligned, so one `execute_batch_prereversed` call
+    /// covers a whole FFT task and the task's loads and stores never
+    /// straddle a line; an IFFT task transforms one antenna at a time in
+    /// the first.
     grid: AlignedBuf<Cf32>,
     ant_block: Vec<Cf32>,
     user_block: Vec<Cf32>,
@@ -125,6 +150,10 @@ pub struct WorkerScratch {
     decoder: DecoderI8,
     /// A code block's LLRs as rate matching re-inflates them.
     full_llr: Vec<i8>,
+    /// The IFFT task's [`IfftStep::Staged`] steps, natural order. Only
+    /// their active bins are ever written, so the guard bins among them
+    /// keep the zeros the row was allocated with.
+    ifft_stage: Vec<Cf32>,
 }
 
 impl Kernels {
@@ -155,12 +184,13 @@ impl Kernels {
         let map = SubcarrierMap::new(cell.fft_size, cell.num_data_sc);
         let pieces = geom.pieces(map.active_runs());
         let pilot_stores = pilot_stores(cell, &map, &geom);
+        let (ifft_steps, ifft_staged) = ifft_steps(cell.fft_size, &pieces, &geom);
         let rate_match = cell.ldpc.rate_match();
-        let encoder = Encoder::new(cell.ldpc.base_graph, cell.ldpc.z);
+        let encoder = WordEncoder::new(cell.ldpc.base_graph, cell.ldpc.z, cell.ldpc.rate);
         let eq_gemm = Gemm::plan_with_tier(geom.k, geom.m, geom.block, tier);
         let pre_gemm = Gemm::plan_with_tier(geom.m, geom.k, geom.block, tier);
         let demapper = Demapper::new(cell.modulation, tier);
-        let modulator = Modulator::new(cell.modulation, tier);
+        let modulator = Modulator::new(cell.modulation);
         let coded_bits = cell.coded_bits_per_symbol();
         let d_min_sqr = d_min_sqr(cell.modulation);
         let shape = FrameShape::new(cell);
@@ -171,7 +201,10 @@ impl Kernels {
             fft,
             pieces,
             pilot_stores,
+            ifft_steps,
+            ifft_staged,
             rate_match,
+            payload: PayloadWords::new(),
             encoder,
             eq_gemm,
             pre_gemm,
@@ -188,9 +221,7 @@ impl Kernels {
         let g = &self.geom;
         let ldpc = &self.cfg.cell.ldpc;
         WorkerScratch {
-            grid: AlignedBuf::zeroed(
-                self.cfg.batch.fft.max(self.cfg.batch.ifft).max(1) * self.cfg.cell.fft_size,
-            ),
+            grid: AlignedBuf::zeroed(self.cfg.batch.fft.max(1) * self.cfg.cell.fft_size),
             ant_block: vec![Cf32::ZERO; g.m * g.block],
             user_block: vec![Cf32::ZERO; g.k * g.block],
             zf_h: CMat::zeros(g.m, g.k),
@@ -199,6 +230,7 @@ impl Kernels {
             zf_pinv: PinvScratch::with_tier(g.m, g.k, self.tier),
             decoder: DecoderI8::with_tier(ldpc.base_graph, ldpc.z, self.tier),
             full_llr: vec![0; self.rate_match.codeword_len()],
+            ifft_stage: vec![Cf32::ZERO; staged_len(&self.ifft_steps)],
         }
     }
 
@@ -375,14 +407,17 @@ impl Kernels {
         fb.decode_ok.store((symbol, user), 0, success as u8);
     }
 
-    /// LDPC encode task (downlink): deterministic MAC payload for
-    /// `(frame, symbol, user)`, encoded and rate-matched into `dl_bits`.
+    /// LDPC encode task (downlink): the deterministic MAC payload of
+    /// `(frame, symbol, user)` — [`mac_payload`]'s bits, generated a word
+    /// at a time — encoded on words and rate-matched into the packed
+    /// `dl_bits` row, zero-padded to its end. Payload and codeword live on
+    /// the stack; nothing is allocated.
     pub fn encode_task(&self, fb: &FrameBuffers, frame: u32, symbol: usize, user: usize) {
-        let info = mac_payload(frame, symbol as u32, user as u32, self.encoder.info_len());
-        let cw = self.encoder.encode(&info);
-        let mut tx = self.rate_match.extract(&cw);
-        tx.resize(self.geom.cap_bits, 0);
-        fb.dl_bits.row_mut((symbol, user), ..).copy_from_slice(&tx);
+        let len = self.encoder.info_len();
+        let mut info = [0u64; WordEncoder::MAX_INFO_WORDS];
+        let info = &mut info[..len.div_ceil(64)];
+        self.payload.fill(payload_seed(frame, symbol as u32, user as u32), len, info);
+        self.encoder.encode_into(info, fb.dl_bits.row_mut((symbol, user), ..));
     }
 
     /// Fused modulation + precoding for `count` consecutive subcarriers of
@@ -396,13 +431,15 @@ impl Kernels {
         count: usize,
     ) {
         let g = &self.geom;
-        let bps = self.cfg.cell.modulation.bits_per_symbol();
+        // A block's bits are whole bytes of the packed row
+        // (`EngineConfig::validate`).
+        let bytes = g.block * self.cfg.cell.modulation.bits_per_symbol() / 8;
         for blk in g.task_blocks(sc_base, count) {
             let sc = blk * g.block;
             // Build the K x block user-symbol matrix (modulation fusion).
             for (user, row) in s.user_block.chunks_exact_mut(g.block).enumerate() {
                 let bits = fb.dl_bits.row((symbol, user));
-                self.modulator.modulate_into(&bits[sc * bps..(sc + g.block) * bps], row);
+                self.modulator.modulate_into(&bits[blk * bytes..(blk + 1) * bytes], row);
             }
             self.pre_gemm.run(fb.pre.row(sc / g.zf_group), &s.user_block, &mut s.ant_block);
             // This task owns the whole block, every antenna.
@@ -418,12 +455,17 @@ impl Kernels {
     }
 
     /// IFFT task (downlink) for `count` consecutive antennas from `base`:
-    /// gather each antenna's subcarriers, inverse-transform them all,
-    /// write time-domain samples. The gather reads each antenna's line of
-    /// a `[block][antenna][8 sc]` block straight into the grid through
-    /// the transform's bit-reversal table, so the grid is built
-    /// pre-reversed and the butterflies run directly on it. The output
-    /// does not depend on how antennas are grouped into batches.
+    /// per antenna, gather its subcarriers, inverse-transform them, write
+    /// the time-domain samples. The inverse is run as `conj(FFT(conj x)) /
+    /// n`, and both conjugations ride passes the task makes anyway:
+    /// [`FftPlan::forward_of_conj`] scatters the antenna's lines of the
+    /// `[block][antenna][8 sc]` blocks conjugated and bit-reversed into
+    /// the grid — every bin, the guard bins as `conj(0)`, so the grid
+    /// needs no clearing — and runs the butterflies forward on it, and the
+    /// streaming store multiplies by `conj · (1/n)`
+    /// ([`stream_conj_scale`]). Those are the operations of
+    /// [`Direction::Inverse`] in the same order, so the bits are its, and
+    /// they do not depend on how antennas are grouped into tasks.
     pub fn ifft_batch_task(
         &self,
         fb: &FrameBuffers,
@@ -434,25 +476,27 @@ impl Kernels {
     ) {
         let g = &self.geom;
         let n = self.cfg.cell.fft_size;
-        assert!(count * n <= s.grid.len(), "batch exceeds scratch capacity");
-        let bitrev = self.fft.bitrev();
         // The output view checks the antenna run before the gather reads
         // by it.
         let out = fb.dl_time.row_mut(symbol, g.antenna_cols(base..base + count));
         let freq = fb.dl_freq.row(symbol);
-        for (i, grid) in s.grid.chunks_exact_mut(n).take(count).enumerate() {
-            grid.fill(Cf32::ZERO);
-            for p in &self.pieces {
-                let shares = freq[g.piece_cols(p, base + i)].iter();
-                for (&v, &j) in shares.zip(&bitrev[p.bin..]) {
-                    grid[j as usize] = v;
-                }
+        let grid = &mut s.grid[..n];
+        let scale = 1.0 / n as f32;
+        for (ant, out) in (base..).zip(out.chunks_exact_mut(g.samples)) {
+            for &(p, at) in &self.ifft_staged {
+                s.ifft_stage[at..at + p.len].copy_from_slice(&freq[g.piece_cols(&p, ant)]);
             }
-        }
-        self.fft.execute_batch_prereversed(&mut s.grid[..count * n], Direction::Inverse);
-        // CP-less symbols, as in the uplink path.
-        for (out, grid) in out.chunks_exact_mut(g.samples).zip(s.grid.chunks_exact(n)) {
-            stream_copy(&grid[..g.samples], out, self.tier);
+            let stage = &s.ifft_stage;
+            self.fft.forward_of_conj(grid, |t| {
+                let step = match self.ifft_steps[t] {
+                    IfftStep::Zero => return None,
+                    IfftStep::Plane(col) => &freq[col + ant * g.block..][..8],
+                    IfftStep::Staged(at) => &stage[at..at + 8],
+                };
+                Some(step.try_into().expect("eight bins"))
+            });
+            // CP-less symbols, as in the uplink path.
+            stream_conj_scale(&grid[..g.samples], out, scale, self.tier);
         }
         stream_fence();
     }
@@ -621,17 +665,125 @@ fn pilot_stores(
     stores
 }
 
-/// Deterministic pseudo-random MAC payload for downlink experiments.
+/// Builds [`Kernels::ifft_steps`] and [`Kernels::ifft_staged`] for an
+/// `n`-point grid: a step that is the whole or a line-aligned part of one
+/// piece reads the plane, a step no piece touches is zeros, and any other
+/// step is staged. Staged steps take consecutive places in step order, so
+/// a piece that runs from one staged step into the next is one copy.
+fn ifft_steps(
+    n: usize,
+    pieces: &[Piece],
+    g: &BufferGeometry,
+) -> (Vec<IfftStep>, Vec<(Piece, usize)>) {
+    let aligned = |p: &Piece| p.bin.is_multiple_of(8) && p.len.is_multiple_of(8);
+    let mut steps = vec![IfftStep::Zero; n / 8];
+    for p in pieces {
+        let col = g.piece_cols(p, 0).start;
+        for (k, t) in (p.bin / 8..(p.bin + p.len).div_ceil(8)).enumerate() {
+            steps[t] = if aligned(p) { IfftStep::Plane(col + 8 * k) } else { IfftStep::Staged(0) };
+        }
+    }
+    let mut rows = 0;
+    for step in &mut steps {
+        if let IfftStep::Staged(at) = step {
+            (*at, rows) = (rows, rows + 8);
+        }
+    }
+    let staged = pieces
+        .iter()
+        .filter(|p| !aligned(p))
+        .map(|p| match steps[p.bin / 8] {
+            IfftStep::Staged(at) => (*p, at + p.bin % 8),
+            _ => unreachable!("an unaligned piece's steps are staged"),
+        })
+        .collect();
+    (steps, staged)
+}
+
+/// Length of the staging row `steps` read.
+fn staged_len(steps: &[IfftStep]) -> usize {
+    8 * steps.iter().filter(|s| matches!(s, IfftStep::Staged(_))).count()
+}
+
+/// The generator state [`mac_payload`] starts `(frame, symbol, user)` from.
+fn payload_seed(frame: u32, symbol: u32, user: u32) -> u64 {
+    ((frame as u64) << 32) ^ ((symbol as u64) << 16) ^ (user as u64) ^ 0x9E37
+}
+
+/// One xorshift64 step: the payload generator's, and a linear map over
+/// GF(2).
+fn xorshift(mut state: u64) -> u64 {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    state
+}
+
+/// Deterministic pseudo-random MAC payload for downlink experiments: bit
+/// `i` is bit 0 of the generator state after `i + 1` xorshift steps from
+/// [`payload_seed`]. One bit per byte, a step at a time — the oracle of
+/// the word generator the encode task runs.
 pub fn mac_payload(frame: u32, symbol: u32, user: u32, len: usize) -> Vec<u8> {
-    let mut state = ((frame as u64) << 32) ^ ((symbol as u64) << 16) ^ (user as u64) ^ 0x9E37;
+    let mut state = payload_seed(frame, symbol, user);
     (0..len)
         .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
+            state = xorshift(state);
             (state & 1) as u8
         })
         .collect()
+}
+
+/// [`mac_payload`] 64 bits at a time. A xorshift step is linear over
+/// GF(2), so the next 64 output bits are a fixed 64 x 64 bit matrix times
+/// the state, and the state 64 steps on is another. Both are kept as
+/// eight 256-entry tables, one per state byte, holding the pair of
+/// products of that byte's value: a word is eight lookups and XORs where
+/// the bit-serial generator takes 64 dependent steps.
+struct PayloadWords {
+    /// `tables[b][v]`: (the next 64 output bits, the state 64 steps on) of
+    /// the state `v << 8b`.
+    tables: Box<[[(u64, u64); 256]; 8]>,
+}
+
+impl PayloadWords {
+    fn new() -> Self {
+        // Column `k` of each matrix: what state bit `k` alone makes.
+        let mut cols = [(0u64, 0u64); 64];
+        for (k, col) in cols.iter_mut().enumerate() {
+            let mut state = 1u64 << k;
+            for j in 0..64 {
+                state = xorshift(state);
+                col.0 |= (state & 1) << j;
+            }
+            col.1 = state;
+        }
+        let mut tables = Box::new([[(0u64, 0u64); 256]; 8]);
+        for (b, table) in tables.iter_mut().enumerate() {
+            for v in 1..256 {
+                let (rest, col) = (table[v & (v - 1)], cols[8 * b + v.trailing_zeros() as usize]);
+                table[v] = (rest.0 ^ col.0, rest.1 ^ col.1);
+            }
+        }
+        Self { tables }
+    }
+
+    /// The first `len` payload bits from `seed`, packed LSB-first into
+    /// `words` (`ceil(len / 64)` of them), the bits past `len` zero.
+    fn fill(&self, seed: u64, len: usize, words: &mut [u64]) {
+        assert_eq!(words.len(), len.div_ceil(64), "one word per 64 payload bits");
+        let mut state = seed;
+        for word in words.iter_mut() {
+            let (mut out, mut next) = (0, 0);
+            for (table, byte) in self.tables.iter().zip(state.to_le_bytes()) {
+                let (o, s) = table[byte as usize];
+                (out, next) = (out ^ o, next ^ s);
+            }
+            (*word, state) = (out, next);
+        }
+        if !len.is_multiple_of(64) {
+            words[len / 64] &= (1 << (len % 64)) - 1;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -656,14 +808,125 @@ mod tests {
         assert_ne!(a, c);
     }
 
+    /// `mac_payload` packed LSB-first into words, as the encode task
+    /// takes its payload.
+    fn packed_payload(frame: u32, symbol: u32, user: u32, len: usize) -> Vec<u64> {
+        let mut words = vec![0u64; len.div_ceil(64)];
+        for (i, b) in mac_payload(frame, symbol, user, len).into_iter().enumerate() {
+            words[i / 64] |= (b as u64) << (i % 64);
+        }
+        words
+    }
+
+    fn payload_words(
+        gen: &PayloadWords,
+        frame: u32,
+        symbol: u32,
+        user: u32,
+        len: usize,
+    ) -> Vec<u64> {
+        let mut words = vec![u64::MAX; len.div_ceil(64)];
+        gen.fill(payload_seed(frame, symbol, user), len, &mut words);
+        words
+    }
+
+    /// The word generator is the bit-serial one: every length 0..=300,
+    /// and the payload of every cell shape in the tree.
+    #[test]
+    fn payload_words_match_mac_payload() {
+        let gen = PayloadWords::new();
+        for (frame, symbol, user) in [(0, 0, 0), (1, 2, 3), (u32::MAX, 13, 15), (7, 0x9E, 0x37)] {
+            for len in 0..=300 {
+                let want = packed_payload(frame, symbol, user, len);
+                assert_eq!(payload_words(&gen, frame, symbol, user, len), want, "{len} bits");
+            }
+        }
+        let cells = [
+            CellConfig::tiny_test(1),
+            CellConfig::emulated_rru(64, 16, 1),
+            CellConfig::over_the_air(8, 1),
+        ];
+        for cell in cells {
+            let len = cell.info_bits_per_symbol();
+            assert_eq!(payload_words(&gen, 3, 5, 1, len), packed_payload(3, 5, 1, len), "{len}");
+        }
+    }
+
+    /// Every `(frame < 8, symbol < 14, user < 16)` payload of the 64x16
+    /// cell, word generator against bit-serial. Release only
+    /// (`scripts/ci.sh` runs it there).
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn every_64x16_payload_matches_mac_payload() {
+        let gen = PayloadWords::new();
+        let len = CellConfig::emulated_rru(64, 16, 1).info_bits_per_symbol();
+        for frame in 0..8 {
+            for symbol in 0..14 {
+                for user in 0..16 {
+                    let got = payload_words(&gen, frame, symbol, user, len);
+                    assert!(
+                        got == packed_payload(frame, symbol, user, len),
+                        "{frame}/{symbol}/{user}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The IFFT task against the unfused pipeline on every tier and step
+    /// layout: scatter the antenna's subcarriers into a zeroed grid, run
+    /// the whole inverse transform (its own bit reversal and conjugation
+    /// passes), copy out. At 256/240 and 2048/1200 with blocks of 8 (plane
+    /// and staged steps), and at 512/300 and 256/240 with blocks of 4
+    /// (staged steps only).
+    #[test]
+    fn ifft_task_matches_the_unfused_inverse_on_every_layout() {
+        use crate::buffers::FrameWindow;
+        use agora_phy::frame::FrameSchedule;
+        let (mut ota, mut narrow) = (CellConfig::over_the_air(1, 0), CellConfig::tiny_test(0));
+        (ota.num_antennas, narrow.num_antennas) = (4, 3);
+        let wide = CellConfig::emulated_rru(4, 2, 0);
+        for (mut cell, block) in [(CellConfig::tiny_test(0), 8), (wide, 8), (ota, 4), (narrow, 4)] {
+            cell.schedule = FrameSchedule::parse("PD").unwrap();
+            for tier in [SimdTier::Scalar, SimdTier::cached()] {
+                let mut cfg = EngineConfig::new(cell.clone(), 1);
+                cfg.demod_block = block;
+                cfg.clamp_batches();
+                let k = Kernels::with_tier(cfg, tier);
+                let (g, n) = (k.geom, cell.fft_size);
+                let what = format!("{n}/{} block {block} {tier:?}", g.q);
+                assert!(k.ifft_steps.iter().any(|s| matches!(s, IfftStep::Staged(_))), "{what}");
+                let w = FrameWindow::new(g, 2);
+                let fb = w.slot(0);
+                let mut state = 0x2545_F491_4F6C_DD1Du64;
+                for z in fb.dl_freq.row_mut(1, ..) {
+                    let mut next = || {
+                        state = xorshift(state);
+                        (state >> 40) as f32 / (1 << 23) as f32 - 1.0
+                    };
+                    *z = Cf32::new(next(), next());
+                }
+                let mut s = k.scratch();
+                (0..g.m).for_each(|a| k.ifft_task(fb, &mut s, 1, a));
+                let freq = fb.dl_freq.row(1);
+                let (mut active, mut grid) = (vec![Cf32::ZERO; g.q], vec![Cf32::ZERO; n]);
+                for (ant, got) in fb.dl_time.row(1).chunks_exact(g.samples).enumerate() {
+                    for (sc, v) in active.iter_mut().enumerate() {
+                        *v = freq[g.sc_col(sc, ant)];
+                    }
+                    map_of(&k).map_symbols(&active, &mut grid);
+                    k.fft.execute(&mut grid, Direction::Inverse);
+                    assert!(bits(got) == bits(&grid), "{what}: antenna {ant}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn scratch_sizes_match_geometry() {
         let k = Kernels::new(EngineConfig::new(CellConfig::tiny_test(2), 2));
         let s = k.scratch();
-        assert_eq!(
-            s.grid.len(),
-            k.cfg.batch.fft.max(k.cfg.batch.ifft).max(1) * k.cfg.cell.fft_size
-        );
+        assert_eq!(s.grid.len(), k.cfg.batch.fft.max(1) * k.cfg.cell.fft_size);
         assert!((s.grid.as_ptr() as usize).is_multiple_of(agora_math::simd::CACHE_LINE));
         assert_eq!(s.full_llr.len(), k.rate_match().codeword_len());
         assert_eq!(s.zf_h.shape(), (k.geom.m, k.geom.k));

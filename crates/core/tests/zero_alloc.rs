@@ -1,9 +1,9 @@
-//! No task body but `encode_task` allocates: the worker's scratch owns
-//! the transform grid, the ZF intermediates, the GEMM blocks, the
-//! quantiser's row and the decoder's buffers, and every body writes
-//! straight into the frame's planes. Nor does the manager's frame table
-//! once a frame's first packet has built its record. A counting global
-//! allocator makes both claims checkable.
+//! No task body allocates: the worker's scratch owns the transform grid,
+//! the IFFT's staging row, the ZF intermediates, the GEMM blocks and the
+//! decoder's buffers, the encode task keeps its payload and codeword on
+//! the stack, and every body writes straight into the frame's planes. Nor
+//! does the manager's frame table once a frame's first packet has built
+//! its record. A counting global allocator makes both claims checkable.
 
 use agora_core::state::{FrameShape, FrameTable};
 use agora_core::{BatchSizes, EngineConfig, InlineProcessor};
@@ -52,9 +52,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Runs every allocation-free task body of one pilot + uplink + downlink
-/// frame on a fresh scratch, twice: the second time none may allocate,
-/// and the planes it rewrote must hold what the inline pass left.
+/// Runs every task body of one pilot + uplink + downlink frame on a fresh
+/// scratch, twice: the second time none may allocate, and the planes it
+/// rewrote must hold what the inline pass left.
 #[test]
 fn task_bodies_are_allocation_free() {
     let mut cell = CellConfig::tiny_test(1);
@@ -75,12 +75,15 @@ fn task_bodies_are_allocation_free() {
     // SAFETY (here and below): single-threaded, no task in flight, and no
     // view alive across a `fill`.
     let (llr, dl_time) = unsafe { (fb.llr.view(None).to_vec(), fb.dl_time.view(None).to_vec()) };
+    let dl_bits = |user| unsafe { fb.dl_bits.view(Some((downlink, user))).to_vec() };
+    let dl_bits: Vec<Vec<u8>> = (0..g.k).map(dl_bits).collect();
 
     let mut counts = Vec::new();
     for pass in 0..2 {
         unsafe {
             fb.llr.fill(0);
             fb.decoded.fill(2);
+            fb.dl_bits.fill(0xA5);
             fb.dl_time.fill(agora_math::Cf32::ZERO);
         }
         let mut body = |name: &'static str, run: &mut dyn FnMut()| {
@@ -101,6 +104,9 @@ fn task_bodies_are_allocation_free() {
         });
         body("demod", &mut || kernels.demod_task(fb, s, 0, uplink, 0, g.q));
         body("decode", &mut || (0..g.k).for_each(|user| kernels.decode_task(fb, s, uplink, user)));
+        body("encode", &mut || {
+            (0..g.k).for_each(|user| kernels.encode_task(fb, 0, downlink, user))
+        });
         body("precode", &mut || kernels.precode_task(fb, s, downlink, 0, g.q));
         body("ifft", &mut || (0..g.m).for_each(|ant| kernels.ifft_task(fb, s, downlink, ant)));
     }
@@ -110,12 +116,24 @@ fn task_bodies_are_allocation_free() {
             let got = fb.decoded.view(Some((uplink, user)));
             assert_eq!(got, &reference.decoded[uplink][user][..], "user {user}");
         }
+        for (user, bits) in dl_bits.iter().enumerate() {
+            assert_eq!(fb.dl_bits.view(Some((downlink, user))), &bits[..], "user {user}");
+        }
         assert_eq!(fb.llr.view(None), &llr[..]);
         assert!(fb.dl_time.view(None) == &dl_time[..]);
     }
     assert!(llr.iter().any(|&l| l != 0), "the LLR plane is empty");
+    assert!(dl_bits.iter().flatten().any(|&b| b != 0), "the dl_bits rows are empty");
     assert!(dl_time.iter().any(|&z| z != agora_math::Cf32::ZERO));
-    let none = [("fft", 0), ("zf", 0), ("demod", 0), ("decode", 0), ("precode", 0), ("ifft", 0)];
+    let none = [
+        ("fft", 0),
+        ("zf", 0),
+        ("demod", 0),
+        ("decode", 0),
+        ("encode", 0),
+        ("precode", 0),
+        ("ifft", 0),
+    ];
     assert_eq!(counts, none);
 }
 

@@ -42,6 +42,9 @@ pub struct FftPlan {
     /// the in-place permutation performs. Streaming this list avoids the
     /// branch-per-element of walking `bitrev` and skipping fixed points.
     swaps: Vec<(u32, u32)>,
+    /// The fixed points `i = bitrev[i]`, which the inverse transform's
+    /// permutation still has to conjugate.
+    fixed: Vec<u32>,
     /// Forward-direction twiddles, concatenated per stage: stage `s`
     /// (butterfly half-width `w = 2^s`) contributes the `w` twiddles
     /// `e^{-i pi j / w}` for `j` in `0..w` — exclusive of `w` itself
@@ -95,6 +98,7 @@ impl FftPlan {
             .filter(|&(i, &j)| (i as u32) < j)
             .map(|(i, &j)| (i as u32, j))
             .collect();
+        let fixed = (0..n as u32).filter(|&i| bitrev[i as usize] == i).collect();
         // Twiddles per stage, computed in f64 for accuracy.
         let mut twiddles = Vec::with_capacity(n.saturating_sub(1));
         let mut w = 1usize;
@@ -127,6 +131,7 @@ impl FftPlan {
             log2n,
             bitrev,
             swaps,
+            fixed,
             twiddles,
             tw_re_dup,
             tw_im_alt,
@@ -203,6 +208,59 @@ impl FftPlan {
         self.run(data, dir, true);
     }
 
+    /// `FFT(conj x)` into `out`, for `x` given as eight-sample steps in
+    /// natural order: `step(t)` is samples `8t..8t + 8`, or `None` for
+    /// eight zeros. The inverse transform of `x` is then `conj(out) / n`,
+    /// which a caller can fuse into its store
+    /// (`agora_math::simd::stream_conj_scale`). So input that sits in
+    /// several places — the IFFT task's `dl_freq` lines, and guard bands
+    /// it never stores — is transformed without a natural-order copy, a
+    /// cleared grid or a conjugation pass.
+    ///
+    /// `x` goes into `out` conjugated and bit-reversed, a zero as `conj(0)
+    /// = (+0, −0)` — what [`Direction::Inverse`]'s own conjugation makes
+    /// of it — and the butterflies run forward on it: the operations of
+    /// [`Self::execute_prereversed`] with [`Direction::Forward`] on that
+    /// grid, so the bits are its. The AVX2 body scatters four steps at a
+    /// time as 32-byte runs, the way the engine's IQ unpack does (a 4 x 4
+    /// transpose; DESIGN.md §4.1), and since each run is one radix-4 group
+    /// of the grid it leaves the scatter with the first two butterfly
+    /// stages done.
+    ///
+    /// # Panics
+    /// Panics unless `out.len()` is the plan size and at least 8.
+    pub fn forward_of_conj<'a>(
+        &self,
+        out: &mut [Cf32],
+        step: impl Fn(usize) -> Option<&'a [Cf32; 8]>,
+    ) {
+        assert!(out.len() == self.n && self.n >= 8, "output must be one transform of 8+ points");
+        #[cfg(target_arch = "x86_64")]
+        if self.tier == SimdTier::Avx2 && self.n >= 32 {
+            // SAFETY: the tier is clamped to what the CPU supports,
+            // `bitrev` is this plan's permutation of `out.len()` points and
+            // the twiddles are this plan's.
+            unsafe {
+                crate::simd::scatter_conj_radix4_avx2(&self.bitrev, out, step);
+                crate::simd::butterflies_avx2(out, self.n, &self.tw_re_dup, &self.tw_im_alt, true);
+            }
+            return;
+        }
+        self.scatter_conj(out, step);
+        self.butterflies(out);
+    }
+
+    /// The scalar scatter of [`Self::forward_of_conj`]: `conj(x)` in
+    /// bit-reversed order.
+    fn scatter_conj<'a>(&self, out: &mut [Cf32], step: impl Fn(usize) -> Option<&'a [Cf32; 8]>) {
+        for (t, slots) in self.bitrev.chunks_exact(8).enumerate() {
+            let x = step(t);
+            for (k, &j) in slots.iter().enumerate() {
+                out[j as usize] = x.map_or(Cf32::ZERO, |x| x[k]).conj();
+            }
+        }
+    }
+
     /// Shared body for all execute variants; `data` holds one or more
     /// transforms.
     fn run(&self, data: &mut [Cf32], dir: Direction, prereversed: bool) {
@@ -211,27 +269,33 @@ impl FftPlan {
         }
         // Conjugate trick for the inverse: IFFT(x) = conj(FFT(conj(x)))/N.
         // Conjugation is elementwise, so it commutes with the bit-reversal
-        // permutation and is valid on pre-reversed input too.
-        if dir == Direction::Inverse {
-            self.conj_pass(data);
-        }
-        if !prereversed {
-            // Permute and butterfly tile by tile, so a transform's data is
-            // still cache-resident when its butterflies start. With large
-            // batches a permute-everything-then-butterfly-everything order
-            // would evict each transform between the two passes.
-            let tile = self.tile_transforms() * self.n;
-            for slice in data.chunks_mut(tile) {
-                for chunk in slice.chunks_exact_mut(self.n) {
-                    self.bit_reverse(chunk);
-                }
-                self.butterflies(slice);
+        // permutation: natural-order input is conjugated by the
+        // permutation itself, pre-reversed input by a pass of its own.
+        let inverse = dir == Direction::Inverse;
+        let scale = 1.0 / self.n as f32;
+        if prereversed {
+            if inverse {
+                self.conj_pass(data);
             }
-        } else {
             self.butterflies(data);
+            if inverse {
+                self.conj_scale_pass(data, scale);
+            }
+            return;
         }
-        if dir == Direction::Inverse {
-            self.conj_scale_pass(data, 1.0 / self.n as f32);
+        // Permute, butterfly and scale tile by tile, so a transform's data
+        // is still cache-resident when its butterflies start. With large
+        // batches a permute-everything-then-butterfly-everything order
+        // would evict each transform between the two passes.
+        let tile = self.tile_transforms() * self.n;
+        for slice in data.chunks_mut(tile) {
+            for chunk in slice.chunks_exact_mut(self.n) {
+                self.bit_reverse(chunk, inverse);
+            }
+            self.butterflies(slice);
+            if inverse {
+                self.conj_scale_pass(slice, scale);
+            }
         }
     }
 
@@ -246,10 +310,21 @@ impl FftPlan {
     }
 
     /// In-place bit-reversal permutation of one transform (swap once per
-    /// pair, streaming the precomputed swap list).
-    fn bit_reverse(&self, data: &mut [Cf32]) {
+    /// pair, streaming the precomputed swap list), conjugating every
+    /// sample on the way when `conj` is set — the fixed points too.
+    fn bit_reverse(&self, data: &mut [Cf32], conj: bool) {
+        if !conj {
+            for &(i, j) in &self.swaps {
+                data.swap(i as usize, j as usize);
+            }
+            return;
+        }
         for &(i, j) in &self.swaps {
-            data.swap(i as usize, j as usize);
+            let (i, j) = (i as usize, j as usize);
+            (data[i], data[j]) = (data[j].conj(), data[i].conj());
+        }
+        for &i in &self.fixed {
+            data[i as usize] = data[i as usize].conj();
         }
     }
 
@@ -258,7 +333,7 @@ impl FftPlan {
         #[cfg(target_arch = "x86_64")]
         if self.tier == SimdTier::Avx2 && self.n >= 4 {
             unsafe {
-                crate::simd::butterflies_avx2(data, self.n, &self.tw_re_dup, &self.tw_im_alt)
+                crate::simd::butterflies_avx2(data, self.n, &self.tw_re_dup, &self.tw_im_alt, false)
             };
             return;
         }
@@ -488,6 +563,72 @@ mod tests {
             }
             plan.execute_batch(&mut data, dir);
             assert!(max_err(&expect, &data) < 1e-5, "batch diverged ({dir:?})");
+        }
+    }
+
+    fn bits(v: &[Cf32]) -> Vec<(u32, u32)> {
+        v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
+    /// The inverse folds its first conjugation into the permutation (or
+    /// its own pass, pre-reversed) and its `conj / n` into one closing
+    /// pass; either way it is `conj(FFT(conj x)) / n` through the forward
+    /// path, bit for bit — every size 1..=4096, both tiers, one transform
+    /// and a batch of three, natural and pre-reversed order.
+    #[test]
+    fn inverse_is_the_conjugated_forward_bit_for_bit() {
+        for log2 in 0..=12 {
+            let n = 1usize << log2;
+            for tier in [SimdTier::Scalar, SimdTier::cached()] {
+                let plan = FftPlan::with_tier(n, tier);
+                let x: Vec<Cf32> = signal(3 * n).iter().map(|z| z.scale(0.5)).collect();
+                let mut want: Vec<Cf32> = x.iter().map(|z| z.conj()).collect();
+                plan.execute_batch(&mut want, Direction::Forward);
+                let want: Vec<Cf32> = want.iter().map(|z| z.conj().scale(1.0 / n as f32)).collect();
+                let mut single = x[..n].to_vec();
+                plan.execute(&mut single, Direction::Inverse);
+                assert!(bits(&single) == bits(&want[..n]), "n {n} {tier:?}: execute");
+                let mut batch = x.clone();
+                plan.execute_batch(&mut batch, Direction::Inverse);
+                assert!(bits(&batch) == bits(&want), "n {n} {tier:?}: execute_batch");
+                let mut gathered: Vec<Cf32> =
+                    (0..3 * n).map(|i| x[i / n * n + plan.bitrev()[i % n] as usize]).collect();
+                plan.execute_batch_prereversed(&mut gathered, Direction::Inverse);
+                assert!(bits(&gathered) == bits(&want), "n {n} {tier:?}: prereversed");
+            }
+        }
+    }
+
+    /// `forward_of_conj` is the conjugated input in bit-reversed order, a
+    /// missing step as `(+0, -0)`, through `execute_prereversed(Forward)`,
+    /// on both tiers and every size 8..=4096; behind `conj / n` that is
+    /// the same tier's inverse transform, bit for bit.
+    #[test]
+    fn forward_of_conj_is_the_forward_transform_of_the_conjugate() {
+        for log2 in 3..=12 {
+            let n = 1usize << log2;
+            let x = signal(n);
+            // Every third step is a guard band: zeros the caller never stores.
+            let steps: Vec<Option<&[Cf32; 8]>> = x
+                .chunks_exact(8)
+                .enumerate()
+                .map(|(t, s)| (t % 3 != 1).then(|| s.try_into().unwrap()))
+                .collect();
+            let natural: Vec<Cf32> =
+                steps.iter().flat_map(|s| s.map_or([Cf32::ZERO; 8], |s| *s)).collect();
+            for tier in [SimdTier::Scalar, SimdTier::cached()] {
+                let plan = FftPlan::with_tier(n, tier);
+                let mut inverse = natural.clone();
+                plan.execute(&mut inverse, Direction::Inverse);
+                let mut out = vec![Cf32::new(f32::NAN, 1.0); n];
+                plan.forward_of_conj(&mut out, |t| steps[t]);
+                let mut want: Vec<Cf32> =
+                    plan.bitrev().iter().map(|&j| natural[j as usize].conj()).collect();
+                plan.execute_prereversed(&mut want, Direction::Forward);
+                assert!(bits(&out) == bits(&want), "n {n} {tier:?}");
+                let out: Vec<Cf32> = out.iter().map(|z| z.conj().scale(1.0 / n as f32)).collect();
+                assert!(bits(&out) == bits(&inverse), "n {n} {tier:?}: as an inverse");
+            }
         }
     }
 

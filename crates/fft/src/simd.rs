@@ -44,7 +44,8 @@ pub(crate) fn tile_transforms(n: usize) -> usize {
 }
 
 /// Runs all butterfly stages over `data`, which holds `data.len() / n`
-/// independent bit-reversed transforms of size `n` laid out back to back.
+/// independent bit-reversed transforms of size `n` laid out back to back
+/// — all but the first two, fused into [`radix4`], when `radix4_done`.
 ///
 /// # Safety
 /// Requires AVX2. `n` must be a power of two with `n >= 4`, `data.len()`
@@ -56,6 +57,7 @@ pub(crate) unsafe fn butterflies_avx2(
     n: usize,
     tw_re_dup: &[f32],
     tw_im_alt: &[f32],
+    radix4_done: bool,
 ) {
     debug_assert!(n >= 4 && n.is_power_of_two());
     debug_assert_eq!(data.len() % n, 0);
@@ -65,7 +67,7 @@ pub(crate) unsafe fn butterflies_avx2(
     let mut t0 = 0usize;
     while t0 < batch {
         let tb = tile.min(batch - t0);
-        butterflies_tile(p.add(t0 * 2 * n), n, tb, tw_re_dup, tw_im_alt);
+        butterflies_tile(p.add(t0 * 2 * n), n, tb, tw_re_dup, tw_im_alt, radix4_done);
         t0 += tb;
     }
 }
@@ -75,12 +77,20 @@ pub(crate) unsafe fn butterflies_avx2(
 /// # Safety
 /// Requires AVX2; `p` must point at `tb * 2 * n` writable `f32`s.
 #[target_feature(enable = "avx2")]
-unsafe fn butterflies_tile(p: *mut f32, n: usize, tb: usize, tw_re: &[f32], tw_im: &[f32]) {
+unsafe fn butterflies_tile(
+    p: *mut f32,
+    n: usize,
+    tb: usize,
+    tw_re: &[f32],
+    tw_im: &[f32],
+    radix4_done: bool,
+) {
     // Stages 0+1 fused: radix-4 on each aligned group of four samples.
-    for t in 0..tb {
+    for t in 0..tb * !radix4_done as usize {
         let base = t * 2 * n;
         for g4 in 0..n / 4 {
-            fused_radix4(p.add(base + 8 * g4));
+            let q = p.add(base + 8 * g4);
+            _mm256_storeu_ps(q, radix4(_mm256_loadu_ps(q)));
         }
     }
     // Stages with half-widths 4, 8, ..., n/2, fused three (then two) at a
@@ -274,17 +284,17 @@ unsafe fn stage_triple(p: *mut f32, n: usize, tb: usize, w: usize, tw_re: &[f32]
     }
 }
 
-/// Four-point DFT of four consecutive bit-reversed samples, entirely in
-/// registers: stage 0 (twiddle `1`) then stage 1 (twiddles `1`, `-i`).
+/// Four-point DFT of four consecutive bit-reversed samples `v = [x0 x1
+/// x2 x3]`, entirely in registers: stage 0 (twiddle `1`) then stage 1
+/// (twiddles `1`, `-i`).
 ///
 /// # Safety
-/// Requires AVX2; `q` must point at 8 readable/writable `f32`s.
+/// Requires AVX2.
 #[target_feature(enable = "avx2")]
 #[inline]
-unsafe fn fused_radix4(q: *mut f32) {
-    let v = _mm256_loadu_ps(q); // [x0 x1 x2 x3] as (re, im) pairs
-                                // Stage 0: s = [x0+x1, x0-x1, x2+x3, x2-x3]. Complex values are f64
-                                // lanes, so pd-shuffles move whole (re, im) pairs.
+unsafe fn radix4(v: __m256) -> __m256 {
+    // Stage 0: s = [x0+x1, x0-x1, x2+x3, x2-x3]. Complex values are f64
+    // lanes, so pd-shuffles move whole (re, im) pairs.
     let vd = _mm256_castps_pd(v);
     let ve = _mm256_castpd_ps(_mm256_movedup_pd(vd)); // [x0 x0 x2 x2]
     let vo = _mm256_castpd_ps(_mm256_permute_pd(vd, 0b1111)); // [x1 x1 x3 x3]
@@ -299,8 +309,61 @@ unsafe fn fused_radix4(q: *mut f32) {
     let rot = _mm256_xor_ps(rot, neg_im13); // (im, -re) in slots 1 and 3
     let tv = _mm256_blend_ps(hi, rot, 0b1100_1100);
     let neg_hi = _mm256_set_ps(-0.0, -0.0, -0.0, -0.0, 0.0, 0.0, 0.0, 0.0);
-    let out = _mm256_add_ps(lo, _mm256_xor_ps(tv, neg_hi));
-    _mm256_storeu_ps(q, out);
+    _mm256_add_ps(lo, _mm256_xor_ps(tv, neg_hi))
+}
+
+/// The vector scatter of [`crate::FftPlan::forward_of_conj`], for
+/// transforms of 32 points or more. With `r = n / 32`, natural-order
+/// steps `s`, `s + 2r`, `s + r` and `s + 3r` (`s < r`) differ only in the
+/// two top bits of their sample indices, which the bit reversal sends to
+/// the two lowest: sample `k` of the four lands on four consecutive slots
+/// from `bitrev[8s + k]`, a multiple of 4. A 4 x 4 transpose of the
+/// eight-byte samples turns the four steps into eight such runs; each run
+/// is one sign flip of the imaginary parts, then — it is exactly one
+/// radix-4 group of the bit-reversed grid — the transform's first two
+/// butterfly stages ([`radix4`]) in the same register, and one 32-byte
+/// store through a checked slice of `out`.
+///
+/// # Safety
+/// Requires AVX2; `bitrev` must be the bit-reversal permutation of
+/// `out.len()` points, a power of two of at least 32.
+#[target_feature(enable = "avx2")]
+pub(crate) unsafe fn scatter_conj_radix4_avx2<'a>(
+    bitrev: &[u32],
+    out: &mut [Cf32],
+    step: impl Fn(usize) -> Option<&'a [Cf32; 8]>,
+) {
+    let r = out.len() / 32;
+    let neg_im = _mm256_castps_pd(_mm256_set_ps(-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0));
+    for s in 0..r {
+        // Row `j` of `rows[h]` holds samples 4h..4h + 4 of the j-th step.
+        let mut rows = [[_mm256_setzero_pd(); 4]; 2];
+        for (j, t) in [s, s + 2 * r, s + r, s + 3 * r].into_iter().enumerate() {
+            if let Some(x) = step(t) {
+                let p = x.as_ptr() as *const f64;
+                (rows[0][j], rows[1][j]) = (_mm256_loadu_pd(p), _mm256_loadu_pd(p.add(4)));
+            }
+        }
+        for (h, rows) in rows.iter().enumerate() {
+            let t0 = _mm256_unpacklo_pd(rows[0], rows[1]);
+            let t1 = _mm256_unpackhi_pd(rows[0], rows[1]);
+            let t2 = _mm256_unpacklo_pd(rows[2], rows[3]);
+            let t3 = _mm256_unpackhi_pd(rows[2], rows[3]);
+            let columns = [
+                _mm256_permute2f128_pd::<0x20>(t0, t2),
+                _mm256_permute2f128_pd::<0x20>(t1, t3),
+                _mm256_permute2f128_pd::<0x31>(t0, t2),
+                _mm256_permute2f128_pd::<0x31>(t1, t3),
+            ];
+            for (k, column) in (4 * h..).zip(columns) {
+                let at = bitrev[8 * s + k] as usize;
+                let run = &mut out[at..at + 4];
+                let v = radix4(_mm256_castpd_ps(_mm256_xor_pd(column, neg_im)));
+                // SAFETY: `run` is four `Cf32`, thirty-two bytes.
+                _mm256_storeu_ps(run.as_mut_ptr() as *mut f32, v);
+            }
+        }
+    }
 }
 
 /// In-place conjugation (the inverse transform's pre-pass).

@@ -8,7 +8,9 @@
 //!   documented in DESIGN.md — shift tables are generated, not copied
 //!   from TS 38.212).
 //! * [`lifting`]: the standard's 51 lifting sizes (validation).
-//! * [`encoder`]: linear-time systematic encoder.
+//! * [`encoder`]: linear-time systematic encoders — bytes (the oracle)
+//!   and Z-bit words straight into packed rate-matched bits (the
+//!   engine's).
 //! * [`decoder`]: layered offset min-sum in f32, the i8 decoder's
 //!   oracle.
 //! * [`decoder_i8`]: fixed-point (i8) layered min-sum, the engine's
@@ -35,6 +37,6 @@ pub use base_graph::{BaseEntry, BaseGraph, BaseGraphId};
 pub use crc::{attach_crc, check_crc, crc24a};
 pub use decoder::{DecodeConfig, DecodeResult, Decoder};
 pub use decoder_i8::{quantize_llrs, DecodeConfigI8, DecoderI8, DEFAULT_LLR_SCALE};
-pub use encoder::Encoder;
+pub use encoder::{Encoder, WordEncoder};
 pub use metrics::{count_bit_errors, ErrorStats};
 pub use rate_match::RateMatch;

@@ -11,6 +11,8 @@
 //! its tables; these are the shared data-plane kernels.
 
 use crate::complex::Cf32;
+#[cfg(target_arch = "x86_64")]
+use core::ops::Range;
 
 /// SIMD instruction-set tier available/selected at runtime. Table 5 of the
 /// paper compares AVX2 and AVX-512 servers; we reproduce it by pinning the
@@ -107,8 +109,26 @@ pub fn stream_copy(src: &[Cf32], dst: &mut [Cf32], tier: SimdTier) {
     assert_eq!(src.len(), dst.len());
     match tier {
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { stream_copy_avx(src, dst) },
+        SimdTier::Avx2 => unsafe { stream_copy_avx(src, dst, None) },
         _ => dst.copy_from_slice(src),
+    }
+}
+
+/// [`stream_copy`] of `z.conj().scale(scale)` for every `z` of `src`: the
+/// closing `conj(·) / n` of an inverse transform run as a conjugated
+/// forward one, fused into its store. Every tier does what `conj` and
+/// `scale` do — a sign flip, then one multiply per component — so the
+/// bits are theirs.
+pub fn stream_conj_scale(src: &[Cf32], dst: &mut [Cf32], scale: f32, tier: SimdTier) {
+    assert_eq!(src.len(), dst.len());
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2 => unsafe { stream_copy_avx(src, dst, Some(scale)) },
+        _ => {
+            for (d, s) in dst.iter_mut().zip(src) {
+                *d = s.conj().scale(scale);
+            }
+        }
     }
 }
 
@@ -131,17 +151,19 @@ pub fn stream_fence() {
 
 /// Streaming copy with `movntps`: cached stores up to the first line
 /// boundary of `dst`, two 32-byte streaming stores per whole line, cached
-/// stores for what is left.
+/// stores for what is left. With `conj_scale`, every sample is stored as
+/// `conj(z) * scale` instead ([`stream_conj_scale`]).
 ///
 /// # Safety
 /// Caller must ensure the CPU supports AVX (implied by AVX2).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn stream_copy_avx(src: &[Cf32], dst: &mut [Cf32]) {
+unsafe fn stream_copy_avx(src: &[Cf32], dst: &mut [Cf32], conj_scale: Option<f32>) {
     use core::arch::x86_64::*;
     const LINE_FLOATS: usize = CACHE_LINE / 4;
     // `Cf32` is `repr(C)` over two `f32`s, so both slices are `f32`
-    // arrays of twice the length, 4-byte aligned.
+    // arrays of twice the length, 4-byte aligned: odd floats are
+    // imaginary parts.
     let n = src.len() * 2;
     let sp = src.as_ptr() as *const f32;
     let dp = dst.as_mut_ptr() as *mut f32;
@@ -153,14 +175,47 @@ unsafe fn stream_copy_avx(src: &[Cf32], dst: &mut [Cf32]) {
     // borrowed mutably); `dp + head` is 64-byte aligned when `lines > 0`.
     // The common call is exactly one aligned line: skip the empty copies.
     if head != 0 {
-        core::ptr::copy_nonoverlapping(sp, dp, head);
+        stream_edge(sp, dp, 0..head, conj_scale);
     }
-    for i in (head..tail).step_by(LINE_FLOATS) {
-        _mm256_stream_ps(dp.add(i), _mm256_loadu_ps(sp.add(i)));
-        _mm256_stream_ps(dp.add(i + 8), _mm256_loadu_ps(sp.add(i + 8)));
+    match conj_scale {
+        None => {
+            for i in (head..tail).step_by(LINE_FLOATS) {
+                _mm256_stream_ps(dp.add(i), _mm256_loadu_ps(sp.add(i)));
+                _mm256_stream_ps(dp.add(i + 8), _mm256_loadu_ps(sp.add(i + 8)));
+            }
+        }
+        Some(scale) => {
+            // The sign bit of every imaginary lane: the odd floats of the
+            // slice, so the odd lanes when the lines start on an even one.
+            let im = _mm256_set_ps(-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0);
+            let neg = if head.is_multiple_of(2) { im } else { _mm256_permute_ps(im, 0b1011_0001) };
+            let vs = _mm256_set1_ps(scale);
+            for i in (head..tail).step_by(8) {
+                let v = _mm256_xor_ps(_mm256_loadu_ps(sp.add(i)), neg);
+                _mm256_stream_ps(dp.add(i), _mm256_mul_ps(v, vs));
+            }
+        }
     }
     if tail != n {
-        core::ptr::copy_nonoverlapping(sp.add(tail), dp.add(tail), n - tail);
+        stream_edge(sp, dp, tail..n, conj_scale);
+    }
+}
+
+/// The cached part of [`stream_copy_avx`]: floats `span` copied, or
+/// stored as `conj(z) * scale` a component at a time.
+///
+/// # Safety
+/// Both pointers must be valid for `span.end` floats and not overlap.
+#[cfg(target_arch = "x86_64")]
+unsafe fn stream_edge(sp: *const f32, dp: *mut f32, span: Range<usize>, conj_scale: Option<f32>) {
+    match conj_scale {
+        None => core::ptr::copy_nonoverlapping(sp.add(span.start), dp.add(span.start), span.len()),
+        Some(scale) => {
+            for i in span {
+                let x = *sp.add(i);
+                *dp.add(i) = if i % 2 == 1 { -x } else { x } * scale;
+            }
+        }
     }
 }
 
@@ -421,36 +476,55 @@ mod tests {
     }
 
     /// Every destination offset within a line x every short length: the
-    /// window equals the source and nothing outside it is written. A
-    /// window starting on an odd `f32` exercises the 4-byte-aligned head.
+    /// window equals the source — or, through `stream_conj_scale`, its
+    /// `conj().scale()`, bit for bit on both tiers — and nothing outside
+    /// it is written. A window starting on an odd `f32` exercises the
+    /// 4-byte-aligned head.
     #[test]
     fn stream_copy_matches_memcpy() {
         const SENTINEL: f32 = -7.5;
-        let src: Vec<Cf32> = (0..40).map(|i| Cf32::new(i as f32, -(i as f32) - 0.5)).collect();
+        let src: Vec<Cf32> =
+            (0..40).map(|i| Cf32::new(i as f32 - 3.3, -(i as f32) * 0.7 - 0.5)).collect();
         let mut backing = vec![SENTINEL; 16 + 16 + 2 * 40 + 16];
         let line = (CACHE_LINE - backing.as_ptr() as usize % CACHE_LINE) % CACHE_LINE / 4;
-        for offset in 0..16 {
-            for len in 0..=40 {
-                backing.fill(SENTINEL);
-                let start = line + offset;
-                // SAFETY: `Cf32` is two `f32`s with `f32` alignment, and
-                // the window lies inside `backing`.
-                let window = unsafe {
-                    core::slice::from_raw_parts_mut(
-                        backing.as_mut_ptr().add(start) as *mut Cf32,
-                        len,
-                    )
-                };
-                stream_copy(&src[..len], window, SimdTier::detect());
-                stream_fence();
-                let (before, rest) = backing.split_at(start);
-                let (copied, after) = rest.split_at(2 * len);
-                let want: Vec<f32> = src[..len].iter().flat_map(|z| [z.re, z.im]).collect();
-                assert_eq!(copied, &want[..], "offset {offset} len {len}");
-                assert!(
-                    before.iter().chain(after).all(|&x| x == SENTINEL),
-                    "offset {offset} len {len}: wrote outside the window"
-                );
+        let scale = 1.0 / 2048.0 * 3.0;
+        for (tier, conj) in
+            [SimdTier::Scalar, SimdTier::detect()].into_iter().flat_map(|t| [(t, false), (t, true)])
+        {
+            for offset in 0..16 {
+                for len in 0..=40 {
+                    backing.fill(SENTINEL);
+                    let start = line + offset;
+                    // SAFETY: `Cf32` is two `f32`s with `f32` alignment, and
+                    // the window lies inside `backing`.
+                    let window = unsafe {
+                        core::slice::from_raw_parts_mut(
+                            backing.as_mut_ptr().add(start) as *mut Cf32,
+                            len,
+                        )
+                    };
+                    let want: Vec<Cf32> = match conj {
+                        false => {
+                            stream_copy(&src[..len], window, tier);
+                            src[..len].to_vec()
+                        }
+                        true => {
+                            stream_conj_scale(&src[..len], window, scale, tier);
+                            src[..len].iter().map(|z| z.conj().scale(scale)).collect()
+                        }
+                    };
+                    stream_fence();
+                    let (before, rest) = backing.split_at(start);
+                    let (copied, after) = rest.split_at(2 * len);
+                    let want: Vec<u32> =
+                        want.iter().flat_map(|z| [z.re.to_bits(), z.im.to_bits()]).collect();
+                    let got: Vec<u32> = copied.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(got, want, "{tier:?} conj {conj} offset {offset} len {len}");
+                    assert!(
+                        before.iter().chain(after).all(|&x| x == SENTINEL),
+                        "offset {offset} len {len}: wrote outside the window"
+                    );
+                }
             }
         }
         // Many whole lines with a ragged head and tail.

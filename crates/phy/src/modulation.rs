@@ -5,7 +5,7 @@
 //! evaluation uses 64-QAM (6 bits/symbol) and mentions 256-QAM as an
 //! avenue of improvement; all five schemes are implemented.
 
-use agora_math::{Cf32, SimdTier};
+use agora_math::Cf32;
 
 /// Modulation order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -148,88 +148,45 @@ pub fn constellation(scheme: ModScheme) -> Vec<Cf32> {
 }
 
 /// A planned modulator for one scheme: [`constellation`] as a lookup table
-/// and a bit-pack that turns a symbol's `bits_per_symbol` bytes into its
-/// index — what [`modulate`] does a bit and a [`map_symbol`] at a time,
-/// with the same points out.
+/// indexed straight by packed bits — what [`modulate`] does a bit and a
+/// [`map_symbol`] at a time, with the same points out.
 #[derive(Debug, Clone)]
 pub struct Modulator {
     /// `map_symbol(scheme, v)` at index `v`.
     table: Vec<Cf32>,
     bps: usize,
-    tier: SimdTier,
 }
 
 impl Modulator {
-    /// Plans the modulator of `scheme`, packing bits on `tier` (clamped
-    /// to what the CPU supports).
-    pub fn new(scheme: ModScheme, tier: SimdTier) -> Self {
-        Self {
-            table: constellation(scheme),
-            bps: scheme.bits_per_symbol(),
-            tier: tier.min(SimdTier::cached()),
-        }
+    /// Plans the modulator of `scheme`.
+    pub fn new(scheme: ModScheme) -> Self {
+        Self { table: constellation(scheme), bps: scheme.bits_per_symbol() }
     }
 
-    /// Modulates `bits` (one bit per byte in bit 0 — the rest of the byte
-    /// is ignored, as [`modulate`] ignores it — LSB-first within a symbol)
-    /// into `out`. No allocation.
+    /// Modulates packed bits into `out`: bit `j` of the stream is bit `j %
+    /// 8` of `bits[j / 8]`, a symbol takes the next `bits_per_symbol` of
+    /// them LSB-first (so [`modulate`]'s byte `j` is stream bit `j`), and
+    /// bits past `out.len() * bits_per_symbol` in the last byte are
+    /// ignored. Eight symbols are `bits_per_symbol` whole bytes, one
+    /// little-endian word. No allocation.
     ///
     /// # Panics
-    /// Panics if `bits.len() != out.len() * bits_per_symbol`.
+    /// Panics unless `bits` is `ceil(out.len() * bits_per_symbol / 8)`
+    /// bytes.
     pub fn modulate_into(&self, bits: &[u8], out: &mut [Cf32]) {
-        assert_eq!(bits.len(), out.len() * self.bps, "bit count must match the symbol count");
+        let want = (out.len() * self.bps).div_ceil(8);
+        assert_eq!(bits.len(), want, "byte count must match the symbol count");
         let mask = (1u64 << self.bps) - 1;
-        // Eight symbols are at most 64 bits: one packed word.
-        for (bits, out) in bits.chunks(8 * self.bps).zip(out.chunks_mut(8)) {
-            let mut word = match self.tier {
-                // SAFETY: `new` clamped the tier to what the CPU supports.
-                #[cfg(target_arch = "x86_64")]
-                SimdTier::Avx2 => unsafe { pack_bits_avx2(bits) },
-                _ => pack_bits_scalar(bits),
-            };
+        for (bytes, out) in bits.chunks(self.bps).zip(out.chunks_mut(8)) {
+            let mut le = [0u8; 8];
+            le[..bytes.len()].copy_from_slice(bytes);
+            let mut word = u64::from_le_bytes(le);
             for z in out {
                 *z = self.table[(word & mask) as usize];
                 word >>= self.bps;
             }
         }
     }
-}
-
-/// Bit `j` of the result is bit 0 of `bits[j]`, for up to 64 bytes.
-fn pack_bits_scalar(bits: &[u8]) -> u64 {
-    debug_assert!(bits.len() <= 64);
-    bits.iter().enumerate().fold(0, |word, (j, &b)| word | ((b & 1) as u64) << j)
-}
-
-/// [`pack_bits_scalar`] 32 and 16 bytes at a time: shifting bit 0 of every
-/// byte to bit 7 and collecting the bytes' top bits (`movemask`) is the
-/// `& 1` gather.
-///
-/// # Safety
-/// The CPU must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn pack_bits_avx2(bits: &[u8]) -> u64 {
-    use core::arch::x86_64::*;
-    debug_assert!(bits.len() <= 64);
-    let (mut word, mut at) = (0u64, 0);
-    // SAFETY (both loads): `at + width <= bits.len()` is checked first.
-    // The 16-bit shift also carries a low byte's upper bits into the high
-    // byte of its pair, but below that byte's bit 7 — all `movemask` reads.
-    while at + 32 <= bits.len() {
-        let v = _mm256_loadu_si256(bits.as_ptr().add(at) as *const __m256i);
-        word |= (_mm256_movemask_epi8(_mm256_slli_epi16(v, 7)) as u32 as u64) << at;
-        at += 32;
-    }
-    if at + 16 <= bits.len() {
-        let v = _mm_loadu_si128(bits.as_ptr().add(at) as *const __m128i);
-        word |= (_mm_movemask_epi8(_mm_slli_epi16(v, 7)) as u64) << at;
-        at += 16;
-    }
-    if at < bits.len() {
-        word |= pack_bits_scalar(&bits[at..]) << at;
-    }
-    word
 }
 
 #[cfg(test)]
@@ -313,14 +270,14 @@ mod tests {
     }
 
     /// The planned modulator against its definition: the table is
-    /// `map_symbol` at every index, the vector bit-pack equals the scalar
-    /// one at every length, and on both tiers `modulate_into` equals
-    /// `modulate`'s bit-at-a-time gather — for bytes that carry more than
-    /// bit 0 as well.
+    /// `map_symbol` at every index, and `modulate_into` on packed bytes
+    /// equals `modulate`'s bit-at-a-time gather on the same bits one per
+    /// byte — whole words, short last words whose spare bits are set, and
+    /// nothing at all.
     #[test]
     fn planned_modulator_matches_map_symbol_and_the_scalar_gather() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let noisy_bytes: Vec<u8> = (0..64 * 8 + 7)
+        let packed: Vec<u8> = (0..64 * 8 + 7)
             .map(|_| {
                 state ^= state << 13;
                 state ^= state >> 7;
@@ -328,36 +285,21 @@ mod tests {
                 (state >> 24) as u8
             })
             .collect();
-        assert!(noisy_bytes.iter().any(|&b| b > 1));
-        #[cfg(target_arch = "x86_64")]
-        if SimdTier::detect() == SimdTier::Avx2 {
-            for len in 0..=64 {
-                let bytes = &noisy_bytes[len..2 * len];
-                // SAFETY: AVX2 was just detected.
-                assert_eq!(
-                    unsafe { pack_bits_avx2(bytes) },
-                    pack_bits_scalar(bytes),
-                    "{len} bytes"
-                );
-            }
-        }
+        let unpacked: Vec<u8> =
+            (0..packed.len() * 8).map(|j| packed[j / 8] >> (j % 8) & 1).collect();
+        let mut want = Vec::new();
         for scheme in SCHEMES {
             let bps = scheme.bits_per_symbol();
-            let mut want = Vec::new();
-            for tier in [SimdTier::Scalar, SimdTier::detect()] {
-                let planned = Modulator::new(scheme, tier);
-                assert_eq!(planned.table.len(), scheme.order());
-                for (v, &z) in planned.table.iter().enumerate() {
-                    assert_eq!(z, map_symbol(scheme, v as u32), "{scheme:?} index {v}");
-                }
-                // Whole words, a short last word, and nothing at all.
-                for symbols in [0, 1, 7, 8, 9, 16, 61] {
-                    let bytes = &noisy_bytes[3..3 + symbols * bps];
-                    modulate(scheme, bytes, &mut want);
-                    let mut got = vec![Cf32::ZERO; symbols];
-                    planned.modulate_into(bytes, &mut got);
-                    assert_eq!(got, want, "{scheme:?} {tier:?} {symbols} symbols");
-                }
+            let planned = Modulator::new(scheme);
+            assert_eq!(planned.table.len(), scheme.order());
+            for (v, &z) in planned.table.iter().enumerate() {
+                assert_eq!(z, map_symbol(scheme, v as u32), "{scheme:?} index {v}");
+            }
+            for symbols in [0, 1, 7, 8, 9, 16, 61] {
+                modulate(scheme, &unpacked[24..24 + symbols * bps], &mut want);
+                let mut got = vec![Cf32::ZERO; symbols];
+                planned.modulate_into(&packed[3..3 + (symbols * bps).div_ceil(8)], &mut got);
+                assert_eq!(got, want, "{scheme:?} {symbols} symbols");
             }
         }
     }

@@ -139,12 +139,19 @@ fn main() {
         }
     });
     // The scalar reference: one bit at a time into `map_symbol`, which is
-    // what the task itself ran per (block, user) before PR 23.
+    // what the task itself once ran per (block, user). It takes a bit per
+    // byte, so the packed `dl_bits` rows are unpacked first, outside the
+    // timing.
     let mut symbols = Vec::with_capacity(g.block);
+    let unpacked: Vec<Vec<u8>> = (0..g.k)
+        .map(|user| {
+            let packed = unsafe { fb.dl_bits.view(Some((downlink, user))) };
+            (0..packed.len() * 8).map(|j| packed[j / 8] >> (j % 8) & 1).collect()
+        })
+        .collect();
     let modulation = median_us(|| {
         for blk in 0..blocks {
-            for user in 0..g.k {
-                let bits = unsafe { fb.dl_bits.view(Some((downlink, user))) };
+            for (user, bits) in unpacked.iter().enumerate() {
                 modulate(
                     scheme,
                     &bits[blk * g.block * bps..(blk + 1) * g.block * bps],

@@ -120,13 +120,16 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test --workspace -q
 
-echo "== plane alignment, every IQ sample word, every LLR magnitude: release profile =="
+echo "== plane alignment, every IQ sample word, every LLR magnitude, every payload: release profile =="
 # Allocation paths differ between profiles (and the debug run above does
 # not see the optimised `alloc_zeroed`). The exhaustive unpack (2^24
-# sample words) and quantiser-rounding (every float in [0, 127]) checks
-# are ignored in debug builds, where they take minutes.
+# sample words), quantiser-rounding (every float in [0, 127]) and payload
+# (the word generator against the bit-serial `mac_payload` for every
+# frame < 8, symbol < 14, user < 16 of the 64x16 cell) checks are ignored
+# in debug builds.
 cargo test --release -q -p agora-core --lib -- buffers::tests \
-    kernels::tests::every_sample_word_unpacks_alike_on_both_tiers
+    kernels::tests::every_sample_word_unpacks_alike_on_both_tiers \
+    kernels::tests::every_64x16_payload_matches_mac_payload
 cargo test --release -q -p agora-phy --lib -- demod::simd_tests::rounding_matches_the_quantiser
 
 echo "== parity smokes =="
