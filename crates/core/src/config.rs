@@ -77,7 +77,9 @@ pub struct EngineConfig {
     /// Pin the manager, network, and worker threads to distinct CPUs via
     /// `sched_setaffinity` (best-effort: silently unpinned where the
     /// syscall is unavailable or refused). Off by default so tests and
-    /// benches on shared machines don't fight the OS scheduler.
+    /// benches on shared machines don't fight the OS scheduler. Ignored
+    /// for a cell of a deployment, like `num_workers`: the deployment's
+    /// own `pin_cores` decides for its shared threads.
     pub pin_cores: bool,
 }
 

@@ -1,15 +1,20 @@
-//! Multi-cell deployment: C independent cell engines on one shared
-//! worker-core budget.
+//! Multi-cell deployment: C independent cells on one shared worker-core
+//! budget.
 //!
 //! The paper's engine serves one `M × K` cell; a production site serves
-//! many from the same server. A [`Deployment`] instantiates one
-//! [`CellCore`](crate::engine) per cell — its own frame window, task
-//! queues, stats and flow-control watermark, so cells never share frame
-//! state — and spawns a single pool of workers. Each worker is *assigned*
-//! to one cell at a time (an atomic it re-reads every poll) and executes
-//! only that cell's queues, giving strict per-cell buffer ownership: a
-//! worker finishes its current task before an assignment change takes
-//! effect, and task/completion queue edges order all buffer access.
+//! many from the same server. A [`Deployment`] is the engine's worker
+//! pool with one [`CellCore`](crate::engine) per cell — its own frame
+//! window, task queues, stats and flow-control watermark, so cells never
+//! share frame state. Each worker is *assigned* to one cell at a time (an
+//! atomic it re-reads every poll) and executes only that cell's queues,
+//! giving strict per-cell buffer ownership: a worker finishes its current
+//! task before an assignment change takes effect, and task/completion
+//! queue edges order all buffer access.
+//!
+//! One manager thread serves every cell, as Agora's single master does:
+//! each pass drains every cell's packet notifications and completions,
+//! and applies each cell's deadline and stall rules against that cell's
+//! own progress time.
 //!
 //! A [`Supervisor`] generalizes the §5.4 core-allocation solver from
 //! task-groups-within-a-cell to cells-within-a-server: each epoch it
@@ -17,23 +22,22 @@
 //! load-proportional core split, and migrates at most a few workers
 //! toward overloaded cells — gated by hysteresis so balanced loads never
 //! thrash. Epochs are counted in completed frames, not wall-clock time,
-//! so supervised runs are reproducible in tests.
+//! so supervised runs are reproducible in tests. The manager checks for
+//! a finished epoch after every pass that retired a frame.
 //!
-//! One fronthaul socket feeds all cells: the network thread drains
+//! One fronthaul socket feeds all cells: one intake thread drains
 //! `recv_batch` and routes each packet by its header cell byte via
 //! [`CellDemux`]. Packets naming a cell outside the deployment are
 //! counted (`packets_misrouted`) and dropped — never delivered to cell 0.
 
 use crate::alloc::{allocate_weighted, ShareWork};
 use crate::config::EngineConfig;
-use crate::engine::{drain_link, pin_thread, worker_loop, CellCore, FrameResult, PinRole};
+use crate::engine::{CellCore, FrameResult, Pool};
 use crate::stats::{Counter, EngineStats};
-use agora_fronthaul::demux::{CellDemux, Route};
-use agora_fronthaul::{Fronthaul, PacketBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use agora_fronthaul::demux::CellDemux;
+use agora_fronthaul::Fronthaul;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// Supervisor policy knobs.
 #[derive(Debug, Clone, Copy)]
@@ -164,31 +168,22 @@ impl Supervisor {
 #[derive(Debug, Clone)]
 pub struct DeploymentConfig {
     /// One engine configuration per cell (index = cell id on the wire).
-    /// Each cell's `num_workers` field is ignored — workers come from
-    /// the shared pool.
+    /// Each cell's `num_workers` and `pin_cores` fields are ignored —
+    /// workers come from the shared pool, which this config pins.
     pub cells: Vec<EngineConfig>,
     /// Shared worker-core budget across all cells.
     pub total_workers: usize,
-    /// Core-reallocation policy.
-    pub supervisor: SupervisorConfig,
     /// Packets requested per `recv_batch` poll on the shared socket.
     pub rx_batch: usize,
-    /// Pin the pool workers and the demux thread to distinct CPUs
-    /// (best-effort, same map as [`EngineConfig::pin_cores`]; per-cell
-    /// manager threads pin via their own cell's `pin_cores` knob).
+    /// Pin the manager, intake and pool threads to distinct CPUs
+    /// (best-effort, same map as [`EngineConfig::pin_cores`]).
     pub pin_cores: bool,
 }
 
 impl DeploymentConfig {
-    /// Default supervisor and batch sizing for the given cells/budget.
+    /// Default batch sizing for the given cells/budget.
     pub fn new(cells: Vec<EngineConfig>, total_workers: usize) -> Self {
-        Self {
-            cells,
-            total_workers,
-            supervisor: SupervisorConfig::default(),
-            rx_batch: 32,
-            pin_cores: false,
-        }
+        Self { cells, total_workers, rx_batch: 32, pin_cores: false }
     }
 
     /// Sanity checks across the whole deployment.
@@ -199,12 +194,10 @@ impl DeploymentConfig {
         if self.cells.len() > u8::MAX as usize + 1 {
             return Err("cell ids are one byte on the wire: at most 256 cells".into());
         }
-        let floor = self.cells.len() * self.supervisor.min_cores_per_cell.max(1);
-        if self.total_workers < floor {
+        if self.total_workers < self.cells.len() {
             return Err(format!(
-                "total_workers {} below the {} needed for {} cells",
+                "total_workers {} below one per cell for {} cells",
                 self.total_workers,
-                floor,
                 self.cells.len()
             ));
         }
@@ -275,20 +268,13 @@ struct SupervisorState {
     next_epoch: u64,
 }
 
-/// C cell engines sharing one worker pool, one fronthaul socket, and a
-/// core-reallocation supervisor.
+/// C cells sharing one worker pool, one manager, one fronthaul socket,
+/// and a core-reallocation supervisor.
 pub struct Deployment {
-    cells: Vec<CellCore>,
+    pool: Pool,
     stats: DeploymentStats,
     demux: CellDemux,
-    /// Worker id -> currently assigned cell id.
-    assign: Arc<Vec<AtomicUsize>>,
     sup: Mutex<SupervisorState>,
-    epoch_frames: u64,
-    rx_batch: usize,
-    pin_cores: bool,
-    shutdown: Arc<AtomicBool>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Deployment {
@@ -304,63 +290,29 @@ impl Deployment {
         // drains/steals lanes of its current cell only, indexed by its
         // global worker id.
         let cells: Vec<CellCore> = cfg.cells.into_iter().map(|c| CellCore::new(c, total)).collect();
-        let supervisor = Supervisor::new(cells.len(), total, cfg.supervisor);
-
+        let supervisor = Supervisor::new(cells.len(), total, SupervisorConfig::default());
         // Initial worker->cell map from the even split.
-        let mut worker_cell = Vec::with_capacity(total);
-        for (c, &n) in supervisor.allocation().iter().enumerate() {
-            worker_cell.extend(std::iter::repeat_n(c, n));
-        }
-        let assign: Arc<Vec<AtomicUsize>> =
-            Arc::new(worker_cell.into_iter().map(AtomicUsize::new).collect());
-
+        let assign = (supervisor.allocation().iter().enumerate())
+            .flat_map(|(c, &n)| std::iter::repeat_n(c, n))
+            .collect();
         let stats = DeploymentStats {
             cells: cells.iter().map(|c| c.stats.clone()).collect(),
             link: Arc::new(EngineStats::new(total)),
             total_workers: total,
         };
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let pin = cfg.pin_cores;
-        let workers = (0..total)
-            .map(|wid| {
-                let cells = cells.clone();
-                let assign = assign.clone();
-                let shutdown = shutdown.clone();
-                std::thread::Builder::new()
-                    .name(format!("agora-pool-{wid}"))
-                    .spawn(move || {
-                        if pin {
-                            pin_thread(PinRole::Worker(wid));
-                        }
-                        worker_loop(wid, &cells, &assign[wid], &shutdown)
-                    })
-                    .expect("failed to spawn pool worker")
-            })
-            .collect();
-
-        let last_busy = vec![0; cells.len()];
         let demux = CellDemux::new(cells.len());
-        Self {
-            cells,
-            stats,
-            demux,
-            assign,
-            sup: Mutex::new(SupervisorState {
-                supervisor,
-                last_busy,
-                next_epoch: cfg.supervisor.epoch_frames,
-            }),
-            epoch_frames: cfg.supervisor.epoch_frames,
-            rx_batch: cfg.rx_batch,
-            pin_cores: cfg.pin_cores,
-            shutdown,
-            workers,
-        }
+        let sup = Mutex::new(SupervisorState {
+            last_busy: vec![0; cells.len()],
+            next_epoch: supervisor.cfg.epoch_frames,
+            supervisor,
+        });
+        let pool = Pool::new(cells, assign, stats.link.clone(), cfg.rx_batch, cfg.pin_cores);
+        Self { pool, stats, demux, sup }
     }
 
     /// Number of deployed cells.
     pub fn num_cells(&self) -> usize {
-        self.cells.len()
+        self.pool.cells.len()
     }
 
     /// Aggregated statistics (live).
@@ -385,10 +337,10 @@ impl Deployment {
     }
 
     /// Processes `frames_per_cell` frames for every cell from one shared
-    /// fronthaul link. The calling thread becomes the demux/network
-    /// thread; one manager thread per cell tracks that cell's frame
-    /// dependencies. Returns `results[cell]` in frame order, exactly as
-    /// each cell's standalone [`crate::Engine`] would.
+    /// fronthaul link. An intake thread demuxes the link into the cells'
+    /// intakes while the calling thread becomes the one manager of every
+    /// cell and runs the supervisor. Returns `results[cell]` in frame
+    /// order, exactly as each cell's standalone [`crate::Engine`] would.
     ///
     /// Per-cell flow control holds the *shared* intake when one cell's
     /// window is full (head-of-line blocking) — the same backpressure a
@@ -400,67 +352,26 @@ impl Deployment {
         frames_per_cell: u32,
         producer_done: &AtomicBool,
     ) -> Vec<Vec<FrameResult>> {
-        let start = Instant::now();
-        if self.pin_cores {
-            pin_thread(PinRole::Net);
-        }
-        let net_done = AtomicBool::new(false);
-        let link = &self.stats.link;
         let demux = &self.demux;
-
-        std::thread::scope(|scope| {
-            // --- per-cell manager threads ---
-            let managers: Vec<_> = self
-                .cells
-                .iter()
-                .map(|core| {
-                    let net_done = &net_done;
-                    scope.spawn(move || core.manager_loop(start, frames_per_cell, net_done))
-                })
-                .collect();
-
-            // --- demux/network loop (this thread) ---
-            let mut ingests: Vec<_> = self.cells.iter().map(|c| c.ingest_state()).collect();
-            let route = |pkt: PacketBuf| match demux.classify(&pkt) {
-                Route::Cell(c) => ingests[c].ingest(pkt),
-                Route::Misrouted => link.add(Counter::PacketsMisrouted, 1),
-                Route::Undecodable => link.add(Counter::RxErrors, 1),
-            };
-            drain_link(fh, self.rx_batch, producer_done, link, route, || self.maybe_reallocate());
-            net_done.store(true, Ordering::Release);
-            // Keep stepping the supervisor while managers drain their
-            // tails, so late-epoch load still rebalances.
-            let results: Vec<Vec<FrameResult>> = managers
-                .into_iter()
-                .map(|m| {
-                    while !m.is_finished() {
-                        self.maybe_reallocate();
-                        std::thread::yield_now();
-                    }
-                    m.join().expect("cell manager panicked")
-                })
-                .collect();
-            results
-        })
+        let route = |pkt: &[u8]| demux.classify(pkt);
+        let on_retire = || self.maybe_reallocate();
+        self.pool.process_fronthaul(fh, frames_per_cell, producer_done, route, on_retire)
     }
 
     /// Runs a supervisor epoch if enough frames completed since the last
     /// one, and applies any allocation change to the worker pool.
     fn maybe_reallocate(&self) {
-        if self.epoch_frames == 0 {
-            return;
-        }
         let done: u64 = self
             .stats
             .cells
             .iter()
             .map(|s| s.get(Counter::FramesCompleted) + s.get(Counter::FramesDropped))
             .sum();
-        let mut st = self.sup.lock().unwrap();
+        let mut st = self.sup.lock().expect("the supervisor never panics holding its lock");
         if done < st.next_epoch {
             return;
         }
-        st.next_epoch = done + self.epoch_frames;
+        st.next_epoch = done + st.supervisor.cfg.epoch_frames;
         let busy: Vec<u64> = self.stats.cells.iter().map(|s| s.total_busy_ns()).collect();
         let delta: Vec<u64> =
             busy.iter().zip(&st.last_busy).map(|(b, l)| b.saturating_sub(*l)).collect();
@@ -474,12 +385,13 @@ impl Deployment {
     /// it. Running tasks finish on the old cell; the worker re-reads its
     /// assignment before every poll.
     fn apply_allocation(&self, alloc: &[usize]) {
+        let assign = &self.pool.assign;
         let mut have = vec![0usize; alloc.len()];
-        for a in self.assign.iter() {
+        for a in assign.iter() {
             have[a.load(Ordering::Relaxed)] += 1;
         }
         let mut surplus: Vec<usize> = Vec::new();
-        for (wid, a) in self.assign.iter().enumerate().rev() {
+        for (wid, a) in assign.iter().enumerate().rev() {
             let c = a.load(Ordering::Relaxed);
             if have[c] > alloc[c] {
                 have[c] -= 1;
@@ -489,26 +401,14 @@ impl Deployment {
         for (c, (&want, &h)) in alloc.iter().zip(&have).enumerate() {
             for _ in h..want {
                 let wid = surplus.pop().expect("allocation sums preserved");
-                self.assign[wid].store(c, Ordering::Release);
+                assign[wid].store(c, Ordering::Release);
             }
         }
         // A reassigned worker may be parked on its OLD cell's gate; wake
         // every gate so it re-reads its assignment promptly instead of
         // waiting out the park timeout.
-        for core in &self.cells {
+        for core in &self.pool.cells {
             core.queues.gate.wake_all();
-        }
-    }
-}
-
-impl Drop for Deployment {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        for core in &self.cells {
-            core.queues.gate.wake_all();
-        }
-        for w in self.workers.drain(..) {
-            let _ = w.join();
         }
     }
 }
@@ -614,40 +514,45 @@ mod tests {
     }
 
     /// End-to-end C=2: both cells decode their own ground truth from one
-    /// shared link, and per-cell stats stay separate.
+    /// shared link, and per-cell stats stay separate — with the pool's
+    /// threads pinned too.
     #[test]
     fn two_cell_deployment_decodes_both_cells() {
         let frames = 2u32;
-        let (cfg0, rru0) = tiny_cell_cfg(0, 301);
-        let (cfg1, rru1) = tiny_cell_cfg(1, 302);
-        let schedule = cfg0.cell.schedule.clone();
-        let users = cfg0.cell.num_users;
-        let mut generator = MultiCellGenerator::new(vec![rru0, rru1]);
-        let (tx, rx) = MemFronthaul::pair(4096);
-        let truths = generator.run(&tx, frames);
+        // Unpinned first: pinning binds this test's thread for good.
+        for pin_cores in [false, true] {
+            let (cfg0, rru0) = tiny_cell_cfg(0, 301);
+            let (cfg1, rru1) = tiny_cell_cfg(1, 302);
+            let schedule = cfg0.cell.schedule.clone();
+            let users = cfg0.cell.num_users;
+            let mut generator = MultiCellGenerator::new(vec![rru0, rru1]);
+            let (tx, rx) = MemFronthaul::pair(4096);
+            let truths = generator.run(&tx, frames);
 
-        let deployment = Deployment::new(DeploymentConfig::new(vec![cfg0, cfg1], 2));
-        let done = AtomicBool::new(true);
-        let results = deployment.process_fronthaul(&rx, frames, &done);
-        assert_eq!(results.len(), 2);
-        for (cell, res) in results.iter().enumerate() {
-            assert_eq!(res.len(), frames as usize, "cell {cell}");
-            for r in res {
-                assert!(!r.dropped, "cell {cell} frame {} dropped", r.frame);
-                let gt = &truths[cell][r.frame as usize];
-                for symbol in schedule.uplink_indices() {
-                    for user in 0..users {
-                        assert!(r.decode_ok[symbol][user], "cell {cell} frame {}", r.frame);
-                        assert_eq!(r.decoded[symbol][user], gt.info_bits[symbol][user]);
+            let cfg = DeploymentConfig { pin_cores, ..DeploymentConfig::new(vec![cfg0, cfg1], 2) };
+            let deployment = Deployment::new(cfg);
+            let done = AtomicBool::new(true);
+            let results = deployment.process_fronthaul(&rx, frames, &done);
+            assert_eq!(results.len(), 2);
+            for (cell, res) in results.iter().enumerate() {
+                assert_eq!(res.len(), frames as usize, "cell {cell}");
+                for r in res {
+                    assert!(!r.dropped, "cell {cell} frame {} dropped", r.frame);
+                    let gt = &truths[cell][r.frame as usize];
+                    for symbol in schedule.uplink_indices() {
+                        for user in 0..users {
+                            assert!(r.decode_ok[symbol][user], "cell {cell} frame {}", r.frame);
+                            assert_eq!(r.decoded[symbol][user], gt.info_bits[symbol][user]);
+                        }
                     }
                 }
             }
+            let stats = deployment.stats();
+            assert_eq!(stats.cell(0).get(Counter::FramesCompleted), frames as u64);
+            assert_eq!(stats.cell(1).get(Counter::FramesCompleted), frames as u64);
+            assert_eq!(stats.rollup().get(Counter::FramesCompleted), 2 * frames as u64);
+            assert_eq!(stats.link().packets_misrouted(), 0);
         }
-        let stats = deployment.stats();
-        assert_eq!(stats.cell(0).get(Counter::FramesCompleted), frames as u64);
-        assert_eq!(stats.cell(1).get(Counter::FramesCompleted), frames as u64);
-        assert_eq!(stats.rollup().get(Counter::FramesCompleted), 2 * frames as u64);
-        assert_eq!(stats.link().packets_misrouted(), 0);
     }
 
     /// A link that scripts the interleaving a live producer only hits by
@@ -685,10 +590,11 @@ mod tests {
     }
 
     /// A burst that lands between an empty poll and the read of
-    /// `producer_done` must still be received: both intake loops read the
-    /// flag first, so only an empty poll *after* the flag was seen ends
-    /// them. (Polling first left the burst on the link and its frame came
-    /// back dropped once the stall detector fired.)
+    /// `producer_done` must still be received, by the engine and by the
+    /// deployment: the intake loop reads the flag first, so only an empty
+    /// poll *after* the flag was seen ends it. (Polling first left the
+    /// burst on the link and its frame came back dropped once the stall
+    /// detector fired.)
     #[test]
     fn burst_landing_after_an_empty_poll_is_still_received() {
         let (cfg, mut rru) = tiny_cell_cfg(0, 321);

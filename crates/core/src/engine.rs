@@ -1,11 +1,12 @@
 //! The Agora engine: manager-worker baseband processing (Figure 3).
 //!
-//! One manager thread tracks dependencies and places 64-byte task
+//! One manager thread tracks dependencies — of the engine's cell, or of
+//! every cell of a [`crate::deploy::Deployment`] — and places 64-byte task
 //! messages on per-worker lock-free lanes (overflow goes to shared
 //! per-type queues); worker threads drain their lane, then the shared
 //! queues in a static priority order, then steal from peers, execute
-//! kernels against the shared frame buffers, and post completions. A
-//! network thread ingests fronthaul packets into the buffers. Workers are
+//! kernels against the shared frame buffers, and post completions. An
+//! intake thread ingests fronthaul packets into the buffers. Workers are
 //! data-parallel: any worker takes any task type. The BigStation-style
 //! pipeline-parallel baseline of §5.4 exists only in the simulator
 //! (`sim::SimPolicy`).
@@ -15,6 +16,7 @@ use crate::config::EngineConfig;
 use crate::kernels::{Kernels, WorkerScratch};
 use crate::state::{Arrival, FrameTable, Milestones, Retired};
 use crate::stats::{Counter, EngineStats};
+use agora_fronthaul::demux::Route;
 use agora_fronthaul::packet::decode_ref;
 use agora_fronthaul::{Fronthaul, PacketBuf};
 use agora_queue::{IdleAction, IdleBackoff, IdleGate, MpmcQueue, Msg, TaskLane, TaskType};
@@ -178,7 +180,7 @@ impl ManagerCtx {
 /// frame slot's [`crate::buffers::PacketSlots`] table, so the FFT stage
 /// reads IQ samples straight out of the receive buffer — intake never
 /// copies payload bytes.
-pub(crate) struct NetIngest<'a> {
+struct NetIngest<'a> {
     core: &'a CellCore,
     /// Which frame currently owns each window slot's packet table. The
     /// network thread is the sole writer of every table, so this is
@@ -191,7 +193,7 @@ impl NetIngest<'_> {
     /// Ingests one packet: decode + validate, reject stragglers, apply
     /// window flow control, retain the buffer in the frame's slot table
     /// and notify the manager.
-    pub(crate) fn ingest(&mut self, pkt: PacketBuf) {
+    fn ingest(&mut self, pkt: PacketBuf) {
         let CellCore { kernels, window, queues, stats, min_frame, held } = self.core;
         let g = &kernels.geom;
         let win = self.slot_frame.len() as u64;
@@ -255,10 +257,8 @@ impl NetIngest<'_> {
 
 /// The per-cell processing core: kernels, frame window, task queues,
 /// stats and the flow-control watermark — everything the manager,
-/// network and worker threads share for ONE cell. [`Engine`] wraps a
-/// single core with a dedicated worker pool; [`crate::deploy::
-/// Deployment`] runs several cores on one shared pool and migrates
-/// workers between them at runtime.
+/// network and worker threads share for ONE cell. A [`Pool`] runs one
+/// core ([`Engine`]) or several ([`crate::deploy::Deployment`]).
 #[derive(Clone)]
 pub(crate) struct CellCore {
     pub(crate) kernels: Arc<Kernels>,
@@ -267,8 +267,9 @@ pub(crate) struct CellCore {
     pub(crate) stats: Arc<EngineStats>,
     pub(crate) min_frame: Arc<AtomicU64>,
     /// Set while this cell's intake waits on flow control for
-    /// `min_frame` to move. In a deployment the shared network thread
-    /// blocks in one cell's intake, so only that cell's manager sees it.
+    /// `min_frame` to move. In a deployment the shared intake thread
+    /// blocks in one cell's intake, so only that cell's stall rule sees
+    /// it.
     pub(crate) held: Arc<AtomicBool>,
 }
 
@@ -299,57 +300,162 @@ impl CellCore {
             held: Arc::new(AtomicBool::new(false)),
         }
     }
-
-    /// Fresh network-thread intake state bound to this core.
-    pub(crate) fn ingest_state(&self) -> NetIngest<'_> {
-        NetIngest { core: self, slot_frame: vec![None; self.window.window()] }
-    }
 }
 
-/// The running engine: spawned workers plus one cell's shared state.
-pub struct Engine {
-    core: CellCore,
+/// The threaded system behind both public types: the cells' shared
+/// state, each worker's cell assignment, and the workers serving them.
+/// An [`Engine`] is a pool of one cell whose assignment never changes;
+/// a [`crate::deploy::Deployment`] adds the demux and the supervisor
+/// that moves workers between cells.
+pub(crate) struct Pool {
+    pub(crate) cells: Vec<CellCore>,
+    /// Worker id -> the index into `cells` it serves.
+    pub(crate) assign: Arc<Vec<AtomicUsize>>,
+    /// The link's own counters: batches, socket errors, misroutes.
+    link: Arc<EngineStats>,
+    /// Packets requested per `recv_batch` poll.
+    rx_batch: usize,
+    /// Pin the manager, intake and worker threads (best-effort).
+    pin: bool,
     shutdown: Arc<AtomicBool>,
     workers: Vec<JoinHandle<()>>,
 }
 
-impl Engine {
-    /// Builds the engine and spawns its workers.
-    pub fn new(cfg: EngineConfig) -> Self {
-        let num_workers = cfg.num_workers;
-        let pin = cfg.pin_cores;
-        let core = CellCore::new(cfg, num_workers);
+impl Pool {
+    /// Spawns one worker per entry of `assign`, worker `w` starting on
+    /// cell `assign[w]`.
+    pub(crate) fn new(
+        cells: Vec<CellCore>,
+        assign: Vec<usize>,
+        link: Arc<EngineStats>,
+        rx_batch: usize,
+        pin: bool,
+    ) -> Self {
+        let assign = Arc::new(assign.into_iter().map(AtomicUsize::new).collect::<Vec<_>>());
         let shutdown = Arc::new(AtomicBool::new(false));
-
-        let workers = (0..num_workers)
+        let workers = (0..assign.len())
             .map(|wid| {
-                let core = core.clone();
-                let shutdown = shutdown.clone();
+                let (cells, assign, shutdown) = (cells.clone(), assign.clone(), shutdown.clone());
                 std::thread::Builder::new()
                     .name(format!("agora-worker-{wid}"))
                     .spawn(move || {
-                        if pin {
-                            pin_thread(PinRole::Worker(wid));
-                        }
-                        // One cell, never reassigned.
-                        worker_loop(wid, &[core], &AtomicUsize::new(0), &shutdown)
+                        pin_thread(pin, PinRole::Worker(wid));
+                        worker_loop(wid, &cells, &assign[wid], &shutdown)
                     })
                     .expect("failed to spawn worker")
             })
             .collect();
+        Self { cells, assign, link, rx_batch, pin, shutdown, workers }
+    }
 
-        Self { core, shutdown, workers }
+    /// Processes `num_frames` frames of every cell from one link. An
+    /// intake thread drains the link, handing each packet to the intake
+    /// of the cell `route` names, while this thread runs the manager over
+    /// every cell and calls `on_retire` after each pass that retired a
+    /// frame. Returns `results[cell]` in frame order.
+    pub(crate) fn process_fronthaul<F: Fronthaul + Sync + ?Sized>(
+        &self,
+        fh: &F,
+        num_frames: u32,
+        producer_done: &AtomicBool,
+        route: impl Fn(&[u8]) -> Route + Send,
+        on_retire: impl FnMut(),
+    ) -> Vec<Vec<FrameResult>> {
+        let start = Instant::now();
+        let net_done = &AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                self.drain_link(fh, producer_done, route);
+                net_done.store(true, Ordering::Release);
+            });
+            pin_thread(self.pin, PinRole::Manager);
+            manager_loop(&self.cells, start, num_frames, net_done, on_retire)
+        })
+    }
+
+    /// The intake thread: receives from `fh` in batches of up to
+    /// `rx_batch`, handing every packet to the intake of the cell `route`
+    /// names, until `producer_done` is set and the link is empty; then
+    /// records the link's error counters.
+    ///
+    /// The flag is read *before* each poll: the producer sets it after its
+    /// last send, so once it has been observed, an empty poll means the
+    /// link is drained for good. Polling first would strand a final burst
+    /// that lands between the empty poll and the flag read.
+    fn drain_link<F: Fronthaul + ?Sized>(
+        &self,
+        fh: &F,
+        producer_done: &AtomicBool,
+        route: impl Fn(&[u8]) -> Route,
+    ) {
+        pin_thread(self.pin, PinRole::Net);
+        let link = &*self.link;
+        let mut ingests: Vec<NetIngest> = (self.cells.iter())
+            .map(|core| NetIngest { core, slot_frame: vec![None; core.window.window()] })
+            .collect();
+        let mut batch: Vec<PacketBuf> = Vec::with_capacity(self.rx_batch);
+        loop {
+            let done = producer_done.load(Ordering::Acquire);
+            let n = fh.recv_batch(&mut batch, self.rx_batch);
+            if n > 0 {
+                link.add(Counter::RxBatches, 1);
+                link.add(Counter::RxBatchPackets, n as u64);
+                link.max(Counter::RxBatchMax, n as u64);
+                for pkt in batch.drain(..) {
+                    match route(&pkt) {
+                        Route::Cell(c) => ingests[c].ingest(pkt),
+                        Route::Misrouted => link.add(Counter::PacketsMisrouted, 1),
+                        Route::Undecodable => link.add(Counter::RxErrors, 1),
+                    }
+                }
+            } else if done {
+                break;
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        let (tx_e, rx_e) = fh.link_errors();
+        link.set(Counter::LinkTxErrors, tx_e);
+        link.set(Counter::LinkRxErrors, rx_e);
+    }
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        self.shutdown.store(true, Ordering::Release);
+        // Parked workers re-check `shutdown` as soon as they're woken
+        // (and at latest after PARK_TIMEOUT), whichever cell's gate they
+        // park on.
+        for core in &self.cells {
+            core.queues.gate.wake_all();
+        }
+        for w in self.workers.drain(..) {
+            let _ = w.join();
+        }
+    }
+}
+
+/// The running engine: a pool of one cell.
+pub struct Engine(Pool);
+
+impl Engine {
+    /// Builds the engine and spawns its workers.
+    pub fn new(cfg: EngineConfig) -> Self {
+        let (workers, rx_batch, pin) = (cfg.num_workers, cfg.rx_batch.max(1), cfg.pin_cores);
+        let core = CellCore::new(cfg, workers);
+        let link = core.stats.clone();
+        Self(Pool::new(vec![core], vec![0; workers], link, rx_batch, pin))
     }
 
     /// Statistics sink (live; read after `process_fronthaul` for Table 3
     /// numbers).
     pub fn stats(&self) -> &EngineStats {
-        &self.core.stats
+        &self.0.cells[0].stats
     }
 
     /// The engine's kernel set (geometry, plans).
     pub fn kernels(&self) -> &Kernels {
-        &self.core.kernels
+        &self.0.cells[0].kernels
     }
 
     /// The frame buffers of `frame`'s window slot (testing and
@@ -357,7 +463,7 @@ impl Engine {
     /// meaningful once `process_fronthaul` has returned, and for a frame still
     /// inside the window — one of the last `frame_window` it processed.
     pub fn buffers(&self, frame: u32) -> &FrameBuffers {
-        self.core.window.slot(frame)
+        self.0.cells[0].window.slot(frame)
     }
 
     /// Processes `num_frames` frames arriving live over a fronthaul
@@ -375,98 +481,33 @@ impl Engine {
         num_frames: u32,
         producer_done: &AtomicBool,
     ) -> Vec<FrameResult> {
-        let start = Instant::now();
-        let net_done = Arc::new(AtomicBool::new(false));
-        let rx_batch = self.core.kernels.cfg.rx_batch.max(1);
-
-        std::thread::scope(|scope| {
-            // --- network thread ---
-            {
-                let core = self.core.clone();
-                let net_done = net_done.clone();
-                scope.spawn(move || {
-                    if core.kernels.cfg.pin_cores {
-                        pin_thread(PinRole::Net);
-                    }
-                    let mut ingest = core.ingest_state();
-                    let on_packet = |pkt| ingest.ingest(pkt);
-                    drain_link(fh, rx_batch, producer_done, &core.stats, on_packet, || {});
-                    net_done.store(true, Ordering::Release);
-                });
-            }
-
-            // --- manager loop (this thread) ---
-            self.core.manager_loop(start, num_frames, &net_done)
-        })
-    }
-}
-
-/// Receives from `fh` in batches of up to `rx_batch`, handing every
-/// packet to `on_packet` and calling `after_poll` once per poll, until
-/// `producer_done` is set and the link is empty; then records the link's
-/// error counters in `link_stats`.
-///
-/// The flag is read *before* each poll: the producer sets it after its
-/// last send, so once it has been observed, an empty poll means the
-/// link is drained for good. Polling first would strand a final burst
-/// that lands between the empty poll and the flag read.
-pub(crate) fn drain_link<F: Fronthaul + ?Sized>(
-    fh: &F,
-    rx_batch: usize,
-    producer_done: &AtomicBool,
-    link_stats: &EngineStats,
-    mut on_packet: impl FnMut(PacketBuf),
-    mut after_poll: impl FnMut(),
-) {
-    let mut batch: Vec<PacketBuf> = Vec::with_capacity(rx_batch);
-    loop {
-        let done = producer_done.load(Ordering::Acquire);
-        let n = fh.recv_batch(&mut batch, rx_batch);
-        if n > 0 {
-            link_stats.add(Counter::RxBatches, 1);
-            link_stats.add(Counter::RxBatchPackets, n as u64);
-            link_stats.max(Counter::RxBatchMax, n as u64);
-            batch.drain(..).for_each(&mut on_packet);
-        } else if done {
-            break;
-        } else {
-            std::thread::yield_now();
-        }
-        after_poll();
-    }
-    let (tx_e, rx_e) = fh.link_errors();
-    link_stats.set(Counter::LinkTxErrors, tx_e);
-    link_stats.set(Counter::LinkRxErrors, rx_e);
-}
-
-impl Drop for Engine {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        // Parked workers re-check `shutdown` as soon as they're woken
-        // (and at latest after PARK_TIMEOUT).
-        self.core.queues.gate.wake_all();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
+        // Every packet is this engine's: the cell byte is not read.
+        let route = |_: &[u8]| Route::Cell(0);
+        let mut results = self.0.process_fronthaul(fh, num_frames, producer_done, route, || {});
+        results.pop().expect("an engine has one cell")
     }
 }
 
 /// Which thread is being pinned; decides its CPU under the fixed map.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum PinRole {
-    /// Manager (and deployment demux) threads: CPU 0.
+enum PinRole {
+    /// The manager thread: CPU 0.
     Manager,
-    /// Network ingest threads: CPU 1 when available, else CPU 0.
+    /// The intake thread: CPU 1 when available, else CPU 0.
     Net,
     /// Worker `wid`: CPUs 2.. round-robin, keeping workers off the
     /// manager/net CPUs whenever the machine has more than two.
     Worker(usize),
 }
 
-/// Best-effort pin of the calling thread under the engine's CPU map.
-/// Failure (no pinning support, cpuset restrictions, too few CPUs) is
-/// ignored: pinning is a cache-locality hint, never correctness.
-pub(crate) fn pin_thread(role: PinRole) {
+/// Best-effort pin of the calling thread under the engine's CPU map, if
+/// `pin` asks for it. Failure (no pinning support, cpuset restrictions,
+/// too few CPUs) is ignored: pinning is a cache-locality hint, never
+/// correctness.
+fn pin_thread(pin: bool, role: PinRole) {
+    if !pin {
+        return;
+    }
     let n = agora_queue::affinity::available_cpus();
     let cpu = match role {
         PinRole::Manager => 0,
@@ -482,134 +523,181 @@ pub(crate) fn pin_thread(role: PinRole) {
     let _ = agora_queue::affinity::pin_current_thread(cpu);
 }
 
-impl CellCore {
-    /// The manager: an event pump between the queues and a
-    /// [`FrameTable`]. Packet notifications and completions go in, the
-    /// task messages they unlock come out and are placed on lanes, and
-    /// finished frames are read out and retired. Returns once
-    /// `num_frames` frames — the table's watermark at entry and the
-    /// `num_frames - 1` above it — have a result.
-    pub(crate) fn manager_loop(
-        &self,
-        start: Instant,
-        num_frames: u32,
-        net_done: &AtomicBool,
-    ) -> Vec<FrameResult> {
-        if self.kernels.cfg.pin_cores {
-            pin_thread(PinRole::Manager);
+/// The manager: one event pump between every cell's queues and that
+/// cell's [`FrameTable`]. Packet notifications and completions go in,
+/// the task messages they unlock come out and are placed on the cell's
+/// lanes, and finished frames are read out and retired. Each pass
+/// visits every unfinished cell, and the thread yields only when no cell
+/// had work. `on_retire` runs after each pass that retired a frame.
+/// Returns once every cell has `num_frames` results — its watermark at
+/// entry and the `num_frames - 1` above it — as `results[cell]` in frame
+/// order.
+fn manager_loop(
+    cells: &[CellCore],
+    start: Instant,
+    num_frames: u32,
+    net_done: &AtomicBool,
+    mut on_retire: impl FnMut(),
+) -> Vec<Vec<FrameResult>> {
+    let n = num_frames as usize;
+    let mut runs: Vec<CellRun> = cells.iter().map(|core| CellRun::new(core, n)).collect();
+    while runs.iter().any(|run| run.results.len() < n) {
+        let (mut busy, mut retired) = (false, false);
+        // A finished cell is left alone: whatever reaches its queues now
+        // waits for the next call, as it does in a standalone engine.
+        for (core, run) in cells.iter().zip(&mut runs).filter(|(_, run)| run.results.len() < n) {
+            let before = run.results.len();
+            busy |= core.pass(run, start, net_done);
+            retired |= run.results.len() > before;
         }
-        let kernels = &self.kernels;
-        let cfg = &kernels.cfg;
-        let mut ctx = ManagerCtx::new(self.window.window(), kernels.geom.symbols);
+        if retired {
+            on_retire();
+        }
+        if !busy {
+            std::thread::yield_now();
+        }
+    }
+    runs.iter_mut().for_each(|run| run.results.sort_by_key(|r| r.frame));
+    runs.into_iter().map(|run| run.results).collect()
+}
+
+/// One cell's side of a [`manager_loop`] call.
+struct CellRun {
+    table: FrameTable,
+    ctx: ManagerCtx,
+    results: Vec<FrameResult>,
+    /// The call's frames run from the watermark at entry up to this one.
+    end: u32,
+    /// The cell's last packet, completion or given-up frame.
+    last_progress: Duration,
+    /// Reusable: a table call's output, a completion batch, expired frames.
+    out: Vec<Msg>,
+    cbuf: Vec<Msg>,
+    expired: Vec<u32>,
+}
+
+impl CellRun {
+    fn new(core: &CellCore, num_frames: usize) -> Self {
+        let (k, cfg) = (&core.kernels, &core.kernels.cfg);
         // Frames an earlier call on this core retired stay retired.
-        let first = self.min_frame.load(Ordering::Acquire) as u32;
-        let mut table =
-            FrameTable::new(cfg.cell.schedule.clone(), kernels.shape, cfg.batch, false, first);
-        let mut results: Vec<FrameResult> = Vec::with_capacity(num_frames as usize);
-        let mut out: Vec<Msg> = Vec::new();
-        let mut cbuf: Vec<Msg> = Vec::with_capacity(COMPLETE_BATCH);
-        let mut expired: Vec<u32> = Vec::new();
-        let mut last_progress = Duration::ZERO;
+        let first = core.min_frame.load(Ordering::Acquire) as u32;
+        Self {
+            table: FrameTable::new(cfg.cell.schedule.clone(), k.shape, cfg.batch, false, first),
+            ctx: ManagerCtx::new(core.window.window(), k.geom.symbols),
+            results: Vec::with_capacity(num_frames),
+            end: first + num_frames as u32,
+            last_progress: Duration::ZERO,
+            out: Vec::new(),
+            cbuf: Vec::with_capacity(COMPLETE_BATCH),
+            expired: Vec::new(),
+        }
+    }
+}
 
-        while results.len() < num_frames as usize {
-            let mut idle = true;
+impl CellCore {
+    /// One manager pass over this cell: its packet notifications, its
+    /// completions and its deadline watchdog, or, when none of them had
+    /// anything to do, its stall rules. Returns whether it did anything.
+    fn pass(&self, run: &mut CellRun, start: Instant, net_done: &AtomicBool) -> bool {
+        let CellRun { table, ctx, results, end, last_progress, out, cbuf, expired } = run;
+        let mut busy = false;
 
-            // 1. Packet notifications.
-            while let Some(msg) = self.queues.rx.pop() {
-                idle = false;
-                last_progress = start.elapsed();
-                let (symbol, antenna) = (msg.symbol as usize, msg.base as usize);
-                let now_ns = last_progress.as_nanos() as u64;
-                match table.on_packet(msg.frame, symbol, antenna, now_ns, &mut out) {
-                    Arrival::Accepted => {}
-                    Arrival::Duplicate => self.stats.add(Counter::PacketsDuplicate, 1),
-                    Arrival::Late => self.stats.add(Counter::PacketsLate, 1),
-                }
-                // The network thread admits no frame a window above the
-                // watermark, so the table never outgrows the window.
-                debug_assert!(table.len() <= self.window.window());
-                self.place(&mut ctx, &mut out);
+        // 1. Packet notifications.
+        while let Some(msg) = self.queues.rx.pop() {
+            busy = true;
+            *last_progress = start.elapsed();
+            let (symbol, antenna) = (msg.symbol as usize, msg.base as usize);
+            let now_ns = last_progress.as_nanos() as u64;
+            match table.on_packet(msg.frame, symbol, antenna, now_ns, out) {
+                Arrival::Accepted => {}
+                Arrival::Duplicate => self.stats.add(Counter::PacketsDuplicate, 1),
+                Arrival::Late => self.stats.add(Counter::PacketsLate, 1),
             }
+            // The network thread admits no frame a window above the
+            // watermark, so the table never outgrows the window.
+            debug_assert!(table.len() <= self.window.window());
+            self.place(ctx, out);
+        }
 
-            // 2. Completions, a whole batch per cursor claim.
-            loop {
-                cbuf.clear();
-                if self.queues.complete.pop_batch(&mut cbuf, COMPLETE_BATCH) == 0 {
-                    break;
-                }
-                idle = false;
-                for msg in &cbuf {
-                    last_progress = start.elapsed();
-                    // The completing worker's caches now hold this symbol's
-                    // buffers: send the symbol's next stage to its lane.
-                    ctx.set_lane(msg, msg.aux as usize);
-                    let finished =
-                        table.on_complete(msg, last_progress.as_nanos() as u64, &mut out);
-                    self.place(&mut ctx, &mut out);
-                    if finished {
-                        self.retire(&mut ctx, &mut table, msg.frame, &mut results);
-                    }
-                }
+        // 2. Completions, a whole batch per cursor claim.
+        loop {
+            cbuf.clear();
+            if self.queues.complete.pop_batch(cbuf, COMPLETE_BATCH) == 0 {
+                break;
             }
-
-            // 3. Deadline watchdog: abandon frames in flight longer than
-            // the configured budget — missing packets would otherwise
-            // stall the pipeline (and, via flow control, the whole
-            // fronthaul) until end-of-input.
-            if let Some(deadline) = cfg.frame_deadline_ns.filter(|_| !table.is_empty()) {
-                let now = start.elapsed();
-                expired.clear();
-                expired.extend(table.expired(now.as_nanos() as u64, deadline));
-                if !expired.is_empty() {
-                    idle = false;
-                    last_progress = now;
-                    expired.iter().for_each(|&frame| table.abandon(frame));
-                    // Queued tasks must never run against a freed slot;
-                    // tasks a worker already holds drain as completions.
-                    self.flush_abandoned(&mut ctx, &mut table);
-                    for &frame in &expired {
-                        self.retire(&mut ctx, &mut table, frame, &mut results);
-                    }
+            busy = true;
+            for msg in cbuf.iter() {
+                *last_progress = start.elapsed();
+                // The completing worker's caches now hold this symbol's
+                // buffers: send the symbol's next stage to its lane.
+                ctx.set_lane(msg, msg.aux as usize);
+                let finished = table.on_complete(msg, last_progress.as_nanos() as u64, out);
+                self.place(ctx, out);
+                if finished {
+                    self.retire(ctx, table, msg.frame, results);
                 }
-            }
-
-            if idle {
-                // Nothing has arrived or completed for a while and nothing
-                // is queued: whatever is unfinished is missing packets.
-                let stalled = start.elapsed() - last_progress > STALL
-                    && self.queues.tasks.iter().all(|q| q.is_empty())
-                    && self.queues.lanes.iter().all(|l| l.is_empty());
-                // End of input: the network thread has delivered all it
-                // ever will, so that holds for every frame of this call
-                // still unfinished. Give them up rather than spin forever.
-                if stalled && net_done.load(Ordering::Acquire) {
-                    for frame in table.watermark()..first + num_frames {
-                        table.abandon(frame);
-                        self.retire(&mut ctx, &mut table, frame, &mut results);
-                    }
-                    continue;
-                }
-                // Flow control: the network thread holds a packet a whole
-                // window above the watermark and admits nothing more until
-                // the watermark moves, and the watermark frame has nothing
-                // left to run. Give it up, whatever state its slot is in —
-                // without a deadline nothing else would, the network thread
-                // would wait on it for good and `net_done` would never
-                // come. The table's length cannot say this: when the frame
-                // at the top of the window lost every packet, the table
-                // spans one frame less.
-                if stalled && self.held.load(Ordering::Relaxed) {
-                    let frame = table.watermark();
-                    table.abandon(frame);
-                    self.retire(&mut ctx, &mut table, frame, &mut results);
-                    last_progress = start.elapsed();
-                    continue;
-                }
-                std::thread::yield_now();
             }
         }
-        results.sort_by_key(|r| r.frame);
-        results
+
+        // 3. Deadline watchdog: abandon frames in flight longer than the
+        // configured budget — missing packets would otherwise stall the
+        // pipeline (and, via flow control, the whole fronthaul) until
+        // end-of-input.
+        if let Some(deadline) = self.kernels.cfg.frame_deadline_ns.filter(|_| !table.is_empty()) {
+            let now = start.elapsed();
+            expired.clear();
+            expired.extend(table.expired(now.as_nanos() as u64, deadline));
+            if !expired.is_empty() {
+                busy = true;
+                *last_progress = now;
+                expired.iter().for_each(|&frame| table.abandon(frame));
+                // Queued tasks must never run against a freed slot;
+                // tasks a worker already holds drain as completions.
+                self.flush_abandoned(ctx, table);
+                for &frame in expired.iter() {
+                    self.retire(ctx, table, frame, results);
+                }
+            }
+        }
+        if busy {
+            return true;
+        }
+
+        // 4. Stall rules. Nothing has arrived or completed for a while
+        // and nothing is queued: whatever is unfinished is missing
+        // packets.
+        let stalled = start.elapsed() - *last_progress > STALL
+            && self.queues.tasks.iter().all(|q| q.is_empty())
+            && self.queues.lanes.iter().all(|l| l.is_empty());
+        if !stalled {
+            return false;
+        }
+        // End of input: the network thread has delivered all it ever
+        // will, so that holds for every frame of this call still
+        // unfinished. Give them up rather than spin forever.
+        if net_done.load(Ordering::Acquire) {
+            for frame in table.watermark()..*end {
+                table.abandon(frame);
+                self.retire(ctx, table, frame, results);
+            }
+            return true;
+        }
+        // Flow control: the network thread holds a packet a whole window
+        // above the watermark and admits nothing more until the watermark
+        // moves, and the watermark frame has nothing left to run. Give it
+        // up, whatever state its slot is in — without a deadline nothing
+        // else would, the network thread would wait on it for good and
+        // `net_done` would never come. The table's length cannot say
+        // this: when the frame at the top of the window lost every
+        // packet, the table spans one frame less.
+        if self.held.load(Ordering::Relaxed) {
+            let frame = table.watermark();
+            table.abandon(frame);
+            self.retire(ctx, table, frame, results);
+            *last_progress = start.elapsed();
+            return true;
+        }
+        false
     }
 
     /// Reads out a finished frame's result, counts it, and moves the
@@ -766,12 +854,7 @@ fn has_work(queues: &TaskQueues) -> bool {
 /// migration takes effect at the next poll — any in-hand batch finishes
 /// on the old cell first. An [`Engine`] is the one-cell case whose
 /// assignment never changes. Scratch is per cell (geometries differ).
-pub(crate) fn worker_loop(
-    wid: usize,
-    cells: &[CellCore],
-    assigned: &AtomicUsize,
-    shutdown: &AtomicBool,
-) {
+fn worker_loop(wid: usize, cells: &[CellCore], assigned: &AtomicUsize, shutdown: &AtomicBool) {
     let mut scratches: Vec<WorkerScratch> = cells.iter().map(|c| c.kernels.scratch()).collect();
     let mut batch: Vec<Msg> = Vec::with_capacity(WORKER_BATCH);
     let mut done: Vec<Msg> = Vec::with_capacity(WORKER_BATCH);
@@ -891,6 +974,7 @@ pub(crate) fn execute(
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
+    use crate::deploy::{Deployment, DeploymentConfig};
     use agora_fronthaul::{MemFronthaul, RruConfig, RruEmulator};
     use agora_phy::CellConfig;
 
@@ -932,23 +1016,27 @@ mod tests {
         assert_eq!(ctx.lane_of(&other), Some(0));
     }
 
-    /// `frame_window + 2` frames through the engine, frame `f` keeping only
-    /// the packets `keep(f, i)` selects (by index `i` within the frame):
-    /// every frame comes back, in order, each short one dropped and charged
-    /// with exactly the packets it lost, the others decoded to ground
-    /// truth, and the ledger reconciles.
+    /// `frame_window + 2` frames, frame `f` keeping only the packets
+    /// `keep(f, i)` selects (by index `i` within the frame), through the
+    /// engine and again as cell 1 of a two-cell deployment whose cell 0
+    /// loses nothing. In both runs every frame comes back, in order, each
+    /// short one dropped and charged with exactly the packets it lost, the
+    /// others decoded to ground truth, and the ledger reconciles; cell 0
+    /// decodes every frame.
     fn run_with_short_frames(deadline_ns: Option<u64>, keep: impl Fn(u32, usize) -> bool) {
         let cell = CellConfig::tiny_test(2);
-        let mut rru = RruEmulator::new(
-            cell.clone(),
-            RruConfig { snr_db: 30.0, seed: 45, ..Default::default() },
-        );
+        let rru = |cell_id, seed| {
+            let cfg = RruConfig { snr_db: 30.0, seed, cell_id, ..Default::default() };
+            RruEmulator::new(cell.clone(), cfg)
+        };
+        // Stamped cell 1 for the deployment; the engine reads no cell byte.
+        let (mut rru, mut full_rru) = (rru(1, 45), rru(0, 46));
         let mut cfg = EngineConfig::new(cell.clone(), 2);
         cfg.noise_power = rru.noise_power();
         cfg.frame_deadline_ns = deadline_ns;
         let frames = cfg.frame_window as u32 + 2;
-        let mut packets = Vec::new();
-        let mut gts = Vec::new();
+        let (mut packets, mut both) = (Vec::new(), Vec::new());
+        let (mut gts, mut full_gts) = (Vec::new(), Vec::new());
         let mut lost = Vec::new();
         for f in 0..frames {
             let (p, gt) = rru.generate_frame(f);
@@ -956,37 +1044,59 @@ mod tests {
             let kept = p.into_iter().enumerate().filter(|&(i, _)| keep(f, i));
             let kept: Vec<_> = kept.map(|(_, pkt)| pkt).collect();
             lost.push(sent - kept.len());
+            let (full, full_gt) = full_rru.generate_frame(f);
+            both.extend(full);
+            both.extend(kept.iter().cloned());
             packets.extend(kept);
             gts.push(gt);
+            full_gts.push(full_gt);
         }
         let short = lost.iter().filter(|&&n| n > 0).count() as u64;
         assert!(short > 0, "some frame must lose something");
-        let engine = Engine::new(cfg);
-        let link = MemFronthaul::preloaded(&packets);
-        let results = engine.process_fronthaul(&link, frames, &AtomicBool::new(true));
-        assert_eq!(
-            results.iter().map(|r| r.frame).collect::<Vec<_>>(),
-            (0..frames).collect::<Vec<_>>()
-        );
-        for r in &results {
-            let lost = lost[r.frame as usize];
-            if lost > 0 {
-                assert!(r.dropped, "frame {}", r.frame);
-                assert_eq!(r.lost_packets as usize, lost, "charged with exactly what it lost");
-                continue;
+        let check = |results: &[FrameResult], stats: &EngineStats| {
+            assert_eq!(
+                results.iter().map(|r| r.frame).collect::<Vec<_>>(),
+                (0..frames).collect::<Vec<_>>()
+            );
+            for r in results {
+                let lost = lost[r.frame as usize];
+                if lost > 0 {
+                    assert!(r.dropped, "frame {}", r.frame);
+                    assert_eq!(r.lost_packets as usize, lost, "charged with exactly what it lost");
+                    continue;
+                }
+                assert!(!r.dropped && r.lost_packets == 0, "frame {}", r.frame);
+                for symbol in cell.schedule.uplink_indices() {
+                    assert_eq!(r.decoded[symbol], gts[r.frame as usize].info_bits[symbol]);
+                }
             }
-            assert!(!r.dropped && r.lost_packets == 0, "frame {}", r.frame);
+            assert_eq!(stats.get(Counter::PacketsLost), lost.iter().sum::<usize>() as u64);
+            assert_eq!(
+                (stats.get(Counter::FramesCompleted), stats.get(Counter::FramesDropped)),
+                (frames as u64 - short, short)
+            );
+            assert_eq!(
+                (stats.get(Counter::PacketsLate), stats.get(Counter::PacketsDuplicate)),
+                (0, 0)
+            );
+        };
+        let done = AtomicBool::new(true);
+        let engine = Engine::new(cfg.clone());
+        let results = engine.process_fronthaul(&MemFronthaul::preloaded(&packets), frames, &done);
+        check(&results, engine.stats());
+
+        let mut full_cfg = cfg.clone();
+        full_cfg.noise_power = full_rru.noise_power();
+        let deployment = Deployment::new(DeploymentConfig::new(vec![full_cfg, cfg], 2));
+        let results = deployment.process_fronthaul(&MemFronthaul::preloaded(&both), frames, &done);
+        check(&results[1], deployment.stats().cell(1));
+        for r in &results[0] {
+            assert!(!r.dropped, "cell 0 frame {}", r.frame);
             for symbol in cell.schedule.uplink_indices() {
-                assert_eq!(r.decoded[symbol], gts[r.frame as usize].info_bits[symbol]);
+                assert_eq!(r.decoded[symbol], full_gts[r.frame as usize].info_bits[symbol]);
             }
         }
-        let stats = engine.stats();
-        assert_eq!(stats.get(Counter::PacketsLost), lost.iter().sum::<usize>() as u64);
-        assert_eq!(
-            (stats.get(Counter::FramesCompleted), stats.get(Counter::FramesDropped)),
-            (frames as u64 - short, short)
-        );
-        assert_eq!((stats.get(Counter::PacketsLate), stats.get(Counter::PacketsDuplicate)), (0, 0));
+        assert_eq!(results[0].len(), frames as usize);
     }
 
     /// A frame none of whose packets arrive must not pin flow control:
@@ -1029,7 +1139,7 @@ mod tests {
 
     /// Driving the engine off a [`Fronthaul`] link must decode to ground
     /// truth, drain the link in whole batches, and surface the
-    /// batch/error observability counters.
+    /// batch/error observability counters — with its threads pinned too.
     #[test]
     fn process_fronthaul_drains_batches_and_records_stats() {
         let cell = CellConfig::tiny_test(2);
@@ -1048,41 +1158,49 @@ mod tests {
             gts.push(gt);
         }
         let total = packets.len() as u64;
-        let rx = MemFronthaul::preloaded(&packets);
-        let mut cfg = EngineConfig::new(cell.clone(), 2);
-        cfg.noise_power = rru.noise_power();
-        let rx_batch = cfg.rx_batch as u64;
-        let engine = Engine::new(cfg);
-        // Everything is already queued, so the producer is done.
-        let done = AtomicBool::new(true);
-        let results = engine.process_fronthaul(&rx, frames, &done);
-        assert_eq!(results.len(), frames as usize);
-        for r in &results {
-            assert!(!r.dropped, "frame {} dropped", r.frame);
-            let gt = &gts[r.frame as usize];
-            for symbol in cell.schedule.uplink_indices() {
-                for user in 0..cell.num_users {
-                    assert!(r.decode_ok[symbol][user], "frame {} sym {symbol} u {user}", r.frame);
-                    assert_eq!(r.decoded[symbol][user], gt.info_bits[symbol][user]);
+        // Unpinned first: pinning binds this test's thread for good.
+        for pin in [false, true] {
+            let rx = MemFronthaul::preloaded(&packets);
+            let mut cfg = EngineConfig::new(cell.clone(), 2);
+            cfg.noise_power = rru.noise_power();
+            cfg.pin_cores = pin;
+            let rx_batch = cfg.rx_batch as u64;
+            let engine = Engine::new(cfg);
+            // Everything is already queued, so the producer is done.
+            let done = AtomicBool::new(true);
+            let results = engine.process_fronthaul(&rx, frames, &done);
+            assert_eq!(results.len(), frames as usize);
+            for r in &results {
+                assert!(!r.dropped, "frame {} dropped", r.frame);
+                let gt = &gts[r.frame as usize];
+                for symbol in cell.schedule.uplink_indices() {
+                    for user in 0..cell.num_users {
+                        assert!(
+                            r.decode_ok[symbol][user],
+                            "frame {} sym {symbol} u {user}",
+                            r.frame
+                        );
+                        assert_eq!(r.decoded[symbol][user], gt.info_bits[symbol][user]);
+                    }
                 }
             }
+            let stats = engine.stats();
+            assert_eq!(stats.rx_batch_packets(), total, "every queued packet drained");
+            assert!(stats.rx_batches() >= total.div_ceil(rx_batch), "batch count sanity");
+            assert!(
+                stats.get(Counter::RxBatchMax) <= rx_batch,
+                "polls bounded by the configured batch"
+            );
+            assert!(
+                stats.get(Counter::RxBatchMax) > 1,
+                "a pre-filled link must drain multi-packet batches"
+            );
+            assert_eq!(stats.get(Counter::RxErrors), 1, "the malformed datagram is counted");
+            assert_eq!(
+                (stats.get(Counter::LinkTxErrors), stats.get(Counter::LinkRxErrors)),
+                (0, 0),
+                "in-memory link has no socket errors"
+            );
         }
-        let stats = engine.stats();
-        assert_eq!(stats.rx_batch_packets(), total, "every queued packet drained");
-        assert!(stats.rx_batches() >= total.div_ceil(rx_batch), "batch count sanity");
-        assert!(
-            stats.get(Counter::RxBatchMax) <= rx_batch,
-            "polls bounded by the configured batch"
-        );
-        assert!(
-            stats.get(Counter::RxBatchMax) > 1,
-            "a pre-filled link must drain multi-packet batches"
-        );
-        assert_eq!(stats.get(Counter::RxErrors), 1, "the malformed datagram is counted");
-        assert_eq!(
-            (stats.get(Counter::LinkTxErrors), stats.get(Counter::LinkRxErrors)),
-            (0, 0),
-            "in-memory link has no socket errors"
-        );
     }
 }

@@ -14,8 +14,9 @@
 //!   workers over per-worker lanes).
 //! * [`inline_engine`]: deterministic single-threaded processor for
 //!   BER/BLER experiments.
-//! * [`deploy`]: multi-cell deployments — C cell engines on one shared
-//!   worker pool with a dynamic core-reallocation supervisor.
+//! * [`deploy`]: multi-cell deployments — C cells on the engine's worker
+//!   pool and one manager thread, which also runs the dynamic
+//!   core-reallocation supervisor.
 //! * [`alloc`]: shares-over-cores allocation — the simulator's
 //!   pipeline-parallel baseline (§5.4) and the deployment supervisor.
 //! * [`stats`]: per-block busy-time accounting (Table 3).

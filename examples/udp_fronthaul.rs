@@ -98,7 +98,7 @@ fn main() {
     let done = AtomicBool::new(false);
     let results = std::thread::scope(|scope| {
         // Producer: one send_batch per symbol slot, sleeping between
-        // bursts so the demux thread keeps pace on small machines (a
+        // bursts so the intake thread keeps pace on small machines (a
         // real RRU paces at the symbol clock; sleeping also yields the
         // core, which a spin-pacer would hog).
         scope.spawn(|| {

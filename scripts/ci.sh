@@ -9,7 +9,8 @@
 # (every committed results/*.csv still has a producing bin, and the
 # deterministic simulator bins reproduce theirs byte for byte), the orphan
 # gate (every library `pub fn` has a caller), the knob gate (every
-# `EngineConfig` field has a non-test setter or a pending decision) and
+# `EngineConfig` and `DeploymentConfig` field has a non-test setter or a
+# pending decision) and
 # the fence gate (streaming stores and their one fence live in
 # agora-math::simd only).
 # Fails fast.
@@ -62,20 +63,23 @@ if [ "$orphans" -ne 0 ]; then
     exit 1
 fi
 
-echo "== every EngineConfig knob has a non-test setter or a decision pending =="
-# A `pub` field of `EngineConfig` that nothing but tests assigns is a
-# switch with no harness (ISSUE 21): make it a constant. A field passes
-# when a non-test file (the bench bins, the examples, the benchmark, the
-# non-test part of crates/core/src) assigns it through a binding
-# (`cfg.field = …`), or when it is listed here with who decides it. The
-# `parity` bin is not a setter: it is the release-build test suite.
+echo "== every EngineConfig / DeploymentConfig knob has a non-test setter or a decision pending =="
+# A `pub` field of `EngineConfig` or `DeploymentConfig` that nothing but
+# tests assigns is a switch with no harness: make it a constant. A field
+# passes when a non-test file (the bench bins, the examples, the
+# benchmark, the non-test part of crates/core/src) assigns it through a
+# binding (`cfg.field = …`), or when it is listed here with who decides
+# it. The `parity` bin is not a setter: it is the release-build test
+# suite.
 # Word-level like the orphan gate: `SimConfig` shares `batch`, which is
 # why it is listed, not grepped.
 decided="
 cell               argument of EngineConfig::new
 num_workers        argument of EngineConfig::new
+cells              argument of DeploymentConfig::new
+total_workers      argument of DeploymentConfig::new
 batch              Table 3 / SimConfig::batch (table4_ablation, ext_ablations)
-frame_window       deployment sizing (buffer window); ROADMAP 7(d)
+frame_window       deployment sizing (buffer window); ROADMAP 8(d)
 rx_batch           deployment sizing (packets per recvmmsg poll)
 pin_cores          deployment setting (CPU pinning)
 "
@@ -86,12 +90,13 @@ for f in $(find crates/bench/src examples benchmark/src crates/core/src -name '*
     awk '/#\[cfg\(test\)\]/ { exit } { print }' "$f"
 done >"$setters"
 knobs=0
-for field in $(scripts/ledger.sh | sed -n 's/^  EngineConfig *[0-9]*: //p'); do
+while read -r config field; do
     grep -qE "^$field " <<<"$decided" && continue
     grep -qE "\.$field(\.[a-z_0-9]+)? = " "$setters" && continue
-    echo "crates/core/src/config.rs: EngineConfig::$field is assigned by no non-test file"
+    echo "$config::$field is assigned by no non-test file"
     knobs=$((knobs + 1))
-done
+done < <(scripts/ledger.sh | awk '$1 == "EngineConfig" || $1 == "DeploymentConfig" {
+    for (i = 3; i <= NF; i++) print $1, $i }')
 if [ "$knobs" -ne 0 ]; then
     echo "$knobs knob(s) only tests can turn: make them constants and delete the other path,"
     echo "or list them in scripts/ci.sh with the ROADMAP item that decides them"

@@ -54,12 +54,17 @@ for f in $(rs crates | grep -v '/tests/'); do
 done
 printf '  %d\n' "$tiers"
 
-echo "== pub fields of the engine configuration (crates/core/src/config.rs) =="
-# Per pub struct declared there: `Ablation` too, on a tree that still has it.
-nontest crates/core/src/config.rs | awk '
-    /^pub struct / { name = $3; sub(/[^A-Za-z0-9_].*/, "", name); next }
-    /^}/ { if (name != "") printf "  %-14s %2d: %s\n", name, n[name], list[name]; name = "" }
+echo "== pub fields of the engine and deployment configurations =="
+# Per pub struct declared in config.rs (`Ablation` too, on a tree that
+# still has it), then `DeploymentConfig` from deploy.rs.
+fields() {
+    nontest "$1" | awk -v only="${2:-}" '
+    /^pub struct / { name = $3; sub(/[^A-Za-z0-9_].*/, "", name); if (only != "" && name != only) name = ""; next }
+    /^}/ { if (name != "") printf "  %-16s %2d: %s\n", name, n[name], list[name]; name = "" }
     name != "" && /^    pub [a-z_0-9]+:/ { f = $2; sub(/:.*/, "", f); n[name]++; list[name] = list[name] f " " }'
+}
+fields crates/core/src/config.rs
+fields crates/core/src/deploy.rs DeploymentConfig
 
 echo "== engine constructors (pub fn of impl Engine returning Self) =="
 nontest crates/core/src/engine.rs | awk '
