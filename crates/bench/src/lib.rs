@@ -1,35 +1,52 @@
 //! # agora-bench — experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (§6). Each
-//! prints the paper's rows/series to stdout and writes CSV under
-//! `results/`. Kernel and queue timings are not measured here: the repo
-//! benchmark (`benchmark/`, `--trace 1`) is the one harness for them.
+//! Two binaries: `repro`, every table and figure of the paper's
+//! evaluation (§6) as one table of named rows, and `parity`, the
+//! release-build parity checks CI runs. Each `repro` row prints the
+//! paper's rows/series to stdout and writes CSV under `results/`;
+//! `repro` with no argument runs every row. Kernel and queue timings are
+//! not measured here: the repo benchmark (`benchmark/`, `--trace 1`) is
+//! the one harness for them.
 //!
-//! | target | reproduces |
+//! | `repro` row | reproduces |
 //! |---|---|
 //! | `fig6_latency` | Fig 6: latency & min cores vs frame length, UL+DL |
 //! | `fig7_ccdf` | Fig 7: uplink latency CCDF, four MIMO configs |
 //! | `fig8_scalability` | Fig 8: processing time & speedup vs cores |
+//! | `fig8_cells` | Fig 8, deployment flavour: aggregate throughput vs cell count at a fixed total core budget |
 //! | `fig9_bler` | Fig 9: worst-user BLER vs number of users |
-//! | `table3_blocks` | Table 3: per-block cost breakdown |
 //! | `fig10_datamove` | Fig 10: data movement vs cores / antennas |
 //! | `fig11_sync` | Fig 11: synchronisation overhead vs antennas |
-//! | `fig12_ldpc` | Fig 12: LDPC BER & decode time |
+//! | `fig12_ldpc` | Fig 12: LDPC BER & decode time; the f32-vs-i8 decoding-plane sweep |
 //! | `fig13_breakdown` | Fig 13: block latency + milestones, DP vs PP |
+//! | `table3_blocks` | Table 3: per-block cost breakdown |
 //! | `table4_ablation` | Table 4: optimisation ablations |
 //! | `table5_simd` | Table 5: SIMD-tier sensitivity |
-//! | `fig8_cells` | Fig 8, deployment flavour: aggregate throughput vs cell count at a fixed total core budget |
 //! | `ext_ablations` | Extensions: stale-precoder early start, batch-size sweep (simulator) |
 //! | `ext_faults` | Extension: frame survival under injected fronthaul loss / reorder / duplication |
-//! | `parity` | CI smoke: every release-build parity check (SIMD tiers, batched FFT, ZF solvers, fronthaul I/O paths, deployment ledgers, lanes vs inline) as one table; `parity [name…]` runs a subset |
 //!
-//! The multi-core latency figures run on the calibrated discrete-event
-//! simulator (`agora_core::sim`) because this machine exposes two
-//! cores — see DESIGN.md §3 substitution 4. Kernel calibration
-//! ([`calibrate`]) measures the real Rust kernels and feeds their costs
-//! into the simulator.
+//! The multi-core latency figures run on the discrete-event simulator
+//! (`agora_core::sim`) because this machine exposes two cores — see
+//! DESIGN.md §3 substitution 4. Its kernel and queue costs are the
+//! benchmark's own measurements ([`calibration`]).
 
-pub mod calibrate;
 pub mod csv;
 
-pub use calibrate::{calibrate, Calibration};
+use agora_core::sim::{Calibration, CostModel};
+
+/// The simulator's calibration.
+pub fn calibration() -> Calibration {
+    Calibration {
+        costs: CostModel {
+            fft_ns: 3_821.0,
+            zf_ns: 6_781.0,
+            demod_sc_ns: 190.0,
+            decode_ns: 46_500.0,
+            encode_ns: 3_000.0,
+            precode_sc_ns: 170.0,
+            ifft_ns: 3_821.0,
+        },
+        queue_op_ns: 67.5,
+        lane_msg_ns: 25.3,
+    }
+}

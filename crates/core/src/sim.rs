@@ -8,15 +8,16 @@
 //! completions under a virtual clock, emitting the very messages the
 //! threaded manager would place — and drives it with:
 //!
-//! * **compute costs** per task, calibrated from the real kernels (see
-//!   the bench crate's calibration harness) or from the paper's Table 3
-//!   with analytic `(M, K)` scaling;
+//! * **compute costs** per task, measured on the real kernels by the
+//!   repo benchmark ([`Calibration`]) and carried to other `(M, K)` with
+//!   the paper's analytic shapes;
 //! * a **data-movement model**: bytes touched per task, converted to
 //!   time through a cache-line transfer cost and the probability that
 //!   the line is in a remote core's cache (`1 - 1/workers`);
 //! * a **synchronisation model**: every queue message serialises on the
-//!   manager (dispatch cost) and pays an inter-core hop that grows with
-//!   the worker count (queue contention);
+//!   manager (dispatch cost, a multiple of the calibrated queue
+//!   operation) and pays an inter-core hop that grows with the worker
+//!   count (queue contention);
 //! * optional **OS-jitter injection** reproducing the "not a real-time
 //!   process" tail blow-up of Table 4.
 //!
@@ -26,7 +27,6 @@
 
 use crate::config::BatchSizes;
 use crate::state::{FrameShape, FrameTable, Milestones};
-use agora_fronthaul::fault::LossModel;
 use agora_phy::frame::SymbolType;
 use agora_phy::CellConfig;
 use agora_queue::{Msg, TaskType};
@@ -34,6 +34,25 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
+
+/// The simulator's inputs from the real code: seven task costs measured
+/// on the 64x16 cell (`CellConfig::emulated_rru(64, 16, _)`: 2048-point
+/// FFT, 1200 data subcarriers, Z = 104, 5 iterations) and two queue
+/// costs, all in nanoseconds. The repo benchmark measures every one
+/// (`--trace 1`: its kernel pass on `ul_64x16` for the tasks, its
+/// `xqueue` pass for the queues); the bench crate reads them from the
+/// committed calibration file, and [`CostModel::scaled`] carries them to
+/// other cells.
+#[derive(Debug, Clone, Copy)]
+pub struct Calibration {
+    /// The seven task costs at 64x16 (`core.kernels.*`).
+    pub costs: CostModel,
+    /// One operation on a shared MPMC queue (`xqueue.mpmc_ns_per_op`).
+    pub queue_op_ns: f64,
+    /// One message through a worker lane, batched claims and stealing
+    /// included (`xqueue.lane_ns_per_msg`).
+    pub lane_msg_ns: f64,
+}
 
 /// Per-task compute costs in nanoseconds.
 #[derive(Debug, Clone, Copy)]
@@ -54,90 +73,35 @@ pub struct CostModel {
     pub ifft_ns: f64,
 }
 
-/// Measured single-transform FFT time at n=2048 on this codebase's AVX2
-/// kernel — the benchmark's `fft.fwd_us` per-layer metric (`--trace 1`).
-/// Replaces the earlier 2 700 ns placeholder copied from the paper's
-/// Table 3; the vectorized engine lands within ~1.4× of the paper's
-/// MKL/AVX-512 number on this AVX2 container, and the simulator's FFT
-/// stage now reflects what this repository actually executes.
-pub const MEASURED_FFT_NS: f64 = 3_821.0;
-
-/// Measured ZF task time for one 64x16 subcarrier group on this
-/// codebase's Cholesky-solved AVX2 plane — the benchmark's
-/// `core.kernels.zf_task_us` per-layer metric on `ul_64x16`
-/// (`--trace 1`). The hermitian/Gram/factor/solve chain runs at ~3.2x
-/// the Gauss-Jordan detector (~21.4 us measured): Cholesky halves the
-/// flops of the inversion and the solve never forms the explicit
-/// inverse, so the serial fraction of the ZF stage collapses. The
-/// paper's Table 3 reports 21 100 ns on a Xeon Gold 6130 with
-/// MKL/AVX-512; this AVX2 container lands at ~0.32x of that.
-pub const MEASURED_ZF_NS: f64 = 6_781.0;
-
-/// Measured equalize time for ONE 64x16 subcarrier (all users) on the
-/// AVX2 GEMM plane: the batched `(16, 64, 8)` plan's per-call time — the
-/// benchmark's `mimo-math.gemm_eq_ns` per-layer metric on `ul_64x16` —
-/// divided by the batch. The paper's Table 3 demod row (190 ns)
-/// additionally includes soft demodulation; we keep the equalize
-/// fraction measured and scale the row by `M*K` exactly as before.
-pub const MEASURED_EQ_SC_NS: f64 = 161.0;
+/// The paper's ZF cost shape `a * M * K^2 + b`, fitted through its
+/// Table 3 points (21.1 us at 64x16, 10.1 us at 64x8).
+fn zf_shape(m: usize, k: usize) -> f64 {
+    0.8972 * (m as f64) * (k as f64) * (k as f64) + 6_400.0
+}
 
 impl CostModel {
-    /// The paper's Table 3 cost shapes (64x16 MIMO), anchored to this
-    /// repository's measured kernels, with analytic scaling to other
-    /// `(M, K)`:
-    /// * FFT/IFFT are per-antenna and independent of `M`, `K` — taken
-    ///   from this repo's measured kernel ([`MEASURED_FFT_NS`]) rather
-    ///   than the paper's hardware;
-    /// * ZF keeps the paper's `a * M * K^2 + b` shape (fitted through
-    ///   the 21.1 us 64x16 and 10.1 us 64x8 points) rescaled so the
-    ///   64x16 value equals the measured [`MEASURED_ZF_NS`];
-    /// * demod is proportional to `M * K` (the detector GEMM), anchored
-    ///   at the measured per-subcarrier equalize ([`MEASURED_EQ_SC_NS`])
-    ///   plus the paper's demap remainder (190 − 161 ns at 64x16);
-    /// * precode keeps the paper's 170:190 ratio to demod;
-    /// * decode depends only on the code block, not on `M`, `K`.
-    pub fn paper(m: usize, k: usize) -> Self {
+    /// The calibrated 64x16 task costs carried to `cell` with the paper's
+    /// analytic shapes:
+    /// * FFT/IFFT and encode are per antenna or per code block and flat;
+    /// * ZF follows [`zf_shape`], scaled so 64x16 reads the calibration;
+    /// * demod and precode are proportional to `M * K` (the GEMMs);
+    /// * decode is linear in `Z` and in the iteration count, as Figure
+    ///   12a establishes, from the calibration cell's Z = 104, 5
+    ///   iterations.
+    pub fn scaled(cal: &Calibration, cell: &CellConfig) -> Self {
+        let (m, k) = (cell.num_antennas, cell.num_users);
+        let c = &cal.costs;
         let mk = (m * k) as f64;
-        // Paper Table 3 anchors at 64x16 for the rescaled rows.
-        const PAPER_ZF_64X16_NS: f64 = 0.8972 * 64.0 * 16.0 * 16.0 + 6_400.0;
-        const PAPER_DEMOD_SC_NS: f64 = 190.0;
-        // Soft-demap share of the fused demod row: the paper's 190 ns
-        // minus the equalize share measured at calibration time. Stays
-        // fixed when the equalize kernel is re-measured.
-        const PAPER_DEMAP_SC_NS: f64 = 29.0;
-        let demod_sc_64x16 = MEASURED_EQ_SC_NS + PAPER_DEMAP_SC_NS;
-        let scale = MEASURED_ZF_NS / PAPER_ZF_64X16_NS;
-        let zf_ns = (0.8972 * (m as f64) * (k as f64) * (k as f64) + 6_400.0) * scale;
+        let scale = c.zf_ns / zf_shape(64, 16);
+        let ldpc = (cell.ldpc.z as f64 / 104.0) * (cell.ldpc.max_iters as f64 / 5.0);
         Self {
-            fft_ns: MEASURED_FFT_NS,
-            zf_ns,
-            demod_sc_ns: demod_sc_64x16 * mk / 1024.0,
-            decode_ns: 46_500.0,
-            encode_ns: 3_000.0,
-            precode_sc_ns: demod_sc_64x16 * (170.0 / PAPER_DEMOD_SC_NS) * mk / 1024.0,
-            ifft_ns: MEASURED_FFT_NS,
-        }
-    }
-
-    /// Scales the decode cost for LDPC parameters (linear in `Z` and in
-    /// the iteration count, as Figure 12a establishes; baseline Z=104,
-    /// 5 iterations).
-    pub fn with_ldpc(mut self, z: usize, iters: usize) -> Self {
-        self.decode_ns *= (z as f64 / 104.0) * (iters as f64 / 5.0);
-        self
-    }
-
-    /// Overrides from measured kernel times (ns per task), produced by
-    /// the calibration harness on the local machine.
-    pub fn measured(fft_ns: f64, zf_ns: f64, demod_sc_ns: f64, decode_ns: f64) -> Self {
-        Self {
-            fft_ns,
-            zf_ns,
-            demod_sc_ns,
-            decode_ns,
-            encode_ns: decode_ns / 15.0,
-            precode_sc_ns: demod_sc_ns,
-            ifft_ns: fft_ns,
+            fft_ns: c.fft_ns,
+            zf_ns: zf_shape(m, k) * scale,
+            demod_sc_ns: c.demod_sc_ns * mk / 1024.0,
+            decode_ns: c.decode_ns * ldpc,
+            encode_ns: c.encode_ns,
+            precode_sc_ns: c.precode_sc_ns * mk / 1024.0,
+            ifft_ns: c.ifft_ns,
         }
     }
 }
@@ -196,18 +160,13 @@ impl MovementModel {
     }
 }
 
-/// Measured per-task scheduling overhead (queue ops only) of the
-/// shared per-type queues, ns/task: the `sched` gate bin's run at the
-/// commit that added the work-stealing scheduler (9982979; the bin is
-/// gone, EXPERIMENTS.md "Settled A/Bs" keeps the record). The
-/// benchmark's `xqueue.mpmc_ns_per_op` is the live equivalent ROADMAP
-/// item 3(a) will load instead.
-pub const MEASURED_SCHED_SHARED_NS: f64 = 67.5;
+/// Manager CPU per message in shared-queue operations: the model's 25 ns
+/// dispatch against the 67.5 ns operation it was set beside.
+const DISPATCH_OPS: f64 = 25.0 / 67.5;
 
-/// Measured per-task scheduling overhead of the work-stealing path
-/// (per-worker lanes + batched claims), ns/task, same run; live
-/// equivalent: `xqueue.lane_ns_per_msg`.
-pub const MEASURED_SCHED_STEAL_NS: f64 = 25.3;
+/// Worker CPU per message (dequeue, completion enqueue and the misses on
+/// the message line) in shared-queue operations: 180 ns against 67.5 ns.
+const WORKER_MSG_OPS: f64 = 180.0 / 67.5;
 
 /// Synchronisation model: manager dispatch serialisation and per-message
 /// inter-core hops.
@@ -225,30 +184,26 @@ pub struct SyncModel {
     pub worker_msg_ns: f64,
 }
 
-impl Default for SyncModel {
-    fn default() -> Self {
-        // Data-parallel workers are served through per-worker lanes, so
-        // the simulator defaults to that calibration; `shared_queues()`
-        // is what type-restricted workers pay.
-        SyncModel::lanes()
-    }
-}
-
 impl SyncModel {
-    /// Shared per-type queues: one CAS per message on every hop.
-    pub fn shared_queues() -> Self {
-        Self { dispatch_ns: 25.0, hop_ns: 350.0, hop_per_worker_ns: 25.0, worker_msg_ns: 180.0 }
+    /// Shared per-type queues, what type-restricted workers pay: one CAS
+    /// per message on every hop, so the CPU terms are multiples of the
+    /// calibrated shared-queue operation.
+    pub fn shared_queues(cal: &Calibration) -> Self {
+        Self {
+            dispatch_ns: cal.queue_op_ns * DISPATCH_OPS,
+            hop_ns: 350.0,
+            hop_per_worker_ns: 25.0,
+            worker_msg_ns: cal.queue_op_ns * WORKER_MSG_OPS,
+        }
     }
 
-    /// Per-worker lanes with batched claims and stealing: the CPU-time
-    /// components (manager dispatch, worker dequeue/enqueue) shrink by
-    /// the measured per-task overhead ratio ([`MEASURED_SCHED_STEAL_NS`]
-    /// over [`MEASURED_SCHED_SHARED_NS`]); the
-    /// one-way hop latency is physical (cache-line transfer) and is
-    /// unchanged.
-    pub fn lanes() -> Self {
-        let scale = MEASURED_SCHED_STEAL_NS / MEASURED_SCHED_SHARED_NS;
-        let shared = SyncModel::shared_queues();
+    /// Per-worker lanes with batched claims and stealing, what
+    /// data-parallel workers are served through: the CPU terms shrink by
+    /// the calibrated lane-to-shared-queue cost ratio; the one-way hop
+    /// latency is physical (cache-line transfer) and is unchanged.
+    pub fn lanes(cal: &Calibration) -> Self {
+        let scale = cal.lane_msg_ns / cal.queue_op_ns;
+        let shared = SyncModel::shared_queues(cal);
         Self {
             dispatch_ns: shared.dispatch_ns * scale,
             hop_ns: shared.hop_ns,
@@ -314,37 +269,25 @@ pub struct SimConfig {
     /// would otherwise rate-collapse use a gap to measure the pure
     /// latency effect of a disabled optimisation.
     pub inter_frame_gap_ns: f64,
-    /// Fronthaul loss process applied to arriving packets — the same
-    /// models as the real transport's fault injector, so simulated loss
-    /// sweeps line up with the threaded engine's.
-    pub loss: LossModel,
-    /// Per-frame processing deadline (ns from the frame's first packet).
-    /// Frames incomplete at the deadline are abandoned and reported in
-    /// [`SimReport::dropped_frames`]. `None` disables abandonment.
-    pub deadline_ns: Option<f64>,
     /// RNG seed for jitter.
     pub seed: u64,
 }
 
 impl SimConfig {
-    /// Data-parallel simulation of a cell with paper-calibrated costs.
-    pub fn new(cell: CellConfig, workers: usize, frames: usize) -> Self {
-        let costs = CostModel::paper(cell.num_antennas, cell.num_users)
-            .with_ldpc(cell.ldpc.z, cell.ldpc.max_iters);
+    /// Data-parallel simulation of a cell on calibrated costs.
+    pub fn new(cell: CellConfig, workers: usize, frames: usize, cal: &Calibration) -> Self {
         Self {
+            costs: CostModel::scaled(cal, &cell),
             cell,
             workers,
             batch: BatchSizes::default(),
             policy: SimPolicy::DataParallel,
-            costs,
             movement: MovementModel::default(),
-            sync: SyncModel::default(),
+            sync: SyncModel::lanes(cal),
             jitter: None,
             frames,
             stale_precoder: false,
             inter_frame_gap_ns: 0.0,
-            loss: LossModel::None,
-            deadline_ns: None,
             seed: 1,
         }
     }
@@ -357,7 +300,7 @@ pub struct SimReport {
     /// completion, ns.
     pub latencies_ns: Vec<f64>,
     /// Milestones (ns since simulation start) of the retired frames, in
-    /// frame order; a dropped frame reads zero for stages it never reached.
+    /// frame order.
     pub milestones: Vec<Milestones>,
     /// Cumulative compute time per block across all cores/frames, ns
     /// (Table 3's "total time across cores").
@@ -371,11 +314,6 @@ pub struct SimReport {
     pub tasks: [u64; 7],
     /// Messages exchanged per block.
     pub messages: [u64; 7],
-    /// Packets removed by the configured loss model.
-    pub packets_lost: u64,
-    /// Frames abandoned at the deadline (sorted; their latencies do not
-    /// appear in `latencies_ns`).
-    pub dropped_frames: Vec<u32>,
 }
 
 impl SimReport {
@@ -428,8 +366,6 @@ enum Event {
     Packet { frame: u32, symbol: usize, antenna: usize },
     /// A worker finished a message.
     TaskDone { core: usize, msg: SimMsg },
-    /// A frame's processing deadline expired.
-    Deadline { frame: u32 },
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -586,8 +522,6 @@ impl<'a> Simulator<'a> {
             sync_ns: 0.0,
             tasks: [0; 7],
             messages: [0; 7],
-            packets_lost: 0,
-            dropped_frames: Vec::new(),
         };
         let num_groups = core_group.iter().copied().max().unwrap_or(0) + 1;
         let shape = FrameShape::new(&cfg.cell);
@@ -614,21 +548,13 @@ impl<'a> Simulator<'a> {
 
     fn run(mut self) -> SimReport {
         // Seed packet arrival events: antenna `a` of symbol `s` of frame
-        // `f` finishes arriving at (f*S + s)*T + (a+1)/M * T. A frame's
-        // deadline runs from its first packet that survives the link.
+        // `f` finishes arriving at (f*S + s)*T + (a+1)/M * T.
         let cell = &self.cfg.cell;
         let sym_ns = cell.symbol_duration_ns as f64;
         let m = cell.num_antennas;
-        // Loss draws come from a dedicated RNG stream so enabling loss
-        // does not perturb the jitter sequence of an otherwise-identical
-        // configuration.
-        let loss = self.cfg.loss;
-        let mut loss_rng = StdRng::seed_from_u64(self.cfg.seed.wrapping_add(0x1055));
-        let mut in_burst = false;
         for f in 0..self.cfg.frames as u32 {
             let frame_start =
                 f as f64 * (cell.symbols_per_frame() as f64 * sym_ns + self.cfg.inter_frame_gap_ns);
-            let mut deadline = self.cfg.deadline_ns;
             for s in 0..cell.symbols_per_frame() {
                 // Downlink symbols carry no uplink packets but do mark
                 // time; pilot/uplink symbols deliver M packets.
@@ -637,15 +563,8 @@ impl<'a> Simulator<'a> {
                 }
                 let sym_start = frame_start + s as f64 * sym_ns;
                 for a in 0..m {
-                    if loss.sample(&mut loss_rng, &mut in_burst) {
-                        self.report.packets_lost += 1;
-                        continue;
-                    }
                     let at = sym_start + sym_ns * (a + 1) as f64 / m as f64;
                     self.push_event(at, Event::Packet { frame: f, symbol: s, antenna: a });
-                    if let Some(d) = deadline.take() {
-                        self.push_event(at + d, Event::Deadline { frame: f });
-                    }
                 }
             }
         }
@@ -668,11 +587,9 @@ impl<'a> Simulator<'a> {
                     self.out = out;
                 }
                 Event::TaskDone { core, msg } => self.on_task_done(core, msg),
-                Event::Deadline { frame } => self.on_deadline(frame),
             }
         }
         let mut report = self.report;
-        report.dropped_frames.sort_unstable();
         self.retired.sort_by_key(|&(frame, _)| frame);
         report.milestones = self.retired.into_iter().map(|(_, ms)| ms).collect();
         report
@@ -790,32 +707,14 @@ impl<'a> Simulator<'a> {
         }
     }
 
-    /// Deadline expiry: abandon the frame if it is still in flight. Its
-    /// queued messages are pulled back, as the engine's manager does;
-    /// tasks already on a core run to completion and the frame retires
-    /// with the last of them.
-    fn on_deadline(&mut self, frame: u32) {
-        self.table.abandon(frame);
-        let table = &mut self.table;
-        self.incoming.retain(|e| !(e.0.frame == frame && table.credit_flushed(frame)));
-        for queue in &mut self.visible {
-            queue.retain(|e| !(e.frame == frame && table.credit_flushed(frame)));
-        }
-        self.retire(frame);
-    }
-
     /// Takes a finished frame out of the table and into the report.
     fn retire(&mut self, frame: u32) {
         let Some(done) = self.table.retire(frame) else { return };
         self.completed += 1;
         let ms = done.milestones.unwrap_or_default();
-        if done.dropped {
-            self.report.dropped_frames.push(frame);
-        } else {
-            let uplink = !self.cfg.cell.schedule.uplink_indices().is_empty();
-            let end = if uplink { ms.decode_done_ns } else { ms.ifft_done_ns };
-            self.report.latencies_ns.push((end - ms.first_packet_ns) as f64);
-        }
+        let uplink = !self.cfg.cell.schedule.uplink_indices().is_empty();
+        let end = if uplink { ms.decode_done_ns } else { ms.ifft_done_ns };
+        self.report.latencies_ns.push((end - ms.first_packet_ns) as f64);
         self.retired.push((frame, ms));
     }
 }
@@ -874,10 +773,11 @@ pub fn min_workers(
     cell: &CellConfig,
     frames: usize,
     max_latency_ns: f64,
+    cal: &Calibration,
     configure: impl Fn(&mut SimConfig),
 ) -> Option<usize> {
     let ok = |workers: usize| -> bool {
-        let mut cfg = SimConfig::new(cell.clone(), workers, frames);
+        let mut cfg = SimConfig::new(cell.clone(), workers, frames, cal);
         configure(&mut cfg);
         let rep = simulate(&cfg);
         let frame_ns = cell.frame_duration_ns() as f64;
@@ -911,13 +811,33 @@ pub fn min_workers(
 mod tests {
     use super::*;
 
+    /// The 64x16 costs the simulator ran on before it read the
+    /// benchmark's calibration, so these assertions stay where they were.
+    const FIXTURE: Calibration = Calibration {
+        costs: CostModel {
+            fft_ns: 3_821.0,
+            zf_ns: 6_781.0,
+            demod_sc_ns: 190.0,
+            decode_ns: 46_500.0,
+            encode_ns: 3_000.0,
+            precode_sc_ns: 170.0,
+            ifft_ns: 3_821.0,
+        },
+        queue_op_ns: 67.5,
+        lane_msg_ns: 25.3,
+    };
+
     fn paper_cell(data_symbols: usize) -> CellConfig {
         CellConfig::emulated_rru(64, 16, data_symbols)
     }
 
+    fn sim_config(cell: CellConfig, workers: usize, frames: usize) -> SimConfig {
+        SimConfig::new(cell, workers, frames, &FIXTURE)
+    }
+
     #[test]
     fn single_frame_completes() {
-        let cfg = SimConfig::new(paper_cell(13), 26, 1);
+        let cfg = sim_config(paper_cell(13), 26, 1);
         let rep = simulate(&cfg);
         assert_eq!(rep.latencies_ns.len(), 1);
         // Latency close to (but above) the 1 ms frame length.
@@ -927,7 +847,7 @@ mod tests {
 
     #[test]
     fn paper_26_cores_keeps_up_at_1ms() {
-        let cfg = SimConfig::new(paper_cell(13), 26, 16);
+        let cfg = sim_config(paper_cell(13), 26, 16);
         let rep = simulate(&cfg);
         assert_eq!(rep.latencies_ns.len(), 16);
         assert!(rep.keeps_up(1e6), "26 cores must sustain the 1 ms frame rate");
@@ -938,7 +858,7 @@ mod tests {
 
     #[test]
     fn few_cores_fall_behind() {
-        let cfg = SimConfig::new(paper_cell(13), 6, 16);
+        let cfg = sim_config(paper_cell(13), 6, 16);
         let rep = simulate(&cfg);
         assert!(!rep.keeps_up(1e6), "6 cores cannot sustain 64x16 at 1 ms");
     }
@@ -946,7 +866,7 @@ mod tests {
     #[test]
     fn more_cores_reduce_latency() {
         let lat = |w: usize| {
-            let rep = simulate(&SimConfig::new(paper_cell(13), w, 4));
+            let rep = simulate(&sim_config(paper_cell(13), w, 4));
             rep.median_latency_ms()
         };
         let l8 = lat(8);
@@ -957,7 +877,7 @@ mod tests {
 
     #[test]
     fn decode_dominates_busy_time() {
-        let rep = simulate(&SimConfig::new(paper_cell(13), 26, 4));
+        let rep = simulate(&sim_config(paper_cell(13), 26, 4));
         let decode = rep.busy_ns[crate::stats::type_index(TaskType::Decode)];
         let total: f64 = rep.busy_ns.iter().sum();
         // Paper Table 3: decode is 9.67 of 16.63 ms ~ 58%.
@@ -967,7 +887,7 @@ mod tests {
 
     #[test]
     fn task_counts_match_paper_table3() {
-        let rep = simulate(&SimConfig::new(paper_cell(13), 26, 1));
+        let rep = simulate(&sim_config(paper_cell(13), 26, 1));
         // 896 FFT (64 ant x 14 symbols), 75 ZF, 15600 demod SCs, 208
         // decodes.
         assert_eq!(rep.tasks[crate::stats::type_index(TaskType::Fft)], 896);
@@ -988,7 +908,7 @@ mod tests {
     #[test]
     fn decode_batch_halves_decode_messages() {
         let decode = crate::stats::type_index(TaskType::Decode);
-        let mut cfg = SimConfig::new(paper_cell(13), 26, 1);
+        let mut cfg = sim_config(paper_cell(13), 26, 1);
         let single = simulate(&cfg);
         cfg.batch.decode = 2;
         let paired = simulate(&cfg);
@@ -999,10 +919,10 @@ mod tests {
 
     #[test]
     fn pipeline_parallel_is_slower() {
-        let mut dp = SimConfig::new(paper_cell(13), 26, 6);
+        let mut dp = sim_config(paper_cell(13), 26, 6);
         dp.frames = 6;
         let dp_rep = simulate(&dp);
-        let mut pp = SimConfig::new(paper_cell(13), 26, 6);
+        let mut pp = sim_config(paper_cell(13), 26, 6);
         // A reasonable static allocation: FFT 4, ZF 3, Demod 4, Decode 15.
         pp.policy = SimPolicy::PipelineParallel { cores: vec![4, 3, 4, 15, 0, 0, 0] };
         let pp_rep = simulate(&pp);
@@ -1016,7 +936,7 @@ mod tests {
 
     #[test]
     fn jitter_blows_up_the_tail() {
-        let mut cfg = SimConfig::new(paper_cell(13), 26, 48);
+        let mut cfg = sim_config(paper_cell(13), 26, 48);
         let base = simulate(&cfg);
         cfg.jitter = Some(JitterModel { preempt_prob: 0.0002, mean_ns: 4e6 });
         let jit = simulate(&cfg);
@@ -1037,8 +957,8 @@ mod tests {
     fn batching_ablation_increases_latency() {
         let cell = paper_cell(13);
         let unbatch = |c: &mut SimConfig| c.batch = BatchSizes::ones();
-        let edge = min_workers(&cell, 8, 4e6, |_| {}).expect("some count must keep up");
-        let mut cfg = SimConfig::new(cell.clone(), edge, 12);
+        let edge = min_workers(&cell, 8, 4e6, &FIXTURE, |_| {}).expect("some count must keep up");
+        let mut cfg = sim_config(cell.clone(), edge, 12);
         let on = simulate(&cfg);
         unbatch(&mut cfg);
         let off = simulate(&cfg);
@@ -1048,7 +968,8 @@ mod tests {
             off.median_latency_ms(),
             on.median_latency_ms()
         );
-        let unbatched_edge = min_workers(&cell, 8, 4e6, unbatch).expect("some count must keep up");
+        let unbatched_edge =
+            min_workers(&cell, 8, 4e6, &FIXTURE, unbatch).expect("some count must keep up");
         assert!(unbatched_edge > edge, "unbatched needs {unbatched_edge} cores, batched {edge}");
         let fft = crate::stats::type_index(TaskType::Fft);
         assert_eq!(off.messages[fft], 2 * on.messages[fft], "one FFT message per packet");
@@ -1064,7 +985,7 @@ mod tests {
     fn downlink_frame_completes() {
         let mut cell = paper_cell(0);
         cell.schedule = agora_phy::frame::FrameSchedule::downlink(1, 13);
-        let cfg = SimConfig::new(cell, 21, 2);
+        let cfg = sim_config(cell, 21, 2);
         let rep = simulate(&cfg);
         assert_eq!(rep.latencies_ns.len(), 2);
         assert!(rep.milestones[0].ifft_done_ns > 0);
@@ -1078,7 +999,7 @@ mod tests {
     fn stale_precoder_reduces_downlink_latency() {
         let mut cell = paper_cell(0);
         cell.schedule = agora_phy::frame::FrameSchedule::parse("PDDDUUUUUUUUUU").unwrap();
-        let mut base = SimConfig::new(cell, 26, 8);
+        let mut base = sim_config(cell, 26, 8);
         let off = simulate(&base);
         base.stale_precoder = true;
         let on = simulate(&base);
@@ -1100,38 +1021,8 @@ mod tests {
     #[test]
     fn min_workers_finds_reasonable_count() {
         let cell = paper_cell(13);
-        let w = min_workers(&cell, 8, 4e6, |_| {}).expect("some count must keep up");
+        let w = min_workers(&cell, 8, 4e6, &FIXTURE, |_| {}).expect("some count must keep up");
         assert!((15..=40).contains(&w), "minimum workers {w} far from the paper's 26");
-    }
-
-    #[test]
-    fn lossy_frames_dropped_after_deadline() {
-        let mut cfg = SimConfig::new(paper_cell(2), 26, 8);
-        cfg.loss = LossModel::Iid { p: 0.005 };
-        cfg.deadline_ns = Some(8e6);
-        let rep = simulate(&cfg);
-        assert!(rep.packets_lost > 0, "0.5% over 1536 packets must lose some");
-        assert!(!rep.dropped_frames.is_empty(), "lossy frames must be dropped");
-        // Every frame is accounted for: completed or dropped, never hung.
-        assert_eq!(rep.latencies_ns.len() + rep.dropped_frames.len(), 8);
-        // Clean frames still finish promptly (well under the deadline).
-        for &l in &rep.latencies_ns {
-            assert!(l < 8e6, "completed frame latency {l} ns exceeds deadline");
-        }
-        // Determinism: the same seed reproduces the same drop set.
-        let rep2 = simulate(&cfg);
-        assert_eq!(rep.dropped_frames, rep2.dropped_frames);
-        assert_eq!(rep.packets_lost, rep2.packets_lost);
-    }
-
-    #[test]
-    fn zero_loss_drops_nothing() {
-        let mut cfg = SimConfig::new(paper_cell(2), 26, 4);
-        cfg.deadline_ns = Some(50e6);
-        let rep = simulate(&cfg);
-        assert_eq!(rep.packets_lost, 0);
-        assert!(rep.dropped_frames.is_empty());
-        assert_eq!(rep.latencies_ns.len(), 4);
     }
 
     #[test]

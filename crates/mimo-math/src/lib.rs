@@ -12,8 +12,8 @@
 //! * [`cholesky`]: Hermitian positive-definite factorisation.
 //! * [`svd`]: one-sided Jacobi thin SVD (the robust pseudo-inverse route).
 //! * [`pinv`]: zero-forcing pseudo-inverse, both fast and robust paths.
-//! * [`simd`]: runtime-dispatched AVX2 kernels for IQ conversion,
-//!   streaming copies, and transposes, with scalar fallbacks.
+//! * [`simd`]: runtime-dispatched AVX2 kernels for streaming copies and
+//!   transposes, with scalar fallbacks.
 //!
 //! No allocation happens in the hot kernels; everything operates on
 //! caller-provided slices.

@@ -4,11 +4,13 @@
 //! library: converting integer IQ samples to floats, demodulation, and
 //! matrix transposes; and non-temporal (streaming) stores to skip the
 //! cache-coherence traffic when a block's output is consumed by cores
-//! other than the producer (§4.1). This module provides those primitives
-//! with scalar fallbacks and `std::arch` AVX2 fast paths selected at
-//! runtime, so the same binary runs on any x86-64 (and the scalar paths on
-//! any architecture). The demodulation SIMD lives in `agora-phy` next to
-//! its tables; these are the shared data-plane kernels.
+//! other than the producer (§4.1). The IQ conversion is fused into the
+//! FFT task's unpack (`agora_core::kernels::unpack_bitrev`) and the
+//! demodulation SIMD lives in `agora-phy` next to its tables; this module
+//! provides the shared data-plane kernels, transposes and streaming
+//! stores, with scalar fallbacks and `std::arch` AVX2 fast paths selected
+//! at runtime, so the same binary runs on any x86-64 (and the scalar paths
+//! on any architecture).
 
 use crate::complex::Cf32;
 #[cfg(target_arch = "x86_64")]
@@ -45,47 +47,6 @@ impl SimdTier {
         static CACHE: OnceLock<SimdTier> = OnceLock::new();
         *CACHE.get_or_init(SimdTier::detect)
     }
-}
-
-/// Converts packed `i16` IQ components to `f32`, scaling by `1/scale`
-/// (e.g. 32768 for Q15 samples). The RRU sends fixed-point samples; the
-/// baseband computes in float, so this runs on every received byte.
-pub fn i16_to_f32(src: &[i16], dst: &mut [f32], scale: f32, tier: SimdTier) {
-    assert_eq!(src.len(), dst.len());
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { i16_to_f32_avx2(src, dst, scale) },
-        _ => i16_to_f32_scalar(src, dst, scale),
-    }
-}
-
-/// Scalar reference conversion.
-pub fn i16_to_f32_scalar(src: &[i16], dst: &mut [f32], scale: f32) {
-    let inv = 1.0 / scale;
-    for (d, &s) in dst.iter_mut().zip(src.iter()) {
-        *d = s as f32 * inv;
-    }
-}
-
-/// AVX2 conversion: 16 samples per iteration via `vpmovsxwd` + `vcvtdq2ps`.
-///
-/// # Safety
-/// Caller must ensure the CPU supports AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn i16_to_f32_avx2(src: &[i16], dst: &mut [f32], scale: f32) {
-    use core::arch::x86_64::*;
-    let inv = _mm256_set1_ps(1.0 / scale);
-    let n = src.len();
-    let chunks = n / 8;
-    for i in 0..chunks {
-        let p = src.as_ptr().add(i * 8);
-        let v16 = _mm_loadu_si128(p as *const __m128i);
-        let v32 = _mm256_cvtepi16_epi32(v16);
-        let vf = _mm256_mul_ps(_mm256_cvtepi32_ps(v32), inv);
-        _mm256_storeu_ps(dst.as_mut_ptr().add(i * 8), vf);
-    }
-    i16_to_f32_scalar(&src[chunks * 8..], &mut dst[chunks * 8..], scale);
 }
 
 /// Bytes in one cache line: the unit of a streaming store, and the
@@ -463,18 +424,6 @@ mod tests {
         assert!(t == SimdTier::Scalar || t == SimdTier::Avx2);
     }
 
-    #[test]
-    fn i16_conversion_scalar_matches_simd() {
-        let src: Vec<i16> = (0..103).map(|i| (i * 517 % 32768) as i16 - 16384).collect();
-        let mut a = vec![0.0f32; src.len()];
-        let mut b = vec![0.0f32; src.len()];
-        i16_to_f32(&src, &mut a, 32768.0, SimdTier::Scalar);
-        i16_to_f32(&src, &mut b, 32768.0, SimdTier::detect());
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert!((x - y).abs() < 1e-7);
-        }
-    }
-
     /// Every destination offset within a line x every short length: the
     /// window equals the source — or, through `stream_conj_scale`, its
     /// `conj().scale()`, bit for bit on both tiers — and nothing outside
@@ -582,15 +531,6 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        #[test]
-        fn simd_conversion_equals_scalar(src in proptest::collection::vec(any::<i16>(), 0..512)) {
-            let mut a = vec![0.0f32; src.len()];
-            let mut b = vec![0.0f32; src.len()];
-            i16_to_f32_scalar(&src, &mut a, 32768.0);
-            i16_to_f32(&src, &mut b, 32768.0, SimdTier::detect());
-            prop_assert_eq!(a, b);
-        }
-
         #[test]
         fn transpose_is_involutive(rows in 1usize..32, cols in 1usize..32) {
             let src: Vec<Cf32> = (0..rows * cols).map(|i| Cf32::new(i as f32, 0.5 * i as f32)).collect();

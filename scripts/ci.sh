@@ -6,8 +6,8 @@
 # Runs the release build (the tier-1 artifact), the full workspace test
 # suite, format and clippy gates (warnings promoted to errors), the
 # release parity smokes, the benchmark's own checks, the evidence checks
-# (every committed results/*.csv still has a producing bin, and the
-# deterministic simulator bins reproduce theirs byte for byte), the orphan
+# (every committed results/*.csv still has a producing repro row, and the
+# deterministic simulator rows reproduce theirs byte for byte), the orphan
 # gate (every library `pub fn` has a caller), the knob gate (every
 # `EngineConfig` and `DeploymentConfig` field has a non-test setter or a
 # pending decision) and
@@ -24,7 +24,7 @@ echo "== results/*.csv each have a producer =="
 for csv in results/*.csv; do
     stem=$(basename "$csv" .csv)
     if ! grep -rqF "\"$stem\"" crates/bench/src; then
-        echo "$csv: no bin under crates/bench/src writes \"$stem\" — delete it with its producer"
+        echo "$csv: no repro row under crates/bench/src writes \"$stem\" — delete it with its producer"
         exit 1
     fi
 done
@@ -78,7 +78,7 @@ cell               argument of EngineConfig::new
 num_workers        argument of EngineConfig::new
 cells              argument of DeploymentConfig::new
 total_workers      argument of DeploymentConfig::new
-batch              Table 3 / SimConfig::batch (table4_ablation, ext_ablations)
+batch              Table 3 / SimConfig::batch (repro table4_ablation, ext_ablations)
 frame_window       deployment sizing (buffer window); ROADMAP 8(d)
 rx_batch           deployment sizing (packets per recvmmsg poll)
 pin_cores          deployment setting (CPU pinning)
@@ -140,12 +140,11 @@ cargo test --release -q -p agora-phy --lib -- demod::simd_tests::rounding_matche
 echo "== parity smokes =="
 cargo run --release -q -p agora-bench --bin parity
 
-echo "== evidence reproduces: the deterministic simulator bins rewrite their CSVs unchanged =="
+echo "== evidence reproduces: the deterministic simulator rows rewrite their CSVs unchanged =="
 # `fig7_ccdf` is deterministic too but takes ~30 s; run it by hand when
 # the simulator or the frame table changes.
-for bin in fig6_latency fig8_scalability fig10_datamove fig11_sync fig13_breakdown ext_ablations; do
-    cargo run --release -q -p agora-bench --bin "$bin" >/dev/null
-done
+cargo run --release -q -p agora-bench --bin repro -- fig6_latency fig8_scalability \
+    fig10_datamove fig11_sync fig13_breakdown ext_ablations >/dev/null
 git diff --exit-code -- 'results/*.csv'
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="

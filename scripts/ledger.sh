@@ -54,9 +54,10 @@ for f in $(rs crates | grep -v '/tests/'); do
 done
 printf '  %d\n' "$tiers"
 
-echo "== pub fields of the engine and deployment configurations =="
+echo "== pub fields of the engine, deployment and simulator configurations =="
 # Per pub struct declared in config.rs (`Ablation` too, on a tree that
-# still has it), then `DeploymentConfig` from deploy.rs.
+# still has it), then `DeploymentConfig` from deploy.rs and `SimConfig`
+# from sim.rs.
 fields() {
     nontest "$1" | awk -v only="${2:-}" '
     /^pub struct / { name = $3; sub(/[^A-Za-z0-9_].*/, "", name); if (only != "" && name != only) name = ""; next }
@@ -65,6 +66,7 @@ fields() {
 }
 fields crates/core/src/config.rs
 fields crates/core/src/deploy.rs DeploymentConfig
+fields crates/core/src/sim.rs SimConfig
 
 echo "== engine constructors (pub fn of impl Engine returning Self) =="
 nontest crates/core/src/engine.rs | awk '
