@@ -12,8 +12,8 @@
 //! or run the real code. The table of rows is in `agora_bench`'s crate
 //! documentation.
 
-use agora_bench::calibration;
 use agora_bench::csv::write_csv;
+use agora_bench::{calibration, calibration_median};
 use agora_channel::{per_user_snrs, FadingModel};
 use agora_core::deploy::{Deployment, DeploymentConfig};
 use agora_core::sim::{
@@ -59,6 +59,7 @@ const ROWS: &[(&str, Row)] = &[
     ("table5_simd", table5_simd),
     ("ext_ablations", ext_ablations),
     ("ext_faults", ext_faults),
+    ("model_check", model_check),
 ];
 
 fn main() {
@@ -205,7 +206,7 @@ fn fig7_ccdf(cal: &Calibration) {
         );
         // CCDF series for plotting.
         let mut lats: Vec<f64> = rep.latencies_ns.iter().map(|l| l / 1e6).collect();
-        lats.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        lats.sort_by(f64::total_cmp);
         for (i, l) in lats.iter().enumerate().step_by((frames / 200).max(1)) {
             let ccdf = 1.0 - i as f64 / lats.len() as f64;
             rows.push(format!("{m}x{k},{l},{ccdf}"));
@@ -938,7 +939,7 @@ fn table4_ablation(cal: &Calibration) {
     // drives the simulated row.
     let h = rand_mat(64, 16, 3);
     let direct = time(20, || {
-        std::hint::black_box(pinv_direct(&h).unwrap());
+        std::hint::black_box(pinv_direct(&h).expect("a random 64x16 channel has full rank"));
     });
     let svd = time(20, || {
         std::hint::black_box(pinv_svd(&h, 1e-6));
@@ -1368,4 +1369,91 @@ fn ext_faults(_: &Calibration) {
 
     let path = write_csv("ext_faults", header, &rows);
     println!("wrote {}", path.display());
+}
+
+// ------------------------------------------------------------- model_check
+
+/// The simulator against the runs it was calibrated on: the benchmark's
+/// four workloads simulated at the benchmark's worker count, predicted
+/// against the medians of `results/calibration.txt` for the metrics a
+/// schedule model can predict. Only the 64x16 task costs are calibrated,
+/// so the 8x2 rows test the `(M, K)` scaling. The largest 64x16 uplink
+/// error is the error bar of every simulated figure.
+///
+/// Each benchmark frame is sent as one burst at its due time, so the
+/// simulated cells deliver every packet of a frame at once (a zero
+/// symbol duration). `inline_frame_ms` is one frame's compute on one
+/// core; `frames_per_s` is every frame queued at once, after the
+/// engine's four warm-up frames per cell; the latencies are frames at
+/// the benchmark's paced rate. Two cells on one pool are simulated as
+/// one cell at their summed rate on the pool, which is what the manager
+/// they share sees.
+fn model_check(cal: &Calibration) {
+    const BOUND: f64 = 0.15;
+    let uplink = CellConfig::emulated_rru(64, 16, 13);
+    let mut downlink = uplink.clone();
+    downlink.schedule = FrameSchedule::downlink(1, 13);
+    // (workload, cell, cells, workers = max(cores - 2, cells) on the
+    // two-core machine that wrote the file, paced frames/s per cell).
+    let workloads = [
+        ("ul_64x16", uplink, 1, 1, 1.5),
+        ("dl_64x16", downlink, 1, 1, 20.0),
+        ("ul_8x2", CellConfig::tiny_test(13), 1, 1, 250.0),
+        ("cells2_8x2", CellConfig::tiny_test(13), 2, 2, 125.0),
+    ];
+    println!("Model check — simulated vs the benchmark's runs (results/calibration.txt)");
+    println!("workload    workers  metric                      predicted   measured   error");
+    let mut rows = Vec::new();
+    let mut worst_64x16 = 0.0f64;
+    for (name, mut cell, cells, workers, paced_hz) in workloads {
+        cell.symbol_duration_ns = 0;
+        let inline = simulate(&SimConfig::new(cell.clone(), 1, 1, cal));
+        let inline_ms = inline.busy_ns.iter().sum::<f64>() / 1e6;
+
+        let (frames, warm) = (24 * cells, 4 * cells);
+        let saturated = simulate(&SimConfig::new(cell.clone(), workers, frames, cal));
+        let uplink = !cell.schedule.uplink_indices().is_empty();
+        let mut done: Vec<u64> = saturated
+            .milestones
+            .iter()
+            .map(|m| if uplink { m.decode_done_ns } else { m.ifft_done_ns })
+            .collect();
+        done.sort_unstable();
+        let fps = (frames - warm) as f64 * 1e9 / (done[frames - 1] - done[warm - 1]) as f64;
+
+        let mut paced = SimConfig::new(cell.clone(), workers, 16, cal);
+        paced.inter_frame_gap_ns = 1e9 / (paced_hz * cells as f64);
+        let paced = simulate(&paced);
+
+        let mut checks = vec![
+            ("inline_frame_ms", inline_ms),
+            ("frames_per_s", fps),
+            ("latency_p1_ms", paced.percentile_latency_ms(1.0)),
+        ];
+        // Only the `--trace 1` runs report the paced median, and the
+        // file's are ul_64x16's.
+        if name == "ul_64x16" {
+            checks.push(("core.engine.latency_p50_ms", paced.median_latency_ms()));
+        }
+        for (metric, predicted) in checks {
+            let measured = calibration_median(name, metric);
+            let error = predicted / measured - 1.0;
+            if name == "ul_64x16" {
+                worst_64x16 = worst_64x16.max(error.abs());
+            }
+            println!(
+                "{name:<11} {workers:>7}  {metric:<26}  {predicted:>9.4}  {measured:>9.4}  {:>+6.1}%",
+                100.0 * error
+            );
+            rows.push(format!("{name},{workers},{metric},{predicted},{measured},{error}"));
+        }
+    }
+    let verdict = if worst_64x16 < BOUND { "met" } else { "NOT met" };
+    println!(
+        "\n64x16 uplink model error: {:.1}% (the largest of its four); the {:.0}% bound is {verdict}",
+        100.0 * worst_64x16,
+        100.0 * BOUND
+    );
+    let p = write_csv("model_check", "workload,workers,metric,predicted,measured,error", &rows);
+    println!("wrote {}", p.display());
 }

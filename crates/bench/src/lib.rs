@@ -24,6 +24,7 @@
 //! | `table5_simd` | Table 5: SIMD-tier sensitivity |
 //! | `ext_ablations` | Extensions: stale-precoder early start, batch-size sweep (simulator) |
 //! | `ext_faults` | Extension: frame survival under injected fronthaul loss / reorder / duplication |
+//! | `model_check` | The simulator against the benchmark runs it is calibrated on: predicted vs measured per workload |
 //!
 //! The multi-core latency figures run on the discrete-event simulator
 //! (`agora_core::sim`) because this machine exposes two cores — see
@@ -34,19 +35,87 @@ pub mod csv;
 
 use agora_core::sim::{Calibration, CostModel};
 
-/// The simulator's calibration.
+/// The benchmark runs the simulator is calibrated on, written by
+/// `scripts/calibrate.sh`: one line per run,
+/// `<trace0|trace1> <workload> seed <n>: attempted <a> … <metric> <value> …`.
+const CALIBRATION: &str = include_str!("../../../results/calibration.txt");
+
+/// The median of `metric` over the calibration runs of `workload` that
+/// report it. Panics when none does: the benchmark renamed or dropped a
+/// metric the simulator reads, and `scripts/calibrate.sh` must be rerun
+/// (or this reader changed) before any figure is trusted.
+pub fn calibration_median(workload: &str, metric: &str) -> f64 {
+    let mut values: Vec<f64> = CALIBRATION
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+        .filter_map(|line| {
+            let (run, pairs) = line.split_once(": ")?;
+            if run.split_whitespace().nth(1) != Some(workload) {
+                return None;
+            }
+            let words: Vec<&str> = pairs.split_whitespace().collect();
+            words.chunks(2).find(|pair| pair[0] == metric)?.get(1)?.parse().ok()
+        })
+        .collect();
+    assert!(!values.is_empty(), "results/calibration.txt: no {metric} for {workload}");
+    values.sort_by(f64::total_cmp);
+    let n = values.len();
+    if n % 2 == 1 {
+        values[n / 2]
+    } else {
+        (values[n / 2 - 1] + values[n / 2]) / 2.0
+    }
+}
+
+/// The simulator's calibration: the medians of the benchmark's 64x16
+/// task costs (`core.kernels.*`) and queue costs (`xqueue.*`) over the
+/// `ul_64x16 --trace 1` runs of `results/calibration.txt`.
 pub fn calibration() -> Calibration {
+    let ns = |metric| calibration_median("ul_64x16", metric);
+    let us = |metric| 1e3 * ns(metric);
     Calibration {
         costs: CostModel {
-            fft_ns: 3_821.0,
-            zf_ns: 6_781.0,
-            demod_sc_ns: 190.0,
-            decode_ns: 46_500.0,
-            encode_ns: 3_000.0,
-            precode_sc_ns: 170.0,
-            ifft_ns: 3_821.0,
+            fft_ns: us("core.kernels.fft_task_us"),
+            zf_ns: us("core.kernels.zf_task_us"),
+            demod_sc_ns: ns("core.kernels.demod_sc_ns"),
+            decode_ns: us("core.kernels.decode_task_us"),
+            encode_ns: us("core.kernels.encode_task_us"),
+            precode_sc_ns: ns("core.kernels.precode_sc_ns"),
+            ifft_ns: us("core.kernels.ifft_task_us"),
         },
-        queue_op_ns: 67.5,
-        lane_msg_ns: 25.3,
+        queue_op_ns: ns("xqueue.mpmc_ns_per_op"),
+        lane_msg_ns: ns("xqueue.lane_ns_per_msg"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every metric the simulator and `repro model_check` read is in the
+    /// committed file, so a renamed benchmark metric fails here and not
+    /// in a figure.
+    #[test]
+    fn committed_calibration_has_every_metric() {
+        let cal = calibration();
+        let c = cal.costs;
+        let costs = [
+            c.fft_ns,
+            c.zf_ns,
+            c.demod_sc_ns,
+            c.decode_ns,
+            c.encode_ns,
+            c.precode_sc_ns,
+            c.ifft_ns,
+            cal.queue_op_ns,
+            cal.lane_msg_ns,
+        ];
+        assert!(costs.iter().all(|&x| x.is_finite() && x > 0.0), "{cal:?}");
+        for workload in ["ul_64x16", "dl_64x16", "ul_8x2", "cells2_8x2"] {
+            for metric in ["inline_frame_ms", "frames_per_s", "latency_p1_ms"] {
+                assert!(calibration_median(workload, metric) > 0.0, "{workload} {metric}");
+            }
+        }
+        assert!(calibration_median("ul_64x16", "core.engine.latency_p50_ms") > 0.0);
     }
 }

@@ -16,7 +16,7 @@
 //!   the line is in a remote core's cache (`1 - 1/workers`);
 //! * a **synchronisation model**: every queue message serialises on the
 //!   manager (dispatch cost, a multiple of the calibrated queue
-//!   operation) and pays an inter-core hop that grows with the worker
+//!   message) and pays an inter-core hop that grows with the worker
 //!   count (queue contention);
 //! * optional **OS-jitter injection** reproducing the "not a real-time
 //!   process" tail blow-up of Table 4.
@@ -47,10 +47,11 @@ use std::collections::BinaryHeap;
 pub struct Calibration {
     /// The seven task costs at 64x16 (`core.kernels.*`).
     pub costs: CostModel,
-    /// One operation on a shared MPMC queue (`xqueue.mpmc_ns_per_op`).
+    /// One operation, a push or a pop, on a shared MPMC queue
+    /// (`xqueue.mpmc_ns_per_op`); a message through it takes two.
     pub queue_op_ns: f64,
-    /// One message through a worker lane, batched claims and stealing
-    /// included (`xqueue.lane_ns_per_msg`).
+    /// One message, batched push and pop, through a worker lane
+    /// (`xqueue.lane_ns_per_msg`).
     pub lane_msg_ns: f64,
 }
 
@@ -149,8 +150,8 @@ impl MovementModel {
             // Per subcarrier: read M antenna samples (+ detector share),
             // write K*bps LLRs.
             TaskType::Demod => (8.0 * m) * read_amp + 4.0 * k * bps + 8.0 * k,
-            // Read the code block's LLRs.
-            TaskType::Decode => 4.0 * q * bps / k.max(1.0) * k / k, // tx bits * 4B
+            // Read the code block's i8 LLRs: one user's q * bps, a byte each.
+            TaskType::Decode => q * bps,
             TaskType::Encode => q * bps / 8.0,
             TaskType::Precode => 8.0 * k + 8.0 * m,
             _ => 0.0,
@@ -160,13 +161,14 @@ impl MovementModel {
     }
 }
 
-/// Manager CPU per message in shared-queue operations: the model's 25 ns
-/// dispatch against the 67.5 ns operation it was set beside.
-const DISPATCH_OPS: f64 = 25.0 / 67.5;
+/// Manager CPU per message, as a multiple of one message (a push and a
+/// pop) through a shared queue: the model's 25 ns dispatch over the
+/// 67.5 ns the shared path cost per task when the model was set.
+const DISPATCH_MSGS: f64 = 25.0 / 67.5;
 
 /// Worker CPU per message (dequeue, completion enqueue and the misses on
-/// the message line) in shared-queue operations: 180 ns against 67.5 ns.
-const WORKER_MSG_OPS: f64 = 180.0 / 67.5;
+/// the message line), the same way: 180 ns over 67.5 ns.
+const WORKER_MSGS: f64 = 180.0 / 67.5;
 
 /// Synchronisation model: manager dispatch serialisation and per-message
 /// inter-core hops.
@@ -185,24 +187,26 @@ pub struct SyncModel {
 }
 
 impl SyncModel {
-    /// Shared per-type queues, what type-restricted workers pay: one CAS
-    /// per message on every hop, so the CPU terms are multiples of the
-    /// calibrated shared-queue operation.
+    /// Shared per-type queues, what type-restricted workers pay: a push
+    /// and a pop per message on every hop, so the CPU terms are multiples
+    /// of the calibrated shared-queue message.
     pub fn shared_queues(cal: &Calibration) -> Self {
+        let msg_ns = 2.0 * cal.queue_op_ns;
         Self {
-            dispatch_ns: cal.queue_op_ns * DISPATCH_OPS,
+            dispatch_ns: msg_ns * DISPATCH_MSGS,
             hop_ns: 350.0,
             hop_per_worker_ns: 25.0,
-            worker_msg_ns: cal.queue_op_ns * WORKER_MSG_OPS,
+            worker_msg_ns: msg_ns * WORKER_MSGS,
         }
     }
 
     /// Per-worker lanes with batched claims and stealing, what
     /// data-parallel workers are served through: the CPU terms shrink by
-    /// the calibrated lane-to-shared-queue cost ratio; the one-way hop
-    /// latency is physical (cache-line transfer) and is unchanged.
+    /// the calibrated ratio of a lane message to a shared-queue message;
+    /// the one-way hop latency is physical (cache-line transfer) and is
+    /// unchanged.
     pub fn lanes(cal: &Calibration) -> Self {
-        let scale = cal.lane_msg_ns / cal.queue_op_ns;
+        let scale = cal.lane_msg_ns / (2.0 * cal.queue_op_ns);
         let shared = SyncModel::shared_queues(cal);
         Self {
             dispatch_ns: shared.dispatch_ns * scale,
@@ -823,7 +827,7 @@ mod tests {
             precode_sc_ns: 170.0,
             ifft_ns: 3_821.0,
         },
-        queue_op_ns: 67.5,
+        queue_op_ns: 33.75,
         lane_msg_ns: 25.3,
     };
 
