@@ -15,7 +15,7 @@
 //! | `fft` | tier agreement; batched ≡ single transforms bit for bit; pre-reversed entry ≡ `execute` |
 //! | `gemm` | `gemm`/`gemv`/`gram` and planned kernels bit-identical across tiers on every dispatch shape class |
 //! | `zf` | Cholesky detector ≈ Gauss-Jordan, bit-identical across tiers; near-singular Gram rejected |
-//! | `demod` | scalar-pinned `Kernels` ≡ detected tier on the `csi`, `freq` (pilot and uplink FFTs), `inv_noise`, `llr` and `dl_freq` planes, 8×2 and 64×16 |
+//! | `demod` | `Kernels` pinned to each narrower tier ≡ detected tier on the `csi`, `freq` (pilot and uplink FFTs), `inv_noise`, `llr`, `decoded`, `decode_ok` and `dl_freq` planes, 8×2 and 64×16 |
 //! | `bler` | through the real uplink chain at 0–30 dB, AWGN and 4-tap Rayleigh, 8×2 and 64×16: the engine's i8 plane decodes at least the blocks an f32 decoder does |
 //! | `fronthaul` | batch ≡ single delivery on mem and UDP links; aggregation split and pool recycling |
 //! | `deployment` | C=4 ledgers reconcile against the fault injector; deployment ≡ standalone engines; misroutes counted |
@@ -223,6 +223,11 @@ fn decoder() {
         let mut dec_f32_scalar = Decoder::with_tier(bg, z, SimdTier::Scalar);
         let mut dec_i8 = DecoderI8::new(bg, z);
         let mut dec_i8_scalar = DecoderI8::with_tier(bg, z, SimdTier::Scalar);
+        // Every vector tier below the detected one, which `dec_i8` runs.
+        let mut dec_i8_narrower: Vec<DecoderI8> = SimdTier::supported()
+            .filter(|&t| t != SimdTier::Scalar && t != dec_i8.tier())
+            .map(|t| DecoderI8::with_tier(bg, z, t))
+            .collect();
         let mut rng = StdRng::seed_from_u64(0xA60A + z as u64);
         let mut full_f32 = vec![0.0f32; dec_f32.codeword_len()];
         let mut full_i8 = vec![0i8; dec_i8.codeword_len()];
@@ -251,9 +256,13 @@ fn decoder() {
                 && rf.iterations == rfs.iterations;
             let ri = dec_i8.decode(&full_i8, &cfg_i8);
             let rs = dec_i8_scalar.decode(&full_i8, &cfg_i8);
-            tiers_agree &= ri.info_bits == rs.info_bits
-                && ri.success == rs.success
-                && ri.iterations == rs.iterations;
+            let narrower: Vec<_> =
+                dec_i8_narrower.iter_mut().map(|d| d.decode(&full_i8, &cfg_i8)).collect();
+            for r in [&ri].into_iter().chain(&narrower) {
+                tiers_agree &= r.info_bits == rs.info_bits
+                    && r.success == rs.success
+                    && r.iterations == rs.iterations;
+            }
             f32_lands &= rf.success && rf.info_bits == info;
             i8_lands &= ri.success && ri.info_bits == info;
         }
@@ -261,7 +270,7 @@ fn decoder() {
             f32_tiers_agree,
             &format!("{bg:?} Z={z}: f32 decoder bit-exact, detected vs scalar tier"),
         );
-        check(tiers_agree, &format!("{bg:?} Z={z}: i8 decoder bit-exact, detected vs scalar tier"));
+        check(tiers_agree, &format!("{bg:?} Z={z}: i8 decoder bit-exact, every tier vs scalar"));
         check(f32_lands, &format!("{bg:?} Z={z}: f32 plane decodes clean + 5 dB words"));
         check(i8_lands, &format!("{bg:?} Z={z}: i8 plane decodes clean + 5 dB words"));
     }
@@ -424,10 +433,11 @@ fn zf() {
 // ------------------------------------------------------------------ demod
 
 /// One pilot + uplink + downlink frame through the inline processor on
-/// the detected tier; then scalar-pinned kernels redo its FFTs (pilot and
-/// uplink), ZF, demodulation and precoding on the same slot. The IQ
-/// unpack, the demapper and its fused quantiser, the noise scales and the
-/// modulator's bit-pack must leave the planes byte for byte.
+/// the detected tier; then kernels pinned to each narrower tier redo its
+/// FFTs (pilot and uplink), ZF, demodulation, decoding and precoding on
+/// the same slot. The IQ unpack, the demapper and its fused quantiser,
+/// the noise scales, the decoder and the modulator's bit-pack must leave
+/// the planes byte for byte.
 fn demod() {
     for (mut cell, what) in
         [(CellConfig::tiny_test(1), "8x2"), (CellConfig::emulated_rru(64, 16, 1), "64x16")]
@@ -445,38 +455,46 @@ fn demod() {
         let planes = || unsafe {
             let cf32 = [&fb.csi, &fb.freq, &fb.dl_freq].map(|plane| bits(plane.view(None)));
             let inv_noise: Vec<u32> = fb.inv_noise.view(None).iter().map(|x| x.to_bits()).collect();
-            (cf32, inv_noise, fb.llr.view(None).to_vec())
+            let bytes = [fb.decoded.view(None), fb.decode_ok.view(None)].map(<[u8]>::to_vec);
+            (cf32, inv_noise, fb.llr.view(None).to_vec(), bytes)
         };
         let detected = planes();
-        unsafe {
-            for plane in [&fb.csi, &fb.freq, &fb.dl_freq] {
-                plane.fill(Cf32::ZERO);
-            }
-            fb.inv_noise.fill(0.0);
-            fb.llr.fill(0);
-        }
-
-        let scalar = Kernels::with_tier(cfg, SimdTier::Scalar);
-        let mut s = scalar.scratch();
-        for symbol in [pilot, uplink] {
-            (0..g.m).for_each(|ant| scalar.fft_task(fb, &mut s, symbol, ant));
-        }
-        (0..scalar.shape.zf_groups).for_each(|group| scalar.zf_task(fb, &mut s, group));
-        scalar.demod_task(fb, &mut s, 0, uplink, 0, g.q);
-        scalar.precode_task(fb, &mut s, downlink, 0, g.q);
         let filled = detected.0.iter().all(|plane| plane.iter().any(|&b| b != (0, 0)))
             && detected.1.iter().any(|&b| b != 0)
-            && detected.2.iter().any(|&l| l != 0);
+            && detected.2.iter().any(|&l| l != 0)
+            && detected.3[1].contains(&1);
         check(filled, &format!("{what}: the detected tier filled the planes"));
-        let (cf32, inv_noise, llr) = planes();
-        for (plane, same) in [
-            ("csi", cf32[0] == detected.0[0]),
-            ("freq", cf32[1] == detected.0[1]),
-            ("inv_noise", inv_noise == detected.1),
-            ("llr", llr == detected.2),
-            ("dl_freq", cf32[2] == detected.0[2]),
-        ] {
-            check(same, &format!("{what}: {plane} plane, scalar tier ≡ detected"));
+        for tier in SimdTier::supported().filter(|&t| t < SimdTier::detect()) {
+            unsafe {
+                for plane in [&fb.csi, &fb.freq, &fb.dl_freq] {
+                    plane.fill(Cf32::ZERO);
+                }
+                fb.inv_noise.fill(0.0);
+                fb.llr.fill(0);
+                fb.decoded.fill(0);
+                fb.decode_ok.fill(0);
+            }
+            let pinned = Kernels::with_tier(cfg.clone(), tier);
+            let mut s = pinned.scratch();
+            for symbol in [pilot, uplink] {
+                (0..g.m).for_each(|ant| pinned.fft_task(fb, &mut s, symbol, ant));
+            }
+            (0..pinned.shape.zf_groups).for_each(|group| pinned.zf_task(fb, &mut s, group));
+            pinned.demod_task(fb, &mut s, 0, uplink, 0, g.q);
+            (0..g.k).for_each(|user| pinned.decode_task(fb, &mut s, uplink, user));
+            pinned.precode_task(fb, &mut s, downlink, 0, g.q);
+            let (cf32, inv_noise, llr, bytes) = planes();
+            for (plane, same) in [
+                ("csi", cf32[0] == detected.0[0]),
+                ("freq", cf32[1] == detected.0[1]),
+                ("inv_noise", inv_noise == detected.1),
+                ("llr", llr == detected.2),
+                ("decoded", bytes[0] == detected.3[0]),
+                ("decode_ok", bytes[1] == detected.3[1]),
+                ("dl_freq", cf32[2] == detected.0[2]),
+            ] {
+                check(same, &format!("{what}: {plane} plane, {tier:?} tier ≡ detected"));
+            }
         }
     }
 }

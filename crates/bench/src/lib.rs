@@ -32,12 +32,12 @@
 //! benchmark's own measurements ([`calibration`]).
 
 pub mod csv;
+pub mod runs;
 
 use agora_core::sim::{Calibration, CostModel};
 
 /// The benchmark runs the simulator is calibrated on, written by
-/// `scripts/calibrate.sh`: one line per run,
-/// `<trace0|trace1> <workload> seed <n>: attempted <a> … <metric> <value> …`.
+/// `scripts/calibrate.sh` in the shape [`runs::parse`] reads.
 const CALIBRATION: &str = include_str!("../../../results/calibration.txt");
 
 /// The median of `metric` over the calibration runs of `workload` that
@@ -45,26 +45,13 @@ const CALIBRATION: &str = include_str!("../../../results/calibration.txt");
 /// metric the simulator reads, and `scripts/calibrate.sh` must be rerun
 /// (or this reader changed) before any figure is trusted.
 pub fn calibration_median(workload: &str, metric: &str) -> f64 {
-    let mut values: Vec<f64> = CALIBRATION
-        .lines()
-        .filter(|line| !line.starts_with('#'))
-        .filter_map(|line| {
-            let (run, pairs) = line.split_once(": ")?;
-            if run.split_whitespace().nth(1) != Some(workload) {
-                return None;
-            }
-            let words: Vec<&str> = pairs.split_whitespace().collect();
-            words.chunks(2).find(|pair| pair[0] == metric)?.get(1)?.parse().ok()
-        })
+    let values: Vec<f64> = runs::parse(CALIBRATION)
+        .iter()
+        .filter(|run| run.workload == workload)
+        .filter_map(|run| run.get(metric))
         .collect();
     assert!(!values.is_empty(), "results/calibration.txt: no {metric} for {workload}");
-    values.sort_by(f64::total_cmp);
-    let n = values.len();
-    if n % 2 == 1 {
-        values[n / 2]
-    } else {
-        (values[n / 2 - 1] + values[n / 2]) / 2.0
-    }
+    runs::quartiles(&values)[0]
 }
 
 /// The simulator's calibration: the medians of the benchmark's 64x16

@@ -66,6 +66,9 @@ pub struct Kernels {
     modulator: Modulator,
     /// Tier every kernel above and the streaming stores dispatch to.
     tier: SimdTier,
+    /// How the task bodies store the `freq`, `dl_freq` and `dl_time`
+    /// planes, decided from their sizes.
+    stores: PlaneStores,
     /// Coded bits actually carried per (symbol, user).
     coded_bits: usize,
     /// Squared minimum distance of the cell's constellation, which the
@@ -84,6 +87,83 @@ pub struct Kernels {
 /// (Rayleigh), 32 fewer at 64x16 around 20 dB; 16 decodes at least as
 /// many at every point of the sweep.
 const NOMINAL_LLR_STEPS: f32 = 16.0;
+
+/// Bytes of one frame's plane above which its task bodies store it with
+/// streaming stores (DESIGN.md §4.4). Streaming skips the producing
+/// core's cache so the coherence traffic of a cross-core handoff goes
+/// (the paper's §4.1), but its reader then fetches the plane from memory:
+/// worth it only when the frame would not have stayed in cache anyway.
+/// Half of a 2 MiB L2 — the plane shares it with the transform grid, the
+/// packets and the decoder — and between the benchmark's shapes on
+/// either side: an 8x2 frame's `freq` is 215 KB and cached stores win,
+/// a 16x4 frame's 2.15 MB and streaming wins (CHANGES.md has the ladder).
+const STREAM_ABOVE_BYTES: usize = 1 << 20;
+
+/// How a task body writes one of its output planes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stores {
+    /// Through the cache, no fence.
+    Cached,
+    /// Streaming ([`stream_copy`]), one [`stream_fence`] per task.
+    Streamed,
+}
+
+impl Stores {
+    /// The policy of a plane of `bytes` per frame.
+    fn for_plane(bytes: usize) -> Self {
+        if bytes > STREAM_ABOVE_BYTES {
+            Stores::Streamed
+        } else {
+            Stores::Cached
+        }
+    }
+
+    /// `dst = src`.
+    fn copy(self, src: &[Cf32], dst: &mut [Cf32], tier: SimdTier) {
+        match self {
+            Stores::Cached => dst.copy_from_slice(src),
+            Stores::Streamed => stream_copy(src, dst, tier),
+        }
+    }
+
+    /// `dst = conj(src) * scale`, with the operations of
+    /// [`stream_conj_scale`] either way.
+    fn conj_scale(self, src: &[Cf32], dst: &mut [Cf32], scale: f32, tier: SimdTier) {
+        match self {
+            Stores::Cached => {
+                for (d, s) in dst.iter_mut().zip(src) {
+                    *d = s.conj().scale(scale);
+                }
+            }
+            Stores::Streamed => stream_conj_scale(src, dst, scale, tier),
+        }
+    }
+
+    /// Closes a task that stored with this policy: the one fence when it
+    /// streamed.
+    fn fence(self) {
+        if self == Stores::Streamed {
+            stream_fence();
+        }
+    }
+}
+
+/// [`Stores`] of the three planes a task body writes with whole-line
+/// copies.
+#[derive(Debug, Clone, Copy)]
+struct PlaneStores {
+    freq: Stores,
+    dl_freq: Stores,
+    dl_time: Stores,
+}
+
+impl PlaneStores {
+    fn new(g: &BufferGeometry) -> Self {
+        let bytes = |row_len: usize| g.symbols * row_len * core::mem::size_of::<Cf32>();
+        let freq = Stores::for_plane(bytes(g.q * g.m));
+        Self { freq, dl_freq: freq, dl_time: Stores::for_plane(bytes(g.m * g.samples)) }
+    }
+}
 
 /// Squared distance between neighbouring points of `scheme`'s
 /// constellation: PAM levels sit `2 * scale` apart on each axis.
@@ -194,6 +274,7 @@ impl Kernels {
         let coded_bits = cell.coded_bits_per_symbol();
         let d_min_sqr = d_min_sqr(cell.modulation);
         let shape = FrameShape::new(cell);
+        let stores = PlaneStores::new(&geom);
         Self {
             cfg,
             geom,
@@ -211,6 +292,7 @@ impl Kernels {
             demapper,
             modulator,
             tier,
+            stores,
             coded_bits,
             d_min_sqr,
         }
@@ -287,11 +369,11 @@ impl Kernels {
         for (i, grid) in s.grid.chunks_exact(n).take(count).enumerate() {
             self.fft_store(fb, symbol, base + i, grid);
         }
-        // The one fence of a task body, after its last `stream_copy`: the
+        // The one fence of a task body, after its last streaming copy: the
         // completion message's release store does not order streaming
         // stores, and that message is what publishes the plane to the
         // consuming task.
-        stream_fence();
+        self.stores.freq.fence();
     }
 
     /// Post-FFT store, straight from the transformed `grid` of `(symbol,
@@ -318,10 +400,11 @@ impl Kernels {
             SymbolType::Uplink => {
                 // Exactly this antenna's share of each block, so
                 // concurrent antennas never alias; where shares meet
-                // inside a line, `stream_copy` writes it with cached stores.
+                // inside a line, even `stream_copy` writes it with cached
+                // stores.
                 for p in &self.pieces {
                     let out = fb.freq.row_mut(symbol, g.piece_cols(p, ant));
-                    stream_copy(&grid[p.bin..p.bin + p.len], out, self.tier);
+                    self.stores.freq.copy(&grid[p.bin..p.bin + p.len], out, self.tier);
                 }
             }
             _ => {}
@@ -443,9 +526,10 @@ impl Kernels {
             }
             self.pre_gemm.run(fb.pre.row(sc / g.zf_group), &s.user_block, &mut s.ant_block);
             // This task owns the whole block, every antenna.
-            stream_copy(&s.ant_block, fb.dl_freq.row_mut(symbol, g.block_cols(blk)), self.tier);
+            let out = fb.dl_freq.row_mut(symbol, g.block_cols(blk));
+            self.stores.dl_freq.copy(&s.ant_block, out, self.tier);
         }
-        stream_fence();
+        self.stores.dl_freq.fence();
     }
 
     /// IFFT task (downlink) for one antenna: [`Self::ifft_batch_task`]
@@ -462,10 +546,11 @@ impl Kernels {
     /// `[block][antenna][8 sc]` blocks conjugated and bit-reversed into
     /// the grid — every bin, the guard bins as `conj(0)`, so the grid
     /// needs no clearing — and runs the butterflies forward on it, and the
-    /// streaming store multiplies by `conj · (1/n)`
-    /// ([`stream_conj_scale`]). Those are the operations of
-    /// [`Direction::Inverse`] in the same order, so the bits are its, and
-    /// they do not depend on how antennas are grouped into tasks.
+    /// store multiplies by `conj · (1/n)` ([`stream_conj_scale`], or its
+    /// cached twin for a `dl_time` plane that stays in cache). Those are
+    /// the operations of [`Direction::Inverse`] in the same order, so the
+    /// bits are its, and they do not depend on how antennas are grouped
+    /// into tasks.
     pub fn ifft_batch_task(
         &self,
         fb: &FrameBuffers,
@@ -496,9 +581,9 @@ impl Kernels {
                 Some(step.try_into().expect("eight bins"))
             });
             // CP-less symbols, as in the uplink path.
-            stream_conj_scale(&grid[..g.samples], out, scale, self.tier);
+            self.stores.dl_time.conj_scale(&grid[..g.samples], out, scale, self.tier);
         }
-        stream_fence();
+        self.stores.dl_time.fence();
     }
 
     /// Modulation scheme shortcut.
@@ -533,7 +618,7 @@ pub fn unpack_bitrev(payload: &[u8], skip: usize, plan: &FftPlan, out: &mut [Cf3
         // SAFETY: the plan's tier is clamped to what the CPU supports, and
         // `payload` holds exactly `out.len()` samples.
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { unpack_bitrev_avx2(payload, bitrev, out) },
+        SimdTier::Avx2 | SimdTier::Avx512 => unsafe { unpack_bitrev_avx2(payload, bitrev, out) },
         _ => 0,
     };
     let samples = payload[done * BYTES_PER_SAMPLE..].chunks_exact(BYTES_PER_SAMPLE);
@@ -888,7 +973,7 @@ mod tests {
         let wide = CellConfig::emulated_rru(4, 2, 0);
         for (mut cell, block) in [(CellConfig::tiny_test(0), 8), (wide, 8), (ota, 4), (narrow, 4)] {
             cell.schedule = FrameSchedule::parse("PD").unwrap();
-            for tier in [SimdTier::Scalar, SimdTier::cached()] {
+            for tier in SimdTier::supported() {
                 let mut cfg = EngineConfig::new(cell.clone(), 1);
                 cfg.demod_block = block;
                 cfg.clamp_batches();
@@ -948,7 +1033,7 @@ mod tests {
             // them but BPSK's.
             let points: Vec<Cf32> =
                 (0..scheme.order() as u32).map(|v| map_symbol(scheme, v)).collect();
-            for tier in [SimdTier::Scalar, SimdTier::cached()] {
+            for tier in SimdTier::supported() {
                 let demapper = Demapper::new(scheme, tier);
                 let at = |inv_noise: f32| {
                     let mut q = vec![0i8; points.len() * bps];
@@ -1045,6 +1130,56 @@ mod tests {
     }
 
     /// The subcarrier layout `k` was built for.
+    /// Cached and streamed stores leave the same bytes in `freq` (FFT
+    /// task), `dl_freq` (precode task) and `dl_time` (IFFT task), on every
+    /// tier; and the policy follows the plane size: an 8x2 frame's planes
+    /// stay in cache, a 64x16 frame's stream.
+    #[test]
+    fn cached_and_streamed_planes_are_byte_equal() {
+        use crate::inline_engine::InlineProcessor;
+        use agora_fronthaul::{RruConfig, RruEmulator};
+        use agora_phy::frame::FrameSchedule;
+
+        let all = |s| PlaneStores { freq: s, dl_freq: s, dl_time: s };
+        let policy = |k: &Kernels| [k.stores.freq, k.stores.dl_freq, k.stores.dl_time];
+        let paper = Kernels::new(EngineConfig::new(CellConfig::emulated_rru(64, 16, 13), 1));
+        assert_eq!(policy(&paper), [Stores::Streamed; 3]);
+
+        let mut cell = CellConfig::tiny_test(2);
+        cell.schedule = FrameSchedule::parse("PUD").unwrap();
+        let mut rru = RruEmulator::new(cell.clone(), RruConfig::default());
+        let (packets, _) = rru.generate_frame(0);
+        let mut cfg = EngineConfig::new(cell, 1);
+        cfg.noise_power = rru.noise_power();
+        let mut proc = InlineProcessor::new(cfg.clone());
+        proc.process_frame(0, &packets);
+        assert_eq!(policy(proc.kernels()), [Stores::Cached; 3]);
+        let fb = proc.buffers(0);
+        let (uplink, downlink) = (1, 2);
+        for tier in SimdTier::supported() {
+            let mut k = Kernels::with_tier(cfg.clone(), tier);
+            let mut s = k.scratch();
+            let g = k.geom;
+            let mut written = Vec::new();
+            for stores in [Stores::Cached, Stores::Streamed] {
+                k.stores = all(stores);
+                for plane in [&fb.freq, &fb.dl_freq, &fb.dl_time] {
+                    clear(plane);
+                }
+                (0..g.m).for_each(|ant| k.fft_task(fb, &mut s, uplink, ant));
+                k.precode_task(fb, &mut s, downlink, 0, g.q);
+                (0..g.m).for_each(|ant| k.ifft_task(fb, &mut s, downlink, ant));
+                written.push([&fb.freq, &fb.dl_freq, &fb.dl_time].map(plane_bits));
+            }
+            for (plane, (cached, streamed)) in
+                ["freq", "dl_freq", "dl_time"].iter().zip(written[0].iter().zip(&written[1]))
+            {
+                assert!(cached.iter().any(|&b| b != (0, 0)), "{tier:?}: {plane} untouched");
+                assert!(cached == streamed, "{tier:?}: {plane} differs");
+            }
+        }
+    }
+
     fn map_of(k: &Kernels) -> SubcarrierMap {
         SubcarrierMap::new(k.cfg.cell.fft_size, k.geom.q)
     }
@@ -1412,7 +1547,7 @@ mod tests {
             let mut naive: Vec<Cf32> = time[skip..].to_vec();
             FftPlan::with_tier(n, SimdTier::Scalar).execute(&mut naive, Direction::Forward);
 
-            for tier in [SimdTier::Scalar, SimdTier::cached()] {
+            for tier in SimdTier::supported() {
                 let plan = FftPlan::with_tier(n, tier);
                 let mut fused = vec![Cf32::ZERO; n];
                 unpack_bitrev(&payload, skip, &plan, &mut fused);

@@ -236,7 +236,7 @@ impl FftPlan {
     ) {
         assert!(out.len() == self.n && self.n >= 8, "output must be one transform of 8+ points");
         #[cfg(target_arch = "x86_64")]
-        if self.tier == SimdTier::Avx2 && self.n >= 32 {
+        if self.tier >= SimdTier::Avx2 && self.n >= 32 {
             // SAFETY: the tier is clamped to what the CPU supports,
             // `bitrev` is this plan's permutation of `out.len()` points and
             // the twiddles are this plan's.
@@ -303,7 +303,7 @@ impl FftPlan {
     /// which has no cross-transform twiddle sharing to exploit).
     fn tile_transforms(&self) -> usize {
         #[cfg(target_arch = "x86_64")]
-        if self.tier == SimdTier::Avx2 {
+        if self.tier >= SimdTier::Avx2 {
             return crate::simd::tile_transforms(self.n);
         }
         1
@@ -331,7 +331,7 @@ impl FftPlan {
     /// All butterfly stages over one or more bit-reversed transforms.
     fn butterflies(&self, data: &mut [Cf32]) {
         #[cfg(target_arch = "x86_64")]
-        if self.tier == SimdTier::Avx2 && self.n >= 4 {
+        if self.tier >= SimdTier::Avx2 && self.n >= 4 {
             unsafe {
                 crate::simd::butterflies_avx2(data, self.n, &self.tw_re_dup, &self.tw_im_alt, false)
             };
@@ -344,7 +344,7 @@ impl FftPlan {
 
     fn conj_pass(&self, data: &mut [Cf32]) {
         #[cfg(target_arch = "x86_64")]
-        if self.tier == SimdTier::Avx2 {
+        if self.tier >= SimdTier::Avx2 {
             unsafe { crate::simd::conj_avx2(data) };
             return;
         }
@@ -355,7 +355,7 @@ impl FftPlan {
 
     fn conj_scale_pass(&self, data: &mut [Cf32], scale: f32) {
         #[cfg(target_arch = "x86_64")]
-        if self.tier == SimdTier::Avx2 {
+        if self.tier >= SimdTier::Avx2 {
             unsafe { crate::simd::conj_scale_avx2(data, scale) };
             return;
         }
@@ -579,7 +579,7 @@ mod tests {
     fn inverse_is_the_conjugated_forward_bit_for_bit() {
         for log2 in 0..=12 {
             let n = 1usize << log2;
-            for tier in [SimdTier::Scalar, SimdTier::cached()] {
+            for tier in SimdTier::supported() {
                 let plan = FftPlan::with_tier(n, tier);
                 let x: Vec<Cf32> = signal(3 * n).iter().map(|z| z.scale(0.5)).collect();
                 let mut want: Vec<Cf32> = x.iter().map(|z| z.conj()).collect();
@@ -616,7 +616,7 @@ mod tests {
                 .collect();
             let natural: Vec<Cf32> =
                 steps.iter().flat_map(|s| s.map_or([Cf32::ZERO; 8], |s| *s)).collect();
-            for tier in [SimdTier::Scalar, SimdTier::cached()] {
+            for tier in SimdTier::supported() {
                 let plan = FftPlan::with_tier(n, tier);
                 let mut inverse = natural.clone();
                 plan.execute(&mut inverse, Direction::Inverse);

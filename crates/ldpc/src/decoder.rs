@@ -61,7 +61,7 @@ pub struct Decoder {
     g: Lifted,
     /// Per-edge check-to-variable messages, `[entry][stride]`.
     msgs: Vec<f32>,
-    /// Posterior LLRs, `[col][z]`.
+    /// Posterior LLRs, `[col][stride]`.
     post: Vec<f32>,
     /// Row scratch, `[row slot][stride]`.
     t: Vec<f32>,
@@ -94,9 +94,10 @@ impl Plane for F32Plane {
                 && t.len().is_multiple_of(stride)
         );
         #[cfg(target_arch = "x86_64")]
-        if tier == SimdTier::Avx2 {
-            // SAFETY: `Lifted::new` admits the AVX2 tier only on a CPU that
-            // has it; the lengths the kernel relies on were asserted above.
+        if tier >= SimdTier::Avx2 {
+            // SAFETY: `Lifted::new` admits a tier only on a CPU that has
+            // it, and every tier from AVX2 up includes AVX2; the lengths
+            // the kernel relies on were asserted above.
             unsafe { row_update_avx2(t, msgs, stride, offset) };
             return;
         }
@@ -213,7 +214,7 @@ impl Decoder {
         let g = Lifted::new(id, z, F32Plane::LANES, tier);
         Self {
             msgs: vec![0.0; g.msgs_len()],
-            post: vec![0.0; g.codeword_len()],
+            post: vec![0.0; g.post_len()],
             t: vec![0.0; g.row_scratch_len()],
             hard: vec![0; g.hard_len()],
             g,
@@ -580,7 +581,7 @@ mod proptests {
             let cfg = DecodeConfig { max_iters, early_termination, active_rows, ..Default::default() };
             let llr = awkward_llrs(bg.cols() * z, z, seed, scale, grid);
             let want = reference::decode(bg, z, &llr, &cfg);
-            for tier in [SimdTier::Scalar, SimdTier::detect()] {
+            for tier in SimdTier::supported() {
                 let mut dec = Decoder::with_tier(id, z, tier);
                 // Twice: the second decode starts from the first's scratch.
                 for _ in 0..2 {
@@ -588,7 +589,15 @@ mod proptests {
                     prop_assert_eq!(&got.info_bits, &want.info_bits, "{:?}", tier);
                     prop_assert_eq!(got.success, want.success, "{:?}", tier);
                     prop_assert_eq!(got.iterations, want.iterations, "{:?}", tier);
-                    prop_assert_eq!(bits(&dec.post), bits(&want.post), "{:?} posteriors", tier);
+                    // `[col][stride]`: each column's Z posteriors, then zeros.
+                    for (c, lanes) in dec.post.chunks_exact(dec.g.stride()).enumerate() {
+                        prop_assert_eq!(
+                            bits(&lanes[..z]),
+                            bits(&want.post[c * z..(c + 1) * z]),
+                            "{:?} posteriors of column {}", tier, c
+                        );
+                        prop_assert!(lanes[z..].iter().all(|&l| l.to_bits() == 0));
+                    }
                     for (e, lanes) in dec.msgs.chunks_exact(dec.g.stride()).enumerate() {
                         prop_assert_eq!(
                             bits(&lanes[..z]),
@@ -644,7 +653,11 @@ mod proptests {
             }
             let g = Lifted::new(id, z, F32Plane::LANES, SimdTier::Scalar);
             let mut hard = vec![0u8; g.hard_len()];
-            let got = syndrome_ok::<F32Plane>(&g, &post, &mut hard, rows);
+            let mut padded = vec![0.0; g.post_len()];
+            for (p, c) in padded.chunks_exact_mut(g.stride()).zip(post.chunks_exact(z)) {
+                p[..z].copy_from_slice(c);
+            }
+            let got = syndrome_ok::<F32Plane>(&g, &padded, &mut hard, rows);
             prop_assert_eq!(got, reference::parity_ok(bg, z, &post, rows));
             if !noise && !flip {
                 prop_assert!(got, "a codeword satisfies every check");

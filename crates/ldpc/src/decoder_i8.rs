@@ -16,10 +16,15 @@
 //! contiguous `i8` arrays — exactly the shape AVX2 byte ops want
 //! (`vpsubsb`/`vpabsb`/`vpminsb`/`vpaddsb`, 32 lanes per instruction).
 //! The lane kernel has a scalar tier and an AVX2 tier behind
-//! [`SimdTier`] runtime dispatch.
+//! [`SimdTier`] runtime dispatch. The AVX-512 tier goes further for
+//! strides 32, 64 and 128: it never gathers. Each entry's rotated slice
+//! is a byte permute (`vpermb`, or `vpermi2b` over a register pair) of
+//! the column's posterior block, taken inside the lane passes, and the
+//! updated slice goes back through the inverse permute, padding lanes
+//! zeroed, so no row scratch is copied in or out.
 //!
-//! They are **bit-exact** against each other by construction: every AVX2
-//! instruction used has an exact scalar counterpart (saturating i8
+//! They are **bit-exact** against each other by construction: every
+//! vector instruction used has an exact scalar counterpart (saturating i8
 //! add/sub, `max`, `abs`, compare/blend), and the proptests assert
 //! equality across base graphs and lifting sizes. LLR values are confined
 //! to `[-127, 127]`: -128 is clamped away after every saturating op so
@@ -27,7 +32,7 @@
 
 use crate::base_graph::BaseGraphId;
 use crate::decoder::DecodeResult;
-use crate::zlane::{decode_layered, Lifted, Plane, Schedule, State};
+use crate::zlane::{decode_layered, Edge, Lifted, Plane, Schedule, State};
 use agora_math::simd::SimdTier;
 
 /// Largest representable quantised LLR magnitude. The domain is the
@@ -129,7 +134,7 @@ pub struct DecoderI8 {
     g: Lifted,
     /// Per-edge check-to-variable messages, `[entry][stride]`.
     msgs: Vec<i8>,
-    /// Posterior LLRs, `[col][z]`.
+    /// Posterior LLRs, `[col][stride]`.
     post: Vec<i8>,
     /// Row scratch, `[row slot][stride]`.
     t: Vec<i8>,
@@ -164,14 +169,74 @@ impl Plane for I8Plane {
                 && t.len().is_multiple_of(stride)
         );
         #[cfg(target_arch = "x86_64")]
-        if tier == SimdTier::Avx2 {
-            // SAFETY: `Lifted::new` admits the AVX2 tier only on a CPU that
-            // has it; the lengths the kernel relies on were asserted above.
+        if tier >= SimdTier::Avx2 {
+            // SAFETY: `Lifted::new` admits a tier only on a CPU that has
+            // it, and every tier from AVX2 up includes AVX2; the lengths
+            // the kernel relies on were asserted above.
             unsafe { row_update_avx2(t, msgs, stride, offset) };
             return;
         }
         let _ = tier;
         row_update_scalar(t, msgs, stride, offset);
+    }
+
+    fn fused_row(g: &Lifted, post: &mut [i8], msgs: &mut [i8], edges: &[Edge], offset: i8) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if g.tier() >= SimdTier::Avx512 && matches!(g.stride(), 32 | 64 | 128) {
+            assert!(post.len() == g.post_len() && msgs.len() == edges.len() * g.stride());
+            let (post, msgs, z) = (post.as_mut_ptr(), msgs.as_mut_ptr(), g.z());
+            // SAFETY: `Lifted::new` admits the tier only on a CPU that has
+            // it; the lifted graph's columns are the posterior plane's, so
+            // every entry's block lies in `post`, and `msgs` holds the
+            // row's entries, as asserted. Posterior padding is zero
+            // (`zlane`'s padding rule).
+            unsafe {
+                match g.stride() {
+                    32 => fused_row_ymm_avx512(post, msgs, edges, z, offset),
+                    64 => fused_row_zmm_avx512::<1>(post, msgs, edges, z, offset),
+                    _ => fused_row_zmm_avx512::<2>(post, msgs, edges, z, offset),
+                }
+            }
+            return true;
+        }
+        let _ = (g, post, msgs, edges, offset);
+        false
+    }
+
+    /// For `Z <= 128`, on every tier: a column's hard decisions are the
+    /// sign bits of its posterior block, one SSE2 `pmovmskb` per 16
+    /// lanes into a `u128` (padding lanes are zero, so their bits are
+    /// clear), and an entry's rotated slice is that word rotated right
+    /// by the shift within `Z` bits — no byte plane, no slice copies.
+    fn packed_syndrome(g: &Lifted, post: &[i8], rows: usize) -> Option<bool> {
+        #[cfg(target_arch = "x86_64")]
+        if g.stride() <= 128 {
+            use core::arch::x86_64::{__m128i, _mm_loadu_si128, _mm_movemask_epi8};
+            // BG1's column count, the larger graph's.
+            let mut signs = [0u128; 68];
+            for (word, block) in signs.iter_mut().zip(post.chunks_exact(g.stride())) {
+                for (k, lanes) in block.chunks_exact(16).enumerate() {
+                    // SAFETY: SSE2 is part of the x86-64 baseline, and the
+                    // load reads the 16 bytes of `lanes`.
+                    let m = unsafe {
+                        _mm_movemask_epi8(_mm_loadu_si128(lanes.as_ptr().cast::<__m128i>()))
+                    };
+                    *word |= (m as u16 as u128) << (16 * k);
+                }
+            }
+            let z = g.z() as u32;
+            let lanes = u128::MAX >> (128 - z);
+            let ok = (0..rows).all(|r| {
+                let parity = g.row_edges(r).iter().fold(0, |parity, e| {
+                    let (word, shift) = (signs[e.col as usize], e.shift as u32);
+                    parity ^ ((word >> shift) | word.wrapping_shl(z - shift))
+                });
+                parity & lanes == 0
+            });
+            return Some(ok);
+        }
+        let _ = (g, post, rows);
+        None
     }
 }
 
@@ -279,6 +344,185 @@ unsafe fn row_update_avx2(t: &mut [i8], msgs: &mut [i8], stride: usize, offset: 
     }
 }
 
+/// Byte `i` is `i`: the lane numbers of a two-register block.
+#[cfg(target_arch = "x86_64")]
+static LANE_IDS: [u8; 128] = {
+    let mut ids = [0; 128];
+    let mut i = 0;
+    while i < 128 {
+        ids[i] = i as u8;
+        i += 1;
+    }
+    ids
+};
+
+/// The AVX-512 instructions of the fused row body at one register width,
+/// under one set of names: [`ymm`] for a 32-lane stride, [`zmm`] for 64
+/// and 128.
+#[cfg(target_arch = "x86_64")]
+mod ymm {
+    pub(super) use core::arch::x86_64::{
+        __m256i as Reg, _mm256_abs_epi8 as abs, _mm256_add_epi8 as add, _mm256_adds_epi8 as adds,
+        _mm256_cmpeq_epi8_mask as eq, _mm256_cmplt_epi8_mask as lt, _mm256_cmplt_epu8_mask as lt_u,
+        _mm256_loadu_epi8 as load, _mm256_mask_blend_epi8 as blend,
+        _mm256_mask_sub_epi8 as mask_sub, _mm256_max_epi8 as max, _mm256_min_epi8 as min,
+        _mm256_min_epu8 as min_u, _mm256_movepi8_mask as sign,
+        _mm256_permutex2var_epi8 as permute2, _mm256_permutexvar_epi8 as permute,
+        _mm256_set1_epi8 as splat, _mm256_setzero_si256 as zero, _mm256_storeu_epi8 as store,
+        _mm256_sub_epi8 as sub, _mm256_subs_epi8 as subs,
+    };
+    pub(super) const WIDTH: usize = 32;
+}
+
+/// See [`ymm`].
+#[cfg(target_arch = "x86_64")]
+mod zmm {
+    pub(super) use core::arch::x86_64::{
+        __m512i as Reg, _mm512_abs_epi8 as abs, _mm512_add_epi8 as add, _mm512_adds_epi8 as adds,
+        _mm512_cmpeq_epi8_mask as eq, _mm512_cmplt_epi8_mask as lt, _mm512_cmplt_epu8_mask as lt_u,
+        _mm512_loadu_epi8 as load, _mm512_mask_blend_epi8 as blend,
+        _mm512_mask_sub_epi8 as mask_sub, _mm512_max_epi8 as max, _mm512_min_epi8 as min,
+        _mm512_min_epu8 as min_u, _mm512_movepi8_mask as sign,
+        _mm512_permutex2var_epi8 as permute2, _mm512_permutexvar_epi8 as permute,
+        _mm512_set1_epi8 as splat, _mm512_setzero_si512 as zero, _mm512_storeu_epi8 as store,
+        _mm512_sub_epi8 as sub, _mm512_subs_epi8 as subs,
+    };
+    pub(super) const WIDTH: usize = 64;
+}
+
+/// The body of the AVX-512 tier's fused row, over the registers of module
+/// `$w` ([`ymm`] or [`zmm`]), `N` of them to a column's posterior block:
+/// [`I8Plane::row_update`] between the gather and scatter of `zlane`'s
+/// layered row, with both rotations done in registers. Lane `i < z` of an
+/// entry's slice is byte `(i + shift) % z` of the block, one `vpermb`
+/// (`N = 1`) or `vpermi2b` (`N = 2`) with an index vector built from the
+/// shift; padding lanes read the block's own zero padding, as the
+/// gather's zero fill gives them. Pass 1 reads blocks and messages and
+/// keeps the lane state in registers — the two minima and the position
+/// of the smallest in vectors, the sign parity in a mask register; pass 2
+/// recomputes each extrinsic the same way (neither was written since),
+/// stores the new message, and writes the updated slice back through the
+/// inverse rotation, padding zeroed. The lane arithmetic is
+/// [`row_update_avx2`]'s, instruction for instruction, with
+/// mask-register compares and blends, so the bits are the scalar tier's.
+/// Every load and store is a whole, unmasked register, so a block one row
+/// stores is forwarded to the next row's load.
+#[cfg(target_arch = "x86_64")]
+macro_rules! fused_row_body {
+    ($w:ident, $post:ident, $msgs:ident, $edges:ident, $z:ident, $offset:ident) => {{
+        use $w::*;
+        let stride = N * WIDTH;
+        let floor = splat(-I8_LLR_MAX);
+        let vz = splat($z as u8 as i8);
+        let (mut ids, mut real) = ([zero(); N], [0; N]);
+        for h in 0..N {
+            ids[h] = load(LANE_IDS.as_ptr().add(WIDTH * h) as *const i8);
+            // The rotated lanes; the rest are padding.
+            real[h] = lt_u(ids[h], vz);
+        }
+        // Lane `i < z` of the result reads lane `(i + shift) % z`, the
+        // others their own. `shift <= z <= 128`, so no byte sum wraps, and
+        // `sum - z` wraps to above `sum` exactly when `sum < z`.
+        let rotation = |shift: usize| {
+            let mut idx = [zero(); N];
+            for h in 0..N {
+                let sum = add(ids[h], splat(shift as u8 as i8));
+                idx[h] = blend(real[h], ids[h], min_u(sum, sub(sum, vz)));
+            }
+            idx
+        };
+        let permute_block = |idx: Reg, v: &[Reg; N]| {
+            if N == 1 {
+                permute(idx, v[0])
+            } else {
+                permute2(v[0], idx, v[N - 1])
+            }
+        };
+        // The extrinsics `max(rotated - msgs, -127)` of entry `k`.
+        let extrinsics = |k: usize, e: &Edge| {
+            let block = $post.add(e.col as usize * stride);
+            let mut b = [zero(); N];
+            for h in 0..N {
+                b[h] = load(block.add(WIDTH * h));
+            }
+            let idx = rotation(e.shift as usize);
+            let mut v = [zero(); N];
+            for h in 0..N {
+                let m = load($msgs.add(k * stride + WIDTH * h));
+                v[h] = max(subs(permute_block(idx[h], &b), m), floor);
+            }
+            v
+        };
+
+        let mut min1 = [splat(I8_LLR_MAX); N];
+        let mut min2 = min1;
+        let mut min_pos = [splat(-1); N];
+        // Bit set in lanes with an odd number of negative extrinsics.
+        let mut negative = [0; N];
+        for (k, e) in $edges.iter().enumerate() {
+            let v = extrinsics(k, e);
+            for h in 0..N {
+                let a = abs(v[h]);
+                let lt1 = lt(a, min1[h]);
+                min2[h] = blend(lt1, min(min2[h], a), min1[h]);
+                min1[h] = min(min1[h], a);
+                min_pos[h] = blend(lt1, min_pos[h], splat(k as i8));
+                negative[h] ^= sign(v[h]);
+            }
+        }
+        let (off, msg_max) = (splat($offset), splat(I8_MSG_MAX));
+        let clip = |m| min(max(subs(m, off), zero()), msg_max);
+        let (m1, m2) = (min1.map(clip), min2.map(clip));
+        for (k, e) in $edges.iter().enumerate() {
+            let v = extrinsics(k, e);
+            let mut t = [zero(); N];
+            for h in 0..N {
+                let mag = blend(eq(min_pos[h], splat(k as i8)), m1[h], m2[h]);
+                let msg = mask_sub(mag, negative[h] ^ sign(v[h]), zero(), mag);
+                store($msgs.add(k * stride + WIDTH * h), msg);
+                t[h] = max(adds(v[h], msg), floor);
+            }
+            let block = $post.add(e.col as usize * stride);
+            let back = rotation($z - e.shift as usize);
+            for h in 0..N {
+                store(block.add(WIDTH * h), blend(real[h], zero(), permute_block(back[h], &t)));
+            }
+        }
+    }};
+}
+
+/// The AVX-512 tier's fused row for a 32-lane stride, on ymm registers
+/// ([`fused_row_body`]).
+///
+/// # Safety
+/// The CPU must support AVX-512 F, BW, VL and VBMI; the stride is 32 and
+/// `z <= 32`; `post` holds every entry's column block, `col * 32` on, its
+/// padding lanes zero, and `msgs` one 32-byte run per entry. The entries
+/// have distinct columns.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vbmi")]
+unsafe fn fused_row_ymm_avx512(post: *mut i8, msgs: *mut i8, edges: &[Edge], z: usize, offset: i8) {
+    const N: usize = 1;
+    fused_row_body!(ymm, post, msgs, edges, z, offset)
+}
+
+/// The AVX-512 tier's fused row for a stride of `64 * N` lanes, on `N`
+/// zmm registers per block ([`fused_row_body`]).
+///
+/// # Safety
+/// As [`fused_row_ymm_avx512`], with a stride of `64 * N`, `N` 1 or 2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vbmi")]
+unsafe fn fused_row_zmm_avx512<const N: usize>(
+    post: *mut i8,
+    msgs: *mut i8,
+    edges: &[Edge],
+    z: usize,
+    offset: i8,
+) {
+    fused_row_body!(zmm, post, msgs, edges, z, offset)
+}
+
 impl DecoderI8 {
     /// Creates a decoder with preallocated scratch on the detected SIMD
     /// tier.
@@ -292,7 +536,7 @@ impl DecoderI8 {
         let g = Lifted::new(id, z, I8Plane::LANES, tier);
         Self {
             msgs: vec![0; g.msgs_len()],
-            post: vec![0; g.codeword_len()],
+            post: vec![0; g.post_len()],
             t: vec![0; g.row_scratch_len()],
             hard: vec![0; g.hard_len()],
             g,
@@ -566,11 +810,10 @@ mod tests {
     }
 
     #[test]
-    fn scalar_tier_decodes_identically_to_detected() {
+    fn scalar_tier_decodes_identically_to_the_others() {
         let z = 40; // exercises both the 32-lane SIMD body and the tail
         let enc = Encoder::new(BaseGraphId::Bg1, z);
         let mut dec_a = DecoderI8::with_tier(BaseGraphId::Bg1, z, SimdTier::Scalar);
-        let mut dec_b = DecoderI8::with_tier(BaseGraphId::Bg1, z, SimdTier::detect());
         let info = random_bits(enc.info_len(), 5);
         let cw = enc.encode(&info);
         let f = noisy_llrs_f32(&cw, z, 3.0, 31337);
@@ -578,12 +821,15 @@ mod tests {
         quantize_llrs(&f, &mut q, DEFAULT_LLR_SCALE);
         let cfg = DecodeConfigI8 { max_iters: 10, early_termination: false, ..Default::default() };
         let ra = dec_a.decode(&q, &cfg);
-        let rb = dec_b.decode(&q, &cfg);
-        assert_eq!(ra.info_bits, rb.info_bits);
-        assert_eq!(ra.success, rb.success);
-        // Bit-exact internal state, not just matching hard decisions.
-        assert_eq!(dec_a.post, dec_b.post);
-        assert_eq!(dec_a.msgs, dec_b.msgs);
+        for tier in SimdTier::supported().skip(1) {
+            let mut dec_b = DecoderI8::with_tier(BaseGraphId::Bg1, z, tier);
+            let rb = dec_b.decode(&q, &cfg);
+            assert_eq!(ra.info_bits, rb.info_bits, "{tier:?}");
+            assert_eq!(ra.success, rb.success, "{tier:?}");
+            // Bit-exact internal state, not just matching hard decisions.
+            assert_eq!(dec_a.post, dec_b.post, "{tier:?}");
+            assert_eq!(dec_a.msgs, dec_b.msgs, "{tier:?}");
+        }
     }
 }
 
@@ -594,15 +840,22 @@ mod proptests {
 
     /// Lifting sizes the benches exercise: the paper's Z = 104/384 (BG1
     /// Figure 12 points), the OTA Z = 56 (BG2), the tiny-test Z = 12, and
-    /// boundary shapes around the 32-lane vector width.
-    const BENCH_ZS: [(BaseGraphId, usize); 8] = [
+    /// boundary shapes around the 32-lane vector width. On both base
+    /// graphs they cover every stride the AVX-512 body takes — 32, 64 and
+    /// 128 (one register or two) — and strides 96 and above 128, which
+    /// run the AVX2 body on that tier.
+    const BENCH_ZS: [(BaseGraphId, usize); 12] = [
         (BaseGraphId::Bg1, 104),
         (BaseGraphId::Bg1, 384),
         (BaseGraphId::Bg1, 64),
+        (BaseGraphId::Bg1, 96),
         (BaseGraphId::Bg2, 56),
         (BaseGraphId::Bg2, 12),
         (BaseGraphId::Bg2, 32),
         (BaseGraphId::Bg2, 36),
+        (BaseGraphId::Bg2, 72),
+        (BaseGraphId::Bg2, 104),
+        (BaseGraphId::Bg2, 208),
         (BaseGraphId::Bg1, 30),
     ];
 
@@ -631,21 +884,76 @@ mod proptests {
     }
 
     proptest! {
+        /// The packed-sign syndrome (`Z <= 128`) against the parity checks
+        /// evaluated lane by lane, on valid codewords, single flipped bits
+        /// and noise, with a full word (Z = 128) and shifts of 0.
+        #[test]
+        fn packed_syndrome_matches_the_parity_checks(
+            seed in any::<u64>(),
+            which in 0usize..8,
+            rows_idx in 0usize..3,
+            flip_at in any::<u32>(),
+            flip in any::<bool>(),
+            noise in any::<bool>(),
+        ) {
+            let (bg, z) = [
+                (BaseGraphId::Bg1, 104), (BaseGraphId::Bg1, 128), (BaseGraphId::Bg1, 64),
+                (BaseGraphId::Bg1, 2), (BaseGraphId::Bg2, 12), (BaseGraphId::Bg2, 96),
+                (BaseGraphId::Bg2, 33), (BaseGraphId::Bg2, 7),
+            ][which];
+            let graph = crate::base_graph::BaseGraph::get(bg);
+            let rows = [4, graph.rows() / 2, graph.rows()][rows_idx];
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let enc = crate::encoder::Encoder::new(bg, z);
+            let mut bits = if noise {
+                (0..graph.cols() * z).map(|_| (next() & 1) as u8).collect()
+            } else {
+                enc.encode(&(0..enc.info_len()).map(|_| (next() & 1) as u8).collect::<Vec<_>>())
+            };
+            if flip {
+                let at = flip_at as usize % bits.len();
+                bits[at] ^= 1;
+            }
+            let g = Lifted::new(bg, z, I8Plane::LANES, SimdTier::Scalar);
+            let mut post = vec![0i8; g.post_len()];
+            for (i, &b) in bits.iter().enumerate() {
+                post[i / z * g.stride() + i % z] = if b == 1 { -(1 + (next() % 127) as i8) } else { (next() % 128) as i8 };
+            }
+            let want = (0..rows).all(|r| {
+                (0..z).all(|i| {
+                    graph.row_entries(r).iter().fold(0, |p, e| {
+                        p ^ bits[e.col as usize * z + (i + e.shift as usize % z) % z]
+                    }) == 0
+                })
+            });
+            prop_assert_eq!(I8Plane::packed_syndrome(&g, &post, rows), Some(want));
+            if !noise && !flip {
+                prop_assert!(want, "a codeword satisfies every check");
+            }
+        }
+    }
+
+    proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// The AVX2 and scalar-i8 paths are bit-exact over random LLRs,
-        /// for every (base graph, Z) pair used by the benches: identical
-        /// hard decisions, syndrome outcomes, and full posterior/message
-        /// state.
+        /// Every vector tier is bit-exact with the scalar one over random
+        /// LLRs, for every (base graph, Z) pair used by the benches:
+        /// identical hard decisions, syndrome outcomes, and full
+        /// posterior/message state.
         #[test]
-        fn avx2_and_scalar_paths_are_bit_exact(
+        fn vector_and_scalar_paths_are_bit_exact(
             seed in any::<u64>(),
             which in 0usize..BENCH_ZS.len(),
             iters in 1usize..6,
         ) {
             let (bg, z) = BENCH_ZS[which];
             let mut dec_s = DecoderI8::with_tier(bg, z, SimdTier::Scalar);
-            let mut dec_v = DecoderI8::with_tier(bg, z, SimdTier::detect());
             let mut state = seed | 1;
             let llr: Vec<i8> = (0..dec_s.codeword_len()).map(|_| {
                 state ^= state << 13;
@@ -659,11 +967,14 @@ mod proptests {
                 ..Default::default()
             };
             let rs = dec_s.decode(&llr, &cfg);
-            let rv = dec_v.decode(&llr, &cfg);
-            prop_assert_eq!(rs.info_bits, rv.info_bits);
-            prop_assert_eq!(rs.success, rv.success);
-            prop_assert_eq!(&dec_s.post, &dec_v.post);
-            prop_assert_eq!(&dec_s.msgs, &dec_v.msgs);
+            for tier in SimdTier::supported().skip(1) {
+                let mut dec_v = DecoderI8::with_tier(bg, z, tier);
+                let rv = dec_v.decode(&llr, &cfg);
+                prop_assert_eq!(&rs.info_bits, &rv.info_bits, "{:?}", tier);
+                prop_assert_eq!(rs.success, rv.success, "{:?}", tier);
+                prop_assert_eq!(&dec_s.post, &dec_v.post, "{:?}", tier);
+                prop_assert_eq!(&dec_s.msgs, &dec_v.msgs, "{:?}", tier);
+            }
         }
 
         /// Round-trip through quantisation: any payload encodes and

@@ -1,23 +1,27 @@
 //! Z-lane layered decoding: the skeleton both decoding planes run.
 //!
 //! For a base entry with shift `s`, lane `i` of the check touches bit
-//! `col * Z + (i + s) % Z` — the *rotated slice* of that column's
-//! `Z`-block. Gathering the rotation is two contiguous copies, after
-//! which every operation of offset min-sum (extrinsic subtract, abs,
+//! `(i + s) % Z` of that column's `Z`-block — the *rotated slice* of the
+//! block. Gathering the rotation is two contiguous copies, after which
+//! every operation of offset min-sum (extrinsic subtract, abs,
 //! two-minimum tracking, sign product, offset, posterior update) is a
 //! pure per-lane pass over contiguous arrays. This module owns
 //! everything that does not depend on the LLR type: the lifted graph
-//! (per-entry `shift % Z` and column offset), the iteration and
+//! (per-entry `shift % Z` and column), the iteration and
 //! early-termination loop, the rotated gather/scatter, and the syndrome
-//! check. A [`Plane`] adds the lane kernel and the sign predicate.
+//! check. A [`Plane`] adds the lane kernel and the sign predicate, and
+//! may replace gather, lane passes and scatter of a row with one body
+//! that rotates the blocks in registers ([`Plane::fused_row`]).
 //!
-//! **Padding rule.** Row scratch and message store are strided to the
-//! plane's vector width ([`Plane::LANES`]): entry `e` owns
-//! `[e * stride, (e + 1) * stride)` with `stride = Z` rounded up. Lanes
-//! `Z..stride` are never gathered from or scattered to a posterior; the
-//! lane kernels process them like any other lane, so no kernel has a
-//! tail loop, and what they hold is a function of the (zeroed) start
-//! state only — identical on every SIMD tier.
+//! **Padding rule.** Posteriors, row scratch and message store are
+//! strided to the plane's vector width ([`Plane::LANES`]): column `c`
+//! owns `post[c * stride..(c + 1) * stride]` and entry `e` owns
+//! `[e * stride, (e + 1) * stride)`, with `stride = Z` rounded up. A
+//! posterior's lanes `Z..stride` stay zero; the gather fills the row
+//! scratch's with zeros, and nothing scatters them back. The lane
+//! kernels process them like any other lane, so no kernel has a tail
+//! loop, and what the message store holds there is a function of the
+//! zeroed start state only — identical on every SIMD tier.
 
 use crate::base_graph::{BaseGraph, BaseGraphId};
 use agora_math::simd::SimdTier;
@@ -48,15 +52,37 @@ pub(crate) trait Plane {
         stride: usize,
         offset: Self::Llr,
     );
+
+    /// Gather, [`Self::row_update`] and scatter of one base row in one
+    /// body, straight on the `[col][stride]` posteriors, when the plane
+    /// has one for `g`'s tier and stride: `edges` are the row's, `msgs`
+    /// its stored messages. Returns false, having touched nothing, when it
+    /// has none.
+    fn fused_row(
+        _g: &Lifted,
+        _post: &mut [Self::Llr],
+        _msgs: &mut [Self::Llr],
+        _edges: &[Edge],
+        _offset: Self::Llr,
+    ) -> bool {
+        false
+    }
+
+    /// [`syndrome_ok`] on packed sign bits, when the plane has such a
+    /// body for `g`'s lifting size: `None`, having touched nothing, when
+    /// it has none.
+    fn packed_syndrome(_g: &Lifted, _post: &[Self::Llr], _rows: usize) -> Option<bool> {
+        None
+    }
 }
 
 /// One circulant of the lifted graph.
 #[derive(Debug, Clone, Copy)]
-struct Edge {
-    /// First bit of the column's `Z`-block (`col * Z`).
-    col: u32,
+pub(crate) struct Edge {
+    /// Base-graph column.
+    pub col: u32,
     /// Effective shift, `V mod Z`.
-    shift: u16,
+    pub shift: u16,
 }
 
 /// A base graph lifted to one `Z`, with everything the per-row loops
@@ -76,18 +102,12 @@ impl Lifted {
     pub(crate) fn new(id: BaseGraphId, z: usize, lanes: usize, tier: SimdTier) -> Self {
         assert!(z >= 2, "lifting size must be at least 2");
         // The vector kernels are `unsafe` on exactly this condition.
-        assert!(
-            tier == SimdTier::Scalar || tier == SimdTier::cached(),
-            "SIMD tier {tier:?} is not supported by this CPU"
-        );
+        assert!(tier <= SimdTier::cached(), "SIMD tier {tier:?} is not supported by this CPU");
         let bg = BaseGraph::get(id);
         let edges = bg
             .entries()
             .iter()
-            .map(|e| Edge {
-                col: (e.col as usize * z) as u32,
-                shift: (e.shift as usize % z) as u16,
-            })
+            .map(|e| Edge { col: e.col as u32, shift: (e.shift as usize % z) as u16 })
             .collect();
         Self { bg, z, stride: z.div_ceil(lanes) * lanes, tier, edges }
     }
@@ -96,14 +116,23 @@ impl Lifted {
         self.tier
     }
 
-    /// Distance between consecutive entries in a message store.
-    #[cfg(test)]
+    pub(crate) fn z(&self) -> usize {
+        self.z
+    }
+
+    /// Distance between consecutive columns of the posteriors and entries
+    /// of a message store.
     pub(crate) fn stride(&self) -> usize {
         self.stride
     }
 
     pub(crate) fn codeword_len(&self) -> usize {
         self.bg.cols() * self.z
+    }
+
+    /// Length of the posterior plane (`[col][stride]`).
+    pub(crate) fn post_len(&self) -> usize {
+        self.bg.cols() * self.stride
     }
 
     pub(crate) fn info_len(&self) -> usize {
@@ -136,11 +165,16 @@ impl Lifted {
     pub(crate) fn row(&self, r: usize) -> core::ops::Range<usize> {
         self.bg.row_range(r)
     }
+
+    /// The circulants of base row `r`.
+    pub(crate) fn row_edges(&self, r: usize) -> &[Edge] {
+        &self.edges[self.row(r)]
+    }
 }
 
 /// The mutable planes of one decoder, borrowed for a decode.
 pub(crate) struct State<'a, T> {
-    /// Posterior LLRs, `[col][Z]`.
+    /// Posterior LLRs, `[col][stride]`.
     pub post: &'a mut [T],
     /// Check-to-variable messages, `[entry][stride]`.
     pub msgs: &'a mut [T],
@@ -171,11 +205,14 @@ pub(crate) fn decode_layered<P: Plane>(
     assert_eq!(llr.len(), g.codeword_len(), "LLR length mismatch");
     assert_eq!(out.len(), g.info_len(), "information-bit length mismatch");
     let rows = g.active_rows(sched.active_rows);
-    for (p, &l) in st.post.iter_mut().zip(llr) {
-        *p = P::prior(l);
+    for (col, l) in st.post.chunks_exact_mut(g.stride).zip(llr.chunks_exact(g.z)) {
+        for (p, &l) in col.iter_mut().zip(l) {
+            *p = P::prior(l);
+        }
     }
-    st.msgs.fill(P::Llr::default());
-    st.t.fill(P::Llr::default());
+    // Rows past the active ones are never read.
+    let active_entries = (0..rows).last().map_or(0, |r| g.row(r).end);
+    st.msgs[..active_entries * g.stride].fill(P::Llr::default());
 
     let mut iterations = 0;
     // Outcome of the syndrome pass over the current posteriors, if one ran.
@@ -194,8 +231,12 @@ pub(crate) fn decode_layered<P: Plane>(
         }
     }
     let success = checked.unwrap_or_else(|| syndrome_ok::<P>(g, st.post, st.hard, rows));
-    // The syndrome pass left the hard decisions of the final posteriors.
-    out.copy_from_slice(&st.hard[..out.len()]);
+    // The information bits are the first columns' hard decisions.
+    for (o, p) in out.chunks_exact_mut(g.z).zip(st.post.chunks_exact(g.stride)) {
+        for (o, &p) in o.iter_mut().zip(p) {
+            *o = P::is_neg(p) as u8;
+        }
+    }
     (success, iterations)
 }
 
@@ -204,46 +245,52 @@ pub(crate) fn decode_layered<P: Plane>(
 fn layered_row<P: Plane>(g: &Lifted, st: &mut State<'_, P::Llr>, r: usize, offset: P::Llr) {
     let (z, stride) = (g.z, g.stride);
     let row = g.row(r);
-    let edges = &g.edges[row.clone()];
+    let edges = g.row_edges(r);
+    let msgs = &mut st.msgs[row.start * stride..row.end * stride];
+    if P::fused_row(g, st.post, msgs, edges, offset) {
+        return;
+    }
     for (e, tk) in edges.iter().zip(st.t.chunks_exact_mut(stride)) {
-        // tk[i] = post[col + (i + shift) % z].
-        let (col, shift) = (e.col as usize, e.shift as usize);
+        // tk[i] = post[col + (i + shift) % z], the padding lanes zero.
+        let (col, shift) = (e.col as usize * stride, e.shift as usize);
         tk[..z - shift].copy_from_slice(&st.post[col + shift..col + z]);
         tk[z - shift..z].copy_from_slice(&st.post[col..col + shift]);
+        tk[z..].fill(P::Llr::default());
     }
-    P::row_update(
-        g.tier,
-        &mut st.t[..edges.len() * stride],
-        &mut st.msgs[row.start * stride..row.end * stride],
-        stride,
-        offset,
-    );
+    P::row_update(g.tier, &mut st.t[..edges.len() * stride], msgs, stride, offset);
     for (e, tk) in edges.iter().zip(st.t.chunks_exact(stride)) {
-        let (col, shift) = (e.col as usize, e.shift as usize);
+        let (col, shift) = (e.col as usize * stride, e.shift as usize);
         st.post[col + shift..col + z].copy_from_slice(&tk[..z - shift]);
         st.post[col..col + shift].copy_from_slice(&tk[z - shift..z]);
     }
 }
 
-/// Do the hard decisions of `post` satisfy the first `rows` base rows?
-/// Refreshes `hard[..codeword_len]`; each row's parity is the XOR of its
-/// entries' rotated hard-decision slices, all `Z` lanes at once, and any
-/// set lane fails.
+/// Do the hard decisions of the `[col][stride]` posteriors `post`
+/// satisfy the first `rows` base rows? Each row's parity is the XOR of
+/// its entries' rotated hard-decision slices, all `Z` lanes at once, and
+/// any set lane fails. Unless the plane packs the signs
+/// ([`Plane::packed_syndrome`]), the slices are bytes of the plane
+/// `hard[..codeword_len]` (`[col][Z]`), which this refreshes.
 pub(crate) fn syndrome_ok<P: Plane>(
     g: &Lifted,
     post: &[P::Llr],
     hard: &mut [u8],
     rows: usize,
 ) -> bool {
+    if let Some(ok) = P::packed_syndrome(g, post, rows) {
+        return ok;
+    }
     let z = g.z;
-    let (hard, parity) = hard.split_at_mut(post.len());
-    for (h, &p) in hard.iter_mut().zip(post) {
-        *h = P::is_neg(p) as u8;
+    let (hard, parity) = hard.split_at_mut(g.codeword_len());
+    for (h, p) in hard.chunks_exact_mut(z).zip(post.chunks_exact(g.stride)) {
+        for (h, &p) in h.iter_mut().zip(p) {
+            *h = P::is_neg(p) as u8;
+        }
     }
     for r in 0..rows {
         parity.fill(0);
-        for e in &g.edges[g.row(r)] {
-            let (col, shift) = (e.col as usize, e.shift as usize);
+        for e in g.row_edges(r) {
+            let (col, shift) = (e.col as usize * z, e.shift as usize);
             xor_into(&mut parity[..z - shift], &hard[col + shift..col + z]);
             xor_into(&mut parity[z - shift..], &hard[col..col + shift]);
         }

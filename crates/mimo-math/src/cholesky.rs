@@ -186,7 +186,7 @@ impl Cholesky {
         x.as_mut_slice().copy_from_slice(b.as_slice());
         match tier {
             #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx2 => unsafe {
+            SimdTier::Avx2 | SimdTier::Avx512 => unsafe {
                 crate::gemm_simd::chol_solve_avx2(l.as_slice(), n, x.as_mut_slice(), nrhs);
             },
             _ => solve_sweep_scalar(l, x, nrhs),
@@ -211,7 +211,7 @@ impl Cholesky {
         assert_eq!(x.rows(), n, "RHS row count must match");
         match tier {
             #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx2 => unsafe {
+            SimdTier::Avx2 | SimdTier::Avx512 => unsafe {
                 crate::gemm_simd::chol_solve_avx2(l.as_slice(), n, x.as_mut_slice(), nrhs);
             },
             _ => solve_sweep_scalar(l, x, nrhs),

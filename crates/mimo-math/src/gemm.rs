@@ -51,7 +51,9 @@ pub fn gemm_with_tier(
     assert_eq!(c.len(), m * n, "C shape mismatch");
     match tier {
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { crate::gemm_simd::gemm_avx2(m, k, n, a, b, c) },
+        SimdTier::Avx2 | SimdTier::Avx512 => unsafe {
+            crate::gemm_simd::gemm_avx2(m, k, n, a, b, c)
+        },
         _ => gemm_scalar(m, k, n, a, b, c),
     }
 }
@@ -123,7 +125,7 @@ pub fn gemv_with_tier(m: usize, k: usize, a: &[Cf32], x: &[Cf32], y: &mut [Cf32]
     assert_eq!(y.len(), m, "y length mismatch");
     match tier {
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { crate::gemm_simd::gemv_avx2(m, k, a, x, y) },
+        SimdTier::Avx2 | SimdTier::Avx512 => unsafe { crate::gemm_simd::gemv_avx2(m, k, a, x, y) },
         _ => gemv_scalar(m, k, a, x, y),
     }
 }
@@ -157,7 +159,9 @@ pub fn gram_with_tier(rows: usize, cols: usize, a: &[Cf32], out: &mut [Cf32], ti
     assert_eq!(out.len(), cols * cols, "Gram output shape mismatch");
     match tier {
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { crate::gemm_simd::gram_avx2(rows, cols, a, out) },
+        SimdTier::Avx2 | SimdTier::Avx512 => unsafe {
+            crate::gemm_simd::gram_avx2(rows, cols, a, out)
+        },
         _ => gram_scalar(rows, cols, a, out),
     }
 }
@@ -188,7 +192,7 @@ pub fn caxpy_with_tier(alpha: Cf32, x: &[Cf32], y: &mut [Cf32], tier: SimdTier) 
     assert_eq!(x.len(), y.len(), "caxpy length mismatch");
     match tier {
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { crate::gemm_simd::caxpy_avx2(alpha, x, y) },
+        SimdTier::Avx2 | SimdTier::Avx512 => unsafe { crate::gemm_simd::caxpy_avx2(alpha, x, y) },
         _ => caxpy_scalar(alpha, x, y),
     }
 }
@@ -233,7 +237,9 @@ pub fn gram_accumulate_with_tier(
     assert_eq!(out.len(), cols * cols, "Gram output shape mismatch");
     match tier {
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { crate::gemm_simd::gram_accumulate_avx2(rows, cols, ah, a, out) },
+        SimdTier::Avx2 | SimdTier::Avx512 => unsafe {
+            crate::gemm_simd::gram_accumulate_avx2(rows, cols, ah, a, out)
+        },
         _ => gram_accumulate_scalar(rows, cols, a, out),
     }
 }
@@ -294,7 +300,7 @@ impl Gemm {
     /// takes the vector kernel; the scalar tier picks the monomorphised
     /// kernel when the shape is in the table, the generic loop otherwise.
     pub fn plan_with_tier(m: usize, k: usize, n: usize, tier: SimdTier) -> Self {
-        let kernel = if tier == SimdTier::Avx2 && cfg!(target_arch = "x86_64") {
+        let kernel = if tier >= SimdTier::Avx2 && cfg!(target_arch = "x86_64") {
             GemmKernel::Avx2
         } else if dispatch_fixed(m, k, n, None, None, None).is_some() {
             GemmKernel::Specialized
@@ -467,7 +473,7 @@ mod tests {
         assert_eq!(g.tier(), SimdTier::Scalar);
         let auto = Gemm::plan(16, 64, 8);
         assert_eq!(auto.tier(), SimdTier::cached());
-        if SimdTier::cached() == SimdTier::Avx2 {
+        if SimdTier::cached() >= SimdTier::Avx2 {
             assert_eq!(auto.kernel(), GemmKernel::Avx2);
         }
     }

@@ -18,13 +18,18 @@ use core::ops::Range;
 
 /// SIMD instruction-set tier available/selected at runtime. Table 5 of the
 /// paper compares AVX2 and AVX-512 servers; we reproduce it by pinning the
-/// dispatch tier.
+/// dispatch tier. The tiers are ordered: a kernel with no body of its own
+/// for a tier runs the widest one below it, so dispatch tests `>=`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdTier {
     /// Pure scalar loops (portable baseline).
     Scalar,
     /// 256-bit AVX2 kernels.
     Avx2,
+    /// AVX-512 (`f`, `bw`, `vl`, `vbmi`): byte permutes and mask
+    /// registers. Only the i8 decoder has a body of its own; every other
+    /// kernel runs its AVX2 body.
+    Avx512,
 }
 
 impl SimdTier {
@@ -32,7 +37,11 @@ impl SimdTier {
     pub fn detect() -> SimdTier {
         #[cfg(target_arch = "x86_64")]
         {
-            if std::arch::is_x86_feature_detected!("avx2") {
+            use std::arch::is_x86_feature_detected as has;
+            if has!("avx2") {
+                if has!("avx512f") && has!("avx512bw") && has!("avx512vl") && has!("avx512vbmi") {
+                    return SimdTier::Avx512;
+                }
                 return SimdTier::Avx2;
             }
         }
@@ -46,6 +55,14 @@ impl SimdTier {
         use std::sync::OnceLock;
         static CACHE: OnceLock<SimdTier> = OnceLock::new();
         *CACHE.get_or_init(SimdTier::detect)
+    }
+
+    /// Every tier this CPU runs, scalar first: what the tier-parity
+    /// checks loop over.
+    pub fn supported() -> impl Iterator<Item = SimdTier> {
+        [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512]
+            .into_iter()
+            .filter(|&t| t <= SimdTier::cached())
     }
 }
 
@@ -70,7 +87,7 @@ pub fn stream_copy(src: &[Cf32], dst: &mut [Cf32], tier: SimdTier) {
     assert_eq!(src.len(), dst.len());
     match tier {
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { stream_copy_avx(src, dst, None) },
+        SimdTier::Avx2 | SimdTier::Avx512 => unsafe { stream_copy_avx(src, dst, None) },
         _ => dst.copy_from_slice(src),
     }
 }
@@ -84,7 +101,7 @@ pub fn stream_conj_scale(src: &[Cf32], dst: &mut [Cf32], scale: f32, tier: SimdT
     assert_eq!(src.len(), dst.len());
     match tier {
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { stream_copy_avx(src, dst, Some(scale)) },
+        SimdTier::Avx2 | SimdTier::Avx512 => unsafe { stream_copy_avx(src, dst, Some(scale)) },
         _ => {
             for (d, s) in dst.iter_mut().zip(src) {
                 *d = s.conj().scale(scale);
@@ -190,7 +207,7 @@ pub fn transpose(src: &[Cf32], rows: usize, cols: usize, dst: &mut [Cf32], tier:
     assert_eq!(dst.len(), rows * cols);
     match tier {
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { transpose_avx2(src, rows, cols, dst) },
+        SimdTier::Avx2 | SimdTier::Avx512 => unsafe { transpose_avx2(src, rows, cols, dst) },
         _ => transpose_scalar(src, rows, cols, dst),
     }
 }
@@ -319,7 +336,7 @@ pub fn conj_transpose(src: &[Cf32], rows: usize, cols: usize, dst: &mut [Cf32], 
     assert_eq!(dst.len(), rows * cols);
     match tier {
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { conj_transpose_avx2(src, rows, cols, dst) },
+        SimdTier::Avx2 | SimdTier::Avx512 => unsafe { conj_transpose_avx2(src, rows, cols, dst) },
         _ => conj_transpose_scalar(src, rows, cols, dst),
     }
 }
@@ -421,7 +438,7 @@ mod tests {
     #[test]
     fn detect_returns_some_tier() {
         let t = SimdTier::detect();
-        assert!(t == SimdTier::Scalar || t == SimdTier::Avx2);
+        assert_eq!(SimdTier::supported().last(), Some(t));
     }
 
     /// Every destination offset within a line x every short length: the
@@ -437,9 +454,7 @@ mod tests {
         let mut backing = vec![SENTINEL; 16 + 16 + 2 * 40 + 16];
         let line = (CACHE_LINE - backing.as_ptr() as usize % CACHE_LINE) % CACHE_LINE / 4;
         let scale = 1.0 / 2048.0 * 3.0;
-        for (tier, conj) in
-            [SimdTier::Scalar, SimdTier::detect()].into_iter().flat_map(|t| [(t, false), (t, true)])
-        {
+        for (tier, conj) in SimdTier::supported().flat_map(|t| [(t, false), (t, true)]) {
             for offset in 0..16 {
                 for len in 0..=40 {
                     backing.fill(SENTINEL);

@@ -111,7 +111,7 @@ impl Demapper {
             // SAFETY: `new` clamped the tier to what the CPU supports, and
             // the lengths were checked above.
             #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx2 => unsafe {
+            SimdTier::Avx2 | SimdTier::Avx512 => unsafe {
                 let (levels, inv) = (&self.levels, inv_noise_var);
                 match self.half {
                     1 => demap_avx2::<1>(levels, symbols, inv, out),
@@ -147,7 +147,7 @@ impl Demapper {
         let done = match self.tier {
             // SAFETY: as in `demap`.
             #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx2 => unsafe {
+            SimdTier::Avx2 | SimdTier::Avx512 => unsafe {
                 let (levels, inv) = (&self.levels, inv_noise_var);
                 match self.half {
                     1 => demap_quantized_avx2::<1>(levels, symbols, inv, scale, out),
@@ -774,7 +774,7 @@ mod simd_tests {
             };
             let scale = if scale.0 == 3 { 1e6 } else { scale.1 };
             let want = demap_then_quantize(scheme, &symbols, inv, scale);
-            for tier in [SimdTier::Scalar, SimdTier::detect()] {
+            for tier in SimdTier::supported() {
                 prop_assert_eq!(fused(scheme, tier, &symbols, inv, scale), want.clone(), "{:?}", tier);
             }
         }
@@ -811,7 +811,7 @@ mod simd_tests {
                     ((k + 1).min(127) as f32).copysign(l) as i8,
                     "{scheme:?} {k}"
                 );
-                for tier in [SimdTier::Scalar, SimdTier::detect()] {
+                for tier in SimdTier::supported() {
                     let got = fused(scheme, tier, &symbols, 1.0, scale);
                     assert_eq!(got, want, "{scheme:?} {tier:?} tie {k}.5 at lane {lane}");
                 }

@@ -2,9 +2,12 @@
 //! byte pipeline it replaced (payload, encode, rate-match and store),
 //! `ifft_task` next to the transforms it runs, `precode_task`, and the
 //! share of `InlineProcessor::process_frame` a downlink frame spends
-//! copying its `dl_time` samples out. Only the public API is used, so the
-//! same file runs unchanged on an older checkout for a before/after
-//! (EXPERIMENTS.md, "Downlink sweeps").
+//! copying its `dl_time` samples out. It runs in the allocator state the
+//! benchmark sets (`pin_allocator` in `benchmark/src/sys.rs`), where the
+//! readout's fresh `Vec`s reuse freed heap instead of faulting in new
+//! pages. Only the public API is used, so the same file runs unchanged on
+//! an older checkout for a before/after (EXPERIMENTS.md, "Downlink
+//! sweeps").
 //!
 //! ```text
 //! cargo run --release --example dl_sweeps          # 64x16, 2048/1200, 64-QAM, BG1 Z=104
@@ -57,7 +60,27 @@ fn primed(cell: &CellConfig) -> (InlineProcessor, Vec<bytes::Bytes>) {
     (proc, packets)
 }
 
+/// The benchmark's allocator state: glibc's mmap threshold fixed at
+/// 128 KB and trimming off, so freed blocks stay in the heap for the next
+/// frame's readout. Called before anything allocates.
+fn pin_allocator() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn mallopt(param: i32, value: i32) -> i32;
+        }
+        const M_TRIM_THRESHOLD: i32 = -1;
+        const M_MMAP_THRESHOLD: i32 = -3;
+        // SAFETY: glibc's tuning call, two integers, one thread.
+        unsafe {
+            mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+            mallopt(M_TRIM_THRESHOLD, i32::MAX);
+        }
+    }
+}
+
 fn main() {
+    pin_allocator();
     let small = std::env::args().nth(1).as_deref() == Some("small");
     let base = if small { CellConfig::tiny_test(1) } else { CellConfig::emulated_rru(64, 16, 1) };
     let mut cell = base.clone();

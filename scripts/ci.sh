@@ -10,9 +10,10 @@
 # deterministic simulator rows reproduce theirs byte for byte), the orphan
 # gate (every library `pub fn` has a caller), the knob gate (every
 # `EngineConfig` and `DeploymentConfig` field has a non-test setter or a
-# pending decision) and
+# pending decision),
 # the fence gate (streaming stores and their one fence live in
-# agora-math::simd only).
+# agora-math::simd only) and the tier gate (no `== SimdTier::Avx2`
+# dispatch outside simd.rs).
 # Fails fast.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -116,6 +117,19 @@ fences=$(grep -c '_mm_sfence' "$simd")
 if [ "$fences" -ne 1 ]; then
     echo "$simd: $fences _mm_sfence sites, want 1 — stream_fence() is the only fence,"
     echo "issued once per task by the caller, never per copy"
+    exit 1
+fi
+
+echo "== tier dispatch: a wider tier never falls to a narrower body =="
+# Tiers are ordered and a kernel with no body of its own for a tier runs
+# the widest one below it, so dispatch tests `>= SimdTier::Avx2` (or
+# names every tier it takes). `== SimdTier::Avx2` would send the AVX-512
+# tier to the scalar body without a word.
+tests=$(grep -rnE '[!=]= SimdTier::Avx2\b' --include='*.rs' crates tests examples benchmark/src src \
+    | grep -v '^crates/mimo-math/src/simd.rs:' || true)
+if [ -n "$tests" ]; then
+    echo "$tests"
+    echo "compare tiers with >= (SimdTier is ordered), not == / != SimdTier::Avx2"
     exit 1
 fi
 

@@ -46,10 +46,10 @@ echo "== agora-bench bins =="
 printf '  %d: %s\n' "$(rs crates/bench/src/bin | wc -l)" \
     "$(rs crates/bench/src/bin | xargs -n1 basename | sed 's/\.rs$//' | sort | tr '\n' ' ')"
 
-echo "== _scalar/_avx2/_with_tier functions outside tests =="
+echo "== _scalar/_avx2/_avx512/_with_tier functions outside tests =="
 tiers=0
 for f in $(rs crates | grep -v '/tests/'); do
-    n=$(nontest "$f" | grep -cE 'fn [a-z_0-9]+_(scalar|avx2|with_tier)\b' || true)
+    n=$(nontest "$f" | grep -cE 'fn [a-z_0-9]+_(scalar|avx2|avx512|with_tier)\b' || true)
     tiers=$((tiers + n))
 done
 printf '  %d\n' "$tiers"
