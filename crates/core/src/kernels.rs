@@ -152,16 +152,18 @@ impl Stores {
 /// copies.
 #[derive(Debug, Clone, Copy)]
 struct PlaneStores {
+    /// `freq` and `dl_freq`, both `symbols x Q x M` samples.
     freq: Stores,
-    dl_freq: Stores,
     dl_time: Stores,
 }
 
 impl PlaneStores {
     fn new(g: &BufferGeometry) -> Self {
         let bytes = |row_len: usize| g.symbols * row_len * core::mem::size_of::<Cf32>();
-        let freq = Stores::for_plane(bytes(g.q * g.m));
-        Self { freq, dl_freq: freq, dl_time: Stores::for_plane(bytes(g.m * g.samples)) }
+        Self {
+            freq: Stores::for_plane(bytes(g.q * g.m)),
+            dl_time: Stores::for_plane(bytes(g.m * g.samples)),
+        }
     }
 }
 
@@ -527,9 +529,9 @@ impl Kernels {
             self.pre_gemm.run(fb.pre.row(sc / g.zf_group), &s.user_block, &mut s.ant_block);
             // This task owns the whole block, every antenna.
             let out = fb.dl_freq.row_mut(symbol, g.block_cols(blk));
-            self.stores.dl_freq.copy(&s.ant_block, out, self.tier);
+            self.stores.freq.copy(&s.ant_block, out, self.tier);
         }
-        self.stores.dl_freq.fence();
+        self.stores.freq.fence();
     }
 
     /// IFFT task (downlink) for one antenna: [`Self::ifft_batch_task`]
@@ -1129,7 +1131,6 @@ mod tests {
         }
     }
 
-    /// The subcarrier layout `k` was built for.
     /// Cached and streamed stores leave the same bytes in `freq` (FFT
     /// task), `dl_freq` (precode task) and `dl_time` (IFFT task), on every
     /// tier; and the policy follows the plane size: an 8x2 frame's planes
@@ -1140,10 +1141,10 @@ mod tests {
         use agora_fronthaul::{RruConfig, RruEmulator};
         use agora_phy::frame::FrameSchedule;
 
-        let all = |s| PlaneStores { freq: s, dl_freq: s, dl_time: s };
-        let policy = |k: &Kernels| [k.stores.freq, k.stores.dl_freq, k.stores.dl_time];
+        let all = |s| PlaneStores { freq: s, dl_time: s };
+        let policy = |k: &Kernels| [k.stores.freq, k.stores.dl_time];
         let paper = Kernels::new(EngineConfig::new(CellConfig::emulated_rru(64, 16, 13), 1));
-        assert_eq!(policy(&paper), [Stores::Streamed; 3]);
+        assert_eq!(policy(&paper), [Stores::Streamed; 2]);
 
         let mut cell = CellConfig::tiny_test(2);
         cell.schedule = FrameSchedule::parse("PUD").unwrap();
@@ -1153,7 +1154,7 @@ mod tests {
         cfg.noise_power = rru.noise_power();
         let mut proc = InlineProcessor::new(cfg.clone());
         proc.process_frame(0, &packets);
-        assert_eq!(policy(proc.kernels()), [Stores::Cached; 3]);
+        assert_eq!(policy(proc.kernels()), [Stores::Cached; 2]);
         let fb = proc.buffers(0);
         let (uplink, downlink) = (1, 2);
         for tier in SimdTier::supported() {
@@ -1180,6 +1181,7 @@ mod tests {
         }
     }
 
+    /// The subcarrier layout `k` was built for.
     fn map_of(k: &Kernels) -> SubcarrierMap {
         SubcarrierMap::new(k.cfg.cell.fft_size, k.geom.q)
     }

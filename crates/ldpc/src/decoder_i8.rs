@@ -157,9 +157,67 @@ impl Plane for I8Plane {
     /// Confines priors to `[-I8_CHAN_MAX, I8_CHAN_MAX]`: keeps -128 out of
     /// the abs/negate domain and, critically, keeps every channel value
     /// weaker than a full-strength check message (see [`I8_CHAN_MAX`]).
+    /// The clamp is two saturating round trips, each saturating exactly
+    /// past one bound: baseline x86-64 (SSE2) has saturating byte adds,
+    /// not signed byte `min`/`max`.
     #[inline]
     fn prior(v: i8) -> i8 {
-        v.clamp(-I8_CHAN_MAX, I8_CHAN_MAX)
+        const UP: i8 = I8_LLR_MAX - I8_CHAN_MAX;
+        const DOWN: i8 = UP + 1;
+        v.saturating_add(UP).saturating_sub(UP).saturating_sub(DOWN).saturating_add(DOWN)
+    }
+
+    /// On x86-64: 16 lanes at a time from each column's start, clamped by
+    /// SSE2 saturating adds ([`Self::prior`]'s); the last chunk of a
+    /// column reads on into the next column's lanes and masks them to
+    /// the padding's zero. Columns whose last chunk would read past the
+    /// end of `llr` go lane by lane.
+    fn priors(g: &Lifted, llr: &[i8], post: &mut [i8]) {
+        let (z, stride) = (g.z(), g.stride());
+        let (chunks, cols) = (z.div_ceil(16), llr.len() / z);
+        assert!(
+            llr.len() == g.codeword_len() && post.len() == cols * stride && chunks * 16 <= stride
+        );
+        // Columns `c` with `c * z + chunks * 16 <= llr.len()`.
+        let fast = match cfg!(target_arch = "x86_64") {
+            true => ((llr.len() + z).saturating_sub(chunks * 16) / z).min(cols),
+            false => 0,
+        };
+        #[cfg(target_arch = "x86_64")]
+        {
+            use core::arch::x86_64::*;
+            let last = (chunks - 1) * 16;
+            let keep: [i8; 16] = core::array::from_fn(|l| -((last + l < z) as i8));
+            const UP: i8 = I8_LLR_MAX - I8_CHAN_MAX;
+            // SAFETY: SSE2 is part of the x86-64 baseline. Column `c <
+            // fast` reads `llr[c * z..c * z + chunks * 16]` and writes
+            // `post[c * stride..c * stride + chunks * 16]`, both in bounds
+            // by the definition of `fast` and the assertion.
+            unsafe {
+                let keep = _mm_loadu_si128(keep.as_ptr().cast());
+                let (up, down) = (_mm_set1_epi8(UP), _mm_set1_epi8(UP + 1));
+                for c in 0..fast {
+                    let (src, dst) = (llr.as_ptr().add(c * z), post.as_mut_ptr().add(c * stride));
+                    let clamped = |k: usize| {
+                        let v = _mm_loadu_si128(src.add(16 * k).cast());
+                        let v = _mm_subs_epi8(_mm_adds_epi8(v, up), up);
+                        _mm_adds_epi8(_mm_subs_epi8(v, down), down)
+                    };
+                    for k in 0..chunks - 1 {
+                        _mm_storeu_si128(dst.add(16 * k).cast(), clamped(k));
+                    }
+                    _mm_storeu_si128(
+                        dst.add(last).cast(),
+                        _mm_and_si128(clamped(chunks - 1), keep),
+                    );
+                }
+            }
+        }
+        for (p, l) in post.chunks_exact_mut(stride).zip(llr.chunks_exact(z)).skip(fast) {
+            for (p, &l) in p.iter_mut().zip(l) {
+                *p = Self::prior(l);
+            }
+        }
     }
 
     fn row_update(tier: SimdTier, t: &mut [i8], msgs: &mut [i8], stride: usize, offset: i8) {
@@ -205,30 +263,39 @@ impl Plane for I8Plane {
 
     /// For `Z <= 128`, on every tier: a column's hard decisions are the
     /// sign bits of its posterior block, one SSE2 `pmovmskb` per 16
-    /// lanes into a `u128` (padding lanes are zero, so their bits are
-    /// clear), and an entry's rotated slice is that word rotated right
-    /// by the shift within `Z` bits — no byte plane, no slice copies.
+    /// lanes into a `u128`, packed when a row first reads the column, and
+    /// an entry's rotated slice is that word rotated right by the shift
+    /// within `Z` bits — no byte plane, no slice copies.
     fn packed_syndrome(g: &Lifted, post: &[i8], rows: usize) -> Option<bool> {
         #[cfg(target_arch = "x86_64")]
         if g.stride() <= 128 {
             use core::arch::x86_64::{__m128i, _mm_loadu_si128, _mm_movemask_epi8};
-            // BG1's column count, the larger graph's.
-            let mut signs = [0u128; 68];
-            for (word, block) in signs.iter_mut().zip(post.chunks_exact(g.stride())) {
-                for (k, lanes) in block.chunks_exact(16).enumerate() {
-                    // SAFETY: SSE2 is part of the x86-64 baseline, and the
-                    // load reads the 16 bytes of `lanes`.
-                    let m = unsafe {
-                        _mm_movemask_epi8(_mm_loadu_si128(lanes.as_ptr().cast::<__m128i>()))
-                    };
-                    *word |= (m as u16 as u128) << (16 * k);
+            let (z, stride) = (g.z(), g.stride());
+            // BG1's column count, the larger graph's; bit `c` of `packed`
+            // is set once `signs[c]` holds column `c`.
+            let (mut signs, mut packed) = ([0u128; 68], 0u128);
+            let mut word = |c: usize| {
+                if packed >> c & 1 == 0 {
+                    let block = &post[c * stride..][..z.div_ceil(16) * 16];
+                    signs[c] = block.chunks_exact(16).rev().fold(0, |word, lanes| {
+                        // SAFETY: SSE2 is part of the x86-64 baseline, and
+                        // the load reads the 16 bytes of `lanes`.
+                        let m = unsafe {
+                            _mm_movemask_epi8(_mm_loadu_si128(lanes.as_ptr().cast::<__m128i>()))
+                        };
+                        word << 16 | m as u16 as u128
+                    });
+                    packed |= 1 << c;
                 }
-            }
-            let z = g.z() as u32;
+                signs[c]
+            };
+            let z = z as u32;
+            // Padding lanes are zero, so only the rotation brings in bits
+            // past `z`.
             let lanes = u128::MAX >> (128 - z);
             let ok = (0..rows).all(|r| {
                 let parity = g.row_edges(r).iter().fold(0, |parity, e| {
-                    let (word, shift) = (signs[e.col as usize], e.shift as u32);
+                    let (word, shift) = (word(e.col as usize), e.shift as u32);
                     parity ^ ((word >> shift) | word.wrapping_shl(z - shift))
                 });
                 parity & lanes == 0
@@ -678,6 +745,35 @@ mod tests {
         quantize_llrs(&src, &mut dst, 1.0);
         assert_eq!(dst, quantize_reference(&src, 1.0));
         assert_eq!(dst[src.len() - 4..], [3, -3, 4, -4], "ties round away from zero");
+    }
+
+    /// The saturating prior is `clamp` on every byte.
+    #[test]
+    fn prior_clamps_every_value() {
+        for v in i8::MIN..=i8::MAX {
+            assert_eq!(I8Plane::prior(v), v.clamp(-I8_CHAN_MAX, I8_CHAN_MAX), "{v}");
+        }
+    }
+
+    /// The vector priors put each column's clamped LLRs at the start of
+    /// its block and leave the padding zero, for lifting sizes below,
+    /// at and past one and two 16-lane chunks and at a stride's end.
+    #[test]
+    fn priors_fill_the_blocks() {
+        for bg in [BaseGraphId::Bg1, BaseGraphId::Bg2] {
+            for z in [2, 7, 12, 15, 16, 17, 32, 33, 104, 128, 200, 384] {
+                let g = Lifted::new(bg, z, I8Plane::LANES, SimdTier::Scalar);
+                let llr: Vec<i8> =
+                    (0..g.codeword_len()).map(|i| (i * 89 % 256) as u8 as i8).collect();
+                let mut post = vec![0i8; g.post_len()];
+                I8Plane::priors(&g, &llr, &mut post);
+                for (c, block) in post.chunks_exact(g.stride()).enumerate() {
+                    let want = llr[c * z..(c + 1) * z].iter().map(|&v| I8Plane::prior(v));
+                    assert!(block[..z].iter().copied().eq(want), "{bg:?} z={z} column {c}");
+                    assert!(block[z..].iter().all(|&p| p == 0), "{bg:?} z={z} padding of {c}");
+                }
+            }
+        }
     }
 
     /// `round` then clamp: the oracle [`quantize_llrs`] is held to.

@@ -68,6 +68,12 @@ pub(crate) trait Plane {
         false
     }
 
+    /// The priors of `llr` (`[col][Z]`) into the `[col][stride]`
+    /// posteriors `post`, padding lanes zero.
+    fn priors(g: &Lifted, llr: &[Self::Llr], post: &mut [Self::Llr]) {
+        map_lanes(llr, g.z, post, g.stride, g.z, Self::prior);
+    }
+
     /// [`syndrome_ok`] on packed sign bits, when the plane has such a
     /// body for `g`'s lifting size: `None`, having touched nothing, when
     /// it has none.
@@ -205,11 +211,7 @@ pub(crate) fn decode_layered<P: Plane>(
     assert_eq!(llr.len(), g.codeword_len(), "LLR length mismatch");
     assert_eq!(out.len(), g.info_len(), "information-bit length mismatch");
     let rows = g.active_rows(sched.active_rows);
-    for (col, l) in st.post.chunks_exact_mut(g.stride).zip(llr.chunks_exact(g.z)) {
-        for (p, &l) in col.iter_mut().zip(l) {
-            *p = P::prior(l);
-        }
-    }
+    P::priors(g, llr, st.post);
     // Rows past the active ones are never read.
     let active_entries = (0..rows).last().map_or(0, |r| g.row(r).end);
     st.msgs[..active_entries * g.stride].fill(P::Llr::default());
@@ -232,11 +234,7 @@ pub(crate) fn decode_layered<P: Plane>(
     }
     let success = checked.unwrap_or_else(|| syndrome_ok::<P>(g, st.post, st.hard, rows));
     // The information bits are the first columns' hard decisions.
-    for (o, p) in out.chunks_exact_mut(g.z).zip(st.post.chunks_exact(g.stride)) {
-        for (o, &p) in o.iter_mut().zip(p) {
-            *o = P::is_neg(p) as u8;
-        }
-    }
+    map_lanes(st.post, g.stride, out, g.z, g.z, |p| P::is_neg(p) as u8);
     (success, iterations)
 }
 
@@ -251,11 +249,10 @@ fn layered_row<P: Plane>(g: &Lifted, st: &mut State<'_, P::Llr>, r: usize, offse
         return;
     }
     for (e, tk) in edges.iter().zip(st.t.chunks_exact_mut(stride)) {
-        // tk[i] = post[col + (i + shift) % z], the padding lanes zero.
+        // tk[i] = post[col + (i + shift) % z].
         let (col, shift) = (e.col as usize * stride, e.shift as usize);
         tk[..z - shift].copy_from_slice(&st.post[col + shift..col + z]);
         tk[z - shift..z].copy_from_slice(&st.post[col..col + shift]);
-        tk[z..].fill(P::Llr::default());
     }
     P::row_update(g.tier, &mut st.t[..edges.len() * stride], msgs, stride, offset);
     for (e, tk) in edges.iter().zip(st.t.chunks_exact(stride)) {
@@ -282,11 +279,7 @@ pub(crate) fn syndrome_ok<P: Plane>(
     }
     let z = g.z;
     let (hard, parity) = hard.split_at_mut(g.codeword_len());
-    for (h, p) in hard.chunks_exact_mut(z).zip(post.chunks_exact(g.stride)) {
-        for (h, &p) in h.iter_mut().zip(p) {
-            *h = P::is_neg(p) as u8;
-        }
-    }
+    map_lanes(post, g.stride, hard, z, z, |p| P::is_neg(p) as u8);
     for r in 0..rows {
         parity.fill(0);
         for e in g.row_edges(r) {
@@ -299,6 +292,52 @@ pub(crate) fn syndrome_ok<P: Plane>(
         }
     }
     true
+}
+
+/// `dst[c * dst_stride + i] = f(src[c * src_stride + i])` for every lane
+/// `i < z` of every column both hold: between a `[col][Z]` array and a
+/// `[col][stride]` plane, either way. Moves `W` lanes at a time, the
+/// widest of 16, 8 and 1 that fits in `z`, a column's last chunk ending
+/// at `z` and overlapping the one before it, so the copy vectorises at
+/// any `Z` and touches no lane past `z`.
+fn map_lanes<T: Copy, U: Copy>(
+    src: &[T],
+    src_stride: usize,
+    dst: &mut [U],
+    dst_stride: usize,
+    z: usize,
+    f: impl Fn(T) -> U,
+) {
+    fn by<T: Copy, U: Copy, const W: usize>(
+        src: &[T],
+        src_stride: usize,
+        dst: &mut [U],
+        dst_stride: usize,
+        z: usize,
+        f: impl Fn(T) -> U,
+    ) {
+        for (s, d) in src.chunks_exact(src_stride).zip(dst.chunks_exact_mut(dst_stride)) {
+            let (s, d) = (&s[..z], &mut d[..z]);
+            for (s, d) in s.chunks_exact(W).zip(d.chunks_exact_mut(W)) {
+                let (s, d): (&[T; W], &mut [U; W]) = (s.try_into().unwrap(), d.try_into().unwrap());
+                for l in 0..W {
+                    d[l] = f(s[l]);
+                }
+            }
+            if !z.is_multiple_of(W) {
+                let s: &[T; W] = s[z - W..].try_into().unwrap();
+                let d: &mut [U; W] = (&mut d[z - W..]).try_into().unwrap();
+                for l in 0..W {
+                    d[l] = f(s[l]);
+                }
+            }
+        }
+    }
+    match z {
+        16.. => by::<T, U, 16>(src, src_stride, dst, dst_stride, z, f),
+        8.. => by::<T, U, 8>(src, src_stride, dst, dst_stride, z, f),
+        _ => by::<T, U, 1>(src, src_stride, dst, dst_stride, z, f),
+    }
 }
 
 fn xor_into(acc: &mut [u8], src: &[u8]) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Parent against change on the repo benchmark, in alternating pairs:
 #
-#   scripts/ab.sh <parent-rev> [--pairs N] [--trace K] [--pr P] [workload…]
+#   scripts/ab.sh <parent-rev> <pr> [--pairs N] [--trace K] [workload…]
 #
 # Exports <parent-rev> with git archive (the repository itself is left
 # alone) and builds the benchmark there and here once each, into their
@@ -14,21 +14,21 @@
 # Writes results/logs/pr<P>_benchmark_runs.txt (every run, in order),
 # results/logs/pr<P>_sweeps.txt and BENCH_<P>.json (agora_bench::runs:
 # per workload and metric both medians, the parent's quartiles, pairs
-# won and a verdict; per-layer metrics against a bound of 0.25). P
-# defaults to one more than the last `- PR <n>` entry of CHANGES.md.
+# won and a verdict; per-layer metrics against a bound of 0.25), where
+# P is <pr>, the number of the change being measured.
 # About 35 s per run; do not build or test on the machine meanwhile.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-parent=${1:?usage: scripts/ab.sh <parent-rev> [--pairs N] [--trace K] [--pr P] [workload…]}
-shift
+usage="usage: scripts/ab.sh <parent-rev> <pr> [--pairs N] [--trace K] [workload…]"
+parent=${1:?$usage}
+pr=${2:?$usage}
+shift 2
 pairs=10 traces=0 workloads=()
-pr=$(($(grep -oE '^- PR [0-9]+' CHANGES.md | awk '{ print $3 }' | sort -n | tail -1) + 1))
 while [ $# -gt 0 ]; do
     case "$1" in
     --pairs) pairs=$2 && shift 2 ;;
     --trace) traces=$2 && shift 2 ;;
-    --pr) pr=$2 && shift 2 ;;
     *) workloads+=("$1") && shift ;;
     esac
 done
