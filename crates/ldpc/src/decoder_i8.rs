@@ -464,7 +464,7 @@ mod zmm {
 /// entry's slice is byte `(i + shift) % z` of the block, one `vpermb`
 /// (`N = 1`) or `vpermi2b` (`N = 2`) with an index vector built from the
 /// shift; padding lanes read the block's own zero padding, as the
-/// gather's zero fill gives them. Pass 1 reads blocks and messages and
+/// gather leaves the row scratch's. Pass 1 reads blocks and messages and
 /// keeps the lane state in registers — the two minima and the position
 /// of the smallest in vectors, the sign parity in a mask register; pass 2
 /// recomputes each extrinsic the same way (neither was written since),

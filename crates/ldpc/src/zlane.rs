@@ -16,12 +16,13 @@
 //! **Padding rule.** Posteriors, row scratch and message store are
 //! strided to the plane's vector width ([`Plane::LANES`]): column `c`
 //! owns `post[c * stride..(c + 1) * stride]` and entry `e` owns
-//! `[e * stride, (e + 1) * stride)`, with `stride = Z` rounded up. A
-//! posterior's lanes `Z..stride` stay zero; the gather fills the row
-//! scratch's with zeros, and nothing scatters them back. The lane
-//! kernels process them like any other lane, so no kernel has a tail
-//! loop, and what the message store holds there is a function of the
-//! zeroed start state only — identical on every SIMD tier.
+//! `[e * stride, (e + 1) * stride)`, with `stride = Z` rounded up. The
+//! lanes `Z..stride` of all three start zero and stay zero: the priors
+//! and the gather write lanes below `Z` only, nothing scatters the rest
+//! back, and the lane kernels, which process them like any other lane
+//! (so no kernel has a tail loop), turn a lane of zero extrinsics and
+//! zero messages into zero messages and zero posteriors for any offset
+//! `>= 0`. The same holds on every SIMD tier.
 
 use crate::base_graph::{BaseGraph, BaseGraphId};
 use agora_math::simd::SimdTier;

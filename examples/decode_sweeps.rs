@@ -12,7 +12,8 @@
 //! before/after; a tier the CPU lacks is skipped.
 //!
 //! ```text
-//! cargo run --release --example decode_sweeps
+//! cargo run --release --example decode_sweeps         # both cells
+//! cargo run --release --example decode_sweeps small   # 8x2 only, well under a second
 //! ```
 
 use agora_core::{EngineConfig, InlineProcessor};
@@ -73,8 +74,10 @@ fn us_per_block(dec: &mut DecoderI8, blocks: &[Vec<i8>], cfg: &DecodeConfigI8) -
 }
 
 fn main() {
-    let cells =
-        [("8x2", CellConfig::tiny_test(13)), ("64x16", CellConfig::emulated_rru(64, 16, 13))];
+    let small = std::env::args().nth(1).as_deref() == Some("small");
+    let mut cells =
+        vec![("8x2", CellConfig::tiny_test(13)), ("64x16", CellConfig::emulated_rru(64, 16, 13))];
+    cells.truncate(if small { 1 } else { 2 });
     for (what, cell) in cells {
         let (blocks, cfg) = frame_blocks(&cell);
         let (bg, z) = (cell.ldpc.base_graph, cell.ldpc.z);
