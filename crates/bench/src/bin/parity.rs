@@ -13,8 +13,8 @@
 //! |---|---|
 //! | `decoder` | f32 and i8 LDPC decoders each bit-exact across SIMD tiers; both planes land on the transmitted bits |
 //! | `fft` | tier agreement; batched ≡ single transforms bit for bit; pre-reversed entry ≡ `execute` |
-//! | `gemm` | `gemm`/`gemv`/`gram` and planned kernels bit-identical across tiers on every dispatch shape class |
-//! | `zf` | Cholesky detector ≈ Gauss-Jordan, bit-identical across tiers; near-singular Gram rejected |
+//! | `gemm` | `gemm` (GEMV at `n = 1`), the ZF Gram kernel and planned kernels bit-identical across tiers on every dispatch shape class |
+//! | `zf` | Cholesky detector ≈ Jacobi-SVD pseudo-inverse, bit-identical across tiers; near-singular Gram rejected |
 //! | `demod` | `Kernels` pinned to each narrower tier ≡ detected tier on the `csi`, `freq` (pilot and uplink FFTs), `inv_noise`, `llr`, `decoded`, `decode_ok` and `dl_freq` planes, 8×2 and 64×16 |
 //! | `bler` | through the real uplink chain at 0–30 dB, AWGN and 4-tap Rayleigh, 8×2 and 64×16: the engine's i8 plane decodes at least the blocks an f32 decoder does |
 //! | `fronthaul` | batch ≡ single delivery on mem and UDP links; aggregation split and pool recycling |
@@ -34,8 +34,9 @@ use agora_ldpc::{
     quantize_llrs, BaseGraphId, DecodeConfig, DecodeConfigI8, Decoder, DecoderI8, Encoder,
     RateMatch, DEFAULT_LLR_SCALE,
 };
+use agora_math::simd::conj_transpose_scalar;
 use agora_math::{
-    pinv_into, CMat, Cf32, CholScratch, Cholesky, Gemm, PinvMethod, PinvScratch, SimdTier,
+    pinv_into, pinv_svd, CMat, Cf32, CholScratch, Cholesky, Gemm, PinvMethod, PinvScratch, SimdTier,
 };
 use agora_phy::demod::Demapper;
 use agora_phy::frame::FrameSchedule;
@@ -352,7 +353,8 @@ fn gemm() {
             &format!("plan ({m},{k},{n}) kernel {:?} == scalar free function", plan.kernel()),
         );
     }
-    // GEMV over shapes hitting the packed-panel TK tiling and tails.
+    // GEMV (a column-vector GEMM) over shapes hitting the packed-panel TK
+    // tiling and tails.
     for (m, k) in
         [(16usize, 64usize), (64, 16), (4, 4), (5, 67), (1, 1), (3, 129), (31, 70), (8, 256)]
     {
@@ -360,17 +362,19 @@ fn gemm() {
         let x = filled((k * 13 + m) as u64, k);
         let mut y_scal = vec![Cf32::ZERO; m];
         let mut y_simd = vec![Cf32::ZERO; m];
-        agora_math::gemv_with_tier(m, k, &a, &x, &mut y_scal, SimdTier::Scalar);
-        agora_math::gemv_with_tier(m, k, &a, &x, &mut y_simd, tier);
+        agora_math::gemm_with_tier(m, k, 1, &a, &x, &mut y_scal, SimdTier::Scalar);
+        agora_math::gemm_with_tier(m, k, 1, &a, &x, &mut y_simd, tier);
         check(bits(&y_scal) == bits(&y_simd), &format!("gemv ({m},{k}): tiers bit-identical"));
     }
-    // Gram (A^H A) over ZF shapes plus tails.
+    // The ZF Gram kernel (A^H A from A^H and A) over ZF shapes plus tails.
     for (rows, cols) in [(64usize, 16usize), (32, 8), (16, 4), (7, 5), (64, 15), (9, 9), (1, 3)] {
         let a = filled((rows * 53 + cols) as u64, rows * cols);
+        let mut ah = vec![Cf32::ZERO; cols * rows];
+        conj_transpose_scalar(&a, rows, cols, &mut ah);
         let mut g_scal = vec![Cf32::ZERO; cols * cols];
         let mut g_simd = vec![Cf32::ZERO; cols * cols];
-        agora_math::gram_with_tier(rows, cols, &a, &mut g_scal, SimdTier::Scalar);
-        agora_math::gram_with_tier(rows, cols, &a, &mut g_simd, tier);
+        agora_math::gram_accumulate_with_tier(rows, cols, &ah, &a, &mut g_scal, SimdTier::Scalar);
+        agora_math::gram_accumulate_with_tier(rows, cols, &ah, &a, &mut g_simd, tier);
         check(
             bits(&g_scal) == bits(&g_simd),
             &format!("gram ({rows},{cols}): tiers bit-identical"),
@@ -394,16 +398,14 @@ fn zf() {
     let tier = SimdTier::detect();
     for (m, k) in [(64usize, 16usize), (32, 8), (16, 4), (64, 15), (24, 7), (8, 1)] {
         let h = channel(m, k, (m * 131 + k) as u64);
-        let mut gj = CMat::zeros(k, m);
         let mut ch = CMat::zeros(k, m);
         let mut ch_scalar = CMat::zeros(k, m);
         let mut s = PinvScratch::with_tier(m, k, tier);
-        pinv_into(&h, PinvMethod::Direct, &mut s, &mut gj);
         pinv_into(&h, PinvMethod::Cholesky, &mut s, &mut ch);
         let mut s_scalar = PinvScratch::with_tier(m, k, SimdTier::Scalar);
         pinv_into(&h, PinvMethod::Cholesky, &mut s_scalar, &mut ch_scalar);
-        let diff = ch.max_abs_diff(&gj);
-        check(diff <= 1e-3, &format!("detector ({m},{k}): Cholesky vs Gauss-Jordan {diff:.3e}"));
+        let diff = ch.max_abs_diff(&pinv_svd(&h, 1e-5));
+        check(diff <= 1e-3, &format!("detector ({m},{k}): Cholesky vs Jacobi SVD {diff:.3e}"));
         check(
             bits(ch.as_slice()) == bits(ch_scalar.as_slice()),
             &format!("detector ({m},{k}): Cholesky tiers bit-identical"),
@@ -427,7 +429,9 @@ fn zf() {
     // (the f32-aware singularity guard), not silently inverted.
     let bad = near_singular(channel(64, 16, 4242));
     let gram = bad.hermitian().matmul(&bad);
-    check(Cholesky::factor(&gram).is_err(), "guard: near-duplicate user channel rejected");
+    let rejected =
+        Cholesky::factor_into(&gram, &mut CMat::zeros(16, 16), &mut CholScratch::new(16), tier);
+    check(rejected.is_err(), "guard: near-duplicate user channel rejected");
 }
 
 // ------------------------------------------------------------------ demod

@@ -19,8 +19,9 @@ pub struct Run<'a> {
     pub side: &'a str,
     pub workload: &'a str,
     pub seed: u64,
-    /// `attempted`, `failed`, then every metric, in the line's order;
-    /// words that are not numbers (`correct true`) are left out.
+    /// The run's `correct` word: the benchmark's check of its outputs.
+    pub correct: bool,
+    /// `attempted`, `failed`, then every metric, in the line's order.
     pub values: Vec<(&'a str, f64)>,
 }
 
@@ -41,11 +42,18 @@ pub fn parse(log: &str) -> Vec<Run<'_>> {
             let head: Vec<&str> = head.split_whitespace().collect();
             let [side, workload, "seed", seed] = head[..] else { bad() };
             let words: Vec<&str> = pairs.split_whitespace().collect();
+            let correct = match words.chunks_exact(2).find(|pair| pair[0] == "correct") {
+                Some([_, "true"]) => true,
+                Some([_, "false"]) => false,
+                _ => bad(),
+            };
             let values = words
                 .chunks_exact(2)
-                .filter_map(|pair| Some((pair[0], pair[1].parse().ok()?)))
+                .filter(|pair| pair[0] != "correct")
+                .map(|pair| (pair[0], pair[1].parse().unwrap_or_else(|_| bad())))
                 .collect();
-            Run { side, workload, seed: seed.parse().unwrap_or_else(|_| bad()), values }
+            let seed = seed.parse().unwrap_or_else(|_| bad());
+            Run { side, workload, seed, correct, values }
         })
         .collect()
 }
@@ -100,6 +108,11 @@ pub struct Row<'a> {
 /// - `unresolved`: neither, and the parent's own spread (interquartile
 ///   distance over median) exceeds the bound;
 /// - `flat`: none of these.
+///
+/// Each workload's rows end with [`FAILED_SHARE`]: per side Σ`failed` /
+/// Σ`attempted` over the same pairs (in both median columns and the
+/// parent's quartiles), `worse` when the change's share is higher or any
+/// of its runs read `correct false`, `flat` otherwise.
 pub fn compare<'a>(runs: &[Run<'a>], metrics: &[Metric<'a>]) -> Vec<Row<'a>> {
     // Each parent run with the change's run of the same workload and seed.
     let pairs: Vec<(&Run, &Run)> = runs
@@ -118,42 +131,79 @@ pub fn compare<'a>(runs: &[Run<'a>], metrics: &[Metric<'a>]) -> Vec<Row<'a>> {
         }
     }
     let mut rows = Vec::new();
-    for (workload, m) in workloads.iter().flat_map(|w| metrics.iter().map(move |m| (*w, m))) {
-        let values: Vec<(f64, f64)> = pairs
-            .iter()
-            .filter(|(p, _)| p.workload == workload)
-            .filter_map(|(p, c)| Some((p.get(m.name)?, c.get(m.name)?)))
-            .collect();
-        if values.is_empty() {
-            continue;
+    for workload in workloads {
+        let pairs: Vec<(&Run, &Run)> =
+            pairs.iter().filter(|(p, _)| p.workload == workload).copied().collect();
+        for m in metrics {
+            let values: Vec<(f64, f64)> =
+                pairs.iter().filter_map(|(p, c)| Some((p.get(m.name)?, c.get(m.name)?))).collect();
+            if values.is_empty() {
+                continue;
+            }
+            let sign = if m.higher_is_better { 1.0 } else { -1.0 };
+            let [pm, q1, q3] = quartiles(&values.iter().map(|v| v.0).collect::<Vec<_>>());
+            let cm = quartiles(&values.iter().map(|v| v.1).collect::<Vec<_>>())[0];
+            let won = values.iter().filter(|(p, c)| sign * (c - p) > 0.0).count();
+            let gain = sign * (cm - pm);
+            let verdict = if 10 * won >= 9 * values.len() && gain > q3 - q1 {
+                "better"
+            } else if -gain > m.bound * pm.abs() {
+                "worse"
+            } else if q3 - q1 > m.bound * pm.abs() {
+                "unresolved"
+            } else {
+                "flat"
+            };
+            rows.push(Row {
+                workload,
+                metric: m.name,
+                parent_median: pm,
+                change_median: cm,
+                parent_q1: q1,
+                parent_q3: q3,
+                pairs: values.len(),
+                won,
+                verdict,
+            });
         }
-        let sign = if m.higher_is_better { 1.0 } else { -1.0 };
-        let [pm, q1, q3] = quartiles(&values.iter().map(|v| v.0).collect::<Vec<_>>());
-        let cm = quartiles(&values.iter().map(|v| v.1).collect::<Vec<_>>())[0];
-        let won = values.iter().filter(|(p, c)| sign * (c - p) > 0.0).count();
-        let gain = sign * (cm - pm);
-        let verdict = if 10 * won >= 9 * values.len() && gain > q3 - q1 {
-            "better"
-        } else if -gain > m.bound * pm.abs() {
-            "worse"
-        } else if q3 - q1 > m.bound * pm.abs() {
-            "unresolved"
-        } else {
-            "flat"
-        };
-        rows.push(Row {
-            workload,
-            metric: m.name,
-            parent_median: pm,
-            change_median: cm,
-            parent_q1: q1,
-            parent_q3: q3,
-            pairs: values.len(),
-            won,
-            verdict,
-        });
+        rows.push(failed_share(workload, &pairs));
     }
     rows
+}
+
+/// The metric name of the per-workload failure row.
+pub const FAILED_SHARE: &str = "failed_share";
+
+/// Σ`failed` / Σ`attempted` over `runs`; zero when none attempted any.
+fn share_failed<'r, 'a: 'r>(runs: impl IntoIterator<Item = &'r Run<'a>>) -> f64 {
+    let (failed, attempted) = runs.into_iter().fold((0.0, 0.0), |(f, a), r| {
+        (f + r.get("failed").unwrap_or(0.0), a + r.get("attempted").unwrap_or(0.0))
+    });
+    if attempted > 0.0 {
+        failed / attempted
+    } else {
+        0.0
+    }
+}
+
+/// The [`FAILED_SHARE`] row of one workload's pairs; `won` counts the
+/// pairs whose change run failed a smaller share than its parent run.
+fn failed_share<'a>(workload: &'a str, pairs: &[(&Run<'a>, &Run<'a>)]) -> Row<'a> {
+    let parent = share_failed(pairs.iter().map(|&(p, _)| p));
+    let change = share_failed(pairs.iter().map(|&(_, c)| c));
+    let won = pairs.iter().filter(|&&(p, c)| share_failed([c]) < share_failed([p])).count();
+    let incorrect = pairs.iter().any(|(_, c)| !c.correct);
+    Row {
+        workload,
+        metric: FAILED_SHARE,
+        parent_median: parent,
+        change_median: change,
+        parent_q1: parent,
+        parent_q3: parent,
+        pairs: pairs.len(),
+        won,
+        verdict: if change > parent || incorrect { "worse" } else { "flat" },
+    }
 }
 
 /// The rows as a JSON array, one object per line.
@@ -203,7 +253,13 @@ mod tests {
             ("inline_frame_ms", false, 0.25),
         ]
         .map(|(name, higher_is_better, bound)| Metric { name, higher_is_better, bound });
-        let rows = compare(&runs, &e2e);
+        let (shares, rows): (Vec<Row>, Vec<Row>) =
+            compare(&runs, &e2e).into_iter().partition(|r| r.metric == FAILED_SHARE);
+        // No run of that log failed a frame or read `correct false`.
+        assert_eq!(shares.len(), 4);
+        assert!(shares
+            .iter()
+            .all(|r| (r.parent_median, r.change_median, r.verdict) == (0.0, 0.0, "flat")));
         // Within half a unit of the fourth significant digit printed.
         let prints = |x: f64, printed: &str| {
             let p: f64 = printed.trim_matches(|c| "[],".contains(c)).parse().unwrap();
@@ -228,5 +284,39 @@ mod tests {
             assert_eq!(r.verdict, verdict, "{what}");
         }
         assert!(to_json(&rows).contains(r#"{"workload": "ul_8x2", "metric": "setup_s""#));
+    }
+
+    /// Two pairs of one workload: the failure row follows the metric
+    /// rows, and a change that fails a larger share of frames, or reads
+    /// `correct false` on any run, is `worse` whatever its metrics say.
+    #[test]
+    fn failures_make_the_change_worse() {
+        let log = |change: [&str; 2]| {
+            format!(
+                "# two pairs\n\
+                 parent w seed 1: attempted 10 failed 1 correct true  frames_per_s 10\n\
+                 change w seed 1: {}  frames_per_s 20\n\
+                 change w seed 2: {}  frames_per_s 20\n\
+                 parent w seed 2: attempted 10 failed 0 correct true  frames_per_s 10\n",
+                change[0], change[1]
+            )
+        };
+        let fps = [Metric { name: "frames_per_s", higher_is_better: true, bound: 0.25 }];
+        let verdicts = |change| {
+            let log = log(change);
+            let rows = compare(&parse(&log), &fps);
+            assert_eq!(
+                rows.iter().map(|r| r.metric).collect::<Vec<_>>(),
+                ["frames_per_s", FAILED_SHARE]
+            );
+            let r = &rows[1];
+            ((r.parent_median, r.change_median, r.pairs, r.won), rows[0].verdict, r.verdict)
+        };
+        let ok = "attempted 10 failed 0 correct true";
+        assert_eq!(verdicts([ok, ok]), ((0.05, 0.0, 2, 1), "better", "flat"));
+        let failing = "attempted 10 failed 2 correct true";
+        assert_eq!(verdicts([failing, ok]), ((0.05, 0.1, 2, 0), "better", "worse"));
+        let wrong = "attempted 10 failed 0 correct false";
+        assert_eq!(verdicts([ok, wrong]), ((0.05, 0.0, 2, 1), "better", "worse"));
     }
 }

@@ -1417,6 +1417,33 @@ mod tests {
         assert_eq!(checked, 96 - 6, "all but 16 users on 300 subcarriers, frequency-orthogonal");
     }
 
+    /// Two users on the same channel make the Gram matrix singular, so
+    /// the Cholesky factor fails and the ZF task falls back to the SVD
+    /// pseudo-inverse: it publishes exactly `pinv_svd(h, 1e-5)` as the
+    /// detector, and a finite precoder and noise scales.
+    #[test]
+    fn zf_of_coinciding_users_publishes_the_svd_detector() {
+        use agora_math::{pinv_svd, CholScratch, Cholesky, SimdTier};
+        let (k, w) = primed(CellConfig::tiny_test(1), "PUD", |_| {});
+        let (g, mut s, fb) = (k.geom, k.scratch(), w.slot(0));
+        let h = CMat::from_fn(g.m, g.k, |a, _| Cf32::new(0.3 + a as f32, 0.7 - a as f32));
+        for a in 0..g.m {
+            for u in 0..g.k {
+                fb.csi.store(0, a * g.k + u, h[(a, u)]);
+            }
+        }
+        let gram = h.hermitian().matmul(&h);
+        let mut l = CMat::zeros(g.k, g.k);
+        let pd = Cholesky::factor_into(&gram, &mut l, &mut CholScratch::new(g.k), SimdTier::Scalar);
+        assert!(pd.is_err(), "coinciding users must fail the factor");
+
+        k.zf_task(fb, &mut s, 0);
+        let det = pinv_svd(&h, 1e-5);
+        assert!(bits(fb.det.row(0)) == bits(det.as_slice()), "det is not the SVD fallback");
+        assert!(fb.pre.row(0).iter().all(|z| z.is_finite()), "pre");
+        assert!(fb.inv_noise.row(0).iter().all(|v| v.is_finite()), "inv_noise");
+    }
+
     const MARKER: Cf32 = Cf32::new(7.0, -7.0);
 
     /// Sets every plane of `fb` to a marker.

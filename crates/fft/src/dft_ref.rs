@@ -5,7 +5,7 @@ use agora_math::Cf32;
 
 /// Direct evaluation of the DFT definition:
 /// `X[k] = sum_n x[n] e^{-2 pi i k n / N}`.
-pub fn dft(input: &[Cf32]) -> Vec<Cf32> {
+pub(crate) fn dft(input: &[Cf32]) -> Vec<Cf32> {
     let n = input.len();
     let mut out = vec![Cf32::ZERO; n];
     for (k, o) in out.iter_mut().enumerate() {
@@ -22,7 +22,7 @@ pub fn dft(input: &[Cf32]) -> Vec<Cf32> {
 
 /// Direct inverse DFT with `1/N` normalisation:
 /// `x[n] = (1/N) sum_k X[k] e^{+2 pi i k n / N}`.
-pub fn idft(input: &[Cf32]) -> Vec<Cf32> {
+pub(crate) fn idft(input: &[Cf32]) -> Vec<Cf32> {
     let n = input.len();
     let mut out = vec![Cf32::ZERO; n];
     let inv_n = 1.0 / n as f32;

@@ -2,32 +2,24 @@
 //!
 //! The zero-forcing Gram matrix `G = H^H H` is Hermitian positive definite
 //! whenever `H` has full column rank, so the ZF detector `W = G^{-1} H^H`
-//! can be computed with a Cholesky factorisation at roughly half the flops
-//! of Gauss-Jordan — and, unlike an epsilon-guarded elimination, the sign
-//! of the Cholesky pivot is an *intrinsically correct* positive-definite
-//! test: a rank-deficient or numerically near-singular Gram matrix fails
-//! the factorisation instead of silently producing a garbage inverse.
+//! is a Cholesky factorisation and two triangular sweeps against `H^H` —
+//! and, unlike an epsilon-guarded elimination, the sign of the Cholesky
+//! pivot is an *intrinsically correct* positive-definite test: a
+//! rank-deficient or numerically near-singular Gram matrix fails the
+//! factorisation instead of silently producing a garbage inverse.
 //!
-//! Two API layers:
-//!
-//! * the allocating [`Cholesky`] value type (`factor`/`solve`/`inverse`),
-//!   convenient for tests and cold paths;
-//! * the allocation-free associated kernels
-//!   [`Cholesky::factor_into`] / [`Cholesky::solve_into`] /
-//!   [`Cholesky::inverse_into`], which work entirely in caller-owned
-//!   [`CholScratch`] storage and dispatch their panel updates through the
-//!   tier-selected GEMM kernels (bit-identical across SIMD tiers).
-//!
-//! Both the factorisation and the triangular solves are right-looking
-//! *column sweeps* over the AVX2 [`caxpy`](crate::gemm::caxpy_with_tier) primitive:
-//! every trailing-matrix update and every solve elimination is one
-//! contiguous `y += alpha * x` on a row segment, so the kernels vectorise
-//! without any packing, per-call GEMM dispatch, or panel staging — at ZF
-//! sizes (`K <= 64`) the sweep form beats the blocked-GEMM form by ~2x
-//! because the panels are too small to amortise packing.
+//! Both kernels ([`Cholesky::factor_into`], [`Cholesky::solve_in_place`])
+//! work in caller-owned storage ([`CholScratch`]) and are right-looking
+//! *column sweeps* over the AVX2 [`caxpy`](crate::gemm::caxpy_with_tier)
+//! primitive: every trailing-matrix update and every solve elimination is
+//! one contiguous `y += alpha * x` on a row segment, so the kernels
+//! vectorise without any packing, per-call GEMM dispatch, or panel
+//! staging — at ZF sizes (`K <= 64`) the sweep form beats the
+//! blocked-GEMM form by ~2x because the panels are too small to amortise
+//! packing. Both are bit-identical across SIMD tiers.
 
 use crate::complex::Cf32;
-use crate::gemm::{caxpy_with_tier, gemm_with_tier, gram_with_tier};
+use crate::gemm::caxpy_with_tier;
 use crate::matrix::CMat;
 use crate::simd::SimdTier;
 
@@ -52,65 +44,46 @@ impl std::error::Error for NotPositiveDefinite {}
 
 /// Relative pivot threshold for an `n x n` factorisation whose diagonal
 /// scale is `scale`: pivots at or below `n * eps_f32 * scale` are treated
-/// as not positive definite. The old guard here (and the `1e-12` one in
-/// [`crate::inverse`]) was *below f32 resolution* (eps ~ 1.2e-7), so it
-/// could only ever fire on exactly-zero pivots while near-singular
-/// matrices sailed through and produced garbage.
+/// as not positive definite. An absolute `1e-12` guard would sit *below
+/// f32 resolution* (eps ~ 1.2e-7): it could only ever fire on exactly-zero
+/// pivots while near-singular matrices sailed through and produced
+/// garbage.
 #[inline]
-pub fn pivot_threshold(n: usize, scale: f32) -> f32 {
+fn pivot_threshold(n: usize, scale: f32) -> f32 {
     (n as f32) * f32::EPSILON * scale
 }
 
-/// Reusable scratch for the allocation-free Cholesky kernels, sized for
-/// `n x n` factorisations. The multi-RHS solve is scratch-free (it sweeps
-/// in place); the factorisation needs one conjugated-column buffer and
-/// the inverse a triangular staging matrix.
+/// Reusable scratch for [`Cholesky::factor_into`], sized for `n x n`
+/// factorisations: one conjugated-column buffer. The multi-RHS solve is
+/// scratch-free (it sweeps in place).
 #[derive(Debug, Clone)]
 pub struct CholScratch {
-    /// `L^{-1}` staging buffer for [`Cholesky::inverse_into`] (`n x n`).
-    pack_a: Vec<Cf32>,
     /// Conjugated pivot-column buffer for the factorisation sweep
     /// (length `n`).
     cc: Vec<Cf32>,
-    /// Product row for the triangular inverse (length `n`).
-    row: Vec<Cf32>,
 }
 
 impl CholScratch {
     /// Allocates scratch for `n x n` factorisations.
     pub fn new(n: usize) -> Self {
-        Self { pack_a: vec![Cf32::ZERO; n * n], cc: vec![Cf32::ZERO; n], row: vec![Cf32::ZERO; n] }
+        Self { cc: vec![Cf32::ZERO; n] }
     }
 }
 
-/// Lower-triangular Cholesky factor `L` with `A = L L^H`.
-#[derive(Debug, Clone)]
-pub struct Cholesky {
-    l: CMat,
-}
+/// The Cholesky kernels: `A = L L^H` with `L` lower triangular.
+pub struct Cholesky;
 
 impl Cholesky {
-    /// Factorises a Hermitian positive-definite matrix. Only the lower
-    /// triangle of `a` is read; the strict upper triangle is ignored, so
-    /// callers may pass a matrix whose upper triangle is garbage.
-    pub fn factor(a: &CMat) -> Result<Self, NotPositiveDefinite> {
-        let n = a.rows();
-        let mut l = CMat::zeros(n, n);
-        let mut s = CholScratch::new(n);
-        Self::factor_into(a, &mut l, &mut s, SimdTier::cached())?;
-        Ok(Self { l })
-    }
-
-    /// Allocation-free right-looking factorisation into caller-owned
-    /// storage: `l` receives the lower-triangular factor (strict upper
-    /// triangle zeroed). Each pivot column's trailing update is a sweep of
-    /// contiguous-row [`caxpy`](crate::gemm::caxpy_with_tier) calls against the
-    /// conjugated pivot column, so the update vectorises with no packing
-    /// and results are bit-identical across SIMD tiers.
+    /// Allocation-free right-looking factorisation of a Hermitian
+    /// positive-definite `a` into caller-owned storage: `l` receives the
+    /// lower-triangular factor (strict upper triangle zeroed). Only the
+    /// lower triangle of `a` is read. Each pivot column's trailing update
+    /// is a sweep of contiguous-row [`caxpy`](crate::gemm::caxpy_with_tier)
+    /// calls against the conjugated pivot column, so the update vectorises
+    /// with no packing and results are bit-identical across SIMD tiers.
     ///
     /// Fails with [`NotPositiveDefinite`] when a pivot falls at or below
-    /// the f32-relative threshold ([`pivot_threshold`]) — the PD test
-    /// that subsumes the old absolute-epsilon singularity guard.
+    /// the f32-relative threshold ([`pivot_threshold`]).
     ///
     /// # Panics
     /// Panics if `a` is not square, `l` is not the same shape, or `s` was
@@ -167,40 +140,15 @@ impl Cholesky {
     }
 
     /// Allocation-free multi-RHS solve `A X = B` from a factor computed by
-    /// [`Cholesky::factor_into`]: forward then backward triangular solves
-    /// as in-place column sweeps — once a row of `X` is solved, it is
-    /// eliminated from every remaining row with one contiguous
-    /// [`caxpy`](crate::gemm::caxpy_with_tier) across the whole RHS width. This is
-    /// the ZF hot path: `X = W` when `B = H^H`, without ever forming
-    /// `G^{-1}`, and the eliminations on distinct rows are independent so
-    /// the sweep keeps the vector units saturated.
-    ///
-    /// # Panics
-    /// Panics on shape mismatches.
-    pub fn solve_into(l: &CMat, b: &CMat, x: &mut CMat, tier: SimdTier) {
-        let n = l.rows();
-        let nrhs = b.cols();
-        assert_eq!(l.shape(), (n, n), "factor must be square");
-        assert_eq!(b.rows(), n, "RHS row count must match");
-        assert_eq!(x.shape(), (n, nrhs), "solve output shape mismatch");
-        x.as_mut_slice().copy_from_slice(b.as_slice());
-        match tier {
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Avx2 | SimdTier::Avx512 => unsafe {
-                crate::gemm_simd::chol_solve_avx2(l.as_slice(), n, x.as_mut_slice(), nrhs);
-            },
-            _ => solve_sweep_scalar(l, x, nrhs),
-        }
-    }
-
-    /// [`Cholesky::solve_into`] without the RHS copy: `x` arrives already
-    /// holding `B` and is swept in place. Because the sweep operates on
-    /// each RHS column independently (elementwise row scaling plus
-    /// cross-row eliminations of full-width rows — no cross-column
-    /// accumulation anywhere), solving any contiguous column slice of a
-    /// wider system is bit-identical to the same columns of the full
-    /// solve. The antenna-cluster ZF reduce stages its `H^H` column slice
-    /// straight into the output and solves here.
+    /// [`Cholesky::factor_into`]: `x` arrives holding `B` and leaves
+    /// holding `X`, by forward then backward triangular solves as in-place
+    /// column sweeps — once a row of `X` is solved, it is eliminated from
+    /// every remaining row with one contiguous
+    /// [`caxpy`](crate::gemm::caxpy_with_tier) across the whole RHS width.
+    /// This is the ZF hot path: `X = W` when `B = H^H`, without ever
+    /// forming `G^{-1}`. The sweep works on each RHS column independently
+    /// (elementwise row scaling plus cross-row eliminations of full-width
+    /// rows — no cross-column accumulation anywhere).
     ///
     /// # Panics
     /// Panics on shape mismatches.
@@ -216,57 +164,6 @@ impl Cholesky {
             },
             _ => solve_sweep_scalar(l, x, nrhs),
         }
-    }
-
-    /// Allocation-free inverse `A^{-1}` from a factor computed by
-    /// [`Cholesky::factor_into`]: inverts the triangular factor row by row
-    /// (each row one `(1, i, n)` GEMM over the solved prefix), then forms
-    /// `A^{-1} = L^{-H} L^{-1}` as a Gram product on the tier kernels.
-    ///
-    /// # Panics
-    /// Panics on shape mismatches.
-    pub fn inverse_into(l: &CMat, inv: &mut CMat, s: &mut CholScratch, tier: SimdTier) {
-        let n = l.rows();
-        assert_eq!(l.shape(), (n, n), "factor must be square");
-        assert_eq!(inv.shape(), (n, n), "inverse output shape mismatch");
-        assert!(s.pack_a.len() >= n * n && s.row.len() >= n, "scratch too small");
-        let linv = &mut s.pack_a[..n * n];
-        linv.fill(Cf32::ZERO);
-        for i in 0..n {
-            let inv_d = 1.0 / l[(i, i)].re;
-            if i > 0 {
-                let (solved, _) = linv.split_at_mut(i * n);
-                gemm_with_tier(1, i, n, &l.row(i)[..i], solved, &mut s.row[..n], tier);
-            }
-            for j in 0..i {
-                linv[i * n + j] = s.row[j].scale(-inv_d);
-            }
-            linv[i * n + i] = Cf32::real(inv_d);
-        }
-        gram_with_tier(n, n, linv, inv.as_mut_slice(), tier);
-    }
-
-    /// The lower-triangular factor.
-    pub fn l(&self) -> &CMat {
-        &self.l
-    }
-
-    /// Solves `A X = B` through the multi-RHS sweep kernel.
-    pub fn solve(&self, b: &CMat) -> CMat {
-        let n = self.l.rows();
-        assert_eq!(b.rows(), n);
-        let mut x = CMat::zeros(n, b.cols());
-        Self::solve_into(&self.l, b, &mut x, SimdTier::cached());
-        x
-    }
-
-    /// Computes `A^{-1}` from the factorisation.
-    pub fn inverse(&self) -> CMat {
-        let n = self.l.rows();
-        let mut inv = CMat::zeros(n, n);
-        let mut s = CholScratch::new(n);
-        Self::inverse_into(&self.l, &mut inv, &mut s, SimdTier::cached());
-        inv
     }
 }
 
@@ -310,64 +207,63 @@ fn solve_sweep_scalar(l: &CMat, x: &mut CMat, nrhs: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inverse::invert;
     use crate::testutil::rand_hpd;
+
+    fn factor(a: &CMat, tier: SimdTier) -> Result<CMat, NotPositiveDefinite> {
+        let n = a.rows();
+        let mut l = CMat::zeros(n, n);
+        Cholesky::factor_into(a, &mut l, &mut CholScratch::new(n), tier)?;
+        Ok(l)
+    }
+
+    fn bits(m: &CMat) -> Vec<(u32, u32)> {
+        m.as_slice().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
 
     #[test]
     fn factor_reconstructs() {
         let a = rand_hpd(8, 3);
-        let ch = Cholesky::factor(&a).unwrap();
-        let recon = ch.l().matmul(&ch.l().hermitian());
+        let l = factor(&a, SimdTier::cached()).unwrap();
+        let recon = l.matmul(&l.hermitian());
         assert!(recon.max_abs_diff(&a) < 1e-3);
     }
 
     #[test]
     fn factor_identity_is_identity() {
         let i = CMat::identity(5);
-        let ch = Cholesky::factor(&i).unwrap();
-        assert!(ch.l().max_abs_diff(&i) < 1e-6);
+        assert!(factor(&i, SimdTier::cached()).unwrap().max_abs_diff(&i) < 1e-6);
     }
 
     #[test]
-    fn solve_matches_gauss_jordan() {
+    fn solve_in_place_solves() {
         let a = rand_hpd(6, 9);
         let b = CMat::from_fn(6, 2, |r, c| Cf32::new(r as f32 + 1.0, c as f32 - 0.5));
-        let ch = Cholesky::factor(&a).unwrap();
-        let x = ch.solve(&b);
-        let x_ref = invert(&a).unwrap().matmul(&b);
-        assert!(x.max_abs_diff(&x_ref) < 1e-2);
+        let l = factor(&a, SimdTier::cached()).unwrap();
+        let mut x = b.clone();
+        Cholesky::solve_in_place(&l, &mut x, SimdTier::cached());
         assert!(a.matmul(&x).max_abs_diff(&b) < 1e-2);
-    }
-
-    #[test]
-    fn inverse_matches_gauss_jordan() {
-        let a = rand_hpd(10, 17);
-        let ch = Cholesky::factor(&a).unwrap();
-        let inv1 = ch.inverse();
-        let inv2 = invert(&a).unwrap();
-        assert!(inv1.max_abs_diff(&inv2) < 1e-2);
     }
 
     #[test]
     fn rejects_indefinite() {
         let mut a = CMat::identity(3);
         a[(2, 2)] = Cf32::real(-1.0);
-        match Cholesky::factor(&a) {
+        match factor(&a, SimdTier::cached()) {
             Err(NotPositiveDefinite { step: 2, .. }) => {}
             other => panic!("expected failure at step 2, got {other:?}"),
         }
     }
 
-    /// Near-singular (but strictly positive) pivots must now fail too:
-    /// the relative threshold is the PD test the old `d <= 0` check only
-    /// approximated at exactly zero.
+    /// Near-singular (but strictly positive) pivots must fail too: the
+    /// relative threshold is the PD test a `d <= 0` check only
+    /// approximates at exactly zero.
     #[test]
     fn rejects_near_singular() {
         let n = 4;
         let mut a = CMat::identity(n);
         // Last diagonal entry far below n * eps * scale.
         a[(n - 1, n - 1)] = Cf32::real(1e-9);
-        match Cholesky::factor(&a) {
+        match factor(&a, SimdTier::cached()) {
             Err(NotPositiveDefinite { step, .. }) => assert_eq!(step, n - 1),
             other => panic!("expected near-singular rejection, got {other:?}"),
         }
@@ -377,53 +273,38 @@ mod tests {
     fn upper_triangle_is_ignored() {
         let a = rand_hpd(4, 21);
         let mut messy = a.clone();
-        // Corrupt the strict upper triangle; result must not change.
+        // Corrupt the strict upper triangle; the factor must not change.
         for r in 0..4 {
             for c in r + 1..4 {
                 messy[(r, c)] = Cf32::new(1e6, -1e6);
             }
         }
-        let x1 = Cholesky::factor(&a).unwrap().inverse();
-        let x2 = Cholesky::factor(&messy).unwrap().inverse();
-        assert!(x1.max_abs_diff(&x2) < 1e-5);
+        let tier = SimdTier::cached();
+        assert_eq!(bits(&factor(&a, tier).unwrap()), bits(&factor(&messy, tier).unwrap()));
     }
 
-    /// The blocked kernels must agree across SIMD tiers bit for bit —
-    /// everything tier-dependent routes through the parity-contracted
-    /// GEMM kernels.
+    /// Factor and solve agree across SIMD tiers bit for bit.
     #[test]
-    fn factor_solve_inverse_tier_parity_is_bit_exact() {
-        let detected = SimdTier::detect();
+    fn factor_solve_tier_parity_is_bit_exact() {
         for n in [1usize, 3, 4, 5, 7, 8, 11, 16] {
             let a = rand_hpd(n, 31 + n as u64);
             let b = crate::testutil::rand_mat(n, 6, 77 + n as u64);
-            let mut l_s = CMat::zeros(n, n);
-            let mut l_v = CMat::zeros(n, n);
-            let mut ss = CholScratch::new(n);
-            let mut sv = CholScratch::new(n);
-            Cholesky::factor_into(&a, &mut l_s, &mut ss, SimdTier::Scalar).unwrap();
-            Cholesky::factor_into(&a, &mut l_v, &mut sv, detected).unwrap();
-            let bits = |m: &CMat| -> Vec<(u32, u32)> {
-                m.as_slice().iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
-            };
-            assert_eq!(bits(&l_s), bits(&l_v), "factor tier parity n={n}");
-            let mut x_s = CMat::zeros(n, 6);
-            let mut x_v = CMat::zeros(n, 6);
-            Cholesky::solve_into(&l_s, &b, &mut x_s, SimdTier::Scalar);
-            Cholesky::solve_into(&l_v, &b, &mut x_v, detected);
-            assert_eq!(bits(&x_s), bits(&x_v), "solve tier parity n={n}");
-            let mut i_s = CMat::zeros(n, n);
-            let mut i_v = CMat::zeros(n, n);
-            Cholesky::inverse_into(&l_s, &mut i_s, &mut ss, SimdTier::Scalar);
-            Cholesky::inverse_into(&l_v, &mut i_v, &mut sv, detected);
-            assert_eq!(bits(&i_s), bits(&i_v), "inverse tier parity n={n}");
+            let l_s = factor(&a, SimdTier::Scalar).unwrap();
+            let mut x_s = b.clone();
+            Cholesky::solve_in_place(&l_s, &mut x_s, SimdTier::Scalar);
+            for tier in SimdTier::supported() {
+                let l_v = factor(&a, tier).unwrap();
+                assert_eq!(bits(&l_s), bits(&l_v), "factor tier parity n={n} {tier:?}");
+                let mut x_v = b.clone();
+                Cholesky::solve_in_place(&l_v, &mut x_v, tier);
+                assert_eq!(bits(&x_s), bits(&x_v), "solve tier parity n={n} {tier:?}");
+            }
         }
     }
 
     #[test]
     fn empty_matrix_factorises() {
         let a = CMat::zeros(0, 0);
-        let ch = Cholesky::factor(&a).unwrap();
-        assert!(ch.l().is_empty());
+        assert_eq!(factor(&a, SimdTier::cached()).unwrap().shape(), (0, 0));
     }
 }

@@ -244,10 +244,10 @@ impl Cf64 {
     }
 }
 
+#[cfg(test)]
 /// Approximate equality helper for tests: true when both components differ
 /// by at most `tol`.
-#[inline]
-pub fn approx_eq(a: Cf32, b: Cf32, tol: f32) -> bool {
+pub(crate) fn approx_eq(a: Cf32, b: Cf32, tol: f32) -> bool {
     (a.re - b.re).abs() <= tol && (a.im - b.im).abs() <= tol
 }
 

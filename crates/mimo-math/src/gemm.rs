@@ -7,19 +7,22 @@
 //! `(M, K)` problem size the cell uses. This module reproduces both halves
 //! of that trick:
 //!
-//! * **Shape specialisation** ("JIT" analogue): [`gemm_fixed`] is a
-//!   const-generic kernel the compiler fully unrolls for the given shape,
-//!   and [`Gemm`] caches the dispatch decision at plan time. The
-//!   generic-vs-specialised gap is what Table 4's "JIT matrix
+//! * **Shape specialisation** ("JIT" analogue): [`Gemm`] resolves the
+//!   kernel at plan time, and on the scalar tier a shape in its table runs
+//!   a const-generic kernel the compiler fully unrolls for that shape.
+//!   The generic-vs-specialised gap is what Table 4's "JIT matrix
 //!   multiplication" ablation row measures.
-//! * **Vectorization**: on the AVX2 [`SimdTier`], [`gemm`], [`gemv`] and
-//!   [`gram`] route to the register-tiled kernels in `gemm_simd`, which are
-//!   bit-identical to the scalar references ([`gemm_scalar`],
-//!   [`gemv_scalar`], [`gram_scalar`]) — the tier changes speed, never
-//!   results.
+//! * **Vectorization**: on the AVX2 [`SimdTier`], [`gemm`] routes to the
+//!   register-tiled kernels in `gemm_simd` (a GEMV body for `n = 1`),
+//!   which are bit-identical to the scalar reference [`gemm_scalar`] —
+//!   the tier changes speed, never results.
 //!
-//! The free functions dispatch on [`SimdTier::cached`]; `_with_tier`
-//! variants pin the tier for parity tests and ablations.
+//! Beside the products sit the ZF pseudo-inverse's two primitives: the
+//! accumulating Gram product [`gram_accumulate_with_tier`] and the AXPY
+//! [`caxpy_with_tier`] its Cholesky sweeps are built from.
+//!
+//! [`gemm`] dispatches on [`SimdTier::cached`]; `_with_tier` variants pin
+//! the tier for parity tests and ablations.
 
 use crate::complex::Cf32;
 use crate::simd::SimdTier;
@@ -80,15 +83,16 @@ pub fn gemm_scalar(m: usize, k: usize, n: usize, a: &[Cf32], b: &[Cf32], c: &mut
     }
 }
 
-/// Shape-specialised GEMM. The compiler monomorphises one copy per `(M, K,
-/// N)` triple used in the program and unrolls the inner loops — the moral
-/// equivalent of MKL's JIT-generated kernel for a fixed problem size.
-/// Accumulation order matches [`gemm_scalar`], so results are bit-equal.
+/// Shape-specialised GEMM, the body of a [`GemmKernel::Specialized`] plan.
+/// The compiler monomorphises one copy per `(M, K, N)` triple in the
+/// dispatch table and unrolls the inner loops — the moral equivalent of
+/// MKL's JIT-generated kernel for a fixed problem size. Accumulation
+/// order matches [`gemm_scalar`], so results are bit-equal.
 ///
 /// # Panics
 /// Panics if slice lengths do not match the const shapes.
 #[inline]
-pub fn gemm_fixed<const M: usize, const K: usize, const N: usize>(
+fn gemm_fixed<const M: usize, const K: usize, const N: usize>(
     a: &[Cf32],
     b: &[Cf32],
     c: &mut [Cf32],
@@ -107,80 +111,6 @@ pub fn gemm_fixed<const M: usize, const K: usize, const N: usize>(
             }
         }
         c[i * N..(i + 1) * N].copy_from_slice(&acc);
-    }
-}
-
-/// GEMV specialised for the equalizer hot path: `y = A x` where `A` is
-/// `m x k` row-major. Used when the "B" operand is a single subcarrier's
-/// antenna vector. Dispatches on the detected SIMD tier.
-#[inline]
-pub fn gemv(m: usize, k: usize, a: &[Cf32], x: &[Cf32], y: &mut [Cf32]) {
-    gemv_with_tier(m, k, a, x, y, SimdTier::cached());
-}
-
-/// [`gemv`] with the dispatch tier pinned by the caller.
-pub fn gemv_with_tier(m: usize, k: usize, a: &[Cf32], x: &[Cf32], y: &mut [Cf32], tier: SimdTier) {
-    assert_eq!(a.len(), m * k, "A shape mismatch");
-    assert_eq!(x.len(), k, "x length mismatch");
-    assert_eq!(y.len(), m, "y length mismatch");
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 | SimdTier::Avx512 => unsafe { crate::gemm_simd::gemv_avx2(m, k, a, x, y) },
-        _ => gemv_scalar(m, k, a, x, y),
-    }
-}
-
-/// Scalar reference GEMV (one sequential dot product per row).
-pub fn gemv_scalar(m: usize, k: usize, a: &[Cf32], x: &[Cf32], y: &mut [Cf32]) {
-    assert_eq!(a.len(), m * k, "A shape mismatch");
-    assert_eq!(x.len(), k, "x length mismatch");
-    assert_eq!(y.len(), m, "y length mismatch");
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let mut acc = Cf32::ZERO;
-        for (&aij, &xj) in arow.iter().zip(x.iter()) {
-            acc = aij.mul_add(xj, acc);
-        }
-        y[i] = acc;
-    }
-}
-
-/// Gram matrix `out = A^H A` over row-major slices: `a` is `rows x cols`,
-/// `out` is `cols x cols`. This is the ZF pseudo-inverse's first product.
-/// Dispatches on the detected SIMD tier.
-#[inline]
-pub fn gram(rows: usize, cols: usize, a: &[Cf32], out: &mut [Cf32]) {
-    gram_with_tier(rows, cols, a, out, SimdTier::cached());
-}
-
-/// [`gram`] with the dispatch tier pinned by the caller.
-pub fn gram_with_tier(rows: usize, cols: usize, a: &[Cf32], out: &mut [Cf32], tier: SimdTier) {
-    assert_eq!(a.len(), rows * cols, "A shape mismatch");
-    assert_eq!(out.len(), cols * cols, "Gram output shape mismatch");
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 | SimdTier::Avx512 => unsafe {
-            crate::gemm_simd::gram_avx2(rows, cols, a, out)
-        },
-        _ => gram_scalar(rows, cols, a, out),
-    }
-}
-
-/// Scalar reference Gram product. Accumulates row-by-row so the inner
-/// loops stream contiguously.
-pub fn gram_scalar(rows: usize, cols: usize, a: &[Cf32], out: &mut [Cf32]) {
-    assert_eq!(a.len(), rows * cols, "A shape mismatch");
-    assert_eq!(out.len(), cols * cols, "Gram output shape mismatch");
-    out.fill(Cf32::ZERO);
-    for r in 0..rows {
-        let row = &a[r * cols..(r + 1) * cols];
-        for i in 0..cols {
-            let ai = row[i].conj();
-            let grow = &mut out[i * cols..(i + 1) * cols];
-            for (gj, &aj) in grow.iter_mut().zip(row.iter()) {
-                *gj = ai.mul_add(aj, *gj);
-            }
-        }
     }
 }
 
@@ -207,15 +137,12 @@ pub fn caxpy_scalar(alpha: Cf32, x: &[Cf32], y: &mut [Cf32]) {
 /// Accumulating Gram product `out += A^H A` when the caller already holds
 /// the conjugate transpose: `a` is `rows x cols`, `ah` is `cols x rows`
 /// and must equal `a^H` elementwise, `out` is `cols x cols`. This is the
-/// ZF Gram kernel — over a whole array on a zeroed `out`, where it is
-/// bit-identical to [`gram`] / [`gram_scalar`] on `a`, or per antenna
-/// cluster: each cluster's `H_i^H H_i` folds into the running total in
-/// the scalar reference's sequential order, so all tiers are
-/// bit-identical. The AVX2 path walks both operands contiguously and
-/// computes only the lower triangle (mirroring the rest by conjugation),
-/// roughly 2x faster than the strided [`gram`] kernel at ZF shapes; the
-/// ZF pseudo-inverse always has `a^H` on hand — it is the right-hand side
-/// of the detector solve.
+/// ZF Gram kernel, run over the whole `M x K` channel on a zeroed `out`;
+/// every tier reproduces the scalar reference's sequential order, so all
+/// tiers are bit-identical. The AVX2 path walks both operands
+/// contiguously and computes only the lower triangle (mirroring the rest
+/// by conjugation); the ZF pseudo-inverse always has `a^H` on hand — it
+/// is the right-hand side of the detector solve.
 ///
 /// **Precondition**: the prior contents of `out` must be exactly
 /// Hermitian bitwise — zero, or the result of previous Gram
@@ -244,9 +171,9 @@ pub fn gram_accumulate_with_tier(
     }
 }
 
-/// Scalar reference accumulating Gram product `out += A^H A`: the
-/// [`gram_scalar`] body without the zero fill, so the row-major
-/// accumulation continues from the prior contents of `out`.
+/// Scalar reference accumulating Gram product `out += A^H A`: row by row
+/// of `a`, so the inner loops stream contiguously and the accumulation
+/// continues from the prior contents of `out`.
 pub fn gram_accumulate_scalar(rows: usize, cols: usize, a: &[Cf32], out: &mut [Cf32]) {
     assert_eq!(a.len(), rows * cols, "A shape mismatch");
     assert_eq!(out.len(), cols * cols, "Gram output shape mismatch");
@@ -443,7 +370,7 @@ mod tests {
         let mut c = vec![Cf32::ZERO; 15];
         gemm(5, 7, 3, a.as_slice(), b.as_slice(), &mut c);
         let c_ref = a.matmul(&b);
-        let cm = CMat::from_slice(5, 3, &c);
+        let cm = CMat::from_fn(5, 3, |r, j| c[r * 3 + j]);
         assert!(cm.max_abs_diff(&c_ref) < 1e-4);
     }
 
@@ -514,27 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn gemv_matches_matvec() {
-        let a = rand_mat(6, 9, 7);
-        let x: Vec<Cf32> = rand_mat(9, 1, 8).as_slice().to_vec();
-        let mut y = vec![Cf32::ZERO; 6];
-        gemv(6, 9, a.as_slice(), &x, &mut y);
-        let y_ref = a.matvec(&x);
-        for (u, v) in y.iter().zip(y_ref.iter()) {
-            assert!((*u - *v).abs() < 1e-4);
-        }
-    }
-
-    #[test]
-    fn gram_free_fn_matches_method() {
-        let a = rand_mat(12, 5, 11);
-        let mut g = vec![Cf32::ZERO; 25];
-        gram(12, 5, a.as_slice(), &mut g);
-        let g_ref = a.gram();
-        assert_eq!(bits(&g), bits(g_ref.as_slice()));
-    }
-
-    #[test]
     fn zero_inputs_give_zero_output() {
         let a = vec![Cf32::ZERO; 4 * 4];
         let b = vec![Cf32::ZERO; 4 * 4];
@@ -589,8 +495,8 @@ mod proptests {
             let y = fill(m, 17);
             let mut scalar = vec![Cf32::ZERO; k];
             let mut simd = vec![Cf32::ONE; k];
-            gemv_with_tier(k, m, &w, &y, &mut scalar, SimdTier::Scalar);
-            gemv_with_tier(k, m, &w, &y, &mut simd, SimdTier::detect());
+            gemm_with_tier(k, m, 1, &w, &y, &mut scalar, SimdTier::Scalar);
+            gemm_with_tier(k, m, 1, &w, &y, &mut simd, SimdTier::detect());
             assert_eq!(bits(&scalar), bits(&simd), "gemv ({k},{m})");
             let h = fill(m * k, 19);
             let hh: Vec<Cf32> = (0..k * m).map(|i| h[(i % m) * k + i / m].conj()).collect();
@@ -618,29 +524,18 @@ mod proptests {
             prop_assert_eq!(bits(&c_scalar), bits(&c_simd));
         }
 
-        /// Scalar and AVX2 GEMV agree to the bit, including `m % 4` tail
-        /// rows and packing-tile (`k > 64`) boundaries.
+        /// Scalar and AVX2 GEMM agree to the bit on column vectors (`n = 1`,
+        /// the GEMV body), including `m % 4` tail rows and packing-tile
+        /// (`k > 64`) boundaries.
         #[test]
         fn gemv_tier_parity(m in 1usize..80, k in 1usize..80, seed in 0u64..1024) {
             let a = fill(m * k, seed);
             let x = fill(k, seed ^ 0x5u64);
             let mut y_scalar = vec![Cf32::ZERO; m];
             let mut y_simd = vec![Cf32::ONE; m];
-            gemv_with_tier(m, k, &a, &x, &mut y_scalar, SimdTier::Scalar);
-            gemv_with_tier(m, k, &a, &x, &mut y_simd, SimdTier::detect());
+            gemm_with_tier(m, k, 1, &a, &x, &mut y_scalar, SimdTier::Scalar);
+            gemm_with_tier(m, k, 1, &a, &x, &mut y_simd, SimdTier::detect());
             prop_assert_eq!(bits(&y_scalar), bits(&y_simd));
-        }
-
-        /// Scalar and AVX2 Gram products agree to the bit (conjugation via
-        /// sign-flipped broadcast).
-        #[test]
-        fn gram_tier_parity(rows in 4usize..64, cols in 4usize..64, seed in 0u64..1024) {
-            let a = fill(rows * cols, seed);
-            let mut g_scalar = vec![Cf32::ZERO; cols * cols];
-            let mut g_simd = vec![Cf32::ONE; cols * cols];
-            gram_with_tier(rows, cols, &a, &mut g_scalar, SimdTier::Scalar);
-            gram_with_tier(rows, cols, &a, &mut g_simd, SimdTier::detect());
-            prop_assert_eq!(bits(&g_scalar), bits(&g_simd));
         }
 
         /// Scalar and AVX2 AXPY agree to the bit, including tails shorter

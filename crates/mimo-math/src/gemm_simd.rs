@@ -9,9 +9,10 @@
 //! with `vmaskmov` tails for non-multiple-of-4 column counts and the PR 3
 //! in-register 4x4 transpose microkernel packing GEMV row panels.
 //!
-//! **Bit parity contract.** Every kernel reproduces the scalar reference
-//! ([`crate::gemm::gemm_scalar`] / [`gemv_scalar`](crate::gemm::gemv_scalar)
-//! / [`gram_scalar`](crate::gemm::gram_scalar)) *bit for bit*, so results
+//! **Bit parity contract.** Every kernel reproduces its scalar reference
+//! ([`crate::gemm::gemm_scalar`],
+//! [`gram_accumulate_scalar`](crate::gemm::gram_accumulate_scalar),
+//! [`caxpy_scalar`](crate::gemm::caxpy_scalar)) *bit for bit*, so results
 //! do not depend on the machine's SIMD tier. That pins three choices:
 //!
 //! * no hardware FMA — [`Cf32::mul_add`] is an unfused multiply-then-add,
@@ -299,7 +300,8 @@ unsafe fn pack_panel(a: *const Cf32, lda: usize, tk: usize, dst: *mut Cf32) {
     }
 }
 
-/// AVX2 `y = A x`, bit-identical to [`crate::gemm::gemv_scalar`].
+/// AVX2 `y = A x`: [`gemm_avx2`]'s body for a column vector (`n = 1`),
+/// bit-identical to [`crate::gemm::gemm_scalar`] at that shape.
 ///
 /// Vectorizes *across* four output rows (the sequential-accumulation
 /// parity contract forbids splitting the dot product over lanes): each
@@ -309,9 +311,9 @@ unsafe fn pack_panel(a: *const Cf32, lda: usize, tk: usize, dst: *mut Cf32) {
 ///
 /// # Safety
 /// Caller must ensure the CPU supports AVX2 and that slice lengths match
-/// (checked by the public dispatch wrappers).
+/// (checked by [`gemm_avx2`]'s callers).
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn gemv_avx2(m: usize, k: usize, a: &[Cf32], x: &[Cf32], y: &mut [Cf32]) {
+unsafe fn gemv_avx2(m: usize, k: usize, a: &[Cf32], x: &[Cf32], y: &mut [Cf32]) {
     let ap = a.as_ptr();
     let xp = x.as_ptr();
     let mut pack = [Cf32::ZERO; MR * TK];
@@ -638,66 +640,4 @@ pub(crate) unsafe fn gram_accumulate_avx2(
             *gp.add(i * k + j) = (*gp.add(j * k + i)).conj();
         }
     }
-}
-
-/// AVX2 Gram matrix `out = A^H A` (`cols x cols`), bit-identical to
-/// [`crate::gemm::gram_scalar`]. Conjugation costs one sign flip on the
-/// broadcast imaginary part; the column loads stay contiguous.
-///
-/// # Safety
-/// Caller must ensure the CPU supports AVX2 and that slice lengths match
-/// (checked by the public dispatch wrappers).
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn gram_avx2(rows: usize, cols: usize, a: &[Cf32], out: &mut [Cf32]) {
-    let ap = a.as_ptr();
-    let op = out.as_mut_ptr();
-    let tail = cols % NR;
-    let n4 = cols - tail;
-    let mask = tail_mask(tail);
-    for i in 0..cols {
-        let orow = op.add(i * cols);
-        let mut j = 0;
-        while j + NR <= n4 {
-            let acc = gram_col(ap, rows, cols, i, j, false, mask);
-            _mm256_storeu_ps(orow.add(j) as *mut f32, acc);
-            j += NR;
-        }
-        if tail != 0 {
-            let acc = gram_col(ap, rows, cols, i, j, true, mask);
-            _mm256_maskstore_ps(orow.add(j) as *mut f32, mask, acc);
-        }
-    }
-}
-
-/// One 4-column strip of the Gram matrix row `i`, accumulated over all
-/// `rows` of A in the scalar kernel's row-major order.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn gram_col(
-    a: *const Cf32,
-    rows: usize,
-    cols: usize,
-    i: usize,
-    j: usize,
-    masked: bool,
-    mask: __m256i,
-) -> __m256 {
-    let neg = _mm256_set1_ps(-0.0);
-    let mut acc = _mm256_setzero_ps();
-    for r in 0..rows {
-        let base = a.add(r * cols);
-        let bv = if masked {
-            _mm256_maskload_ps(base.add(j) as *const f32, mask)
-        } else {
-            _mm256_loadu_ps(base.add(j) as *const f32)
-        };
-        let bs = _mm256_permute_ps(bv, SWAP_RE_IM);
-        let pair = bcast_pair(base.add(i));
-        let ar = _mm256_moveldup_ps(pair);
-        // conj(a[r][i]): negating the broadcast imaginary reproduces the
-        // scalar path's `row[i].conj()` products exactly.
-        let ai = _mm256_xor_ps(_mm256_movehdup_ps(pair), neg);
-        acc = cmac(acc, bv, bs, ar, ai);
-    }
-    acc
 }

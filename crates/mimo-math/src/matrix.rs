@@ -8,6 +8,7 @@
 //! module holds construction, indexing, and structural transforms.
 
 use crate::complex::Cf32;
+use crate::gemm::gemm;
 use core::fmt;
 use core::ops::{Index, IndexMut};
 
@@ -32,15 +33,6 @@ impl CMat {
             m[(i, i)] = Cf32::ONE;
         }
         m
-    }
-
-    /// Builds a matrix from a row-major slice of elements.
-    ///
-    /// # Panics
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_slice(rows: usize, cols: usize, data: &[Cf32]) -> Self {
-        assert_eq!(data.len(), rows * cols, "element count must match shape");
-        Self { rows, cols, data: data.to_vec() }
     }
 
     /// Builds a matrix by evaluating `f(row, col)` for every element.
@@ -72,11 +64,6 @@ impl CMat {
         (self.rows, self.cols)
     }
 
-    /// True for `0 x 0` matrices.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Row-major element slice.
     #[inline(always)]
     pub fn as_slice(&self) -> &[Cf32] {
@@ -99,11 +86,6 @@ impl CMat {
     #[inline(always)]
     pub fn row_mut(&mut self, r: usize) -> &mut [Cf32] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Copies column `c` into a vector.
-    pub fn col(&self, c: usize) -> Vec<Cf32> {
-        (0..self.rows).map(|r| self[(r, c)]).collect()
     }
 
     /// Plain transpose `A^T`.
@@ -129,21 +111,6 @@ impl CMat {
         CMat::from_fn(self.cols, self.rows, |r, c| self[(c, r)].conj())
     }
 
-    /// Hermitian transpose into a caller-owned matrix (no allocation).
-    ///
-    /// # Panics
-    /// Panics if `out` is not `cols x rows`.
-    pub fn hermitian_into(&self, out: &mut CMat) {
-        assert_eq!(out.shape(), (self.cols, self.rows), "hermitian_into shape mismatch");
-        crate::simd::conj_transpose(
-            &self.data,
-            self.rows,
-            self.cols,
-            &mut out.data,
-            crate::simd::SimdTier::cached(),
-        );
-    }
-
     /// Copies another matrix's elements into this one (no allocation).
     ///
     /// # Panics
@@ -153,84 +120,16 @@ impl CMat {
         self.data.copy_from_slice(&src.data);
     }
 
-    /// Element-wise conjugate `A*`.
-    pub fn conj(&self) -> CMat {
-        let mut out = self.clone();
-        for z in out.data.iter_mut() {
-            *z = z.conj();
-        }
-        out
-    }
-
-    /// Scales every element by a real factor.
-    pub fn scale(&self, s: f32) -> CMat {
-        let mut out = self.clone();
-        for z in out.data.iter_mut() {
-            *z = z.scale(s);
-        }
-        out
-    }
-
-    /// Element-wise sum.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn add(&self, other: &CMat) -> CMat {
-        assert_eq!(self.shape(), other.shape(), "shape mismatch in add");
-        let mut out = self.clone();
-        for (a, b) in out.data.iter_mut().zip(other.data.iter()) {
-            *a += *b;
-        }
-        out
-    }
-
-    /// Element-wise difference.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn sub(&self, other: &CMat) -> CMat {
-        assert_eq!(self.shape(), other.shape(), "shape mismatch in sub");
-        let mut out = self.clone();
-        for (a, b) in out.data.iter_mut().zip(other.data.iter()) {
-            *a -= *b;
-        }
-        out
-    }
-
-    /// Naive `O(n^3)` matrix product; small sizes and tests. For hot paths
-    /// use [`crate::gemm::gemm`], which dispatches to specialised kernels.
+    /// Matrix product through the tier-dispatched GEMM kernels ([`gemm`]);
+    /// small sizes, cold paths and tests.
     ///
     /// # Panics
     /// Panics if `self.cols != other.rows`.
     pub fn matmul(&self, other: &CMat) -> CMat {
-        let mut out = CMat::zeros(self.rows, other.cols);
-        self.matmul_into(other, &mut out);
-        out
-    }
-
-    /// [`Self::matmul`] into a caller-owned output matrix (no allocation),
-    /// through the tier-dispatched GEMM kernels.
-    ///
-    /// # Panics
-    /// Panics if `self.cols != other.rows` or `out` is not
-    /// `self.rows x other.cols`.
-    pub fn matmul_into(&self, other: &CMat, out: &mut CMat) {
         assert_eq!(self.cols, other.rows, "inner dimensions must agree");
-        assert_eq!(out.shape(), (self.rows, other.cols), "matmul_into shape mismatch");
-        crate::gemm::gemm(self.rows, self.cols, other.cols, &self.data, &other.data, &mut out.data);
-    }
-
-    /// Matrix-vector product `A x`.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != self.cols`.
-    pub fn matvec(&self, x: &[Cf32]) -> Vec<Cf32> {
-        assert_eq!(x.len(), self.cols, "vector length must equal cols");
-        (0..self.rows)
-            .map(|r| {
-                self.row(r).iter().zip(x.iter()).fold(Cf32::ZERO, |acc, (&a, &b)| a.mul_add(b, acc))
-            })
-            .collect()
+        let mut out = CMat::zeros(self.rows, other.cols);
+        gemm(self.rows, self.cols, other.cols, &self.data, &other.data, &mut out.data);
+        out
     }
 
     /// Maximum absolute element difference against another matrix; the
@@ -238,29 +137,6 @@ impl CMat {
     pub fn max_abs_diff(&self, other: &CMat) -> f32 {
         assert_eq!(self.shape(), other.shape(), "shape mismatch");
         self.data.iter().zip(other.data.iter()).map(|(a, b)| (*a - *b).abs()).fold(0.0f32, f32::max)
-    }
-
-    /// True when every element is finite.
-    pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|z| z.is_finite())
-    }
-
-    /// Gram matrix `A^H A` (`cols x cols`, Hermitian positive semidefinite).
-    pub fn gram(&self) -> CMat {
-        let mut g = CMat::zeros(self.cols, self.cols);
-        self.gram_into(&mut g);
-        g
-    }
-
-    /// [`Self::gram`] into a caller-owned output matrix (no allocation),
-    /// through the tier-dispatched Gram kernel.
-    ///
-    /// # Panics
-    /// Panics if `out` is not `cols x cols`.
-    pub fn gram_into(&self, out: &mut CMat) {
-        let n = self.cols;
-        assert_eq!(out.shape(), (n, n), "gram_into shape mismatch");
-        crate::gemm::gram(self.rows, n, &self.data, &mut out.data);
     }
 }
 
@@ -337,33 +213,21 @@ mod tests {
         assert!(a.transpose().transpose().max_abs_diff(&a) < 1e-7);
     }
 
+    /// `A^H A` by the Gram kernels' scalar reference.
+    pub(super) fn gram(a: &CMat) -> CMat {
+        let mut g = CMat::zeros(a.cols, a.cols);
+        crate::gemm::gram_accumulate_scalar(a.rows, a.cols, &a.data, &mut g.data);
+        g
+    }
+
     #[test]
     fn gram_matches_explicit_product() {
         let a = sample();
-        let g = a.gram();
+        let g = gram(&a);
         let g_ref = a.hermitian().matmul(&a);
         assert!(g.max_abs_diff(&g_ref) < 1e-5);
         // Gram matrices are Hermitian.
         assert!(g.max_abs_diff(&g.hermitian()) < 1e-5);
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = sample();
-        let x = vec![Cf32::new(1.0, -1.0), Cf32::new(0.5, 2.0)];
-        let y = a.matvec(&x);
-        let xm = CMat::from_slice(2, 1, &x);
-        let ym = a.matmul(&xm);
-        for (i, &yi) in y.iter().enumerate() {
-            assert!(approx_eq(yi, ym[(i, 0)], 1e-6));
-        }
-    }
-
-    #[test]
-    fn add_sub_roundtrip() {
-        let a = sample();
-        let b = a.scale(2.0);
-        assert!(a.add(&b).sub(&b).max_abs_diff(&a) < 1e-6);
     }
 
     #[test]
@@ -377,19 +241,9 @@ mod tests {
     #[test]
     fn into_variants_match_allocating_versions() {
         let a = sample();
-        let b = CMat::from_fn(2, 4, |r, c| Cf32::new(c as f32 - r as f32, 0.5));
         let mut t = CMat::zeros(2, 3);
         a.transpose_into(&mut t);
         assert!(t.max_abs_diff(&a.transpose()) < 1e-7);
-        let mut h = CMat::zeros(2, 3);
-        a.hermitian_into(&mut h);
-        assert!(h.max_abs_diff(&a.hermitian()) < 1e-7);
-        let mut p = CMat::from_fn(3, 4, |_, _| Cf32::new(9.0, 9.0)); // stale contents
-        a.matmul_into(&b, &mut p);
-        assert!(p.max_abs_diff(&a.matmul(&b)) < 1e-6);
-        let mut g = CMat::from_fn(2, 2, |_, _| Cf32::ONE);
-        a.gram_into(&mut g);
-        assert!(g.max_abs_diff(&a.gram()) < 1e-6);
         let mut c = CMat::zeros(3, 2);
         c.copy_from(&a);
         assert!(c.max_abs_diff(&a) < 1e-7);
@@ -404,11 +258,10 @@ mod tests {
     }
 
     #[test]
-    fn row_and_col_access() {
+    fn row_access() {
         let a = sample();
         assert_eq!(a.row(1).len(), 2);
-        assert_eq!(a.col(0).len(), 3);
-        assert_eq!(a.col(1)[2], a[(2, 1)]);
+        assert_eq!(a.row(2)[1], a[(2, 1)]);
     }
 }
 
@@ -450,11 +303,12 @@ mod proptests {
         /// The Gram matrix is Hermitian positive semidefinite: x^H G x >= 0.
         #[test]
         fn gram_is_psd(a in arb_mat(5, 3), x in proptest::collection::vec((-1.0f32..1.0, -1.0f32..1.0), 3)) {
-            let g = a.gram();
+            let g = super::tests::gram(&a);
             prop_assert!(g.max_abs_diff(&g.hermitian()) < 1e-3);
-            let xv: Vec<Cf32> = x.iter().map(|&(re, im)| Cf32::new(re, im)).collect();
-            let gx = g.matvec(&xv);
-            let quad: Cf32 = xv.iter().zip(gx.iter()).map(|(a, b)| a.conj_mul(*b)).sum();
+            let xv = CMat::from_fn(3, 1, |r, _| Cf32::new(x[r].0, x[r].1));
+            let gx = g.matmul(&xv);
+            let quad: Cf32 =
+                xv.as_slice().iter().zip(gx.as_slice()).map(|(a, b)| a.conj_mul(*b)).sum();
             prop_assert!(quad.re >= -1e-2, "x^H G x = {quad:?}");
         }
     }

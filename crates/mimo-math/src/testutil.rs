@@ -9,6 +9,7 @@
 //! channels the engine actually sees.
 
 use crate::complex::Cf32;
+use crate::gemm::gram_accumulate_scalar;
 use crate::matrix::CMat;
 
 /// Deterministic xorshift64* state stepper.
@@ -22,7 +23,7 @@ fn step(state: &mut u64) -> f32 {
 
 /// Seeded `rows x cols` complex matrix with i.i.d. entries uniform on
 /// `[-0.5, 0.5)` per component (zero mean).
-pub fn rand_mat(rows: usize, cols: usize, seed: u64) -> CMat {
+pub(crate) fn rand_mat(rows: usize, cols: usize, seed: u64) -> CMat {
     let mut state = seed.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(99) | 1;
     CMat::from_fn(rows, cols, |_, _| {
         let re = step(&mut state);
@@ -33,27 +34,18 @@ pub fn rand_mat(rows: usize, cols: usize, seed: u64) -> CMat {
 
 /// Seeded `m x k` channel matrix — alias of [`rand_mat`] kept for test
 /// readability at call sites that think in (antennas, users).
-pub fn rand_channel(m: usize, k: usize, seed: u64) -> CMat {
+pub(crate) fn rand_channel(m: usize, k: usize, seed: u64) -> CMat {
     rand_mat(m, k, seed)
 }
 
 /// Random Hermitian positive-definite `n x n` matrix: `A^H A + 0.5 I`
 /// for a random square `A` (comfortably PD, condition number modest).
-pub fn rand_hpd(n: usize, seed: u64) -> CMat {
+pub(crate) fn rand_hpd(n: usize, seed: u64) -> CMat {
     let a = rand_mat(n, n, seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let mut g = a.gram();
+    let mut g = CMat::zeros(n, n);
+    gram_accumulate_scalar(n, n, a.as_slice(), g.as_mut_slice());
     for i in 0..n {
         g[(i, i)] += Cf32::real(0.5);
     }
     g
-}
-
-/// Well-conditioned random square matrix: random entries plus `n` on the
-/// diagonal (diagonally dominant).
-pub fn rand_diag_dominant(n: usize, seed: u64) -> CMat {
-    let mut m = rand_mat(n, n, seed);
-    for i in 0..n {
-        m[(i, i)] += Cf32::new(n as f32, 0.0);
-    }
-    m
 }

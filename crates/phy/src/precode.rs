@@ -63,11 +63,11 @@ mod tests {
         let x: Vec<Cf32> = (0..4).map(|u| Cf32::new(1.0 + u as f32, -0.5 * u as f32)).collect();
         let mut ant = vec![Cf32::ZERO; 16];
         precode_batch(&zf, 0, 1, &Gemm::plan(16, 4, 1), &x, &mut ant);
-        let r = csi.at(0).transpose().matvec(&ant);
+        let r = csi.at(0).transpose().matmul(&CMat::from_fn(16, 1, |a, _| ant[a]));
         // Proportionality: r_k / x_k equal across users (real positive c).
-        let c0 = r[0] * x[0].inv();
+        let c0 = r[(0, 0)] * x[0].inv();
         for u in 1..4 {
-            let cu = r[u] * x[u].inv();
+            let cu = r[(u, 0)] * x[u].inv();
             assert!((cu - c0).abs() < 1e-2 * c0.abs(), "user {u}: {cu:?} vs {c0:?}");
         }
         // And cross-user leakage is small relative to signal.

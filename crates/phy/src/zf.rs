@@ -14,9 +14,8 @@ use agora_math::{normalize_precoder, pinv, CMat, PinvMethod};
 pub struct ZfConfig {
     /// Subcarriers sharing one precoder (the paper uses 16).
     pub group_size: usize,
-    /// Pseudo-inverse route: a Gram solve (Cholesky, the default, or
-    /// Gauss-Jordan) or SVD (robust) — the pair behind Table 4's "matrix
-    /// inverse optimisation" row.
+    /// Pseudo-inverse route: the one Gram solve (Cholesky), which falls
+    /// back to the robust SVD on a singular channel.
     pub method: PinvMethod,
 }
 
@@ -97,7 +96,7 @@ pub fn zf_task(csi: &CsiBuffer, cfg: &ZfConfig, group: usize, out: &mut ZfBuffer
 #[cfg(test)]
 mod tests {
     use super::*;
-    use agora_math::{CMat, Cf32};
+    use agora_math::{pinv_svd, CMat, Cf32};
 
     fn random_csi(m: usize, k: usize, q: usize, seed: u64) -> CsiBuffer {
         let mut state = seed | 1;
@@ -179,16 +178,15 @@ mod tests {
         assert!(buf.precoder_for(39).max_abs_diff(buf.precoder(2)) < 1e-9);
     }
 
+    /// The default route (the Cholesky Gram solve) agrees with the
+    /// robust SVD pseudo-inverse it falls back to.
     #[test]
     fn every_method_agrees_with_the_default() {
         let csi = random_csi(16, 4, 16, 23);
         let mut default = ZfBuffer::new(16, 4, 16, 16);
         zf_task(&csi, &ZfConfig::default(), 0, &mut default);
         assert_eq!(ZfConfig::default().method, PinvMethod::Cholesky);
-        for method in [PinvMethod::Direct, PinvMethod::Svd] {
-            let mut other = ZfBuffer::new(16, 4, 16, 16);
-            zf_task(&csi, &ZfConfig { group_size: 16, method }, 0, &mut other);
-            assert!(default.detector(0).max_abs_diff(other.detector(0)) < 1e-2, "{method:?}");
-        }
+        let svd = pinv_svd(csi.at(0), 1e-5);
+        assert!(default.detector(0).max_abs_diff(&svd) < 1e-2);
     }
 }

@@ -6,9 +6,10 @@
 # Runs the release build (the tier-1 artifact), the full workspace test
 # suite, format and clippy gates (warnings promoted to errors), the
 # release parity smokes, the benchmark's own checks, the evidence checks
-# (every committed results/*.csv still has a producing repro row, and the
-# deterministic simulator rows reproduce theirs byte for byte), the orphan
-# gate (every library `pub fn` has a caller), the knob gate (every
+# (every committed results/*.csv still has a producing repro row, the
+# deterministic simulator rows reproduce theirs byte for byte, and every
+# BENCH_<n>.json reduces again from its run log), the orphan gate (every
+# library `pub fn` has a caller outside tests), the knob gate (every
 # `EngineConfig` and `DeploymentConfig` field has a non-test setter or a
 # pending decision),
 # the fence gate (streaming stores and their one fence live in
@@ -30,37 +31,50 @@ for csv in results/*.csv; do
     fi
 done
 
-echo "== every pub fn has a caller =="
+echo "== every pub fn has a non-test caller =="
 # A `pub fn` declared in the non-test part of a library file (above its
-# first #[cfg(test)]) must be named somewhere else: in another .rs file
-# (a lib.rs `pub use …;` re-export is not a caller) or elsewhere in the
-# non-test part of its own file. Word-level, so a name shared with a
-# live item passes; it catches the whole-clump orphans. The bench crate's
+# first #[cfg(test)]) must be named somewhere else outside tests: in the
+# non-test part of another .rs file (a lib.rs `pub use …;` re-export is
+# not a caller; tests/ and crates/*/tests/ are not callers) or elsewhere
+# in the non-test part of its own file. A function only tests call
+# belongs under #[cfg(test)], or in the `oracles` list below with the
+# test that needs it public. Word-level, so a name shared with a live
+# item passes; it catches the whole-clump orphans. The bench crate's
 # bins are entry points, not API. Reads benchmark/src, never writes it.
 # Names a trait impl or a std convention calls without naming the file:
 allow=" new default len is_empty fmt "
+# Functions only tests call that another crate's tests need public (a
+# scalar oracle, a harness helper), each with a test that needs it:
+oracles="
+unpack_samples     agora-core kernels::tests::fused_unpack_bitrev_matches_naive_pipeline,
+                   agora-fronthaul rru::tests::pilot_symbol_survives_fft_roundtrip
+wait_next          tests/uplink_integration.rs::paced_processing_tracks_frame_rate
+"
 words=$(mktemp)
 trap 'rm -f "$words"' EXIT
-find crates tests examples src benchmark/src -name '*.rs' -not -path '*/target/*' |
+find crates examples src benchmark/src -name '*.rs' -not -path '*/target/*' -not -path '*/tests/*' |
     while read -r f; do
         case "$f" in
         */lib.rs) perl -0pe 's/^\s*pub use [^;]*;//mg' "$f" ;;
         *) cat "$f" ;;
-        esac | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u | sed "s|^|$f |"
+        esac | awk '/#\[cfg\(test\)\]/ { exit } { print }' |
+            grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u | sed "s|^|$f |"
     done >"$words"
 orphans=0
 for f in $(find crates/*/src -name '*.rs' -not -path 'crates/bench/*' | sort); do
     body=$(awk '/#\[cfg\(test\)\]/ { exit } { print }' "$f")
     for name in $(grep -oE 'pub (const |unsafe )*fn [a-z_0-9]+' <<<"$body" | awk '{ print $NF }' | sort -u); do
         case "$allow" in *" $name "*) continue ;; esac
+        grep -qE "^$name " <<<"$oracles" && continue
         [ "$(grep -ow "$name" <<<"$body" | wc -l)" -gt 1 ] && continue
         awk -v f="$f" -v n="$name" '$2 == n && $1 != f { found = 1; exit } END { exit !found }' "$words" && continue
-        echo "$f: pub fn $name has no caller outside its own tests"
+        echo "$f: pub fn $name has no caller outside tests"
         orphans=$((orphans + 1))
     done
 done
 if [ "$orphans" -ne 0 ]; then
-    echo "$orphans uncalled pub fn(s): delete them with their tests, or move them under #[cfg(test)]"
+    echo "$orphans pub fn(s) only tests call: delete them with their tests, move them under"
+    echo "#[cfg(test)], or list them in scripts/ci.sh's oracles with the test that needs them"
     exit 1
 fi
 
@@ -160,6 +174,29 @@ echo "== evidence reproduces: the deterministic simulator rows rewrite their CSV
 cargo run --release -q -p agora-bench --bin repro -- fig6_latency fig8_scalability \
     fig10_datamove fig11_sync fig13_breakdown ext_ablations >/dev/null
 git diff --exit-code -- 'results/*.csv'
+
+echo "== every BENCH_<n>.json reduces again from its run log =="
+# scripts/ab.sh's reduction of results/logs/pr<n>_benchmark_runs.txt with
+# BENCHMARK.json's metrics (per-layer ones against a bound of 0.25): every
+# row the committed file holds must equal the recomputed row of the same
+# workload and metric. Rows the reducer added later (`failed_share`) are
+# not required of older files.
+mapfile -t metrics < <(jq -r '(.end_to_end[] | "\(.name):\(.better):\(.bound)"),
+    (.per_layer[] | "\(.name):\(.better):0.25")' BENCHMARK.json)
+for bench in BENCH_*.json; do
+    n=${bench#BENCH_} && n=${n%.json}
+    fresh=$(cargo run --release -q -p agora-bench --bin ab -- \
+        "results/logs/pr${n}_benchmark_runs.txt" "${metrics[@]}")
+    stale=$(jq -r --argjson fresh "$fresh" '.workloads[] as $row
+        | select([$fresh.workloads[] | select(.workload == $row.workload and .metric == $row.metric)]
+            != [$row])
+        | "\($row.workload) \($row.metric)"' "$bench")
+    if [ -n "$stale" ]; then
+        echo "$bench: rows that its log does not reduce to:"
+        echo "$stale"
+        exit 1
+    fi
+done
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings

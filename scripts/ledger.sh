@@ -24,6 +24,32 @@ done
 printf '  %-10s %6d\n' "workspace" "$total"
 printf '  %-10s %6d\n' "benchmark/" "$(lines benchmark)"
 
+echo "== non-test Rust lines: per crate, then shims/ and examples/ =="
+# The part of each file above its first #[cfg(test)], with tests/
+# directories and the files of modules declared under #[cfg(test)] left
+# out: moving code into tests is not a reduction.
+testmods() {
+    rs "$@" | while read -r f; do
+        awk -v dir="$(dirname "$f")" 'prev ~ /^#\[cfg\(test\)\]/ && /^(pub(\(crate\))? )?mod [a-z_0-9]+;/ {
+            m = $NF; sub(/;/, "", m); print dir "/" m ".rs" } { prev = $0 }' "$f"
+    done
+}
+nontest_lines() {
+    skip=$(testmods "$@")
+    n=0
+    for f in $(rs "$@" | grep -v '/tests/'); do
+        grep -qxF "$f" <<<"$skip" || n=$((n + $(nontest "$f" | wc -l)))
+    done
+    echo "$n"
+}
+total=0
+for tree in crates/* shims examples; do
+    n=$(nontest_lines "$tree")
+    total=$((total + n))
+    printf '  %-20s %6d\n' "$tree" "$n"
+done
+printf '  %-20s %6d\n' total "$total"
+
 echo "== unsafe occurrences (crates/ shims/ tests/ examples/) =="
 printf '  %d, of them %d in crates/core\n' \
     "$(rs crates shims tests examples | xargs -r grep -ow unsafe | wc -l)" \
