@@ -175,7 +175,7 @@ pub fn compare<'a>(runs: &[Run<'a>], metrics: &[Metric<'a>]) -> Vec<Row<'a>> {
 pub const FAILED_SHARE: &str = "failed_share";
 
 /// Σ`failed` / Σ`attempted` over `runs`; zero when none attempted any.
-fn share_failed<'r, 'a: 'r>(runs: impl IntoIterator<Item = &'r Run<'a>>) -> f64 {
+fn failed_over_attempted<'r, 'a: 'r>(runs: impl IntoIterator<Item = &'r Run<'a>>) -> f64 {
     let (failed, attempted) = runs.into_iter().fold((0.0, 0.0), |(f, a), r| {
         (f + r.get("failed").unwrap_or(0.0), a + r.get("attempted").unwrap_or(0.0))
     });
@@ -189,9 +189,12 @@ fn share_failed<'r, 'a: 'r>(runs: impl IntoIterator<Item = &'r Run<'a>>) -> f64 
 /// The [`FAILED_SHARE`] row of one workload's pairs; `won` counts the
 /// pairs whose change run failed a smaller share than its parent run.
 fn failed_share<'a>(workload: &'a str, pairs: &[(&Run<'a>, &Run<'a>)]) -> Row<'a> {
-    let parent = share_failed(pairs.iter().map(|&(p, _)| p));
-    let change = share_failed(pairs.iter().map(|&(_, c)| c));
-    let won = pairs.iter().filter(|&&(p, c)| share_failed([c]) < share_failed([p])).count();
+    let parent = failed_over_attempted(pairs.iter().map(|&(p, _)| p));
+    let change = failed_over_attempted(pairs.iter().map(|&(_, c)| c));
+    let won = pairs
+        .iter()
+        .filter(|&&(p, c)| failed_over_attempted([c]) < failed_over_attempted([p]))
+        .count();
     let incorrect = pairs.iter().any(|(_, c)| !c.correct);
     Row {
         workload,
