@@ -42,16 +42,6 @@ impl ChannelModel {
         Self { m, k, model, rng: StdRng::seed_from_u64(seed) }
     }
 
-    /// Antennas `M`.
-    pub fn num_antennas(&self) -> usize {
-        self.m
-    }
-
-    /// Users `K`.
-    pub fn num_users(&self) -> usize {
-        self.k
-    }
-
     /// Draws one channel realisation (block fading: constant within a
     /// frame, redrawn across frames).
     pub fn draw(&mut self) -> CMat {

@@ -16,7 +16,7 @@
 //! and applies each cell's deadline and stall rules against that cell's
 //! own progress time.
 //!
-//! A [`Supervisor`] generalizes the §5.4 core-allocation solver from
+//! A supervisor generalizes the §5.4 core-allocation solver from
 //! task-groups-within-a-cell to cells-within-a-server: each epoch it
 //! samples per-cell busy time from [`EngineStats`], solves for the
 //! load-proportional core split, and migrates at most a few workers
@@ -39,26 +39,19 @@ use agora_fronthaul::Fronthaul;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Supervisor policy knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct SupervisorConfig {
-    /// Frames (summed across cells) per reallocation epoch.
-    pub epoch_frames: u64,
-    /// A worker migrates only when the receiving cell's per-core load
-    /// exceeds the donor's by this fraction (0.25 = 25%). Keeps balanced
-    /// deployments from thrashing cores back and forth.
-    pub hysteresis: f64,
-    /// Upper bound on worker migrations per epoch (gradual rebalancing).
-    pub max_moves_per_epoch: usize,
-    /// Every cell keeps at least this many workers, no matter how idle.
-    pub min_cores_per_cell: usize,
-}
+/// Frames (summed across cells) per reallocation epoch.
+const EPOCH_FRAMES: u64 = 4;
 
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        Self { epoch_frames: 4, hysteresis: 0.25, max_moves_per_epoch: 1, min_cores_per_cell: 1 }
-    }
-}
+/// A worker migrates only when the receiving cell's per-core load
+/// exceeds the donor's by this fraction (0.25 = 25%). Keeps balanced
+/// deployments from thrashing cores back and forth.
+const HYSTERESIS: f64 = 0.25;
+
+/// Upper bound on worker migrations per epoch (gradual rebalancing).
+const MAX_MOVES_PER_EPOCH: usize = 1;
+
+/// Every cell keeps at least this many workers, no matter how idle.
+const MIN_CORES_PER_CELL: usize = 1;
 
 /// The cells-over-shared-cores core reallocator: the §5.4 solver with
 /// cells as the competing shares, plus hysteresis-gated migration.
@@ -67,10 +60,8 @@ impl Default for SupervisorConfig {
 /// sample to the next allocation with no clocks or randomness, so tests
 /// drive it deterministically.
 #[derive(Debug)]
-pub struct Supervisor {
-    cfg: SupervisorConfig,
+pub(crate) struct Supervisor {
     alloc: Vec<usize>,
-    epochs: u64,
     migrations: u64,
 }
 
@@ -79,34 +70,27 @@ impl Supervisor {
     /// to the lowest cell ids).
     ///
     /// # Panics
-    /// If the budget cannot give every cell its configured minimum.
-    pub fn new(num_cells: usize, total_cores: usize, cfg: SupervisorConfig) -> Self {
+    /// If the budget cannot give every cell its minimum.
+    pub(crate) fn new(num_cells: usize, total_cores: usize) -> Self {
         assert!(num_cells > 0, "a deployment has at least one cell");
-        assert!(cfg.min_cores_per_cell > 0, "cells need at least one core");
         assert!(
-            total_cores >= num_cells * cfg.min_cores_per_cell,
-            "core budget {total_cores} below {num_cells} cells x {} minimum",
-            cfg.min_cores_per_cell
+            total_cores >= num_cells * MIN_CORES_PER_CELL,
+            "core budget {total_cores} below {num_cells} cells x {MIN_CORES_PER_CELL} minimum",
         );
         let base = total_cores / num_cells;
         let rem = total_cores % num_cells;
         let alloc = (0..num_cells).map(|c| base + usize::from(c < rem)).collect();
-        Self { cfg, alloc, epochs: 0, migrations: 0 }
+        Self { alloc, migrations: 0 }
     }
 
     /// Current cores-per-cell allocation.
-    pub fn allocation(&self) -> &[usize] {
+    pub(crate) fn allocation(&self) -> &[usize] {
         &self.alloc
     }
 
     /// Total workers migrated since start.
-    pub fn migrations(&self) -> u64 {
+    pub(crate) fn migrations(&self) -> u64 {
         self.migrations
-    }
-
-    /// Epochs stepped since start.
-    pub fn epochs(&self) -> u64 {
-        self.epochs
     }
 
     /// One reallocation epoch: `busy_ns[c]` is cell `c`'s busy time over
@@ -114,15 +98,14 @@ impl Supervisor {
     ///
     /// The target split comes from [`allocate_weighted`] — the same
     /// greedy latency-minimiser the pipeline variant uses, with each
-    /// cell's floor at `min_cores_per_cell`. The supervisor then walks
-    /// toward the target with at most `max_moves_per_epoch` single-core
+    /// cell's floor at [`MIN_CORES_PER_CELL`]. The supervisor then walks
+    /// toward the target with at most [`MAX_MOVES_PER_EPOCH`] single-core
     /// moves, each gated on the receiver's per-core load exceeding the
-    /// donor's by the hysteresis margin.
-    pub fn step(&mut self, busy_ns: &[u64]) -> &[usize] {
+    /// donor's by the [`HYSTERESIS`] margin.
+    pub(crate) fn step(&mut self, busy_ns: &[u64]) -> &[usize] {
         assert_eq!(busy_ns.len(), self.alloc.len(), "one busy sample per cell");
-        self.epochs += 1;
         let total: usize = self.alloc.iter().sum();
-        let min = self.cfg.min_cores_per_cell;
+        let min = MIN_CORES_PER_CELL;
         // Leave every *other* cell its floor; the rest is one cell's cap.
         let cap = total - (self.alloc.len() - 1) * min;
         let work: Vec<ShareWork> =
@@ -134,7 +117,7 @@ impl Supervisor {
             .expect("allocation feasible by construction");
 
         let load = |busy: u64, cores: usize| busy as f64 / cores as f64;
-        for _ in 0..self.cfg.max_moves_per_epoch {
+        for _ in 0..MAX_MOVES_PER_EPOCH {
             // Receiver: the under-target cell with the worst per-core
             // load; donor: the over-target cell with the best.
             let recv =
@@ -153,7 +136,7 @@ impl Supervisor {
             let (Some(r), Some(d)) = (recv, donor) else { break };
             let l_recv = load(busy_ns[r], self.alloc[r]);
             let l_donor = load(busy_ns[d], self.alloc[d]);
-            if l_recv <= l_donor * (1.0 + self.cfg.hysteresis) {
+            if l_recv <= l_donor * (1.0 + HYSTERESIS) {
                 break;
             }
             self.alloc[d] -= 1;
@@ -224,11 +207,6 @@ pub struct DeploymentStats {
 }
 
 impl DeploymentStats {
-    /// Number of cells.
-    pub fn num_cells(&self) -> usize {
-        self.cells.len()
-    }
-
     /// One cell's counters.
     pub fn cell(&self, c: usize) -> &EngineStats {
         &self.cells[c]
@@ -290,7 +268,7 @@ impl Deployment {
         // drains/steals lanes of its current cell only, indexed by its
         // global worker id.
         let cells: Vec<CellCore> = cfg.cells.into_iter().map(|c| CellCore::new(c, total)).collect();
-        let supervisor = Supervisor::new(cells.len(), total, SupervisorConfig::default());
+        let supervisor = Supervisor::new(cells.len(), total);
         // Initial worker->cell map from the even split.
         let assign = (supervisor.allocation().iter().enumerate())
             .flat_map(|(c, &n)| std::iter::repeat_n(c, n))
@@ -303,16 +281,11 @@ impl Deployment {
         let demux = CellDemux::new(cells.len());
         let sup = Mutex::new(SupervisorState {
             last_busy: vec![0; cells.len()],
-            next_epoch: supervisor.cfg.epoch_frames,
+            next_epoch: EPOCH_FRAMES,
             supervisor,
         });
         let pool = Pool::new(cells, assign, stats.link.clone(), cfg.rx_batch, cfg.pin_cores);
         Self { pool, stats, demux, sup }
-    }
-
-    /// Number of deployed cells.
-    pub fn num_cells(&self) -> usize {
-        self.pool.cells.len()
     }
 
     /// Aggregated statistics (live).
@@ -371,7 +344,7 @@ impl Deployment {
         if done < st.next_epoch {
             return;
         }
-        st.next_epoch = done + st.supervisor.cfg.epoch_frames;
+        st.next_epoch = done + EPOCH_FRAMES;
         let busy: Vec<u64> = self.stats.cells.iter().map(|s| s.total_busy_ns()).collect();
         let delta: Vec<u64> =
             busy.iter().zip(&st.last_busy).map(|(b, l)| b.saturating_sub(*l)).collect();
@@ -423,17 +396,16 @@ mod tests {
 
     #[test]
     fn supervisor_initial_split_is_even() {
-        let s = Supervisor::new(4, 8, SupervisorConfig::default());
+        let s = Supervisor::new(4, 8);
         assert_eq!(s.allocation(), &[2, 2, 2, 2]);
-        let s = Supervisor::new(3, 8, SupervisorConfig::default());
+        let s = Supervisor::new(3, 8);
         assert_eq!(s.allocation(), &[3, 3, 2]);
     }
 
     #[test]
     #[should_panic(expected = "core budget")]
     fn supervisor_rejects_budget_below_floor() {
-        let cfg = SupervisorConfig { min_cores_per_cell: 2, ..Default::default() };
-        Supervisor::new(4, 7, cfg);
+        Supervisor::new(4, 3);
     }
 
     /// The acceptance-criteria scenario: one loaded cell among idle
@@ -442,7 +414,7 @@ mod tests {
     /// pure `step` calls.
     #[test]
     fn skewed_load_migrates_cores_within_bounded_epochs() {
-        let mut s = Supervisor::new(4, 8, SupervisorConfig::default());
+        let mut s = Supervisor::new(4, 8);
         // Cell 1 is saturated (8 ms busy per epoch); the rest are idle.
         let busy = [0u64, 8_000_000, 0, 0];
         let mut first_migration = None;
@@ -461,7 +433,7 @@ mod tests {
 
     #[test]
     fn balanced_load_never_thrashes() {
-        let mut s = Supervisor::new(2, 8, SupervisorConfig::default());
+        let mut s = Supervisor::new(2, 8);
         for _ in 0..16 {
             s.step(&[1_000_000, 1_050_000]); // within the 25% band
         }
@@ -471,7 +443,7 @@ mod tests {
 
     #[test]
     fn all_idle_cells_never_thrash() {
-        let mut s = Supervisor::new(4, 8, SupervisorConfig::default());
+        let mut s = Supervisor::new(4, 8);
         for _ in 0..8 {
             s.step(&[0, 0, 0, 0]);
         }
@@ -480,7 +452,7 @@ mod tests {
 
     #[test]
     fn load_reversal_migrates_back() {
-        let mut s = Supervisor::new(2, 6, SupervisorConfig::default());
+        let mut s = Supervisor::new(2, 6);
         for _ in 0..4 {
             s.step(&[9_000_000, 0]);
         }
@@ -493,13 +465,11 @@ mod tests {
 
     #[test]
     fn min_cores_floor_is_respected() {
-        let cfg = SupervisorConfig { min_cores_per_cell: 2, ..Default::default() };
-        let mut s = Supervisor::new(3, 9, cfg);
+        let mut s = Supervisor::new(3, 9);
         for _ in 0..16 {
             s.step(&[50_000_000, 0, 0]);
         }
-        assert!(s.allocation().iter().all(|&c| c >= 2), "{:?}", s.allocation());
-        assert_eq!(s.allocation().iter().sum::<usize>(), 9);
+        assert_eq!(s.allocation(), &[7, 1, 1], "the idle cells keep their floor of one");
     }
 
     fn tiny_cell_cfg(cell_id: u8, seed: u64) -> (EngineConfig, RruEmulator) {

@@ -69,8 +69,6 @@ pub struct Kernels {
     /// How the task bodies store the `freq`, `dl_freq` and `dl_time`
     /// planes, decided from their sizes.
     stores: PlaneStores,
-    /// Coded bits actually carried per (symbol, user).
-    coded_bits: usize,
     /// Squared minimum distance of the cell's constellation, which the
     /// LLR quantiser divides by.
     d_min_sqr: f32,
@@ -273,7 +271,6 @@ impl Kernels {
         let pre_gemm = Gemm::plan_with_tier(geom.m, geom.k, geom.block, tier);
         let demapper = Demapper::new(cell.modulation, tier);
         let modulator = Modulator::new(cell.modulation);
-        let coded_bits = cell.coded_bits_per_symbol();
         let d_min_sqr = d_min_sqr(cell.modulation);
         let shape = FrameShape::new(cell);
         let stores = PlaneStores::new(&geom);
@@ -295,7 +292,6 @@ impl Kernels {
             modulator,
             tier,
             stores,
-            coded_bits,
             d_min_sqr,
         }
     }
@@ -321,11 +317,6 @@ impl Kernels {
     /// The rate-matching plan.
     pub fn rate_match(&self) -> &RateMatch {
         &self.rate_match
-    }
-
-    /// Coded bits carried per (symbol, user).
-    pub fn coded_bits(&self) -> usize {
-        self.coded_bits
     }
 
     /// FFT task (uplink) for one antenna: [`Self::fft_batch_task`] with a
@@ -1440,7 +1431,7 @@ mod tests {
         k.zf_task(fb, &mut s, 0);
         let det = pinv_svd(&h, 1e-5);
         assert!(bits(fb.det.row(0)) == bits(det.as_slice()), "det is not the SVD fallback");
-        assert!(fb.pre.row(0).iter().all(|z| z.is_finite()), "pre");
+        assert!(fb.pre.row(0).iter().all(|z| z.re.is_finite() && z.im.is_finite()), "pre");
         assert!(fb.inv_noise.row(0).iter().all(|v| v.is_finite()), "inv_noise");
     }
 

@@ -36,7 +36,7 @@ pub mod state;
 pub mod stats;
 
 pub use config::{BatchSizes, EngineConfig};
-pub use deploy::{Deployment, DeploymentConfig, DeploymentStats, Supervisor, SupervisorConfig};
+pub use deploy::{Deployment, DeploymentConfig, DeploymentStats};
 pub use engine::{Engine, FrameResult};
 pub use inline_engine::InlineProcessor;
 pub use kernels::Kernels;

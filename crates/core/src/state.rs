@@ -180,6 +180,8 @@ struct FrameGraph {
     /// The (stage, symbol)s that wait on nothing — the downlink encodes
     /// — dispatched on a frame's first packet.
     sources: Vec<(TaskType, usize)>,
+    /// The most messages one frame can emit.
+    max_messages: usize,
 }
 
 impl FrameGraph {
@@ -215,10 +217,16 @@ impl FrameGraph {
                 }
             }
         }
-        let mut sources = Vec::new();
+        let (mut sources, mut max_messages) = (Vec::new(), 0);
         for stage in TaskType::COMPUTE {
+            let (n, step) = (tasks[type_index(stage)], step[type_index(stage)]);
+            // FFT messages are runs of consecutive antennas as packets
+            // arrive: reordered packets split a run, down to one packet
+            // a message.
+            let per_symbol = if stage == TaskType::Fft { n } else { n.div_ceil(step) };
             for s in (0..symbols).filter(|&s| runs[at(stage, s)]) {
                 fresh.open[type_index(stage)] += 1;
+                max_messages += per_symbol as usize;
                 if stage == TaskType::Fft {
                     fresh.waiting[at(stage, s)] = m as u32;
                 } else if fresh.waiting[at(stage, s)] == 0 {
@@ -226,7 +234,7 @@ impl FrameGraph {
                 }
             }
         }
-        Self { schedule, tasks, step, of_type, fresh, sources }
+        Self { schedule, tasks, step, of_type, fresh, sources, max_messages }
     }
 
     /// Appends the messages that carry every task of `stage` on `symbol`
@@ -415,6 +423,16 @@ impl FrameTable {
     /// buffers may be reused.
     pub fn watermark(&self) -> u32 {
         self.watermark
+    }
+
+    /// The most task messages one frame can emit: per (stage, symbol)
+    /// that runs, its tasks over the stage's batch step, except that an
+    /// FFT may go out one packet per message when packets arrive out of
+    /// order. The stale-precoder edge replaces a symbol's precodes, it
+    /// does not add any. So `frame_window` times this bounds a cell's
+    /// messages in flight.
+    pub fn max_messages_per_frame(&self) -> usize {
+        self.graph.max_messages
     }
 
     /// Slots held: the distance from the watermark to the highest frame

@@ -64,11 +64,10 @@ pub enum Counter {
     LinkTxErrors,
     /// Socket-level receive errors reported by the fronthaul link.
     LinkRxErrors,
-    /// Task messages placed directly into a worker's lane.
+    /// Task messages placed into a worker's lane.
     LanePushes,
-    /// Task messages that overflowed a full lane to the shared queues.
-    LaneOverflows,
-    /// Deepest lane backlog observed at placement time.
+    /// Deepest lane backlog observed at placement time, the placed batch
+    /// included.
     LaneDepthMax,
     /// Task messages a worker took from another worker's lane.
     Steals,
@@ -81,7 +80,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`]s.
-pub const NUM_COUNTERS: usize = 19;
+pub const NUM_COUNTERS: usize = 18;
 
 /// How two sinks' values of one counter combine in [`EngineStats::merge`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,7 +108,6 @@ pub const COUNTERS: [(Counter, &str, Fold); NUM_COUNTERS] = [
     (Counter::LinkTxErrors, "link_tx_errors", Fold::Add),
     (Counter::LinkRxErrors, "link_rx_errors", Fold::Add),
     (Counter::LanePushes, "lane_pushes", Fold::Add),
-    (Counter::LaneOverflows, "lane_overflows", Fold::Add),
     (Counter::LaneDepthMax, "lane_depth_max", Fold::Max),
     (Counter::Steals, "steals", Fold::Add),
     (Counter::StealBatches, "steal_batches", Fold::Add),
@@ -147,10 +145,9 @@ const LEDGER: [(&[Counter], &str); 4] = [
         "link errors: {link_tx_errors} tx, {link_rx_errors} rx\n",
     ),
     (
-        &[Counter::LanePushes, Counter::LaneOverflows, Counter::Steals, Counter::Parks],
+        &[Counter::LanePushes, Counter::Steals, Counter::Parks],
         "sched: {lane_pushes} lane pushes (max depth {lane_depth_max}), \
-         {lane_overflows} overflows, {steals} stolen in {steal_batches} steals, \
-         {parks} parks, {wakes} wakes\n",
+         {steals} stolen in {steal_batches} steals, {parks} parks, {wakes} wakes\n",
     ),
 ];
 
@@ -182,8 +179,6 @@ pub struct EngineStats {
     messages: [AtomicU64; NUM_TASK_TYPES],
     /// Total busy nanoseconds per worker id (sized at engine start).
     worker_busy_ns: Vec<AtomicU64>,
-    /// `push_task` retry spins per task type (shared queue was full).
-    push_retries: [AtomicU64; NUM_TASK_TYPES],
     /// The scalar counters, one slot per [`Counter`].
     counters: [AtomicU64; NUM_COUNTERS],
 }
@@ -212,11 +207,6 @@ impl EngineStats {
     /// Cumulative busy nanoseconds for one task type.
     pub fn busy_ns(&self, t: TaskType) -> u64 {
         self.busy_ns[type_index(t)].load(Ordering::Relaxed)
-    }
-
-    /// Number of tasks executed for one type.
-    pub fn tasks(&self, t: TaskType) -> u64 {
-        self.tasks[type_index(t)].load(Ordering::Relaxed)
     }
 
     /// Number of queue messages processed for one type.
@@ -273,14 +263,15 @@ impl EngineStats {
         self.get(Counter::RxBatchPackets)
     }
 
-    /// Tasks placed directly into worker lanes.
+    /// Tasks placed into worker lanes.
     pub fn lane_pushes(&self) -> u64 {
         self.get(Counter::LanePushes)
     }
 
-    /// Tasks that overflowed full lanes to the shared queues.
+    /// Always 0: a lane holds every task its cell can have in flight, so
+    /// nothing overflows. Kept because the benchmark reads it.
     pub fn lane_overflows(&self) -> u64 {
-        self.get(Counter::LaneOverflows)
+        0
     }
 
     /// Tasks taken from other workers' lanes.
@@ -293,15 +284,10 @@ impl EngineStats {
         self.get(Counter::Parks)
     }
 
-    /// Records `n` retry spins while pushing a type-`t` task into a full
-    /// shared queue (backpressure that used to be a silent yield loop).
-    pub fn add_push_retries(&self, t: TaskType, n: u64) {
-        self.push_retries[type_index(t)].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Retry spins summed over all task types.
+    /// Always 0: no task push waits on a full queue. Kept because the
+    /// benchmark reads it.
     pub fn total_push_retries(&self) -> u64 {
-        self.push_retries.iter().map(|a| a.load(Ordering::Relaxed)).sum()
+        0
     }
 
     /// Accumulates `other`'s counters into `self`, so per-cell stats
@@ -319,7 +305,6 @@ impl EngineStats {
         add_all(&self.tasks, &other.tasks);
         add_all(&self.messages, &other.messages);
         add_all(&self.worker_busy_ns, &other.worker_busy_ns);
-        add_all(&self.push_retries, &other.push_retries);
         for (c, _, fold) in COUNTERS {
             match fold {
                 Fold::Add => self.add(c, other.get(c)),
@@ -338,16 +323,6 @@ impl EngineStats {
             if gate.is_empty() || gate.iter().any(|&c| snap[c as usize] > 0) {
                 render(line, &snap, &mut out);
             }
-        }
-        let retries = self.total_push_retries();
-        if retries > 0 {
-            let parts: Vec<String> = (0..NUM_TASK_TYPES)
-                .filter_map(|i| {
-                    let n = self.push_retries[i].load(Ordering::Relaxed);
-                    (n > 0).then(|| format!("{} {}", TYPE_NAMES[i], n))
-                })
-                .collect();
-            out.push_str(&format!("queue-full retries: {retries} ({})\n", parts.join(", ")));
         }
         let mut blocks: Vec<(usize, u64)> = (0..NUM_TASK_TYPES)
             .map(|i| (i, self.busy_ns[i].load(Ordering::Relaxed)))
@@ -396,6 +371,10 @@ mod tests {
     impl EngineStats {
         fn worker_busy_ns(&self, worker: usize) -> u64 {
             self.worker_busy_ns[worker].load(Ordering::Relaxed)
+        }
+
+        fn tasks(&self, t: TaskType) -> u64 {
+            self.tasks[type_index(t)].load(Ordering::Relaxed)
         }
     }
 
@@ -446,7 +425,6 @@ mod tests {
         }
         for (i, &t) in TaskType::COMPUTE.iter().enumerate() {
             s.record(i % 2, t, seed + i as u64, seed * 1000 + i as u64);
-            s.add_push_retries(t, seed + 2 * i as u64);
         }
         s
     }
@@ -469,14 +447,14 @@ mod tests {
             assert_eq!(total.tasks(t), a.tasks(t) + b.tasks(t));
             assert_eq!(total.messages(t), 2);
         }
-        assert_eq!(total.total_push_retries(), a.total_push_retries() + b.total_push_retries());
         for w in 0..2 {
             assert_eq!(total.worker_busy_ns(w), a.worker_busy_ns(w) + b.worker_busy_ns(w));
         }
     }
 
     /// `summary()` and `table()` text of the commit before the counter
-    /// table (742eb83), for the same recorded events.
+    /// table (742eb83), for the same recorded events, without that
+    /// commit's lane-overflow and queue-full counts.
     #[test]
     fn summary_and_table_match_the_golden_text() {
         let s = EngineStats::new(2);
@@ -504,13 +482,10 @@ mod tests {
         }
         s.set(Counter::LinkTxErrors, 2);
         s.set(Counter::LinkRxErrors, 5);
-        s.add_push_retries(TaskType::Decode, 7);
-        s.add_push_retries(TaskType::Fft, 2);
         for (n, depth) in [(4, 9), (6, 5)] {
             s.add(Counter::LanePushes, n);
             s.max(Counter::LaneDepthMax, depth);
         }
-        s.add(Counter::LaneOverflows, 2);
         for n in [3, 1] {
             s.add(Counter::Steals, n);
             s.add(Counter::StealBatches, 1);
@@ -522,8 +497,7 @@ mod tests {
             "frames: 3 completed, 1 dropped | packets: 5 lost, 1 late, 2 dup, 1 rx-err, 4 misrouted\n\
              rx: 3 batches, 48 packets (mean 16.0/batch, max 32)\n\
              link errors: 2 tx, 5 rx\n\
-             sched: 10 lane pushes (max depth 9), 2 overflows, 4 stolen in 2 steals, 2 parks, 1 wakes\n\
-             queue-full retries: 9 (FFT 2, Decode 7)\n\
+             sched: 10 lane pushes (max depth 9), 4 stolen in 2 steals, 2 parks, 1 wakes\n\
              busy: Decode 0.04ms, Demod 0.01ms, FFT 0.01ms\n"
         );
         assert_eq!(

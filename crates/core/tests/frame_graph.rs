@@ -33,13 +33,21 @@ fn fnv(digest: &mut u64, words: &[u64]) {
 const FRAMES: u32 = 3;
 
 /// Packets of `frames` frames in arrival order: every pilot and uplink
-/// symbol's antennas, frame by frame.
-fn arrivals(schedule: &FrameSchedule, m: usize, frames: u32) -> Vec<(u32, usize, usize)> {
+/// symbol's antennas, frame by frame, in ascending antenna order or, with
+/// `reversed`, descending — which leaves no two arrivals of a symbol
+/// consecutive, so every FFT goes out one packet a message.
+fn arrivals(
+    schedule: &FrameSchedule,
+    m: usize,
+    frames: u32,
+    reversed: bool,
+) -> Vec<(u32, usize, usize)> {
     let bearing: Vec<usize> = (0..schedule.len())
         .filter(|&s| matches!(schedule.symbol(s), SymbolType::Pilot | SymbolType::Uplink))
         .collect();
+    let antenna = move |a: usize| if reversed { m - 1 - a } else { a };
     (0..frames)
-        .flat_map(|f| bearing.iter().flat_map(move |&s| (0..m).map(move |a| (f, s, a))))
+        .flat_map(|f| bearing.iter().flat_map(move |&s| (0..m).map(move |a| (f, s, antenna(a)))))
         .collect()
 }
 
@@ -54,10 +62,23 @@ fn run(
     stale: bool,
     lifo: bool,
 ) -> (usize, u64, u64) {
+    run_arrivals(s, shape, b, stale, lifo, false)
+}
+
+/// [`run`], with each symbol's antennas arriving in descending order
+/// when `reversed`.
+fn run_arrivals(
+    s: &FrameSchedule,
+    shape: FrameShape,
+    b: BatchSizes,
+    stale: bool,
+    lifo: bool,
+    reversed: bool,
+) -> (usize, u64, u64) {
     let mut table = FrameTable::new(s.clone(), shape, b, stale, 0);
     let (mut msgs, mut milestones, mut emitted, mut retired) = (FNV, FNV, 0, 0);
     let (mut work, mut out) = (VecDeque::new(), Vec::new());
-    let mut packets = arrivals(s, shape.m, FRAMES).into_iter().peekable();
+    let mut packets = arrivals(s, shape.m, FRAMES, reversed).into_iter().peekable();
     for now in 1u64.. {
         // Every third tick a packet arrives while there are any left;
         // every other tick one pending message completes.
@@ -155,6 +176,27 @@ fn pinned_runs_take_the_stale_edge() {
     }
 }
 
+/// The per-frame message bound that sizes the engine's lanes is what a
+/// frame emits when no two of a symbol's packets arrive in antenna order
+/// — every FFT a message of its own — and in-order arrivals emit no
+/// more: on every schedule, both batch settings, the stale edge off and
+/// on (it replaces precodes, it adds none).
+#[test]
+fn max_messages_per_frame_is_what_a_frame_emits() {
+    for (name, schedule, shape) in cases() {
+        for batch in [BatchSizes::ones(), BatchSizes::default()] {
+            for stale in [false, true] {
+                let table = FrameTable::new(schedule.clone(), shape, batch, stale, 0);
+                let bound = table.max_messages_per_frame() * FRAMES as usize;
+                let worst = run_arrivals(&schedule, shape, batch, stale, false, true).0;
+                assert_eq!(worst, bound, "{name} {batch:?} stale {stale}");
+                let in_order = run(&schedule, shape, batch, stale, false).0;
+                assert!(in_order <= bound, "{name} {batch:?} stale {stale}: {in_order}");
+            }
+        }
+    }
+}
+
 /// What a random run has seen so far.
 #[derive(Default)]
 struct Ledger {
@@ -229,7 +271,7 @@ proptest! {
         };
         let steps = [b.fft, b.zf, b.demod, b.decode, b.encode, b.precode, b.ifft].map(|n| n as u32);
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut packets = arrivals(&sched, m, FRAMES);
+        let mut packets = arrivals(&sched, m, FRAMES, false);
         for i in (1..packets.len()).rev() {
             packets.swap(i, rng.gen_range(0..i + 1));
         }

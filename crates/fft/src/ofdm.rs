@@ -96,11 +96,6 @@ impl Ofdm {
         self.map.fft_size + self.cp_len
     }
 
-    /// The subcarrier layout.
-    pub fn map(&self) -> SubcarrierMap {
-        self.map
-    }
-
     /// The underlying FFT plan (shared with the engine's FFT tasks).
     pub fn plan(&self) -> &Arc<FftPlan> {
         &self.plan

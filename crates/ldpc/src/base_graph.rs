@@ -55,7 +55,6 @@ pub struct BaseEntry {
 /// identity blocks, with a per-row index for the decoders.
 #[derive(Debug)]
 pub struct BaseGraph {
-    id: BaseGraphId,
     rows: usize,
     cols: usize,
     kb: usize,
@@ -76,11 +75,6 @@ impl BaseGraph {
             BaseGraphId::Bg1 => BG1.get_or_init(|| BaseGraph::build(BaseGraphId::Bg1)),
             BaseGraphId::Bg2 => BG2.get_or_init(|| BaseGraph::build(BaseGraphId::Bg2)),
         }
-    }
-
-    /// The id this graph was built for.
-    pub fn id(&self) -> BaseGraphId {
-        self.id
     }
 
     /// Number of base rows (parity-check groups).
@@ -227,7 +221,7 @@ impl BaseGraph {
             row_start[r + 1] += row_start[r];
         }
 
-        BaseGraph { id, rows, cols, kb, entries, row_start }
+        BaseGraph { rows, cols, kb, entries, row_start }
     }
 }
 

@@ -48,16 +48,6 @@ impl Encoder {
         self.bg.cols() * self.z
     }
 
-    /// The lifting size.
-    pub fn z(&self) -> usize {
-        self.z
-    }
-
-    /// The base graph in use.
-    pub fn base_graph(&self) -> &'static BaseGraph {
-        self.bg
-    }
-
     /// Encodes `info` (one bit per byte, length [`Self::info_len`]) into a
     /// full codeword (length [`Self::codeword_len`]). The codeword starts
     /// with the systematic bits.
@@ -128,27 +118,6 @@ impl Encoder {
             cw[own_col * z..(own_col + 1) * z].copy_from_slice(&p);
         }
         cw
-    }
-
-    /// Verifies `H c = 0` for a full-length codeword; the encoder's
-    /// invariant and the decoders' success test.
-    pub fn check(&self, cw: &[u8]) -> bool {
-        assert_eq!(cw.len(), self.codeword_len());
-        let z = self.z;
-        for r in 0..self.bg.rows() {
-            for i in 0..z {
-                let mut parity = 0u8;
-                for e in self.bg.row_entries(r) {
-                    let c = e.col as usize;
-                    let shift = e.shift as usize % z;
-                    parity ^= cw[c * z + (i + shift) % z];
-                }
-                if parity != 0 {
-                    return false;
-                }
-            }
-        }
-        true
     }
 }
 
@@ -406,6 +375,29 @@ impl BitWriter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Encoder {
+        /// Verifies `H c = 0` for a full-length codeword: the encoder's
+        /// invariant, and the decoder tests' success check.
+        pub(crate) fn check(&self, cw: &[u8]) -> bool {
+            assert_eq!(cw.len(), self.codeword_len());
+            let z = self.z;
+            for r in 0..self.bg.rows() {
+                for i in 0..z {
+                    let mut parity = 0u8;
+                    for e in self.bg.row_entries(r) {
+                        let c = e.col as usize;
+                        let shift = e.shift as usize % z;
+                        parity ^= cw[c * z + (i + shift) % z];
+                    }
+                    if parity != 0 {
+                        return false;
+                    }
+                }
+            }
+            true
+        }
+    }
 
     fn random_bits(n: usize, seed: u64) -> Vec<u8> {
         let mut state = seed | 1;

@@ -53,11 +53,6 @@ impl RateMatch {
         Self { bg, z, used_cols }
     }
 
-    /// The lifting size.
-    pub fn z(&self) -> usize {
-        self.z
-    }
-
     /// Number of transmitted bits per code block.
     pub fn tx_len(&self) -> usize {
         (self.used_cols - 2) * self.z

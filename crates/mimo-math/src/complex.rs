@@ -114,12 +114,6 @@ macro_rules! impl_complex {
             pub fn scale(self, s: $t) -> Self {
                 Self { re: self.re * s, im: self.im * s }
             }
-
-            /// True if both components are finite.
-            #[inline]
-            pub fn is_finite(self) -> bool {
-                self.re.is_finite() && self.im.is_finite()
-            }
         }
 
         impl Add for $name {
@@ -254,6 +248,13 @@ pub(crate) fn approx_eq(a: Cf32, b: Cf32, tol: f32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Cf32 {
+        /// True if both components are finite.
+        pub(crate) fn is_finite(self) -> bool {
+            self.re.is_finite() && self.im.is_finite()
+        }
+    }
 
     #[test]
     fn constructors_and_constants() {

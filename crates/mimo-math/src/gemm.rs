@@ -214,7 +214,6 @@ pub struct Gemm {
     /// Allows ablations to force the generic path even when a specialised
     /// kernel exists (Table 4, "JIT matmul disabled").
     force_generic: bool,
-    tier: SimdTier,
 }
 
 impl Gemm {
@@ -234,13 +233,13 @@ impl Gemm {
         } else {
             GemmKernel::Generic
         };
-        Self { m, k, n, kernel, force_generic: false, tier }
+        Self { m, k, n, kernel, force_generic: false }
     }
 
     /// Plans a GEMM but pins it to the generic scalar kernel (the Table 4
     /// "JIT matmul disabled" floor).
     pub fn plan_generic(m: usize, k: usize, n: usize) -> Self {
-        Self { m, k, n, kernel: GemmKernel::Generic, force_generic: true, tier: SimdTier::Scalar }
+        Self { m, k, n, kernel: GemmKernel::Generic, force_generic: true }
     }
 
     /// The kernel this plan resolved to.
@@ -250,11 +249,6 @@ impl Gemm {
         } else {
             self.kernel
         }
-    }
-
-    /// The SIMD tier this plan was built for.
-    pub fn tier(&self) -> SimdTier {
-        self.tier
     }
 
     /// Executes `C = A * B`.
@@ -395,11 +389,10 @@ mod tests {
     }
 
     #[test]
-    fn plan_caches_tier_at_plan_time() {
+    fn plan_resolves_the_kernel_from_the_tier_at_plan_time() {
         let g = Gemm::plan_with_tier(16, 64, 8, SimdTier::Scalar);
-        assert_eq!(g.tier(), SimdTier::Scalar);
+        assert_eq!(g.kernel(), GemmKernel::Specialized);
         let auto = Gemm::plan(16, 64, 8);
-        assert_eq!(auto.tier(), SimdTier::cached());
         if SimdTier::cached() >= SimdTier::Avx2 {
             assert_eq!(auto.kernel(), GemmKernel::Avx2);
         }
@@ -409,7 +402,6 @@ mod tests {
     fn plan_generic_forces_generic() {
         let g = Gemm::plan_generic(16, 64, 8);
         assert_eq!(g.kernel(), GemmKernel::Generic);
-        assert_eq!(g.tier(), SimdTier::Scalar);
     }
 
     #[test]

@@ -26,15 +26,6 @@ impl CMat {
         Self { rows, cols, data: vec![Cf32::ZERO; rows * cols] }
     }
 
-    /// Creates the `n x n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = Cf32::ONE;
-        }
-        m
-    }
-
     /// Builds a matrix by evaluating `f(row, col)` for every element.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> Cf32) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
@@ -175,6 +166,13 @@ impl fmt::Debug for CMat {
 mod tests {
     use super::*;
     use crate::complex::approx_eq;
+
+    impl CMat {
+        /// The `n x n` identity matrix.
+        pub(crate) fn identity(n: usize) -> Self {
+            Self::from_fn(n, n, |r, c| if r == c { Cf32::ONE } else { Cf32::ZERO })
+        }
+    }
 
     fn sample() -> CMat {
         CMat::from_fn(3, 2, |r, c| Cf32::new(r as f32, c as f32 + 1.0))

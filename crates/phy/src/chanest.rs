@@ -11,8 +11,6 @@ use agora_math::CMat;
 /// active subcarrier.
 #[derive(Debug, Clone)]
 pub struct CsiBuffer {
-    num_antennas: usize,
-    num_users: usize,
     /// Row-major `M x K` per subcarrier.
     h: Vec<CMat>,
 }
@@ -20,11 +18,7 @@ pub struct CsiBuffer {
 impl CsiBuffer {
     /// Creates a zeroed CSI buffer for `num_subcarriers` subcarriers.
     pub fn new(num_antennas: usize, num_users: usize, num_subcarriers: usize) -> Self {
-        Self {
-            num_antennas,
-            num_users,
-            h: vec![CMat::zeros(num_antennas, num_users); num_subcarriers],
-        }
+        Self { h: vec![CMat::zeros(num_antennas, num_users); num_subcarriers] }
     }
 
     /// Channel matrix at one subcarrier.
@@ -41,16 +35,6 @@ impl CsiBuffer {
     pub fn num_subcarriers(&self) -> usize {
         self.h.len()
     }
-
-    /// Antenna count `M`.
-    pub fn num_antennas(&self) -> usize {
-        self.num_antennas
-    }
-
-    /// User count `K`.
-    pub fn num_users(&self) -> usize {
-        self.num_users
-    }
 }
 
 #[cfg(test)]
@@ -60,8 +44,6 @@ mod tests {
     #[test]
     fn csi_buffer_shapes() {
         let csi = CsiBuffer::new(8, 4, 32);
-        assert_eq!(csi.num_antennas(), 8);
-        assert_eq!(csi.num_users(), 4);
         assert_eq!(csi.num_subcarriers(), 32);
         assert_eq!(csi.at(0).shape(), (8, 4));
     }

@@ -66,11 +66,6 @@ impl FrameSchedule {
         FrameSchedule { symbols }
     }
 
-    /// All symbol types in order.
-    pub fn symbols(&self) -> &[SymbolType] {
-        &self.symbols
-    }
-
     /// Total symbols per frame.
     pub fn len(&self) -> usize {
         self.symbols.len()
@@ -236,13 +231,6 @@ impl CellConfig {
         self.num_data_sc * self.modulation.bits_per_symbol()
     }
 
-    /// Coded bits actually carried per (symbol, user): one code block per
-    /// symbol (the paper's "up to one code block per symbol"), truncated
-    /// to the symbol capacity.
-    pub fn coded_bits_per_symbol(&self) -> usize {
-        self.ldpc.rate_match().tx_len().min(self.bits_per_symbol_per_user())
-    }
-
     /// Information bits per (symbol, user).
     pub fn info_bits_per_symbol(&self) -> usize {
         self.ldpc.rate_match().info_len()
@@ -325,7 +313,8 @@ mod tests {
         assert_eq!(cfg.symbols_per_frame(), 14);
         assert!((cfg.frame_duration_ns() as f64 - 1e6).abs() < 1e5);
         // Code block 6864 bits fits 1200 * 6 = 7200-bit symbols.
-        assert_eq!(cfg.coded_bits_per_symbol(), 6864);
+        assert_eq!(cfg.ldpc.rate_match().tx_len(), 6864);
+        assert_eq!(cfg.bits_per_symbol_per_user(), 7200);
     }
 
     #[test]

@@ -139,11 +139,6 @@ impl PilotPlan {
         }
     }
 
-    /// Number of users.
-    pub fn num_users(&self) -> usize {
-        self.num_users
-    }
-
     /// Number of (active) subcarriers.
     pub fn num_subcarriers(&self) -> usize {
         self.num_subcarriers

@@ -50,18 +50,6 @@ impl DemuxStats {
     pub fn misrouted(&self) -> u64 {
         self.misrouted.load(Ordering::Relaxed)
     }
-
-    /// Packets dropped because the header failed to decode.
-    pub fn undecodable(&self) -> u64 {
-        self.undecodable.load(Ordering::Relaxed)
-    }
-
-    /// Total packets seen (routed + dropped).
-    pub fn total(&self) -> u64 {
-        self.routed.iter().map(|a| a.load(Ordering::Relaxed)).sum::<u64>()
-            + self.misrouted()
-            + self.undecodable()
-    }
 }
 
 /// Routes one socket's receive stream to per-cell intakes by the
@@ -77,11 +65,6 @@ impl CellDemux {
     pub fn new(num_cells: usize) -> Self {
         assert!(num_cells > 0, "a deployment has at least one cell");
         Self { num_cells, stats: DemuxStats::new(num_cells) }
-    }
-
-    /// Number of deployed cells.
-    pub fn num_cells(&self) -> usize {
-        self.num_cells
     }
 
     /// Classifies one received buffer and records it in the counters.
@@ -116,6 +99,13 @@ mod tests {
     use crate::packet::{encode, PacketDir, PacketHeader};
     use crate::pool::PacketBuf;
 
+    impl DemuxStats {
+        /// Packets dropped because the header failed to decode.
+        fn undecodable(&self) -> u64 {
+            self.undecodable.load(Ordering::Relaxed)
+        }
+    }
+
     fn pkt(cell: u8) -> PacketBuf {
         let hdr = PacketHeader {
             frame: 1,
@@ -135,7 +125,6 @@ mod tests {
         assert_eq!(d.classify(&pkt(3)), Route::Cell(3));
         assert_eq!(d.stats().routed(0), 1);
         assert_eq!(d.stats().routed(3), 1);
-        assert_eq!(d.stats().total(), 2);
     }
 
     #[test]

@@ -190,11 +190,6 @@ impl FaultInjector {
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
     /// Cumulative statistics across all `apply` calls.
     pub fn stats(&self) -> &FaultStats {
         &self.stats

@@ -49,11 +49,6 @@ impl MultiCellGenerator {
         self
     }
 
-    /// Number of cell streams.
-    pub fn num_cells(&self) -> usize {
-        self.cells.len()
-    }
-
     /// The fault ground truth accumulated so far (per-cell maps filled).
     pub fn stats(&self) -> &FaultStats {
         self.injector.stats()

@@ -1,18 +1,18 @@
 //! Per-worker task lanes for the work-stealing scheduler.
 //!
-//! A lane is a small bounded ring owned by one worker: the manager
-//! pushes that worker's tasks into it (batched — one cursor claim per
-//! symbol's worth of messages), the owner drains it in batches, and
-//! idle neighbours steal half the backlog at a time. Built on the
-//! Vyukov [`MpmcQueue`] so stealing needs no extra synchronisation:
-//! steals are just concurrent `pop_batch` calls from non-owner threads.
+//! A lane is a bounded ring owned by one worker: the manager pushes
+//! that worker's tasks into it (batched — one cursor claim per symbol's
+//! worth of messages), the owner drains it in batches, and idle
+//! neighbours steal half the backlog at a time. Built on the Vyukov
+//! [`MpmcQueue`] so stealing needs no extra synchronisation: steals are
+//! just concurrent `pop_batch` calls from non-owner threads.
 //!
-//! This replaces the *shared* per-type queues as the dispatch hot path:
-//! with W workers hammering one queue, every operation contends on two
-//! global cursors; with per-worker lanes the common case is one
-//! producer (the manager) and one consumer (the owner) per ring, and
-//! cross-worker traffic only happens on imbalance (steals) or overflow
-//! (fallback to the shared queues).
+//! Lanes replace the paper's *shared* per-type queues: with W workers
+//! hammering one queue, every operation contends on two global cursors;
+//! with per-worker lanes the common case is one producer (the manager)
+//! and one consumer (the owner) per ring, and cross-worker traffic only
+//! happens on imbalance (steals). The engine sizes each lane to hold
+//! every task that can be in flight, so a push never finds it full.
 
 use crate::mpmc::MpmcQueue;
 
@@ -28,11 +28,6 @@ impl<T> TaskLane<T> {
         Self { ring: MpmcQueue::new(capacity) }
     }
 
-    /// Lane capacity (a power of two).
-    pub fn capacity(&self) -> usize {
-        self.ring.capacity()
-    }
-
     /// Approximate backlog (racy; used for least-loaded placement and
     /// steal sizing).
     pub fn len(&self) -> usize {
@@ -44,24 +39,13 @@ impl<T> TaskLane<T> {
         self.ring.is_empty()
     }
 
-    /// Enqueues one task; `Err(value)` when the lane is full (the caller
-    /// falls back to the shared per-type queue).
-    pub fn push(&self, value: T) -> Result<(), T> {
-        self.ring.push(value)
-    }
-
     /// Enqueues a prefix of `values` with one cursor claim; returns how
-    /// many fit. The caller overflows the tail to the shared queues.
+    /// many fit.
     pub fn push_batch(&self, values: &[T]) -> usize
     where
         T: Copy,
     {
         self.ring.push_batch(values)
-    }
-
-    /// Owner dequeue of a single task.
-    pub fn pop(&self) -> Option<T> {
-        self.ring.pop()
     }
 
     /// Owner dequeue of up to `max` tasks in one cursor claim.
@@ -96,11 +80,9 @@ mod tests {
     }
 
     #[test]
-    fn full_lane_rejects_push() {
+    fn full_lane_takes_only_the_prefix_that_fits() {
         let lane = TaskLane::new(2);
-        lane.push(1).unwrap();
-        lane.push(2).unwrap();
-        assert_eq!(lane.push(3), Err(3));
+        assert_eq!(lane.push_batch(&[1, 2, 3]), 2);
         assert_eq!(lane.push_batch(&[4, 5]), 0);
     }
 

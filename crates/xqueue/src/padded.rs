@@ -25,11 +25,6 @@ impl<T> CachePadded<T> {
     pub const fn new(value: T) -> Self {
         Self { value }
     }
-
-    /// Unwraps the inner value.
-    pub fn into_inner(self) -> T {
-        self.value
-    }
 }
 
 impl<T> Deref for CachePadded<T> {
@@ -73,10 +68,9 @@ mod tests {
     }
 
     #[test]
-    fn deref_and_into_inner() {
+    fn deref_reaches_the_value() {
         let mut p = CachePadded::new(41u32);
         *p += 1;
         assert_eq!(*p, 42);
-        assert_eq!(p.into_inner(), 42);
     }
 }

@@ -43,11 +43,6 @@ impl IdleGate {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Number of currently parked (or parking) workers; racy, for stats.
-    pub fn sleepers(&self) -> usize {
-        self.sleepers.load(Ordering::Relaxed)
-    }
-
     /// Announces new work: bumps the epoch and wakes sleepers if any.
     /// Returns `true` if sleepers were (possibly) woken — callers use
     /// this to count wake events.
@@ -154,6 +149,13 @@ mod tests {
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
     use std::time::Instant;
+
+    impl IdleGate {
+        /// Number of currently parked (or parking) workers.
+        fn sleepers(&self) -> usize {
+            self.sleepers.load(Ordering::Relaxed)
+        }
+    }
 
     #[test]
     fn backoff_ladder_spins_then_yields_then_parks() {

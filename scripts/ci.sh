@@ -52,12 +52,15 @@ wait_next          tests/uplink_integration.rs::paced_processing_tracks_frame_ra
 "
 words=$(mktemp)
 trap 'rm -f "$words"' EXIT
+# The awk reads each file to its end: exiting at the first #[cfg(test)]
+# would kill the producer with SIGPIPE, which pipefail turns into a
+# failure whenever the test part outgrows the pipe buffer.
 find crates examples src benchmark/src -name '*.rs' -not -path '*/target/*' -not -path '*/tests/*' |
     while read -r f; do
         case "$f" in
         */lib.rs) perl -0pe 's/^\s*pub use [^;]*;//mg' "$f" ;;
         *) cat "$f" ;;
-        esac | awk '/#\[cfg\(test\)\]/ { exit } { print }' |
+        esac | awk '/#\[cfg\(test\)\]/ { test = 1 } !test { print }' |
             grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u | sed "s|^|$f |"
     done >"$words"
 orphans=0

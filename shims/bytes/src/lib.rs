@@ -57,11 +57,6 @@ impl Bytes {
         assert!(lo <= hi && hi <= self.len(), "slice {lo}..{hi} out of bounds of {}", self.len());
         Bytes { data: Arc::clone(&self.data), start: self.start + lo, end: self.start + hi }
     }
-
-    /// Copies the contents into a fresh `Vec`.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.as_ref().to_vec()
-    }
 }
 
 impl Default for Bytes {

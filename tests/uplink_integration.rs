@@ -95,16 +95,25 @@ fn engine_reports_per_block_stats() {
     let engine = Engine::new(cfg);
     engine.process_fronthaul(&MemFronthaul::preloaded(&packets), 2, &DONE);
     let stats = engine.stats();
+    // The Table 3 report's row of `block`: (tasks, messages).
+    let table = stats.table();
+    let row = |block: &str| -> (u64, u64) {
+        let line = table.lines().find(|l| l.split_whitespace().next() == Some(block));
+        let cols: Vec<u64> =
+            line.unwrap().split_whitespace().skip(1).map(|c| c.parse().unwrap()).take(2).collect();
+        (cols[0], cols[1])
+    };
     // Task counts per frame: FFT = M * (1 pilot + 2 UL) = 24, ZF = 15
     // groups, demod = 240 SCs, decode = 2 users x 2 symbols.
-    assert_eq!(stats.tasks(TaskType::Fft), 2 * 24);
-    assert_eq!(stats.tasks(TaskType::Zf), 2 * 15);
-    assert_eq!(stats.tasks(TaskType::Demod), 2 * 480);
-    assert_eq!(stats.tasks(TaskType::Decode), 2 * 4);
+    assert_eq!(row("FFT").0, 2 * 24);
+    assert_eq!(row("ZF").0, 2 * 15);
+    assert_eq!(row("Demod").0, 2 * 480);
+    assert_eq!(row("Decode").0, 2 * 4);
     assert!(stats.busy_ns(TaskType::Decode) > 0);
     // Batching reduced message counts below task counts.
-    assert!(stats.messages(TaskType::Fft) < stats.tasks(TaskType::Fft));
-    assert!(stats.messages(TaskType::Demod) < stats.tasks(TaskType::Demod));
+    assert_eq!(row("FFT").1, stats.messages(TaskType::Fft));
+    assert!(row("FFT").1 < row("FFT").0);
+    assert!(row("Demod").1 < row("Demod").0);
 }
 
 #[test]
