@@ -927,7 +927,9 @@ fn misroute_counting() {
 // ------------------------------------------------------------------ sched
 
 /// The threaded engine (per-worker lanes, stealing) == inline, plus the
-/// lane counters behave as documented.
+/// lane counters behave as documented. The overflow path through the
+/// shared queues has its own deterministic test
+/// (`lane_overflow_falls_back_to_shared_queues`).
 fn sched() {
     const FRAMES: u32 = 3;
     let cell = CellConfig::tiny_test(2);
@@ -941,10 +943,9 @@ fn sched() {
     check(with_lanes.len() == FRAMES as usize, "lanes run emits every frame");
     let messages: u64 = TaskType::COMPUTE.iter().map(|&t| lanes.stats().messages(t)).sum();
     check(
-        lanes.stats().lane_pushes() == messages,
+        lanes.stats().lane_pushes() + lanes.stats().lane_overflows() == messages,
         "lane counters account for every dispatched message",
     );
-    check(lanes.stats().lane_overflows() == 0, "no message overflows its lane");
 
     let mut inline = InlineProcessor::new(cfg);
     for f in 0..FRAMES {

@@ -2,19 +2,20 @@
 //!
 //! One manager thread tracks dependencies — of the engine's cell, or of
 //! every cell of a [`crate::deploy::Deployment`] — and places 64-byte task
-//! messages on per-worker lock-free lanes, each sized to hold every task
-//! its cell can have in flight; worker threads drain their lane, then
-//! steal from peers, execute kernels against the shared frame buffers,
-//! and post completions. An intake thread ingests fronthaul packets into
-//! the buffers. Workers are data-parallel: any worker takes any task
-//! type. The BigStation-style pipeline-parallel baseline of §5.4 exists
-//! only in the simulator (`sim::SimPolicy`).
+//! messages on per-worker lock-free lanes (overflow goes to shared
+//! per-type queues); worker threads drain their lane, then the shared
+//! queues in a static priority order, then steal from peers, execute
+//! kernels against the shared frame buffers, and post completions. An
+//! intake thread ingests fronthaul packets into the buffers. Workers are
+//! data-parallel: any worker takes any task type. The BigStation-style
+//! pipeline-parallel baseline of §5.4 exists only in the simulator
+//! (`sim::SimPolicy`).
 
 use crate::buffers::{FrameBuffers, FrameWindow};
 use crate::config::EngineConfig;
 use crate::kernels::{Kernels, WorkerScratch};
 use crate::state::{Arrival, FrameTable, Milestones, Retired};
-use crate::stats::{Counter, EngineStats};
+use crate::stats::{Counter, EngineStats, NUM_TASK_TYPES};
 use agora_fronthaul::demux::Route;
 use agora_fronthaul::packet::decode_ref;
 use agora_fronthaul::{Fronthaul, PacketBuf};
@@ -28,6 +29,13 @@ use std::time::{Duration, Instant};
 /// cursor claim amortised over up to this many tasks.
 const WORKER_BATCH: usize = 16;
 
+/// Capacity of each worker's task lane. Tasks that don't fit overflow to
+/// the shared per-type queues, so this bounds per-worker buffering, not
+/// correctness — and it sets the order a worker runs its tasks in: what
+/// fits its lane first, FIFO, the overflowed backlog after by
+/// [`PRIORITY`] (DESIGN.md, "Why the overflow tier stays").
+const LANE_CAPACITY: usize = 256;
+
 /// Completion messages the manager drains per cursor claim.
 const COMPLETE_BATCH: usize = 64;
 
@@ -39,6 +47,21 @@ const STALL: Duration = Duration::from_millis(200);
 /// Parked workers re-poll at least this often (belt-and-braces against
 /// a missed wake; also bounds shutdown latency).
 const PARK_TIMEOUT: Duration = Duration::from_millis(1);
+
+/// Order in which workers poll the shared per-type queues: unblock the
+/// widest dependency fans first (ZF gates every data symbol), keep the
+/// per-symbol chain moving (demod), then drain the heavy sink (decode),
+/// and fill remaining cycles with FFTs of future symbols — the
+/// intra-frame pipeline parallelism of §3.4.1.
+pub(crate) const PRIORITY: [TaskType; 7] = [
+    TaskType::Zf,
+    TaskType::Demod,
+    TaskType::Decode,
+    TaskType::Fft,
+    TaskType::Precode,
+    TaskType::Ifft,
+    TaskType::Encode,
+];
 
 /// Everything produced for one completed frame.
 #[derive(Debug, Clone)]
@@ -70,23 +93,33 @@ impl FrameResult {
 }
 
 pub(crate) struct TaskQueues {
+    /// Shared per-type queues: where a batch's tail goes when its lane is
+    /// full, and where the survivors of an abandoned frame's flush return.
+    /// Each holds every message of its type the cell can have in flight.
+    pub(crate) tasks: Vec<MpmcQueue<Msg>>,
     pub(crate) complete: MpmcQueue<Msg>,
     pub(crate) rx: MpmcQueue<Msg>,
-    /// Per-worker task lanes, the only task queues. Lane `w` is filled by
-    /// the manager, drained by worker `w`, and stolen from by idle peers.
+    /// Per-worker task lanes. Lane `w` is filled by the manager, drained
+    /// by worker `w`, and stolen from by idle peers.
     pub(crate) lanes: Vec<TaskLane<Msg>>,
     /// Park/wake gate for idle workers.
     pub(crate) gate: IdleGate,
 }
 
 impl TaskQueues {
-    fn new(capacity: usize, num_lanes: usize, lane_capacity: usize) -> Self {
+    /// `task_capacity[t]`: the slots of the type-`t` shared queue.
+    fn new(capacity: usize, num_lanes: usize, task_capacity: [usize; NUM_TASK_TYPES]) -> Self {
         Self {
+            tasks: task_capacity.iter().map(|&n| MpmcQueue::new(n)).collect(),
             complete: MpmcQueue::new(capacity),
             rx: MpmcQueue::new(capacity),
-            lanes: (0..num_lanes).map(|_| TaskLane::new(lane_capacity)).collect(),
+            lanes: (0..num_lanes).map(|_| TaskLane::new(LANE_CAPACITY)).collect(),
             gate: IdleGate::new(),
         }
+    }
+
+    pub(crate) fn queue(&self, t: TaskType) -> &MpmcQueue<Msg> {
+        &self.tasks[crate::stats::type_index(t)]
     }
 }
 
@@ -259,16 +292,16 @@ impl CellCore {
         // counting it as q leaves room for everything else).
         let g = &kernels.geom;
         let cap = (g.symbols * (g.m + g.q + g.k + 8) * frame_window).next_power_of_two();
-        // Each lane holds every task message the cell can have in flight —
-        // the table admits `frame_window` frames — so however the manager
-        // places them, a push always fits.
+        // Each shared queue holds every message of its type the cell can
+        // have in flight — the table admits `frame_window` frames — so an
+        // overflowing tail, or a flush's survivors, always fit.
         let (schedule, batch) = (kernels.cfg.cell.schedule.clone(), kernels.cfg.batch);
         let table = FrameTable::new(schedule, kernels.shape, batch, false, 0);
-        let lane_cap = frame_window * table.max_messages_per_frame();
+        let task_cap = table.max_messages_per_frame().map(|n| frame_window * n);
         Self {
             kernels,
             window,
-            queues: Arc::new(TaskQueues::new(cap, workers, lane_cap)),
+            queues: Arc::new(TaskQueues::new(cap, workers, task_cap)),
             stats: Arc::new(EngineStats::new(workers)),
             min_frame: Arc::new(AtomicU64::new(0)),
             held: Arc::new(AtomicBool::new(false)),
@@ -640,7 +673,9 @@ impl CellCore {
         // 4. Stall rules. Nothing has arrived or completed for a while
         // and nothing is queued: whatever is unfinished is missing
         // packets.
-        let stalled = start.elapsed() - *last_progress > STALL && !has_work(&self.queues);
+        let stalled = start.elapsed() - *last_progress > STALL
+            && self.queues.tasks.iter().all(|q| q.is_empty())
+            && self.queues.lanes.iter().all(|l| l.is_empty());
         if !stalled {
             return false;
         }
@@ -710,9 +745,9 @@ impl CellCore {
     /// Places a batch of task messages: pick the affinity lane for the
     /// batch's (frame, symbol) — the worker whose caches last held those
     /// buffers — falling back to the least-loaded lane; enqueue the whole
-    /// batch with one cursor claim; wake parked workers once. Imbalance
-    /// from affinity clustering is corrected by stealing, not by the
-    /// manager.
+    /// batch with one cursor claim; overflow any tail to the shared
+    /// per-type queues; wake parked workers once. Imbalance from affinity
+    /// clustering is corrected by stealing, not by the manager.
     fn place_batch(&self, ctx: &mut ManagerCtx, msgs: &[Msg]) {
         let lanes = &self.queues.lanes;
         let lane_id = ctx.lane_of(&msgs[0]).unwrap_or_else(|| {
@@ -732,14 +767,29 @@ impl CellCore {
             }
             best
         });
-        let depth = lanes[lane_id].len();
-        push_all(&lanes[lane_id], msgs);
-        self.stats.add(Counter::LanePushes, msgs.len() as u64);
-        self.stats.max(Counter::LaneDepthMax, (depth + msgs.len()) as u64);
+        let lane = &lanes[lane_id];
+        let depth = lane.len();
+        let fit = lane.push_batch(msgs);
+        if fit > 0 {
+            self.stats.add(Counter::LanePushes, fit as u64);
+            self.stats.max(Counter::LaneDepthMax, (depth + fit) as u64);
+        }
+        if fit < msgs.len() {
+            self.stats.add(Counter::LaneOverflows, (msgs.len() - fit) as u64);
+            self.push_shared(&msgs[fit..]);
+        }
         ctx.set_lane(&msgs[0], lane_id);
         if self.queues.gate.wake_all() {
             self.stats.add(Counter::Wakes, 1);
         }
+    }
+
+    /// Pushes a run of same-type messages into their shared queue with
+    /// one cursor claim. The queue holds every message of its type the
+    /// cell can have in flight, so the run always fits.
+    fn push_shared(&self, msgs: &[Msg]) {
+        let fit = self.queues.queue(msgs[0].task).push_batch(msgs);
+        assert_eq!(fit, msgs.len(), "a shared queue holds every task of its type in flight");
     }
 
     /// Removes every queued task of an abandoning frame, crediting its
@@ -747,15 +797,23 @@ impl CellCore {
     /// and drain through the completion queue — the frame's slot stays
     /// valid until its count reaches zero, so workers never observe a
     /// freed buffer. The manager is the only task-queue producer, so
-    /// pop-all / re-push cannot chase its own tail, and survivors go back
-    /// into the lane they came from.
+    /// pop-all / re-push cannot chase its own tail. Survivors go back to
+    /// the shared queues, which are sized to absorb every in-flight
+    /// message, lane survivors included.
     fn flush_abandoned(&self, ctx: &mut ManagerCtx, table: &mut FrameTable) {
         let scratch = &mut ctx.flush_scratch;
-        for lane in &self.queues.lanes {
+        let mut sweep = |pop: &mut dyn FnMut(&mut Vec<Msg>) -> usize| {
             scratch.clear();
-            while lane.pop_batch(scratch, COMPLETE_BATCH) > 0 {}
-            scratch.retain(|msg| !table.credit_flushed(msg.frame));
-            push_all(lane, scratch);
+            while pop(scratch) > 0 {}
+            for msg in scratch.iter().filter(|msg| !table.credit_flushed(msg.frame)) {
+                self.push_shared(std::slice::from_ref(msg));
+            }
+        };
+        for q in &self.queues.tasks {
+            sweep(&mut |buf| q.pop_batch(buf, COMPLETE_BATCH));
+        }
+        for lane in &self.queues.lanes {
+            sweep(&mut |buf| lane.pop_batch(buf, COMPLETE_BATCH));
         }
         if self.queues.gate.wake_all() {
             self.stats.add(Counter::Wakes, 1);
@@ -777,18 +835,11 @@ impl CellCore {
     }
 }
 
-/// Enqueues all of `msgs` on `lane` with one cursor claim. A lane holds
-/// every task message its cell can have in flight, so they always fit.
-fn push_all(lane: &TaskLane<Msg>, msgs: &[Msg]) {
-    let fit = lane.push_batch(msgs);
-    assert_eq!(fit, msgs.len(), "a lane holds every task its cell can have in flight");
-}
-
-/// True if any lane holds work. The final check before parking: taken
-/// *after* the gate epoch snapshot, so a push racing with the park bumps
-/// the epoch and the park returns at once.
+/// True if any lane or shared queue holds work. The final check before
+/// parking: taken *after* the gate epoch snapshot, so a push racing with
+/// the park bumps the epoch and the park returns at once.
 fn has_work(queues: &TaskQueues) -> bool {
-    queues.lanes.iter().any(|l| !l.is_empty())
+    queues.lanes.iter().any(|l| !l.is_empty()) || queues.tasks.iter().any(|q| !q.is_empty())
 }
 
 /// The worker routine of every pool: serves whichever of `cells` the
@@ -808,7 +859,17 @@ fn worker_loop(wid: usize, cells: &[CellCore], assigned: &AtomicUsize, shutdown:
         batch.clear();
         // 1. Own lane: a batch per cursor claim.
         queues.lanes[wid].pop_batch(&mut batch, WORKER_BATCH);
-        // 2. Steal: scan the same cell's peer lanes from our right-hand
+        // 2. Shared per-type queues in priority order (lane overflow
+        //    traffic).
+        if batch.is_empty() {
+            for t in PRIORITY {
+                if let Some(msg) = queues.queue(t).pop() {
+                    batch.push(msg);
+                    break;
+                }
+            }
+        }
+        // 3. Steal: scan the same cell's peer lanes from our right-hand
         //    neighbour, taking half a victim's backlog in one claim.
         if batch.is_empty() {
             for off in 1..queues.lanes.len() {
@@ -842,7 +903,7 @@ fn worker_loop(wid: usize, cells: &[CellCore], assigned: &AtomicUsize, shutdown:
             }
             continue;
         }
-        // 3. Idle: spin → yield → park.
+        // 4. Idle: spin → yield → park.
         match backoff.next() {
             IdleAction::Spin => std::hint::spin_loop(),
             IdleAction::Yield => std::thread::yield_now(),
@@ -959,6 +1020,25 @@ mod tests {
         assert_eq!(core.stats.get(Counter::LanePushes), 5);
         assert_eq!(core.stats.get(Counter::LaneDepthMax), 5);
         assert_eq!(core.queues.lanes[0].len(), 5);
+    }
+
+    /// Every message of a type the cell can have in flight fits its
+    /// shared queue: a lane-overflowing window's worth, pushed at once.
+    #[test]
+    fn shared_queues_hold_a_window_of_their_type() {
+        let mut cfg = EngineConfig::new(CellConfig::tiny_test(2), 1);
+        cfg.batch = crate::config::BatchSizes::ones();
+        let core = CellCore::new(cfg.clone(), 1);
+        let (schedule, batch) = (cfg.cell.schedule.clone(), core.kernels.cfg.batch);
+        let table = FrameTable::new(schedule, core.kernels.shape, batch, false, 0);
+        for t in TaskType::COMPUTE {
+            let n = cfg.frame_window * table.max_messages_per_frame()[crate::stats::type_index(t)];
+            let msgs = vec![Msg::task(t, 0, 0, 0, 1); n];
+            if n > 0 {
+                core.push_shared(&msgs);
+            }
+            assert_eq!(core.queues.queue(t).len(), n, "{t:?}");
+        }
     }
 
     /// `frame_window + 2` frames, frame `f` keeping only the packets

@@ -404,24 +404,8 @@ impl Ord for Timed {
     }
 }
 
-/// Order in which a worker takes ready messages of one frame, as the
-/// paper's workers poll its per-type queues: unblock the widest
-/// dependency fans first (ZF gates every data symbol), keep the
-/// per-symbol chain moving (demod), then drain the heavy sink (decode),
-/// and fill remaining cycles with FFTs of future symbols — the
-/// intra-frame pipeline parallelism of §3.4.1.
-const PRIORITY: [TaskType; 7] = [
-    TaskType::Zf,
-    TaskType::Demod,
-    TaskType::Decode,
-    TaskType::Fft,
-    TaskType::Precode,
-    TaskType::Ifft,
-    TaskType::Encode,
-];
-
 fn priority_rank(t: TaskType) -> usize {
-    PRIORITY.iter().position(|&p| p == t).unwrap_or(7)
+    crate::engine::PRIORITY.iter().position(|&p| p == t).unwrap_or(7)
 }
 
 /// Heap entry for the ready pool: min-ordered by (frame, priority rank,

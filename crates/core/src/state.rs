@@ -180,8 +180,8 @@ struct FrameGraph {
     /// The (stage, symbol)s that wait on nothing — the downlink encodes
     /// — dispatched on a frame's first packet.
     sources: Vec<(TaskType, usize)>,
-    /// The most messages one frame can emit.
-    max_messages: usize,
+    /// Per stage, by [`type_index`]: the most messages one frame emits.
+    max_messages: [usize; STAGES],
 }
 
 impl FrameGraph {
@@ -217,7 +217,7 @@ impl FrameGraph {
                 }
             }
         }
-        let (mut sources, mut max_messages) = (Vec::new(), 0);
+        let (mut sources, mut max_messages) = (Vec::new(), [0; STAGES]);
         for stage in TaskType::COMPUTE {
             let (n, step) = (tasks[type_index(stage)], step[type_index(stage)]);
             // FFT messages are runs of consecutive antennas as packets
@@ -226,7 +226,7 @@ impl FrameGraph {
             let per_symbol = if stage == TaskType::Fft { n } else { n.div_ceil(step) };
             for s in (0..symbols).filter(|&s| runs[at(stage, s)]) {
                 fresh.open[type_index(stage)] += 1;
-                max_messages += per_symbol as usize;
+                max_messages[type_index(stage)] += per_symbol as usize;
                 if stage == TaskType::Fft {
                     fresh.waiting[at(stage, s)] = m as u32;
                 } else if fresh.waiting[at(stage, s)] == 0 {
@@ -425,13 +425,13 @@ impl FrameTable {
         self.watermark
     }
 
-    /// The most task messages one frame can emit: per (stage, symbol)
-    /// that runs, its tasks over the stage's batch step, except that an
-    /// FFT may go out one packet per message when packets arrive out of
-    /// order. The stale-precoder edge replaces a symbol's precodes, it
-    /// does not add any. So `frame_window` times this bounds a cell's
-    /// messages in flight.
-    pub fn max_messages_per_frame(&self) -> usize {
+    /// Per stage, by [`type_index`]: the most task messages one frame
+    /// can emit — per symbol the stage runs on, its tasks over its batch
+    /// step, except that an FFT may go out one packet per message when
+    /// packets arrive out of order. The stale-precoder edge replaces a
+    /// symbol's precodes, it does not add any. So `frame_window` times
+    /// this bounds a cell's messages of each type in flight.
+    pub fn max_messages_per_frame(&self) -> [usize; STAGES] {
         self.graph.max_messages
     }
 

@@ -64,8 +64,10 @@ pub enum Counter {
     LinkTxErrors,
     /// Socket-level receive errors reported by the fronthaul link.
     LinkRxErrors,
-    /// Task messages placed into a worker's lane.
+    /// Task messages placed directly into a worker's lane.
     LanePushes,
+    /// Task messages that overflowed a full lane to the shared queues.
+    LaneOverflows,
     /// Deepest lane backlog observed at placement time, the placed batch
     /// included.
     LaneDepthMax,
@@ -80,7 +82,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`]s.
-pub const NUM_COUNTERS: usize = 18;
+pub const NUM_COUNTERS: usize = 19;
 
 /// How two sinks' values of one counter combine in [`EngineStats::merge`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,6 +110,7 @@ pub const COUNTERS: [(Counter, &str, Fold); NUM_COUNTERS] = [
     (Counter::LinkTxErrors, "link_tx_errors", Fold::Add),
     (Counter::LinkRxErrors, "link_rx_errors", Fold::Add),
     (Counter::LanePushes, "lane_pushes", Fold::Add),
+    (Counter::LaneOverflows, "lane_overflows", Fold::Add),
     (Counter::LaneDepthMax, "lane_depth_max", Fold::Max),
     (Counter::Steals, "steals", Fold::Add),
     (Counter::StealBatches, "steal_batches", Fold::Add),
@@ -145,9 +148,10 @@ const LEDGER: [(&[Counter], &str); 4] = [
         "link errors: {link_tx_errors} tx, {link_rx_errors} rx\n",
     ),
     (
-        &[Counter::LanePushes, Counter::Steals, Counter::Parks],
+        &[Counter::LanePushes, Counter::LaneOverflows, Counter::Steals, Counter::Parks],
         "sched: {lane_pushes} lane pushes (max depth {lane_depth_max}), \
-         {steals} stolen in {steal_batches} steals, {parks} parks, {wakes} wakes\n",
+         {lane_overflows} overflows, {steals} stolen in {steal_batches} steals, \
+         {parks} parks, {wakes} wakes\n",
     ),
 ];
 
@@ -263,15 +267,14 @@ impl EngineStats {
         self.get(Counter::RxBatchPackets)
     }
 
-    /// Tasks placed into worker lanes.
+    /// Tasks placed directly into worker lanes.
     pub fn lane_pushes(&self) -> u64 {
         self.get(Counter::LanePushes)
     }
 
-    /// Always 0: a lane holds every task its cell can have in flight, so
-    /// nothing overflows. Kept because the benchmark reads it.
+    /// Tasks that overflowed full lanes to the shared queues.
     pub fn lane_overflows(&self) -> u64 {
-        0
+        self.get(Counter::LaneOverflows)
     }
 
     /// Tasks taken from other workers' lanes.
@@ -284,8 +287,9 @@ impl EngineStats {
         self.get(Counter::Parks)
     }
 
-    /// Always 0: no task push waits on a full queue. Kept because the
-    /// benchmark reads it.
+    /// Always 0: every task queue holds all the tasks it can be handed,
+    /// so no push waits on a full one. Kept because the benchmark reads
+    /// it.
     pub fn total_push_retries(&self) -> u64 {
         0
     }
@@ -454,7 +458,7 @@ mod tests {
 
     /// `summary()` and `table()` text of the commit before the counter
     /// table (742eb83), for the same recorded events, without that
-    /// commit's lane-overflow and queue-full counts.
+    /// commit's queue-full retry line.
     #[test]
     fn summary_and_table_match_the_golden_text() {
         let s = EngineStats::new(2);
@@ -486,6 +490,7 @@ mod tests {
             s.add(Counter::LanePushes, n);
             s.max(Counter::LaneDepthMax, depth);
         }
+        s.add(Counter::LaneOverflows, 2);
         for n in [3, 1] {
             s.add(Counter::Steals, n);
             s.add(Counter::StealBatches, 1);
@@ -497,7 +502,7 @@ mod tests {
             "frames: 3 completed, 1 dropped | packets: 5 lost, 1 late, 2 dup, 1 rx-err, 4 misrouted\n\
              rx: 3 batches, 48 packets (mean 16.0/batch, max 32)\n\
              link errors: 2 tx, 5 rx\n\
-             sched: 10 lane pushes (max depth 9), 4 stolen in 2 steals, 2 parks, 1 wakes\n\
+             sched: 10 lane pushes (max depth 9), 2 overflows, 4 stolen in 2 steals, 2 parks, 1 wakes\n\
              busy: Decode 0.04ms, Demod 0.01ms, FFT 0.01ms\n"
         );
         assert_eq!(

@@ -1,18 +1,18 @@
 //! Per-worker task lanes for the work-stealing scheduler.
 //!
-//! A lane is a bounded ring owned by one worker: the manager pushes
-//! that worker's tasks into it (batched — one cursor claim per symbol's
-//! worth of messages), the owner drains it in batches, and idle
-//! neighbours steal half the backlog at a time. Built on the Vyukov
-//! [`MpmcQueue`] so stealing needs no extra synchronisation: steals are
-//! just concurrent `pop_batch` calls from non-owner threads.
+//! A lane is a small bounded ring owned by one worker: the manager
+//! pushes that worker's tasks into it (batched — one cursor claim per
+//! symbol's worth of messages), the owner drains it in batches, and
+//! idle neighbours steal half the backlog at a time. Built on the
+//! Vyukov [`MpmcQueue`] so stealing needs no extra synchronisation:
+//! steals are just concurrent `pop_batch` calls from non-owner threads.
 //!
-//! Lanes replace the paper's *shared* per-type queues: with W workers
-//! hammering one queue, every operation contends on two global cursors;
-//! with per-worker lanes the common case is one producer (the manager)
-//! and one consumer (the owner) per ring, and cross-worker traffic only
-//! happens on imbalance (steals). The engine sizes each lane to hold
-//! every task that can be in flight, so a push never finds it full.
+//! This replaces the *shared* per-type queues as the dispatch hot path:
+//! with W workers hammering one queue, every operation contends on two
+//! global cursors; with per-worker lanes the common case is one
+//! producer (the manager) and one consumer (the owner) per ring, and
+//! cross-worker traffic only happens on imbalance (steals) or overflow
+//! (fallback to the shared queues).
 
 use crate::mpmc::MpmcQueue;
 
@@ -40,7 +40,7 @@ impl<T> TaskLane<T> {
     }
 
     /// Enqueues a prefix of `values` with one cursor claim; returns how
-    /// many fit.
+    /// many fit. The caller overflows the tail to the shared queues.
     pub fn push_batch(&self, values: &[T]) -> usize
     where
         T: Copy,
