@@ -13,9 +13,9 @@
 //! |---|---|
 //! | `decoder` | f32 and i8 LDPC decoders each bit-exact across SIMD tiers; both planes land on the transmitted bits |
 //! | `fft` | tier agreement; batched ≡ single transforms bit for bit; pre-reversed entry ≡ `execute` |
-//! | `gemm` | `gemm` (GEMV at `n = 1`), the ZF Gram kernel and planned kernels bit-identical across tiers on every dispatch shape class |
-//! | `zf` | Cholesky detector ≈ Jacobi-SVD pseudo-inverse, bit-identical across tiers; near-singular Gram rejected |
-//! | `demod` | `Kernels` pinned to each narrower tier ≡ detected tier on the `csi`, `freq` (pilot and uplink FFTs), `inv_noise`, `llr`, `decoded`, `decode_ok` and `dl_freq` planes, 8×2 and 64×16 |
+//! | `gemm` | `gemm` (GEMV at `n = 1`), the ZF Gram kernel and planned kernels on every vector tier bit-identical to scalar on every dispatch shape class |
+//! | `zf` | Cholesky detector ≈ Jacobi-SVD pseudo-inverse, bit-identical across every tier; near-singular Gram rejected |
+//! | `demod` | `Kernels` pinned to each narrower tier ≡ detected tier on the `csi`, `freq` (pilot and uplink FFTs), `inv_noise`, `llr`, `decoded`, `decode_ok`, `dl_freq` and `dl_time` planes, 8×2 and 64×16 |
 //! | `bler` | through the real uplink chain at 0–30 dB, AWGN and 4-tap Rayleigh, 8×2 and 64×16: the engine's i8 plane decodes at least the blocks an f32 decoder does |
 //! | `fronthaul` | batch ≡ single delivery on mem and UDP links; aggregation split and pool recycling |
 //! | `deployment` | C=4 ledgers reconcile against the fault injector; deployment ≡ standalone engines; misroutes counted |
@@ -312,17 +312,38 @@ fn fft() {
             let mut pre: Vec<Cf32> = fast.bitrev().iter().map(|&j| input[j as usize]).collect();
             fast.execute_prereversed(&mut pre, dir);
             check(bits(&pre) == bits(&a), &format!("n={n} {dir:?}: prereversed path == execute"));
+
+            // The vector tiers share their bits: each wider body runs the
+            // AVX2 body's operations.
+            let mut avx2 = input.clone();
+            FftPlan::with_tier(n, SimdTier::Avx2).execute_batch(&mut avx2, dir);
+            for tier in SimdTier::supported().filter(|&t| t > SimdTier::Avx2) {
+                let mut wide = input.clone();
+                FftPlan::with_tier(n, tier).execute_batch(&mut wide, dir);
+                check(bits(&wide) == bits(&avx2), &format!("n={n} {dir:?}: {tier:?} == Avx2"));
+            }
         }
     }
 }
 
 // ------------------------------------------------------------------- gemm
 
+/// Every tier this CPU runs above scalar.
+fn vector_tiers() -> impl Iterator<Item = SimdTier> {
+    SimdTier::supported().filter(|&t| t > SimdTier::Scalar)
+}
+
 fn gemm() {
-    let tier = SimdTier::detect();
-    // Engine shapes plus odd sizes that exercise every tail path (m%4 row
-    // remainders, n%4 masked columns, k%4 packed tails, n==1 gemv
-    // delegation).
+    for tier in vector_tiers() {
+        gemm_on(tier);
+    }
+}
+
+/// [`gemm`]'s checks of one vector tier against scalar.
+fn gemm_on(tier: SimdTier) {
+    // Engine shapes plus odd sizes that exercise every tail path (m%4 and
+    // m%16 row remainders, n%4 and n%8 masked columns, two zmm column
+    // blocks, k%4 packed tails, k = 1, n==1 gemv delegation).
     let shapes: &[(usize, usize, usize)] = &[
         (16, 64, 8), // paper equalize (K, M, B)
         (64, 16, 8), // paper precode (M, K, B)
@@ -336,18 +357,26 @@ fn gemm() {
         (2, 33, 6),
         (17, 4, 5),
         (33, 65, 9),
+        (2, 8, 8),   // 8x2 equalize
+        (8, 2, 8),   // 8x2 precode
+        (21, 1, 17), // k = 1, a 16-row tile + 4 + 1, two column blocks
+        (19, 6, 24), // three full column blocks
     ];
     for &(m, k, n) in shapes {
         let a = filled((m * 131 + k * 17 + n) as u64, m * k);
         let b = filled((m * 7 + k * 311 + n * 5) as u64, k * n);
         let mut c_scal = vec![Cf32::ZERO; m * n];
-        let mut c_simd = vec![Cf32::ZERO; m * n];
-        let mut c_plan = vec![Cf32::ZERO; m * n];
+        // Stale outputs must be overwritten.
+        let mut c_simd = vec![Cf32::ONE; m * n];
+        let mut c_plan = vec![Cf32::ONE; m * n];
         agora_math::gemm_with_tier(m, k, n, &a, &b, &mut c_scal, SimdTier::Scalar);
         agora_math::gemm_with_tier(m, k, n, &a, &b, &mut c_simd, tier);
         let plan = Gemm::plan_with_tier(m, k, n, tier);
         plan.run(&a, &b, &mut c_plan);
-        check(bits(&c_scal) == bits(&c_simd), &format!("gemm ({m},{k},{n}): tiers bit-identical"));
+        check(
+            bits(&c_scal) == bits(&c_simd),
+            &format!("gemm ({m},{k},{n}): {tier:?} ≡ scalar bit for bit"),
+        );
         check(
             bits(&c_plan) == bits(&c_scal),
             &format!("plan ({m},{k},{n}) kernel {:?} == scalar free function", plan.kernel()),
@@ -364,7 +393,10 @@ fn gemm() {
         let mut y_simd = vec![Cf32::ZERO; m];
         agora_math::gemm_with_tier(m, k, 1, &a, &x, &mut y_scal, SimdTier::Scalar);
         agora_math::gemm_with_tier(m, k, 1, &a, &x, &mut y_simd, tier);
-        check(bits(&y_scal) == bits(&y_simd), &format!("gemv ({m},{k}): tiers bit-identical"));
+        check(
+            bits(&y_scal) == bits(&y_simd),
+            &format!("gemv ({m},{k}): {tier:?} ≡ scalar bit for bit"),
+        );
     }
     // The ZF Gram kernel (A^H A from A^H and A) over ZF shapes plus tails.
     for (rows, cols) in [(64usize, 16usize), (32, 8), (16, 4), (7, 5), (64, 15), (9, 9), (1, 3)] {
@@ -377,7 +409,7 @@ fn gemm() {
         agora_math::gram_accumulate_with_tier(rows, cols, &ah, &a, &mut g_simd, tier);
         check(
             bits(&g_scal) == bits(&g_simd),
-            &format!("gram ({rows},{cols}): tiers bit-identical"),
+            &format!("gram ({rows},{cols}): {tier:?} ≡ scalar bit for bit"),
         );
     }
 }
@@ -395,7 +427,13 @@ fn near_singular(mut h: CMat) -> CMat {
 }
 
 fn zf() {
-    let tier = SimdTier::detect();
+    for tier in vector_tiers() {
+        zf_on(tier);
+    }
+}
+
+/// [`zf`]'s checks of one vector tier against scalar.
+fn zf_on(tier: SimdTier) {
     for (m, k) in [(64usize, 16usize), (32, 8), (16, 4), (64, 15), (24, 7), (8, 1)] {
         let h = channel(m, k, (m * 131 + k) as u64);
         let mut ch = CMat::zeros(k, m);
@@ -405,10 +443,13 @@ fn zf() {
         let mut s_scalar = PinvScratch::with_tier(m, k, SimdTier::Scalar);
         pinv_into(&h, PinvMethod::Cholesky, &mut s_scalar, &mut ch_scalar);
         let diff = ch.max_abs_diff(&pinv_svd(&h, 1e-5));
-        check(diff <= 1e-3, &format!("detector ({m},{k}): Cholesky vs Jacobi SVD {diff:.3e}"));
+        check(
+            diff <= 1e-3,
+            &format!("detector ({m},{k}): {tier:?} Cholesky vs Jacobi SVD {diff:.3e}"),
+        );
         check(
             bits(ch.as_slice()) == bits(ch_scalar.as_slice()),
-            &format!("detector ({m},{k}): Cholesky tiers bit-identical"),
+            &format!("detector ({m},{k}): Cholesky {tier:?} ≡ scalar bit for bit"),
         );
     }
     // Factor tier parity is bit-exact on odd sizes too.
@@ -422,7 +463,7 @@ fn zf() {
             && Cholesky::factor_into(&gram, &mut l_scal, &mut sc, SimdTier::Scalar).is_ok();
         check(
             factored && bits(l_simd.as_slice()) == bits(l_scal.as_slice()),
-            &format!("factor_into k={k}: tiers bit-identical"),
+            &format!("factor_into k={k}: {tier:?} ≡ scalar bit for bit"),
         );
     }
     // Nearly-duplicated user channels must be rejected by the pivot test
@@ -431,15 +472,15 @@ fn zf() {
     let gram = bad.hermitian().matmul(&bad);
     let rejected =
         Cholesky::factor_into(&gram, &mut CMat::zeros(16, 16), &mut CholScratch::new(16), tier);
-    check(rejected.is_err(), "guard: near-duplicate user channel rejected");
+    check(rejected.is_err(), &format!("guard: {tier:?} rejects a near-duplicate user channel"));
 }
 
 // ------------------------------------------------------------------ demod
 
 /// One pilot + uplink + downlink frame through the inline processor on
 /// the detected tier; then kernels pinned to each narrower tier redo its
-/// FFTs (pilot and uplink), ZF, demodulation, decoding and precoding on
-/// the same slot. The IQ unpack, the demapper and its fused quantiser,
+/// FFTs (pilot and uplink), ZF, demodulation, decoding, precoding and
+/// every antenna's IFFT on the same slot. The IQ unpack, the demapper and its fused quantiser,
 /// the noise scales, the decoder and the modulator's bit-pack must leave
 /// the planes byte for byte.
 fn demod() {
@@ -457,7 +498,8 @@ fn demod() {
         // SAFETY (here and below): single-threaded; every task has run,
         // and no view is alive across a `fill`.
         let planes = || unsafe {
-            let cf32 = [&fb.csi, &fb.freq, &fb.dl_freq].map(|plane| bits(plane.view(None)));
+            let cf32 =
+                [&fb.csi, &fb.freq, &fb.dl_freq, &fb.dl_time].map(|plane| bits(plane.view(None)));
             let inv_noise: Vec<u32> = fb.inv_noise.view(None).iter().map(|x| x.to_bits()).collect();
             let bytes = [fb.decoded.view(None), fb.decode_ok.view(None)].map(<[u8]>::to_vec);
             (cf32, inv_noise, fb.llr.view(None).to_vec(), bytes)
@@ -470,7 +512,7 @@ fn demod() {
         check(filled, &format!("{what}: the detected tier filled the planes"));
         for tier in SimdTier::supported().filter(|&t| t < SimdTier::detect()) {
             unsafe {
-                for plane in [&fb.csi, &fb.freq, &fb.dl_freq] {
+                for plane in [&fb.csi, &fb.freq, &fb.dl_freq, &fb.dl_time] {
                     plane.fill(Cf32::ZERO);
                 }
                 fb.inv_noise.fill(0.0);
@@ -487,6 +529,7 @@ fn demod() {
             pinned.demod_task(fb, &mut s, 0, uplink, 0, g.q);
             (0..g.k).for_each(|user| pinned.decode_task(fb, &mut s, uplink, user));
             pinned.precode_task(fb, &mut s, downlink, 0, g.q);
+            (0..g.m).for_each(|ant| pinned.ifft_task(fb, &mut s, downlink, ant));
             let (cf32, inv_noise, llr, bytes) = planes();
             for (plane, same) in [
                 ("csi", cf32[0] == detected.0[0]),
@@ -496,6 +539,7 @@ fn demod() {
                 ("decoded", bytes[0] == detected.3[0]),
                 ("decode_ok", bytes[1] == detected.3[1]),
                 ("dl_freq", cf32[2] == detected.0[2]),
+                ("dl_time", cf32[3] == detected.0[3]),
             ] {
                 check(same, &format!("{what}: {plane} plane, {tier:?} tier ≡ detected"));
             }

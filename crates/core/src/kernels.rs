@@ -13,7 +13,7 @@
 use crate::buffers::{AlignedBuf, BufferGeometry, FrameBuffers, Piece};
 use crate::config::EngineConfig;
 use crate::state::FrameShape;
-use agora_fft::{Direction, FftPlan, SubcarrierMap};
+use agora_fft::{Conj, FftPlan, Steps, SubcarrierMap};
 use agora_ldpc::{DecodeConfigI8, DecoderI8, RateMatch, WordEncoder};
 use agora_math::simd::{stream_conj_scale, stream_copy, stream_fence, SimdTier};
 use agora_math::{
@@ -194,7 +194,7 @@ struct PilotStore {
     inv: Cf32,
 }
 
-/// Where the IFFT task's scatter ([`FftPlan::forward_of_conj`]) finds the
+/// Where the IFFT task's scatter ([`FftPlan::forward_of`]) finds the
 /// eight natural-order bins of one step of an antenna's grid.
 #[derive(Debug, Clone, Copy)]
 enum IfftStep {
@@ -213,10 +213,9 @@ enum IfftStep {
 /// Per-worker mutable scratch: decoder state and staging buffers.
 pub struct WorkerScratch {
     /// The one transform buffer: `batch.fft` transform-sized grids back
-    /// to back, line-aligned, so one `execute_batch_prereversed` call
-    /// covers a whole FFT task and the task's loads and stores never
-    /// straddle a line; an IFFT task transforms one antenna at a time in
-    /// the first.
+    /// to back, line-aligned, one per antenna of an FFT task, so the
+    /// task's loads and stores never straddle a line; an IFFT task
+    /// transforms one antenna at a time in the first.
     grid: AlignedBuf<Cf32>,
     ant_block: Vec<Cf32>,
     user_block: Vec<Cf32>,
@@ -244,10 +243,12 @@ impl Kernels {
     }
 
     /// [`Self::new`] with every kernel — transforms, ZF, GEMMs, demapper,
-    /// modulator, decoder, streaming stores — pinned to `tier`. The
-    /// tiers are bit-identical; `parity` holds the frame planes to that.
+    /// modulator, decoder, streaming stores — pinned to `tier`, clamped
+    /// to what the CPU supports. The tiers are bit-identical; `parity`
+    /// holds the frame planes to that.
     pub fn with_tier(cfg: EngineConfig, tier: SimdTier) -> Self {
         cfg.validate().expect("invalid engine configuration");
+        let tier = tier.min(SimdTier::cached());
         let cell = &cfg.cell;
         let geom = BufferGeometry {
             m: cell.num_antennas,
@@ -331,13 +332,13 @@ impl Kernels {
     /// store frequency-domain data for demodulation.
     ///
     /// Both ends of the transform are fused into it. In front, IQ unpack,
-    /// cyclic-prefix skip and the bit-reversal permutation are one
-    /// gather-on-copy pass ([`unpack_bitrev`]), after which one
-    /// [`FftPlan::execute_batch_prereversed`] call runs the butterflies of
-    /// the whole batch (the SIMD kernel amortises twiddle loads across
-    /// transforms). Behind, `fft_store` moves the active bins straight
-    /// from the grid into the frame plane. The output does not depend on
-    /// how antennas are grouped into batches.
+    /// cyclic-prefix skip, the bit-reversal permutation and the first
+    /// butterfly stages are one pass: [`FftPlan::forward_of`] reads the
+    /// payload's packed samples a step at a time (`IqSteps`, the decode of
+    /// [`unpack_bitrev`]) and runs the rest of the transform. Behind,
+    /// `fft_store` moves the active bins straight from the grid into the
+    /// frame plane. The output does not depend on how antennas are grouped
+    /// into batches.
     pub fn fft_batch_task(
         &self,
         fb: &FrameBuffers,
@@ -356,9 +357,9 @@ impl Kernels {
         // Every payload is taken, and its antenna checked, before anything
         // is stored.
         for (i, grid) in s.grid.chunks_exact_mut(n).take(count).enumerate() {
-            unpack_bitrev(fb.rx_pkts.payload(symbol, base + i), skip, &self.fft, grid);
+            let payload = fb.rx_pkts.payload(symbol, base + i);
+            self.fft.forward_of(grid, &IqSteps::new(payload, skip, n));
         }
-        self.fft.execute_batch_prereversed(&mut s.grid[..count * n], Direction::Forward);
         for (i, grid) in s.grid.chunks_exact(n).take(count).enumerate() {
             self.fft_store(fb, symbol, base + i, grid);
         }
@@ -535,13 +536,13 @@ impl Kernels {
     /// per antenna, gather its subcarriers, inverse-transform them, write
     /// the time-domain samples. The inverse is run as `conj(FFT(conj x)) /
     /// n`, and both conjugations ride passes the task makes anyway:
-    /// [`FftPlan::forward_of_conj`] scatters the antenna's lines of the
+    /// [`FftPlan::forward_of`] on [`Conj`] steps scatters the antenna's lines of the
     /// `[block][antenna][8 sc]` blocks conjugated and bit-reversed into
     /// the grid — every bin, the guard bins as `conj(0)`, so the grid
     /// needs no clearing — and runs the butterflies forward on it, and the
     /// store multiplies by `conj · (1/n)` ([`stream_conj_scale`], or its
     /// cached twin for a `dl_time` plane that stays in cache). Those are
-    /// the operations of [`Direction::Inverse`] in the same order, so the
+    /// the operations of [`agora_fft::Direction::Inverse`] in the same order, so the
     /// bits are its, and they do not depend on how antennas are grouped
     /// into tasks.
     pub fn ifft_batch_task(
@@ -565,7 +566,7 @@ impl Kernels {
                 s.ifft_stage[at..at + p.len].copy_from_slice(&freq[g.piece_cols(&p, ant)]);
             }
             let stage = &s.ifft_stage;
-            self.fft.forward_of_conj(grid, |t| {
+            let steps = Conj(|t| {
                 let step = match self.ifft_steps[t] {
                     IfftStep::Zero => return None,
                     IfftStep::Plane(col) => &freq[col + ant * g.block..][..8],
@@ -573,6 +574,7 @@ impl Kernels {
                 };
                 Some(step.try_into().expect("eight bins"))
             });
+            self.fft.forward_of(grid, &steps);
             // CP-less symbols, as in the uplink path.
             self.stores.dl_time.conj_scale(&grid[..g.samples], out, scale, self.tier);
         }
@@ -596,116 +598,106 @@ impl Kernels {
 /// table is its own inverse, so this is the gather `out[i] =
 /// sample[bitrev[i]]` with the random accesses moved to the warm side.
 ///
-/// Dispatches on `plan`'s tier. The AVX2 body decodes eight samples per
-/// step and stores four steps at a time, as 32-byte runs of the grid;
+/// It is [`FftPlan::gather`] of `IqSteps`, so it dispatches on `plan`'s
+/// tier: the vector bodies decode eight samples per step and store four
+/// steps (AVX2) or eight (AVX-512) at a time as whole runs of the grid;
 /// every tier writes what [`unpack_sample`], the scalar body, does. Reads
 /// no byte past the `skip + out.len()` samples, and writes through checked
-/// indices.
+/// indices. The FFT task runs the same decode inside
+/// [`FftPlan::forward_of`].
+///
+/// # Panics
+/// Panics unless `out` is `plan`-sized and at least 8 samples, or if the
+/// payload is shorter than `skip + out.len()` samples.
 pub fn unpack_bitrev(payload: &[u8], skip: usize, plan: &FftPlan, out: &mut [Cf32]) {
     assert_eq!(out.len(), plan.len(), "output must be transform-sized");
-    let payload = payload
-        .get(skip * BYTES_PER_SAMPLE..(skip + out.len()) * BYTES_PER_SAMPLE)
-        .expect("payload too short for skip + transform");
-    let bitrev = plan.bitrev();
-    let done = match plan.tier() {
-        // SAFETY: the plan's tier is clamped to what the CPU supports, and
-        // `payload` holds exactly `out.len()` samples.
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 | SimdTier::Avx512 => unsafe { unpack_bitrev_avx2(payload, bitrev, out) },
-        _ => 0,
-    };
-    let samples = payload[done * BYTES_PER_SAMPLE..].chunks_exact(BYTES_PER_SAMPLE);
-    for (bytes, &j) in samples.zip(&bitrev[done..]) {
-        out[j as usize] = unpack_sample(bytes.try_into().expect("three-byte chunks"));
+    plan.gather(out, &IqSteps::new(payload, skip, out.len()));
+}
+
+/// The `n` packed IQ samples of a payload after its first `skip`, as the
+/// [`Steps`] of a transform: three bytes per sample, I the low 12 bits of
+/// the little-endian word and Q the next 12 ([`unpack_sample`]). Each body
+/// reads one step's 24 bytes through a checked slice.
+struct IqSteps<'a>(&'a [u8]);
+
+impl<'a> IqSteps<'a> {
+    /// The `n` samples of `payload` from sample `skip` on.
+    ///
+    /// # Panics
+    /// Panics if the payload is shorter than `skip + n` samples.
+    fn new(payload: &'a [u8], skip: usize, n: usize) -> Self {
+        let range = skip * BYTES_PER_SAMPLE..(skip + n) * BYTES_PER_SAMPLE;
+        Self(payload.get(range).expect("payload too short for skip + transform"))
+    }
+
+    fn bytes(&self, t: usize) -> &[u8; 24] {
+        self.0[24 * t..24 * t + 24].try_into().expect("24 bytes")
     }
 }
 
-/// The vector body of [`unpack_bitrev`], for transforms of 32 points or
-/// more (it returns 0 below that, leaving them to the scalar body). It
-/// decodes steps of eight samples ([`unpack_step`]) four at a time: with
-/// `n / 32 = r`, steps `s`, `s + 2r`, `s + r` and `s + 3r` (`s < r`) are
-/// the ones whose bit-reversed slots differ only in the two lowest bits,
-/// so sample `k` of the four lands on four consecutive slots from
-/// `bitrev[8s + k]`. A 4 x 4 transpose of the eight-byte samples turns the
-/// four steps into eight such runs, each one 32-byte store through a
-/// checked slice of `out`. `bitrev` must be the bit-reversal permutation
-/// of `out.len()` points (the plan's) for the runs to be right.
-///
-/// # Safety
-/// The CPU must support AVX2, and `payload` must hold `out.len()`
-/// samples.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn unpack_bitrev_avx2(payload: &[u8], bitrev: &[u32], out: &mut [Cf32]) -> usize {
-    use core::arch::x86_64::*;
-    let n = out.len();
-    debug_assert_eq!(payload.len(), n * BYTES_PER_SAMPLE);
-    if n < 32 {
-        return 0;
+impl Steps for IqSteps<'_> {
+    fn step(&self, t: usize) -> [Cf32; 8] {
+        let b = self.bytes(t);
+        [0, 1, 2, 3, 4, 5, 6, 7].map(|k| unpack_sample(b[3 * k..3 * k + 3].try_into().unwrap()))
     }
-    let r = n / 32;
-    for s in 0..r {
-        let mut rows = [[_mm256_setzero_pd(); 4]; 2];
-        for (j, step) in [s, s + 2 * r, s + r, s + 3 * r].into_iter().enumerate() {
-            // SAFETY: `step < n / 8`, so its 24 bytes are in `payload`.
-            let (lo, hi) = unpack_step(payload.as_ptr().add(24 * step));
-            (rows[0][j], rows[1][j]) = (_mm256_castps_pd(lo), _mm256_castps_pd(hi));
-        }
-        // Row `j` of `rows[h]` holds samples [0 1 | 4 5] (h = 0) or
-        // [2 3 | 6 7] (h = 1) of the j-th step; transposed, column `c`
-        // holds one sample of all four steps.
-        for (h, rows) in rows.iter().enumerate() {
-            let t0 = _mm256_unpacklo_pd(rows[0], rows[1]);
-            let t1 = _mm256_unpackhi_pd(rows[0], rows[1]);
-            let t2 = _mm256_unpacklo_pd(rows[2], rows[3]);
-            let t3 = _mm256_unpackhi_pd(rows[2], rows[3]);
-            let columns = [
-                (2 * h, _mm256_permute2f128_pd::<0x20>(t0, t2)),
-                (2 * h + 1, _mm256_permute2f128_pd::<0x20>(t1, t3)),
-                (2 * h + 4, _mm256_permute2f128_pd::<0x31>(t0, t2)),
-                (2 * h + 5, _mm256_permute2f128_pd::<0x31>(t1, t3)),
-            ];
-            for (k, column) in columns {
-                let at = bitrev[8 * s + k] as usize;
-                let run = &mut out[at..at + 4];
-                // SAFETY: `run` is four `Cf32`, thirty-two bytes.
-                _mm256_storeu_pd(run.as_mut_ptr() as *mut f64, column);
+
+    /// Two 16-byte loads — samples 0-3 at the step, 4-7 four bytes into a
+    /// load eight bytes on, so neither reads past the 24 bytes — and one
+    /// byte shuffle zero-extend every sample to a 32-bit word; I and Q are
+    /// sign-extended by a left and an arithmetic right shift. The
+    /// conversion to float is exact, and so is the multiply by 2^-11 that
+    /// stands for [`unpack_sample`]'s divide by 2048.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn ymm(&self, t: usize) -> [core::arch::x86_64::__m256d; 2] {
+        use core::arch::x86_64::*;
+        #[rustfmt::skip]
+        let words = _mm256_setr_epi8(
+            0, 1, 2, -1, 3, 4, 5, -1, 6, 7, 8, -1, 9, 10, 11, -1,
+            4, 5, 6, -1, 7, 8, 9, -1, 10, 11, 12, -1, 13, 14, 15, -1,
+        );
+        let unit = _mm256_set1_ps(1.0 / agora_phy::iq::FULL_SCALE);
+        let p = self.bytes(t).as_ptr();
+        let lo = _mm_loadu_si128(p as *const __m128i);
+        let hi = _mm_loadu_si128(p.add(8) as *const __m128i);
+        let w = _mm256_shuffle_epi8(_mm256_set_m128i(hi, lo), words);
+        let i = _mm256_srai_epi32::<20>(_mm256_slli_epi32::<20>(w));
+        let q = _mm256_srai_epi32::<20>(_mm256_slli_epi32::<8>(w));
+        let i = _mm256_mul_ps(_mm256_cvtepi32_ps(i), unit);
+        let q = _mm256_mul_ps(_mm256_cvtepi32_ps(q), unit);
+        [_mm256_castps_pd(_mm256_unpacklo_ps(i, q)), _mm256_castps_pd(_mm256_unpackhi_ps(i, q))]
+    }
+
+    /// One masked 24-byte load and one byte permute put sample `k`'s three
+    /// bytes in both 32-bit words of 64-bit lane `k`; shifts by 20 (I) and
+    /// 8 (Q), then 20 arithmetic, sign-extend them in place, as [`Self::ymm`]
+    /// does, and the same conversion and multiply follow.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vbmi")]
+    #[inline]
+    unsafe fn zmm(&self, t: usize) -> core::arch::x86_64::__m512d {
+        use core::arch::x86_64::*;
+        /// Byte `b` of the permuted register: byte `min(b % 4, 2)` of
+        /// sample `b / 8`.
+        const PICK: [u8; 64] = {
+            let mut pick = [0u8; 64];
+            let mut b = 0;
+            while b < 64 {
+                let k = b / 8;
+                let j = if b % 4 < 2 { b % 4 } else { 2 };
+                pick[b] = (3 * k + j) as u8;
+                b += 1;
             }
-        }
+            pick
+        };
+        let bytes = _mm512_maskz_loadu_epi8(0xff_ffff, self.bytes(t).as_ptr() as *const i8);
+        let w = _mm512_permutexvar_epi8(_mm512_loadu_si512(PICK.as_ptr() as *const _), bytes);
+        let counts = _mm512_set1_epi64((8 << 32) | 20);
+        let iq = _mm512_srai_epi32::<20>(_mm512_sllv_epi32(w, counts));
+        let unit = _mm512_set1_ps(1.0 / agora_phy::iq::FULL_SCALE);
+        _mm512_castps_pd(_mm512_mul_ps(_mm512_cvtepi32_ps(iq), unit))
     }
-    n
-}
-
-/// Decodes the eight samples of the 24 bytes at `p` as `(re, im)` pairs,
-/// samples [0 1 | 4 5] and [2 3 | 6 7]. Two 16-byte loads — samples 0-3
-/// at `p`, 4-7 four bytes into a load at `p + 8`, so neither reads past
-/// the 24 bytes — and one byte shuffle zero-extend every sample to a
-/// 32-bit word. I is the word's low 12 bits and Q the next 12,
-/// sign-extended by a left and an arithmetic right shift; the conversion
-/// to float is exact, and so is the multiply by 2^-11 that stands for
-/// [`unpack_sample`]'s divide by 2048.
-///
-/// # Safety
-/// The CPU must support AVX2 and `p` be valid for 24 byte reads.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn unpack_step(p: *const u8) -> (core::arch::x86_64::__m256, core::arch::x86_64::__m256) {
-    use core::arch::x86_64::*;
-    #[rustfmt::skip]
-    let words = _mm256_setr_epi8(
-        0, 1, 2, -1, 3, 4, 5, -1, 6, 7, 8, -1, 9, 10, 11, -1,
-        4, 5, 6, -1, 7, 8, 9, -1, 10, 11, 12, -1, 13, 14, 15, -1,
-    );
-    let unit = _mm256_set1_ps(1.0 / agora_phy::iq::FULL_SCALE);
-    let lo = _mm_loadu_si128(p as *const __m128i);
-    let hi = _mm_loadu_si128(p.add(8) as *const __m128i);
-    let w = _mm256_shuffle_epi8(_mm256_set_m128i(hi, lo), words);
-    let i = _mm256_srai_epi32::<20>(_mm256_slli_epi32::<20>(w));
-    let q = _mm256_srai_epi32::<20>(_mm256_slli_epi32::<8>(w));
-    let i = _mm256_mul_ps(_mm256_cvtepi32_ps(i), unit);
-    let q = _mm256_mul_ps(_mm256_cvtepi32_ps(q), unit);
-    (_mm256_unpacklo_ps(i, q), _mm256_unpackhi_ps(i, q))
 }
 
 /// Builds [`Kernels::pilot_stores`]. ZF reads one channel estimate per
@@ -868,12 +860,32 @@ impl PayloadWords {
 mod tests {
     use super::*;
     use crate::buffers::{FrameWindow, Plane};
+    use agora_fft::Direction;
+    use agora_math::GemmKernel;
     use proptest::prelude::*;
 
     #[test]
     fn kernels_build_for_paper_and_tiny_configs() {
         let _ = Kernels::new(EngineConfig::new(CellConfig::tiny_test(2), 2));
         let _ = Kernels::new(EngineConfig::new(CellConfig::emulated_rru(16, 4, 2), 4));
+    }
+
+    /// A tier the caller asks for above the CPU's is clamped: the stored
+    /// tier (which the unpack and the plane stores dispatch on), the
+    /// transforms' and the GEMM plans' never exceed what the CPU runs.
+    #[test]
+    fn kernels_clamp_the_tier_to_the_cpu() {
+        let cpu = SimdTier::cached();
+        for tier in [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512] {
+            let k = Kernels::with_tier(EngineConfig::new(CellConfig::tiny_test(2), 1), tier);
+            assert_eq!(k.tier, tier.min(cpu), "{tier:?}");
+            assert!(k.fft.tier() <= k.tier, "{tier:?}");
+            for plan in [k.eq_gemm, k.pre_gemm] {
+                let wide = matches!(plan.kernel(), GemmKernel::Avx2 | GemmKernel::Avx512);
+                assert!(k.tier >= SimdTier::Avx2 || !wide, "{tier:?}: {:?}", plan.kernel());
+                assert!(k.tier >= SimdTier::Avx512 || plan.kernel() != GemmKernel::Avx512);
+            }
+        }
     }
 
     #[test]
@@ -995,6 +1007,58 @@ mod tests {
                     map_of(&k).map_symbols(&active, &mut grid);
                     k.fft.execute(&mut grid, Direction::Inverse);
                     assert!(bits(got) == bits(&grid), "{what}: antenna {ant}");
+                }
+            }
+        }
+    }
+
+    /// Every tier's FFT tasks (a pilot and an uplink symbol) and IFFT
+    /// tasks write the planes the AVX2 tier's do, at 8x2 and 64x16:
+    /// byte-identical on every vector tier, within the transforms'
+    /// tolerance on the scalar oracle (its multiplies by `1` and `-i` round
+    /// where the vector bodies' swaps do not).
+    #[test]
+    fn fft_and_ifft_tasks_write_the_same_planes_on_every_tier() {
+        for cell in [CellConfig::tiny_test(1), CellConfig::emulated_rru(64, 16, 1)] {
+            let (k, w) = primed(cell, "PUD", |_| {});
+            let (g, fb) = (k.geom, w.slot(0));
+            let what = format!("{}x{}", g.m, g.k);
+            let mut state = 0x2545_F491_4F6C_DD1Du64;
+            for z in fb.dl_freq.row_mut(2, ..) {
+                let mut next = || {
+                    state = xorshift(state);
+                    (state >> 40) as f32 / (1 << 23) as f32 - 1.0
+                };
+                *z = Cf32::new(next(), next());
+            }
+            let planes = |tier| {
+                let k = Kernels::with_tier(k.cfg.clone(), tier);
+                let mut s = k.scratch();
+                [&fb.csi, &fb.freq, &fb.dl_time].into_iter().for_each(clear);
+                for ant in 0..g.m {
+                    k.fft_task(fb, &mut s, 0, ant);
+                    k.fft_task(fb, &mut s, 1, ant);
+                    k.ifft_task(fb, &mut s, 2, ant);
+                }
+                [&fb.csi, &fb.freq, &fb.dl_time].map(plane_bits)
+            };
+            let avx2 = planes(SimdTier::Avx2);
+            let scalar = planes(SimdTier::Scalar);
+            for (i, (got, want)) in scalar.iter().zip(&avx2).enumerate() {
+                let err = got
+                    .iter()
+                    .zip(want)
+                    .map(|(a, b)| {
+                        (f32::from_bits(a.0) - f32::from_bits(b.0))
+                            .abs()
+                            .max((f32::from_bits(a.1) - f32::from_bits(b.1)).abs())
+                    })
+                    .fold(0.0, f32::max);
+                assert!(err < 1e-3, "{what} plane {i}: scalar off by {err}");
+            }
+            for tier in SimdTier::supported().filter(|&t| t > SimdTier::Avx2) {
+                for (i, (got, want)) in planes(tier).iter().zip(&avx2).enumerate() {
+                    assert!(got == want, "{what} plane {i}: {tier:?}");
                 }
             }
         }
@@ -1578,13 +1642,14 @@ mod tests {
     }
 
     /// Every one of the 2^24 sample words decodes to the same bits on
-    /// both tiers. Release only (`scripts/ci.sh` runs it there).
+    /// every tier. Release only (`scripts/ci.sh` runs it there).
     #[test]
     #[cfg_attr(debug_assertions, ignore)]
-    fn every_sample_word_unpacks_alike_on_both_tiers() {
+    fn every_sample_word_unpacks_alike_on_every_tier() {
         const N: usize = 4096;
         let scalar = FftPlan::with_tier(N, SimdTier::Scalar);
-        let detected = FftPlan::with_tier(N, SimdTier::cached());
+        let vector: Vec<FftPlan> =
+            SimdTier::supported().skip(1).map(|tier| FftPlan::with_tier(N, tier)).collect();
         let (mut want, mut got) = (vec![Cf32::ZERO; N], vec![Cf32::ZERO; N]);
         let mut payload = vec![0u8; N * BYTES_PER_SAMPLE];
         for first in (0..1u32 << 24).step_by(N) {
@@ -1592,13 +1657,20 @@ mod tests {
                 bytes.copy_from_slice(&word.to_le_bytes()[..BYTES_PER_SAMPLE]);
             }
             unpack_bitrev(&payload, 0, &scalar, &mut want);
-            unpack_bitrev(&payload, 0, &detected, &mut got);
-            assert!(bits(&got) == bits(&want), "words {first}..{}", first as usize + N);
+            for plan in &vector {
+                unpack_bitrev(&payload, 0, plan, &mut got);
+                let tier = plan.tier();
+                assert!(
+                    bits(&got) == bits(&want),
+                    "{tier:?}: words {first}..{}",
+                    first as usize + N
+                );
+            }
         }
     }
 
     proptest! {
-        /// Both tiers write the same grid from any payload bytes: every
+        /// Every tier writes the same grid from any payload bytes: every
         /// power-of-two transform from 8 to 4096 points, prefixes of 0, 1,
         /// 7 and 16 samples, payloads of exactly `skip + n` samples (the
         /// engine's) and longer.
@@ -1620,10 +1692,12 @@ mod tests {
                 })
                 .collect();
             let mut want = vec![Cf32::new(f32::NAN, 0.0); n];
-            let mut got = want.clone();
             unpack_bitrev(&payload, skip, &FftPlan::with_tier(n, SimdTier::Scalar), &mut want);
-            unpack_bitrev(&payload, skip, &FftPlan::with_tier(n, SimdTier::cached()), &mut got);
-            prop_assert!(bits(&got) == bits(&want), "n {} skip {}", n, skip);
+            for tier in SimdTier::supported().skip(1) {
+                let mut got = vec![Cf32::new(f32::NAN, 0.0); n];
+                unpack_bitrev(&payload, skip, &FftPlan::with_tier(n, tier), &mut got);
+                prop_assert!(bits(&got) == bits(&want), "n {} skip {} {:?}", n, skip, tier);
+            }
         }
     }
 }

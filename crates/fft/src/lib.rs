@@ -10,7 +10,7 @@ pub mod plan;
 pub mod simd;
 
 pub use ofdm::{Ofdm, SubcarrierMap};
-pub use plan::{Direction, FftPlan};
+pub use plan::{Conj, Direction, FftPlan, Steps};
 
 #[cfg(test)]
 mod dft_ref;

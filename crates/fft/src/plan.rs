@@ -7,11 +7,15 @@
 //! stored in an `Arc` next to the cell configuration.
 //!
 //! Execution is [`SimdTier`]-dispatched: on AVX2 hosts the butterflies run
-//! four complex values per 256-bit vector with the first two stages fused
-//! (see [`crate::simd`]); everywhere else the scalar radix-2 loop is the
-//! reference. Callers that can produce their input in bit-reversed order
-//! (the engine's fused IQ-unpack gather) use the `*_prereversed` entry
-//! points and skip the permutation pass entirely, and
+//! four complex values per 256-bit vector with the first two stages fused,
+//! on AVX-512 hosts eight per 512-bit vector after the first three (see
+//! [`crate::simd`]), bit for bit alike; everywhere else the scalar radix-2
+//! loop is the reference. Callers that can produce their input in
+//! bit-reversed order use [`FftPlan::execute_prereversed`] and skip the
+//! permutation pass entirely; callers whose input comes a step of eight
+//! samples at a time ([`Steps`]: the engine's IQ payloads, the IFFT's
+//! frequency lines) use [`FftPlan::gather`] or [`FftPlan::forward_of`],
+//! which place it and run the first stages in one pass; and
 //! [`FftPlan::execute_batch`] runs several independent transforms through
 //! each stage together so twiddle loads amortize across the batch.
 
@@ -25,6 +29,81 @@ pub enum Direction {
     Forward,
     /// Frequency domain -> time domain (positive exponent, `1/N` scaling).
     Inverse,
+}
+
+/// Input a transform reads step by step: `n / 8` steps of eight samples,
+/// step `t` being samples `8t..8t + 8` in natural order. [`FftPlan::gather`]
+/// and [`FftPlan::forward_of`] take it, so a source that must be decoded
+/// or assembled first is read one step at a time into registers and
+/// written once, in bit-reversed order. Every method returns the same
+/// samples, bit for bit; the vector ones are called only on a CPU with
+/// their features and with `t < n / 8`.
+pub trait Steps {
+    /// Step `t`'s eight samples.
+    fn step(&self, t: usize) -> [Cf32; 8];
+
+    /// Step `t` as two AVX2 registers of four samples each, one `Cf32` per
+    /// 64-bit lane: samples `[0 1 | 4 5]` and `[2 3 | 6 7]` (the order an
+    /// in-lane byte shuffle decodes packed samples in).
+    ///
+    /// # Safety
+    /// The CPU must support AVX2. Implementations should carry
+    /// `#[target_feature(enable = "avx2")]` and `#[inline]`.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn ymm(&self, t: usize) -> [core::arch::x86_64::__m256d; 2];
+
+    /// Step `t` as one AVX-512 register, samples 0..8 in order.
+    ///
+    /// # Safety
+    /// The CPU must support the [`SimdTier::Avx512`] features.
+    /// Implementations should carry `#[target_feature(enable =
+    /// "avx512f,avx512bw,avx512vl,avx512vbmi")]` (or a subset) and
+    /// `#[inline]`, so they inline into the gather.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn zmm(&self, t: usize) -> core::arch::x86_64::__m512d;
+}
+
+/// The steps the closure returns, as [`Steps`] conjugated: `None` stands
+/// for eight zeros, read as `conj(0) = (+0, -0)` — what
+/// [`Direction::Inverse`]'s own conjugation makes of them. So
+/// `forward_of(out, &Conj(x))` is `FFT(conj x)`, and `conj(out) / n` the
+/// inverse transform of `x`, which a caller can fuse into its store
+/// (`agora_math::simd::stream_conj_scale`): input that sits in several
+/// places — the IFFT task's `dl_freq` lines, and guard bands it never
+/// stores — is inverse-transformed without a natural-order copy, a cleared
+/// grid or a conjugation pass.
+pub struct Conj<F>(pub F);
+
+impl<'a, F: Fn(usize) -> Option<&'a [Cf32; 8]>> Steps for Conj<F> {
+    fn step(&self, t: usize) -> [Cf32; 8] {
+        (self.0)(t).copied().unwrap_or([Cf32::ZERO; 8]).map(|z| z.conj())
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn ymm(&self, t: usize) -> [core::arch::x86_64::__m256d; 2] {
+        use core::arch::x86_64::*;
+        let neg_im = _mm256_castps_pd(_mm256_set_ps(-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0));
+        let Some(x) = (self.0)(t) else { return [neg_im; 2] };
+        let p = x.as_ptr() as *const f64;
+        let lo = _mm256_loadu2_m128d(p.add(4), p);
+        let hi = _mm256_loadu2_m128d(p.add(6), p.add(2));
+        [_mm256_xor_pd(lo, neg_im), _mm256_xor_pd(hi, neg_im)]
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn zmm(&self, t: usize) -> core::arch::x86_64::__m512d {
+        use core::arch::x86_64::*;
+        let neg_im = _mm512_set1_epi64(1 << 63);
+        let x = match (self.0)(t) {
+            Some(x) => _mm512_loadu_si512(x.as_ptr() as *const _),
+            None => _mm512_setzero_si512(),
+        };
+        _mm512_castsi512_pd(_mm512_xor_si512(x, neg_im))
+    }
 }
 
 /// A radix-2 decimation-in-time FFT plan for one power-of-two size.
@@ -51,11 +130,11 @@ pub struct FftPlan {
     /// (the half-turn `e^{-i pi}` is the negated `j = 0` twiddle and
     /// never stored).
     twiddles: Vec<Cf32>,
-    /// AVX2 twiddle layout for the stages with `w >= 4`, concatenated per
-    /// stage: each twiddle's real part duplicated per complex slot
-    /// (`[re0 re0 re1 re1 ...]`) so a plain 256-bit load lines four
-    /// twiddles up against four interleaved `Cf32` — no broadcasts in the
-    /// butterfly loop.
+    /// Vector twiddle layout for the stages with `w >= 4`, concatenated
+    /// per stage: each twiddle's real part duplicated per complex slot
+    /// (`[re0 re0 re1 re1 ...]`) so a plain 256-bit (512-bit) load lines
+    /// four (eight) twiddles up against as many interleaved `Cf32` — no
+    /// broadcasts in the butterfly loop.
     tw_re_dup: Vec<f32>,
     /// Companion imaginary parts with alternating sign
     /// (`[-im0 +im0 -im1 +im1 ...]`), matching the swap-multiply-add
@@ -158,8 +237,8 @@ impl FftPlan {
 
     /// The bit-reversal permutation table (`out[i] = in[bitrev[i]]` puts
     /// input in the order the butterfly stages expect). Callers that
-    /// gather their input through this table can use the `*_prereversed`
-    /// execute variants and skip the in-place permutation pass.
+    /// gather their input through this table can use
+    /// [`Self::execute_prereversed`] and skip the in-place permutation pass.
     #[inline(always)]
     pub fn bitrev(&self) -> &[u32] {
         &self.bitrev
@@ -198,65 +277,73 @@ impl FftPlan {
         self.run(data, dir, false);
     }
 
-    /// Batched variant of [`Self::execute_prereversed`]: every transform
-    /// in the batch must already be bit-reversed.
-    ///
-    /// # Panics
-    /// Panics if `data.len()` is not a multiple of the plan size.
-    pub fn execute_batch_prereversed(&self, data: &mut [Cf32], dir: Direction) {
-        assert_eq!(data.len() % self.n, 0, "buffer length must be a multiple of plan size");
-        self.run(data, dir, true);
-    }
-
-    /// `FFT(conj x)` into `out`, for `x` given as eight-sample steps in
-    /// natural order: `step(t)` is samples `8t..8t + 8`, or `None` for
-    /// eight zeros. The inverse transform of `x` is then `conj(out) / n`,
-    /// which a caller can fuse into its store
-    /// (`agora_math::simd::stream_conj_scale`). So input that sits in
-    /// several places — the IFFT task's `dl_freq` lines, and guard bands
-    /// it never stores — is transformed without a natural-order copy, a
-    /// cleared grid or a conjugation pass.
-    ///
-    /// `x` goes into `out` conjugated and bit-reversed, a zero as `conj(0)
-    /// = (+0, −0)` — what [`Direction::Inverse`]'s own conjugation makes
-    /// of it — and the butterflies run forward on it: the operations of
-    /// [`Self::execute_prereversed`] with [`Direction::Forward`] on that
-    /// grid, so the bits are its. The AVX2 body scatters four steps at a
-    /// time as 32-byte runs, the way the engine's IQ unpack does (a 4 x 4
-    /// transpose; DESIGN.md §4.1), and since each run is one radix-4 group
-    /// of the grid it leaves the scatter with the first two butterfly
-    /// stages done.
+    /// `x` into `out` in bit-reversed order, for `x` given as eight-sample
+    /// [`Steps`] in natural order: what [`Self::execute_prereversed`]
+    /// takes. The vector bodies place four steps (AVX2) or eight
+    /// (AVX-512, 64 points and up) at a time as whole 32- or 64-byte runs
+    /// of `out` (DESIGN.md §4.1), so input that must be decoded or
+    /// gathered first — a fronthaul payload's packed IQ samples — is
+    /// written once, in place.
     ///
     /// # Panics
     /// Panics unless `out.len()` is the plan size and at least 8.
-    pub fn forward_of_conj<'a>(
-        &self,
-        out: &mut [Cf32],
-        step: impl Fn(usize) -> Option<&'a [Cf32; 8]>,
-    ) {
+    pub fn gather(&self, out: &mut [Cf32], steps: &impl Steps) {
         assert!(out.len() == self.n && self.n >= 8, "output must be one transform of 8+ points");
         #[cfg(target_arch = "x86_64")]
-        if self.tier >= SimdTier::Avx2 && self.n >= 32 {
-            // SAFETY: the tier is clamped to what the CPU supports,
-            // `bitrev` is this plan's permutation of `out.len()` points and
-            // the twiddles are this plan's.
+        // SAFETY (both arms): the tier is clamped to what the CPU supports,
+        // `bitrev` is this plan's permutation of `out.len()` points and the
+        // twiddles are this plan's.
+        if self.tier >= SimdTier::Avx512 && self.n >= 64 {
+            let (re, im) = (&self.tw_re_dup, &self.tw_im_alt);
+            unsafe { crate::simd::gather_avx512::<_, false>(&self.bitrev, out, steps, re, im) };
+            return;
+        } else if self.tier >= SimdTier::Avx2 && self.n >= 32 {
+            unsafe { crate::simd::gather_avx2::<_, false>(&self.bitrev, out, steps) };
+            return;
+        }
+        self.gather_scalar(out, steps);
+    }
+
+    /// The forward transform of `x`, given as [`Steps`], into `out`: the
+    /// operations of [`Self::gather`] and then [`Self::execute_prereversed`]
+    /// with [`Direction::Forward`], so the bits are theirs. The vector
+    /// bodies run the first butterfly stages on the placed runs before
+    /// they are stored: the first two on the AVX2 tier (each 32-byte run is
+    /// one radix-4 group), the first three on the AVX-512 tier, between
+    /// the eight rows of steps before their transpose. So the uplink's IQ
+    /// payloads and the IFFT task's frequency lines ([`Conj`]) reach the
+    /// remaining stages without a copy, a permutation pass or a pass of
+    /// their own for the first stages.
+    ///
+    /// # Panics
+    /// Panics unless `out.len()` is the plan size and at least 8.
+    pub fn forward_of(&self, out: &mut [Cf32], steps: &impl Steps) {
+        assert!(out.len() == self.n && self.n >= 8, "output must be one transform of 8+ points");
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY (both arms): as in `gather`.
+        if self.tier >= SimdTier::Avx512 && self.n >= 64 {
+            let (re, im) = (&self.tw_re_dup, &self.tw_im_alt);
             unsafe {
-                crate::simd::scatter_conj_radix4_avx2(&self.bitrev, out, step);
+                crate::simd::gather_avx512::<_, true>(&self.bitrev, out, steps, re, im);
+                crate::simd::butterflies_avx512(out, self.n, re, im, true);
+            }
+            return;
+        } else if self.tier >= SimdTier::Avx2 && self.n >= 32 {
+            unsafe {
+                crate::simd::gather_avx2::<_, true>(&self.bitrev, out, steps);
                 crate::simd::butterflies_avx2(out, self.n, &self.tw_re_dup, &self.tw_im_alt, true);
             }
             return;
         }
-        self.scatter_conj(out, step);
+        self.gather_scalar(out, steps);
         self.butterflies(out);
     }
 
-    /// The scalar scatter of [`Self::forward_of_conj`]: `conj(x)` in
-    /// bit-reversed order.
-    fn scatter_conj<'a>(&self, out: &mut [Cf32], step: impl Fn(usize) -> Option<&'a [Cf32; 8]>) {
+    /// The scalar body of [`Self::gather`].
+    fn gather_scalar(&self, out: &mut [Cf32], steps: &impl Steps) {
         for (t, slots) in self.bitrev.chunks_exact(8).enumerate() {
-            let x = step(t);
-            for (k, &j) in slots.iter().enumerate() {
-                out[j as usize] = x.map_or(Cf32::ZERO, |x| x[k]).conj();
+            for (&j, x) in slots.iter().zip(steps.step(t)) {
+                out[j as usize] = x;
             }
         }
     }
@@ -331,10 +418,15 @@ impl FftPlan {
     /// All butterfly stages over one or more bit-reversed transforms.
     fn butterflies(&self, data: &mut [Cf32]) {
         #[cfg(target_arch = "x86_64")]
-        if self.tier >= SimdTier::Avx2 && self.n >= 4 {
-            unsafe {
-                crate::simd::butterflies_avx2(data, self.n, &self.tw_re_dup, &self.tw_im_alt, false)
-            };
+        // SAFETY (both arms): the tier is clamped to what the CPU supports,
+        // and the twiddles are this plan's.
+        if self.tier >= SimdTier::Avx512 && self.n >= 64 {
+            let (re, im) = (&self.tw_re_dup, &self.tw_im_alt);
+            unsafe { crate::simd::butterflies_avx512(data, self.n, re, im, false) };
+            return;
+        } else if self.tier >= SimdTier::Avx2 && self.n >= 4 {
+            let (re, im) = (&self.tw_re_dup, &self.tw_im_alt);
+            unsafe { crate::simd::butterflies_avx2(data, self.n, re, im, false) };
             return;
         }
         for chunk in data.chunks_exact_mut(self.n) {
@@ -573,7 +665,7 @@ mod tests {
     /// The inverse folds its first conjugation into the permutation (or
     /// its own pass, pre-reversed) and its `conj / n` into one closing
     /// pass; either way it is `conj(FFT(conj x)) / n` through the forward
-    /// path, bit for bit — every size 1..=4096, both tiers, one transform
+    /// path, bit for bit — every size 1..=4096, every tier, one transform
     /// and a batch of three, natural and pre-reversed order.
     #[test]
     fn inverse_is_the_conjugated_forward_bit_for_bit() {
@@ -593,41 +685,86 @@ mod tests {
                 assert!(bits(&batch) == bits(&want), "n {n} {tier:?}: execute_batch");
                 let mut gathered: Vec<Cf32> =
                     (0..3 * n).map(|i| x[i / n * n + plan.bitrev()[i % n] as usize]).collect();
-                plan.execute_batch_prereversed(&mut gathered, Direction::Inverse);
+                for chunk in gathered.chunks_exact_mut(n) {
+                    plan.execute_prereversed(chunk, Direction::Inverse);
+                }
                 assert!(bits(&gathered) == bits(&want), "n {n} {tier:?}: prereversed");
             }
         }
     }
 
-    /// `forward_of_conj` is the conjugated input in bit-reversed order, a
+    /// Every third step of `x` a guard band: zeros the caller never stores.
+    fn guarded_steps(x: &[Cf32]) -> Vec<Option<&[Cf32; 8]>> {
+        x.chunks_exact(8)
+            .enumerate()
+            .map(|(t, s)| (t % 3 != 1).then(|| s.try_into().unwrap()))
+            .collect()
+    }
+
+    /// `forward_of(Conj)` is the conjugated input in bit-reversed order, a
     /// missing step as `(+0, -0)`, through `execute_prereversed(Forward)`,
-    /// on both tiers and every size 8..=4096; behind `conj / n` that is
-    /// the same tier's inverse transform, bit for bit.
+    /// on every tier and size 8..=4096; behind `conj / n` that is the same
+    /// tier's inverse transform, bit for bit. `gather` is that grid.
     #[test]
     fn forward_of_conj_is_the_forward_transform_of_the_conjugate() {
         for log2 in 3..=12 {
             let n = 1usize << log2;
             let x = signal(n);
-            // Every third step is a guard band: zeros the caller never stores.
-            let steps: Vec<Option<&[Cf32; 8]>> = x
-                .chunks_exact(8)
-                .enumerate()
-                .map(|(t, s)| (t % 3 != 1).then(|| s.try_into().unwrap()))
-                .collect();
+            let steps = guarded_steps(&x);
             let natural: Vec<Cf32> =
                 steps.iter().flat_map(|s| s.map_or([Cf32::ZERO; 8], |s| *s)).collect();
             for tier in SimdTier::supported() {
                 let plan = FftPlan::with_tier(n, tier);
                 let mut inverse = natural.clone();
                 plan.execute(&mut inverse, Direction::Inverse);
-                let mut out = vec![Cf32::new(f32::NAN, 1.0); n];
-                plan.forward_of_conj(&mut out, |t| steps[t]);
                 let mut want: Vec<Cf32> =
                     plan.bitrev().iter().map(|&j| natural[j as usize].conj()).collect();
+                let mut gathered = vec![Cf32::new(f32::NAN, 1.0); n];
+                plan.gather(&mut gathered, &Conj(|t| steps[t]));
+                assert!(bits(&gathered) == bits(&want), "n {n} {tier:?}: gather");
+                let mut out = vec![Cf32::new(f32::NAN, 1.0); n];
+                plan.forward_of(&mut out, &Conj(|t| steps[t]));
                 plan.execute_prereversed(&mut want, Direction::Forward);
                 assert!(bits(&out) == bits(&want), "n {n} {tier:?}");
                 let out: Vec<Cf32> = out.iter().map(|z| z.conj().scale(1.0 / n as f32)).collect();
                 assert!(bits(&out) == bits(&inverse), "n {n} {tier:?}: as an inverse");
+            }
+        }
+    }
+
+    /// Every vector tier writes the AVX2 tier's bits: every size 8..=4096,
+    /// both directions, one transform and a batch of three in natural
+    /// order, one pre-reversed, and both step entries.
+    #[test]
+    fn vector_tiers_are_bit_identical() {
+        for log2 in 3..=12 {
+            let n = 1usize << log2;
+            let x: Vec<Cf32> = signal(3 * n).iter().map(|z| z.scale(0.7)).collect();
+            let steps = guarded_steps(&x[..n]);
+            let run = |tier| {
+                let plan = FftPlan::with_tier(n, tier);
+                let mut outs = Vec::new();
+                for dir in [Direction::Forward, Direction::Inverse] {
+                    let mut single = x[..n].to_vec();
+                    plan.execute(&mut single, dir);
+                    let mut batch = x.clone();
+                    plan.execute_batch(&mut batch, dir);
+                    let mut pre = x[..n].to_vec();
+                    plan.execute_prereversed(&mut pre, dir);
+                    outs.extend([single, batch, pre]);
+                }
+                let mut gathered = vec![Cf32::ZERO; n];
+                plan.gather(&mut gathered, &Conj(|t| steps[t]));
+                let mut forward = vec![Cf32::ZERO; n];
+                plan.forward_of(&mut forward, &Conj(|t| steps[t]));
+                outs.extend([gathered, forward]);
+                outs.iter().map(|v| bits(v)).collect::<Vec<_>>()
+            };
+            let avx2 = run(SimdTier::Avx2);
+            for tier in SimdTier::supported().filter(|&t| t > SimdTier::Avx2) {
+                for (i, (got, want)) in run(tier).iter().zip(&avx2).enumerate() {
+                    assert!(got == want, "n {n} {tier:?}: output {i}");
+                }
             }
         }
     }
@@ -679,6 +816,10 @@ mod proptests {
         a.iter().zip(b.iter()).map(|(x, y)| (*x - *y).abs()).fold(0.0, f32::max)
     }
 
+    fn bits(v: &[Cf32]) -> Vec<(u32, u32)> {
+        v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
     proptest! {
         #[test]
         fn roundtrip_recovers_input(
@@ -695,9 +836,11 @@ mod proptests {
             prop_assert!(err < 1e-3);
         }
 
-        /// Scalar-vs-detected-tier parity for single transforms, sizes
-        /// 8..=4096, both directions. On a scalar-only host this
-        /// degenerates to scalar-vs-scalar and trivially holds.
+        /// Every supported tier against the scalar oracle for single
+        /// transforms, sizes 8..=4096, both directions: within a tolerance
+        /// (the vector bodies' twiddle-free first stages differ from the
+        /// scalar multiplies by `1` and `-i` in signed zeros), and every
+        /// vector tier bit-equal to `Avx2`.
         #[test]
         fn tier_parity_single(
             log2 in 3u32..13,
@@ -707,19 +850,23 @@ mod proptests {
             let n = 1usize << log2;
             let dir = if forward { Direction::Forward } else { Direction::Inverse };
             let x = rand_signal(n, seed);
-            let mut scalar = x.clone();
-            FftPlan::with_tier(n, SimdTier::Scalar).execute(&mut scalar, dir);
-            let mut simd = x;
-            FftPlan::with_tier(n, SimdTier::Avx2).execute(&mut simd, dir);
-            // Near-bit-exact: the vector stages do the same IEEE ops in the
-            // same order; only the multiply-free fused stages can differ in
-            // signed-zero handling.
+            let run = |tier| {
+                let mut y = x.clone();
+                FftPlan::with_tier(n, tier).execute(&mut y, dir);
+                y
+            };
+            let (scalar, avx2) = (run(SimdTier::Scalar), run(SimdTier::Avx2));
             let tol = 1e-4 * (n as f32).sqrt().max(1.0);
-            prop_assert!(max_err(&scalar, &simd) < tol, "tier divergence at n={n} {dir:?}");
+            for tier in SimdTier::supported() {
+                let simd = run(tier);
+                prop_assert!(max_err(&scalar, &simd) < tol, "tier divergence at n={n} {dir:?} {tier:?}");
+                if tier >= SimdTier::Avx2 {
+                    prop_assert!(bits(&simd) == bits(&avx2), "not Avx2's bits: n={n} {dir:?} {tier:?}");
+                }
+            }
         }
 
-        /// Scalar-vs-detected-tier parity for the batched path, sizes
-        /// 8..=4096, both directions.
+        /// [`tier_parity_single`] for the batched path.
         #[test]
         fn tier_parity_batch(
             log2 in 3u32..13,
@@ -730,15 +877,23 @@ mod proptests {
             let n = 1usize << log2;
             let dir = if forward { Direction::Forward } else { Direction::Inverse };
             let x = rand_signal(n * batch, seed);
-            let mut scalar = x.clone();
-            FftPlan::with_tier(n, SimdTier::Scalar).execute_batch(&mut scalar, dir);
-            let mut simd = x;
-            FftPlan::with_tier(n, SimdTier::Avx2).execute_batch(&mut simd, dir);
+            let run = |tier| {
+                let mut y = x.clone();
+                FftPlan::with_tier(n, tier).execute_batch(&mut y, dir);
+                y
+            };
+            let (scalar, avx2) = (run(SimdTier::Scalar), run(SimdTier::Avx2));
             let tol = 1e-4 * (n as f32).sqrt().max(1.0);
-            prop_assert!(
-                max_err(&scalar, &simd) < tol,
-                "batched tier divergence at n={n} b={batch} {dir:?}"
-            );
+            for tier in SimdTier::supported() {
+                let simd = run(tier);
+                prop_assert!(
+                    max_err(&scalar, &simd) < tol,
+                    "batched tier divergence at n={n} b={batch} {dir:?} {tier:?}"
+                );
+                if tier >= SimdTier::Avx2 {
+                    prop_assert!(bits(&simd) == bits(&avx2), "not Avx2's bits: n={n} b={batch} {dir:?} {tier:?}");
+                }
+            }
         }
 
         /// The batched executor must agree with running each transform

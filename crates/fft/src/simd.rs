@@ -1,4 +1,4 @@
-//! AVX2 butterfly kernels for [`crate::FftPlan`].
+//! AVX2 and AVX-512 butterfly kernels for [`crate::FftPlan`].
 //!
 //! One `__m256` holds four interleaved `Cf32` values (the same layout
 //! trick `agora_math`'s transpose microkernels use), so every butterfly
@@ -23,13 +23,22 @@
 //! multiplies, one in-lane swap, and one add with no broadcasts in the
 //! inner loop.
 //!
-//! All entry points here are `unsafe` and require AVX2; the plan clamps
-//! its dispatch tier to `SimdTier::detect()` so they are only reached on
-//! capable hosts. The scalar path in `plan.rs` is the reference; the
-//! tier-parity proptests there pin these kernels to it.
+//! The AVX-512 body ([`butterflies_avx512`], [`gather_avx512`]) runs the
+//! same butterflies eight complex values per zmm register, with the AVX2
+//! body's operations in the same order, so its bits are the AVX2 body's:
+//! the first three stages between eight rows of steps as a gather places
+//! them (or in one ymm pass, [`radix8`], on placed input), every later
+//! stage in zmm.
+//!
+//! All entry points here are `unsafe` and require AVX2 (or AVX-512); the
+//! plan clamps its dispatch tier to `SimdTier::detect()` so they are only
+//! reached on capable hosts. The scalar path in `plan.rs` is the
+//! reference; the tier-parity proptests there pin these kernels to it, and
+//! every vector tier to the AVX2 body's bits.
 
 #![cfg(target_arch = "x86_64")]
 
+use crate::Steps;
 use agora_math::Cf32;
 use core::arch::x86_64::*;
 
@@ -284,6 +293,226 @@ unsafe fn stage_triple(p: *mut f32, n: usize, tb: usize, w: usize, tw_re: &[f32]
     }
 }
 
+/// Runs the butterfly stages over `data`, as [`butterflies_avx2`] does and
+/// with its operations, eight complex values per zmm register: the first
+/// three stages in one ymm pass ([`radix8`]) — unless `first_done`, when a
+/// gather already ran them between rows ([`gather_avx512`]) — then every
+/// stage from `w = 8` on in zmm, three at a time, with a pair or a single
+/// for the tail. The zmm stages read the AVX2 twiddle arrays: at float
+/// offset `2 * (w - 4) + 2 * jb`, sixteen floats are the eight splatted
+/// twiddles `jb..jb + 8` of stage `w`.
+///
+/// # Safety
+/// Requires AVX-512 (F, BW, VL, VBMI). `n` must be a power of two with
+/// `n >= 64`, `data.len()` a multiple of `n`, and the twiddle arrays must
+/// come from the matching [`crate::FftPlan`].
+#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vbmi")]
+pub(crate) unsafe fn butterflies_avx512(
+    data: &mut [Cf32],
+    n: usize,
+    tw_re: &[f32],
+    tw_im: &[f32],
+    first_done: bool,
+) {
+    debug_assert!(n >= 64 && n.is_power_of_two());
+    debug_assert_eq!(data.len() % n, 0);
+    let batch = data.len() / n;
+    let tile = tile_transforms(n).min(batch);
+    let p = data.as_mut_ptr() as *mut f32;
+    let mut t0 = 0usize;
+    while t0 < batch {
+        let tb = tile.min(batch - t0);
+        let q = p.add(t0 * 2 * n);
+        if !first_done {
+            radix8(q, n * tb, tw_re, tw_im);
+        }
+        let mut w = 8usize;
+        while 4 * w <= n / 2 {
+            stage_triple512(q, n, tb, w, tw_re, tw_im);
+            w *= 8;
+        }
+        if 2 * w <= n / 2 {
+            stage_pair512(q, n, tb, w, tw_re, tw_im);
+            w *= 4;
+        }
+        if w <= n / 2 {
+            stage_single512(q, n, tb, w, tw_re, tw_im);
+        }
+        t0 += tb;
+    }
+}
+
+/// The first three stages over `len` bit-reversed samples, one group of
+/// eight at a time in two ymm registers: [`radix4`] on each half, then
+/// the `w = 4` butterflies as [`stage_triple`] runs them.
+///
+/// # Safety
+/// Requires AVX2; `p` must point at `2 * len` writable `f32`s, `len` a
+/// multiple of 8, and the twiddle arrays hold stage 4's.
+#[target_feature(enable = "avx2")]
+unsafe fn radix8(p: *mut f32, len: usize, tw_re: &[f32], tw_im: &[f32]) {
+    let wr = _mm256_loadu_ps(tw_re.as_ptr());
+    let wi = _mm256_loadu_ps(tw_im.as_ptr());
+    for g in 0..len / 8 {
+        let q = p.add(16 * g);
+        let a = radix4(_mm256_loadu_ps(q));
+        let b = cmul(radix4(_mm256_loadu_ps(q.add(8))), wr, wi);
+        _mm256_storeu_ps(q, _mm256_add_ps(a, b));
+        _mm256_storeu_ps(q.add(8), _mm256_sub_ps(a, b));
+    }
+}
+
+/// [`cmul`] on eight interleaved values.
+///
+/// # Safety
+/// Requires AVX-512F.
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn cmul512(b: __m512, wr: __m512, wi: __m512) -> __m512 {
+    let bs = _mm512_permute_ps::<0b1011_0001>(b);
+    _mm512_add_ps(_mm512_mul_ps(b, wr), _mm512_mul_ps(bs, wi))
+}
+
+/// One radix-2 butterfly in place: `(a, b) -> (a + b w, a - b w)`.
+///
+/// # Safety
+/// Requires AVX-512F.
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn bfly512(a: &mut __m512, b: &mut __m512, wr: __m512, wi: __m512) {
+    let t = cmul512(*b, wr, wi);
+    (*a, *b) = (_mm512_add_ps(*a, t), _mm512_sub_ps(*a, t));
+}
+
+/// Loads stage `w`'s eight splatted twiddles from `j`.
+///
+/// # Safety
+/// Requires AVX-512F; `w >= 8` and `j + 8 <= w` for a stage `w` of the
+/// plan the arrays come from.
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn tw512(tw_re: &[f32], tw_im: &[f32], w: usize, j: usize) -> (__m512, __m512) {
+    let at = 2 * (w - 4) + 2 * j;
+    (_mm512_loadu_ps(tw_re.as_ptr().add(at)), _mm512_loadu_ps(tw_im.as_ptr().add(at)))
+}
+
+/// [`stage_single`] in zmm.
+///
+/// # Safety
+/// Requires AVX-512F; `8 <= w <= n / 2`.
+#[target_feature(enable = "avx512f")]
+unsafe fn stage_single512(
+    p: *mut f32,
+    n: usize,
+    tb: usize,
+    w: usize,
+    tw_re: &[f32],
+    tw_im: &[f32],
+) {
+    for base in (0..n).step_by(2 * w) {
+        for jb in (0..w).step_by(8) {
+            let (wr, wi) = tw512(tw_re, tw_im, w, jb);
+            for t in 0..tb {
+                let q = p.add(t * 2 * n + 2 * (base + jb));
+                let mut a = _mm512_loadu_ps(q);
+                let mut b = _mm512_loadu_ps(q.add(2 * w));
+                bfly512(&mut a, &mut b, wr, wi);
+                _mm512_storeu_ps(q, a);
+                _mm512_storeu_ps(q.add(2 * w), b);
+            }
+        }
+    }
+}
+
+/// [`stage_pair`] in zmm.
+///
+/// # Safety
+/// Requires AVX-512F; `8 <= w` and `2 * w <= n / 2`.
+#[target_feature(enable = "avx512f")]
+unsafe fn stage_pair512(p: *mut f32, n: usize, tb: usize, w: usize, tw_re: &[f32], tw_im: &[f32]) {
+    for base in (0..n).step_by(4 * w) {
+        for jb in (0..w).step_by(8) {
+            let (wsr, wsi) = tw512(tw_re, tw_im, w, jb);
+            let (wt0r, wt0i) = tw512(tw_re, tw_im, 2 * w, jb);
+            let (wt1r, wt1i) = tw512(tw_re, tw_im, 2 * w, jb + w);
+            for t in 0..tb {
+                let q = p.add(t * 2 * n + 2 * (base + jb));
+                let mut v0 = _mm512_loadu_ps(q);
+                let mut v1 = _mm512_loadu_ps(q.add(2 * w));
+                let mut v2 = _mm512_loadu_ps(q.add(4 * w));
+                let mut v3 = _mm512_loadu_ps(q.add(6 * w));
+                bfly512(&mut v0, &mut v1, wsr, wsi);
+                bfly512(&mut v2, &mut v3, wsr, wsi);
+                bfly512(&mut v0, &mut v2, wt0r, wt0i);
+                bfly512(&mut v1, &mut v3, wt1r, wt1i);
+                _mm512_storeu_ps(q, v0);
+                _mm512_storeu_ps(q.add(2 * w), v1);
+                _mm512_storeu_ps(q.add(4 * w), v2);
+                _mm512_storeu_ps(q.add(6 * w), v3);
+            }
+        }
+    }
+}
+
+/// [`stage_triple`] in zmm: eight vectors and all fourteen twiddle
+/// vectors stay in the 32 registers.
+///
+/// # Safety
+/// Requires AVX-512F; `8 <= w` and `4 * w <= n / 2`.
+#[target_feature(enable = "avx512f")]
+unsafe fn stage_triple512(
+    p: *mut f32,
+    n: usize,
+    tb: usize,
+    w: usize,
+    tw_re: &[f32],
+    tw_im: &[f32],
+) {
+    for base in (0..n).step_by(8 * w) {
+        for jb in (0..w).step_by(8) {
+            let (wsr, wsi) = tw512(tw_re, tw_im, w, jb);
+            let (wt0r, wt0i) = tw512(tw_re, tw_im, 2 * w, jb);
+            let (wt1r, wt1i) = tw512(tw_re, tw_im, 2 * w, jb + w);
+            let (wu0r, wu0i) = tw512(tw_re, tw_im, 4 * w, jb);
+            let (wu1r, wu1i) = tw512(tw_re, tw_im, 4 * w, jb + w);
+            let (wu2r, wu2i) = tw512(tw_re, tw_im, 4 * w, jb + 2 * w);
+            let (wu3r, wu3i) = tw512(tw_re, tw_im, 4 * w, jb + 3 * w);
+            for t in 0..tb {
+                let q = p.add(t * 2 * n + 2 * (base + jb));
+                let mut v0 = _mm512_loadu_ps(q);
+                let mut v1 = _mm512_loadu_ps(q.add(2 * w));
+                let mut v2 = _mm512_loadu_ps(q.add(4 * w));
+                let mut v3 = _mm512_loadu_ps(q.add(6 * w));
+                let mut v4 = _mm512_loadu_ps(q.add(8 * w));
+                let mut v5 = _mm512_loadu_ps(q.add(10 * w));
+                let mut v6 = _mm512_loadu_ps(q.add(12 * w));
+                let mut v7 = _mm512_loadu_ps(q.add(14 * w));
+                // Stage w, then 2w, then 4w, in stage_triple's order.
+                bfly512(&mut v0, &mut v1, wsr, wsi);
+                bfly512(&mut v2, &mut v3, wsr, wsi);
+                bfly512(&mut v4, &mut v5, wsr, wsi);
+                bfly512(&mut v6, &mut v7, wsr, wsi);
+                bfly512(&mut v0, &mut v2, wt0r, wt0i);
+                bfly512(&mut v1, &mut v3, wt1r, wt1i);
+                bfly512(&mut v4, &mut v6, wt0r, wt0i);
+                bfly512(&mut v5, &mut v7, wt1r, wt1i);
+                bfly512(&mut v0, &mut v4, wu0r, wu0i);
+                bfly512(&mut v1, &mut v5, wu1r, wu1i);
+                bfly512(&mut v2, &mut v6, wu2r, wu2i);
+                bfly512(&mut v3, &mut v7, wu3r, wu3i);
+                _mm512_storeu_ps(q, v0);
+                _mm512_storeu_ps(q.add(2 * w), v1);
+                _mm512_storeu_ps(q.add(4 * w), v2);
+                _mm512_storeu_ps(q.add(6 * w), v3);
+                _mm512_storeu_ps(q.add(8 * w), v4);
+                _mm512_storeu_ps(q.add(10 * w), v5);
+                _mm512_storeu_ps(q.add(12 * w), v6);
+                _mm512_storeu_ps(q.add(14 * w), v7);
+            }
+        }
+    }
+}
+
 /// Four-point DFT of four consecutive bit-reversed samples `v = [x0 x1
 /// x2 x3]`, entirely in registers: stage 0 (twiddle `1`) then stage 1
 /// (twiddles `1`, `-i`).
@@ -312,58 +541,227 @@ unsafe fn radix4(v: __m256) -> __m256 {
     _mm256_add_ps(lo, _mm256_xor_ps(tv, neg_hi))
 }
 
-/// The vector scatter of [`crate::FftPlan::forward_of_conj`], for
-/// transforms of 32 points or more. With `r = n / 32`, natural-order
-/// steps `s`, `s + 2r`, `s + r` and `s + 3r` (`s < r`) differ only in the
-/// two top bits of their sample indices, which the bit reversal sends to
-/// the two lowest: sample `k` of the four lands on four consecutive slots
-/// from `bitrev[8s + k]`, a multiple of 4. A 4 x 4 transpose of the
-/// eight-byte samples turns the four steps into eight such runs; each run
-/// is one sign flip of the imaginary parts, then — it is exactly one
-/// radix-4 group of the bit-reversed grid — the transform's first two
-/// butterfly stages ([`radix4`]) in the same register, and one 32-byte
-/// store through a checked slice of `out`.
+/// The AVX2 body of [`crate::FftPlan::gather`] (`RADIX4` clear) and
+/// [`crate::FftPlan::forward_of`] (set), for transforms of 32 points or
+/// more. With `r = n / 32`, natural-order steps `s`, `s + 2r`, `s + r` and
+/// `s + 3r` (`s < r`) differ only in the two top bits of their sample
+/// indices, which the bit reversal sends to the two lowest: sample `k` of
+/// the four lands on four consecutive slots from `bitrev[8s + k]`, a
+/// multiple of 4. A 4 x 4 transpose of the eight-byte samples turns the
+/// four steps into eight such runs, each one 32-byte store through a
+/// checked slice of `out`; with `RADIX4`, each run — exactly one radix-4
+/// group of the bit-reversed grid — first takes the transform's first two
+/// butterfly stages ([`radix4`]) in the same register.
 ///
 /// # Safety
 /// Requires AVX2; `bitrev` must be the bit-reversal permutation of
 /// `out.len()` points, a power of two of at least 32.
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn scatter_conj_radix4_avx2<'a>(
+pub(crate) unsafe fn gather_avx2<S: Steps, const RADIX4: bool>(
     bitrev: &[u32],
     out: &mut [Cf32],
-    step: impl Fn(usize) -> Option<&'a [Cf32; 8]>,
+    steps: &S,
 ) {
     let r = out.len() / 32;
-    let neg_im = _mm256_castps_pd(_mm256_set_ps(-0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0));
     for s in 0..r {
-        // Row `j` of `rows[h]` holds samples 4h..4h + 4 of the j-th step.
         let mut rows = [[_mm256_setzero_pd(); 4]; 2];
         for (j, t) in [s, s + 2 * r, s + r, s + 3 * r].into_iter().enumerate() {
-            if let Some(x) = step(t) {
-                let p = x.as_ptr() as *const f64;
-                (rows[0][j], rows[1][j]) = (_mm256_loadu_pd(p), _mm256_loadu_pd(p.add(4)));
-            }
+            [rows[0][j], rows[1][j]] = steps.ymm(t);
         }
+        // Row `j` of `rows[h]` holds samples [0 1 | 4 5] (h = 0) or
+        // [2 3 | 6 7] (h = 1) of the j-th step; transposed, column `c`
+        // holds one sample of all four steps.
         for (h, rows) in rows.iter().enumerate() {
             let t0 = _mm256_unpacklo_pd(rows[0], rows[1]);
             let t1 = _mm256_unpackhi_pd(rows[0], rows[1]);
             let t2 = _mm256_unpacklo_pd(rows[2], rows[3]);
             let t3 = _mm256_unpackhi_pd(rows[2], rows[3]);
             let columns = [
-                _mm256_permute2f128_pd::<0x20>(t0, t2),
-                _mm256_permute2f128_pd::<0x20>(t1, t3),
-                _mm256_permute2f128_pd::<0x31>(t0, t2),
-                _mm256_permute2f128_pd::<0x31>(t1, t3),
+                (2 * h, _mm256_permute2f128_pd::<0x20>(t0, t2)),
+                (2 * h + 1, _mm256_permute2f128_pd::<0x20>(t1, t3)),
+                (2 * h + 4, _mm256_permute2f128_pd::<0x31>(t0, t2)),
+                (2 * h + 5, _mm256_permute2f128_pd::<0x31>(t1, t3)),
             ];
-            for (k, column) in (4 * h..).zip(columns) {
+            for (k, column) in columns {
                 let at = bitrev[8 * s + k] as usize;
                 let run = &mut out[at..at + 4];
-                let v = radix4(_mm256_castpd_ps(_mm256_xor_pd(column, neg_im)));
+                let v = _mm256_castpd_ps(column);
+                let v = if RADIX4 { radix4(v) } else { v };
                 // SAFETY: `run` is four `Cf32`, thirty-two bytes.
                 _mm256_storeu_ps(run.as_mut_ptr() as *mut f32, v);
             }
         }
     }
+}
+
+/// The AVX-512 body of [`crate::FftPlan::gather`] (`STAGES` clear) and
+/// [`crate::FftPlan::forward_of`] (set), for transforms of 64 points or
+/// more. With `r = n / 64`, the eight steps `s + j r` (`s < r`, `j` in
+/// three-bit-reversed order) differ only in the three top bits of their
+/// sample indices, so sample `k` of the eight lands on the eight
+/// consecutive slots from `bitrev[8s + k]`: one radix-8 group of the
+/// bit-reversed grid per lane. Each step is one zmm row ([`Steps::zmm`]);
+/// with `STAGES`, the transform's first three butterfly stages run
+/// *between* the rows, lane by lane, with the AVX2 body's operations —
+/// stages 1 and 2 as [`radix4`] does them, stage 4 as [`stage_triple`]'s
+/// `cmul` with the stored twiddles, `j = 0` included — so the bits are
+/// its. An 8 x 8 transpose of the eight-byte samples then turns the rows
+/// into eight 64-byte runs, each one store through a checked slice of
+/// `out`. Doing the stages inside each run instead would cost a shuffle
+/// network per run; between rows they are plain vertical arithmetic.
+///
+/// # Safety
+/// Requires AVX-512 (F, BW, VL, VBMI); `bitrev` must be the bit-reversal
+/// permutation of `out.len()` points, a power of two of at least 64, and
+/// the twiddle arrays the matching plan's.
+#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vbmi")]
+pub(crate) unsafe fn gather_avx512<S: Steps, const STAGES: bool>(
+    bitrev: &[u32],
+    out: &mut [Cf32],
+    steps: &S,
+    tw_re: &[f32],
+    tw_im: &[f32],
+) {
+    let r = out.len() / 64;
+    // Stage 4's twiddles j = 0..4, each splatted over all eight lanes.
+    let (wr, wi) = (tw_re.as_ptr() as *const f64, tw_im.as_ptr() as *const f64);
+    let w4 = [
+        _mm512_set1_pd(wr.read_unaligned()),
+        _mm512_set1_pd(wi.read_unaligned()),
+        _mm512_set1_pd(wr.add(1).read_unaligned()),
+        _mm512_set1_pd(wi.add(1).read_unaligned()),
+        _mm512_set1_pd(wr.add(2).read_unaligned()),
+        _mm512_set1_pd(wi.add(2).read_unaligned()),
+        _mm512_set1_pd(wr.add(3).read_unaligned()),
+        _mm512_set1_pd(wi.add(3).read_unaligned()),
+    ];
+    for s in 0..r {
+        let mut x = [
+            steps.zmm(s),
+            steps.zmm(s + 4 * r),
+            steps.zmm(s + 2 * r),
+            steps.zmm(s + 6 * r),
+            steps.zmm(s + r),
+            steps.zmm(s + 5 * r),
+            steps.zmm(s + 3 * r),
+            steps.zmm(s + 7 * r),
+        ];
+        if STAGES {
+            radix8_rows(&mut x, &w4);
+        }
+        let columns = transpose8(&x);
+        for (k, column) in columns.into_iter().enumerate() {
+            let at = bitrev[8 * s + k] as usize;
+            let run = &mut out[at..at + 8];
+            // SAFETY: `run` is eight `Cf32`, sixty-four bytes.
+            _mm512_storeu_pd(run.as_mut_ptr() as *mut f64, column);
+        }
+    }
+}
+
+/// Flips the sign of every float of `v` where `mask` has `-0.0`.
+///
+/// # Safety
+/// Requires AVX-512F.
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn flip(v: __m512, mask: __m512) -> __m512 {
+    _mm512_castsi512_ps(_mm512_xor_si512(_mm512_castps_si512(v), _mm512_castps_si512(mask)))
+}
+
+/// Stages 1, 2 and 4 between eight rows `x[m]`, slot `m` of a radix-8
+/// group in each lane: stage 1 as `x0 + x1` and `x0 + (x1 ^ sign)`, stage
+/// 2's `-i` as a swap and a sign flip, stage 4 as `cmul` with the stored
+/// twiddles `w4 = [re0, im0, re1, im1, ...]` — [`radix4`]'s and
+/// [`stage_triple`]'s operations, lane by lane.
+///
+/// # Safety
+/// Requires AVX-512F.
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn radix8_rows(x: &mut [__m512d; 8], w4: &[__m512d; 8]) {
+    let sign = _mm512_set1_ps(-0.0);
+    // `(re, im) -> (re, -im)` after a swap: the imaginary slot is odd.
+    let neg_odd = _mm512_castpd_ps(_mm512_set1_pd(f64::from_bits(1 << 63)));
+    let [x0, x1, x2, x3, x4, x5, x6, x7] = *x;
+    let (x0, x1, x2, x3) =
+        (_mm512_castpd_ps(x0), _mm512_castpd_ps(x1), _mm512_castpd_ps(x2), _mm512_castpd_ps(x3));
+    let (x4, x5, x6, x7) =
+        (_mm512_castpd_ps(x4), _mm512_castpd_ps(x5), _mm512_castpd_ps(x6), _mm512_castpd_ps(x7));
+    // Stage 1: (x0, x1), (x2, x3), (x4, x5), (x6, x7).
+    let s0 = _mm512_add_ps(x0, x1);
+    let s1 = _mm512_add_ps(x0, flip(x1, sign));
+    let s2 = _mm512_add_ps(x2, x3);
+    let s3 = _mm512_add_ps(x2, flip(x3, sign));
+    let s4 = _mm512_add_ps(x4, x5);
+    let s5 = _mm512_add_ps(x4, flip(x5, sign));
+    let s6 = _mm512_add_ps(x6, x7);
+    let s7 = _mm512_add_ps(x6, flip(x7, sign));
+    // Stage 2: twiddles 1 and -i; `s * -i = (s.im, -s.re)`.
+    let t3 = flip(_mm512_permute_ps::<0b1011_0001>(s3), neg_odd);
+    let t7 = flip(_mm512_permute_ps::<0b1011_0001>(s7), neg_odd);
+    let o0 = _mm512_add_ps(s0, s2);
+    let o1 = _mm512_add_ps(s1, t3);
+    let o2 = _mm512_add_ps(s0, flip(s2, sign));
+    let o3 = _mm512_add_ps(s1, flip(t3, sign));
+    let o4 = _mm512_add_ps(s4, s6);
+    let o5 = _mm512_add_ps(s5, t7);
+    let o6 = _mm512_add_ps(s4, flip(s6, sign));
+    let o7 = _mm512_add_ps(s5, flip(t7, sign));
+    // Stage 4: (o_j, o_{j+4}) with twiddle j.
+    let d4 = cmul512(o4, _mm512_castpd_ps(w4[0]), _mm512_castpd_ps(w4[1]));
+    let d5 = cmul512(o5, _mm512_castpd_ps(w4[2]), _mm512_castpd_ps(w4[3]));
+    let d6 = cmul512(o6, _mm512_castpd_ps(w4[4]), _mm512_castpd_ps(w4[5]));
+    let d7 = cmul512(o7, _mm512_castpd_ps(w4[6]), _mm512_castpd_ps(w4[7]));
+    *x = [
+        _mm512_castps_pd(_mm512_add_ps(o0, d4)),
+        _mm512_castps_pd(_mm512_add_ps(o1, d5)),
+        _mm512_castps_pd(_mm512_add_ps(o2, d6)),
+        _mm512_castps_pd(_mm512_add_ps(o3, d7)),
+        _mm512_castps_pd(_mm512_sub_ps(o0, d4)),
+        _mm512_castps_pd(_mm512_sub_ps(o1, d5)),
+        _mm512_castps_pd(_mm512_sub_ps(o2, d6)),
+        _mm512_castps_pd(_mm512_sub_ps(o3, d7)),
+    ];
+}
+
+/// 8 x 8 transpose of eight-byte elements: column `k` of the result holds
+/// element `k` of every row, in row order.
+///
+/// # Safety
+/// Requires AVX-512F.
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn transpose8(r: &[__m512d; 8]) -> [__m512d; 8] {
+    // Pairs of rows interleaved: t0 = [r0_0 r1_0 | r0_2 r1_2 | r0_4 r1_4 | r0_6 r1_6].
+    let t0 = _mm512_unpacklo_pd(r[0], r[1]);
+    let t1 = _mm512_unpackhi_pd(r[0], r[1]);
+    let t2 = _mm512_unpacklo_pd(r[2], r[3]);
+    let t3 = _mm512_unpackhi_pd(r[2], r[3]);
+    let t4 = _mm512_unpacklo_pd(r[4], r[5]);
+    let t5 = _mm512_unpackhi_pd(r[4], r[5]);
+    let t6 = _mm512_unpacklo_pd(r[6], r[7]);
+    let t7 = _mm512_unpackhi_pd(r[6], r[7]);
+    // 128-bit lanes 0, 2 (0x88) or 1, 3 (0xdd) of each source: u0 holds
+    // elements 0 and 4 of rows 0-3.
+    let u0 = _mm512_shuffle_f64x2::<0x88>(t0, t2);
+    let u1 = _mm512_shuffle_f64x2::<0x88>(t1, t3);
+    let u2 = _mm512_shuffle_f64x2::<0xdd>(t0, t2);
+    let u3 = _mm512_shuffle_f64x2::<0xdd>(t1, t3);
+    let u4 = _mm512_shuffle_f64x2::<0x88>(t4, t6);
+    let u5 = _mm512_shuffle_f64x2::<0x88>(t5, t7);
+    let u6 = _mm512_shuffle_f64x2::<0xdd>(t4, t6);
+    let u7 = _mm512_shuffle_f64x2::<0xdd>(t5, t7);
+    [
+        _mm512_shuffle_f64x2::<0x88>(u0, u4),
+        _mm512_shuffle_f64x2::<0x88>(u1, u5),
+        _mm512_shuffle_f64x2::<0x88>(u2, u6),
+        _mm512_shuffle_f64x2::<0x88>(u3, u7),
+        _mm512_shuffle_f64x2::<0xdd>(u0, u4),
+        _mm512_shuffle_f64x2::<0xdd>(u1, u5),
+        _mm512_shuffle_f64x2::<0xdd>(u2, u6),
+        _mm512_shuffle_f64x2::<0xdd>(u3, u7),
+    ]
 }
 
 /// In-place conjugation (the inverse transform's pre-pass).

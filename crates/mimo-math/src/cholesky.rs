@@ -148,7 +148,8 @@ impl Cholesky {
     /// This is the ZF hot path: `X = W` when `B = H^H`, without ever
     /// forming `G^{-1}`. The sweep works on each RHS column independently
     /// (elementwise row scaling plus cross-row eliminations of full-width
-    /// rows — no cross-column accumulation anywhere).
+    /// rows — no cross-column accumulation anywhere). Runs on `tier`
+    /// clamped to what the CPU supports.
     ///
     /// # Panics
     /// Panics on shape mismatches.
@@ -157,7 +158,9 @@ impl Cholesky {
         let nrhs = x.cols();
         assert_eq!(l.shape(), (n, n), "factor must be square");
         assert_eq!(x.rows(), n, "RHS row count must match");
-        match tier {
+        // SAFETY: the tier is clamped to the CPU's, and the lengths the
+        // vector body relies on are asserted above.
+        match tier.min(SimdTier::cached()) {
             #[cfg(target_arch = "x86_64")]
             SimdTier::Avx2 | SimdTier::Avx512 => unsafe {
                 crate::gemm_simd::chol_solve_avx2(l.as_slice(), n, x.as_mut_slice(), nrhs);

@@ -13,16 +13,17 @@
 //!   The generic-vs-specialised gap is what Table 4's "JIT matrix
 //!   multiplication" ablation row measures.
 //! * **Vectorization**: on the AVX2 [`SimdTier`], [`gemm`] routes to the
-//!   register-tiled kernels in `gemm_simd` (a GEMV body for `n = 1`),
-//!   which are bit-identical to the scalar reference [`gemm_scalar`] —
-//!   the tier changes speed, never results.
+//!   register-tiled `ymm` kernels in `gemm_simd` (a GEMV body for
+//!   `n = 1`), and on the Avx512 tier to a `zmm` tile of up to 16 rows by
+//!   one 8-column cache line; every body is bit-identical to the scalar
+//!   reference [`gemm_scalar`] — the tier changes speed, never results.
 //!
 //! Beside the products sit the ZF pseudo-inverse's two primitives: the
 //! accumulating Gram product [`gram_accumulate_with_tier`] and the AXPY
 //! [`caxpy_with_tier`] its Cholesky sweeps are built from.
 //!
 //! [`gemm`] dispatches on [`SimdTier::cached`]; `_with_tier` variants pin
-//! the tier for parity tests and ablations.
+//! the tier for parity tests and ablations, clamped to what the CPU runs.
 
 use crate::complex::Cf32;
 use crate::simd::SimdTier;
@@ -39,7 +40,8 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[Cf32], b: &[Cf32], c: &mut [Cf32]
     gemm_with_tier(m, k, n, a, b, c, SimdTier::cached());
 }
 
-/// [`gemm`] with the dispatch tier pinned by the caller.
+/// [`gemm`] with the dispatch tier pinned by the caller (clamped to what
+/// the CPU supports).
 pub fn gemm_with_tier(
     m: usize,
     k: usize,
@@ -52,17 +54,19 @@ pub fn gemm_with_tier(
     assert_eq!(a.len(), m * k, "A shape mismatch");
     assert_eq!(b.len(), k * n, "B shape mismatch");
     assert_eq!(c.len(), m * n, "C shape mismatch");
-    match tier {
+    // SAFETY: the tier is clamped to the CPU's and the shapes are checked.
+    match tier.min(SimdTier::cached()) {
         #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 | SimdTier::Avx512 => unsafe {
-            crate::gemm_simd::gemm_avx2(m, k, n, a, b, c)
-        },
+        SimdTier::Avx512 => unsafe { crate::gemm_simd::gemm_avx512(m, k, n, a, b, c) },
+        #[cfg(target_arch = "x86_64")]
+        SimdTier::Avx2 => unsafe { crate::gemm_simd::gemm_avx2(m, k, n, a, b, c) },
         _ => gemm_scalar(m, k, n, a, b, c),
     }
 }
 
 /// Scalar reference GEMM. The loop order (i, p, j) streams `b` and `c`
-/// rows contiguously; the AVX2 kernels reproduce its results bit for bit.
+/// rows contiguously; the AVX2 and AVX-512 kernels reproduce its results
+/// bit for bit.
 ///
 /// # Panics
 /// Panics if slice lengths do not match the shapes.
@@ -115,12 +119,15 @@ fn gemm_fixed<const M: usize, const K: usize, const N: usize>(
 }
 
 /// Complex AXPY `y += alpha * x` over contiguous slices on the tier the
-/// caller pinned; all tiers are bit-identical because the update is
-/// purely elementwise (no cross-element accumulation).
+/// caller pinned (clamped to what the CPU supports); all tiers are
+/// bit-identical because the update is purely elementwise (no
+/// cross-element accumulation).
 #[inline]
 pub fn caxpy_with_tier(alpha: Cf32, x: &[Cf32], y: &mut [Cf32], tier: SimdTier) {
     assert_eq!(x.len(), y.len(), "caxpy length mismatch");
-    match tier {
+    // SAFETY: the tier is clamped to the CPU's, and the lengths the
+    // vector body relies on are asserted above.
+    match tier.min(SimdTier::cached()) {
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx2 | SimdTier::Avx512 => unsafe { crate::gemm_simd::caxpy_avx2(alpha, x, y) },
         _ => caxpy_scalar(alpha, x, y),
@@ -150,7 +157,7 @@ pub fn caxpy_scalar(alpha: Cf32, x: &[Cf32], y: &mut [Cf32]) {
 /// rebuilds the upper by conjugate mirroring, which matches direct upper
 /// accumulation bit for bit only under that precondition (conjugation
 /// distributes exactly over IEEE addition and the unfused products).
-/// Runs on the tier the caller pinned.
+/// Runs on the tier the caller pinned, clamped to what the CPU supports.
 pub fn gram_accumulate_with_tier(
     rows: usize,
     cols: usize,
@@ -162,7 +169,9 @@ pub fn gram_accumulate_with_tier(
     assert_eq!(a.len(), rows * cols, "A shape mismatch");
     assert_eq!(ah.len(), cols * rows, "A^H shape mismatch");
     assert_eq!(out.len(), cols * cols, "Gram output shape mismatch");
-    match tier {
+    // SAFETY: the tier is clamped to the CPU's, and the lengths the
+    // vector body relies on are asserted above.
+    match tier.min(SimdTier::cached()) {
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx2 | SimdTier::Avx512 => unsafe {
             crate::gemm_simd::gram_accumulate_avx2(rows, cols, ah, a, out)
@@ -198,6 +207,9 @@ pub enum GemmKernel {
     Specialized,
     /// Register-tiled AVX2 kernel (any shape, bit-equal to the others).
     Avx2,
+    /// AVX-512 kernel: a `zmm` tile of up to 16 rows by 8 columns, the
+    /// AVX2 GEMV at `n = 1` (any shape, bit-equal to the others).
+    Avx512,
 }
 
 /// A small "planned GEMM" wrapper: resolves at construction which kernel
@@ -222,16 +234,18 @@ impl Gemm {
         Self::plan_with_tier(m, k, n, SimdTier::cached())
     }
 
-    /// Plans a GEMM with the dispatch tier pinned by the caller: AVX2
-    /// takes the vector kernel; the scalar tier picks the monomorphised
-    /// kernel when the shape is in the table, the generic loop otherwise.
+    /// Plans a GEMM with the dispatch tier pinned by the caller, clamped
+    /// to what the CPU supports: Avx512 and AVX2 take their vector
+    /// kernels; the scalar tier picks the monomorphised kernel when the
+    /// shape is in the table, the generic loop otherwise.
     pub fn plan_with_tier(m: usize, k: usize, n: usize, tier: SimdTier) -> Self {
-        let kernel = if tier >= SimdTier::Avx2 && cfg!(target_arch = "x86_64") {
-            GemmKernel::Avx2
-        } else if dispatch_fixed(m, k, n, None, None, None).is_some() {
-            GemmKernel::Specialized
-        } else {
-            GemmKernel::Generic
+        let kernel = match tier.min(SimdTier::cached()) {
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx512 => GemmKernel::Avx512,
+            #[cfg(target_arch = "x86_64")]
+            SimdTier::Avx2 => GemmKernel::Avx2,
+            _ if dispatch_fixed(m, k, n, None, None, None).is_some() => GemmKernel::Specialized,
+            _ => GemmKernel::Generic,
         };
         Self { m, k, n, kernel, force_generic: false }
     }
@@ -255,11 +269,20 @@ impl Gemm {
     #[inline]
     pub fn run(&self, a: &[Cf32], b: &[Cf32], c: &mut [Cf32]) {
         #[cfg(target_arch = "x86_64")]
-        if self.kernel() == GemmKernel::Avx2 {
-            assert_eq!(a.len(), self.m * self.k, "A shape mismatch");
-            assert_eq!(b.len(), self.k * self.n, "B shape mismatch");
-            assert_eq!(c.len(), self.m * self.n, "C shape mismatch");
-            unsafe { crate::gemm_simd::gemm_avx2(self.m, self.k, self.n, a, b, c) };
+        if let kernel @ (GemmKernel::Avx2 | GemmKernel::Avx512) = self.kernel() {
+            let (m, k, n) = (self.m, self.k, self.n);
+            assert_eq!(a.len(), m * k, "A shape mismatch");
+            assert_eq!(b.len(), k * n, "B shape mismatch");
+            assert_eq!(c.len(), m * n, "C shape mismatch");
+            // SAFETY: the plan's tier was clamped to the CPU's, and the
+            // shapes are checked above.
+            unsafe {
+                if kernel == GemmKernel::Avx512 {
+                    crate::gemm_simd::gemm_avx512(m, k, n, a, b, c)
+                } else {
+                    crate::gemm_simd::gemm_avx2(m, k, n, a, b, c)
+                }
+            };
             return;
         }
         if self.kernel() == GemmKernel::Specialized
@@ -393,8 +416,28 @@ mod tests {
         let g = Gemm::plan_with_tier(16, 64, 8, SimdTier::Scalar);
         assert_eq!(g.kernel(), GemmKernel::Specialized);
         let auto = Gemm::plan(16, 64, 8);
-        if SimdTier::cached() >= SimdTier::Avx2 {
-            assert_eq!(auto.kernel(), GemmKernel::Avx2);
+        let want = match SimdTier::cached() {
+            SimdTier::Avx512 => GemmKernel::Avx512,
+            SimdTier::Avx2 => GemmKernel::Avx2,
+            SimdTier::Scalar => GemmKernel::Specialized,
+        };
+        assert_eq!(auto.kernel(), want);
+    }
+
+    /// A tier the caller asks for above the CPU's is clamped, so no plan
+    /// holds a kernel the CPU cannot run.
+    #[test]
+    fn plan_clamps_the_tier_to_the_cpu() {
+        let allowed = |kernel| match kernel {
+            GemmKernel::Avx512 => SimdTier::Avx512,
+            GemmKernel::Avx2 => SimdTier::Avx2,
+            GemmKernel::Generic | GemmKernel::Specialized => SimdTier::Scalar,
+        };
+        for tier in [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512] {
+            for (m, k, n) in [(16, 64, 8), (17, 5, 9), (4, 4, 1)] {
+                let kernel = Gemm::plan_with_tier(m, k, n, tier).kernel();
+                assert!(allowed(kernel) <= tier.min(SimdTier::cached()), "{tier:?}: {kernel:?}");
+            }
         }
     }
 
@@ -466,85 +509,100 @@ mod proptests {
         c.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
     }
 
+    /// Every tier this CPU runs above scalar: what each parity check
+    /// compares against the scalar reference.
+    fn vector_tiers() -> impl Iterator<Item = SimdTier> {
+        SimdTier::supported().filter(|&t| t > SimdTier::Scalar)
+    }
+
     /// The products the engine issues, at its test (8x2) and paper
     /// (64x16) shapes with the 8-subcarrier block — pinned inputs, since
     /// the random sweeps below stop short of 64: planned equalize
     /// `(K, M, B)` and precode `(M, K, B)`, the strided-layout GEMV
-    /// `(K, M)` and the ZF Gram `(M, K)`.
+    /// `(K, M)` and the ZF Gram `(M, K)`, on every vector tier.
     #[test]
     fn engine_shapes_tier_parity() {
-        for (m, k) in [(8usize, 2usize), (64, 16)] {
+        for (tier, (m, k)) in vector_tiers().flat_map(|t| [(t, (8usize, 2usize)), (t, (64, 16))]) {
             for (r, c) in [(k, m), (m, k)] {
                 let a = fill(r * c, 7);
                 let b = fill(c * 8, 11);
                 let mut scalar = vec![Cf32::ZERO; r * 8];
                 let mut simd = vec![Cf32::ONE; r * 8];
                 Gemm::plan_with_tier(r, c, 8, SimdTier::Scalar).run(&a, &b, &mut scalar);
-                Gemm::plan_with_tier(r, c, 8, SimdTier::detect()).run(&a, &b, &mut simd);
-                assert_eq!(bits(&scalar), bits(&simd), "plan ({r},{c},8)");
+                Gemm::plan_with_tier(r, c, 8, tier).run(&a, &b, &mut simd);
+                assert_eq!(bits(&scalar), bits(&simd), "{tier:?} plan ({r},{c},8)");
             }
             let w = fill(k * m, 13);
             let y = fill(m, 17);
             let mut scalar = vec![Cf32::ZERO; k];
             let mut simd = vec![Cf32::ONE; k];
             gemm_with_tier(k, m, 1, &w, &y, &mut scalar, SimdTier::Scalar);
-            gemm_with_tier(k, m, 1, &w, &y, &mut simd, SimdTier::detect());
-            assert_eq!(bits(&scalar), bits(&simd), "gemv ({k},{m})");
+            gemm_with_tier(k, m, 1, &w, &y, &mut simd, tier);
+            assert_eq!(bits(&scalar), bits(&simd), "{tier:?} gemv ({k},{m})");
             let h = fill(m * k, 19);
             let hh: Vec<Cf32> = (0..k * m).map(|i| h[(i % m) * k + i / m].conj()).collect();
             let mut scalar = vec![Cf32::ZERO; k * k];
             let mut simd = vec![Cf32::ZERO; k * k];
             gram_accumulate_with_tier(m, k, &hh, &h, &mut scalar, SimdTier::Scalar);
-            gram_accumulate_with_tier(m, k, &hh, &h, &mut simd, SimdTier::detect());
-            assert_eq!(bits(&scalar), bits(&simd), "gram ({m},{k})");
+            gram_accumulate_with_tier(m, k, &hh, &h, &mut simd, tier);
+            assert_eq!(bits(&scalar), bits(&simd), "{tier:?} gram ({m},{k})");
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Scalar and AVX2 GEMM agree to the bit over the engine's shape
-        /// range, including non-multiple-of-4 row/column tails.
+        /// Scalar and every vector tier's GEMM agree to the bit over the
+        /// engine's shape range: row counts off both row tiles, `k = 1`,
+        /// and `n` up to 24 — two `zmm` column blocks and a masked tail,
+        /// and the AVX2 tails of non-multiples of 4.
         #[test]
-        fn gemm_tier_parity(m in 4usize..64, k in 4usize..64, n in 1usize..12, seed in 0u64..1024) {
+        fn gemm_tier_parity(m in 1usize..64, k in 1usize..64, n in 1usize..25, seed in 0u64..1024) {
             let a = fill(m * k, seed);
             let b = fill(k * n, seed ^ 0xABCD);
             let mut c_scalar = vec![Cf32::ZERO; m * n];
-            let mut c_simd = vec![Cf32::ONE; m * n]; // stale contents must be overwritten
             gemm_with_tier(m, k, n, &a, &b, &mut c_scalar, SimdTier::Scalar);
-            gemm_with_tier(m, k, n, &a, &b, &mut c_simd, SimdTier::detect());
-            prop_assert_eq!(bits(&c_scalar), bits(&c_simd));
+            for tier in vector_tiers() {
+                let mut c_simd = vec![Cf32::ONE; m * n]; // stale contents must be overwritten
+                gemm_with_tier(m, k, n, &a, &b, &mut c_simd, tier);
+                prop_assert_eq!(bits(&c_scalar), bits(&c_simd), "{:?}", tier);
+            }
         }
 
-        /// Scalar and AVX2 GEMM agree to the bit on column vectors (`n = 1`,
-        /// the GEMV body), including `m % 4` tail rows and packing-tile
-        /// (`k > 64`) boundaries.
+        /// Scalar and every vector tier's GEMM agree to the bit on column
+        /// vectors (`n = 1`, the GEMV body), including `m % 4` tail rows
+        /// and packing-tile (`k > 64`) boundaries.
         #[test]
         fn gemv_tier_parity(m in 1usize..80, k in 1usize..80, seed in 0u64..1024) {
             let a = fill(m * k, seed);
             let x = fill(k, seed ^ 0x5u64);
             let mut y_scalar = vec![Cf32::ZERO; m];
-            let mut y_simd = vec![Cf32::ONE; m];
             gemm_with_tier(m, k, 1, &a, &x, &mut y_scalar, SimdTier::Scalar);
-            gemm_with_tier(m, k, 1, &a, &x, &mut y_simd, SimdTier::detect());
-            prop_assert_eq!(bits(&y_scalar), bits(&y_simd));
+            for tier in vector_tiers() {
+                let mut y_simd = vec![Cf32::ONE; m];
+                gemm_with_tier(m, k, 1, &a, &x, &mut y_simd, tier);
+                prop_assert_eq!(bits(&y_scalar), bits(&y_simd), "{:?}", tier);
+            }
         }
 
-        /// Scalar and AVX2 AXPY agree to the bit, including tails shorter
-        /// than one vector.
+        /// Scalar and every vector tier's AXPY agree to the bit, including
+        /// tails shorter than one vector.
         #[test]
         fn caxpy_tier_parity(n in 1usize..80, seed in 0u64..1024) {
             let alpha = fill(1, seed ^ 0xA1FA)[0];
             let x = fill(n, seed);
-            let mut y_scalar = fill(n, seed ^ 0x77);
-            let mut y_simd = y_scalar.clone();
+            let y = fill(n, seed ^ 0x77);
+            let mut y_scalar = y.clone();
             caxpy_with_tier(alpha, &x, &mut y_scalar, SimdTier::Scalar);
-            caxpy_with_tier(alpha, &x, &mut y_simd, SimdTier::detect());
-            prop_assert_eq!(bits(&y_scalar), bits(&y_simd));
+            for tier in vector_tiers() {
+                let mut y_simd = y.clone();
+                caxpy_with_tier(alpha, &x, &mut y_simd, tier);
+                prop_assert_eq!(bits(&y_scalar), bits(&y_simd), "{:?}", tier);
+            }
         }
 
-        /// Scalar and AVX2 accumulating Gram products (lower triangle +
-        /// conjugate mirror on AVX2) agree to the bit on a zeroed output
+        /// Scalar and every vector tier's accumulating Gram products (lower
+        /// triangle + conjugate mirror) agree to the bit on a zeroed output
         /// and when folding into a bitwise-Hermitian prior (the kernel's
         /// documented precondition), including `cols` that are not a
         /// multiple of the tile width and `cols = 1`.
@@ -569,26 +627,29 @@ mod proptests {
                 }
             }
             let zeroed = vec![Cf32::ZERO; cols * cols];
-            for prior in [&zeroed, &hermitian] {
+            for (tier, prior) in vector_tiers().flat_map(|t| [(t, &zeroed), (t, &hermitian)]) {
                 let mut g_scalar = prior.clone();
                 let mut g_simd = prior.clone();
                 gram_accumulate_with_tier(rows, cols, &ah, &a, &mut g_scalar, SimdTier::Scalar);
-                gram_accumulate_with_tier(rows, cols, &ah, &a, &mut g_simd, SimdTier::detect());
-                prop_assert_eq!(bits(&g_scalar), bits(&g_simd));
+                gram_accumulate_with_tier(rows, cols, &ah, &a, &mut g_simd, tier);
+                prop_assert_eq!(bits(&g_scalar), bits(&g_simd), "{:?}", tier);
             }
         }
 
-        /// Planned AVX2 execution equals the scalar planned kernel bit for
-        /// bit on arbitrary (unspecialised) shapes too.
+        /// Planned execution on every vector tier equals the scalar
+        /// planned kernel bit for bit on arbitrary (unspecialised) shapes
+        /// too, stale outputs overwritten.
         #[test]
-        fn plan_tier_parity(m in 1usize..40, k in 1usize..40, n in 1usize..12, seed in 0u64..1024) {
+        fn plan_tier_parity(m in 1usize..40, k in 1usize..40, n in 1usize..25, seed in 0u64..1024) {
             let a = fill(m * k, seed);
             let b = fill(k * n, seed ^ 0xF00D);
             let mut c_scalar = vec![Cf32::ZERO; m * n];
-            let mut c_simd = vec![Cf32::ZERO; m * n];
             Gemm::plan_with_tier(m, k, n, SimdTier::Scalar).run(&a, &b, &mut c_scalar);
-            Gemm::plan_with_tier(m, k, n, SimdTier::detect()).run(&a, &b, &mut c_simd);
-            prop_assert_eq!(bits(&c_scalar), bits(&c_simd));
+            for tier in vector_tiers() {
+                let mut c_simd = vec![Cf32::ONE; m * n];
+                Gemm::plan_with_tier(m, k, n, tier).run(&a, &b, &mut c_simd);
+                prop_assert_eq!(bits(&c_scalar), bits(&c_simd), "{:?}", tier);
+            }
         }
     }
 }

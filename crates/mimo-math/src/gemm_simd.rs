@@ -1,13 +1,17 @@
-//! AVX2 complex-GEMM microkernels: the vectorized plane behind
-//! [`crate::gemm`]'s tier dispatch.
+//! AVX2 and AVX-512 complex-GEMM microkernels: the vectorized plane
+//! behind [`crate::gemm`]'s tier dispatch.
 //!
 //! The paper serves the beamforming matrix work (ZF Gram products,
 //! per-subcarrier equalization, downlink precoding) with MKL's JIT cgemm,
-//! which emits AVX-512 code for the one shape a cell uses. These kernels
-//! are the AVX2 analogue: interleaved `[re im re im ...]` `__m256` lanes (4
-//! complex samples per register), register-tiled over 4 rows x 8 columns,
-//! with `vmaskmov` tails for non-multiple-of-4 column counts and the PR 3
-//! in-register 4x4 transpose microkernel packing GEMV row panels.
+//! which emits AVX-512 code for the one shape a cell uses. The AVX2
+//! kernels use interleaved `[re im re im ...]` `__m256` lanes (4 complex
+//! samples per register), register-tiled over 4 rows x 8 columns, with
+//! `vmaskmov` tails for non-multiple-of-4 column counts and the PR 3
+//! in-register 4x4 transpose microkernel packing GEMV row panels. The
+//! Avx512 tier's GEMM ([`gemm_avx512`]) holds one `__m512` (8 complex
+//! samples, one cache line of output) per row for up to 16 rows, with
+//! `__mmask16` column tails; its GEMV, AXPY, Gram and solve kernels are
+//! the AVX2 ones.
 //!
 //! **Bit parity contract.** Every kernel reproduces its scalar reference
 //! ([`crate::gemm::gemm_scalar`],
@@ -20,7 +24,11 @@
 //! * the complex MAC is `addsub(b * re(a), swap(b) * im(a))`, whose even
 //!   lanes compute `a.re*b.re - a.im*b.im` and odd lanes
 //!   `a.re*b.im + a.im*b.re` — the exact products (and, up to the
-//!   commutativity of IEEE addition, the exact sums) of the scalar path;
+//!   commutativity of IEEE addition, the exact sums) of the scalar path.
+//!   `zmm` has no `addsub`, so [`gemm_avx512`] negates the even lanes of
+//!   `swap(b)` once per B row and adds: `(-x) * y` rounds to exactly
+//!   `-(x * y)` and `u + (-v)` is exactly `u - v`, so every lane holds
+//!   the bits `addsub` would;
 //! * accumulation over the inner dimension is strictly sequential — one
 //!   accumulator per output element, never a lane reduction — matching the
 //!   scalar loop's association.
@@ -278,6 +286,137 @@ pub(crate) unsafe fn gemm_avx2(
             tile_masked::<1>(arow, k, bp.add(j), n, k, crow.add(j), n, mask);
         }
         i += 1;
+    }
+}
+
+/// Rows per `zmm` register tile: 16 accumulators plus the B row and its
+/// signed swap stay well inside the 32-register budget.
+const MZ: usize = 16;
+/// Complex columns per `__m512`: one cache line of output per row.
+const NZ: usize = 8;
+
+/// One `zmm` complex multiply-accumulate: `acc + (bv * ar + bn * ai)`,
+/// where `bn` is `bv` with re/im swapped and its even (real) lanes
+/// negated. Lane for lane that is [`cmac`]'s `addsub`: an odd lane adds
+/// the same two products, and an even lane adds `(-x) * y`, which IEEE
+/// rounds to exactly `-(x * y)`, so the add is exactly the subtraction
+/// `addsub` performs.
+#[inline]
+#[target_feature(enable = "avx512f")]
+unsafe fn cmac_zmm(acc: __m512, bv: __m512, bn: __m512, ar: __m512, ai: __m512) -> __m512 {
+    _mm512_add_ps(acc, _mm512_add_ps(_mm512_mul_ps(bv, ar), _mm512_mul_ps(bn, ai)))
+}
+
+/// Register tile: `R` rows of A (row stride `lda`) times one 8-column
+/// block of B (row stride `ldb`), accumulated over `k` and stored to C
+/// (row stride `ldc`); with `TAIL`, only the columns `mask` selects are
+/// loaded and stored. A whole block takes plain loads and stores: a
+/// masked store is not forwarded to the loads that read C right after
+/// (the demapper's, the plane store's). `re(a)` and `im(a)` are scalar
+/// broadcasts the compiler folds into the multiplies; the signed swap of
+/// the B row is built once per `p` and shared by every row.
+#[target_feature(enable = "avx512f")]
+unsafe fn tile_zmm<const R: usize, const TAIL: bool>(
+    a: *const Cf32,
+    lda: usize,
+    b: *const Cf32,
+    ldb: usize,
+    k: usize,
+    c: *mut Cf32,
+    ldc: usize,
+    mask: __mmask16,
+) {
+    // The sign bit of every even (real) f32 lane.
+    let real_sign = _mm512_set1_epi64(0x8000_0000);
+    let mut acc = [_mm512_setzero_ps(); R];
+    for p in 0..k {
+        let bp = b.add(p * ldb) as *const f32;
+        let bv = if TAIL { _mm512_maskz_loadu_ps(mask, bp) } else { _mm512_loadu_ps(bp) };
+        let swapped = _mm512_castps_si512(_mm512_permute_ps(bv, SWAP_RE_IM));
+        let bn = _mm512_castsi512_ps(_mm512_xor_si512(swapped, real_sign));
+        for r in 0..R {
+            let ap = a.add(r * lda + p);
+            let ar = _mm512_set1_ps((*ap).re);
+            let ai = _mm512_set1_ps((*ap).im);
+            acc[r] = cmac_zmm(acc[r], bv, bn, ar, ai);
+        }
+    }
+    for (r, v) in acc.iter().enumerate() {
+        let cp = c.add(r * ldc) as *mut f32;
+        if TAIL {
+            _mm512_mask_storeu_ps(cp, mask, *v);
+        } else {
+            _mm512_storeu_ps(cp, *v);
+        }
+    }
+}
+
+/// [`gemm_avx512`]'s pass over one 8-column block of C: 16-row tiles,
+/// then the `m % 16` rows left in tiles of 8, 4, 2 and 1.
+#[target_feature(enable = "avx512f")]
+unsafe fn column_block<const TAIL: bool>(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: *const Cf32,
+    b: *const Cf32,
+    c: *mut Cf32,
+    mask: __mmask16,
+) {
+    let mut i = 0;
+    while i + MZ <= m {
+        tile_zmm::<MZ, TAIL>(a.add(i * k), k, b, n, k, c.add(i * n), n, mask);
+        i += MZ;
+    }
+    let rest = m - i;
+    if rest & 8 != 0 {
+        tile_zmm::<8, TAIL>(a.add(i * k), k, b, n, k, c.add(i * n), n, mask);
+        i += 8;
+    }
+    if rest & 4 != 0 {
+        tile_zmm::<4, TAIL>(a.add(i * k), k, b, n, k, c.add(i * n), n, mask);
+        i += 4;
+    }
+    if rest & 2 != 0 {
+        tile_zmm::<2, TAIL>(a.add(i * k), k, b, n, k, c.add(i * n), n, mask);
+        i += 2;
+    }
+    if rest & 1 != 0 {
+        tile_zmm::<1, TAIL>(a.add(i * k), k, b, n, k, c.add(i * n), n, mask);
+    }
+}
+
+/// AVX-512 `C = A * B` for row-major complex operands, bit-identical to
+/// [`crate::gemm::gemm_scalar`]: [`column_block`] over the 8-column
+/// blocks of C, the last one masked when `n % 8 != 0`. A column vector
+/// (`n = 1`) runs [`gemv_avx2`].
+///
+/// # Safety
+/// Caller must ensure the CPU supports AVX-512F and that slice lengths
+/// match the `m x k * k x n` shapes (checked by the public dispatch
+/// wrappers).
+#[target_feature(enable = "avx512f")]
+pub(crate) unsafe fn gemm_avx512(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[Cf32],
+    b: &[Cf32],
+    c: &mut [Cf32],
+) {
+    if n == 1 {
+        gemv_avx2(m, k, a, b, c);
+        return;
+    }
+    let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+    let mut j = 0;
+    while j + NZ <= n {
+        column_block::<false>(m, k, n, ap, bp.add(j), cp.add(j), 0);
+        j += NZ;
+    }
+    if j < n {
+        let mask = ((1u32 << (2 * (n - j))) - 1) as __mmask16;
+        column_block::<true>(m, k, n, ap, bp.add(j), cp.add(j), mask);
     }
 }
 

@@ -71,8 +71,10 @@ impl PinvScratch {
     }
 
     /// Allocates scratch with the kernel dispatch tier pinned by the
-    /// caller (results are bit-equal across tiers).
+    /// caller, clamped to what the CPU supports (results are bit-equal
+    /// across tiers).
     pub fn with_tier(_m: usize, k: usize, tier: SimdTier) -> Self {
+        let tier = tier.min(SimdTier::cached());
         Self { gram: CMat::zeros(k, k), chol_l: CMat::zeros(k, k), chol: CholScratch::new(k), tier }
     }
 }

@@ -19,7 +19,10 @@ use core::ops::Range;
 /// SIMD instruction-set tier available/selected at runtime. Table 5 of the
 /// paper compares AVX2 and AVX-512 servers; we reproduce it by pinning the
 /// dispatch tier. The tiers are ordered: a kernel with no body of its own
-/// for a tier runs the widest one below it, so dispatch tests `>=`.
+/// for a tier runs the widest one below it, so dispatch tests `>=`. Every
+/// function or plan that takes a tier from its caller clamps it with
+/// `tier.min(SimdTier::cached())`, so asking for a tier the CPU lacks
+/// runs the widest one it has instead of faulting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdTier {
     /// Pure scalar loops (portable baseline).
@@ -27,8 +30,9 @@ pub enum SimdTier {
     /// 256-bit AVX2 kernels.
     Avx2,
     /// AVX-512 (`f`, `bw`, `vl`, `vbmi`): byte permutes and mask
-    /// registers. Only the i8 decoder has a body of its own; every other
-    /// kernel runs its AVX2 body.
+    /// registers. The i8 decoder, the FFT and the complex GEMM (the
+    /// equalising and precoding products) have bodies of their own; every
+    /// other kernel runs its AVX2 body.
     Avx512,
 }
 
@@ -85,7 +89,9 @@ pub const CACHE_LINE: usize = 64;
 /// the last copy, before publishing `dst` to another thread.
 pub fn stream_copy(src: &[Cf32], dst: &mut [Cf32], tier: SimdTier) {
     assert_eq!(src.len(), dst.len());
-    match tier {
+    // SAFETY: the tier is clamped to the CPU's, and the lengths the
+    // vector body relies on are asserted above.
+    match tier.min(SimdTier::cached()) {
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx2 | SimdTier::Avx512 => unsafe { stream_copy_avx(src, dst, None) },
         _ => dst.copy_from_slice(src),
@@ -99,7 +105,9 @@ pub fn stream_copy(src: &[Cf32], dst: &mut [Cf32], tier: SimdTier) {
 /// bits are theirs.
 pub fn stream_conj_scale(src: &[Cf32], dst: &mut [Cf32], scale: f32, tier: SimdTier) {
     assert_eq!(src.len(), dst.len());
-    match tier {
+    // SAFETY: the tier is clamped to the CPU's, and the lengths the
+    // vector body relies on are asserted above.
+    match tier.min(SimdTier::cached()) {
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx2 | SimdTier::Avx512 => unsafe { stream_copy_avx(src, dst, Some(scale)) },
         _ => {
@@ -205,7 +213,9 @@ unsafe fn stream_edge(sp: *const f32, dp: *mut f32, span: Range<usize>, conj_sca
 pub fn transpose(src: &[Cf32], rows: usize, cols: usize, dst: &mut [Cf32], tier: SimdTier) {
     assert_eq!(src.len(), rows * cols);
     assert_eq!(dst.len(), rows * cols);
-    match tier {
+    // SAFETY: the tier is clamped to the CPU's, and the lengths the
+    // vector body relies on are asserted above.
+    match tier.min(SimdTier::cached()) {
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx2 | SimdTier::Avx512 => unsafe { transpose_avx2(src, rows, cols, dst) },
         _ => transpose_scalar(src, rows, cols, dst),
@@ -334,7 +344,9 @@ pub(crate) unsafe fn transpose_4x4_avx2(
 pub fn conj_transpose(src: &[Cf32], rows: usize, cols: usize, dst: &mut [Cf32], tier: SimdTier) {
     assert_eq!(src.len(), rows * cols);
     assert_eq!(dst.len(), rows * cols);
-    match tier {
+    // SAFETY: the tier is clamped to the CPU's, and the lengths the
+    // vector body relies on are asserted above.
+    match tier.min(SimdTier::cached()) {
         #[cfg(target_arch = "x86_64")]
         SimdTier::Avx2 | SimdTier::Avx512 => unsafe { conj_transpose_avx2(src, rows, cols, dst) },
         _ => conj_transpose_scalar(src, rows, cols, dst),

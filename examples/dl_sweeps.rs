@@ -1,6 +1,7 @@
 //! Where the downlink's time goes: `encode_task` next to the parts of the
 //! byte pipeline it replaced (payload, encode, rate-match and store),
-//! `ifft_task` next to the transforms it runs, `precode_task`, and the
+//! `ifft_task` next to the transforms it runs, `precode_task` next to its
+//! GEMMs (planned on every SIMD tier the CPU runs), and the
 //! share of `InlineProcessor::process_frame` a downlink frame spends
 //! copying its `dl_time` samples out. It runs in the allocator state the
 //! benchmark sets (`pin_allocator` in `benchmark/src/sys.rs`), where the
@@ -20,7 +21,7 @@ use agora_fft::{Direction, FftPlan};
 use agora_fronthaul::packet::decode_ref;
 use agora_fronthaul::{RruConfig, RruEmulator};
 use agora_ldpc::Encoder;
-use agora_math::Cf32;
+use agora_math::{Cf32, Gemm, SimdTier};
 use agora_phy::frame::{FrameSchedule, SymbolType};
 use agora_phy::CellConfig;
 use std::hint::black_box;
@@ -137,6 +138,25 @@ fn main() {
     // --- precode: one whole symbol
     let precode_task =
         median_us(REPS / 4, |_| kernels.precode_task(fb, &mut scratch, downlink, 0, g.q));
+    // Its GEMMs, one per block of subcarriers, on every tier; the task
+    // runs the last, detected one.
+    let blocks = g.q / g.block;
+    let user_block = vec![Cf32::new(0.5, -0.5); g.k * g.block];
+    let mut ant_block = vec![Cf32::ZERO; g.m * g.block];
+    let pre_gemms: Vec<(SimdTier, f64)> = SimdTier::supported()
+        .map(|tier| {
+            let pre = Gemm::plan_with_tier(g.m, g.k, g.block, tier);
+            let us = median_us(REPS / 4, |_| {
+                for blk in 0..blocks {
+                    // SAFETY: single-threaded; no task is in flight.
+                    let w = unsafe { fb.pre.view(Some(blk * g.block / g.zf_group)) };
+                    pre.run(w, &user_block, &mut ant_block);
+                    black_box(&mut ant_block);
+                }
+            });
+            (tier, us)
+        })
+        .collect();
 
     // --- the whole frame, and its readout
     let mut full = base;
@@ -188,6 +208,12 @@ fn main() {
         "  precode_task          {precode_task:8.2}   {:6.1} ns per subcarrier",
         precode_task * 1e3 / g.q as f64
     );
+    for (tier, us) in &pre_gemms {
+        println!(
+            "  {blocks:4} precode GEMMs    {us:8.2}   {:6.1} ns per subcarrier, {tier:?}",
+            us * 1e3 / g.q as f64
+        );
+    }
     println!("downlink frame ({} downlink symbols), ms", dl.len());
     println!("  process_frame         {frame_ms:8.3}");
     println!(

@@ -1,5 +1,7 @@
 //! Where the two GEMM tasks' time goes: `demod_task` and `precode_task`
-//! of one whole symbol next to their GEMMs and the sweeps around them,
+//! of one whole symbol next to their GEMMs (planned on every SIMD tier
+//! the CPU runs; the tasks run the last, detected one) and the sweeps
+//! around them,
 //! and `decode_task` next to its gather and its decoder, each timed
 //! through its public entry point on a frame primed by one inline pass
 //! (EXPERIMENTS.md, "Uplink tail sweeps"). Decode reads the engine's `i8`
@@ -62,14 +64,20 @@ fn main() {
     // and no task is in flight while a view is alive.
     let freq = unsafe { fb.freq.view(Some(uplink)) };
     let det_of = |blk: usize| unsafe { fb.det.view(Some(blk * g.block / g.zf_group)) };
-    let eq = Gemm::plan(g.k, g.m, g.block);
     let mut user_block = vec![Cf32::ZERO; g.k * g.block];
-    let eq_gemms = median_us(|| {
-        for blk in 0..blocks {
-            eq.run(det_of(blk), &freq[g.block_cols(blk)], &mut user_block);
-            black_box(&mut user_block);
-        }
-    });
+    let eq_gemms: Vec<(SimdTier, f64)> = SimdTier::supported()
+        .map(|tier| {
+            let eq = Gemm::plan_with_tier(g.k, g.m, g.block, tier);
+            let us = median_us(|| {
+                for blk in 0..blocks {
+                    eq.run(det_of(blk), &freq[g.block_cols(blk)], &mut user_block);
+                    black_box(&mut user_block);
+                }
+            });
+            (tier, us)
+        })
+        .collect();
+    let eq_gemm = eq_gemms.last().expect("the scalar tier is always supported").1;
     // The post-ZF noise variance of every (block, user): `noise * ||w_u||^2`,
     // the detector row summed in order.
     let noise_scale = median_us(|| {
@@ -130,14 +138,20 @@ fn main() {
     // --- downlink: one symbol of modulate + precode
     let precode_task = median_us(|| kernels.precode_task(fb, &mut scratch, downlink, 0, g.q));
     let pre_of = |blk: usize| unsafe { fb.pre.view(Some(blk * g.block / g.zf_group)) };
-    let pre = Gemm::plan(g.m, g.k, g.block);
     let mut ant_block = vec![Cf32::ZERO; g.m * g.block];
-    let pre_gemms = median_us(|| {
-        for blk in 0..blocks {
-            pre.run(pre_of(blk), &user_block, &mut ant_block);
-            black_box(&mut ant_block);
-        }
-    });
+    let pre_gemms: Vec<(SimdTier, f64)> = SimdTier::supported()
+        .map(|tier| {
+            let pre = Gemm::plan_with_tier(g.m, g.k, g.block, tier);
+            let us = median_us(|| {
+                for blk in 0..blocks {
+                    pre.run(pre_of(blk), &user_block, &mut ant_block);
+                    black_box(&mut ant_block);
+                }
+            });
+            (tier, us)
+        })
+        .collect();
+    let pre_gemm = pre_gemms.last().expect("the scalar tier is always supported").1;
     // The scalar reference: one bit at a time into `map_symbol`, which is
     // what the task itself once ran per (block, user). It takes a bit per
     // byte, so the packed `dl_bits` rows are unpacked first, outside the
@@ -173,10 +187,12 @@ fn main() {
         "  demod_task            {demod_task:8.2}   {:6.1} ns per subcarrier",
         per_sc(demod_task)
     );
-    println!(
-        "  {blocks:4} eq GEMMs         {eq_gemms:8.2}   {:6.1} ns per subcarrier",
-        per_sc(eq_gemms)
-    );
+    for (tier, us) in &eq_gemms {
+        println!(
+            "  {blocks:4} eq GEMMs         {us:8.2}   {:6.1} ns per subcarrier, {tier:?}",
+            per_sc(*us)
+        );
+    }
     println!("  {:4} noise scales     {noise_scale:8.2}   (in the task before PR 23; {} per group in zf_task since)", blocks * g.k, g.k);
     println!(
         "  {:4} demap + store    {demap:8.2}   Demapper::demap, then quantize_llrs, per user row",
@@ -186,7 +202,7 @@ fn main() {
         "  {:4} demap_quantized  {fused:8.2}   the two fused, as the task runs them",
         blocks * g.k
     );
-    println!("  demod_task - GEMMs    {:8.2}", demod_task - eq_gemms);
+    println!("  demod_task - GEMMs    {:8.2}", demod_task - eq_gemm);
     println!("  zf_task, one group    {zf_task:8.2}");
     println!("uplink, one code block");
     println!("  decode_task           {decode_task:8.2}");
@@ -197,13 +213,15 @@ fn main() {
         "  precode_task          {precode_task:8.2}   {:6.1} ns per subcarrier",
         per_sc(precode_task)
     );
-    println!(
-        "  {blocks:4} precode GEMMs    {pre_gemms:8.2}   {:6.1} ns per subcarrier",
-        per_sc(pre_gemms)
-    );
+    for (tier, us) in &pre_gemms {
+        println!(
+            "  {blocks:4} precode GEMMs    {us:8.2}   {:6.1} ns per subcarrier, {tier:?}",
+            per_sc(*us)
+        );
+    }
     println!("  {:4} modulate rows    {modulation:8.2}   scalar reference: a bit at a time into map_symbol", blocks * g.k);
     println!(
         "  precode_task - GEMMs  {:8.2}   modulation + store as the task runs them",
-        precode_task - pre_gemms
+        precode_task - pre_gemm
     );
 }

@@ -164,7 +164,7 @@ echo "== plane alignment, every IQ sample word, every LLR magnitude, every paylo
 # frame < 8, symbol < 14, user < 16 of the 64x16 cell) checks are ignored
 # in debug builds.
 cargo test --release -q -p agora-core --lib -- buffers::tests \
-    kernels::tests::every_sample_word_unpacks_alike_on_both_tiers \
+    kernels::tests::every_sample_word_unpacks_alike_on_every_tier \
     kernels::tests::every_64x16_payload_matches_mac_payload
 cargo test --release -q -p agora-phy --lib -- demod::simd_tests::rounding_matches_the_quantiser
 
