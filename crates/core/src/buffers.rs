@@ -240,8 +240,7 @@ impl<T, K: RowKey> Plane<T, K> {
 
     /// Writes column `col` of `key`'s row through a raw pointer. No `&mut`
     /// wider than the element exists, so tasks storing to different
-    /// columns of one row at once — the pilot FFTs of a ZF group's CSI
-    /// row, one per antenna, whose columns interleave — never alias.
+    /// columns of one row at once never alias.
     #[inline]
     pub(crate) fn store(&self, key: K, col: usize, value: T) {
         let p = self.at(key, col, 1);

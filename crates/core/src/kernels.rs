@@ -39,11 +39,12 @@ pub struct Kernels {
     /// transform grid and the `[block][antenna][8 sc]` plane.
     pieces: Vec<Piece>,
     /// Per frame symbol, the channel estimates it owes the CSI plane:
-    /// for a pilot symbol, one store per `(ZF group, user)` whose source
-    /// subcarrier it observes, group-major so an antenna's stores to one
-    /// group are contiguous. Empty for every other symbol, and for a
-    /// pilot symbol no user owns.
-    pilot_stores: Vec<Vec<PilotStore>>,
+    /// for a pilot symbol, one estimate per `(ZF group, user)` whose
+    /// source subcarrier it observes, group-major, in runs of consecutive
+    /// users — a group's whole `K` under frequency-orthogonal pilots, so
+    /// an antenna writes each group's columns with one view. Empty for
+    /// every other symbol, and for a pilot symbol no user owns.
+    pilot_stores: Vec<Vec<PilotRun>>,
     /// Where the IFFT task's scatter reads each eight-bin step of the
     /// grid, in natural order.
     ifft_steps: Vec<IfftStep>,
@@ -181,17 +182,17 @@ fn quant_scale(inv_noise: f32, d_min_sqr: f32) -> f32 {
     NOMINAL_LLR_STEPS / (inv_noise * d_min_sqr)
 }
 
-/// One channel estimate a pilot FFT task leaves in the CSI plane: the
-/// transform bin of the subcarrier it is taken from, the ZF group and
-/// user it is for — antenna `a`'s estimate is column `a * K + user` of the
-/// group's row-major `M x K` row — and the reciprocal of the pilot
-/// reference the fused LS estimate multiplies by.
-#[derive(Debug, Clone, Copy)]
-struct PilotStore {
-    bin: usize,
+/// A run of channel estimates a pilot FFT task leaves in the CSI plane:
+/// users `user..user + sources.len()` of one ZF group — antenna `a`'s
+/// estimate for user `u` is column `a * K + u` of the group's row-major
+/// `M x K` row — each from the transform bin of the subcarrier it is
+/// taken from, times the reciprocal of the pilot reference (the fused LS
+/// estimate).
+#[derive(Debug, Clone)]
+struct PilotRun {
     group: usize,
     user: usize,
-    inv: Cf32,
+    sources: Vec<(usize, Cf32)>,
 }
 
 /// Where the IFFT task's scatter ([`FftPlan::forward_of`]) finds the
@@ -382,13 +383,17 @@ impl Kernels {
         match self.cfg.cell.schedule.symbol(symbol) {
             SymbolType::Pilot => {
                 // Fused channel estimation: LS divide by the known pilot,
-                // written where `zf_task` reads it, one element at a time:
-                // concurrent FFT tasks for other antennas (and,
-                // time-orthogonal, other pilot symbols) store to other
+                // written where `zf_task` reads it, one run of users at a
+                // time: concurrent FFT tasks for other antennas (and,
+                // time-orthogonal, other pilot symbols) write other
                 // columns of the same group's row.
                 let base = ant * g.k;
-                for st in &self.pilot_stores[symbol] {
-                    fb.csi.store(st.group, base + st.user, grid[st.bin] * st.inv);
+                for run in &self.pilot_stores[symbol] {
+                    let cols = base + run.user..base + run.user + run.sources.len();
+                    let out = fb.csi.row_mut(run.group, cols);
+                    for (z, &(bin, inv)) in out.iter_mut().zip(&run.sources) {
+                        *z = grid[bin] * inv;
+                    }
                 }
             }
             SymbolType::Uplink => {
@@ -707,11 +712,7 @@ impl Steps for IqSteps<'_> {
 /// subcarrier falls in (nearest estimate, flat-channel assumption, as
 /// the paper's emulation). Each pilot symbol owes the stores whose source
 /// it observes; one source feeds several groups when `K > zf_group`.
-fn pilot_stores(
-    cell: &CellConfig,
-    map: &SubcarrierMap,
-    g: &BufferGeometry,
-) -> Vec<Vec<PilotStore>> {
+fn pilot_stores(cell: &CellConfig, map: &SubcarrierMap, g: &BufferGeometry) -> Vec<Vec<PilotRun>> {
     let pilots = PilotPlan::new(cell.pilot_scheme, g.k, g.q);
     let bins: Vec<usize> = map.active_bins().collect();
     let mut stores = vec![Vec::new(); g.symbols];
@@ -727,7 +728,15 @@ fn pilot_stores(
                 // frequency-orthogonal pilots, so the run is whole.
                 assert!(sc < g.q, "group {group} user {user}: no pilot at subcarrier {sc}");
                 if let Some((_, p)) = pilots.owner(ordinal, sc).filter(|o| o.0 == user) {
-                    stores[symbol].push(PilotStore { bin: bins[sc], group, user, inv: p.inv() });
+                    let runs: &mut Vec<PilotRun> = &mut stores[symbol];
+                    match runs.last_mut() {
+                        Some(r) if r.group == group && r.user + r.sources.len() == user => {
+                            r.sources.push((bins[sc], p.inv()));
+                        }
+                        _ => {
+                            runs.push(PilotRun { group, user, sources: vec![(bins[sc], p.inv())] })
+                        }
+                    }
                 }
             }
         }

@@ -106,6 +106,33 @@ impl<'a, F: Fn(usize) -> Option<&'a [Cf32; 8]>> Steps for Conj<F> {
     }
 }
 
+/// A transform's own natural-order samples as [`Steps`], read through
+/// the raw pointer the in-place gather of `execute*` also writes through.
+struct InPlace(*const Cf32);
+
+impl Steps for InPlace {
+    fn step(&self, t: usize) -> [Cf32; 8] {
+        // SAFETY: `t < n / 8` for a pointer to the plan's `n` samples.
+        unsafe { (self.0.add(8 * t) as *const [Cf32; 8]).read_unaligned() }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn ymm(&self, t: usize) -> [core::arch::x86_64::__m256d; 2] {
+        use core::arch::x86_64::*;
+        let p = self.0.add(8 * t) as *const f64;
+        [_mm256_loadu2_m128d(p.add(4), p), _mm256_loadu2_m128d(p.add(6), p.add(2))]
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn zmm(&self, t: usize) -> core::arch::x86_64::__m512d {
+        core::arch::x86_64::_mm512_loadu_pd(self.0.add(8 * t) as *const f64)
+    }
+}
+
 /// A radix-2 decimation-in-time FFT plan for one power-of-two size.
 ///
 /// Twiddles are stored per stage in natural access order so the butterfly
@@ -117,13 +144,6 @@ pub struct FftPlan {
     log2n: u32,
     /// Bit-reversal permutation of indices `0..n`.
     bitrev: Vec<u32>,
-    /// The `(i, j)` index pairs with `i < bitrev[i] = j`: exactly the swaps
-    /// the in-place permutation performs. Streaming this list avoids the
-    /// branch-per-element of walking `bitrev` and skipping fixed points.
-    swaps: Vec<(u32, u32)>,
-    /// The fixed points `i = bitrev[i]`, which the inverse transform's
-    /// permutation still has to conjugate.
-    fixed: Vec<u32>,
     /// Forward-direction twiddles, concatenated per stage: stage `s`
     /// (butterfly half-width `w = 2^s`) contributes the `w` twiddles
     /// `e^{-i pi j / w}` for `j` in `0..w` — exclusive of `w` itself
@@ -171,13 +191,6 @@ impl FftPlan {
         if n == 1 {
             bitrev[0] = 0;
         }
-        let swaps: Vec<(u32, u32)> = bitrev
-            .iter()
-            .enumerate()
-            .filter(|&(i, &j)| (i as u32) < j)
-            .map(|(i, &j)| (i as u32, j))
-            .collect();
-        let fixed = (0..n as u32).filter(|&i| bitrev[i as usize] == i).collect();
         // Twiddles per stage, computed in f64 for accuracy.
         let mut twiddles = Vec::with_capacity(n.saturating_sub(1));
         let mut w = 1usize;
@@ -209,8 +222,6 @@ impl FftPlan {
             n,
             log2n,
             bitrev,
-            swaps,
-            fixed,
             twiddles,
             tw_re_dup,
             tw_im_alt,
@@ -295,10 +306,15 @@ impl FftPlan {
         // twiddles are this plan's.
         if self.tier >= SimdTier::Avx512 && self.n >= 64 {
             let (re, im) = (&self.tw_re_dup, &self.tw_im_alt);
-            unsafe { crate::simd::gather_avx512::<_, false>(&self.bitrev, out, steps, re, im) };
+            let out = out.as_mut_ptr();
+            unsafe {
+                crate::simd::gather_avx512::<_, false, false>(&self.bitrev, out, steps, re, im)
+            };
             return;
         } else if self.tier >= SimdTier::Avx2 && self.n >= 32 {
-            unsafe { crate::simd::gather_avx2::<_, false>(&self.bitrev, out, steps) };
+            unsafe {
+                crate::simd::gather_avx2::<_, false, false>(&self.bitrev, out.as_mut_ptr(), steps)
+            };
             return;
         }
         self.gather_scalar(out, steps);
@@ -324,19 +340,20 @@ impl FftPlan {
         if self.tier >= SimdTier::Avx512 && self.n >= 64 {
             let (re, im) = (&self.tw_re_dup, &self.tw_im_alt);
             unsafe {
-                crate::simd::gather_avx512::<_, true>(&self.bitrev, out, steps, re, im);
+                let p = out.as_mut_ptr();
+                crate::simd::gather_avx512::<_, true, false>(&self.bitrev, p, steps, re, im);
                 crate::simd::butterflies_avx512(out, self.n, re, im, true);
             }
             return;
         } else if self.tier >= SimdTier::Avx2 && self.n >= 32 {
             unsafe {
-                crate::simd::gather_avx2::<_, true>(&self.bitrev, out, steps);
+                crate::simd::gather_avx2::<_, true, false>(&self.bitrev, out.as_mut_ptr(), steps);
                 crate::simd::butterflies_avx2(out, self.n, &self.tw_re_dup, &self.tw_im_alt, true);
             }
             return;
         }
         self.gather_scalar(out, steps);
-        self.butterflies(out);
+        self.butterflies(out, false);
     }
 
     /// The scalar body of [`Self::gather`].
@@ -364,7 +381,7 @@ impl FftPlan {
             if inverse {
                 self.conj_pass(data);
             }
-            self.butterflies(data);
+            self.butterflies(data, false);
             if inverse {
                 self.conj_scale_pass(data, scale);
             }
@@ -376,10 +393,11 @@ impl FftPlan {
         // would evict each transform between the two passes.
         let tile = self.tile_transforms() * self.n;
         for slice in data.chunks_mut(tile) {
+            let mut first_done = false;
             for chunk in slice.chunks_exact_mut(self.n) {
-                self.bit_reverse(chunk, inverse);
+                first_done = self.bit_reverse(chunk, inverse);
             }
-            self.butterflies(slice);
+            self.butterflies(slice, first_done);
             if inverse {
                 self.conj_scale_pass(slice, scale);
             }
@@ -396,39 +414,77 @@ impl FftPlan {
         1
     }
 
-    /// In-place bit-reversal permutation of one transform (swap once per
-    /// pair, streaming the precomputed swap list), conjugating every
-    /// sample on the way when `conj` is set — the fixed points too.
-    fn bit_reverse(&self, data: &mut [Cf32], conj: bool) {
-        if !conj {
-            for &(i, j) in &self.swaps {
-                data.swap(i as usize, j as usize);
+    /// In-place bit-reversal permutation of one natural-order transform,
+    /// conjugating every sample on the way when `conj` is set. On the
+    /// vector tiers (64 points and up) it is the step gather of
+    /// [`Self::forward_of`] with the transform as its own [`Steps`]
+    /// ([`Conj`] for the inverse), in place, so the first butterfly stages
+    /// run in the same pass and it returns `true`; elsewhere it swaps
+    /// slot by slot and returns `false`.
+    fn bit_reverse(&self, data: &mut [Cf32], conj: bool) -> bool {
+        debug_assert_eq!(data.len(), self.n);
+        #[cfg(target_arch = "x86_64")]
+        if self.tier >= SimdTier::Avx2 && self.n >= 64 {
+            let p = data.as_mut_ptr();
+            // SAFETY: `p` covers the transform's `n` samples, read and
+            // written only through `p` while the gather runs, in the
+            // pairs that let it work in place.
+            unsafe {
+                if conj {
+                    self.gather_in_place(p, &Conj(|t| Some(&*(p.add(8 * t) as *const [Cf32; 8]))));
+                } else {
+                    self.gather_in_place(p, &InPlace(p));
+                }
             }
-            return;
+            return true;
         }
-        for &(i, j) in &self.swaps {
-            let (i, j) = (i as usize, j as usize);
-            (data[i], data[j]) = (data[j].conj(), data[i].conj());
+        for (i, &j) in self.bitrev.iter().enumerate() {
+            let j = j as usize;
+            if i < j {
+                if conj {
+                    (data[i], data[j]) = (data[j].conj(), data[i].conj());
+                } else {
+                    data.swap(i, j);
+                }
+            } else if i == j && conj {
+                data[i] = data[i].conj();
+            }
         }
-        for &i in &self.fixed {
-            data[i as usize] = data[i as usize].conj();
+        false
+    }
+
+    /// The vector gather with the first butterfly stages, from steps that
+    /// may read `out` itself.
+    ///
+    /// # Safety
+    /// The tier must be a vector one and `n >= 64`; `out` must be valid
+    /// for the plan's `n` samples, with no reference to them alive.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn gather_in_place(&self, out: *mut Cf32, steps: &impl Steps) {
+        let (re, im) = (&self.tw_re_dup, &self.tw_im_alt);
+        if self.tier >= SimdTier::Avx512 {
+            crate::simd::gather_avx512::<_, true, true>(&self.bitrev, out, steps, re, im);
+        } else {
+            crate::simd::gather_avx2::<_, true, true>(&self.bitrev, out, steps);
         }
     }
 
-    /// All butterfly stages over one or more bit-reversed transforms.
-    fn butterflies(&self, data: &mut [Cf32]) {
+    /// All butterfly stages over one or more bit-reversed transforms, all
+    /// but those [`Self::bit_reverse`] ran when `first_done`.
+    fn butterflies(&self, data: &mut [Cf32], first_done: bool) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY (both arms): the tier is clamped to what the CPU supports,
         // and the twiddles are this plan's.
         if self.tier >= SimdTier::Avx512 && self.n >= 64 {
             let (re, im) = (&self.tw_re_dup, &self.tw_im_alt);
-            unsafe { crate::simd::butterflies_avx512(data, self.n, re, im, false) };
+            unsafe { crate::simd::butterflies_avx512(data, self.n, re, im, first_done) };
             return;
         } else if self.tier >= SimdTier::Avx2 && self.n >= 4 {
             let (re, im) = (&self.tw_re_dup, &self.tw_im_alt);
-            unsafe { crate::simd::butterflies_avx2(data, self.n, re, im, false) };
+            unsafe { crate::simd::butterflies_avx2(data, self.n, re, im, first_done) };
             return;
         }
+        debug_assert!(!first_done);
         for chunk in data.chunks_exact_mut(self.n) {
             self.butterflies_scalar(chunk);
         }
@@ -618,23 +674,31 @@ mod tests {
         assert!(!FftPlan::new(2048).is_empty());
     }
 
+    /// Natural-order input (permuted in place, by the step gather on the
+    /// vector tiers) transforms to the bits of the same input gathered
+    /// through the table and run pre-reversed: every size 1..=4096, every
+    /// tier, both directions, one transform and a batch of three.
     #[test]
     fn prereversed_matches_two_pass_execute() {
-        for &n in &[8usize, 64, 2048] {
-            for dir in [Direction::Forward, Direction::Inverse] {
-                let plan = FftPlan::new(n);
-                let x = signal(n);
-                // Two-pass path: natural order in, permutation inside.
-                let mut two_pass = x.clone();
-                plan.execute(&mut two_pass, dir);
-                // Fused path: gather through the table, skip the pass.
-                let mut gathered: Vec<Cf32> =
-                    plan.bitrev().iter().map(|&j| x[j as usize]).collect();
-                plan.execute_prereversed(&mut gathered, dir);
-                assert!(
-                    max_err(&two_pass, &gathered) < 1e-6,
-                    "prereversed diverged at n={n} {dir:?}"
-                );
+        for log2 in 0..=12 {
+            let n = 1usize << log2;
+            let x = signal(3 * n);
+            for tier in SimdTier::supported() {
+                let plan = FftPlan::with_tier(n, tier);
+                for dir in [Direction::Forward, Direction::Inverse] {
+                    let mut two_pass = x.clone();
+                    plan.execute_batch(&mut two_pass, dir);
+                    let mut single = x[..n].to_vec();
+                    plan.execute(&mut single, dir);
+                    let mut gathered: Vec<Cf32> =
+                        (0..3 * n).map(|i| x[i / n * n + plan.bitrev()[i % n] as usize]).collect();
+                    for chunk in gathered.chunks_exact_mut(n) {
+                        plan.execute_prereversed(chunk, dir);
+                    }
+                    let what = format!("n {n} {tier:?} {dir:?}");
+                    assert!(bits(&two_pass) == bits(&gathered), "{what}: execute_batch");
+                    assert!(bits(&single) == bits(&gathered[..n]), "{what}: execute");
+                }
             }
         }
     }

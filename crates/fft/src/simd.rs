@@ -548,49 +548,98 @@ unsafe fn radix4(v: __m256) -> __m256 {
 /// indices, which the bit reversal sends to the two lowest: sample `k` of
 /// the four lands on four consecutive slots from `bitrev[8s + k]`, a
 /// multiple of 4. A 4 x 4 transpose of the eight-byte samples turns the
-/// four steps into eight such runs, each one 32-byte store through a
-/// checked slice of `out`; with `RADIX4`, each run — exactly one radix-4
-/// group of the bit-reversed grid — first takes the transform's first two
-/// butterfly stages ([`radix4`]) in the same register.
+/// four steps into eight such runs, each one 32-byte store; with `RADIX4`,
+/// each run — exactly one radix-4 group of the bit-reversed grid — first
+/// takes the transform's first two butterfly stages ([`radix4`]) in the
+/// same register.
+///
+/// With `IN_PLACE` the steps may read `out` itself (the natural-order
+/// `execute*` entries): blocks `s` and `s + r/2` together read the slots
+/// blocks `u` and `u + r/2` write, `u = bitrev[8s] / 8` (the zmm body's
+/// pairing, [`gather_avx512`]), so the four blocks of a pair are all read
+/// before any of them is stored.
 ///
 /// # Safety
-/// Requires AVX2; `bitrev` must be the bit-reversal permutation of
-/// `out.len()` points, a power of two of at least 32.
+/// Requires AVX2; `bitrev` must be the bit-reversal permutation of `n`
+/// points, a power of two of at least 32 (64 with `IN_PLACE`), and `out`
+/// must be valid for `n` writes, with no reference to them alive.
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn gather_avx2<S: Steps, const RADIX4: bool>(
+pub(crate) unsafe fn gather_avx2<S: Steps, const RADIX4: bool, const IN_PLACE: bool>(
     bitrev: &[u32],
-    out: &mut [Cf32],
+    out: *mut Cf32,
     steps: &S,
 ) {
-    let r = out.len() / 32;
-    for s in 0..r {
-        let mut rows = [[_mm256_setzero_pd(); 4]; 2];
-        for (j, t) in [s, s + 2 * r, s + r, s + 3 * r].into_iter().enumerate() {
-            [rows[0][j], rows[1][j]] = steps.ymm(t);
+    let r = bitrev.len() / 32;
+    if !IN_PLACE {
+        for s in 0..r {
+            store_runs(out, bitrev, s, block_avx2::<S, RADIX4>(steps, s, r));
         }
-        // Row `j` of `rows[h]` holds samples [0 1 | 4 5] (h = 0) or
-        // [2 3 | 6 7] (h = 1) of the j-th step; transposed, column `c`
-        // holds one sample of all four steps.
-        for (h, rows) in rows.iter().enumerate() {
-            let t0 = _mm256_unpacklo_pd(rows[0], rows[1]);
-            let t1 = _mm256_unpackhi_pd(rows[0], rows[1]);
-            let t2 = _mm256_unpacklo_pd(rows[2], rows[3]);
-            let t3 = _mm256_unpackhi_pd(rows[2], rows[3]);
-            let columns = [
-                (2 * h, _mm256_permute2f128_pd::<0x20>(t0, t2)),
-                (2 * h + 1, _mm256_permute2f128_pd::<0x20>(t1, t3)),
-                (2 * h + 4, _mm256_permute2f128_pd::<0x31>(t0, t2)),
-                (2 * h + 5, _mm256_permute2f128_pd::<0x31>(t1, t3)),
-            ];
-            for (k, column) in columns {
-                let at = bitrev[8 * s + k] as usize;
-                let run = &mut out[at..at + 4];
-                let v = _mm256_castpd_ps(column);
-                let v = if RADIX4 { radix4(v) } else { v };
-                // SAFETY: `run` is four `Cf32`, thirty-two bytes.
-                _mm256_storeu_ps(run.as_mut_ptr() as *mut f32, v);
-            }
+        return;
+    }
+    let half = r / 2;
+    for s in 0..half {
+        let u = bitrev[8 * s] as usize / 8;
+        if u < s {
+            continue;
         }
+        let a = [block_avx2::<S, RADIX4>(steps, s, r), block_avx2::<S, RADIX4>(steps, s + half, r)];
+        if u != s {
+            let b0 = block_avx2::<S, RADIX4>(steps, u, r);
+            let b1 = block_avx2::<S, RADIX4>(steps, u + half, r);
+            store_runs(out, bitrev, u, b0);
+            store_runs(out, bitrev, u + half, b1);
+        }
+        store_runs(out, bitrev, s, a[0]);
+        store_runs(out, bitrev, s + half, a[1]);
+    }
+}
+
+/// Block `s` of [`gather_avx2`]: its four steps as eight runs of four
+/// samples, run `k` holding sample `k` of every step.
+///
+/// # Safety
+/// Requires AVX2; `s < r = n / 32`.
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn block_avx2<S: Steps, const RADIX4: bool>(steps: &S, s: usize, r: usize) -> [__m256d; 8] {
+    let mut rows = [[_mm256_setzero_pd(); 4]; 2];
+    for (j, t) in [s, s + 2 * r, s + r, s + 3 * r].into_iter().enumerate() {
+        [rows[0][j], rows[1][j]] = steps.ymm(t);
+    }
+    // Row `j` of `rows[h]` holds samples [0 1 | 4 5] (h = 0) or
+    // [2 3 | 6 7] (h = 1) of the j-th step; transposed, column `c`
+    // holds one sample of all four steps.
+    let mut runs = [_mm256_setzero_pd(); 8];
+    for (h, rows) in rows.iter().enumerate() {
+        let t0 = _mm256_unpacklo_pd(rows[0], rows[1]);
+        let t1 = _mm256_unpackhi_pd(rows[0], rows[1]);
+        let t2 = _mm256_unpacklo_pd(rows[2], rows[3]);
+        let t3 = _mm256_unpackhi_pd(rows[2], rows[3]);
+        runs[2 * h] = _mm256_permute2f128_pd::<0x20>(t0, t2);
+        runs[2 * h + 1] = _mm256_permute2f128_pd::<0x20>(t1, t3);
+        runs[2 * h + 4] = _mm256_permute2f128_pd::<0x31>(t0, t2);
+        runs[2 * h + 5] = _mm256_permute2f128_pd::<0x31>(t1, t3);
+    }
+    if RADIX4 {
+        for run in &mut runs {
+            *run = _mm256_castps_pd(radix4(_mm256_castpd_ps(*run)));
+        }
+    }
+    runs
+}
+
+/// Stores block `s`'s runs (a ymm or zmm register of samples each), run
+/// `k` at `bitrev[8s + k]`.
+///
+/// # Safety
+/// `bitrev` must be the plan's permutation of `n` points with `8s + 8 <=
+/// n`, and `out` valid for `n` writes.
+#[inline(always)]
+unsafe fn store_runs<R>(out: *mut Cf32, bitrev: &[u32], s: usize, runs: [R; 8]) {
+    for (k, run) in runs.into_iter().enumerate() {
+        let at = bitrev[8 * s + k] as usize;
+        debug_assert!(at * 8 + core::mem::size_of::<R>() <= bitrev.len() * 8);
+        (out.add(at) as *mut R).write_unaligned(run);
     }
 }
 
@@ -606,23 +655,30 @@ pub(crate) unsafe fn gather_avx2<S: Steps, const RADIX4: bool>(
 /// stages 1 and 2 as [`radix4`] does them, stage 4 as [`stage_triple`]'s
 /// `cmul` with the stored twiddles, `j = 0` included — so the bits are
 /// its. An 8 x 8 transpose of the eight-byte samples then turns the rows
-/// into eight 64-byte runs, each one store through a checked slice of
-/// `out`. Doing the stages inside each run instead would cost a shuffle
-/// network per run; between rows they are plain vertical arithmetic.
+/// into eight 64-byte runs, one store each. Doing the stages inside each
+/// run instead would cost a shuffle network per run; between rows they
+/// are plain vertical arithmetic.
+///
+/// Block `s` writes exactly the slots block `u = bitrev[8s] / 8` reads
+/// (the middle index bits reversed), and `u`'s partner is `s`. With
+/// `IN_PLACE` the steps may read `out` itself (the natural-order
+/// `execute*` entries): each pair of blocks is read into registers before
+/// either is stored.
 ///
 /// # Safety
 /// Requires AVX-512 (F, BW, VL, VBMI); `bitrev` must be the bit-reversal
-/// permutation of `out.len()` points, a power of two of at least 64, and
-/// the twiddle arrays the matching plan's.
+/// permutation of `n` points, a power of two of at least 64, the twiddle
+/// arrays the matching plan's, and `out` valid for `n` writes, with no
+/// reference to them alive.
 #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vbmi")]
-pub(crate) unsafe fn gather_avx512<S: Steps, const STAGES: bool>(
+pub(crate) unsafe fn gather_avx512<S: Steps, const STAGES: bool, const IN_PLACE: bool>(
     bitrev: &[u32],
-    out: &mut [Cf32],
+    out: *mut Cf32,
     steps: &S,
     tw_re: &[f32],
     tw_im: &[f32],
 ) {
-    let r = out.len() / 64;
+    let r = bitrev.len() / 64;
     // Stage 4's twiddles j = 0..4, each splatted over all eight lanes.
     let (wr, wi) = (tw_re.as_ptr() as *const f64, tw_im.as_ptr() as *const f64);
     let w4 = [
@@ -636,27 +692,45 @@ pub(crate) unsafe fn gather_avx512<S: Steps, const STAGES: bool>(
         _mm512_set1_pd(wi.add(3).read_unaligned()),
     ];
     for s in 0..r {
-        let mut x = [
-            steps.zmm(s),
-            steps.zmm(s + 4 * r),
-            steps.zmm(s + 2 * r),
-            steps.zmm(s + 6 * r),
-            steps.zmm(s + r),
-            steps.zmm(s + 5 * r),
-            steps.zmm(s + 3 * r),
-            steps.zmm(s + 7 * r),
-        ];
-        if STAGES {
-            radix8_rows(&mut x, &w4);
+        let u = if IN_PLACE { bitrev[8 * s] as usize / 8 } else { s };
+        if u < s {
+            continue;
         }
-        let columns = transpose8(&x);
-        for (k, column) in columns.into_iter().enumerate() {
-            let at = bitrev[8 * s + k] as usize;
-            let run = &mut out[at..at + 8];
-            // SAFETY: `run` is eight `Cf32`, sixty-four bytes.
-            _mm512_storeu_pd(run.as_mut_ptr() as *mut f64, column);
+        let a = block_avx512::<S, STAGES>(steps, s, r, &w4);
+        if u != s {
+            store_runs(out, bitrev, u, block_avx512::<S, STAGES>(steps, u, r, &w4));
         }
+        store_runs(out, bitrev, s, a);
     }
+}
+
+/// Block `s` of [`gather_avx512`]: its eight steps, with `STAGES` through
+/// [`radix8_rows`], as eight runs of eight samples.
+///
+/// # Safety
+/// Requires AVX-512F; `s < r = n / 64`.
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn block_avx512<S: Steps, const STAGES: bool>(
+    steps: &S,
+    s: usize,
+    r: usize,
+    w4: &[__m512d; 8],
+) -> [__m512d; 8] {
+    let mut x = [
+        steps.zmm(s),
+        steps.zmm(s + 4 * r),
+        steps.zmm(s + 2 * r),
+        steps.zmm(s + 6 * r),
+        steps.zmm(s + r),
+        steps.zmm(s + 5 * r),
+        steps.zmm(s + 3 * r),
+        steps.zmm(s + 7 * r),
+    ];
+    if STAGES {
+        radix8_rows(&mut x, w4);
+    }
+    transpose8(&x)
 }
 
 /// Flips the sign of every float of `v` where `mask` has `-0.0`.

@@ -100,7 +100,8 @@ fn main() {
         );
         println!("  execute_prereversed  {inverse:8.2}   inverse");
         println!("  fft_task, uplink     {ul_task:8.2}   {tier}");
-        println!("  fft_task, pilot      {pilot_task:8.2}   {tier}");
+        let ratio = pilot_task / ul_task;
+        println!("  fft_task, pilot      {pilot_task:8.2}   {tier}, {ratio:.2}x the uplink task");
         println!("  ifft_task            {ifft_task:8.2}   {tier}");
     }
 }

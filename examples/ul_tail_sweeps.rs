@@ -5,14 +5,17 @@
 //! and `decode_task` next to its gather and its decoder, each timed
 //! through its public entry point on a frame primed by one inline pass
 //! (EXPERIMENTS.md, "Uplink tail sweeps"). Decode reads the engine's `i8`
-//! LLR plane, as `decode_task` does.
+//! LLR plane, as `decode_task` does. `demod_task - GEMMs` is also printed
+//! once per vector tier, `Kernels` pinned to it: both run the AVX2
+//! demapper, so the rows differ only in the GEMM the task runs, and the
+//! tiers are timed in alternating order, round by round.
 //!
 //! ```text
 //! cargo run --release --example ul_tail_sweeps          # 64x16, 1200 sc, 64-QAM
 //! cargo run --release --example ul_tail_sweeps small    # 8x2, 240 sc, QPSK
 //! ```
 
-use agora_core::{EngineConfig, InlineProcessor};
+use agora_core::{EngineConfig, InlineProcessor, Kernels};
 use agora_fronthaul::{RruConfig, RruEmulator};
 use agora_ldpc::{quantize_llrs, DecodeConfigI8, DecoderI8, DEFAULT_LLR_SCALE};
 use agora_math::{Cf32, Gemm, SimdTier};
@@ -24,6 +27,9 @@ use std::hint::black_box;
 use std::time::Instant;
 
 const REPS: usize = 60;
+
+/// Alternating rounds of the per-tier `demod_task - GEMMs` rows.
+const ROUNDS: usize = 6;
 
 /// Median of `REPS` timings of `f`, in microseconds.
 fn median_us(mut f: impl FnMut()) -> f64 {
@@ -49,7 +55,7 @@ fn main() {
     let mut cfg = EngineConfig::new(cell.clone(), 1);
     cfg.noise_power = rru.noise_power();
     let noise = cfg.noise_power.max(1e-9);
-    let mut proc = InlineProcessor::new(cfg);
+    let mut proc = InlineProcessor::new(cfg.clone());
     let (packets, _) = rru.generate_frame(0);
     proc.process_frame(0, &packets);
     let (kernels, fb) = (proc.kernels(), proc.buffers(0));
@@ -114,6 +120,44 @@ fn main() {
     };
     let (demap, fused) = (demap_rows(false), demap_rows(true));
     let zf_task = median_us(|| kernels.zf_task(fb, &mut scratch, 0));
+    // Per vector tier: the task and its GEMMs, one after the other, each
+    // round visiting the tiers in the other order; medians over rounds.
+    let pinned: Vec<(SimdTier, Kernels, Gemm)> = SimdTier::supported()
+        .filter(|&tier| tier >= SimdTier::Avx2)
+        .map(|tier| {
+            let eq = Gemm::plan_with_tier(g.k, g.m, g.block, tier);
+            (tier, Kernels::with_tier(cfg.clone(), tier), eq)
+        })
+        .collect();
+    let mut rounds = vec![Vec::new(); pinned.len()];
+    for round in 0..ROUNDS {
+        for i in 0..pinned.len() {
+            let i = if round % 2 == 0 { i } else { pinned.len() - 1 - i };
+            let (_, k, eq) = &pinned[i];
+            let mut s = k.scratch();
+            let task = median_us(|| k.demod_task(fb, &mut s, 0, uplink, 0, g.q));
+            let gemms = median_us(|| {
+                for blk in 0..blocks {
+                    eq.run(det_of(blk), &freq[g.block_cols(blk)], &mut user_block);
+                    black_box(&mut user_block);
+                }
+            });
+            rounds[i].push((task, gemms));
+        }
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let tails: Vec<(SimdTier, f64, f64, f64)> = pinned
+        .iter()
+        .zip(rounds)
+        .map(|((tier, ..), r)| {
+            let task = median(r.iter().map(|p| p.0).collect());
+            let gemms = median(r.iter().map(|p| p.1).collect());
+            (*tier, task, gemms, median(r.iter().map(|p| p.0 - p.1).collect()))
+        })
+        .collect();
 
     // --- uplink: one code block
     let decode_task = median_us(|| kernels.decode_task(fb, &mut scratch, uplink, 0));
@@ -203,6 +247,11 @@ fn main() {
         blocks * g.k
     );
     println!("  demod_task - GEMMs    {:8.2}", demod_task - eq_gemm);
+    for (tier, task, gemms, tail) in &tails {
+        println!(
+            "  demod_task - GEMMs    {tail:8.2}   {tier:?} Kernels, AVX2 demapper: task {task:.2}, GEMMs {gemms:.2} ({ROUNDS} alternating rounds)"
+        );
+    }
     println!("  zf_task, one group    {zf_task:8.2}");
     println!("uplink, one code block");
     println!("  decode_task           {decode_task:8.2}");
