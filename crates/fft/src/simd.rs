@@ -557,7 +557,7 @@ unsafe fn radix4(v: __m256) -> __m256 {
 /// `execute*` entries): blocks `s` and `s + r/2` together read the slots
 /// blocks `u` and `u + r/2` write, `u = bitrev[8s] / 8` (the zmm body's
 /// pairing, [`gather_avx512`]), so the four blocks of a pair are all read
-/// before any of them is stored.
+/// into registers before any of them is stored.
 ///
 /// # Safety
 /// Requires AVX2; `bitrev` must be the bit-reversal permutation of `n`
@@ -569,63 +569,51 @@ pub(crate) unsafe fn gather_avx2<S: Steps, const RADIX4: bool, const IN_PLACE: b
     out: *mut Cf32,
     steps: &S,
 ) {
-    let r = bitrev.len() / 32;
-    if !IN_PLACE {
-        for s in 0..r {
-            store_runs(out, bitrev, s, block_avx2::<S, RADIX4>(steps, s, r));
-        }
-        return;
-    }
-    let half = r / 2;
-    for s in 0..half {
-        let u = bitrev[8 * s] as usize / 8;
+    let (r, half) = (bitrev.len() / 32, bitrev.len() / 64);
+    for s in 0..if IN_PLACE { half } else { r } {
+        let u = if IN_PLACE { bitrev[8 * s] as usize / 8 } else { s };
         if u < s {
             continue;
         }
-        let a = [block_avx2::<S, RADIX4>(steps, s, r), block_avx2::<S, RADIX4>(steps, s + half, r)];
-        if u != s {
-            let b0 = block_avx2::<S, RADIX4>(steps, u, r);
-            let b1 = block_avx2::<S, RADIX4>(steps, u + half, r);
-            store_runs(out, bitrev, u, b0);
-            store_runs(out, bitrev, u + half, b1);
+        // Block `s` alone, or in place blocks `s` and `s + r/2`, and their
+        // partners when they are others.
+        let blocks = [s, s + half, u, u + half];
+        let count = if !IN_PLACE {
+            1
+        } else if u == s {
+            2
+        } else {
+            4
+        };
+        let mut runs = [[_mm256_setzero_pd(); 8]; 4];
+        for (runs, &b) in runs.iter_mut().zip(&blocks).take(count) {
+            let mut rows = [[_mm256_setzero_pd(); 4]; 2];
+            for (j, t) in [b, b + 2 * r, b + r, b + 3 * r].into_iter().enumerate() {
+                [rows[0][j], rows[1][j]] = steps.ymm(t);
+            }
+            // Row `j` of `rows[h]` holds samples [0 1 | 4 5] (h = 0) or
+            // [2 3 | 6 7] (h = 1) of the j-th step; transposed, column
+            // `c` holds one sample of all four steps.
+            for (h, rows) in rows.iter().enumerate() {
+                let t0 = _mm256_unpacklo_pd(rows[0], rows[1]);
+                let t1 = _mm256_unpackhi_pd(rows[0], rows[1]);
+                let t2 = _mm256_unpacklo_pd(rows[2], rows[3]);
+                let t3 = _mm256_unpackhi_pd(rows[2], rows[3]);
+                runs[2 * h] = _mm256_permute2f128_pd::<0x20>(t0, t2);
+                runs[2 * h + 1] = _mm256_permute2f128_pd::<0x20>(t1, t3);
+                runs[2 * h + 4] = _mm256_permute2f128_pd::<0x31>(t0, t2);
+                runs[2 * h + 5] = _mm256_permute2f128_pd::<0x31>(t1, t3);
+            }
+            if RADIX4 {
+                for run in runs.iter_mut() {
+                    *run = _mm256_castps_pd(radix4(_mm256_castpd_ps(*run)));
+                }
+            }
         }
-        store_runs(out, bitrev, s, a[0]);
-        store_runs(out, bitrev, s + half, a[1]);
-    }
-}
-
-/// Block `s` of [`gather_avx2`]: its four steps as eight runs of four
-/// samples, run `k` holding sample `k` of every step.
-///
-/// # Safety
-/// Requires AVX2; `s < r = n / 32`.
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn block_avx2<S: Steps, const RADIX4: bool>(steps: &S, s: usize, r: usize) -> [__m256d; 8] {
-    let mut rows = [[_mm256_setzero_pd(); 4]; 2];
-    for (j, t) in [s, s + 2 * r, s + r, s + 3 * r].into_iter().enumerate() {
-        [rows[0][j], rows[1][j]] = steps.ymm(t);
-    }
-    // Row `j` of `rows[h]` holds samples [0 1 | 4 5] (h = 0) or
-    // [2 3 | 6 7] (h = 1) of the j-th step; transposed, column `c`
-    // holds one sample of all four steps.
-    let mut runs = [_mm256_setzero_pd(); 8];
-    for (h, rows) in rows.iter().enumerate() {
-        let t0 = _mm256_unpacklo_pd(rows[0], rows[1]);
-        let t1 = _mm256_unpackhi_pd(rows[0], rows[1]);
-        let t2 = _mm256_unpacklo_pd(rows[2], rows[3]);
-        let t3 = _mm256_unpackhi_pd(rows[2], rows[3]);
-        runs[2 * h] = _mm256_permute2f128_pd::<0x20>(t0, t2);
-        runs[2 * h + 1] = _mm256_permute2f128_pd::<0x20>(t1, t3);
-        runs[2 * h + 4] = _mm256_permute2f128_pd::<0x31>(t0, t2);
-        runs[2 * h + 5] = _mm256_permute2f128_pd::<0x31>(t1, t3);
-    }
-    if RADIX4 {
-        for run in &mut runs {
-            *run = _mm256_castps_pd(radix4(_mm256_castpd_ps(*run)));
+        for (runs, &b) in runs.into_iter().zip(&blocks).take(count) {
+            store_runs(out, bitrev, b, runs);
         }
     }
-    runs
 }
 
 /// Stores block `s`'s runs (a ymm or zmm register of samples each), run
@@ -696,41 +684,29 @@ pub(crate) unsafe fn gather_avx512<S: Steps, const STAGES: bool, const IN_PLACE:
         if u < s {
             continue;
         }
-        let a = block_avx512::<S, STAGES>(steps, s, r, &w4);
-        if u != s {
-            store_runs(out, bitrev, u, block_avx512::<S, STAGES>(steps, u, r, &w4));
+        let blocks = [s, u];
+        let count = if u == s { 1 } else { 2 };
+        let mut runs = [[_mm512_setzero_pd(); 8]; 2];
+        for (runs, &b) in runs.iter_mut().zip(&blocks).take(count) {
+            let mut x = [
+                steps.zmm(b),
+                steps.zmm(b + 4 * r),
+                steps.zmm(b + 2 * r),
+                steps.zmm(b + 6 * r),
+                steps.zmm(b + r),
+                steps.zmm(b + 5 * r),
+                steps.zmm(b + 3 * r),
+                steps.zmm(b + 7 * r),
+            ];
+            if STAGES {
+                radix8_rows(&mut x, &w4);
+            }
+            *runs = transpose8(&x);
         }
-        store_runs(out, bitrev, s, a);
+        for (runs, &b) in runs.into_iter().zip(&blocks).take(count) {
+            store_runs(out, bitrev, b, runs);
+        }
     }
-}
-
-/// Block `s` of [`gather_avx512`]: its eight steps, with `STAGES` through
-/// [`radix8_rows`], as eight runs of eight samples.
-///
-/// # Safety
-/// Requires AVX-512F; `s < r = n / 64`.
-#[target_feature(enable = "avx512f")]
-#[inline]
-unsafe fn block_avx512<S: Steps, const STAGES: bool>(
-    steps: &S,
-    s: usize,
-    r: usize,
-    w4: &[__m512d; 8],
-) -> [__m512d; 8] {
-    let mut x = [
-        steps.zmm(s),
-        steps.zmm(s + 4 * r),
-        steps.zmm(s + 2 * r),
-        steps.zmm(s + 6 * r),
-        steps.zmm(s + r),
-        steps.zmm(s + 5 * r),
-        steps.zmm(s + 3 * r),
-        steps.zmm(s + 7 * r),
-    ];
-    if STAGES {
-        radix8_rows(&mut x, w4);
-    }
-    transpose8(&x)
 }
 
 /// Flips the sign of every float of `v` where `mask` has `-0.0`.
