@@ -607,8 +607,9 @@ impl Kernels {
 /// tier: the vector bodies decode eight samples per step and store four
 /// steps (AVX2) or eight (AVX-512) at a time as whole runs of the grid;
 /// every tier writes what [`unpack_sample`], the scalar body, does. Reads
-/// no byte past the `skip + out.len()` samples, and writes through checked
-/// indices. The FFT task runs the same decode inside
+/// no byte past the `skip + out.len()` samples, and writes only the
+/// plan-sized `out`, each run at the plan's own bit-reversed slot. The
+/// FFT task runs the same decode inside
 /// [`FftPlan::forward_of`].
 ///
 /// # Panics
