@@ -1,14 +1,12 @@
 //! Reduces an A/B log of benchmark runs to the per-workload rows of a
 //! `BENCH_<n>.json` ([`agora_bench::runs`]), with the SIMD tier this
-//! machine detects and, when the log has box-state probes, each side's
-//! probe range and the mixed-state pairs left out of the rows;
-//! `scripts/ab.sh` calls it.
+//! machine detects; `scripts/ab.sh` calls it.
 //!
 //! ```text
 //! ab <log> <metric>:<higher|lower>:<bound>…
 //! ```
 
-use agora_bench::runs::{compare, mixed_pairs, parse, probe_ranges, to_json, Metric};
+use agora_bench::runs::{compare, parse, to_json, Metric};
 use agora_math::SimdTier;
 
 fn main() {
@@ -27,23 +25,6 @@ fn main() {
         })
         .collect();
     let log = std::fs::read_to_string(log).expect("readable log");
-    let runs = parse(&log);
-    let rows = to_json(&compare(&runs, &metrics));
-    let probes = match probe_ranges(&runs) {
-        None => String::new(),
-        Some([parent, change]) => {
-            let mixed: Vec<String> = mixed_pairs(&runs)
-                .iter()
-                .map(|(w, seed, p, c)| {
-                    format!("{{\"workload\": \"{w}\", \"seed\": {seed}, \"parent\": {p}, \"change\": {c}}}")
-                })
-                .collect();
-            format!(
-                "\"probe_us\": {{\"parent\": {parent:?}, \"change\": {change:?}}}, \
-                 \"mixed_state\": [{}], ",
-                mixed.join(", ")
-            )
-        }
-    };
-    println!("{{\"tier\": \"{:?}\", {probes}\"workloads\": {rows}}}", SimdTier::detect());
+    let rows = to_json(&compare(&parse(&log), &metrics));
+    println!("{{\"tier\": \"{:?}\", \"workloads\": {rows}}}", SimdTier::detect());
 }

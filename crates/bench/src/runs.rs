@@ -12,12 +12,6 @@
 //! side `parent` against any other side — to one [`Row`] per workload
 //! and metric, and [`to_json`] writes the rows as `scripts/ab.sh` records
 //! them in `BENCH_<n>.json`.
-//!
-//! A run line may end with [`PROBE`]: the box-state probe `scripts/ab.sh`
-//! times just before the run. A pair whose two probes differ by more than
-//! [`MIXED_STATE`] ran in two machine states; [`mixed_pairs`] lists it and
-//! [`compare`] leaves it out of every row. Logs without probes reduce as
-//! before.
 
 /// One benchmark run.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,62 +100,8 @@ pub struct Row<'a> {
     pub verdict: &'static str,
 }
 
-/// The box-state probe's metric on a run line: the median µs of a fixed
-/// scalar transform (`scripts/box_probe.rs`) timed just before the run.
-pub const PROBE: &str = "box.probe_us";
-
-/// The ratio between a pair's two probes above which the pair is
-/// mixed-state: the same binary is ≈ 1.6× apart in this machine's two
-/// speed states, so a pair across them says more about the box than
-/// about the change.
-pub const MIXED_STATE: f64 = 1.25;
-
-/// Each parent run with the change's run of the same workload and seed.
-fn pairs<'r, 'a>(runs: &'r [Run<'a>]) -> Vec<(&'r Run<'a>, &'r Run<'a>)> {
-    runs.iter()
-        .filter(|p| p.side == "parent")
-        .filter_map(|p| {
-            let same =
-                |c: &&Run| c.side != "parent" && (c.workload, c.seed) == (p.workload, p.seed);
-            Some((p, runs.iter().find(same)?))
-        })
-        .collect()
-}
-
-/// Whether a pair's two probes differ by more than [`MIXED_STATE`]; a
-/// pair without both probes is not.
-fn mixed(p: &Run, c: &Run) -> bool {
-    match (p.get(PROBE), c.get(PROBE)) {
-        (Some(a), Some(b)) => a.max(b) > MIXED_STATE * a.min(b),
-        _ => false,
-    }
-}
-
-/// The mixed-state pairs of `runs`, in log order: workload, seed, and the
-/// parent's and the change's probe.
-pub fn mixed_pairs<'a>(runs: &[Run<'a>]) -> Vec<(&'a str, u64, f64, f64)> {
-    pairs(runs)
-        .into_iter()
-        .filter(|(p, c)| mixed(p, c))
-        .map(|(p, c)| (p.workload, p.seed, p.get(PROBE).unwrap(), c.get(PROBE).unwrap()))
-        .collect()
-}
-
-/// The lowest and highest probe of each side's runs, parent first;
-/// `None` when the log has no probe.
-pub fn probe_ranges(runs: &[Run]) -> Option<[[f64; 2]; 2]> {
-    let range = |parent: bool| {
-        let probes = runs.iter().filter(|r| (r.side == "parent") == parent);
-        probes.filter_map(|r| r.get(PROBE)).fold(None, |acc: Option<[f64; 2]>, v| {
-            Some(acc.map_or([v, v], |[lo, hi]| [lo.min(v), hi.max(v)]))
-        })
-    };
-    Some([range(true)?, range(false)?])
-}
-
 /// Per workload (in order of first appearance) and metric, the medians
-/// of both sides over the seeds both ran outside a mixed state, and a
-/// verdict:
+/// of both sides over the seeds both ran, and a verdict:
 /// - `better`: the change won at least nine tenths of the pairs and its
 ///   median is better by more than the parent's interquartile distance;
 /// - `worse`: its median is worse by more than the metric's bound;
@@ -174,7 +114,16 @@ pub fn probe_ranges(runs: &[Run]) -> Option<[[f64; 2]; 2]> {
 /// parent's quartiles), `worse` when the change's share is higher or any
 /// of its runs read `correct false`, `flat` otherwise.
 pub fn compare<'a>(runs: &[Run<'a>], metrics: &[Metric<'a>]) -> Vec<Row<'a>> {
-    let pairs: Vec<(&Run, &Run)> = pairs(runs).into_iter().filter(|(p, c)| !mixed(p, c)).collect();
+    // Each parent run with the change's run of the same workload and seed.
+    let pairs: Vec<(&Run, &Run)> = runs
+        .iter()
+        .filter(|p| p.side == "parent")
+        .filter_map(|p| {
+            let same =
+                |c: &&Run| c.side != "parent" && (c.workload, c.seed) == (p.workload, p.seed);
+            Some((p, runs.iter().find(same)?))
+        })
+        .collect();
     let mut workloads = Vec::new();
     for (p, _) in &pairs {
         if !workloads.contains(&p.workload) {
@@ -338,32 +287,6 @@ mod tests {
             assert_eq!(r.verdict, verdict, "{what}");
         }
         assert!(to_json(&rows).contains(r#"{"workload": "ul_8x2", "metric": "setup_s""#));
-    }
-
-    /// Three pairs with probes, the second across two box states (14 /
-    /// 10 > 1.25): it is listed as mixed-state and left out of the rows,
-    /// which reduce the other two pairs; each side's probe range covers
-    /// every run of it. A log without probes has neither.
-    #[test]
-    fn mixed_state_pairs_are_listed_and_left_out() {
-        let log = "\
-            parent w seed 1: attempted 10 failed 0 correct true  fps 10 box.probe_us 10\n\
-            change w seed 1: attempted 10 failed 0 correct true  fps 12 box.probe_us 11\n\
-            change w seed 2: attempted 10 failed 0 correct true  fps 5 box.probe_us 14\n\
-            parent w seed 2: attempted 10 failed 0 correct true  fps 30 box.probe_us 10\n\
-            parent w seed 3: attempted 10 failed 0 correct true  fps 10 box.probe_us 12\n\
-            change w seed 3: attempted 10 failed 0 correct true  fps 12 box.probe_us 12.5\n";
-        let runs = parse(log);
-        assert_eq!(mixed_pairs(&runs), [("w", 2, 10.0, 14.0)]);
-        assert_eq!(probe_ranges(&runs), Some([[10.0, 12.0], [11.0, 14.0]]));
-        let fps = [Metric { name: "fps", higher_is_better: true, bound: 0.25 }];
-        let rows = compare(&runs, &fps);
-        let r = &rows[0];
-        assert_eq!((r.parent_median, r.change_median, r.pairs, r.won), (10.0, 12.0, 2, 2));
-        assert_eq!(r.verdict, "better");
-        assert_eq!(rows[1].pairs, 2);
-        let old = parse(include_str!("../../../results/logs/pr34_benchmark_runs.txt"));
-        assert_eq!((mixed_pairs(&old), probe_ranges(&old)), (vec![], None));
     }
 
     /// Two pairs of one workload: the failure row follows the metric

@@ -11,11 +11,6 @@
 # the parent first on odd seeds; then K `--trace 1` pairs (default 0),
 # logged as workload `<name>+trace1`; then every examples/*_sweeps.rs of
 # this checkout once per side (the same file on both: public API only).
-# Just before each run, the box-state probe (scripts/box_probe.rs, built
-# once with rustc -O, no workspace crate) times a fixed scalar transform
-# for about 50 ms; the run's line ends with `box.probe_us <v>`, and a
-# pair whose two probes differ by more than 1.25x is listed as
-# mixed-state in BENCH_<P>.json and left out of its verdicts.
 # Writes results/logs/pr<P>_benchmark_runs.txt (every run, in order),
 # results/logs/pr<P>_sweeps.txt and BENCH_<P>.json (agora_bench::runs:
 # per workload and metric both medians, the parent's quartiles, pairs
@@ -61,15 +56,11 @@ for side in parent change; do
         cargo build --release --offline --quiet --examples)
 done
 unset CARGO_TARGET_DIR
-rustc -O --edition 2021 scripts/box_probe.rs -o "$work/box_probe"
 
 run() { # side workload seed trace
-    probe=$("$work/box_probe")
     jq -r --arg side "$1" --arg w "$2$([ "$4" = 1 ] && echo +trace1)" --arg s "$3" \
-        --arg probe "$probe" \
         '"\($side) \($w) seed \($s): attempted \(.attempted) failed \(.failed) correct \(.correct) "
-         + ([.metrics | to_entries[] | " \(.key) \(.value.value)"] | join(""))
-         + " box.probe_us \($probe)"' \
+         + ([.metrics | to_entries[] | " \(.key) \(.value.value)"] | join(""))' \
         <<<"$("$work/$1-target/release/agora-benchmark" --workload "$2" --seed "$3" \
             --seconds "$seconds" --trace "$4" | tail -n 1)" | tee -a "$log"
 }
