@@ -334,9 +334,9 @@ impl Kernels {
     ///
     /// Both ends of the transform are fused into it. In front, IQ unpack,
     /// cyclic-prefix skip, the bit-reversal permutation and the first
-    /// butterfly stages are one pass: [`FftPlan::forward_of`] reads the
-    /// payload's packed samples a step at a time (`IqSteps`, the decode of
-    /// [`unpack_bitrev`]) and runs the rest of the transform. Behind,
+    /// butterfly stages are one pass: [`unpack_forward`] reads the
+    /// payload's packed samples a step at a time and runs the rest of the
+    /// transform. Behind,
     /// `fft_store` moves the active bins straight from the grid into the
     /// frame plane. The output does not depend on how antennas are grouped
     /// into batches.
@@ -358,8 +358,7 @@ impl Kernels {
         // Every payload is taken, and its antenna checked, before anything
         // is stored.
         for (i, grid) in s.grid.chunks_exact_mut(n).take(count).enumerate() {
-            let payload = fb.rx_pkts.payload(symbol, base + i);
-            self.fft.forward_of(grid, &IqSteps::new(payload, skip, n));
+            unpack_forward(fb.rx_pkts.payload(symbol, base + i), skip, &self.fft, grid);
         }
         for (i, grid) in s.grid.chunks_exact(n).take(count).enumerate() {
             self.fft_store(fb, symbol, base + i, grid);
@@ -592,32 +591,25 @@ impl Kernels {
     }
 }
 
-/// Fused IQ unpack + cyclic-prefix skip + bit-reversal: reads the packed
-/// 12-bit IQ samples of one symbol payload and writes the FFT-sized tail
-/// (samples `skip..`) into `out` in `plan`'s bit-reversed order, ready
-/// for [`FftPlan::execute_prereversed`]. One pass replaces the previous
-/// unpack → tail copy → in-place permutation sequence — the samples are
-/// touched once instead of three times. The payload is read front to
-/// back (it is cold: another core received it) and each sample is
-/// scattered to its slot of the cache-resident grid; the bit-reversal
-/// table is its own inverse, so this is the gather `out[i] =
-/// sample[bitrev[i]]` with the random accesses moved to the warm side.
-///
-/// It is [`FftPlan::gather`] of `IqSteps`, so it dispatches on `plan`'s
-/// tier: the vector bodies decode eight samples per step and store four
-/// steps (AVX2) or eight (AVX-512) at a time as whole runs of the grid;
-/// every tier writes what [`unpack_sample`], the scalar body, does. Reads
-/// no byte past the `skip + out.len()` samples, and writes only the
-/// plan-sized `out`, each run at the plan's own bit-reversed slot. The
-/// FFT task runs the same decode inside
-/// [`FftPlan::forward_of`].
+/// Fused IQ unpack + cyclic-prefix skip + bit-reversal + forward FFT:
+/// reads the packed 12-bit IQ samples of one symbol payload and leaves
+/// the transform of its FFT-sized tail (samples `skip..`) in `out`. One
+/// pass replaces the unpack → tail copy → in-place permutation sequence
+/// it grew from — the samples are touched once instead of three times —
+/// and runs the first butterfly stages on the way: it is
+/// [`FftPlan::forward_of`] of `IqSteps`, so it dispatches on `plan`'s
+/// tier, and the vector bodies decode eight samples per step and place
+/// four steps (AVX2) or eight (AVX-512) at a time as whole runs of the
+/// grid. Every tier writes the bits of [`unpack_sample`] per sample
+/// through the scalar transform. Reads no byte past the `skip +
+/// out.len()` samples. The FFT task's front.
 ///
 /// # Panics
 /// Panics unless `out` is `plan`-sized and at least 8 samples, or if the
 /// payload is shorter than `skip + out.len()` samples.
-pub fn unpack_bitrev(payload: &[u8], skip: usize, plan: &FftPlan, out: &mut [Cf32]) {
+pub fn unpack_forward(payload: &[u8], skip: usize, plan: &FftPlan, out: &mut [Cf32]) {
     assert_eq!(out.len(), plan.len(), "output must be transform-sized");
-    plan.gather(out, &IqSteps::new(payload, skip, out.len()));
+    plan.forward_of(out, &IqSteps::new(payload, skip, out.len()));
 }
 
 /// The `n` packed IQ samples of a payload after its first `skip`, as the
@@ -1350,11 +1342,9 @@ mod tests {
                     continue;
                 }
                 let got = fb.freq.row(symbol);
-                let (mut grid, mut active) = (vec![Cf32::ZERO; n], vec![Cf32::ZERO; g.q]);
+                let mut active = vec![Cf32::ZERO; g.q];
                 for ant in 0..g.m {
-                    let payload = fb.rx_pkts.payload(symbol, ant);
-                    unpack_bitrev(payload, g.samples - n, &k.fft, &mut grid);
-                    k.fft.execute_prereversed(&mut grid, Direction::Forward);
+                    let grid = naive_forward(fb.rx_pkts.payload(symbol, ant), g.samples - n, n);
                     map_of(&k).demap_symbols(&grid, &mut active);
                     for (sc, &y) in active.iter().enumerate() {
                         let col = g.sc_col(sc, ant);
@@ -1382,11 +1372,10 @@ mod tests {
         let pilots = PilotPlan::new(k.cfg.cell.pilot_scheme, g.k, g.q);
         let mk = g.m * g.k;
         let mut full = vec![Cf32::ZERO; g.q * mk];
-        let (mut grid, mut active) = (vec![Cf32::ZERO; n], vec![Cf32::ZERO; g.q]);
+        let mut active = vec![Cf32::ZERO; g.q];
         for (ordinal, symbol) in k.cfg.cell.schedule.pilot_indices().into_iter().enumerate() {
             for ant in 0..g.m {
-                unpack_bitrev(fb.rx_pkts.payload(symbol, ant), g.samples - n, &k.fft, &mut grid);
-                k.fft.execute_prereversed(&mut grid, Direction::Forward);
+                let grid = naive_forward(fb.rx_pkts.payload(symbol, ant), g.samples - n, n);
                 map_of(k).demap_symbols(&grid, &mut active);
                 for (sc, &y) in active.iter().enumerate() {
                     if let Some((user, p)) = pilots.owner(ordinal, sc) {
@@ -1612,13 +1601,49 @@ mod tests {
         refused("ZF of group `groups`", &|s| k.zf_task(fb, s, k.shape.zf_groups));
     }
 
-    /// The fused unpack → bit-reversal gather plus `execute_prereversed`
-    /// must be bit-identical to the naive pipeline it replaced: unpack
-    /// everything, copy the FFT-sized tail, run the full transform — at
-    /// the test size and the engine's 2048, on both tiers.
+    /// The unfused front of an FFT task, the pipeline [`unpack_forward`]
+    /// replaced: every sample of the payload unpacked, the FFT-sized tail
+    /// past `skip` copied out and run through the full transform, with
+    /// its own permutation pass, on the scalar tier.
+    fn naive_forward(payload: &[u8], skip: usize, n: usize) -> Vec<Cf32> {
+        let mut time = Vec::new();
+        agora_phy::iq::unpack_samples(payload, &mut time);
+        let mut x = time[skip..skip + n].to_vec();
+        FftPlan::with_tier(n, SimdTier::Scalar).execute(&mut x, Direction::Forward);
+        x
+    }
+
+    /// Step `t` of `steps` as `tier`'s body decodes it, one `u64` of bits
+    /// per sample in order (the AVX2 body's two registers hold samples
+    /// `[0 1 | 4 5]` and `[2 3 | 6 7]`). Called only with a tier the CPU
+    /// supports.
+    fn step_bits(steps: &IqSteps, t: usize, tier: SimdTier) -> [u64; 8] {
+        #[cfg(target_arch = "x86_64")]
+        use core::arch::x86_64::{__m256d, __m512d};
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY (both arms): the caller's tier is one the CPU supports,
+        // and 64 bytes of registers are 64 bytes of bits.
+        match tier {
+            SimdTier::Avx512 => {
+                return unsafe { core::mem::transmute::<__m512d, [u64; 8]>(steps.zmm(t)) };
+            }
+            SimdTier::Avx2 => {
+                let [a, b] =
+                    unsafe { core::mem::transmute::<[__m256d; 2], [[u64; 4]; 2]>(steps.ymm(t)) };
+                return [a[0], a[1], b[0], b[1], a[2], a[3], b[2], b[3]];
+            }
+            SimdTier::Scalar => {}
+        }
+        steps.step(t).map(|z| z.re.to_bits() as u64 | (z.im.to_bits() as u64) << 32)
+    }
+
+    /// The fused unpack, bit-reversal and transform must be bit-identical
+    /// to the naive pipeline it replaced: unpack everything, copy the
+    /// FFT-sized tail, run the full transform — at the test size and the
+    /// engine's 2048, on every tier.
     #[test]
-    fn fused_unpack_bitrev_matches_naive_pipeline() {
-        use agora_phy::iq::{pack_samples, unpack_samples};
+    fn fused_unpack_forward_matches_naive_pipeline() {
+        use agora_phy::iq::pack_samples;
 
         let skip = 16; // emulate a cyclic prefix ahead of the window
         for n in [64, 2048] {
@@ -1633,57 +1658,44 @@ mod tests {
                 .collect();
             let mut payload = Vec::new();
             pack_samples(&samples, &mut payload);
-
-            // Naive path: unpack all, copy tail, full execute (with its
-            // own bit-reversal pass) on the scalar tier.
-            let mut time = Vec::new();
-            unpack_samples(&payload, &mut time);
-            let mut naive: Vec<Cf32> = time[skip..].to_vec();
-            FftPlan::with_tier(n, SimdTier::Scalar).execute(&mut naive, Direction::Forward);
-
+            let naive = naive_forward(&payload, skip, n);
             for tier in SimdTier::supported() {
-                let plan = FftPlan::with_tier(n, tier);
                 let mut fused = vec![Cf32::ZERO; n];
-                unpack_bitrev(&payload, skip, &plan, &mut fused);
-                plan.execute_prereversed(&mut fused, Direction::Forward);
+                unpack_forward(&payload, skip, &FftPlan::with_tier(n, tier), &mut fused);
                 assert!(bits(&naive) == bits(&fused), "n {n} on {tier:?}");
             }
         }
     }
 
-    /// Every one of the 2^24 sample words decodes to the same bits on
-    /// every tier. Release only (`scripts/ci.sh` runs it there).
+    /// Every one of the 2^24 sample words decodes to the same bits in
+    /// every tier's step body. Release only (`scripts/ci.sh` runs it
+    /// there).
     #[test]
     #[cfg_attr(debug_assertions, ignore)]
     fn every_sample_word_unpacks_alike_on_every_tier() {
         const N: usize = 4096;
-        let scalar = FftPlan::with_tier(N, SimdTier::Scalar);
-        let vector: Vec<FftPlan> =
-            SimdTier::supported().skip(1).map(|tier| FftPlan::with_tier(N, tier)).collect();
-        let (mut want, mut got) = (vec![Cf32::ZERO; N], vec![Cf32::ZERO; N]);
         let mut payload = vec![0u8; N * BYTES_PER_SAMPLE];
         for first in (0..1u32 << 24).step_by(N) {
             for (word, bytes) in (first..).zip(payload.chunks_exact_mut(BYTES_PER_SAMPLE)) {
                 bytes.copy_from_slice(&word.to_le_bytes()[..BYTES_PER_SAMPLE]);
             }
-            unpack_bitrev(&payload, 0, &scalar, &mut want);
-            for plan in &vector {
-                unpack_bitrev(&payload, 0, plan, &mut got);
-                let tier = plan.tier();
-                assert!(
-                    bits(&got) == bits(&want),
-                    "{tier:?}: words {first}..{}",
-                    first as usize + N
-                );
+            let steps = IqSteps::new(&payload, 0, N);
+            for t in 0..N / 8 {
+                let want = step_bits(&steps, t, SimdTier::Scalar);
+                for tier in SimdTier::supported().skip(1) {
+                    let word = first as usize + 8 * t;
+                    assert!(step_bits(&steps, t, tier) == want, "{tier:?}: words {word}..");
+                }
             }
         }
     }
 
     proptest! {
-        /// Every tier writes the same grid from any payload bytes: every
-        /// power-of-two transform from 8 to 4096 points, prefixes of 0, 1,
-        /// 7 and 16 samples, payloads of exactly `skip + n` samples (the
-        /// engine's) and longer.
+        /// Every tier decodes the same steps and transforms them to the
+        /// same grid from any payload bytes: every power-of-two transform
+        /// from 8 to 4096 points, prefixes of 0, 1, 7 and 16 samples,
+        /// payloads of exactly `skip + n` samples (the engine's) and
+        /// longer.
         #[test]
         fn unpack_tiers_agree_on_any_payload(
             log2n in 3usize..13,
@@ -1701,11 +1713,16 @@ mod tests {
                     (state >> 24) as u8
                 })
                 .collect();
+            let steps = IqSteps::new(&payload, skip, n);
             let mut want = vec![Cf32::new(f32::NAN, 0.0); n];
-            unpack_bitrev(&payload, skip, &FftPlan::with_tier(n, SimdTier::Scalar), &mut want);
+            unpack_forward(&payload, skip, &FftPlan::with_tier(n, SimdTier::Scalar), &mut want);
             for tier in SimdTier::supported().skip(1) {
+                for t in 0..n / 8 {
+                    let decoded = step_bits(&steps, t, tier);
+                    prop_assert!(decoded == step_bits(&steps, t, SimdTier::Scalar), "step {}", t);
+                }
                 let mut got = vec![Cf32::new(f32::NAN, 0.0); n];
-                unpack_bitrev(&payload, skip, &FftPlan::with_tier(n, tier), &mut got);
+                unpack_forward(&payload, skip, &FftPlan::with_tier(n, tier), &mut got);
                 prop_assert!(bits(&got) == bits(&want), "n {} skip {} {:?}", n, skip, tier);
             }
         }

@@ -14,10 +14,10 @@
 //! bit-reversed order use [`FftPlan::execute_prereversed`] and skip the
 //! permutation pass entirely; callers whose input comes a step of eight
 //! samples at a time ([`Steps`]: the engine's IQ payloads, the IFFT's
-//! frequency lines) use [`FftPlan::gather`] or [`FftPlan::forward_of`],
-//! which place it and run the first stages in one pass; and
-//! [`FftPlan::execute_batch`] runs several independent transforms through
-//! each stage together so twiddle loads amortize across the batch.
+//! frequency lines) use [`FftPlan::forward_of`], which places it and runs
+//! the first stages in one pass; and [`FftPlan::execute_batch`] runs
+//! several independent transforms through each stage together so twiddle
+//! loads amortize across the batch.
 
 use agora_math::simd::SimdTier;
 use agora_math::Cf32;
@@ -32,10 +32,10 @@ pub enum Direction {
 }
 
 /// Input a transform reads step by step: `n / 8` steps of eight samples,
-/// step `t` being samples `8t..8t + 8` in natural order. [`FftPlan::gather`]
-/// and [`FftPlan::forward_of`] take it, so a source that must be decoded
-/// or assembled first is read one step at a time into registers and
-/// written once, in bit-reversed order. Every method returns the same
+/// step `t` being samples `8t..8t + 8` in natural order.
+/// [`FftPlan::forward_of`] takes it, so a source that must be decoded or
+/// assembled first is read one step at a time into registers and written
+/// once, in bit-reversed order. Every method returns the same
 /// samples, bit for bit; the vector ones are called only on a CPU with
 /// their features and with `t < n / 8`.
 pub trait Steps {
@@ -279,7 +279,8 @@ impl FftPlan {
     /// In-place transform of `data.len() / self.len()` independent,
     /// back-to-back transforms. All transforms advance through each
     /// butterfly stage together, so per-stage twiddle loads are shared
-    /// across the batch (the engine's per-symbol antenna batch).
+    /// across the batch (the benchmark's `fft.fwd_us` / `fft.inv_us`
+    /// leaf runs a batch).
     ///
     /// # Panics
     /// Panics if `data.len()` is not a multiple of the plan size.
@@ -288,17 +289,22 @@ impl FftPlan {
         self.run(data, dir, false);
     }
 
-    /// `x` into `out` in bit-reversed order, for `x` given as eight-sample
-    /// [`Steps`] in natural order: what [`Self::execute_prereversed`]
-    /// takes. The vector bodies place four steps (AVX2) or eight
+    /// The forward transform of `x`, given as [`Steps`], into `out`: `x`
+    /// placed in bit-reversed order ([`Self::bitrev`]) and then
+    /// [`Self::execute_prereversed`] with [`Direction::Forward`], so the
+    /// bits are theirs. The vector bodies place four steps (AVX2) or eight
     /// (AVX-512, 64 points and up) at a time as whole 32- or 64-byte runs
-    /// of `out` (DESIGN.md §4.1), so input that must be decoded or
-    /// gathered first — a fronthaul payload's packed IQ samples — is
-    /// written once, in place.
+    /// of `out` (DESIGN.md §4.1) and run the first butterfly stages on the
+    /// runs before they are stored: the first two on the AVX2 tier (each
+    /// 32-byte run is one radix-4 group), the first three on the AVX-512
+    /// tier, between the eight rows of steps before their transpose. So
+    /// the uplink's IQ payloads and the IFFT task's frequency lines
+    /// ([`Conj`]) reach the remaining stages without a copy, a permutation
+    /// pass or a pass of their own for the first stages.
     ///
     /// # Panics
     /// Panics unless `out.len()` is the plan size and at least 8.
-    pub fn gather(&self, out: &mut [Cf32], steps: &impl Steps) {
+    pub fn forward_of(&self, out: &mut [Cf32], steps: &impl Steps) {
         assert!(out.len() == self.n && self.n >= 8, "output must be one transform of 8+ points");
         #[cfg(target_arch = "x86_64")]
         // SAFETY (both arms): the tier is clamped to what the CPU supports,
@@ -306,48 +312,15 @@ impl FftPlan {
         // twiddles are this plan's.
         if self.tier >= SimdTier::Avx512 && self.n >= 64 {
             let (re, im) = (&self.tw_re_dup, &self.tw_im_alt);
-            let out = out.as_mut_ptr();
-            unsafe {
-                crate::simd::gather_avx512::<_, false, false>(&self.bitrev, out, steps, re, im)
-            };
-            return;
-        } else if self.tier >= SimdTier::Avx2 && self.n >= 32 {
-            unsafe {
-                crate::simd::gather_avx2::<_, false, false>(&self.bitrev, out.as_mut_ptr(), steps)
-            };
-            return;
-        }
-        self.gather_scalar(out, steps);
-    }
-
-    /// The forward transform of `x`, given as [`Steps`], into `out`: the
-    /// operations of [`Self::gather`] and then [`Self::execute_prereversed`]
-    /// with [`Direction::Forward`], so the bits are theirs. The vector
-    /// bodies run the first butterfly stages on the placed runs before
-    /// they are stored: the first two on the AVX2 tier (each 32-byte run is
-    /// one radix-4 group), the first three on the AVX-512 tier, between
-    /// the eight rows of steps before their transpose. So the uplink's IQ
-    /// payloads and the IFFT task's frequency lines ([`Conj`]) reach the
-    /// remaining stages without a copy, a permutation pass or a pass of
-    /// their own for the first stages.
-    ///
-    /// # Panics
-    /// Panics unless `out.len()` is the plan size and at least 8.
-    pub fn forward_of(&self, out: &mut [Cf32], steps: &impl Steps) {
-        assert!(out.len() == self.n && self.n >= 8, "output must be one transform of 8+ points");
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY (both arms): as in `gather`.
-        if self.tier >= SimdTier::Avx512 && self.n >= 64 {
-            let (re, im) = (&self.tw_re_dup, &self.tw_im_alt);
             unsafe {
                 let p = out.as_mut_ptr();
-                crate::simd::gather_avx512::<_, true, false>(&self.bitrev, p, steps, re, im);
+                crate::simd::gather_avx512::<_, false>(&self.bitrev, p, steps, re, im);
                 crate::simd::butterflies_avx512(out, self.n, re, im, true);
             }
             return;
         } else if self.tier >= SimdTier::Avx2 && self.n >= 32 {
             unsafe {
-                crate::simd::gather_avx2::<_, true, false>(&self.bitrev, out.as_mut_ptr(), steps);
+                crate::simd::gather_avx2::<_, false>(&self.bitrev, out.as_mut_ptr(), steps);
                 crate::simd::butterflies_avx2(out, self.n, &self.tw_re_dup, &self.tw_im_alt, true);
             }
             return;
@@ -356,7 +329,8 @@ impl FftPlan {
         self.butterflies(out, false);
     }
 
-    /// The scalar body of [`Self::gather`].
+    /// The scalar placement of [`Self::forward_of`]: `x` into `out` in
+    /// bit-reversed order.
     fn gather_scalar(&self, out: &mut [Cf32], steps: &impl Steps) {
         for (t, slots) in self.bitrev.chunks_exact(8).enumerate() {
             for (&j, x) in slots.iter().zip(steps.step(t)) {
@@ -463,9 +437,9 @@ impl FftPlan {
     unsafe fn gather_in_place(&self, out: *mut Cf32, steps: &impl Steps) {
         let (re, im) = (&self.tw_re_dup, &self.tw_im_alt);
         if self.tier >= SimdTier::Avx512 {
-            crate::simd::gather_avx512::<_, true, true>(&self.bitrev, out, steps, re, im);
+            crate::simd::gather_avx512::<_, true>(&self.bitrev, out, steps, re, im);
         } else {
-            crate::simd::gather_avx2::<_, true, true>(&self.bitrev, out, steps);
+            crate::simd::gather_avx2::<_, true>(&self.bitrev, out, steps);
         }
     }
 
@@ -768,7 +742,7 @@ mod tests {
     /// `forward_of(Conj)` is the conjugated input in bit-reversed order, a
     /// missing step as `(+0, -0)`, through `execute_prereversed(Forward)`,
     /// on every tier and size 8..=4096; behind `conj / n` that is the same
-    /// tier's inverse transform, bit for bit. `gather` is that grid.
+    /// tier's inverse transform, bit for bit.
     #[test]
     fn forward_of_conj_is_the_forward_transform_of_the_conjugate() {
         for log2 in 3..=12 {
@@ -783,9 +757,6 @@ mod tests {
                 plan.execute(&mut inverse, Direction::Inverse);
                 let mut want: Vec<Cf32> =
                     plan.bitrev().iter().map(|&j| natural[j as usize].conj()).collect();
-                let mut gathered = vec![Cf32::new(f32::NAN, 1.0); n];
-                plan.gather(&mut gathered, &Conj(|t| steps[t]));
-                assert!(bits(&gathered) == bits(&want), "n {n} {tier:?}: gather");
                 let mut out = vec![Cf32::new(f32::NAN, 1.0); n];
                 plan.forward_of(&mut out, &Conj(|t| steps[t]));
                 plan.execute_prereversed(&mut want, Direction::Forward);
@@ -798,7 +769,7 @@ mod tests {
 
     /// Every vector tier writes the AVX2 tier's bits: every size 8..=4096,
     /// both directions, one transform and a batch of three in natural
-    /// order, one pre-reversed, and both step entries.
+    /// order, one pre-reversed, and one from steps.
     #[test]
     fn vector_tiers_are_bit_identical() {
         for log2 in 3..=12 {
@@ -817,11 +788,9 @@ mod tests {
                     plan.execute_prereversed(&mut pre, dir);
                     outs.extend([single, batch, pre]);
                 }
-                let mut gathered = vec![Cf32::ZERO; n];
-                plan.gather(&mut gathered, &Conj(|t| steps[t]));
                 let mut forward = vec![Cf32::ZERO; n];
                 plan.forward_of(&mut forward, &Conj(|t| steps[t]));
-                outs.extend([gathered, forward]);
+                outs.push(forward);
                 outs.iter().map(|v| bits(v)).collect::<Vec<_>>()
             };
             let avx2 = run(SimdTier::Avx2);

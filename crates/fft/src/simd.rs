@@ -541,17 +541,16 @@ unsafe fn radix4(v: __m256) -> __m256 {
     _mm256_add_ps(lo, _mm256_xor_ps(tv, neg_hi))
 }
 
-/// The AVX2 body of [`crate::FftPlan::gather`] (`RADIX4` clear) and
-/// [`crate::FftPlan::forward_of`] (set), for transforms of 32 points or
-/// more. With `r = n / 32`, natural-order steps `s`, `s + 2r`, `s + r` and
+/// The AVX2 front of [`crate::FftPlan::forward_of`], for transforms of 32
+/// points or more. With `r = n / 32`, natural-order steps `s`, `s + 2r`, `s + r` and
 /// `s + 3r` (`s < r`) differ only in the two top bits of their sample
 /// indices, which the bit reversal sends to the two lowest: sample `k` of
 /// the four lands on four consecutive slots from `bitrev[8s + k]`, a
 /// multiple of 4. A 4 x 4 transpose of the eight-byte samples turns the
-/// four steps into eight such runs, each one 32-byte store; with `RADIX4`,
-/// each run — exactly one radix-4 group of the bit-reversed grid — first
-/// takes the transform's first two butterfly stages ([`radix4`]) in the
-/// same register.
+/// four steps into eight such runs, each one 32-byte store; each run —
+/// exactly one radix-4 group of the bit-reversed grid — first takes the
+/// transform's first two butterfly stages ([`radix4`]) in the same
+/// register.
 ///
 /// With `IN_PLACE` the steps may read `out` itself (the natural-order
 /// `execute*` entries): blocks `s` and `s + r/2` together read the slots
@@ -564,7 +563,7 @@ unsafe fn radix4(v: __m256) -> __m256 {
 /// points, a power of two of at least 32 (64 with `IN_PLACE`), and `out`
 /// must be valid for `n` writes, with no reference to them alive.
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn gather_avx2<S: Steps, const RADIX4: bool, const IN_PLACE: bool>(
+pub(crate) unsafe fn gather_avx2<S: Steps, const IN_PLACE: bool>(
     bitrev: &[u32],
     out: *mut Cf32,
     steps: &S,
@@ -604,10 +603,8 @@ pub(crate) unsafe fn gather_avx2<S: Steps, const RADIX4: bool, const IN_PLACE: b
                 runs[2 * h + 4] = _mm256_permute2f128_pd::<0x31>(t0, t2);
                 runs[2 * h + 5] = _mm256_permute2f128_pd::<0x31>(t1, t3);
             }
-            if RADIX4 {
-                for run in runs.iter_mut() {
-                    *run = _mm256_castps_pd(radix4(_mm256_castpd_ps(*run)));
-                }
+            for run in runs.iter_mut() {
+                *run = _mm256_castps_pd(radix4(_mm256_castpd_ps(*run)));
             }
         }
         for (runs, &b) in runs.into_iter().zip(&blocks).take(count) {
@@ -631,14 +628,13 @@ unsafe fn store_runs<R>(out: *mut Cf32, bitrev: &[u32], s: usize, runs: [R; 8]) 
     }
 }
 
-/// The AVX-512 body of [`crate::FftPlan::gather`] (`STAGES` clear) and
-/// [`crate::FftPlan::forward_of`] (set), for transforms of 64 points or
-/// more. With `r = n / 64`, the eight steps `s + j r` (`s < r`, `j` in
-/// three-bit-reversed order) differ only in the three top bits of their
-/// sample indices, so sample `k` of the eight lands on the eight
-/// consecutive slots from `bitrev[8s + k]`: one radix-8 group of the
-/// bit-reversed grid per lane. Each step is one zmm row ([`Steps::zmm`]);
-/// with `STAGES`, the transform's first three butterfly stages run
+/// The AVX-512 front of [`crate::FftPlan::forward_of`], for transforms
+/// of 64 points or more. With `r = n / 64`, the eight steps `s + j r`
+/// (`s < r`, `j` in three-bit-reversed order) differ only in the three
+/// top bits of their sample indices, so sample `k` of the eight lands on
+/// the eight consecutive slots from `bitrev[8s + k]`: one radix-8 group
+/// of the bit-reversed grid per lane. Each step is one zmm row
+/// ([`Steps::zmm`]); the transform's first three butterfly stages run
 /// *between* the rows, lane by lane, with the AVX2 body's operations —
 /// stages 1 and 2 as [`radix4`] does them, stage 4 as [`stage_triple`]'s
 /// `cmul` with the stored twiddles, `j = 0` included — so the bits are
@@ -659,7 +655,7 @@ unsafe fn store_runs<R>(out: *mut Cf32, bitrev: &[u32], s: usize, runs: [R; 8]) 
 /// arrays the matching plan's, and `out` valid for `n` writes, with no
 /// reference to them alive.
 #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vbmi")]
-pub(crate) unsafe fn gather_avx512<S: Steps, const STAGES: bool, const IN_PLACE: bool>(
+pub(crate) unsafe fn gather_avx512<S: Steps, const IN_PLACE: bool>(
     bitrev: &[u32],
     out: *mut Cf32,
     steps: &S,
@@ -698,9 +694,7 @@ pub(crate) unsafe fn gather_avx512<S: Steps, const STAGES: bool, const IN_PLACE:
                 steps.zmm(b + 3 * r),
                 steps.zmm(b + 7 * r),
             ];
-            if STAGES {
-                radix8_rows(&mut x, &w4);
-            }
+            radix8_rows(&mut x, &w4);
             *runs = transpose8(&x);
         }
         for (runs, &b) in runs.into_iter().zip(&blocks).take(count) {

@@ -5,7 +5,7 @@
 //! matrix transposes; and non-temporal (streaming) stores to skip the
 //! cache-coherence traffic when a block's output is consumed by cores
 //! other than the producer (§4.1). The IQ conversion is fused into the
-//! FFT task's unpack (`agora_core::kernels::unpack_bitrev`) and the
+//! FFT task's unpack (`agora_core::kernels::unpack_forward`) and the
 //! demodulation SIMD lives in `agora-phy` next to its tables; this module
 //! provides the shared data-plane kernels, transposes and streaming
 //! stores, with scalar fallbacks and `std::arch` AVX2 fast paths selected

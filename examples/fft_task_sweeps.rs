@@ -1,7 +1,7 @@
 //! Where an (I)FFT task's time goes: the sweeps around the transform
-//! timed one by one through their public entry points — the unpack on
-//! each tier and as its scalar oracle, the forward and inverse
-//! butterflies — next to the whole task bodies, per SIMD tier (a
+//! timed one by one through their public entry points — the FFT task's
+//! fused unpack and forward transform, the forward and inverse
+//! butterflies alone — next to the whole task bodies, per SIMD tier (a
 //! `Kernels::with_tier` over the same frame), on a frame primed by one
 //! inline pass (EXPERIMENTS.md, "FFT task sweeps").
 //!
@@ -10,7 +10,7 @@
 //! cargo run --release --example fft_task_sweeps small    # 8x2, 256/240
 //! ```
 
-use agora_core::kernels::unpack_bitrev;
+use agora_core::kernels::unpack_forward;
 use agora_core::{EngineConfig, InlineProcessor, Kernels};
 use agora_fft::{Direction, FftPlan, SubcarrierMap};
 use agora_fronthaul::packet::decode_ref;
@@ -37,7 +37,6 @@ fn main() {
     let fb = proc.buffers(0);
     let g = proc.kernels().geom;
     let n = cell.fft_size;
-    let oracle = FftPlan::with_tier(n, SimdTier::Scalar);
     let map = SubcarrierMap::new(n, cell.num_data_sc);
     let mut grid = vec![Cf32::ZERO; n];
     let mut active = vec![Cf32::ZERO; cell.num_data_sc];
@@ -57,7 +56,7 @@ fn main() {
         let mut scratch = kernels.scratch();
         // One column of samples per stage; each rep walks to the next
         // antenna so successive tasks touch the lines a real symbol would.
-        let mut ns: [Vec<u128>; 8] = Default::default();
+        let mut ns: [Vec<u128>; 7] = Default::default();
         for rep in 0..REPS {
             let ant = rep % g.m;
             let payload = payloads[ant];
@@ -66,39 +65,38 @@ fn main() {
                 col.push(t.elapsed().as_nanos());
                 t = Instant::now();
             };
-            unpack_bitrev(payload, g.samples - n, &oracle, &mut grid);
+            unpack_forward(payload, g.samples - n, &plan, &mut grid);
             lap(&mut ns[0]);
-            unpack_bitrev(payload, g.samples - n, &plan, &mut grid);
-            lap(&mut ns[1]);
             plan.execute_prereversed(&mut grid, Direction::Forward);
-            lap(&mut ns[2]);
+            lap(&mut ns[1]);
             map.demap_symbols(&grid, &mut active);
             std::hint::black_box(&active);
-            lap(&mut ns[3]);
+            lap(&mut ns[2]);
             plan.execute_prereversed(&mut grid, Direction::Inverse);
             std::hint::black_box(&grid);
-            lap(&mut ns[4]);
+            lap(&mut ns[3]);
             kernels.fft_task(fb, &mut scratch, uplink, ant);
-            lap(&mut ns[5]);
+            lap(&mut ns[4]);
             kernels.fft_task(fb, &mut scratch, pilot, ant);
-            lap(&mut ns[6]);
+            lap(&mut ns[5]);
             kernels.ifft_task(fb, &mut scratch, downlink, ant);
-            lap(&mut ns[7]);
+            lap(&mut ns[6]);
         }
-        let [oracle, unpack, forward, demap, inverse, ul_task, pilot_task, ifft_task] =
+        let [unpack, forward, demap, inverse, ul_task, pilot_task, ifft_task] =
             ns.map(|mut col| {
                 col.sort_unstable();
                 col[col.len() / 2] as f64 / 1e3
             });
         let tier = format!("{tier:?}");
         println!("{tier}:");
-        println!("  unpack_bitrev, scalar{oracle:8.2}   the oracle: unpack_sample per sample");
-        println!("  unpack_bitrev, {tier:<6}{unpack:8.2}   the FFT task's decode and placement");
-        println!("  execute_prereversed  {forward:8.2}   forward");
+        println!(
+            "  unpack_forward       {unpack:8.2}   the FFT task's decode, placement and transform"
+        );
+        println!("  execute_prereversed  {forward:8.2}   forward butterflies");
         println!(
             "  demap_symbols        {demap:8.2}   (a sweep of its own once; fused into the store)"
         );
-        println!("  execute_prereversed  {inverse:8.2}   inverse");
+        println!("  execute_prereversed  {inverse:8.2}   inverse butterflies");
         println!("  fft_task, uplink     {ul_task:8.2}   {tier}");
         let ratio = pilot_task / ul_task;
         println!("  fft_task, pilot      {pilot_task:8.2}   {tier}, {ratio:.2}x the uplink task");

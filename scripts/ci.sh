@@ -46,7 +46,7 @@ allow=" new default len is_empty fmt "
 # Functions only tests call that another crate's tests need public (a
 # scalar oracle, a harness helper), each with a test that needs it:
 oracles="
-unpack_samples     agora-core kernels::tests::fused_unpack_bitrev_matches_naive_pipeline,
+unpack_samples     agora-core kernels::tests::fused_unpack_forward_matches_naive_pipeline,
                    agora-fronthaul rru::tests::pilot_symbol_survives_fft_roundtrip
 wait_next          tests/uplink_integration.rs::paced_processing_tracks_frame_rate
 "
