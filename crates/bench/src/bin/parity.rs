@@ -207,7 +207,8 @@ fn awgn_llrs(tx: &[u8], snr_db: f32, rng: &mut StdRng) -> Vec<f32> {
 /// The (base graph, Z) points the benches sweep, plus shapes that are not
 /// a whole number of vectors in either plane (padded lanes). Per case: one
 /// noiseless word, then seven at operating SNR where both planes must
-/// still land on the transmitted bits.
+/// still land on the transmitted bits; then the eight as four pairs
+/// through `decode_pair_into` on every tier.
 fn decoder() {
     const CASES: &[(BaseGraphId, usize)] = &[
         (BaseGraphId::Bg1, 384),
@@ -216,6 +217,7 @@ fn decoder() {
         (BaseGraphId::Bg2, 56),
         (BaseGraphId::Bg2, 36),
         (BaseGraphId::Bg1, 30),
+        (BaseGraphId::Bg2, 12),
     ];
     for &(bg, z) in CASES {
         let enc = Encoder::new(bg, z);
@@ -234,6 +236,7 @@ fn decoder() {
         let mut full_i8 = vec![0i8; dec_i8.codeword_len()];
         let (mut f32_tiers_agree, mut tiers_agree) = (true, true);
         let (mut f32_lands, mut i8_lands) = (true, true);
+        let mut words = Vec::new();
         for word in 0..8 {
             let info: Vec<u8> = (0..enc.info_len()).map(|_| rng.gen::<bool>() as u8).collect();
             let tx = rm.extract(&enc.encode(&info));
@@ -266,12 +269,34 @@ fn decoder() {
             }
             f32_lands &= rf.success && rf.info_bits == info;
             i8_lands &= ri.success && ri.info_bits == info;
+            words.push((full_i8.clone(), rs));
+        }
+        let cfg_i8 = DecodeConfigI8 {
+            max_iters: 8,
+            active_rows: Some(rm.active_rows()),
+            ..Default::default()
+        };
+        let mut pairs_agree = true;
+        for tier in SimdTier::supported() {
+            let mut dec = DecoderI8::with_tier(bg, z, tier);
+            for pair in words.chunks_exact(2) {
+                let mut out = [vec![0u8; dec.info_len()], vec![0u8; dec.info_len()]];
+                let [a, b] = &mut out;
+                let got = dec.decode_pair_into([&pair[0].0, &pair[1].0], &cfg_i8, [a, b]);
+                let want = [&pair[0].1, &pair[1].1];
+                pairs_agree &= got == want.map(|r| (r.success, r.iterations))
+                    && out == want.map(|r| r.info_bits.clone());
+            }
         }
         check(
             f32_tiers_agree,
             &format!("{bg:?} Z={z}: f32 decoder bit-exact, detected vs scalar tier"),
         );
         check(tiers_agree, &format!("{bg:?} Z={z}: i8 decoder bit-exact, every tier vs scalar"));
+        check(
+            pairs_agree,
+            &format!("{bg:?} Z={z}: i8 pairs (decode_pair_into) == two scalar decodes, every tier"),
+        );
         check(f32_lands, &format!("{bg:?} Z={z}: f32 plane decodes clean + 5 dB words"));
         check(i8_lands, &format!("{bg:?} Z={z}: i8 plane decodes clean + 5 dB words"));
     }

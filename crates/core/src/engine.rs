@@ -885,12 +885,23 @@ fn worker_loop(wid: usize, cells: &[CellCore], assigned: &AtomicUsize, shutdown:
         if !batch.is_empty() {
             backoff.reset();
             done.clear();
-            for msg in &batch {
+            let mut rest = &batch[..];
+            while !rest.is_empty() {
+                // A run of decode messages executes as one; each is still
+                // recorded, with its share of the time, and completed.
+                let (run, after) = rest.split_at(decode_run(rest, core.kernels.packs_pairs()));
+                let mut msg = run[0];
+                msg.count = run.iter().map(|m| m.count).sum();
                 let t0 = Instant::now();
-                execute(&core.kernels, &core.window, &mut scratches[cell], msg);
+                execute(&core.kernels, &core.window, &mut scratches[cell], &msg);
                 let ns = t0.elapsed().as_nanos() as u64;
-                stats.record(wid, msg.task, msg.count as u64, ns);
-                done.push(msg.complete(wid as u16));
+                for m in run {
+                    let share =
+                        if run.len() == 1 { ns } else { ns * m.count as u64 / msg.count as u64 };
+                    stats.record(wid, m.task, m.count as u64, share);
+                    done.push(m.complete(wid as u16));
+                }
+                rest = after;
             }
             // Completion pushes amortised: one claim per batch.
             let mut off = 0;
@@ -926,6 +937,26 @@ fn worker_loop(wid: usize, cells: &[CellCore], assigned: &AtomicUsize, shutdown:
     }
 }
 
+/// How many messages at the front of `batch` run as one [`execute`]:
+/// when the kernels decode users in pairs, a run of `Decode` messages of
+/// one frame and symbol whose users follow on from each other; one
+/// message otherwise.
+fn decode_run(batch: &[Msg], packs_pairs: bool) -> usize {
+    let first = batch[0];
+    if !packs_pairs || first.task != TaskType::Decode {
+        return 1;
+    }
+    let mut next = first.base + first.count;
+    let joins = |m: &&Msg| {
+        let join = m.task == TaskType::Decode
+            && (m.frame, m.symbol) == (first.frame, first.symbol)
+            && m.base == next;
+        next += m.count;
+        join
+    };
+    1 + batch[1..].iter().take_while(joins).count()
+}
+
 /// Runs the kernel(s) a task message stands for — the only
 /// message-to-kernel mapping; the inline processor calls it too. An
 /// (I)FFT message of any size runs as one batched transform.
@@ -947,11 +978,7 @@ pub(crate) fn execute(
             }
         }
         TaskType::Demod => kernels.demod_task(fb, scratch, msg.frame, symbol, base, count),
-        TaskType::Decode => {
-            for user in base..base + count {
-                kernels.decode_task(fb, scratch, symbol, user);
-            }
-        }
+        TaskType::Decode => kernels.decode_users_task(fb, scratch, symbol, base, count),
         TaskType::Encode => {
             for user in base..base + count {
                 kernels.encode_task(fb, msg.frame, symbol, user);
@@ -970,6 +997,30 @@ mod tests {
     use crate::deploy::{Deployment, DeploymentConfig};
     use agora_fronthaul::{MemFronthaul, RruConfig, RruEmulator};
     use agora_phy::CellConfig;
+
+    /// A worker runs adjacent decode messages as one only when the kernels
+    /// pack pairs and the messages share frame and symbol with users that
+    /// follow on from each other.
+    #[test]
+    fn decode_runs_join_contiguous_users_of_one_symbol() {
+        let decode =
+            |frame, symbol, base, count| Msg::task(TaskType::Decode, frame, symbol, base, count);
+        let run = |batch: &[Msg]| decode_run(batch, true);
+        let users =
+            [decode(3, 2, 0, 1), decode(3, 2, 1, 1), decode(3, 2, 2, 2), decode(3, 2, 4, 1)];
+        assert_eq!(run(&users), 4);
+        assert_eq!(decode_run(&users, false), 1, "kernels that do not pack run each alone");
+        assert_eq!(run(&users[2..]), 2);
+        assert_eq!(run(&[decode(3, 2, 0, 1), decode(3, 2, 2, 1)]), 1, "a gap in the users");
+        assert_eq!(run(&[decode(3, 2, 1, 1), decode(3, 2, 0, 1)]), 1, "users out of order");
+        assert_eq!(run(&[decode(3, 2, 0, 1), decode(4, 2, 1, 1)]), 1, "another frame");
+        assert_eq!(run(&[decode(3, 2, 0, 1), decode(3, 3, 1, 1)]), 1, "another symbol");
+        let encode = Msg::task(TaskType::Encode, 3, 2, 1, 1);
+        assert_eq!(run(&[decode(3, 2, 0, 1), encode]), 1, "another task type");
+        assert_eq!(run(&[encode, decode(3, 2, 2, 1)]), 1, "only decodes join");
+        let demod = Msg::task(TaskType::Demod, 3, 2, 1, 1);
+        assert_eq!(run(&[decode(3, 2, 0, 1), decode(3, 2, 1, 1), demod]), 2);
+    }
 
     /// A ZF completion names groups of the frame, never a symbol: the
     /// lane that holds data symbol 2 stays its lane.

@@ -228,8 +228,9 @@ pub struct WorkerScratch {
     zf_pre: CMat,
     zf_pinv: PinvScratch,
     decoder: DecoderI8,
-    /// A code block's LLRs as rate matching re-inflates them.
-    full_llr: Vec<i8>,
+    /// Two code blocks' LLRs as rate matching re-inflates them: a pair's,
+    /// or a lone block's in the first.
+    full_llr: [Vec<i8>; 2],
     /// The IFFT task's [`IfftStep::Staged`] steps, natural order. Only
     /// their active bins are ever written, so the guard bins among them
     /// keep the zeros the row was allocated with.
@@ -311,7 +312,7 @@ impl Kernels {
             zf_pre: CMat::zeros(g.m, g.k),
             zf_pinv: PinvScratch::with_tier(g.m, g.k, self.tier),
             decoder: DecoderI8::with_tier(ldpc.base_graph, ldpc.z, self.tier),
-            full_llr: vec![0; self.rate_match.codeword_len()],
+            full_llr: [(); 2].map(|_| vec![0; self.rate_match.codeword_len()]),
             ifft_stage: vec![Cf32::ZERO; staged_len(&self.ifft_steps)],
         }
     }
@@ -477,15 +478,59 @@ impl Kernels {
         symbol: usize,
         user: usize,
     ) {
-        let tx_len = self.rate_match.tx_len();
+        let [full, _] = &mut s.full_llr;
+        self.fill_llrs(fb, symbol, user, full);
+        let out = fb.decoded.row_mut((symbol, user), ..);
+        let (success, _) = s.decoder.decode_into(full, &self.decode_cfg(), out);
+        fb.decode_ok.store((symbol, user), 0, success as u8);
+    }
+
+    /// [`Self::decode_task`] for users `base..base + count` of one symbol.
+    /// Where the decoder packs pairs ([`Self::packs_pairs`]), two users'
+    /// blocks share one decode ([`DecoderI8::decode_pair_into`]) and a
+    /// lone last user decodes alone; the bits are the same either way.
+    pub fn decode_users_task(
+        &self,
+        fb: &FrameBuffers,
+        s: &mut WorkerScratch,
+        symbol: usize,
+        base: usize,
+        count: usize,
+    ) {
+        let (end, mut user) = (base + count, base);
+        while self.packs_pairs() && user + 2 <= end {
+            for (b, full) in s.full_llr.iter_mut().enumerate() {
+                self.fill_llrs(fb, symbol, user + b, full);
+            }
+            let out = [0, 1].map(|b| fb.decoded.row_mut((symbol, user + b), ..));
+            let [a, b] = &s.full_llr;
+            let results = s.decoder.decode_pair_into([a, b], &self.decode_cfg(), out);
+            for (b, (success, _)) in results.into_iter().enumerate() {
+                fb.decode_ok.store((symbol, user + b), 0, success as u8);
+            }
+            user += 2;
+        }
+        for user in user..end {
+            self.decode_task(fb, s, symbol, user);
+        }
+    }
+
+    /// Whether [`Self::decode_users_task`] decodes two users per pass.
+    pub fn packs_pairs(&self) -> bool {
+        DecoderI8::packs_pairs(self.cfg.cell.ldpc.z, self.tier)
+    }
+
+    /// A `(symbol, user)` block's received LLRs, re-inflated into `full`.
+    fn fill_llrs(&self, fb: &FrameBuffers, symbol: usize, user: usize, full: &mut [i8]) {
+        let llr = fb.llr.row((symbol, user));
+        self.rate_match.fill_llrs_into(&llr[..self.rate_match.tx_len()], full);
+    }
+
+    /// The decode every block of the cell runs.
+    fn decode_cfg(&self) -> DecodeConfigI8 {
         let max_iters = self.cfg.cell.ldpc.max_iters;
         let active_rows = Some(self.rate_match.active_rows());
-        let out = fb.decoded.row_mut((symbol, user), ..);
-        let llr = fb.llr.row((symbol, user));
-        self.rate_match.fill_llrs_into(&llr[..tx_len], &mut s.full_llr);
-        let cfg = DecodeConfigI8 { max_iters, active_rows, ..Default::default() };
-        let (success, _) = s.decoder.decode_into(&s.full_llr, &cfg, out);
-        fb.decode_ok.store((symbol, user), 0, success as u8);
+        DecodeConfigI8 { max_iters, active_rows, ..Default::default() }
     }
 
     /// LDPC encode task (downlink): the deterministic MAC payload of
@@ -1072,7 +1117,7 @@ mod tests {
         let s = k.scratch();
         assert_eq!(s.grid.len(), k.cfg.batch.fft.max(1) * k.cfg.cell.fft_size);
         assert!((s.grid.as_ptr() as usize).is_multiple_of(agora_math::simd::CACHE_LINE));
-        assert_eq!(s.full_llr.len(), k.rate_match().codeword_len());
+        assert!(s.full_llr.iter().all(|full| full.len() == k.rate_match().codeword_len()));
         assert_eq!(s.zf_h.shape(), (k.geom.m, k.geom.k));
         assert_eq!(s.zf_det.shape(), (k.geom.k, k.geom.m));
         assert_eq!(s.zf_pre.shape(), (k.geom.m, k.geom.k));

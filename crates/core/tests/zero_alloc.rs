@@ -104,6 +104,7 @@ fn task_bodies_are_allocation_free() {
         });
         body("demod", &mut || kernels.demod_task(fb, s, 0, uplink, 0, g.q));
         body("decode", &mut || (0..g.k).for_each(|user| kernels.decode_task(fb, s, uplink, user)));
+        body("decode users", &mut || kernels.decode_users_task(fb, s, uplink, 0, g.k));
         body("encode", &mut || {
             (0..g.k).for_each(|user| kernels.encode_task(fb, 0, downlink, user))
         });
@@ -130,6 +131,7 @@ fn task_bodies_are_allocation_free() {
         ("zf", 0),
         ("demod", 0),
         ("decode", 0),
+        ("decode users", 0),
         ("encode", 0),
         ("precode", 0),
         ("ifft", 0),

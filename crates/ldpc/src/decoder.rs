@@ -211,7 +211,7 @@ impl Decoder {
     /// Creates a decoder pinned to a specific SIMD tier (parity tests and
     /// Table 5-style ablations).
     pub fn with_tier(id: BaseGraphId, z: usize, tier: SimdTier) -> Self {
-        let g = Lifted::new(id, z, F32Plane::LANES, tier);
+        let g = Lifted::new(id, z, F32Plane::LANES, 1, tier);
         Self {
             msgs: vec![0.0; g.msgs_len()],
             post: vec![0.0; g.post_len()],
@@ -255,8 +255,14 @@ impl Decoder {
             early_termination: cfg.early_termination,
             active_rows: cfg.active_rows,
         };
-        let (success, iterations) =
-            decode_layered::<F32Plane>(&self.g, &mut st, llr, cfg.offset, sched, &mut info_bits);
+        let [(success, iterations)] = decode_layered::<F32Plane, 1>(
+            &self.g,
+            &mut st,
+            [llr],
+            cfg.offset,
+            sched,
+            [&mut info_bits],
+        );
         DecodeResult { info_bits, success, iterations }
     }
 }
@@ -518,7 +524,7 @@ mod proptests {
     use super::*;
     use crate::base_graph::{BaseGraph, CORE_ROWS};
     use crate::encoder::Encoder;
-    use crate::zlane::syndrome_ok;
+    use crate::zlane::failing_slots;
     use proptest::prelude::*;
 
     const LANE_ZS: [usize; 10] = [2, 3, 7, 8, 9, 12, 16, 56, 104, 384];
@@ -651,13 +657,13 @@ mod proptests {
                 let at = flip_at as usize % post.len();
                 post[at] = if post[at] < 0.0 { 1.0 } else { -1.0 };
             }
-            let g = Lifted::new(id, z, F32Plane::LANES, SimdTier::Scalar);
+            let g = Lifted::new(id, z, F32Plane::LANES, 1, SimdTier::Scalar);
             let mut hard = vec![0u8; g.hard_len()];
             let mut padded = vec![0.0; g.post_len()];
             for (p, c) in padded.chunks_exact_mut(g.stride()).zip(post.chunks_exact(z)) {
                 p[..z].copy_from_slice(c);
             }
-            let got = syndrome_ok::<F32Plane>(&g, &padded, &mut hard, rows);
+            let got = failing_slots::<F32Plane>(&g, &padded, &mut hard, rows, 1) == 0;
             prop_assert_eq!(got, reference::parity_ok(bg, z, &post, rows));
             if !noise && !flip {
                 prop_assert!(got, "a codeword satisfies every check");

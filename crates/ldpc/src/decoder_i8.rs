@@ -16,12 +16,18 @@
 //! contiguous `i8` arrays — exactly the shape AVX2 byte ops want
 //! (`vpsubsb`/`vpabsb`/`vpminsb`/`vpaddsb`, 32 lanes per instruction).
 //! The lane kernel has a scalar tier and an AVX2 tier behind
-//! [`SimdTier`] runtime dispatch. The AVX-512 tier goes further for
-//! strides 32, 64 and 128: it never gathers. Each entry's rotated slice
-//! is a byte permute (`vpermb`, or `vpermi2b` over a register pair) of
-//! the column's posterior block, taken inside the lane passes, and the
-//! updated slice goes back through the inverse permute, padding lanes
-//! zeroed, so no row scratch is copied in or out.
+//! [`SimdTier`] runtime dispatch. The AVX-512 tier goes further where a
+//! column is one zmm register or two: it never gathers. Each entry's
+//! rotated slice is a byte permute (`vpermb`, or `vpermi2b` over a
+//! register pair) of the column's posterior block, taken in pass 1 of
+//! the lane passes and kept for pass 2, and the updated slice goes back
+//! through the inverse permute, padding lanes zeroed, so no row scratch
+//! is copied in or out. The early-termination syndrome rotates the same
+//! way and reads the sign bits with `vpmovb2m`. At `Z <= 32` a column's
+//! zmm register holds two code blocks, lanes 0–31 and 32–63 (`zlane`'s
+//! slots): [`DecoderI8::decode_pair_into`] decodes two blocks in the
+//! passes one would take, each leaving at its own iteration, and a lone
+//! block runs with the second slot all zero.
 //!
 //! They are **bit-exact** against each other by construction: every
 //! vector instruction used has an exact scalar counterpart (saturating i8
@@ -167,16 +173,19 @@ impl Plane for I8Plane {
         v.saturating_add(UP).saturating_sub(UP).saturating_sub(DOWN).saturating_add(DOWN)
     }
 
-    /// On x86-64: 16 lanes at a time from each column's start, clamped by
-    /// SSE2 saturating adds ([`Self::prior`]'s); the last chunk of a
-    /// column reads on into the next column's lanes and masks them to
-    /// the padding's zero. Columns whose last chunk would read past the
-    /// end of `llr` go lane by lane.
-    fn priors(g: &Lifted, llr: &[i8], post: &mut [i8]) {
-        let (z, stride) = (g.z(), g.stride());
+    /// On x86-64: 16 lanes at a time from the start of each column's
+    /// slot, clamped by SSE2 saturating adds ([`Self::prior`]'s); the
+    /// last chunk of a column reads on into the next column's lanes and
+    /// masks them to the padding's zero. Columns whose last chunk would
+    /// read past the end of `llr` go lane by lane.
+    fn priors(g: &Lifted, llr: &[i8], post: &mut [i8], slot: usize) {
+        let (z, stride, lane0) = (g.z(), g.stride(), slot * g.slot_stride());
         let (chunks, cols) = (z.div_ceil(16), llr.len() / z);
         assert!(
-            llr.len() == g.codeword_len() && post.len() == cols * stride && chunks * 16 <= stride
+            llr.len() == g.codeword_len()
+                && post.len() == cols * stride
+                && slot < g.slots()
+                && chunks * 16 <= g.slot_stride()
         );
         // Columns `c` with `c * z + chunks * 16 <= llr.len()`.
         let fast = match cfg!(target_arch = "x86_64") {
@@ -191,13 +200,14 @@ impl Plane for I8Plane {
             const UP: i8 = I8_LLR_MAX - I8_CHAN_MAX;
             // SAFETY: SSE2 is part of the x86-64 baseline. Column `c <
             // fast` reads `llr[c * z..c * z + chunks * 16]` and writes
-            // `post[c * stride..c * stride + chunks * 16]`, both in bounds
-            // by the definition of `fast` and the assertion.
+            // `chunks * 16` bytes of `post` from `c * stride + lane0`, both
+            // in bounds by the definition of `fast` and the assertion.
             unsafe {
                 let keep = _mm_loadu_si128(keep.as_ptr().cast());
                 let (up, down) = (_mm_set1_epi8(UP), _mm_set1_epi8(UP + 1));
                 for c in 0..fast {
-                    let (src, dst) = (llr.as_ptr().add(c * z), post.as_mut_ptr().add(c * stride));
+                    let src = llr.as_ptr().add(c * z);
+                    let dst = post.as_mut_ptr().add(c * stride + lane0);
                     let clamped = |k: usize| {
                         let v = _mm_loadu_si128(src.add(16 * k).cast());
                         let v = _mm_subs_epi8(_mm_adds_epi8(v, up), up);
@@ -214,7 +224,7 @@ impl Plane for I8Plane {
             }
         }
         for (p, l) in post.chunks_exact_mut(stride).zip(llr.chunks_exact(z)).skip(fast) {
-            for (p, &l) in p.iter_mut().zip(l) {
+            for (p, &l) in p[lane0..].iter_mut().zip(l) {
                 *p = Self::prior(l);
             }
         }
@@ -240,9 +250,14 @@ impl Plane for I8Plane {
 
     fn fused_row(g: &Lifted, post: &mut [i8], msgs: &mut [i8], edges: &[Edge], offset: i8) -> bool {
         #[cfg(target_arch = "x86_64")]
-        if g.tier() >= SimdTier::Avx512 && matches!(g.stride(), 32 | 64 | 128) {
-            assert!(post.len() == g.post_len() && msgs.len() == edges.len() * g.stride());
-            let (post, msgs, z) = (post.as_mut_ptr(), msgs.as_mut_ptr(), g.z());
+        if zmm_body(g) {
+            assert!(
+                post.len() == g.post_len()
+                    && msgs.len() == edges.len() * g.stride()
+                    && edges.len() <= MAX_DEGREE
+            );
+            let (post, msgs) = (post.as_mut_ptr(), msgs.as_mut_ptr());
+            let (z, slot) = (g.z(), g.slot_stride());
             // SAFETY: `Lifted::new` admits the tier only on a CPU that has
             // it; the lifted graph's columns are the posterior plane's, so
             // every entry's block lies in `post`, and `msgs` holds the
@@ -250,9 +265,8 @@ impl Plane for I8Plane {
             // (`zlane`'s padding rule).
             unsafe {
                 match g.stride() {
-                    32 => fused_row_ymm_avx512(post, msgs, edges, z, offset),
-                    64 => fused_row_zmm_avx512::<1>(post, msgs, edges, z, offset),
-                    _ => fused_row_zmm_avx512::<2>(post, msgs, edges, z, offset),
+                    64 => fused_row_zmm_avx512::<1>(post, msgs, edges, z, slot, offset),
+                    _ => fused_row_zmm_avx512::<2>(post, msgs, edges, z, slot, offset),
                 }
             }
             return true;
@@ -261,12 +275,27 @@ impl Plane for I8Plane {
         false
     }
 
-    /// For `Z <= 128`, on every tier: a column's hard decisions are the
-    /// sign bits of its posterior block, one SSE2 `pmovmskb` per 16
-    /// lanes into a `u128`, packed when a row first reads the column, and
-    /// an entry's rotated slice is that word rotated right by the shift
-    /// within `Z` bits — no byte plane, no slice copies.
-    fn packed_syndrome(g: &Lifted, post: &[i8], rows: usize) -> Option<bool> {
+    /// On the AVX-512 tier at strides 64 and 128, the entries' rotated
+    /// sign bits straight from the blocks ([`syndrome_zmm_avx512`]), both
+    /// slots of a pair at once. Otherwise, for `Z <= 128` on every tier:
+    /// a column's hard decisions are the sign bits of its posterior
+    /// block, one SSE2 `pmovmskb` per 16 lanes into a `u128`, packed when
+    /// a row first reads the column, and an entry's rotated slice is that
+    /// word rotated right by the shift within `Z` bits — no byte plane,
+    /// no slice copies.
+    fn packed_syndrome(g: &Lifted, post: &[i8], rows: usize, pending: u8) -> Option<u8> {
+        #[cfg(target_arch = "x86_64")]
+        if zmm_body(g) {
+            assert!(post.len() == g.post_len() && rows <= g.active_rows(None));
+            // SAFETY: as in `fused_row`: the tier is the CPU's, every
+            // entry's block lies in `post`, and its padding is zero.
+            return Some(unsafe {
+                match g.stride() {
+                    64 => syndrome_zmm_avx512::<1>(g, post.as_ptr(), rows, pending),
+                    _ => syndrome_zmm_avx512::<2>(g, post.as_ptr(), rows, pending),
+                }
+            });
+        }
         #[cfg(target_arch = "x86_64")]
         if g.stride() <= 128 {
             use core::arch::x86_64::{__m128i, _mm_loadu_si128, _mm_movemask_epi8};
@@ -300,12 +329,36 @@ impl Plane for I8Plane {
                 });
                 parity & lanes == 0
             });
-            return Some(ok);
+            return Some(pending & !ok as u8);
         }
-        let _ = (g, post, rows);
+        let _ = (g, post, rows, pending);
         None
     }
 }
+
+impl I8Plane {
+    /// Code blocks a column holds: two on the AVX-512 tier at `Z <= 32`,
+    /// where a pair fills the zmm register one block would leave 32 or
+    /// more lanes of; one otherwise.
+    fn slots(z: usize, tier: SimdTier) -> usize {
+        match cfg!(target_arch = "x86_64") && tier >= SimdTier::Avx512 && z <= 32 {
+            true => 2,
+            false => 1,
+        }
+    }
+}
+
+/// Does `g` run the AVX-512 bodies: its tier, and a stride of one zmm
+/// register (a pair of `Z <= 32` blocks, or one block of `Z <= 64`) or
+/// two?
+#[cfg(target_arch = "x86_64")]
+fn zmm_body(g: &Lifted) -> bool {
+    g.tier() >= SimdTier::Avx512 && matches!(g.stride(), 64 | 128)
+}
+
+/// The widest base row of either graph, which the AVX-512 body keeps a
+/// row's extrinsics for; [`DecoderI8::with_tier`] asserts it.
+const MAX_DEGREE: usize = 20;
 
 /// Scalar tier of [`I8Plane::row_update`]: the AVX2 kernel's structure —
 /// one vector's worth of lanes at a time, their two minima, position of
@@ -423,31 +476,13 @@ static LANE_IDS: [u8; 128] = {
     ids
 };
 
-/// The AVX-512 instructions of the fused row body at one register width,
-/// under one set of names: [`ymm`] for a 32-lane stride, [`zmm`] for 64
-/// and 128.
-#[cfg(target_arch = "x86_64")]
-mod ymm {
-    pub(super) use core::arch::x86_64::{
-        __m256i as Reg, _mm256_abs_epi8 as abs, _mm256_add_epi8 as add, _mm256_adds_epi8 as adds,
-        _mm256_cmpeq_epi8_mask as eq, _mm256_cmplt_epi8_mask as lt, _mm256_cmplt_epu8_mask as lt_u,
-        _mm256_loadu_epi8 as load, _mm256_mask_blend_epi8 as blend,
-        _mm256_mask_sub_epi8 as mask_sub, _mm256_max_epi8 as max, _mm256_min_epi8 as min,
-        _mm256_min_epu8 as min_u, _mm256_movepi8_mask as sign,
-        _mm256_permutex2var_epi8 as permute2, _mm256_permutexvar_epi8 as permute,
-        _mm256_set1_epi8 as splat, _mm256_setzero_si256 as zero, _mm256_storeu_epi8 as store,
-        _mm256_sub_epi8 as sub, _mm256_subs_epi8 as subs,
-    };
-    pub(super) const WIDTH: usize = 32;
-}
-
-/// See [`ymm`].
+/// The AVX-512 instructions of the zmm bodies, under short names.
 #[cfg(target_arch = "x86_64")]
 mod zmm {
     pub(super) use core::arch::x86_64::{
         __m512i as Reg, _mm512_abs_epi8 as abs, _mm512_add_epi8 as add, _mm512_adds_epi8 as adds,
-        _mm512_cmpeq_epi8_mask as eq, _mm512_cmplt_epi8_mask as lt, _mm512_cmplt_epu8_mask as lt_u,
-        _mm512_loadu_epi8 as load, _mm512_mask_blend_epi8 as blend,
+        _mm512_and_si512 as and, _mm512_cmpeq_epi8_mask as eq, _mm512_cmplt_epi8_mask as lt,
+        _mm512_cmplt_epu8_mask as lt_u, _mm512_loadu_epi8 as load, _mm512_mask_blend_epi8 as blend,
         _mm512_mask_sub_epi8 as mask_sub, _mm512_max_epi8 as max, _mm512_min_epi8 as min,
         _mm512_min_epu8 as min_u, _mm512_movepi8_mask as sign,
         _mm512_permutex2var_epi8 as permute2, _mm512_permutexvar_epi8 as permute,
@@ -457,127 +492,104 @@ mod zmm {
     pub(super) const WIDTH: usize = 64;
 }
 
-/// The body of the AVX-512 tier's fused row, over the registers of module
-/// `$w` ([`ymm`] or [`zmm`]), `N` of them to a column's posterior block:
-/// [`I8Plane::row_update`] between the gather and scatter of `zlane`'s
-/// layered row, with both rotations done in registers. Lane `i < z` of an
-/// entry's slice is byte `(i + shift) % z` of the block, one `vpermb`
-/// (`N = 1`) or `vpermi2b` (`N = 2`) with an index vector built from the
-/// shift; padding lanes read the block's own zero padding, as the
-/// gather leaves the row scratch's. Pass 1 reads blocks and messages and
-/// keeps the lane state in registers — the two minima and the position
-/// of the smallest in vectors, the sign parity in a mask register; pass 2
-/// recomputes each extrinsic the same way (neither was written since),
-/// stores the new message, and writes the updated slice back through the
-/// inverse rotation, padding zeroed. The lane arithmetic is
-/// [`row_update_avx2`]'s, instruction for instruction, with
-/// mask-register compares and blends, so the bits are the scalar tier's.
-/// Every load and store is a whole, unmasked register, so a block one row
-/// stores is forwarded to the next row's load.
+/// The rotations of a column block of `N` zmm registers whose slots,
+/// `slot` lanes each, hold one `Z`-lane block apiece: lane `j < z` of a
+/// slot, at `base + j`, reads lane `base + (j + shift) % z` of the block,
+/// and the slots' padding lanes read themselves. One index vector serves
+/// every slot, since they share `(BG, Z)`.
 #[cfg(target_arch = "x86_64")]
-macro_rules! fused_row_body {
-    ($w:ident, $post:ident, $msgs:ident, $edges:ident, $z:ident, $offset:ident) => {{
-        use $w::*;
-        let stride = N * WIDTH;
-        let floor = splat(-I8_LLR_MAX);
-        let vz = splat($z as u8 as i8);
-        let (mut ids, mut real) = ([zero(); N], [0; N]);
+#[derive(Clone, Copy)]
+struct Rotations<const N: usize> {
+    /// Lane `i` is `i`.
+    ids: [zmm::Reg; N],
+    /// A lane's place in its slot.
+    within: [zmm::Reg; N],
+    /// The first lane of a lane's slot.
+    base: [zmm::Reg; N],
+    /// The lanes below `z` of every slot; the rest are padding.
+    real: [u64; N],
+    z: zmm::Reg,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl<const N: usize> Rotations<N> {
+    /// # Safety
+    /// The CPU must support AVX-512 F and BW; `slot` is a power of two
+    /// from 32 to `64 * N`, and `z <= slot`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn new(z: usize, slot: usize) -> Self {
+        use zmm::*;
+        let (vz, keep) = (splat(z as u8 as i8), splat((slot - 1) as u8 as i8));
+        let (mut ids, mut within, mut base, mut real) =
+            ([zero(); N], [zero(); N], [zero(); N], [0; N]);
         for h in 0..N {
-            ids[h] = load(LANE_IDS.as_ptr().add(WIDTH * h) as *const i8);
-            // The rotated lanes; the rest are padding.
-            real[h] = lt_u(ids[h], vz);
+            ids[h] = load(LANE_IDS.as_ptr().add(WIDTH * h).cast());
+            within[h] = and(ids[h], keep);
+            base[h] = sub(ids[h], within[h]);
+            real[h] = lt_u(within[h], vz);
         }
-        // Lane `i < z` of the result reads lane `(i + shift) % z`, the
-        // others their own. `shift <= z <= 128`, so no byte sum wraps, and
-        // `sum - z` wraps to above `sum` exactly when `sum < z`.
-        let rotation = |shift: usize| {
-            let mut idx = [zero(); N];
-            for h in 0..N {
-                let sum = add(ids[h], splat(shift as u8 as i8));
-                idx[h] = blend(real[h], ids[h], min_u(sum, sub(sum, vz)));
-            }
-            idx
-        };
-        let permute_block = |idx: Reg, v: &[Reg; N]| {
-            if N == 1 {
-                permute(idx, v[0])
-            } else {
-                permute2(v[0], idx, v[N - 1])
-            }
-        };
-        // The extrinsics `max(rotated - msgs, -127)` of entry `k`.
-        let extrinsics = |k: usize, e: &Edge| {
-            let block = $post.add(e.col as usize * stride);
-            let mut b = [zero(); N];
-            for h in 0..N {
-                b[h] = load(block.add(WIDTH * h));
-            }
-            let idx = rotation(e.shift as usize);
-            let mut v = [zero(); N];
-            for h in 0..N {
-                let m = load($msgs.add(k * stride + WIDTH * h));
-                v[h] = max(subs(permute_block(idx[h], &b), m), floor);
-            }
-            v
-        };
+        Self { ids, within, base, real, z: vz }
+    }
 
-        let mut min1 = [splat(I8_LLR_MAX); N];
-        let mut min2 = min1;
-        let mut min_pos = [splat(-1); N];
-        // Bit set in lanes with an odd number of negative extrinsics.
-        let mut negative = [0; N];
-        for (k, e) in $edges.iter().enumerate() {
-            let v = extrinsics(k, e);
-            for h in 0..N {
-                let a = abs(v[h]);
-                let lt1 = lt(a, min1[h]);
-                min2[h] = blend(lt1, min(min2[h], a), min1[h]);
-                min1[h] = min(min1[h], a);
-                min_pos[h] = blend(lt1, min_pos[h], splat(k as i8));
-                negative[h] ^= sign(v[h]);
-            }
+    /// The index vectors of a rotation by `shift <= z`. `within + shift <
+    /// 2 * z <= 256`, so no byte sum wraps, and `sum - z` wraps to above
+    /// `sum` exactly when `sum < z`.
+    ///
+    /// # Safety
+    /// As [`Self::new`].
+    #[allow(clippy::needless_range_loop)]
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw")]
+    unsafe fn index(&self, shift: usize) -> [zmm::Reg; N] {
+        use zmm::*;
+        let mut idx = [zero(); N];
+        for h in 0..N {
+            let sum = add(self.within[h], splat(shift as u8 as i8));
+            let wrapped = add(self.base[h], min_u(sum, sub(sum, self.z)));
+            idx[h] = blend(self.real[h], self.ids[h], wrapped);
         }
-        let (off, msg_max) = (splat($offset), splat(I8_MSG_MAX));
-        let clip = |m| min(max(subs(m, off), zero()), msg_max);
-        let (m1, m2) = (min1.map(clip), min2.map(clip));
-        for (k, e) in $edges.iter().enumerate() {
-            let v = extrinsics(k, e);
-            let mut t = [zero(); N];
-            for h in 0..N {
-                let mag = blend(eq(min_pos[h], splat(k as i8)), m1[h], m2[h]);
-                let msg = mask_sub(mag, negative[h] ^ sign(v[h]), zero(), mag);
-                store($msgs.add(k * stride + WIDTH * h), msg);
-                t[h] = max(adds(v[h], msg), floor);
-            }
-            let block = $post.add(e.col as usize * stride);
-            let back = rotation($z - e.shift as usize);
-            for h in 0..N {
-                store(block.add(WIDTH * h), blend(real[h], zero(), permute_block(back[h], &t)));
-            }
+        idx
+    }
+
+    /// One register of the block `v` rotated by `idx`: `vpermb`, or
+    /// `vpermi2b` over a register pair.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512 F, BW and VBMI.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+    unsafe fn apply(idx: zmm::Reg, v: &[zmm::Reg; N]) -> zmm::Reg {
+        use zmm::*;
+        if N == 1 {
+            permute(idx, v[0])
+        } else {
+            permute2(v[0], idx, v[N - 1])
         }
-    }};
+    }
 }
 
-/// The AVX-512 tier's fused row for a 32-lane stride, on ymm registers
-/// ([`fused_row_body`]).
+/// The AVX-512 tier's fused row for a stride of `64 * N` lanes, `N` zmm
+/// registers to a column block, whose slots of `slot` lanes hold one code
+/// block each: [`I8Plane::row_update`] between the gather and scatter of
+/// `zlane`'s layered row, with both rotations done in registers
+/// ([`Rotations`]). Pass 1 reads blocks and messages, keeps the lane state
+/// in registers — the two minima and the position of the smallest in
+/// vectors, the sign parity in a mask register — and keeps each entry's
+/// extrinsics; pass 2 stores the new message from them and writes the
+/// updated slice back through the inverse rotation, padding zeroed. The
+/// lane arithmetic is [`row_update_avx2`]'s, instruction for instruction,
+/// with mask-register compares and blends, so the bits are the scalar
+/// tier's. Every load and store is a whole, unmasked register, so a block
+/// one row stores is forwarded to the next row's load.
 ///
 /// # Safety
-/// The CPU must support AVX-512 F, BW, VL and VBMI; the stride is 32 and
-/// `z <= 32`; `post` holds every entry's column block, `col * 32` on, its
-/// padding lanes zero, and `msgs` one 32-byte run per entry. The entries
-/// have distinct columns.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vbmi")]
-unsafe fn fused_row_ymm_avx512(post: *mut i8, msgs: *mut i8, edges: &[Edge], z: usize, offset: i8) {
-    const N: usize = 1;
-    fused_row_body!(ymm, post, msgs, edges, z, offset)
-}
-
-/// The AVX-512 tier's fused row for a stride of `64 * N` lanes, on `N`
-/// zmm registers per block ([`fused_row_body`]).
-///
-/// # Safety
-/// As [`fused_row_ymm_avx512`], with a stride of `64 * N`, `N` 1 or 2.
+/// The CPU must support AVX-512 F, BW, VL and VBMI; `slot` is a power of
+/// two from 32 to `64 * N` and `z <= slot`; `post` holds every entry's
+/// column block, `col * 64 * N` on, its padding lanes zero, and `msgs` one
+/// `64 * N`-byte run per entry, of at most [`MAX_DEGREE`] entries. The
+/// entries have distinct columns.
+#[allow(clippy::needless_range_loop)]
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vbmi")]
 unsafe fn fused_row_zmm_avx512<const N: usize>(
@@ -585,9 +597,113 @@ unsafe fn fused_row_zmm_avx512<const N: usize>(
     msgs: *mut i8,
     edges: &[Edge],
     z: usize,
+    slot: usize,
     offset: i8,
 ) {
-    fused_row_body!(zmm, post, msgs, edges, z, offset)
+    use core::mem::MaybeUninit;
+    use zmm::*;
+    let stride = N * WIDTH;
+    let rot = Rotations::<N>::new(z, slot);
+    let floor = splat(-I8_LLR_MAX);
+    // Each entry's extrinsics `max(rotated - msgs, -127)`, written in
+    // pass 1 before pass 2 reads them.
+    let mut ext = [const { MaybeUninit::<[Reg; N]>::uninit() }; MAX_DEGREE];
+    let mut min1 = [splat(I8_LLR_MAX); N];
+    let mut min2 = min1;
+    let mut min_pos = [splat(-1); N];
+    // Bit set in lanes with an odd number of negative extrinsics.
+    let mut negative = [0; N];
+    for (k, e) in edges.iter().enumerate() {
+        let block = post.add(e.col as usize * stride);
+        let mut b = [zero(); N];
+        for h in 0..N {
+            b[h] = load(block.add(WIDTH * h));
+        }
+        let idx = rot.index(e.shift as usize);
+        let mut v = [zero(); N];
+        for h in 0..N {
+            let m = load(msgs.add(k * stride + WIDTH * h));
+            v[h] = max(subs(Rotations::apply(idx[h], &b), m), floor);
+            let a = abs(v[h]);
+            let lt1 = lt(a, min1[h]);
+            min2[h] = blend(lt1, min(min2[h], a), min1[h]);
+            min1[h] = min(min1[h], a);
+            min_pos[h] = blend(lt1, min_pos[h], splat(k as i8));
+            negative[h] ^= sign(v[h]);
+        }
+        ext[k].write(v);
+    }
+    let (off, msg_max) = (splat(offset), splat(I8_MSG_MAX));
+    let clip = |m| min(max(subs(m, off), zero()), msg_max);
+    let (m1, m2) = (min1.map(clip), min2.map(clip));
+    for (k, e) in edges.iter().enumerate() {
+        let v = ext[k].assume_init();
+        let mut t = [zero(); N];
+        for h in 0..N {
+            let mag = blend(eq(min_pos[h], splat(k as i8)), m1[h], m2[h]);
+            let msg = mask_sub(mag, negative[h] ^ sign(v[h]), zero(), mag);
+            store(msgs.add(k * stride + WIDTH * h), msg);
+            t[h] = max(adds(v[h], msg), floor);
+        }
+        let block = post.add(e.col as usize * stride);
+        let back = rot.index(z - e.shift as usize);
+        for h in 0..N {
+            store(block.add(WIDTH * h), blend(rot.real[h], zero(), Rotations::apply(back[h], &t)));
+        }
+    }
+}
+
+/// The AVX-512 tier's syndrome, for the layouts [`fused_row_zmm_avx512`]
+/// runs: per active row, each entry's column block rotated by its shift
+/// ([`Rotations`]) and its sign bits (`vpmovb2m`) XORed into one `u64` per
+/// register. A slot fails on the first row whose XOR has a bit in one of
+/// its real lanes; the pass stops once every slot of `pending` has failed,
+/// and returns the failing ones among them.
+///
+/// # Safety
+/// As [`fused_row_zmm_avx512`], for `g`'s layout, with `post` the whole
+/// posterior plane and `rows` at most `g`'s base rows.
+#[allow(clippy::needless_range_loop)]
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vbmi")]
+unsafe fn syndrome_zmm_avx512<const N: usize>(
+    g: &Lifted,
+    post: *const i8,
+    rows: usize,
+    pending: u8,
+) -> u8 {
+    use zmm::*;
+    let (stride, slot) = (N * WIDTH, g.slot_stride());
+    let rot = Rotations::<N>::new(g.z(), slot);
+    let lanes = u128::MAX >> (128 - slot);
+    let mut failing = 0;
+    for r in 0..rows {
+        let mut parity = [0u64; N];
+        for e in g.row_edges(r) {
+            let block = post.add(e.col as usize * stride);
+            let mut b = [zero(); N];
+            for h in 0..N {
+                b[h] = load(block.add(WIDTH * h));
+            }
+            let idx = rot.index(e.shift as usize);
+            for h in 0..N {
+                parity[h] ^= sign(Rotations::apply(idx[h], &b));
+            }
+        }
+        let set =
+            (0..N).fold(0u128, |set, h| set | ((parity[h] & rot.real[h]) as u128) << (64 * h));
+        if set != 0 {
+            for s in 0..g.slots() {
+                if set >> (s * slot) & lanes != 0 {
+                    failing |= 1 << s;
+                }
+            }
+            if failing & pending == pending {
+                break;
+            }
+        }
+    }
+    failing & pending
 }
 
 impl DecoderI8 {
@@ -600,7 +716,8 @@ impl DecoderI8 {
     /// Creates a decoder pinned to a specific SIMD tier (parity tests and
     /// Table 5-style ablations).
     pub fn with_tier(id: BaseGraphId, z: usize, tier: SimdTier) -> Self {
-        let g = Lifted::new(id, z, I8Plane::LANES, tier);
+        let g = Lifted::new(id, z, I8Plane::LANES, I8Plane::slots(z, tier), tier);
+        assert!(g.max_degree() <= MAX_DEGREE, "a base row is wider than MAX_DEGREE");
         Self {
             msgs: vec![0; g.msgs_len()],
             post: vec![0; g.post_len()],
@@ -623,6 +740,13 @@ impl DecoderI8 {
     /// The SIMD tier this decoder dispatches to.
     pub fn tier(&self) -> SimdTier {
         self.g.tier()
+    }
+
+    /// Does a decoder of lifting size `z` on `tier` decode two blocks in
+    /// one pass ([`Self::decode_pair_into`])? On the AVX-512 tier at `Z
+    /// <= 32` it does; elsewhere a pair is two decodes.
+    pub fn packs_pairs(z: usize, tier: SimdTier) -> bool {
+        I8Plane::slots(z, tier) == 2
     }
 
     /// Decodes from quantised channel LLRs (positive = bit 0 more likely),
@@ -650,6 +774,37 @@ impl DecoderI8 {
         cfg: &DecodeConfigI8,
         info_bits: &mut [u8],
     ) -> (bool, usize) {
+        let [result] = self.decode_blocks([llr], cfg, [info_bits]);
+        result
+    }
+
+    /// Two [`Self::decode_into`] calls, of block `llr[b]` into `out[b]`,
+    /// with the same results bit for bit. Where the decoder packs pairs
+    /// ([`Self::packs_pairs`]) both blocks share one pass over the rows,
+    /// each leaving it when its own syndrome passes.
+    ///
+    /// # Panics
+    /// Panics if a block or output has the wrong length.
+    pub fn decode_pair_into(
+        &mut self,
+        llr: [&[i8]; 2],
+        cfg: &DecodeConfigI8,
+        out: [&mut [u8]; 2],
+    ) -> [(bool, usize); 2] {
+        if self.g.slots() == 2 {
+            return self.decode_blocks(llr, cfg, out);
+        }
+        let [a, b] = out;
+        [self.decode_into(llr[0], cfg, a), self.decode_into(llr[1], cfg, b)]
+    }
+
+    /// The layered decode of `B` blocks, block `b` in slot `b`.
+    fn decode_blocks<const B: usize>(
+        &mut self,
+        llr: [&[i8]; B],
+        cfg: &DecodeConfigI8,
+        out: [&mut [u8]; B],
+    ) -> [(bool, usize); B] {
         let mut st = State {
             post: &mut self.post,
             msgs: &mut self.msgs,
@@ -661,7 +816,7 @@ impl DecoderI8 {
             early_termination: cfg.early_termination,
             active_rows: cfg.active_rows,
         };
-        decode_layered::<I8Plane>(&self.g, &mut st, llr, cfg.offset, sched, info_bits)
+        decode_layered::<I8Plane, B>(&self.g, &mut st, llr, cfg.offset, sched, out)
     }
 }
 
@@ -762,18 +917,37 @@ mod tests {
     fn priors_fill_the_blocks() {
         for bg in [BaseGraphId::Bg1, BaseGraphId::Bg2] {
             for z in [2, 7, 12, 15, 16, 17, 32, 33, 104, 128, 200, 384] {
-                let g = Lifted::new(bg, z, I8Plane::LANES, SimdTier::Scalar);
-                let llr: Vec<i8> =
-                    (0..g.codeword_len()).map(|i| (i * 89 % 256) as u8 as i8).collect();
-                let mut post = vec![0i8; g.post_len()];
-                I8Plane::priors(&g, &llr, &mut post);
-                for (c, block) in post.chunks_exact(g.stride()).enumerate() {
-                    let want = llr[c * z..(c + 1) * z].iter().map(|&v| I8Plane::prior(v));
-                    assert!(block[..z].iter().copied().eq(want), "{bg:?} z={z} column {c}");
-                    assert!(block[z..].iter().all(|&p| p == 0), "{bg:?} z={z} padding of {c}");
+                for (slots, slot) in [(1, 0), (2, 0), (2, 1)] {
+                    let g = Lifted::new(bg, z, I8Plane::LANES, slots, SimdTier::Scalar);
+                    let llr: Vec<i8> =
+                        (0..g.codeword_len()).map(|i| (i * 89 % 256) as u8 as i8).collect();
+                    let mut post = vec![0i8; g.post_len()];
+                    I8Plane::priors(&g, &llr, &mut post, slot);
+                    let (lane0, what) =
+                        (slot * g.slot_stride(), format!("{bg:?} z={z} slot {slot}"));
+                    for (c, column) in post.chunks_exact(g.stride()).enumerate() {
+                        let want = llr[c * z..(c + 1) * z].iter().map(|&v| I8Plane::prior(v));
+                        let (before, block) = column.split_at(lane0);
+                        assert!(block[..z].iter().copied().eq(want), "{what} column {c}");
+                        let rest = before.iter().chain(&block[z..]);
+                        assert!(rest.copied().all(|p| p == 0), "{what} padding of {c}");
+                    }
                 }
             }
         }
+    }
+
+    /// Slot 0 of one of `dec`'s `[col][stride]` planes, its other slots
+    /// asserted zero: a lone block's state, comparable across layouts.
+    pub(super) fn lone_block(dec: &DecoderI8, plane: &[i8]) -> Vec<i8> {
+        let slot = dec.g.slot_stride();
+        let columns = plane.chunks_exact(dec.g.stride());
+        columns
+            .flat_map(|c| {
+                assert!(c[slot..].iter().all(|&v| v == 0), "a slot past the block is not zero");
+                c[..slot].to_vec()
+            })
+            .collect()
     }
 
     /// `round` then clamp: the oracle [`quantize_llrs`] is held to.
@@ -980,17 +1154,20 @@ mod proptests {
     }
 
     proptest! {
-        /// The packed-sign syndrome (`Z <= 128`) against the parity checks
-        /// evaluated lane by lane, on valid codewords, single flipped bits
-        /// and noise, with a full word (Z = 128) and shifts of 0.
+        /// The syndrome bodies without the byte plane — the packed signs
+        /// (`Z <= 128`) of every tier, and on AVX-512 the zmm body in the
+        /// layout that tier decodes `Z` in, a pair of blocks at `Z <= 32`
+        /// — against the parity checks evaluated lane by lane, on valid
+        /// codewords, single flipped bits and noise, with a full word (Z =
+        /// 128) and shifts of 0.
         #[test]
         fn packed_syndrome_matches_the_parity_checks(
             seed in any::<u64>(),
             which in 0usize..8,
             rows_idx in 0usize..3,
             flip_at in any::<u32>(),
-            flip in any::<bool>(),
-            noise in any::<bool>(),
+            flip in 0u8..4,
+            noise in 0u8..4,
         ) {
             let (bg, z) = [
                 (BaseGraphId::Bg1, 104), (BaseGraphId::Bg1, 128), (BaseGraphId::Bg1, 64),
@@ -1007,30 +1184,49 @@ mod proptests {
                 state
             };
             let enc = crate::encoder::Encoder::new(bg, z);
-            let mut bits = if noise {
-                (0..graph.cols() * z).map(|_| (next() & 1) as u8).collect()
-            } else {
-                enc.encode(&(0..enc.info_len()).map(|_| (next() & 1) as u8).collect::<Vec<_>>())
-            };
-            if flip {
-                let at = flip_at as usize % bits.len();
-                bits[at] ^= 1;
+            // Two blocks: the first checked alone, both in a pair.
+            let blocks: Vec<Vec<u8>> = (0..2).map(|b| {
+                let mut bits = if noise >> b & 1 == 1 {
+                    (0..graph.cols() * z).map(|_| (next() & 1) as u8).collect()
+                } else {
+                    enc.encode(&(0..enc.info_len()).map(|_| (next() & 1) as u8).collect::<Vec<_>>())
+                };
+                if flip >> b & 1 == 1 {
+                    let at = (flip_at as usize >> (8 * b)) % bits.len();
+                    bits[at] ^= 1;
+                }
+                bits
+            }).collect();
+            let fails: Vec<u8> = blocks.iter().map(|bits| {
+                let ok = (0..rows).all(|r| {
+                    (0..z).all(|i| {
+                        graph.row_entries(r).iter().fold(0, |p, e| {
+                            p ^ bits[e.col as usize * z + (i + e.shift as usize % z) % z]
+                        }) == 0
+                    })
+                });
+                !ok as u8
+            }).collect();
+            let mut layouts = vec![SimdTier::Scalar];
+            layouts.extend(SimdTier::supported().filter(|&t| t >= SimdTier::Avx512));
+            for tier in layouts {
+                let g = Lifted::new(bg, z, I8Plane::LANES, I8Plane::slots(z, tier), tier);
+                let mut post = vec![0i8; g.post_len()];
+                for (slot, bits) in blocks.iter().enumerate().take(g.slots()) {
+                    for (i, &b) in bits.iter().enumerate() {
+                        let v = if b == 1 { -(1 + (next() % 127) as i8) } else { (next() % 128) as i8 };
+                        post[i / z * g.stride() + slot * g.slot_stride() + i % z] = v;
+                    }
+                }
+                let both = (0..g.slots()).fold(0, |m, s| m | fails[s] << s);
+                let all = (1u8 << g.slots()) - 1;
+                prop_assert_eq!(I8Plane::packed_syndrome(&g, &post, rows, all), Some(both), "{:?}", tier);
+                prop_assert_eq!(I8Plane::packed_syndrome(&g, &post, rows, 1), Some(fails[0]), "{:?}", tier);
             }
-            let g = Lifted::new(bg, z, I8Plane::LANES, SimdTier::Scalar);
-            let mut post = vec![0i8; g.post_len()];
-            for (i, &b) in bits.iter().enumerate() {
-                post[i / z * g.stride() + i % z] = if b == 1 { -(1 + (next() % 127) as i8) } else { (next() % 128) as i8 };
-            }
-            let want = (0..rows).all(|r| {
-                (0..z).all(|i| {
-                    graph.row_entries(r).iter().fold(0, |p, e| {
-                        p ^ bits[e.col as usize * z + (i + e.shift as usize % z) % z]
-                    }) == 0
-                })
-            });
-            prop_assert_eq!(I8Plane::packed_syndrome(&g, &post, rows), Some(want));
-            if !noise && !flip {
-                prop_assert!(want, "a codeword satisfies every check");
+            for (b, &fail) in fails.iter().enumerate() {
+                if (noise | flip) >> b & 1 == 0 {
+                    prop_assert!(fail == 0, "a codeword satisfies every check");
+                }
             }
         }
     }
@@ -1068,8 +1264,8 @@ mod proptests {
                 let rv = dec_v.decode(&llr, &cfg);
                 prop_assert_eq!(&rs.info_bits, &rv.info_bits, "{:?}", tier);
                 prop_assert_eq!(rs.success, rv.success, "{:?}", tier);
-                prop_assert_eq!(&dec_s.post, &dec_v.post, "{:?}", tier);
-                prop_assert_eq!(&dec_s.msgs, &dec_v.msgs, "{:?}", tier);
+                prop_assert_eq!(&dec_s.post, &tests::lone_block(&dec_v, &dec_v.post), "{:?}", tier);
+                prop_assert_eq!(&dec_s.msgs, &tests::lone_block(&dec_v, &dec_v.msgs), "{:?}", tier);
             }
         }
 
@@ -1099,6 +1295,108 @@ mod proptests {
             let res = dec.decode(&q, &DecodeConfigI8 { max_iters: 10, ..Default::default() });
             prop_assert!(res.success);
             prop_assert_eq!(res.info_bits, info);
+        }
+    }
+
+    /// A block of `(bg, z)`'s code: a random codeword's LLRs, magnitudes
+    /// 1 to 24 and the punctured columns zero, with `flips` signs turned
+    /// wrong — or, with `random`, arbitrary bytes.
+    fn block(bg: BaseGraphId, z: usize, seed: u64, flips: usize, random: bool) -> Vec<i8> {
+        let enc = crate::encoder::Encoder::new(bg, z);
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let info: Vec<u8> = (0..enc.info_len()).map(|_| (next() & 1) as u8).collect();
+        let mut llr: Vec<i8> = enc
+            .encode(&info)
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| match (random, i < 2 * z) {
+                (true, _) => next() as u8 as i8,
+                (false, true) => 0,
+                (false, false) => (1 + next() % 24) as i8 * if b == 0 { 1 } else { -1 },
+            })
+            .collect();
+        for _ in 0..flips {
+            let at = 2 * z + next() as usize % (llr.len() - 2 * z);
+            llr[at] = llr[at].saturating_neg();
+        }
+        llr
+    }
+
+    /// `decode_pair_into` on every tier against two `decode_into` calls
+    /// on the scalar tier: bits, success and iterations of each block.
+    fn assert_pair_is_two_singles(
+        bg: BaseGraphId,
+        z: usize,
+        pair: [&[i8]; 2],
+        cfg: &DecodeConfigI8,
+    ) -> Result<[(bool, usize); 2], TestCaseError> {
+        let mut single = DecoderI8::with_tier(bg, z, SimdTier::Scalar);
+        let n = single.info_len();
+        let mut want = [vec![0u8; n], vec![0u8; n]];
+        let [wa, wb] = &mut want;
+        let results = [single.decode_into(pair[0], cfg, wa), single.decode_into(pair[1], cfg, wb)];
+        for tier in SimdTier::supported() {
+            let mut dec = DecoderI8::with_tier(bg, z, tier);
+            let mut got = [vec![0xAAu8; n], vec![0x55u8; n]];
+            let [ga, gb] = &mut got;
+            let pair_results = dec.decode_pair_into(pair, cfg, [ga, gb]);
+            prop_assert_eq!(pair_results, results, "{:?} {:?} z={}", tier, bg, z);
+            prop_assert_eq!(&got, &want, "{:?} {:?} z={}", tier, bg, z);
+        }
+        Ok(results)
+    }
+
+    /// A pair whose blocks leave the loop at different iterations — a
+    /// clean codeword after one, a noisy one later or never — decodes
+    /// each as alone, with early exit on and off.
+    #[test]
+    fn pair_blocks_leave_on_their_own_iteration() {
+        for (bg, z) in [(BaseGraphId::Bg2, 12), (BaseGraphId::Bg1, 30), (BaseGraphId::Bg2, 2)] {
+            let (clean, noisy) = (block(bg, z, 7, 0, false), block(bg, z, 8, 3 * z, false));
+            for early_termination in [true, false] {
+                let cfg = DecodeConfigI8 { max_iters: 8, early_termination, ..Default::default() };
+                for pair in [[&clean[..], &noisy[..]], [&noisy[..], &clean[..]]] {
+                    let [a, b] = assert_pair_is_two_singles(bg, z, pair, &cfg).unwrap();
+                    if early_termination {
+                        assert_ne!(a.1, b.1, "{bg:?} z={z}: the blocks exit apart");
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `decode_pair_into` equals two `decode_into` calls on every
+        /// tier, for both graphs, Z from 2 to 32, `max_iters` 0 to 8,
+        /// early exit on and off, all rows or a few, and blocks from clean
+        /// codewords through noisy ones to random bytes, so the two
+        /// blocks of a pair mostly exit at different iterations.
+        #[test]
+        fn pairs_decode_as_two_single_decodes(
+            seed in any::<u64>(),
+            bg1 in any::<bool>(),
+            z in 2usize..33,
+            max_iters in 0usize..9,
+            early_termination in any::<bool>(),
+            rows_kind in 0usize..3,
+            flips in (0usize..64, 0usize..64),
+            random in 0u8..4,
+        ) {
+            let bg = if bg1 { BaseGraphId::Bg1 } else { BaseGraphId::Bg2 };
+            let rows = crate::base_graph::BaseGraph::get(bg).rows();
+            let active_rows = [None, Some(4 + seed as usize % 8), Some(rows)][rows_kind];
+            let cfg = DecodeConfigI8 { max_iters, early_termination, active_rows, ..Default::default() };
+            let a = block(bg, z, seed, flips.0 * z / 16, random & 1 == 1);
+            let b = block(bg, z, seed ^ 0x9E37, flips.1 * z / 16, random & 2 == 2);
+            assert_pair_is_two_singles(bg, z, [&a, &b], &cfg)?;
         }
     }
 }

@@ -23,6 +23,14 @@
 //! (so no kernel has a tail loop), turn a lane of zero extrinsics and
 //! zero messages into zero messages and zero posteriors for any offset
 //! `>= 0`. The same holds on every SIMD tier.
+//!
+//! **Slots.** A plane may lay out two code blocks of one `(BG, Z)` side
+//! by side in one posterior and message plane ([`Lifted::slots`]):
+//! column `c` then holds block `b`'s lanes at `c * stride + b *
+//! slot_stride`, and [`decode_layered`] decodes up to that many blocks
+//! in one pass over the rows, each with its own early exit. Lanes never
+//! mix across slots, so each block decodes exactly as it would alone,
+//! and a slot with no block stays all zero by the padding rule.
 
 use crate::base_graph::{BaseGraph, BaseGraphId};
 use agora_math::simd::SimdTier;
@@ -69,16 +77,17 @@ pub(crate) trait Plane {
         false
     }
 
-    /// The priors of `llr` (`[col][Z]`) into the `[col][stride]`
-    /// posteriors `post`, padding lanes zero.
-    fn priors(g: &Lifted, llr: &[Self::Llr], post: &mut [Self::Llr]) {
-        map_lanes(llr, g.z, post, g.stride, g.z, Self::prior);
+    /// The priors of `llr` (`[col][Z]`) into the lanes of slot `slot` of
+    /// the `[col][stride]` posteriors `post`; the slot's padding lanes
+    /// stay zero.
+    fn priors(g: &Lifted, llr: &[Self::Llr], post: &mut [Self::Llr], slot: usize) {
+        map_lanes(llr, g.z, &mut post[slot * g.slot_stride..], g.stride, g.z, Self::prior);
     }
 
-    /// [`syndrome_ok`] on packed sign bits, when the plane has such a
-    /// body for `g`'s lifting size: `None`, having touched nothing, when
-    /// it has none.
-    fn packed_syndrome(_g: &Lifted, _post: &[Self::Llr], _rows: usize) -> Option<bool> {
+    /// [`failing_slots`] without the byte plane, when the plane has such
+    /// a body for `g`'s tier and lifting size: `None`, having touched
+    /// nothing, when it has none.
+    fn packed_syndrome(_g: &Lifted, _post: &[Self::Llr], _rows: usize, _pending: u8) -> Option<u8> {
         None
     }
 }
@@ -99,6 +108,10 @@ pub(crate) struct Lifted {
     bg: &'static BaseGraph,
     z: usize,
     stride: usize,
+    /// Code blocks one plane holds side by side (one or two),
+    /// `slot_stride` lanes apart.
+    slots: usize,
+    slot_stride: usize,
     /// Tier the lane kernels dispatch to; supported by this CPU.
     tier: SimdTier,
     /// One per base entry, in [`BaseGraph::entries`] order.
@@ -106,7 +119,15 @@ pub(crate) struct Lifted {
 }
 
 impl Lifted {
-    pub(crate) fn new(id: BaseGraphId, z: usize, lanes: usize, tier: SimdTier) -> Self {
+    /// `bg` lifted to `z` for a plane of `lanes`-lane vectors holding
+    /// `slots` code blocks per column.
+    pub(crate) fn new(
+        id: BaseGraphId,
+        z: usize,
+        lanes: usize,
+        slots: usize,
+        tier: SimdTier,
+    ) -> Self {
         assert!(z >= 2, "lifting size must be at least 2");
         // The vector kernels are `unsafe` on exactly this condition.
         assert!(tier <= SimdTier::cached(), "SIMD tier {tier:?} is not supported by this CPU");
@@ -116,7 +137,9 @@ impl Lifted {
             .iter()
             .map(|e| Edge { col: e.col as u32, shift: (e.shift as usize % z) as u16 })
             .collect();
-        Self { bg, z, stride: z.div_ceil(lanes) * lanes, tier, edges }
+        assert!(slots == 1 || slots == 2, "a plane holds one block or a pair");
+        let slot_stride = z.div_ceil(lanes) * lanes;
+        Self { bg, z, stride: slots * slot_stride, slots, slot_stride, tier, edges }
     }
 
     pub(crate) fn tier(&self) -> SimdTier {
@@ -131,6 +154,22 @@ impl Lifted {
     /// of a message store.
     pub(crate) fn stride(&self) -> usize {
         self.stride
+    }
+
+    /// Code blocks a plane holds side by side.
+    pub(crate) fn slots(&self) -> usize {
+        self.slots
+    }
+
+    /// Distance between the slots of a column: `Z` rounded up to the
+    /// plane's vector width.
+    pub(crate) fn slot_stride(&self) -> usize {
+        self.slot_stride
+    }
+
+    /// The entries of the widest base row.
+    pub(crate) fn max_degree(&self) -> usize {
+        (0..self.bg.rows()).map(|r| self.row(r).len()).max().unwrap_or(0)
     }
 
     pub(crate) fn codeword_len(&self) -> usize {
@@ -153,8 +192,7 @@ impl Lifted {
 
     /// Length of the row scratch (`[row slot][stride]`, widest row).
     pub(crate) fn row_scratch_len(&self) -> usize {
-        let max_deg = (0..self.bg.rows()).map(|r| self.row(r).len()).max().unwrap_or(0);
-        max_deg * self.stride
+        self.max_degree() * self.stride
     }
 
     /// Length of the hard-decision plane: `[col][Z]` plus one spare
@@ -199,26 +237,44 @@ pub(crate) struct Schedule {
     pub active_rows: Option<usize>,
 }
 
-/// Layered decode of `llr` into `out` (hard-decision information bits,
-/// one byte each). Returns `(success, iterations)`.
-pub(crate) fn decode_layered<P: Plane>(
+/// Layered decode of the blocks `llr` into `out` (hard-decision
+/// information bits, one byte each), block `b` in slot `b`; `B` is at
+/// most [`Lifted::slots`], and the slots past `B` are cleared. Returns
+/// each block's `(success, iterations)`. A block whose syndrome passes
+/// leaves the loop there: its result and bits are taken at that point,
+/// and its lanes, which may go on computing with the other blocks', are
+/// never read again.
+pub(crate) fn decode_layered<P: Plane, const B: usize>(
     g: &Lifted,
     st: &mut State<'_, P::Llr>,
-    llr: &[P::Llr],
+    llr: [&[P::Llr]; B],
     offset: P::Llr,
     sched: Schedule,
-    out: &mut [u8],
-) -> (bool, usize) {
-    assert_eq!(llr.len(), g.codeword_len(), "LLR length mismatch");
-    assert_eq!(out.len(), g.info_len(), "information-bit length mismatch");
+    out: [&mut [u8]; B],
+) -> [(bool, usize); B] {
+    assert!(B <= g.slots, "more blocks than slots");
+    for (llr, out) in llr.iter().zip(&out) {
+        assert_eq!(llr.len(), g.codeword_len(), "LLR length mismatch");
+        assert_eq!(out.len(), g.info_len(), "information-bit length mismatch");
+    }
     let rows = g.active_rows(sched.active_rows);
-    P::priors(g, llr, st.post);
+    for (slot, llr) in llr.iter().enumerate() {
+        P::priors(g, llr, st.post, slot);
+    }
+    if B < g.slots {
+        for col in st.post.chunks_exact_mut(g.stride) {
+            col[B * g.slot_stride..].fill(P::Llr::default());
+        }
+    }
     // Rows past the active ones are never read.
     let active_entries = (0..rows).last().map_or(0, |r| g.row(r).end);
     st.msgs[..active_entries * g.stride].fill(P::Llr::default());
 
+    let mut result = [(false, 0); B];
+    // Bit `b` set while block `b` is still decoding.
+    let mut open = (1u8 << B) - 1;
     let mut iterations = 0;
-    // Outcome of the syndrome pass over the current posteriors, if one ran.
+    // The failing slots of the last syndrome pass, if one ran.
     let mut checked = None;
     for _ in 0..sched.max_iters {
         iterations += 1;
@@ -226,17 +282,31 @@ pub(crate) fn decode_layered<P: Plane>(
             layered_row::<P>(g, st, r, offset);
         }
         if sched.early_termination {
-            let ok = syndrome_ok::<P>(g, st.post, st.hard, rows);
-            checked = Some(ok);
-            if ok {
+            let failing = failing_slots::<P>(g, st.post, st.hard, rows, open);
+            checked = Some(failing);
+            let passed = open & !failing;
+            for b in (0..B).filter(|&b| passed >> b & 1 == 1) {
+                result[b] = (true, iterations);
+                hard_bits::<P>(g, st.post, b, out[b]);
+            }
+            open &= failing;
+            if open == 0 {
                 break;
             }
         }
     }
-    let success = checked.unwrap_or_else(|| syndrome_ok::<P>(g, st.post, st.hard, rows));
-    // The information bits are the first columns' hard decisions.
-    map_lanes(st.post, g.stride, out, g.z, g.z, |p| P::is_neg(p) as u8);
-    (success, iterations)
+    let failing = checked.unwrap_or_else(|| failing_slots::<P>(g, st.post, st.hard, rows, open));
+    for b in (0..B).filter(|&b| open >> b & 1 == 1) {
+        result[b] = (failing >> b & 1 == 0, iterations);
+        hard_bits::<P>(g, st.post, b, out[b]);
+    }
+    result
+}
+
+/// The information bits of slot `slot`: the first columns' hard
+/// decisions.
+fn hard_bits<P: Plane>(g: &Lifted, post: &[P::Llr], slot: usize, out: &mut [u8]) {
+    map_lanes(&post[slot * g.slot_stride..], g.stride, out, g.z, g.z, |p| P::is_neg(p) as u8);
 }
 
 /// One layered update of base row `r`: gather the rotated posteriors,
@@ -263,21 +333,26 @@ fn layered_row<P: Plane>(g: &Lifted, st: &mut State<'_, P::Llr>, r: usize, offse
     }
 }
 
-/// Do the hard decisions of the `[col][stride]` posteriors `post`
-/// satisfy the first `rows` base rows? Each row's parity is the XOR of
+/// Which slots among `pending` (bit `b` for slot `b`) hold hard
+/// decisions of the `[col][stride]` posteriors `post` that fail one of
+/// the first `rows` base rows, as the same kind of mask: the pass stops
+/// once every pending slot has failed. Each row's parity is the XOR of
 /// its entries' rotated hard-decision slices, all `Z` lanes at once, and
-/// any set lane fails. Unless the plane packs the signs
-/// ([`Plane::packed_syndrome`]), the slices are bytes of the plane
-/// `hard[..codeword_len]` (`[col][Z]`), which this refreshes.
-pub(crate) fn syndrome_ok<P: Plane>(
+/// any set lane fails. Unless the plane has a body without the byte
+/// plane ([`Plane::packed_syndrome`]), the slices are bytes of the plane
+/// `hard[..codeword_len]` (`[col][Z]`), which this refreshes; that path
+/// takes one slot.
+pub(crate) fn failing_slots<P: Plane>(
     g: &Lifted,
     post: &[P::Llr],
     hard: &mut [u8],
     rows: usize,
-) -> bool {
-    if let Some(ok) = P::packed_syndrome(g, post, rows) {
-        return ok;
+    pending: u8,
+) -> u8 {
+    if let Some(failing) = P::packed_syndrome(g, post, rows, pending) {
+        return failing;
     }
+    assert_eq!(g.slots, 1, "the byte syndrome checks one slot");
     let z = g.z;
     let (hard, parity) = hard.split_at_mut(g.codeword_len());
     map_lanes(post, g.stride, hard, z, z, |p| P::is_neg(p) as u8);
@@ -289,10 +364,10 @@ pub(crate) fn syndrome_ok<P: Plane>(
             xor_into(&mut parity[z - shift..], &hard[col..col + shift]);
         }
         if parity.iter().fold(0, |acc, &b| acc | b) != 0 {
-            return false;
+            return pending & 1;
         }
     }
-    true
+    0
 }
 
 /// `dst[c * dst_stride + i] = f(src[c * src_stride + i])` for every lane
@@ -300,7 +375,8 @@ pub(crate) fn syndrome_ok<P: Plane>(
 /// `[col][stride]` plane, either way. Moves `W` lanes at a time, the
 /// widest of 16, 8 and 1 that fits in `z`, a column's last chunk ending
 /// at `z` and overlapping the one before it, so the copy vectorises at
-/// any `Z` and touches no lane past `z`.
+/// any `Z` and touches no lane past `z`. A plane may start at a slot's
+/// lanes, so its last column is cut short after `z`.
 fn map_lanes<T: Copy, U: Copy>(
     src: &[T],
     src_stride: usize,
@@ -317,7 +393,7 @@ fn map_lanes<T: Copy, U: Copy>(
         z: usize,
         f: impl Fn(T) -> U,
     ) {
-        for (s, d) in src.chunks_exact(src_stride).zip(dst.chunks_exact_mut(dst_stride)) {
+        for (s, d) in src.chunks(src_stride).zip(dst.chunks_mut(dst_stride)) {
             let (s, d) = (&s[..z], &mut d[..z]);
             for (s, d) in s.chunks_exact(W).zip(d.chunks_exact_mut(W)) {
                 let (s, d): (&[T; W], &mut [U; W]) = (s.try_into().unwrap(), d.try_into().unwrap());

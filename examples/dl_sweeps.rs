@@ -1,7 +1,8 @@
 //! Where the downlink's time goes: `encode_task` next to the parts of the
 //! byte pipeline it replaced (payload, encode, rate-match and store),
-//! `ifft_task` next to the transforms it runs, `precode_task` next to its
-//! GEMMs (planned on every SIMD tier the CPU runs), and the
+//! `ifft_task` next to the transforms it runs (interleaved, each
+//! difference row the median of per-round differences), `precode_task`
+//! next to its GEMMs (planned on every SIMD tier the CPU runs), and the
 //! share of `InlineProcessor::process_frame` a downlink frame spends
 //! copying its `dl_time` samples out. It runs in the allocator state the
 //! benchmark sets (`pin_allocator` in `benchmark/src/sys.rs`), where the
@@ -28,6 +29,9 @@ use std::hint::black_box;
 use std::time::Instant;
 
 const REPS: usize = 200;
+
+/// Rounds of the IFFT rows, each timing the task and both transforms.
+const ROUNDS: usize = 9;
 
 /// Median of `reps` timings of `f`, in microseconds.
 fn median_us(reps: usize, mut f: impl FnMut(usize)) -> f64 {
@@ -113,8 +117,7 @@ fn main() {
         black_box(&mut row);
     });
 
-    // --- IFFT: the task, then the transforms it can run
-    let ifft_task = median_us(REPS, |rep| kernels.ifft_task(fb, &mut scratch, downlink, rep % g.m));
+    // --- IFFT: the task and the transforms it can run, interleaved
     let plan = FftPlan::new(n);
     let time = unsafe { fb.dl_time.view(Some(downlink)) };
     let mut grid = vec![Cf32::ZERO; n];
@@ -128,7 +131,31 @@ fn main() {
             black_box(&mut grid);
         })
     };
-    let (inverse, forward) = (transform(Direction::Inverse), transform(Direction::Forward));
+    let rounds: Vec<[f64; 3]> = (0..ROUNDS)
+        .map(|round| {
+            let mut us = [0.0; 3];
+            let order = if round % 2 == 0 { [0, 1, 2] } else { [2, 1, 0] };
+            for i in order {
+                us[i] = match i {
+                    0 => median_us(REPS, |rep| {
+                        kernels.ifft_task(fb, &mut scratch, downlink, rep % g.m)
+                    }),
+                    1 => transform(Direction::Inverse),
+                    _ => transform(Direction::Forward),
+                };
+            }
+            us
+        })
+        .collect();
+    let over_rounds = |f: fn(&[f64; 3]) -> f64| {
+        let mut v: Vec<f64> = rounds.iter().map(f).collect();
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (ifft_task, inverse, forward) =
+        (over_rounds(|r| r[0]), over_rounds(|r| r[1]), over_rounds(|r| r[2]));
+    let (minus_inverse, minus_forward) =
+        (over_rounds(|r| r[0] - r[1]), over_rounds(|r| r[0] - r[2]));
     let copy = median_us(REPS, |rep| {
         let ant = rep % g.m;
         grid.copy_from_slice(&time[ant * g.samples..ant * g.samples + n]);
@@ -201,8 +228,8 @@ fn main() {
     println!("  execute_prereversed   {inverse:8.2}   inverse (conj passes included)");
     println!("  execute_prereversed   {forward:8.2}   forward (butterflies only)");
     println!("  grid copy             {copy:8.2}   one 16-byte-aligned copy of {n} samples");
-    println!("  ifft_task - inverse   {:8.2}", ifft_task - inverse);
-    println!("  ifft_task - forward   {:8.2}   scatter + store", ifft_task - forward);
+    println!("  ifft_task - inverse   {minus_inverse:8.2}   ({ROUNDS} interleaved rounds, median difference)");
+    println!("  ifft_task - forward   {minus_forward:8.2}   scatter + store");
     println!("precode, one symbol");
     println!(
         "  precode_task          {precode_task:8.2}   {:6.1} ns per subcarrier",

@@ -5,10 +5,12 @@
 //! and `decode_task` next to its gather and its decoder, each timed
 //! through its public entry point on a frame primed by one inline pass
 //! (EXPERIMENTS.md, "Uplink tail sweeps"). Decode reads the engine's `i8`
-//! LLR plane, as `decode_task` does. `demod_task - GEMMs` is also printed
+//! LLR plane, as `decode_task` does. `demod_task - GEMMs` is printed
 //! once per vector tier, `Kernels` pinned to it: both run the AVX2
 //! demapper, so the rows differ only in the GEMM the task runs, and the
-//! tiers are timed in alternating order, round by round.
+//! tiers are timed in alternating order, round by round. Each difference
+//! row, `precode_task - GEMMs` too, is the median of per-round
+//! differences of timings taken back to back.
 //!
 //! ```text
 //! cargo run --release --example ul_tail_sweeps          # 64x16, 1200 sc, 64-QAM
@@ -28,7 +30,8 @@ use std::time::Instant;
 
 const REPS: usize = 60;
 
-/// Alternating rounds of the per-tier `demod_task - GEMMs` rows.
+/// Alternating rounds of the `demod_task - GEMMs` and `precode_task -
+/// GEMMs` rows.
 const ROUNDS: usize = 6;
 
 /// Median of `REPS` timings of `f`, in microseconds.
@@ -83,7 +86,6 @@ fn main() {
             (tier, us)
         })
         .collect();
-    let eq_gemm = eq_gemms.last().expect("the scalar tier is always supported").1;
     // The post-ZF noise variance of every (block, user): `noise * ||w_u||^2`,
     // the detector row summed in order.
     let noise_scale = median_us(|| {
@@ -180,9 +182,33 @@ fn main() {
     });
 
     // --- downlink: one symbol of modulate + precode
-    let precode_task = median_us(|| kernels.precode_task(fb, &mut scratch, downlink, 0, g.q));
     let pre_of = |blk: usize| unsafe { fb.pre.view(Some(blk * g.block / g.zf_group)) };
     let mut ant_block = vec![Cf32::ZERO; g.m * g.block];
+    // The task and the detected tier's GEMMs, interleaved as above.
+    let pre = Gemm::plan_with_tier(g.m, g.k, g.block, SimdTier::cached());
+    let precode_rounds: Vec<(f64, f64)> = (0..ROUNDS)
+        .map(|round| {
+            let mut task =
+                || median_us(|| kernels.precode_task(fb, &mut scratch, downlink, 0, g.q));
+            let mut gemms = || {
+                median_us(|| {
+                    for blk in 0..blocks {
+                        pre.run(pre_of(blk), &user_block, &mut ant_block);
+                        black_box(&mut ant_block);
+                    }
+                })
+            };
+            if round % 2 == 0 {
+                let t = task();
+                (t, gemms())
+            } else {
+                let gm = gemms();
+                (task(), gm)
+            }
+        })
+        .collect();
+    let precode_task = median(precode_rounds.iter().map(|p| p.0).collect());
+    let precode_tail = median(precode_rounds.iter().map(|p| p.0 - p.1).collect());
     let pre_gemms: Vec<(SimdTier, f64)> = SimdTier::supported()
         .map(|tier| {
             let pre = Gemm::plan_with_tier(g.m, g.k, g.block, tier);
@@ -195,7 +221,6 @@ fn main() {
             (tier, us)
         })
         .collect();
-    let pre_gemm = pre_gemms.last().expect("the scalar tier is always supported").1;
     // The scalar reference: one bit at a time into `map_symbol`, which is
     // what the task itself once ran per (block, user). It takes a bit per
     // byte, so the packed `dl_bits` rows are unpacked first, outside the
@@ -246,7 +271,6 @@ fn main() {
         "  {:4} demap_quantized  {fused:8.2}   the two fused, as the task runs them",
         blocks * g.k
     );
-    println!("  demod_task - GEMMs    {:8.2}", demod_task - eq_gemm);
     for (tier, task, gemms, tail) in &tails {
         println!(
             "  demod_task - GEMMs    {tail:8.2}   {tier:?} Kernels, AVX2 demapper: task {task:.2}, GEMMs {gemms:.2} ({ROUNDS} alternating rounds)"
@@ -270,7 +294,6 @@ fn main() {
     }
     println!("  {:4} modulate rows    {modulation:8.2}   scalar reference: a bit at a time into map_symbol", blocks * g.k);
     println!(
-        "  precode_task - GEMMs  {:8.2}   modulation + store as the task runs them",
-        precode_task - pre_gemm
+        "  precode_task - GEMMs  {precode_tail:8.2}   modulation + store as the task runs them ({ROUNDS} alternating rounds)"
     );
 }
