@@ -372,10 +372,14 @@ impl PacketSlots {
 /// readers per row):
 /// * `rx_pkts[symbol][antenna]` — retained received packets (zero-copy
 ///   payload views for the FFT stage).
-/// * `freq[symbol]`, `dl_freq[symbol]` — active subcarriers of every
-///   antenna, `[block][antenna][block sc]` ([`BufferGeometry::sc_col`]):
-///   a demod block's antenna samples are whole cache lines, contiguous
-///   per antenna.
+/// * `freq[symbol]` — active subcarriers of every antenna,
+///   `[block][antenna][block sc]` ([`BufferGeometry::sc_col`]): a demod
+///   block's antenna samples are whole cache lines, contiguous per
+///   antenna.
+/// * `dl_freq[symbol]` — the same samples `[antenna][Q sc]`
+///   ([`BufferGeometry::dl_col`]): an IFFT task reads its antenna's
+///   subcarriers as one run, and a precode block's antenna samples are a
+///   line of that run.
 /// * `csi[group]` — the group's `M x K` channel estimate, row-major,
 ///   written by the pilot FFT tasks; `det[group]` (`K x M`) and
 ///   `pre[group]` (`M x K`) — ZF's detector and power-normalised
@@ -461,7 +465,7 @@ pub struct BufferGeometry {
 /// A run of active subcarriers that is consecutive in the FFT grid and
 /// lies inside one demod block: `len` subcarriers at grid bins `bin..bin +
 /// len`. With the block a cache line and the band split on a block
-/// boundary, every piece is one line of a `freq` / `dl_freq` row.
+/// boundary, every piece is one line of a `freq` row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Piece {
     pub(crate) bin: usize,
@@ -471,15 +475,20 @@ pub(crate) struct Piece {
 }
 
 impl BufferGeometry {
-    /// Column of subcarrier `sc` of antenna `ant` in a `freq` / `dl_freq`
-    /// row: `[block][antenna][block sc]`.
+    /// Column of subcarrier `sc` of antenna `ant` in a `freq` row:
+    /// `[block][antenna][block sc]`.
     pub(crate) fn sc_col(&self, sc: usize, ant: usize) -> usize {
         (sc / self.block * self.m + ant) * self.block + sc % self.block
     }
 
-    /// Columns of demod block `blk`, every antenna, in a `freq` /
-    /// `dl_freq` row: what a demod or precode task reads or writes per
-    /// block.
+    /// Column of subcarrier `sc` of antenna `ant` in a `dl_freq` row:
+    /// `[antenna][Q sc]`.
+    pub(crate) fn dl_col(&self, sc: usize, ant: usize) -> usize {
+        ant * self.q + sc
+    }
+
+    /// Columns of demod block `blk`, every antenna, in a `freq` row: what
+    /// a demod task reads per block.
     pub fn block_cols(&self, blk: usize) -> Range<usize> {
         let width = self.m * self.block;
         blk * width..(blk + 1) * width
@@ -519,10 +528,9 @@ impl BufferGeometry {
         pieces
     }
 
-    /// Columns of antenna `ant`'s share of `p` in a `freq` / `dl_freq`
-    /// row: within a block, antenna `a`'s samples sit `a * block` after
-    /// antenna 0's. Callers take `ant` from a checked call (an FFT task
-    /// from its payload, an IFFT task from its `dl_time` run).
+    /// Columns of antenna `ant`'s share of `p` in a `freq` row: within a
+    /// block, antenna `a`'s samples sit `a * block` after antenna 0's. The
+    /// FFT task takes `ant` from a checked call, its payload's.
     #[inline]
     pub(crate) fn piece_cols(&self, p: &Piece, ant: usize) -> Range<usize> {
         let start = p.off + ant * self.block;
@@ -778,11 +786,13 @@ mod tests {
     proptest! {
         /// The layout as one property, over random valid geometries: the
         /// rows of every plane, and the packet table's entries, tile it
-        /// exactly; and within a `freq` / `dl_freq` row the columns one
-        /// symbol's FFT pieces take (every antenna's) and those its demod
-        /// and precode blocks take are each pairwise disjoint and cover
-        /// the row, every piece inside its block at the columns `sc_col`
-        /// gives its subcarriers; the antennas of a `dl_time` row tile it.
+        /// exactly; within a `freq` row the columns one symbol's FFT
+        /// pieces take (every antenna's) and those its demod blocks take
+        /// are each pairwise disjoint and cover the row, every piece
+        /// inside its block at the columns `sc_col` gives its subcarriers;
+        /// within a `dl_freq` row the precode blocks' antenna lines, and
+        /// the IFFT's antenna runs, each tile the row, every line inside
+        /// its antenna's run; the antennas of a `dl_time` row tile it.
         #[test]
         fn frame_layout_tiles_every_plane(
             array in (1usize..9, 1usize..6),
@@ -838,7 +848,18 @@ mod tests {
             }
             prop_assert!(tile(fft, row), "FFT pieces");
             let demod = g.task_blocks(0, q).map(|blk| g.block_cols(blk)).collect();
-            prop_assert!(tile(demod, row), "demod / precode blocks");
+            prop_assert!(tile(demod, row), "demod blocks");
+            let runs: Vec<_> = (0..m).map(|ant| g.dl_col(0, ant)..g.dl_col(0, ant) + q).collect();
+            let mut lines = Vec::new();
+            for blk in g.task_blocks(0, q) {
+                for (ant, run) in runs.iter().enumerate() {
+                    let col = g.dl_col(blk * block, ant);
+                    prop_assert!(run.start <= col && col + block <= run.end, "block {} antenna {}", blk, ant);
+                    lines.push(col..col + block);
+                }
+            }
+            prop_assert!(tile(lines, row), "precode lines");
+            prop_assert!(tile(runs, row), "IFFT antenna runs");
             let ants = (0..m).map(|a| g.antenna_cols(a..a + 1)).collect();
             prop_assert!(tile(ants, fb.dl_time.row_len), "dl_time antennas");
         }

@@ -15,7 +15,7 @@ use crate::config::EngineConfig;
 use crate::state::FrameShape;
 use agora_fft::{Conj, FftPlan, Steps, SubcarrierMap};
 use agora_ldpc::{DecodeConfigI8, DecoderI8, RateMatch, WordEncoder};
-use agora_math::simd::{stream_conj_scale, stream_copy, stream_fence, SimdTier};
+use agora_math::simd::{stream_conj_scale, stream_copy, stream_fence, stream_lines, SimdTier};
 use agora_math::{
     normalize_precoder_in_place, pinv_into, CMat, Cf32, Gemm, PinvMethod, PinvScratch,
 };
@@ -25,6 +25,7 @@ use agora_phy::iq::{unpack_sample, BYTES_PER_SAMPLE};
 use agora_phy::modulation::{ModScheme, Modulator};
 use agora_phy::pilots::PilotPlan;
 use agora_phy::{CellConfig, PilotScheme};
+use core::ops::Range;
 
 /// Immutable, shared kernel state.
 pub struct Kernels {
@@ -36,7 +37,7 @@ pub struct Kernels {
     pub shape: FrameShape,
     fft: FftPlan,
     /// The active subcarriers as the line-sized moves between a
-    /// transform grid and the `[block][antenna][8 sc]` plane.
+    /// transform grid and the `[block][antenna][8 sc]` `freq` plane.
     pieces: Vec<Piece>,
     /// Per frame symbol, the channel estimates it owes the CSI plane:
     /// for a pilot symbol, one estimate per `(ZF group, user)` whose
@@ -48,9 +49,9 @@ pub struct Kernels {
     /// Where the IFFT task's scatter reads each eight-bin step of the
     /// grid, in natural order.
     ifft_steps: Vec<IfftStep>,
-    /// The pieces of the [`IfftStep::Staged`] steps, each with the place
-    /// of its first bin in the worker's staging row.
-    ifft_staged: Vec<(Piece, usize)>,
+    /// The subcarriers of the [`IfftStep::Staged`] steps, a run each, with
+    /// the place of its first bin in the worker's staging row.
+    ifft_staged: Vec<(Range<usize>, usize)>,
     rate_match: RateMatch,
     /// The MAC payload generator, a word at a time.
     payload: PayloadWords,
@@ -122,6 +123,19 @@ impl Stores {
         match self {
             Stores::Cached => dst.copy_from_slice(src),
             Stores::Streamed => stream_copy(src, dst, tier),
+        }
+    }
+
+    /// `dst = src` for every `(src, dst)` pair of `lines`, one tier
+    /// dispatch for them all when streamed ([`stream_lines`]).
+    fn lines<'s, 'd>(
+        self,
+        lines: impl IntoIterator<Item = (&'s [Cf32], &'d mut [Cf32])>,
+        tier: SimdTier,
+    ) {
+        match self {
+            Stores::Cached => lines.into_iter().for_each(|(src, dst)| dst.copy_from_slice(src)),
+            Stores::Streamed => stream_lines(lines, tier),
         }
     }
 
@@ -201,13 +215,12 @@ struct PilotRun {
 enum IfftStep {
     /// Guard bins only.
     Zero,
-    /// Eight bins of one piece: eight consecutive samples of the
-    /// antenna's line of a `dl_freq` block, from this column for antenna
-    /// 0 (antenna `a`'s are `a * block` on).
+    /// Eight bins of one run of active subcarriers: eight consecutive
+    /// samples of the antenna's `dl_freq` run from this subcarrier on.
     Plane(usize),
-    /// Bins of two pieces, or of a piece and a guard band — at 2048/1200
-    /// the DC offset puts every positive-frequency step here: eight
-    /// samples of the worker's staging row from this place.
+    /// Bins across a run's edge (the DC step, and where the band meets
+    /// the guard): eight samples of the worker's staging row from this
+    /// place.
     Staged(usize),
 }
 
@@ -231,9 +244,9 @@ pub struct WorkerScratch {
     /// Two code blocks' LLRs as rate matching re-inflates them: a pair's,
     /// or a lone block's in the first.
     full_llr: [Vec<i8>; 2],
-    /// The IFFT task's [`IfftStep::Staged`] steps, natural order. Only
-    /// their active bins are ever written, so the guard bins among them
-    /// keep the zeros the row was allocated with.
+    /// The IFFT task's [`IfftStep::Staged`] steps, natural order: two at
+    /// 2048/1200. Only their active bins are ever written, so the guard
+    /// bins among them keep the zeros the row was allocated with.
     ifft_stage: Vec<Cf32>,
 }
 
@@ -267,7 +280,7 @@ impl Kernels {
         let map = SubcarrierMap::new(cell.fft_size, cell.num_data_sc);
         let pieces = geom.pieces(map.active_runs());
         let pilot_stores = pilot_stores(cell, &map, &geom);
-        let (ifft_steps, ifft_staged) = ifft_steps(cell.fft_size, &pieces, &geom);
+        let (ifft_steps, ifft_staged) = ifft_steps(cell.fft_size, map.active_runs());
         let rate_match = cell.ldpc.rate_match();
         let encoder = WordEncoder::new(cell.ldpc.base_graph, cell.ldpc.z, cell.ldpc.rate);
         let eq_gemm = Gemm::plan_with_tier(geom.k, geom.m, geom.block, tier);
@@ -547,7 +560,9 @@ impl Kernels {
     }
 
     /// Fused modulation + precoding for `count` consecutive subcarriers of
-    /// one downlink symbol. Reads `dl_bits`, writes `dl_freq` blocks.
+    /// one downlink symbol. Reads `dl_bits`; writes each block's `M`
+    /// antenna lines to their `dl_freq` runs, where the IFFT tasks read
+    /// them in order.
     pub fn precode_task(
         &self,
         fb: &FrameBuffers,
@@ -568,9 +583,14 @@ impl Kernels {
                 self.modulator.modulate_into(&bits[blk * bytes..(blk + 1) * bytes], row);
             }
             self.pre_gemm.run(fb.pre.row(sc / g.zf_group), &s.user_block, &mut s.ant_block);
-            // This task owns the whole block, every antenna.
-            let out = fb.dl_freq.row_mut(symbol, g.block_cols(blk));
-            self.stores.freq.copy(&s.ant_block, out, self.tier);
+            // This task owns the block's columns of every antenna; each
+            // view is checked as the store reaches it, and a line another
+            // block's task shares (a block under a line) is cached.
+            let rows = (0..g.m).map(|ant| {
+                let col = g.dl_col(sc, ant);
+                fb.dl_freq.row_mut(symbol, col..col + g.block)
+            });
+            self.stores.freq.lines(s.ant_block.chunks_exact(g.block).zip(rows), self.tier);
         }
         self.stores.freq.fence();
     }
@@ -585,8 +605,8 @@ impl Kernels {
     /// per antenna, gather its subcarriers, inverse-transform them, write
     /// the time-domain samples. The inverse is run as `conj(FFT(conj x)) /
     /// n`, and both conjugations ride passes the task makes anyway:
-    /// [`FftPlan::forward_of`] on [`Conj`] steps scatters the antenna's lines of the
-    /// `[block][antenna][8 sc]` blocks conjugated and bit-reversed into
+    /// [`FftPlan::forward_of`] on [`Conj`] steps scatters the antenna's
+    /// `dl_freq` run conjugated and bit-reversed into
     /// the grid — every bin, the guard bins as `conj(0)`, so the grid
     /// needs no clearing — and runs the butterflies forward on it, and the
     /// store multiplies by `conj · (1/n)` ([`stream_conj_scale`], or its
@@ -611,14 +631,15 @@ impl Kernels {
         let grid = &mut s.grid[..n];
         let scale = 1.0 / n as f32;
         for (ant, out) in (base..).zip(out.chunks_exact_mut(g.samples)) {
-            for &(p, at) in &self.ifft_staged {
-                s.ifft_stage[at..at + p.len].copy_from_slice(&freq[g.piece_cols(&p, ant)]);
+            let run = &freq[g.dl_col(0, ant)..][..g.q];
+            for (scs, at) in &self.ifft_staged {
+                s.ifft_stage[*at..at + scs.len()].copy_from_slice(&run[scs.clone()]);
             }
             let stage = &s.ifft_stage;
             let steps = Conj(|t| {
                 let step = match self.ifft_steps[t] {
                     IfftStep::Zero => return None,
-                    IfftStep::Plane(col) => &freq[col + ant * g.block..][..8],
+                    IfftStep::Plane(sc) => &run[sc..sc + 8],
                     IfftStep::Staged(at) => &stage[at..at + 8],
                 };
                 Some(step.try_into().expect("eight bins"))
@@ -783,21 +804,29 @@ fn pilot_stores(cell: &CellConfig, map: &SubcarrierMap, g: &BufferGeometry) -> V
 }
 
 /// Builds [`Kernels::ifft_steps`] and [`Kernels::ifft_staged`] for an
-/// `n`-point grid: a step that is the whole or a line-aligned part of one
-/// piece reads the plane, a step no piece touches is zeros, and any other
-/// step is staged. Staged steps take consecutive places in step order, so
-/// a piece that runs from one staged step into the next is one copy.
+/// `n`-point grid from its runs of active subcarriers (`(first
+/// subcarrier, its bins)`): a step inside one run reads the antenna's
+/// `dl_freq` run, a step no run touches is zeros, and any other step —
+/// one a run's edge crosses — is staged. Staged steps take consecutive
+/// places in step order.
 fn ifft_steps(
     n: usize,
-    pieces: &[Piece],
-    g: &BufferGeometry,
-) -> (Vec<IfftStep>, Vec<(Piece, usize)>) {
-    let aligned = |p: &Piece| p.bin.is_multiple_of(8) && p.len.is_multiple_of(8);
+    runs: impl IntoIterator<Item = (usize, Range<usize>)>,
+) -> (Vec<IfftStep>, Vec<(Range<usize>, usize)>) {
     let mut steps = vec![IfftStep::Zero; n / 8];
-    for p in pieces {
-        let col = g.piece_cols(p, 0).start;
-        for (k, t) in (p.bin / 8..(p.bin + p.len).div_ceil(8)).enumerate() {
-            steps[t] = if aligned(p) { IfftStep::Plane(col + 8 * k) } else { IfftStep::Staged(0) };
+    // (step, its subcarriers, the place of the first in the step)
+    let mut cuts = Vec::new();
+    for (sc0, bins) in runs {
+        let first = bins.start / 8;
+        for (t, step) in (first..).zip(&mut steps[first..bins.end.div_ceil(8)]) {
+            let (lo, hi) = (bins.start.max(8 * t), bins.end.min(8 * t + 8));
+            let sc = sc0 + lo - bins.start;
+            if hi - lo == 8 {
+                *step = IfftStep::Plane(sc);
+            } else {
+                *step = IfftStep::Staged(0);
+                cuts.push((t, sc..sc + hi - lo, lo % 8));
+            }
         }
     }
     let mut rows = 0;
@@ -806,12 +835,11 @@ fn ifft_steps(
             (*at, rows) = (rows, rows + 8);
         }
     }
-    let staged = pieces
-        .iter()
-        .filter(|p| !aligned(p))
-        .map(|p| match steps[p.bin / 8] {
-            IfftStep::Staged(at) => (*p, at + p.bin % 8),
-            _ => unreachable!("an unaligned piece's steps are staged"),
+    let staged = cuts
+        .into_iter()
+        .map(|(t, scs, off)| match steps[t] {
+            IfftStep::Staged(at) => (scs, at + off),
+            _ => unreachable!("a cut step is staged"),
         })
         .collect();
     (steps, staged)
@@ -1013,9 +1041,10 @@ mod tests {
     /// The IFFT task against the unfused pipeline on every tier and step
     /// layout: scatter the antenna's subcarriers into a zeroed grid, run
     /// the whole inverse transform (its own bit reversal and conjugation
-    /// passes), copy out. At 256/240 and 2048/1200 with blocks of 8 (plane
-    /// and staged steps), and at 512/300 and 256/240 with blocks of 4
-    /// (staged steps only).
+    /// passes), copy out. At 256/240 and 2048/1200 with blocks of 8, and
+    /// at 512/300 and 256/240 with blocks of 4: the antenna-major
+    /// `dl_freq` row does not depend on the block, and every layout has
+    /// plane and staged steps (512/300's negative run starts off a step).
     #[test]
     fn ifft_task_matches_the_unfused_inverse_on_every_layout() {
         use crate::buffers::FrameWindow;
@@ -1032,7 +1061,9 @@ mod tests {
                 let k = Kernels::with_tier(cfg, tier);
                 let (g, n) = (k.geom, cell.fft_size);
                 let what = format!("{n}/{} block {block} {tier:?}", g.q);
-                assert!(k.ifft_steps.iter().any(|s| matches!(s, IfftStep::Staged(_))), "{what}");
+                let plane = k.ifft_steps.iter().any(|s| matches!(s, IfftStep::Plane(_)));
+                let staged = k.ifft_steps.iter().any(|s| matches!(s, IfftStep::Staged(_)));
+                assert!(plane && staged, "{what}: plane {plane}, staged {staged}");
                 let w = FrameWindow::new(g, 2);
                 let fb = w.slot(0);
                 let mut state = 0x2545_F491_4F6C_DD1Du64;
@@ -1049,7 +1080,7 @@ mod tests {
                 let (mut active, mut grid) = (vec![Cf32::ZERO; g.q], vec![Cf32::ZERO; n]);
                 for (ant, got) in fb.dl_time.row(1).chunks_exact(g.samples).enumerate() {
                     for (sc, v) in active.iter_mut().enumerate() {
-                        *v = freq[g.sc_col(sc, ant)];
+                        *v = freq[g.dl_col(sc, ant)];
                     }
                     map_of(&k).map_symbols(&active, &mut grid);
                     k.fft.execute(&mut grid, Direction::Inverse);
@@ -1216,7 +1247,7 @@ mod tests {
         }
 
         // The IFFT task's fused ends against the unfused pipeline: gather
-        // the antenna's subcarriers out of the `dl_freq` blocks, scatter
+        // the antenna's subcarriers out of its `dl_freq` run, scatter
         // them into a zeroed grid, run the whole transform (with its own
         // bit-reversal pass).
         let g = k.geom;
@@ -1225,7 +1256,7 @@ mod tests {
         let (mut active, mut grid) = (vec![Cf32::ZERO; g.q], vec![Cf32::ZERO; g.samples]);
         for (ant, got) in fb.dl_time.row(2).chunks_exact(g.samples).enumerate() {
             for (sc, v) in active.iter_mut().enumerate() {
-                *v = freq[g.sc_col(sc, ant)];
+                *v = freq[g.dl_col(sc, ant)];
             }
             map_of(k).map_symbols(&active, &mut grid);
             k.fft.execute(&mut grid, Direction::Inverse);
@@ -1279,6 +1310,60 @@ mod tests {
             {
                 assert!(cached.iter().any(|&b| b != (0, 0)), "{tier:?}: {plane} untouched");
                 assert!(cached == streamed, "{tier:?}: {plane} differs");
+            }
+        }
+    }
+
+    /// The precode task's scatter: antenna `a`'s precoded subcarrier `sc`
+    /// lands at `dl_col(sc, a)` — each block's GEMM output row `a`
+    /// against the plane — on every tier, cached and streamed, with
+    /// blocks of 8 (whole lines) and 4 (half lines).
+    #[test]
+    fn precode_task_writes_each_antenna_line_to_its_run() {
+        for block in [8, 4] {
+            let (k, w) = primed(CellConfig::tiny_test(1), "PD", |cfg| {
+                cfg.demod_block = block;
+                cfg.clamp_batches();
+            });
+            let (g, fb, downlink) = (k.geom, w.slot(0), 1);
+            let mut state = 0x9E37_79B9_7F4A_7C15u64;
+            let mut next = || {
+                state = xorshift(state);
+                state
+            };
+            for group in 0..g.q.div_ceil(g.zf_group) {
+                for z in fb.pre.row_mut(group, ..) {
+                    *z = Cf32::new((next() >> 40) as f32 / 1e7, (next() >> 40) as f32 / 1e7);
+                }
+            }
+            for user in 0..g.k {
+                fb.dl_bits.row_mut((downlink, user), ..).iter_mut().for_each(|b| *b = next() as u8);
+            }
+            let bytes = block * k.modulation().bits_per_symbol() / 8;
+            let mut user_block = vec![Cf32::ZERO; g.k * block];
+            let mut ant_block = vec![Cf32::ZERO; g.m * block];
+            for tier in SimdTier::supported() {
+                let mut k = Kernels::with_tier(k.cfg.clone(), tier);
+                let mut s = k.scratch();
+                for stores in [Stores::Cached, Stores::Streamed] {
+                    k.stores = PlaneStores { freq: stores, dl_time: stores };
+                    clear(&fb.dl_freq);
+                    k.precode_task(fb, &mut s, downlink, 0, g.q);
+                    let plane = fb.dl_freq.row(downlink);
+                    for blk in 0..g.q / block {
+                        for (user, row) in user_block.chunks_exact_mut(block).enumerate() {
+                            let bits = &fb.dl_bits.row((downlink, user))[blk * bytes..];
+                            k.modulator.modulate_into(&bits[..bytes], row);
+                        }
+                        let pre = fb.pre.row(blk * block / g.zf_group);
+                        k.pre_gemm.run(pre, &user_block, &mut ant_block);
+                        for (ant, want) in ant_block.chunks_exact(block).enumerate() {
+                            let col = g.dl_col(blk * block, ant);
+                            let what = format!("block {block} {tier:?} {stores:?}: {blk}/{ant}");
+                            assert!(bits(&plane[col..col + block]) == bits(want), "{what}");
+                        }
+                    }
+                }
             }
         }
     }

@@ -1371,6 +1371,52 @@ mod proptests {
         }
     }
 
+    /// One decoder per tier, reused through pairs and lone blocks over
+    /// all rows and a few: every decode equals a fresh scalar decoder's.
+    /// A lone block runs beside what the last pair's second block left in
+    /// the other slot — posteriors, and messages past the lone block's
+    /// rows — and must read none of it.
+    #[test]
+    fn lone_blocks_after_pairs_decode_as_on_a_fresh_decoder() {
+        let few = DecodeConfigI8 { max_iters: 3, active_rows: Some(5), ..Default::default() };
+        let all = DecodeConfigI8 { max_iters: 3, ..Default::default() };
+        for (bg, z) in [(BaseGraphId::Bg2, 12), (BaseGraphId::Bg1, 30), (BaseGraphId::Bg2, 2)] {
+            let (a, b) = (block(bg, z, 3, 2 * z, false), block(bg, z, 4, z, true));
+            let steps: [(&[&[i8]], &DecodeConfigI8); 6] = [
+                (&[&a, &b], &all),
+                (&[&a], &few),
+                (&[&b], &all),
+                (&[&b, &a], &few),
+                (&[&a], &all),
+                (&[&b], &all),
+            ];
+            let mut fresh = DecoderI8::with_tier(bg, z, SimdTier::Scalar);
+            let n = fresh.info_len();
+            for tier in SimdTier::supported() {
+                let mut dec = DecoderI8::with_tier(bg, z, tier);
+                for (i, &(blocks, cfg)) in steps.iter().enumerate() {
+                    let want: Vec<_> = blocks
+                        .iter()
+                        .map(|llr| {
+                            let mut bits = vec![0u8; n];
+                            (fresh.decode_into(llr, cfg, &mut bits), bits)
+                        })
+                        .collect();
+                    let mut got = [vec![0xAAu8; n], vec![0x55u8; n]];
+                    let [ga, gb] = &mut got;
+                    let results = match blocks {
+                        &[x, y] => dec.decode_pair_into([x, y], cfg, [ga, gb]).to_vec(),
+                        _ => vec![dec.decode_into(blocks[0], cfg, ga)],
+                    };
+                    for (b, (result, bits)) in want.iter().enumerate() {
+                        assert_eq!(results[b], *result, "{tier:?} {bg:?} z={z} step {i} block {b}");
+                        assert!(got[b] == *bits, "{tier:?} {bg:?} z={z} step {i} block {b}");
+                    }
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 

@@ -29,8 +29,10 @@
 //! column `c` then holds block `b`'s lanes at `c * stride + b *
 //! slot_stride`, and [`decode_layered`] decodes up to that many blocks
 //! in one pass over the rows, each with its own early exit. Lanes never
-//! mix across slots, so each block decodes exactly as it would alone,
-//! and a slot with no block stays all zero by the padding rule.
+//! mix across slots — a rotation stays inside its slot, and the syndrome
+//! reports each slot apart — so each block decodes exactly as it would
+//! alone, and a lone block need not clear the slot a pair's second block
+//! left: its lanes compute on beside it, and nothing reads them.
 
 use crate::base_graph::{BaseGraph, BaseGraphId};
 use agora_math::simd::SimdTier;
@@ -239,7 +241,8 @@ pub(crate) struct Schedule {
 
 /// Layered decode of the blocks `llr` into `out` (hard-decision
 /// information bits, one byte each), block `b` in slot `b`; `B` is at
-/// most [`Lifted::slots`], and the slots past `B` are cleared. Returns
+/// most [`Lifted::slots`]. The slots past `B` keep whatever the last
+/// pair left there: no lane of a block reads them (module docs). Returns
 /// each block's `(success, iterations)`. A block whose syndrome passes
 /// leaves the loop there: its result and bits are taken at that point,
 /// and its lanes, which may go on computing with the other blocks', are
@@ -260,11 +263,6 @@ pub(crate) fn decode_layered<P: Plane, const B: usize>(
     let rows = g.active_rows(sched.active_rows);
     for (slot, llr) in llr.iter().enumerate() {
         P::priors(g, llr, st.post, slot);
-    }
-    if B < g.slots {
-        for col in st.post.chunks_exact_mut(g.stride) {
-            col[B * g.slot_stride..].fill(P::Llr::default());
-        }
     }
     // Rows past the active ones are never read.
     let active_entries = (0..rows).last().map_or(0, |r| g.row(r).end);

@@ -6,7 +6,9 @@
 //! 1 and 2 and no early exit: 0 is the once-per-block work (priors,
 //! message reset, output bits) and a syndrome pass that fails at the
 //! first row; 1 adds a layered pass over the active rows and a syndrome
-//! pass over all of them; 2 one more layered pass. Z = 12 is the 8x2
+//! pass over all of them; 2 one more layered pass. A tier's four rows
+//! are timed in alternating rounds, each row the median of its per-round
+//! values, so a change of box state moves them together. Z = 12 is the 8x2
 //! cell (BG2), Z = 104 the 64x16 cell (BG1). Only the public API is
 //! used, so the same file runs unchanged on an older checkout for a
 //! before/after; a tier the CPU lacks is skipped.
@@ -24,8 +26,12 @@ use agora_phy::CellConfig;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Timed passes over a frame's blocks; the median pass is reported.
-const PASSES: usize = 15;
+/// Rounds of a tier's rows, in alternating order.
+const ROUNDS: usize = 9;
+
+/// Timed passes over a frame's blocks per row and round; the median pass
+/// is the round's value.
+const PASSES: usize = 5;
 
 /// The full-length LLRs of every uplink code block of one frame of
 /// `cell`, as `decode_task` hands them to the decoder.
@@ -56,21 +62,26 @@ fn frame_blocks(cell: &CellConfig) -> (Vec<Vec<i8>>, DecodeConfigI8) {
     (blocks, dec_cfg)
 }
 
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
 /// Median over [`PASSES`] passes of the microseconds per block.
 fn us_per_block(dec: &mut DecoderI8, blocks: &[Vec<i8>], cfg: &DecodeConfigI8) -> f64 {
     let mut bits = vec![0u8; dec.info_len()];
-    let mut passes: Vec<f64> = (0..=PASSES)
-        .map(|_| {
-            let t = Instant::now();
-            for llr in blocks {
-                black_box(dec.decode_into(llr, cfg, &mut bits));
-            }
-            t.elapsed().as_secs_f64() * 1e6 / blocks.len() as f64
-        })
-        .skip(1)
-        .collect();
-    passes.sort_by(f64::total_cmp);
-    passes[PASSES / 2]
+    median(
+        (0..=PASSES)
+            .map(|_| {
+                let t = Instant::now();
+                for llr in blocks {
+                    black_box(dec.decode_into(llr, cfg, &mut bits));
+                }
+                t.elapsed().as_secs_f64() * 1e6 / blocks.len() as f64
+            })
+            .skip(1)
+            .collect(),
+    )
 }
 
 fn main() {
@@ -100,11 +111,22 @@ fn main() {
                 .filter(|&(_, &n)| n > 0)
                 .map(|(i, n)| format!("{i}:{n}"))
                 .collect();
-            let decode = us_per_block(&mut dec, &blocks, &cfg);
-            let pinned = [0, 1, 2].map(|max_iters| {
-                let pinned = DecodeConfigI8 { max_iters, early_termination: false, ..cfg };
-                format!("{:7.2}", us_per_block(&mut dec, &blocks, &pinned))
-            });
+            // The frame's own limit, then 0, 1 and 2 with no early exit.
+            let pinned = |max_iters| DecodeConfigI8 { max_iters, early_termination: false, ..cfg };
+            let cfgs = [cfg, pinned(0), pinned(1), pinned(2)];
+            let rounds: Vec<[f64; 4]> = (0..ROUNDS)
+                .map(|round| {
+                    let mut us = [0.0; 4];
+                    let order = if round % 2 == 0 { [0, 1, 2, 3] } else { [3, 2, 1, 0] };
+                    for i in order {
+                        us[i] = us_per_block(&mut dec, &blocks, &cfgs[i]);
+                    }
+                    us
+                })
+                .collect();
+            let [decode, pinned @ ..] =
+                [0, 1, 2, 3].map(|i| median(rounds.iter().map(|r| r[i]).collect()));
+            let pinned = pinned.map(|us| format!("{us:7.2}"));
             println!(
                 "  {:<8} decode {decode:7.2}   iterations {}   max_iters 0 / 1 / 2: {}",
                 format!("{tier:?}"),

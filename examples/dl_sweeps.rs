@@ -1,7 +1,8 @@
 //! Where the downlink's time goes: `encode_task` next to the parts of the
 //! byte pipeline it replaced (payload, encode, rate-match and store),
-//! `ifft_task` next to the transforms it runs (interleaved, each
-//! difference row the median of per-round differences), `precode_task`
+//! `ifft_task` next to the transforms it runs and to itself right after
+//! the symbol's `precode_task` (interleaved, each row the median of
+//! per-round values, each difference row of per-round differences), `precode_task`
 //! next to its GEMMs (planned on every SIMD tier the CPU runs), and the
 //! share of `InlineProcessor::process_frame` a downlink frame spends
 //! copying its `dl_time` samples out. It runs in the allocator state the
@@ -30,21 +31,27 @@ use std::time::Instant;
 
 const REPS: usize = 200;
 
-/// Rounds of the IFFT rows, each timing the task and both transforms.
+/// Rounds of the IFFT rows, each timing the task warm, the task after
+/// precode and both transforms.
 const ROUNDS: usize = 9;
+
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
 
 /// Median of `reps` timings of `f`, in microseconds.
 fn median_us(reps: usize, mut f: impl FnMut(usize)) -> f64 {
     f(0);
-    let mut ns: Vec<u128> = (0..reps)
-        .map(|rep| {
-            let t = Instant::now();
-            f(rep);
-            t.elapsed().as_nanos()
-        })
-        .collect();
-    ns.sort_unstable();
-    ns[ns.len() / 2] as f64 / 1e3
+    median(
+        (0..reps)
+            .map(|rep| {
+                let t = Instant::now();
+                f(rep);
+                t.elapsed().as_nanos() as f64 / 1e3
+            })
+            .collect(),
+    )
 }
 
 /// An inline processor for `cell`, with one frame of it processed, and
@@ -131,31 +138,47 @@ fn main() {
             black_box(&mut grid);
         })
     };
-    let rounds: Vec<[f64; 3]> = (0..ROUNDS)
+    // The symbol's antennas right after its precode task wrote `dl_freq`,
+    // as the engine runs them: per antenna, the median over reps.
+    let mut after_precode = || {
+        median(
+            (0..REPS / 4)
+                .map(|_| {
+                    kernels.precode_task(fb, &mut scratch, downlink, 0, g.q);
+                    let t = Instant::now();
+                    (0..g.m).for_each(|ant| kernels.ifft_task(fb, &mut scratch, downlink, ant));
+                    t.elapsed().as_nanos() as f64 / 1e3 / g.m as f64
+                })
+                .collect(),
+        )
+    };
+    let mut warm_scratch = kernels.scratch();
+    let rounds: Vec<[f64; 4]> = (0..ROUNDS)
         .map(|round| {
-            let mut us = [0.0; 3];
-            let order = if round % 2 == 0 { [0, 1, 2] } else { [2, 1, 0] };
+            let mut us = [0.0; 4];
+            let order = if round % 2 == 0 { [0, 1, 2, 3] } else { [3, 2, 1, 0] };
             for i in order {
                 us[i] = match i {
                     0 => median_us(REPS, |rep| {
-                        kernels.ifft_task(fb, &mut scratch, downlink, rep % g.m)
+                        kernels.ifft_task(fb, &mut warm_scratch, downlink, rep % g.m)
                     }),
-                    1 => transform(Direction::Inverse),
+                    1 => after_precode(),
+                    2 => transform(Direction::Inverse),
                     _ => transform(Direction::Forward),
                 };
             }
             us
         })
         .collect();
-    let over_rounds = |f: fn(&[f64; 3]) -> f64| {
-        let mut v: Vec<f64> = rounds.iter().map(f).collect();
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    let (ifft_task, inverse, forward) =
-        (over_rounds(|r| r[0]), over_rounds(|r| r[1]), over_rounds(|r| r[2]));
+    let over_rounds = |f: fn(&[f64; 4]) -> f64| median(rounds.iter().map(f).collect());
+    let (ifft_task, ifft_after, inverse, forward) = (
+        over_rounds(|r| r[0]),
+        over_rounds(|r| r[1]),
+        over_rounds(|r| r[2]),
+        over_rounds(|r| r[3]),
+    );
     let (minus_inverse, minus_forward) =
-        (over_rounds(|r| r[0] - r[1]), over_rounds(|r| r[0] - r[2]));
+        (over_rounds(|r| r[0] - r[2]), over_rounds(|r| r[0] - r[3]));
     let copy = median_us(REPS, |rep| {
         let ant = rep % g.m;
         grid.copy_from_slice(&time[ant * g.samples..ant * g.samples + n]);
@@ -224,7 +247,8 @@ fn main() {
         payload + encode + rate_match
     );
     println!("IFFT, one antenna");
-    println!("  ifft_task             {ifft_task:8.2}");
+    println!("  ifft_task             {ifft_task:8.2}   warm: dl_freq in cache");
+    println!("  ifft_task             {ifft_after:8.2}   right after the symbol's precode_task, per antenna");
     println!("  execute_prereversed   {inverse:8.2}   inverse (conj passes included)");
     println!("  execute_prereversed   {forward:8.2}   forward (butterflies only)");
     println!("  grid copy             {copy:8.2}   one 16-byte-aligned copy of {n} samples");

@@ -123,7 +123,7 @@ fi
 
 echo "== streaming stores: one home, one fence =="
 simd=crates/mimo-math/src/simd.rs
-strays=$(grep -rlE '_mm_sfence|_mm256_stream_ps' --include='*.rs' . \
+strays=$(grep -rlE '_mm_sfence|_mm(256|512)?_stream_' --include='*.rs' . \
     --exclude-dir=target --exclude-dir=.bench_build | grep -vx "./$simd" || true)
 if [ -n "$strays" ]; then
     echo "streaming-store intrinsics outside $simd (use stream_copy + stream_fence):"
