@@ -15,7 +15,7 @@
 //! | `fft` | tier agreement; batched ≡ single transforms bit for bit; pre-reversed entry ≡ `execute` |
 //! | `gemm` | `gemm` (GEMV at `n = 1`), the ZF Gram kernel and planned kernels on every vector tier bit-identical to scalar on every dispatch shape class |
 //! | `zf` | Cholesky detector ≈ Jacobi-SVD pseudo-inverse, bit-identical across every tier; near-singular Gram rejected |
-//! | `demod` | `Kernels` pinned to each narrower tier ≡ detected tier on the `csi`, `freq` (pilot and uplink FFTs), `inv_noise`, `llr`, `decoded`, `decode_ok`, `dl_freq` and `dl_time` planes, 8×2 and 64×16 |
+//! | `demod` | `Kernels` pinned to each narrower tier ≡ detected tier on the `csi`, `freq` (pilot and uplink FFTs), `inv_noise`, `llr`, `decoded`, `decode_ok`, `dl_mod` and `dl_time` planes, 8×2 and 64×16 |
 //! | `bler` | through the real uplink chain at 0–30 dB, AWGN and 4-tap Rayleigh, 8×2 and 64×16: the engine's i8 plane decodes at least the blocks an f32 decoder does |
 //! | `fronthaul` | batch ≡ single delivery on mem and UDP links; aggregation split and pool recycling |
 //! | `deployment` | C=4 ledgers reconcile against the fault injector; deployment ≡ standalone engines; misroutes counted |
@@ -524,7 +524,7 @@ fn demod() {
         // and no view is alive across a `fill`.
         let planes = || unsafe {
             let cf32 =
-                [&fb.csi, &fb.freq, &fb.dl_freq, &fb.dl_time].map(|plane| bits(plane.view(None)));
+                [&fb.csi, &fb.freq, &fb.dl_mod, &fb.dl_time].map(|plane| bits(plane.view(None)));
             let inv_noise: Vec<u32> = fb.inv_noise.view(None).iter().map(|x| x.to_bits()).collect();
             let bytes = [fb.decoded.view(None), fb.decode_ok.view(None)].map(<[u8]>::to_vec);
             (cf32, inv_noise, fb.llr.view(None).to_vec(), bytes)
@@ -537,7 +537,7 @@ fn demod() {
         check(filled, &format!("{what}: the detected tier filled the planes"));
         for tier in SimdTier::supported().filter(|&t| t < SimdTier::detect()) {
             unsafe {
-                for plane in [&fb.csi, &fb.freq, &fb.dl_freq, &fb.dl_time] {
+                for plane in [&fb.csi, &fb.freq, &fb.dl_mod, &fb.dl_time] {
                     plane.fill(Cf32::ZERO);
                 }
                 fb.inv_noise.fill(0.0);
@@ -563,7 +563,7 @@ fn demod() {
                 ("llr", llr == detected.2),
                 ("decoded", bytes[0] == detected.3[0]),
                 ("decode_ok", bytes[1] == detected.3[1]),
-                ("dl_freq", cf32[2] == detected.0[2]),
+                ("dl_mod", cf32[2] == detected.0[2]),
                 ("dl_time", cf32[3] == detected.0[3]),
             ] {
                 check(same, &format!("{what}: {plane} plane, {tier:?} tier ≡ detected"));

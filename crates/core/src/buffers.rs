@@ -376,10 +376,11 @@ impl PacketSlots {
 ///   `[block][antenna][block sc]` ([`BufferGeometry::sc_col`]): a demod
 ///   block's antenna samples are whole cache lines, contiguous per
 ///   antenna.
-/// * `dl_freq[symbol]` — the same samples `[antenna][Q sc]`
-///   ([`BufferGeometry::dl_col`]): an IFFT task reads its antenna's
-///   subcarriers as one run, and a precode block's antenna samples are a
-///   line of that run.
+/// * `dl_mod[symbol]` — the modulated user symbols of a downlink
+///   symbol, `[block][user][block sc]` ([`BufferGeometry::mod_cols`]): a
+///   precode task writes each of its blocks' `K` user rows as one run,
+///   and every IFFT task of the symbol reads the whole row, the `B` of
+///   its antennas' precoding GEMMs.
 /// * `csi[group]` — the group's `M x K` channel estimate, row-major,
 ///   written by the pilot FFT tasks; `det[group]` (`K x M`) and
 ///   `pre[group]` (`M x K`) — ZF's detector and power-normalised
@@ -414,8 +415,8 @@ pub struct FrameBuffers {
     pub decode_ok: Plane<u8, (usize, usize)>,
     /// Downlink coded bits per (symbol, user), eight to a byte.
     pub dl_bits: Plane<u8, (usize, usize)>,
-    /// Downlink frequency-domain antenna samples per symbol.
-    pub dl_freq: Plane<Cf32>,
+    /// Downlink modulated user symbols per symbol, block by block.
+    pub dl_mod: Plane<Cf32>,
     /// Downlink time-domain samples per symbol.
     pub dl_time: Plane<Cf32>,
 }
@@ -481,10 +482,12 @@ impl BufferGeometry {
         (sc / self.block * self.m + ant) * self.block + sc % self.block
     }
 
-    /// Column of subcarrier `sc` of antenna `ant` in a `dl_freq` row:
-    /// `[antenna][Q sc]`.
-    pub(crate) fn dl_col(&self, sc: usize, ant: usize) -> usize {
-        ant * self.q + sc
+    /// Columns of block `blk`, every user, in a `dl_mod` row: what a
+    /// precode task writes per block, and the `K x block` operand an IFFT
+    /// task's GEMM reads for it.
+    pub(crate) fn mod_cols(&self, blk: usize) -> Range<usize> {
+        let width = self.k * self.block;
+        blk * width..(blk + 1) * width
     }
 
     /// Columns of demod block `blk`, every antenna, in a `freq` row: what
@@ -566,7 +569,7 @@ impl FrameWindow {
             decoded: Plane::zeroed(users, g.info_bits),
             decode_ok: Plane::zeroed(users, 1),
             dl_bits: Plane::zeroed(users, g.cap_bits.div_ceil(8)),
-            dl_freq: Plane::zeroed(g.symbols, g.q * g.m),
+            dl_mod: Plane::zeroed(g.symbols, g.q * g.k),
             dl_time: Plane::zeroed(g.symbols, g.m * g.samples),
         };
         Self { slots: (0..window).map(|_| frame()).collect() }
@@ -685,7 +688,7 @@ mod tests {
     #[test]
     fn every_frame_plane_starts_on_a_cache_line() {
         fn check(fb: &FrameBuffers, what: &str) {
-            let cf32 = [&fb.freq, &fb.csi, &fb.det, &fb.pre, &fb.dl_freq, &fb.dl_time];
+            let cf32 = [&fb.freq, &fb.csi, &fb.det, &fb.pre, &fb.dl_mod, &fb.dl_time];
             for (i, plane) in cf32.into_iter().enumerate() {
                 assert!(is_line_aligned(plane.buf.as_ptr()), "{what}: Cf32 plane {i}");
             }
@@ -790,9 +793,8 @@ mod tests {
         /// pieces take (every antenna's) and those its demod blocks take
         /// are each pairwise disjoint and cover the row, every piece
         /// inside its block at the columns `sc_col` gives its subcarriers;
-        /// within a `dl_freq` row the precode blocks' antenna lines, and
-        /// the IFFT's antenna runs, each tile the row, every line inside
-        /// its antenna's run; the antennas of a `dl_time` row tile it.
+        /// within a `dl_mod` row the precode blocks tile the row; the
+        /// antennas of a `dl_time` row tile it.
         #[test]
         fn frame_layout_tiles_every_plane(
             array in (1usize..9, 1usize..6),
@@ -812,7 +814,7 @@ mod tests {
             let by_user = pairs(symbols, k);
             for (name, plane, keys) in [
                 ("freq", &fb.freq, &by_symbol),
-                ("dl_freq", &fb.dl_freq, &by_symbol),
+                ("dl_mod", &fb.dl_mod, &by_symbol),
                 ("dl_time", &fb.dl_time, &by_symbol),
                 ("csi", &fb.csi, &by_group),
                 ("det", &fb.det, &by_group),
@@ -849,17 +851,8 @@ mod tests {
             prop_assert!(tile(fft, row), "FFT pieces");
             let demod = g.task_blocks(0, q).map(|blk| g.block_cols(blk)).collect();
             prop_assert!(tile(demod, row), "demod blocks");
-            let runs: Vec<_> = (0..m).map(|ant| g.dl_col(0, ant)..g.dl_col(0, ant) + q).collect();
-            let mut lines = Vec::new();
-            for blk in g.task_blocks(0, q) {
-                for (ant, run) in runs.iter().enumerate() {
-                    let col = g.dl_col(blk * block, ant);
-                    prop_assert!(run.start <= col && col + block <= run.end, "block {} antenna {}", blk, ant);
-                    lines.push(col..col + block);
-                }
-            }
-            prop_assert!(tile(lines, row), "precode lines");
-            prop_assert!(tile(runs, row), "IFFT antenna runs");
+            let precode = g.task_blocks(0, q).map(|blk| g.mod_cols(blk)).collect();
+            prop_assert!(tile(precode, fb.dl_mod.row_len), "precode blocks");
             let ants = (0..m).map(|a| g.antenna_cols(a..a + 1)).collect();
             prop_assert!(tile(ants, fb.dl_time.row_len), "dl_time antennas");
         }

@@ -1,5 +1,5 @@
 //! No task body allocates: the worker's scratch owns the transform grid,
-//! the IFFT's staging row, the ZF intermediates, the GEMM blocks and the
+//! the IFFT's precoded antenna runs, the ZF intermediates, the GEMM blocks and the
 //! decoder's buffers, the encode task keeps its payload and codeword on
 //! the stack, and every body writes straight into the frame's planes. Nor
 //! does the manager's frame table once a frame's first packet has built

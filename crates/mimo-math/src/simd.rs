@@ -98,30 +98,6 @@ pub fn stream_copy(src: &[Cf32], dst: &mut [Cf32], tier: SimdTier) {
     }
 }
 
-/// [`stream_copy`] of every `(src, dst)` pair `lines` yields, with one
-/// tier dispatch for them all: what a producer whose output lands in many
-/// rows calls, one line per row, instead of paying a call per line. A
-/// whole, line-aligned `dst` of one line is one streaming store on the
-/// AVX-512 tier; any other `dst` is written as [`stream_copy`] writes it,
-/// so a line it covers only partly gets cached stores.
-///
-/// # Panics
-/// Panics if a pair's lengths differ, before that pair is written.
-pub fn stream_lines<'s, 'd>(
-    lines: impl IntoIterator<Item = (&'s [Cf32], &'d mut [Cf32])>,
-    tier: SimdTier,
-) {
-    // SAFETY: the tier is clamped to the CPU's; the bodies check each
-    // pair's lengths before they write it.
-    match tier.min(SimdTier::cached()) {
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx512 => unsafe { stream_lines_avx512(lines.into_iter()) },
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Avx2 => unsafe { stream_lines_avx(lines.into_iter()) },
-        _ => lines.into_iter().for_each(|(src, dst)| dst.copy_from_slice(src)),
-    }
-}
-
 /// [`stream_copy`] of `z.conj().scale(scale)` for every `z` of `src`: the
 /// closing `conj(·) / n` of an inverse transform run as a conjugated
 /// forward one, fused into its store. Every tier does what `conj` and
@@ -208,41 +184,6 @@ unsafe fn stream_copy_avx(src: &[Cf32], dst: &mut [Cf32], conj_scale: Option<f32
     }
     if tail != n {
         stream_edge(sp, dp, tail..n, conj_scale);
-    }
-}
-
-/// [`stream_lines`] on the AVX2 tier: [`stream_copy_avx`] per pair, inlined
-/// into one loop.
-///
-/// # Safety
-/// Caller must ensure the CPU supports AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn stream_lines_avx<'s, 'd>(lines: impl Iterator<Item = (&'s [Cf32], &'d mut [Cf32])>) {
-    for (src, dst) in lines {
-        assert_eq!(src.len(), dst.len());
-        stream_copy_avx(src, dst, None);
-    }
-}
-
-/// [`stream_lines`] on the AVX-512 tier: one `vmovntps` for a `dst` that is
-/// exactly one line, [`stream_copy_avx`] for any other.
-///
-/// # Safety
-/// Caller must ensure the CPU supports AVX-512F.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn stream_lines_avx512<'s, 'd>(lines: impl Iterator<Item = (&'s [Cf32], &'d mut [Cf32])>) {
-    use core::arch::x86_64::*;
-    const LINE_SAMPLES: usize = CACHE_LINE / core::mem::size_of::<Cf32>();
-    for (src, dst) in lines {
-        assert_eq!(src.len(), dst.len());
-        let dp = dst.as_mut_ptr() as *mut f32;
-        if dst.len() == LINE_SAMPLES && (dp as usize).is_multiple_of(CACHE_LINE) {
-            _mm512_stream_ps(dp, _mm512_loadu_ps(src.as_ptr() as *const f32));
-        } else {
-            stream_copy_avx(src, dst, None);
-        }
     }
 }
 
@@ -568,36 +509,6 @@ mod tests {
         stream_copy(&src, &mut dst[1..], SimdTier::detect());
         stream_fence();
         assert_eq!(src, dst[1..]);
-    }
-
-    /// On every tier, `stream_lines` leaves the bytes plain copies leave:
-    /// whole lines on a line boundary (the AVX-512 tier's one-store path),
-    /// a whole line's length off one, half and odd lines, a line that runs
-    /// into the next, an empty one; the gaps between them stay untouched.
-    #[test]
-    fn stream_lines_matches_copies() {
-        const SENTINEL: Cf32 = Cf32::new(-7.5, 7.5);
-        // (gap before, length) in samples, from a line boundary.
-        let spans = [(0, 8), (0, 8), (3, 8), (0, 4), (1, 13), (0, 0), (5, 8), (0, 1), (2, 24)];
-        let total: usize = spans.iter().map(|(gap, len)| gap + len).sum();
-        let src: Vec<Cf32> = (0..total).map(|i| Cf32::new(i as f32 + 0.25, -(i as f32))).collect();
-        for tier in SimdTier::supported() {
-            let mut backing = vec![SENTINEL; total + 8];
-            let base = (CACHE_LINE - backing.as_ptr() as usize % CACHE_LINE) % CACHE_LINE / 8;
-            let mut want = backing.clone();
-            let (mut rest, mut at, mut lines) = (&mut backing[base..], 0, Vec::new());
-            for (gap, len) in spans {
-                let (dst, tail) = core::mem::take(&mut rest)[gap..].split_at_mut(len);
-                rest = tail;
-                let line = &src[at + gap..at + gap + len];
-                want[base + at + gap..][..len].copy_from_slice(line);
-                lines.push((line, dst));
-                at += gap + len;
-            }
-            stream_lines(lines, tier);
-            stream_fence();
-            assert_eq!(backing, want, "{tier:?}");
-        }
     }
 
     #[test]

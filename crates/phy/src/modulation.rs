@@ -5,7 +5,7 @@
 //! evaluation uses 64-QAM (6 bits/symbol) and mentions 256-QAM as an
 //! avenue of improvement; all five schemes are implemented.
 
-use agora_math::Cf32;
+use agora_math::{Cf32, SimdTier};
 
 /// Modulation order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -147,43 +147,117 @@ pub fn constellation(scheme: ModScheme) -> Vec<Cf32> {
     (0..scheme.order() as u32).map(|v| map_symbol(scheme, v)).collect()
 }
 
-/// A planned modulator for one scheme: [`constellation`] as a lookup table
-/// indexed straight by packed bits — what [`modulate`] does a bit and a
-/// [`map_symbol`] at a time, with the same points out.
+/// A planned modulator for one scheme and tier: [`constellation`] as a
+/// lookup table indexed straight by packed bits — what [`modulate`] does a
+/// bit and a [`map_symbol`] at a time, with the same points out. The
+/// Avx512 tier looks each axis up in registers instead
+/// ([`modulate_avx512`]); every tier writes the same bits.
 #[derive(Debug, Clone)]
 pub struct Modulator {
     /// `map_symbol(scheme, v)` at index `v`.
     table: Vec<Cf32>,
     bps: usize,
+    tier: SimdTier,
+    /// Per axis, the level of label `v % 2^half` at index `v`: both axes
+    /// of a square scheme carry the same levels, `constellation(scheme)[v]
+    /// .re` for `v < 2^half`. Unused for BPSK.
+    levels: [f32; 16],
 }
 
 impl Modulator {
-    /// Plans the modulator of `scheme`.
-    pub fn new(scheme: ModScheme) -> Self {
-        Self { table: constellation(scheme), bps: scheme.bits_per_symbol() }
+    /// Plans the modulator of `scheme` on `tier`, clamped to what the CPU
+    /// supports.
+    pub fn new(scheme: ModScheme, tier: SimdTier) -> Self {
+        let table = constellation(scheme);
+        let half = scheme.bits_per_symbol() / 2;
+        let levels = core::array::from_fn(|v| table[v % (1 << half)].re);
+        let tier = tier.min(SimdTier::cached());
+        Self { table, bps: scheme.bits_per_symbol(), tier, levels }
     }
 
-    /// Modulates packed bits into `out`: bit `j` of the stream is bit `j %
-    /// 8` of `bits[j / 8]`, a symbol takes the next `bits_per_symbol` of
-    /// them LSB-first (so [`modulate`]'s byte `j` is stream bit `j`), and
-    /// bits past `out.len() * bits_per_symbol` in the last byte are
-    /// ignored. Eight symbols are `bits_per_symbol` whole bytes, one
-    /// little-endian word. No allocation.
+    /// Modulates the packed bits of every `(bits, out)` pair into its
+    /// `out`, one tier dispatch for them all (a precode task's block of
+    /// every user): bit `j` of a row is bit `j % 8` of `bits[j / 8]`, a
+    /// symbol takes the next `bits_per_symbol` of them LSB-first (so
+    /// [`modulate`]'s byte `j` is bit `j`), and bits past `out.len() *
+    /// bits_per_symbol` in the last byte are ignored. Eight symbols are
+    /// `bits_per_symbol` whole bytes, one little-endian word. No
+    /// allocation.
     ///
     /// # Panics
-    /// Panics unless `bits` is `ceil(out.len() * bits_per_symbol / 8)`
-    /// bytes.
-    pub fn modulate_into(&self, bits: &[u8], out: &mut [Cf32]) {
-        let want = (out.len() * self.bps).div_ceil(8);
-        assert_eq!(bits.len(), want, "byte count must match the symbol count");
+    /// Panics unless a pair's `bits` is `ceil(out.len() *
+    /// bits_per_symbol / 8)` bytes, before that pair is written.
+    pub fn modulate_rows<'b, 'o>(
+        &self,
+        rows: impl IntoIterator<Item = (&'b [u8], &'o mut [Cf32])>,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if self.tier >= SimdTier::Avx512 && self.bps > 1 {
+            // SAFETY: `new` clamped the tier to what the CPU supports.
+            unsafe { modulate_avx512(&self.levels, self.bps, rows.into_iter()) };
+            return;
+        }
         let mask = (1u64 << self.bps) - 1;
-        for (bytes, out) in bits.chunks(self.bps).zip(out.chunks_mut(8)) {
-            let mut le = [0u8; 8];
-            le[..bytes.len()].copy_from_slice(bytes);
-            let mut word = u64::from_le_bytes(le);
-            for z in out {
-                *z = self.table[(word & mask) as usize];
-                word >>= self.bps;
+        for (bits, out) in rows {
+            check_row(bits, out, self.bps);
+            for (bytes, out) in bits.chunks(self.bps).zip(out.chunks_mut(8)) {
+                let mut word = word_of(bytes);
+                for z in out {
+                    *z = self.table[(word & mask) as usize];
+                    word >>= self.bps;
+                }
+            }
+        }
+    }
+}
+
+/// Panics unless `bits` holds exactly the bits of `out`'s symbols.
+fn check_row(bits: &[u8], out: &[Cf32], bps: usize) {
+    assert_eq!(bits.len(), (out.len() * bps).div_ceil(8), "byte count must match the symbol count");
+}
+
+/// Up to eight bytes as a little-endian word, zero above them.
+#[inline]
+fn word_of(bytes: &[u8]) -> u64 {
+    let mut le = [0u8; 8];
+    le[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(le)
+}
+
+/// [`Modulator::modulate_rows`] on the Avx512 tier, for square schemes
+/// (`bps = 2 * half`): eight symbols a word, one `zmm` of output. The word
+/// is broadcast, and `vpmultishiftqb` moves field `j` — bits `half * j..`,
+/// the I label of symbol `j / 2` for even `j` and its Q label for odd —
+/// into the low byte of 32-bit lane `j`; `vpermps` looks the lane up in
+/// `levels` by its low four bits, and `levels` repeats every `2^half`
+/// entries, so the bits above the field select nothing. The levels are
+/// the table walk's own floats, so the bits are its. A short last word
+/// stores its symbols masked.
+///
+/// # Safety
+/// The CPU must support AVX-512F and AVX-512VBMI.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vbmi")]
+unsafe fn modulate_avx512<'b, 'o>(
+    levels: &[f32; 16],
+    bps: usize,
+    rows: impl Iterator<Item = (&'b [u8], &'o mut [Cf32])>,
+) {
+    use core::arch::x86_64::*;
+    let table = _mm512_loadu_ps(levels.as_ptr());
+    let lanes = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    let shifts = _mm512_mullo_epi32(lanes, _mm512_set1_epi32(bps as i32 / 2));
+    for (bits, out) in rows {
+        check_row(bits, out, bps);
+        for (bytes, out) in bits.chunks(bps).zip(out.chunks_mut(8)) {
+            let fields =
+                _mm512_multishift_epi64_epi8(shifts, _mm512_set1_epi64(word_of(bytes) as i64));
+            let v = _mm512_permutexvar_ps(fields, table);
+            let p = out.as_mut_ptr() as *mut f32;
+            if out.len() == 8 {
+                _mm512_storeu_ps(p, v);
+            } else {
+                _mm512_mask_storeu_ps(p, ((1u32 << (2 * out.len())) - 1) as __mmask16, v);
             }
         }
     }
@@ -270,38 +344,72 @@ mod tests {
     }
 
     /// The planned modulator against its definition: the table is
-    /// `map_symbol` at every index, and `modulate_into` on packed bytes
+    /// `map_symbol` at every index, and `modulate_rows` on packed bytes
     /// equals `modulate`'s bit-at-a-time gather on the same bits one per
     /// byte — whole words, short last words whose spare bits are set, and
-    /// nothing at all.
+    /// nothing at all — on every tier.
     #[test]
     fn planned_modulator_matches_map_symbol_and_the_scalar_gather() {
+        let packed = random_bytes(64 * 8 + 7);
+        let unpacked: Vec<u8> =
+            (0..packed.len() * 8).map(|j| packed[j / 8] >> (j % 8) & 1).collect();
+        let mut want = Vec::new();
+        for scheme in SCHEMES {
+            let bps = scheme.bits_per_symbol();
+            for tier in SimdTier::supported() {
+                let planned = Modulator::new(scheme, tier);
+                assert_eq!(planned.table.len(), scheme.order());
+                for (v, &z) in planned.table.iter().enumerate() {
+                    assert_eq!(z, map_symbol(scheme, v as u32), "{scheme:?} index {v}");
+                }
+                for symbols in [0, 1, 7, 8, 9, 16, 61] {
+                    modulate(scheme, &unpacked[24..24 + symbols * bps], &mut want);
+                    let mut got = vec![Cf32::ZERO; symbols];
+                    let bits = &packed[3..3 + (symbols * bps).div_ceil(8)];
+                    planned.modulate_rows([(bits, &mut got[..])]);
+                    assert_eq!(got, want, "{scheme:?} {tier:?} {symbols} symbols");
+                }
+            }
+        }
+    }
+
+    /// Every tier's `modulate_rows` writes the table walk's bits, from
+    /// QPSK up: random and all-ones words, rows of whole words and rows
+    /// whose short last word has its spare bits set, several rows a call.
+    #[test]
+    fn modulator_tiers_write_the_table_walks_bits() {
+        let bits =
+            |z: &[Cf32]| z.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect::<Vec<_>>();
+        for scheme in &SCHEMES[1..] {
+            let bps = scheme.bits_per_symbol();
+            let walk = Modulator::new(*scheme, SimdTier::Scalar);
+            for bytes in [random_bytes(4096), vec![0xff; 4096]] {
+                for symbols in [8, 5, 13, 64] {
+                    let len = (symbols * bps).div_ceil(8);
+                    let rows: Vec<&[u8]> = bytes.chunks_exact(len).take(16).collect();
+                    let mut want = vec![Cf32::ZERO; rows.len() * symbols];
+                    walk.modulate_rows(rows.iter().copied().zip(want.chunks_exact_mut(symbols)));
+                    for tier in SimdTier::supported() {
+                        let mut got = vec![Cf32::new(f32::NAN, 0.0); want.len()];
+                        let m = Modulator::new(*scheme, tier);
+                        m.modulate_rows(rows.iter().copied().zip(got.chunks_exact_mut(symbols)));
+                        assert!(bits(&got) == bits(&want), "{scheme:?} {tier:?} {symbols}");
+                    }
+                }
+            }
+        }
+    }
+
+    fn random_bytes(n: usize) -> Vec<u8> {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let packed: Vec<u8> = (0..64 * 8 + 7)
+        (0..n)
             .map(|_| {
                 state ^= state << 13;
                 state ^= state >> 7;
                 state ^= state << 17;
                 (state >> 24) as u8
             })
-            .collect();
-        let unpacked: Vec<u8> =
-            (0..packed.len() * 8).map(|j| packed[j / 8] >> (j % 8) & 1).collect();
-        let mut want = Vec::new();
-        for scheme in SCHEMES {
-            let bps = scheme.bits_per_symbol();
-            let planned = Modulator::new(scheme);
-            assert_eq!(planned.table.len(), scheme.order());
-            for (v, &z) in planned.table.iter().enumerate() {
-                assert_eq!(z, map_symbol(scheme, v as u32), "{scheme:?} index {v}");
-            }
-            for symbols in [0, 1, 7, 8, 9, 16, 61] {
-                modulate(scheme, &unpacked[24..24 + symbols * bps], &mut want);
-                let mut got = vec![Cf32::ZERO; symbols];
-                planned.modulate_into(&packed[3..3 + (symbols * bps).div_ceil(8)], &mut got);
-                assert_eq!(got, want, "{scheme:?} {symbols} symbols");
-            }
-        }
+            .collect()
     }
 
     #[test]

@@ -1,11 +1,15 @@
 //! Where the downlink's time goes: `encode_task` next to the parts of the
-//! byte pipeline it replaced (payload, encode, rate-match and store),
-//! `ifft_task` next to the transforms it runs and to itself right after
-//! the symbol's `precode_task` (interleaved, each row the median of
-//! per-round values, each difference row of per-round differences), `precode_task`
-//! next to its GEMMs (planned on every SIMD tier the CPU runs), and the
-//! share of `InlineProcessor::process_frame` a downlink frame spends
-//! copying its `dl_time` samples out. It runs in the allocator state the
+//! byte pipeline it replaced (payload, encode, rate-match and store); one
+//! downlink symbol's `precode_task` and, right after it, the symbol's
+//! IFFT tasks at the default batch (`ifft_batch_task`, as the engine
+//! runs them), next to the precoding GEMMs of those tasks' antenna rows
+//! (one `count x K` GEMM per task and block) and the precoding GEMMs of
+//! the whole symbol (planned on every SIMD tier the CPU runs); the
+//! single-antenna `ifft_task` next to the transforms it runs (interleaved,
+//! each row the median of per-round values, each difference row of
+//! per-round differences); and the share of
+//! `InlineProcessor::process_frame` a downlink frame spends copying its
+//! `dl_time` samples out. It runs in the allocator state the
 //! benchmark sets (`pin_allocator` in `benchmark/src/sys.rs`), where the
 //! readout's fresh `Vec`s reuse freed heap instead of faulting in new
 //! pages. Only the public API is used, so the same file runs unchanged on
@@ -31,8 +35,9 @@ use std::time::Instant;
 
 const REPS: usize = 200;
 
-/// Rounds of the IFFT rows, each timing the task warm, the task after
-/// precode and both transforms.
+/// Rounds of the symbol and IFFT rows, each timing the symbol's precode
+/// and IFFT tasks, their GEMM rows, the single-antenna task warm and both
+/// transforms, in alternating order.
 const ROUNDS: usize = 9;
 
 fn median(mut v: Vec<f64>) -> f64 {
@@ -124,7 +129,53 @@ fn main() {
         black_box(&mut row);
     });
 
-    // --- IFFT: the task and the transforms it can run, interleaved
+    // --- one symbol: precode, then its IFFT tasks at the default batch,
+    // the GEMM rows those tasks' antennas take, the single-antenna IFFT
+    // task and the transforms it can run, interleaved
+    let batch = kernels.cfg.batch.ifft;
+    let tasks: Vec<(usize, usize)> =
+        (0..g.m).step_by(batch).map(|base| (base, batch.min(g.m - base))).collect();
+    let blocks = g.q / g.block;
+    // A `[block][user][block sc]` plane of user symbols, the operand the
+    // IFFT tasks' GEMMs read block by block.
+    let symbols: Vec<Cf32> =
+        (0..g.q * g.k).map(|i| Cf32::new(0.5 - (i % 7) as f32 / 8.0, 0.25)).collect();
+    let mut rows = vec![Cf32::ZERO; g.m * g.block];
+    let plans: Vec<Gemm> = tasks
+        .iter()
+        .map(|&(_, count)| Gemm::plan_with_tier(count, g.k, g.block, SimdTier::cached()))
+        .collect();
+    let mut gemm_rows = || {
+        median_us(REPS / 4, |_| {
+            for (&(base, count), plan) in tasks.iter().zip(&plans) {
+                for blk in 0..blocks {
+                    // SAFETY: single-threaded; no task is in flight.
+                    let w = unsafe { fb.pre.view(Some(blk * g.block / g.zf_group)) };
+                    let b = &symbols[blk * g.k * g.block..(blk + 1) * g.k * g.block];
+                    plan.run(&w[base * g.k..(base + count) * g.k], b, &mut rows[..count * g.block]);
+                    black_box(&mut rows);
+                }
+            }
+        })
+    };
+    // Per repetition, the symbol's precode task and then its IFFT tasks,
+    // as the engine orders them: (precode, IFFT tasks, both) medians.
+    let mut symbol_tasks = || {
+        let (mut pre, mut ifft, mut both) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..REPS / 4 {
+            let t = Instant::now();
+            kernels.precode_task(fb, &mut scratch, downlink, 0, g.q);
+            let mid = Instant::now();
+            for &(base, count) in &tasks {
+                kernels.ifft_batch_task(fb, &mut scratch, downlink, base, count);
+            }
+            let end = Instant::now();
+            pre.push((mid - t).as_nanos() as f64 / 1e3);
+            ifft.push((end - mid).as_nanos() as f64 / 1e3);
+            both.push((end - t).as_nanos() as f64 / 1e3);
+        }
+        [median(pre), median(ifft), median(both)]
+    };
     let plan = FftPlan::new(n);
     let time = unsafe { fb.dl_time.view(Some(downlink)) };
     let mut grid = vec![Cf32::ZERO; n];
@@ -138,59 +189,40 @@ fn main() {
             black_box(&mut grid);
         })
     };
-    // The symbol's antennas right after its precode task wrote `dl_freq`,
-    // as the engine runs them: per antenna, the median over reps.
-    let mut after_precode = || {
-        median(
-            (0..REPS / 4)
-                .map(|_| {
-                    kernels.precode_task(fb, &mut scratch, downlink, 0, g.q);
-                    let t = Instant::now();
-                    (0..g.m).for_each(|ant| kernels.ifft_task(fb, &mut scratch, downlink, ant));
-                    t.elapsed().as_nanos() as f64 / 1e3 / g.m as f64
-                })
-                .collect(),
-        )
-    };
     let mut warm_scratch = kernels.scratch();
-    let rounds: Vec<[f64; 4]> = (0..ROUNDS)
+    let rounds: Vec<[f64; 7]> = (0..ROUNDS)
         .map(|round| {
-            let mut us = [0.0; 4];
-            let order = if round % 2 == 0 { [0, 1, 2, 3] } else { [3, 2, 1, 0] };
+            let mut us = [0.0; 7];
+            let order = if round % 2 == 0 { [0, 1, 2, 3, 4] } else { [4, 3, 2, 1, 0] };
             for i in order {
-                us[i] = match i {
-                    0 => median_us(REPS, |rep| {
-                        kernels.ifft_task(fb, &mut warm_scratch, downlink, rep % g.m)
-                    }),
-                    1 => after_precode(),
-                    2 => transform(Direction::Inverse),
-                    _ => transform(Direction::Forward),
-                };
+                match i {
+                    0 => us[..3].copy_from_slice(&symbol_tasks()),
+                    1 => us[3] = gemm_rows(),
+                    2 => {
+                        us[4] = median_us(REPS, |rep| {
+                            kernels.ifft_task(fb, &mut warm_scratch, downlink, rep % g.m)
+                        })
+                    }
+                    3 => us[5] = transform(Direction::Inverse),
+                    _ => us[6] = transform(Direction::Forward),
+                }
             }
             us
         })
         .collect();
-    let over_rounds = |f: fn(&[f64; 4]) -> f64| median(rounds.iter().map(f).collect());
-    let (ifft_task, ifft_after, inverse, forward) = (
-        over_rounds(|r| r[0]),
-        over_rounds(|r| r[1]),
-        over_rounds(|r| r[2]),
-        over_rounds(|r| r[3]),
-    );
+    let over_rounds = |f: &dyn Fn(&[f64; 7]) -> f64| median(rounds.iter().map(f).collect());
+    let [precode_task, ifft_tasks, symbol_both, gemms, ifft_task, inverse, forward] =
+        [0, 1, 2, 3, 4, 5, 6].map(|i| over_rounds(&|r| r[i]));
     let (minus_inverse, minus_forward) =
-        (over_rounds(|r| r[0] - r[2]), over_rounds(|r| r[0] - r[3]));
+        (over_rounds(&|r| r[4] - r[5]), over_rounds(&|r| r[4] - r[6]));
     let copy = median_us(REPS, |rep| {
         let ant = rep % g.m;
         grid.copy_from_slice(&time[ant * g.samples..ant * g.samples + n]);
         black_box(&mut grid);
     });
 
-    // --- precode: one whole symbol
-    let precode_task =
-        median_us(REPS / 4, |_| kernels.precode_task(fb, &mut scratch, downlink, 0, g.q));
-    // Its GEMMs, one per block of subcarriers, on every tier; the task
-    // runs the last, detected one.
-    let blocks = g.q / g.block;
+    // The precoding GEMMs of the whole symbol, every antenna in one GEMM
+    // per block, on every tier.
     let user_block = vec![Cf32::new(0.5, -0.5); g.k * g.block];
     let mut ant_block = vec![Cf32::ZERO; g.m * g.block];
     let pre_gemms: Vec<(SimdTier, f64)> = SimdTier::supported()
@@ -246,25 +278,38 @@ fn main() {
         "  sum of the parts      {:8.2}   the byte pipeline end to end",
         payload + encode + rate_match
     );
-    println!("IFFT, one antenna");
-    println!("  ifft_task             {ifft_task:8.2}   warm: dl_freq in cache");
-    println!("  ifft_task             {ifft_after:8.2}   right after the symbol's precode_task, per antenna");
-    println!("  execute_prereversed   {inverse:8.2}   inverse (conj passes included)");
-    println!("  execute_prereversed   {forward:8.2}   forward (butterflies only)");
-    println!("  grid copy             {copy:8.2}   one 16-byte-aligned copy of {n} samples");
-    println!("  ifft_task - inverse   {minus_inverse:8.2}   ({ROUNDS} interleaved rounds, median difference)");
-    println!("  ifft_task - forward   {minus_forward:8.2}   scatter + store");
-    println!("precode, one symbol");
+    println!(
+        "downlink symbol: precode, then {} IFFT tasks of {batch} antennas ({ROUNDS} interleaved rounds)",
+        tasks.len()
+    );
     println!(
         "  precode_task          {precode_task:8.2}   {:6.1} ns per subcarrier",
         precode_task * 1e3 / g.q as f64
     );
+    println!("  IFFT tasks            {ifft_tasks:8.2}   right after it, the engine's order");
+    println!("  precode + IFFT tasks  {symbol_both:8.2}   the two back to back");
+    println!(
+        "  IFFT tasks' GEMM rows {gemms:8.2}   {} GEMMs of count x {} x {}, detected tier",
+        tasks.len() * blocks,
+        g.k,
+        g.block
+    );
     for (tier, us) in &pre_gemms {
         println!(
-            "  {blocks:4} precode GEMMs    {us:8.2}   {:6.1} ns per subcarrier, {tier:?}",
-            us * 1e3 / g.q as f64
+            "  {blocks:4} symbol GEMMs     {us:8.2}   {:6.1} ns per subcarrier, {} x {} x {}, {tier:?}",
+            us * 1e3 / g.q as f64,
+            g.m,
+            g.k,
+            g.block
         );
     }
+    println!("IFFT, one antenna");
+    println!("  ifft_task             {ifft_task:8.2}   warm, one antenna a task");
+    println!("  execute_prereversed   {inverse:8.2}   inverse (conj passes included)");
+    println!("  execute_prereversed   {forward:8.2}   forward (butterflies only)");
+    println!("  grid copy             {copy:8.2}   one 16-byte-aligned copy of {n} samples");
+    println!("  ifft_task - inverse   {minus_inverse:8.2}   (median difference)");
+    println!("  ifft_task - forward   {minus_forward:8.2}   everything but the butterflies");
     println!("downlink frame ({} downlink symbols), ms", dl.len());
     println!("  process_frame         {frame_ms:8.3}");
     println!(

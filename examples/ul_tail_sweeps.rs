@@ -1,7 +1,10 @@
-//! Where the two GEMM tasks' time goes: `demod_task` and `precode_task`
-//! of one whole symbol next to their GEMMs (planned on every SIMD tier
-//! the CPU runs; the tasks run the last, detected one) and the sweeps
-//! around them,
+//! Where the uplink GEMM task's time goes, and the downlink's modulation:
+//! `demod_task` of one whole symbol next to its GEMMs (planned on every
+//! SIMD tier the CPU runs; the task runs the last, detected one) and the
+//! sweeps around it, `precode_task` (modulation and its store; the
+//! precoding GEMMs are the IFFT tasks', `dl_sweeps` times them) next to
+//! the scalar modulation reference and, `Kernels` pinned to each vector
+//! tier in alternating rounds, next to itself,
 //! and `decode_task` next to its gather and its decoder, each timed
 //! through its public entry point on a frame primed by one inline pass
 //! (EXPERIMENTS.md, "Uplink tail sweeps"). Decode reads the engine's `i8`
@@ -9,8 +12,8 @@
 //! once per vector tier, `Kernels` pinned to it: both run the AVX2
 //! demapper, so the rows differ only in the GEMM the task runs, and the
 //! tiers are timed in alternating order, round by round. Each difference
-//! row, `precode_task - GEMMs` too, is the median of per-round
-//! differences of timings taken back to back.
+//! row is the median of per-round differences of timings taken back to
+//! back.
 //!
 //! ```text
 //! cargo run --release --example ul_tail_sweeps          # 64x16, 1200 sc, 64-QAM
@@ -30,8 +33,7 @@ use std::time::Instant;
 
 const REPS: usize = 60;
 
-/// Alternating rounds of the `demod_task - GEMMs` and `precode_task -
-/// GEMMs` rows.
+/// Alternating rounds of the `demod_task - GEMMs` rows.
 const ROUNDS: usize = 6;
 
 /// Median of `REPS` timings of `f`, in microseconds.
@@ -144,20 +146,22 @@ fn main() {
                     black_box(&mut user_block);
                 }
             });
-            rounds[i].push((task, gemms));
+            let precode = median_us(|| k.precode_task(fb, &mut s, downlink, 0, g.q));
+            rounds[i].push((task, gemms, precode));
         }
     }
     let median = |mut v: Vec<f64>| {
         v.sort_by(f64::total_cmp);
         v[v.len() / 2]
     };
-    let tails: Vec<(SimdTier, f64, f64, f64)> = pinned
+    let tails: Vec<(SimdTier, f64, f64, f64, f64)> = pinned
         .iter()
         .zip(rounds)
         .map(|((tier, ..), r)| {
             let task = median(r.iter().map(|p| p.0).collect());
             let gemms = median(r.iter().map(|p| p.1).collect());
-            (*tier, task, gemms, median(r.iter().map(|p| p.0 - p.1).collect()))
+            let precode = median(r.iter().map(|p| p.2).collect());
+            (*tier, task, gemms, median(r.iter().map(|p| p.0 - p.1).collect()), precode)
         })
         .collect();
 
@@ -181,46 +185,8 @@ fn main() {
         black_box(decoder.decode_into(&full, &decode_cfg, &mut info));
     });
 
-    // --- downlink: one symbol of modulate + precode
-    let pre_of = |blk: usize| unsafe { fb.pre.view(Some(blk * g.block / g.zf_group)) };
-    let mut ant_block = vec![Cf32::ZERO; g.m * g.block];
-    // The task and the detected tier's GEMMs, interleaved as above.
-    let pre = Gemm::plan_with_tier(g.m, g.k, g.block, SimdTier::cached());
-    let precode_rounds: Vec<(f64, f64)> = (0..ROUNDS)
-        .map(|round| {
-            let mut task =
-                || median_us(|| kernels.precode_task(fb, &mut scratch, downlink, 0, g.q));
-            let mut gemms = || {
-                median_us(|| {
-                    for blk in 0..blocks {
-                        pre.run(pre_of(blk), &user_block, &mut ant_block);
-                        black_box(&mut ant_block);
-                    }
-                })
-            };
-            if round % 2 == 0 {
-                let t = task();
-                (t, gemms())
-            } else {
-                let gm = gemms();
-                (task(), gm)
-            }
-        })
-        .collect();
-    let precode_task = median(precode_rounds.iter().map(|p| p.0).collect());
-    let precode_tail = median(precode_rounds.iter().map(|p| p.0 - p.1).collect());
-    let pre_gemms: Vec<(SimdTier, f64)> = SimdTier::supported()
-        .map(|tier| {
-            let pre = Gemm::plan_with_tier(g.m, g.k, g.block, tier);
-            let us = median_us(|| {
-                for blk in 0..blocks {
-                    pre.run(pre_of(blk), &user_block, &mut ant_block);
-                    black_box(&mut ant_block);
-                }
-            });
-            (tier, us)
-        })
-        .collect();
+    // --- downlink: one symbol's modulation
+    let precode_task = median_us(|| kernels.precode_task(fb, &mut scratch, downlink, 0, g.q));
     // The scalar reference: one bit at a time into `map_symbol`, which is
     // what the task itself once ran per (block, user). It takes a bit per
     // byte, so the packed `dl_bits` rows are unpacked first, outside the
@@ -271,7 +237,7 @@ fn main() {
         "  {:4} demap_quantized  {fused:8.2}   the two fused, as the task runs them",
         blocks * g.k
     );
-    for (tier, task, gemms, tail) in &tails {
+    for (tier, task, gemms, tail, _) in &tails {
         println!(
             "  demod_task - GEMMs    {tail:8.2}   {tier:?} Kernels, AVX2 demapper: task {task:.2}, GEMMs {gemms:.2} ({ROUNDS} alternating rounds)"
         );
@@ -283,17 +249,13 @@ fn main() {
     println!("  decode_into           {decode_into:8.2}");
     println!("downlink, one symbol");
     println!(
-        "  precode_task          {precode_task:8.2}   {:6.1} ns per subcarrier",
+        "  precode_task          {precode_task:8.2}   {:6.1} ns per subcarrier: modulation + store",
         per_sc(precode_task)
     );
-    for (tier, us) in &pre_gemms {
+    for (tier, .., precode) in &tails {
         println!(
-            "  {blocks:4} precode GEMMs    {us:8.2}   {:6.1} ns per subcarrier, {tier:?}",
-            per_sc(*us)
+            "  precode_task          {precode:8.2}   {tier:?} Kernels ({ROUNDS} alternating rounds)"
         );
     }
     println!("  {:4} modulate rows    {modulation:8.2}   scalar reference: a bit at a time into map_symbol", blocks * g.k);
-    println!(
-        "  precode_task - GEMMs  {precode_tail:8.2}   modulation + store as the task runs them ({ROUNDS} alternating rounds)"
-    );
 }
