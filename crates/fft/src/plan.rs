@@ -69,7 +69,7 @@ pub trait Steps {
 /// `forward_of(out, &Conj(x))` is `FFT(conj x)`, and `conj(out) / n` the
 /// inverse transform of `x`, which a caller can fuse into its store
 /// (`agora_math::simd::stream_conj_scale`): input that sits in several
-/// places — the IFFT task's `dl_freq` lines, and guard bands it never
+/// places — the IFFT task's precoded runs, and guard bands it never
 /// stores — is inverse-transformed without a natural-order copy, a cleared
 /// grid or a conjugation pass.
 pub struct Conj<F>(pub F);
