@@ -15,10 +15,10 @@
 //! words before the number and the words after it, every digit in the
 //! section and after the number read as `#` so that both sides name it
 //! alike. Per row, both sides' medians, the pairs the change was faster
-//! in and the verdict of [`compare`], lower being better and 0.25 the
+//! in and a verdict ([`sweep_verdict`]), lower being better and 0.25 the
 //! bound.
 
-use agora_bench::runs::{compare, parse, to_json, Metric, Run, FAILED_SHARE};
+use agora_bench::runs::{compare, parse, to_json, Metric, Row, Run, FAILED_SHARE};
 use agora_math::SimdTier;
 
 fn main() {
@@ -121,7 +121,14 @@ fn sweeps(log: &str) {
         .collect();
     let metrics: Vec<Metric> =
         names.iter().map(|&name| Metric { name, higher_is_better: false, bound: 0.25 }).collect();
-    let rows = compare(&as_runs, &metrics);
+    let mut rows = compare(&as_runs, &metrics);
+    // Read with higher as better, a row's `won` counts the pairs the
+    // parent was faster in.
+    let slower: Vec<Metric> =
+        metrics.iter().map(|&m| Metric { higher_is_better: true, ..m }).collect();
+    for (r, mirror) in rows.iter_mut().zip(compare(&as_runs, &slower)) {
+        r.verdict = sweep_verdict(r, mirror.won);
+    }
     let width = rows.iter().map(|r| r.metric.chars().count()).max().unwrap_or(0);
     let mut example = "";
     for r in rows.iter().filter(|r| r.metric != FAILED_SHARE) {
@@ -144,6 +151,24 @@ fn sweeps(log: &str) {
     }
 }
 
+/// [`compare`]'s verdict on a sweep row, with `worse` held to the rule
+/// that `better` has: the parent faster in `parent_won` ≥ nine tenths of
+/// the pairs, and the medians apart by more than the parent's
+/// interquartile distance. A sweep run lasts seconds and sits inside one
+/// state of the box, so medians alone cannot tell a change from a spell.
+fn sweep_verdict(r: &Row, parent_won: usize) -> &'static str {
+    let spread = r.parent_q3 - r.parent_q1;
+    if r.verdict == "better" {
+        "better"
+    } else if 10 * parent_won >= 9 * r.pairs && r.change_median - r.parent_median > spread {
+        "worse"
+    } else if spread > 0.25 * r.parent_median.abs() {
+        "unresolved"
+    } else {
+        "flat"
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,5 +188,29 @@ mod tests {
         assert_eq!(a[0], ("#x16, # IFFT tasks / ifft_task | warm".to_string(), 14.04));
         assert_eq!(a[1].0, "#x16, # IFFT tasks / 150 GEMMs | x #, Avx2");
         assert_eq!(a[2].0, "#x16, # IFFT tasks / ifft_task | warm'");
+    }
+
+    /// A sweep row is `worse` only when the parent won nine tenths of the
+    /// pairs, as `better` needs of the change: slower medians in a noisy
+    /// spell are not enough.
+    #[test]
+    fn sweep_rows_are_worse_only_on_pairs() {
+        let row = |verdict, change_median| Row {
+            workload: "dl_sweeps",
+            metric: "ifft_task",
+            parent_median: 10.0,
+            change_median,
+            parent_q1: 9.5,
+            parent_q3: 10.5,
+            pairs: 10,
+            won: 0,
+            verdict,
+        };
+        assert_eq!(sweep_verdict(&row("worse", 14.0), 8), "flat", "medians, eight pairs of ten");
+        assert_eq!(sweep_verdict(&row("worse", 14.0), 9), "worse");
+        assert_eq!(sweep_verdict(&row("flat", 11.2), 10), "worse", "within the bound, every pair");
+        assert_eq!(sweep_verdict(&row("flat", 10.8), 10), "flat", "inside the parent's spread");
+        let noisy = Row { parent_q1: 7.0, parent_q3: 13.0, ..row("worse", 14.0) };
+        assert_eq!(sweep_verdict(&noisy, 5), "unresolved");
     }
 }

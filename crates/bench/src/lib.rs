@@ -1,8 +1,8 @@
 //! # agora-bench — experiment harness
 //!
 //! Two binaries: `repro`, every table and figure of the paper's
-//! evaluation (§6) as one table of named rows, and `parity`, the
-//! release-build parity checks CI runs. Each `repro` row prints the
+//! evaluation (§6) as one table of named rows, and `ab`, which reduces
+//! `scripts/ab.sh`'s logs of alternating runs. Each `repro` row prints the
 //! paper's rows/series to stdout and writes CSV under `results/`;
 //! `repro` with no argument runs every row. Kernel and queue timings are
 //! not measured here: the repo benchmark (`benchmark/`, `--trace 1`) is

@@ -250,7 +250,7 @@ impl<T, K: RowKey> Plane<T, K> {
     }
 
     /// The whole plane (`key` = `None`) or `key`'s row, for a reader
-    /// outside the crate — tests, `parity` and the sweep examples read a
+    /// outside the crate — tests and the sweep examples read a
     /// frame once its processor is idle.
     ///
     /// # Safety
@@ -263,7 +263,7 @@ impl<T, K: RowKey> Plane<T, K> {
         }
     }
 
-    /// Sets every element to `value`: how tests and `parity` clear a
+    /// Sets every element to `value`: how tests clear a
     /// plane before they re-run tasks on it.
     ///
     /// # Safety

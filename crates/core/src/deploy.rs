@@ -389,10 +389,14 @@ impl Deployment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Engine;
+    use agora_fronthaul::packet::decode_ref;
     use agora_fronthaul::{
-        Fronthaul, MemFronthaul, MultiCellGenerator, PacketBuf, RruConfig, RruEmulator,
+        FaultConfig, FaultStats, FrameGroundTruth, Fronthaul, LossModel, MemFronthaul,
+        MultiCellGenerator, PacketBuf, RruConfig, RruEmulator,
     };
     use agora_phy::CellConfig;
+    use bytes::Bytes;
 
     #[test]
     fn supervisor_initial_split_is_even() {
@@ -646,6 +650,146 @@ mod tests {
         let stats = deployment.stats();
         assert_eq!(stats.link().packets_misrouted(), rogue_count);
         assert_eq!(stats.rollup().packets_misrouted(), rogue_count);
-        assert_eq!(stats.cell(0).get(Counter::RxErrors), 0, "rogue packets never reach a cell");
+        assert_eq!(deployment.demux_stats().misrouted(), rogue_count, "the demux counter agrees");
+        let rx_errors = (0..2).map(|c| stats.cell(c).get(Counter::RxErrors));
+        assert!(rx_errors.eq([0, 0]), "rogue packets never reach a cell");
+    }
+
+    const CELLS: usize = 4;
+
+    /// Four 8x2 cells at 30 dB (seeds `seed + c`, ids `c`) through `faults`
+    /// onto one link sized for the whole run, so the ring never drops; and
+    /// a deployment of them, a worker each: its results, the truths, the
+    /// injector's ledger, the delivered stream and the cells' configurations.
+    #[allow(clippy::type_complexity)]
+    fn four_cells(
+        seed: u64,
+        faults: FaultConfig,
+        deadline: Option<u64>,
+    ) -> (
+        Deployment,
+        Vec<Vec<FrameResult>>,
+        Vec<Vec<FrameGroundTruth>>,
+        FaultStats,
+        Vec<Bytes>,
+        Vec<EngineConfig>,
+    ) {
+        let cell = CellConfig::tiny_test(2);
+        let rrus: Vec<RruEmulator> = (0..CELLS)
+            .map(|c| {
+                let rc = RruConfig {
+                    snr_db: 30.0,
+                    seed: seed + c as u64,
+                    cell_id: c as u8,
+                    ..Default::default()
+                };
+                RruEmulator::new(cell.clone(), rc)
+            })
+            .collect();
+        let cfgs: Vec<EngineConfig> = rrus
+            .iter()
+            .map(|r| EngineConfig {
+                noise_power: r.noise_power(),
+                frame_deadline_ns: deadline,
+                ..EngineConfig::new(cell.clone(), 1)
+            })
+            .collect();
+        let (tx, rx) = MemFronthaul::pair(
+            (2 * CELLS * cell.symbols_per_frame() * cell.num_antennas * 4).next_power_of_two(),
+        );
+        let mut generator = MultiCellGenerator::new(rrus).with_faults(faults);
+        let truths = generator.run(&tx, 4);
+        let (mut stream, mut batch) = (Vec::new(), Vec::new());
+        while rx.recv_batch(&mut batch, 64) > 0 {
+            stream.extend(batch.drain(..).map(PacketBuf::into_bytes));
+        }
+        let deployment = Deployment::new(DeploymentConfig::new(cfgs.clone(), CELLS));
+        let results = deployment.process_fronthaul(
+            &MemFronthaul::preloaded(&stream),
+            4,
+            &AtomicBool::new(true),
+        );
+        (deployment, results, truths, generator.stats().clone(), stream, cfgs)
+    }
+
+    /// C=4 over one faulty link: per-cell loss, duplicate and frame
+    /// ledgers reconcile exactly against the injector's counters, and
+    /// every frame kept decodes its ground truth.
+    #[test]
+    fn four_cell_ledgers_reconcile_with_the_injector() {
+        let faults = FaultConfig {
+            loss: LossModel::Iid { p: 0.03 },
+            reorder_prob: 0.05,
+            max_delay: 8,
+            duplicate_prob: 0.03,
+            seed: 11,
+        };
+        let (deployment, results, truths, fs, _, _) = four_cells(1000, faults, Some(700_000_000));
+        assert!(fs.lost > 0 && fs.duplicated > 0, "3% loss and duplication fired");
+        assert!(results.iter().all(|r| r.len() == 4), "every cell emits 4 frames");
+        let (stats, demux) = (deployment.stats(), deployment.demux_stats());
+        assert_eq!(demux.misrouted(), 0);
+        assert_eq!(stats.link().rx_batch_packets(), fs.delivered, "the link drained");
+        for (c, results) in results.iter().enumerate() {
+            let (cid, s) = (c as u8, stats.cell(c));
+            let of = |ledger: &std::collections::BTreeMap<u8, u64>| {
+                ledger.get(&cid).copied().unwrap_or(0)
+            };
+            assert_eq!(demux.routed(c), of(&fs.per_cell_delivered), "cell {c} demux count");
+            assert_eq!(s.get(Counter::PacketsLost), of(&fs.per_cell_lost), "cell {c} loss");
+            let dups = s.get(Counter::PacketsDuplicate) + s.get(Counter::PacketsLate);
+            assert_eq!(dups, of(&fs.per_cell_duplicated), "cell {c} dup + late");
+            for r in results {
+                let lost = fs.per_cell_frame_lost.get(&(cid, r.frame)).copied().unwrap_or(0);
+                assert_eq!(r.dropped, lost > 0, "cell {c} frame {} drop status", r.frame);
+                let gt = &truths[c][r.frame as usize].info_bits;
+                let ok = |&sym: &usize| {
+                    (0..2).all(|u| r.decode_ok[sym][u] && r.decoded[sym][u] == gt[sym][u])
+                };
+                let uplink = CellConfig::tiny_test(2).schedule.uplink_indices();
+                assert!(r.dropped || uplink.iter().all(ok), "cell {c} frame {} decodes", r.frame);
+            }
+        }
+        let roll = stats.rollup();
+        assert_eq!(roll.get(Counter::PacketsLost), fs.lost);
+        let frames = roll.get(Counter::FramesCompleted) + roll.get(Counter::FramesDropped);
+        assert_eq!(frames, (CELLS * 4) as u64, "the rollup accounts for every frame");
+    }
+
+    /// Loss-free faults (duplicates and reordering): each cell's frames
+    /// are bit-identical to a standalone engine fed the demuxed stream,
+    /// and its duplicate ledger (duplicate + late) is the same.
+    #[test]
+    fn four_cells_decode_as_standalone_engines() {
+        let faults = FaultConfig {
+            loss: LossModel::None,
+            reorder_prob: 0.08,
+            max_delay: 8,
+            duplicate_prob: 0.05,
+            seed: 23,
+        };
+        let (deployment, shared, _, fs, stream, cfgs) = four_cells(2000, faults, None);
+        assert_eq!(stream.len() as u64, fs.delivered, "captured the whole stream");
+        for (c, cfg) in cfgs.into_iter().enumerate() {
+            let of_cell = |p: &&Bytes| decode_ref(p).expect("valid packets").0.cell as usize == c;
+            let mine: Vec<Bytes> = stream.iter().filter(of_cell).cloned().collect();
+            let engine = Engine::new(EngineConfig { num_workers: 2, ..cfg });
+            let solo = engine.process_fronthaul(
+                &MemFronthaul::preloaded(&mine),
+                4,
+                &AtomicBool::new(true),
+            );
+            let key = |r: &FrameResult| {
+                (r.frame, r.dropped, r.lost_packets, r.decode_ok.clone(), r.decoded.clone())
+            };
+            assert!(solo.iter().map(key).eq(shared[c].iter().map(key)), "cell {c} frames");
+            let dups =
+                |s: &EngineStats| s.get(Counter::PacketsDuplicate) + s.get(Counter::PacketsLate);
+            assert_eq!(
+                dups(engine.stats()),
+                dups(deployment.stats().cell(c)),
+                "cell {c} duplicates"
+            );
+        }
     }
 }

@@ -677,25 +677,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batch_matches_independent_transforms() {
-        let n = 256;
-        let batch = 5;
-        for dir in [Direction::Forward, Direction::Inverse] {
-            let plan = FftPlan::new(n);
-            let mut data: Vec<Cf32> = Vec::new();
-            for t in 0..batch {
-                data.extend(signal(n).iter().map(|z| z.scale(1.0 + t as f32 * 0.3)));
-            }
-            let mut expect = data.clone();
-            for chunk in expect.chunks_exact_mut(n) {
-                plan.execute(chunk, dir);
-            }
-            plan.execute_batch(&mut data, dir);
-            assert!(max_err(&expect, &data) < 1e-5, "batch diverged ({dir:?})");
-        }
-    }
-
     fn bits(v: &[Cf32]) -> Vec<(u32, u32)> {
         v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
     }
@@ -895,36 +876,6 @@ mod proptests {
                 prop_assert!(max_err(&scalar, &simd) < tol, "tier divergence at n={n} {dir:?} {tier:?}");
                 if tier >= SimdTier::Avx2 {
                     prop_assert!(bits(&simd) == bits(&avx2), "not Avx2's bits: n={n} {dir:?} {tier:?}");
-                }
-            }
-        }
-
-        /// [`tier_parity_single`] for the batched path.
-        #[test]
-        fn tier_parity_batch(
-            log2 in 3u32..13,
-            batch in 1usize..5,
-            seed in any::<u64>(),
-            forward in any::<bool>(),
-        ) {
-            let n = 1usize << log2;
-            let dir = if forward { Direction::Forward } else { Direction::Inverse };
-            let x = rand_signal(n * batch, seed);
-            let run = |tier| {
-                let mut y = x.clone();
-                FftPlan::with_tier(n, tier).execute_batch(&mut y, dir);
-                y
-            };
-            let (scalar, avx2) = (run(SimdTier::Scalar), run(SimdTier::Avx2));
-            let tol = 1e-4 * (n as f32).sqrt().max(1.0);
-            for tier in SimdTier::supported() {
-                let simd = run(tier);
-                prop_assert!(
-                    max_err(&scalar, &simd) < tol,
-                    "batched tier divergence at n={n} b={batch} {dir:?} {tier:?}"
-                );
-                if tier >= SimdTier::Avx2 {
-                    prop_assert!(bits(&simd) == bits(&avx2), "not Avx2's bits: n={n} b={batch} {dir:?} {tier:?}");
                 }
             }
         }

@@ -47,7 +47,7 @@ pub const I8_LLR_MAX: i8 = 127;
 
 /// `f32 -> i8` quantisation scale for synthetic LLRs (integer steps per
 /// LLR unit: `llr_i8 = round(llr_f32 * scale)`): what the decoder's own
-/// tests, the `parity` and figure bins and the benchmark's decoder leaf
+/// tests, `tests/decoder_cases.rs`, the figure bins and the benchmark's decoder leaf
 /// quantise BPSK-over-AWGN LLRs `2y / sigma^2` with. 4.0 gives a +-31.75
 /// LLR dynamic range at 0.25-LLR resolution, and the default offset of 2
 /// steps is then the float decoder's beta = 0.5.
@@ -1077,29 +1077,6 @@ mod tests {
         let llr = clean_llrs_i8(&cw, z, 32);
         let res = dec.decode(&llr, &DecodeConfigI8 { active_rows: Some(10), ..Default::default() });
         assert!(res.success);
-    }
-
-    #[test]
-    fn scalar_tier_decodes_identically_to_the_others() {
-        let z = 40; // exercises both the 32-lane SIMD body and the tail
-        let enc = Encoder::new(BaseGraphId::Bg1, z);
-        let mut dec_a = DecoderI8::with_tier(BaseGraphId::Bg1, z, SimdTier::Scalar);
-        let info = random_bits(enc.info_len(), 5);
-        let cw = enc.encode(&info);
-        let f = noisy_llrs_f32(&cw, z, 3.0, 31337);
-        let mut q = vec![0i8; f.len()];
-        quantize_llrs(&f, &mut q, DEFAULT_LLR_SCALE);
-        let cfg = DecodeConfigI8 { max_iters: 10, early_termination: false, ..Default::default() };
-        let ra = dec_a.decode(&q, &cfg);
-        for tier in SimdTier::supported().skip(1) {
-            let mut dec_b = DecoderI8::with_tier(BaseGraphId::Bg1, z, tier);
-            let rb = dec_b.decode(&q, &cfg);
-            assert_eq!(ra.info_bits, rb.info_bits, "{tier:?}");
-            assert_eq!(ra.success, rb.success, "{tier:?}");
-            // Bit-exact internal state, not just matching hard decisions.
-            assert_eq!(dec_a.post, dec_b.post, "{tier:?}");
-            assert_eq!(dec_a.msgs, dec_b.msgs, "{tier:?}");
-        }
     }
 }
 

@@ -246,11 +246,6 @@ impl UdpFronthaul {
         self.rx_errors.load(Relaxed)
     }
 
-    /// Whether the batched `mmsg` syscall path is active.
-    pub fn batched_syscalls_active(&self) -> bool {
-        self.mmsg_ok.load(Relaxed)
-    }
-
     fn send_one(&self, packet: PacketBuf) -> Result<(), PacketBuf> {
         match self.socket.send_to(&packet, self.peer) {
             Ok(n) => {
@@ -744,6 +739,43 @@ mod tests {
         }
         assert_eq!(a.link_errors(), (0, 0));
         assert_eq!(b.link_errors(), (0, 0));
+    }
+
+    /// 48 packets of 64 to 383 bytes as jumbo datagrams of 16 into a pool
+    /// that holds them all: split byte for byte, every one in a pool slot,
+    /// and every slot back once they and the endpoint are dropped.
+    #[test]
+    fn udp_aggregated_receives_land_in_pool_slots_and_return() {
+        let reference: Vec<PacketBuf> = (0..48)
+            .map(|i| {
+                let payload: Vec<u8> = (0..64 + (i * 7) % 320).map(|b| (b ^ i) as u8).collect();
+                let header = PacketHeader {
+                    frame: (i / 8) as u32,
+                    symbol: (i % 8) as u16,
+                    antenna: i as u16,
+                    dir: PacketDir::Uplink,
+                    cell: 0,
+                    payload_len: payload.len() as u32,
+                };
+                PacketBuf::from(encode(&header, &payload))
+            })
+            .collect();
+        let pool = PacketPool::new(64, 2048);
+        let (tx, rx) = udp_pair();
+        let (tx, rx) = (tx.with_aggregation(16), rx.with_aggregation(16).with_pool(pool.clone()));
+        let mut outgoing: VecDeque<PacketBuf> = reference.iter().cloned().collect();
+        while !outgoing.is_empty() {
+            if tx.send_batch(&mut outgoing) == 0 {
+                std::thread::yield_now();
+            }
+        }
+        let got = recv_n(&rx, reference.len());
+        assert!(
+            reference.len() == got.len() && reference.iter().zip(&got).all(|(a, b)| a[..] == b[..])
+        );
+        assert!(got.iter().all(|p| matches!(p, PacketBuf::Pooled(_))), "in pool slots");
+        drop((got, rx));
+        assert_eq!(pool.available(), pool.capacity(), "every pool slot returned");
     }
 
     #[test]

@@ -219,11 +219,6 @@ impl PacketBuf {
         }
     }
 
-    /// True when backed by a pool slot.
-    pub fn is_pooled(&self) -> bool {
-        matches!(self, PacketBuf::Pooled(_))
-    }
-
     /// Converts to [`Bytes`]: free for heap packets, one copy for pooled
     /// packets (which releases the slot).
     pub fn into_bytes(self) -> Bytes {
@@ -346,10 +341,10 @@ mod tests {
         let pooled = PacketBuf::from(p);
         let heap = PacketBuf::from(vec![1u8, 2, 3]);
         assert_eq!(pooled, heap);
-        assert!(pooled.is_pooled() && !heap.is_pooled());
+        assert!(matches!(pooled, PacketBuf::Pooled(_)) && matches!(heap, PacketBuf::Heap(_)));
         // Cloning a pooled packet lands on the heap (slot not duplicated).
         let dup = pooled.clone();
-        assert!(!dup.is_pooled());
+        assert!(matches!(dup, PacketBuf::Heap(_)));
         assert_eq!(dup, pooled);
         // into_bytes releases the slot.
         let b = pooled.into_bytes();

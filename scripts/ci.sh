@@ -5,7 +5,7 @@
 #
 # Runs the release build (the tier-1 artifact), the full workspace test
 # suite, format and clippy gates (warnings promoted to errors), the
-# release parity smokes, the benchmark's own checks, the evidence checks
+# release-only tests by name, the benchmark's own checks, the evidence checks
 # (every committed results/*.csv still has a producing repro row, the
 # deterministic simulator rows reproduce theirs byte for byte, and every
 # BENCH_<n>.json reduces again from its run log), the orphan gate (every
@@ -49,6 +49,8 @@ oracles="
 unpack_samples     agora-core kernels::tests::fused_unpack_forward_matches_naive_pipeline,
                    agora-fronthaul rru::tests::pilot_symbol_survives_fft_roundtrip
 wait_next          tests/uplink_integration.rs::paced_processing_tracks_frame_rate
+max_abs_diff       agora-phy zf::tests::detector_left_inverts_channel
+into_bytes         tests/fault_injection.rs::multi_cell_streams_over_one_link_reconcile_per_cell
 "
 words=$(mktemp)
 trap 'rm -f "$words"' EXIT
@@ -87,8 +89,7 @@ echo "== every EngineConfig / DeploymentConfig knob has a non-test setter or a d
 # passes when a non-test file (the bench bins, the examples, the
 # benchmark, the non-test part of crates/core/src) assigns it through a
 # binding (`cfg.field = …`), or when it is listed here with who decides
-# it. The `parity` bin is not a setter: it is the release-build test
-# suite.
+# it.
 # Word-level like the orphan gate: `SimConfig` shares `batch`, which is
 # why it is listed, not grepped.
 decided="
@@ -103,8 +104,7 @@ pin_cores          deployment setting (CPU pinning)
 "
 setters=$(mktemp)
 trap 'rm -f "$words" "$setters"' EXIT
-for f in $(find crates/bench/src examples benchmark/src crates/core/src -name '*.rs' \
-    -not -path crates/bench/src/bin/parity.rs); do
+for f in $(find crates/bench/src examples benchmark/src crates/core/src -name '*.rs'); do
     awk '/#\[cfg\(test\)\]/ { exit } { print }' "$f"
 done >"$setters"
 knobs=0
@@ -156,20 +156,19 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test --workspace -q
 
-echo "== plane alignment, every IQ sample word, every LLR magnitude, every payload: release profile =="
+echo "== plane alignment and the tests that need release speed: release profile =="
 # Allocation paths differ between profiles (and the debug run above does
 # not see the optimised `alloc_zeroed`). The exhaustive unpack (2^24
 # sample words), quantiser-rounding (every float in [0, 127]) and payload
 # (the word generator against the bit-serial `mac_payload` for every
-# frame < 8, symbol < 14, user < 16 of the 64x16 cell) checks are ignored
-# in debug builds.
+# frame < 8, symbol < 14, user < 16 of the 64x16 cell) checks and the i8
+# plane's BLER sweep through the real chain (its table is EXPERIMENTS.md's)
+# are ignored in debug builds.
 cargo test --release -q -p agora-core --lib -- buffers::tests \
     kernels::tests::every_sample_word_unpacks_alike_on_every_tier \
     kernels::tests::every_64x16_payload_matches_mac_payload
 cargo test --release -q -p agora-phy --lib -- demod::simd_tests::rounding_matches_the_quantiser
-
-echo "== parity smokes =="
-cargo run --release -q -p agora-bench --bin parity
+cargo test --release -q -p agora-core --test bler -- --nocapture
 
 echo "== evidence reproduces: the deterministic simulator rows rewrite their CSVs unchanged =="
 # `fig7_ccdf` is deterministic too but takes ~30 s; run it by hand when
