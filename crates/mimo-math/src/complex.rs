@@ -94,12 +94,18 @@ macro_rules! impl_complex {
                 Self { re: self.re / d, im: -self.im / d }
             }
 
-            /// Fused multiply-add: `self * b + c`.
+            /// Fused multiply-add: `self * b + c`, one rounding per real
+            /// product-sum in a fixed order,
+            /// `re = fma(-a.im, b.im, fma(a.re, b.re, c.re))` and
+            /// `im = fma(a.im, b.re, fma(a.re, b.im, c.im))` with
+            /// `a = self`. Every vector complex MAC in the workspace (the
+            /// GEMM, AXPY, Gram and Cholesky bodies) issues its two FMAs
+            /// in this order, so every SIMD tier returns these bits.
             #[inline(always)]
             pub fn mul_add(self, b: Self, c: Self) -> Self {
                 Self {
-                    re: self.re * b.re - self.im * b.im + c.re,
-                    im: self.re * b.im + self.im * b.re + c.im,
+                    re: (-self.im).mul_add(b.im, self.re.mul_add(b.re, c.re)),
+                    im: self.im.mul_add(b.re, self.re.mul_add(b.im, c.im)),
                 }
             }
 
@@ -306,6 +312,20 @@ mod tests {
         let b = Cf32::new(2.0, 3.0);
         let c = Cf32::new(-1.0, 0.25);
         assert!(approx_eq(a.mul_add(b, c), a * b + c, 1e-6));
+    }
+
+    /// With `e = 2^-12`, `(1 + e)^2 = 1 + 2^-11 + 2^-24` is a tie that
+    /// rounds to `1 + 2^-11`: one rounding keeps the `2^-24` a second
+    /// one loses, so these inputs tell a fused product-sum from an
+    /// unfused one.
+    #[test]
+    fn mul_add_rounds_once_per_product_sum() {
+        let x = 1.0 + 2f32.powi(-12);
+        let a = Cf32::new(x, x);
+        assert_eq!(a.mul_add(a, Cf32::ZERO).re, -(2f32.powi(-24)));
+        assert_eq!((a * a).re, 0.0);
+        assert_eq!(a.conj().mul_add(a, Cf32::ZERO).im, -(2f32.powi(-24)));
+        assert_eq!((a.conj() * a).im, 0.0);
     }
 
     #[test]

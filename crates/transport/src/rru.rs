@@ -209,7 +209,7 @@ impl RruEmulator {
                         let mut resp = Cf32::ZERO;
                         for (t, &g) in gains[a][u].iter().enumerate() {
                             let ang = -core::f32::consts::TAU * sc as f32 * t as f32 / n;
-                            resp = g.mul_add(Cf32::cis(ang), resp);
+                            resp = g * Cf32::cis(ang) + resp;
                         }
                         hm[(a, u)] = h[(a, u)] * resp;
                     }
@@ -292,7 +292,9 @@ impl RruEmulator {
                             Some(per_sc) => per_sc[sc][(ant, u)],
                             None => h[(ant, u)],
                         };
-                        acc = link.mul_add(self.user_freq[u][sc], acc);
+                        // Unfused, unlike `Cf32::mul_add`: the channel mix
+                        // does not follow the receiver kernels' arithmetic.
+                        acc = link * self.user_freq[u][sc] + acc;
                     }
                     freq_rx[sc] = acc;
                 }
