@@ -49,3 +49,13 @@ pub(crate) fn rand_hpd(n: usize, seed: u64) -> CMat {
     }
     g
 }
+
+/// `a * b + c` in [`Cf32::mul_add`]'s documented order, written out from
+/// `f32::mul_add` so the library's MAC is not its own oracle in the
+/// fused-arithmetic tests.
+pub(crate) fn fused_mac(a: Cf32, b: Cf32, c: Cf32) -> Cf32 {
+    Cf32::new(
+        (-a.im).mul_add(b.im, a.re.mul_add(b.re, c.re)),
+        a.im.mul_add(b.re, a.re.mul_add(b.im, c.im)),
+    )
+}
