@@ -1300,8 +1300,7 @@ mod tests {
         tweak(&mut cfg);
         let k = Kernels::new(cfg);
         let w = FrameWindow::new(k.geom, 2);
-        let received =
-            |s| matches!(k.cfg.cell.schedule.symbol(s), SymbolType::Pilot | SymbolType::Uplink);
+        let received = |s| k.cfg.cell.schedule.symbol(s).carries_packets();
         let mut state = 0x2545_F491_4F6C_DD1Du64;
         for symbol in (0..k.geom.symbols).filter(|&s| received(s)) {
             for antenna in 0..k.geom.m {

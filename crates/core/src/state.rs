@@ -887,9 +887,10 @@ mod tests {
     /// Runs one whole frame: every symbol's packets, every message.
     fn run_frame(t: &mut FrameTable, frame: u32) {
         for symbol in 0..t.graph.schedule.len() {
-            let work = match t.graph.schedule.symbol(symbol) {
-                SymbolType::Pilot | SymbolType::Uplink => arrive(t, frame, symbol, 0),
-                _ => Vec::new(),
+            let work = if t.graph.schedule.symbol(symbol).carries_packets() {
+                arrive(t, frame, symbol, 0)
+            } else {
+                Vec::new()
             };
             assert!(complete_while(t, work, |_| true).is_empty());
         }

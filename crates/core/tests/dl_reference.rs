@@ -23,10 +23,9 @@
 
 use agora_core::{EngineConfig, InlineProcessor, Kernels};
 use agora_fft::SubcarrierMap;
-use agora_fronthaul::packet::decode_ref;
 use agora_fronthaul::{RruConfig, RruEmulator};
 use agora_math::{Cf32, SimdTier};
-use agora_phy::frame::{FrameSchedule, SymbolType};
+use agora_phy::frame::FrameSchedule;
 use agora_phy::modulation::map_symbol;
 use agora_phy::CellConfig;
 
@@ -59,11 +58,6 @@ fn processed(mut cell: CellConfig, schedule: &str) -> InlineProcessor {
     let mut cfg = EngineConfig::new(cell.clone(), 1);
     cfg.noise_power = rru.noise_power();
     let (packets, _) = rru.generate_frame(0);
-    let received = |p: &bytes::Bytes| {
-        let symbol = decode_ref(p).expect("generated packets decode").0.symbol as usize;
-        cell.schedule.symbol(symbol) != SymbolType::Downlink
-    };
-    let packets: Vec<_> = packets.into_iter().filter(received).collect();
     let mut proc = InlineProcessor::new(cfg);
     proc.process_frame(0, &packets);
     proc

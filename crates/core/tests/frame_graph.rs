@@ -43,9 +43,8 @@ fn arrivals(
     frames: u32,
     reversed: bool,
 ) -> Vec<(u32, usize, usize)> {
-    let bearing: Vec<usize> = (0..schedule.len())
-        .filter(|&s| matches!(schedule.symbol(s), SymbolType::Pilot | SymbolType::Uplink))
-        .collect();
+    let bearing: Vec<usize> =
+        (0..schedule.len()).filter(|&s| schedule.symbol(s).carries_packets()).collect();
     let antenna = move |a: usize| if reversed { m - 1 - a } else { a };
     (0..frames)
         .flat_map(|f| bearing.iter().flat_map(move |&s| (0..m).map(move |a| (f, s, antenna(a)))))

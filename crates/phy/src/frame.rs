@@ -24,6 +24,14 @@ pub enum SymbolType {
     Empty,
 }
 
+impl SymbolType {
+    /// True for the slots a TDD RRU sends the baseband packets for
+    /// (pilot and uplink); in a downlink or guard slot it sends nothing.
+    pub fn carries_packets(self) -> bool {
+        matches!(self, SymbolType::Pilot | SymbolType::Uplink)
+    }
+}
+
 /// The symbol-level frame schedule.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameSchedule {

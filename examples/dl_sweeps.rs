@@ -24,11 +24,10 @@
 use agora_core::kernels::mac_payload;
 use agora_core::{EngineConfig, InlineProcessor};
 use agora_fft::{Direction, FftPlan};
-use agora_fronthaul::packet::decode_ref;
 use agora_fronthaul::{RruConfig, RruEmulator};
 use agora_ldpc::Encoder;
 use agora_math::{Cf32, Gemm, SimdTier};
-use agora_phy::frame::{FrameSchedule, SymbolType};
+use agora_phy::frame::FrameSchedule;
 use agora_phy::CellConfig;
 use std::hint::black_box;
 use std::time::Instant;
@@ -68,11 +67,6 @@ fn primed(cell: &CellConfig) -> (InlineProcessor, Vec<bytes::Bytes>) {
     cfg.noise_power = rru.noise_power();
     let mut proc = InlineProcessor::new(cfg);
     let (packets, _) = rru.generate_frame(0);
-    let received = |p: &bytes::Bytes| {
-        let symbol = decode_ref(p).expect("generated packets decode").0.symbol as usize;
-        cell.schedule.symbol(symbol) != SymbolType::Downlink
-    };
-    let packets: Vec<_> = packets.into_iter().filter(received).collect();
     proc.process_frame(0, &packets);
     (proc, packets)
 }
