@@ -260,14 +260,16 @@ fn check(cell: CellConfig, snr_db: f32) {
     }
 }
 
-/// The 8x2 test cell at QPSK and 16-QAM with frequency-orthogonal
-/// pilots, and at 16-QAM with time-orthogonal ones, two uplink symbols.
+/// The 8x2 test cell at QPSK, 16-QAM and 64-QAM with frequency-
+/// orthogonal pilots, and at 16-QAM with time-orthogonal ones, two
+/// uplink symbols.
 #[test]
 fn small_cell_uplink_matches_the_f64_reference() {
     use PilotScheme::*;
     for (scheme, pilots) in [
         (ModScheme::Qpsk, FrequencyOrthogonal),
         (ModScheme::Qam16, FrequencyOrthogonal),
+        (ModScheme::Qam64, FrequencyOrthogonal),
         (ModScheme::Qam16, TimeOrthogonal),
     ] {
         let mut cell = CellConfig::tiny_test(2);
