@@ -218,9 +218,8 @@ mod tests {
         cfg.noise_power = 1e-3;
         let mut proc = InlineProcessor::new(cfg);
 
-        // The downlink needs CSI from pilots: the RRU emulator still
-        // produces the frame's pilot packets (downlink symbols carry no
-        // uplink payload).
+        // The downlink needs CSI from pilots: the RRU emulator produces
+        // the frame's pilot packets, and none for its downlink symbols.
         let mut rru = RruEmulator::new(
             cell.clone(),
             RruConfig { snr_db: 50.0, seed: 33, ..Default::default() },

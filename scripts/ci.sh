@@ -10,8 +10,8 @@
 # deterministic simulator rows reproduce theirs byte for byte, and every
 # BENCH_<n>.json reduces again from its run log), the orphan gate (every
 # library `pub fn` has a caller outside tests), the knob gate (every
-# `EngineConfig` and `DeploymentConfig` field has a non-test setter or a
-# pending decision),
+# `EngineConfig`, `DeploymentConfig` and `RruConfig` field has a non-test
+# setter or a pending decision),
 # the fence gate (streaming stores and their one fence live in
 # agora-math::simd only), the tier gate (no `== SimdTier::Avx2`
 # dispatch outside simd.rs) and the fma gate (a function that issues a
@@ -84,13 +84,14 @@ if [ "$orphans" -ne 0 ]; then
     exit 1
 fi
 
-echo "== every EngineConfig / DeploymentConfig knob has a non-test setter or a decision pending =="
-# A `pub` field of `EngineConfig` or `DeploymentConfig` that nothing but
-# tests assigns is a switch with no harness: make it a constant. A field
-# passes when a non-test file (the bench bins, the examples, the
+echo "== every EngineConfig / DeploymentConfig / RruConfig knob has a non-test setter or a decision pending =="
+# A `pub` field of `EngineConfig`, `DeploymentConfig` or `RruConfig` that
+# nothing but tests sets is a switch with no harness: make it a constant.
+# A field passes when a non-test file (the bench bins, the examples, the
 # benchmark, the non-test part of crates/core/src) assigns it through a
-# binding (`cfg.field = …`), or when it is listed here with who decides
-# it.
+# binding (`cfg.field = …`), or, for an `RruConfig` field, names it in an
+# `RruConfig { … }` literal (`field: …` or the shorthand `field,`), or
+# when it is listed here with who decides it.
 # Word-level like the orphan gate: `SimConfig` shares `batch`, which is
 # why it is listed, not grepped.
 decided="
@@ -102,19 +103,37 @@ batch              Table 3 / SimConfig::batch (repro table4_ablation, ext_ablati
 frame_window       deployment sizing (buffer window); ROADMAP 8(d)
 rx_batch           deployment sizing (packets per recvmmsg poll)
 pin_cores          deployment setting (CPU pinning)
+delay_spread_taps  the frequency-selective rows of crates/core/tests/bler.rs
 "
 setters=$(mktemp)
-trap 'rm -f "$words" "$setters"' EXIT
+literals=$(mktemp)
+trap 'rm -f "$words" "$setters" "$literals"' EXIT
 for f in $(find crates/bench/src examples benchmark/src crates/core/src -name '*.rs'); do
     awk '/#\[cfg\(test\)\]/ { exit } { print }' "$f"
 done >"$setters"
+# The text of every `RruConfig { … }` literal, one per line.
+awk '{
+    line = $0
+    if (depth == 0) {
+        at = index(line, "RruConfig {")
+        if (at == 0) next
+        line = substr(line, at + length("RruConfig"))
+    }
+    for (i = 1; i <= length(line); i++) {
+        c = substr(line, i, 1)
+        if (c == "{") depth++
+        else if (c == "}" && --depth == 0) { printf "%s\n", substr(line, 1, i); next }
+    }
+    printf "%s ", line
+}' "$setters" >"$literals"
 knobs=0
 while read -r config field; do
     grep -qE "^$field " <<<"$decided" && continue
     grep -qE "\.$field(\.[a-z_0-9]+)? = " "$setters" && continue
-    echo "$config::$field is assigned by no non-test file"
+    [ "$config" = RruConfig ] && grep -qE "[{,] *$field *[:,}]" "$literals" && continue
+    echo "$config::$field is set by no non-test file"
     knobs=$((knobs + 1))
-done < <(scripts/ledger.sh | awk '$1 == "EngineConfig" || $1 == "DeploymentConfig" {
+done < <(scripts/ledger.sh | awk '$1 == "EngineConfig" || $1 == "DeploymentConfig" || $1 == "RruConfig" {
     for (i = 3; i <= NF; i++) print $1, $i }')
 if [ "$knobs" -ne 0 ]; then
     echo "$knobs knob(s) only tests can turn: make them constants and delete the other path,"

@@ -80,10 +80,10 @@ for f in $(rs crates | grep -v '/tests/'); do
 done
 printf '  %d\n' "$tiers"
 
-echo "== pub fields of the engine, deployment and simulator configurations =="
+echo "== pub fields of the engine, deployment, simulator and RRU emulator configurations =="
 # Per pub struct declared in config.rs (`Ablation` too, on a tree that
-# still has it), then `DeploymentConfig` from deploy.rs and `SimConfig`
-# from sim.rs.
+# still has it), then `DeploymentConfig` from deploy.rs, `SimConfig`
+# from sim.rs and `RruConfig` from the transport crate's rru.rs.
 fields() {
     nontest "$1" | awk -v only="${2:-}" '
     /^pub struct / { name = $3; sub(/[^A-Za-z0-9_].*/, "", name); if (only != "" && name != only) name = ""; next }
@@ -93,6 +93,7 @@ fields() {
 fields crates/core/src/config.rs
 fields crates/core/src/deploy.rs DeploymentConfig
 fields crates/core/src/sim.rs SimConfig
+fields crates/transport/src/rru.rs RruConfig
 
 echo "== engine constructors (pub fn of impl Engine returning Self) =="
 nontest crates/core/src/engine.rs | awk '
